@@ -33,16 +33,14 @@
 // destination within its flush window leaves as a single batch carrier,
 // cutting per-link message counts and framing bytes by roughly the number
 // of concurrent sends. Receivers unpack carriers and process every inner
-// message individually, so Deliver, Forward, and OnRawMessage semantics are
-// identical with batching on or off. The flush window is adaptive, derived
-// per destination from the observed arrival rate: zero when idle (a lone
-// broadcast on a quiet system pays no batching latency), widening under
-// bursts up to a cap. Three Config knobs control the scheduler:
+// message individually, so Deliver, Forward, and OnRawMessage semantics do
+// not depend on how sends were coalesced. The flush window is adaptive,
+// derived per destination from the observed arrival rate: zero when idle (a
+// lone broadcast on a quiet system pays no batching latency), widening under
+// bursts up to a cap. Two Config knobs control the scheduler:
 //
-//   - GossipMaxBatch: items coalesced per destination (default 64;
-//     1 disables batching and restores one message per send per link)
-//   - GossipMaxBatchBytes: byte budget that forces an early flush
-//     (default 256 KiB)
+//   - GossipMaxBatch: items coalesced per destination (default 64; a
+//     carrier is also cut at 256 KiB of pending payload)
 //   - EgressMaxFlushWindow: the adaptive window's cap (default 5 ms;
 //     ModeSync group sends flush at every lockstep round tick instead)
 //
@@ -293,10 +291,6 @@ func (n *Node) EgressStats() EgressStats { return n.inner.EgressStats() }
 
 // Now returns the node's clock (virtual under simulation).
 func (n *Node) Now() time.Duration { return n.inner.Now() }
-
-// SetTreeGossip toggles the dissemination tree over the gossip phase at
-// runtime (see Config.TreeGossip).
-func (n *Node) SetTreeGossip(v bool) { n.inner.SetTreeGossip(v) }
 
 // TreeEager reports whether the overlay link to the given neighbor vgroup
 // is currently an eager dissemination-tree edge (always true while the

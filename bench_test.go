@@ -109,34 +109,6 @@ func BenchmarkFig12Stream(b *testing.B) {
 	}
 }
 
-// BenchmarkGossipBatching compares the dissemination hot path (§3.3.4) with
-// per-destination gossip batching on vs off: 8 concurrent publishers on a
-// settled 24-node simnet system. The batched configuration must send fewer
-// group messages and fewer wire bytes per broadcast (asserted by
-// experiment.TestBatchingReducesTraffic); the table reports the numbers.
-func BenchmarkGossipBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		unbatched, err := experiment.BatchingRun(24, 8, 3, false, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		batched, err := experiment.BatchingRun(24, 8, 3, true, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\nunbatched: %.0f msgs/bcast, %.0f B/bcast, delivered %.2f"+
-				"\nbatched:   %.0f msgs/bcast, %.0f B/bcast, delivered %.2f",
-				unbatched.MsgsPerBcast, unbatched.BytesPerBcast, unbatched.Delivered,
-				batched.MsgsPerBcast, batched.BytesPerBcast, batched.Delivered)
-			b.ReportMetric(batched.MsgsPerBcast, "batched-msgs/bcast")
-			b.ReportMetric(unbatched.MsgsPerBcast, "unbatched-msgs/bcast")
-			b.ReportMetric(batched.BytesPerBcast, "batched-B/bcast")
-			b.ReportMetric(unbatched.BytesPerBcast, "unbatched-B/bcast")
-		}
-	}
-}
-
 func BenchmarkFig13Exchanges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Fig13(14, []int{8, 24}, int64(i+1))

@@ -20,9 +20,9 @@ import (
 	"atum"
 )
 
-func churnJoins(t *testing.T, tweak func(*atum.Config)) error {
+func churnJoins(t *testing.T) error {
 	t.Helper()
-	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 7, Tweak: tweak})
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 7})
 	rng := rand.New(rand.NewSource(7))
 	newNode := func() *atum.Node {
 		return cluster.AddNode(atum.Callbacks{Deliver: func(atum.Delivery) {}})
@@ -71,13 +71,7 @@ func churnJoins(t *testing.T, tweak func(*atum.Config)) error {
 }
 
 func TestChurnJoinsSurviveMergeRetries(t *testing.T) {
-	if err := churnJoins(t, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChurnJoinsSurviveMergeRetriesGossipOnly(t *testing.T) {
-	if err := churnJoins(t, func(cfg *atum.Config) { cfg.EgressGossipOnly = true }); err != nil {
+	if err := churnJoins(t); err != nil {
 		t.Fatal(err)
 	}
 }

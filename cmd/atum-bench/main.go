@@ -7,8 +7,9 @@
 //	atum-bench -exp fig8 -n 200 -byz 0  # one experiment
 //	atum-bench -exp fig4 -quick         # smoke scale
 //
-// Experiments: table1 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-// batching wirecodec egress frames tree backpressure all.
+// Experiments: table1 robustness fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+// fig13 tree backpressure all. Comparing two revisions of the engine is the
+// repository benchmark's job (bash atumbench/run.sh, BENCHMARK.json).
 // Output: paper-style rows on stdout; EXPERIMENTS.md records a reference run.
 package main
 
@@ -28,7 +29,7 @@ func main() {
 
 func run() int {
 	var (
-		exp   = flag.String("exp", "all", "experiment: table1|robustness|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|batching|wirecodec|egress|frames|tree|backpressure|all")
+		exp   = flag.String("exp", "all", "experiment: table1|robustness|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tree|backpressure|all")
 		n     = flag.Int("n", 0, "system size override")
 		byz   = flag.Int("byz", 0, "byzantine node count (fig8)")
 		seed  = flag.Int64("seed", 1, "simulation seed")
@@ -109,34 +110,6 @@ func run() int {
 				rates = []int{8, 24}
 			}
 			fmt.Print(experiment.Fig13(target, rates, *seed))
-		case "batching":
-			size := pick(*n, 60, *quick, 24)
-			rounds := 8
-			if *quick {
-				rounds = 3
-			}
-			fmt.Print(experiment.Batching(size, 8, rounds, *seed))
-		case "wirecodec":
-			size := pick(*n, 60, *quick, 24)
-			rounds := 8
-			if *quick {
-				rounds = 3
-			}
-			fmt.Print(experiment.WireCodec(size, 8, rounds, *seed))
-		case "egress":
-			size := pick(*n, 60, *quick, 24)
-			rounds := 8
-			if *quick {
-				rounds = 6
-			}
-			fmt.Print(experiment.Egress(size, 8, rounds, *seed))
-		case "frames":
-			size := pick(*n, 60, *quick, 24)
-			rounds := 8
-			if *quick {
-				rounds = 6
-			}
-			fmt.Print(experiment.Frames(size, 8, rounds, *seed))
 		case "tree":
 			// The eager/lazy split pays off per distinct overlay link; below
 			// ~8 vgroups the H-graph cycle slots alias onto a handful of
@@ -167,7 +140,7 @@ func run() int {
 
 	if *exp == "all" {
 		for _, name := range []string{"table1", "robustness", "fig4", "fig6", "fig7",
-			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "batching", "wirecodec", "egress", "frames", "tree", "backpressure"} {
+			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "tree", "backpressure"} {
 			runOne(name)
 		}
 		return 0

@@ -2,9 +2,10 @@ package atum_test
 
 // System-level pin for the adaptive flush window's idle path: a single
 // broadcast on a quiet ModeAsync cluster must reach every member no later
-// than it would on the unbatched engine (GossipMaxBatch=1). The egress
-// scheduler sends idle traffic at enqueue time — the zero-window fast path —
-// so batching must cost nothing when there is nothing to batch with.
+// than it would with a carrier cap of one item (GossipMaxBatch=1, which can
+// never hold an item back). The egress scheduler sends idle traffic at
+// enqueue time — the zero-window fast path — so batching must cost nothing
+// when there is nothing to batch with.
 
 import (
 	"testing"

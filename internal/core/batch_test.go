@@ -302,10 +302,10 @@ func TestBatchUnwrapsSinglePayload(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneMatchesLegacyPath checks GossipMaxBatch=1 bypasses the
-// aggregator entirely: sends happen synchronously at forward time, exactly
-// like the pre-batching engine.
-func TestBatchSizeOneMatchesLegacyPath(t *testing.T) {
+// TestBatchCapOneNeverBuffers checks GossipMaxBatch=1 is an ordinary cap the
+// first item already fills: sends happen synchronously at forward time, as
+// plain group messages, with nothing left waiting for the round tick.
+func TestBatchCapOneNeverBuffers(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
@@ -379,12 +379,12 @@ func TestFreshSentEvictsOnlyStaleEntries(t *testing.T) {
 
 	// 200 stale entries and 150 fresh ones.
 	for i := 0; i < 200; i++ {
-		n.freshSent[group.Key{GroupID: ids.GroupID(1000 + i), Epoch: 1}] = env.now - window
+		n.freshSent.last[group.Key{GroupID: ids.GroupID(1000 + i), Epoch: 1}] = env.now - window
 	}
 	fresh := make([]group.Key, 0, 150)
 	for i := 0; i < 150; i++ {
 		k := group.Key{GroupID: ids.GroupID(5000 + i), Epoch: 1}
-		n.freshSent[k] = env.now
+		n.freshSent.last[k] = env.now
 		fresh = append(fresh, k)
 	}
 
@@ -395,17 +395,17 @@ func TestFreshSentEvictsOnlyStaleEntries(t *testing.T) {
 	})
 
 	for _, k := range fresh {
-		if _, ok := n.freshSent[k]; !ok {
+		if _, ok := n.freshSent.last[k]; !ok {
 			t.Fatalf("fresh entry %v evicted by overflow handling", k)
 		}
 	}
 	for i := 0; i < 200; i++ {
-		if _, ok := n.freshSent[group.Key{GroupID: ids.GroupID(1000 + i), Epoch: 1}]; ok {
+		if _, ok := n.freshSent.last[group.Key{GroupID: ids.GroupID(1000 + i), Epoch: 1}]; ok {
 			t.Fatalf("stale entry %d survived overflow handling", i)
 		}
 	}
 	// The triggering sender itself was recorded (reply rate-limited next time).
-	if _, ok := n.freshSent[nbr.Key()]; !ok {
+	if _, ok := n.freshSent.last[nbr.Key()]; !ok {
 		t.Fatal("triggering sender not recorded in freshSent")
 	}
 }

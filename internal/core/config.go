@@ -233,13 +233,8 @@ type Config struct {
 	// dissemination phase is the hot path under concurrent broadcasts; churn
 	// updates, walk traffic and raw-message floods share the same
 	// per-destination queues — see internal/egress). 0 selects the default
-	// (64); 1 disables batching entirely and reproduces the
-	// one-message-per-send behaviour exactly.
+	// (64). A carrier is also cut at 256 KiB of pending payload.
 	GossipMaxBatch int
-	// GossipMaxBatchBytes caps the payload bytes of one egress batch; a
-	// destination whose pending payloads exceed it is flushed immediately.
-	// 0 selects the default (256 KiB).
-	GossipMaxBatchBytes int
 	// EgressMaxFlushWindow caps the egress scheduler's adaptive flush
 	// window. The window is derived per destination from the observed
 	// arrival rate: zero when the destination is idle (a lone send pays no
@@ -267,31 +262,16 @@ type Config struct {
 	// gossip phase (tree.go): links that deliver duplicates are demoted to
 	// lazy and carry batched IHAVE digests instead of payloads; a receiver
 	// missing an announced broadcast grafts the link back to eager. Off by
-	// default — the flood path is the paper's baseline. Runtime-togglable
-	// via SetTreeGossip.
+	// default: it trades publish→deliver latency for link messages and
+	// bytes (docs/ARCHITECTURE.md, "Measured trade"). Chosen at
+	// construction; every node of a system should agree.
 	TreeGossip bool
-	// TreeGraftTimeout is how long a node waits after the first IHAVE for
-	// an undelivered broadcast before grafting the announcing link. It must
-	// exceed the lazy digest flush cadence (TreeIHaveEvery rounds) plus the
-	// eager path's expected delivery skew. 0 selects the default
-	// (4 × RoundDuration).
-	TreeGraftTimeout time.Duration
-	// TreeIHaveEvery is the lazy digest flush cadence in round ticks:
-	// pending IHAVE entries accumulate per lazy neighbor and flush as one
-	// batched payload every TreeIHaveEvery rounds. 0 selects the default
-	// (2).
-	TreeIHaveEvery int
 	// RequireRawCodec makes SendRaw reject messages whose type is not
 	// registered in the wire extension range (RegisterRawMessage) with
 	// ErrUnregisteredType, instead of silently falling back to the direct /
 	// gob paths. Set it where every raw type is expected to be wire-codable
 	// (byte-level transports, flow-controlled deployments).
 	RequireRawCodec bool
-	// EgressGossipOnly restricts the egress scheduler to the gossip kind,
-	// sending walk, churn and raw traffic directly — the pre-egress
-	// behaviour, kept as the baseline for the `atum-bench -exp egress`
-	// comparison and ablation tests. Off in production.
-	EgressGossipOnly bool
 	// Behavior injects Byzantine behaviour for experiments.
 	Behavior Behavior
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
@@ -337,9 +317,6 @@ func (c Config) withDefaults() Config {
 		// an over-configured sender would lose every full batch it emits.
 		c.GossipMaxBatch = group.MaxBatchItems
 	}
-	if c.GossipMaxBatchBytes <= 0 {
-		c.GossipMaxBatchBytes = 256 << 10
-	}
 	if c.EgressMaxFlushWindow <= 0 {
 		c.EgressMaxFlushWindow = 5 * time.Millisecond
 	}
@@ -348,12 +325,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EgressQueueBytes == 0 {
 		c.EgressQueueBytes = 8 << 20
-	}
-	if c.TreeGraftTimeout <= 0 {
-		c.TreeGraftTimeout = 4 * c.RoundDuration
-	}
-	if c.TreeIHaveEvery <= 0 {
-		c.TreeIHaveEvery = 2
 	}
 	if c.ReplyMode == 0 {
 		if c.Mode == smr.ModeAsync {

@@ -29,6 +29,10 @@ import (
 // egressFlushTimer drives the adaptive flush windows.
 type egressFlushTimer struct{}
 
+// maxCarrierBytes caps the pending payload bytes of one batch carrier; a
+// destination that reaches it is flushed without waiting for its window.
+const maxCarrierBytes = 256 << 10
+
 // newEgress builds the node's scheduler. The callbacks close over n: they
 // run inside the node's event loop, after Start has set n.env.
 func (n *Node) newEgress() *egress.Scheduler {
@@ -41,7 +45,7 @@ func (n *Node) newEgress() *egress.Scheduler {
 	}
 	return egress.New(egress.Config{
 		MaxBatch:   n.cfg.GossipMaxBatch,
-		MaxBytes:   n.cfg.GossipMaxBatchBytes,
+		MaxBytes:   maxCarrierBytes,
 		MaxWindow:  n.cfg.EgressMaxFlushWindow,
 		Limit:      limit,
 		LimitBytes: limitBytes,
@@ -102,11 +106,6 @@ func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID 
 // absolute expiry (0 = never): the origin of a BroadcastWith stamps its
 // first-hop gossip items with the caller's flow-control options.
 func (n *Node) sendViaEgressWith(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte, class egress.Class, expires time.Duration) {
-	if n.cfg.EgressGossipOnly && kind != kindGossip {
-		// Ablation/baseline: only the gossip kind rides the scheduler.
-		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, kind, msgID, payload)
-		return
-	}
 	n.egress.EnqueueGroupWith(src, dst,
 		group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload},
 		n.cfg.Mode == smr.ModeSync, class, expires)

@@ -162,8 +162,7 @@ func (n *Node) EgressStats() EgressStats {
 // SetEgressQueueLimit changes the egress flow-control bounds at runtime
 // (items and queued bytes per node-addressed destination; limit <= 0
 // disables flow control). The experiment harness uses it so the paced and
-// unpaced configurations share one identical growth history, like
-// SetEgressGossipOnly before it.
+// unpaced configurations share one identical growth history.
 func (n *Node) SetEgressQueueLimit(limit, limitBytes int) {
 	n.cfg.EgressQueueLimit, n.cfg.EgressQueueBytes = limit, limitBytes
 	if limit < 0 {

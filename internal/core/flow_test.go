@@ -6,7 +6,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -41,30 +40,22 @@ func TestSendRawNotRunningTyped(t *testing.T) {
 type unregisteredRawMsg struct{ X int }
 
 // TestSendRawUnregisteredType: with Config.RequireRawCodec, sending a type
-// that has no wire codec fails with ErrUnregisteredType on both the batched
-// and the unbatched (GossipMaxBatch=1) paths; without the knob the old
-// direct-send fallback still works.
+// that has no wire codec fails with ErrUnregisteredType; without the knob
+// the old direct-send fallback still works.
 func TestSendRawUnregisteredType(t *testing.T) {
 	registerEgressTestMsg()
-	for _, maxBatch := range []int{0, 1} {
-		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
-			h := newHarness(t, smr.ModeSync, 1, func(cfg *Config) {
-				cfg.RequireRawCodec = true
-				cfg.GossipMaxBatch = maxBatch
-			})
-			nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
-			to := nodes[1].cfg.Identity.ID
-			if err := nodes[0].SendRawWith(to, unregisteredRawMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
-				t.Fatalf("unregistered type returned %v, want ErrUnregisteredType", err)
-			}
-			if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
-				t.Fatalf("registered type returned %v", err)
-			}
-		})
+	strict := newHarness(t, smr.ModeSync, 1, func(cfg *Config) { cfg.RequireRawCodec = true })
+	nodes := strict.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
+	to := nodes[1].cfg.Identity.ID
+	if err := nodes[0].SendRawWith(to, unregisteredRawMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
+		t.Fatalf("unregistered type returned %v, want ErrUnregisteredType", err)
+	}
+	if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
+		t.Fatalf("registered type returned %v", err)
 	}
 	// Without RequireRawCodec the unregistered type rides the direct path.
 	h := newHarness(t, smr.ModeSync, 2, nil)
-	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
+	nodes = h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
 	var got []any
 	nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 	if err := nodes[0].SendRawWith(nodes[1].cfg.Identity.ID, unregisteredRawMsg{X: 7}, SendOpts{}); err != nil {

@@ -229,23 +229,9 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 		return // we cannot attest that epoch
 	}
 	srcKey := group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}
-	now := n.env.Now()
-	if last, ok := n.freshSent[srcKey]; ok && now-last < 4*n.cfg.RoundDuration {
+	if !n.freshSent.allow(srcKey, n.env.Now()) {
 		return
 	}
-	// Evict only entries past the suppression window: recreating the whole
-	// map would forget rate-limit state written moments ago and re-open the
-	// refresh-storm window this cache exists to close. A flood of forged
-	// source keys can keep every entry inside the window, so a hard cap
-	// still bounds memory — the wholesale reset survives only as that
-	// under-attack fallback.
-	if len(n.freshSent) > 256 {
-		pruneStale(n.freshSent, now, 4*n.cfg.RoundDuration)
-		if len(n.freshSent) > 1024 {
-			n.freshSent = make(map[group.Key]time.Duration)
-		}
-	}
-	n.freshSent[srcKey] = now
 	srcComp, ok := n.lookupComp(srcKey)
 	if !ok || srcComp.N() == 0 {
 		return
@@ -261,14 +247,4 @@ func freshMsgID(cur group.Composition, to ids.GroupID) crypto.Digest {
 	d = crypto.HashUint64(d, cur.Epoch)
 	d = crypto.HashUint64(d, uint64(to))
 	return d
-}
-
-// pruneStale evicts rate-limiter entries whose timestamp fell outside the
-// window; live entries survive, keeping suppression intact under overflow.
-func pruneStale[K comparable](m map[K]time.Duration, now, window time.Duration) {
-	for k, at := range m {
-		if now-at >= window {
-			delete(m, k)
-		}
-	}
 }

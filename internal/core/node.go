@@ -119,13 +119,13 @@ type Node struct {
 	// keep it un-evicted, but it cannot participate — a permanent zombie).
 	recentSnaps map[uint64][]byte
 	// reShared rate-limits catch-up re-shares per laggard.
-	reShared      map[ids.NodeID]time.Duration
+	reShared      *rateLimiter[ids.NodeID]
 	walkDeadlines map[crypto.Digest]time.Duration
 	lastChains    map[crypto.Digest][]overlay.StepCert // member-local cert chains
 	mergeRetryAt  time.Duration
 	shuffleNextAt time.Duration // local pacing of shuffle exchanges
 	lastPrune     time.Duration
-	freshSent     map[group.Key]time.Duration // freshness-reply rate limiting
+	freshSent     *rateLimiter[group.Key] // freshness replies per stale sender
 
 	// pen buffers SMR envelopes for configurations not installed yet.
 	pen map[group.Key][]penMsg
@@ -167,6 +167,7 @@ var _ actor.Node = (*Node)(nil)
 // New creates a node from its configuration.
 func New(cfg Config) *Node {
 	cfg = cfg.withDefaults()
+	replyWindow := 4 * cfg.RoundDuration
 	n := &Node{
 		cfg:            cfg,
 		signer:         cfg.Scheme.NewSigner(cfg.SignerSeed),
@@ -181,12 +182,12 @@ func New(cfg Config) *Node {
 		pendingSnaps:   make(map[ids.GroupID]group.Accepted),
 		walkDeadlines:  make(map[crypto.Digest]time.Duration),
 		lastChains:     make(map[crypto.Digest][]overlay.StepCert),
-		freshSent:      make(map[group.Key]time.Duration),
+		freshSent:      newRateLimiter[group.Key](replyWindow, 256, 1024),
 		pen:            make(map[group.Key][]penMsg),
 		snapShares:     make(map[snapShareKey]*snapTally),
 		recentSnaps:    make(map[uint64][]byte),
-		reShared:       make(map[ids.NodeID]time.Duration),
-		tree:           newTreeState(),
+		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
+		tree:           newTreeState(replyWindow),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
 	n.egress = n.newEgress()
@@ -370,46 +371,37 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if n.env == nil || n.stopped {
 		return ErrNotRunning
 	}
-	if n.cfg.GossipMaxBatch > 1 && !n.cfg.EgressGossipOnly {
-		if payload, ok := encodeRawWire(msg); ok {
-			src := group.Composition{}
-			if n.st != nil {
-				src = n.st.comp
-			}
-			var expires time.Duration
-			if opts.TTL > 0 {
-				expires = n.env.Now() + opts.TTL
-			}
-			// MsgID is the payload digest by construction, so the v2 batch
-			// frame omits it (DerivedID) and the receiver re-derives it.
-			err := n.egress.EnqueueNodeWith(src, to,
-				group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
-				egress.Class(opts.Priority), expires)
-			if err != nil {
-				return ErrEgressOverflow
-			}
-			return nil
-		}
+	payload, ok := encodeRawWire(msg)
+	if !ok {
 		if n.cfg.RequireRawCodec {
 			return ErrUnregisteredType
 		}
-	} else if n.cfg.RequireRawCodec && !rawRegistered(msg) {
-		return ErrUnregisteredType
+		//atumvet:allow egressonly unregistered-type raw fallback: gob messages have no wire frame and cannot ride batch carriers
+		n.sendNow(to, msg)
+		return nil
 	}
-	//atumvet:allow egressonly unregistered-type raw fallback: gob messages have no wire frame and cannot ride batch carriers
-	n.sendNow(to, msg)
+	src := group.Composition{}
+	if n.st != nil {
+		src = n.st.comp
+	}
+	var expires time.Duration
+	if opts.TTL > 0 {
+		expires = n.env.Now() + opts.TTL
+	}
+	// MsgID is the payload digest by construction, so the v2 batch frame
+	// omits it (DerivedID) and the receiver re-derives it.
+	err := n.egress.EnqueueNodeWith(src, to,
+		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
+		egress.Class(opts.Priority), expires)
+	if err != nil {
+		return ErrEgressOverflow
+	}
 	return nil
 }
 
 // SetBehavior switches the node's behaviour (experiment fault injection;
 // Byzantine behaviours activate once the node is a vgroup member).
 func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
-
-// SetEgressGossipOnly toggles the egress-scheduler ablation at runtime. The
-// experiment harness uses it so the batched and baseline measurements share
-// one identical growth history (toggling config before growth would fork
-// the RNG consumption and hence the overlay topology under comparison).
-func (n *Node) SetEgressGossipOnly(v bool) { n.cfg.EgressGossipOnly = v }
 
 // Now returns the node's clock (virtual in simulation).
 func (n *Node) Now() time.Duration {
@@ -429,7 +421,7 @@ func (n *Node) handleTick() {
 	// Lazy dissemination-tree digests flush on their round cadence, ahead
 	// of the deferred-batch framing below so they ride this round's
 	// carriers (tree.go).
-	if n.treeEnabled() && n.round%uint64(n.cfg.TreeIHaveEvery) == 0 {
+	if n.treeEnabled() && n.round%treeIHaveEvery == 0 {
 		n.flushTreeIHaves()
 	}
 
@@ -573,17 +565,9 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !ok || !oldComp.Contains(n.cfg.Identity.ID) {
 		return // cannot attest an epoch this node was not part of
 	}
-	now := n.env.Now()
-	if last, ok := n.reShared[to]; ok && now-last < 4*n.cfg.RoundDuration {
+	if !n.reShared.allow(to, n.env.Now()) {
 		return
 	}
-	if len(n.reShared) > 256 {
-		pruneStale(n.reShared, now, 4*n.cfg.RoundDuration)
-		if len(n.reShared) > 1024 {
-			n.reShared = make(map[ids.NodeID]time.Duration) // hard cap under flooding
-		}
-	}
-	n.reShared[to] = now
 	//atumvet:allow egressonly snapshot re-share: node-addressed under the pre-bump composition (unbatchedKinds)
 	group.SendToNode(n.sendNow, oldComp, n.cfg.Identity.ID, to,
 		kindSnapshot, snapMsgID(oldComp, to), payload)

@@ -72,15 +72,6 @@ func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *wire.Enc
 	rawReg.byType[typ] = c
 }
 
-// rawRegistered reports whether v's concrete type has a wire extension
-// codec (the RequireRawCodec check on paths that bypass encoding).
-func rawRegistered(v any) bool {
-	rawReg.RLock()
-	_, ok := rawReg.byType[reflect.TypeOf(v)]
-	rawReg.RUnlock()
-	return ok
-}
-
 // encodeRawWire frames a registered application raw message as a complete
 // wire-envelope frame ([magic][ext tag][version][body]); false when the
 // type is unregistered (callers then fall back to direct/gob paths).

@@ -23,11 +23,11 @@ package core
 //     composition announce (at least one announcer is correct), and they
 //     announce node-to-node to only the f+1 lowest-index members of the lazy
 //     vgroup (at least one receiver is correct). Announcements accumulate
-//     per neighbor and flush every TreeIHaveEvery rounds as one batched
+//     per neighbor and flush every treeIHaveEvery rounds as one batched
 //     iHavePayload — this ((f+1)² endpoints × multi-broadcast coalescing ×
 //     flush cadence) is where the lazy-link message reduction comes from.
 //   - A receiver that sees an IHAVE for an undelivered broadcast arms a
-//     TreeGraftTimeout timer through the injected clock, staggered by its
+//     treeGraftTimeout timer through the injected clock, staggered by its
 //     composition index. If the payload has not arrived when it fires, the
 //     node promotes the announcing link back to eager and sends GRAFT to
 //     fetch the payload — re-looking up the neighbor's latest composition on
@@ -44,6 +44,8 @@ package core
 // safe default.
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -73,9 +75,18 @@ const (
 	// stable: with exactly the floor left, no member votes to prune, so the
 	// tree cannot over-prune itself into graft-repair storms.
 	treeMinProviders = 2
+	// treeIHaveEvery is the lazy digest flush cadence in round ticks:
+	// pending IHAVE entries accumulate per lazy neighbor and flush as one
+	// batched payload every treeIHaveEvery rounds.
+	treeIHaveEvery = 2
 )
 
-// treeMissTimer fires TreeGraftTimeout after the first IHAVE for an
+// treeGraftTimeout is how long a node waits after the first IHAVE for an
+// undelivered broadcast before grafting the announcing link: the digest
+// flush cadence (treeIHaveEvery rounds) plus the eager path's delivery skew.
+func (n *Node) treeGraftTimeout() time.Duration { return 4 * n.cfg.RoundDuration }
+
+// treeMissTimer fires treeGraftTimeout after the first IHAVE for an
 // undelivered broadcast (virtual-time-safe: armed via the injected clock).
 type treeMissTimer struct{ BcastID crypto.Digest }
 
@@ -105,11 +116,11 @@ type treeCached struct {
 // treeGraftKey rate-limits graft service per (requesting vgroup, broadcast):
 // the response is group-addressed, so one member's graft heals the whole
 // group and its peers' staggered requests within the window are already
-// served. This map is deliberately separate from the freshSent/reShared
-// limiters: those suppress *re-shares* of state the peer already holds,
-// while a graft re-send is the first payload copy the requester ever gets
-// from us — sharing a limiter would suppress the repair path as "already
-// shared".
+// served. This limiter is deliberately a separate instance from the
+// freshSent/reShared ones: those suppress *re-shares* of state the peer
+// already holds, while a graft re-send is the first payload copy the
+// requester ever gets from us — sharing a limiter would suppress the repair
+// path as "already shared".
 type treeGraftKey struct {
 	gid     ids.GroupID
 	bcastID crypto.Digest
@@ -124,11 +135,11 @@ type treeState struct {
 	cache      map[crypto.Digest]treeCached                 // graft service payloads
 	cacheQ     []crypto.Digest                              // FIFO over cache
 	active     map[ids.GroupID]time.Duration                // last payload arrival per provider vgroup
-	pruneSent  map[ids.GroupID]time.Duration                // PRUNE rate limit per link
-	graftSent  map[treeGraftKey]time.Duration               // graft service rate limit
+	pruneSent  *rateLimiter[ids.GroupID]                    // PRUNE rate limit per link
+	graftSent  *rateLimiter[treeGraftKey]                   // graft service rate limit
 }
 
-func newTreeState() *treeState {
+func newTreeState(replyWindow time.Duration) *treeState {
 	return &treeState{
 		lazy:       make(map[ids.GroupID]bool),
 		pruneVotes: make(map[ids.GroupID]map[ids.NodeID]time.Duration),
@@ -136,8 +147,8 @@ func newTreeState() *treeState {
 		miss:       make(map[crypto.Digest]*treeMiss),
 		cache:      make(map[crypto.Digest]treeCached),
 		active:     make(map[ids.GroupID]time.Duration),
-		pruneSent:  make(map[ids.GroupID]time.Duration),
-		graftSent:  make(map[treeGraftKey]time.Duration),
+		pruneSent:  newRateLimiter[ids.GroupID](replyWindow, maxTreeLinks, 4*maxTreeLinks),
+		graftSent:  newRateLimiter[treeGraftKey](replyWindow, maxTreeLinks, 4*maxTreeLinks),
 	}
 }
 
@@ -157,23 +168,6 @@ func (n *Node) TreeEagerLink(gid ids.GroupID) bool {
 // FaultBound returns the configured mode's fault bound f for a group of the
 // given size (exported for tier-2 layers sizing f+1-parent forests).
 func (n *Node) FaultBound(groupSize int) int { return n.cfg.Mode.F(groupSize) }
-
-// SetTreeGossip toggles the dissemination tree at runtime. The experiment
-// harness uses it so the tree and flood measurements share one identical
-// growth history (same rationale as SetEgressGossipOnly). Disabling flushes
-// pending announcements first — broadcasts already withheld from a lazy
-// link would otherwise lose their IHAVE and never reach it from this
-// member — and resets link state so a later re-enable starts from the
-// all-eager default.
-func (n *Node) SetTreeGossip(v bool) {
-	if !v && n.cfg.TreeGossip && n.env != nil {
-		n.flushTreeIHaves()
-	}
-	if !v {
-		n.tree = newTreeState()
-	}
-	n.cfg.TreeGossip = v
-}
 
 // treeRemember retains a delivered broadcast for graft service and clears
 // any outstanding miss for it.
@@ -216,12 +210,14 @@ func (n *Node) treeAnnounce(nbr group.Composition, d Delivery) {
 }
 
 // flushTreeIHaves flushes every pending lazy announcement. Called on the
-// TreeIHaveEvery round cadence and — via flushAllEgress — before every
+// treeIHaveEvery round cadence and — via flushAllEgress — before every
 // replicated-state replacement, so announcements always depart stamped with
-// their enqueue-time composition.
+// their enqueue-time composition. Neighbors flush in ascending GroupID
+// order: the enqueue order decides the transport's latency draws, and map
+// order would make two identically seeded runs diverge.
 func (n *Node) flushTreeIHaves() {
-	for gid, p := range n.tree.pending {
-		n.flushTreePending(gid, p)
+	for _, gid := range slices.Sorted(maps.Keys(n.tree.pending)) {
+		n.flushTreePending(gid, n.tree.pending[gid])
 	}
 }
 
@@ -275,7 +271,7 @@ func (n *Node) treeSawPayload(gid ids.GroupID) {
 
 // treeActiveWindow is how long a payload arrival counts a vgroup as an
 // active provider for the prune guard, and how long a prune vote stays
-// fresh at the sender. Long enough to span a TreeIHaveEvery flush plus a
+// fresh at the sender. Long enough to span a treeIHaveEvery flush plus a
 // graft round trip; short enough that demotion pressure tracks the current
 // tree, not history.
 func (n *Node) treeActiveWindow() time.Duration { return 8 * n.cfg.RoundDuration }
@@ -347,7 +343,8 @@ func treeRank(dst, src ids.GroupID) crypto.Digest {
 // fewer than treeMinProviders other vgroups have delivered payloads
 // recently (the safety floor: a member short on live providers keeps every
 // link it has, whatever the ranking says). Rate-limited per link — one
-// duplicate per window is signal enough.
+// duplicate per window is signal enough; the limiter runs last so only a
+// PRUNE actually sent opens a window.
 func (n *Node) treeDuplicate(src group.Key, bcastID crypto.Digest) {
 	if !n.treeEnabled() || n.st == nil || n.phase != phaseMember {
 		return
@@ -357,20 +354,15 @@ func (n *Node) treeDuplicate(src group.Key, bcastID crypto.Digest) {
 	}
 	n.treeSawPayload(src.GroupID)
 	now := n.env.Now()
-	window := 4 * n.cfg.RoundDuration
-	if last, ok := n.tree.pruneSent[src.GroupID]; ok && now-last < window {
-		return
-	}
 	if n.treeKeptProvider(src.GroupID) {
 		return
 	}
 	if n.treeProviders(now, src.GroupID) < treeMinProviders {
 		return
 	}
-	if len(n.tree.pruneSent) > maxTreeLinks {
-		pruneStale(n.tree.pruneSent, now, window)
+	if !n.tree.pruneSent.allow(src.GroupID, now) {
+		return
 	}
-	n.tree.pruneSent[src.GroupID] = now
 	dst, ok := n.lookupComp(src)
 	if !ok || dst.N() == 0 {
 		return
@@ -441,7 +433,7 @@ func (n *Node) handleTreeAdvisory(from ids.NodeID, m group.GroupMsg) {
 // find the broadcast already delivered — one repair round trip per vgroup
 // instead of one per member.
 func (n *Node) handleIHave(gid ids.GroupID, p iHavePayload) {
-	delay := n.cfg.TreeGraftTimeout
+	delay := n.treeGraftTimeout()
 	if idx := n.st.comp.Index(n.cfg.Identity.ID); idx > 0 {
 		delay += time.Duration(idx) * n.cfg.RoundDuration
 	}
@@ -505,7 +497,7 @@ func (n *Node) handleTreeMiss(bcastID crypto.Digest) {
 			n.sendNow(mem.ID, msg)
 		}
 	}
-	n.env.SetTimer(n.cfg.TreeGraftTimeout, treeMissTimer{BcastID: bcastID})
+	n.env.SetTimer(n.treeGraftTimeout(), treeMissTimer{BcastID: bcastID})
 }
 
 func graftMsgID(src group.Composition, dst ids.GroupID, bcastID crypto.Digest) crypto.Digest {
@@ -529,20 +521,14 @@ func (n *Node) handleGraft(from ids.NodeID, gid ids.GroupID, comp group.Composit
 	delete(n.tree.lazy, gid)
 	delete(n.tree.pruneVotes, gid)
 	now := n.env.Now()
-	window := 4 * n.cfg.RoundDuration
-	if len(n.tree.graftSent) > maxTreeLinks {
-		pruneStale(n.tree.graftSent, now, window)
-	}
 	for _, id := range p.BcastIDs {
 		cb, ok := n.tree.cache[id]
 		if !ok {
 			continue
 		}
-		key := treeGraftKey{gid: gid, bcastID: id}
-		if last, ok := n.tree.graftSent[key]; ok && now-last < window {
+		if !n.tree.graftSent.allow(treeGraftKey{gid: gid, bcastID: id}, now) {
 			continue
 		}
-		n.tree.graftSent[key] = now
 		payload := n.encPayload(gossipPayload{BcastID: id, Origin: cb.origin, Data: cb.data, Hops: cb.hops})
 		// ClassControl, no expiry: shedding a repair payload would silently
 		// re-open the miss window the graft just closed.

@@ -270,9 +270,9 @@ func TestTreeGraftServiceBypassesShareLimiters(t *testing.T) {
 	n.treeRemember(Delivery{BcastID: bcast, Origin: self, Data: []byte("data"), Hops: 1})
 
 	// Saturate the re-share limiters exactly as a busy link would.
-	n.freshSent[nbr.Key()] = env.now
+	n.freshSent.last[nbr.Key()] = env.now
 	for _, mem := range nbr.Members {
-		n.reShared[mem.ID] = env.now
+		n.reShared.last[mem.ID] = env.now
 	}
 
 	wantID := gossipMsgID(bcast, n.st.comp, nbr.GroupID)

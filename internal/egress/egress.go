@@ -166,8 +166,7 @@ var ErrOverflow = errors.New("egress: destination queue full")
 // Config wires a Scheduler to its owner.
 type Config struct {
 	// MaxBatch caps the items coalesced per carrier; on unbounded queues the
-	// cap'th item forces a flush. Values <= 1 disable queueing entirely:
-	// every item is transmitted immediately (the legacy unbatched path).
+	// cap'th item forces a flush (so a cap of 1 never holds an item).
 	MaxBatch int
 	// MaxBytes caps a carrier's pending payload bytes (incl. per-item
 	// framing); exceeding it forces a flush on unbounded queues.
@@ -353,7 +352,7 @@ func (s *Scheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it gro
 
 // bounded reports whether k is under flow control.
 func (s *Scheduler) bounded(k destKey) bool {
-	return k.node != 0 && s.cfg.Limit > 0 && s.cfg.MaxBatch > 1
+	return k.node != 0 && s.cfg.Limit > 0
 }
 
 func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, meta itemMeta) error {
@@ -371,10 +370,10 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 	if q == nil {
 		a := s.arr[k]
 		paceHold := bounded && a != nil && a.nextAt > now
-		if s.cfg.MaxBatch <= 1 || (!deferred && window <= 0 && !paceHold) {
-			// Batching disabled, or the destination is idle: transmit now so
-			// low-rate traffic pays no window latency. The scratch slice is
-			// reused per call — Flush must not retain it (see Config.Flush).
+		if !deferred && window <= 0 && !paceHold {
+			// The destination is idle: transmit now so low-rate traffic pays
+			// no window latency. The scratch slice is reused per call — Flush
+			// must not retain it (see Config.Flush).
 			s.stats.Immediate++
 			s.single[0] = it
 			s.cfg.Flush(src, dst, node, s.single[:])

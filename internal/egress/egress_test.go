@@ -228,7 +228,8 @@ func TestNodeDestinations(t *testing.T) {
 	}
 }
 
-// TestMaxBatchOneNeverQueues: the legacy unbatched path.
+// TestMaxBatchOneNeverQueues: a cap of one is an ordinary cap that the first
+// item fills, so even deferred queues hold nothing back.
 func TestMaxBatchOneNeverQueues(t *testing.T) {
 	h := newHarness(1, 5*time.Millisecond)
 	src, dst := comp(1, 1), comp(2, 1)

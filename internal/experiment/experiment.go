@@ -112,6 +112,8 @@ type cluster struct {
 	// destination (OnEgressPressure transitions): pressure[sender][dest].
 	// The backpressure experiment paces its floods off it.
 	pressure map[atum.NodeID]map[atum.NodeID]atum.PressureLevel
+	// rawDelivered counts raw messages handed to any node's OnRawMessage.
+	rawDelivered int
 }
 
 func newCluster(mode smr.Mode, seed int64, net *simnet.Config, tweak func(*atum.Config)) *cluster {
@@ -158,7 +160,9 @@ func (cl *cluster) addNode(behavior atum.Behavior) *atum.Node {
 			m[dest] = level
 		},
 	}
-	n = cl.c.AddNode(cb)
+	n = cl.c.AddNodeWith(cb, func(cfg *atum.Config) {
+		cfg.OnRawMessage = func(atum.NodeID, any) { cl.rawDelivered++ }
+	})
 	id = n.Identity().ID
 	if behavior != atum.BehaviorCorrect {
 		// Behaviour activates once the node is a member (experiment nodes

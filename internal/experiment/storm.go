@@ -1,0 +1,311 @@
+package experiment
+
+import (
+	"fmt"
+	"time"
+
+	"atum"
+	"atum/internal/simnet"
+	"atum/internal/smr"
+)
+
+// expChunk is the harness's registered raw-message type: a stand-in for
+// AStream tier-2 data pushes, wire-framed under the benchmark extension tag
+// (docs/WIRE.md: 0xA0–0xAF are reserved for in-repo benchmarks and tests).
+type expChunk struct {
+	Seq  uint64
+	Data []byte
+}
+
+// WireSize implements the bandwidth model's sizer.
+func (c expChunk) WireSize() int { return 40 + len(c.Data) }
+
+const rawTagExpChunk = 0xA0
+
+func init() {
+	atum.RegisterRawMessage(rawTagExpChunk, expChunk{},
+		func(v any, e *atum.WireEncoder) {
+			m := v.(expChunk)
+			e.Uint64(m.Seq)
+			e.VarBytes(m.Data)
+		},
+		func(d *atum.WireDecoder) any {
+			return expChunk{Seq: d.Uint64(), Data: d.VarBytes()}
+		})
+}
+
+// StormConfig parameterises the one dissemination scenario of this package:
+// grow → settle → warm up → publish → drain → count.
+type StormConfig struct {
+	N, Publishers, Rounds int
+	Seed                  int64
+	// Tweak adjusts every node's Config at construction, on top of the
+	// scenario's fixed parameters (nil: library defaults).
+	Tweak func(*atum.Config)
+	// Churn makes one stable member leave and one fresh node join in every
+	// measured round (walk, neighbor-update and set-neighbor traffic).
+	Churn bool
+	// RawFloods makes every stable member push stormChunksPerRound raw chunks
+	// to each peer of its vgroup in every measured round. AStream's tier 2 is
+	// such a flood: every node re-pushes each chunk, so per-node chunk egress
+	// scales with the system and shares the per-destination queues with the
+	// protocol traffic.
+	RawFloods bool
+	// WarmupRounds of unmeasured, churn-free broadcasts precede the measured
+	// window (a dissemination tree needs duplicates to carve itself).
+	WarmupRounds int
+}
+
+// StormTraffic is the measured cost of one StormRun.
+type StormTraffic struct {
+	Broadcasts int
+	// Sent and BytesSent are the simulator's counters over the measured
+	// window and drain; two runs of one configuration must agree on both.
+	Sent, BytesSent int64
+	// MsgsPerBcast counts every network message, intra-vgroup SMR agreement
+	// included.
+	MsgsPerBcast float64
+	// LinkMsgsPerBcast counts overlay-link traffic only — group messages and
+	// application raw messages, the per-destination sends the egress
+	// scheduler coalesces.
+	LinkMsgsPerBcast float64
+	BytesPerBcast    float64
+	// DupsPerBcast counts gossip payloads accepted for a broadcast the
+	// receiver had already delivered (EventDuplicateDelivery).
+	DupsPerBcast float64
+	// Delivered is the fraction of (broadcast, stable member) pairs
+	// delivered. Stable members are members from before the first measured
+	// broadcast until after the drain; churners come and go by design.
+	Delivered float64
+	// RawSent counts raw chunks offered to SendRawWith, RawDelivered the
+	// chunks an OnRawMessage hook received.
+	RawSent, RawDelivered int
+}
+
+const (
+	stormRoundDur       = 100 * time.Millisecond
+	stormChunksPerRound = 8
+	stormChunkBytes     = 256
+	// stormDrainRounds covers the slowest repair path: an IHAVE flush, the
+	// graft timer and three graft retries.
+	stormDrainRounds = 60
+)
+
+// linkMsgs counts overlay-link messages in a counter diff: everything except
+// the node-level SMR envelopes, heartbeats, and join/renounce handshakes
+// (intra-vgroup or point-to-point control traffic outside the scheduler's
+// scope).
+func linkMsgs(d simnet.Stats) int64 {
+	var out int64
+	for typ, c := range d.SentByType {
+		switch typ {
+		case "core.SMREnvelope", "core.Heartbeat", "core.JoinContact",
+			"core.ContactInfo", "core.JoinRequest", "core.Renounce":
+		default:
+			out += c
+		}
+	}
+	return out
+}
+
+// stormText is deterministic filler, so payload sizes match across runs.
+func stormText(seed int64, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + (uint64(seed)*2654435761+uint64(i)*97)%26)
+	}
+	return string(b)
+}
+
+// StormRun measures dissemination cost on an sc.N-node ModeSync system with
+// shuffling, heartbeats and evictions parked: per measured round every
+// publisher broadcasts one payload, and churn and raw floods run as
+// configured. Configurations differ only through sc.Tweak, applied at
+// construction; growth issues no broadcasts, so arms that differ in how they
+// disseminate still measure one overlay.
+func StormRun(sc StormConfig) (StormTraffic, error) {
+	cl := newCluster(smr.ModeSync, sc.Seed, nil, func(cfg *atum.Config) {
+		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
+		cfg.RoundDuration = stormRoundDur
+		cfg.DisableShuffle = true
+		cfg.HeartbeatEvery = time.Hour // isolate protocol traffic
+		cfg.EvictAfter = 10 * time.Hour
+		if sc.Tweak != nil {
+			sc.Tweak(cfg)
+		}
+	})
+	if err := cl.grow(sc.N, time.Minute); err != nil {
+		return StormTraffic{}, fmt.Errorf("growth to %d nodes failed: %w", sc.N, err)
+	}
+	cl.c.Run(5 * time.Second) // settle
+
+	var pubs, stable []*atum.Node
+	for _, node := range cl.nodes {
+		if !node.IsMember() {
+			continue
+		}
+		if len(pubs) < sc.Publishers {
+			pubs = append(pubs, node)
+		}
+		stable = append(stable, node)
+	}
+	// Churners leave from the tail of the stable set (never publishers);
+	// they stop counting as stable.
+	var leavers []*atum.Node
+	if sc.Churn {
+		churners := min(len(stable)/8, sc.Rounds)
+		if len(stable)-churners > sc.Publishers {
+			leavers = stable[len(stable)-churners:]
+			stable = stable[:len(stable)-churners]
+		}
+	}
+	contact := pubs[0].Identity()
+	filler := stormText(sc.Seed, 40)
+
+	for r := 0; r < sc.WarmupRounds; r++ {
+		for i, p := range pubs {
+			_ = p.BroadcastWith([]byte(fmt.Sprintf("warm-%d-%d-%s", r, i, filler)), atum.BroadcastOpts{})
+		}
+		cl.c.Run(stormRoundDur)
+	}
+	if sc.WarmupRounds > 0 {
+		cl.c.Run(10 * stormRoundDur) // drain warm-up dissemination and PRUNE votes
+	}
+
+	chunk := make([]byte, stormChunkBytes)
+	for i := range chunk {
+		chunk[i] = byte(sc.Seed) + byte(i)
+	}
+	before := cl.c.Net.Stats()
+	var out StormTraffic
+	var payloads []string
+	for r := 0; r < sc.Rounds; r++ {
+		if sc.Churn {
+			if r < len(leavers) {
+				_ = leavers[r].Leave()
+			}
+			_ = cl.addNode(atum.BehaviorCorrect).Join(contact)
+		}
+		for i, p := range pubs {
+			payload := fmt.Sprintf("storm-%d-%d-%s", r, i, filler)
+			if p.BroadcastWith([]byte(payload), atum.BroadcastOpts{}) == nil {
+				payloads = append(payloads, payload)
+			}
+		}
+		if sc.RawFloods {
+			for _, node := range stable {
+				if !node.IsMember() {
+					continue
+				}
+				self := node.Identity().ID
+				for c := 0; c < stormChunksPerRound; c++ {
+					for _, member := range node.GroupMembers() {
+						if member.ID != self {
+							out.RawSent++
+							_ = node.SendRawWith(member.ID, expChunk{Seq: uint64(out.RawSent), Data: chunk}, atum.SendOpts{})
+						}
+					}
+				}
+			}
+		}
+		cl.c.Run(stormRoundDur)
+	}
+	cl.c.Run(stormDrainRounds * stormRoundDur)
+	diff := cl.c.Net.Stats().Sub(before)
+	out.RawDelivered = cl.rawDelivered // nothing sends raw messages before the window
+	out.Broadcasts = len(payloads)
+	out.Sent, out.BytesSent = diff.Sent, diff.BytesSent
+	if len(payloads) == 0 {
+		return out, nil
+	}
+
+	members, deliveredPairs := 0, 0
+	for _, node := range stable {
+		if !node.IsMember() {
+			continue
+		}
+		members++
+		for _, p := range payloads {
+			if _, ok := cl.deliverAt[node.Identity().ID][p]; ok {
+				deliveredPairs++
+			}
+		}
+	}
+	var dups int64
+	for _, c := range diff.DuplicatesByType {
+		dups += c
+	}
+	bcasts := float64(len(payloads))
+	out.MsgsPerBcast = float64(diff.Sent) / bcasts
+	out.LinkMsgsPerBcast = float64(linkMsgs(diff)) / bcasts
+	out.BytesPerBcast = float64(diff.BytesSent) / bcasts
+	out.DupsPerBcast = float64(dups) / bcasts
+	if members > 0 {
+		out.Delivered = float64(deliveredPairs) / (bcasts * float64(members))
+	}
+	return out, nil
+}
+
+// treeWarmupRounds lets first deliveries mark links eager and duplicates
+// vote the rest lazy before the measured window opens.
+const treeWarmupRounds = 8
+
+// TreeStorm is the churn storm the dissemination tree is measured under, with
+// the tree on or off at construction. It runs no raw floods: the tree
+// optimizes the gossip phase, and identical raw traffic in both arms would
+// only dilute the per-link comparison.
+func TreeStorm(n, publishers, rounds int, treeOn bool, seed int64) StormConfig {
+	return StormConfig{
+		N: n, Publishers: publishers, Rounds: rounds, Seed: seed,
+		Tweak:        func(cfg *atum.Config) { cfg.TreeGossip = treeOn },
+		Churn:        true,
+		WarmupRounds: treeWarmupRounds,
+	}
+}
+
+// Tree compares the eager/lazy dissemination tree against the flood-everywhere
+// gossip phase under the churn storm: lazy links drop from per-round payload
+// carriers to batched IHAVE digests from f+1 members, and the
+// duplicate-delivery rate collapses with them.
+func Tree(n, publishers, rounds int, seed int64) Table {
+	t := Table{
+		Title: fmt.Sprintf("Dissemination tree: N=%d, %d publishers, %d rounds, churn storm",
+			n, publishers, rounds),
+		Header: []string{"config", "link_msgs_per_bcast", "msgs_per_bcast", "bytes_per_bcast", "dups_per_bcast", "delivered"},
+	}
+	var flood, tree StormTraffic
+	for _, treeOn := range []bool{false, true} {
+		name := "flood"
+		if treeOn {
+			name = "eager/lazy tree"
+		}
+		tr, err := StormRun(TreeStorm(n, publishers, rounds, treeOn, seed))
+		if err != nil {
+			t.Remarks = append(t.Remarks, name+": "+err.Error())
+			continue
+		}
+		if treeOn {
+			tree = tr
+		} else {
+			flood = tr
+		}
+		t.Rows = append(t.Rows, []string{
+			name,
+			fmt.Sprintf("%.0f", tr.LinkMsgsPerBcast),
+			fmt.Sprintf("%.0f", tr.MsgsPerBcast),
+			fmt.Sprintf("%.0f", tr.BytesPerBcast),
+			fmt.Sprintf("%.1f", tr.DupsPerBcast),
+			fmt.Sprintf("%.2f", tr.Delivered),
+		})
+	}
+	if flood.LinkMsgsPerBcast > 0 && tree.LinkMsgsPerBcast > 0 {
+		t.Remarks = append(t.Remarks, fmt.Sprintf(
+			"per-link messages %.0f -> %.0f (%.0f%% reduction): lazy links carry batched IHAVE digests instead of payloads",
+			flood.LinkMsgsPerBcast, tree.LinkMsgsPerBcast,
+			100*(1-tree.LinkMsgsPerBcast/flood.LinkMsgsPerBcast)))
+		t.Remarks = append(t.Remarks, fmt.Sprintf(
+			"duplicate deliveries %.1f -> %.1f per broadcast (DuplicatesByType); GRAFT repair holds delivery at %.2f under churn",
+			flood.DupsPerBcast, tree.DupsPerBcast, tree.Delivered))
+	}
+	return t
+}
