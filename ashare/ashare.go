@@ -186,9 +186,6 @@ type chunkResponse struct {
 	Data []byte
 }
 
-// WireSize implements the bandwidth model's sizer.
-func (c chunkResponse) WireSize() int { return 64 + len(c.Data) }
-
 // Put stores a file under this node's namespace: chunk it, broadcast the
 // metadata (making it visible system-wide), and keep the first replica.
 func (s *Service) Put(name string, content []byte) (FileMeta, error) {

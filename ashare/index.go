@@ -1,8 +1,6 @@
 package ashare
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"strings"
 	"sync"
@@ -13,8 +11,7 @@ import (
 // Index is the metadata index of §4.2: a complete, local, soft-state copy of
 // the file→replica mapping with search over the namespace. The paper backs
 // it with SQLite; this implementation is a pure-Go ordered store with the
-// same semantics (insert, delete, lookup, substring search) — see DESIGN.md
-// for the substitution rationale.
+// same semantics (insert, delete, lookup, substring search).
 type Index struct {
 	mu       sync.RWMutex
 	files    map[FileKey]FileMeta
@@ -98,37 +95,4 @@ func (ix *Index) Search(term string) []FileMeta {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
-}
-
-// encodeRecord/decodeRecord serialize index update broadcasts.
-func encodeRecord(v any) []byte {
-	registerOnce.Do(registerTypes)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&recordEnvelope{V: v}); err != nil {
-		panic("ashare: encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeRecord(b []byte) (any, error) {
-	registerOnce.Do(registerTypes)
-	var env recordEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.V, nil
-}
-
-type recordEnvelope struct {
-	V any
-}
-
-var registerOnce sync.Once
-
-func registerTypes() {
-	gob.Register(putRecord{})
-	gob.Register(replicaRecord{})
-	gob.Register(deleteRecord{})
-	gob.Register(chunkRequest{})
-	gob.Register(chunkResponse{})
 }

@@ -83,19 +83,3 @@ func TestBuildMetaChunks(t *testing.T) {
 		t.Errorf("empty file should have 1 sentinel chunk, got %d", empty.NumChunks())
 	}
 }
-
-func TestRecordCodecRoundTrip(t *testing.T) {
-	m := meta(9, "x", 42)
-	b := encodeRecord(putRecord{Meta: m})
-	v, err := decodeRecord(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, ok := v.(putRecord)
-	if !ok || pr.Meta.Key != m.Key || pr.Meta.Size != 42 {
-		t.Fatalf("round trip = %+v", v)
-	}
-	if _, err := decodeRecord([]byte("garbage")); err == nil {
-		t.Error("garbage should not decode")
-	}
-}

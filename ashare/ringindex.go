@@ -1,7 +1,6 @@
 package ashare
 
 import (
-	"encoding/gob"
 	"errors"
 
 	"atum"
@@ -45,7 +44,7 @@ var ErrNotFound = errors.New("ashare: metadata not found")
 // ErrNoQuorum reports holders answering without a strict majority agreeing.
 var ErrNoQuorum = errors.New("ashare: no majority among index holders")
 
-// --- wire messages (gob-registered for the TCP transport) ---
+// --- wire messages (codecs in rawwire.go) ---
 
 // ringStore installs a record at a holder.
 type ringStore struct {
@@ -68,13 +67,6 @@ type ringFound struct {
 	Seq  uint64
 	Has  bool
 	Meta FileMeta
-}
-
-func init() {
-	gob.Register(ringStore{})
-	gob.Register(ringErase{})
-	gob.Register(ringGet{})
-	gob.Register(ringFound{})
 }
 
 // NewRingIndex creates a ring index with R metadata holders per key.

@@ -24,12 +24,12 @@ package astream
 
 import (
 	"bytes"
-	"encoding/gob"
-	"sync"
+	"fmt"
 	"time"
 
 	"atum"
 	"atum/internal/crypto"
+	"atum/internal/wire"
 )
 
 // CycleMode selects how many H-graph cycles tier-1 digests gossip along.
@@ -85,14 +85,11 @@ type dataMsg struct {
 	Data []byte
 }
 
-// WireSize implements the bandwidth model's sizer.
-func (d dataMsg) WireSize() int { return 32 + len(d.Data) }
-
 // rawTagData is AStream's wire extension tag for dataMsg (docs/WIRE.md:
 // astream owns 0x80–0x8F). Registration makes tier-2 pushes wire-codable:
 // the engine's egress scheduler coalesces concurrent chunks per destination
 // node into batch carriers, and TCP transports frame them through the wire
-// codec instead of the gob fallback.
+// codec.
 const rawTagData = 0x80
 
 func init() {
@@ -305,12 +302,8 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 
 // deliverDigest processes tier-1 digests.
 func (s *Service) deliverDigest(d atum.Delivery) {
-	v, err := decodeStream(d.Data)
+	m, err := decodeStream(d.Data)
 	if err != nil {
-		return
-	}
-	m, ok := v.(digestMsg)
-	if !ok {
 		return
 	}
 	if _, seen := s.pendingDigest[m.Seq]; seen {
@@ -373,33 +366,30 @@ func (s *Service) DigestLatencyOf(seq uint64) (time.Duration, bool) {
 	return at, ok
 }
 
-// --- codec ---
+// --- tier-1 broadcast payload codec (docs/WIRE.md) ---
 
-var streamOnce sync.Once
+// streamTagDigest is the first byte of a tier-1 broadcast payload; the
+// digestMsg fields follow. Append-only, like every wire tag.
+const streamTagDigest = 0x01
 
-func registerStream() {
-	gob.Register(digestMsg{})
-	gob.Register(dataMsg{})
+func encodeStream(m digestMsg) []byte {
+	var e wire.Encoder
+	e.Byte(streamTagDigest)
+	e.Uint64(m.Seq)
+	e.Bytes32(m.Digest)
+	return e.Bytes()
 }
 
-func encodeStream(v any) []byte {
-	streamOnce.Do(registerStream)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&streamEnvelope{V: v}); err != nil {
-		panic("astream: encode: " + err.Error())
+// decodeStream parses a tier-1 payload. Any member may broadcast, so the
+// input is untrusted: unknown tags, truncated and trailing bytes are errors.
+func decodeStream(b []byte) (digestMsg, error) {
+	d := wire.NewDecoder(b)
+	if tag := d.Byte(); tag != streamTagDigest { // incl. empty input, which reads as tag 0
+		return digestMsg{}, fmt.Errorf("astream: unknown broadcast payload tag %#x", tag)
 	}
-	return buf.Bytes()
-}
-
-func decodeStream(b []byte) (any, error) {
-	streamOnce.Do(registerStream)
-	var env streamEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, err
+	m := digestMsg{Seq: d.Uint64(), Digest: d.Bytes32()}
+	if err := d.Finish(); err != nil {
+		return digestMsg{}, fmt.Errorf("astream: decode digest: %w", err)
 	}
-	return env.V, nil
-}
-
-type streamEnvelope struct {
-	V any
+	return m, nil
 }

@@ -59,14 +59,12 @@
 // # Wire codec
 //
 // Payloads and engine messages are framed by a deterministic, tagged,
-// versioned wire codec (docs/WIRE.md) rather than encoding/gob: canonical
-// bytes for signatures and cross-member digest matching, no per-message
-// type dictionary. Applications register their SendRaw message types in
-// the codec's extension-tag range (RegisterRawMessage) to make them
-// wire-codable — and thereby batchable — too; unregistered types ride the
-// TCP transport's gob fallback as before. The legacy gob payload envelope
-// was removed one release after the codec shipped (docs/WIRE.md migration
-// notes).
+// versioned wire codec (docs/WIRE.md): canonical bytes for signatures and
+// cross-member digest matching, no per-message type dictionary. It is the
+// module's only serializer. Applications register their SendRaw message
+// types in the codec's extension-tag range (RegisterRawMessage), which
+// makes them wire-codable and batchable; a type without a registered codec
+// cannot be sent (ErrUnregisteredType).
 //
 // Nodes are actors: they run on a runtime that delivers messages and timers.
 // Two runtimes are provided — the deterministic discrete-event simulator
@@ -140,8 +138,8 @@ var (
 	// ErrEgressOverflow: the destination's bounded egress queue dropped the
 	// message at the sender (flow control).
 	ErrEgressOverflow = core.ErrEgressOverflow
-	// ErrUnregisteredType: Config.RequireRawCodec is set and the raw message
-	// type has no wire codec (RegisterRawMessage).
+	// ErrUnregisteredType: the raw message type has no wire codec
+	// (RegisterRawMessage).
 	ErrUnregisteredType = core.ErrUnregisteredType
 )
 
@@ -220,10 +218,10 @@ const RawMessageTagMin = core.RawTagMin
 // extension tag. Registered types become wire-codable: SendRaw coalesces
 // them per destination on the egress scheduler (batch carriers instead of
 // one message per send), and byte-level transports frame them through the
-// deterministic wire codec instead of the gob fallback. Tags are process-
-// wide, append-only wire contracts — see docs/WIRE.md for the assignments
-// in use. Registration panics on tag or type conflicts; re-registering the
-// same pair is a no-op.
+// deterministic wire codec. Unregistered types cannot be sent. Tags are
+// process-wide, append-only wire contracts — see docs/WIRE.md for the
+// assignments in use. Registration panics on tag or type conflicts;
+// re-registering the same pair is a no-op.
 func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *WireEncoder), unmarshal func(d *WireDecoder) any) {
 	core.RegisterRawMessage(tag, prototype, marshal, unmarshal)
 }

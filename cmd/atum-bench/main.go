@@ -10,7 +10,7 @@
 // Experiments: table1 robustness fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 // fig13 tree backpressure all. Comparing two revisions of the engine is the
 // repository benchmark's job (bash atumbench/run.sh, BENCHMARK.json).
-// Output: paper-style rows on stdout; EXPERIMENTS.md records a reference run.
+// Output: paper-style rows on stdout; README.md quotes the headline rows.
 package main
 
 import (

@@ -69,8 +69,6 @@ func main() {
 		log.Fatalf("atum-node: unknown -mode %q", *mode)
 	}
 
-	atum.RegisterWireMessages()
-
 	// Runtime and transport reference each other; bind late.
 	var shim lateTransport
 	var logf func(string, ...any)

@@ -90,8 +90,6 @@ func startMember(id uint64, deliver func(atum.Delivery)) (*member, error) {
 }
 
 func main() {
-	atum.RegisterWireMessages()
-
 	var mu sync.Mutex
 	delivered := make(map[uint64]string)
 

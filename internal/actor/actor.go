@@ -20,7 +20,7 @@ import (
 )
 
 // Message is any protocol message. Concrete message types are plain structs;
-// the TCP runtime additionally requires them to be gob-registered. It is an
+// the TCP runtime additionally requires them to be wire-codable. It is an
 // alias, not a defined type, so external Env and Transport implementations
 // may spell it "any" in their method signatures.
 type Message = any

@@ -14,7 +14,7 @@ import (
 // same operations in the same order at every correct member of the vgroup.
 func (n *Node) applyCommitted(op smr.Operation) {
 	dig := opDigest(op.Data)
-	v, err := decodePayload(op.Data)
+	v, err := decodeWire(op.Data)
 	if err != nil {
 		n.logf("apply: undecodable op from %v: %v", op.Proposer, err)
 		return
@@ -128,7 +128,7 @@ func (n *Node) voteInput(acc group.Accepted) {
 
 // applyInput dispatches a group-message-derived event once endorsed.
 func (n *Node) applyInput(dig crypto.Digest, o inputVoteOp) {
-	v, err := decodePayload(o.Payload)
+	v, err := decodeWire(o.Payload)
 	if err != nil {
 		n.logf("applyInput: bad payload: %v", err)
 		return
@@ -218,7 +218,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 	// have retired the old SMR instance, leaving it unable to finish alone)
 	// installs the attested successor state instead of wedging (§7's
 	// "dangling membership" class of complications).
-	snap := n.encPayload(snapshotPayload{State: st.buildSnapshot()})
+	snap := encodePayload(snapshotPayload{State: st.buildSnapshot()})
 	for _, m := range st.comp.Members {
 		if m.ID == n.cfg.Identity.ID {
 			continue
@@ -230,7 +230,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 	n.cacheSnapshot(old.Epoch, snap)
 
 	// Tell every distinct neighbor vgroup about the new composition.
-	payload := n.encPayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
+	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
 	notified := make(map[ids.GroupID]bool)
 	notify := func(c group.Composition) {
 		if c.GroupID == 0 || c.GroupID == old.GroupID || notified[c.GroupID] {

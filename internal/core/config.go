@@ -266,19 +266,13 @@ type Config struct {
 	// bytes (docs/ARCHITECTURE.md, "Measured trade"). Chosen at
 	// construction; every node of a system should agree.
 	TreeGossip bool
-	// RequireRawCodec makes SendRaw reject messages whose type is not
-	// registered in the wire extension range (RegisterRawMessage) with
-	// ErrUnregisteredType, instead of silently falling back to the direct /
-	// gob paths. Set it where every raw type is expected to be wire-codable
-	// (byte-level transports, flow-controlled deployments).
-	RequireRawCodec bool
 	// Behavior injects Byzantine behaviour for experiments.
 	Behavior Behavior
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
 	DisableShuffle bool
-	// OnRawMessage, when set, receives node-level messages the engine does
-	// not recognize — the extension point applications (AShare chunk
-	// transfer, AStream tier-2 multicast) build their own protocols on.
+	// OnRawMessage, when set, receives the decoded application raw messages
+	// peers sent with SendRawWith — the extension point applications (AShare
+	// chunk transfer, AStream tier-2 multicast) build their own protocols on.
 	OnRawMessage func(from ids.NodeID, msg any)
 	// Callbacks connect the application.
 	Callbacks Callbacks

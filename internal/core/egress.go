@@ -216,7 +216,7 @@ func (n *Node) handleRawItem(from ids.NodeID, payload []byte) {
 		n.logf("raw item from %v: not an extension-tag frame", from)
 		return
 	}
-	v, err := decodePayload(payload)
+	v, err := decodeWire(payload)
 	if err != nil {
 		n.logf("raw item from %v: %v", from, err)
 		return

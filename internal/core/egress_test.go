@@ -52,25 +52,24 @@ func TestRawExtensionRoundTrip(t *testing.T) {
 	if b[0] != wireEnvMagic || b[1] != 0xF0 || b[2] != wireEnvV1 {
 		t.Fatalf("extension frame header = % x", b[:3])
 	}
-	v, err := decodePayload(b)
+	v, err := decodeWire(b)
 	if err != nil {
 		t.Fatalf("decode extension frame: %v", err)
 	}
 	if !reflect.DeepEqual(v, msg) {
 		t.Fatalf("round trip mismatch: %+v != %+v", v, msg)
 	}
-	// MessageCodec (the TCP transport codec) must cover it too, so this
-	// traffic leaves the gob fallback.
+	// MessageCodec (the TCP transport codec) must cover it too.
 	if _, ok := (MessageCodec{}).EncodeMessage(msg); !ok {
 		t.Fatal("registered raw type not covered by MessageCodec")
 	}
 	// Unregistered extension tags are rejected, not crashed on.
 	bad := append([]byte(nil), b...)
 	bad[1] = 0xEF
-	if _, err := decodePayload(bad); err == nil {
+	if _, err := decodeWire(bad); err == nil {
 		t.Fatal("unregistered extension tag accepted")
 	}
-	// Unregistered types still fall through to the transport gob fallback.
+	// Unregistered types are not encodable.
 	type unregistered struct{ X int }
 	if _, ok := encodeRawWire(unregistered{}); ok {
 		t.Fatal("unregistered type claimed wire-codable")
@@ -91,10 +90,10 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	// One gossip payload, one walk hop, one raw message, same destination.
 	n.sendViaEgress(comp, nbr, kindGossip,
 		gossipMsgID(crypto.Hash([]byte("g")), comp, nbr.GroupID),
-		n.encPayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x"), Hops: 1}))
+		encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x"), Hops: 1}))
 	n.sendViaEgress(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
-		n.encPayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
+		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
 			StepsLeft: 1, Rands: []uint64{1, 2}, Origin: comp.Clone()}))
 	rawFrame, ok := encodeRawWire(egressTestMsg{Seq: 7, Body: []byte("raw")})
 	if !ok {
@@ -165,11 +164,11 @@ func TestEgressFlushesWalkAndChurnKindsBeforeReconfigure(t *testing.T) {
 
 	n.sendViaEgress(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w2")), 0, nbr.GroupID),
-		n.encPayload(walkPayload{WalkID: crypto.Hash([]byte("w2")), Purpose: PurposeJoin,
+		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w2")), Purpose: PurposeJoin,
 			StepsLeft: 2, Rands: []uint64{3, 4}, Origin: comp.Clone()}))
 	n.sendViaEgress(comp, nbr, kindSetNeighbor,
 		setNbrMsgID(comp, nbr.GroupID, 0, overlay.Pred),
-		n.encPayload(setNeighborPayload{Cycle: 0, Dir: overlay.Pred, Comp: comp.Clone()}))
+		encodePayload(setNeighborPayload{Cycle: 0, Dir: overlay.Pred, Comp: comp.Clone()}))
 	if d, i := n.egress.Pending(); d != 1 || i != 2 {
 		t.Fatalf("pending = %d/%d, want 1/2", d, i)
 	}
@@ -300,8 +299,8 @@ func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 	}
 }
 
-// TestSendRawRegisteredTypeBatches: registered raw types ride the scheduler
-// (bursts coalesce), unregistered types keep the direct path.
+// TestSendRawRegisteredTypeBatches: raw messages ride the scheduler (bursts
+// coalesce).
 func TestSendRawRegisteredTypeBatches(t *testing.T) {
 	registerEgressTestMsg()
 	self := ids.NodeID(1)
@@ -326,16 +325,6 @@ func TestSendRawRegisteredTypeBatches(t *testing.T) {
 	}
 	if _, items := n.egress.Pending(); items < 4 {
 		t.Fatalf("burst pending %d items, want >= 4", items)
-	}
-	// Unregistered types bypass the scheduler entirely.
-	type plainMsg struct{ X int }
-	before := len(env.sent)
-	n.SendRawWith(5, plainMsg{X: 1}, SendOpts{})
-	if len(env.sent) != before+1 {
-		t.Fatal("unregistered raw type did not go direct")
-	}
-	if _, ok := env.sent[len(env.sent)-1].msg.(plainMsg); !ok {
-		t.Fatal("unregistered raw type was re-framed")
 	}
 }
 

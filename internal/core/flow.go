@@ -25,10 +25,9 @@ var (
 	// was dropped at the sender. Back off, shed, or retry later — the
 	// OnEgressPressure hook signals when the destination recovers.
 	ErrEgressOverflow = errors.New("core: egress queue full for destination")
-	// ErrUnregisteredType is returned (only when Config.RequireRawCodec is
-	// set) for SendRaw messages whose type has no wire extension codec
-	// (RegisterRawMessage): such messages cannot ride egress batches or
-	// wire-codec transports and would silently fall back to slower paths.
+	// ErrUnregisteredType is returned for SendRaw messages whose type has no
+	// wire extension codec (RegisterRawMessage): the wire codec is the only
+	// serializer, so such a message cannot be sent at all.
 	ErrUnregisteredType = errors.New("core: raw message type not registered with RegisterRawMessage")
 )
 

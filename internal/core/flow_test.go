@@ -39,31 +39,46 @@ func TestSendRawNotRunningTyped(t *testing.T) {
 // unregisteredRawMsg deliberately has no wire extension codec.
 type unregisteredRawMsg struct{ X int }
 
-// TestSendRawUnregisteredType: with Config.RequireRawCodec, sending a type
-// that has no wire codec fails with ErrUnregisteredType; without the knob
-// the old direct-send fallback still works.
+// TestSendRawUnregisteredType: the wire codec is the only serializer, so a
+// type without a registered codec is refused with ErrUnregisteredType and
+// nothing is sent.
 func TestSendRawUnregisteredType(t *testing.T) {
 	registerEgressTestMsg()
-	strict := newHarness(t, smr.ModeSync, 1, func(cfg *Config) { cfg.RequireRawCodec = true })
-	nodes := strict.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
-	to := nodes[1].cfg.Identity.ID
-	if err := nodes[0].SendRawWith(to, unregisteredRawMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
+	n, env := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+	if err := n.SendRawWith(4, unregisteredRawMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
 		t.Fatalf("unregistered type returned %v, want ErrUnregisteredType", err)
 	}
-	if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
+	if _, items := n.egress.Pending(); len(env.sent) != 0 || items != 0 {
+		t.Fatalf("refused message still left the node: %d sent, %d queued", len(env.sent), items)
+	}
+	if err := n.SendRawWith(4, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
 		t.Fatalf("registered type returned %v", err)
 	}
-	// Without RequireRawCodec the unregistered type rides the direct path.
+}
+
+// TestForeignMessageNotDelivered: on simnet/rtnet a Byzantine peer can hand
+// a node any Go value. One that is not an engine message never passed a
+// decoder and must not reach the application; raw messages arrive only as
+// decoded kindRaw frames.
+func TestForeignMessageNotDelivered(t *testing.T) {
+	registerEgressTestMsg()
 	h := newHarness(t, smr.ModeSync, 2, nil)
-	nodes = h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
+	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
 	var got []any
 	nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
-	if err := nodes[0].SendRawWith(nodes[1].cfg.Identity.ID, unregisteredRawMsg{X: 7}, SendOpts{}); err != nil {
-		t.Fatalf("default config rejected an unregistered type: %v", err)
+	to := nodes[1].cfg.Identity.ID
+	nodes[0].env.Send(to, unregisteredRawMsg{X: 7})
+	nodes[0].env.Send(to, egressTestMsg{Seq: 7}) // registered, but not framed
+	h.net.Run(h.net.Now() + time.Second)
+	if len(got) != 0 {
+		t.Fatalf("undecoded foreign values reached OnRawMessage: %#v", got)
+	}
+	if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 8}, SendOpts{}); err != nil {
+		t.Fatal(err)
 	}
 	h.net.Run(h.net.Now() + time.Second)
-	if len(got) != 1 || got[0].(unregisteredRawMsg).X != 7 {
-		t.Fatalf("unregistered raw message not delivered: %v", got)
+	if len(got) != 1 || got[0].(egressTestMsg).Seq != 8 {
+		t.Fatalf("framed raw message not delivered: %#v", got)
 	}
 }
 

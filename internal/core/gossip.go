@@ -126,7 +126,7 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 	if opts.TTL > 0 {
 		expires = n.env.Now() + opts.TTL
 	}
-	payload := n.encPayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
+	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
 	n.treeRemember(d)
 	sent := make(map[group.Key]bool)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
@@ -186,12 +186,12 @@ func (n *Node) applyCycleAssign(p cycleAssignPayload) {
 	// Close the gap we leave behind (unless we were between the same
 	// groups already, or self-looped).
 	if oldPred.GroupID != st.comp.GroupID && oldPred.GroupID != p.Pred.GroupID {
-		pl := n.encPayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Succ, Comp: oldSucc.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Succ, Comp: oldSucc.Clone()})
 		n.sendViaEgress(st.comp, oldPred, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldPred.GroupID, p.Cycle, overlay.Succ), pl)
 	}
 	if oldSucc.GroupID != st.comp.GroupID && oldSucc.GroupID != p.Succ.GroupID {
-		pl := n.encPayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: oldPred.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: oldPred.Clone()})
 		n.sendViaEgress(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
@@ -236,7 +236,7 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 	if !ok || srcComp.N() == 0 {
 		return
 	}
-	payload := n.encPayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
+	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
 	msgID := freshMsgID(st.comp, m.SrcGroup)
 	n.sendViaEgress(oldComp, srcComp, kindNeighborUpdate, msgID, payload)
 }

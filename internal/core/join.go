@@ -187,7 +187,7 @@ func (n *Node) handleDirectRedirect(m group.GroupMsg) {
 	if crypto.Hash(m.Payload) != m.PayloadDigest {
 		return
 	}
-	v, err := decodePayload(m.Payload)
+	v, err := decodeWire(m.Payload)
 	if err != nil {
 		return
 	}
@@ -197,7 +197,7 @@ func (n *Node) handleDirectRedirect(m group.GroupMsg) {
 	}
 	var chain []overlay.StepCert
 	if m.Attach != nil {
-		if av, err := decodePayload(m.Attach); err == nil {
+		if av, err := decodeWire(m.Attach); err == nil {
 			if att, ok := av.(walkAttachment); ok {
 				chain = att.Chain
 			}
@@ -254,7 +254,7 @@ func (n *Node) tryParkedSnapshots() {
 			continue
 		}
 		delete(n.pendingSnaps, gid)
-		if v, err := decodePayload(acc.Payload); err == nil {
+		if v, err := decodeWire(acc.Payload); err == nil {
 			if p, ok := v.(snapshotPayload); ok {
 				n.adoptSnapshot(acc, p)
 			}
@@ -420,7 +420,7 @@ func (n *Node) evaluateCatchUp() {
 			if endorsers < n.f()+1 {
 				continue
 			}
-			v, err := decodePayload(tally.payload)
+			v, err := decodeWire(tally.payload)
 			if err != nil {
 				continue
 			}
@@ -565,7 +565,7 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 			return
 		}
 	}
-	v, err := decodePayload(acc.Payload)
+	v, err := decodeWire(acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
 		return

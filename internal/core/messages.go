@@ -475,34 +475,6 @@ func encodePayload(v any) []byte {
 	return b
 }
 
-// encPayload encodes a payload through the wire envelope. (The method
-// survives its legacy gob alternative: every encode site reads naturally and
-// a future codec knob would slot back in here.)
-func (n *Node) encPayload(v any) []byte { return encodePayload(v) }
-
-// decodePayload reverses encodePayload. Only wire-envelope frames are
-// accepted: the legacy gob envelope (Config.GobEnvelope) was removed one
-// release after the wire codec shipped, as scheduled — a gob stream's first
-// byte is a nonzero message length, so it now fails the magic check with a
-// descriptive error instead of decoding (docs/WIRE.md migration notes).
-func decodePayload(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("core: decode payload: empty")
-	}
-	if b[0] != wireEnvMagic {
-		return nil, fmt.Errorf("core: decode payload: not a wire envelope (first byte %#x; the legacy gob envelope is no longer accepted)", b[0])
-	}
-	return decodeWire(b)
-}
-
 // opDigest content-addresses an operation payload: vote tallies and the
 // applied-set dedup key on it.
 func opDigest(b []byte) crypto.Digest { return crypto.Hash(b) }
-
-// RegisterMessages is a no-op kept for API compatibility: engine messages
-// ride the deterministic wire codec on every transport, so there is nothing
-// left to register with encoding/gob. Applications whose raw-message types
-// are NOT registered in the wire extension range (RegisterRawMessage) still
-// register those types with gob themselves for the TCP transport's fallback
-// frames.
-func RegisterMessages() {}

@@ -304,11 +304,10 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 	case group.GroupMsg:
 		n.maybeRefreshSender(m)
 		n.routeGroupMsg(from, m)
-	default:
-		if n.cfg.OnRawMessage != nil {
-			n.cfg.OnRawMessage(from, msg)
-		}
 	}
+	// Anything else never passed a decoder (only simnet/rtnet can carry such
+	// a value) and is dropped: application raw messages arrive as kindRaw
+	// group messages and reach OnRawMessage through handleRawItem.
 }
 
 func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
@@ -351,17 +350,16 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 
 // SendRawWith sends an application-level message to another node; the
 // receiver's OnRawMessage hook gets it. Applications layer their own
-// protocols (file chunks, stream data) on this. Types registered in the
-// wire extension-tag range (RegisterRawMessage) ride the egress scheduler:
-// concurrent sends to the same node coalesce into batch carriers, and
-// byte-level transports frame them through the wire codec instead of the
-// gob fallback. Unregistered types are sent directly, as before.
+// protocols (file chunks, stream data) on this. The message type must be
+// registered in the wire extension-tag range (RegisterRawMessage): it rides
+// the egress scheduler — concurrent sends to the same node coalesce into
+// batch carriers — and every transport carries it as a wire-envelope frame.
 //
 // SendRawWith reports failures instead of silently dropping: ErrNotRunning
-// when the node is not attached to a running runtime, ErrEgressOverflow
-// when the destination's bounded egress queue rejected the message (flow
-// control — see Config.EgressQueueLimit), and ErrUnregisteredType when
-// Config.RequireRawCodec is set and the type has no wire codec.
+// when the node is not attached to a running runtime, ErrUnregisteredType
+// when the type has no wire codec, and ErrEgressOverflow when the
+// destination's bounded egress queue rejected the message (flow control —
+// see Config.EgressQueueLimit).
 //
 // opts carries the flow-control options: a priority class (overflow on the
 // destination's bounded queue sheds lower-priority items first) and an
@@ -373,12 +371,7 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	}
 	payload, ok := encodeRawWire(msg)
 	if !ok {
-		if n.cfg.RequireRawCodec {
-			return ErrUnregisteredType
-		}
-		//atumvet:allow egressonly unregistered-type raw fallback: gob messages have no wire frame and cannot ride batch carriers
-		n.sendNow(to, msg)
-		return nil
+		return ErrUnregisteredType
 	}
 	src := group.Composition{}
 	if n.st != nil {
@@ -774,7 +767,7 @@ func (n *Node) proposeOp(v any) {
 	if n.replica == nil || n.st == nil {
 		return
 	}
-	data := n.encPayload(v)
+	data := encodePayload(v)
 	dig := opDigest(data)
 	if n.st.appliedOps[dig] {
 		return

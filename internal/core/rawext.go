@@ -4,10 +4,11 @@ package core
 // of the payload envelope (docs/WIRE.md) are reserved for application
 // raw-message types: applications register a per-type codec here, and their
 // SendRaw traffic becomes wire-codable — byte-level transports frame it
-// through the deterministic wire envelope instead of the gob fallback, and
-// the egress scheduler can fold it into batch carriers alongside engine
-// kinds. Tags are append-only per application, exactly like the engine's
-// own kind tags; the assignments in use are documented in docs/WIRE.md.
+// through the deterministic wire envelope, and the egress scheduler can
+// fold it into batch carriers alongside engine kinds. A type without a
+// registered codec cannot be sent (ErrUnregisteredType). Tags are
+// append-only per application, exactly like the engine's own kind tags; the
+// assignments in use are documented in docs/WIRE.md.
 
 import (
 	"fmt"
@@ -74,7 +75,7 @@ func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *wire.Enc
 
 // encodeRawWire frames a registered application raw message as a complete
 // wire-envelope frame ([magic][ext tag][version][body]); false when the
-// type is unregistered (callers then fall back to direct/gob paths).
+// type is unregistered.
 func encodeRawWire(v any) ([]byte, bool) {
 	rawReg.RLock()
 	c, ok := rawReg.byType[reflect.TypeOf(v)]

@@ -75,7 +75,7 @@ func (n *Node) applySplit(o splitOp) {
 			eNbrs.Succs[c] = dComp.Clone()
 		} else {
 			eNbrs.Succs[c] = oldSucc.Clone()
-			pl := n.encPayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: eComp.Clone()})
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: eComp.Clone()})
 			n.sendViaEgress(old, oldSucc, kindSetNeighbor,
 				setNbrMsgID(old, oldSucc.GroupID, c, overlay.Pred), pl)
 		}
@@ -154,7 +154,7 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	st.nbrs.Succs[p.Cycle] = e.Clone()
 	// Tell the old successor its new predecessor, and give E its position.
 	if oldSucc.GroupID != st.comp.GroupID {
-		pl := n.encPayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: e.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: e.Clone()})
 		n.sendViaEgress(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
@@ -162,7 +162,7 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	if oldSucc.GroupID == st.comp.GroupID {
 		succForE = st.comp
 	}
-	assign := n.encPayload(cycleAssignPayload{Cycle: p.Cycle, Pred: st.comp.Clone(), Succ: succForE.Clone()})
+	assign := encodePayload(cycleAssignPayload{Cycle: p.Cycle, Pred: st.comp.Clone(), Succ: succForE.Clone()})
 	n.sendViaEgress(st.comp, e, kindCycleAssign, cycleAssignMsgID(st.comp, e.GroupID, p.Cycle), assign)
 	if oldSucc.GroupID == st.comp.GroupID {
 		st.nbrs.Preds[p.Cycle] = e.Clone()
@@ -200,7 +200,7 @@ func (n *Node) applyMergeStart(dig crypto.Digest, o mergeStartOp) {
 	})
 	n.walkDeadlines[mergeID] = n.env.Now() + n.cfg.WalkTimeout
 	n.logf("merge attempt %d: %v -> %v", st.mergeAttempt, st.comp.GroupID, target)
-	pl := n.encPayload(mergeRequestPayload{From: st.comp.Clone()})
+	pl := encodePayload(mergeRequestPayload{From: st.comp.Clone()})
 	// The request MsgID derives from the committed op digest, which includes
 	// the attempt counter: a retry to a previously tried target must be a
 	// NEW logical message, or the target's inbox dedups it against the
@@ -238,7 +238,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	n.learnComp(p.From)
 	replyID := crypto.Hash([]byte("atum-mergereply"), reqID[:])
 	if st.busy {
-		pl := n.encPayload(mergeRejectPayload{Busy: true})
+		pl := encodePayload(mergeRejectPayload{Busy: true})
 		//atumvet:allow egressonly merge reply (unbatchedKinds): the requester stays wedged busy until it arrives
 		group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
 			kindMergeReject, replyID, pl)
@@ -247,7 +247,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	n.emit(EventMerge, p.From.N())
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
-	accept := n.encPayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
+	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
 	//atumvet:allow egressonly merge reply (unbatchedKinds): the requester stays wedged busy until it arrives
 	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
 		kindMergeAccept, replyID, accept)
@@ -287,12 +287,12 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		pred, succ := st.nbrs.Preds[c], st.nbrs.Succs[c]
 		if pred.GroupID != st.comp.GroupID {
-			pl := n.encPayload(setNeighborPayload{Cycle: c, Dir: overlay.Succ, Comp: succ.Clone()})
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Succ, Comp: succ.Clone()})
 			n.sendViaEgress(st.comp, pred, kindSetNeighbor,
 				setNbrMsgID(st.comp, pred.GroupID, c, overlay.Succ), pl)
 		}
 		if succ.GroupID != st.comp.GroupID {
-			pl := n.encPayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: pred.Clone()})
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: pred.Clone()})
 			n.sendViaEgress(st.comp, succ, kindSetNeighbor,
 				setNbrMsgID(st.comp, succ.GroupID, c, overlay.Pred), pl)
 		}

@@ -116,7 +116,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		// Our member vanished (eviction race) or theirs is somehow already
 		// here; release the partner's reservation.
 		n.learnComp(res.Target)
-		pl := n.encPayload(exchangeCancelPayload{WalkID: wo.WalkID})
+		pl := encodePayload(exchangeCancelPayload{WalkID: wo.WalkID})
 		n.sendViaEgress(st.comp, res.Target, kindExchangeCancel, replyMsgID(wo.WalkID, 7), pl)
 		st.shuffle.Suppressed++
 		n.emit(EventExchangeSuppressed, 0)
@@ -130,7 +130,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 
 	// Tell the partner vgroup to perform its half, stamped with our
 	// pre-exchange composition.
-	confirm := n.encPayload(exchangeConfirmPayload{
+	confirm := encodePayload(exchangeConfirmPayload{
 		WalkID:    wo.WalkID,
 		Partner:   incoming,
 		Member:    outgoing,

@@ -197,7 +197,7 @@ func (st *groupState) findPendingExch(id crypto.Digest) int {
 }
 
 // stateSnapshot is the deterministic serialization of groupState sent to
-// freshly admitted members (join, exchange, merge). It is gob-encoded (all
+// freshly admitted members (join, exchange, merge). It is wire-encoded (all
 // fields are map-free, so the bytes are identical across members) and
 // validated by the receiving node against a majority of the admitting
 // composition.
@@ -214,8 +214,8 @@ type stateSnapshot struct {
 	MergeAttempt    int
 	WalkSeq         uint64
 	// AppliedOps is the replicated dedup window in commit order (a slice,
-	// not a map: gob map encoding is order-nondeterministic and would break
-	// the byte-identical snapshot requirement).
+	// not a map: iteration order would break the byte-identical snapshot
+	// requirement).
 	AppliedOps []crypto.Digest
 }
 

@@ -234,7 +234,7 @@ func (n *Node) flushTreePending(gid ids.GroupID, p *treePending) {
 	if cur, ok := n.latestComp[gid]; ok && cur.Epoch >= dst.Epoch && cur.N() > 0 {
 		dst = cur
 	}
-	payload := n.encPayload(iHavePayload{Entries: p.entries})
+	payload := encodePayload(iHavePayload{Entries: p.entries})
 	// Only the f+1 lowest-index members of the lazy vgroup get the digest:
 	// at least one of them is correct, its graft draws a group-addressed
 	// response that heals every member, and announcing node-to-node instead
@@ -367,7 +367,7 @@ func (n *Node) treeDuplicate(src group.Key, bcastID crypto.Digest) {
 	if !ok || dst.N() == 0 {
 		return
 	}
-	payload := n.encPayload(prunePayload{BcastID: bcastID})
+	payload := encodePayload(prunePayload{BcastID: bcastID})
 	n.sendViaEgressWith(n.st.comp, dst, kindPrune,
 		pruneMsgID(n.st.comp, src.GroupID, bcastID), payload, egress.ClassControl, 0)
 }
@@ -401,7 +401,7 @@ func (n *Node) handleTreeAdvisory(from ids.NodeID, m group.GroupMsg) {
 		if m.Payload == nil {
 			return
 		}
-		v, err := decodePayload(m.Payload)
+		v, err := decodeWire(m.Payload)
 		if err != nil {
 			return
 		}
@@ -412,7 +412,7 @@ func (n *Node) handleTreeAdvisory(from ids.NodeID, m group.GroupMsg) {
 		if m.Payload == nil {
 			return
 		}
-		v, err := decodePayload(m.Payload)
+		v, err := decodeWire(m.Payload)
 		if err != nil {
 			return
 		}
@@ -478,7 +478,7 @@ func (n *Node) handleTreeMiss(bcastID crypto.Digest) {
 		delete(n.tree.miss, bcastID)
 		return
 	}
-	payload := n.encPayload(graftPayload{BcastIDs: []crypto.Digest{bcastID}})
+	payload := encodePayload(graftPayload{BcastIDs: []crypto.Digest{bcastID}})
 	// Node-addressed with the payload forced on: a group-addressed send
 	// from a member above the majority index would strip the request body.
 	// Any single correct receiver suffices to serve the graft, but every
@@ -529,7 +529,7 @@ func (n *Node) handleGraft(from ids.NodeID, gid ids.GroupID, comp group.Composit
 		if !n.tree.graftSent.allow(treeGraftKey{gid: gid, bcastID: id}, now) {
 			continue
 		}
-		payload := n.encPayload(gossipPayload{BcastID: id, Origin: cb.origin, Data: cb.data, Hops: cb.hops})
+		payload := encodePayload(gossipPayload{BcastID: id, Origin: cb.origin, Data: cb.data, Hops: cb.hops})
 		// ClassControl, no expiry: shedding a repair payload would silently
 		// re-open the miss window the graft just closed.
 		n.sendViaEgressWith(n.st.comp, comp, kindGossip,

@@ -337,7 +337,7 @@ func TestTreeIHaveFlushBeforeReconfigure(t *testing.T) {
 			t.Errorf("IHAVE stamped %v/%d, want enqueue-time %v/%d",
 				m.SrcGroup, m.SrcEpoch, comp.GroupID, comp.Epoch)
 		}
-		v, err := decodePayload(m.Payload)
+		v, err := decodeWire(m.Payload)
 		if err != nil {
 			t.Fatalf("decode IHAVE: %v", err)
 		}
@@ -499,7 +499,7 @@ func TestTreeAdvisoryBypassesInbox(t *testing.T) {
 	n, _ := treeMemberNode(t, self, comp, nbr)
 
 	announce := func(from ids.NodeID, bcast crypto.Digest) {
-		payload := n.encPayload(iHavePayload{Entries: []iHaveEntry{{BcastID: bcast, Hops: 1}}})
+		payload := encodePayload(iHavePayload{Entries: []iHaveEntry{{BcastID: bcast, Hops: 1}}})
 		n.routeGroupMsg(from, group.GroupMsg{
 			SrcGroup:      nbr.GroupID,
 			SrcEpoch:      nbr.Epoch,

@@ -103,16 +103,16 @@ func (n *Node) forwardWalk(p walkPayload, chain []overlay.StepCert) {
 			// Certificate-mode hops carry a sender-specific attachment (this
 			// member's chain share), which the batch frame cannot: send
 			// directly.
-			attach := n.encPayload(walkAttachment{
+			attach := encodePayload(walkAttachment{
 				Chain:   chain,
 				StepSig: overlay.SignStep(n.signer, n.cfg.Identity.ID, p.WalkID, len(chain), dst),
 			})
 			//atumvet:allow egressonly per-member certificate attachments differ by recipient, which the shared batch frame cannot carry
 			group.SendAttach(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, dst,
-				kindWalk, msgID, n.encPayload(p), attach)
+				kindWalk, msgID, encodePayload(p), attach)
 			return
 		}
-		n.sendViaEgress(st.comp, dst, kindWalk, msgID, n.encPayload(p))
+		n.sendViaEgress(st.comp, dst, kindWalk, msgID, encodePayload(p))
 		return
 	}
 }
@@ -120,7 +120,7 @@ func (n *Node) forwardWalk(p walkPayload, chain []overlay.StepCert) {
 // selfArrival handles a walk that terminates at this vgroup while being
 // forwarded locally: each member proposes the arrival for agreement.
 func (n *Node) selfArrival(p walkPayload) {
-	payload := n.encPayload(p)
+	payload := encodePayload(p)
 	n.proposeOp(inputVoteOp{
 		Kind:    kindWalk,
 		MsgID:   walkMsgID(p.WalkID, len(p.Rands)-1, n.st.comp.GroupID),
@@ -180,7 +180,7 @@ func (n *Node) mergeChain(acc group.Accepted, p walkPayload) []overlay.StepCert 
 		var prefix []overlay.StepCert
 		prefixOK := len(p.Path) == 1 // first hop: the origin itself forwarded
 		for voter, raw := range acc.Attachments {
-			v, err := decodePayload(raw)
+			v, err := decodeWire(raw)
 			if err != nil {
 				continue
 			}
@@ -277,8 +277,8 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 // to the joiner (certificate mode), with its chain attached.
 func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 	st := n.st
-	payload := n.encPayload(joinRedirectPayload{WalkID: walkID, Target: st.comp.Clone()})
-	attach := n.encPayload(walkAttachment{Chain: n.lastChains[walkID]})
+	payload := encodePayload(joinRedirectPayload{WalkID: walkID, Target: st.comp.Clone()})
+	attach := encodePayload(walkAttachment{Chain: n.lastChains[walkID]})
 	msg := group.GroupMsg{
 		SrcGroup:      st.comp.GroupID,
 		SrcEpoch:      st.comp.Epoch,
@@ -296,11 +296,11 @@ func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 // reply with certificates or by the backward phase (§5.1).
 func (n *Node) sendWalkReply(p walkPayload, res walkResult) {
 	st := n.st
-	payload := n.encPayload(res)
+	payload := encodePayload(res)
 	if n.cfg.ReplyMode == ReplyCertificates {
 		var attach []byte
 		if chain, ok := n.lastChains[p.WalkID]; ok {
-			attach = n.encPayload(walkAttachment{Chain: chain})
+			attach = encodePayload(walkAttachment{Chain: chain})
 		}
 		msg := group.GroupMsg{
 			SrcGroup:      st.comp.GroupID,
@@ -342,7 +342,7 @@ func (n *Node) relayBackward(bp backwardPayload) {
 	if !ok {
 		return // route lost (rare reconfiguration race; origin times out)
 	}
-	n.sendViaEgress(st.comp, next, kindWalkBackward, replyMsgID(bp.WalkID, hop), n.encPayload(bp))
+	n.sendViaEgress(st.comp, next, kindWalkBackward, replyMsgID(bp.WalkID, hop), encodePayload(bp))
 }
 
 // handleBackward relays a backward-phase reply; at the origin it becomes an
@@ -355,7 +355,7 @@ func (n *Node) handleBackward(acc group.Accepted, bp backwardPayload) {
 	if len(bp.Path) == 0 {
 		// We are the origin.
 		n.proposeOp(inputVoteOp{Kind: kindWalkResult, MsgID: acc.MsgID, Src: acc.Src,
-			Payload: n.encPayload(bp.Result)})
+			Payload: encodePayload(bp.Result)})
 		return
 	}
 	n.relayBackward(bp)
@@ -371,7 +371,7 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	if crypto.Hash(m.Payload) != m.PayloadDigest {
 		return
 	}
-	v, err := decodePayload(m.Payload)
+	v, err := decodeWire(m.Payload)
 	if err != nil {
 		return
 	}
@@ -389,7 +389,7 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	}
 	var chain []overlay.StepCert
 	if m.Attach != nil {
-		if av, err := decodePayload(m.Attach); err == nil {
+		if av, err := decodeWire(m.Attach); err == nil {
 			if att, ok := av.(walkAttachment); ok {
 				chain = att.Chain
 			}
@@ -419,7 +419,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 		// reserved itself for us.
 		if res.Purpose == PurposeShuffle && res.Accept && res.Target.N() > 0 {
 			n.learnComp(res.Target)
-			pl := n.encPayload(exchangeCancelPayload{WalkID: res.WalkID})
+			pl := encodePayload(exchangeCancelPayload{WalkID: res.WalkID})
 			n.sendViaEgress(st.comp, res.Target, kindExchangeCancel, replyMsgID(res.WalkID, 7), pl)
 		}
 		return
@@ -434,7 +434,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 		st.busy = false
 		if n.cfg.ReplyMode == ReplyBackward && res.Target.N() > 0 {
 			// Backward mode: we (the contact vgroup) relay the redirect.
-			payload := n.encPayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
+			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
 			//atumvet:allow egressonly backward-mode redirect relay to the joiner: node-addressed handshake traffic (unbatchedKinds)
 			group.SendToNode(n.sendNow, st.comp, n.cfg.Identity.ID, wo.Joiner.ID,
 				kindJoinRedirect, replyMsgID(res.WalkID, 998), payload)

@@ -12,8 +12,7 @@ package core
 //
 //	byte 0: 0x00           envelope magic — a gob stream never starts with
 //	                       0x00 (its first byte is a nonzero message length),
-//	                       so decoders can tell the two envelopes apart and
-//	                       mixed clusters interop during migration
+//	                       so a legacy gob envelope is rejected, not misread
 //	byte 1: kind tag       one byte per payload/message type (wk* below)
 //	byte 2: format version currently wireEnvV1; decoders reject others
 //	byte 3…: body          the type's canonical field encoding
@@ -98,11 +97,9 @@ const (
 )
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// the type is not wire-codable (byte-level transports then fall back to gob:
-// applications may send arbitrary raw-message types). Frames build in pooled
-// scratch and detach as one exact-size allocation — envelope encoding is the
-// per-payload hot path, and throwaway encoders paid append-growth garbage
-// on every message.
+// the type is not wire-codable. Frames build in pooled scratch and detach as
+// one exact-size allocation — envelope encoding is the per-payload hot path,
+// and throwaway encoders paid append-growth garbage on every message.
 func encodeWire(v any) ([]byte, bool) {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
@@ -230,8 +227,10 @@ func encodeWire(v any) ([]byte, bool) {
 // hostile frames must not recurse decoders arbitrarily).
 const maxSMRNesting = 2
 
-// decodeWire reverses encodeWire. Hostile frames (unknown tags, unsupported
-// versions, truncation, trailing bytes) return an error, never panic.
+// decodeWire reverses encodeWire and encodePayload. Hostile frames (unknown
+// tags, unsupported versions, truncation, trailing bytes, and the legacy gob
+// envelope, whose first byte is never the 0x00 magic) return an error, never
+// panic.
 func decodeWire(b []byte) (any, error) { return decodeWireDepth(b, 0) }
 
 func decodeWireDepth(b []byte, depth int) (any, error) {
@@ -459,8 +458,8 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 // MessageCodec adapts the engine's wire envelope to byte-level transports
 // (it implements tcpnet.Options.Codec). EncodeMessage covers the engine's
 // message set plus every application raw-message type registered in the
-// extension-tag range; it reports false only for unregistered types, which
-// the transport then carries through its gob fallback.
+// extension-tag range; it reports false for any other type, which the
+// transport then drops and counts (tcpnet.Stats.DroppedCodec).
 type MessageCodec struct{}
 
 // EncodeMessage encodes one engine message as a wire-envelope frame.

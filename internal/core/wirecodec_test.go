@@ -2,17 +2,12 @@ package core
 
 // Coverage for the wire payload envelope (wirecodec.go): per-kind round
 // trips, the kind-registry drift check, hostile-input rejection (including
-// legacy gob streams, which the engine no longer accepts), fuzz, and the
-// WireVsGob size/speed comparison the migration was justified by. The gob
-// envelope lives on below as a test-local reference implementation only —
-// the production encoder/decoder and the Config.GobEnvelope knob were
-// removed one release after the wire codec shipped, as scheduled.
+// the legacy gob envelope, which the engine no longer accepts) and fuzz.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 
 	"atum/internal/actor"
@@ -26,68 +21,25 @@ import (
 	"atum/internal/wire"
 )
 
-// --- test-local reference implementation of the removed gob envelope ---
+// legacyGobEnvelope is a golden sample of the removed gob payload envelope:
+// the bytes a standard-library gob encoder with the engine payload types
+// registered produced for struct{ V any }{gossipPayload{BcastID: 01…01,
+// Origin: 7, Data: "y", Hops: 3}} at the last commit that had one.
+var legacyGobEnvelope = mustHex(
+	"1e7f0301010b676f62456e76656c6f706501ff80000101010156011000000069" +
+		"ff8001206174756d2f696e7465726e616c2f636f72652e676f73736970506179" +
+		"6c6f6164ff810301010d676f737369705061796c6f616401ff82000104010742" +
+		"63617374494401ff840001064f726967696e010600010444617461010a000104" +
+		"486f7073010400000016ff830101010644696765737401ff8400010601400000" +
+		"2eff822a01200101010101010101010101010101010101010101010101010101" +
+		"010101010101010701017901060000")
 
-type gobEnvelope struct {
-	V any
-}
-
-var gobTestRegisterOnce sync.Once
-
-func gobTestRegister() {
-	gobTestRegisterOnce.Do(func() {
-		gob.Register(gossipPayload{})
-		gob.Register(walkPayload{})
-		gob.Register(walkAttachment{})
-		gob.Register(backwardPayload{})
-		gob.Register(walkResult{})
-		gob.Register(neighborUpdatePayload{})
-		gob.Register(setNeighborPayload{})
-		gob.Register(cycleAssignPayload{})
-		gob.Register(exchangeConfirmPayload{})
-		gob.Register(exchangeCancelPayload{})
-		gob.Register(mergeRequestPayload{})
-		gob.Register(mergeAcceptPayload{})
-		gob.Register(mergeRejectPayload{})
-		gob.Register(snapshotPayload{})
-		gob.Register(joinRedirectPayload{})
-		gob.Register(bcastOp{})
-		gob.Register(joinOp{})
-		gob.Register(leaveOp{})
-		gob.Register(renounceOp{})
-		gob.Register(evictVoteOp{})
-		gob.Register(inputVoteOp{})
-		gob.Register(splitOp{})
-		gob.Register(walkStartOp{})
-		gob.Register(shuffleStartOp{})
-		gob.Register(walkTimeoutOp{})
-		gob.Register(mergeStartOp{})
-		gob.Register(iHavePayload{})
-		gob.Register(graftPayload{})
-		gob.Register(prunePayload{})
-	})
-}
-
-// encodePayloadGob reproduces the removed legacy envelope byte-for-byte:
-// the size comparison below and the gob-rejection coverage need real gob
-// streams to measure against.
-func encodePayloadGob(t testing.TB, v any) []byte {
-	t.Helper()
-	gobTestRegister()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobEnvelope{V: v}); err != nil {
-		t.Fatalf("gob encode %T: %v", v, err)
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
 	}
-	return buf.Bytes()
-}
-
-func decodePayloadGob(b []byte) (any, error) {
-	gobTestRegister()
-	var env gobEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.V, nil
+	return b
 }
 
 func wcIdentity(i uint64) ids.Identity {
@@ -249,8 +201,7 @@ func fullMessageValues() []any {
 }
 
 // TestWireEnvelopeRoundTrip pins exact value round-trips for every payload
-// and message kind through the wire envelope; legacy gob streams must now be
-// rejected by decodePayload, never silently decoded.
+// and message kind through the wire envelope.
 func TestWireEnvelopeRoundTrip(t *testing.T) {
 	for _, v := range append(fullPayloadValues(), fullMessageValues()...) {
 		b, ok := encodeWire(v)
@@ -268,19 +219,15 @@ func TestWireEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("%T: wire round-trip mismatch:\n got %+v\nwant %+v", v, got, v)
 		}
 	}
-	for _, v := range fullPayloadValues() {
-		got, err := decodePayload(encodePayload(v))
-		if err != nil {
-			t.Fatalf("%T: decodePayload(wire): %v", v, err)
-		}
-		if !reflect.DeepEqual(got, v) {
-			t.Fatalf("%T: wire envelope via decodePayload mismatch", v)
-		}
-		// The gob era is over: a legacy stream must fail the magic check
-		// (its first byte is a nonzero message length), not decode.
-		if _, err := decodePayload(encodePayloadGob(t, v)); err == nil {
-			t.Fatalf("%T: legacy gob envelope accepted by decodePayload", v)
-		}
+}
+
+// TestLegacyGobEnvelopeRejected: a gob stream's first byte is a nonzero
+// message length, so the legacy envelope fails the magic check with a
+// descriptive error instead of being misread as a wire frame.
+func TestLegacyGobEnvelopeRejected(t *testing.T) {
+	_, err := decodeWire(legacyGobEnvelope)
+	if err == nil || !strings.Contains(err.Error(), "not a wire envelope") {
+		t.Fatalf("legacy gob envelope: err = %v, want the magic-check rejection", err)
 	}
 }
 
@@ -332,7 +279,7 @@ func TestKindPayloadRegistry(t *testing.T) {
 func TestWireEnvelopeRejectsHostileInput(t *testing.T) {
 	good := encodePayload(gossipPayload{BcastID: wcDigest(1), Origin: 1, Data: []byte("x"), Hops: 1})
 
-	if _, err := decodePayload(nil); err == nil {
+	if _, err := decodeWire(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 	if _, err := decodeWire(good[:2]); err == nil {
@@ -371,13 +318,12 @@ func TestWireEnvelopeRejectsHostileInput(t *testing.T) {
 	}
 }
 
-// FuzzDecodePayload: arbitrary bytes must never panic the auto-detecting
-// decoder (wire frames and gob streams alike).
+// FuzzDecodePayload: arbitrary bytes must never panic the decoder.
 func FuzzDecodePayload(f *testing.F) {
 	for _, v := range fullPayloadValues() {
 		f.Add(encodePayload(v))
 	}
-	f.Add(encodePayloadGob(f, gossipPayload{BcastID: wcDigest(1), Data: []byte("y")}))
+	f.Add(legacyGobEnvelope)
 	f.Add([]byte{wireEnvMagic})
 	f.Add([]byte{wireEnvMagic, wkGossip, wireEnvV1})
 	f.Add([]byte{wireEnvMagic, wkSnapshot, wireEnvV1, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -397,7 +343,7 @@ func FuzzDecodePayload(f *testing.F) {
 		})
 	f.Add(encodePayload(carrier))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decodePayload(data)
+		v, err := decodeWire(data)
 		if err == nil && v != nil {
 			// Whatever decoded must re-encode without panicking (it is an
 			// engine type by construction).
@@ -405,49 +351,5 @@ func FuzzDecodePayload(f *testing.F) {
 				t.Fatalf("decoded %T is not wire-codable", v)
 			}
 		}
-	})
-}
-
-// TestWireEnvelopeStrictlySmallerThanGob pins the tentpole claim at the
-// envelope level for every payload kind: the wire frame is strictly smaller
-// than the gob frame of the same value.
-func TestWireEnvelopeStrictlySmallerThanGob(t *testing.T) {
-	for _, v := range fullPayloadValues() {
-		w := len(encodePayload(v))
-		g := len(encodePayloadGob(t, v))
-		if w >= g {
-			t.Errorf("%T: wire %d bytes >= gob %d bytes", v, w, g)
-		}
-	}
-}
-
-// BenchmarkWireVsGob compares the two envelopes on the gossip hot path: one
-// encode+decode of a gossipPayload with a 256-byte application payload (the
-// small-message regime where the per-frame gob type dictionary dominates).
-// bytes/envelope is reported alongside ns/op.
-func BenchmarkWireVsGob(b *testing.B) {
-	p := gossipPayload{
-		BcastID: wcDigest(1),
-		Origin:  7,
-		Data:    append([]byte(nil), make([]byte, 256)...),
-		Hops:    3,
-	}
-	b.Run("wire", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			enc := encodePayload(p)
-			if _, err := decodePayload(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(encodePayload(p))), "bytes/envelope")
-	})
-	b.Run("gob", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			enc := encodePayloadGob(b, p)
-			if _, err := decodePayloadGob(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(encodePayloadGob(b, p))), "bytes/envelope")
 	})
 }

@@ -6,7 +6,7 @@
 // Absolute numbers differ from the paper's EC2 testbed; the shapes —
 // exponential growth, bounded Sync latency vs low-median Async latency,
 // no decay under Byzantine faults, parallel-GET gains, suppression under
-// aggressive growth — are the reproduction targets (see EXPERIMENTS.md).
+// aggressive growth — are the reproduction targets (see README.md).
 package experiment
 
 import (
@@ -213,7 +213,7 @@ func (cl *cluster) members() int {
 func Fig6(mode smr.Mode, target int, seed int64) Table {
 	cl := newCluster(mode, seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.DisableShuffle = true // growth-rate experiment; see DESIGN.md limitations
+		cfg.DisableShuffle = true // growth-rate experiment
 	})
 	t := Table{
 		Title:  fmt.Sprintf("Fig 6: growth to %d nodes (%v)", target, mode),

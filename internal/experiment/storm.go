@@ -17,9 +17,6 @@ type expChunk struct {
 	Data []byte
 }
 
-// WireSize implements the bandwidth model's sizer.
-func (c expChunk) WireSize() int { return 40 + len(c.Data) }
-
 const rawTagExpChunk = 0xA0
 
 func init() {

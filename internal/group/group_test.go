@@ -9,6 +9,7 @@ import (
 	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/ids"
+	"atum/internal/wire"
 )
 
 func comp(gid ids.GroupID, epoch uint64, members ...uint64) Composition {
@@ -274,10 +275,6 @@ func TestInboxFloodBounded(t *testing.T) {
 
 // helpers for wire round trip
 
-func encodeComp(c Composition) []byte {
-	return compEncode(c)
-}
+func encodeComp(c Composition) []byte { return wire.Encode(c) }
 
-func decodeComp(b []byte, c *Composition) {
-	compDecode(b, c)
-}
+func decodeComp(b []byte, c *Composition) { c.UnmarshalWire(wire.NewDecoder(b)) }

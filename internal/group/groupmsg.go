@@ -122,30 +122,6 @@ func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, d
 	}
 }
 
-// SendOrdered is Send without the §5.1 destination-order randomization:
-// every sender transmits to destination members in composition order. Only
-// the ablation benchmarks use it — with per-node ingress bandwidth limits,
-// synchronized senders all hit the first destination member at once and its
-// ingress queue serializes the whole group message (TCP-incast-like
-// collapse, the behaviour §5.1's randomization avoids).
-func SendOrdered(send SendFn, src Composition, self ids.NodeID, dst Composition, kind Kind, msgID crypto.Digest, payload []byte) {
-	msg := GroupMsg{
-		SrcGroup:      src.GroupID,
-		SrcEpoch:      src.Epoch,
-		DstGroup:      dst.GroupID,
-		DstEpoch:      dst.Epoch,
-		Kind:          kind,
-		MsgID:         msgID,
-		PayloadDigest: crypto.Hash(payload),
-	}
-	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
-		msg.Payload = payload
-	}
-	for _, m := range dst.Members {
-		send(m.ID, msg)
-	}
-}
-
 // SendToNode transmits one logical group message from self to a single node
 // (used for join redirects and state snapshots).
 func SendToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeID, kind Kind, msgID crypto.Digest, payload []byte) {

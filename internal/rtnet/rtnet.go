@@ -10,9 +10,9 @@
 //   - the built-in loopback: nodes registered with the same Runtime reach
 //     each other in process, with optional injected latency and loss;
 //   - internal/tcpnet: length-prefixed frames over TCP for nodes spread over
-//     multiple runtimes, processes, or hosts — engine messages in the
-//     deterministic wire envelope (docs/WIRE.md), application raw messages
-//     in the gob fallback.
+//     multiple runtimes, processes, or hosts — engine messages and
+//     registered application raw messages in the deterministic wire
+//     envelope (docs/WIRE.md).
 //
 // Because node callbacks execute on the node's own goroutine, API calls that
 // originate outside (Bootstrap, Join, Broadcast, ...) must be injected with

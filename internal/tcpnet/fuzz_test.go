@@ -8,25 +8,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"atum/internal/wire"
 )
 
 func FuzzFrameReaderNeverPanics(f *testing.F) {
-	// Seed with a valid frame, a truncated frame, and hostile lengths.
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	_ = w.write(hello{From: 1, Addr: "x:1"})
-	f.Add(buf.Bytes())
+	// Seed with a valid connection prefix ('H' then 'W'), a truncated frame,
+	// hostile lengths and a pre-wire 'G' frame.
+	var e wire.Encoder
+	hello := bytes.Clone(helloFrame(&e, 1, "x:1"))
+	f.Add(hello)
+	f.Add(append(hello, testEnvelope(f, Envelope{From: 1, To: 2, Msg: testMsg{Seq: 3, Body: "b"}})...))
 	f.Add([]byte{0, 0, 0, 4, 1, 2})                                     // truncated body
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                               // absurd length
 	f.Add([]byte{0, 0, 0, 0})                                           // zero length
-	f.Add(append([]byte{0, 0, 0, 8}, bytes.Repeat([]byte{0xAA}, 8)...)) // garbage gob
+	f.Add(append([]byte{0, 0, 0, 8}, bytes.Repeat([]byte{0xAA}, 8)...)) // garbage
+	f.Add(rawFrame([]byte{'G', 0x1f, 0xff, 0x81}))                      // legacy gob frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newFrameReader(bytes.NewReader(data), 1<<16, nil)
+		r := newFrameReader(bytes.NewReader(data), 1<<16, stubCodec{})
+		if _, _, err := r.readHello(); err != nil {
+			return // rejection is the expected outcome for junk
+		}
 		for i := 0; i < 4; i++ {
-			var h hello
-			if err := r.next(&h); err != nil {
-				return // rejection is the expected outcome for junk
+			if _, err := r.readEnvelope(); err != nil {
+				return
 			}
 		}
 	})
@@ -41,9 +47,7 @@ func FuzzFrameLengthBound(f *testing.F) {
 		binary.BigEndian.PutUint32(hdr[:], claimed)
 		buf.Write(hdr[:])
 		buf.Write(body)
-		r := newFrameReader(&buf, max, nil)
-		var env Envelope
-		err := r.next(&env)
+		_, err := newFrameReader(&buf, max, stubCodec{}).readEnvelope()
 		if int(claimed) > max && err == nil {
 			t.Fatalf("frame of claimed size %d accepted past bound %d", claimed, max)
 		}

@@ -3,17 +3,15 @@
 // message transmission" (paper §3, Figure 1) for deployments that span
 // processes or hosts.
 //
-// Wire format (spec: docs/WIRE.md): each connection starts with a hello
-// frame identifying the dialing node, then carries length-prefixed frames.
-// The first body byte of every frame tags its codec — 'W' for the engine's
-// deterministic wire envelope (Options.Codec, normally core.MessageCodec),
-// 'G' for gob. Engine messages and application raw-message types registered
-// in the wire extension range ride the wire codec; unregistered raw types
-// fall back to gob and must be gob.Register'ed by the application. The
-// Codec is effectively required for Atum deployments — engine types are
-// not gob-registered (see Options.Codec). One outbound connection per
-// destination address is cached and re-dialed on failure; inbound
-// connections are accepted concurrently.
+// Wire format (spec: docs/WIRE.md): every frame is length-prefixed and its
+// first body byte tags it. A connection starts with one 'H' hello frame
+// identifying the dialing node, then carries 'W' frames: an envelope whose
+// message is encoded by Options.Codec (normally core.MessageCodec, the
+// engine's deterministic wire envelope, which covers engine messages and
+// application raw-message types registered in the wire extension range). A
+// message the codec cannot encode is dropped and counted. One outbound
+// connection per destination address is cached and re-dialed on failure;
+// inbound connections are accepted concurrently.
 //
 // Addresses come from the actor.AddrBook flow: the engine reports every
 // (node ID, address) pair it learns from compositions and join handshakes,
@@ -21,9 +19,7 @@
 package tcpnet
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,8 +37,8 @@ import (
 // stays independent of the engine.
 type Codec interface {
 	// EncodeMessage returns the message's wire-envelope bytes, or false when
-	// the type is outside the codec's message set (the transport then falls
-	// back to gob for that frame).
+	// the type is outside the codec's message set (the transport then drops
+	// the message: Stats.DroppedCodec).
 	EncodeMessage(msg actor.Message) ([]byte, bool)
 	// DecodeMessage reverses EncodeMessage.
 	DecodeMessage(b []byte) (actor.Message, error)
@@ -53,12 +49,6 @@ type Envelope struct {
 	From ids.NodeID
 	To   ids.NodeID
 	Msg  actor.Message
-}
-
-// hello is the first frame on every outbound connection.
-type hello struct {
-	From ids.NodeID
-	Addr string // the dialer's own listen address, so the peer can dial back
 }
 
 // Options configures a Transport.
@@ -79,15 +69,10 @@ type Options struct {
 	// when a destination's queue is full, messages to it are dropped —
 	// the transport is allowed to be lossy, protocols retry by timeout.
 	QueueLen int
-	// Codec frames engine messages (and registered application raw types)
-	// through the deterministic wire envelope — pass atum.WireMessageCodec(),
-	// i.e. core.MessageCodec. It is effectively REQUIRED for Atum traffic:
-	// engine message types are no longer gob-registered (the legacy envelope
-	// was removed, docs/WIRE.md), so with a nil Codec only types the caller
-	// gob.Register'ed itself can flow, inbound wire frames are rejected, and
-	// engine messages fail frame encoding (logged per connection). Nil is
-	// only sensible for transports carrying purely application-defined,
-	// gob-registered message sets.
+	// Codec encodes and decodes every transported message — pass
+	// atum.WireMessageCodec(), i.e. core.MessageCodec, which covers engine
+	// messages and registered application raw types. Required: New rejects
+	// a nil Codec.
 	Codec Codec
 	// Logf, when set, receives transport debug logs.
 	Logf func(format string, args ...any)
@@ -114,7 +99,7 @@ type Deliverer interface {
 	Deliver(from, to ids.NodeID, msg actor.Message)
 }
 
-// Transport is a gob-over-TCP message carrier. It implements
+// Transport carries wire-framed messages over TCP. It implements
 // rtnet.Transport.
 type Transport struct {
 	opts      Options
@@ -137,13 +122,14 @@ type Transport struct {
 
 // Stats counts transport-level activity.
 type Stats struct {
-	Sent        int64 // envelopes queued for transmission
-	Delivered   int64 // envelopes handed to the deliverer
-	DroppedAddr int64 // sends dropped: unknown destination address
-	DroppedQ    int64 // sends dropped: destination queue full or closed
-	Dials       int64 // outbound connection attempts
-	DialErrs    int64 // failed dials
-	Accepts     int64 // accepted inbound connections
+	Sent         int64 // envelopes queued for transmission
+	Delivered    int64 // envelopes handed to the deliverer
+	DroppedAddr  int64 // sends dropped: unknown destination address
+	DroppedQ     int64 // sends dropped: destination queue full or closed
+	DroppedCodec int64 // sends dropped: the codec cannot encode the message
+	Dials        int64 // outbound connection attempts
+	DialErrs     int64 // failed dials
+	Accepts      int64 // accepted inbound connections
 }
 
 // New creates a transport listening on opts.ListenAddr, delivering inbound
@@ -151,6 +137,9 @@ type Stats struct {
 // hello frames (use the node's ID; with several nodes behind one transport,
 // any hosted ID works — hellos only seed the peer address book).
 func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
+	if opts.Codec == nil {
+		return nil, errors.New("tcpnet: Options.Codec is required (pass atum.WireMessageCodec())")
+	}
 	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.ListenAddr)
 	if err != nil {
@@ -159,6 +148,10 @@ func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
 	adv := opts.AdvertiseAddr
 	if adv == "" {
 		adv = ln.Addr().String()
+	}
+	if len(adv) > maxHelloAddr {
+		ln.Close()
+		return nil, fmt.Errorf("tcpnet: advertise address is %d bytes, limit %d", len(adv), maxHelloAddr)
 	}
 	t := &Transport{
 		opts:      opts,
@@ -169,11 +162,6 @@ func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
 		addrs:     make(map[ids.NodeID]string),
 		peers:     make(map[string]*peer),
 		inbound:   make(map[net.Conn]bool),
-	}
-	if opts.Codec == nil {
-		// Engine message types are not gob-registered (docs/WIRE.md): a
-		// codec-less transport can only carry caller-registered gob types.
-		t.logf("tcpnet: no Codec configured — engine messages cannot be framed (pass atum.WireMessageCodec())")
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -309,18 +297,16 @@ func (t *Transport) readLoop(conn net.Conn) {
 	r := newFrameReader(conn, t.opts.MaxFrame, t.opts.Codec)
 
 	// Hello first: learn how to dial this peer back.
-	var h hello
-	if err := r.next(&h); err != nil {
+	from, addr, err := r.readHello()
+	if err != nil {
 		t.logf("tcpnet: bad hello from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if h.From != 0 && h.Addr != "" {
-		t.LearnAddr(h.From, h.Addr)
-	}
+	t.LearnAddr(from, addr)
 
 	for {
-		var env Envelope
-		if err := r.next(&env); err != nil {
+		env, err := r.readEnvelope()
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.logf("tcpnet: read from %v: %v", conn.RemoteAddr(), err)
 			}
@@ -380,7 +366,8 @@ func (p *peer) close() { p.once.Do(func() { close(p.done) }) }
 func (p *peer) writeLoop() {
 	defer p.t.wg.Done()
 	var conn net.Conn
-	var w *frameWriter
+	var enc wire.Encoder // frame scratch, reused across frames
+	codecLogged := false // one DroppedCodec log line per connection
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -393,6 +380,16 @@ func (p *peer) writeLoop() {
 		case <-p.done:
 			return
 		case env := <-p.q:
+			mb, ok := p.t.opts.Codec.EncodeMessage(env.Msg)
+			if !ok {
+				// Dropped before the connection is touched: it stays up.
+				p.t.bump(func(s *Stats) { s.DroppedCodec++ })
+				if !codecLogged {
+					codecLogged = true
+					p.t.logf("tcpnet: drop to %s: the codec does not cover %T", p.addr, env.Msg)
+				}
+				continue
+			}
 			for conn == nil {
 				select {
 				case <-p.done:
@@ -416,110 +413,94 @@ func (p *peer) writeLoop() {
 				}
 				backoff = 50 * time.Millisecond
 				conn = c
-				w = newFrameWriter(conn)
-				if err := p.write(w, conn, hello{From: p.t.self, Addr: p.t.advertise}); err != nil {
+				codecLogged = false
+				if err := p.write(conn, helloFrame(&enc, p.t.self, p.t.advertise)); err != nil {
 					p.t.logf("tcpnet: hello to %s: %v", p.addr, err)
 					conn.Close()
-					conn, w = nil, nil
+					conn = nil
 				}
 			}
-			if err := p.write(w, conn, env); err != nil {
+			if err := p.write(conn, envelopeFrame(&enc, env.From, env.To, mb)); err != nil {
 				p.t.logf("tcpnet: write to %s: %v", p.addr, err)
 				conn.Close()
-				conn, w = nil, nil
+				conn = nil
 				// The envelope is lost; later traffic redials.
 			}
 		}
 	}
 }
 
-func (p *peer) write(w *frameWriter, conn net.Conn, v any) error {
+func (p *peer) write(conn net.Conn, frame []byte) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout)); err != nil {
 		return err
 	}
-	if env, ok := v.(Envelope); ok {
-		return w.writeEnvelope(env, p.t.opts.Codec)
-	}
-	return w.write(v)
+	_, err := conn.Write(frame)
+	return err
 }
 
 // --- framing ---
 //
 // Each frame is a 4-byte big-endian length followed by that many body bytes.
-// The first body byte tags the frame's codec:
+// The first body byte tags the frame (wire primitives throughout):
 //
-//	'W': [from uint64][to uint64][len-prefixed wire-envelope message] — the
-//	     engine message set, encoded by Options.Codec (core.MessageCodec);
-//	'G': a standalone gob stream of wireBox{V} — hello frames, application
-//	     raw messages, and (with Codec nil) everything.
-//
-// Standalone gob streams (a fresh encoder per frame) cost a few bytes of
-// re-sent type definitions but make frames self-contained: a corrupted or
-// oversized frame can be rejected without desynchronizing the connection's
-// type dictionary. The wire codec does away with the dictionary entirely,
-// which is most of its byte savings on small messages.
+//	'H': [from uint64][addr string] — the dialer's node ID and listen
+//	     address; exactly one, first on every connection;
+//	'W': [from uint64][to uint64][len-prefixed message] — the message bytes
+//	     are Options.Codec's (core.MessageCodec: a wire-envelope frame).
 
-// Frame codec tags.
+// Frame tags.
 const (
-	frameGob  = 'G'
-	frameWire = 'W'
+	frameHello = 'H'
+	frameWire  = 'W'
 )
 
-type frameWriter struct {
-	w   io.Writer
-	buf bytes.Buffer
-	enc wire.Encoder // reused across wire frames, like buf for gob frames
+// maxHelloAddr bounds the listen address a hello may carry (a DNS name of at
+// most 253 bytes, ':' and a port); maxHelloFrame is the resulting frame
+// bound, checked before the body is read.
+const (
+	maxHelloAddr  = 253 + 1 + 5
+	maxHelloFrame = 1 + 8 + 4 + maxHelloAddr
+)
+
+// beginFrame starts a frame in e: a length placeholder, then the tag.
+func beginFrame(e *wire.Encoder, tag byte) {
+	e.Reset()
+	e.Uint32(0)
+	e.Byte(tag)
 }
 
-func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
-
-// write emits v as a gob frame.
-func (fw *frameWriter) write(v any) error {
-	fw.buf.Reset()
-	fw.buf.WriteByte(frameGob)
-	if err := gob.NewEncoder(&fw.buf).Encode(wireBox{V: v}); err != nil {
-		return fmt.Errorf("encode: %w", err)
-	}
-	return fw.flush(fw.buf.Bytes())
+// endFrame fills the length in and returns the frame, valid until e is
+// reused: one Write per frame.
+func endFrame(e *wire.Encoder) []byte {
+	b := e.Bytes()
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b
 }
 
-// writeEnvelope emits env as a wire frame when the codec covers its message,
-// falling back to a gob frame otherwise.
-func (fw *frameWriter) writeEnvelope(env Envelope, codec Codec) error {
-	if codec == nil {
-		return fw.write(env)
-	}
-	mb, ok := codec.EncodeMessage(env.Msg)
-	if !ok {
-		return fw.write(env)
-	}
-	fw.enc.Reset()
-	fw.enc.Byte(frameWire)
-	fw.enc.Uint64(uint64(env.From))
-	fw.enc.Uint64(uint64(env.To))
-	fw.enc.VarBytes(mb)
-	return fw.flush(fw.enc.Bytes())
+func helloFrame(e *wire.Encoder, from ids.NodeID, addr string) []byte {
+	beginFrame(e, frameHello)
+	e.Uint64(uint64(from))
+	e.String(addr)
+	return endFrame(e)
 }
 
-func (fw *frameWriter) flush(body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(body)
-	return err
+// envelopeFrame frames one message already encoded by the codec.
+func envelopeFrame(e *wire.Encoder, from, to ids.NodeID, msg []byte) []byte {
+	beginFrame(e, frameWire)
+	e.Uint64(uint64(from))
+	e.Uint64(uint64(to))
+	e.VarBytes(msg)
+	return endFrame(e)
 }
 
 type frameReader struct {
 	r     io.Reader
 	max   int
 	codec Codec
-	// body is the reusable frame buffer: both decode paths copy everything
-	// they keep (gob materializes fresh values; the wire codec's field
-	// decoders copy VarBytes), so one grow-only buffer per connection
-	// replaces an allocation per frame. maxPooledBody bounds what one large
-	// frame can pin for the connection's lifetime.
+	// body is the reusable frame buffer: the decoders copy everything they
+	// keep (the wire codec's field decoders copy VarBytes), so one grow-only
+	// buffer per connection replaces an allocation per frame. maxPooledBody
+	// bounds what one large frame can pin for the connection's lifetime.
 	body []byte
 }
 
@@ -544,81 +525,56 @@ func (fr *frameReader) buffer(n int) []byte {
 	return b
 }
 
-func (fr *frameReader) next(out any) error {
+// readFrame reads one frame of at most max bytes carrying the given tag and
+// returns a decoder over the body behind the tag. The body aliases the
+// reusable buffer: it is valid until the next read.
+func (fr *frameReader) readFrame(tag byte, max int) (*wire.Decoder, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n <= 0 || n > fr.max {
-		return fmt.Errorf("frame size %d out of range", n)
+	if n <= 0 || n > max {
+		return nil, fmt.Errorf("frame size %d out of range", n)
 	}
 	body := fr.buffer(n)
 	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return err
+		return nil, err
 	}
-	switch body[0] {
-	case frameGob:
-		var box wireBox
-		if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&box); err != nil {
-			return fmt.Errorf("decode: %w", err)
-		}
-		return assign(out, box.V)
-	case frameWire:
-		env, ok := out.(*Envelope)
-		if !ok {
-			return fmt.Errorf("wire frame where %T expected", out)
-		}
-		if fr.codec == nil {
-			return errors.New("wire frame but no codec configured")
-		}
-		d := wire.NewDecoder(body[1:])
-		env.From = ids.NodeID(d.Uint64())
-		env.To = ids.NodeID(d.Uint64())
-		// A view, not a copy: DecodeMessage's field decoders copy what they
-		// keep, so nothing aliases the reusable body buffer afterwards.
-		mb := d.VarBytesView()
-		if err := d.Finish(); err != nil {
-			return fmt.Errorf("decode wire frame: %w", err)
-		}
-		msg, err := fr.codec.DecodeMessage(mb)
-		if err != nil {
-			return fmt.Errorf("decode wire frame: %w", err)
-		}
-		env.Msg = msg
-		return nil
-	default:
-		return fmt.Errorf("unknown frame codec tag %#x", body[0])
+	if body[0] != tag {
+		return nil, fmt.Errorf("frame tag %#x where %q expected", body[0], tag)
 	}
+	return wire.NewDecoder(body[1:]), nil
 }
 
-// wireBox lets a frame carry any registered concrete type.
-type wireBox struct {
-	V any
-}
-
-func assign(out any, v any) error {
-	switch o := out.(type) {
-	case *hello:
-		h, ok := v.(hello)
-		if !ok {
-			return fmt.Errorf("expected hello, got %T", v)
-		}
-		*o = h
-		return nil
-	case *Envelope:
-		e, ok := v.(Envelope)
-		if !ok {
-			return fmt.Errorf("expected envelope, got %T", v)
-		}
-		*o = e
-		return nil
-	default:
-		return fmt.Errorf("unsupported frame target %T", out)
+// readHello returns the dialer's node ID and the listen address to dial it
+// back on.
+func (fr *frameReader) readHello() (ids.NodeID, string, error) {
+	d, err := fr.readFrame(frameHello, maxHelloFrame)
+	if err != nil {
+		return 0, "", err
 	}
+	from, addr := ids.NodeID(d.Uint64()), d.String()
+	if err := d.Finish(); err != nil {
+		return 0, "", fmt.Errorf("decode hello: %w", err)
+	}
+	return from, addr, nil
 }
 
-func init() {
-	gob.Register(hello{})
-	gob.Register(Envelope{})
+func (fr *frameReader) readEnvelope() (Envelope, error) {
+	d, err := fr.readFrame(frameWire, fr.max)
+	if err != nil {
+		return Envelope{}, err
+	}
+	env := Envelope{From: ids.NodeID(d.Uint64()), To: ids.NodeID(d.Uint64())}
+	// A view, not a copy: DecodeMessage's field decoders copy what they
+	// keep, so nothing aliases the reusable body buffer afterwards.
+	mb := d.VarBytesView()
+	if err := d.Finish(); err != nil {
+		return Envelope{}, fmt.Errorf("decode wire frame: %w", err)
+	}
+	if env.Msg, err = fr.codec.DecodeMessage(mb); err != nil {
+		return Envelope{}, fmt.Errorf("decode wire frame: %w", err)
+	}
+	return env, nil
 }

@@ -2,7 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -13,13 +13,36 @@ import (
 	"atum/internal/wire"
 )
 
-func init() {
-	gob.Register(testMsg{})
-}
-
+// testMsg is the one message type stubCodec covers.
 type testMsg struct {
 	Seq  int
 	Body string
+}
+
+// foreignMsg is outside stubCodec's message set.
+type foreignMsg struct{ X int }
+
+// stubCodec stands in for core.MessageCodec: it encodes testMsg values only.
+type stubCodec struct{}
+
+func (stubCodec) EncodeMessage(msg actor.Message) ([]byte, bool) {
+	m, ok := msg.(testMsg)
+	if !ok {
+		return nil, false
+	}
+	var e wire.Encoder
+	e.Int64(int64(m.Seq))
+	e.String(m.Body)
+	return e.Bytes(), true
+}
+
+func (stubCodec) DecodeMessage(b []byte) (actor.Message, error) {
+	d := wire.NewDecoder(b)
+	m := testMsg{Seq: int(d.Int64()), Body: d.String()}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // sink collects delivered envelopes.
@@ -63,7 +86,7 @@ func (s *sink) wait(t *testing.T, n int, timeout time.Duration) []Envelope {
 
 func newTestTransport(t *testing.T, self ids.NodeID, d Deliverer) *Transport {
 	t.Helper()
-	tr, err := New(self, d, Options{ListenAddr: "127.0.0.1:0"})
+	tr, err := New(self, d, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,57 +94,105 @@ func newTestTransport(t *testing.T, self ids.NodeID, d Deliverer) *Transport {
 	return tr
 }
 
+func TestNewRejectsNilCodec(t *testing.T) {
+	if tr, err := New(1, newSink(), Options{ListenAddr: "127.0.0.1:0"}); err == nil {
+		tr.Close()
+		t.Fatal("New accepted a nil Codec")
+	}
+}
+
+// rawFrame length-prefixes a hand-built frame body.
+func rawFrame(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// testEnvelope frames env the way a peer's writer does.
+func testEnvelope(t testing.TB, env Envelope) []byte {
+	t.Helper()
+	mb, ok := stubCodec{}.EncodeMessage(env.Msg)
+	if !ok {
+		t.Fatalf("stubCodec does not cover %T", env.Msg)
+	}
+	var e wire.Encoder
+	return envelopeFrame(&e, env.From, env.To, mb)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	want := Envelope{From: 1, To: 2, Msg: testMsg{Seq: 7, Body: "hi"}}
-	if err := w.write(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.write(hello{From: 9, Addr: "a:1"}); err != nil {
-		t.Fatal(err)
+	var e wire.Encoder
+	buf.Write(helloFrame(&e, 9, "a:1"))
+	buf.Write(testEnvelope(t, Envelope{From: 1, To: 2, Msg: testMsg{Seq: 7, Body: "hi"}}))
+	if buf.Bytes()[4] != frameHello {
+		t.Fatalf("first frame tagged %#x, want 'H'", buf.Bytes()[4])
 	}
 
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err != nil {
+	r := newFrameReader(&buf, 1<<20, stubCodec{})
+	from, addr, err := r.readHello()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from != 9 || addr != "a:1" {
+		t.Fatalf("got hello from %v at %q", from, addr)
+	}
+	env, err := r.readEnvelope()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if env.From != 1 || env.To != 2 || env.Msg != (testMsg{Seq: 7, Body: "hi"}) {
 		t.Fatalf("got %+v", env)
 	}
-	var h hello
-	if err := r.next(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.From != 9 || h.Addr != "a:1" {
-		t.Fatalf("got %+v", h)
-	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	if err := w.write(Envelope{Msg: testMsg{Body: string(make([]byte, 4096))}}); err != nil {
-		t.Fatal(err)
-	}
-	r := newFrameReader(&buf, 16, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
+	frame := testEnvelope(t, Envelope{Msg: testMsg{Body: string(make([]byte, 4096))}})
+	r := newFrameReader(bytes.NewReader(frame), 16, stubCodec{})
+	if _, err := r.readEnvelope(); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
 
-func TestFrameTypeMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	if err := w.write(hello{From: 1}); err != nil {
-		t.Fatal(err)
+// TestHelloRejectsHostileFrames: the first frame of a connection comes from
+// an unauthenticated dialer. Anything but a well-formed, bounded 'H' frame
+// is an error — including an envelope sent first, a pre-wire 'G' (gob)
+// frame, and a hello whose address exceeds maxHelloAddr.
+func TestHelloRejectsHostileFrames(t *testing.T) {
+	hello := func(addr string, trailing ...byte) []byte {
+		var e wire.Encoder
+		e.Byte(frameHello)
+		e.Uint64(9)
+		e.String(addr)
+		return rawFrame(append(e.Bytes(), trailing...))
 	}
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
-		t.Fatal("hello decoded as envelope")
+	for name, in := range map[string][]byte{
+		"oversized addr":       hello(strings.Repeat("a", maxHelloAddr+1)),
+		"trailing bytes":       hello("a:1", 0xFF),
+		"truncated":            hello("a:1")[:12],
+		"envelope first":       testEnvelope(t, Envelope{Msg: testMsg{Seq: 1}}),
+		"legacy gob frame 'G'": rawFrame([]byte{'G', 0x1f, 0xff, 0x81, 0x03, 0x01, 0x01}),
+		"unknown tag":          rawFrame([]byte{0x7F, 1, 2, 3}),
+	} {
+		if from, addr, err := newFrameReader(bytes.NewReader(in), 1<<20, stubCodec{}).readHello(); err == nil {
+			t.Errorf("%s: accepted as hello from %v at %q", name, from, addr)
+		}
+	}
+	// The bound itself is legal.
+	ok := hello(strings.Repeat("a", maxHelloAddr))
+	if _, _, err := newFrameReader(bytes.NewReader(ok), 1<<20, stubCodec{}).readHello(); err != nil {
+		t.Errorf("hello at the address bound rejected: %v", err)
+	}
+}
+
+// TestEnvelopeRejectsForeignFrames: after the hello only 'W' frames are
+// legal — a second hello or a 'G' frame ends the connection.
+func TestEnvelopeRejectsForeignFrames(t *testing.T) {
+	var e wire.Encoder
+	for name, in := range map[string][]byte{
+		"second hello":         helloFrame(&e, 1, "a:1"),
+		"legacy gob frame 'G'": rawFrame([]byte{'G', 0x1f, 0xff, 0x81}),
+	} {
+		if env, err := newFrameReader(bytes.NewReader(in), 1<<20, stubCodec{}).readEnvelope(); err == nil {
+			t.Errorf("%s: accepted as envelope %+v", name, env)
+		}
 	}
 }
 
@@ -188,7 +259,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	sa, sb := newSink(), newSink()
 	ta := newTestTransport(t, 1, sa)
 
-	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0"})
+	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +273,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb2 := newSink()
-	tb2, err := New(2, sb2, Options{ListenAddr: addrB})
+	tb2, err := New(2, sb2, Options{ListenAddr: addrB, Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +297,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	sa := newSink()
-	tr, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0"})
+	tr, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,111 +311,47 @@ func TestCloseIdempotent(t *testing.T) {
 	tr.Send(1, 2, testMsg{})
 }
 
-// stubCodec wire-frames wireMsg values only; everything else reports false
-// and rides the gob fallback, like application raw messages do under
-// core.MessageCodec.
-type stubCodec struct{}
-
-type wireMsg struct {
-	Seq  int
-	Body string
-}
-
-func (stubCodec) EncodeMessage(msg actor.Message) ([]byte, bool) {
-	m, ok := msg.(wireMsg)
-	if !ok {
-		return nil, false
-	}
-	var e wire.Encoder
-	e.Int64(int64(m.Seq))
-	e.String(m.Body)
-	return e.Bytes(), true
-}
-
-func (stubCodec) DecodeMessage(b []byte) (actor.Message, error) {
-	d := wire.NewDecoder(b)
-	m := wireMsg{Seq: int(d.Int64()), Body: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func TestWireFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	want := Envelope{From: 3, To: 4, Msg: wireMsg{Seq: 11, Body: "wire"}}
-	if err := w.writeEnvelope(want, stubCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[4] != frameWire {
-		t.Fatalf("codec-covered message not wire-framed (tag %#x)", buf.Bytes()[4])
-	}
-	r := newFrameReader(&buf, 1<<20, stubCodec{})
-	var env Envelope
-	if err := r.next(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.From != 3 || env.To != 4 || env.Msg != (wireMsg{Seq: 11, Body: "wire"}) {
-		t.Fatalf("got %+v", env)
-	}
-}
-
-func TestWireFrameGobFallbackForUnknownTypes(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	want := Envelope{From: 3, To: 4, Msg: testMsg{Seq: 1, Body: "raw"}}
-	if err := w.writeEnvelope(want, stubCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[4] != frameGob {
-		t.Fatalf("codec-unknown message not gob-framed (tag %#x)", buf.Bytes()[4])
-	}
-	r := newFrameReader(&buf, 1<<20, stubCodec{})
-	var env Envelope
-	if err := r.next(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Msg != (testMsg{Seq: 1, Body: "raw"}) {
-		t.Fatalf("got %+v", env)
-	}
-}
-
-func TestWireFrameWithoutCodecRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	if err := w.writeEnvelope(Envelope{Msg: wireMsg{Seq: 1}}, stubCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
-		t.Fatal("wire frame accepted without a codec")
-	}
-}
-
-func TestSendBetweenTransportsWithCodec(t *testing.T) {
+// TestUncodableSendIsCountedDrop: a message the codec cannot encode is
+// dropped, counted and logged once per connection — it must not tear the
+// connection down or take codable traffic behind it along.
+func TestUncodableSendIsCountedDrop(t *testing.T) {
+	var logMu sync.Mutex
+	var drops int
 	sa, sb := newSink(), newSink()
-	ta, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
+	ta, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{},
+		Logf: func(format string, _ ...any) {
+			if strings.Contains(format, "codec does not cover") {
+				logMu.Lock()
+				drops++
+				logMu.Unlock()
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ta.Close() })
-	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tb.Close() })
+	tb := newTestTransport(t, 2, sb)
 
 	ta.LearnAddr(2, tb.Addr())
-	ta.Send(1, 2, wireMsg{Seq: 1, Body: "wire over tcp"})
-	ta.Send(1, 2, testMsg{Seq: 2, Body: "gob over tcp"}) // fallback on the same conn
+	ta.Send(1, 2, testMsg{Seq: 1})
+	ta.Send(1, 2, foreignMsg{X: 1})
+	ta.Send(1, 2, foreignMsg{X: 2})
+	ta.Send(1, 2, testMsg{Seq: 2})
 	got := sb.wait(t, 2, 10*time.Second)
-	if got[0].Msg != (wireMsg{Seq: 1, Body: "wire over tcp"}) {
-		t.Fatalf("got %+v", got[0])
+	if got[0].Msg != (testMsg{Seq: 1}) || got[1].Msg != (testMsg{Seq: 2}) {
+		t.Fatalf("got %+v", got)
 	}
-	if got[1].Msg != (testMsg{Seq: 2, Body: "gob over tcp"}) {
-		t.Fatalf("got %+v", got[1])
+	st := ta.Stats()
+	if st.DroppedCodec != 2 {
+		t.Fatalf("DroppedCodec = %d, want 2", st.DroppedCodec)
+	}
+	if st.Dials != 1 {
+		t.Fatalf("dialed %d times: the drop tore the connection down", st.Dials)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if drops != 1 {
+		t.Fatalf("logged %d codec drops on one connection, want 1", drops)
 	}
 }
 
@@ -367,26 +374,23 @@ func waitStat(t *testing.T, cond func() bool) {
 // frame overwrites the buffer.
 func TestFrameReaderReusesBufferSafely(t *testing.T) {
 	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
 	const frames = 32
 	for i := 0; i < frames; i++ {
 		env := Envelope{From: ids.NodeID(i + 1), To: 99,
-			Msg: wireMsg{Seq: i, Body: strings.Repeat(string(rune('a'+i%26)), 64)}}
-		if err := w.writeEnvelope(env, stubCodec{}); err != nil {
-			t.Fatal(err)
-		}
+			Msg: testMsg{Seq: i, Body: strings.Repeat(string(rune('a'+i%26)), 64)}}
+		buf.Write(testEnvelope(t, env))
 	}
 	r := newFrameReader(&buf, 1<<20, stubCodec{})
 	var got []Envelope
 	for i := 0; i < frames; i++ {
-		var env Envelope
-		if err := r.next(&env); err != nil {
+		env, err := r.readEnvelope()
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		got = append(got, env)
 	}
 	for i, env := range got {
-		want := wireMsg{Seq: i, Body: strings.Repeat(string(rune('a'+i%26)), 64)}
+		want := testMsg{Seq: i, Body: strings.Repeat(string(rune('a'+i%26)), 64)}
 		if env.From != ids.NodeID(i+1) || env.Msg != want {
 			t.Fatalf("frame %d corrupted by buffer reuse: %+v", i, env)
 		}

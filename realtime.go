@@ -23,7 +23,7 @@ type RealtimeOptions struct {
 	// rarely justify the synchronous model's lockstep rounds).
 	Mode smr.Mode
 	// Transport, when set, carries traffic to nodes hosted elsewhere
-	// (tcpnet.New provides gob-over-TCP). When nil the runtime is
+	// (tcpnet.New provides wire frames over TCP). When nil the runtime is
 	// loopback-only: all nodes must live in this process.
 	Transport rtnet.Transport
 	// Latency injects artificial loopback delay (testing).
@@ -183,18 +183,8 @@ func (r *RealtimeRuntime) invoke(n *Node, fn func() error) error {
 	return err
 }
 
-// RegisterWireMessages is a no-op kept for API compatibility: engine
-// messages ride the deterministic wire codec on every transport, so there
-// are no engine gob types left to register (the legacy envelope was
-// removed — docs/WIRE.md migration notes). Applications whose raw-message
-// types are NOT registered in the wire extension range
-// (RegisterRawMessage) still gob.Register those types themselves for the
-// TCP transport's fallback frames.
-func RegisterWireMessages() { core.RegisterMessages() }
-
 // WireMessageCodec returns the engine's deterministic wire-envelope codec
-// for byte-level transports: pass it as tcpnet.Options.Codec so engine
-// messages — and application raw messages registered with
-// RegisterRawMessage — skip the per-frame gob type dictionary
-// (docs/WIRE.md).
+// for byte-level transports: pass it as tcpnet.Options.Codec (required),
+// which frames engine messages and application raw messages registered
+// with RegisterRawMessage (docs/WIRE.md).
 func WireMessageCodec() tcpnet.Codec { return core.MessageCodec{} }

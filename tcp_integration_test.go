@@ -26,8 +26,6 @@ type tcpNode struct {
 
 func startTCPNode(t *testing.T, id uint64, seed int64) *tcpNode {
 	t.Helper()
-	atum.RegisterWireMessages()
-
 	// The runtime and transport reference each other: create the runtime
 	// with a late-bound transport shim.
 	var shim transportShim
