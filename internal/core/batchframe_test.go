@@ -1,13 +1,12 @@
 package core
 
-// Batch-frame v2 system coverage, post-migration: every node emits v2
-// carriers (the v1 writer is gone), and a carrier holding a v1 frame — a
-// pre-v2 peer — is recognized and ignored rather than decoded or mistaken
-// for corruption. This replaces the mixed-cluster interop tests that
-// covered the one-release migration window, mirroring how the gob→wire
-// envelope tests were retired after that migration.
+// Batch-frame system coverage: a cluster delivers off the carriers every
+// node emits, and a carrier holding a frame of another version — a peer from
+// before the current frame — is dropped whole rather than partly decoded.
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -16,12 +15,11 @@ import (
 	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/smr"
-	"atum/internal/wire"
 )
 
 // TestBatchFrameClusterDelivery runs concurrent broadcast bursts from two
 // publishers (bursts make batches actually form) and requires every member
-// to deliver every payload exactly once off the v2 carriers.
+// to deliver every payload exactly once off the carriers.
 func TestBatchFrameClusterDelivery(t *testing.T) {
 	h := newHarness(t, smr.ModeSync, 23, func(cfg *Config) {
 		cfg.DisableShuffle = true // freeze membership during dissemination
@@ -71,27 +69,17 @@ func TestBatchFrameClusterDelivery(t *testing.T) {
 	}
 }
 
-// encodeLegacyV1Frame reproduces the removed v1 batch-frame writer for one
-// full item: what a pre-v2 peer would put inside a batch carrier.
-func encodeLegacyV1Frame(items []group.BatchItem) []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.ListLen(len(items))
-	for _, it := range items {
-		e.Byte(byte(it.Kind))
-		e.Bytes32(it.MsgID)
-		e.Bool(true)
-		e.VarBytes(it.Payload)
-	}
-	return e.Detach()
-}
+// staleV2CarrierFrameHex is what the deleted v2 writer put in a carrier for
+// the one raw item TestStaleVersionBatchCarrierIgnored sends (bitmaps 0x01 /
+// 0x01: full, derived MsgID; payload form 0x00: literal), committed as bytes.
+const staleV2CarrierFrameHex = "02" + "00000001" + "01" + "01" + "10" + "00000001" +
+	"00" + "00000014" + "00f0010000000000000001000000056368756e6b"
 
-// TestLegacyV1BatchCarrierIgnored pins the receive side of the v1-writer
-// removal: a batch carrier holding a v1 frame is dropped whole — no inner
-// item reaches the raw hook — while the identical items in a v2 frame go
-// through. The drop must be the explicit legacy rejection, not a crash or
-// a silent partial decode.
-func TestLegacyV1BatchCarrierIgnored(t *testing.T) {
+// TestStaleVersionBatchCarrierIgnored pins the receive side of replacing the
+// frame: a batch carrier holding a frame of an older version is dropped
+// whole — no inner item reaches the raw hook — while the identical item in a
+// current frame goes through.
+func TestStaleVersionBatchCarrierIgnored(t *testing.T) {
 	self := ids.NodeID(4)
 	comp := testComp(9, 1, 4, 5, 6)
 	src := testComp(7, 3, 1, 2, 3)
@@ -103,6 +91,13 @@ func TestLegacyV1BatchCarrierIgnored(t *testing.T) {
 	extFrame, ok := encodeRawWire(egressTestMsg{Seq: 1, Body: []byte("chunk")})
 	if !ok {
 		t.Fatal("egressTestMsg not wire-codable")
+	}
+	stale, err := hex.DecodeString(staleV2CarrierFrameHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(stale, extFrame) {
+		t.Fatalf("golden v2 frame does not carry the item under test %x", extFrame)
 	}
 	items := []group.BatchItem{{
 		Kind:      kindRaw,
@@ -118,14 +113,13 @@ func TestLegacyV1BatchCarrierIgnored(t *testing.T) {
 
 	n.handleBatch(1, carrier)
 	if len(got) != 1 {
-		t.Fatalf("v2 carrier delivered %d raw messages, want 1", len(got))
+		t.Fatalf("current carrier delivered %d raw messages, want 1", len(got))
 	}
 
-	legacy := carrier
-	legacy.Payload = encodeLegacyV1Frame(items)
-	legacy.PayloadDigest = crypto.Hash(legacy.Payload)
-	n.handleBatch(1, legacy)
+	carrier.Payload = stale
+	carrier.PayloadDigest = crypto.Hash(stale)
+	n.handleBatch(1, carrier)
 	if len(got) != 1 {
-		t.Fatalf("v1 carrier leaked %d raw messages through, want 0", len(got)-1)
+		t.Fatalf("stale-version carrier leaked %d raw messages through, want 0", len(got)-1)
 	}
 }

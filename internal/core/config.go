@@ -96,30 +96,6 @@ func (b Behavior) String() string {
 	}
 }
 
-// WalkReplyMode selects how walk results travel back to the originating
-// vgroup (§5.1).
-type WalkReplyMode int
-
-// Walk reply modes.
-const (
-	// ReplyBackward relays the result through the visited vgroups in
-	// reverse (default for the synchronous engine: no signature
-	// verification on the critical path).
-	ReplyBackward WalkReplyMode = iota + 1
-	// ReplyCertificates has the target reply directly to the origin with a
-	// certificate chain appended (default for the asynchronous engine;
-	// chain size is linear in rwl).
-	ReplyCertificates
-)
-
-// String implements fmt.Stringer.
-func (m WalkReplyMode) String() string {
-	if m == ReplyCertificates {
-		return "certificates"
-	}
-	return "backward"
-}
-
 // Callbacks connects the engine to the application (§3.3).
 type Callbacks struct {
 	// Deliver is invoked exactly once per broadcast message delivered at
@@ -207,7 +183,12 @@ type Config struct {
 	// crypto.SimScheme). Required.
 	Scheme crypto.Scheme
 	// Mode selects the SMR engine: smr.ModeSync (Dolev-Strong, rounds) or
-	// smr.ModeAsync (PBFT). Required.
+	// smr.ModeAsync (PBFT). Required. It also fixes how walk results travel
+	// back to the originating vgroup (§5.1): the synchronous engine relays
+	// them backward through the visited vgroups (no signature verification
+	// on the critical path); the asynchronous one has the target reply
+	// directly to the origin with a certificate chain appended (chain size
+	// is linear in rwl).
 	Mode smr.Mode
 	// Params are the Table 1 overlay parameters.
 	Params Params
@@ -225,9 +206,6 @@ type Config struct {
 	JoinTimeout time.Duration
 	// RequestTimeout is the PBFT progress timeout (ModeAsync).
 	RequestTimeout time.Duration
-	// ReplyMode selects the walk reply mechanism; defaults per Mode
-	// (sync→backward, async→certificates).
-	ReplyMode WalkReplyMode
 	// GossipMaxBatch caps how many logical messages bound for the same
 	// destination are coalesced into one egress batch carrier (§3.3.4's
 	// dissemination phase is the hot path under concurrent broadcasts; churn
@@ -319,13 +297,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EgressQueueBytes == 0 {
 		c.EgressQueueBytes = 8 << 20
-	}
-	if c.ReplyMode == 0 {
-		if c.Mode == smr.ModeAsync {
-			c.ReplyMode = ReplyCertificates
-		} else {
-			c.ReplyMode = ReplyBackward
-		}
 	}
 	return c
 }

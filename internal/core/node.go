@@ -330,7 +330,7 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 		n.handleTreeAdvisory(from, m)
 		return
 	}
-	if n.cfg.ReplyMode == ReplyCertificates {
+	if n.cfg.Mode == smr.ModeAsync {
 		// Certificate-mode direct replies cannot be majority-validated
 		// (the receiver does not know the sender vgroup yet); the
 		// chain itself authenticates them.
@@ -381,7 +381,7 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if opts.TTL > 0 {
 		expires = n.env.Now() + opts.TTL
 	}
-	// MsgID is the payload digest by construction, so the v2 batch frame
+	// MsgID is the payload digest by construction, so a carrier of raw items
 	// omits it (DerivedID) and the receiver re-derives it.
 	err := n.egress.EnqueueNodeWith(src, to,
 		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},

@@ -7,6 +7,7 @@ import (
 	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/overlay"
+	"atum/internal/smr"
 )
 
 // applyWalkStart launches a random walk agreed by the vgroup. The walk's
@@ -99,7 +100,7 @@ func (n *Node) forwardWalk(p walkPayload, chain []overlay.StepCert) {
 		n.learnComp(dst)
 		p.Path = append(p.Path, st.comp.Key())
 		msgID := walkMsgID(p.WalkID, stepIdx, dst.GroupID)
-		if n.cfg.ReplyMode == ReplyCertificates {
+		if n.cfg.Mode == smr.ModeAsync {
 			// Certificate-mode hops carry a sender-specific attachment (this
 			// member's chain share), which the batch frame cannot: send
 			// directly.
@@ -136,7 +137,7 @@ func (n *Node) handleWalkHop(acc group.Accepted, p walkPayload) {
 	n.logf("walk hop %x stepsLeft=%d from %v", p.WalkID[:4], p.StepsLeft, acc.Src.GroupID)
 	n.learnComp(p.Origin)
 	var chain []overlay.StepCert
-	if n.cfg.ReplyMode == ReplyCertificates {
+	if n.cfg.Mode == smr.ModeAsync {
 		chain = n.mergeChain(acc, p)
 	}
 	if p.StepsLeft == 0 {
@@ -242,7 +243,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 			WalkID: p.WalkID, Purpose: PurposeJoin,
 			Target: st.comp.Clone(), Accept: true, Member: p.Joiner,
 		})
-		if n.cfg.ReplyMode == ReplyCertificates {
+		if n.cfg.Mode == smr.ModeAsync {
 			// Tell the joiner directly; the chain proves who we are.
 			n.sendJoinRedirect(p.Joiner.ID, p.WalkID)
 		}
@@ -297,7 +298,7 @@ func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 func (n *Node) sendWalkReply(p walkPayload, res walkResult) {
 	st := n.st
 	payload := encodePayload(res)
-	if n.cfg.ReplyMode == ReplyCertificates {
+	if n.cfg.Mode == smr.ModeAsync {
 		var attach []byte
 		if chain, ok := n.lastChains[p.WalkID]; ok {
 			attach = encodePayload(walkAttachment{Chain: chain})
@@ -432,7 +433,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 	switch wo.Purpose {
 	case PurposeJoin:
 		st.busy = false
-		if n.cfg.ReplyMode == ReplyBackward && res.Target.N() > 0 {
+		if n.cfg.Mode != smr.ModeAsync && res.Target.N() > 0 {
 			// Backward mode: we (the contact vgroup) relay the redirect.
 			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
 			//atumvet:allow egressonly backward-mode redirect relay to the joiner: node-addressed handshake traffic (unbatchedKinds)

@@ -121,22 +121,9 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	slowID := slow.Identity().ID
 	cl.c.Net.SetIngestCap(slowID, bpIngestRate, bpIngestQueue)
 
-	// Incompressible per-send payloads (media-like data): repetitive
-	// payloads would collapse under the batch frame's dictionary compression
-	// and never stress the slow consumer.
-	rng := uint64(seed)*0x9e3779b97f4a7c15 + 1
-	fresh := func(size int) []byte {
-		b := make([]byte, size)
-		for i := 0; i < size; i += 8 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			for j := 0; j < 8 && i+j < size; j++ {
-				b[i+j] = byte(rng >> (8 * j))
-			}
-		}
-		return b
-	}
+	// Incompressible per-send payloads: repetitive ones would never stress
+	// the slow consumer's byte budget the way media-like data does.
+	fresh := freshBytes(seed)
 	freshChunk := func() []byte { return fresh(bpChunkBytes) }
 
 	before := cl.c.Net.Stats()

@@ -131,7 +131,7 @@ func (cl *cluster) levelToward(sender, dest atum.NodeID) atum.PressureLevel {
 	return cl.pressure[sender][dest]
 }
 
-func (cl *cluster) addNode(behavior atum.Behavior) *atum.Node {
+func (cl *cluster) addNode() *atum.Node {
 	var n *atum.Node
 	var id atum.NodeID
 	cb := atum.Callbacks{
@@ -164,26 +164,20 @@ func (cl *cluster) addNode(behavior atum.Behavior) *atum.Node {
 		cfg.OnRawMessage = func(atum.NodeID, any) { cl.rawDelivered++ }
 	})
 	id = n.Identity().ID
-	if behavior != atum.BehaviorCorrect {
-		// Behaviour activates once the node is a member (experiment nodes
-		// join correctly first).
-		inner := n.Inner()
-		_ = inner
-	}
 	cl.nodes = append(cl.nodes, n)
 	return n
 }
 
 // grow bootstraps the first node and joins count-1 more, one at a time.
 func (cl *cluster) grow(count int, perJoin time.Duration) error {
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		return err
 	}
 	contact := first.Identity()
 	for i := 1; i < count; i++ {
-		n := cl.addNode(atum.BehaviorCorrect)
+		n := cl.addNode()
 		cl.c.Run(10 * time.Millisecond)
 		if err := n.Join(contact); err != nil {
 			return err
@@ -220,7 +214,7 @@ func Fig6(mode smr.Mode, target int, seed int64) Table {
 		Header: []string{"virtual_seconds", "members"},
 	}
 	start := cl.c.Now()
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		t.Remarks = append(t.Remarks, "bootstrap failed: "+err.Error())
@@ -240,7 +234,7 @@ func Fig6(mode smr.Mode, target int, seed int64) Table {
 		// system, the faster it absorbs joiners).
 		wave := cl.members()/4 + 1
 		for i := 0; i < wave && next < target*2; i++ {
-			n := cl.addNode(atum.BehaviorCorrect)
+			n := cl.addNode()
 			next++
 			_ = n.Join(contact)
 		}
@@ -666,7 +660,7 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 	cl := newCluster(smr.ModeSync, seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 2, RWL: 3, GMax: 6, GMin: 3}
 	})
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		return 0, 0
@@ -680,7 +674,7 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 			wave = 1
 		}
 		for i := 0; i < wave; i++ {
-			n := cl.addNode(atum.BehaviorCorrect)
+			n := cl.addNode()
 			_ = n.Join(contact)
 		}
 		cl.c.Run(time.Minute)

@@ -83,6 +83,7 @@ const (
 	stormRoundDur       = 100 * time.Millisecond
 	stormChunksPerRound = 8
 	stormChunkBytes     = 256
+	stormFillerBytes    = 20 // hex-printed into every broadcast payload
 	// stormDrainRounds covers the slowest repair path: an IHAVE flush, the
 	// graft timer and three graft retries.
 	stormDrainRounds = 60
@@ -105,13 +106,23 @@ func linkMsgs(d simnet.Stats) int64 {
 	return out
 }
 
-// stormText is deterministic filler, so payload sizes match across runs.
-func stormText(seed int64, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('a' + (uint64(seed)*2654435761+uint64(i)*97)%26)
+// freshBytes returns a seeded xorshift64 stream of incompressible filler
+// (media-like data): byte counts then measure the protocol, not how well the
+// test data folds. One seed gives one stream, so payloads match across runs.
+func freshBytes(seed int64) func(size int) []byte {
+	rng := uint64(seed)*0x9e3779b97f4a7c15 + 1
+	return func(size int) []byte {
+		b := make([]byte, size)
+		for i := 0; i < size; i += 8 {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			for j := 0; j < 8 && i+j < size; j++ {
+				b[i+j] = byte(rng >> (8 * j))
+			}
+		}
+		return b
 	}
-	return string(b)
 }
 
 // StormRun measures dissemination cost on an sc.N-node ModeSync system with
@@ -157,11 +168,11 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 		}
 	}
 	contact := pubs[0].Identity()
-	filler := stormText(sc.Seed, 40)
+	fresh := freshBytes(sc.Seed)
 
 	for r := 0; r < sc.WarmupRounds; r++ {
 		for i, p := range pubs {
-			_ = p.BroadcastWith([]byte(fmt.Sprintf("warm-%d-%d-%s", r, i, filler)), atum.BroadcastOpts{})
+			_ = p.BroadcastWith([]byte(fmt.Sprintf("warm-%d-%d-%x", r, i, fresh(stormFillerBytes))), atum.BroadcastOpts{})
 		}
 		cl.c.Run(stormRoundDur)
 	}
@@ -169,10 +180,6 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 		cl.c.Run(10 * stormRoundDur) // drain warm-up dissemination and PRUNE votes
 	}
 
-	chunk := make([]byte, stormChunkBytes)
-	for i := range chunk {
-		chunk[i] = byte(sc.Seed) + byte(i)
-	}
 	before := cl.c.Net.Stats()
 	var out StormTraffic
 	var payloads []string
@@ -181,10 +188,10 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 			if r < len(leavers) {
 				_ = leavers[r].Leave()
 			}
-			_ = cl.addNode(atum.BehaviorCorrect).Join(contact)
+			_ = cl.addNode().Join(contact)
 		}
 		for i, p := range pubs {
-			payload := fmt.Sprintf("storm-%d-%d-%s", r, i, filler)
+			payload := fmt.Sprintf("storm-%d-%d-%x", r, i, fresh(stormFillerBytes))
 			if p.BroadcastWith([]byte(payload), atum.BroadcastOpts{}) == nil {
 				payloads = append(payloads, payload)
 			}
@@ -199,7 +206,7 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 					for _, member := range node.GroupMembers() {
 						if member.ID != self {
 							out.RawSent++
-							_ = node.SendRawWith(member.ID, expChunk{Seq: uint64(out.RawSent), Data: chunk}, atum.SendOpts{})
+							_ = node.SendRawWith(member.ID, expChunk{Seq: uint64(out.RawSent), Data: fresh(stormChunkBytes)}, atum.SendOpts{})
 						}
 					}
 				}

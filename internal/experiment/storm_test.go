@@ -5,11 +5,13 @@ import "testing"
 // TestStormTrafficCeilings pins the one send path in absolute terms: full
 // delivery, every raw chunk through, and per-broadcast traffic under
 // committed ceilings. The ceilings are the measured cost of the unified
-// egress scheduler plus about 20% (storm: 241 msgs, 128 link msgs, 136–141 KB
-// per broadcast; steady: 104 msgs, 78 link msgs, 54.5 KB). Sending one
-// message per logical send cost 452 msgs and 75 KB per broadcast on the
-// steady scenario and 198 link msgs on the storm when only gossip was
-// coalesced, so batching that silently stops working fails here.
+// egress scheduler plus about 20% (storm, which does not replay: 234–250
+// msgs, 127–130 link msgs, 159–170 KB per broadcast; steady: 104 msgs, 78
+// link msgs, 62.4 KB). Every payload is incompressible filler, so the byte
+// ceilings measure the protocol, not how well test data folds. Sending one
+// message per logical send cost 452 msgs per broadcast on the steady scenario
+// and 198 link msgs on the storm when only gossip was coalesced, so batching
+// that silently stops working fails here.
 func TestStormTrafficCeilings(t *testing.T) {
 	cases := []struct {
 		name                       string
@@ -19,12 +21,12 @@ func TestStormTrafficCeilings(t *testing.T) {
 		{
 			name:    "churn storm and raw floods",
 			sc:      StormConfig{N: 24, Publishers: 8, Rounds: 6, Seed: 1, Churn: true, RawFloods: true},
-			maxMsgs: 290, maxLink: 155, maxBytes: 165_000,
+			maxMsgs: 290, maxLink: 155, maxBytes: 200_000,
 		},
 		{
 			name:    "steady publishers",
 			sc:      StormConfig{N: 24, Publishers: 8, Rounds: 3, Seed: 1},
-			maxMsgs: 125, maxLink: 94, maxBytes: 65_500,
+			maxMsgs: 125, maxLink: 94, maxBytes: 75_000,
 		},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,7 @@
 package group
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"atum/internal/crypto"
@@ -20,20 +18,11 @@ import (
 // are member-local and may cut anywhere), which is what makes send-side
 // batching safe without any cross-member batch agreement.
 //
-// One frame layout exists on the wire (byte-level spec: docs/WIRE.md): v2 —
-// run-length kind groups, frame-level full/derived-MsgID bitmaps, per-item
-// compact forms (derived-MsgID items omit the 32-byte MsgID entirely), and
-// cross-item dictionary compression — later payloads that share a
-// prefix/suffix with an earlier payload in the same frame encode a
-// back-reference instead of the bytes.
-//
-// The v1 layout (a flat item list, every item paying a kind byte, a 32-byte
-// MsgID, and a full/digest flag) had its writer removed after its
-// one-release migration window, mirroring the gob→wire envelope migration.
-// Receivers still dispatch on the first frame byte and reject a v1 frame
-// (which always starts 0x00: its item count was a big-endian uint32 bounded
-// by MaxBatchItems < 2^16) with an explicit error rather than a generic
-// version complaint, so a stale sender produces a diagnosable failure.
+// One frame layout exists on the wire (byte-level spec: docs/WIRE.md): a
+// version byte, a flags byte, and run-length kind groups of plain items.
+// Nothing in a frame expands on decode — every full payload is a sub-slice
+// of the frame — so the item-count limit and the wire decoder's length
+// checks are the only bounds a receiver needs.
 
 // BatchItem is one logical group message folded into a batch.
 type BatchItem struct {
@@ -42,11 +31,11 @@ type BatchItem struct {
 	Payload []byte
 	// DerivedID marks an item whose MsgID is, by construction, the payload
 	// digest (node-addressed raw items: core sets MsgID = Hash(Payload)).
-	// The v2 frame omits such MsgIDs entirely — the receiver re-derives them
-	// from the payload digest it computes anyway. Setting it on an item
-	// whose MsgID is NOT the payload digest silently rewrites the MsgID at
-	// the receiver; only senders that construct the MsgID that way may set
-	// it.
+	// When every item of a batch is marked, the frame omits the MsgIDs and
+	// the receiver re-derives them from the payload digest it computes
+	// anyway. Setting it on an item whose MsgID is NOT the payload digest
+	// silently rewrites the MsgID at the receiver; only senders that
+	// construct the MsgID that way may set it.
 	DerivedID bool
 }
 
@@ -55,92 +44,51 @@ type BatchItem struct {
 // stay at or below it — receivers reject larger frames outright.
 const MaxBatchItems = 4096
 
-// batchFrameV2 is the v2 frame version byte. v1 frames begin 0x00; any
-// other leading byte is an unknown future version and is rejected.
-const batchFrameV2 = 0x02
+// batchFrameVersion is the frame's first byte. Any other leading byte —
+// including 0x00, which opens every enveloped payload — is rejected as an
+// unsupported version.
+const batchFrameVersion = 0x03
 
-// dictWindow is how far back (in full-payload items) a v2 dictionary
-// back-reference may point. Both ends maintain the same window: every
-// full payload enters it in item order.
-const dictWindow = 16
-
-// backrefMinGain is the minimum matched byte count (prefix+suffix) before
-// the encoder prefers a back-reference over a literal: a back-reference
-// costs 9 bytes more framing than a literal, so short matches are not worth
-// encoding.
-const backrefMinGain = 16
-
-// decodeBudget returns the cumulative bytes a frame's back-references may
-// reconstruct: 64× the frame size, floored at minBatchDecodedBytes and
-// capped at maxBatchDecodedBytes. Chained references legitimately expand
-// (that is the compression), but unchecked they amplify exponentially — a
-// hostile kilobyte frame must not buy gigabytes of receiver allocation, so
-// the budget scales with what the sender actually paid in bandwidth.
-// Honest traffic sits far below both limits: egress batches cap payload
-// bytes at 256 KiB, and a frame of maximally identical payloads expands
-// ~50× (one literal plus ~15-byte references).
-func decodeBudget(frameLen int) int {
-	b := 64 * frameLen
-	if b < minBatchDecodedBytes {
-		return minBatchDecodedBytes
-	}
-	if b > maxBatchDecodedBytes {
-		return maxBatchDecodedBytes
-	}
-	return b
-}
-
-// Decompression-budget bounds (see decodeBudget).
+// Frame flags. A frame with any other bit set is rejected.
 const (
-	minBatchDecodedBytes = 1 << 20
-	maxBatchDecodedBytes = 1 << 26
+	batchFlagFull    = 1 << 0 // items carry payloads (else payload digests)
+	batchFlagDerived = 1 << 1 // MsgIDs omitted: each equals its payload digest
 )
 
-// Payload form tags inside a v2 frame.
-const (
-	payloadLiteral = 0x00
-	payloadBackref = 0x01
-)
-
-// encodeBatchFrameV2 serializes the items as a v2 frame:
+// encodeBatchFrame serializes the items as one frame:
 //
-//	Byte    version (0x02)
+//	Byte    version (0x03)
+//	Byte    flags (bit 0 full, bit 1 derived MsgIDs)
 //	ListLen item count n
-//	RawView ceil(n/8) bytes: full bitmap (bit i → item i carries payload)
-//	RawView ceil(n/8) bytes: derived bitmap (bit i → MsgID omitted, equals
-//	                         the payload digest)
 //	runs until n items are consumed:
 //	  Byte    kind
 //	  ListLen run length
 //	  per item: [Bytes32 MsgID unless derived]
-//	            full:        Byte form, then literal VarBytes payload or
-//	                         back-reference (Byte delta · Uint32 prefix ·
-//	                         Uint32 suffix · VarBytes middle)
+//	            full:        VarBytes payload
 //	            digest-only: Bytes32 payload digest
-func encodeBatchFrameV2(items []BatchItem, full bool) []byte {
+//
+// The derived flag is set only when every item is marked DerivedID; a mixed
+// batch writes every MsgID.
+func encodeBatchFrame(items []BatchItem, full bool) []byte {
+	derived := true
+	for i := range items {
+		if !items[i].DerivedID {
+			derived = false
+			break
+		}
+	}
+	var flags byte
+	if full {
+		flags |= batchFlagFull
+	}
+	if derived {
+		flags |= batchFlagDerived
+	}
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	e.Byte(batchFrameV2)
+	e.Byte(batchFrameVersion)
+	e.Byte(flags)
 	e.ListLen(len(items))
-	for base := 0; base < len(items); base += 8 {
-		var b byte
-		if full {
-			for bit := 0; bit < 8 && base+bit < len(items); bit++ {
-				b |= 1 << bit
-			}
-		}
-		e.Byte(b)
-	}
-	for base := 0; base < len(items); base += 8 {
-		var b byte
-		for bit := 0; bit < 8 && base+bit < len(items); bit++ {
-			if items[base+bit].DerivedID {
-				b |= 1 << bit
-			}
-		}
-		e.Byte(b)
-	}
-	var fulls [][]byte // dictionary window source, in item order
 	for i := 0; i < len(items); {
 		run := 1
 		for i+run < len(items) && items[i+run].Kind == items[i].Kind {
@@ -149,12 +97,11 @@ func encodeBatchFrameV2(items []BatchItem, full bool) []byte {
 		e.Byte(byte(items[i].Kind))
 		e.ListLen(run)
 		for _, it := range items[i : i+run] {
-			if !it.DerivedID {
+			if !derived {
 				e.Bytes32(it.MsgID)
 			}
 			if full {
-				encodePayloadForm(e, it.Payload, fulls)
-				fulls = append(fulls, it.Payload)
+				e.VarBytes(it.Payload)
 			} else {
 				e.Bytes32(crypto.Hash(it.Payload))
 			}
@@ -164,90 +111,8 @@ func encodeBatchFrameV2(items []BatchItem, full bool) []byte {
 	return e.Detach()
 }
 
-// encodePayloadForm writes one full payload, as a back-reference against the
-// best dictionary-window match when that is cheaper than the literal bytes.
-// The window scans most-recent-first (siblings usually follow each other)
-// and stops at the first near-perfect match, so the common case — a run of
-// payloads differing only in a sequence field — costs one comparison.
-func encodePayloadForm(e *wire.Encoder, p []byte, fulls [][]byte) {
-	bestDelta, bestPrefix, bestSuffix, bestGain := 0, 0, 0, 0
-	lo := len(fulls) - dictWindow
-	if lo < 0 {
-		lo = 0
-	}
-	for j := len(fulls) - 1; j >= lo; j-- {
-		if len(fulls[j]) <= bestGain {
-			continue // gain is bounded by the candidate length
-		}
-		prefix, suffix := matchEnds(p, fulls[j])
-		if gain := prefix + suffix; gain > bestGain {
-			bestDelta, bestPrefix, bestSuffix, bestGain = len(fulls)-j, prefix, suffix, gain
-			if bestGain >= len(p)-backrefMinGain {
-				break // near-perfect; scanning further can save little
-			}
-		}
-	}
-	if bestGain < backrefMinGain {
-		e.Byte(payloadLiteral)
-		e.VarBytes(p)
-		return
-	}
-	e.Byte(payloadBackref)
-	e.Byte(byte(bestDelta))
-	e.Uint32(uint32(bestPrefix))
-	e.Uint32(uint32(bestSuffix))
-	e.VarBytes(p[bestPrefix : len(p)-bestSuffix])
-}
-
-// matchEnds returns the longest common prefix of p and cand, and the longest
-// common suffix of what remains (prefix+suffix never exceeds either length,
-// so the middle literal is well-defined on both sides). Comparisons run a
-// word at a time: this is the encode hot path's inner loop.
-func matchEnds(p, cand []byte) (prefix, suffix int) {
-	n := len(p)
-	if len(cand) < n {
-		n = len(cand)
-	}
-	prefix = commonPrefixLen(p, cand, n)
-	suffix = commonSuffixLen(p, cand, n-prefix)
-	return prefix, suffix
-}
-
-// commonPrefixLen returns the length of the longest common prefix of a and
-// b, capped at max.
-func commonPrefixLen(a, b []byte, max int) int {
-	i := 0
-	for ; i+8 <= max; i += 8 {
-		x := binary.BigEndian.Uint64(a[i:]) ^ binary.BigEndian.Uint64(b[i:])
-		if x != 0 {
-			return i + bits.LeadingZeros64(x)/8
-		}
-	}
-	for ; i < max && a[i] == b[i]; i++ {
-	}
-	return i
-}
-
-// commonSuffixLen returns the length of the longest common suffix of a and
-// b, capped at max.
-func commonSuffixLen(a, b []byte, max int) int {
-	la, lb := len(a), len(b)
-	i := 0
-	for ; i+8 <= max; i += 8 {
-		x := binary.BigEndian.Uint64(a[la-i-8:]) ^ binary.BigEndian.Uint64(b[lb-i-8:])
-		if x != 0 {
-			return i + bits.TrailingZeros64(x)/8
-		}
-	}
-	for ; i < max && a[la-1-i] == b[lb-1-i]; i++ {
-	}
-	return i
-}
-
 // decodedBatchItem is one inner item recovered from a batch frame. Payload is
-// nil on digest-only copies. Literal payloads alias the frame buffer (the
-// zero-copy decode path); back-referenced payloads are reconstructed into
-// fresh allocations.
+// nil on digest-only copies and aliases the frame buffer otherwise.
 type decodedBatchItem struct {
 	kind    Kind
 	msgID   crypto.Digest
@@ -255,65 +120,28 @@ type decodedBatchItem struct {
 	payload []byte
 }
 
-// decodeBatchFrame dispatches on the first frame byte. Hostile frames (bad
-// lengths, truncation, trailing bytes, oversized item counts, out-of-window
-// back-references, nonzero bitmap padding) return an error. A v1 frame —
-// recognizable by its 0x00 first byte — is rejected explicitly: the v1
-// writer was removed after its migration window, so reaching that case
-// means a peer is running a pre-v2 build, not that the frame is corrupt.
+// decodeBatchFrame reverses encodeBatchFrame. Hostile frames (another
+// version byte, unknown flag bits, oversized item counts, empty or
+// overflowing runs, truncation, trailing bytes) return an error.
 func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("group: empty batch frame")
-	}
-	switch b[0] {
-	case 0x00:
-		return nil, fmt.Errorf("group: legacy v1 batch frame; the v1 writer was removed after its migration window — upgrade the sending node")
-	case batchFrameV2:
-		return decodeBatchFrameV2(b[1:])
-	default:
-		return nil, fmt.Errorf("group: unsupported batch frame version %#x", b[0])
-	}
-}
-
-// decodeBatchFrameV2 reverses encodeBatchFrameV2; b starts after the version
-// byte.
-func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 	d := wire.NewDecoder(b)
+	if version := d.Byte(); d.Err() == nil && version != batchFrameVersion {
+		return nil, fmt.Errorf("group: unsupported batch frame version %#x", version)
+	}
+	flags := d.Byte()
 	n := d.ListLen()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	if flags&^(batchFlagFull|batchFlagDerived) != 0 {
+		return nil, fmt.Errorf("group: unknown batch frame flags %#x", flags)
+	}
 	if n > MaxBatchItems {
 		return nil, fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
 	}
-	nb := (n + 7) / 8
-	fullBits := d.RawView(nb)
-	derivedBits := d.RawView(nb)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if pad := n % 8; pad != 0 && nb > 0 {
-		// Padding bits beyond the item count must be zero: one logical frame,
-		// one encoding.
-		mask := byte(0xFF) << pad
-		if fullBits[nb-1]&mask != 0 || derivedBits[nb-1]&mask != 0 {
-			return nil, fmt.Errorf("group: batch frame bitmap has nonzero padding bits")
-		}
-	}
-	bit := func(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
+	full, derived := flags&batchFlagFull != 0, flags&batchFlagDerived != 0
 
 	items := make([]decodedBatchItem, 0, n)
-	st := batchDecodeState{budget: decodeBudget(len(b))}
-	// Pre-size the reconstruction arena: honest frames expand a few-fold at
-	// most (back-references replace shared bytes, middles stay literal), so
-	// 4× the remaining frame usually avoids every growth copy; the cap keeps
-	// a hostile count from buying a large up-front allocation.
-	if guess := 4 * len(b); guess > 0 {
-		if guess > 1<<16 {
-			guess = 1 << 16
-		}
-		st.arena = make([]byte, 0, guess)
-	}
 	for len(items) < n {
 		kind := Kind(d.Byte())
 		run := d.ListLen()
@@ -324,20 +152,13 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 			return nil, fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
 		}
 		for r := 0; r < run; r++ {
-			i := len(items)
 			it := decodedBatchItem{kind: kind}
-			derived := bit(derivedBits, i)
 			if !derived {
 				it.msgID = d.Bytes32()
 			}
-			if bit(fullBits, i) {
-				p, err := st.decodePayloadForm(d)
-				if err != nil {
-					return nil, err
-				}
-				it.payload = p
-				it.digest = crypto.Hash(p)
-				st.fulls = append(st.fulls, p)
+			if full {
+				it.payload = d.VarBytesView() // non-nil on success, even when empty
+				it.digest = crypto.Hash(it.payload)
 			} else {
 				it.digest = d.Bytes32()
 			}
@@ -354,75 +175,6 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 		return nil, err
 	}
 	return items, nil
-}
-
-// batchDecodeState carries the v2 decoder's cross-item state: the dictionary
-// window, the cumulative decompression budget, and one shared reconstruction
-// arena — back-referenced payloads are appended to it and handed out as
-// sub-slices, so a frame pays O(1) reconstruction allocations instead of one
-// per compressed item.
-type batchDecodeState struct {
-	fulls  [][]byte
-	arena  []byte
-	budget int
-}
-
-// decodePayloadForm reads one full payload (literal or back-reference).
-// Literals alias the frame; back-references reconstruct into the arena.
-func (st *batchDecodeState) decodePayloadForm(d *wire.Decoder) ([]byte, error) {
-	switch form := d.Byte(); form {
-	case payloadLiteral:
-		p := d.VarBytesView()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if p == nil {
-			p = []byte{}
-		}
-		return p, nil
-	case payloadBackref:
-		delta := int(d.Byte())
-		prefix32 := d.Uint32()
-		suffix32 := d.Uint32()
-		middle := d.VarBytesView()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		// Bound BEFORE converting to int: on 32-bit platforms a hostile
-		// prefix/suffix ≥ 2^31 would convert negative and slip past every
-		// check below into a slice-bounds panic. The budget is a sound cap —
-		// a legitimate value can never exceed it.
-		if prefix32 > maxBatchDecodedBytes || suffix32 > maxBatchDecodedBytes {
-			return nil, fmt.Errorf("group: batch back-reference match %d+%d exceeds decompression budget", prefix32, suffix32)
-		}
-		prefix, suffix := int(prefix32), int(suffix32)
-		if delta < 1 || delta > dictWindow || delta > len(st.fulls) {
-			return nil, fmt.Errorf("group: batch back-reference %d outside dictionary window (%d full items)", delta, len(st.fulls))
-		}
-		cand := st.fulls[len(st.fulls)-delta]
-		if prefix+suffix > len(cand) {
-			return nil, fmt.Errorf("group: batch back-reference match %d+%d exceeds candidate length %d", prefix, suffix, len(cand))
-		}
-		total := prefix + suffix + len(middle)
-		if total > st.budget {
-			return nil, fmt.Errorf("group: batch frame exceeds its decompression budget")
-		}
-		st.budget -= total
-		if total == 0 {
-			return []byte{}, nil
-		}
-		// Appends never overlap cand even when cand aliases the arena: cand
-		// ends at or before the current length, writes start at it. The
-		// 3-index sub-slice pins the capacity so later arena appends cannot
-		// scribble into an already-returned payload.
-		start := len(st.arena)
-		st.arena = append(st.arena, cand[:prefix]...)
-		st.arena = append(st.arena, middle...)
-		st.arena = append(st.arena, cand[len(cand)-suffix:]...)
-		return st.arena[start:len(st.arena):len(st.arena)], nil
-	default:
-		return nil, fmt.Errorf("group: unknown batch payload form %#x", form)
-	}
 }
 
 // SendBatch transmits one batch of logical group messages from self (a member
@@ -444,7 +196,7 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
 		full = true
 	}
-	frame := encodeBatchFrameV2(items, full)
+	frame := encodeBatchFrame(items, full)
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
@@ -472,7 +224,7 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	if len(items) > MaxBatchItems {
 		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
 	}
-	frame := encodeBatchFrameV2(items, true)
+	frame := encodeBatchFrame(items, true)
 	send(to, GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
@@ -510,14 +262,10 @@ func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 }
 
 // BatchWireOverhead is the worst-case framing cost one full-payload item adds
-// to a batch beyond its payload bytes, across both frame versions. v1 items
-// cost exactly 38 (kind byte + MsgID + flag + length prefix). A v2 item
-// usually costs less (run-shared kind, bitmap bits, omitted MsgIDs), but in
-// the worst case — a non-derived item opening its own single-item run — it
-// costs a 5-byte run header + 32-byte MsgID + form byte + length prefix +
-// 2 bitmap bits, and the 7-byte fixed frame header (version + count + the
-// bitmaps' first bytes) amortizes worst at one item per frame: 49 covers
-// even that degenerate single-item frame. Send-side aggregators budget
-// batch bytes with it, so the constant must be an upper bound or frames
-// could exceed the configured byte cap.
-const BatchWireOverhead = 7 + 5 + crypto.DigestSize + 1 + 4
+// to a batch beyond its payload bytes: a non-derived item that is a frame of
+// its own pays the 6-byte frame header (version, flags, count), a 5-byte run
+// header, its 32-byte MsgID and a 4-byte length prefix; every further item
+// of a frame pays less. Send-side aggregators budget batch bytes with it, so
+// the constant must be an upper bound or frames could exceed the configured
+// byte cap.
+const BatchWireOverhead = 6 + 5 + crypto.DigestSize + 4

@@ -1,8 +1,10 @@
 package group
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -237,6 +239,90 @@ func TestInboxUnknownCompositionBuffersAndFlushes(t *testing.T) {
 	got := ib.FlushKey(time.Second, src.Key())
 	if len(got) != 1 || string(got[0].Payload) != "later" {
 		t.Fatalf("flush = %v, want the buffered message", got)
+	}
+}
+
+// TestInboxFlushKeyOrderIsSorted pins the replay property: entries buffered
+// under an unknown composition are accepted in MsgID order, not in the order
+// a map happens to iterate, so every fresh inbox yields the same sequence.
+func TestInboxFlushKeyOrderIsSorted(t *testing.T) {
+	src := comp(9, 4, 1, 2, 3)
+	var want []crypto.Digest
+	for run := 0; run < 20; run++ {
+		known := map[Key]Composition{}
+		ib := NewInbox(func(k Key) (Composition, bool) { c, ok := known[k]; return c, ok })
+		for i := 0; i < 12; i++ {
+			payload := []byte(fmt.Sprintf("buffered-%d", i))
+			m := GroupMsg{SrcGroup: 9, SrcEpoch: 4, MsgID: crypto.Hash(payload),
+				PayloadDigest: crypto.Hash(payload), Payload: payload}
+			ib.Observe(0, 1, m)
+			ib.Observe(0, 2, m)
+		}
+		known[src.Key()] = src
+		var got []crypto.Digest
+		for _, acc := range ib.FlushKey(time.Second, src.Key()) {
+			got = append(got, acc.MsgID)
+		}
+		if len(got) != 12 {
+			t.Fatalf("run %d: flushed %d messages, want 12", run, len(got))
+		}
+		if !slices.IsSortedFunc(got, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) }) {
+			t.Fatalf("run %d: flush order is not sorted by MsgID", run)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("run %d: flush order differs from run 0", run)
+		}
+	}
+}
+
+// TestInboxAcceptedEntryHoldsNoMaps pins what an entry keeps between
+// acceptance and pruning — the accepted flag and nothing else — and that the
+// flag alone turns stragglers away, whatever digest they vote.
+func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3, 4, 5)
+	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
+	payload := []byte("once")
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("id")),
+		PayloadDigest: crypto.Hash(payload), Payload: payload, Attach: []byte("sig")}
+	accepted := 0
+	for from := ids.NodeID(1); from <= 3; from++ {
+		if _, ok := ib.Observe(0, from, m); ok {
+			accepted++
+		}
+	}
+	if accepted != 1 {
+		t.Fatalf("accepted %d times at majority, want 1", accepted)
+	}
+	e := ib.entries[entryKey{src: src.Key(), msgID: m.MsgID}]
+	if e == nil || !e.accepted {
+		t.Fatal("accepted entry not retained for dedup")
+	}
+	if e.votes != nil || e.payloads != nil || e.attach != nil {
+		t.Errorf("accepted entry still holds maps: votes=%v payloads=%v attach=%v",
+			e.votes != nil, e.payloads != nil, e.attach != nil)
+	}
+
+	other := []byte("twice")
+	stragglers := []GroupMsg{m, m, m}
+	stragglers[1].Payload, stragglers[1].PayloadDigest = other, crypto.Hash(other)
+	stragglers[2].Payload = nil // digest-only copy
+	for i, sm := range stragglers {
+		for _, from := range []ids.NodeID{3, 4, 5} { // a repeat voter and two new ones
+			if _, ok := ib.Observe(time.Second, from, sm); ok {
+				t.Errorf("straggler %d from %v was accepted again", i, from)
+			}
+		}
+	}
+	if got := ib.FlushKey(time.Second, src.Key()); len(got) != 0 {
+		t.Errorf("flush re-accepted %d messages", len(got))
+	}
+	if ib.Len() != 1 {
+		t.Errorf("Len = %d after stragglers, want 1", ib.Len())
+	}
+	if e.votes != nil || e.payloads != nil || e.attach != nil {
+		t.Error("stragglers repopulated an accepted entry's maps")
 	}
 }
 

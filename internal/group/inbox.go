@@ -1,6 +1,9 @@
 package group
 
 import (
+	"bytes"
+	"maps"
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -124,8 +127,9 @@ func (ib *Inbox) check(now time.Duration, ek entryKey, e *entryState) (Accepted,
 			}
 		}
 		e.accepted = true
-		e.payloads = nil // release memory; votes kept for dedup until pruned
-		e.attach = nil
+		// Release memory: the accepted flag alone suppresses stragglers
+		// until the entry is pruned.
+		e.votes, e.payloads, e.attach = nil, nil, nil
 		return Accepted{Src: ek.src, Kind: e.kind, MsgID: ek.msgID,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -135,8 +139,13 @@ func (ib *Inbox) check(now time.Duration, ek entryKey, e *entryState) (Accepted,
 // FlushKey re-evaluates buffered entries for a source composition that just
 // became known, returning all newly accepted messages.
 func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
+	// Sorted, not map order: callers act on the result in sequence
+	// (proposals, forwards, RNG draws), and runs of one seed must replay.
+	msgIDs := slices.SortedFunc(maps.Keys(ib.byKey[src]), func(a, b crypto.Digest) int {
+		return bytes.Compare(a[:], b[:])
+	})
 	var out []Accepted
-	for msgID := range ib.byKey[src] {
+	for _, msgID := range msgIDs {
 		ek := entryKey{src: src, msgID: msgID}
 		e, ok := ib.entries[ek]
 		if !ok || e.accepted {

@@ -1,10 +1,10 @@
 // Package retainview machine-checks the zero-copy aliasing contract: the
-// byte slices returned by wire.Decoder.VarBytesView and RawView alias the
-// decode input, and the buffer behind a pooled encoder's Bytes() is
-// recycled by PutEncoder. Such views are only valid inside the callback
-// or decode scope that produced them; code that wants to keep the bytes
-// must copy (append to a fresh buffer) or use Detach. The analyzer flags
-// the three escape shapes that turn a view into a use-after-recycle bug:
+// byte slices returned by wire.Decoder.VarBytesView alias the decode input,
+// and the buffer behind a pooled encoder's Bytes() is recycled by
+// PutEncoder. Such views are only valid inside the callback or decode scope
+// that produced them; code that wants to keep the bytes must copy (append to
+// a fresh buffer) or use Detach. The analyzer flags the three escape shapes
+// that turn a view into a use-after-recycle bug:
 //
 //   - storing a view through a receiver, parameter, or package-level
 //     variable (the store outlives the frame that owns the buffer),
@@ -15,8 +15,8 @@
 // stays a view through renames, slicing, and composite-literal wrapping;
 // any other call boundary — append, copy, string conversion, hashing —
 // copies the bytes and launders the taint. Stores into function-local
-// structures are not flagged: the local decode-state idiom
-// (batchDecodeState, arena sub-slices) is the contract's intended use.
+// structures are not flagged: the local decode-state idiom (a decoded item
+// whose payload field views the frame) is the contract's intended use.
 package retainview
 
 import (
@@ -29,7 +29,7 @@ import (
 // Analyzer is the retainview pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "retainview",
-	Doc:       "check that decoder views (VarBytesView/RawView) and pooled encoder bytes do not escape their owning scope without a copy or Detach",
+	Doc:       "check that decoder views (VarBytesView) and pooled encoder bytes do not escape their owning scope without a copy or Detach",
 	SkipTests: true, // tests legitimately hold views to assert the aliasing contract itself
 	Run:       run,
 }
@@ -356,15 +356,15 @@ func (sc *scope) retained(e ast.Expr) (token.Pos, bool) {
 	return token.NoPos, false
 }
 
-// isViewCall recognizes the view sources: d.VarBytesView(), d.RawView(n),
-// and Bytes() on an encoder obtained from the pool.
+// isViewCall recognizes the view sources: d.VarBytesView(), and Bytes() on
+// an encoder obtained from the pool.
 func (sc *scope) isViewCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "VarBytesView", "RawView":
+	case "VarBytesView":
 		return true
 	case "Bytes":
 		if id, ok := sel.X.(*ast.Ident); ok {

@@ -22,9 +22,9 @@ func use(b []byte) int { return len(b) }
 // ---- negative cases: views used inside their scope, or copied out ----
 
 func localViews(d *wire.Decoder) int {
-	fullBits := d.RawView(8)
-	derivedBits := d.RawView(8)
-	return use(fullBits) + use(derivedBits)
+	first := d.VarBytesView()
+	second := d.VarBytesView()
+	return use(first) + use(second)
 }
 
 func localStructState(d *wire.Decoder) item {
@@ -77,7 +77,7 @@ func storeSliced(h *holder, d *wire.Decoder) {
 type keeper struct{ last []byte }
 
 func (k *keeper) remember(d *wire.Decoder) {
-	k.last = d.RawView(32) // want "stores a decoder/pool-owned view through k"
+	k.last = d.VarBytesView() // want "stores a decoder/pool-owned view through k"
 }
 
 func storeGlobal(key string, d *wire.Decoder) {

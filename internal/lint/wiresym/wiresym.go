@@ -59,7 +59,6 @@ var decMethods = map[string]string{
 	"Bytes32":      "Bytes32",
 	"VarBytes":     "VarBytes",
 	"VarBytesView": "VarBytes",
-	"RawView":      "RawView",
 	"String":       "String",
 	"ListLen":      "ListLen",
 }

@@ -253,12 +253,6 @@ func (d *Decoder) VarBytes() []byte {
 	return out
 }
 
-// RawView reads exactly n unprefixed bytes WITHOUT copying: the result
-// aliases the decoder's input buffer (see VarBytesView for the aliasing
-// contract). Fixed-layout regions whose size both ends derive from earlier
-// fields — batch-frame bitmaps — read through it.
-func (d *Decoder) RawView(n int) []byte { return d.take(n) }
-
 // VarBytesView reads a length-prefixed byte string WITHOUT copying: the
 // result aliases the decoder's input buffer. Callers own the aliasing
 // hazard — the view is valid exactly as long as the input buffer is, and
