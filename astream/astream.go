@@ -9,14 +9,11 @@
 //   - Tier 2 (throughput): a lightweight push multicast disseminates the
 //     actual chunk data over direct node links — full coverage inside the
 //     own vgroup, and a forest of f+1 parents per neighboring vgroup (the
-//     paper's §4.3 forest): each chunk picks f+1 members of each eager
+//     paper's §4.3 forest): each chunk picks f+1 members of each
 //     neighbor vgroup, rotated per sequence number so parent load spreads.
 //     With at least one correct parent per group and receivers re-pushing
 //     verified data inside their own vgroup, the "at least one correct
 //     path" guarantee is preserved at a fraction of the flood's copies.
-//     Neighbor vgroups whose dissemination-tree link is lazy (see
-//     core.TreeGossip) are skipped entirely — their verified copy arrives
-//     through their own eager parents.
 //
 // A node delivers a chunk when both the data and a matching tier-1 digest
 // are present; corrupted data (no digest match) is discarded.
@@ -238,10 +235,10 @@ func (s *Service) HandleRaw(_ atum.NodeID, msg any) {
 // ride the protocol path, which is never shed.
 //
 // The own vgroup gets full coverage (chunk verification needs the digest
-// quorum there anyway). Each eager neighbor vgroup gets f+1 parents chosen
-// by sequence-number rotation — at least one is correct, and receivers
-// re-push verified data through their own vgroup, so one surviving copy per
-// group suffices. Lazy dissemination-tree links are skipped entirely.
+// quorum there anyway). Each neighbor vgroup gets f+1 parents chosen by
+// sequence-number rotation — at least one is correct, and receivers re-push
+// verified data through their own vgroup, so one surviving copy per group
+// suffices.
 func (s *Service) pushData(m dataMsg, speculative bool) {
 	if s.node == nil {
 		return
@@ -283,9 +280,6 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 				nbr = nbrs.Succs[c]
 			}
 			if nbr.GroupID == 0 || len(nbr.Members) == 0 {
-				continue
-			}
-			if !inner.TreeEagerLink(nbr.GroupID) {
 				continue
 			}
 			k := inner.FaultBound(len(nbr.Members)) + 1

@@ -105,3 +105,77 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 		t.Fatalf("recovered destination still shed (sheds %d -> %d)", shed2, svc.Shed())
 	}
 }
+
+// TestPushDataReachesEveryNeighborVgroup: one pushData hands the chunk to at
+// least f+1 members of every neighbor vgroup on the publisher's overlay links
+// — the §4.3 forest's "one correct parent per group". Only the publisher runs
+// a Service, so no receiver re-pushes and every recorded copy is its own.
+func TestPushDataReachesEveryNeighborVgroup(t *testing.T) {
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 43, Tweak: func(cfg *atum.Config) {
+		cfg.DisableShuffle = true // freeze membership once grown
+		cfg.EvictAfter = time.Hour
+	}})
+	svc := New(Options{})
+	pub := cluster.AddNodeWith(svc.Callbacks(), nil)
+	svc.Bind(pub)
+	pubID := pub.Identity().ID
+	reached := make(map[atum.NodeID]bool)
+	nodes := []*atum.Node{pub}
+	for i := 1; i < 32; i++ {
+		var self atum.NodeID
+		n := cluster.AddNodeWith(atum.Callbacks{}, func(cfg *atum.Config) {
+			self = cfg.Identity.ID
+			cfg.OnRawMessage = func(from atum.NodeID, msg any) {
+				if _, ok := msg.(dataMsg); ok && from == pubID {
+					reached[self] = true
+				}
+			}
+		})
+		nodes = append(nodes, n)
+	}
+	cluster.Run(10 * time.Millisecond)
+	if err := pub.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes[1:] {
+		if err := n.Join(pub.Identity()); err != nil {
+			t.Fatal(err)
+		}
+		if !cluster.RunUntil(n.IsMember, time.Minute) {
+			t.Fatal("join timed out")
+		}
+	}
+	cluster.Run(5 * time.Second)
+
+	svc.pushData(dataMsg{Seq: 3, Data: []byte("chunk")}, false)
+	cluster.Run(time.Second)
+
+	inner := pub.Inner()
+	own := inner.Comp().GroupID
+	nbrs := inner.Neighbors()
+	distinct := make(map[atum.GroupID]bool)
+	for c := 0; c < nbrs.NumCycles(); c++ {
+		for _, nbr := range []atum.GroupComposition{nbrs.Preds[c], nbrs.Succs[c]} {
+			if nbr.GroupID == 0 || nbr.GroupID == own {
+				continue
+			}
+			distinct[nbr.GroupID] = true
+			got := 0
+			for _, m := range nbr.Members {
+				if reached[m.ID] {
+					got++
+				}
+			}
+			if want := min(inner.FaultBound(len(nbr.Members))+1, len(nbr.Members)); got < want {
+				t.Errorf("cycle %d: neighbor vgroup %v got the chunk at %d of %d members, want >= f+1 = %d",
+					c, nbr.GroupID, got, len(nbr.Members), want)
+			}
+		}
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("publisher has %d distinct neighbor vgroups; the scenario needs several", len(distinct))
+	}
+	if svc.Shed() != 0 {
+		t.Errorf("%d pushes shed on an idle system", svc.Shed())
+	}
+}

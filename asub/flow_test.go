@@ -41,9 +41,7 @@ func TestPublisherErrorsSurfaced(t *testing.T) {
 	if err := p.Publish([]byte("plain")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PublishWith([]byte("optioned"), atum.BroadcastOpts{
-		Priority: atum.PriorityData, TTL: time.Second,
-	}); err != nil {
+	if err := p.PublishWith([]byte("optioned"), atum.BroadcastOpts{TTL: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Run(10 * time.Second)

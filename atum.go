@@ -47,10 +47,10 @@
 // # Flow control
 //
 // The send surface is flow-controlled (docs/API.md): SendRaw returns typed
-// errors instead of silently dropping, BroadcastWith/SendRawWith accept a
-// priority class and a queue-residency TTL, node-addressed egress queues
-// are bounded (Config.EgressQueueLimit) with a paced drain, and
-// applications observe per-destination pressure through
+// errors instead of silently dropping, SendRawWith accepts a priority
+// class, BroadcastWith and SendRawWith a queue-residency TTL,
+// node-addressed egress queues are bounded (Config.EgressQueueLimit) with
+// a paced drain, and applications observe per-destination pressure through
 // Callbacks.OnEgressPressure (Low/High/Critical, with hysteresis) and
 // Node.EgressStats. AStream and AShare pace their floods off these signals
 // instead of flooding blindly; `atum-bench -exp backpressure` measures the
@@ -190,10 +190,6 @@ const (
 	EventEviction = core.EventEviction
 	// EventShuffleDone counts completed whole-group shuffles.
 	EventShuffleDone = core.EventShuffleDone
-	// EventDuplicateDelivery counts gossip payloads accepted for broadcasts
-	// the node had already delivered (the redundancy Config.TreeGossip
-	// prunes away).
-	EventDuplicateDelivery = core.EventDuplicateDelivery
 )
 
 // DefaultParams returns sensible Table 1 parameters for a medium system.
@@ -244,10 +240,10 @@ func (n *Node) Join(contact Identity) error { return n.inner.Join(contact) }
 // Leave requests removal from the system.
 func (n *Node) Leave() error { return n.inner.Leave() }
 
-// BroadcastWith disseminates data to every node in the system, with
-// flow-control options: a priority class and an optional TTL bounding how
-// long the origin's first-hop gossip items may wait in its egress queues
-// before being dropped as stale (see docs/API.md; remote forwarders use
+// BroadcastWith disseminates data to every node in the system, with one
+// flow-control option: an optional TTL bounding how long the origin's
+// first-hop gossip items may wait in its egress queues before being
+// dropped as stale (see docs/API.md; remote forwarders use
 // defaults). BroadcastOpts{} gives the paper's zero-option behaviour; the
 // former Broadcast(data) wrapper was removed in the scheduled API-breaking
 // release ("Migration from the zero-option signatures" in docs/API.md).
@@ -289,11 +285,6 @@ func (n *Node) EgressStats() EgressStats { return n.inner.EgressStats() }
 
 // Now returns the node's clock (virtual under simulation).
 func (n *Node) Now() time.Duration { return n.inner.Now() }
-
-// TreeEager reports whether the overlay link to the given neighbor vgroup
-// is currently an eager dissemination-tree edge (always true while the
-// tree is disabled). Tier-2 layers use it to pick forest parents.
-func (n *Node) TreeEager(gid GroupID) bool { return n.inner.TreeEagerLink(gid) }
 
 // Inner exposes the engine node for advanced integrations (applications in
 // this module and the experiment harness).

@@ -8,7 +8,7 @@
 //	atum-bench -exp fig4 -quick         # smoke scale
 //
 // Experiments: table1 robustness fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 tree backpressure all. Comparing two revisions of the engine is the
+// fig13 backpressure all. Comparing two revisions of the engine is the
 // repository benchmark's job (bash atumbench/run.sh, BENCHMARK.json).
 // Output: paper-style rows on stdout; README.md quotes the headline rows.
 package main
@@ -29,7 +29,7 @@ func main() {
 
 func run() int {
 	var (
-		exp   = flag.String("exp", "all", "experiment: table1|robustness|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tree|backpressure|all")
+		exp   = flag.String("exp", "all", "experiment: table1|robustness|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|backpressure|all")
 		n     = flag.Int("n", 0, "system size override")
 		byz   = flag.Int("byz", 0, "byzantine node count (fig8)")
 		seed  = flag.Int64("seed", 1, "simulation seed")
@@ -110,17 +110,6 @@ func run() int {
 				rates = []int{8, 24}
 			}
 			fmt.Print(experiment.Fig13(target, rates, *seed))
-		case "tree":
-			// The eager/lazy split pays off per distinct overlay link; below
-			// ~8 vgroups the H-graph cycle slots alias onto a handful of
-			// neighbors and there is nothing to demote, so quick mode keeps
-			// N=60 and trims rounds instead.
-			size := pick(*n, 60, *quick, 60)
-			rounds := 6
-			if *quick {
-				rounds = 4
-			}
-			fmt.Print(experiment.Tree(size, 8, rounds, *seed))
 		case "backpressure":
 			// The slow-consumer scenario needs enough stable members for 8
 			// publishers + 8 flooders + the slow node; N stays >= 48 even in
@@ -140,7 +129,7 @@ func run() int {
 
 	if *exp == "all" {
 		for _, name := range []string{"table1", "robustness", "fig4", "fig6", "fig7",
-			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "tree", "backpressure"} {
+			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "backpressure"} {
 			runOne(name)
 		}
 		return 0

@@ -196,7 +196,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 	// Pending egress batches were enqueued — and their inner MsgIDs derived —
 	// under the closing epoch; send them stamped with it before the bump, or
 	// receivers would tally our votes under a composition we never used.
-	n.flushAllEgress()
+	n.egress.FlushAll()
 	old := st.comp.Clone()
 	members := ids.CloneIdentities(newMembers)
 	ids.SortIdentities(members)

@@ -167,10 +167,6 @@ const (
 	EventEviction
 	// EventShuffleDone counts a completed whole-group shuffle.
 	EventShuffleDone
-	// EventDuplicateDelivery counts a gossip payload accepted for a
-	// broadcast this node had already delivered (the dissemination-tree
-	// redundancy being pruned away; see tree.go).
-	EventDuplicateDelivery
 )
 
 // Config configures one Atum node.
@@ -236,14 +232,6 @@ type Config struct {
 	// bytes (incl. per-item framing). 0 selects the default (8 MiB);
 	// negative disables the byte bound.
 	EgressQueueBytes int
-	// TreeGossip enables the Plumtree-style dissemination tree over the
-	// gossip phase (tree.go): links that deliver duplicates are demoted to
-	// lazy and carry batched IHAVE digests instead of payloads; a receiver
-	// missing an announced broadcast grafts the link back to eager. Off by
-	// default: it trades publish→deliver latency for link messages and
-	// bytes (docs/ARCHITECTURE.md, "Measured trade"). Chosen at
-	// construction; every node of a system should agree.
-	TreeGossip bool
 	// Behavior injects Byzantine behaviour for experiments.
 	Behavior Behavior
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).

@@ -84,31 +84,23 @@ var batchableKinds = map[group.Kind]bool{
 	kindExchangeCancel:  true,
 }
 
-// flushAllEgress drains everything still pending toward the wire before a
-// replicated-state replacement: lazy dissemination-tree announcements first
-// (they enqueue onto the scheduler stamped with their enqueue-time
-// composition), then the scheduler's own queues.
-func (n *Node) flushAllEgress() {
-	n.flushTreeIHaves()
-	n.egress.FlushAll()
-}
-
 // sendViaEgress queues one group-addressed logical message on the egress
 // scheduler. src is the composition the message's MsgID was derived under
 // (usually the current one; the pre-bump composition during reconfiguration
 // notices). In synchronous mode group sends are round-quantized anyway, so
-// batches defer to the round-tick FlushAll instead of arming window timers.
+// batches defer to the round tick's FlushDeferred instead of arming window
+// timers.
 func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	n.sendViaEgressWith(src, dst, kind, msgID, payload, egress.ClassControl, 0)
+	n.sendViaEgressWith(src, dst, kind, msgID, payload, 0)
 }
 
-// sendViaEgressWith is sendViaEgress with an explicit priority class and
-// absolute expiry (0 = never): the origin of a BroadcastWith stamps its
-// first-hop gossip items with the caller's flow-control options.
-func (n *Node) sendViaEgressWith(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte, class egress.Class, expires time.Duration) {
+// sendViaEgressWith is sendViaEgress with an absolute expiry (0 = never):
+// the origin of a BroadcastWith stamps its first-hop gossip items with the
+// caller's TTL.
+func (n *Node) sendViaEgressWith(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte, expires time.Duration) {
 	n.egress.EnqueueGroupWith(src, dst,
 		group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload},
-		n.cfg.Mode == smr.ModeSync, class, expires)
+		n.cfg.Mode == smr.ModeSync, expires)
 }
 
 // egressFlush is the scheduler's transmit callback: it frames one
@@ -183,10 +175,6 @@ func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
 			if im.Payload != nil {
 				n.handleRawItem(from, im.Payload)
 			}
-		case advisoryKinds[im.Kind]:
-			// Tree advisory items bypass the inbox, exactly as when they
-			// arrive as standalone group messages (tree.go).
-			n.handleTreeAdvisory(from, im)
 		case batchableKinds[im.Kind]:
 			if acc, ok := n.inbox.Observe(n.env.Now(), from, im); ok {
 				n.handleAccepted(acc)

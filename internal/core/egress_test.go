@@ -361,6 +361,69 @@ func TestRawNeverEntersInbox(t *testing.T) {
 	}
 }
 
+// TestUnregisteredKindsNeverReachInbox: a kind outside the registry — never
+// assigned (0, 200) or retired (17–19, which an old tree-on peer still sends)
+// — buys neither an inbox entry nor a handler, standalone or inside a
+// carrier. Every copy carries a well-formed gossip payload from a majority of
+// the source vgroup, so a kind that did reach the inbox would be accepted and
+// delivered: handleAccepted dispatches on the payload's type, not the kind.
+func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
+	self := ids.NodeID(4)
+	comp := testComp(9, 1, 4, 5, 6)
+	src := testComp(7, 3, 1, 2, 3)
+	n, _ := memberNode(t, self, comp, src)
+	var delivered []string
+	n.cfg.Callbacks.Deliver = func(d Delivery) { delivered = append(delivered, string(d.Data)) }
+
+	stray := []group.Kind{0, 17, 18, 19, 200}
+	item := func(kind group.Kind, data string) group.BatchItem {
+		bcast := crypto.Hash([]byte(data))
+		return group.BatchItem{
+			Kind:    kind,
+			MsgID:   gossipMsgID(bcast, src, comp.GroupID),
+			Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data), Hops: 1}),
+		}
+	}
+
+	before := n.inbox.Len()
+	for _, kind := range stray {
+		it := item(kind, fmt.Sprintf("standalone-%d", kind))
+		for _, sender := range src.Members {
+			n.routeGroupMsg(sender.ID, group.GroupMsg{
+				SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
+				DstGroup: comp.GroupID, DstEpoch: comp.Epoch,
+				Kind: it.Kind, MsgID: it.MsgID,
+				PayloadDigest: crypto.Hash(it.Payload), Payload: it.Payload,
+			})
+		}
+	}
+	if got := n.inbox.Len(); got != before {
+		t.Errorf("standalone unregistered kinds left %d inbox entries", got-before)
+	}
+	if len(delivered) != 0 {
+		t.Errorf("standalone unregistered kinds reached a handler: delivered %q", delivered)
+	}
+
+	var items []group.BatchItem
+	for _, kind := range stray {
+		items = append(items, item(kind, fmt.Sprintf("carried-%d", kind)))
+	}
+	items = append(items, item(kindGossip, "carried-gossip"))
+	for _, sender := range src.Members {
+		var carrier group.GroupMsg
+		group.SendBatchToNode(func(_ ids.NodeID, m actor.Message) {
+			carrier = m.(group.GroupMsg)
+		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
+		n.routeGroupMsg(sender.ID, carrier)
+	}
+	if got := n.inbox.Len(); got != before+1 {
+		t.Errorf("carrier left %d inbox entries, want 1 (its gossip item)", got-before)
+	}
+	if len(delivered) != 1 || delivered[0] != "carried-gossip" {
+		t.Errorf("carrier delivered %q, want only its gossip item", delivered)
+	}
+}
+
 // TestRawItemRejectsEngineFrames: a kindRaw payload must be an extension-tag
 // frame — a hostile peer must not reach OnRawMessage with engine-internal
 // payload types (nor buy decode work on them) through the raw path.

@@ -84,13 +84,6 @@ type SendOpts struct {
 // Hop-by-hop propagation of the options would need a gossip payload format
 // change and is deliberately out of scope (ROADMAP).
 type BroadcastOpts struct {
-	// Priority is the egress priority class stamped on the origin's
-	// first-hop gossip items. Today it is recorded but has no observable
-	// effect: class-based eviction runs only on bounded node-addressed
-	// queues, and group-addressed (protocol) queues are never bounded. The
-	// field is reserved for transport-level prioritization; TTL is the
-	// operative broadcast knob.
-	Priority Priority
 	// TTL bounds how long the origin's first-hop gossip items may wait in
 	// its egress queues (e.g. behind the synchronous engine's round tick);
 	// stale items are dropped at flush time. 0 = no limit. The local

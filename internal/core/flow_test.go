@@ -143,9 +143,7 @@ func TestBroadcastTTLShedsOriginShareOnly(t *testing.T) {
 		t.Skipf("system did not split (%d group(s)); nothing to forward to", len(groups))
 	}
 	origin := nodes[0]
-	if err := origin.BroadcastWith([]byte("stale-by-ttl"), BroadcastOpts{
-		Priority: PriorityBulk, TTL: time.Nanosecond,
-	}); err != nil {
+	if err := origin.BroadcastWith([]byte("stale-by-ttl"), BroadcastOpts{TTL: time.Nanosecond}); err != nil {
 		t.Fatal(err)
 	}
 	h.net.Run(h.net.Now() + 15*time.Second)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"atum/internal/crypto"
-	"atum/internal/egress"
 	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/overlay"
@@ -13,12 +12,12 @@ import (
 // BroadcastWith disseminates a message to every node in the system
 // (§3.3.4). Phase one is Byzantine agreement inside the caller's vgroup
 // (the bcastOp below); phase two is gossip over the H-graph, shaped by the
-// application's Forward callback. opts carries the flow-control options: a
-// priority class and an optional TTL for the origin's first-hop egress
-// enqueues (remote forwarders use defaults — see BroadcastOpts); the
-// paper's zero-option behaviour is BroadcastOpts{}. Nothing in the wire
-// format changes; the options only shape how the origin's egress scheduler
-// treats this broadcast's gossip items.
+// application's Forward callback. opts carries the flow-control options: an
+// optional TTL for the origin's first-hop egress enqueues (remote
+// forwarders use defaults — see BroadcastOpts); the paper's zero-option
+// behaviour is BroadcastOpts{}. Nothing in the wire format changes; the
+// options only shape how the origin's egress scheduler treats this
+// broadcast's gossip items.
 func (n *Node) BroadcastWith(data []byte, opts BroadcastOpts) error {
 	if n.phase != phaseMember || n.st == nil {
 		return ErrNotMember
@@ -88,20 +87,15 @@ func (n *Node) applyBcast(o bcastOp) {
 // No agreement is needed: members act independently but identically —
 // dedup by broadcast ID, deliver, and forward along links chosen by the
 // (deterministic by default) Forward callback.
-func (n *Node) handleGossip(acc group.Accepted, p gossipPayload) {
+func (n *Node) handleGossip(p gossipPayload) {
 	if !n.markSeen(p.BcastID) {
-		// A duplicate acceptance is the dissemination-tree demotion signal:
-		// this link carried a payload some other link delivered first.
-		n.emit(EventDuplicateDelivery, 1)
-		n.treeDuplicate(acc.Src, p.BcastID)
 		return
 	}
-	n.treeSawPayload(acc.Src.GroupID)
 	d := Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: p.Data, Hops: p.Hops}
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossipWith(d, BroadcastOpts{})
+	n.forwardGossip(d)
 }
 
 // forwardGossip is forwardGossipWith at default options (remote hops and
@@ -127,7 +121,6 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 		expires = n.env.Now() + opts.TTL
 	}
 	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
-	n.treeRemember(d)
 	sent := make(map[group.Key]bool)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		for _, dir := range []overlay.Direction{overlay.Pred, overlay.Succ} {
@@ -140,15 +133,8 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 				continue
 			}
 			sent[nbr.Key()] = true
-			if n.treeEnabled() && n.treeLazy(nbr.GroupID) {
-				// Lazy tree link: announce instead of pushing the payload
-				// (tree.go); a receiver that misses it grafts the link back.
-				n.treeAnnounce(nbr, d)
-				continue
-			}
 			msgID := gossipMsgID(d.BcastID, st.comp, nbr.GroupID)
-			n.sendViaEgressWith(st.comp, nbr, kindGossip, msgID, payload,
-				egress.Class(opts.Priority), expires)
+			n.sendViaEgressWith(st.comp, nbr, kindGossip, msgID, payload, expires)
 		}
 	}
 }

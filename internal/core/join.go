@@ -307,7 +307,7 @@ func (n *Node) adoptSnapshot(acc group.Accepted, p snapshotPayload) {
 func (n *Node) installGroupState(st *groupState) {
 	// Epoch catch-up can replace the state of a member with egress batches
 	// still pending under the old epoch; send them stamped with it first.
-	n.flushAllEgress()
+	n.egress.FlushAll()
 	if n.replica != nil {
 		n.replica.Stop()
 		n.replica = nil
@@ -572,7 +572,7 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 	}
 	switch p := v.(type) {
 	case gossipPayload:
-		n.handleGossip(acc, p)
+		n.handleGossip(p)
 	case walkPayload:
 		n.handleWalkHop(acc, p)
 	case backwardPayload:

@@ -122,16 +122,14 @@ const (
 	// Raw items are link-authenticated only: they bypass the inbox and go
 	// straight to OnRawMessage, exactly like a direct SendRaw.
 	kindRaw
-	// Dissemination-tree advisory kinds (tree.go). Like kindRaw they are
-	// link-authenticated only and bypass the inbox: tree link state is
-	// member-local, advisory, and self-healing (a wrong belief costs a graft
-	// round trip, never delivery), so majority-matching them would only add
-	// cost. kindIHave announces broadcast IDs over lazy links, kindGraft
-	// re-promotes a link and requests missed payloads, kindPrune reports a
-	// duplicate delivery (f+1 distinct senders demote the link).
-	kindIHave
-	kindGraft
-	kindPrune
+	// Values 17–19 are retired (the dissemination tree's kindIHave,
+	// kindGraft and kindPrune, removed with it) and stay reserved: the
+	// blanks keep iota past them, so the next kind added is 20.
+	// routeGroupMsg and handleBatch drop them like any kind outside the
+	// registry.
+	_
+	_
+	_
 )
 
 // --- group message payloads (wire-envelope encoded — see wirecodec.go and
@@ -143,32 +141,6 @@ type gossipPayload struct {
 	Origin  ids.NodeID
 	Data    []byte
 	Hops    int
-}
-
-// iHaveEntry announces one broadcast available over a lazy tree link.
-type iHaveEntry struct {
-	BcastID crypto.Digest
-	Hops    int // hop count the payload would arrive with (entry stamp)
-}
-
-// iHavePayload batches the broadcast IDs a lazy link would have carried
-// since the last flush — a compact digest ride-along on existing egress
-// carriers instead of full payloads (tree.go).
-type iHavePayload struct {
-	Entries []iHaveEntry
-}
-
-// graftPayload re-promotes the sender's link to the receiving vgroup to
-// eager and requests re-delivery of the listed missed broadcasts.
-type graftPayload struct {
-	BcastIDs []crypto.Digest
-}
-
-// prunePayload reports a duplicate delivery to the sending vgroup: the
-// receiver already had BcastID when the sender's copy was accepted. A link is
-// demoted to lazy only at f+1 distinct prune senders from the same vgroup.
-type prunePayload struct {
-	BcastID crypto.Digest
 }
 
 // WalkPurpose distinguishes what a random walk selects a vgroup for.
@@ -428,23 +400,6 @@ var kindPayloads = map[group.Kind]any{
 	kindMergeReject:     mergeRejectPayload{},
 	kindSnapshot:        snapshotPayload{},
 	kindJoinRedirect:    joinRedirectPayload{},
-	kindIHave:           iHavePayload{},
-	kindGraft:           graftPayload{},
-	kindPrune:           prunePayload{},
-}
-
-// advisoryKinds is the inbox-bypass set: dissemination-tree advisory
-// traffic that is link-authenticated only and dispatches through
-// handleTreeAdvisory (tree.go) whether it arrives standalone or inside a
-// batch carrier. Together with batchableKinds (egress.go) and
-// unbatchedKinds below it partitions the kind registry; the kindcover
-// analyzer checks that every kind* constant lands in exactly one of the
-// three (carriers kindBatch/kindRaw aside) and that each advisory kind
-// has exactly one dispatch switch case.
-var advisoryKinds = map[group.Kind]bool{
-	kindIHave: true,
-	kindGraft: true,
-	kindPrune: true,
 }
 
 // unbatchedKinds are the votable kinds that must never be reachable
@@ -452,7 +407,10 @@ var advisoryKinds = map[group.Kind]bool{
 // special-cased reconfiguration traffic whose handlers assume a
 // standalone, directly-addressed group message. handleBatch drops (and
 // logs) any of these found inside a carrier — a sender bug or a hostile
-// frame, either way not deliverable.
+// frame, either way not deliverable. Together with batchableKinds
+// (egress.go) it partitions the kind registry; the kindcover analyzer
+// checks that every kind* constant lands in exactly one of the two
+// (carriers kindBatch/kindRaw aside).
 var unbatchedKinds = map[group.Kind]bool{
 	kindWalkResult:   true,
 	kindMergeRequest: true,

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"time"
 
 	"atum/internal/actor"
@@ -130,10 +133,6 @@ type Node struct {
 	// pen buffers SMR envelopes for configurations not installed yet.
 	pen map[group.Key][]penMsg
 
-	// tree is the member-local dissemination-tree state (tree.go); inert
-	// unless Config.TreeGossip is on.
-	tree *treeState
-
 	stopped bool
 }
 
@@ -187,7 +186,6 @@ func New(cfg Config) *Node {
 		snapShares:     make(map[snapShareKey]*snapTally),
 		recentSnaps:    make(map[uint64][]byte),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
-		tree:           newTreeState(replyWindow),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
 	n.egress = n.newEgress()
@@ -275,8 +273,6 @@ func (n *Node) Timer(_ actor.TimerID, data any) {
 		if n.replica != nil && t.epoch == n.replicaEpoch && !n.byzActive() {
 			n.replica.HandleTimer(t.data)
 		}
-	case treeMissTimer:
-		n.handleTreeMiss(t.BcastID)
 	}
 }
 
@@ -324,10 +320,10 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 		}
 		return
 	}
-	if advisoryKinds[m.Kind] {
-		// Dissemination-tree advisory traffic is link-authenticated only
-		// and never enters the inbox (tree.go).
-		n.handleTreeAdvisory(from, m)
+	if !batchableKinds[m.Kind] && !unbatchedKinds[m.Kind] {
+		// Outside the kind registry — never assigned, or retired (17–19 from
+		// an old tree-on peer): it must not buy an inbox entry held for
+		// inboxTTL. handleBatch drops the same kinds inside a carrier.
 		return
 	}
 	if n.cfg.Mode == smr.ModeAsync {
@@ -410,13 +406,6 @@ func (n *Node) handleTick() {
 	now := n.env.Now()
 	n.round = uint64(now / n.cfg.RoundDuration)
 	n.env.SetTimer(n.cfg.RoundDuration, tickTimer{})
-
-	// Lazy dissemination-tree digests flush on their round cadence, ahead
-	// of the deferred-batch framing below so they ride this round's
-	// carriers (tree.go).
-	if n.treeEnabled() && n.round%treeIHaveEvery == 0 {
-		n.flushTreeIHaves()
-	}
 
 	// The lockstep round is the ModeSync batching window: frame pending
 	// deferred egress batches first so they depart with this round's
@@ -739,14 +728,22 @@ func (n *Node) makeReplica() {
 		}
 		rep.Receive(pm.from, pm.msg)
 	}
-	// Re-propose everything of ours that has not been applied yet.
-	// Buffered pre-birth slots finalize at the next round tick, in the
-	// same deterministic (round, member) order the in-time members used.
-	for _, op := range n.ownPend {
+	// Re-propose everything of ours that has not been applied yet, in
+	// ascending OpID — the order it was first proposed in. Map order would
+	// reorder the replica's batches, and with them the commit order, between
+	// two identically seeded runs. Buffered pre-birth slots finalize at the
+	// next round tick, in the same deterministic (round, member) order the
+	// in-time members used.
+	pend := slices.SortedFunc(maps.Keys(n.ownPend), func(a, b crypto.Digest) int {
+		return cmp.Compare(n.ownPend[a].OpID, n.ownPend[b].OpID)
+	})
+	for _, dig := range pend {
 		if stale() {
 			return
 		}
-		rep.Propose(op)
+		if op, ok := n.ownPend[dig]; ok { // not applied by an earlier Propose
+			rep.Propose(op)
+		}
 	}
 }
 
@@ -780,6 +777,10 @@ func (n *Node) proposeOp(v any) {
 	n.ownPend[dig] = op
 	n.replica.Propose(op)
 }
+
+// FaultBound returns the configured mode's fault bound f for a group of the
+// given size (exported for tier-2 layers sizing f+1-parent forests).
+func (n *Node) FaultBound(groupSize int) int { return n.cfg.Mode.F(groupSize) }
 
 // f returns the engine's current per-group fault bound.
 func (n *Node) f() int {

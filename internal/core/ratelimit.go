@@ -4,9 +4,8 @@ import "time"
 
 // rateLimiter admits at most one event per key per window. The engine keeps
 // one instance per reply it rate-limits (freshness replies, catch-up
-// re-shares, PRUNE votes, graft service): the instances share logic, never
-// state — a reply suppressed as "already shared" by one must not silence
-// another (see treeGraftKey).
+// re-shares): the instances share logic, never state — a reply suppressed
+// as "already shared" by one must not silence the other.
 //
 // Memory is bounded in two steps. Past soft entries, entries older than the
 // window are evicted; they would be admitted anyway, so eviction never

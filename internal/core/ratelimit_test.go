@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestRateLimiter pins the one limiter behind freshness replies, catch-up
-// re-shares, PRUNE votes and graft service: one event per key per window,
-// overflow evicts only entries that would be admitted anyway, and a table
-// full of live entries is forgotten wholesale at the hard cap.
+// TestRateLimiter pins the one limiter behind freshness replies and catch-up
+// re-shares: one event per key per window, overflow evicts only entries that
+// would be admitted anyway, and a table full of live entries is forgotten
+// wholesale at the hard cap.
 func TestRateLimiter(t *testing.T) {
 	const window = 10 * time.Second
 	type step struct {

@@ -117,7 +117,7 @@ func (n *Node) applySplit(o splitOp) {
 func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors, dComp group.Composition) {
 	// Pending egress batches were enqueued under the parent composition;
 	// they must leave stamped with it, not with the split-off group's.
-	n.flushAllEgress()
+	n.egress.FlushAll()
 	if n.replica != nil {
 		n.replica.Stop()
 		n.replica = nil
@@ -300,7 +300,7 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	// Everything still pending — earlier traffic and the gap closers above —
 	// leaves stamped with the dissolving composition before the state is
 	// torn down below; it would otherwise be silently delayed past the move.
-	n.flushAllEgress()
+	n.egress.FlushAll()
 	n.expectSnapshotFrom(p.Absorber)
 	if n.replica != nil {
 		n.replica.Stop()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -498,14 +500,21 @@ func (n *Node) findExpectedByWalk(id crypto.Digest) int {
 	return -1
 }
 
-// walkDeadlineTick proposes timeout ops for locally expired walks.
+// walkDeadlineTick proposes timeout ops for locally expired walks, in
+// ascending WalkID: proposal order fixes OpIDs and the replica's batch order,
+// and map order would make two identically seeded runs diverge.
 func (n *Node) walkDeadlineTick(now time.Duration) {
+	var expired []crypto.Digest
 	for id, dl := range n.walkDeadlines {
 		if now > dl {
-			delete(n.walkDeadlines, id)
-			n.logf("proposing walk timeout %x", id[:4])
-			n.proposeOp(walkTimeoutOp{WalkID: id})
+			expired = append(expired, id)
 		}
+	}
+	slices.SortFunc(expired, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
+	for _, id := range expired {
+		delete(n.walkDeadlines, id)
+		n.logf("proposing walk timeout %x", id[:4])
+		n.proposeOp(walkTimeoutOp{WalkID: id})
 	}
 }
 

@@ -90,10 +90,13 @@ const (
 	wkPBFTCheckpoint
 	wkPBFTViewChange
 	wkPBFTNewView
-	// Dissemination-tree advisory payloads (tree.go).
-	wkIHave
-	wkGraft
-	wkPrune
+	// Tags 42–44 are retired (the dissemination tree's iHavePayload,
+	// graftPayload and prunePayload, removed with it) and stay reserved: the
+	// blanks keep iota past them, so the next tag added is 45. decodeWire
+	// rejects them like any unknown tag.
+	_
+	_
+	_
 )
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
@@ -209,12 +212,6 @@ func encodeWire(v any) ([]byte, bool) {
 		p.MarshalWire(hdr(wkPBFTViewChange))
 	case pbft.NewView:
 		p.MarshalWire(hdr(wkPBFTNewView))
-	case iHavePayload:
-		p.MarshalWire(hdr(wkIHave))
-	case graftPayload:
-		p.MarshalWire(hdr(wkGraft))
-	case prunePayload:
-		p.MarshalWire(hdr(wkPrune))
 	default:
 		// Application raw-message types registered in the extension-tag
 		// range (rawext.go) are wire-codable too.
@@ -431,18 +428,6 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 		var p pbft.NewView
 		p.UnmarshalWire(d)
 		v = p
-	case wkIHave:
-		var p iHavePayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkGraft:
-		var p graftPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkPrune:
-		var p prunePayload
-		p.UnmarshalWire(d)
-		v = p
 	default:
 		if kind >= RawTagMin {
 			return decodeRawWire(kind, d)
@@ -493,54 +478,6 @@ func (p *gossipPayload) UnmarshalWire(d *wire.Decoder) {
 	p.Origin = ids.NodeID(d.Uint64())
 	p.Data = d.VarBytes()
 	p.Hops = int(d.Int64())
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p iHavePayload) MarshalWire(e *wire.Encoder) {
-	e.ListLen(len(p.Entries))
-	for _, it := range p.Entries {
-		e.Bytes32(it.BcastID)
-		e.Int64(int64(it.Hops))
-	}
-}
-
-// UnmarshalWire decodes an iHavePayload.
-func (p *iHavePayload) UnmarshalWire(d *wire.Decoder) {
-	n := d.ListLen()
-	p.Entries = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var it iHaveEntry
-		it.BcastID = d.Bytes32()
-		it.Hops = int(d.Int64())
-		p.Entries = append(p.Entries, it)
-	}
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p graftPayload) MarshalWire(e *wire.Encoder) {
-	e.ListLen(len(p.BcastIDs))
-	for _, id := range p.BcastIDs {
-		e.Bytes32(id)
-	}
-}
-
-// UnmarshalWire decodes a graftPayload.
-func (p *graftPayload) UnmarshalWire(d *wire.Decoder) {
-	n := d.ListLen()
-	p.BcastIDs = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.BcastIDs = append(p.BcastIDs, d.Bytes32())
-	}
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p prunePayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.BcastID)
-}
-
-// UnmarshalWire decodes a prunePayload.
-func (p *prunePayload) UnmarshalWire(d *wire.Decoder) {
-	p.BcastID = d.Bytes32()
 }
 
 // MarshalWire implements wire.Marshaler.

@@ -148,12 +148,6 @@ func fullPayloadValues() []any {
 		shuffleStartOp{GroupID: 25, Epoch: 11},
 		walkTimeoutOp{WalkID: wcDigest(10)},
 		mergeStartOp{GroupID: 26, Epoch: 12, Attempt: 2},
-		iHavePayload{Entries: []iHaveEntry{
-			{BcastID: wcDigest(16), Hops: 2},
-			{BcastID: wcDigest(17), Hops: 5},
-		}},
-		graftPayload{BcastIDs: []crypto.Digest{wcDigest(18), wcDigest(19)}},
-		prunePayload{BcastID: wcDigest(20)},
 	}
 }
 
@@ -231,6 +225,34 @@ func TestLegacyGobEnvelopeRejected(t *testing.T) {
 	}
 }
 
+// retiredTreeEnvelopes are golden samples of the three dissemination-tree
+// advisory payloads, produced by the encoder of the last commit that had them
+// (envelope tags 42–44, version 1): iHavePayload{Entries: [{10…10, 2},
+// {11…11, 5}]}, graftPayload{BcastIDs: [12…12, 13…13]} and
+// prunePayload{BcastID: 14…14}.
+var retiredTreeEnvelopes = map[string][]byte{
+	"iHavePayload": mustHex("002a0100000002" +
+		"1010101010101010101010101010101010101010101010101010101010101010" + "0000000000000002" +
+		"1111111111111111111111111111111111111111111111111111111111111111" + "0000000000000005"),
+	"graftPayload": mustHex("002b0100000002" +
+		"1212121212121212121212121212121212121212121212121212121212121212" +
+		"1313131313131313131313131313131313131313131313131313131313131313"),
+	"prunePayload": mustHex("002c01" +
+		"1414141414141414141414141414141414141414141414141414141414141414"),
+}
+
+// TestRetiredTreeEnvelopesRejected: tags 42–44 are retired, not reassigned —
+// a frame from an old tree-on peer fails as an unknown tag instead of
+// decoding into whatever payload might one day sit there.
+func TestRetiredTreeEnvelopesRejected(t *testing.T) {
+	for name, frame := range retiredTreeEnvelopes {
+		v, err := decodeWire(frame)
+		if err == nil || !strings.Contains(err.Error(), "unknown wire envelope kind") {
+			t.Errorf("%s (tag %d): decoded to %T, err = %v; want the unknown-tag rejection", name, frame[1], v, err)
+		}
+	}
+}
+
 // TestWireEnvelopeDeterministic pins the property digest matching relies on:
 // encoding the same logical value twice yields identical bytes.
 func TestWireEnvelopeDeterministic(t *testing.T) {
@@ -249,7 +271,7 @@ func TestWireEnvelopeDeterministic(t *testing.T) {
 // payloads are a group-layer batch frame and an application extension frame
 // respectively).
 func TestKindPayloadRegistry(t *testing.T) {
-	for k := kindGossip; k <= kindPrune; k++ {
+	for k := kindGossip; k <= kindRaw; k++ {
 		if k == kindBatch || k == kindRaw {
 			if _, ok := kindPayloads[k]; ok {
 				t.Fatalf("kind %d must not be in kindPayloads (carrier/extension frames are not engine payloads)", k)
@@ -271,6 +293,13 @@ func TestKindPayloadRegistry(t *testing.T) {
 		}
 		if reflect.TypeOf(v) != reflect.TypeOf(proto) {
 			t.Fatalf("kind %d: wire round-trip changed type %T -> %T", k, proto, v)
+		}
+	}
+	// Kinds 17–19 (the dissemination tree's) are retired and must stay
+	// unassigned: a new kind takes 20.
+	for k := group.Kind(17); k <= 19; k++ {
+		if _, ok := kindPayloads[k]; ok || batchableKinds[k] || unbatchedKinds[k] {
+			t.Fatalf("retired kind %d is registered again", k)
 		}
 	}
 }
@@ -324,6 +353,9 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(encodePayload(v))
 	}
 	f.Add(legacyGobEnvelope)
+	for _, b := range retiredTreeEnvelopes {
+		f.Add(b)
+	}
 	f.Add([]byte{wireEnvMagic})
 	f.Add([]byte{wireEnvMagic, wkGossip, wireEnvV1})
 	f.Add([]byte{wireEnvMagic, wkSnapshot, wireEnvV1, 0xFF, 0xFF, 0xFF, 0xFF})

@@ -330,10 +330,11 @@ func (s *Scheduler) EnqueueGroup(src, dst group.Composition, it group.BatchItem,
 	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{})
 }
 
-// EnqueueGroupWith is EnqueueGroup with an explicit priority class and
-// absolute expiry (0 = never): stale items are dropped at flush time.
-func (s *Scheduler) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, class Class, expires time.Duration) {
-	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{class: class, expires: expires})
+// EnqueueGroupWith is EnqueueGroup with an absolute expiry (0 = never):
+// stale items are dropped at flush time. Group items carry no priority
+// class — class-based eviction runs only on bounded node queues.
+func (s *Scheduler) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration) {
+	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{expires: expires})
 }
 
 // EnqueueNode queues one raw item for a single node with default metadata

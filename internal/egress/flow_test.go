@@ -240,8 +240,8 @@ func TestExpiredItemsDroppedAtFlush(t *testing.T) {
 	}
 	// Expiry also applies on group queues (broadcast TTLs).
 	dst := comp(3, 1)
-	fh.s.EnqueueGroupWith(src, dst, item(1), true, ClassControl, fh.now+time.Millisecond)
-	fh.s.EnqueueGroupWith(src, dst, item(2), true, ClassControl, 0)
+	fh.s.EnqueueGroupWith(src, dst, item(1), true, fh.now+time.Millisecond)
+	fh.s.EnqueueGroupWith(src, dst, item(2), true, 0)
 	fh.now += 2 * time.Millisecond
 	fh.s.FlushAll()
 	last := fh.flushes[len(fh.flushes)-1]

@@ -143,14 +143,7 @@ func (cl *cluster) addNode() *atum.Node {
 			}
 			m[string(d.Data)] = cl.c.Now()
 		},
-		OnEvent: func(ev atum.Event) {
-			cl.events[ev.Kind]++
-			if ev.Kind == atum.EventDuplicateDelivery {
-				// Attribute redundant gossip acceptances to the receiving
-				// node so Stats diffs expose the tree's duplicate cut.
-				cl.c.Net.CountDuplicate(id, "core.gossipPayload")
-			}
-		},
+		OnEvent: func(ev atum.Event) { cl.events[ev.Kind]++ },
 		OnEgressPressure: func(dest atum.NodeID, level atum.PressureLevel) {
 			m, ok := cl.pressure[id]
 			if !ok {

@@ -32,13 +32,10 @@ func init() {
 }
 
 // StormConfig parameterises the one dissemination scenario of this package:
-// grow → settle → warm up → publish → drain → count.
+// grow → settle → publish → drain → count.
 type StormConfig struct {
 	N, Publishers, Rounds int
 	Seed                  int64
-	// Tweak adjusts every node's Config at construction, on top of the
-	// scenario's fixed parameters (nil: library defaults).
-	Tweak func(*atum.Config)
 	// Churn makes one stable member leave and one fresh node join in every
 	// measured round (walk, neighbor-update and set-neighbor traffic).
 	Churn bool
@@ -48,17 +45,11 @@ type StormConfig struct {
 	// scales with the system and shares the per-destination queues with the
 	// protocol traffic.
 	RawFloods bool
-	// WarmupRounds of unmeasured, churn-free broadcasts precede the measured
-	// window (a dissemination tree needs duplicates to carve itself).
-	WarmupRounds int
 }
 
 // StormTraffic is the measured cost of one StormRun.
 type StormTraffic struct {
 	Broadcasts int
-	// Sent and BytesSent are the simulator's counters over the measured
-	// window and drain; two runs of one configuration must agree on both.
-	Sent, BytesSent int64
 	// MsgsPerBcast counts every network message, intra-vgroup SMR agreement
 	// included.
 	MsgsPerBcast float64
@@ -67,9 +58,6 @@ type StormTraffic struct {
 	// scheduler coalesces.
 	LinkMsgsPerBcast float64
 	BytesPerBcast    float64
-	// DupsPerBcast counts gossip payloads accepted for a broadcast the
-	// receiver had already delivered (EventDuplicateDelivery).
-	DupsPerBcast float64
 	// Delivered is the fraction of (broadcast, stable member) pairs
 	// delivered. Stable members are members from before the first measured
 	// broadcast until after the drain; churners come and go by design.
@@ -84,8 +72,9 @@ const (
 	stormChunksPerRound = 8
 	stormChunkBytes     = 256
 	stormFillerBytes    = 20 // hex-printed into every broadcast payload
-	// stormDrainRounds covers the slowest repair path: an IHAVE flush, the
-	// graft timer and three graft retries.
+	// stormDrainRounds follow the last measured round: its broadcasts
+	// finish disseminating, and the reconfigurations its leave and join
+	// started complete, inside the counted window.
 	stormDrainRounds = 60
 )
 
@@ -128,9 +117,7 @@ func freshBytes(seed int64) func(size int) []byte {
 // StormRun measures dissemination cost on an sc.N-node ModeSync system with
 // shuffling, heartbeats and evictions parked: per measured round every
 // publisher broadcasts one payload, and churn and raw floods run as
-// configured. Configurations differ only through sc.Tweak, applied at
-// construction; growth issues no broadcasts, so arms that differ in how they
-// disseminate still measure one overlay.
+// configured.
 func StormRun(sc StormConfig) (StormTraffic, error) {
 	cl := newCluster(smr.ModeSync, sc.Seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
@@ -138,9 +125,6 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 		cfg.DisableShuffle = true
 		cfg.HeartbeatEvery = time.Hour // isolate protocol traffic
 		cfg.EvictAfter = 10 * time.Hour
-		if sc.Tweak != nil {
-			sc.Tweak(cfg)
-		}
 	})
 	if err := cl.grow(sc.N, time.Minute); err != nil {
 		return StormTraffic{}, fmt.Errorf("growth to %d nodes failed: %w", sc.N, err)
@@ -169,16 +153,6 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 	}
 	contact := pubs[0].Identity()
 	fresh := freshBytes(sc.Seed)
-
-	for r := 0; r < sc.WarmupRounds; r++ {
-		for i, p := range pubs {
-			_ = p.BroadcastWith([]byte(fmt.Sprintf("warm-%d-%d-%x", r, i, fresh(stormFillerBytes))), atum.BroadcastOpts{})
-		}
-		cl.c.Run(stormRoundDur)
-	}
-	if sc.WarmupRounds > 0 {
-		cl.c.Run(10 * stormRoundDur) // drain warm-up dissemination and PRUNE votes
-	}
 
 	before := cl.c.Net.Stats()
 	var out StormTraffic
@@ -218,7 +192,6 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 	diff := cl.c.Net.Stats().Sub(before)
 	out.RawDelivered = cl.rawDelivered // nothing sends raw messages before the window
 	out.Broadcasts = len(payloads)
-	out.Sent, out.BytesSent = diff.Sent, diff.BytesSent
 	if len(payloads) == 0 {
 		return out, nil
 	}
@@ -235,81 +208,12 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 			}
 		}
 	}
-	var dups int64
-	for _, c := range diff.DuplicatesByType {
-		dups += c
-	}
 	bcasts := float64(len(payloads))
 	out.MsgsPerBcast = float64(diff.Sent) / bcasts
 	out.LinkMsgsPerBcast = float64(linkMsgs(diff)) / bcasts
 	out.BytesPerBcast = float64(diff.BytesSent) / bcasts
-	out.DupsPerBcast = float64(dups) / bcasts
 	if members > 0 {
 		out.Delivered = float64(deliveredPairs) / (bcasts * float64(members))
 	}
 	return out, nil
-}
-
-// treeWarmupRounds lets first deliveries mark links eager and duplicates
-// vote the rest lazy before the measured window opens.
-const treeWarmupRounds = 8
-
-// TreeStorm is the churn storm the dissemination tree is measured under, with
-// the tree on or off at construction. It runs no raw floods: the tree
-// optimizes the gossip phase, and identical raw traffic in both arms would
-// only dilute the per-link comparison.
-func TreeStorm(n, publishers, rounds int, treeOn bool, seed int64) StormConfig {
-	return StormConfig{
-		N: n, Publishers: publishers, Rounds: rounds, Seed: seed,
-		Tweak:        func(cfg *atum.Config) { cfg.TreeGossip = treeOn },
-		Churn:        true,
-		WarmupRounds: treeWarmupRounds,
-	}
-}
-
-// Tree compares the eager/lazy dissemination tree against the flood-everywhere
-// gossip phase under the churn storm: lazy links drop from per-round payload
-// carriers to batched IHAVE digests from f+1 members, and the
-// duplicate-delivery rate collapses with them.
-func Tree(n, publishers, rounds int, seed int64) Table {
-	t := Table{
-		Title: fmt.Sprintf("Dissemination tree: N=%d, %d publishers, %d rounds, churn storm",
-			n, publishers, rounds),
-		Header: []string{"config", "link_msgs_per_bcast", "msgs_per_bcast", "bytes_per_bcast", "dups_per_bcast", "delivered"},
-	}
-	var flood, tree StormTraffic
-	for _, treeOn := range []bool{false, true} {
-		name := "flood"
-		if treeOn {
-			name = "eager/lazy tree"
-		}
-		tr, err := StormRun(TreeStorm(n, publishers, rounds, treeOn, seed))
-		if err != nil {
-			t.Remarks = append(t.Remarks, name+": "+err.Error())
-			continue
-		}
-		if treeOn {
-			tree = tr
-		} else {
-			flood = tr
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%.0f", tr.LinkMsgsPerBcast),
-			fmt.Sprintf("%.0f", tr.MsgsPerBcast),
-			fmt.Sprintf("%.0f", tr.BytesPerBcast),
-			fmt.Sprintf("%.1f", tr.DupsPerBcast),
-			fmt.Sprintf("%.2f", tr.Delivered),
-		})
-	}
-	if flood.LinkMsgsPerBcast > 0 && tree.LinkMsgsPerBcast > 0 {
-		t.Remarks = append(t.Remarks, fmt.Sprintf(
-			"per-link messages %.0f -> %.0f (%.0f%% reduction): lazy links carry batched IHAVE digests instead of payloads",
-			flood.LinkMsgsPerBcast, tree.LinkMsgsPerBcast,
-			100*(1-tree.LinkMsgsPerBcast/flood.LinkMsgsPerBcast)))
-		t.Remarks = append(t.Remarks, fmt.Sprintf(
-			"duplicate deliveries %.1f -> %.1f per broadcast (DuplicatesByType); GRAFT repair holds delivery at %.2f under churn",
-			flood.DupsPerBcast, tree.DupsPerBcast, tree.Delivered))
-	}
-	return t
 }

@@ -61,66 +61,3 @@ func TestStormTrafficCeilings(t *testing.T) {
 		})
 	}
 }
-
-// TestTreeReducesLinkMessages pins the dissemination tree's bar at system
-// level: under the churn storm with 8 publishers at N=60, the eager/lazy
-// tree cuts per-link messages by at least 25% against the flood-everywhere
-// gossip phase, at 100% delivery on stable members, and the
-// duplicate-delivery count drops with them. (The headline bench bar is ≥35%
-// — `atum-bench -exp tree`; the test bar keeps seed-variance margin.) The
-// scale is deliberate: below ~8 vgroups the H-graph's cycle slots alias onto
-// a handful of distinct neighbor groups and churn-control batches keep every
-// link pair warm, so there is little redundant fan-out to prune.
-func TestTreeReducesLinkMessages(t *testing.T) {
-	flood, err := StormRun(TreeStorm(60, 8, 6, false, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := StormRun(TreeStorm(60, 8, 6, true, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flood.Delivered < 1 || tree.Delivered < 1 {
-		t.Fatalf("delivery not 100%%: flood %.3f, tree %.3f", flood.Delivered, tree.Delivered)
-	}
-	if flood.LinkMsgsPerBcast <= 0 {
-		t.Fatalf("degenerate baseline: %+v", flood)
-	}
-	reduction := 1 - tree.LinkMsgsPerBcast/flood.LinkMsgsPerBcast
-	if reduction < 0.25 {
-		t.Fatalf("per-link message reduction %.1f%% < 25%% (flood %.0f, tree %.0f)",
-			100*reduction, flood.LinkMsgsPerBcast, tree.LinkMsgsPerBcast)
-	}
-	// The tree must actually suppress redundant deliveries, not just move
-	// traffic around: duplicates per broadcast must drop too.
-	if tree.DupsPerBcast >= flood.DupsPerBcast {
-		t.Fatalf("duplicates did not drop: %.1f -> %.1f", flood.DupsPerBcast, tree.DupsPerBcast)
-	}
-	t.Logf("link msgs/bcast %.0f -> %.0f (%.1f%% reduction), dups/bcast %.1f -> %.1f, delivery %.2f/%.2f",
-		flood.LinkMsgsPerBcast, tree.LinkMsgsPerBcast, 100*reduction,
-		flood.DupsPerBcast, tree.DupsPerBcast, flood.Delivered, tree.Delivered)
-}
-
-// TestTreeRunReplays: two identically seeded tree-on runs must send the same
-// messages and bytes: lazy announcements flushed in map order would reorder
-// the simulator's latency draws from run to run. Churn is off: the
-// leave+join-per-round storm does not replay with the tree off either.
-func TestTreeRunReplays(t *testing.T) {
-	sc := TreeStorm(60, 8, 6, true, 1)
-	sc.Churn = false
-	first, err := StormRun(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := StormRun(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Sent == 0 || first.Delivered != 1 {
-		t.Fatalf("degenerate run: %+v", first)
-	}
-	if first.Sent != second.Sent || first.BytesSent != second.BytesSent {
-		t.Fatalf("tree-on run does not replay: sent %d vs %d, bytes %d vs %d",
-			first.Sent, second.Sent, first.BytesSent, second.BytesSent)
-	}
-}

@@ -1,20 +1,17 @@
 // Package kindcover machine-checks the wire kind registry's coverage
 // invariant: every kind* constant in internal/core has exactly one
 // dispatch route, declared exactly once. The registry partitions into
-// four disjoint classes —
+// three disjoint classes —
 //
 //   - batchableKinds (egress.go): votable kinds a batch carrier may
 //     inject into the inbox;
-//   - advisoryKinds (messages.go): link-authenticated tree advisory
-//     traffic that bypasses the inbox through handleTreeAdvisory;
 //   - unbatchedKinds (messages.go): votable but node-addressed or
 //     special-cased kinds that must never arrive inside a carrier;
 //   - the two carriers themselves, kindBatch and kindRaw, which carry
 //     other messages and are not payload kinds at all.
 //
-// Adding a kind without placing it in exactly one class, forgetting its
-// kindPayloads entry (or giving a carrier one), or wiring an advisory
-// kind to zero or multiple dispatch switch cases trips the check. This
+// Adding a kind without placing it in exactly one class, or forgetting
+// its kindPayloads entry (or giving a carrier one), trips the check. This
 // turns "did you update all three tables?" — previously a code-review
 // question (docs/WIRE.md) — into a build failure.
 package kindcover
@@ -32,7 +29,7 @@ import (
 // Analyzer is the kindcover pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "kindcover",
-	Doc:       "every wire kind constant belongs to exactly one dispatch class (batchable/advisory/unbatched/carrier), has a kindPayloads entry iff it is not a carrier, and advisory kinds dispatch in exactly one switch case",
+	Doc:       "every wire kind constant belongs to exactly one dispatch class (batchable/unbatched/carrier) and has a kindPayloads entry iff it is not a carrier",
 	SkipTests: true,
 	NeedTypes: true,
 	Run:       run,
@@ -51,9 +48,9 @@ var carrierKinds = map[string]bool{
 	"kindRaw":   true,
 }
 
-// setNames are the three declarative dispatch sets plus the payload
-// registry; all four must exist as package-level map literals in core.
-var setNames = []string{"batchableKinds", "advisoryKinds", "unbatchedKinds", "kindPayloads"}
+// setNames are the two declarative dispatch sets plus the payload
+// registry; all three must exist as package-level map literals in core.
+var setNames = []string{"batchableKinds", "unbatchedKinds", "kindPayloads"}
 
 func run(pass *analysis.Pass) error {
 	if pass.PkgPath != corePkg {
@@ -62,9 +59,6 @@ func run(pass *analysis.Pass) error {
 
 	kinds := map[string]token.Pos{}      // kind const name → decl pos
 	sets := map[string]map[string]bool{} // set name → member kind names
-	setsPos := map[string]token.Pos{}    // set name → decl pos
-	caseCount := map[string]int{}        // kind name → bare case-label count
-	casePos := map[string][]token.Pos{}  // kind name → case-label positions
 	for _, f := range pass.Files {
 		for _, decl := range f.AST.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -109,23 +103,9 @@ func run(pass *analysis.Pass) error {
 						}
 					}
 					sets[name] = members
-					setsPos[name] = vs.Names[0].Pos()
 				}
 			}
 		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			cc, ok := n.(*ast.CaseClause)
-			if !ok {
-				return true
-			}
-			for _, e := range cc.List {
-				if id, ok := e.(*ast.Ident); ok && strings.HasPrefix(id.Name, "kind") && isKindConst(pass, id) {
-					caseCount[id.Name]++
-					casePos[id.Name] = append(casePos[id.Name], id.Pos())
-				}
-			}
-			return true
-		})
 	}
 
 	for _, name := range setNames {
@@ -144,7 +124,7 @@ func run(pass *analysis.Pass) error {
 	for _, name := range names {
 		pos := kinds[name]
 		var in []string
-		for _, set := range setNames[:3] {
+		for _, set := range setNames[:2] {
 			if sets[set][name] {
 				in = append(in, set)
 			}
@@ -154,7 +134,7 @@ func run(pass *analysis.Pass) error {
 		}
 		switch {
 		case len(in) == 0:
-			pass.Reportf(pos, "%s belongs to no dispatch set: add it to exactly one of batchableKinds, advisoryKinds, or unbatchedKinds", name)
+			pass.Reportf(pos, "%s belongs to no dispatch set: add it to exactly one of batchableKinds or unbatchedKinds", name)
 		case len(in) > 1:
 			pass.Reportf(pos, "%s belongs to %d dispatch sets (%s): the classes must be disjoint", name, len(in), strings.Join(in, ", "))
 		}
@@ -164,23 +144,6 @@ func run(pass *analysis.Pass) error {
 			}
 		} else if !sets["kindPayloads"][name] {
 			pass.Reportf(pos, "%s has no kindPayloads entry: the codec cannot decode it", name)
-		}
-	}
-
-	// Advisory kinds dispatch through exactly one switch case (the
-	// handleTreeAdvisory switch); zero means dead advisory traffic,
-	// several means divergent handling of the same wire tag.
-	advisory := make([]string, 0, len(sets["advisoryKinds"]))
-	for name := range sets["advisoryKinds"] {
-		advisory = append(advisory, name)
-	}
-	sort.Strings(advisory)
-	for _, name := range advisory {
-		switch n := caseCount[name]; {
-		case n == 0:
-			pass.Reportf(setsPos["advisoryKinds"], "advisory kind %s has no dispatch case: nothing handles it", name)
-		case n > 1:
-			pass.Reportf(casePos[name][1], "advisory kind %s dispatched in %d switch sites, want exactly one", name, n)
 		}
 	}
 	return nil

@@ -1,6 +1,6 @@
 // Fixture for kindcover: a miniature kind registry exercising every
 // coverage rule — class membership, disjointness, payload-registry
-// completeness, carrier exemption, and advisory dispatch uniqueness.
+// completeness, and carrier exemption.
 package core
 
 import "atum/internal/group"
@@ -8,9 +8,6 @@ import "atum/internal/group"
 const (
 	kindAlpha  group.Kind = iota + 1 // batchable, fully wired: clean
 	kindBeta                         // unbatched, fully wired: clean
-	kindGamma                        // advisory, dispatched once: clean
-	kindEps                          // advisory, never dispatched (reported on advisoryKinds below)
-	kindZeta                         // advisory, dispatched twice (reported at the second case)
 	kindBatch                        // want "carrier kind kindBatch must not have a kindPayloads entry"
 	kindRaw                          // carrier without payload entry: clean
 	kindOrphan                       // want "kindOrphan belongs to no dispatch set"
@@ -24,12 +21,6 @@ var batchableKinds = map[group.Kind]bool{
 	kindNoPay:  true,
 }
 
-var advisoryKinds = map[group.Kind]bool{ // want "advisory kind kindEps has no dispatch case"
-	kindGamma: true,
-	kindEps:   true,
-	kindZeta:  true,
-}
-
 var unbatchedKinds = map[group.Kind]bool{
 	kindBeta:   true,
 	kindDouble: true,
@@ -38,23 +29,7 @@ var unbatchedKinds = map[group.Kind]bool{
 var kindPayloads = map[group.Kind]any{
 	kindAlpha:  struct{}{},
 	kindBeta:   struct{}{},
-	kindGamma:  struct{}{},
-	kindEps:    struct{}{},
-	kindZeta:   struct{}{},
 	kindOrphan: struct{}{},
 	kindDouble: struct{}{},
 	kindBatch:  struct{}{}, // reported at the kindBatch const decl
-}
-
-func dispatchAdvisory(k group.Kind) {
-	switch k {
-	case kindGamma:
-	case kindZeta:
-	}
-}
-
-func dispatchAgain(k group.Kind) {
-	switch k {
-	case kindZeta: // want "advisory kind kindZeta dispatched in 2 switch sites"
-	}
 }

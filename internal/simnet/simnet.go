@@ -110,16 +110,6 @@ type Stats struct {
 	// DroppedByType counts every dropped message by concrete type name:
 	// where in the protocol the transport loss landed (drop placement).
 	DroppedByType map[string]int64
-	// DuplicatesByType counts application-reported duplicate deliveries by
-	// label (CountDuplicate): payloads a node accepted for content it had
-	// already delivered. The network cannot see protocol-level redundancy —
-	// nodes report it — but it belongs with the traffic counters, because
-	// duplicates ÷ deliveries is the redundancy a dissemination tree cuts.
-	DuplicatesByType map[string]int64
-	// DuplicatesByNode counts the same reports per reporting node, so
-	// experiments can locate where redundancy concentrates (per-node dup
-	// ratio against its delivered count).
-	DuplicatesByNode map[ids.NodeID]int64
 }
 
 // Sub returns the difference s − before, field by field (counter snapshots
@@ -133,23 +123,11 @@ func (s Stats) Sub(before Stats) Stats {
 	out.DroppedOverload -= before.DroppedOverload
 	out.SentByType = subByType(s.SentByType, before.SentByType)
 	out.DroppedByType = subByType(s.DroppedByType, before.DroppedByType)
-	out.DuplicatesByType = subByType(s.DuplicatesByType, before.DuplicatesByType)
-	out.DuplicatesByNode = subByNode(s.DuplicatesByNode, before.DuplicatesByNode)
 	return out
 }
 
 func subByType(cur, before map[string]int64) map[string]int64 {
 	out := make(map[string]int64, len(cur))
-	for k, v := range cur {
-		if d := v - before[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	return out
-}
-
-func subByNode(cur, before map[ids.NodeID]int64) map[ids.NodeID]int64 {
-	out := make(map[ids.NodeID]int64, len(cur))
 	for k, v := range cur {
 		if d := v - before[k]; d != 0 {
 			out[k] = d
@@ -252,9 +230,7 @@ func New(cfg Config) *Network {
 		partition: make(map[ids.NodeID]int),
 		typeNames: make(map[reflect.Type]string),
 		stats: Stats{SentByType: make(map[string]int64),
-			DroppedByType:    make(map[string]int64),
-			DuplicatesByType: make(map[string]int64),
-			DuplicatesByNode: make(map[ids.NodeID]int64)},
+			DroppedByType: make(map[string]int64)},
 	}
 }
 
@@ -284,25 +260,7 @@ func (n *Network) Stats() Stats {
 	for k, v := range n.stats.DroppedByType {
 		out.DroppedByType[k] = v
 	}
-	out.DuplicatesByType = make(map[string]int64, len(n.stats.DuplicatesByType))
-	for k, v := range n.stats.DuplicatesByType {
-		out.DuplicatesByType[k] = v
-	}
-	out.DuplicatesByNode = make(map[ids.NodeID]int64, len(n.stats.DuplicatesByNode))
-	for k, v := range n.stats.DuplicatesByNode {
-		out.DuplicatesByNode[k] = v
-	}
 	return out
-}
-
-// CountDuplicate records one duplicate delivery reported by node id under
-// the given label (see Stats.DuplicatesByType). The simulator cannot detect
-// protocol-level redundancy itself — a duplicate is a payload the receiving
-// protocol deduplicated, which only the node knows — so experiment harnesses
-// call this from their delivery/event hooks.
-func (n *Network) CountDuplicate(id ids.NodeID, label string) {
-	n.stats.DuplicatesByType[label]++
-	n.stats.DuplicatesByNode[id]++
 }
 
 // Add registers a node and schedules its Start at the current time.
