@@ -2,6 +2,8 @@ package atum_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +36,25 @@ func buildCluster(t *testing.T, seed int64, n int, net *simnet.Config,
 		}
 	}
 	return cluster, nodes
+}
+
+// TestEngineLogsReachRuntimeSink: the engine's debug lines go to the runtime's
+// log sink (here simnet.Config.Logf), attributed to the node that wrote them.
+func TestEngineLogsReachRuntimeSink(t *testing.T) {
+	var lines []string
+	net := simnet.Config{Seed: 3, Latency: simnet.LANLatency(), Logf: func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}}
+	_, nodes := buildCluster(t, 3, 2, &net, func(_ int, c *atum.SimCluster) *atum.Node {
+		return c.AddNode(atum.Callbacks{Deliver: func(atum.Delivery) {}})
+	})
+	joiner := fmt.Sprintf(" %v] joined g", nodes[1].Identity().ID)
+	for _, l := range lines {
+		if strings.Contains(l, joiner) {
+			return
+		}
+	}
+	t.Fatalf("no %q line from the joiner among the %d lines the sink got: %q", joiner, len(lines), lines)
 }
 
 func TestPublicAPIBroadcast(t *testing.T) {

@@ -1,11 +1,10 @@
 // Command atumvet runs the repo's custom static analyzers: wiresym
-// (wire-codec pair symmetry and kind-tag registry drift), retainview
-// (zero-copy view lifetimes), detclock (wall-clock and global-rand
-// bans in the deterministic packages), and the four type-aware passes —
-// actorconfine (engine state confined to the actor loop), egressonly
-// (all core sends route through the egress scheduler), aliasret
-// (exported API methods clone reference state on the way out), and
-// kindcover (wire kind registry dispatch coverage). It exits non-zero
+// (wire-codec pair symmetry), retainview (zero-copy view lifetimes),
+// detclock (wall-clock and global-rand bans in the deterministic
+// packages), and the three type-aware passes — actorconfine (engine
+// state confined to the actor loop), egressonly (all core sends route
+// through the egress scheduler), and aliasret (exported API methods
+// clone reference state on the way out). It exits non-zero
 // when any finding survives the //atumvet:allow directives, printing
 // findings in the familiar file:line:col form — plus GitHub error
 // annotations when running under Actions.

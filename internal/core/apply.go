@@ -14,7 +14,7 @@ import (
 // same operations in the same order at every correct member of the vgroup.
 func (n *Node) applyCommitted(op smr.Operation) {
 	dig := opDigest(op.Data)
-	v, err := decodeWire(op.Data)
+	v, err := decodeWire(op.Data, classOp)
 	if err != nil {
 		n.logf("apply: undecodable op from %v: %v", op.Proposer, err)
 		return
@@ -128,7 +128,7 @@ func (n *Node) voteInput(acc group.Accepted) {
 
 // applyInput dispatches a group-message-derived event once endorsed.
 func (n *Node) applyInput(dig crypto.Digest, o inputVoteOp) {
-	v, err := decodeWire(o.Payload)
+	v, err := decodeKind(o.Kind, o.Payload)
 	if err != nil {
 		n.logf("applyInput: bad payload: %v", err)
 		return
@@ -224,7 +224,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 			continue
 		}
 		msgID := snapMsgID(old, m.ID)
-		//atumvet:allow egressonly node-addressed snapshot under the pre-bump composition; unbatchable (unbatchedKinds) and needed before the epoch advances
+		//atumvet:allow egressonly node-addressed snapshot under the pre-bump composition; not carrier-deliverable (wireRows carrierOK) and needed before the epoch advances
 		group.SendToNode(n.sendNow, old, n.cfg.Identity.ID, m.ID, kindSnapshot, msgID, snap)
 	}
 	n.cacheSnapshot(old.Epoch, snap)

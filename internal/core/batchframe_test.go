@@ -88,7 +88,7 @@ func TestStaleVersionBatchCarrierIgnored(t *testing.T) {
 	var got []any
 	n.cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 
-	extFrame, ok := encodeRawWire(egressTestMsg{Seq: 1, Body: []byte("chunk")})
+	extFrame, ok := encodeWire(egressTestMsg{Seq: 1, Body: []byte("chunk")}, classExt)
 	if !ok {
 		t.Fatal("egressTestMsg not wire-codable")
 	}

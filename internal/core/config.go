@@ -242,8 +242,6 @@ type Config struct {
 	OnRawMessage func(from ids.NodeID, msg any)
 	// Callbacks connect the application.
 	Callbacks Callbacks
-	// Logf, when set, receives debug logs.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {

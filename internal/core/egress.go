@@ -60,28 +60,9 @@ func (n *Node) newEgress() *egress.Scheduler {
 				n.env.SetTimer(d, egressFlushTimer{})
 			}
 		},
-		OnPressure: func(dest ids.NodeID, level egress.Level) {
-			if n.cfg.Callbacks.OnEgressPressure != nil {
-				n.cfg.Callbacks.OnEgressPressure(dest, PressureLevel(level))
-			}
-		},
-		Flush: n.egressFlush,
+		OnPressure: n.cfg.Callbacks.OnEgressPressure,
+		Flush:      n.egressFlush,
 	})
-}
-
-// batchableKinds is the receive-side allowlist: the only kinds a batch
-// carrier may inject into the inbox. Everything else (snapshots, direct
-// certificate-mode replies, merge negotiation) has node-addressed or
-// special-cased handling that must not be reachable through a carrier.
-var batchableKinds = map[group.Kind]bool{
-	kindGossip:          true,
-	kindWalk:            true,
-	kindWalkBackward:    true,
-	kindNeighborUpdate:  true,
-	kindSetNeighbor:     true,
-	kindCycleAssign:     true,
-	kindExchangeConfirm: true,
-	kindExchangeCancel:  true,
 }
 
 // sendViaEgress queues one group-addressed logical message on the egress
@@ -170,22 +151,23 @@ func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
 		return
 	}
 	for _, im := range inner {
+		r := rowByKind[im.Kind]
 		switch {
 		case im.Kind == kindRaw:
 			if im.Payload != nil {
 				n.handleRawItem(from, im.Payload)
 			}
-		case batchableKinds[im.Kind]:
+		case r == nil:
+			// No such kind (never assigned, retired, or a nested carrier):
+			// dropped silently.
+		case !r.carrierOK:
+			// A known kind the table keeps off carriers is a sender bug (or a
+			// hostile frame trying to smuggle node-addressed traffic past its
+			// handler's assumptions) and is worth a log line.
+			n.logf("egress batch from %v: kind %d is not batchable, dropped", from, im.Kind)
+		default:
 			if acc, ok := n.inbox.Observe(n.env.Now(), from, im); ok {
 				n.handleAccepted(acc)
-			}
-		default:
-			// Unknown tags drop silently; a known-but-unbatchable kind
-			// inside a carrier is a sender bug (or a hostile frame trying
-			// to smuggle node-addressed traffic past its handler's
-			// assumptions) and is worth a log line.
-			if unbatchedKinds[im.Kind] {
-				n.logf("egress batch from %v: kind %d is not batchable, dropped", from, im.Kind)
 			}
 		}
 	}
@@ -200,11 +182,7 @@ func (n *Node) handleRawItem(from ids.NodeID, payload []byte) {
 	if n.cfg.OnRawMessage == nil {
 		return
 	}
-	if len(payload) < 3 || payload[0] != wireEnvMagic || payload[1] < RawTagMin {
-		n.logf("raw item from %v: not an extension-tag frame", from)
-		return
-	}
-	v, err := decodeWire(payload)
+	v, err := decodeWire(payload, classExt)
 	if err != nil {
 		n.logf("raw item from %v: %v", from, err)
 		return

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"atum/internal/actor"
@@ -45,14 +46,14 @@ func registerEgressTestMsg() {
 func TestRawExtensionRoundTrip(t *testing.T) {
 	registerEgressTestMsg()
 	msg := egressTestMsg{Seq: 42, Body: []byte("tier-2")}
-	b, ok := encodeRawWire(msg)
+	b, ok := encodeWire(msg, classExt)
 	if !ok {
 		t.Fatal("registered raw type not encodable")
 	}
 	if b[0] != wireEnvMagic || b[1] != 0xF0 || b[2] != wireEnvV1 {
 		t.Fatalf("extension frame header = % x", b[:3])
 	}
-	v, err := decodeWire(b)
+	v, err := decodeWire(b, classAny)
 	if err != nil {
 		t.Fatalf("decode extension frame: %v", err)
 	}
@@ -66,12 +67,12 @@ func TestRawExtensionRoundTrip(t *testing.T) {
 	// Unregistered extension tags are rejected, not crashed on.
 	bad := append([]byte(nil), b...)
 	bad[1] = 0xEF
-	if _, err := decodeWire(bad); err == nil {
+	if _, err := decodeWire(bad, classAny); err == nil {
 		t.Fatal("unregistered extension tag accepted")
 	}
 	// Unregistered types are not encodable.
 	type unregistered struct{ X int }
-	if _, ok := encodeRawWire(unregistered{}); ok {
+	if _, ok := encodeWire(unregistered{}, classAny); ok {
 		t.Fatal("unregistered type claimed wire-codable")
 	}
 }
@@ -95,7 +96,7 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
 		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
 			StepsLeft: 1, Rands: []uint64{1, 2}, Origin: comp.Clone()}))
-	rawFrame, ok := encodeRawWire(egressTestMsg{Seq: 7, Body: []byte("raw")})
+	rawFrame, ok := encodeWire(egressTestMsg{Seq: 7, Body: []byte("raw")}, classExt)
 	if !ok {
 		t.Fatal("raw frame")
 	}
@@ -365,8 +366,7 @@ func TestRawNeverEntersInbox(t *testing.T) {
 // assigned (0, 200) or retired (17–19, which an old tree-on peer still sends)
 // — buys neither an inbox entry nor a handler, standalone or inside a
 // carrier. Every copy carries a well-formed gossip payload from a majority of
-// the source vgroup, so a kind that did reach the inbox would be accepted and
-// delivered: handleAccepted dispatches on the payload's type, not the kind.
+// the source vgroup, so the kind is the only thing wrong with it.
 func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 	self := ids.NodeID(4)
 	comp := testComp(9, 1, 4, 5, 6)
@@ -424,6 +424,95 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 	}
 }
 
+// TestKindTagMismatchDropped: the carrier allowlist and the inbox are keyed by
+// the group kind, so a payload whose envelope tag is not that kind's table row
+// must not reach the handler of the type it really holds. A source-vgroup
+// majority sends kindGossip items that carry a merge request (whose handler
+// proposes an input vote) and a snapshot (whose handler parks it), standalone
+// and inside a carrier: nothing is proposed, parked or delivered, and the
+// well-formed gossip item sharing the carrier still is.
+func TestKindTagMismatchDropped(t *testing.T) {
+	self := ids.NodeID(4)
+	comp := testComp(9, 1, 4, 5, 6)
+	src := testComp(7, 3, 1, 2, 3)
+	n, _ := memberNode(t, self, comp, src)
+	rec := &recordingReplica{}
+	n.replica = rec
+	var delivered []string
+	n.cfg.Callbacks.Deliver = func(d Delivery) { delivered = append(delivered, string(d.Data)) }
+
+	mismatched := func(label string) []group.BatchItem {
+		return []group.BatchItem{
+			{Kind: kindGossip, MsgID: crypto.Hash([]byte(label + "-merge")),
+				Payload: encodePayload(mergeRequestPayload{From: src.Clone()})},
+			{Kind: kindGossip, MsgID: crypto.Hash([]byte(label + "-snapshot")),
+				Payload: encodePayload(snapshotPayload{State: stateSnapshot{Comp: src.Clone()}})},
+		}
+	}
+	check := func(when string, wantDelivered ...string) {
+		t.Helper()
+		if len(rec.proposed) != 0 {
+			t.Errorf("%s: %d operations proposed, want none (a merge request under kindGossip reached voteInput)", when, len(rec.proposed))
+		}
+		if len(n.pendingSnaps) != 0 {
+			t.Errorf("%s: %d snapshots parked, want none (a snapshot under kindGossip reached adoptSnapshot)", when, len(n.pendingSnaps))
+		}
+		if !slices.Equal(delivered, wantDelivered) {
+			t.Errorf("%s: delivered %q, want %q", when, delivered, wantDelivered)
+		}
+	}
+
+	for _, it := range mismatched("standalone") {
+		for _, sender := range src.Members {
+			n.routeGroupMsg(sender.ID, group.GroupMsg{
+				SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
+				DstGroup: comp.GroupID, DstEpoch: comp.Epoch,
+				Kind: it.Kind, MsgID: it.MsgID,
+				PayloadDigest: crypto.Hash(it.Payload), Payload: it.Payload,
+			})
+		}
+	}
+	check("standalone")
+
+	bcast := crypto.Hash([]byte("carried-gossip"))
+	items := append(mismatched("carried"), group.BatchItem{
+		Kind:    kindGossip,
+		MsgID:   gossipMsgID(bcast, src, comp.GroupID),
+		Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("carried-gossip"), Hops: 1}),
+	})
+	for _, sender := range src.Members {
+		var carrier group.GroupMsg
+		group.SendBatchToNode(func(_ ids.NodeID, m actor.Message) {
+			carrier = m.(group.GroupMsg)
+		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
+		n.routeGroupMsg(sender.ID, carrier)
+	}
+	check("inside a carrier", "carried-gossip")
+}
+
+// TestApplyCommittedRefusesNonOps: operation data is decoded as an SMR op or
+// not at all — a node-level message or a group payload in its place is
+// dropped before the transition function (or OnApply) sees it.
+func TestApplyCommittedRefusesNonOps(t *testing.T) {
+	comp := testComp(9, 1, 4, 5, 6)
+	n, _ := memberNode(t, 4, comp, testComp(7, 3, 1, 2, 3))
+	var applied []string
+	n.cfg.Callbacks.OnApply = func(_, _ uint64, _ [32]byte, what string) { applied = append(applied, what) }
+	for _, v := range []any{
+		Heartbeat{GroupID: comp.GroupID, Epoch: comp.Epoch},
+		gossipPayload{BcastID: crypto.Hash([]byte("x")), Origin: 5, Data: []byte("x")},
+	} {
+		n.applyCommitted(smr.Operation{Proposer: 5, OpID: 1, Data: encodePayload(v)})
+	}
+	if len(applied) != 0 {
+		t.Fatalf("non-op data reached the transition function: %q", applied)
+	}
+	n.applyCommitted(smr.Operation{Proposer: 5, OpID: 2, Data: encodePayload(splitOp{GroupID: comp.GroupID, Epoch: comp.Epoch})})
+	if len(applied) != 1 {
+		t.Fatalf("a real op was applied %d times, want once", len(applied))
+	}
+}
+
 // TestRawItemRejectsEngineFrames: a kindRaw payload must be an extension-tag
 // frame — a hostile peer must not reach OnRawMessage with engine-internal
 // payload types (nor buy decode work on them) through the raw path.
@@ -444,7 +533,7 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 	}
 
 	registerEgressTestMsg()
-	extFrame, _ := encodeRawWire(egressTestMsg{Seq: 1})
+	extFrame, _ := encodeWire(egressTestMsg{Seq: 1}, classExt)
 	n.handleRawItem(1, extFrame)
 	if len(got) != 1 {
 		t.Fatal("extension frame did not reach OnRawMessage")

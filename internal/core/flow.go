@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"atum/internal/egress"
-	"atum/internal/ids"
 )
 
 // Flow-control errors of the send surface.
@@ -24,45 +23,49 @@ var (
 	// queue is full and held no lower-priority item to evict: the message
 	// was dropped at the sender. Back off, shed, or retry later — the
 	// OnEgressPressure hook signals when the destination recovers.
-	ErrEgressOverflow = errors.New("core: egress queue full for destination")
+	ErrEgressOverflow = egress.ErrOverflow
 	// ErrUnregisteredType is returned for SendRaw messages whose type has no
 	// wire extension codec (RegisterRawMessage): the wire codec is the only
 	// serializer, so such a message cannot be sent at all.
 	ErrUnregisteredType = errors.New("core: raw message type not registered with RegisterRawMessage")
 )
 
-// Priority is a send's egress priority class; lower values are more
-// important. Overflow on a bounded egress queue evicts strictly
-// lower-priority queued items first and rejects equal-priority arrivals.
-type Priority uint8
+// The flow-control vocabulary is the egress scheduler's own, re-exported.
+type (
+	// Priority is a send's egress priority class; lower values are more
+	// important. Overflow on a bounded egress queue evicts strictly
+	// lower-priority queued items first and rejects equal-priority arrivals.
+	Priority = egress.Class
+	// PressureLevel is a destination's egress pressure level, derived from
+	// the bounded queue's depth with hysteresis so it does not flap: High
+	// enters at half the queue limit and exits below a quarter; Critical
+	// enters at 7/8 of the limit and exits (back to High) below 5/8.
+	PressureLevel = egress.Level
+	// EgressDestStats is one node-addressed destination's flow-control
+	// snapshot.
+	EgressDestStats = egress.DestStats
+	// EgressStats is a snapshot of the node's egress scheduler.
+	EgressStats = egress.Stats
+)
 
 // Priority classes.
 const (
 	// PriorityControl is protocol-critical traffic (the default): request/
 	// reply handshakes, metadata. Never evicted in favor of data.
-	PriorityControl Priority = Priority(egress.ClassControl)
+	PriorityControl = egress.ClassControl
 	// PriorityData is ordinary application payload traffic.
-	PriorityData Priority = Priority(egress.ClassData)
+	PriorityData = egress.ClassData
 	// PriorityBulk is best-effort bulk traffic (streaming floods,
 	// speculative forwards): first to be shed under pressure.
-	PriorityBulk Priority = Priority(egress.ClassBulk)
+	PriorityBulk = egress.ClassBulk
 )
-
-// PressureLevel is a destination's egress pressure level, derived from the
-// bounded queue's depth with hysteresis so it does not flap: High enters at
-// half the queue limit and exits below a quarter; Critical enters at 7/8 of
-// the limit and exits (back to High) below 5/8.
-type PressureLevel int
 
 // Pressure levels.
 const (
-	PressureLow      PressureLevel = PressureLevel(egress.LevelLow)
-	PressureHigh     PressureLevel = PressureLevel(egress.LevelHigh)
-	PressureCritical PressureLevel = PressureLevel(egress.LevelCritical)
+	PressureLow      = egress.LevelLow
+	PressureHigh     = egress.LevelHigh
+	PressureCritical = egress.LevelCritical
 )
-
-// String implements fmt.Stringer.
-func (l PressureLevel) String() string { return egress.Level(l).String() }
 
 // SendOpts shapes one SendRawWith call.
 type SendOpts struct {
@@ -91,65 +94,11 @@ type BroadcastOpts struct {
 	TTL time.Duration
 }
 
-// EgressDestStats is one node-addressed destination's flow-control snapshot.
-type EgressDestStats struct {
-	Node ids.NodeID
-	// Depth and Bytes are the currently queued items and payload bytes.
-	Depth int
-	Bytes int
-	// ArrivalGap is the smoothed inter-arrival gap of sends to this
-	// destination (the adaptive flush window's input).
-	ArrivalGap time.Duration
-	Level      PressureLevel
-	Flushes    uint64
-	// DroppedOverflow counts items dropped because the bounded queue was
-	// full; DroppedExpired counts TTL drops at flush time.
-	DroppedOverflow uint64
-	DroppedExpired  uint64
-}
-
-// EgressStats is a snapshot of the node's egress scheduler.
-type EgressStats struct {
-	// Dests lists every tracked node-addressed destination, sorted by node
-	// ID. Group-addressed (protocol) queues are unbounded and not listed.
-	Dests []EgressDestStats
-	// Aggregate counters across all destinations, group queues included.
-	Enqueued        uint64
-	Immediate       uint64
-	Flushes         uint64
-	Items           uint64
-	DroppedOverflow uint64
-	DroppedExpired  uint64
-}
-
 // EgressStats returns a snapshot of the node's egress scheduler: per-
 // destination queue depths, pressure levels, and drop counters. Like every
 // Node accessor it must run in the node's actor context (in simulation,
 // harness code between Run calls is also safe).
-func (n *Node) EgressStats() EgressStats {
-	dests, totals := n.egress.Snapshot()
-	out := EgressStats{
-		Enqueued:        totals.Enqueued,
-		Immediate:       totals.Immediate,
-		Flushes:         totals.Flushes,
-		Items:           totals.Items,
-		DroppedOverflow: totals.DroppedOverflow,
-		DroppedExpired:  totals.DroppedExpired,
-	}
-	for _, d := range dests {
-		out.Dests = append(out.Dests, EgressDestStats{
-			Node:            d.Node,
-			Depth:           d.Depth,
-			Bytes:           d.Bytes,
-			ArrivalGap:      d.Gap,
-			Level:           PressureLevel(d.Level),
-			Flushes:         d.Flushes,
-			DroppedOverflow: d.DroppedOverflow,
-			DroppedExpired:  d.DroppedExpired,
-		})
-	}
-	return out
-}
+func (n *Node) EgressStats() EgressStats { return n.egress.Snapshot() }
 
 // SetEgressQueueLimit changes the egress flow-control bounds at runtime
 // (items and queued bytes per node-addressed destination; limit <= 0

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"time"
 
 	"atum/internal/actor"
@@ -187,20 +189,14 @@ func (n *Node) handleDirectRedirect(m group.GroupMsg) {
 	if crypto.Hash(m.Payload) != m.PayloadDigest {
 		return
 	}
-	v, err := decodeWire(m.Payload)
+	p, err := decodeAs[joinRedirectPayload](m.Payload)
 	if err != nil {
-		return
-	}
-	p, ok := v.(joinRedirectPayload)
-	if !ok {
 		return
 	}
 	var chain []overlay.StepCert
 	if m.Attach != nil {
-		if av, err := decodeWire(m.Attach); err == nil {
-			if att, ok := av.(walkAttachment); ok {
-				chain = att.Chain
-			}
+		if att, err := decodeAs[walkAttachment](m.Attach); err == nil {
+			chain = att.Chain
 		}
 	}
 	final, err := overlay.VerifyChain(n.cfg.Scheme, j.contactComp, p.WalkID, chain)
@@ -249,15 +245,16 @@ func (n *Node) tryParkedSnapshots() {
 	if n.phase != phaseJoining && n.phase != phaseAwaitSnapshot {
 		return
 	}
-	for gid, acc := range n.pendingSnaps {
+	// Ascending GroupID, not map order: which parked snapshot is adopted must
+	// be the same on every replay of a seed.
+	for _, gid := range slices.Sorted(maps.Keys(n.pendingSnaps)) {
 		if !n.expectSnapshot[gid] {
 			continue
 		}
+		acc := n.pendingSnaps[gid]
 		delete(n.pendingSnaps, gid)
-		if v, err := decodeWire(acc.Payload); err == nil {
-			if p, ok := v.(snapshotPayload); ok {
-				n.adoptSnapshot(acc, p)
-			}
+		if p, err := decodeAs[snapshotPayload](acc.Payload); err == nil {
+			n.adoptSnapshot(acc, p)
 		}
 		return // adoption mutates state; one at a time
 	}
@@ -420,12 +417,8 @@ func (n *Node) evaluateCatchUp() {
 			if endorsers < n.f()+1 {
 				continue
 			}
-			v, err := decodeWire(tally.payload)
+			p, err := decodeAs[snapshotPayload](tally.payload)
 			if err != nil {
-				continue
-			}
-			p, ok := v.(snapshotPayload)
-			if !ok {
 				continue
 			}
 			st, err := restoreSnapshot(p.State)
@@ -452,7 +445,7 @@ func (n *Node) evaluateCatchUp() {
 				if m.ID == n.cfg.Identity.ID {
 					continue
 				}
-				//atumvet:allow egressonly reconfiguration snapshot share: node-addressed under the pre-bump composition (unbatchedKinds)
+				//atumvet:allow egressonly reconfiguration snapshot share: node-addressed under the pre-bump composition (not carrier-deliverable: wireRows carrierOK)
 				group.SendToNode(n.sendNow, oldComp, n.cfg.Identity.ID, m.ID,
 					kindSnapshot, snapMsgID(oldComp, m.ID), payload)
 			}
@@ -565,7 +558,7 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 			return
 		}
 	}
-	v, err := decodeWire(acc.Payload)
+	v, err := decodeKind(acc.Kind, acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
 		return

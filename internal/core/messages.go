@@ -93,7 +93,9 @@ func joinRequestBytes(joiner ids.Identity, target ids.GroupID, nonce uint64) []b
 
 // --- group message kinds ---
 
-// Group-message kinds (group.Kind) used by the engine.
+// Group-message kinds (group.Kind) used by the engine. The payload type each
+// kind carries, and whether a batch carrier may deliver it, are declared once,
+// in the wireRows table (wirecodec.go).
 const (
 	kindGossip group.Kind = iota + 1
 	kindWalk
@@ -125,8 +127,8 @@ const (
 	// Values 17–19 are retired (the dissemination tree's kindIHave,
 	// kindGraft and kindPrune, removed with it) and stay reserved: the
 	// blanks keep iota past them, so the next kind added is 20.
-	// routeGroupMsg and handleBatch drop them like any kind outside the
-	// registry.
+	// routeGroupMsg and handleBatch drop them like any kind without a row in
+	// wireRows (wirecodec.go).
 	_
 	_
 	_
@@ -377,55 +379,12 @@ type mergeStartOp struct {
 
 // --- codec ---
 
-// kindPayloads maps every group-message kind to a prototype of the payload
-// type it carries. It is the registry the codec is checked against: a new
-// kind* constant without an entry here (or a payload type missing from the
-// wire tag table) is caught by TestKindPayloadRegistry. kindBatch and
-// kindRaw are absent by design — a batch carrier's payload is a group-layer
-// batch frame (internal/group) and a raw item's payload is an
-// extension-tagged application frame (rawext.go), not enveloped engine
-// payloads.
-var kindPayloads = map[group.Kind]any{
-	kindGossip:          gossipPayload{},
-	kindWalk:            walkPayload{},
-	kindWalkBackward:    backwardPayload{},
-	kindWalkResult:      walkResult{},
-	kindNeighborUpdate:  neighborUpdatePayload{},
-	kindSetNeighbor:     setNeighborPayload{},
-	kindCycleAssign:     cycleAssignPayload{},
-	kindExchangeConfirm: exchangeConfirmPayload{},
-	kindExchangeCancel:  exchangeCancelPayload{},
-	kindMergeRequest:    mergeRequestPayload{},
-	kindMergeAccept:     mergeAcceptPayload{},
-	kindMergeReject:     mergeRejectPayload{},
-	kindSnapshot:        snapshotPayload{},
-	kindJoinRedirect:    joinRedirectPayload{},
-}
-
-// unbatchedKinds are the votable kinds that must never be reachable
-// through a batch carrier: node-addressed handshake replies and
-// special-cased reconfiguration traffic whose handlers assume a
-// standalone, directly-addressed group message. handleBatch drops (and
-// logs) any of these found inside a carrier — a sender bug or a hostile
-// frame, either way not deliverable. Together with batchableKinds
-// (egress.go) it partitions the kind registry; the kindcover analyzer
-// checks that every kind* constant lands in exactly one of the two
-// (carriers kindBatch/kindRaw aside).
-var unbatchedKinds = map[group.Kind]bool{
-	kindWalkResult:   true,
-	kindMergeRequest: true,
-	kindMergeAccept:  true,
-	kindMergeReject:  true,
-	kindSnapshot:     true,
-	kindJoinRedirect: true,
-}
-
 // encodePayload encodes a payload struct through the deterministic wire
 // envelope (see wirecodec.go): all members of a vgroup produce byte-identical
 // payloads for the same logical value, which is what the group-message digest
 // matching and op content-dedup rely on.
 func encodePayload(v any) []byte {
-	b, ok := encodeWire(v)
+	b, ok := encodeWire(v, classAny)
 	if !ok {
 		// Only engine-defined types reach here; failure is a bug.
 		panic(fmt.Sprintf("core: encode %T: not a wire-codable payload", v))

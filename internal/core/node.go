@@ -218,9 +218,12 @@ func (n *Node) Neighbors() overlay.Neighbors {
 	return n.st.nbrs.Clone()
 }
 
+// logf writes a debug line to the runtime's log sink, which attributes it
+// to this node (simnet.Config.Logf, RealtimeOptions.Logf). Lines logged
+// before Start have no runtime to go to and are dropped.
 func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf("[%v] "+format, append([]any{n.cfg.Identity.ID}, args...)...)
+	if n.env != nil {
+		n.env.Logf(format, args...)
 	}
 }
 
@@ -320,8 +323,8 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 		}
 		return
 	}
-	if !batchableKinds[m.Kind] && !unbatchedKinds[m.Kind] {
-		// Outside the kind registry — never assigned, or retired (17–19 from
+	if rowByKind[m.Kind] == nil {
+		// No row in the wire table — never assigned, or retired (17–19 from
 		// an old tree-on peer): it must not buy an inbox entry held for
 		// inboxTTL. handleBatch drops the same kinds inside a carrier.
 		return
@@ -365,7 +368,7 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if n.env == nil || n.stopped {
 		return ErrNotRunning
 	}
-	payload, ok := encodeRawWire(msg)
+	payload, ok := encodeWire(msg, classExt)
 	if !ok {
 		return ErrUnregisteredType
 	}
@@ -379,13 +382,9 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	}
 	// MsgID is the payload digest by construction, so a carrier of raw items
 	// omits it (DerivedID) and the receiver re-derives it.
-	err := n.egress.EnqueueNodeWith(src, to,
+	return n.egress.EnqueueNodeWith(src, to,
 		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
-		egress.Class(opts.Priority), expires)
-	if err != nil {
-		return ErrEgressOverflow
-	}
-	return nil
+		opts.Priority, expires)
 }
 
 // SetBehavior switches the node's behaviour (experiment fault injection;
@@ -448,7 +447,9 @@ func (n *Node) handleTick() {
 		// any node we expected the snapshot from.
 		n.awaitDeadline = 0
 		var contact ids.Identity
-		for gid := range n.expectSnapshot {
+		// Ascending GroupID, not map order: the renounce order and the
+		// rejoin contact must be the same on every replay of a seed.
+		for _, gid := range slices.Sorted(maps.Keys(n.expectSnapshot)) {
 			if c, ok := n.latestComp[gid]; ok && c.N() > 0 {
 				n.sendRenounce(c)
 				if contact.ID == 0 {
@@ -550,7 +551,7 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !n.reShared.allow(to, n.env.Now()) {
 		return
 	}
-	//atumvet:allow egressonly snapshot re-share: node-addressed under the pre-bump composition (unbatchedKinds)
+	//atumvet:allow egressonly snapshot re-share: node-addressed under the pre-bump composition (not carrier-deliverable: wireRows carrierOK)
 	group.SendToNode(n.sendNow, oldComp, n.cfg.Identity.ID, to,
 		kindSnapshot, snapMsgID(oldComp, to), payload)
 }
@@ -691,7 +692,7 @@ func (n *Node) makeReplica() {
 			n.env.SetTimer(d, smrTimer{epoch: epoch, data: data})
 		},
 		Commit: n.makeCommitFn(epoch),
-		Logf:   n.cfg.Logf,
+		Logf:   n.logf,
 	}
 	var rep smr.Replica
 	if n.cfg.Mode == smr.ModeAsync {

@@ -2,9 +2,11 @@ package core
 
 // Proposal order must not depend on Go map iteration: it fixes OpIDs and the
 // order a replica batches operations in, so it reaches the commit order and
-// the transport's send order. Each test runs the site on 20 fresh nodes —
-// 20 independently seeded maps — and accepts one order only. The entries go
-// in descending, so no rotation of the insertion order is the sorted one.
+// the transport's send order. The same holds for which parked snapshot a node
+// adopts and for an orphan's renounce order and rejoin contact. Each test runs
+// the site on 20 fresh nodes — 20 independently seeded maps — and accepts one
+// order only. The entries go in descending, so no rotation of the insertion
+// order is the sorted one.
 
 import (
 	"bytes"
@@ -14,7 +16,9 @@ import (
 
 	"atum/internal/actor"
 	"atum/internal/crypto"
+	"atum/internal/group"
 	"atum/internal/ids"
+	"atum/internal/overlay"
 	"atum/internal/smr"
 	"atum/internal/smr/dolev"
 )
@@ -82,7 +86,7 @@ func TestWalkTimeoutsProposedInWalkIDOrder(t *testing.T) {
 		}
 		var prev crypto.Digest
 		for _, op := range rec.proposed {
-			v, err := decodeWire(op.Data)
+			v, err := decodeWire(op.Data, classOp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,6 +95,62 @@ func TestWalkTimeoutsProposedInWalkIDOrder(t *testing.T) {
 				t.Fatalf("run %d: timeout for walk %x proposed after %x, want ascending WalkID", run, id[:2], prev[:2])
 			}
 			prev = id
+		}
+	}
+}
+
+// TestParkedSnapshotsAdoptedInGroupIDOrder: with several expected snapshots
+// parked, the one from the lowest GroupID is adopted.
+func TestParkedSnapshotsAdoptedInGroupIDOrder(t *testing.T) {
+	for run := 0; run < proposeOrderNodes; run++ {
+		n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+		n.phase = phaseAwaitSnapshot
+		for gid := ids.GroupID(10 * proposeOrderEntries); gid >= 10; gid -= 10 {
+			comp := testComp(gid, 2, 1, 2, 3)
+			snap := newGroupState(comp, overlay.NewNeighbors(2, comp)).buildSnapshot()
+			n.expectSnapshot[gid] = true
+			n.pendingSnaps[gid] = group.Accepted{
+				Src: group.Key{GroupID: gid, Epoch: 1}, Kind: kindSnapshot,
+				Payload: encodePayload(snapshotPayload{State: snap}),
+			}
+		}
+		n.tryParkedSnapshots()
+
+		if n.phase != phaseMember || n.st.comp.GroupID != 10 {
+			t.Fatalf("run %d: phase %v in group %v after adopting a parked snapshot, want a member of group 10 (the lowest)",
+				run, n.phase, n.st.comp.GroupID)
+		}
+	}
+}
+
+// TestOrphanRenouncesInGroupIDOrder: an orphaned node renounces the vgroups
+// it expected a snapshot from in ascending GroupID and rejoins through the
+// first member of the lowest.
+func TestOrphanRenouncesInGroupIDOrder(t *testing.T) {
+	for run := 0; run < proposeOrderNodes; run++ {
+		n, env := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+		n.phase = phaseAwaitSnapshot
+		n.awaitDeadline = env.now - time.Millisecond
+		for gid := uint64(10 * proposeOrderEntries); gid >= 10; gid -= 10 {
+			n.expectSnapshot[ids.GroupID(gid)] = true
+			n.learnComp(testComp(ids.GroupID(gid), 1, gid+1, gid+2, gid+3))
+		}
+		n.handleTick()
+
+		var renounced []ids.GroupID
+		var contact ids.NodeID
+		for _, s := range env.sent {
+			switch m := s.msg.(type) {
+			case Renounce:
+				if len(renounced) == 0 || renounced[len(renounced)-1] != m.Target {
+					renounced = append(renounced, m.Target)
+				}
+			case JoinContact:
+				contact = s.to
+			}
+		}
+		if !slices.Equal(renounced, []ids.GroupID{10, 20, 30, 40, 50, 60}) || contact != 11 {
+			t.Fatalf("run %d: renounced %v and rejoined through %v, want groups 10..60 ascending and node 11", run, renounced, contact)
 		}
 	}
 }

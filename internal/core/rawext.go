@@ -22,19 +22,13 @@ import (
 // range; every tag from here through 0xFF is application-defined.
 const RawTagMin byte = 0x80
 
-// rawCodec is one registered application raw-message type.
-type rawCodec struct {
-	tag       byte
-	typ       reflect.Type
-	marshal   func(v any, e *wire.Encoder)
-	unmarshal func(d *wire.Decoder) any
-}
-
+// rawReg holds the extension rows: the application half of the wire-type
+// table (wirecodec.go), filled at run time and therefore behind a lock.
 var rawReg struct {
 	//atumvet:allow actorconfine process-wide raw-codec registry: shared across nodes and runtimes by design, never touched by protocol handlers
 	sync.RWMutex
-	byTag  map[byte]*rawCodec
-	byType map[reflect.Type]*rawCodec
+	byTag  map[byte]*wireRow
+	byType map[reflect.Type]*wireRow
 }
 
 // RegisterRawMessage registers an application raw-message type under a wire
@@ -56,54 +50,27 @@ func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *wire.Enc
 	rawReg.Lock()
 	defer rawReg.Unlock()
 	if rawReg.byTag == nil {
-		rawReg.byTag = make(map[byte]*rawCodec)
-		rawReg.byType = make(map[reflect.Type]*rawCodec)
+		rawReg.byTag = make(map[byte]*wireRow)
+		rawReg.byType = make(map[reflect.Type]*wireRow)
 	}
 	if prev, ok := rawReg.byTag[tag]; ok {
-		if prev.typ == typ {
-			return // idempotent re-registration
+		if prevTyp := reflect.TypeOf(prev.proto); prevTyp != typ {
+			panic(fmt.Sprintf("core: raw message tag %#x already registered for %v", tag, prevTyp))
 		}
-		panic(fmt.Sprintf("core: raw message tag %#x already registered for %v", tag, prev.typ))
+		return // idempotent re-registration
 	}
 	if prev, ok := rawReg.byType[typ]; ok {
 		panic(fmt.Sprintf("core: raw message type %v already registered under tag %#x", typ, prev.tag))
 	}
-	c := &rawCodec{tag: tag, typ: typ, marshal: marshal, unmarshal: unmarshal}
-	rawReg.byTag[tag] = c
-	rawReg.byType[typ] = c
-}
-
-// encodeRawWire frames a registered application raw message as a complete
-// wire-envelope frame ([magic][ext tag][version][body]); false when the
-// type is unregistered.
-func encodeRawWire(v any) ([]byte, bool) {
-	rawReg.RLock()
-	c, ok := rawReg.byType[reflect.TypeOf(v)]
-	rawReg.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(wireEnvMagic)
-	e.Byte(c.tag)
-	e.Byte(wireEnvV1)
-	c.marshal(v, e)
-	return e.Detach(), true
-}
-
-// decodeRawWire reverses encodeRawWire for one extension tag; the envelope
-// header has already been consumed by the caller.
-func decodeRawWire(tag byte, d *wire.Decoder) (any, error) {
-	rawReg.RLock()
-	c, ok := rawReg.byTag[tag]
-	rawReg.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unregistered raw message tag %#x", tag)
-	}
-	v := c.unmarshal(d)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: decode raw message tag %#x: %w", tag, err)
-	}
-	return v, nil
+	r := &wireRow{tag: tag, proto: prototype, class: classExt, marshal: marshal,
+		decode: func(body []byte) (any, error) {
+			d := wire.NewDecoder(body)
+			v := unmarshal(d)
+			if err := d.Finish(); err != nil {
+				return nil, fmt.Errorf("core: decode raw message tag %#x: %w", tag, err)
+			}
+			return v, nil
+		}}
+	rawReg.byTag[tag] = r
+	rawReg.byType[typ] = r
 }

@@ -207,7 +207,7 @@ func (n *Node) applyMergeStart(dig crypto.Digest, o mergeStartOp) {
 	// already-accepted earlier attempt and the requester wedges busy until
 	// the inbox prune — a timing-dependent merge starvation (and, through
 	// the busy flag, a join starvation at this vgroup's contact members).
-	//atumvet:allow egressonly merge negotiation (unbatchedKinds): a request queued behind data wedges the busy flag at both vgroups
+	//atumvet:allow egressonly merge negotiation (not carrier-deliverable: wireRows carrierOK): a request queued behind data wedges the busy flag at both vgroups
 	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, targetComp,
 		kindMergeRequest, crypto.Hash([]byte("atum-mergereq"), dig[:]), pl)
 }
@@ -239,7 +239,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	replyID := crypto.Hash([]byte("atum-mergereply"), reqID[:])
 	if st.busy {
 		pl := encodePayload(mergeRejectPayload{Busy: true})
-		//atumvet:allow egressonly merge reply (unbatchedKinds): the requester stays wedged busy until it arrives
+		//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
 		group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
 			kindMergeReject, replyID, pl)
 		return
@@ -248,7 +248,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
 	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
-	//atumvet:allow egressonly merge reply (unbatchedKinds): the requester stays wedged busy until it arrives
+	//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
 	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
 		kindMergeAccept, replyID, accept)
 

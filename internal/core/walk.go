@@ -183,12 +183,8 @@ func (n *Node) mergeChain(acc group.Accepted, p walkPayload) []overlay.StepCert 
 		var prefix []overlay.StepCert
 		prefixOK := len(p.Path) == 1 // first hop: the origin itself forwarded
 		for voter, raw := range acc.Attachments {
-			v, err := decodeWire(raw)
-			if err != nil {
-				continue
-			}
-			att, ok := v.(walkAttachment)
-			if !ok || att.StepSig.Node != voter {
+			att, err := decodeAs[walkAttachment](raw)
+			if err != nil || att.StepSig.Node != voter {
 				continue
 			}
 			idx := srcComp.Index(voter)
@@ -291,7 +287,7 @@ func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 		Payload:       payload,
 		Attach:        attach,
 	}
-	//atumvet:allow egressonly certificate-mode redirect to the joiner: node-addressed with a per-walk attachment (unbatchedKinds)
+	//atumvet:allow egressonly certificate-mode redirect to the joiner: node-addressed with a per-walk attachment (not carrier-deliverable: wireRows carrierOK)
 	n.sendNow(joiner, msg)
 }
 
@@ -317,7 +313,7 @@ func (n *Node) sendWalkReply(p walkPayload, res walkResult) {
 		}
 		order := n.env.Rand().Perm(p.Origin.N())
 		for _, i := range order {
-			//atumvet:allow egressonly certificate-mode walk reply carries a per-walk attachment the batch frame cannot (unbatchedKinds)
+			//atumvet:allow egressonly certificate-mode walk reply carries a per-walk attachment the batch frame cannot (not carrier-deliverable: wireRows carrierOK)
 			n.sendGroupQuantized(p.Origin.Members[i].ID, msg)
 		}
 		return
@@ -374,12 +370,8 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	if crypto.Hash(m.Payload) != m.PayloadDigest {
 		return
 	}
-	v, err := decodeWire(m.Payload)
+	res, err := decodeAs[walkResult](m.Payload)
 	if err != nil {
-		return
-	}
-	res, ok := v.(walkResult)
-	if !ok {
 		return
 	}
 	idx := st.findWalk(res.WalkID)
@@ -392,10 +384,8 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	}
 	var chain []overlay.StepCert
 	if m.Attach != nil {
-		if av, err := decodeWire(m.Attach); err == nil {
-			if att, ok := av.(walkAttachment); ok {
-				chain = att.Chain
-			}
+		if att, err := decodeAs[walkAttachment](m.Attach); err == nil {
+			chain = att.Chain
 		}
 	}
 	final, err := overlay.VerifyChain(n.cfg.Scheme, origin, res.WalkID, chain)
@@ -438,7 +428,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 		if n.cfg.Mode != smr.ModeAsync && res.Target.N() > 0 {
 			// Backward mode: we (the contact vgroup) relay the redirect.
 			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
-			//atumvet:allow egressonly backward-mode redirect relay to the joiner: node-addressed handshake traffic (unbatchedKinds)
+			//atumvet:allow egressonly backward-mode redirect relay to the joiner: node-addressed handshake traffic (not carrier-deliverable: wireRows carrierOK)
 			group.SendToNode(n.sendNow, st.comp, n.cfg.Identity.ID, wo.Joiner.ID,
 				kindJoinRedirect, replyMsgID(res.WalkID, 998), payload)
 		}

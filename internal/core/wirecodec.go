@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"atum/internal/actor"
 	"atum/internal/crypto"
@@ -92,352 +93,265 @@ const (
 	wkPBFTNewView
 	// Tags 42–44 are retired (the dissemination tree's iHavePayload,
 	// graftPayload and prunePayload, removed with it) and stay reserved: the
-	// blanks keep iota past them, so the next tag added is 45. decodeWire
-	// rejects them like any unknown tag.
+	// blanks keep iota past them, so the next tag added is 45. They have no
+	// row in wireRows, so frames bearing them are rejected as unknown.
 	_
 	_
 	_
 )
 
+// wireClass says where a wire type may appear. Every decode entry point names
+// the classes (or the one kind, or the one type) it expects and refuses a
+// well-formed frame of any other before running that frame's decoder.
+type wireClass uint8
+
+const (
+	// classPayload is a group-message payload: GroupMsg.Payload, or
+	// GroupMsg.Attach for walkAttachment, which no group kind carries.
+	classPayload wireClass = 1 << iota
+	// classOp is an SMR operation (smr.Operation.Data).
+	classOp
+	// classNodeMsg is a node-level message, framed by byte-level transports.
+	classNodeMsg
+	// classSMRMsg is an SMR engine message (SMREnvelope.Inner).
+	classSMRMsg
+	// classExt is an application raw message in the extension-tag range
+	// (rawext.go); its rows live in the RegisterRawMessage registry.
+	classExt
+
+	classAny = classPayload | classOp | classNodeMsg | classSMRMsg | classExt
+)
+
+// wireRow declares one wire type. It is everything the engine knows about a
+// tag: the codec, the kind registry and the batch-carrier allowlist are all
+// lookups of these fields.
+type wireRow struct {
+	tag   byte
+	proto any // a value of the Go type the tag encodes; only its type is used
+	class wireClass
+	// kind is the group kind whose messages carry this payload; 0 for ops,
+	// messages and walkAttachment. kindBatch and kindRaw have no row: their
+	// payloads are a group-layer batch frame and an extension frame.
+	kind group.Kind
+	// carrierOK says a kindBatch carrier may deliver the kind. It is false for
+	// node-addressed handshake replies and special-cased reconfiguration
+	// traffic, whose handlers assume a standalone, directly-addressed group
+	// message (snapshots, certificate-mode replies, merge negotiation).
+	carrierOK bool
+	marshal   func(v any, e *wire.Encoder)
+	decode    func(body []byte) (any, error)
+}
+
+// row builds the table row of engine type T from its MarshalWire/UnmarshalWire
+// pair.
+func row[T wire.Marshaler, P interface {
+	*T
+	UnmarshalWire(*wire.Decoder)
+}](tag byte, class wireClass, kind group.Kind, carrierOK bool) wireRow {
+	var zero T
+	return wireRow{tag: tag, proto: zero, class: class, kind: kind, carrierOK: carrierOK,
+		marshal: marshalEngineValue,
+		decode: func(body []byte) (any, error) {
+			// The call through P is indirect, so its arguments escape: keeping
+			// the decoder and the value in one struct makes that one
+			// allocation instead of two.
+			var s struct {
+				d wire.Decoder
+				v T
+			}
+			s.d.Reset(body)
+			P(&s.v).UnmarshalWire(&s.d)
+			if err := s.d.Finish(); err != nil {
+				return nil, fmt.Errorf("core: decode wire envelope kind %d: %w", tag, err)
+			}
+			return s.v, nil
+		}}
+}
+
+// marshalEngineValue is every engine row's marshal: row's constraint on T is
+// what guarantees the assertion holds.
+func marshalEngineValue(v any, e *wire.Encoder) { v.(wire.Marshaler).MarshalWire(e) }
+
+// wireRows is the engine's wire-type table: one row per type, tags 1–41
+// (42–44 are retired and have no row). Adding a type is one row here, its
+// MarshalWire/UnmarshalWire pair, and one line in docs/WIRE.md's tag table
+// (TestWireDocTagTable compares the two).
+var wireRows = []wireRow{
+	row[gossipPayload](wkGossip, classPayload, kindGossip, true),
+	row[walkPayload](wkWalk, classPayload, kindWalk, true),
+	row[walkAttachment](wkWalkAttachment, classPayload, 0, false),
+	row[backwardPayload](wkBackward, classPayload, kindWalkBackward, true),
+	row[walkResult](wkWalkResult, classPayload, kindWalkResult, false),
+	row[neighborUpdatePayload](wkNeighborUpdate, classPayload, kindNeighborUpdate, true),
+	row[setNeighborPayload](wkSetNeighbor, classPayload, kindSetNeighbor, true),
+	row[cycleAssignPayload](wkCycleAssign, classPayload, kindCycleAssign, true),
+	row[exchangeConfirmPayload](wkExchangeConfirm, classPayload, kindExchangeConfirm, true),
+	row[exchangeCancelPayload](wkExchangeCancel, classPayload, kindExchangeCancel, true),
+	row[mergeRequestPayload](wkMergeRequest, classPayload, kindMergeRequest, false),
+	row[mergeAcceptPayload](wkMergeAccept, classPayload, kindMergeAccept, false),
+	row[mergeRejectPayload](wkMergeReject, classPayload, kindMergeReject, false),
+	row[snapshotPayload](wkSnapshot, classPayload, kindSnapshot, false),
+	row[joinRedirectPayload](wkJoinRedirect, classPayload, kindJoinRedirect, false),
+
+	row[bcastOp](wkBcastOp, classOp, 0, false),
+	row[joinOp](wkJoinOp, classOp, 0, false),
+	row[leaveOp](wkLeaveOp, classOp, 0, false),
+	row[renounceOp](wkRenounceOp, classOp, 0, false),
+	row[evictVoteOp](wkEvictVoteOp, classOp, 0, false),
+	row[inputVoteOp](wkInputVoteOp, classOp, 0, false),
+	row[splitOp](wkSplitOp, classOp, 0, false),
+	row[walkStartOp](wkWalkStartOp, classOp, 0, false),
+	row[shuffleStartOp](wkShuffleStartOp, classOp, 0, false),
+	row[walkTimeoutOp](wkWalkTimeoutOp, classOp, 0, false),
+	row[mergeStartOp](wkMergeStartOp, classOp, 0, false),
+
+	row[SMREnvelope](wkSMREnvelope, classNodeMsg, 0, false),
+	row[Heartbeat](wkHeartbeat, classNodeMsg, 0, false),
+	row[JoinContact](wkJoinContact, classNodeMsg, 0, false),
+	row[ContactInfo](wkContactInfo, classNodeMsg, 0, false),
+	row[JoinRequest](wkJoinRequest, classNodeMsg, 0, false),
+	row[Renounce](wkRenounce, classNodeMsg, 0, false),
+	row[group.GroupMsg](wkGroupMsg, classNodeMsg, 0, false),
+
+	row[dolev.SlotMsg](wkSlotMsg, classSMRMsg, 0, false),
+	row[pbft.Request](wkPBFTRequest, classSMRMsg, 0, false),
+	row[pbft.PrePrepare](wkPBFTPrePrepare, classSMRMsg, 0, false),
+	row[pbft.Prepare](wkPBFTPrepare, classSMRMsg, 0, false),
+	row[pbft.Commit](wkPBFTCommit, classSMRMsg, 0, false),
+	row[pbft.Checkpoint](wkPBFTCheckpoint, classSMRMsg, 0, false),
+	row[pbft.ViewChange](wkPBFTViewChange, classSMRMsg, 0, false),
+	row[pbft.NewView](wkPBFTNewView, classSMRMsg, 0, false),
+}
+
+// The table's indexes, built once: by envelope tag, by group kind, by Go type.
+// They are read-only after package initialization, so lookups take no lock.
+var rowByTag, rowByKind, rowByType = indexWireRows(wireRows)
+
+func indexWireRows(rows []wireRow) (byTag [RawTagMin]*wireRow, byKind [1 << 8]*wireRow, byType map[reflect.Type]*wireRow) {
+	byType = make(map[reflect.Type]*wireRow, len(rows))
+	for i := range rows {
+		r, typ := &rows[i], reflect.TypeOf(rows[i].proto)
+		if r.tag == 0 || r.tag >= RawTagMin || byTag[r.tag] != nil || byType[typ] != nil ||
+			(r.kind != 0 && byKind[r.kind] != nil) {
+			panic(fmt.Sprintf("core: wire table row %d (%v, tag %d, kind %d) collides with an earlier row", i, typ, r.tag, r.kind))
+		}
+		byTag[r.tag], byType[typ] = r, r
+		if r.kind != 0 {
+			byKind[r.kind] = r
+		}
+	}
+	return byTag, byKind, byType
+}
+
+// rowOfValue returns the row that encodes v's type: an engine row, else a
+// registered application extension row, else nil.
+func rowOfValue(v any) *wireRow {
+	typ := reflect.TypeOf(v)
+	if r := rowByType[typ]; r != nil {
+		return r
+	}
+	rawReg.RLock()
+	defer rawReg.RUnlock()
+	return rawReg.byType[typ]
+}
+
+// rowOfTag returns the row of an envelope tag, or nil: the engine table below
+// RawTagMin, the application registry from there up.
+func rowOfTag(tag byte) *wireRow {
+	if tag < RawTagMin {
+		return rowByTag[tag]
+	}
+	rawReg.RLock()
+	defer rawReg.RUnlock()
+	return rawReg.byTag[tag]
+}
+
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// the type is not wire-codable. Frames build in pooled scratch and detach as
-// one exact-size allocation — envelope encoding is the per-payload hot path,
-// and throwaway encoders paid append-growth garbage on every message.
-func encodeWire(v any) ([]byte, bool) {
+// v's type has no row of an accepted class. Frames build in pooled scratch
+// and detach as one exact-size allocation — envelope encoding is the
+// per-payload hot path, and throwaway encoders paid append-growth garbage on
+// every message.
+func encodeWire(v any, accept wireClass) ([]byte, bool) {
+	r := rowOfValue(v)
+	if r == nil || r.class&accept == 0 {
+		return nil, false
+	}
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	hdr := func(kind byte) *wire.Encoder {
-		e.Byte(wireEnvMagic)
-		e.Byte(kind)
-		e.Byte(wireEnvV1)
-		return e
-	}
-	switch p := v.(type) {
-	case gossipPayload:
-		p.MarshalWire(hdr(wkGossip))
-	case walkPayload:
-		p.MarshalWire(hdr(wkWalk))
-	case walkAttachment:
-		p.MarshalWire(hdr(wkWalkAttachment))
-	case backwardPayload:
-		p.MarshalWire(hdr(wkBackward))
-	case walkResult:
-		p.MarshalWire(hdr(wkWalkResult))
-	case neighborUpdatePayload:
-		p.MarshalWire(hdr(wkNeighborUpdate))
-	case setNeighborPayload:
-		p.MarshalWire(hdr(wkSetNeighbor))
-	case cycleAssignPayload:
-		p.MarshalWire(hdr(wkCycleAssign))
-	case exchangeConfirmPayload:
-		p.MarshalWire(hdr(wkExchangeConfirm))
-	case exchangeCancelPayload:
-		p.MarshalWire(hdr(wkExchangeCancel))
-	case mergeRequestPayload:
-		p.MarshalWire(hdr(wkMergeRequest))
-	case mergeAcceptPayload:
-		p.MarshalWire(hdr(wkMergeAccept))
-	case mergeRejectPayload:
-		p.MarshalWire(hdr(wkMergeReject))
-	case snapshotPayload:
-		p.MarshalWire(hdr(wkSnapshot))
-	case joinRedirectPayload:
-		p.MarshalWire(hdr(wkJoinRedirect))
-	case bcastOp:
-		p.MarshalWire(hdr(wkBcastOp))
-	case joinOp:
-		p.MarshalWire(hdr(wkJoinOp))
-	case leaveOp:
-		p.MarshalWire(hdr(wkLeaveOp))
-	case renounceOp:
-		p.MarshalWire(hdr(wkRenounceOp))
-	case evictVoteOp:
-		p.MarshalWire(hdr(wkEvictVoteOp))
-	case inputVoteOp:
-		p.MarshalWire(hdr(wkInputVoteOp))
-	case splitOp:
-		p.MarshalWire(hdr(wkSplitOp))
-	case walkStartOp:
-		p.MarshalWire(hdr(wkWalkStartOp))
-	case shuffleStartOp:
-		p.MarshalWire(hdr(wkShuffleStartOp))
-	case walkTimeoutOp:
-		p.MarshalWire(hdr(wkWalkTimeoutOp))
-	case mergeStartOp:
-		p.MarshalWire(hdr(wkMergeStartOp))
-	case SMREnvelope:
-		inner, ok := encodeWire(p.Inner)
-		if !ok {
-			return nil, false
-		}
-		w := hdr(wkSMREnvelope)
-		w.Uint64(uint64(p.GroupID))
-		w.Uint64(p.Epoch)
-		w.VarBytes(inner)
-	case Heartbeat:
-		w := hdr(wkHeartbeat)
-		w.Uint64(uint64(p.GroupID))
-		w.Uint64(p.Epoch)
-	case JoinContact:
-		p.Joiner.MarshalWire(hdr(wkJoinContact))
-	case ContactInfo:
-		p.Comp.MarshalWire(hdr(wkContactInfo))
-	case JoinRequest:
-		w := hdr(wkJoinRequest)
-		p.Joiner.MarshalWire(w)
-		w.Uint64(uint64(p.Target))
-		w.Uint64(p.Nonce)
-		w.VarBytes(p.Sig)
-	case Renounce:
-		w := hdr(wkRenounce)
-		p.Node.MarshalWire(w)
-		w.Uint64(uint64(p.Target))
-		w.Uint64(p.Nonce)
-		w.VarBytes(p.Sig)
-	case group.GroupMsg:
-		p.MarshalWire(hdr(wkGroupMsg))
-	case dolev.SlotMsg:
-		p.MarshalWire(hdr(wkSlotMsg))
-	case pbft.Request:
-		p.MarshalWire(hdr(wkPBFTRequest))
-	case pbft.PrePrepare:
-		p.MarshalWire(hdr(wkPBFTPrePrepare))
-	case pbft.Prepare:
-		p.MarshalWire(hdr(wkPBFTPrepare))
-	case pbft.Commit:
-		p.MarshalWire(hdr(wkPBFTCommit))
-	case pbft.Checkpoint:
-		p.MarshalWire(hdr(wkPBFTCheckpoint))
-	case pbft.ViewChange:
-		p.MarshalWire(hdr(wkPBFTViewChange))
-	case pbft.NewView:
-		p.MarshalWire(hdr(wkPBFTNewView))
-	default:
-		// Application raw-message types registered in the extension-tag
-		// range (rawext.go) are wire-codable too.
-		return encodeRawWire(v)
-	}
+	e.Byte(wireEnvMagic)
+	e.Byte(r.tag)
+	e.Byte(wireEnvV1)
+	r.marshal(v, e)
 	return e.Detach(), true
 }
 
-// maxSMRNesting bounds SMREnvelope nesting (the engine nests exactly once;
-// hostile frames must not recurse decoders arbitrarily).
-const maxSMRNesting = 2
-
-// decodeWire reverses encodeWire and encodePayload. Hostile frames (unknown
-// tags, unsupported versions, truncation, trailing bytes, and the legacy gob
-// envelope, whose first byte is never the 0x00 magic) return an error, never
-// panic.
-func decodeWire(b []byte) (any, error) { return decodeWireDepth(b, 0) }
-
-func decodeWireDepth(b []byte, depth int) (any, error) {
+// openWire checks a frame's envelope header and returns the row of its tag
+// and the body. Hostile frames (unknown and retired tags, unsupported
+// versions, and the legacy gob envelope, whose first byte is never the 0x00
+// magic) return an error, never panic; so do truncation and trailing bytes
+// once the row's decoder runs.
+func openWire(b []byte) (*wireRow, []byte, error) {
 	if len(b) < 3 {
-		return nil, fmt.Errorf("core: wire envelope too short (%d bytes)", len(b))
+		return nil, nil, fmt.Errorf("core: wire envelope too short (%d bytes)", len(b))
 	}
 	if b[0] != wireEnvMagic {
-		return nil, fmt.Errorf("core: not a wire envelope (first byte %#x)", b[0])
+		return nil, nil, fmt.Errorf("core: not a wire envelope (first byte %#x)", b[0])
 	}
-	kind, version := b[1], b[2]
+	tag, version := b[1], b[2]
 	if version != wireEnvV1 {
-		return nil, fmt.Errorf("core: wire envelope kind %d: unsupported version %d", kind, version)
+		return nil, nil, fmt.Errorf("core: wire envelope kind %d: unsupported version %d", tag, version)
 	}
-	d := wire.NewDecoder(b[3:])
-	var v any
-	switch kind {
-	case wkGossip:
-		var p gossipPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkWalk:
-		var p walkPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkWalkAttachment:
-		var p walkAttachment
-		p.UnmarshalWire(d)
-		v = p
-	case wkBackward:
-		var p backwardPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkWalkResult:
-		var p walkResult
-		p.UnmarshalWire(d)
-		v = p
-	case wkNeighborUpdate:
-		var p neighborUpdatePayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkSetNeighbor:
-		var p setNeighborPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkCycleAssign:
-		var p cycleAssignPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkExchangeConfirm:
-		var p exchangeConfirmPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkExchangeCancel:
-		var p exchangeCancelPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkMergeRequest:
-		var p mergeRequestPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkMergeAccept:
-		var p mergeAcceptPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkMergeReject:
-		var p mergeRejectPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkSnapshot:
-		var p snapshotPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkJoinRedirect:
-		var p joinRedirectPayload
-		p.UnmarshalWire(d)
-		v = p
-	case wkBcastOp:
-		var p bcastOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkJoinOp:
-		var p joinOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkLeaveOp:
-		var p leaveOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkRenounceOp:
-		var p renounceOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkEvictVoteOp:
-		var p evictVoteOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkInputVoteOp:
-		var p inputVoteOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkSplitOp:
-		var p splitOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkWalkStartOp:
-		var p walkStartOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkShuffleStartOp:
-		var p shuffleStartOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkWalkTimeoutOp:
-		var p walkTimeoutOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkMergeStartOp:
-		var p mergeStartOp
-		p.UnmarshalWire(d)
-		v = p
-	case wkSMREnvelope:
-		if depth+1 >= maxSMRNesting {
-			return nil, fmt.Errorf("core: wire envelope nested too deep")
-		}
-		var p SMREnvelope
-		p.GroupID = ids.GroupID(d.Uint64())
-		p.Epoch = d.Uint64()
-		inner := d.VarBytes()
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("core: decode wire envelope kind %d: %w", kind, err)
-		}
-		iv, err := decodeWireDepth(inner, depth+1)
-		if err != nil {
-			return nil, fmt.Errorf("core: SMR envelope inner: %w", err)
-		}
-		p.Inner = iv
-		return p, nil
-	case wkHeartbeat:
-		var p Heartbeat
-		p.GroupID = ids.GroupID(d.Uint64())
-		p.Epoch = d.Uint64()
-		v = p
-	case wkJoinContact:
-		var p JoinContact
-		p.Joiner.UnmarshalWire(d)
-		v = p
-	case wkContactInfo:
-		var p ContactInfo
-		p.Comp.UnmarshalWire(d)
-		v = p
-	case wkJoinRequest:
-		var p JoinRequest
-		p.Joiner.UnmarshalWire(d)
-		p.Target = ids.GroupID(d.Uint64())
-		p.Nonce = d.Uint64()
-		p.Sig = d.VarBytes()
-		v = p
-	case wkRenounce:
-		var p Renounce
-		p.Node.UnmarshalWire(d)
-		p.Target = ids.GroupID(d.Uint64())
-		p.Nonce = d.Uint64()
-		p.Sig = d.VarBytes()
-		v = p
-	case wkGroupMsg:
-		var p group.GroupMsg
-		p.UnmarshalWire(d)
-		v = p
-	case wkSlotMsg:
-		var p dolev.SlotMsg
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTRequest:
-		var p pbft.Request
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTPrePrepare:
-		var p pbft.PrePrepare
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTPrepare:
-		var p pbft.Prepare
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTCommit:
-		var p pbft.Commit
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTCheckpoint:
-		var p pbft.Checkpoint
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTViewChange:
-		var p pbft.ViewChange
-		p.UnmarshalWire(d)
-		v = p
-	case wkPBFTNewView:
-		var p pbft.NewView
-		p.UnmarshalWire(d)
-		v = p
-	default:
-		if kind >= RawTagMin {
-			return decodeRawWire(kind, d)
-		}
-		return nil, fmt.Errorf("core: unknown wire envelope kind %d", kind)
+	r := rowOfTag(tag)
+	if r == nil && tag >= RawTagMin {
+		return nil, nil, fmt.Errorf("core: unregistered raw message tag %#x", tag)
 	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: decode wire envelope kind %d: %w", kind, err)
+	if r == nil {
+		return nil, nil, fmt.Errorf("core: unknown wire envelope kind %d", tag)
 	}
-	return v, nil
+	return r, b[3:], nil
+}
+
+// decodeWire decodes a frame whose type is of an accepted class.
+func decodeWire(b []byte, accept wireClass) (any, error) {
+	r, body, err := openWire(b)
+	if err != nil {
+		return nil, err
+	}
+	if r.class&accept == 0 {
+		return nil, fmt.Errorf("core: wire envelope kind %d is not accepted here", r.tag)
+	}
+	return r.decode(body)
+}
+
+// decodeKind decodes the payload of a group message of the given kind: the
+// frame's tag must be that kind's row. The carrier allowlist and the inbox
+// are keyed by kind, so a payload of another type must not ride in under it.
+func decodeKind(kind group.Kind, b []byte) (any, error) {
+	r, body, err := openWire(b)
+	if err != nil {
+		return nil, err
+	}
+	if r != rowByKind[kind] {
+		return nil, fmt.Errorf("core: wire envelope kind %d is not the payload of group kind %d", r.tag, kind)
+	}
+	return r.decode(body)
+}
+
+// decodeAs decodes a frame that must hold exactly a T.
+func decodeAs[T any](b []byte) (T, error) {
+	var zero T
+	r, body, err := openWire(b)
+	if err != nil {
+		return zero, err
+	}
+	if _, ok := r.proto.(T); !ok {
+		return zero, fmt.Errorf("core: wire envelope kind %d is not a %T", r.tag, zero)
+	}
+	v, err := r.decode(body)
+	if err != nil {
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // MessageCodec adapts the engine's wire envelope to byte-level transports
@@ -448,10 +362,109 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 type MessageCodec struct{}
 
 // EncodeMessage encodes one engine message as a wire-envelope frame.
-func (MessageCodec) EncodeMessage(msg actor.Message) ([]byte, bool) { return encodeWire(msg) }
+func (MessageCodec) EncodeMessage(msg actor.Message) ([]byte, bool) {
+	return encodeWire(msg, classAny)
+}
 
 // DecodeMessage reverses EncodeMessage.
-func (MessageCodec) DecodeMessage(b []byte) (actor.Message, error) { return decodeWire(b) }
+func (MessageCodec) DecodeMessage(b []byte) (actor.Message, error) {
+	return decodeWire(b, classAny)
+}
+
+// --- node-level messages ---
+
+// MarshalWire implements wire.Marshaler. Inner is framed as a nested wire
+// envelope and must be an SMR engine message: the replica is its only
+// producer, so anything else is an engine bug.
+func (m SMREnvelope) MarshalWire(e *wire.Encoder) {
+	inner, ok := encodeWire(m.Inner, classSMRMsg)
+	if !ok {
+		panic(fmt.Sprintf("core: SMREnvelope.Inner %T is not an SMR engine message", m.Inner))
+	}
+	e.Uint64(uint64(m.GroupID))
+	e.Uint64(m.Epoch)
+	e.VarBytes(inner)
+}
+
+// UnmarshalWire decodes an SMREnvelope. Only SMR engine messages may nest, so
+// an envelope cannot hold an envelope (or a snapshot, or an op).
+func (m *SMREnvelope) UnmarshalWire(d *wire.Decoder) {
+	m.GroupID = ids.GroupID(d.Uint64())
+	m.Epoch = d.Uint64()
+	inner := d.VarBytes()
+	if d.Err() != nil {
+		return
+	}
+	v, err := decodeWire(inner, classSMRMsg)
+	if err != nil {
+		d.Fail(fmt.Errorf("SMR envelope inner: %w", err))
+	}
+	m.Inner = v
+}
+
+// MarshalWire implements wire.Marshaler.
+func (m Heartbeat) MarshalWire(e *wire.Encoder) {
+	e.Uint64(uint64(m.GroupID))
+	e.Uint64(m.Epoch)
+}
+
+// UnmarshalWire decodes a Heartbeat.
+func (m *Heartbeat) UnmarshalWire(d *wire.Decoder) {
+	m.GroupID = ids.GroupID(d.Uint64())
+	m.Epoch = d.Uint64()
+}
+
+// MarshalWire implements wire.Marshaler.
+func (m JoinContact) MarshalWire(e *wire.Encoder) {
+	m.Joiner.MarshalWire(e)
+}
+
+// UnmarshalWire decodes a JoinContact.
+func (m *JoinContact) UnmarshalWire(d *wire.Decoder) {
+	m.Joiner.UnmarshalWire(d)
+}
+
+// MarshalWire implements wire.Marshaler.
+func (m ContactInfo) MarshalWire(e *wire.Encoder) {
+	m.Comp.MarshalWire(e)
+}
+
+// UnmarshalWire decodes a ContactInfo.
+func (m *ContactInfo) UnmarshalWire(d *wire.Decoder) {
+	m.Comp.UnmarshalWire(d)
+}
+
+// MarshalWire implements wire.Marshaler.
+func (m JoinRequest) MarshalWire(e *wire.Encoder) {
+	m.Joiner.MarshalWire(e)
+	e.Uint64(uint64(m.Target))
+	e.Uint64(m.Nonce)
+	e.VarBytes(m.Sig)
+}
+
+// UnmarshalWire decodes a JoinRequest.
+func (m *JoinRequest) UnmarshalWire(d *wire.Decoder) {
+	m.Joiner.UnmarshalWire(d)
+	m.Target = ids.GroupID(d.Uint64())
+	m.Nonce = d.Uint64()
+	m.Sig = d.VarBytes()
+}
+
+// MarshalWire implements wire.Marshaler.
+func (m Renounce) MarshalWire(e *wire.Encoder) {
+	m.Node.MarshalWire(e)
+	e.Uint64(uint64(m.Target))
+	e.Uint64(m.Nonce)
+	e.VarBytes(m.Sig)
+}
+
+// UnmarshalWire decodes a Renounce.
+func (m *Renounce) UnmarshalWire(d *wire.Decoder) {
+	m.Node.UnmarshalWire(d)
+	m.Target = ids.GroupID(d.Uint64())
+	m.Nonce = d.Uint64()
+	m.Sig = d.VarBytes()
+}
 
 // --- canonical field encodings, one per payload kind ---
 

@@ -1,12 +1,19 @@
 package core
 
-// Coverage for the wire payload envelope (wirecodec.go): per-kind round
-// trips, the kind-registry drift check, hostile-input rejection (including
-// the legacy gob envelope, which the engine no longer accepts) and fuzz.
+// Coverage for the wire payload envelope (wirecodec.go): per-row round trips
+// and golden bytes, the wire-type table's invariants and its copy in
+// docs/WIRE.md, hostile-input rejection (including the legacy gob envelope,
+// which the engine no longer accepts) and fuzz.
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,14 +205,14 @@ func fullMessageValues() []any {
 // and message kind through the wire envelope.
 func TestWireEnvelopeRoundTrip(t *testing.T) {
 	for _, v := range append(fullPayloadValues(), fullMessageValues()...) {
-		b, ok := encodeWire(v)
+		b, ok := encodeWire(v, classAny)
 		if !ok {
 			t.Fatalf("%T: not wire-codable", v)
 		}
 		if b[0] != wireEnvMagic {
 			t.Fatalf("%T: frame does not start with the envelope magic", v)
 		}
-		got, err := decodeWire(b)
+		got, err := decodeWire(b, classAny)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", v, err)
 		}
@@ -219,7 +226,7 @@ func TestWireEnvelopeRoundTrip(t *testing.T) {
 // message length, so the legacy envelope fails the magic check with a
 // descriptive error instead of being misread as a wire frame.
 func TestLegacyGobEnvelopeRejected(t *testing.T) {
-	_, err := decodeWire(legacyGobEnvelope)
+	_, err := decodeWire(legacyGobEnvelope, classAny)
 	if err == nil || !strings.Contains(err.Error(), "not a wire envelope") {
 		t.Fatalf("legacy gob envelope: err = %v, want the magic-check rejection", err)
 	}
@@ -246,7 +253,7 @@ var retiredTreeEnvelopes = map[string][]byte{
 // decoding into whatever payload might one day sit there.
 func TestRetiredTreeEnvelopesRejected(t *testing.T) {
 	for name, frame := range retiredTreeEnvelopes {
-		v, err := decodeWire(frame)
+		v, err := decodeWire(frame, classAny)
 		if err == nil || !strings.Contains(err.Error(), "unknown wire envelope kind") {
 			t.Errorf("%s (tag %d): decoded to %T, err = %v; want the unknown-tag rejection", name, frame[1], v, err)
 		}
@@ -265,42 +272,203 @@ func TestWireEnvelopeDeterministic(t *testing.T) {
 	}
 }
 
-// TestKindPayloadRegistry catches the add-a-payload-forget-to-register bug:
-// every group-message kind* constant must map to a payload type the wire
-// codec handles. kindBatch and kindRaw are the deliberate exceptions (their
-// payloads are a group-layer batch frame and an application extension frame
-// respectively).
-func TestKindPayloadRegistry(t *testing.T) {
-	for k := kindGossip; k <= kindRaw; k++ {
-		if k == kindBatch || k == kindRaw {
-			if _, ok := kindPayloads[k]; ok {
-				t.Fatalf("kind %d must not be in kindPayloads (carrier/extension frames are not engine payloads)", k)
-			}
+// goldenFrames holds, for every value of fullPayloadValues ∪
+// fullMessageValues, the frame the switch-based encoder of the last commit
+// that had one produced (as length and SHA-256): the table-driven codec must
+// emit the same bytes for all 41 rows.
+var goldenFrames = []struct {
+	tag    byte
+	typ    string
+	length int
+	sha256 string
+}{
+	{1, "core.gossipPayload", 62, "ec9f437021fe1085669bd8318d5f328f5a2267867c48c5ac3d31bc8cdc447f4a"},
+	{2, "core.walkPayload", 375, "0d45d4bfc22f8de8bd867700ca00518343b8194b9bb7fdd2ef2f8672228f7816"},
+	{3, "core.walkAttachment", 259, "2b65fdc344c7d642f7a1772c7d94f25f5bfba8a3dea68780419fe70ce9e12a6e"},
+	{4, "core.backwardPayload", 261, "68f66b4ba6de842ca2ce2b028eb9335c101ed4ca8805f2c91bbe70cf5babce71"},
+	{5, "core.walkResult", 181, "d55e066a94dd27d68d58e39dddfe6bfd0115bbe892a9ce74f0ad157ad30a88ef"},
+	{6, "core.neighborUpdatePayload", 111, "f8133c3c896b6100af74cef464b9b6c71745c0878dd7b4715f004d9b448c5e62"},
+	{7, "core.setNeighborPayload", 92, "dbef9f9c049ccf0b7c705e29e0010e563b126aaf9afda722a9a0771c12073c8a"},
+	{8, "core.cycleAssignPayload", 171, "0e0dae510161b99c88d0f7c0338394a7429486cac82611afa9407ed89b27345a"},
+	{9, "core.exchangeConfirmPayload", 199, "0a843016788820b9d7a99700dc2b07ad35968289c9e8e200d444ed413dcfe6a4"},
+	{10, "core.exchangeCancelPayload", 35, "0bcd1c86df10449421f43a04d34f8518e7b44371df43d61a792113cad55ef3b2"},
+	{11, "core.mergeRequestPayload", 83, "4083680c20b2875be3e36ab7a336e79082d641214b259beb8c6537b7010f8357"},
+	{12, "core.mergeAcceptPayload", 111, "74c0790c62aa614bf6cd61f0c329469a543f4179d52e122481f495ef84775519"},
+	{13, "core.mergeRejectPayload", 4, "c61bc2b6bf6d05f4629399c352dcd5acd3844ee8f37e34eb0429f74b599c41c4"},
+	{14, "core.snapshotPayload", 875, "421ff0c31d7d67358743e4bc9334827da5869b0b55bb953a1e470b451d37c28d"},
+	{15, "core.joinRedirectPayload", 357, "e18d39fd6504715bcc3647b3a5e3b1190b20173746dcf21ca61ca5abcc363fe9"},
+	{16, "core.bcastOp", 52, "be5b9360da3b2a8fe636655c026432b3546ff93e1ffc1d7beb05fb5c18206f07"},
+	{17, "core.joinOp", 45, "155d97f536ff4899051d794b6eb973862e9078b6ed4738d90edc2ccf58897b80"},
+	{18, "core.leaveOp", 19, "a6582e5adf8feff6cda4e653c0fade51dcdee132891f0a175db12d206ef15e1c"},
+	{19, "core.renounceOp", 53, "c240214400691437e88e440962d812719de722cc39d39f2a1a5d6220871bf741"},
+	{20, "core.evictVoteOp", 27, "ce8f8810edd2f815d5ec55562a3fec4e4ac2f644ddce043dc8aea33962084808"},
+	{21, "core.inputVoteOp", 59, "29116c6c89e5a9318d0cbfe5c3503abc9d538d0c38933d12a1d3a506ddbd8809"},
+	{22, "core.splitOp", 19, "cc0c86cce78846e283e6e3b42c0863f3982da41988cc3122187a08f5248218f4"},
+	{23, "core.walkStartOp", 178, "110ef9ff93570decb08c0da5e03215b63fd1bf150baf920b57f1c660c62c09a1"},
+	{24, "core.shuffleStartOp", 19, "1f5ca4639167f24aaf60d64d91ad1040b42cf656d9c5a3ecd96d818ab22e7628"},
+	{25, "core.walkTimeoutOp", 35, "d3a676b1f549c79c7420a84326290ac7aef62b77af6277f8c44b56d65fff006e"},
+	{26, "core.mergeStartOp", 27, "0b9b8a90042bd3ebef4d0e395bea4b48f3c6630b969a18ac1d90e4578320cbda"},
+	{27, "core.SMREnvelope", 102, "38b2f49d19d3aca905265742012c3ba3805be413b7e23b5016208dbd569ced57"},
+	{28, "core.Heartbeat", 19, "43117becb0418f371d3bdb030a0c76f59c30b59507723092602dcb781e7b027b"},
+	{29, "core.JoinContact", 31, "e05b87b5a52bbd49faebc2805cbf3b48a3964507fd55dcc0c5b9072399450d34"},
+	{30, "core.ContactInfo", 111, "71a84564ce6cf531c3d6bef5bc993e1caa78b78eebc15880744a2828fbb33ed4"},
+	{31, "core.JoinRequest", 53, "89b4d7fe8a7b17a7188d37b1364a0d0b733c99aa0372e6e666cb129d0d9b3e2a"},
+	{32, "core.Renounce", 53, "f4ef681747923ea509b0188730e3fdb9d8af7292db63f932306c0f212e5eea4f"},
+	{33, "group.GroupMsg", 114, "950a217e2c8d5e99a88d2d0bc569afab1caf15a098789089cbb13918d188c0de"},
+	{34, "dolev.SlotMsg", 115, "74bcf036144d8687daa9b599cad49559d130043075da70c5f3e6b2647ef94db1"},
+	{35, "pbft.Request", 42, "fa66a0032b9ee10865c4d044b27e6623013c842a993400a898acb2b3e59b0227"},
+	{36, "pbft.PrePrepare", 117, "12dd0653c18a19fdc8092c5d620a7fe0dea32d244f33b9e6b0abed759d5eb85d"},
+	{37, "pbft.Prepare", 67, "52e46bcf6145fe38a02c5252d9b82c9365ee8a574bf2bda5ceca89421c7676af"},
+	{38, "pbft.Commit", 67, "2a56321bb01f6fa859e195fac1b89568e93f50753969e26a67acf65ef06040bc"},
+	{39, "pbft.Checkpoint", 59, "3ed8e37388ffccaefe86ecf1240466cf669e96b0e095ceccd9c673a46bf902b6"},
+	{40, "pbft.ViewChange", 129, "d9047420929720b65386c1d1870ba59e6b4dd1c4f45a09b4f1e62e1fab570669"},
+	{41, "pbft.NewView", 275, "a6f3ff4054f6500c870bb3f78b7e4cff24b6fed221a762fd44146f67de0dd16c"},
+}
+
+// TestWireGoldenFrames is the byte-identity proof for the table-driven codec:
+// every row's populated value encodes to the committed frame of the encoder it
+// replaced, and that frame decodes back to the value.
+func TestWireGoldenFrames(t *testing.T) {
+	values := map[string]any{}
+	for _, v := range append(fullPayloadValues(), fullMessageValues()...) {
+		values[fmt.Sprintf("%T", v)] = v
+	}
+	if len(goldenFrames) != len(wireRows) || len(values) != len(wireRows) {
+		t.Fatalf("%d golden frames and %d populated values for %d table rows", len(goldenFrames), len(values), len(wireRows))
+	}
+	for _, g := range goldenFrames {
+		v, ok := values[g.typ]
+		if !ok {
+			t.Fatalf("no populated value of type %s", g.typ)
+		}
+		b, ok := encodeWire(v, classAny)
+		if !ok {
+			t.Fatalf("%s: not wire-codable", g.typ)
+		}
+		if sum := sha256.Sum256(b); b[1] != g.tag || len(b) != g.length || hex.EncodeToString(sum[:]) != g.sha256 {
+			t.Errorf("%s: frame (tag %d, %d bytes, sha256 %x) differs from the golden one (tag %d, %d bytes, %s)",
+				g.typ, b[1], len(b), sum, g.tag, g.length, g.sha256)
 			continue
 		}
-		proto, ok := kindPayloads[k]
-		if !ok {
-			t.Fatalf("kind %d has no entry in kindPayloads — new payload kind not registered", k)
-		}
-		// Wire codec must cover it and give back the same concrete type.
-		b, ok := encodeWire(proto)
-		if !ok {
-			t.Fatalf("kind %d: payload type %T missing from the wire tag table", k, proto)
-		}
-		v, err := decodeWire(b)
-		if err != nil {
-			t.Fatalf("kind %d: wire decode of %T: %v", k, proto, err)
-		}
-		if reflect.TypeOf(v) != reflect.TypeOf(proto) {
-			t.Fatalf("kind %d: wire round-trip changed type %T -> %T", k, proto, v)
+		got, err := decodeWire(b, classAny)
+		if err != nil || !reflect.DeepEqual(got, v) {
+			t.Errorf("%s: golden frame decodes to %+v (err %v), want %+v", g.typ, got, err, v)
 		}
 	}
-	// Kinds 17–19 (the dissemination tree's) are retired and must stay
-	// unassigned: a new kind takes 20.
-	for k := group.Kind(17); k <= 19; k++ {
-		if _, ok := kindPayloads[k]; ok || batchableKinds[k] || unbatchedKinds[k] {
-			t.Fatalf("retired kind %d is registered again", k)
+}
+
+// TestWireTableInvariants pins what the deleted hand-kept lists and their two
+// analyzers used to keep consistent, now properties of the one table: the
+// committed tag list, one row per type, the class of each tag range, one
+// payload row per group kind (the carriers kindBatch and kindRaw aside), and
+// the carrier allowlist, both sides spelled out so a flipped bool fails.
+func TestWireTableInvariants(t *testing.T) {
+	types := map[reflect.Type]bool{}
+	var tags []int
+	for _, r := range wireRows {
+		tags = append(tags, int(r.tag))
+		types[reflect.TypeOf(r.proto)] = true
+		var want wireClass
+		switch {
+		case r.tag <= wkJoinRedirect:
+			want = classPayload
+		case r.tag <= wkMergeStartOp:
+			want = classOp
+		case r.tag <= wkGroupMsg:
+			want = classNodeMsg
+		default:
+			want = classSMRMsg
 		}
+		if r.class != want {
+			t.Errorf("tag %d (%T): class %d, want %d", r.tag, r.proto, r.class, want)
+		}
+		if (r.kind != 0) != (r.class == classPayload && r.tag != wkWalkAttachment) {
+			t.Errorf("tag %d (%T): group kind %d; exactly the payloads other than walkAttachment have one", r.tag, r.proto, r.kind)
+		}
+		if rowByTag[r.tag] == nil || rowByTag[r.tag].tag != r.tag || rowByType[reflect.TypeOf(r.proto)] != rowByTag[r.tag] {
+			t.Errorf("tag %d (%T): tag and type indexes disagree", r.tag, r.proto)
+		}
+	}
+	slices.Sort(tags)
+	var want []int
+	for tag := 1; tag <= 41; tag++ {
+		want = append(want, tag)
+	}
+	if !slices.Equal(tags, want) {
+		t.Errorf("table tags = %v, want exactly 1..41", tags)
+	}
+	if len(types) != len(wireRows) {
+		t.Errorf("%d distinct Go types in %d rows", len(types), len(wireRows))
+	}
+	for tag := 42; tag < int(RawTagMin); tag++ {
+		if rowByTag[tag] != nil {
+			t.Errorf("tag %d has a row: 42–44 are retired, and a new tag needs this test's list extended", tag)
+		}
+	}
+
+	carrierOK := []group.Kind{kindGossip, kindWalk, kindWalkBackward, kindNeighborUpdate,
+		kindSetNeighbor, kindCycleAssign, kindExchangeConfirm, kindExchangeCancel}
+	standaloneOnly := []group.Kind{kindWalkResult, kindMergeRequest, kindMergeAccept,
+		kindMergeReject, kindSnapshot, kindJoinRedirect}
+	for k := 0; k < len(rowByKind); k++ {
+		kind := group.Kind(k)
+		rows := 0
+		for _, r := range wireRows {
+			if r.kind == kind && kind != 0 { // kind 0 is a row's "no group kind"
+				rows++
+			}
+		}
+		r := rowByKind[kind]
+		switch {
+		case slices.Contains(carrierOK, kind):
+			if rows != 1 || r == nil || !r.carrierOK {
+				t.Errorf("kind %d: %d rows, carrier-deliverable %v; want one row a carrier may deliver", kind, rows, r != nil && r.carrierOK)
+			}
+		case slices.Contains(standaloneOnly, kind):
+			if rows != 1 || r == nil || r.carrierOK {
+				t.Errorf("kind %d: %d rows, carrier-deliverable %v; want one row a carrier may not deliver", kind, rows, r != nil && r.carrierOK)
+			}
+		default:
+			// 0, the carriers kindBatch and kindRaw (their payloads are a batch
+			// frame and an extension frame), the retired 17–19, and everything
+			// never assigned.
+			if rows != 0 || r != nil {
+				t.Errorf("kind %d has a row; only kindGossip..kindJoinRedirect carry enveloped engine payloads", kind)
+			}
+		}
+	}
+	if len(carrierOK)+len(standaloneOnly) != int(kindRaw)-2 {
+		t.Errorf("the two lists above cover %d kinds, want every kind in kindGossip..kindRaw but kindBatch and kindRaw",
+			len(carrierOK)+len(standaloneOnly))
+	}
+}
+
+// TestWireDocTagTable keeps the tag table of docs/WIRE.md in step with the
+// code's: every (tag, type) pair of either must be in the other.
+func TestWireDocTagTable(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "Current engine assignments")
+	if !ok {
+		t.Fatal("docs/WIRE.md: no \"Current engine assignments\" table")
+	}
+	section, _, _ = strings.Cut(section, "\n\n**")
+	inDoc := map[int]string{}
+	for _, m := range regexp.MustCompile(`\|\s*(\d+)\s*\|\s*([\w.]+)\s*\|`).FindAllStringSubmatch(section, -1) {
+		tag, _ := strconv.Atoi(m[1])
+		if prev, dup := inDoc[tag]; dup {
+			t.Errorf("docs/WIRE.md lists tag %d twice (%s, %s)", tag, prev, m[2])
+		}
+		inDoc[tag] = m[2]
+	}
+	inCode := map[int]string{}
+	for _, r := range wireRows {
+		inCode[int(r.tag)] = strings.TrimPrefix(reflect.TypeOf(r.proto).String(), "core.")
+	}
+	if !reflect.DeepEqual(inDoc, inCode) {
+		t.Errorf("docs/WIRE.md tag table and wireRows differ:\n doc  %v\n code %v", inDoc, inCode)
 	}
 }
 
@@ -308,31 +476,31 @@ func TestKindPayloadRegistry(t *testing.T) {
 func TestWireEnvelopeRejectsHostileInput(t *testing.T) {
 	good := encodePayload(gossipPayload{BcastID: wcDigest(1), Origin: 1, Data: []byte("x"), Hops: 1})
 
-	if _, err := decodeWire(nil); err == nil {
+	if _, err := decodeWire(nil, classAny); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := decodeWire(good[:2]); err == nil {
+	if _, err := decodeWire(good[:2], classAny); err == nil {
 		t.Fatal("headerless frame accepted")
 	}
 	bad := append([]byte(nil), good...)
 	bad[2] = 99
-	if _, err := decodeWire(bad); err == nil {
+	if _, err := decodeWire(bad, classAny); err == nil {
 		t.Fatal("unsupported version accepted")
 	}
 	bad = append([]byte(nil), good...)
 	bad[1] = 250
-	if _, err := decodeWire(bad); err == nil {
+	if _, err := decodeWire(bad, classAny); err == nil {
 		t.Fatal("unknown kind tag accepted")
 	}
-	if _, err := decodeWire(good[:len(good)-1]); err == nil {
+	if _, err := decodeWire(good[:len(good)-1], classAny); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
-	if _, err := decodeWire(append(append([]byte(nil), good...), 0)); err == nil {
+	if _, err := decodeWire(append(append([]byte(nil), good...), 0), classAny); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	// Deep SMREnvelope nesting must be cut off, not recursed.
-	inner, _ := encodeWire(Heartbeat{GroupID: 1, Epoch: 1})
-	for i := 0; i < 8; i++ {
+	// Only SMR engine messages nest in an SMREnvelope: not another envelope,
+	// not a node-level message.
+	envelope := func(inner []byte) []byte {
 		var e wire.Encoder
 		e.Byte(wireEnvMagic)
 		e.Byte(wkSMREnvelope)
@@ -340,16 +508,69 @@ func TestWireEnvelopeRejectsHostileInput(t *testing.T) {
 		e.Uint64(1)
 		e.Uint64(1)
 		e.VarBytes(inner)
-		inner = e.Bytes()
+		return e.Bytes()
 	}
-	if _, err := decodeWire(inner); err == nil {
-		t.Fatal("deeply nested SMR envelope accepted")
+	slot := envelope(encodePayload(dolev.SlotMsg{GroupID: 1, Epoch: 1}))
+	if _, err := decodeWire(slot, classAny); err != nil {
+		t.Fatalf("SMR envelope around a slot message: %v", err)
+	}
+	for _, inner := range [][]byte{slot, encodePayload(Heartbeat{GroupID: 1, Epoch: 1}), encodePayload(snapshotPayload{})} {
+		if v, err := decodeWire(envelope(inner), classAny); err == nil {
+			t.Fatalf("SMR envelope around a tag-%d frame accepted: %+v", inner[1], v)
+		}
 	}
 }
 
-// FuzzDecodePayload: arbitrary bytes must never panic the decoder.
+// TestDecodeEntryPointsRefuseForeignFrames: each typed entry point refuses a
+// well-formed frame of another class, kind or type from its header alone — the
+// frames here are headers without a body, so reaching a body decoder would
+// report a short buffer instead.
+func TestDecodeEntryPointsRefuseForeignFrames(t *testing.T) {
+	header := func(tag byte) []byte { return []byte{wireEnvMagic, tag, wireEnvV1} }
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || strings.Contains(err.Error(), "short buffer") {
+			t.Errorf("%s: err = %v, want a refusal before the body is read", what, err)
+		}
+	}
+	for _, tag := range []byte{wkGossip, wkHeartbeat, wkSMREnvelope, wkSlotMsg} {
+		_, err := decodeWire(header(tag), classOp)
+		refused(fmt.Sprintf("tag %d as an SMR op", tag), err)
+	}
+	for _, tag := range []byte{wkMergeRequest, wkSnapshot, wkBcastOp, wkWalkAttachment} {
+		_, err := decodeKind(kindGossip, header(tag))
+		refused(fmt.Sprintf("tag %d under kindGossip", tag), err)
+	}
+	for _, kind := range []group.Kind{0, kindBatch, kindRaw, 17, 200} {
+		_, err := decodeKind(kind, header(wkGossip))
+		refused(fmt.Sprintf("a gossip frame under kind %d", kind), err)
+		_, err = decodeKind(kind, header(wkBcastOp))
+		refused(fmt.Sprintf("an op frame under kind %d", kind), err)
+	}
+	_, err := decodeAs[walkResult](header(wkSnapshot))
+	refused("a snapshot frame as walkResult", err)
+	_, err = decodeAs[walkAttachment](header(wkJoinRedirect))
+	refused("a redirect frame as walkAttachment", err)
+	_, err = decodeWire(header(wkGossip), classExt)
+	refused("an engine frame as an extension frame", err)
+
+	// The matching frame gets through each of them.
+	if _, err := decodeKind(kindMergeReject, encodePayload(mergeRejectPayload{Busy: true})); err != nil {
+		t.Errorf("a merge-reject frame under kindMergeReject: %v", err)
+	}
+	if p, err := decodeAs[mergeRejectPayload](encodePayload(mergeRejectPayload{Busy: true})); err != nil || !p.Busy {
+		t.Errorf("a merge-reject frame as mergeRejectPayload: %+v, %v", p, err)
+	}
+	if _, err := decodeWire(encodePayload(splitOp{GroupID: 1}), classOp); err != nil {
+		t.Errorf("a split op as an SMR op: %v", err)
+	}
+}
+
+// FuzzDecodePayload: arbitrary bytes must never panic the decoder, through
+// any of its entry points. The seeds are one populated frame per table row
+// plus the hostile shapes.
 func FuzzDecodePayload(f *testing.F) {
-	for _, v := range fullPayloadValues() {
+	for _, v := range append(fullPayloadValues(), fullMessageValues()...) {
 		f.Add(encodePayload(v))
 	}
 	f.Add(legacyGobEnvelope)
@@ -375,12 +596,22 @@ func FuzzDecodePayload(f *testing.F) {
 		})
 	f.Add(encodePayload(carrier))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decodeWire(data)
-		if err == nil && v != nil {
-			// Whatever decoded must re-encode without panicking (it is an
-			// engine type by construction).
-			if _, ok := encodeWire(v); !ok {
-				t.Fatalf("decoded %T is not wire-codable", v)
+		v, err := decodeWire(data, classAny)
+		if err != nil {
+			v = nil
+		} else if _, ok := encodeWire(v, classAny); !ok {
+			// Whatever decoded is an engine type by construction and must
+			// re-encode without panicking.
+			t.Fatalf("decoded %T is not wire-codable", v)
+		}
+		// The narrower entry points accept a subset of that, and only what
+		// they name.
+		if op, err := decodeWire(data, classOp); err == nil && (v == nil || rowByType[reflect.TypeOf(op)].class != classOp) {
+			t.Fatalf("op-only decode accepted %T (any-class decode: %T)", op, v)
+		}
+		for k := group.Kind(0); k <= kindRaw+4; k++ {
+			if p, err := decodeKind(k, data); err == nil && (v == nil || rowByKind[k] != rowByType[reflect.TypeOf(p)]) {
+				t.Fatalf("decode by kind %d accepted %T (any-class decode: %T)", k, p, v)
 			}
 		}
 	})

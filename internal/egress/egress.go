@@ -202,8 +202,12 @@ type Config struct {
 	Flush func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem)
 }
 
-// Stats counts scheduler activity (tests and experiments).
+// Stats is a snapshot of the scheduler (Snapshot).
 type Stats struct {
+	// Dests lists every tracked node-addressed destination, sorted by node
+	// ID. Group-addressed (protocol) queues are unbounded and not listed.
+	Dests []DestStats
+	// Aggregate counters across all destinations, group queues included.
 	Enqueued        uint64 // items accepted
 	Immediate       uint64 // items transmitted without queueing (idle fast path)
 	Flushes         uint64 // queued batches transmitted
@@ -214,10 +218,12 @@ type Stats struct {
 
 // DestStats is one node-addressed destination's flow-control snapshot.
 type DestStats struct {
-	Node            ids.NodeID
-	Depth           int           // items currently queued
-	Bytes           int           // queued payload bytes (incl. framing)
-	Gap             time.Duration // smoothed inter-arrival gap
+	Node  ids.NodeID
+	Depth int // items currently queued
+	Bytes int // queued payload bytes (incl. framing)
+	// ArrivalGap is the smoothed inter-arrival gap of sends to this
+	// destination (the adaptive flush window's input).
+	ArrivalGap      time.Duration
 	Level           Level
 	Flushes         uint64
 	DroppedOverflow uint64
@@ -805,21 +811,18 @@ func (s *Scheduler) Pending() (dests, items int) {
 	return len(s.pend), items
 }
 
-// Stats returns a snapshot of the scheduler counters.
-func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Snapshot returns the flow-control state of every tracked node-addressed
-// destination (sorted by node ID) plus the aggregate counters. The returned
-// slice is freshly allocated; callers own it.
-func (s *Scheduler) Snapshot() ([]DestStats, Stats) {
-	var out []DestStats
+// Snapshot returns the aggregate counters plus the flow-control state of
+// every tracked node-addressed destination. Dests is freshly allocated;
+// callers own it.
+func (s *Scheduler) Snapshot() Stats {
+	out := s.stats
 	for k, a := range s.arr {
 		if k.node == 0 {
 			continue
 		}
 		d := DestStats{
 			Node:            k.node,
-			Gap:             a.gap,
+			ArrivalGap:      a.gap,
 			Level:           a.level,
 			Flushes:         a.flushes,
 			DroppedOverflow: a.dropOver,
@@ -828,8 +831,8 @@ func (s *Scheduler) Snapshot() ([]DestStats, Stats) {
 		if q := s.pend[k]; q != nil {
 			d.Depth, d.Bytes = len(q.items), q.bytes
 		}
-		out = append(out, d)
+		out.Dests = append(out.Dests, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out, s.stats
+	sort.Slice(out.Dests, func(i, j int) bool { return out.Dests[i].Node < out.Dests[j].Node })
+	return out
 }

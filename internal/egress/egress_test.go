@@ -75,7 +75,7 @@ func TestIdleSendsImmediately(t *testing.T) {
 	if len(h.flushes) != 6 {
 		t.Fatalf("sparse arrivals queued: %d flushes, want 6", len(h.flushes))
 	}
-	if got := h.s.Stats().Immediate; got != 6 {
+	if got := h.s.Snapshot().Immediate; got != 6 {
 		t.Fatalf("Immediate = %d, want 6", got)
 	}
 }
@@ -312,7 +312,7 @@ func TestStatsAccounting(t *testing.T) {
 		h.s.EnqueueGroup(src, dst, item(byte(k)), true)
 	}
 	h.s.FlushAll()
-	st := h.s.Stats()
+	st := h.s.Snapshot()
 	if st.Enqueued != 5 || st.Flushes != 1 || st.Items != 5 || st.Immediate != 0 {
 		t.Fatalf("stats = %+v", st)
 	}

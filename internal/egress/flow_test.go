@@ -185,7 +185,7 @@ func TestOverflowEvictsLowerClassFirst(t *testing.T) {
 	if err := fh.s.EnqueueNodeWith(src, dest, item(0xBB), ClassData, 0); err != nil {
 		t.Fatalf("higher-priority item rejected: %v", err)
 	}
-	st := fh.s.Stats()
+	st := fh.s.Snapshot()
 	if st.DroppedOverflow != 2 { // the rejected bulk + the evicted bulk
 		t.Fatalf("DroppedOverflow = %d, want 2", st.DroppedOverflow)
 	}
@@ -234,7 +234,7 @@ func TestExpiredItemsDroppedAtFlush(t *testing.T) {
 			}
 		}
 	}
-	st := fh.s.Stats()
+	st := fh.s.Snapshot()
 	if st.DroppedExpired != 1 {
 		t.Fatalf("DroppedExpired = %d, want 1", st.DroppedExpired)
 	}
@@ -248,8 +248,8 @@ func TestExpiredItemsDroppedAtFlush(t *testing.T) {
 	if len(last.items) != 1 || last.items[0].Payload[0] != 2 {
 		t.Fatalf("group expiry: flushed %d items (%v), want only the durable one", len(last.items), last.items)
 	}
-	if fh.s.Stats().DroppedExpired != 2 {
-		t.Fatalf("DroppedExpired = %d, want 2", fh.s.Stats().DroppedExpired)
+	if fh.s.Snapshot().DroppedExpired != 2 {
+		t.Fatalf("DroppedExpired = %d, want 2", fh.s.Snapshot().DroppedExpired)
 	}
 }
 
@@ -259,7 +259,8 @@ func TestSnapshotReportsDestState(t *testing.T) {
 	fh := newFlowHarness(64, 8, 5*time.Millisecond)
 	fh.floodNode(77, 12, ClassBulk) // 1 immediate, 8 queued (limit), 3 rejected
 	fh.s.EnqueueGroup(comp(1, 1), comp(2, 1), item(1), true)
-	dests, totals := fh.s.Snapshot()
+	totals := fh.s.Snapshot()
+	dests := totals.Dests
 	if len(dests) != 1 || dests[0].Node != 77 {
 		t.Fatalf("snapshot dests = %+v, want exactly node 77", dests)
 	}

@@ -1,11 +1,11 @@
 // Package lint assembles the repo's custom analyzers — the atumvet
 // suite. The analyzers encode invariants the type system cannot. Three
 // are syntactic: wire codec symmetry (wiresym), zero-copy view lifetimes
-// (retainview), and the determinism scope (detclock). Four are
+// (retainview), and the determinism scope (detclock). Three are
 // type-aware, built on the go/types layer in internal/lint/analysis:
 // actor confinement of engine state (actorconfine), the single-egress
-// send boundary (egressonly), clone-on-return ownership of the API
-// surface (aliasret), and wire kind-registry coverage (kindcover).
+// send boundary (egressonly), and clone-on-return ownership of the API
+// surface (aliasret).
 // cmd/atumvet runs them from the command line and CI; the regression
 // test in cmd/atumvet keeps the tree at zero findings.
 package lint
@@ -16,7 +16,6 @@ import (
 	"atum/internal/lint/analysis"
 	"atum/internal/lint/detclock"
 	"atum/internal/lint/egressonly"
-	"atum/internal/lint/kindcover"
 	"atum/internal/lint/retainview"
 	"atum/internal/lint/wiresym"
 )
@@ -30,6 +29,5 @@ func Analyzers() []*analysis.Analyzer {
 		actorconfine.Analyzer,
 		egressonly.Analyzer,
 		aliasret.Analyzer,
-		kindcover.Analyzer,
 	}
 }

@@ -10,13 +10,6 @@
 // divergence (the hazard class the gob→wire migration removed). Round-
 // trip tests catch most drift; wiresym catches it at compile time,
 // including in pairs no test happens to exercise.
-//
-// It additionally checks the engine's envelope registry for kind-tag
-// drift: in a package defining encodeWire (a type switch tagging each
-// payload type with a wk* constant) and decodeWire (the switch mapping
-// tags back to types), every type↔tag mapping must agree in both
-// directions — the compile-time generalization of the runtime
-// TestKindPayloadRegistry.
 package wiresym
 
 import (
@@ -31,7 +24,7 @@ import (
 // Analyzer is the wiresym pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wiresym",
-	Doc:  "check MarshalWire/UnmarshalWire pairs encode and decode the same field sequence, and encodeWire/decodeWire for kind-tag registry drift",
+	Doc:  "check MarshalWire/UnmarshalWire pairs encode and decode the same field sequence",
 	Run:  run,
 }
 
@@ -65,7 +58,7 @@ var decMethods = map[string]string{
 
 // Codec methods that move no wire bytes: bookkeeping, never ops.
 var ignoreMethods = map[string]bool{
-	"Err": true, "Finish": true, "Len": true, "Bytes": true,
+	"Err": true, "Fail": true, "Finish": true, "Len": true, "Bytes": true,
 	"Detach": true, "Reset": true,
 }
 
@@ -76,21 +69,11 @@ func run(pass *analysis.Pass) error {
 	}
 	enc := map[string]half{}
 	dec := map[string]half{}
-	var encodeFns, decodeFns []*ast.FuncDecl
 
 	for _, f := range pass.Files {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if fn.Recv == nil {
-				if strings.HasPrefix(fn.Name.Name, "encodeWire") {
-					encodeFns = append(encodeFns, fn)
-				}
-				if strings.HasPrefix(fn.Name.Name, "decodeWire") {
-					decodeFns = append(decodeFns, fn)
-				}
+			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
 			recv := receiverName(fn)
@@ -127,8 +110,6 @@ func run(pass *analysis.Pass) error {
 			pass.Reportf(pos, "%s", msg)
 		}
 	}
-
-	checkRegistry(pass, encodeFns, decodeFns)
 	return nil
 }
 
@@ -446,167 +427,4 @@ func describe(n opNode) string {
 		return n.sym
 	}
 	return n.sym + " group"
-}
-
-// checkRegistry diffs the tag↔type mappings of encodeWire's type switch
-// against decodeWire's tag switch.
-func checkRegistry(pass *analysis.Pass, encodeFns, decodeFns []*ast.FuncDecl) {
-	encMap := map[string]string{} // type -> tag
-	encPos := map[string]token.Pos{}
-	for _, fn := range encodeFns {
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSwitchStmt)
-			if !ok {
-				return true
-			}
-			for _, c := range ts.Body.List {
-				cc := c.(*ast.CaseClause)
-				if len(cc.List) != 1 {
-					continue
-				}
-				typ := typeName(cc.List[0])
-				tag := findTagArg(cc.Body)
-				if typ != "" && tag != "" {
-					encMap[typ] = tag
-					encPos[typ] = cc.Pos()
-				}
-			}
-			return false
-		})
-	}
-	if len(encMap) == 0 {
-		return
-	}
-	decMap := map[string]string{} // tag -> type
-	decPos := map[string]token.Pos{}
-	var decSwitch token.Pos
-	for _, fn := range decodeFns {
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok {
-				return true
-			}
-			for _, c := range sw.Body.List {
-				cc := c.(*ast.CaseClause)
-				if len(cc.List) != 1 {
-					continue
-				}
-				tag, ok := tagIdent(cc.List[0])
-				if !ok {
-					continue
-				}
-				if typ := declaredType(cc.Body); typ != "" {
-					decMap[tag] = typ
-					decPos[tag] = cc.Pos()
-					decSwitch = sw.Pos()
-				}
-			}
-			return false
-		})
-	}
-	if len(decMap) == 0 {
-		return
-	}
-	for typ, tag := range encMap {
-		decTyp, ok := decMap[tag]
-		if !ok {
-			pass.Reportf(encPos[typ], "registry: encodeWire tags %s with %s but decodeWire has no case for %s", typ, tag, tag)
-			continue
-		}
-		if decTyp != typ {
-			pass.Reportf(decPos[tag], "registry: tag %s encodes %s but decodes %s", tag, typ, decTyp)
-		}
-	}
-	for tag, typ := range decMap {
-		found := false
-		for _, encTag := range encMap {
-			if encTag == tag {
-				found = true
-				break
-			}
-		}
-		if !found {
-			pos := decPos[tag]
-			if pos == token.NoPos {
-				pos = decSwitch
-			}
-			pass.Reportf(pos, "registry: decodeWire decodes %s for tag %s but encodeWire never emits it", typ, tag)
-		}
-	}
-}
-
-// typeName prints a case-clause type expression ("gossipPayload",
-// "pbft.Request").
-func typeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		if x, ok := t.X.(*ast.Ident); ok {
-			return x.Name + "." + t.Sel.Name
-		}
-	case *ast.StarExpr:
-		return typeName(t.X)
-	}
-	return ""
-}
-
-// findTagArg locates the wk* tag constant passed to the hdr helper (or
-// any call) inside one encode case body.
-func findTagArg(body []ast.Stmt) string {
-	var tag string
-	for _, s := range body {
-		ast.Inspect(s, func(n ast.Node) bool {
-			if tag != "" {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, a := range call.Args {
-				if id, ok := a.(*ast.Ident); ok && strings.HasPrefix(id.Name, "wk") {
-					tag = id.Name
-					return false
-				}
-			}
-			return true
-		})
-		if tag != "" {
-			break
-		}
-	}
-	return tag
-}
-
-// tagIdent recognizes a `case wkX:` expression.
-func tagIdent(e ast.Expr) (string, bool) {
-	id, ok := e.(*ast.Ident)
-	if !ok || !strings.HasPrefix(id.Name, "wk") {
-		return "", false
-	}
-	return id.Name, true
-}
-
-// declaredType returns the type of the first `var p T` in one decode
-// case body.
-func declaredType(body []ast.Stmt) string {
-	for _, s := range body {
-		ds, ok := s.(*ast.DeclStmt)
-		if !ok {
-			continue
-		}
-		gd, ok := ds.Decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			if vs, ok := spec.(*ast.ValueSpec); ok && vs.Type != nil {
-				if t := typeName(vs.Type); t != "" {
-					return t
-				}
-			}
-		}
-	}
-	return ""
 }

@@ -18,10 +18,6 @@ func TestPairFixtures(t *testing.T) {
 	linttest.Run(t, wiresym.Analyzer, "testdata/pairs", "")
 }
 
-func TestRegistryFixtures(t *testing.T) {
-	linttest.Run(t, wiresym.Analyzer, "testdata/registry", "")
-}
-
 // TestMutationTripsWiresym drills the invariant the analyzer exists for:
 // swapping two encoder writes in one production marshal pair must make
 // atumvet fail. It copies internal/core/wirecodec.go, checks the pristine

@@ -173,8 +173,21 @@ type Decoder struct {
 // NewDecoder returns a Decoder over buf. The Decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Reset points the Decoder at buf and clears its position and error, so a
+// Decoder embedded in a larger value needs no allocation of its own.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
+
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
+
+// Fail latches err as the decoder's error unless an earlier one is already
+// set: an UnmarshalWire that reads well-framed bytes it must still refuse
+// (a nested frame of the wrong type) reports it the way a short read does.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 // Finish returns an error if decoding failed or input remains.
 func (d *Decoder) Finish() error {

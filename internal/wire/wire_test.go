@@ -81,6 +81,28 @@ func TestShortBuffer(t *testing.T) {
 	}
 }
 
+// TestDecoderFailAndReset: Fail latches like a read error (the first error
+// wins, later reads return zero values), and Reset starts over on new input.
+func TestDecoderFailAndReset(t *testing.T) {
+	refused := errors.New("refused")
+	d := NewDecoder([]byte{0, 0, 0, 7})
+	d.Fail(refused)
+	d.Fail(errors.New("later"))
+	if got := d.Uint32(); got != 0 || !errors.Is(d.Finish(), refused) {
+		t.Errorf("after Fail: read %d, Finish = %v; want 0 and the first error", got, d.Finish())
+	}
+	short := NewDecoder(nil)
+	_ = short.Byte()
+	short.Fail(refused)
+	if !errors.Is(short.Err(), ErrShortBuffer) {
+		t.Errorf("Fail replaced an earlier read error: %v", short.Err())
+	}
+	d.Reset([]byte{0, 0, 0, 9})
+	if got := d.Uint32(); got != 9 || d.Finish() != nil {
+		t.Errorf("after Reset: read %d, Finish = %v; want 9 and no error", got, d.Finish())
+	}
+}
+
 func TestTrailingBytes(t *testing.T) {
 	var e Encoder
 	e.Uint32(1)
