@@ -166,6 +166,12 @@ func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition) (*No
 	return n, env
 }
 
+// originGossip starts the gossip phase of d at n the way applyBcast does.
+func originGossip(n *Node, d Delivery) {
+	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
+	n.forwardGossip(d, payload, crypto.Hash(payload), BroadcastOpts{})
+}
+
 func testComp(gid ids.GroupID, epoch uint64, members ...uint64) group.Composition {
 	c := group.Composition{GroupID: gid, Epoch: epoch}
 	for _, m := range members {
@@ -187,7 +193,7 @@ func TestBatchFlushesBeforeReconfigure(t *testing.T) {
 	n, env := memberNode(t, self, comp, nbr)
 
 	for i := 0; i < 2; i++ {
-		n.forwardGossip(Delivery{
+		originGossip(n, Delivery{
 			BcastID: crypto.Hash([]byte(fmt.Sprintf("race-%d", i))),
 			Origin:  self,
 			Data:    []byte("payload"),
@@ -248,8 +254,8 @@ func TestBatchFlushesBeforeSplitInstall(t *testing.T) {
 	nbr := testComp(9, 1, 4, 5, 6)
 	n, _ := memberNode(t, self, comp, nbr)
 
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("pre-split")), Origin: self, Data: []byte("x")})
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("pre-split-2")), Origin: self, Data: []byte("y")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("pre-split")), Origin: self, Data: []byte("x")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("pre-split-2")), Origin: self, Data: []byte("y")})
 	if dests, _ := n.egress.Pending(); dests != 1 {
 		t.Fatalf("pending destinations = %d, want 1", dests)
 	}
@@ -284,7 +290,7 @@ func TestBatchUnwrapsSinglePayload(t *testing.T) {
 	nbr := testComp(9, 1, 4, 5, 6)
 	n, _ := memberNode(t, self, comp, nbr)
 
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("solo")), Origin: self, Data: []byte("x")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("solo")), Origin: self, Data: []byte("x")})
 	n.egress.FlushAll()
 	for _, q := range n.outQ {
 		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch {
@@ -313,7 +319,7 @@ func TestBatchCapOneNeverBuffers(t *testing.T) {
 	n.cfg.GossipMaxBatch = 1
 	n.egress = n.newEgress() // rebuild: the scheduler snapshots config knobs
 
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("legacy")), Origin: self, Data: []byte("x")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("legacy")), Origin: self, Data: []byte("x")})
 	if dests, _ := n.egress.Pending(); dests != 0 {
 		t.Fatal("GossipMaxBatch=1 must not buffer payloads")
 	}
@@ -343,7 +349,7 @@ func TestBatchCountTriggerFlushesEarly(t *testing.T) {
 	n.egress = n.newEgress() // rebuild: the scheduler snapshots config knobs
 
 	for i := 0; i < 3; i++ {
-		n.forwardGossip(Delivery{
+		originGossip(n, Delivery{
 			BcastID: crypto.Hash([]byte(fmt.Sprintf("cap-%d", i))),
 			Origin:  self,
 			Data:    []byte("x"),

@@ -131,9 +131,8 @@ type Callbacks struct {
 type Delivery struct {
 	BcastID crypto.Digest
 	Origin  ids.NodeID
-	Data    []byte
-	// Hops is the number of vgroup-to-vgroup hops the message travelled.
-	Hops int
+	// Data is the node's own copy of the payload.
+	Data []byte
 }
 
 // ForwardLink describes one outgoing overlay link offered to Forward.

@@ -72,16 +72,15 @@ func (n *Node) newEgress() *egress.Scheduler {
 // batches defer to the round tick's FlushDeferred instead of arming window
 // timers.
 func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	n.sendViaEgressWith(src, dst, kind, msgID, payload, 0)
+	n.sendItemViaEgress(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload}, 0)
 }
 
-// sendViaEgressWith is sendViaEgress with an absolute expiry (0 = never):
-// the origin of a BroadcastWith stamps its first-hop gossip items with the
-// caller's TTL.
-func (n *Node) sendViaEgressWith(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte, expires time.Duration) {
-	n.egress.EnqueueGroupWith(src, dst,
-		group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload},
-		n.cfg.Mode == smr.ModeSync, expires)
+// sendItemViaEgress is sendViaEgress for a caller that built the item itself
+// — gossip, which hashes a broadcast's payload once and sets Digest for all
+// its links — with an absolute expiry (0 = never): the origin of a
+// BroadcastWith stamps its first-hop gossip items with the caller's TTL.
+func (n *Node) sendItemViaEgress(src, dst group.Composition, it group.BatchItem, expires time.Duration) {
+	n.egress.EnqueueGroupWith(src, dst, it, n.cfg.Mode == smr.ModeSync, expires)
 }
 
 // egressFlush is the scheduler's transmit callback: it frames one
@@ -116,9 +115,7 @@ func (n *Node) egressFlush(src, dst group.Composition, node ids.NodeID, items []
 	if len(items) == 1 {
 		// A single pending item flushes as a plain group message: the batch
 		// frame would only add overhead.
-		it := items[0]
-		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst,
-			it.Kind, it.MsgID, it.Payload)
+		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, items[0])
 		return
 	}
 	n.egressSeq++

@@ -91,7 +91,7 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	// One gossip payload, one walk hop, one raw message, same destination.
 	n.sendViaEgress(comp, nbr, kindGossip,
 		gossipMsgID(crypto.Hash([]byte("g")), comp, nbr.GroupID),
-		encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x"), Hops: 1}))
+		encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")}))
 	n.sendViaEgress(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
 		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
@@ -215,7 +215,7 @@ func TestEgressFlushesBeforeMergeDissolve(t *testing.T) {
 	absorber := testComp(9, 1, 4, 5, 6)
 
 	// Queue a gossip payload, then dissolve mid-window.
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("pre-merge")), Origin: self, Data: []byte("x")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("pre-merge")), Origin: self, Data: []byte("x")})
 	n.st.walkOrigins = append(n.st.walkOrigins, walkOrigin{
 		WalkID: crypto.Hash([]byte("m")), Purpose: PurposeMerge, OriginComp: comp.Clone(),
 	})
@@ -274,7 +274,7 @@ func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 	n.cfg.Mode = smr.ModeAsync
 	n.egress = n.newEgress()
 
-	n.forwardGossip(Delivery{BcastID: crypto.Hash([]byte("idle-1")), Origin: self, Data: []byte("x")})
+	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("idle-1")), Origin: self, Data: []byte("x")})
 	if d, _ := n.egress.Pending(); d != 0 {
 		t.Fatal("idle async broadcast was queued behind a window")
 	}
@@ -290,7 +290,7 @@ func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 
 	// A same-instant burst, by contrast, coalesces behind the widened window.
 	for i := 0; i < 4; i++ {
-		n.forwardGossip(Delivery{
+		originGossip(n, Delivery{
 			BcastID: crypto.Hash([]byte(fmt.Sprintf("burst-%d", i))),
 			Origin:  self, Data: []byte("y"),
 		})
@@ -381,7 +381,7 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 		return group.BatchItem{
 			Kind:    kind,
 			MsgID:   gossipMsgID(bcast, src, comp.GroupID),
-			Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data), Hops: 1}),
+			Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data)}),
 		}
 	}
 
@@ -478,7 +478,7 @@ func TestKindTagMismatchDropped(t *testing.T) {
 	items := append(mismatched("carried"), group.BatchItem{
 		Kind:    kindGossip,
 		MsgID:   gossipMsgID(bcast, src, comp.GroupID),
-		Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("carried-gossip"), Hops: 1}),
+		Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("carried-gossip")}),
 	})
 	for _, sender := range src.Members {
 		var carrier group.GroupMsg

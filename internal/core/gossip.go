@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -70,48 +72,60 @@ func (n *Node) takeBcastOpts(id crypto.Digest) BroadcastOpts {
 }
 
 // applyBcast delivers a committed broadcast inside the origin vgroup and
-// starts the gossip phase.
+// starts the gossip phase. This is the one place a broadcast's gossip payload
+// is encoded and hashed: every later hop forwards these bytes as accepted.
 func (n *Node) applyBcast(o bcastOp) {
 	if !n.markSeen(o.BcastID) {
 		return
 	}
 	opts := n.takeBcastOpts(o.BcastID)
-	d := Delivery{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data, Hops: 0}
+	d := Delivery{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data}
+	// Encoded before Deliver: the application owns d.Data from then on.
+	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossipWith(d, opts)
+	n.forwardGossip(d, payload, crypto.Hash(payload), opts)
 }
 
 // handleGossip processes one gossip hop accepted from a neighboring vgroup.
 // No agreement is needed: members act independently but identically —
 // dedup by broadcast ID, deliver, and forward along links chosen by the
-// (deterministic by default) Forward callback.
-func (n *Node) handleGossip(p gossipPayload) {
+// (deterministic by default) Forward callback. Identically includes the
+// bytes: a member forwards the payload it accepted, verbatim, so the votes of
+// one vgroup's members land on one digest whichever path reached each first.
+//
+// A node accepts the same broadcast once per neighbor link; all but the first
+// acceptance end at markSeen, so the payload is decoded as a view and Data is
+// copied only for the one Deliver — the accepted buffer is shared with the
+// inbox, the forward queue and, on simnet, every other recipient.
+func (n *Node) handleGossip(acc group.Accepted) {
+	p, err := decodeGossipView(acc.Payload)
+	if err != nil {
+		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
+		return
+	}
 	if !n.markSeen(p.BcastID) {
 		return
 	}
-	d := Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: p.Data, Hops: p.Hops}
+	d := Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: bytes.Clone(p.Data)}
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d)
+	n.forwardGossip(d, acc.Payload, acc.Digest, BroadcastOpts{})
 }
 
-// forwardGossip is forwardGossipWith at default options (remote hops and
-// plain Broadcast).
-func (n *Node) forwardGossip(d Delivery) { n.forwardGossipWith(d, BroadcastOpts{}) }
-
-// forwardGossipWith offers every overlay link to the Forward callback and
-// queues this member's share of the chosen group messages on the egress
-// scheduler. The default (nil callback) floods all cycles in both
-// directions, which is the latency-optimal configuration the paper's ASub
-// experiments use; AStream restricts forwarding to one or two cycles (§6.3).
-// The Forward decision is always taken here, per broadcast per link — the
-// scheduler changes only how the chosen sends are framed, never which sends
-// are chosen. All per-destination queueing lives in internal/egress. opts
-// carries the origin's flow-control options (zero at remote hops).
-func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
+// forwardGossip offers every overlay link to the Forward callback and queues
+// this member's share of the chosen group messages on the egress scheduler:
+// payload is the encoded gossipPayload of d and digest its hash. The default
+// (nil callback) floods all cycles in both directions, which is the
+// latency-optimal configuration the paper's ASub experiments use; AStream
+// restricts forwarding to one or two cycles (§6.3). The Forward decision is
+// always taken here, per broadcast per link — the scheduler changes only how
+// the chosen sends are framed, never which sends are chosen. All
+// per-destination queueing lives in internal/egress. opts carries the
+// origin's flow-control options (zero at remote hops).
+func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, opts BroadcastOpts) {
 	st := n.st
 	if st == nil {
 		return
@@ -120,21 +134,21 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 	if opts.TTL > 0 {
 		expires = n.env.Now() + opts.TTL
 	}
-	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
-	sent := make(map[group.Key]bool)
+	// One send per neighbor composition, however many links lead to it.
+	sent := make([]group.Key, 0, 8)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
-		for _, dir := range []overlay.Direction{overlay.Pred, overlay.Succ} {
+		for _, dir := range [...]overlay.Direction{overlay.Pred, overlay.Succ} {
 			nbr := st.nbrs.At(overlay.Link{Cycle: c, Dir: dir})
-			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || sent[nbr.Key()] {
+			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || slices.Contains(sent, nbr.Key()) {
 				continue
 			}
 			link := ForwardLink{Cycle: c, Succ: dir == overlay.Succ, Neighbor: nbr.GroupID}
 			if n.cfg.Callbacks.Forward != nil && !n.cfg.Callbacks.Forward(d, link) {
 				continue
 			}
-			sent[nbr.Key()] = true
-			msgID := gossipMsgID(d.BcastID, st.comp, nbr.GroupID)
-			n.sendViaEgressWith(st.comp, nbr, kindGossip, msgID, payload, expires)
+			sent = append(sent, nbr.Key())
+			n.sendItemViaEgress(st.comp, nbr, group.BatchItem{Kind: kindGossip,
+				MsgID: gossipMsgID(d.BcastID, st.comp, nbr.GroupID), Payload: payload, Digest: digest}, expires)
 		}
 	}
 }

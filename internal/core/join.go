@@ -558,14 +558,16 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 			return
 		}
 	}
+	if acc.Kind == kindGossip {
+		n.handleGossip(acc) // the hot kind: deduplicated before anything is copied
+		return
+	}
 	v, err := decodeKind(acc.Kind, acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
 		return
 	}
 	switch p := v.(type) {
-	case gossipPayload:
-		n.handleGossip(p)
 	case walkPayload:
 		n.handleWalkHop(acc, p)
 	case backwardPayload:

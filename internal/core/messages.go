@@ -137,12 +137,13 @@ const (
 // --- group message payloads (wire-envelope encoded — see wirecodec.go and
 // docs/WIRE.md) ---
 
-// gossipPayload carries one broadcast hop between vgroups.
+// gossipPayload carries one broadcast between vgroups. It holds nothing that
+// depends on the path travelled: the members of a vgroup forward the bytes
+// they accepted, and the next vgroup matches those bytes by digest.
 type gossipPayload struct {
 	BcastID crypto.Digest
 	Origin  ids.NodeID
 	Data    []byte
-	Hops    int
 }
 
 // WalkPurpose distinguishes what a random walk selects a vgroup for.

@@ -209,7 +209,7 @@ func (n *Node) applyMergeStart(dig crypto.Digest, o mergeStartOp) {
 	// the busy flag, a join starvation at this vgroup's contact members).
 	//atumvet:allow egressonly merge negotiation (not carrier-deliverable: wireRows carrierOK): a request queued behind data wedges the busy flag at both vgroups
 	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, targetComp,
-		kindMergeRequest, crypto.Hash([]byte("atum-mergereq"), dig[:]), pl)
+		group.BatchItem{Kind: kindMergeRequest, MsgID: crypto.Hash([]byte("atum-mergereq"), dig[:]), Payload: pl})
 }
 
 // latestNeighborComp returns the newest known composition of a neighbor.
@@ -241,7 +241,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 		pl := encodePayload(mergeRejectPayload{Busy: true})
 		//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
 		group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
-			kindMergeReject, replyID, pl)
+			group.BatchItem{Kind: kindMergeReject, MsgID: replyID, Payload: pl})
 		return
 	}
 	n.emit(EventMerge, p.From.N())
@@ -250,7 +250,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
 	//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
 	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
-		kindMergeAccept, replyID, accept)
+		group.BatchItem{Kind: kindMergeAccept, MsgID: replyID, Payload: accept})
 
 	members := ids.CloneIdentities(st.comp.Members)
 	added := make([]addedMember, 0, p.From.N())

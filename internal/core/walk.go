@@ -112,7 +112,7 @@ func (n *Node) forwardWalk(p walkPayload, chain []overlay.StepCert) {
 			})
 			//atumvet:allow egressonly per-member certificate attachments differ by recipient, which the shared batch frame cannot carry
 			group.SendAttach(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, dst,
-				kindWalk, msgID, encodePayload(p), attach)
+				group.BatchItem{Kind: kindWalk, MsgID: msgID, Payload: encodePayload(p)}, attach)
 			return
 		}
 		n.sendViaEgress(st.comp, dst, kindWalk, msgID, encodePayload(p))

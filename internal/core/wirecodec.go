@@ -323,16 +323,25 @@ func decodeWire(b []byte, accept wireClass) (any, error) {
 	return r.decode(body)
 }
 
-// decodeKind decodes the payload of a group message of the given kind: the
-// frame's tag must be that kind's row. The carrier allowlist and the inbox
-// are keyed by kind, so a payload of another type must not ride in under it.
-func decodeKind(kind group.Kind, b []byte) (any, error) {
+// openKind opens the payload of a group message of the given kind: the frame's
+// tag must be that kind's row. The carrier allowlist and the inbox are keyed
+// by kind, so a payload of another type must not ride in under it.
+func openKind(kind group.Kind, b []byte) (*wireRow, []byte, error) {
 	r, body, err := openWire(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r != rowByKind[kind] {
-		return nil, fmt.Errorf("core: wire envelope kind %d is not the payload of group kind %d", r.tag, kind)
+		return nil, nil, fmt.Errorf("core: wire envelope kind %d is not the payload of group kind %d", r.tag, kind)
+	}
+	return r, body, nil
+}
+
+// decodeKind decodes the payload of a group message of the given kind.
+func decodeKind(kind group.Kind, b []byte) (any, error) {
+	r, body, err := openKind(kind, b)
+	if err != nil {
+		return nil, err
 	}
 	return r.decode(body)
 }
@@ -482,7 +491,6 @@ func (p gossipPayload) MarshalWire(e *wire.Encoder) {
 	e.Bytes32(p.BcastID)
 	e.Uint64(uint64(p.Origin))
 	e.VarBytes(p.Data)
-	e.Int64(int64(p.Hops))
 }
 
 // UnmarshalWire decodes a gossipPayload.
@@ -490,7 +498,26 @@ func (p *gossipPayload) UnmarshalWire(d *wire.Decoder) {
 	p.BcastID = d.Bytes32()
 	p.Origin = ids.NodeID(d.Uint64())
 	p.Data = d.VarBytes()
-	p.Hops = int(d.Int64())
+}
+
+// decodeGossipView is decodeKind(kindGossip, b) without the copy: Data
+// aliases b. It serves handleGossip, which drops all but the first acceptance
+// of a broadcast after reading BcastID.
+func decodeGossipView(b []byte) (gossipPayload, error) {
+	_, body, err := openKind(kindGossip, b)
+	if err != nil {
+		return gossipPayload{}, err
+	}
+	var d wire.Decoder
+	d.Reset(body)
+	var p gossipPayload
+	p.BcastID = d.Bytes32()
+	p.Origin = ids.NodeID(d.Uint64())
+	p.Data = d.VarBytesView()
+	if err := d.Finish(); err != nil {
+		return gossipPayload{}, fmt.Errorf("core: decode wire envelope kind %d: %w", wkGossip, err)
+	}
+	return p, nil
 }
 
 // MarshalWire implements wire.Marshaler.

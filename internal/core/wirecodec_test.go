@@ -8,6 +8,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -31,7 +32,8 @@ import (
 // legacyGobEnvelope is a golden sample of the removed gob payload envelope:
 // the bytes a standard-library gob encoder with the engine payload types
 // registered produced for struct{ V any }{gossipPayload{BcastID: 01…01,
-// Origin: 7, Data: "y", Hops: 3}} at the last commit that had one.
+// Origin: 7, Data: "y", Hops: 3}} (the struct still had a Hops field) at the
+// last commit that had one.
 var legacyGobEnvelope = mustHex(
 	"1e7f0301010b676f62456e76656c6f706501ff80000101010156011000000069" +
 		"ff8001206174756d2f696e7465726e616c2f636f72652e676f73736970506179" +
@@ -106,7 +108,7 @@ func fullPayloadValues() []any {
 		AppliedOps:   []crypto.Digest{wcDigest(7), wcDigest(8)},
 	}
 	return []any{
-		gossipPayload{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload"), Hops: 3},
+		gossipPayload{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload")},
 		walkPayload{
 			WalkID: wcDigest(2), Purpose: PurposeJoin, StepsLeft: 4,
 			Rands: []uint64{11, 22, 33}, Origin: wcComp(3, 2, 3),
@@ -275,14 +277,15 @@ func TestWireEnvelopeDeterministic(t *testing.T) {
 // goldenFrames holds, for every value of fullPayloadValues ∪
 // fullMessageValues, the frame the switch-based encoder of the last commit
 // that had one produced (as length and SHA-256): the table-driven codec must
-// emit the same bytes for all 41 rows.
+// emit the same bytes for all 41 rows. Row 1 was re-pinned when Hops left the
+// gossipPayload layout; oldGossipFrame below is the frame it replaced.
 var goldenFrames = []struct {
 	tag    byte
 	typ    string
 	length int
 	sha256 string
 }{
-	{1, "core.gossipPayload", 62, "ec9f437021fe1085669bd8318d5f328f5a2267867c48c5ac3d31bc8cdc447f4a"},
+	{1, "core.gossipPayload", 54, "5428725a1fc250eeb4008d52c6b0a43f952c146c49a860a5555e8128b75fc5cf"},
 	{2, "core.walkPayload", 375, "0d45d4bfc22f8de8bd867700ca00518343b8194b9bb7fdd2ef2f8672228f7816"},
 	{3, "core.walkAttachment", 259, "2b65fdc344c7d642f7a1772c7d94f25f5bfba8a3dea68780419fe70ce9e12a6e"},
 	{4, "core.backwardPayload", 261, "68f66b4ba6de842ca2ce2b028eb9335c101ed4ca8805f2c91bbe70cf5babce71"},
@@ -354,6 +357,49 @@ func TestWireGoldenFrames(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, v) {
 			t.Errorf("%s: golden frame decodes to %+v (err %v), want %+v", g.typ, got, err, v)
 		}
+	}
+}
+
+// TestOldLayoutGossipFrameRejected is the migration guarantee for the
+// gossipPayload layout change: a frame from a peer that still appends the
+// Int64 Hops field is refused for its trailing bytes by both gossip decoders,
+// not read as a shorter payload. The frame is rebuilt here and checked against
+// the hash goldenFrames committed for it while that layout was current.
+func TestOldLayoutGossipFrameRejected(t *testing.T) {
+	var e wire.Encoder
+	e.Byte(wireEnvMagic)
+	e.Byte(wkGossip)
+	e.Byte(wireEnvV1)
+	e.Bytes32(wcDigest(1))
+	e.Uint64(4)
+	e.VarBytes([]byte("payload"))
+	e.Int64(3) // Hops
+	oldGossipFrame := e.Bytes()
+	const oldSHA = "ec9f437021fe1085669bd8318d5f328f5a2267867c48c5ac3d31bc8cdc447f4a"
+	if sum := sha256.Sum256(oldGossipFrame); len(oldGossipFrame) != 62 || hex.EncodeToString(sum[:]) != oldSHA {
+		t.Fatalf("rebuilt frame (%d bytes, %x) is not the old golden one", len(oldGossipFrame), sum)
+	}
+	if v, err := decodeKind(kindGossip, oldGossipFrame); !errors.Is(err, wire.ErrTrailingBytes) {
+		t.Errorf("decodeKind took an old-layout frame: %+v, err %v", v, err)
+	}
+	if v, err := decodeGossipView(oldGossipFrame); !errors.Is(err, wire.ErrTrailingBytes) {
+		t.Errorf("decodeGossipView took an old-layout frame: %+v, err %v", v, err)
+	}
+	// The current layout of the same broadcast passes both, with equal fields.
+	want := gossipPayload{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload")}
+	cur := encodePayload(want)
+	if v, err := decodeKind(kindGossip, cur); err != nil || !reflect.DeepEqual(v, want) {
+		t.Errorf("decodeKind(current) = %+v, %v", v, err)
+	}
+	view, err := decodeGossipView(cur)
+	if err != nil || !reflect.DeepEqual(view, want) {
+		t.Fatalf("decodeGossipView(current) = %+v, %v", view, err)
+	}
+	if &view.Data[0] != &cur[len(cur)-len(view.Data)] {
+		t.Error("decodeGossipView copied Data")
+	}
+	if _, err := decodeGossipView(encodePayload(walkPayload{})); err == nil {
+		t.Error("decodeGossipView took another kind's frame")
 	}
 }
 
@@ -474,7 +520,7 @@ func TestWireDocTagTable(t *testing.T) {
 
 // TestWireEnvelopeRejectsHostileInput pins the decoder's failure modes.
 func TestWireEnvelopeRejectsHostileInput(t *testing.T) {
-	good := encodePayload(gossipPayload{BcastID: wcDigest(1), Origin: 1, Data: []byte("x"), Hops: 1})
+	good := encodePayload(gossipPayload{BcastID: wcDigest(1), Origin: 1, Data: []byte("x")})
 
 	if _, err := decodeWire(nil, classAny); err == nil {
 		t.Fatal("empty payload accepted")

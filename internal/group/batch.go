@@ -29,6 +29,11 @@ type BatchItem struct {
 	Kind    Kind
 	MsgID   crypto.Digest
 	Payload []byte
+	// Digest is the digest of Payload when the builder already has it (the
+	// origin of a broadcast hashes once for all its links; a forwarder takes
+	// it from Accepted). The zero value means "not computed": the send
+	// helpers then hash the payload themselves.
+	Digest crypto.Digest
 	// DerivedID marks an item whose MsgID is, by construction, the payload
 	// digest (node-addressed raw items: core sets MsgID = Hash(Payload)).
 	// When every item of a batch is marked, the frame omits the MsgIDs and
@@ -37,6 +42,15 @@ type BatchItem struct {
 	// silently rewrites the MsgID at the receiver; only senders that
 	// construct the MsgID that way may set it.
 	DerivedID bool
+}
+
+// payloadDigest returns the item's payload digest, hashing only when the
+// builder left Digest unset.
+func (it BatchItem) payloadDigest() crypto.Digest {
+	if it.Digest != (crypto.Digest{}) {
+		return it.Digest
+	}
+	return crypto.Hash(it.Payload)
 }
 
 // MaxBatchItems bounds how many inner items one batch frame may carry,
@@ -103,7 +117,7 @@ func encodeBatchFrame(items []BatchItem, full bool) []byte {
 			if full {
 				e.VarBytes(it.Payload)
 			} else {
-				e.Bytes32(crypto.Hash(it.Payload))
+				e.Bytes32(it.payloadDigest())
 			}
 		}
 		i += run
@@ -182,7 +196,9 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // ⌊N/2⌋+1 indices transmit the full payloads and the rest transmit
 // digest-only copies, and destination order is randomized against incast
 // (§5.1). batchID identifies the carrier message only; it takes no part in
-// inbox majority matching — the inner MsgIDs do.
+// inbox majority matching — the inner MsgIDs do. For the same reason the
+// carrier's PayloadDigest is sent zero: receivers vote the inner items'
+// digests and never compare the frame's.
 func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem) {
 	if len(items) == 0 {
 		return
@@ -198,14 +214,13 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 	}
 	frame := encodeBatchFrame(items, full)
 	msg := GroupMsg{
-		SrcGroup:      src.GroupID,
-		SrcEpoch:      src.Epoch,
-		DstGroup:      dst.GroupID,
-		DstEpoch:      dst.Epoch,
-		Kind:          kind,
-		MsgID:         batchID,
-		PayloadDigest: crypto.Hash(frame),
-		Payload:       frame,
+		SrcGroup: src.GroupID,
+		SrcEpoch: src.Epoch,
+		DstGroup: dst.GroupID,
+		DstEpoch: dst.Epoch,
+		Kind:     kind,
+		MsgID:    batchID,
+		Payload:  frame,
 	}
 	order := rng.Perm(len(dst.Members))
 	for _, i := range order {
@@ -226,18 +241,19 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	}
 	frame := encodeBatchFrame(items, true)
 	send(to, GroupMsg{
-		SrcGroup:      src.GroupID,
-		SrcEpoch:      src.Epoch,
-		Kind:          kind,
-		MsgID:         batchID,
-		PayloadDigest: crypto.Hash(frame),
-		Payload:       frame,
+		SrcGroup: src.GroupID,
+		SrcEpoch: src.Epoch,
+		Kind:     kind,
+		MsgID:    batchID,
+		Payload:  frame,
 	})
 }
 
 // UnpackBatch recovers the inner logical messages of a batch carrier. Each
 // returned GroupMsg inherits the carrier's source and destination headers and
-// is ready for Inbox.Observe under the same link-authenticated sender.
+// is ready for Inbox.Observe under the same link-authenticated sender. A full
+// item's PayloadDigest is the hash the decoder computed (the frame carries
+// none for it), which the inbox takes as verified.
 // Payloads may alias m.Payload (the zero-copy decode path): treat them as
 // read-only, and note that retaining one retains the whole frame.
 func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
@@ -256,6 +272,7 @@ func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 			MsgID:         it.msgID,
 			PayloadDigest: it.digest,
 			Payload:       it.payload,
+			hashed:        it.payload != nil,
 		})
 	}
 	return out, nil

@@ -498,7 +498,7 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	for _, it := range items {
 		Send(func(_ ids.NodeID, m actor.Message) {
 			all = append(all, observe(2, m.(GroupMsg))...)
-		}, rng, src, 2, dst, it.Kind, it.MsgID, it.Payload)
+		}, rng, src, 2, dst, it)
 	}
 
 	if len(all) != len(items) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestSendDigestOptimization(t *testing.T) {
 	fullSenders := 0
 	for _, m := range src.Members {
 		recs, send := collectSends()
-		Send(send, rng, src, m.ID, dst, 1, msgID, payload)
+		Send(send, rng, src, m.ID, dst, BatchItem{Kind: 1, MsgID: msgID, Payload: payload})
 		if len(*recs) != dst.N() {
 			t.Fatalf("sent %d copies, want %d", len(*recs), dst.N())
 		}
@@ -277,9 +278,10 @@ func TestInboxFlushKeyOrderIsSorted(t *testing.T) {
 	}
 }
 
-// TestInboxAcceptedEntryHoldsNoMaps pins what an entry keeps between
-// acceptance and pruning — the accepted flag and nothing else — and that the
-// flag alone turns stragglers away, whatever digest they vote.
+// TestInboxAcceptedEntryHoldsNoMaps pins what the inbox keeps of a message
+// between acceptance and pruning — the time of its first copy in the source's
+// done map, no pending entry, no pointer-bearing state — and that this alone
+// turns stragglers away, whatever digest they vote.
 func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3, 4, 5)
 	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
@@ -288,20 +290,30 @@ func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
 		PayloadDigest: crypto.Hash(payload), Payload: payload, Attach: []byte("sig")}
 	accepted := 0
 	for from := ids.NodeID(1); from <= 3; from++ {
-		if _, ok := ib.Observe(0, from, m); ok {
+		if _, ok := ib.Observe(time.Duration(from)*time.Millisecond, from, m); ok {
 			accepted++
 		}
 	}
 	if accepted != 1 {
 		t.Fatalf("accepted %d times at majority, want 1", accepted)
 	}
-	e := ib.entries[entryKey{src: src.Key(), msgID: m.MsgID}]
-	if e == nil || !e.accepted {
-		t.Fatal("accepted entry not retained for dedup")
+	s := ib.sources[src.Key()]
+	if s == nil {
+		t.Fatal("source of an accepted message forgotten")
 	}
-	if e.votes != nil || e.payloads != nil || e.attach != nil {
-		t.Errorf("accepted entry still holds maps: votes=%v payloads=%v attach=%v",
-			e.votes != nil, e.payloads != nil, e.attach != nil)
+	checkRecord := func(when string) {
+		t.Helper()
+		if firstAt, ok := s.done[m.MsgID]; !ok || firstAt != time.Millisecond {
+			t.Fatalf("%s: done record = %v, %v; want the first copy's time", when, firstAt, ok)
+		}
+		if len(s.pending) != 0 {
+			t.Errorf("%s: an accepted message still holds a pending entry", when)
+		}
+	}
+	checkRecord("after acceptance")
+	// The record is a value: nothing in it for the collector to trace.
+	if k := reflect.TypeOf(s.done).Elem().Kind(); k != reflect.Int64 {
+		t.Errorf("done record kind = %v, want a plain integer", k)
 	}
 
 	other := []byte("twice")
@@ -321,9 +333,7 @@ func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
 	if ib.Len() != 1 {
 		t.Errorf("Len = %d after stragglers, want 1", ib.Len())
 	}
-	if e.votes != nil || e.payloads != nil || e.attach != nil {
-		t.Error("stragglers repopulated an accepted entry's maps")
-	}
+	checkRecord("after stragglers")
 }
 
 func TestInboxPrune(t *testing.T) {

@@ -42,6 +42,11 @@ type GroupMsg struct {
 	// The inbox hands the attachments of the accepting majority to the
 	// caller.
 	Attach []byte
+	// hashed marks an item UnpackBatch recovered from a full carrier frame:
+	// PayloadDigest was computed from Payload by the decoder, not claimed by
+	// the sender, so the inbox need not hash the payload again. It never
+	// crosses a transport.
+	hashed bool
 }
 
 // WireSize implements actor.Sizer.
@@ -97,24 +102,25 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // payload, the rest send digest-only copies (§5.1: since a majority of the
 // source is correct, at least one correct member always sends the full
 // payload). Destination order is randomized to avoid incast bursts (§5.1).
-func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, msgID crypto.Digest, payload []byte) {
-	SendAttach(send, rng, src, self, dst, kind, msgID, payload, nil)
+// The payload is hashed only when it.Digest is not set.
+func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem) {
+	SendAttach(send, rng, src, self, dst, it, nil)
 }
 
 // SendAttach is Send with a sender-specific attachment.
-func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, msgID crypto.Digest, payload, attach []byte) {
+func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
 		DstGroup:      dst.GroupID,
 		DstEpoch:      dst.Epoch,
-		Kind:          kind,
-		MsgID:         msgID,
-		PayloadDigest: crypto.Hash(payload),
+		Kind:          it.Kind,
+		MsgID:         it.MsgID,
+		PayloadDigest: it.payloadDigest(),
 		Attach:        attach,
 	}
 	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
-		msg.Payload = payload
+		msg.Payload = it.Payload
 	}
 	order := rng.Perm(len(dst.Members))
 	for _, i := range order {
@@ -144,8 +150,10 @@ type Accepted struct {
 	Kind    Kind
 	MsgID   crypto.Digest
 	Payload []byte
+	// Digest is the digest of Payload: the one the majority voted.
+	Digest crypto.Digest
 	// Attachments maps each voting sender to its sender-specific attachment
-	// (votes for the winning digest only).
+	// (votes for the winning digest only); nil when none attached anything.
 	Attachments map[ids.NodeID][]byte
 	// At is the local arrival time of the vote that crossed the threshold.
 	At time.Duration

@@ -10,8 +10,9 @@ import (
 	"atum/internal/ids"
 )
 
-// maxEntriesPerKey bounds the number of buffered logical messages per source
-// composition, protecting receivers from hostile floods.
+// maxEntriesPerKey bounds the number of logical messages remembered per source
+// composition — pending and accepted together — protecting receivers from
+// hostile floods.
 const maxEntriesPerKey = 1024
 
 // Inbox is the receive side of the group-message primitive. One Inbox per
@@ -22,116 +23,146 @@ const maxEntriesPerKey = 1024
 // Messages may arrive before their source composition is known (e.g. a
 // neighbor reconfigured and its update is still in flight); such votes are
 // buffered and re-evaluated via FlushKey once the composition is learned.
+//
+// Per source composition the inbox keeps two maps. A message still collecting
+// votes is a pending entry holding those votes and the payloads seen. Once
+// accepted it is a value in the done map — the time of its first copy, all
+// Prune needs — so the long tail of a message's life (stragglers are turned
+// away until inboxTTL) costs one map slot and no pointer.
+//
+// Verify on store: a payload is hashed only when it is about to be stored,
+// that is when the entry holds no payload for the digest the copy names. A
+// copy whose payload does not hash to its PayloadDigest is dropped whole,
+// never stored and never delivered. A copy naming a digest whose payload is
+// already held counts as a vote for that digest exactly as a digest-only copy
+// does, whatever bytes it carries: a Byzantine sender gains nothing by it that
+// sending digest-only would not already give.
 type Inbox struct {
 	lookup  func(Key) (Composition, bool)
-	entries map[entryKey]*entryState
-	byKey   map[Key]map[crypto.Digest]bool // src → msgIDs with live entries
+	sources map[Key]*source
 }
 
-type entryKey struct {
-	src   Key
-	msgID crypto.Digest
+// source is what the inbox remembers of one source composition.
+type source struct {
+	pending map[crypto.Digest]*entry        // MsgID → votes being collected
+	done    map[crypto.Digest]time.Duration // accepted MsgID → time of its first copy
 }
 
-type entryState struct {
-	votes    map[ids.NodeID]crypto.Digest
-	payloads map[crypto.Digest][]byte
-	attach   map[ids.NodeID][]byte
+// entry is one logical message that has not been accepted yet.
+type entry struct {
 	kind     Kind
-	accepted bool
 	firstAt  time.Duration
+	votes    []vote       // one per sender, in arrival order
+	payloads []heldDigest // verified payloads, one per digest
+}
+
+type vote struct {
+	from   ids.NodeID
+	digest crypto.Digest
+	attach []byte // nil when the sender attached nothing
+}
+
+type heldDigest struct {
+	digest  crypto.Digest
+	payload []byte
 }
 
 // NewInbox creates an inbox; lookup resolves known compositions.
 func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
-	return &Inbox{
-		lookup:  lookup,
-		entries: make(map[entryKey]*entryState),
-		byKey:   make(map[Key]map[crypto.Digest]bool),
+	return &Inbox{lookup: lookup, sources: make(map[Key]*source)}
+}
+
+func (e *entry) holds(d crypto.Digest) bool {
+	for i := range e.payloads {
+		if e.payloads[i].digest == d {
+			return true
+		}
 	}
+	return false
+}
+
+func (e *entry) voted(from ids.NodeID) bool {
+	for i := range e.votes {
+		if e.votes[i].from == from {
+			return true
+		}
+	}
+	return false
 }
 
 // Observe records the arrival of one GroupMsg copy from a link-authenticated
 // sender. It returns the accepted logical message the first time the
-// acceptance threshold is crossed.
+// acceptance threshold is crossed. A copy of a message accepted earlier costs
+// one map probe: no hash, no allocation.
 func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Accepted, bool) {
-	if msg.Payload != nil && crypto.Hash(msg.Payload) != msg.PayloadDigest {
-		return Accepted{}, false // inconsistent copy; drop the vote entirely
-	}
 	src := Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}
-	ek := entryKey{src: src, msgID: msg.MsgID}
-	e, ok := ib.entries[ek]
-	if !ok {
-		if len(ib.byKey[src]) >= maxEntriesPerKey {
+	s := ib.sources[src]
+	var e *entry
+	if s != nil {
+		if _, accepted := s.done[msg.MsgID]; accepted {
 			return Accepted{}, false
 		}
-		e = &entryState{
-			votes:    make(map[ids.NodeID]crypto.Digest),
-			payloads: make(map[crypto.Digest][]byte),
-			attach:   make(map[ids.NodeID][]byte),
-			kind:     msg.Kind,
-			firstAt:  now,
-		}
-		ib.entries[ek] = e
-		set, ok := ib.byKey[src]
-		if !ok {
-			set = make(map[crypto.Digest]bool)
-			ib.byKey[src] = set
-		}
-		set[msg.MsgID] = true
+		e = s.pending[msg.MsgID]
 	}
-	if e.accepted {
-		return Accepted{}, false
+	store := msg.Payload != nil && (e == nil || !e.holds(msg.PayloadDigest))
+	if store && !msg.hashed && crypto.Hash(msg.Payload) != msg.PayloadDigest {
+		return Accepted{}, false // inconsistent copy; drop the vote entirely
+	}
+	if e == nil {
+		if s == nil {
+			s = &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
+			ib.sources[src] = s
+		} else if len(s.pending)+len(s.done) >= maxEntriesPerKey {
+			return Accepted{}, false
+		}
+		// Room for the majority of a typical vgroup without regrowing.
+		e = &entry{kind: msg.Kind, firstAt: now, votes: make([]vote, 0, 4)}
+		s.pending[msg.MsgID] = e
 	}
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
-	if _, voted := e.votes[from]; !voted {
-		e.votes[from] = msg.PayloadDigest
-		if msg.Attach != nil {
-			e.attach[from] = msg.Attach
-		}
+	if !e.voted(from) {
+		e.votes = append(e.votes, vote{from: from, digest: msg.PayloadDigest, attach: msg.Attach})
 	}
-	if msg.Payload != nil {
-		if _, have := e.payloads[msg.PayloadDigest]; !have {
-			e.payloads[msg.PayloadDigest] = msg.Payload
-		}
+	if store {
+		e.payloads = append(e.payloads, heldDigest{digest: msg.PayloadDigest, payload: msg.Payload})
 	}
-	return ib.check(now, ek, e)
+	return ib.check(now, src, msg.MsgID, s, e)
 }
 
-// check evaluates the acceptance rule for one entry.
-func (ib *Inbox) check(now time.Duration, ek entryKey, e *entryState) (Accepted, bool) {
-	comp, known := ib.lookup(ek.src)
+// check evaluates the acceptance rule for one pending entry and, when it
+// holds, moves the message to the source's done map. At most one digest can
+// reach a majority (one vote per sender), and only a digest whose payload is
+// held can be accepted, so the held payloads are the candidates.
+func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
+	comp, known := ib.lookup(src)
 	if !known {
 		return Accepted{}, false
 	}
-	counts := make(map[crypto.Digest]int)
-	for voter, d := range e.votes {
-		if comp.Contains(voter) {
-			counts[d]++
-		}
-	}
-	for d, c := range counts {
-		if c < comp.Majority() {
-			continue
-		}
-		payload, have := e.payloads[d]
-		if !have {
-			continue // wait for a full copy (a correct majority sender will provide one)
-		}
-		attachments := make(map[ids.NodeID][]byte)
-		for voter, vd := range e.votes {
-			if vd == d && comp.Contains(voter) {
-				if a, ok := e.attach[voter]; ok {
-					attachments[voter] = a
-				}
+	for _, held := range e.payloads {
+		count := 0
+		for i := range e.votes {
+			if e.votes[i].digest == held.digest && comp.Contains(e.votes[i].from) {
+				count++
 			}
 		}
-		e.accepted = true
-		// Release memory: the accepted flag alone suppresses stragglers
-		// until the entry is pruned.
-		e.votes, e.payloads, e.attach = nil, nil, nil
-		return Accepted{Src: ek.src, Kind: e.kind, MsgID: ek.msgID,
-			Payload: payload, Attachments: attachments, At: now}, true
+		if count < comp.Majority() {
+			continue // a correct majority sender will still provide its vote
+		}
+		var attachments map[ids.NodeID][]byte
+		for _, v := range e.votes {
+			if v.attach != nil && v.digest == held.digest && comp.Contains(v.from) {
+				if attachments == nil {
+					attachments = make(map[ids.NodeID][]byte)
+				}
+				attachments[v.from] = v.attach
+			}
+		}
+		// Only the time of the first copy outlives acceptance: it alone
+		// suppresses stragglers until the message is pruned.
+		delete(s.pending, msgID)
+		s.done[msgID] = e.firstAt
+		return Accepted{Src: src, Kind: e.kind, MsgID: msgID, Digest: held.digest,
+			Payload: held.payload, Attachments: attachments, At: now}, true
 	}
 	return Accepted{}, false
 }
@@ -139,41 +170,62 @@ func (ib *Inbox) check(now time.Duration, ek entryKey, e *entryState) (Accepted,
 // FlushKey re-evaluates buffered entries for a source composition that just
 // became known, returning all newly accepted messages.
 func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
+	s := ib.sources[src]
+	if s == nil {
+		return nil
+	}
 	// Sorted, not map order: callers act on the result in sequence
 	// (proposals, forwards, RNG draws), and runs of one seed must replay.
-	msgIDs := slices.SortedFunc(maps.Keys(ib.byKey[src]), func(a, b crypto.Digest) int {
+	msgIDs := slices.SortedFunc(maps.Keys(s.pending), func(a, b crypto.Digest) int {
 		return bytes.Compare(a[:], b[:])
 	})
 	var out []Accepted
 	for _, msgID := range msgIDs {
-		ek := entryKey{src: src, msgID: msgID}
-		e, ok := ib.entries[ek]
-		if !ok || e.accepted {
-			continue
-		}
-		if acc, ok := ib.check(now, ek, e); ok {
+		if acc, ok := ib.check(now, src, msgID, s, s.pending[msgID]); ok {
 			out = append(out, acc)
 		}
 	}
 	return out
 }
 
-// Prune drops entries first observed before the deadline. Accepted entries
-// are retained until pruned, which suppresses duplicate deliveries from
-// stragglers in the meantime.
+// Prune forgets messages first observed before the deadline. Accepted
+// messages are remembered until pruned, which suppresses duplicate deliveries
+// from stragglers in the meantime.
 func (ib *Inbox) Prune(before time.Duration) {
-	for ek, e := range ib.entries {
-		if e.firstAt < before {
-			delete(ib.entries, ek)
-			if set, ok := ib.byKey[ek.src]; ok {
-				delete(set, ek.msgID)
-				if len(set) == 0 {
-					delete(ib.byKey, ek.src)
-				}
+	for src, s := range ib.sources {
+		for msgID, e := range s.pending {
+			if e.firstAt < before {
+				delete(s.pending, msgID)
 			}
+		}
+		for msgID, firstAt := range s.done {
+			if firstAt < before {
+				delete(s.done, msgID)
+			}
+		}
+		if len(s.pending)+len(s.done) == 0 {
+			delete(ib.sources, src)
 		}
 	}
 }
 
-// Len returns the number of live entries (for tests and metrics).
-func (ib *Inbox) Len() int { return len(ib.entries) }
+// Pending calls visit once per message still collecting votes, in no
+// particular order, with the number of senders that voted (for tests and
+// metrics).
+func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
+	for src, s := range ib.sources {
+		for _, e := range s.pending {
+			visit(src, e.kind, len(e.votes))
+		}
+	}
+}
+
+// Len returns the number of messages remembered, pending and accepted (for
+// tests and metrics).
+func (ib *Inbox) Len() int {
+	n := 0
+	for _, s := range ib.sources {
+		n += len(s.pending) + len(s.done)
+	}
+	return n
+}

@@ -1,0 +1,331 @@
+package group
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"atum/internal/crypto"
+	"atum/internal/ids"
+)
+
+// The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
+// and the shipped layout is checked against it: same schedule in, same
+// acceptances out. The one rule the two differ on — a corrupt copy of a
+// payload already held counts as a vote — is translated for the model, so the
+// comparison also states exactly what that rule means.
+
+// diffWorld is one seeded schedule's universe: a few source compositions
+// (known, learned later, never learned), a few logical messages per source,
+// and for each message a good payload, a rival payload and corrupt copies.
+type diffWorld struct {
+	t     *testing.T
+	rng   *rand.Rand
+	known map[Key]Composition
+	comps []Composition // comps[0] known from the start, [1] learned mid-run, [2] never
+	ib    *Inbox
+	ref   *refInbox
+	now   time.Duration
+	msgs  int // distinct MsgIDs drawn per source
+	seed  int64
+	steps int // operations applied so far
+	peak  int // largest Len seen
+
+	payloads map[[3]int]diffBytes
+}
+
+type diffBytes struct {
+	bytes  []byte
+	digest crypto.Digest
+}
+
+// fatalf fails the test with the one-line repro: the seed and the step.
+func (w *diffWorld) fatalf(format string, args ...any) {
+	w.t.Helper()
+	w.t.Fatalf("seed %d, step %d: %s", w.seed, w.steps, fmt.Sprintf(format, args...))
+}
+
+func newDiffWorld(t *testing.T, seed int64, msgs int) *diffWorld {
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed}
+	w.payloads = make(map[[3]int]diffBytes)
+	w.comps = []Composition{comp(1, 1, 1, 2, 3, 4, 5), comp(2, 7, 11, 12, 13, 14), comp(3, 2, 21, 22, 23)}
+	w.known[w.comps[0].Key()] = w.comps[0]
+	lookup := func(k Key) (Composition, bool) { c, ok := w.known[k]; return c, ok }
+	w.ib, w.ref = NewInbox(lookup), newRefInbox(lookup)
+	return w
+}
+
+// diffPayload returns variant 0 (good), 1 (rival) or 2 (used as the corrupt
+// bytes) of one logical message's payload, and its digest.
+func (w *diffWorld) diffPayload(src, msg, variant int) ([]byte, crypto.Digest) {
+	k := [3]int{src, msg, variant}
+	p, ok := w.payloads[k]
+	if !ok {
+		p.bytes = []byte(fmt.Sprintf("payload-%d-%d-%d", src, msg, variant))
+		p.digest = crypto.Hash(p.bytes)
+		w.payloads[k] = p
+	}
+	return p.bytes, p.digest
+}
+
+// sameAccepted compares one result pair. The model predates Accepted.Digest
+// and always allocates Attachments, so the digest is checked against the
+// payload and a nil attachment map equals an empty one.
+func (w *diffWorld) sameAccepted(what string, got, want Accepted, gotOK, wantOK bool) {
+	w.t.Helper()
+	if gotOK != wantOK {
+		w.fatalf("%s: accepted = %v, model says %v", what, gotOK, wantOK)
+	}
+	if !gotOK {
+		return
+	}
+	if got.Src != want.Src || got.Kind != want.Kind || got.MsgID != want.MsgID || got.At != want.At ||
+		!bytes.Equal(got.Payload, want.Payload) {
+		w.fatalf("%s: accepted %+v, model %+v", what, got, want)
+	}
+	if got.Digest != crypto.Hash(got.Payload) {
+		w.fatalf("%s: Accepted.Digest is not the payload's digest", what)
+	}
+	if len(got.Attachments) != len(want.Attachments) {
+		w.fatalf("%s: %d attachments, model %d", what, len(got.Attachments), len(want.Attachments))
+	}
+	for voter, a := range want.Attachments {
+		if b, ok := got.Attachments[voter]; !ok || !bytes.Equal(a, b) {
+			w.fatalf("%s: attachment of %v = %q, model %q", what, voter, b, a)
+		}
+	}
+}
+
+// observe feeds one copy to both inboxes. A corrupt copy naming a digest
+// whose payload the model's pending entry already holds is the intended
+// difference: the model is handed the digest-only copy it must equal.
+func (w *diffWorld) observe(from ids.NodeID, m GroupMsg) (corruptLater bool) {
+	w.t.Helper()
+	forModel := m
+	if m.Payload != nil && crypto.Hash(m.Payload) != m.PayloadDigest {
+		e := w.ref.entries[refEntryKey{src: Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}, msgID: m.MsgID}]
+		if e != nil && !e.accepted && e.payloads[m.PayloadDigest] != nil {
+			forModel.Payload = nil
+			corruptLater = true
+		}
+	}
+	got, gotOK := w.ib.Observe(w.now, from, m)
+	want, wantOK := w.ref.Observe(w.now, from, forModel)
+	w.sameAccepted(fmt.Sprintf("Observe(from %v, msg %x)", from, m.MsgID[:3]), got, want, gotOK, wantOK)
+	return corruptLater
+}
+
+// step draws and applies one operation, then compares Len.
+func (w *diffWorld) step() (corruptLater bool) {
+	w.t.Helper()
+	w.steps++
+	w.now += time.Duration(w.rng.Intn(50)) * time.Millisecond
+	switch op := w.rng.Intn(100); {
+	case op < 3: // learn the second composition (again, possibly changed) and flush it
+		c := w.comps[1]
+		if w.rng.Intn(3) == 0 {
+			c = comp(2, 7, 11, 12, 13) // the fallback lookup may answer with a neighbouring epoch's members
+		}
+		w.known[w.comps[1].Key()] = c
+		fallthrough
+	case op < 8:
+		k := w.comps[w.rng.Intn(len(w.comps))].Key()
+		got, want := w.ib.FlushKey(w.now, k), w.ref.FlushKey(w.now, k)
+		if len(got) != len(want) {
+			w.fatalf("FlushKey(%v): %d accepted, model %d", k, len(got), len(want))
+		}
+		for i := range got {
+			w.sameAccepted(fmt.Sprintf("FlushKey(%v)[%d]", k, i), got[i], want[i], true, true)
+		}
+	case op < 11:
+		before := time.Duration(w.rng.Int63n(int64(w.now) + 1))
+		if w.msgs > maxEntriesPerKey {
+			before /= 8 // a flood schedule prunes only its oldest entries, or it never fills up
+		}
+		w.ib.Prune(before)
+		w.ref.Prune(before)
+	default:
+		si := w.rng.Intn(len(w.comps))
+		c := w.comps[si]
+		mi := w.rng.Intn(w.msgs)
+		from := c.Members[w.rng.Intn(c.N())].ID
+		if w.rng.Intn(10) == 0 {
+			from = ids.NodeID(90 + w.rng.Intn(3)) // not a member of anything
+		}
+		variant := 0
+		if w.rng.Intn(6) == 0 {
+			variant = 1 // a Byzantine re-vote or digest flip: the rival payload
+		}
+		payload, digest := w.diffPayload(si, mi, variant)
+		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: Kind(1 + mi%3),
+			MsgID: crypto.HashUint64(crypto.Digest{}, uint64(si)<<32|uint64(mi)), PayloadDigest: digest}
+		switch w.rng.Intn(8) {
+		case 0, 1, 2, 3:
+			m.Payload = payload
+		case 4:
+			m.Payload, _ = w.diffPayload(si, mi, 2) // corrupt: does not hash to the digest it names
+		}
+		if w.rng.Intn(3) == 0 {
+			m.Attach = []byte(fmt.Sprintf("sig-%v-%d", from, w.rng.Intn(2)))
+		}
+		corruptLater = w.observe(from, m)
+	}
+	if got, want := w.ib.Len(), w.ref.Len(); got != want {
+		w.fatalf("Len = %d, model %d", got, want)
+	}
+	w.peak = max(w.peak, w.ib.Len())
+	return corruptLater
+}
+
+// TestInboxMatchesReference drives the shipped Inbox and the reference model
+// with seeded random schedules — full, digest-only and attachment-bearing
+// votes, outsiders, Byzantine re-votes and digest flips, corrupt copies first
+// and later, a source learned (and re-learned with other members) mid-run, one
+// never learned, FlushKey and Prune at random times — and requires identical
+// (Accepted, ok) sequences and Len throughout. Every two-hundredth schedule draws
+// MsgIDs from a space wider than maxEntriesPerKey to run into the cap.
+func TestInboxMatchesReference(t *testing.T) {
+	schedules, corruptLater := 1200, 0
+	if testing.Short() {
+		schedules = 200
+	}
+	for seed := 0; seed < schedules; seed++ {
+		msgs, steps := 5, 300
+		if seed%200 == 199 {
+			msgs, steps = 3*maxEntriesPerKey, 6*maxEntriesPerKey
+		}
+		w := newDiffWorld(t, int64(seed), msgs)
+		for i := 0; i < steps; i++ {
+			if w.step() {
+				corruptLater++
+			}
+		}
+		if msgs > maxEntriesPerKey && w.peak < 2*maxEntriesPerKey {
+			t.Fatalf("seed %d: flood schedule peaked at %d entries over 3 sources: the per-source cap was hardly reached", seed, w.peak)
+		}
+	}
+	if corruptLater == 0 {
+		t.Error("no schedule produced a corrupt copy of a held payload: the named difference went untested")
+	}
+}
+
+// TestInboxCorruptLaterCopyCountsAsVote is the one place the shipped Inbox
+// differs from the reference model: once an entry holds a verified payload
+// for digest D, a later copy naming D is not hashed, so a copy with other
+// bytes votes for D like a digest-only copy — and what is delivered is the
+// verified payload, never the unverified bytes.
+func TestInboxCorruptLaterCopyCountsAsVote(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3)
+	lookup := func(k Key) (Composition, bool) { return src, k == src.Key() }
+	good := []byte("good")
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("x")),
+		PayloadDigest: crypto.Hash(good), Payload: good}
+	corrupt := m
+	corrupt.Payload = []byte("evil")
+
+	ib, ref := NewInbox(lookup), newRefInbox(lookup)
+	ib.Observe(0, 1, m)
+	ref.Observe(0, 1, m)
+	if _, ok := ref.Observe(0, 2, corrupt); ok {
+		t.Fatal("model: a corrupt copy is no vote")
+	}
+	acc, ok := ib.Observe(0, 2, corrupt)
+	if !ok {
+		t.Fatal("a copy naming a held digest must count as a vote for it")
+	}
+	if string(acc.Payload) != "good" || acc.Digest != crypto.Hash(good) {
+		t.Fatalf("accepted %q: the unverified bytes must never be delivered", acc.Payload)
+	}
+
+	// Arriving first, the same copy is hashed and dropped whole, as in the model.
+	ib = NewInbox(lookup)
+	if _, ok := ib.Observe(0, 2, corrupt); ok || ib.Len() != 0 {
+		t.Fatal("a corrupt first copy must leave no trace")
+	}
+	ib.Observe(0, 1, m)
+	if _, ok := ib.Observe(0, 3, m); !ok {
+		t.Fatal("members 1 and 3 are a majority")
+	}
+}
+
+// TestInboxStragglerCostsOneProbe pins the two hot cases of Observe. A copy of
+// an accepted message allocates nothing and hashes nothing — its payload does
+// not match its digest here, and nothing notices. A further digest-only vote
+// on a pending entry costs at most the vote slice's growth.
+func TestInboxStragglerCostsOneProbe(t *testing.T) {
+	members := make([]uint64, 40)
+	for i := range members {
+		members[i] = uint64(i + 1)
+	}
+	src := comp(1, 1, members...)
+	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
+	payload := bytes.Repeat([]byte{7}, 4096)
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("id")),
+		PayloadDigest: crypto.Hash(payload), Payload: payload}
+
+	from := ids.NodeID(1)
+	ib.Observe(0, from, m)
+	digestOnly := m
+	digestOnly.Payload = nil
+	if allocs := testing.AllocsPerRun(15, func() { // 17 votes in all, below the majority of 21
+		from++
+		if _, ok := ib.Observe(0, from, digestOnly); ok {
+			t.Fatal("accepted below majority")
+		}
+	}); allocs > 1 {
+		t.Errorf("a digest-only vote on a pending entry allocates %.1f times, want ≤ 1", allocs)
+	}
+	for accepted := false; !accepted; {
+		from++
+		_, accepted = ib.Observe(0, from, digestOnly)
+	}
+
+	straggler := m
+	straggler.Payload = bytes.Repeat([]byte{8}, 4096) // does not hash to PayloadDigest
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := ib.Observe(time.Second, 40, straggler); ok {
+			t.Fatal("accepted twice")
+		}
+	}); allocs != 0 {
+		t.Errorf("a straggler for an accepted message allocates %.1f times, want 0", allocs)
+	}
+	if ib.Len() != 1 {
+		t.Errorf("Len = %d, want 1", ib.Len())
+	}
+}
+
+// BenchmarkInboxObserve4KiB times one full copy of a message that already has
+// a copy in the inbox — pending (payload held, one more vote) and accepted
+// (straggler) — at two payload sizes. Neither case reads the payload, so the
+// 64 B and 4 KiB rows must agree.
+func BenchmarkInboxObserve4KiB(b *testing.B) {
+	members := make([]uint64, 24)
+	for i := range members {
+		members[i] = uint64(i + 1)
+	}
+	src := comp(1, 1, members...) // majority 13
+	lookup := func(k Key) (Composition, bool) { return src, k == src.Key() }
+	for _, size := range []int{64, 4096} {
+		payload := bytes.Repeat([]byte{7}, size)
+		m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("id")),
+			PayloadDigest: crypto.Hash(payload), Payload: payload}
+		b.Run(fmt.Sprintf("pending/%dB", size), func(b *testing.B) {
+			ib := NewInbox(lookup)
+			ib.Observe(0, 1, m)
+			for i := 0; b.Loop(); i++ {
+				ib.Observe(0, ids.NodeID(2+i%11), m) // 12 voters at most: never a majority
+			}
+		})
+		b.Run(fmt.Sprintf("accepted/%dB", size), func(b *testing.B) {
+			ib := NewInbox(lookup)
+			for from := ids.NodeID(1); ib.Len() == 0 || len(ib.sources[src.Key()].done) == 0; from++ {
+				ib.Observe(0, from, m)
+			}
+			for b.Loop() {
+				ib.Observe(0, 24, m)
+			}
+		})
+	}
+}
