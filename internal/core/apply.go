@@ -352,7 +352,7 @@ func nbrUpdateMsgID(newComp group.Composition, to ids.GroupID) crypto.Digest {
 	return d
 }
 
-func gossipMsgID(bcastID crypto.Digest, src group.Composition, dst ids.GroupID) crypto.Digest {
+func gossipMsgID(bcastID crypto.Digest, src group.Key, dst ids.GroupID) crypto.Digest {
 	d := crypto.Hash([]byte("atum-gossip"), bcastID[:])
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)

@@ -169,7 +169,7 @@ func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition) (*No
 // originGossip starts the gossip phase of d at n the way applyBcast does.
 func originGossip(n *Node, d Delivery) {
 	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
-	n.forwardGossip(d, payload, crypto.Hash(payload), BroadcastOpts{})
+	n.forwardGossip(d, payload, crypto.Hash(payload), group.Key{}, BroadcastOpts{})
 }
 
 func testComp(gid ids.GroupID, epoch uint64, members ...uint64) group.Composition {

@@ -75,6 +75,11 @@ func TestBatchFrameClusterDelivery(t *testing.T) {
 const staleV2CarrierFrameHex = "02" + "00000001" + "01" + "01" + "10" + "00000001" +
 	"00" + "00000014" + "00f0010000000000000001000000056368756e6b"
 
+// staleV3CarrierFrameHex is the same item as the deleted v3 writer framed it
+// (frame-wide flags 0x03: full, derived MsgIDs).
+const staleV3CarrierFrameHex = "03" + "03" + "00000001" + "10" + "00000001" +
+	"00000014" + "00f0010000000000000001000000056368756e6b"
+
 // TestStaleVersionBatchCarrierIgnored pins the receive side of replacing the
 // frame: a batch carrier holding a frame of an older version is dropped
 // whole — no inner item reaches the raw hook — while the identical item in a
@@ -92,12 +97,16 @@ func TestStaleVersionBatchCarrierIgnored(t *testing.T) {
 	if !ok {
 		t.Fatal("egressTestMsg not wire-codable")
 	}
-	stale, err := hex.DecodeString(staleV2CarrierFrameHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(stale, extFrame) {
-		t.Fatalf("golden v2 frame does not carry the item under test %x", extFrame)
+	var staleFrames [][]byte
+	for _, frameHex := range []string{staleV2CarrierFrameHex, staleV3CarrierFrameHex} {
+		stale, err := hex.DecodeString(frameHex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(stale, extFrame) {
+			t.Fatalf("golden v%d frame does not carry the item under test %x", stale[0], extFrame)
+		}
+		staleFrames = append(staleFrames, stale)
 	}
 	items := []group.BatchItem{{
 		Kind:      kindRaw,
@@ -116,10 +125,12 @@ func TestStaleVersionBatchCarrierIgnored(t *testing.T) {
 		t.Fatalf("current carrier delivered %d raw messages, want 1", len(got))
 	}
 
-	carrier.Payload = stale
-	carrier.PayloadDigest = crypto.Hash(stale)
-	n.handleBatch(1, carrier)
-	if len(got) != 1 {
-		t.Fatalf("stale-version carrier leaked %d raw messages through, want 0", len(got)-1)
+	for _, stale := range staleFrames {
+		carrier.Payload = stale
+		carrier.PayloadDigest = crypto.Hash(stale)
+		n.handleBatch(1, carrier)
+		if len(got) != 1 {
+			t.Fatalf("stale v%d carrier leaked %d raw messages through, want 0", stale[0], len(got)-1)
+		}
 	}
 }

@@ -90,7 +90,7 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 
 	// One gossip payload, one walk hop, one raw message, same destination.
 	n.sendViaEgress(comp, nbr, kindGossip,
-		gossipMsgID(crypto.Hash([]byte("g")), comp, nbr.GroupID),
+		gossipMsgID(crypto.Hash([]byte("g")), comp.Key(), nbr.GroupID),
 		encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")}))
 	n.sendViaEgress(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
@@ -380,7 +380,7 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 		bcast := crypto.Hash([]byte(data))
 		return group.BatchItem{
 			Kind:    kind,
-			MsgID:   gossipMsgID(bcast, src, comp.GroupID),
+			MsgID:   gossipMsgID(bcast, src.Key(), comp.GroupID),
 			Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data)}),
 		}
 	}
@@ -477,7 +477,7 @@ func TestKindTagMismatchDropped(t *testing.T) {
 	bcast := crypto.Hash([]byte("carried-gossip"))
 	items := append(mismatched("carried"), group.BatchItem{
 		Kind:    kindGossip,
-		MsgID:   gossipMsgID(bcast, src, comp.GroupID),
+		MsgID:   gossipMsgID(bcast, src.Key(), comp.GroupID),
 		Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("carried-gossip")}),
 	})
 	for _, sender := range src.Members {

@@ -1,16 +1,20 @@
 package core
 
 // Failure-injection suite: message loss, partitions, simultaneous crashes,
-// and the join-concurrency regression. Each scenario also verifies the
+// Byzantine payload withholding, and the join-concurrency regression. Each scenario also verifies the
 // divergence invariant (all members of a vgroup apply the same op sequence
 // per epoch) through an OnApply detector.
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"atum/internal/actor"
 	"atum/internal/crypto"
+	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/simnet"
 	"atum/internal/smr"
@@ -445,5 +449,126 @@ func TestTotalPartitionPreservesSafety(t *testing.T) {
 				t.Fatalf("node %v delivered unknown message %q", id, m)
 			}
 		}
+	}
+}
+
+// gossipWithholder is the fault TestGossipSurvivesPayloadWithholding injects:
+// in every vgroup the f members with the lowest indices — f of the f+1 that
+// forwardGossip has attach the payload, its worst case — send their gossip
+// votes without it, or, silent, send no gossip at all. Everything else they
+// send is untouched, so they stay members. A member's index is taken in the
+// composition its message is stamped with.
+type gossipWithholder struct {
+	t        *testing.T
+	mode     smr.Mode
+	silent   bool
+	withheld int // gossip copies stripped or dropped
+}
+
+func (w *gossipWithholder) wrapEnv(n *Node, env actor.Env) actor.Env {
+	return sendHook{Env: env, hook: func(msg actor.Message) actor.Message {
+		m, ok := msg.(group.GroupMsg)
+		if !ok || m.DstGroup == 0 || (m.Kind != kindGossip && m.Kind != kindBatch) {
+			return msg
+		}
+		src, ok := n.lookupComp(group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch})
+		if idx := src.Index(n.cfg.Identity.ID); !ok || idx < 0 || idx >= w.mode.F(src.N()) {
+			return msg
+		}
+		if m.Kind == kindGossip {
+			w.withheld++
+			if w.silent {
+				return nil
+			}
+			m.Payload = nil
+			return m
+		}
+		// A carrier: the same, item by item, reframed.
+		inner, err := group.UnpackBatch(m)
+		if err != nil {
+			w.t.Fatalf("a node sent a carrier that does not unpack: %v", err)
+		}
+		var items []group.BatchItem
+		for _, im := range inner {
+			it := group.BatchItem{Kind: im.Kind, MsgID: im.MsgID, Payload: im.Payload, Digest: im.PayloadDigest}
+			if im.Kind == kindGossip {
+				w.withheld++
+				if w.silent {
+					continue
+				}
+				it.Payload = nil
+			}
+			items = append(items, it)
+		}
+		if len(items) == 0 {
+			return nil
+		}
+		group.SendBatchToNode(func(_ ids.NodeID, framed actor.Message) {
+			m.Payload = framed.(group.GroupMsg).Payload
+		}, group.Composition{}, 0, 0, m.Kind, m.MsgID, items)
+		return m
+	}}
+}
+
+// TestGossipSurvivesPayloadWithholding: with f+1 payload senders per vgroup
+// and no way to ask for a payload again, delivery rests on the member at index
+// f. In a system of at least four vgroups the f members below it withhold
+// every gossip payload (then: every gossip message), in both fault models, and
+// every node still delivers every broadcast exactly once with the bytes that
+// were sent.
+func TestGossipSurvivesPayloadWithholding(t *testing.T) {
+	for _, tc := range []struct {
+		mode   smr.Mode
+		silent bool
+	}{{smr.ModeAsync, false}, {smr.ModeAsync, true}, {smr.ModeSync, false}, {smr.ModeSync, true}} {
+		t.Run(fmt.Sprintf("%v/silent=%v", tc.mode, tc.silent), func(t *testing.T) {
+			const seed = 1
+			h := newHarness(t, tc.mode, seed, func(cfg *Config) {
+				cfg.DisableShuffle = true
+				cfg.EvictAfter = time.Hour
+				cfg.RequestTimeout = 2 * time.Second
+			})
+			if tc.mode == smr.ModeAsync {
+				h.net = simnet.New(simnet.Config{Seed: seed, Latency: simnet.WANLatency(4)})
+			}
+			fault := &gossipWithholder{t: t, mode: tc.mode, silent: tc.silent}
+			h.wrapEnv = fault.wrapEnv
+			nodes := h.bootstrapSystem(tc.mode, 26, 240*time.Second)
+			h.net.Run(h.net.Now() + 30*time.Second)
+			groups := h.groupsOf()
+			if len(groups) < 4 {
+				t.Fatalf("%d vgroups, want at least 4", len(groups))
+			}
+			faulty := 0
+			for _, members := range groups {
+				faulty += tc.mode.F(len(members))
+			}
+			if faulty < len(groups)/2 {
+				t.Fatalf("%d withholding members over %d vgroups: too few for the fault to bite", faulty, len(groups))
+			}
+
+			var want []string
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 10; i++ {
+				data := make([]byte, 600)
+				rng.Read(data)
+				want = append(want, string(data))
+				if err := nodes[(7*i)%len(nodes)].BroadcastWith(data, BroadcastOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				h.net.Run(h.net.Now() + 2*time.Second)
+			}
+			h.net.Run(h.net.Now() + 30*time.Second)
+			if fault.withheld == 0 {
+				t.Fatal("no gossip copy was withheld: the fault was never exercised")
+			}
+			slices.Sort(want)
+			for _, n := range nodes {
+				got := slices.Sorted(slices.Values(h.delivered[n.cfg.Identity.ID]))
+				if !slices.Equal(got, want) {
+					t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once and intact", n.cfg.Identity.ID, len(got), len(want))
+				}
+			}
+		})
 	}
 }

@@ -85,7 +85,7 @@ func (n *Node) applyBcast(o bcastOp) {
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, payload, crypto.Hash(payload), opts)
+	n.forwardGossip(d, payload, crypto.Hash(payload), group.Key{}, opts)
 }
 
 // handleGossip processes one gossip hop accepted from a neighboring vgroup.
@@ -112,7 +112,7 @@ func (n *Node) handleGossip(acc group.Accepted) {
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, acc.Payload, acc.Digest, BroadcastOpts{})
+	n.forwardGossip(d, acc.Payload, acc.Digest, acc.Src, BroadcastOpts{})
 }
 
 // forwardGossip offers every overlay link to the Forward callback and queues
@@ -125,30 +125,66 @@ func (n *Node) handleGossip(acc group.Accepted) {
 // the chosen sends are framed, never which sends are chosen. All
 // per-destination queueing lives in internal/egress. opts carries the
 // origin's flow-control options (zero at remote hops).
-func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, opts BroadcastOpts) {
+//
+// Every member votes on every chosen link; which votes carry the payload is
+// decided here, per item — a nil Payload is a digest-only vote from any member
+// (group.BatchItem) — by two rules that apply to gossip alone:
+//
+//   - f+1 payload senders. At most f members of this vgroup are faulty, so
+//     among the f+1 lowest-index members one correct member sends the bytes on
+//     every link — the argument §5.1 makes for a majority. The rest vote the
+//     digest.
+//   - No payload back where it came from. from is the composition this
+//     broadcast was accepted from (zero at the origin): a majority of exactly
+//     that composition voted the digest, so its members hold the bytes. The
+//     match is on GroupID and Epoch — a neighbor known at another epoch may
+//     include members that were never in the accepting one.
+//
+// A link the broadcast went out on will echo it: the neighbor floods its own
+// neighbors, this vgroup among them. This node has delivered, so the echo is
+// settled in the inbox before it arrives — under the neighbor's freshest known
+// composition, the one it stamps its sends with — and each of its copies is
+// then turned away at one map probe instead of collecting votes for a
+// broadcast markSeen would drop (and, payload-less by the second rule, never
+// completing). A neighbor whose view of this vgroup is stale addresses it
+// under another DstGroup, hence another MsgID, which is not settled: that echo
+// is accepted and dropped at markSeen as before.
+func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key, opts BroadcastOpts) {
 	st := n.st
 	if st == nil {
 		return
 	}
+	now := n.env.Now()
 	var expires time.Duration
 	if opts.TTL > 0 {
-		expires = n.env.Now() + opts.TTL
+		expires = now + opts.TTL
 	}
+	sendsPayload := st.comp.Index(n.cfg.Identity.ID) <= n.cfg.Mode.F(st.comp.N())
 	// One send per neighbor composition, however many links lead to it.
 	sent := make([]group.Key, 0, 8)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		for _, dir := range [...]overlay.Direction{overlay.Pred, overlay.Succ} {
 			nbr := st.nbrs.At(overlay.Link{Cycle: c, Dir: dir})
-			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || slices.Contains(sent, nbr.Key()) {
+			key := nbr.Key()
+			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || slices.Contains(sent, key) {
 				continue
 			}
 			link := ForwardLink{Cycle: c, Succ: dir == overlay.Succ, Neighbor: nbr.GroupID}
 			if n.cfg.Callbacks.Forward != nil && !n.cfg.Callbacks.Forward(d, link) {
 				continue
 			}
-			sent = append(sent, nbr.Key())
-			n.sendItemViaEgress(st.comp, nbr, group.BatchItem{Kind: kindGossip,
-				MsgID: gossipMsgID(d.BcastID, st.comp, nbr.GroupID), Payload: payload, Digest: digest}, expires)
+			sent = append(sent, key)
+			it := group.BatchItem{Kind: kindGossip, MsgID: gossipMsgID(d.BcastID, st.comp.Key(), nbr.GroupID), Digest: digest}
+			if sendsPayload && key != from {
+				it.Payload = payload
+			}
+			n.sendItemViaEgress(st.comp, nbr, it, expires)
+
+			echo := key
+			if latest, ok := n.latestComp[nbr.GroupID]; ok && latest.Epoch > echo.Epoch {
+				echo = latest.Key()
+			}
+			n.inbox.Settle(now, echo, gossipMsgID(d.BcastID, echo, st.comp.GroupID))
 		}
 	}
 }

@@ -7,9 +7,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
+	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
@@ -26,6 +28,154 @@ func drainGroupSends(n *Node) []queuedSend {
 	out := n.outQ
 	n.outQ = nil
 	return out
+}
+
+// gossipCopies returns the gossip copies one wire message holds: itself, or
+// the gossip items of a group-addressed carrier.
+func gossipCopies(t testing.TB, msg actor.Message) []group.GroupMsg {
+	t.Helper()
+	m, ok := msg.(group.GroupMsg)
+	switch {
+	case !ok:
+		return nil
+	case m.Kind == kindGossip:
+		return []group.GroupMsg{m}
+	case m.Kind != kindBatch || m.DstGroup == 0:
+		return nil
+	}
+	inner, err := group.UnpackBatch(m)
+	if err != nil {
+		t.Fatalf("a node sent a carrier that does not unpack: %v", err)
+	}
+	var out []group.GroupMsg
+	for _, im := range inner {
+		if im.Kind == kindGossip {
+			out = append(out, im)
+		}
+	}
+	return out
+}
+
+// gossipSentBy drains what n sent (memberNode's captured environment, either
+// mode) and returns, per destination composition, whether n's gossip copies
+// toward it carried the payload. A member sends every member of one
+// destination the same copy.
+func gossipSentBy(t *testing.T, n *Node, env *fakeEnv) map[group.Key]bool {
+	t.Helper()
+	var msgs []actor.Message
+	for _, q := range drainGroupSends(n) {
+		msgs = append(msgs, q.msg)
+	}
+	for _, s := range env.sent {
+		msgs = append(msgs, s.msg)
+	}
+	env.sent = nil
+	out := map[group.Key]bool{}
+	for _, msg := range msgs {
+		for _, m := range gossipCopies(t, msg) {
+			dst, full := group.Key{GroupID: m.DstGroup, Epoch: m.DstEpoch}, m.Payload != nil
+			if was, seen := out[dst]; seen && was != full {
+				t.Fatalf("node %v sent %v copies with and without the payload", n.cfg.Identity.ID, dst)
+			}
+			out[dst] = full
+		}
+	}
+	return out
+}
+
+// TestGossipPayloadSendersAreTheFirstFPlusOne pins the first payload rule at
+// its edge, for every vgroup size the engine runs with and both fault models:
+// the member at index f attaches the payload, the member at index f+1 votes
+// the digest — and every member votes.
+func TestGossipPayloadSendersAreTheFirstFPlusOne(t *testing.T) {
+	nbr := testComp(2, 1, 91, 92, 93)
+	for _, mode := range []smr.Mode{smr.ModeSync, smr.ModeAsync} {
+		for g := 4; g <= 8; g++ {
+			members := make([]uint64, g)
+			for i := range members {
+				members[i] = uint64(i + 1)
+			}
+			comp := testComp(1, 1, members...)
+			f := mode.F(g)
+			for idx, m := range comp.Members {
+				n, env := memberNode(t, m.ID, comp, nbr)
+				n.cfg.Mode = mode
+				originGossip(n, Delivery{BcastID: crypto.Hash([]byte("rule-1")), Origin: 1, Data: []byte("bytes")})
+				full, voted := gossipSentBy(t, n, env)[nbr.Key()]
+				if !voted {
+					t.Fatalf("%v g=%d: member at index %d did not vote", mode, g, idx)
+				}
+				if want := idx <= f; full != want {
+					t.Errorf("%v g=%d f=%d: member at index %d attached the payload = %v, want %v", mode, g, f, idx, full, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGossipPayloadStaysOffTheLinkItCameFrom pins the second payload rule and
+// the settling of echoes. B has three neighbors; its index-0 member accepts a
+// broadcast from X@2. Toward exactly X@2 its copy is payload-less; toward the
+// other two it carries the bytes; and had the acceptance come from X at any
+// other epoch than the one B knows, X would get the bytes too — the members of
+// X@2 need not have been in it.
+func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
+	B := testComp(3, 1, 4, 5, 6, 7)
+	X := testComp(2, 2, 11, 12, 13)
+	Y := testComp(5, 1, 21, 22, 23)
+	Z := testComp(6, 4, 31, 32, 33)
+	build := func() (*Node, *fakeEnv) {
+		n, env := memberNode(t, 4, B, X)
+		n.st.nbrs.Set(overlay.Link{Cycle: 0, Dir: overlay.Pred}, Y.Clone())
+		n.st.nbrs.Set(overlay.Link{Cycle: 1, Dir: overlay.Succ}, Z.Clone())
+		n.learnComp(Y)
+		n.learnComp(Z)
+		return n, env
+	}
+	accept := func(n *Node, from group.Key, data string) crypto.Digest {
+		bcast := crypto.Hash([]byte(data))
+		payload := encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data)})
+		n.handleGossip(group.Accepted{Src: from, Kind: kindGossip, Payload: payload, Digest: crypto.Hash(payload)})
+		return bcast
+	}
+
+	n, env := build()
+	bcast := accept(n, X.Key(), "from X@2")
+	got := gossipSentBy(t, n, env)
+	if want := map[group.Key]bool{X.Key(): false, Y.Key(): true, Z.Key(): true}; !maps.Equal(got, want) {
+		t.Errorf("accepted from %v: payload attached per destination = %v, want %v", X.Key(), got, want)
+	}
+
+	for _, epoch := range []uint64{1, 3} {
+		n, env := build()
+		accept(n, group.Key{GroupID: X.GroupID, Epoch: epoch}, "from X at another epoch")
+		if got := gossipSentBy(t, n, env); !got[X.Key()] || !got[Y.Key()] || !got[Z.Key()] {
+			t.Errorf("accepted from X@%d, X known at epoch %d: payload attached = %v, want everywhere", epoch, X.Epoch, got)
+		}
+	}
+
+	// The echoes are settled: Y's flood back, every member voting and sending
+	// the bytes, is turned away without an entry — also when Y has moved to an
+	// epoch this node has heard of but its neighbor table has not caught up
+	// with. Nothing but the settled records is left.
+	n, env = build()
+	Y2 := testComp(5, 2, 21, 22, 24)
+	n.learnComp(Y2)
+	bcast = accept(n, X.Key(), "echoed")
+	gossipSentBy(t, n, env)
+	payload := encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("echoed")})
+	for _, echoer := range []group.Composition{Y2, Z} {
+		for _, m := range echoer.Members {
+			n.Receive(m.ID, group.GroupMsg{SrcGroup: echoer.GroupID, SrcEpoch: echoer.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+				Kind: kindGossip, MsgID: gossipMsgID(bcast, echoer.Key(), B.GroupID), PayloadDigest: crypto.Hash(payload), Payload: payload})
+		}
+	}
+	n.inbox.Pending(func(src group.Key, _ group.Kind, votes int) {
+		t.Errorf("the echo from %v is collecting votes (%d): it was not settled", src, votes)
+	})
+	if got := n.inbox.Len(); got != 3 {
+		t.Errorf("inbox remembers %d messages, want the three settled echoes", got)
+	}
 }
 
 // TestGossipVotesAgreeAcrossPathLengths pins the vote-split fix. Vgroup B's
@@ -158,7 +308,8 @@ func TestDeliverBufferIsPrivate(t *testing.T) {
 // no inbox holds a gossip message from a composition it knows that a majority
 // voted for and that was never accepted — the residue that votes split over
 // several digests left behind, payloads pinned, until inboxTTL (36 such
-// entries on this seed before the fix).
+// entries on this seed before the fix). The payload rules of forwardGossip are
+// held to the same standard: their digest-only echoes are settled, not parked.
 func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 	const seed = 1
 	h := newHarness(t, smr.ModeAsync, seed, func(cfg *Config) {
@@ -167,6 +318,17 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 		cfg.RequestTimeout = 2 * time.Second
 	})
 	h.net = simnet.New(simnet.Config{Seed: seed, Latency: simnet.WANLatency(4)})
+	fullCopies := 0
+	h.wrapEnv = func(_ *Node, env actor.Env) actor.Env {
+		return sendHook{Env: env, hook: func(msg actor.Message) actor.Message {
+			for _, m := range gossipCopies(t, msg) {
+				if m.Payload != nil {
+					fullCopies++
+				}
+			}
+			return msg
+		}}
+	}
 	nodes := h.bootstrapSystem(smr.ModeAsync, 26, 240*time.Second)
 	h.net.Run(h.net.Now() + 30*time.Second)
 	if groups := len(h.groupsOf()); groups < 5 {
@@ -180,6 +342,13 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 		h.net.Run(h.net.Now() + 2*time.Second)
 	}
 	h.net.Run(h.net.Now() + 30*time.Second)
+	// Payload multiplicity, so that losing a payload rule fails here and not
+	// only in the benchmark: 4.97 copies of the payload cross the wire per
+	// delivery on this seed (6.58 without the no-way-back rule, 8.29 without
+	// the f+1 rule, 10.81 with neither, as before both).
+	if perDelivery := float64(fullCopies) / float64(bcasts*len(nodes)); perDelivery > 5.5 {
+		t.Errorf("%.2f full-payload gossip copies per delivery, want at most 5.5", perDelivery)
+	}
 	for _, n := range nodes {
 		id := n.cfg.Identity.ID
 		if len(h.delivered[id]) != bcasts {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
@@ -22,7 +23,31 @@ type harness struct {
 	deliverAt map[ids.NodeID]map[string]time.Duration
 	events    map[EventKind]int
 	cfgFn     func(cfg *Config)
-	nextID    uint64
+	// wrapEnv, when set before a node is added, stands between that node and
+	// the simulator: a tap or a fault on everything the node sends.
+	wrapEnv func(n *Node, env actor.Env) actor.Env
+	nextID  uint64
+}
+
+// wrappedNode starts its node on the environment the harness's wrapEnv made.
+type wrappedNode struct {
+	*Node
+	wrap func(n *Node, env actor.Env) actor.Env
+}
+
+func (w wrappedNode) Start(env actor.Env) { w.Node.Start(w.wrap(w.Node, env)) }
+
+// sendHook is an actor.Env whose Send goes through a test's function first:
+// what it returns is sent, nil is dropped.
+type sendHook struct {
+	actor.Env
+	hook func(msg actor.Message) actor.Message
+}
+
+func (e sendHook) Send(to ids.NodeID, msg actor.Message) {
+	if msg = e.hook(msg); msg != nil {
+		e.Env.Send(to, msg)
+	}
 }
 
 func newHarness(t *testing.T, mode smr.Mode, seed int64, cfgFn func(cfg *Config)) *harness {
@@ -79,7 +104,11 @@ func (h *harness) addNode(mode smr.Mode) *Node {
 	id := ids.NodeID(h.nextID)
 	n := New(h.defaultConfig(id, mode))
 	h.nodes[id] = n
-	h.net.Add(id, n)
+	if h.wrapEnv != nil {
+		h.net.Add(id, wrappedNode{Node: n, wrap: h.wrapEnv})
+	} else {
+		h.net.Add(id, n)
+	}
 	return n
 }
 

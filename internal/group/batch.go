@@ -19,15 +19,22 @@ import (
 // batching safe without any cross-member batch agreement.
 //
 // One frame layout exists on the wire (byte-level spec: docs/WIRE.md): a
-// version byte, a flags byte, and run-length kind groups of plain items.
+// version byte, an item count, and runs of items that share a kind and a
+// form. The form says whether the run's items carry their payloads or only the
+// payload digests, so one carrier holds both side by side: which of a member's
+// items carry bytes is decided per item (BatchItem.Payload), not per frame.
 // Nothing in a frame expands on decode — every full payload is a sub-slice
 // of the frame — so the item-count limit and the wire decoder's length
 // checks are the only bounds a receiver needs.
 
 // BatchItem is one logical group message folded into a batch.
 type BatchItem struct {
-	Kind    Kind
-	MsgID   crypto.Digest
+	Kind  Kind
+	MsgID crypto.Digest
+	// Payload is the message body. A nil Payload makes this sender's copy a
+	// digest-only vote for Digest whatever the sender's index: the builder
+	// knows the destination gets the bytes from elsewhere (core's gossip
+	// rules). Send and SendBatch treat it the same way.
 	Payload []byte
 	// Digest is the digest of Payload when the builder already has it (the
 	// origin of a broadcast hashes once for all its links; a forwarder takes
@@ -35,12 +42,11 @@ type BatchItem struct {
 	// helpers then hash the payload themselves.
 	Digest crypto.Digest
 	// DerivedID marks an item whose MsgID is, by construction, the payload
-	// digest (node-addressed raw items: core sets MsgID = Hash(Payload)).
-	// When every item of a batch is marked, the frame omits the MsgIDs and
-	// the receiver re-derives them from the payload digest it computes
-	// anyway. Setting it on an item whose MsgID is NOT the payload digest
-	// silently rewrites the MsgID at the receiver; only senders that
-	// construct the MsgID that way may set it.
+	// digest (node-addressed raw items: core sets MsgID = Hash(Payload)). A
+	// run of marked items omits the MsgIDs and the receiver re-derives them
+	// from the payload digest it computes anyway. Setting it on an item whose
+	// MsgID is NOT the payload digest silently rewrites the MsgID at the
+	// receiver; only senders that construct the MsgID that way may set it.
 	DerivedID bool
 }
 
@@ -59,62 +65,64 @@ func (it BatchItem) payloadDigest() crypto.Digest {
 const MaxBatchItems = 4096
 
 // batchFrameVersion is the frame's first byte. Any other leading byte —
-// including 0x00, which opens every enveloped payload — is rejected as an
-// unsupported version.
-const batchFrameVersion = 0x03
+// including 0x00, which opens every enveloped payload, and 0x03, the previous
+// layout with its frame-wide form — is rejected as an unsupported version.
+const batchFrameVersion = 0x04
 
-// Frame flags. A frame with any other bit set is rejected.
+// Run forms. A run whose form byte has any other bit set is rejected.
 const (
-	batchFlagFull    = 1 << 0 // items carry payloads (else payload digests)
-	batchFlagDerived = 1 << 1 // MsgIDs omitted: each equals its payload digest
+	formFull    = 1 << 0 // items carry payloads (else payload digests)
+	formDerived = 1 << 1 // MsgIDs omitted: each equals its payload digest
 )
+
+// form returns the form an item takes in a frame of a sender that may
+// (full) or may not attach payloads.
+func (it *BatchItem) form(full bool) byte {
+	var f byte
+	if full && it.Payload != nil {
+		f |= formFull
+	}
+	if it.DerivedID {
+		f |= formDerived
+	}
+	return f
+}
 
 // encodeBatchFrame serializes the items as one frame:
 //
-//	Byte    version (0x03)
-//	Byte    flags (bit 0 full, bit 1 derived MsgIDs)
+//	Byte    version (0x04)
 //	ListLen item count n
 //	runs until n items are consumed:
 //	  Byte    kind
+//	  Byte    form (bit 0 full, bit 1 derived MsgIDs)
 //	  ListLen run length
 //	  per item: [Bytes32 MsgID unless derived]
 //	            full:        VarBytes payload
 //	            digest-only: Bytes32 payload digest
 //
-// The derived flag is set only when every item is marked DerivedID; a mixed
-// batch writes every MsgID.
+// A run is the longest stretch of consecutive items of one kind and one form;
+// item order is kept. full is the sender's share of the digest optimization:
+// without it every item is digest-only, with it every item that has a Payload
+// carries it.
 func encodeBatchFrame(items []BatchItem, full bool) []byte {
-	derived := true
-	for i := range items {
-		if !items[i].DerivedID {
-			derived = false
-			break
-		}
-	}
-	var flags byte
-	if full {
-		flags |= batchFlagFull
-	}
-	if derived {
-		flags |= batchFlagDerived
-	}
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	e.Byte(batchFrameVersion)
-	e.Byte(flags)
 	e.ListLen(len(items))
 	for i := 0; i < len(items); {
+		kind, form := items[i].Kind, items[i].form(full)
 		run := 1
-		for i+run < len(items) && items[i+run].Kind == items[i].Kind {
+		for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full) == form {
 			run++
 		}
-		e.Byte(byte(items[i].Kind))
+		e.Byte(byte(kind))
+		e.Byte(form)
 		e.ListLen(run)
 		for _, it := range items[i : i+run] {
-			if !derived {
+			if form&formDerived == 0 {
 				e.Bytes32(it.MsgID)
 			}
-			if full {
+			if form&formFull != 0 {
 				e.VarBytes(it.Payload)
 			} else {
 				e.Bytes32(it.payloadDigest())
@@ -135,36 +143,36 @@ type decodedBatchItem struct {
 }
 
 // decodeBatchFrame reverses encodeBatchFrame. Hostile frames (another
-// version byte, unknown flag bits, oversized item counts, empty or
+// version byte, unknown form bits, oversized item counts, empty or
 // overflowing runs, truncation, trailing bytes) return an error.
 func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 	d := wire.NewDecoder(b)
 	if version := d.Byte(); d.Err() == nil && version != batchFrameVersion {
 		return nil, fmt.Errorf("group: unsupported batch frame version %#x", version)
 	}
-	flags := d.Byte()
 	n := d.ListLen()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if flags&^(batchFlagFull|batchFlagDerived) != 0 {
-		return nil, fmt.Errorf("group: unknown batch frame flags %#x", flags)
-	}
 	if n > MaxBatchItems {
 		return nil, fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
 	}
-	full, derived := flags&batchFlagFull != 0, flags&batchFlagDerived != 0
 
 	items := make([]decodedBatchItem, 0, n)
 	for len(items) < n {
 		kind := Kind(d.Byte())
+		form := d.Byte()
 		run := d.ListLen()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
+		if form&^(formFull|formDerived) != 0 {
+			return nil, fmt.Errorf("group: unknown batch run form %#x", form)
+		}
 		if run <= 0 || len(items)+run > n {
 			return nil, fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
 		}
+		full, derived := form&formFull != 0, form&formDerived != 0
 		for r := 0; r < run; r++ {
 			it := decodedBatchItem{kind: kind}
 			if !derived {
@@ -193,10 +201,11 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 
 // SendBatch transmits one batch of logical group messages from self (a member
 // of src) to every member of dst. As in Send, members with the lowest
-// ⌊N/2⌋+1 indices transmit the full payloads and the rest transmit
-// digest-only copies, and destination order is randomized against incast
-// (§5.1). batchID identifies the carrier message only; it takes no part in
-// inbox majority matching — the inner MsgIDs do. For the same reason the
+// ⌊N/2⌋+1 indices transmit the payloads of the items that have one and the
+// rest transmit digest-only copies; an item built with a nil Payload is
+// digest-only from every member. Destination order is randomized against
+// incast (§5.1). batchID identifies the carrier message only; it takes no part
+// in inbox majority matching — the inner MsgIDs do. For the same reason the
 // carrier's PayloadDigest is sent zero: receivers vote the inner items'
 // digests and never compare the frame's.
 func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem) {
@@ -278,11 +287,13 @@ func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 	return out, nil
 }
 
-// BatchWireOverhead is the worst-case framing cost one full-payload item adds
-// to a batch beyond its payload bytes: a non-derived item that is a frame of
-// its own pays the 6-byte frame header (version, flags, count), a 5-byte run
-// header, its 32-byte MsgID and a 4-byte length prefix; every further item
-// of a frame pays less. Send-side aggregators budget batch bytes with it, so
-// the constant must be an upper bound or frames could exceed the configured
-// byte cap.
-const BatchWireOverhead = 6 + 5 + crypto.DigestSize + 4
+// BatchWireOverhead is the worst-case framing cost one item adds to a batch
+// beyond its body — the payload bytes of a full item, the 32-byte digest of a
+// digest-only one: a non-derived full item that is a frame of its own pays the
+// 5-byte frame header (version, count), a 6-byte run header (kind, form,
+// length), its 32-byte MsgID and a 4-byte length prefix; every further item of
+// a frame, and every digest-only item, pays less. Send-side aggregators budget
+// batch bytes with it (by payload bytes: a digest-only item's digest rides
+// outside the budget), so the constant must be an upper bound or frames could
+// exceed the configured byte cap.
+const BatchWireOverhead = 5 + 6 + crypto.DigestSize + 4

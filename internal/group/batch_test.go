@@ -37,6 +37,23 @@ func derivedItems(payloads ...string) []BatchItem {
 	return items
 }
 
+// mixedFormItems is what core's gossip rules put in one carrier: items whose
+// payload this sender attaches next to items it only votes the digest of
+// (Payload nil, Digest set), over two kinds so that runs break on kind and on
+// form.
+func mixedFormItems() []BatchItem {
+	items := batchItems("full-0", "digest-1", "digest-2", "full-3", "full-4", "digest-5")
+	for i := range items {
+		if i >= 4 {
+			items[i].Kind = 2
+		}
+		if strings.HasPrefix(string(items[i].Payload), "digest") {
+			items[i].Digest, items[i].Payload = crypto.Hash(items[i].Payload), nil
+		}
+	}
+	return items
+}
+
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -53,10 +70,11 @@ const (
 	item1MsgIDHex = "ee495bcec3f940b2f5c31df521404128964c79bca3f3ab0008e6a9d8d5ec95d3"
 )
 
-// Frames of batchItems("alpha", "beta") with full payloads as the two
+// Frames of batchItems("alpha", "beta") with full payloads as the three
 // deleted writers produced them, committed as bytes: what a peer from before
 // this frame puts inside a carrier. v1 was a flat item list opening with its
-// big-endian count; v2 had per-item bitmaps and payload form bytes.
+// big-endian count; v2 had per-item bitmaps and payload form bytes; v3 said
+// full or digest-only once, in a frame-wide flags byte.
 const (
 	goldenV1FrameHex = "00000002" +
 		"01" + item0MsgIDHex + "01" + "00000005" + "616c706861" +
@@ -64,13 +82,22 @@ const (
 	goldenV2FrameHex = "02" + "00000002" + "03" + "00" + "01" + "00000002" +
 		item0MsgIDHex + "00" + "00000005" + "616c706861" +
 		item1MsgIDHex + "00" + "00000004" + "62657461"
+	goldenV3FrameHex = "03" + "01" + "00000002" + "01" + "00000002" +
+		item0MsgIDHex + "00000005" + "616c706861" +
+		item1MsgIDHex + "00000004" + "62657461"
 )
 
 // TestBatchFrameGoldenBytes pins the wire layout byte for byte (docs/WIRE.md
 // "Layer 1b") in both directions: the encoder emits exactly these bytes and
-// the decoder reads them back to the items.
+// the decoder reads them back to the items. Against frame 0x03 the version
+// byte is 0x04 and the flags byte has left the frame header for every run
+// header, as the form byte after the kind (compare goldenV3FrameHex with the
+// first case: "03 01 00000002 01 00000002" became "04 00000002 01 01
+// 00000002"); items are unchanged.
 func TestBatchFrameGoldenBytes(t *testing.T) {
 	alpha, beta := crypto.Hash([]byte("alpha")), crypto.Hash([]byte("beta"))
+	halfFull := batchItems("alpha", "beta")
+	halfFull[1].Digest, halfFull[1].Payload = beta, nil
 	cases := []struct {
 		name  string
 		items []BatchItem
@@ -78,19 +105,25 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 		want  string
 	}{
 		{"full", batchItems("alpha", "beta"), true,
-			"03" + "01" + "00000002" + // version, flags: full, count
-				"01" + "00000002" + // run: kind 1 × 2
+			"04" + "00000002" + // version, count
+				"01" + "01" + "00000002" + // run: kind 1, form full, × 2
 				item0MsgIDHex + "00000005" + "616c706861" +
 				item1MsgIDHex + "00000004" + "62657461"},
 		{"digest-only", batchItems("alpha", "beta"), false,
-			"03" + "00" + "00000002" +
-				"01" + "00000002" +
+			"04" + "00000002" +
+				"01" + "00" + "00000002" +
 				item0MsgIDHex + hex.EncodeToString(alpha[:]) +
 				item1MsgIDHex + hex.EncodeToString(beta[:])},
 		{"derived", derivedItems("raw"), true,
-			"03" + "03" + "00000001" + // flags: full | derived — no MsgID follows
-				"10" + "00000001" +
+			"04" + "00000001" +
+				"10" + "03" + "00000001" + // form: full | derived — no MsgID follows
 				"00000003" + "726177"},
+		{"mixed forms", halfFull, true,
+			"04" + "00000002" +
+				"01" + "01" + "00000001" + // one kind, two runs: the form changed
+				item0MsgIDHex + "00000005" + "616c706861" +
+				"01" + "00" + "00000001" +
+				item1MsgIDHex + hex.EncodeToString(beta[:])},
 	}
 	for _, tc := range cases {
 		want := mustHex(t, tc.want)
@@ -101,18 +134,47 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode golden: %v", tc.name, err)
 		}
-		if len(got) != len(tc.items) {
-			t.Fatalf("%s: decoded %d items, want %d", tc.name, len(got), len(tc.items))
+		checkDecoded(t, tc.name, got, tc.items, tc.full)
+	}
+}
+
+// checkDecoded compares a decoded frame with the items it was encoded from by
+// a sender that may (full) or may not attach payloads: same items in order,
+// and a payload exactly where the sender attaches and the item has one.
+func checkDecoded(t *testing.T, name string, got []decodedBatchItem, items []BatchItem, full bool) {
+	t.Helper()
+	if len(got) != len(items) {
+		t.Fatalf("%s: decoded %d items, want %d", name, len(got), len(items))
+	}
+	for i, it := range got {
+		src := items[i]
+		if it.kind != src.Kind || it.msgID != src.MsgID || it.digest != src.payloadDigest() {
+			t.Errorf("%s: item %d header mismatch", name, i)
 		}
-		for i, it := range got {
-			src := tc.items[i]
-			if it.kind != src.Kind || it.msgID != src.MsgID || it.digest != crypto.Hash(src.Payload) {
-				t.Errorf("%s: item %d header mismatch", tc.name, i)
-			}
-			if tc.full != (it.payload != nil) || (tc.full && !bytes.Equal(it.payload, src.Payload)) {
-				t.Errorf("%s: item %d payload = %q", tc.name, i, it.payload)
-			}
+		want := full && src.Payload != nil
+		if want != (it.payload != nil) || (want && !bytes.Equal(it.payload, src.Payload)) {
+			t.Errorf("%s: item %d payload = %q, built with %q", name, i, it.payload, src.Payload)
 		}
+	}
+}
+
+// TestBatchFrameMixedFormsRoundTrip: a carrier holds full and digest-only
+// items side by side, in order, each decoded in the form it was built in — and
+// from a sender outside the payload majority all of them digest-only.
+func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
+	items := mixedFormItems()
+	for _, full := range []bool{true, false} {
+		got, err := decodeBatchFrame(encodeBatchFrame(items, full))
+		if err != nil {
+			t.Fatalf("full=%v decode: %v", full, err)
+		}
+		checkDecoded(t, fmt.Sprintf("full=%v", full), got, items, full)
+	}
+	// full-0 | digest-1 digest-2 | full-3 | (kind 2) full-4 | digest-5
+	frame := encodeBatchFrame(items, true)
+	want := 5 + 5*6 + len(items)*crypto.DigestSize + 3*(4+len("full-0")) + 3*crypto.DigestSize
+	if len(frame) != want {
+		t.Errorf("mixed-form frame is %dB, want %dB (five runs)", len(frame), want)
 	}
 }
 
@@ -196,16 +258,16 @@ func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	}
 	// A single-kind frame spends one run header, however many items follow.
 	uniform := batchItems(make([]string, 64)...)
-	want := 6 + 5 + len(uniform)*(crypto.DigestSize+4)
+	want := 5 + 6 + len(uniform)*(crypto.DigestSize+4)
 	if got := len(encodeBatchFrame(uniform, true)); got != want {
 		t.Errorf("uniform-kind frame is %dB, want %dB (one run header)", got, want)
 	}
 }
 
-// TestBatchFrameV2DerivedIDDropsMsgID pins the raw-item compact form: when
-// every item's MsgID is the payload digest the frame omits the 32-byte MsgIDs
-// and the receiver re-derives them. A batch that mixes derived and ordinary
-// items writes every MsgID, so the ordinary ones survive.
+// TestBatchFrameV2DerivedIDDropsMsgID pins the raw-item compact form: a run of
+// items whose MsgID is the payload digest omits the 32-byte MsgIDs and the
+// receiver re-derives them. An ordinary item among them breaks the run and
+// keeps its own MsgID.
 func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	var payloads []string
 	for i := 0; i < 8; i++ {
@@ -238,8 +300,14 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	mixed[3] = BatchItem{Kind: 16, MsgID: crypto.Hash([]byte("agreed-elsewhere")), Payload: []byte("ordinary")}
 	for _, full := range []bool{true, false} {
 		fm := encodeBatchFrame(mixed, full)
-		if fm[1]&batchFlagDerived != 0 {
-			t.Fatalf("full=%v: mixed batch set the derived flag", full)
+		allPlain := derivedItems(payloads...)
+		allPlain[3] = mixed[3]
+		for i := range allPlain {
+			allPlain[i].DerivedID = false
+		}
+		// Seven MsgIDs saved, two more run headers spent.
+		if saved, want := len(encodeBatchFrame(allPlain, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
+			t.Errorf("full=%v: mixed batch saves %d bytes, want %d", full, saved, want)
 		}
 		got, err := decodeBatchFrame(fm)
 		if err != nil {
@@ -284,17 +352,27 @@ func TestBatchFrameV2LiteralPayloadsAliasFrame(t *testing.T) {
 // decoder's own length limits are the whole receive-side bound.
 func TestBatchFrameRejectsGarbage(t *testing.T) {
 	// frame writes a header and lets the case append the runs.
-	frame := func(version, flags byte, count int, runs func(e *wire.Encoder)) []byte {
+	frame := func(version byte, count int, runs func(e *wire.Encoder)) []byte {
 		var e wire.Encoder
 		e.Byte(version)
-		e.Byte(flags)
 		e.ListLen(count)
 		if runs != nil {
 			runs(&e)
 		}
 		return e.Bytes()
 	}
+	// run writes one run header.
+	run := func(e *wire.Encoder, kind, form byte, length int) {
+		e.Byte(kind)
+		e.Byte(form)
+		e.ListLen(length)
+	}
 	valid := encodeBatchFrame(batchItems("x"), true)
+	withForm := func(form byte) []byte {
+		b := append([]byte(nil), valid...)
+		b[6] = form // version, count, kind, then the form
+		return b
+	}
 	hostile := []struct {
 		name string
 		b    []byte
@@ -303,46 +381,42 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 		{"enveloped payload (0x00 first byte)", []byte{0x00, 0x01, 0x01, 0xAA}},
 		{"v1 golden", mustHex(t, goldenV1FrameHex)},
 		{"v2 golden", mustHex(t, goldenV2FrameHex)},
+		{"v3 golden", mustHex(t, goldenV3FrameHex)},
 		{"version 0x01 over a valid body", append([]byte{0x01}, valid[1:]...)},
-		{"version 0x04 over a valid body", append([]byte{0x04}, valid[1:]...)},
+		{"version 0x05 over a valid body", append([]byte{0x05}, valid[1:]...)},
 		{"version 0xFF alone", []byte{0xFF}},
-		{"unknown flag bit", append([]byte{batchFrameVersion, batchFlagFull | 0x04}, valid[2:]...)},
-		{"high flag bit", append([]byte{batchFrameVersion, batchFlagFull | 0x80}, valid[2:]...)},
-		{"count over MaxBatchItems", frame(batchFrameVersion, 0, MaxBatchItems+1, nil)},
-		{"absurd count", []byte{batchFrameVersion, 0x00, 0xFF, 0xFF, 0xFF, 0xFF}},
-		{"count without runs", frame(batchFrameVersion, 0, 2, nil)},
-		{"zero-length run", frame(batchFrameVersion, batchFlagFull, 1, func(e *wire.Encoder) {
-			e.Byte(5)
-			e.ListLen(0)
-			e.Byte(5)
-			e.ListLen(1)
+		{"unknown form bit", withForm(formFull | 0x04)},
+		{"high form bit", withForm(formFull | 0x80)},
+		{"count over MaxBatchItems", frame(batchFrameVersion, MaxBatchItems+1, nil)},
+		{"absurd count", []byte{batchFrameVersion, 0xFF, 0xFF, 0xFF, 0xFF}},
+		{"count without runs", frame(batchFrameVersion, 2, nil)},
+		{"zero-length run", frame(batchFrameVersion, 1, func(e *wire.Encoder) {
+			run(e, 5, formFull, 0)
+			run(e, 5, formFull, 1)
 			e.Bytes32(crypto.Digest{})
 			e.VarBytes([]byte("x"))
 		})},
-		{"run overflowing the count", frame(batchFrameVersion, 0, 1, func(e *wire.Encoder) {
-			e.Byte(5)
-			e.ListLen(2)
+		{"run overflowing the count", frame(batchFrameVersion, 1, func(e *wire.Encoder) {
+			run(e, 5, 0, 2)
 			for i := 0; i < 4; i++ {
 				e.Bytes32(crypto.Digest{})
 			}
 		})},
-		{"second run overflowing the count", frame(batchFrameVersion, 0, 2, func(e *wire.Encoder) {
+		{"second run overflowing the count", frame(batchFrameVersion, 2, func(e *wire.Encoder) {
 			for i := 0; i < 2; i++ {
-				e.Byte(5)
-				e.ListLen(2)
+				run(e, 5, 0, 2)
 				for j := 0; j < 4; j++ {
 					e.Bytes32(crypto.Digest{})
 				}
 			}
 		})},
-		{"payload length past the frame", frame(batchFrameVersion, batchFlagFull|batchFlagDerived, 1, func(e *wire.Encoder) {
-			e.Byte(5)
-			e.ListLen(1)
+		{"payload length past the frame", frame(batchFrameVersion, 1, func(e *wire.Encoder) {
+			run(e, 5, formFull|formDerived, 1)
 			e.Uint32(1 << 20)
 			e.Byte('x')
 		})},
 		{"trailing byte", append(append([]byte(nil), valid...), 0xAA)},
-		{"trailing run after the count is met", append(append([]byte(nil), valid...), valid[6:]...)},
+		{"trailing run after the count is met", append(append([]byte(nil), valid...), valid[5:]...)},
 	}
 	for _, tc := range hostile {
 		_, err := decodeBatchFrame(tc.b)
@@ -359,14 +433,15 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBatchFrameRejectsEveryTruncation cuts valid frames — full, digest-only
-// and derived, several runs — after every byte: each field's truncation must
+// TestBatchFrameRejectsEveryTruncation cuts valid frames — full, digest-only,
+// derived and mixed forms, several runs — after every byte: each field's truncation must
 // be an error, never a short item list or a panic.
 func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 	frames := [][]byte{
 		encodeBatchFrame(mixedKindItems(), true),
 		encodeBatchFrame(mixedKindItems(), false),
 		encodeBatchFrame(derivedItems("raw-one", "", "raw-three"), true),
+		encodeBatchFrame(mixedFormItems(), true),
 	}
 	for fi, frame := range frames {
 		if _, err := decodeBatchFrame(frame); err != nil {
@@ -381,21 +456,26 @@ func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 }
 
 // TestBatchWireOverheadIsUpperBound checks the constant internal/egress
-// budgets carrier bytes with: no frame may exceed the sum of its payloads
-// plus BatchWireOverhead per item, and the single non-derived item — the
-// worst case — reaches the bound exactly.
+// budgets carrier bytes with: no frame may exceed the sum of its items' bodies
+// — the payload of a full item, the 32-byte digest of a digest-only one — plus
+// BatchWireOverhead per item, whatever the mix of kinds and forms, and the
+// single non-derived full item — the worst case — reaches the bound exactly.
 func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 	one := batchItems("lonely")
 	if got := len(encodeBatchFrame(one, true)) - len(one[0].Payload); got != BatchWireOverhead {
 		t.Errorf("single-item frame overhead = %d, want exactly BatchWireOverhead = %d", got, BatchWireOverhead)
 	}
+	if got := len(encodeBatchFrame(one, false)) - crypto.DigestSize; got >= BatchWireOverhead {
+		t.Errorf("single digest-only item overhead = %d, want below BatchWireOverhead = %d", got, BatchWireOverhead)
+	}
 	if BatchWireOverhead != 47 {
 		t.Errorf("BatchWireOverhead = %d, docs/WIRE.md says 47", BatchWireOverhead)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(96)
 		allDerived := rng.Intn(4) == 0
+		full := trial%3 != 0
 		items := make([]BatchItem, n)
 		budget := 0
 		for i := range items {
@@ -407,10 +487,17 @@ func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 				Payload:   p,
 				DerivedID: allDerived || rng.Intn(3) == 0,
 			}
-			budget += len(p) + BatchWireOverhead
+			if rng.Intn(3) == 0 { // the builder votes this one's digest only
+				items[i].Digest, items[i].Payload = crypto.Hash(p), nil
+			}
+			body := crypto.DigestSize
+			if full && items[i].Payload != nil {
+				body = len(p)
+			}
+			budget += body + BatchWireOverhead
 		}
-		if got := len(encodeBatchFrame(items, true)); got > budget {
-			t.Fatalf("trial %d: %d-item frame is %dB, over the %dB budget", trial, n, got, budget)
+		if got := len(encodeBatchFrame(items, full)); got > budget {
+			t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, over the %dB budget", trial, n, full, got, budget)
 		}
 	}
 }
@@ -454,6 +541,11 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 	}
 	if _, digest := countFull(5); digest != len(items) {
 		t.Errorf("high-index member must send digest-only items, got %d", digest)
+	}
+	// An item built without its payload is a digest-only vote from any member.
+	items[0].Digest, items[0].Payload = crypto.Hash(items[0].Payload), nil
+	if full, digest := countFull(1); full != 1 || digest != 1 {
+		t.Errorf("low-index member sent %d full and %d digest-only items, want the payload-less item digest-only", full, digest)
 	}
 }
 
@@ -542,12 +634,18 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(encodeBatchFrame(mixedKindItems(), false))
 	f.Add(encodeBatchFrame(derivedItems("prefix-AAAA-suffix", "", "prefix-CCCC-suffix"), true))
 	f.Add([]byte{})
-	f.Add([]byte{batchFrameVersion, batchFlagFull, 0x00, 0x00, 0x10, 0x00})
+	f.Add([]byte{batchFrameVersion, 0x00, 0x00, 0x10, 0x00, 0x01, formFull})
 	// Frames from the deleted writers, and an enveloped payload: the
 	// rejection path.
 	f.Add(mustHex(f, goldenV1FrameHex))
 	f.Add(mustHex(f, goldenV2FrameHex))
 	f.Add([]byte{0x00, 0x01, 0x01})
+	f.Add(mustHex(f, goldenV3FrameHex))
+	f.Add(encodeBatchFrame(mixedFormItems(), true))
+	f.Add(encodeBatchFrame(mixedFormItems(), false))
+	mixedDerived := derivedItems("raw-a", "raw-b", "raw-c")
+	mixedDerived[1].Digest, mixedDerived[1].Payload = mixedDerived[1].MsgID, nil
+	f.Add(encodeBatchFrame(mixedDerived, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeBatchFrame(data)
 		if err != nil {

@@ -118,6 +118,16 @@ func TestSendDigestOptimization(t *testing.T) {
 	if fullSenders != src.Majority() {
 		t.Errorf("%d members sent full payloads, want exactly majority %d", fullSenders, src.Majority())
 	}
+
+	// An item built without its payload is a digest-only vote for its Digest,
+	// from the lowest-index member too.
+	recs, send := collectSends()
+	Send(send, rng, src, src.Members[0].ID, dst, BatchItem{Kind: 1, MsgID: msgID, Digest: crypto.Hash(payload)})
+	for _, r := range *recs {
+		if r.msg.Payload != nil || r.msg.PayloadDigest != crypto.Hash(payload) {
+			t.Errorf("payload-less item sent as payload %q, digest %x", r.msg.Payload, r.msg.PayloadDigest[:4])
+		}
+	}
 }
 
 func TestInboxAcceptsAtMajority(t *testing.T) {

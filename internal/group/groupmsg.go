@@ -101,8 +101,11 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // every member of dst. Members with the lowest ⌊N/2⌋+1 indices send the full
 // payload, the rest send digest-only copies (§5.1: since a majority of the
 // source is correct, at least one correct member always sends the full
-// payload). Destination order is randomized to avoid incast bursts (§5.1).
-// The payload is hashed only when it.Digest is not set.
+// payload). An item built with a nil Payload and its Digest is a digest-only
+// copy from every member: the caller has a narrower rule for who sends the
+// bytes and applies it before it gets here (core's gossip). Destination order
+// is randomized to avoid incast bursts (§5.1). The payload is hashed only when
+// it.Digest is not set.
 func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem) {
 	SendAttach(send, rng, src, self, dst, it, nil)
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // maxEntriesPerKey bounds the number of logical messages remembered per source
-// composition — pending and accepted together — protecting receivers from
-// hostile floods.
+// composition — pending, accepted and settled together — protecting receivers
+// from hostile floods.
 const maxEntriesPerKey = 1024
 
 // Inbox is the receive side of the group-message primitive. One Inbox per
@@ -28,7 +28,10 @@ const maxEntriesPerKey = 1024
 // votes is a pending entry holding those votes and the payloads seen. Once
 // accepted it is a value in the done map — the time of its first copy, all
 // Prune needs — so the long tail of a message's life (stragglers are turned
-// away until inboxTTL) costs one map slot and no pointer.
+// away until inboxTTL) costs one map slot and no pointer. The owner can put a
+// message there itself (Settle) when it knows it has no use for it: an echo
+// of a broadcast it has delivered would otherwise collect votes, and — sent
+// payload-less, as core sends an echo — never complete.
 //
 // Verify on store: a payload is hashed only when it is about to be stored,
 // that is when the entry holds no payload for the digest the copy names. A
@@ -45,7 +48,7 @@ type Inbox struct {
 // source is what the inbox remembers of one source composition.
 type source struct {
 	pending map[crypto.Digest]*entry        // MsgID → votes being collected
-	done    map[crypto.Digest]time.Duration // accepted MsgID → time of its first copy
+	done    map[crypto.Digest]time.Duration // accepted or settled MsgID → time of its first copy
 }
 
 // entry is one logical message that has not been accepted yet.
@@ -72,6 +75,16 @@ func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
 	return &Inbox{lookup: lookup, sources: make(map[Key]*source)}
 }
 
+func (ib *Inbox) addSource(src Key) *source {
+	s := &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
+	ib.sources[src] = s
+	return s
+}
+
+// full reports whether the source is at maxEntriesPerKey: no new MsgID is
+// admitted, by Observe or by Settle.
+func (s *source) full() bool { return len(s.pending)+len(s.done) >= maxEntriesPerKey }
+
 func (e *entry) holds(d crypto.Digest) bool {
 	for i := range e.payloads {
 		if e.payloads[i].digest == d {
@@ -92,8 +105,8 @@ func (e *entry) voted(from ids.NodeID) bool {
 
 // Observe records the arrival of one GroupMsg copy from a link-authenticated
 // sender. It returns the accepted logical message the first time the
-// acceptance threshold is crossed. A copy of a message accepted earlier costs
-// one map probe: no hash, no allocation.
+// acceptance threshold is crossed. A copy of a message accepted or settled
+// earlier costs one map probe: no hash, no allocation.
 func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Accepted, bool) {
 	src := Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}
 	s := ib.sources[src]
@@ -110,9 +123,8 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	}
 	if e == nil {
 		if s == nil {
-			s = &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
-			ib.sources[src] = s
-		} else if len(s.pending)+len(s.done) >= maxEntriesPerKey {
+			s = ib.addSource(src)
+		} else if s.full() {
 			return Accepted{}, false
 		}
 		// Room for the majority of a typical vgroup without regrowing.
@@ -127,6 +139,31 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 		e.payloads = append(e.payloads, heldDigest{digest: msg.PayloadDigest, payload: msg.Payload})
 	}
 	return ib.check(now, src, msg.MsgID, s, e)
+}
+
+// Settle tells the inbox that its owner needs nothing more from one logical
+// message of src: whatever copies arrive, it will never be reported accepted.
+// The message is remembered exactly as an accepted one is — a pending entry
+// moves to the done map under the time of its first copy, releasing its votes
+// and held payloads; an unseen MsgID is recorded under now, unless the source
+// is at maxEntriesPerKey, in which case nothing is recorded — so every later
+// copy is Observe's one-probe straggler. src need not be a known composition.
+func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
+	s := ib.sources[src]
+	if s == nil {
+		s = ib.addSource(src)
+	}
+	if _, done := s.done[msgID]; done {
+		return
+	}
+	firstAt := now
+	if e := s.pending[msgID]; e != nil {
+		firstAt = e.firstAt
+		delete(s.pending, msgID)
+	} else if s.full() {
+		return
+	}
+	s.done[msgID] = firstAt
 }
 
 // check evaluates the acceptance rule for one pending entry and, when it
@@ -220,8 +257,8 @@ func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
 	}
 }
 
-// Len returns the number of messages remembered, pending and accepted (for
-// tests and metrics).
+// Len returns the number of messages remembered — pending, accepted and
+// settled (for tests and metrics).
 func (ib *Inbox) Len() int {
 	n := 0
 	for _, s := range ib.sources {

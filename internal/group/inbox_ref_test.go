@@ -14,7 +14,8 @@ import (
 // verbatim apart from the ref prefix on its names: the reference model
 // TestInboxMatchesReference drives the shipped Inbox against. It hashes every
 // full copy before anything else and keeps one heap entry, three maps and a
-// second index per logical message.
+// second index per logical message. It had no Settle; the model of one is the
+// method at the end of this file.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
@@ -170,3 +171,25 @@ func (ib *refInbox) Prune(before time.Duration) {
 
 // Len returns the number of live entries (for tests and metrics).
 func (ib *refInbox) Len() int { return len(ib.entries) }
+
+// Settle is the model of Inbox.Settle, in the old inbox's terms: the entry
+// forgets what it collected and turns later copies away, as an accepted one
+// does. An entry that does not exist yet is created the way Observe creates
+// one — first seen now, refused at the per-source cap.
+func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
+	ek := refEntryKey{src: src, msgID: msgID}
+	e, ok := ib.entries[ek]
+	if !ok {
+		if len(ib.byKey[src]) >= maxEntriesPerKey {
+			return
+		}
+		e = &refEntryState{firstAt: now}
+		ib.entries[ek] = e
+		if ib.byKey[src] == nil {
+			ib.byKey[src] = make(map[crypto.Digest]bool)
+		}
+		ib.byKey[src][msgID] = true
+	}
+	e.accepted = true
+	e.votes, e.payloads, e.attach = nil, nil, nil
+}

@@ -13,9 +13,10 @@ import (
 
 // The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
 // and the shipped layout is checked against it: same schedule in, same
-// acceptances out. The one rule the two differ on — a corrupt copy of a
-// payload already held counts as a vote — is translated for the model, so the
-// comparison also states exactly what that rule means.
+// acceptances out. The two differ in two named places. A corrupt copy of a
+// payload already held counts as a vote: such a copy is translated for the
+// model, so the comparison also states exactly what that rule means. And the
+// model had no Settle: refInbox.Settle says what one is in its terms.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -68,6 +69,11 @@ func (w *diffWorld) diffPayload(src, msg, variant int) ([]byte, crypto.Digest) {
 		w.payloads[k] = p
 	}
 	return p.bytes, p.digest
+}
+
+// diffMsgID is the MsgID of one source's mi-th logical message.
+func diffMsgID(si, mi int) crypto.Digest {
+	return crypto.HashUint64(crypto.Digest{}, uint64(si)<<32|uint64(mi))
 }
 
 // sameAccepted compares one result pair. The model predates Accepted.Digest
@@ -146,6 +152,11 @@ func (w *diffWorld) step() (corruptLater bool) {
 		}
 		w.ib.Prune(before)
 		w.ref.Prune(before)
+	case op < 15: // the owner is done with one message: unseen, pending or accepted, of any source
+		si := w.rng.Intn(len(w.comps))
+		msgID := diffMsgID(si, w.rng.Intn(w.msgs))
+		w.ib.Settle(w.now, w.comps[si].Key(), msgID)
+		w.ref.Settle(w.now, w.comps[si].Key(), msgID)
 	default:
 		si := w.rng.Intn(len(w.comps))
 		c := w.comps[si]
@@ -160,7 +171,7 @@ func (w *diffWorld) step() (corruptLater bool) {
 		}
 		payload, digest := w.diffPayload(si, mi, variant)
 		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: Kind(1 + mi%3),
-			MsgID: crypto.HashUint64(crypto.Digest{}, uint64(si)<<32|uint64(mi)), PayloadDigest: digest}
+			MsgID: diffMsgID(si, mi), PayloadDigest: digest}
 		switch w.rng.Intn(8) {
 		case 0, 1, 2, 3:
 			m.Payload = payload
@@ -183,9 +194,10 @@ func (w *diffWorld) step() (corruptLater bool) {
 // with seeded random schedules — full, digest-only and attachment-bearing
 // votes, outsiders, Byzantine re-votes and digest flips, corrupt copies first
 // and later, a source learned (and re-learned with other members) mid-run, one
-// never learned, FlushKey and Prune at random times — and requires identical
-// (Accepted, ok) sequences and Len throughout. Every two-hundredth schedule draws
-// MsgIDs from a space wider than maxEntriesPerKey to run into the cap.
+// never learned, FlushKey, Prune and Settle at random times — and requires
+// identical (Accepted, ok) sequences and Len throughout. Every two-hundredth
+// schedule draws MsgIDs from a space wider than maxEntriesPerKey to run into
+// the cap.
 func TestInboxMatchesReference(t *testing.T) {
 	schedules, corruptLater := 1200, 0
 	if testing.Short() {
@@ -250,9 +262,105 @@ func TestInboxCorruptLaterCopyCountsAsVote(t *testing.T) {
 	}
 }
 
+// TestInboxSettle walks Settle through the four places a message can be when
+// its owner is done with it. Whatever arrives afterwards, nothing is accepted.
+func TestInboxSettle(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3)
+	known := map[Key]Composition{src.Key(): src}
+	lookup := func(k Key) (Composition, bool) { c, ok := known[k]; return c, ok }
+	payload := []byte("bytes")
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("m")),
+		PayloadDigest: crypto.Hash(payload), Payload: payload}
+	allVote := func(ib *Inbox, now time.Duration, m GroupMsg) {
+		t.Helper()
+		for _, member := range src.Members {
+			if _, ok := ib.Observe(now, member.ID, m); ok {
+				t.Fatalf("a copy from %v of a settled message was accepted", member.ID)
+			}
+		}
+	}
+
+	t.Run("settle then copies", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		ib.Settle(time.Second, src.Key(), m.MsgID)
+		allVote(ib, 2*time.Second, m)
+		if s := ib.sources[src.Key()]; ib.Len() != 1 || len(s.pending) != 0 {
+			t.Fatalf("Len = %d with %d pending, want the one settled record", ib.Len(), len(s.pending))
+		}
+		ib.Settle(3*time.Second, src.Key(), m.MsgID) // again: still first seen at 1 s
+		ib.Prune(time.Second + 1)
+		if ib.Len() != 0 {
+			t.Error("a settled record must be pruned by the time it was settled at")
+		}
+	})
+
+	t.Run("copies then settle", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		ib.Observe(time.Second, 1, m) // one vote and the payload: pending
+		ib.Settle(5*time.Second, src.Key(), m.MsgID)
+		if s := ib.sources[src.Key()]; len(s.pending) != 0 || len(s.done) != 1 {
+			t.Fatalf("%d pending, %d done: the pending entry, its votes and its payload must be released", len(s.pending), len(s.done))
+		}
+		allVote(ib, 6*time.Second, m)
+		ib.Prune(2 * time.Second) // first copy at 1 s, settled at 5 s
+		if ib.Len() != 0 {
+			t.Error("a settled message is remembered from its first copy, not from when it was settled")
+		}
+	})
+
+	t.Run("after acceptance", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		ib.Observe(time.Second, 1, m)
+		if _, ok := ib.Observe(time.Second, 2, m); !ok {
+			t.Fatal("members 1 and 2 are a majority")
+		}
+		ib.Settle(5*time.Second, src.Key(), m.MsgID)
+		ib.Prune(2 * time.Second)
+		if ib.Len() != 0 {
+			t.Error("settling an accepted message must not renew it")
+		}
+	})
+
+	t.Run("at the per-source cap", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		held := m
+		for i := 0; i < maxEntriesPerKey; i++ {
+			held.MsgID = crypto.HashUint64(crypto.Digest{}, uint64(i))
+			ib.Observe(time.Second, 1, held)
+		}
+		ib.Settle(time.Second, src.Key(), m.MsgID) // unseen: no room
+		if ib.Len() != maxEntriesPerKey {
+			t.Fatalf("Len = %d, want the cap %d: Settle admits no MsgID Observe would refuse", ib.Len(), maxEntriesPerKey)
+		}
+		ib.Settle(time.Second, src.Key(), held.MsgID) // pending: moves, takes no new room
+		if s := ib.sources[src.Key()]; ib.Len() != maxEntriesPerKey || len(s.done) != 1 {
+			t.Fatalf("Len = %d, %d done, want a pending entry settled in place at the cap", ib.Len(), len(s.done))
+		}
+		allVote(ib, time.Second, held)
+	})
+
+	t.Run("unknown source", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		late := comp(9, 4, 1, 2, 3)
+		lm := m
+		lm.SrcGroup, lm.SrcEpoch = late.GroupID, late.Epoch
+		ib.Observe(time.Second, 1, lm)
+		ib.Observe(time.Second, 2, lm) // a buffered majority, source not known yet
+		ib.Settle(time.Second, late.Key(), lm.MsgID)
+		known[late.Key()] = late
+		if acc := ib.FlushKey(2*time.Second, late.Key()); len(acc) != 0 {
+			t.Fatalf("FlushKey accepted %d settled messages", len(acc))
+		}
+		allVote(ib, 2*time.Second, lm)
+		if ib.Len() != 1 {
+			t.Errorf("Len = %d, want 1", ib.Len())
+		}
+	})
+}
+
 // TestInboxStragglerCostsOneProbe pins the two hot cases of Observe. A copy of
-// an accepted message allocates nothing and hashes nothing — its payload does
-// not match its digest here, and nothing notices. A further digest-only vote
+// an accepted or settled message allocates nothing and hashes nothing — its
+// payload does not match its digest here, and nothing notices. A further digest-only vote
 // on a pending entry costs at most the vote slice's growth.
 func TestInboxStragglerCostsOneProbe(t *testing.T) {
 	members := make([]uint64, 40)
@@ -293,6 +401,20 @@ func TestInboxStragglerCostsOneProbe(t *testing.T) {
 	}
 	if ib.Len() != 1 {
 		t.Errorf("Len = %d, want 1", ib.Len())
+	}
+
+	// A copy of a settled message is the same straggler.
+	straggler.MsgID = crypto.Hash([]byte("settled"))
+	ib.Settle(0, src.Key(), straggler.MsgID)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := ib.Observe(time.Second, 40, straggler); ok {
+			t.Fatal("accepted a settled message")
+		}
+	}); allocs != 0 {
+		t.Errorf("a copy of a settled message allocates %.1f times, want 0", allocs)
+	}
+	if ib.Len() != 2 {
+		t.Errorf("Len = %d, want 2", ib.Len())
 	}
 }
 
