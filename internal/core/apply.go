@@ -352,14 +352,6 @@ func nbrUpdateMsgID(newComp group.Composition, to ids.GroupID) crypto.Digest {
 	return d
 }
 
-func gossipMsgID(bcastID crypto.Digest, src group.Key, dst ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-gossip"), bcastID[:])
-	d = crypto.HashUint64(d, uint64(src.GroupID))
-	d = crypto.HashUint64(d, src.Epoch)
-	d = crypto.HashUint64(d, uint64(dst))
-	return d
-}
-
 func walkMsgID(walkID crypto.Digest, step int, dst ids.GroupID) crypto.Digest {
 	d := crypto.Hash([]byte("atum-walk"), walkID[:])
 	d = crypto.HashUint64(d, uint64(step))

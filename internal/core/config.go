@@ -102,7 +102,11 @@ type Callbacks struct {
 	// this node (required).
 	Deliver func(d Delivery)
 	// Forward decides, per neighbor link, whether to forward a broadcast
-	// (nil = forward on every link, flooding all cycles).
+	// (nil = forward on every link, flooding all cycles). It is called once
+	// per distinct neighbor composition for every broadcast this node
+	// delivers — also for a link on which, the answer being yes, nothing is
+	// then sent because the neighbor is known to hold the broadcast
+	// (forwardGossip).
 	Forward func(d Delivery, link ForwardLink) bool
 	// OnJoined fires when this node becomes a member of a vgroup.
 	OnJoined func(comp group.Composition)

@@ -163,9 +163,7 @@ func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
 			// handler's assumptions) and is worth a log line.
 			n.logf("egress batch from %v: kind %d is not batchable, dropped", from, im.Kind)
 		default:
-			if acc, ok := n.inbox.Observe(n.env.Now(), from, im); ok {
-				n.handleAccepted(acc)
-			}
+			n.observeCopy(from, im)
 		}
 	}
 }

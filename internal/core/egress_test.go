@@ -89,9 +89,8 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	n, _ := memberNode(t, self, comp, nbr)
 
 	// One gossip payload, one walk hop, one raw message, same destination.
-	n.sendViaEgress(comp, nbr, kindGossip,
-		gossipMsgID(crypto.Hash([]byte("g")), comp.Key(), nbr.GroupID),
-		encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")}))
+	gossip := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")})
+	n.sendViaEgress(comp, nbr, kindGossip, crypto.Hash(gossip), gossip)
 	n.sendViaEgress(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
 		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
@@ -377,12 +376,8 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 
 	stray := []group.Kind{0, 17, 18, 19, 200}
 	item := func(kind group.Kind, data string) group.BatchItem {
-		bcast := crypto.Hash([]byte(data))
-		return group.BatchItem{
-			Kind:    kind,
-			MsgID:   gossipMsgID(bcast, src.Key(), comp.GroupID),
-			Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte(data)}),
-		}
+		payload := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte(data)), Origin: 1, Data: []byte(data)})
+		return group.BatchItem{Kind: kind, MsgID: crypto.Hash(payload), Payload: payload}
 	}
 
 	before := n.inbox.Len()
@@ -424,6 +419,57 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 	}
 }
 
+// TestGossipCopyUnderAnotherMsgIDDropped: a gossip message is identified by
+// its payload digest, so a copy whose MsgID is anything else comes from no
+// correct member — and no Settle would ever cover the entry it opened. A whole
+// source vgroup sends such copies, well-formed otherwise, standalone and inside
+// a carrier next to a proper one: they buy no inbox entry and reach no handler.
+func TestGossipCopyUnderAnotherMsgIDDropped(t *testing.T) {
+	self := ids.NodeID(4)
+	comp := testComp(9, 1, 4, 5, 6)
+	src := testComp(7, 3, 1, 2, 3)
+	n, _ := memberNode(t, self, comp, src)
+	var delivered []string
+	n.cfg.Callbacks.Deliver = func(d Delivery) { delivered = append(delivered, string(d.Data)) }
+	item := func(data string, proper bool) group.BatchItem {
+		payload := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte(data)), Origin: 1, Data: []byte(data)})
+		it := group.BatchItem{Kind: kindGossip, MsgID: crypto.Hash([]byte("id of " + data)), Payload: payload}
+		if proper {
+			it.MsgID = crypto.Hash(payload)
+		}
+		return it
+	}
+
+	before := n.inbox.Len()
+	it := item("standalone", false)
+	for _, sender := range src.Members {
+		n.routeGroupMsg(sender.ID, group.GroupMsg{
+			SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
+			DstGroup: comp.GroupID, DstEpoch: comp.Epoch,
+			Kind: it.Kind, MsgID: it.MsgID,
+			PayloadDigest: crypto.Hash(it.Payload), Payload: it.Payload,
+		})
+	}
+	if got := n.inbox.Len(); got != before || len(delivered) != 0 {
+		t.Errorf("standalone: %d inbox entries, delivered %q; want neither", got-before, delivered)
+	}
+
+	items := []group.BatchItem{item("carried", false), item("carried-proper", true)}
+	for _, sender := range src.Members {
+		var carrier group.GroupMsg
+		group.SendBatchToNode(func(_ ids.NodeID, m actor.Message) {
+			carrier = m.(group.GroupMsg)
+		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
+		n.routeGroupMsg(sender.ID, carrier)
+	}
+	if got := n.inbox.Len(); got != before+1 {
+		t.Errorf("carrier left %d inbox entries, want 1 (the item identified by its digest)", got-before)
+	}
+	if len(delivered) != 1 || delivered[0] != "carried-proper" {
+		t.Errorf("carrier delivered %q, want only the item identified by its digest", delivered)
+	}
+}
+
 // TestKindTagMismatchDropped: the carrier allowlist and the inbox are keyed by
 // the group kind, so a payload whose envelope tag is not that kind's table row
 // must not reach the handler of the type it really holds. A source-vgroup
@@ -441,12 +487,14 @@ func TestKindTagMismatchDropped(t *testing.T) {
 	var delivered []string
 	n.cfg.Callbacks.Deliver = func(d Delivery) { delivered = append(delivered, string(d.Data)) }
 
-	mismatched := func(label string) []group.BatchItem {
+	// Identified as gossip is, by the payload digest, so that the tag is the
+	// only thing wrong with them; label keeps the two rounds' payloads apart.
+	mismatched := func(label uint64) []group.BatchItem {
+		merge := encodePayload(mergeRequestPayload{From: testComp(src.GroupID, src.Epoch+label, 1, 2, 3)})
+		snapshot := encodePayload(snapshotPayload{State: stateSnapshot{Comp: src.Clone(), WalkSeq: label}})
 		return []group.BatchItem{
-			{Kind: kindGossip, MsgID: crypto.Hash([]byte(label + "-merge")),
-				Payload: encodePayload(mergeRequestPayload{From: src.Clone()})},
-			{Kind: kindGossip, MsgID: crypto.Hash([]byte(label + "-snapshot")),
-				Payload: encodePayload(snapshotPayload{State: stateSnapshot{Comp: src.Clone()}})},
+			{Kind: kindGossip, MsgID: crypto.Hash(merge), Payload: merge},
+			{Kind: kindGossip, MsgID: crypto.Hash(snapshot), Payload: snapshot},
 		}
 	}
 	check := func(when string, wantDelivered ...string) {
@@ -462,7 +510,7 @@ func TestKindTagMismatchDropped(t *testing.T) {
 		}
 	}
 
-	for _, it := range mismatched("standalone") {
+	for _, it := range mismatched(1) {
 		for _, sender := range src.Members {
 			n.routeGroupMsg(sender.ID, group.GroupMsg{
 				SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
@@ -474,12 +522,8 @@ func TestKindTagMismatchDropped(t *testing.T) {
 	}
 	check("standalone")
 
-	bcast := crypto.Hash([]byte("carried-gossip"))
-	items := append(mismatched("carried"), group.BatchItem{
-		Kind:    kindGossip,
-		MsgID:   gossipMsgID(bcast, src.Key(), comp.GroupID),
-		Payload: encodePayload(gossipPayload{BcastID: bcast, Origin: 1, Data: []byte("carried-gossip")}),
-	})
+	carried := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("carried-gossip")), Origin: 1, Data: []byte("carried-gossip")})
+	items := append(mismatched(2), group.BatchItem{Kind: kindGossip, MsgID: crypto.Hash(carried), Payload: carried})
 	for _, sender := range src.Members {
 		var carrier group.GroupMsg
 		group.SendBatchToNode(func(_ ids.NodeID, m actor.Message) {

@@ -1,12 +1,13 @@
 package core
 
 // Failure-injection suite: message loss, partitions, simultaneous crashes,
-// Byzantine payload withholding, and the join-concurrency regression. Each scenario also verifies the
+// Byzantine payload withholding and vote spoofing, and the join-concurrency regression. Each scenario also verifies the
 // divergence invariant (all members of a vgroup apply the same op sequence
 // per epoch) through an OnApply detector.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
+	"atum/internal/overlay"
 	"atum/internal/simnet"
 	"atum/internal/smr"
 )
@@ -510,6 +512,29 @@ func (w *gossipWithholder) wrapEnv(n *Node, env actor.Env) actor.Env {
 	}}
 }
 
+// gossipFaultRig grows the system the gossip fault tests run on — 26 nodes,
+// at least four vgroups, membership frozen; in ModeAsync over a four-region
+// WAN — with fault standing between every node and the network.
+func gossipFaultRig(t *testing.T, mode smr.Mode, fault func(*Node, actor.Env) actor.Env) (*harness, []*Node) {
+	t.Helper()
+	const seed = 1
+	h := newHarness(t, mode, seed, func(cfg *Config) {
+		cfg.DisableShuffle = true
+		cfg.EvictAfter = time.Hour
+		cfg.RequestTimeout = 2 * time.Second
+	})
+	if mode == smr.ModeAsync {
+		h.net = simnet.New(simnet.Config{Seed: seed, Latency: simnet.WANLatency(4)})
+	}
+	h.wrapEnv = fault
+	nodes := h.bootstrapSystem(mode, 26, 240*time.Second)
+	h.net.Run(h.net.Now() + 30*time.Second)
+	if groups := len(h.groupsOf()); groups < 4 {
+		t.Fatalf("%d vgroups, want at least 4", groups)
+	}
+	return h, nodes
+}
+
 // TestGossipSurvivesPayloadWithholding: with f+1 payload senders per vgroup
 // and no way to ask for a payload again, delivery rests on the member at index
 // f. In a system of at least four vgroups the f members below it withhold
@@ -522,23 +547,9 @@ func TestGossipSurvivesPayloadWithholding(t *testing.T) {
 		silent bool
 	}{{smr.ModeAsync, false}, {smr.ModeAsync, true}, {smr.ModeSync, false}, {smr.ModeSync, true}} {
 		t.Run(fmt.Sprintf("%v/silent=%v", tc.mode, tc.silent), func(t *testing.T) {
-			const seed = 1
-			h := newHarness(t, tc.mode, seed, func(cfg *Config) {
-				cfg.DisableShuffle = true
-				cfg.EvictAfter = time.Hour
-				cfg.RequestTimeout = 2 * time.Second
-			})
-			if tc.mode == smr.ModeAsync {
-				h.net = simnet.New(simnet.Config{Seed: seed, Latency: simnet.WANLatency(4)})
-			}
 			fault := &gossipWithholder{t: t, mode: tc.mode, silent: tc.silent}
-			h.wrapEnv = fault.wrapEnv
-			nodes := h.bootstrapSystem(tc.mode, 26, 240*time.Second)
-			h.net.Run(h.net.Now() + 30*time.Second)
+			h, nodes := gossipFaultRig(t, tc.mode, fault.wrapEnv)
 			groups := h.groupsOf()
-			if len(groups) < 4 {
-				t.Fatalf("%d vgroups, want at least 4", len(groups))
-			}
 			faulty := 0
 			for _, members := range groups {
 				faulty += tc.mode.F(len(members))
@@ -548,7 +559,7 @@ func TestGossipSurvivesPayloadWithholding(t *testing.T) {
 			}
 
 			var want []string
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 10; i++ {
 				data := make([]byte, 600)
 				rng.Read(data)
@@ -568,6 +579,113 @@ func TestGossipSurvivesPayloadWithholding(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once and intact", n.cfg.Identity.ID, len(got), len(want))
 				}
+			}
+		})
+	}
+}
+
+// voteSpoofer is the fault TestGossipSurvivesVoteSpoofing injects on top of a
+// silent gossipWithholder: the faulty members of all vgroups collude. The
+// moment any node first sends a copy of a broadcast, every one of them knows
+// its digest and votes it, digest-only, to every member of every neighbor of
+// its vgroup — long before its vgroup holds the broadcast — and its real
+// copies never leave. A neighbor that took such votes for holders would skip
+// the vgroup (forwardGossip). extra members per vgroup beyond the f join in
+// the early votes and are correct otherwise: the run that shows f is the edge.
+type voteSpoofer struct {
+	gossipWithholder
+	extra   int
+	nodes   map[ids.NodeID]spoofNode
+	known   map[crypto.Digest]bool
+	spoofed int // votes sent
+}
+
+// spoofNode is a node and what it sends on, unwrapped.
+type spoofNode struct {
+	*Node
+	env actor.Env
+}
+
+func (s *voteSpoofer) wrapEnv(n *Node, env actor.Env) actor.Env {
+	s.nodes[n.cfg.Identity.ID] = spoofNode{n, env}
+	return sendHook{Env: s.gossipWithholder.wrapEnv(n, env), hook: func(msg actor.Message) actor.Message {
+		for _, m := range gossipCopies(s.t, msg) {
+			if !s.known[m.PayloadDigest] {
+				s.known[m.PayloadDigest] = true
+				s.spoof(m.PayloadDigest)
+			}
+		}
+		return msg
+	}}
+}
+
+func (s *voteSpoofer) spoof(digest crypto.Digest) {
+	for _, id := range slices.Sorted(maps.Keys(s.nodes)) {
+		st := s.nodes[id].st
+		if st == nil || st.comp.Index(id) >= s.mode.F(st.comp.N())+s.extra {
+			continue
+		}
+		var voted []group.Key
+		for c := 0; c < st.nbrs.NumCycles(); c++ {
+			for _, dir := range [...]overlay.Direction{overlay.Pred, overlay.Succ} {
+				nbr := st.nbrs.At(overlay.Link{Cycle: c, Dir: dir})
+				if nbr.GroupID == st.comp.GroupID || slices.Contains(voted, nbr.Key()) {
+					continue
+				}
+				voted = append(voted, nbr.Key())
+				for _, m := range nbr.Members {
+					s.spoofed++
+					s.nodes[id].env.Send(m.ID, group.GroupMsg{SrcGroup: st.comp.GroupID, SrcEpoch: st.comp.Epoch,
+						DstGroup: nbr.GroupID, DstEpoch: nbr.Epoch, Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+				}
+			}
+		}
+	}
+}
+
+// TestGossipSurvivesVoteSpoofing: a vgroup is skipped on f+1 of its members'
+// votes because one of any f+1 is correct and holds the broadcast. With f
+// colluding spoofers in every vgroup, in both fault models, every node still
+// delivers every broadcast exactly once. When one more member per vgroup casts
+// the early votes — nothing else about it is faulty — the votes alone reach the
+// threshold and broadcasts are lost, which shows the first run had the rule
+// under attack at its edge.
+func TestGossipSurvivesVoteSpoofing(t *testing.T) {
+	for _, tc := range []struct {
+		mode  smr.Mode
+		extra int
+	}{{smr.ModeAsync, 0}, {smr.ModeAsync, 1}, {smr.ModeSync, 0}, {smr.ModeSync, 1}} {
+		t.Run(fmt.Sprintf("%v/f+%d", tc.mode, tc.extra), func(t *testing.T) {
+			const bcasts = 10
+			fault := &voteSpoofer{
+				gossipWithholder: gossipWithholder{t: t, mode: tc.mode, silent: true},
+				extra:            tc.extra, nodes: map[ids.NodeID]spoofNode{}, known: map[crypto.Digest]bool{},
+			}
+			h, nodes := gossipFaultRig(t, tc.mode, fault.wrapEnv)
+			var want []string
+			for i := 0; i < bcasts; i++ {
+				want = append(want, fmt.Sprintf("spoofed-%d", i))
+				if err := nodes[(7*i)%len(nodes)].BroadcastWith([]byte(want[i]), BroadcastOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				h.net.Run(h.net.Now() + 2*time.Second)
+			}
+			h.net.Run(h.net.Now() + 30*time.Second)
+			if fault.spoofed == 0 || fault.withheld == 0 {
+				t.Fatalf("%d votes spoofed, %d copies withheld: the fault was never exercised", fault.spoofed, fault.withheld)
+			}
+			slices.Sort(want)
+			short := 0
+			for _, n := range nodes {
+				if got := slices.Sorted(slices.Values(h.delivered[n.cfg.Identity.ID])); !slices.Equal(got, want) {
+					short++
+					if tc.extra == 0 {
+						t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once", n.cfg.Identity.ID, len(got), bcasts)
+					}
+				}
+			}
+			if tc.extra > 0 && short == 0 {
+				t.Errorf("every node delivered everything although f+%d members of every vgroup voted early: the rule was not under attack", tc.extra)
 			}
 		})
 	}

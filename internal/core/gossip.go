@@ -116,39 +116,42 @@ func (n *Node) handleGossip(acc group.Accepted) {
 }
 
 // forwardGossip offers every overlay link to the Forward callback and queues
-// this member's share of the chosen group messages on the egress scheduler:
-// payload is the encoded gossipPayload of d and digest its hash. The default
-// (nil callback) floods all cycles in both directions, which is the
-// latency-optimal configuration the paper's ASub experiments use; AStream
-// restricts forwarding to one or two cycles (§6.3). The Forward decision is
-// always taken here, per broadcast per link — the scheduler changes only how
-// the chosen sends are framed, never which sends are chosen. All
-// per-destination queueing lives in internal/egress. opts carries the
-// origin's flow-control options (zero at remote hops).
+// this member's vote on the chosen links that still need one: payload is the
+// encoded gossipPayload of d and digest its hash. The default (nil callback)
+// floods all cycles in both directions, which is the latency-optimal
+// configuration the paper's ASub experiments use; AStream restricts forwarding
+// to one or two cycles (§6.3). This is the one place gossip is enqueued; the
+// egress scheduler (internal/egress) changes only how the chosen sends are
+// framed, never which sends are chosen. opts carries the origin's
+// flow-control options (zero at remote hops).
 //
-// Every member votes on every chosen link; which votes carry the payload is
-// decided here, per item — a nil Payload is a digest-only vote from any member
-// (group.BatchItem) — by two rules that apply to gossip alone:
+// What a vote says. A gossip message's identity is the digest of its payload:
+// MsgID = Digest, a derived item, so neither a plain copy nor a carrier run
+// spends bytes on an ID the receiver computes anyway. The inbox is keyed by
+// source composition and the payload contains the BcastID, so the digest is
+// unique per (source, broadcast) — and the same on every link.
 //
-//   - f+1 payload senders. At most f members of this vgroup are faulty, so
-//     among the f+1 lowest-index members one correct member sends the bytes on
-//     every link — the argument §5.1 makes for a majority. The rest vote the
-//     digest.
-//   - No payload back where it came from. from is the composition this
-//     broadcast was accepted from (zero at the origin): a majority of exactly
-//     that composition voted the digest, so its members hold the bytes. The
-//     match is on GroupID and Epoch — a neighbor known at another epoch may
-//     include members that were never in the accepting one.
+// Whom a vote is sent to. All a copy toward neighbor composition K can
+// establish is that one correct member of K holds the broadcast — K's members
+// then deliver and forward by themselves. So this member sends K nothing when
+// that is already known: when at least f+1 members of K — GroupID and Epoch; a
+// neighbor known at another epoch may have other members — have voted this
+// digest in this node's own inbox, at most f of them faulty. from, the
+// composition the broadcast was accepted from (zero at the origin), is the
+// case where a majority did. No member decides for another: each consults its
+// own inbox, and a member that has seen fewer votes sends.
 //
-// A link the broadcast went out on will echo it: the neighbor floods its own
+// Who sends the bytes. A nil Payload is a digest-only vote from any member
+// (group.BatchItem). Among the f+1 lowest-index members of this vgroup one is
+// correct and sends the bytes on every link it votes on — the argument §5.1
+// makes for a majority; the rest vote the digest.
+//
+// A link the broadcast was offered on will echo it: the neighbor floods its own
 // neighbors, this vgroup among them. This node has delivered, so the echo is
-// settled in the inbox before it arrives — under the neighbor's freshest known
-// composition, the one it stamps its sends with — and each of its copies is
-// then turned away at one map probe instead of collecting votes for a
-// broadcast markSeen would drop (and, payload-less by the second rule, never
-// completing). A neighbor whose view of this vgroup is stale addresses it
-// under another DstGroup, hence another MsgID, which is not settled: that echo
-// is accepted and dropped at markSeen as before.
+// settled in the inbox — under the neighbor's freshest known composition, the
+// one it stamps its sends with — which releases the votes counted above and
+// turns every later copy away at one map probe instead of collecting votes for
+// a broadcast markSeen would drop.
 func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key, opts BroadcastOpts) {
 	st := n.st
 	if st == nil {
@@ -159,7 +162,10 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 	if opts.TTL > 0 {
 		expires = now + opts.TTL
 	}
-	sendsPayload := st.comp.Index(n.cfg.Identity.ID) <= n.cfg.Mode.F(st.comp.N())
+	it := group.BatchItem{Kind: kindGossip, MsgID: digest, Digest: digest, DerivedID: true}
+	if st.comp.Index(n.cfg.Identity.ID) <= n.cfg.Mode.F(st.comp.N()) {
+		it.Payload = payload
+	}
 	// One send per neighbor composition, however many links lead to it.
 	sent := make([]group.Key, 0, 8)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
@@ -174,17 +180,14 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 				continue
 			}
 			sent = append(sent, key)
-			it := group.BatchItem{Kind: kindGossip, MsgID: gossipMsgID(d.BcastID, st.comp.Key(), nbr.GroupID), Digest: digest}
-			if sendsPayload && key != from {
-				it.Payload = payload
+			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
+				n.sendItemViaEgress(st.comp, nbr, it, expires)
 			}
-			n.sendItemViaEgress(st.comp, nbr, it, expires)
-
 			echo := key
 			if latest, ok := n.latestComp[nbr.GroupID]; ok && latest.Epoch > echo.Epoch {
 				echo = latest.Key()
 			}
-			n.inbox.Settle(now, echo, gossipMsgID(d.BcastID, echo, st.comp.GroupID))
+			n.inbox.Settle(now, echo, digest)
 		}
 	}
 }

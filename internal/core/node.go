@@ -342,6 +342,17 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 			return
 		}
 	}
+	n.observeCopy(from, m)
+}
+
+// observeCopy votes one copy of a group message, plain or unpacked from a
+// carrier, into the inbox. A gossip message is identified by its payload digest
+// (forwardGossip): a copy under any other MsgID comes from no correct member
+// and would open an entry no Settle covers, so it is dropped here.
+func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
+	if m.Kind == kindGossip && m.MsgID != m.PayloadDigest {
+		return
+	}
 	if acc, ok := n.inbox.Observe(n.env.Now(), from, m); ok {
 		n.handleAccepted(acc)
 	}

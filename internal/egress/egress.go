@@ -168,8 +168,11 @@ type Config struct {
 	// MaxBatch caps the items coalesced per carrier; on unbounded queues the
 	// cap'th item forces a flush (so a cap of 1 never holds an item).
 	MaxBatch int
-	// MaxBytes caps a carrier's pending payload bytes (incl. per-item
-	// framing); exceeding it forces a flush on unbounded queues.
+	// MaxBytes caps a carrier's pending bytes, each item charged
+	// len(Payload)+group.BatchWireOverhead: an upper bound of its share of
+	// the frame for every item the engine enqueues, gossip's payload-less
+	// votes included (group.BatchWireOverhead names the one form it does not
+	// bound). Exceeding it forces a flush on unbounded queues.
 	MaxBytes int
 	// MaxWindow caps the adaptive flush window.
 	MaxWindow time.Duration

@@ -42,9 +42,9 @@ type BatchItem struct {
 	// helpers then hash the payload themselves.
 	Digest crypto.Digest
 	// DerivedID marks an item whose MsgID is, by construction, the payload
-	// digest (node-addressed raw items: core sets MsgID = Hash(Payload)). A
-	// run of marked items omits the MsgIDs and the receiver re-derives them
-	// from the payload digest it computes anyway. Setting it on an item whose
+	// digest (core's node-addressed raw items and its gossip votes). A run of
+	// marked items omits the MsgIDs and the receiver re-derives them from the
+	// payload digest it computes, or is sent, anyway. Setting it on an item whose
 	// MsgID is NOT the payload digest silently rewrites the MsgID at the
 	// receiver; only senders that construct the MsgID that way may set it.
 	DerivedID bool
@@ -293,7 +293,12 @@ func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 // 5-byte frame header (version, count), a 6-byte run header (kind, form,
 // length), its 32-byte MsgID and a 4-byte length prefix; every further item of
 // a frame, and every digest-only item, pays less. Send-side aggregators budget
-// batch bytes with it (by payload bytes: a digest-only item's digest rides
-// outside the budget), so the constant must be an upper bound or frames could
-// exceed the configured byte cap.
+// batch bytes with it, charging each item len(Payload)+BatchWireOverhead at
+// enqueue time. That charge is an upper bound of what the item adds to a frame
+// whenever it leaves full, derived (a derived digest-only item is its 32-byte
+// digest: gossip votes), or digest-only with a payload of 28 bytes or more
+// behind it (64 bytes of MsgID and digest against 47 plus the payload). Only a
+// non-derived item with a shorter payload, or none, sent digest-only rides up
+// to 28 bytes outside its charge; the engine enqueues no such item (its
+// smallest carried payload is 35 bytes, its only payload-less one is gossip).
 const BatchWireOverhead = 5 + 6 + crypto.DigestSize + 4

@@ -502,6 +502,55 @@ func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 	}
 }
 
+// TestEgressAccountingBoundsFrames holds the constant to the way
+// internal/egress uses it: an item is charged len(Payload)+BatchWireOverhead
+// when it is enqueued, before anyone knows which form it leaves in. That sum
+// bounds the frame as long as every item sent digest-only is either derived —
+// 32 bytes, as every payload-less item the engine enqueues is: gossip votes —
+// or has a payload of at least 28 bytes to be charged for, as every enveloped
+// engine payload sent by a member outside the majority has. The exception is
+// pinned too: a non-derived item without a payload costs 64 bytes and framing
+// against a charge of 47.
+func TestEgressAccountingBoundsFrames(t *testing.T) {
+	charge := func(items []BatchItem) int {
+		sum := 0
+		for _, it := range items {
+			sum += len(it.Payload) + BatchWireOverhead
+		}
+		return sum
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		items := make([]BatchItem, 1+rng.Intn(96))
+		for i := range items {
+			p := make([]byte, 28+rng.Intn(300))
+			rng.Read(p)
+			digest := crypto.Hash(p)
+			switch rng.Intn(4) {
+			case 0: // a gossip vote with the bytes
+				items[i] = BatchItem{Kind: 2, MsgID: digest, Digest: digest, Payload: p, DerivedID: true}
+			case 1: // a gossip vote without
+				items[i] = BatchItem{Kind: 2, MsgID: digest, Digest: digest, DerivedID: true}
+			case 2: // a derived item whose payload may be tiny or empty (raw)
+				p = p[:rng.Intn(4)]
+				items[i] = BatchItem{Kind: 3, MsgID: crypto.Hash(p), Payload: p, DerivedID: true}
+			default: // any other kind: its own MsgID, always built with its payload
+				items[i] = BatchItem{Kind: Kind(4 + rng.Intn(2)), MsgID: crypto.HashUint64(digest, 1), Payload: p}
+			}
+		}
+		for _, full := range []bool{true, false} {
+			if got, budget := len(encodeBatchFrame(items, full)), charge(items); got > budget {
+				t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, egress charged %dB", trial, len(items), full, got, budget)
+			}
+		}
+	}
+
+	bare := []BatchItem{{Kind: 4, MsgID: crypto.Hash([]byte("id")), Digest: crypto.Hash([]byte("body"))}}
+	if got, want := len(encodeBatchFrame(bare, true))-charge(bare), 2*crypto.DigestSize+5+6-BatchWireOverhead; got != want || got <= 0 {
+		t.Errorf("a non-derived payload-less item exceeds its charge by %dB, want %dB: the documented exception moved", got, want)
+	}
+}
+
 // TestSendBatchDigestOptimization mirrors TestSendDigestOptimization for the
 // batch path: members with the lowest ⌊N/2⌋+1 indices send full payloads,
 // the rest digest-only copies.

@@ -18,7 +18,7 @@ const maxEntriesPerKey = 1024
 // Inbox is the receive side of the group-message primitive. One Inbox per
 // node accumulates per-sender votes for each logical message and reports
 // acceptance when a majority of the source composition delivered matching
-// content and a full payload is available.
+// content under one kind and a full payload is available.
 //
 // Messages may arrive before their source composition is known (e.g. a
 // neighbor reconfigured and its update is still in flight); such votes are
@@ -53,16 +53,25 @@ type source struct {
 
 // entry is one logical message that has not been accepted yet.
 type entry struct {
-	kind     Kind
 	firstAt  time.Duration
 	votes    []vote       // one per sender, in arrival order
 	payloads []heldDigest // verified payloads, one per digest
+	attached []attachment // what the few senders that attach anything attached
 }
 
+// vote is what one sender said of a message: its kind and the digest of its
+// payload, matched together — a copy under another kind is a vote for another
+// message, whoever sent the first copy.
 type vote struct {
 	from   ids.NodeID
+	kind   Kind
 	digest crypto.Digest
-	attach []byte // nil when the sender attached nothing
+}
+
+// attachment is the sender-specific data that came with from's vote.
+type attachment struct {
+	from ids.NodeID
+	data []byte
 }
 
 type heldDigest struct {
@@ -85,22 +94,36 @@ func (ib *Inbox) addSource(src Key) *source {
 // admitted, by Observe or by Settle.
 func (s *source) full() bool { return len(s.pending)+len(s.done) >= maxEntriesPerKey }
 
-func (e *entry) holds(d crypto.Digest) bool {
+// held returns the verified payload the entry holds for a digest, nil when it
+// holds none: a payload that was stored is never nil (Observe).
+func (e *entry) held(d crypto.Digest) []byte {
 	for i := range e.payloads {
 		if e.payloads[i].digest == d {
-			return true
+			return e.payloads[i].payload
 		}
 	}
-	return false
+	return nil
 }
 
-func (e *entry) voted(from ids.NodeID) bool {
+// tally counts the members of comp whose vote is (kind, digest).
+func (e *entry) tally(comp Composition, kind Kind, digest crypto.Digest) int {
+	count := 0
 	for i := range e.votes {
-		if e.votes[i].from == from {
-			return true
+		if v := &e.votes[i]; v.kind == kind && v.digest == digest && comp.Contains(v.from) {
+			count++
 		}
 	}
-	return false
+	return count
+}
+
+// voteOf returns from's vote, nil when it has not voted.
+func (e *entry) voteOf(from ids.NodeID) *vote {
+	for i := range e.votes {
+		if e.votes[i].from == from {
+			return &e.votes[i]
+		}
+	}
+	return nil
 }
 
 // Observe records the arrival of one GroupMsg copy from a link-authenticated
@@ -117,7 +140,7 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 		}
 		e = s.pending[msg.MsgID]
 	}
-	store := msg.Payload != nil && (e == nil || !e.holds(msg.PayloadDigest))
+	store := msg.Payload != nil && (e == nil || e.held(msg.PayloadDigest) == nil)
 	if store && !msg.hashed && crypto.Hash(msg.Payload) != msg.PayloadDigest {
 		return Accepted{}, false // inconsistent copy; drop the vote entirely
 	}
@@ -128,12 +151,15 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 			return Accepted{}, false
 		}
 		// Room for the majority of a typical vgroup without regrowing.
-		e = &entry{kind: msg.Kind, firstAt: now, votes: make([]vote, 0, 4)}
+		e = &entry{firstAt: now, votes: make([]vote, 0, 4)}
 		s.pending[msg.MsgID] = e
 	}
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
-	if !e.voted(from) {
-		e.votes = append(e.votes, vote{from: from, digest: msg.PayloadDigest, attach: msg.Attach})
+	if e.voteOf(from) == nil {
+		e.votes = append(e.votes, vote{from: from, kind: msg.Kind, digest: msg.PayloadDigest})
+		if msg.Attach != nil {
+			e.attached = append(e.attached, attachment{from: from, data: msg.Attach})
+		}
 	}
 	if store {
 		e.payloads = append(e.payloads, heldDigest{digest: msg.PayloadDigest, payload: msg.Payload})
@@ -167,41 +193,52 @@ func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 }
 
 // check evaluates the acceptance rule for one pending entry and, when it
-// holds, moves the message to the source's done map. At most one digest can
-// reach a majority (one vote per sender), and only a digest whose payload is
-// held can be accepted, so the held payloads are the candidates.
+// holds, moves the message to the source's done map. At most one (kind,
+// digest) pair can reach a majority (one vote per sender), and one that did is
+// the vote of one of the first len(votes)−majority+1 senders, so those are the
+// candidates; only a digest whose payload is held can be accepted.
 func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
 	comp, known := ib.lookup(src)
 	if !known {
 		return Accepted{}, false
 	}
-	for _, held := range e.payloads {
-		count := 0
-		for i := range e.votes {
-			if e.votes[i].digest == held.digest && comp.Contains(e.votes[i].from) {
-				count++
-			}
-		}
-		if count < comp.Majority() {
+	majority := comp.Majority()
+	for i := 0; i+majority <= len(e.votes); i++ {
+		kind, digest := e.votes[i].kind, e.votes[i].digest
+		payload := e.held(digest)
+		if payload == nil || e.tally(comp, kind, digest) < majority {
 			continue // a correct majority sender will still provide its vote
 		}
 		var attachments map[ids.NodeID][]byte
-		for _, v := range e.votes {
-			if v.attach != nil && v.digest == held.digest && comp.Contains(v.from) {
+		for _, a := range e.attached {
+			if v := e.voteOf(a.from); v.kind == kind && v.digest == digest && comp.Contains(a.from) {
 				if attachments == nil {
 					attachments = make(map[ids.NodeID][]byte)
 				}
-				attachments[v.from] = v.attach
+				attachments[a.from] = a.data
 			}
 		}
 		// Only the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
 		delete(s.pending, msgID)
 		s.done[msgID] = e.firstAt
-		return Accepted{Src: src, Kind: e.kind, MsgID: msgID, Digest: held.digest,
-			Payload: held.payload, Attachments: attachments, At: now}, true
+		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
+			Payload: payload, Attachments: attachments, At: now}, true
 	}
 	return Accepted{}, false
+}
+
+// Votes returns how many members of src have voted (kind, digest) on a
+// message of src that is still collecting votes; zero once it is accepted or
+// settled. src is taken as given, not looked up: the caller asks about the
+// members it knows.
+func (ib *Inbox) Votes(src Composition, kind Kind, msgID, digest crypto.Digest) int {
+	if s := ib.sources[src.Key()]; s != nil {
+		if e := s.pending[msgID]; e != nil {
+			return e.tally(src, kind, digest)
+		}
+	}
+	return 0
 }
 
 // FlushKey re-evaluates buffered entries for a source composition that just
@@ -247,12 +284,12 @@ func (ib *Inbox) Prune(before time.Duration) {
 }
 
 // Pending calls visit once per message still collecting votes, in no
-// particular order, with the number of senders that voted (for tests and
-// metrics).
+// particular order, with the kind its first copy named and the number of
+// senders that voted (for tests and metrics).
 func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
 	for src, s := range ib.sources {
 		for _, e := range s.pending {
-			visit(src, e.kind, len(e.votes))
+			visit(src, e.votes[0].kind, len(e.votes))
 		}
 	}
 }

@@ -14,8 +14,13 @@ import (
 // verbatim apart from the ref prefix on its names: the reference model
 // TestInboxMatchesReference drives the shipped Inbox against. It hashes every
 // full copy before anything else and keeps one heap entry, three maps and a
-// second index per logical message. It had no Settle; the model of one is the
-// method at the end of this file.
+// second index per logical message. It had no Settle and no Votes; the models
+// of both are the methods at the end of this file.
+//
+// One thing in it is changed, not added: it used to report the kind of
+// whichever copy opened the entry and count votes by digest alone, so one
+// member racing a copy under another kind chose the kind a message was
+// accepted under. A vote is now the pair refVote, here as in Inbox.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
@@ -28,12 +33,16 @@ type refEntryKey struct {
 }
 
 type refEntryState struct {
-	votes    map[ids.NodeID]crypto.Digest
+	votes    map[ids.NodeID]refVote
 	payloads map[crypto.Digest][]byte
 	attach   map[ids.NodeID][]byte
-	kind     Kind
 	accepted bool
 	firstAt  time.Duration
+}
+
+type refVote struct {
+	kind   Kind
+	digest crypto.Digest
 }
 
 // newRefInbox creates an inbox; lookup resolves known compositions.
@@ -60,10 +69,9 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 			return Accepted{}, false
 		}
 		e = &refEntryState{
-			votes:    make(map[ids.NodeID]crypto.Digest),
+			votes:    make(map[ids.NodeID]refVote),
 			payloads: make(map[crypto.Digest][]byte),
 			attach:   make(map[ids.NodeID][]byte),
-			kind:     msg.Kind,
 			firstAt:  now,
 		}
 		ib.entries[ek] = e
@@ -79,7 +87,7 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 	}
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
 	if _, voted := e.votes[from]; !voted {
-		e.votes[from] = msg.PayloadDigest
+		e.votes[from] = refVote{kind: msg.Kind, digest: msg.PayloadDigest}
 		if msg.Attach != nil {
 			e.attach[from] = msg.Attach
 		}
@@ -98,23 +106,23 @@ func (ib *refInbox) check(now time.Duration, ek refEntryKey, e *refEntryState) (
 	if !known {
 		return Accepted{}, false
 	}
-	counts := make(map[crypto.Digest]int)
-	for voter, d := range e.votes {
+	counts := make(map[refVote]int)
+	for voter, v := range e.votes {
 		if comp.Contains(voter) {
-			counts[d]++
+			counts[v]++
 		}
 	}
-	for d, c := range counts {
+	for v, c := range counts {
 		if c < comp.Majority() {
 			continue
 		}
-		payload, have := e.payloads[d]
+		payload, have := e.payloads[v.digest]
 		if !have {
 			continue // wait for a full copy (a correct majority sender will provide one)
 		}
 		attachments := make(map[ids.NodeID][]byte)
-		for voter, vd := range e.votes {
-			if vd == d && comp.Contains(voter) {
+		for voter, vv := range e.votes {
+			if vv == v && comp.Contains(voter) {
 				if a, ok := e.attach[voter]; ok {
 					attachments[voter] = a
 				}
@@ -124,7 +132,7 @@ func (ib *refInbox) check(now time.Duration, ek refEntryKey, e *refEntryState) (
 		// Release memory: the accepted flag alone suppresses stragglers
 		// until the entry is pruned.
 		e.votes, e.payloads, e.attach = nil, nil, nil
-		return Accepted{Src: ek.src, Kind: e.kind, MsgID: ek.msgID,
+		return Accepted{Src: ek.src, Kind: v.kind, MsgID: ek.msgID,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
 	return Accepted{}, false
@@ -192,4 +200,20 @@ func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	}
 	e.accepted = true
 	e.votes, e.payloads, e.attach = nil, nil, nil
+}
+
+// Votes is the model of Inbox.Votes: the members of src whose vote on a
+// message not yet accepted or settled is (kind, digest).
+func (ib *refInbox) Votes(src Composition, kind Kind, msgID, digest crypto.Digest) int {
+	e, ok := ib.entries[refEntryKey{src: src.Key(), msgID: msgID}]
+	if !ok || e.accepted {
+		return 0
+	}
+	count := 0
+	for voter, v := range e.votes {
+		if v == (refVote{kind: kind, digest: digest}) && src.Contains(voter) {
+			count++
+		}
+	}
+	return count
 }

@@ -13,10 +13,13 @@ import (
 
 // The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
 // and the shipped layout is checked against it: same schedule in, same
-// acceptances out. The two differ in two named places. A corrupt copy of a
+// acceptances out. The two differ in three named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
-// model, so the comparison also states exactly what that rule means. And the
-// model had no Settle: refInbox.Settle says what one is in its terms.
+// model, so the comparison also states exactly what that rule means. The model
+// had no Settle and no Votes: refInbox.Settle and refInbox.Votes say what they
+// are in its terms. And the model let the first copy choose the kind a message
+// is accepted under: it was changed to tally the kind with the digest
+// (refVote), which TestInboxFirstCopyCannotChooseKind pins on its own.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -75,6 +78,10 @@ func (w *diffWorld) diffPayload(src, msg, variant int) ([]byte, crypto.Digest) {
 func diffMsgID(si, mi int) crypto.Digest {
 	return crypto.HashUint64(crypto.Digest{}, uint64(si)<<32|uint64(mi))
 }
+
+// diffKind is the kind the correct senders of the mi-th message use;
+// diffKind(mi+1) is the one a copy racing under another kind names.
+func diffKind(mi int) Kind { return Kind(1 + mi%3) }
 
 // sameAccepted compares one result pair. The model predates Accepted.Digest
 // and always allocates Attachments, so the digest is checked against the
@@ -170,8 +177,11 @@ func (w *diffWorld) step() (corruptLater bool) {
 			variant = 1 // a Byzantine re-vote or digest flip: the rival payload
 		}
 		payload, digest := w.diffPayload(si, mi, variant)
-		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: Kind(1 + mi%3),
+		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: diffKind(mi),
 			MsgID: diffMsgID(si, mi), PayloadDigest: digest}
+		if w.rng.Intn(8) == 0 {
+			m.Kind = diffKind(mi + 1) // the same message, and maybe the same payload, under another kind
+		}
 		switch w.rng.Intn(8) {
 		case 0, 1, 2, 3:
 			m.Payload = payload
@@ -187,15 +197,38 @@ func (w *diffWorld) step() (corruptLater bool) {
 		w.fatalf("Len = %d, model %d", got, want)
 	}
 	w.peak = max(w.peak, w.ib.Len())
+	w.sameVotes()
 	return corruptLater
+}
+
+// sameVotes compares Votes on one message drawn at random: both payloads under
+// both kinds, counted over the source as scheduled and — Votes takes the
+// members from its caller — over a composition of the same key with fewer.
+func (w *diffWorld) sameVotes() {
+	w.t.Helper()
+	si, mi := w.rng.Intn(len(w.comps)), w.rng.Intn(w.msgs)
+	fewer := w.comps[si]
+	fewer.Members = fewer.Members[:2]
+	for _, src := range []Composition{w.comps[si], fewer} {
+		for variant := 0; variant < 2; variant++ {
+			_, digest := w.diffPayload(si, mi, variant)
+			for _, kind := range []Kind{diffKind(mi), diffKind(mi + 1)} {
+				got, want := w.ib.Votes(src, kind, diffMsgID(si, mi), digest), w.ref.Votes(src, kind, diffMsgID(si, mi), digest)
+				if got != want {
+					w.fatalf("Votes(%v, kind %d, msg %d, payload %d) = %d, model %d", src.Key(), kind, mi, variant, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestInboxMatchesReference drives the shipped Inbox and the reference model
 // with seeded random schedules — full, digest-only and attachment-bearing
-// votes, outsiders, Byzantine re-votes and digest flips, corrupt copies first
-// and later, a source learned (and re-learned with other members) mid-run, one
-// never learned, FlushKey, Prune and Settle at random times — and requires
-// identical (Accepted, ok) sequences and Len throughout. Every two-hundredth
+// votes, outsiders, Byzantine re-votes, digest flips and copies under another
+// kind, corrupt copies first and later, a source learned (and re-learned with
+// other members) mid-run, one never learned, FlushKey, Prune and Settle at
+// random times — and requires identical (Accepted, ok) sequences, Len and
+// Votes throughout. Every two-hundredth
 // schedule draws MsgIDs from a space wider than maxEntriesPerKey to run into
 // the cap.
 func TestInboxMatchesReference(t *testing.T) {
@@ -259,6 +292,37 @@ func TestInboxCorruptLaterCopyCountsAsVote(t *testing.T) {
 	ib.Observe(0, 1, m)
 	if _, ok := ib.Observe(0, 3, m); !ok {
 		t.Fatal("members 1 and 3 are a majority")
+	}
+}
+
+// TestInboxFirstCopyCannotChooseKind: the kind is part of what is voted. One
+// member of a five-member source races a digest-only copy of a message under
+// kind 9, with the MsgID and the digest the correct members will use; members
+// 1–3 then send it under kind 4. When the first copy's kind stood for the
+// entry, the message was accepted under kind 9 — a kind whose handler cannot
+// decode it, and the done record turned the correct copies away.
+func TestInboxFirstCopyCannotChooseKind(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3, 4, 5)
+	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
+	payload := []byte("a walk hop")
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, Kind: 4, MsgID: crypto.Hash([]byte("predictable")),
+		PayloadDigest: crypto.Hash(payload), Payload: payload}
+	racer := m
+	racer.Kind, racer.Payload = 9, nil
+	if _, ok := ib.Observe(0, 5, racer); ok {
+		t.Fatal("one vote is no majority")
+	}
+	for _, from := range []ids.NodeID{1, 2} {
+		if acc, ok := ib.Observe(0, from, m); ok {
+			t.Fatalf("accepted %+v on two votes for kind 4 and one for kind 9: three of five voted no one thing", acc)
+		}
+	}
+	if got := ib.Votes(src, 4, m.MsgID, m.PayloadDigest); got != 2 {
+		t.Errorf("Votes for kind 4 = %d, want 2: the racer's vote is for another kind", got)
+	}
+	acc, ok := ib.Observe(0, 3, m)
+	if !ok || acc.Kind != 4 || string(acc.Payload) != "a walk hop" {
+		t.Fatalf("accepted = %v under kind %d, want the kind the majority sent (4)", ok, acc.Kind)
 	}
 }
 
