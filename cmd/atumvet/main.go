@@ -1,7 +1,6 @@
-// Command atumvet runs the repo's custom static analyzers: wiresym
-// (wire-codec pair symmetry), retainview (zero-copy view lifetimes),
-// detclock (wall-clock and global-rand bans in the deterministic
-// packages), and the three type-aware passes — actorconfine (engine
+// Command atumvet runs the repo's custom static analyzers: retainview
+// (zero-copy view lifetimes), detclock (wall-clock and global-rand bans
+// in the deterministic packages), and the three type-aware passes — actorconfine (engine
 // state confined to the actor loop), egressonly (all core sends route
 // through the egress scheduler), and aliasret (exported API methods
 // clone reference state on the way out). It exits non-zero

@@ -221,11 +221,9 @@ type stateSnapshot struct {
 
 // buildSnapshot captures the current replicated state.
 func (st *groupState) buildSnapshot() stateSnapshot {
-	var e wire.Encoder
-	st.nbrs.MarshalWire(&e)
 	snap := stateSnapshot{
 		Comp:            st.comp.Clone(),
-		NbrsBytes:       e.Bytes(),
+		NbrsBytes:       wire.Encode(st.nbrs.Wire),
 		Busy:            st.busy,
 		PendingJoins:    append([]pendingJoin(nil), st.pendingJoins...),
 		ExpectedJoiners: append([]expectedJoiner(nil), st.expectedJoiners...),
@@ -247,7 +245,7 @@ func (st *groupState) buildSnapshot() stateSnapshot {
 func restoreSnapshot(snap stateSnapshot) (*groupState, error) {
 	var nbrs overlay.Neighbors
 	d := wire.NewDecoder(snap.NbrsBytes)
-	nbrs.UnmarshalWire(d)
+	nbrs.Wire(d.Codec())
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: snapshot neighbors: %w", err)
 	}

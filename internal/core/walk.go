@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"time"
 
@@ -182,8 +183,10 @@ func (n *Node) mergeChain(acc group.Accepted, p walkPayload) []overlay.StepCert 
 		candSigs := make([]overlay.CertSig, 0, len(acc.Attachments))
 		var prefix []overlay.StepCert
 		prefixOK := len(p.Path) == 1 // first hop: the origin itself forwarded
-		for voter, raw := range acc.Attachments {
-			att, err := decodeAs[walkAttachment](raw)
+		// Ascending voter order: the signature order inside the StepCert and
+		// whose prefix chain is forwarded must not depend on map iteration.
+		for _, voter := range slices.Sorted(maps.Keys(acc.Attachments)) {
+			att, err := decodeAs[walkAttachment](acc.Attachments[voter])
 			if err != nil || att.StepSig.Node != voter {
 				continue
 			}

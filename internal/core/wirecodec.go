@@ -142,15 +142,20 @@ type wireRow struct {
 	decode    func(body []byte) (any, error)
 }
 
-// row builds the table row of engine type T from its MarshalWire/UnmarshalWire
-// pair.
-func row[T wire.Marshaler, P interface {
+// row builds the table row of engine type T from its field walk: both
+// directions are that one method, run over an encoder or a decoder.
+func row[T any, P interface {
 	*T
-	UnmarshalWire(*wire.Decoder)
+	Wire(wire.Codec)
 }](tag byte, class wireClass, kind group.Kind, carrierOK bool) wireRow {
 	var zero T
 	return wireRow{tag: tag, proto: zero, class: class, kind: kind, carrierOK: carrierOK,
-		marshal: marshalEngineValue,
+		marshal: func(v any, e *wire.Encoder) {
+			// A walk takes its fields' addresses and a boxed value has none:
+			// the copy is the one allocation encoding pays for sharing the walk.
+			t := v.(T)
+			P(&t).Wire(e.Codec())
+		},
 		decode: func(body []byte) (any, error) {
 			// The call through P is indirect, so its arguments escape: keeping
 			// the decoder and the value in one struct makes that one
@@ -160,7 +165,7 @@ func row[T wire.Marshaler, P interface {
 				v T
 			}
 			s.d.Reset(body)
-			P(&s.v).UnmarshalWire(&s.d)
+			P(&s.v).Wire(s.d.Codec())
 			if err := s.d.Finish(); err != nil {
 				return nil, fmt.Errorf("core: decode wire envelope kind %d: %w", tag, err)
 			}
@@ -168,14 +173,10 @@ func row[T wire.Marshaler, P interface {
 		}}
 }
 
-// marshalEngineValue is every engine row's marshal: row's constraint on T is
-// what guarantees the assertion holds.
-func marshalEngineValue(v any, e *wire.Encoder) { v.(wire.Marshaler).MarshalWire(e) }
-
 // wireRows is the engine's wire-type table: one row per type, tags 1–41
 // (42–44 are retired and have no row). Adding a type is one row here, its
-// MarshalWire/UnmarshalWire pair, and one line in docs/WIRE.md's tag table
-// (TestWireDocTagTable compares the two).
+// Wire walk, and one line in docs/WIRE.md's tag table (TestWireDocTagTable
+// compares the two).
 var wireRows = []wireRow{
 	row[gossipPayload](wkGossip, classPayload, kindGossip, true),
 	row[walkPayload](wkWalk, classPayload, kindWalk, true),
@@ -382,127 +383,73 @@ func (MessageCodec) DecodeMessage(b []byte) (actor.Message, error) {
 
 // --- node-level messages ---
 
-// MarshalWire implements wire.Marshaler. Inner is framed as a nested wire
-// envelope and must be an SMR engine message: the replica is its only
-// producer, so anything else is an engine bug.
-func (m SMREnvelope) MarshalWire(e *wire.Encoder) {
-	inner, ok := encodeWire(m.Inner, classSMRMsg)
-	if !ok {
-		panic(fmt.Sprintf("core: SMREnvelope.Inner %T is not an SMR engine message", m.Inner))
+// Wire walks an SMREnvelope in wire order. Inner is framed as a nested wire
+// envelope, the one field with a representation per direction: the frame is
+// built before the VarBytes primitive and opened after it. Only SMR engine
+// messages may nest, so an envelope cannot hold an envelope (or a snapshot, or
+// an op) — on the way out that is an engine bug, the replica being Inner's
+// only producer.
+func (m *SMREnvelope) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	var inner []byte
+	if !c.Decoding() {
+		var ok bool
+		if inner, ok = encodeWire(m.Inner, classSMRMsg); !ok {
+			panic(fmt.Sprintf("core: SMREnvelope.Inner %T is not an SMR engine message", m.Inner))
+		}
 	}
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.VarBytes(inner)
-}
-
-// UnmarshalWire decodes an SMREnvelope. Only SMR engine messages may nest, so
-// an envelope cannot hold an envelope (or a snapshot, or an op).
-func (m *SMREnvelope) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	inner := d.VarBytes()
-	if d.Err() != nil {
-		return
+	c.VarBytes(&inner)
+	if c.Decoding() && !c.Failed() {
+		var err error
+		if m.Inner, err = decodeWire(inner, classSMRMsg); err != nil {
+			c.Fail(fmt.Errorf("SMR envelope inner: %w", err))
+		}
 	}
-	v, err := decodeWire(inner, classSMRMsg)
-	if err != nil {
-		d.Fail(fmt.Errorf("SMR envelope inner: %w", err))
-	}
-	m.Inner = v
 }
 
-// MarshalWire implements wire.Marshaler.
-func (m Heartbeat) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
+// Wire walks a Heartbeat in wire order.
+func (m *Heartbeat) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
 }
 
-// UnmarshalWire decodes a Heartbeat.
-func (m *Heartbeat) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
+// Wire walks a JoinContact in wire order.
+func (m *JoinContact) Wire(c wire.Codec) { m.Joiner.Wire(c) }
+
+// Wire walks a ContactInfo in wire order.
+func (m *ContactInfo) Wire(c wire.Codec) { m.Comp.Wire(c) }
+
+// Wire walks a JoinRequest in wire order.
+func (m *JoinRequest) Wire(c wire.Codec) {
+	m.Joiner.Wire(c)
+	wire.U64(c, &m.Target)
+	c.Uint64(&m.Nonce)
+	c.VarBytes(&m.Sig)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (m JoinContact) MarshalWire(e *wire.Encoder) {
-	m.Joiner.MarshalWire(e)
+// Wire walks a Renounce in wire order.
+func (m *Renounce) Wire(c wire.Codec) {
+	m.Node.Wire(c)
+	wire.U64(c, &m.Target)
+	c.Uint64(&m.Nonce)
+	c.VarBytes(&m.Sig)
 }
 
-// UnmarshalWire decodes a JoinContact.
-func (m *JoinContact) UnmarshalWire(d *wire.Decoder) {
-	m.Joiner.UnmarshalWire(d)
-}
+// --- group-message payloads ---
 
-// MarshalWire implements wire.Marshaler.
-func (m ContactInfo) MarshalWire(e *wire.Encoder) {
-	m.Comp.MarshalWire(e)
-}
-
-// UnmarshalWire decodes a ContactInfo.
-func (m *ContactInfo) UnmarshalWire(d *wire.Decoder) {
-	m.Comp.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m JoinRequest) MarshalWire(e *wire.Encoder) {
-	m.Joiner.MarshalWire(e)
-	e.Uint64(uint64(m.Target))
-	e.Uint64(m.Nonce)
-	e.VarBytes(m.Sig)
-}
-
-// UnmarshalWire decodes a JoinRequest.
-func (m *JoinRequest) UnmarshalWire(d *wire.Decoder) {
-	m.Joiner.UnmarshalWire(d)
-	m.Target = ids.GroupID(d.Uint64())
-	m.Nonce = d.Uint64()
-	m.Sig = d.VarBytes()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m Renounce) MarshalWire(e *wire.Encoder) {
-	m.Node.MarshalWire(e)
-	e.Uint64(uint64(m.Target))
-	e.Uint64(m.Nonce)
-	e.VarBytes(m.Sig)
-}
-
-// UnmarshalWire decodes a Renounce.
-func (m *Renounce) UnmarshalWire(d *wire.Decoder) {
-	m.Node.UnmarshalWire(d)
-	m.Target = ids.GroupID(d.Uint64())
-	m.Nonce = d.Uint64()
-	m.Sig = d.VarBytes()
-}
-
-// --- canonical field encodings, one per payload kind ---
-
-func marshalKey(e *wire.Encoder, k group.Key) {
-	e.Uint64(uint64(k.GroupID))
-	e.Uint64(k.Epoch)
-}
-
-func unmarshalKey(d *wire.Decoder) group.Key {
-	return group.Key{GroupID: ids.GroupID(d.Uint64()), Epoch: d.Uint64()}
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p gossipPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.BcastID)
-	e.Uint64(uint64(p.Origin))
-	e.VarBytes(p.Data)
-}
-
-// UnmarshalWire decodes a gossipPayload.
-func (p *gossipPayload) UnmarshalWire(d *wire.Decoder) {
-	p.BcastID = d.Bytes32()
-	p.Origin = ids.NodeID(d.Uint64())
-	p.Data = d.VarBytes()
+func (p *gossipPayload) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.BcastID)
+	wire.U64(c, &p.Origin)
+	c.VarBytes(&p.Data)
 }
 
 // decodeGossipView is decodeKind(kindGossip, b) without the copy: Data
 // aliases b. It serves handleGossip, which drops all but the first acceptance
-// of a broadcast after reading BcastID.
+// of a broadcast after reading BcastID. It is the one reader written apart
+// from its type's walk — a walk fills fields through pointers, where
+// retainview could not see the view — and TestGossipViewMatchesWalk holds it
+// to gossipPayload.Wire.
 func decodeGossipView(b []byte) (gossipPayload, error) {
 	_, body, err := openKind(kindGossip, b)
 	if err != nil {
@@ -520,529 +467,207 @@ func decodeGossipView(b []byte) (gossipPayload, error) {
 	return p, nil
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p walkPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-	e.Byte(byte(p.Purpose))
-	e.Int64(int64(p.StepsLeft))
-	e.ListLen(len(p.Rands))
-	for _, r := range p.Rands {
-		e.Uint64(r)
-	}
-	p.Origin.MarshalWire(e)
-	e.ListLen(len(p.Path))
-	for _, k := range p.Path {
-		marshalKey(e, k)
-	}
-	e.Int64(int64(p.Cycle))
-	p.NewGroup.MarshalWire(e)
-	p.Joiner.MarshalWire(e)
-	e.VarBytes(p.JoinerSig)
-	p.Member.MarshalWire(e)
-	e.Int64(int64(p.ShuffleSeq))
+func uint64Wire(v *uint64, c wire.Codec) { c.Uint64(v) }
+
+func (p *walkPayload) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.WalkID)
+	wire.B8(c, &p.Purpose)
+	c.Int(&p.StepsLeft)
+	wire.List(c, &p.Rands, uint64Wire)
+	p.Origin.Wire(c)
+	wire.List(c, &p.Path, (*group.Key).Wire)
+	c.Int(&p.Cycle)
+	p.NewGroup.Wire(c)
+	p.Joiner.Wire(c)
+	c.VarBytes(&p.JoinerSig)
+	p.Member.Wire(c)
+	c.Int(&p.ShuffleSeq)
 }
 
-// UnmarshalWire decodes a walkPayload.
-func (p *walkPayload) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-	p.Purpose = WalkPurpose(d.Byte())
-	p.StepsLeft = int(d.Int64())
-	n := d.ListLen()
-	p.Rands = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.Rands = append(p.Rands, d.Uint64())
-	}
-	p.Origin.UnmarshalWire(d)
-	n = d.ListLen()
-	p.Path = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.Path = append(p.Path, unmarshalKey(d))
-	}
-	p.Cycle = int(d.Int64())
-	p.NewGroup.UnmarshalWire(d)
-	p.Joiner.UnmarshalWire(d)
-	p.JoinerSig = d.VarBytes()
-	p.Member.UnmarshalWire(d)
-	p.ShuffleSeq = int(d.Int64())
+func (p *walkAttachment) Wire(c wire.Codec) {
+	wire.List(c, &p.Chain, (*overlay.StepCert).Wire)
+	p.StepSig.Wire(c)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p walkAttachment) MarshalWire(e *wire.Encoder) {
-	e.ListLen(len(p.Chain))
-	for _, c := range p.Chain {
-		c.MarshalWire(e)
-	}
-	p.StepSig.MarshalWire(e)
+func (p *backwardPayload) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.WalkID)
+	wire.List(c, &p.Path, (*group.Key).Wire)
+	p.Result.Wire(c)
 }
 
-// UnmarshalWire decodes a walkAttachment.
-func (p *walkAttachment) UnmarshalWire(d *wire.Decoder) {
-	n := d.ListLen()
-	p.Chain = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var c overlay.StepCert
-		c.UnmarshalWire(d)
-		p.Chain = append(p.Chain, c)
-	}
-	p.StepSig.UnmarshalWire(d)
+func (p *walkResult) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.WalkID)
+	wire.B8(c, &p.Purpose)
+	p.Target.Wire(c)
+	c.Bool(&p.Accept)
+	p.Partner.Wire(c)
+	p.Member.Wire(c)
+	c.Int(&p.ShuffleSeq)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p backwardPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-	e.ListLen(len(p.Path))
-	for _, k := range p.Path {
-		marshalKey(e, k)
-	}
-	p.Result.MarshalWire(e)
+func (p *neighborUpdatePayload) Wire(c wire.Codec) { p.NewComp.Wire(c) }
+
+func (p *setNeighborPayload) Wire(c wire.Codec) {
+	c.Int(&p.Cycle)
+	wire.B8(c, &p.Dir)
+	p.Comp.Wire(c)
 }
 
-// UnmarshalWire decodes a backwardPayload.
-func (p *backwardPayload) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-	n := d.ListLen()
-	p.Path = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.Path = append(p.Path, unmarshalKey(d))
-	}
-	p.Result.UnmarshalWire(d)
+func (p *cycleAssignPayload) Wire(c wire.Codec) {
+	c.Int(&p.Cycle)
+	p.Pred.Wire(c)
+	p.Succ.Wire(c)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p walkResult) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-	e.Byte(byte(p.Purpose))
-	p.Target.MarshalWire(e)
-	e.Bool(p.Accept)
-	p.Partner.MarshalWire(e)
-	p.Member.MarshalWire(e)
-	e.Int64(int64(p.ShuffleSeq))
+func (p *exchangeConfirmPayload) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.WalkID)
+	p.Partner.Wire(c)
+	p.Member.Wire(c)
+	p.OriginOld.Wire(c)
 }
 
-// UnmarshalWire decodes a walkResult.
-func (p *walkResult) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-	p.Purpose = WalkPurpose(d.Byte())
-	p.Target.UnmarshalWire(d)
-	p.Accept = d.Bool()
-	p.Partner.UnmarshalWire(d)
-	p.Member.UnmarshalWire(d)
-	p.ShuffleSeq = int(d.Int64())
-}
+func (p *exchangeCancelPayload) Wire(c wire.Codec) { wire.Bytes32(c, &p.WalkID) }
 
-// MarshalWire implements wire.Marshaler.
-func (p neighborUpdatePayload) MarshalWire(e *wire.Encoder) {
-	p.NewComp.MarshalWire(e)
-}
+func (p *mergeRequestPayload) Wire(c wire.Codec) { p.From.Wire(c) }
 
-// UnmarshalWire decodes a neighborUpdatePayload.
-func (p *neighborUpdatePayload) UnmarshalWire(d *wire.Decoder) {
-	p.NewComp.UnmarshalWire(d)
-}
+func (p *mergeAcceptPayload) Wire(c wire.Codec) { p.Absorber.Wire(c) }
 
-// MarshalWire implements wire.Marshaler.
-func (p setNeighborPayload) MarshalWire(e *wire.Encoder) {
-	e.Int64(int64(p.Cycle))
-	e.Byte(byte(p.Dir))
-	p.Comp.MarshalWire(e)
-}
+func (p *mergeRejectPayload) Wire(c wire.Codec) { c.Bool(&p.Busy) }
 
-// UnmarshalWire decodes a setNeighborPayload.
-func (p *setNeighborPayload) UnmarshalWire(d *wire.Decoder) {
-	p.Cycle = int(d.Int64())
-	p.Dir = overlay.Direction(d.Byte())
-	p.Comp.UnmarshalWire(d)
-}
+func (p *snapshotPayload) Wire(c wire.Codec) { p.State.Wire(c) }
 
-// MarshalWire implements wire.Marshaler.
-func (p cycleAssignPayload) MarshalWire(e *wire.Encoder) {
-	e.Int64(int64(p.Cycle))
-	p.Pred.MarshalWire(e)
-	p.Succ.MarshalWire(e)
-}
-
-// UnmarshalWire decodes a cycleAssignPayload.
-func (p *cycleAssignPayload) UnmarshalWire(d *wire.Decoder) {
-	p.Cycle = int(d.Int64())
-	p.Pred.UnmarshalWire(d)
-	p.Succ.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p exchangeConfirmPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-	p.Partner.MarshalWire(e)
-	p.Member.MarshalWire(e)
-	p.OriginOld.MarshalWire(e)
-}
-
-// UnmarshalWire decodes an exchangeConfirmPayload.
-func (p *exchangeConfirmPayload) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-	p.Partner.UnmarshalWire(d)
-	p.Member.UnmarshalWire(d)
-	p.OriginOld.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p exchangeCancelPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-}
-
-// UnmarshalWire decodes an exchangeCancelPayload.
-func (p *exchangeCancelPayload) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p mergeRequestPayload) MarshalWire(e *wire.Encoder) {
-	p.From.MarshalWire(e)
-}
-
-// UnmarshalWire decodes a mergeRequestPayload.
-func (p *mergeRequestPayload) UnmarshalWire(d *wire.Decoder) {
-	p.From.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p mergeAcceptPayload) MarshalWire(e *wire.Encoder) {
-	p.Absorber.MarshalWire(e)
-}
-
-// UnmarshalWire decodes a mergeAcceptPayload.
-func (p *mergeAcceptPayload) UnmarshalWire(d *wire.Decoder) {
-	p.Absorber.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p mergeRejectPayload) MarshalWire(e *wire.Encoder) {
-	e.Bool(p.Busy)
-}
-
-// UnmarshalWire decodes a mergeRejectPayload.
-func (p *mergeRejectPayload) UnmarshalWire(d *wire.Decoder) {
-	p.Busy = d.Bool()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p snapshotPayload) MarshalWire(e *wire.Encoder) {
-	p.State.MarshalWire(e)
-}
-
-// UnmarshalWire decodes a snapshotPayload.
-func (p *snapshotPayload) UnmarshalWire(d *wire.Decoder) {
-	p.State.UnmarshalWire(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p joinRedirectPayload) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-	p.Target.MarshalWire(e)
-	e.ListLen(len(p.Chain))
-	for _, c := range p.Chain {
-		c.MarshalWire(e)
-	}
-}
-
-// UnmarshalWire decodes a joinRedirectPayload.
-func (p *joinRedirectPayload) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-	p.Target.UnmarshalWire(d)
-	n := d.ListLen()
-	p.Chain = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var c overlay.StepCert
-		c.UnmarshalWire(d)
-		p.Chain = append(p.Chain, c)
-	}
+func (p *joinRedirectPayload) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.WalkID)
+	p.Target.Wire(c)
+	wire.List(c, &p.Chain, (*overlay.StepCert).Wire)
 }
 
 // --- SMR operation payloads ---
 
-// MarshalWire implements wire.Marshaler.
-func (p bcastOp) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.BcastID)
-	e.Uint64(uint64(p.Origin))
-	e.VarBytes(p.Data)
+func (p *bcastOp) Wire(c wire.Codec) {
+	wire.Bytes32(c, &p.BcastID)
+	wire.U64(c, &p.Origin)
+	c.VarBytes(&p.Data)
 }
 
-// UnmarshalWire decodes a bcastOp.
-func (p *bcastOp) UnmarshalWire(d *wire.Decoder) {
-	p.BcastID = d.Bytes32()
-	p.Origin = ids.NodeID(d.Uint64())
-	p.Data = d.VarBytes()
+func (p *joinOp) Wire(c wire.Codec) {
+	p.Joiner.Wire(c)
+	c.Uint64(&p.Nonce)
+	c.VarBytes(&p.Sig)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p joinOp) MarshalWire(e *wire.Encoder) {
-	p.Joiner.MarshalWire(e)
-	e.Uint64(p.Nonce)
-	e.VarBytes(p.Sig)
+func (p *renounceOp) Wire(c wire.Codec) {
+	p.Node.Wire(c)
+	wire.U64(c, &p.Target)
+	c.Uint64(&p.Nonce)
+	c.VarBytes(&p.Sig)
 }
 
-// UnmarshalWire decodes a joinOp.
-func (p *joinOp) UnmarshalWire(d *wire.Decoder) {
-	p.Joiner.UnmarshalWire(d)
-	p.Nonce = d.Uint64()
-	p.Sig = d.VarBytes()
+func (p *leaveOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	wire.U64(c, &p.Node)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p renounceOp) MarshalWire(e *wire.Encoder) {
-	p.Node.MarshalWire(e)
-	e.Uint64(uint64(p.Target))
-	e.Uint64(p.Nonce)
-	e.VarBytes(p.Sig)
+func (p *evictVoteOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	wire.U64(c, &p.Target)
+	c.Uint64(&p.Epoch)
 }
 
-// UnmarshalWire decodes a renounceOp.
-func (p *renounceOp) UnmarshalWire(d *wire.Decoder) {
-	p.Node.UnmarshalWire(d)
-	p.Target = ids.GroupID(d.Uint64())
-	p.Nonce = d.Uint64()
-	p.Sig = d.VarBytes()
+func (p *inputVoteOp) Wire(c wire.Codec) {
+	wire.B8(c, &p.Kind)
+	wire.Bytes32(c, &p.MsgID)
+	p.Src.Wire(c)
+	c.VarBytes(&p.Payload)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p leaveOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Uint64(uint64(p.Node))
+func (p *splitOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	c.Uint64(&p.Epoch)
 }
 
-// UnmarshalWire decodes a leaveOp.
-func (p *leaveOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Node = ids.NodeID(d.Uint64())
+func (p *walkStartOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	wire.B8(c, &p.Purpose)
+	p.Joiner.Wire(c)
+	c.VarBytes(&p.JoinerSig)
+	p.Member.Wire(c)
+	c.Int(&p.ShuffleSeq)
+	c.Int(&p.Cycle)
+	p.NewGroup.Wire(c)
+	c.Uint64(&p.Nonce)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (p evictVoteOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Uint64(uint64(p.Target))
-	e.Uint64(p.Epoch)
+func (p *shuffleStartOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	c.Uint64(&p.Epoch)
 }
 
-// UnmarshalWire decodes an evictVoteOp.
-func (p *evictVoteOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Target = ids.NodeID(d.Uint64())
-	p.Epoch = d.Uint64()
-}
+func (p *walkTimeoutOp) Wire(c wire.Codec) { wire.Bytes32(c, &p.WalkID) }
 
-// MarshalWire implements wire.Marshaler.
-func (p inputVoteOp) MarshalWire(e *wire.Encoder) {
-	e.Byte(byte(p.Kind))
-	e.Bytes32(p.MsgID)
-	marshalKey(e, p.Src)
-	e.VarBytes(p.Payload)
-}
-
-// UnmarshalWire decodes an inputVoteOp.
-func (p *inputVoteOp) UnmarshalWire(d *wire.Decoder) {
-	p.Kind = group.Kind(d.Byte())
-	p.MsgID = d.Bytes32()
-	p.Src = unmarshalKey(d)
-	p.Payload = d.VarBytes()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p splitOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Uint64(p.Epoch)
-}
-
-// UnmarshalWire decodes a splitOp.
-func (p *splitOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Epoch = d.Uint64()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p walkStartOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Byte(byte(p.Purpose))
-	p.Joiner.MarshalWire(e)
-	e.VarBytes(p.JoinerSig)
-	p.Member.MarshalWire(e)
-	e.Int64(int64(p.ShuffleSeq))
-	e.Int64(int64(p.Cycle))
-	p.NewGroup.MarshalWire(e)
-	e.Uint64(p.Nonce)
-}
-
-// UnmarshalWire decodes a walkStartOp.
-func (p *walkStartOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Purpose = WalkPurpose(d.Byte())
-	p.Joiner.UnmarshalWire(d)
-	p.JoinerSig = d.VarBytes()
-	p.Member.UnmarshalWire(d)
-	p.ShuffleSeq = int(d.Int64())
-	p.Cycle = int(d.Int64())
-	p.NewGroup.UnmarshalWire(d)
-	p.Nonce = d.Uint64()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p shuffleStartOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Uint64(p.Epoch)
-}
-
-// UnmarshalWire decodes a shuffleStartOp.
-func (p *shuffleStartOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Epoch = d.Uint64()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p walkTimeoutOp) MarshalWire(e *wire.Encoder) {
-	e.Bytes32(p.WalkID)
-}
-
-// UnmarshalWire decodes a walkTimeoutOp.
-func (p *walkTimeoutOp) UnmarshalWire(d *wire.Decoder) {
-	p.WalkID = d.Bytes32()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p mergeStartOp) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(p.GroupID))
-	e.Uint64(p.Epoch)
-	e.Int64(int64(p.Attempt))
-}
-
-// UnmarshalWire decodes a mergeStartOp.
-func (p *mergeStartOp) UnmarshalWire(d *wire.Decoder) {
-	p.GroupID = ids.GroupID(d.Uint64())
-	p.Epoch = d.Uint64()
-	p.Attempt = int(d.Int64())
+func (p *mergeStartOp) Wire(c wire.Codec) {
+	wire.U64(c, &p.GroupID)
+	c.Uint64(&p.Epoch)
+	c.Int(&p.Attempt)
 }
 
 // --- replicated state snapshot ---
 
-// MarshalWire implements wire.Marshaler. Snapshots are majority-matched
-// across the admitting composition, so the encoding must be byte-identical
-// at every member for the same logical state (no maps anywhere below).
-func (s stateSnapshot) MarshalWire(e *wire.Encoder) {
-	s.Comp.MarshalWire(e)
-	e.VarBytes(s.NbrsBytes)
-	e.Bool(s.Busy)
-	e.ListLen(len(s.PendingJoins))
-	for _, pj := range s.PendingJoins {
-		pj.Joiner.MarshalWire(e)
-		e.VarBytes(pj.Sig)
-		e.Bool(pj.Expected)
-	}
-	e.ListLen(len(s.ExpectedJoiners))
-	for _, ej := range s.ExpectedJoiners {
-		e.Bytes32(ej.WalkID)
-		ej.Joiner.MarshalWire(e)
-	}
-	e.ListLen(len(s.WalkOrigins))
-	for _, wo := range s.WalkOrigins {
-		e.Bytes32(wo.WalkID)
-		e.Byte(byte(wo.Purpose))
-		wo.OriginComp.MarshalWire(e)
-		wo.Joiner.MarshalWire(e)
-		e.VarBytes(wo.JoinerSig)
-		wo.Member.MarshalWire(e)
-		e.Int64(int64(wo.ShuffleSeq))
-	}
-	e.ListLen(len(s.PendingExch))
-	for _, pe := range s.PendingExch {
-		e.Bytes32(pe.WalkID)
-		pe.OriginComp.MarshalWire(e)
-		pe.Partner.MarshalWire(e)
-		pe.Member.MarshalWire(e)
-	}
-	e.Bool(s.HasShuffle)
+// Wire walks a stateSnapshot in wire order. Snapshots are majority-matched
+// across the admitting composition, so the encoding must be byte-identical at
+// every member for the same logical state (no maps anywhere below); the
+// shuffle fields are on the wire only when HasShuffle is.
+func (s *stateSnapshot) Wire(c wire.Codec) {
+	s.Comp.Wire(c)
+	c.VarBytes(&s.NbrsBytes)
+	c.Bool(&s.Busy)
+	wire.List(c, &s.PendingJoins, (*pendingJoin).Wire)
+	wire.List(c, &s.ExpectedJoiners, (*expectedJoiner).Wire)
+	wire.List(c, &s.WalkOrigins, (*walkOrigin).Wire)
+	wire.List(c, &s.PendingExch, (*pendingExchange).Wire)
+	c.Bool(&s.HasShuffle)
 	if s.HasShuffle {
-		e.Uint64(s.Shuffle.Epoch)
-		e.ListLen(len(s.Shuffle.Remaining))
-		for _, m := range s.Shuffle.Remaining {
-			m.MarshalWire(e)
-		}
-		e.Bytes32(s.Shuffle.ActiveWalk)
-		s.Shuffle.ActiveMember.MarshalWire(e)
-		e.Int64(int64(s.Shuffle.ActiveSeq))
-		e.Int64(int64(s.Shuffle.Completed))
-		e.Int64(int64(s.Shuffle.Suppressed))
+		s.Shuffle.Wire(c)
 	}
-	e.Int64(int64(s.MergeAttempt))
-	e.Uint64(s.WalkSeq)
-	e.ListLen(len(s.AppliedOps))
-	for _, d := range s.AppliedOps {
-		e.Bytes32(d)
-	}
+	c.Int(&s.MergeAttempt)
+	c.Uint64(&s.WalkSeq)
+	wire.List(c, &s.AppliedOps, func(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) })
 }
 
-// UnmarshalWire decodes a stateSnapshot.
-func (s *stateSnapshot) UnmarshalWire(d *wire.Decoder) {
-	s.Comp.UnmarshalWire(d)
-	s.NbrsBytes = d.VarBytes()
-	s.Busy = d.Bool()
-	n := d.ListLen()
-	s.PendingJoins = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var pj pendingJoin
-		pj.Joiner.UnmarshalWire(d)
-		pj.Sig = d.VarBytes()
-		pj.Expected = d.Bool()
-		s.PendingJoins = append(s.PendingJoins, pj)
-	}
-	n = d.ListLen()
-	s.ExpectedJoiners = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var ej expectedJoiner
-		ej.WalkID = d.Bytes32()
-		ej.Joiner.UnmarshalWire(d)
-		s.ExpectedJoiners = append(s.ExpectedJoiners, ej)
-	}
-	n = d.ListLen()
-	s.WalkOrigins = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var wo walkOrigin
-		wo.WalkID = d.Bytes32()
-		wo.Purpose = WalkPurpose(d.Byte())
-		wo.OriginComp.UnmarshalWire(d)
-		wo.Joiner.UnmarshalWire(d)
-		wo.JoinerSig = d.VarBytes()
-		wo.Member.UnmarshalWire(d)
-		wo.ShuffleSeq = int(d.Int64())
-		s.WalkOrigins = append(s.WalkOrigins, wo)
-	}
-	n = d.ListLen()
-	s.PendingExch = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var pe pendingExchange
-		pe.WalkID = d.Bytes32()
-		pe.OriginComp.UnmarshalWire(d)
-		pe.Partner.UnmarshalWire(d)
-		pe.Member.UnmarshalWire(d)
-		s.PendingExch = append(s.PendingExch, pe)
-	}
-	s.Shuffle = shuffleState{}
-	s.HasShuffle = d.Bool()
-	if s.HasShuffle {
-		s.Shuffle.Epoch = d.Uint64()
-		n = d.ListLen()
-		for i := 0; i < n && d.Err() == nil; i++ {
-			var m ids.Identity
-			m.UnmarshalWire(d)
-			s.Shuffle.Remaining = append(s.Shuffle.Remaining, m)
-		}
-		s.Shuffle.ActiveWalk = d.Bytes32()
-		s.Shuffle.ActiveMember.UnmarshalWire(d)
-		s.Shuffle.ActiveSeq = int(d.Int64())
-		s.Shuffle.Completed = int(d.Int64())
-		s.Shuffle.Suppressed = int(d.Int64())
-	}
-	s.MergeAttempt = int(d.Int64())
-	s.WalkSeq = d.Uint64()
-	n = d.ListLen()
-	s.AppliedOps = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.AppliedOps = append(s.AppliedOps, crypto.Digest(d.Bytes32()))
-	}
+func (pj *pendingJoin) Wire(c wire.Codec) {
+	pj.Joiner.Wire(c)
+	c.VarBytes(&pj.Sig)
+	c.Bool(&pj.Expected)
+}
+
+func (ej *expectedJoiner) Wire(c wire.Codec) {
+	wire.Bytes32(c, &ej.WalkID)
+	ej.Joiner.Wire(c)
+}
+
+func (wo *walkOrigin) Wire(c wire.Codec) {
+	wire.Bytes32(c, &wo.WalkID)
+	wire.B8(c, &wo.Purpose)
+	wo.OriginComp.Wire(c)
+	wo.Joiner.Wire(c)
+	c.VarBytes(&wo.JoinerSig)
+	wo.Member.Wire(c)
+	c.Int(&wo.ShuffleSeq)
+}
+
+func (pe *pendingExchange) Wire(c wire.Codec) {
+	wire.Bytes32(c, &pe.WalkID)
+	pe.OriginComp.Wire(c)
+	pe.Partner.Wire(c)
+	pe.Member.Wire(c)
+}
+
+func (sh *shuffleState) Wire(c wire.Codec) {
+	c.Uint64(&sh.Epoch)
+	wire.List(c, &sh.Remaining, (*ids.Identity).Wire)
+	wire.Bytes32(c, &sh.ActiveWalk)
+	sh.ActiveMember.Wire(c)
+	c.Int(&sh.ActiveSeq)
+	c.Int(&sh.Completed)
+	c.Int(&sh.Suppressed)
 }

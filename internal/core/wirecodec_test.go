@@ -6,10 +6,12 @@ package core
 // which the engine no longer accepts) and fuzz.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"regexp"
@@ -360,6 +362,257 @@ func TestWireGoldenFrames(t *testing.T) {
 	}
 }
 
+// edgeFrames are the cases one shared walk could get wrong where two
+// hand-written halves could not: lists and byte strings that are empty, nil or
+// absent, and fields that are on the wire only behind a flag. Each frame is
+// pinned (length and SHA-256) to what the MarshalWire half of the last commit
+// that had one produced for in, and want is what its UnmarshalWire half read
+// back: an empty list as nil (snapshot digests and DeepEqual depend on it), an
+// empty byte string and a zero-member composition as empty, never nil.
+type edgeFrame struct {
+	name     string
+	in, want any
+	length   int
+	sha256   string
+}
+
+var edgeFrames = func() []edgeFrame {
+	noMembers := group.Composition{Members: []ids.Identity{}}
+	noKey := ids.Identity{PubKey: []byte{}}
+	gm := func(payload, attach []byte) group.GroupMsg {
+		return group.GroupMsg{SrcGroup: 1, Kind: kindGossip, Payload: payload, Attach: attach}
+	}
+	return []edgeFrame{
+		{"walkPayload, empty lists",
+			walkPayload{WalkID: wcDigest(1), Rands: []uint64{}, Path: []group.Key{}},
+			walkPayload{WalkID: wcDigest(1), Origin: noMembers, NewGroup: noMembers, Joiner: noKey, JoinerSig: []byte{}, Member: noKey},
+			152, "5b353e149d2813f36597707be13815c91b098f015955ef6485c2f98f7f9def08"},
+		{"walkAttachment, empty chain",
+			walkAttachment{Chain: []overlay.StepCert{}},
+			walkAttachment{StepSig: overlay.CertSig{Sig: []byte{}}},
+			19, "70b989b19d148ce74d7ec9c06e0adf544224a5afea0c1dc3d00ff8ef6b9123f5"},
+		{"joinRedirectPayload, a zero-member composition and no signatures in the chain",
+			joinRedirectPayload{Chain: []overlay.StepCert{{Next: wcComp(1, 1, 0), Sigs: []overlay.CertSig{}}}},
+			joinRedirectPayload{Target: noMembers, Chain: []overlay.StepCert{{Next: group.Composition{GroupID: 1, Epoch: 1, Members: []ids.Identity{}}}}},
+			91, "bed478c9693e3ee71f592147457b5b97934597d05c20307a72e2270372fce629"},
+		{"stateSnapshot without a shuffle, empty lists",
+			snapshotPayload{State: stateSnapshot{Comp: wcComp(7, 3, 2), NbrsBytes: []byte{1}, AppliedOps: []crypto.Digest{}, PendingJoins: []pendingJoin{}}},
+			snapshotPayload{State: stateSnapshot{Comp: wcComp(7, 3, 2), NbrsBytes: []byte{1}}},
+			126, "35ed6692225c147842bb1a65651e9f15fd22c53a596deb1e70b3e4c8bfc974c0"},
+		{"stateSnapshot with a shuffle that has nobody left",
+			snapshotPayload{State: stateSnapshot{Comp: wcComp(7, 3, 2), HasShuffle: true, Shuffle: shuffleState{Epoch: 2, Remaining: []ids.Identity{}}}},
+			snapshotPayload{State: stateSnapshot{Comp: wcComp(7, 3, 2), NbrsBytes: []byte{}, HasShuffle: true, Shuffle: shuffleState{Epoch: 2, ActiveMember: noKey}}},
+			209, "f6b13a6ccf40ee5ad970a9045b53cbca1601e0092e9ab41762efb8cc126aaee9"},
+		{"GroupMsg, nil Payload and Attach", gm(nil, nil), gm(nil, nil),
+			102, "2ad26634a89b48dca4d59cc9bc2ec8fda38ab93e30f8f284f3e2a7b6cb030611"},
+		{"GroupMsg, empty Payload and Attach", gm([]byte{}, []byte{}), gm([]byte{}, []byte{}),
+			110, "7ffeaf25c11dedd1605c9f037599e054285fe9e87348b3824e804baff1a2d52f"},
+		{"GroupMsg, Payload only", gm([]byte{1}, nil), gm([]byte{1}, nil),
+			107, "c037fb017935323330eeaa7d33fc12f31673863766964e10a623d83088ff089a"},
+		{"GroupMsg, Attach only", gm(nil, []byte{2}), gm(nil, []byte{2}),
+			107, "1c9b8482ea0808c9e093493d755b6e2e19a5cf4ae71b3ff000e4d272958296e0"},
+		{"ContactInfo, zero-member composition",
+			ContactInfo{Comp: group.Composition{GroupID: 5, Epoch: 9}},
+			ContactInfo{Comp: group.Composition{GroupID: 5, Epoch: 9, Members: []ids.Identity{}}},
+			27, "28b488d9d05100e568becf3ff849296058c10a9cfc96439a2ce97b5b2de636e0"},
+		{"SlotMsg, empty lists",
+			dolev.SlotMsg{GroupID: 1, Ops: []smr.Operation{}, Sigs: []dolev.SigEntry{}},
+			dolev.SlotMsg{GroupID: 1},
+			43, "27d65b45c8105dc3c0986eb1aac87e28fd1c6d11580c98894f444e719a4042fd"},
+		{"NewView, empty lists two levels down",
+			pbft.NewView{GroupID: 1, ViewChanges: []pbft.ViewChange{{Prepared: []pbft.PreparedEntry{{Batch: []smr.Operation{}}}}}},
+			pbft.NewView{GroupID: 1, ViewChanges: []pbft.ViewChange{{Prepared: []pbft.PreparedEntry{{}}, Sig: []byte{}}}},
+			135, "41d7d61066da39bb94d82a25d3b0dd95aea3774c4572ca91bf139e9cd560e01a"},
+	}
+}()
+
+// TestWireEdgeFrames: see edgeFrames.
+func TestWireEdgeFrames(t *testing.T) {
+	for _, c := range edgeFrames {
+		b, ok := encodeWire(c.in, classAny)
+		if !ok {
+			t.Fatalf("%s: not wire-codable", c.name)
+		}
+		if sum := sha256.Sum256(b); len(b) != c.length || hex.EncodeToString(sum[:]) != c.sha256 {
+			t.Errorf("%s: frame (%d bytes, sha256 %x) differs from the pinned one (%d bytes, %s)", c.name, len(b), sum, c.length, c.sha256)
+			continue
+		}
+		got, err := decodeWire(b, classAny)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: decodes to\n %#v (err %v), want\n %#v", c.name, got, err, c.want)
+			continue
+		}
+		if again, _ := encodeWire(got, classAny); !bytes.Equal(again, b) {
+			t.Errorf("%s: the decoded value re-encodes to different bytes", c.name)
+		}
+	}
+}
+
+// populate fills v with pseudo-random content of the shapes a decoder hands
+// back, so that encode → decode must reproduce it exactly: lists are nil or
+// non-empty, byte strings and a composition's members are non-nil, the shuffle
+// fields are zero unless HasShuffle, and an SMREnvelope holds an SMR engine
+// message. Fields reflection cannot set (GroupMsg.hashed) never cross a wire.
+func populate(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 1)
+	case reflect.Uint8, reflect.Uint64:
+		v.SetUint(rng.Uint64() >> (64 - v.Type().Bits()))
+	case reflect.Int:
+		v.SetInt(rng.Int63() - 1<<62)
+	case reflect.String:
+		b := make([]byte, rng.Intn(7))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		v.SetString(string(b))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			populate(v.Index(i), rng)
+		}
+	case reflect.Slice:
+		n := rng.Intn(4)
+		if n == 0 && v.Type().Elem().Kind() != reflect.Uint8 {
+			return // an empty list is nil
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := 0; i < n; i++ {
+			populate(v.Index(i), rng)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				populate(f, rng)
+			}
+		}
+		switch p := v.Addr().Interface().(type) {
+		case *group.Composition:
+			if p.Members == nil {
+				p.Members = []ids.Identity{}
+			}
+		case *stateSnapshot:
+			if !p.HasShuffle {
+				p.Shuffle = shuffleState{}
+			}
+		}
+	case reflect.Interface:
+		var smrRows []*wireRow
+		for i := range wireRows {
+			if wireRows[i].class == classSMRMsg {
+				smrRows = append(smrRows, &wireRows[i])
+			}
+		}
+		inner := reflect.New(reflect.TypeOf(smrRows[rng.Intn(len(smrRows))].proto)).Elem()
+		populate(inner, rng)
+		v.Set(inner)
+	default:
+		panic(fmt.Sprintf("populate: no rule for %v", v.Type()))
+	}
+}
+
+// TestWireRowsRoundTrip takes every row of the table through encode → decode →
+// DeepEqual → re-encode on reflect-populated values from a fixed seed: a row
+// cannot exist without a round trip, and a field added to a type is covered
+// the moment it is declared.
+func TestWireRowsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := range wireRows {
+		r := &wireRows[i]
+		for iter := 0; iter < 25; iter++ {
+			pv := reflect.New(reflect.TypeOf(r.proto)).Elem()
+			populate(pv, rng)
+			v := pv.Interface()
+			b, ok := encodeWire(v, classAny)
+			if !ok || b[1] != r.tag {
+				t.Fatalf("%T: not encoded under its row's tag %d", v, r.tag)
+			}
+			got, err := decodeWire(b, classAny)
+			if err != nil || !reflect.DeepEqual(got, v) {
+				t.Fatalf("%T: round trip gives\n %#v (err %v), want\n %#v", v, got, err, v)
+			}
+			if again, _ := encodeWire(got, classAny); !bytes.Equal(again, b) {
+				t.Fatalf("%T: the decoded value re-encodes to different bytes", v)
+			}
+		}
+	}
+}
+
+// TestWireTruncatedFramesRejected: every golden frame cut at every length is
+// refused with an error, never a panic and never a shorter value.
+func TestWireTruncatedFramesRejected(t *testing.T) {
+	for _, v := range append(fullPayloadValues(), fullMessageValues()...) {
+		b := encodePayload(v)
+		for n := 0; n < len(b); n++ {
+			if got, err := decodeWire(b[:n:n], classAny); err == nil {
+				t.Fatalf("%T: the first %d of %d bytes decode to %+v", v, n, len(b), got)
+			}
+		}
+	}
+}
+
+// forgedCountFrame is a frame of a type whose body is (or ends in) a
+// composition, claiming 2^40 members and carrying none.
+func forgedCountFrame(tag byte) []byte {
+	var e wire.Encoder
+	e.Byte(wireEnvMagic)
+	e.Byte(tag)
+	e.Byte(wireEnvV1)
+	e.Uint64(5)
+	e.Uint64(9)
+	e.Uint64(1 << 40)
+	return e.Bytes()
+}
+
+// TestForgedMemberCountRejected: a member count over the decoder's bound used
+// to end the composition without an error, so these frames decoded as an
+// empty composition {GroupID 5, Epoch 9}.
+func TestForgedMemberCountRejected(t *testing.T) {
+	for _, tag := range []byte{wkContactInfo, wkNeighborUpdate, wkMergeRequest, wkMergeAccept} {
+		if v, err := decodeWire(forgedCountFrame(tag), classAny); err == nil {
+			t.Errorf("tag %d: a composition of 2^40 members decoded to %+v", tag, v)
+		}
+	}
+	// The same for the cycle count of a snapshot's neighbour view.
+	var e wire.Encoder
+	e.Uint64(1 << 40)
+	snap := newGroupState(wcComp(1, 1, 3), overlay.NewNeighbors(2, wcComp(1, 1, 3))).buildSnapshot()
+	snap.NbrsBytes = e.Bytes()
+	if st, err := restoreSnapshot(snap); err == nil {
+		t.Errorf("a neighbour view of 2^40 cycles restored to %+v", st.nbrs)
+	}
+}
+
+// TestGossipViewMatchesWalk holds decodeGossipView, the one reader written
+// apart from its type's walk, to that walk: on well-formed, truncated,
+// extended and foreign frames it fails exactly when decodeKind does and
+// otherwise returns an equal payload.
+func TestGossipViewMatchesWalk(t *testing.T) {
+	var frames [][]byte
+	for _, p := range []gossipPayload{
+		{},
+		{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload")},
+		{BcastID: wcDigest(2), Origin: 1 << 63, Data: make([]byte, 4096)},
+	} {
+		b := encodePayload(p)
+		frames = append(frames, b, append(append([]byte(nil), b...), 0))
+		for n := 0; n < len(b) && n < 64; n++ {
+			frames = append(frames, b[:n:n])
+		}
+	}
+	frames = append(frames, encodePayload(bcastOp{BcastID: wcDigest(3), Data: []byte("x")}), encodePayload(walkPayload{}))
+	for _, b := range frames {
+		want, wantErr := decodeKind(kindGossip, b)
+		got, err := decodeGossipView(b)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("frame %x…(%d bytes): view err %v, walk err %v", b[:min(len(b), 8)], len(b), err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame of %d bytes: view %+v, walk %+v", len(b), got, want)
+		}
+	}
+}
+
 // TestOldLayoutGossipFrameRejected is the migration guarantee for the
 // gossipPayload layout change: a frame from a peer that still appends the
 // Int64 Hops field is refused for its trailing bytes by both gossip decoders,
@@ -626,6 +879,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{wireEnvMagic})
 	f.Add([]byte{wireEnvMagic, wkGossip, wireEnvV1})
 	f.Add([]byte{wireEnvMagic, wkSnapshot, wireEnvV1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(forgedCountFrame(wkContactInfo))
 	// A GroupMsg envelope whose payload is a batch-carrier frame: the
 	// envelope decoder treats the frame as opaque bytes, but seeding it
 	// steers the fuzzer toward the carrier-in-envelope shape receivers

@@ -46,36 +46,29 @@ func (c Composition) Clone() Composition {
 	return Composition{GroupID: c.GroupID, Epoch: c.Epoch, Members: ids.CloneIdentities(c.Members)}
 }
 
-// MarshalWire implements wire.Marshaler; the encoding is canonical, so
-// composition digests agree across members.
-func (c Composition) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(c.GroupID))
-	e.Uint64(c.Epoch)
-	e.Uint64(uint64(len(c.Members)))
-	for _, m := range c.Members {
-		m.MarshalWire(e)
-	}
-}
+// maxMembers bounds the member count a decoder takes from its input.
+const maxMembers = 1 << 16
 
-// UnmarshalWire decodes a composition encoded by MarshalWire.
-func (c *Composition) UnmarshalWire(d *wire.Decoder) {
-	c.GroupID = ids.GroupID(d.Uint64())
-	c.Epoch = d.Uint64()
-	n := int(d.Uint64())
-	if d.Err() != nil || n < 0 || n > 1<<16 {
-		return
+// Wire walks a composition's fields in wire order; the encoding is canonical,
+// so composition digests agree across members. A decoded composition has
+// non-nil Members even when it has none.
+func (c *Composition) Wire(w wire.Codec) {
+	wire.U64(w, &c.GroupID)
+	w.Uint64(&c.Epoch)
+	n := w.Count(len(c.Members), maxMembers)
+	if w.Decoding() {
+		c.Members = make([]ids.Identity, n)
 	}
-	c.Members = make([]ids.Identity, 0, n)
-	for i := 0; i < n; i++ {
-		var m ids.Identity
-		m.UnmarshalWire(d)
-		c.Members = append(c.Members, m)
+	for i := range c.Members {
+		c.Members[i].Wire(w)
 	}
 }
 
 // Digest returns the canonical digest identifying this composition.
 func (c Composition) Digest() crypto.Digest {
-	return crypto.Hash(wire.Encode(c))
+	var e wire.Encoder
+	c.Wire(e.Codec())
+	return crypto.Hash(e.Bytes())
 }
 
 // Equal reports deep equality of two compositions.
@@ -96,6 +89,12 @@ func (c Composition) Equal(o Composition) bool {
 type Key struct {
 	GroupID ids.GroupID
 	Epoch   uint64
+}
+
+// Wire walks a Key's fields in wire order.
+func (k *Key) Wire(c wire.Codec) {
+	wire.U64(c, &k.GroupID)
+	c.Uint64(&k.Epoch)
 }
 
 // Key returns the composition's key.

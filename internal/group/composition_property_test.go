@@ -37,11 +37,9 @@ func genComposition(gid uint64, epoch uint64, memberSeeds []uint16) Composition 
 func TestCompositionWireRoundTripProperty(t *testing.T) {
 	property := func(gid, epoch uint64, memberSeeds []uint16) bool {
 		c := genComposition(gid, epoch, memberSeeds)
-		var e wire.Encoder
-		c.MarshalWire(&e)
 		var out Composition
-		d := wire.NewDecoder(e.Bytes())
-		out.UnmarshalWire(d)
+		d := wire.NewDecoder(wire.Encode(c.Wire))
+		out.Wire(d.Codec())
 		if d.Finish() != nil {
 			return false
 		}

@@ -68,6 +68,36 @@ func TestCompositionWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompositionMemberCountBound: a member count over the bound is an error,
+// not the end of the composition — the 24-byte body "GroupID 5 · Epoch 9 ·
+// count 2^40" used to decode cleanly as a composition without members. The
+// bound itself still passes.
+func TestCompositionMemberCountBound(t *testing.T) {
+	body := func(count uint64) *wire.Decoder {
+		var e wire.Encoder
+		e.Uint64(5)
+		e.Uint64(9)
+		e.Uint64(count)
+		return wire.NewDecoder(e.Bytes())
+	}
+	var c Composition
+	d := body(1 << 40)
+	c.Wire(d.Codec())
+	if err := d.Finish(); err == nil {
+		t.Errorf("a count of 2^40 decoded to %+v", c)
+	}
+	d = body(maxMembers + 1)
+	c.Wire(d.Codec())
+	if err := d.Finish(); err == nil {
+		t.Errorf("a count one over the bound decoded to %+v", c)
+	}
+	d = body(0)
+	c.Wire(d.Codec())
+	if err := d.Finish(); err != nil || c.Members == nil || len(c.Members) != 0 {
+		t.Errorf("a count of zero: %+v, err %v; want empty, non-nil members", c, err)
+	}
+}
+
 func TestCompositionCloneIsDeep(t *testing.T) {
 	a := comp(1, 1, 1, 2)
 	b := a.Clone()
@@ -381,6 +411,6 @@ func TestInboxFloodBounded(t *testing.T) {
 
 // helpers for wire round trip
 
-func encodeComp(c Composition) []byte { return wire.Encode(c) }
+func encodeComp(c Composition) []byte { return wire.Encode(c.Wire) }
 
-func decodeComp(b []byte, c *Composition) { c.UnmarshalWire(wire.NewDecoder(b)) }
+func decodeComp(b []byte, c *Composition) { c.Wire(wire.NewDecoder(b).Codec()) }

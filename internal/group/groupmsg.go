@@ -52,44 +52,29 @@ type GroupMsg struct {
 // WireSize implements actor.Sizer.
 func (m GroupMsg) WireSize() int { return 96 + len(m.Payload) + len(m.Attach) }
 
-// MarshalWire implements wire.Marshaler (byte-level transport framing).
+// Wire walks a GroupMsg's fields in wire order (byte-level transport framing).
 // Payload and Attach nil-ness is preserved: a nil payload marks a digest-only
 // copy and a nil attach marks "no attachment" — both are semantically
 // distinct from empty (see Inbox.Observe).
-func (m GroupMsg) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.SrcGroup))
-	e.Uint64(m.SrcEpoch)
-	e.Uint64(uint64(m.DstGroup))
-	e.Uint64(m.DstEpoch)
-	e.Byte(byte(m.Kind))
-	e.Bytes32(m.MsgID)
-	e.Bytes32(m.PayloadDigest)
-	e.Bool(m.Payload != nil)
-	if m.Payload != nil {
-		e.VarBytes(m.Payload)
-	}
-	e.Bool(m.Attach != nil)
-	if m.Attach != nil {
-		e.VarBytes(m.Attach)
-	}
+func (m *GroupMsg) Wire(c wire.Codec) {
+	wire.U64(c, &m.SrcGroup)
+	c.Uint64(&m.SrcEpoch)
+	wire.U64(c, &m.DstGroup)
+	c.Uint64(&m.DstEpoch)
+	wire.B8(c, &m.Kind)
+	wire.Bytes32(c, &m.MsgID)
+	wire.Bytes32(c, &m.PayloadDigest)
+	optBytes(c, &m.Payload)
+	optBytes(c, &m.Attach)
 }
 
-// UnmarshalWire decodes a GroupMsg encoded by MarshalWire.
-func (m *GroupMsg) UnmarshalWire(d *wire.Decoder) {
-	m.SrcGroup = ids.GroupID(d.Uint64())
-	m.SrcEpoch = d.Uint64()
-	m.DstGroup = ids.GroupID(d.Uint64())
-	m.DstEpoch = d.Uint64()
-	m.Kind = Kind(d.Byte())
-	m.MsgID = d.Bytes32()
-	m.PayloadDigest = d.Bytes32()
-	m.Payload = nil
-	if d.Bool() {
-		m.Payload = d.VarBytes()
-	}
-	m.Attach = nil
-	if d.Bool() {
-		m.Attach = d.VarBytes()
+// optBytes walks a presence flag and, when it is set, the byte string: nil
+// stays nil and empty stays empty.
+func optBytes(c wire.Codec, b *[]byte) {
+	present := *b != nil
+	c.Bool(&present)
+	if present {
+		c.VarBytes(b)
 	}
 }
 

@@ -52,20 +52,13 @@ func (id Identity) Equal(other Identity) bool {
 // String implements fmt.Stringer.
 func (id Identity) String() string { return id.ID.String() }
 
-// MarshalWire implements wire.Marshaler. The encoding is canonical: every
-// layer that hashes or signs identities (compositions, join requests, walk
-// certificates) relies on all members producing identical bytes.
-func (id Identity) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(id.ID))
-	e.String(id.Addr)
-	e.VarBytes(id.PubKey)
-}
-
-// UnmarshalWire decodes an identity encoded by MarshalWire.
-func (id *Identity) UnmarshalWire(d *wire.Decoder) {
-	id.ID = NodeID(d.Uint64())
-	id.Addr = d.String()
-	id.PubKey = d.VarBytes()
+// Wire walks an identity's fields in wire order. The encoding is canonical:
+// every layer that hashes or signs identities (compositions, join requests,
+// walk certificates) relies on all members producing identical bytes.
+func (id *Identity) Wire(c wire.Codec) {
+	wire.U64(c, &id.ID)
+	c.String(&id.Addr)
+	c.VarBytes(&id.PubKey)
 }
 
 // SortIdentities sorts a slice of identities by NodeID in place.

@@ -2,9 +2,9 @@
 // cmd/atumvet. It mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a Pass and reports Diagnostics —
 // but is built on the standard library alone (go/ast, go/parser,
-// go/token, go/types): the repo vendors no third-party modules. The
-// original three analyzers (wiresym, retainview, detclock) are purely
-// syntactic; analyzers that set NeedTypes additionally get a go/types
+// go/token, go/types): the repo vendors no third-party modules. Two
+// analyzers (retainview, detclock) are purely syntactic; analyzers that
+// set NeedTypes additionally get a go/types
 // view of their unit (Pass.Pkg, Pass.TypesInfo), type-checked with a
 // module-local source importer (types.go) — no go/packages, no
 // toolchain subprocesses.

@@ -1,7 +1,7 @@
 // Package lint assembles the repo's custom analyzers — the atumvet
-// suite. The analyzers encode invariants the type system cannot. Three
-// are syntactic: wire codec symmetry (wiresym), zero-copy view lifetimes
-// (retainview), and the determinism scope (detclock). Three are
+// suite. The analyzers encode invariants the type system cannot. Two
+// are syntactic: zero-copy view lifetimes (retainview) and the
+// determinism scope (detclock). Three are
 // type-aware, built on the go/types layer in internal/lint/analysis:
 // actor confinement of engine state (actorconfine), the single-egress
 // send boundary (egressonly), and clone-on-return ownership of the API
@@ -17,13 +17,11 @@ import (
 	"atum/internal/lint/detclock"
 	"atum/internal/lint/egressonly"
 	"atum/internal/lint/retainview"
-	"atum/internal/lint/wiresym"
 )
 
 // Analyzers returns the full atumvet suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		wiresym.Analyzer,
 		retainview.Analyzer,
 		detclock.Analyzer,
 		actorconfine.Analyzer,

@@ -39,37 +39,16 @@ type CertSig struct {
 	Sig  []byte
 }
 
-// MarshalWire implements wire.Marshaler.
-func (s CertSig) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(s.Node))
-	e.VarBytes(s.Sig)
+// Wire walks a CertSig's fields in wire order.
+func (s *CertSig) Wire(c wire.Codec) {
+	wire.U64(c, &s.Node)
+	c.VarBytes(&s.Sig)
 }
 
-// UnmarshalWire decodes a CertSig encoded by MarshalWire.
-func (s *CertSig) UnmarshalWire(d *wire.Decoder) {
-	s.Node = ids.NodeID(d.Uint64())
-	s.Sig = d.VarBytes()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (s StepCert) MarshalWire(e *wire.Encoder) {
-	s.Next.MarshalWire(e)
-	e.ListLen(len(s.Sigs))
-	for _, sig := range s.Sigs {
-		sig.MarshalWire(e)
-	}
-}
-
-// UnmarshalWire decodes a StepCert encoded by MarshalWire.
-func (s *StepCert) UnmarshalWire(d *wire.Decoder) {
-	s.Next.UnmarshalWire(d)
-	n := d.ListLen()
-	s.Sigs = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var sig CertSig
-		sig.UnmarshalWire(d)
-		s.Sigs = append(s.Sigs, sig)
-	}
+// Wire walks a StepCert's fields in wire order.
+func (s *StepCert) Wire(c wire.Codec) {
+	s.Next.Wire(c)
+	wire.List(c, &s.Sigs, (*CertSig).Wire)
 }
 
 // WireSize returns the approximate encoded size of the certificate,

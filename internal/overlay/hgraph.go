@@ -162,26 +162,20 @@ func (n Neighbors) Clone() Neighbors {
 	return out
 }
 
-// MarshalWire implements wire.Marshaler.
-func (n Neighbors) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(len(n.Preds)))
-	for i := range n.Preds {
-		n.Preds[i].MarshalWire(e)
-		n.Succs[i].MarshalWire(e)
-	}
-}
+// maxCycles bounds the cycle count a decoder takes from its input.
+const maxCycles = 64
 
-// UnmarshalWire decodes a Neighbors view.
-func (n *Neighbors) UnmarshalWire(d *wire.Decoder) {
-	hc := int(d.Uint64())
-	if d.Err() != nil || hc < 0 || hc > 64 {
-		return
+// Wire walks a Neighbors view in wire order: the cycle count, then each
+// cycle's predecessor and successor.
+func (n *Neighbors) Wire(c wire.Codec) {
+	hc := c.Count(len(n.Preds), maxCycles)
+	if c.Decoding() {
+		n.Preds = make([]group.Composition, hc)
+		n.Succs = make([]group.Composition, hc)
 	}
-	n.Preds = make([]group.Composition, hc)
-	n.Succs = make([]group.Composition, hc)
-	for i := 0; i < hc; i++ {
-		n.Preds[i].UnmarshalWire(d)
-		n.Succs[i].UnmarshalWire(d)
+	for i := range n.Preds {
+		n.Preds[i].Wire(c)
+		n.Succs[i].Wire(c)
 	}
 }
 

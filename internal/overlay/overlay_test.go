@@ -81,11 +81,9 @@ func TestNeighborsSetAndUpdate(t *testing.T) {
 func TestNeighborsWireRoundTrip(t *testing.T) {
 	n := NewNeighbors(2, comp(1, 1, 1, 2))
 	n.Set(Link{Cycle: 1, Dir: Succ}, comp(7, 9, 4, 5, 6))
-	var e wire.Encoder
-	n.MarshalWire(&e)
 	var out Neighbors
-	d := wire.NewDecoder(e.Bytes())
-	out.UnmarshalWire(d)
+	d := wire.NewDecoder(wire.Encode(n.Wire))
+	out.Wire(d.Codec())
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}

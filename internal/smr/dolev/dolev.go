@@ -51,35 +51,20 @@ type SlotMsg struct {
 	Sigs       []SigEntry
 }
 
-// MarshalWire implements wire.Marshaler (byte-level transport framing).
-func (m SlotMsg) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.StartRound)
-	e.Uint64(uint64(m.Sender))
-	smr.MarshalOps(e, m.Ops)
-	e.ListLen(len(m.Sigs))
-	for _, s := range m.Sigs {
-		e.Uint64(uint64(s.Node))
-		e.VarBytes(s.Sig)
-	}
+// Wire walks a SlotMsg's fields in wire order (byte-level transport framing).
+func (m *SlotMsg) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.StartRound)
+	wire.U64(c, &m.Sender)
+	wire.List(c, &m.Ops, (*smr.Operation).Wire)
+	wire.List(c, &m.Sigs, (*SigEntry).Wire)
 }
 
-// UnmarshalWire decodes a SlotMsg encoded by MarshalWire.
-func (m *SlotMsg) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.StartRound = d.Uint64()
-	m.Sender = ids.NodeID(d.Uint64())
-	m.Ops = smr.UnmarshalOps(d)
-	n := d.ListLen()
-	m.Sigs = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var s SigEntry
-		s.Node = ids.NodeID(d.Uint64())
-		s.Sig = d.VarBytes()
-		m.Sigs = append(m.Sigs, s)
-	}
+// Wire walks a SigEntry's fields in wire order.
+func (s *SigEntry) Wire(c wire.Codec) {
+	wire.U64(c, &s.Node)
+	c.VarBytes(&s.Sig)
 }
 
 // WireSize implements actor.Sizer for the bandwidth model.

@@ -160,171 +160,73 @@ func (m NewView) WireSize() int {
 
 // --- wire codec (byte-level transport framing) ---
 
-// MarshalWire implements wire.Marshaler.
-func (m Request) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	m.Op.MarshalWire(e)
+// Wire walks a Request's fields in wire order.
+func (m *Request) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	m.Op.Wire(c)
 }
 
-// UnmarshalWire decodes a Request encoded by MarshalWire.
-func (m *Request) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.Op.UnmarshalWire(d)
+// Wire walks a PrePrepare's fields in wire order.
+func (m *PrePrepare) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.View)
+	c.Uint64(&m.Seq)
+	wire.Bytes32(c, &m.Digest)
+	wire.List(c, &m.Batch, (*smr.Operation).Wire)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (m PrePrepare) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.View)
-	e.Uint64(m.Seq)
-	e.Bytes32(m.Digest)
-	smr.MarshalOps(e, m.Batch)
+// Wire walks a Prepare's fields in wire order.
+func (m *Prepare) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.View)
+	c.Uint64(&m.Seq)
+	wire.Bytes32(c, &m.Digest)
 }
 
-// UnmarshalWire decodes a PrePrepare encoded by MarshalWire.
-func (m *PrePrepare) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.View = d.Uint64()
-	m.Seq = d.Uint64()
-	m.Digest = d.Bytes32()
-	m.Batch = smr.UnmarshalOps(d)
+// Wire walks a Commit's fields in wire order.
+func (m *Commit) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.View)
+	c.Uint64(&m.Seq)
+	wire.Bytes32(c, &m.Digest)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (m Prepare) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.View)
-	e.Uint64(m.Seq)
-	e.Bytes32(m.Digest)
+// Wire walks a Checkpoint's fields in wire order.
+func (m *Checkpoint) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.Seq)
+	wire.Bytes32(c, &m.Digest)
 }
 
-// UnmarshalWire decodes a Prepare encoded by MarshalWire.
-func (m *Prepare) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.View = d.Uint64()
-	m.Seq = d.Uint64()
-	m.Digest = d.Bytes32()
+// Wire walks a PreparedEntry's fields in wire order.
+func (p *PreparedEntry) Wire(c wire.Codec) {
+	c.Uint64(&p.Seq)
+	c.Uint64(&p.View)
+	wire.Bytes32(c, &p.Digest)
+	wire.List(c, &p.Batch, (*smr.Operation).Wire)
 }
 
-// MarshalWire implements wire.Marshaler.
-func (m Commit) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.View)
-	e.Uint64(m.Seq)
-	e.Bytes32(m.Digest)
+// Wire walks a ViewChange's fields in wire order.
+func (m *ViewChange) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.NewView)
+	c.Uint64(&m.StableSeq)
+	wire.List(c, &m.Prepared, (*PreparedEntry).Wire)
+	wire.U64(c, &m.Node)
+	c.VarBytes(&m.Sig)
 }
 
-// UnmarshalWire decodes a Commit encoded by MarshalWire.
-func (m *Commit) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.View = d.Uint64()
-	m.Seq = d.Uint64()
-	m.Digest = d.Bytes32()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m Checkpoint) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.Seq)
-	e.Bytes32(m.Digest)
-}
-
-// UnmarshalWire decodes a Checkpoint encoded by MarshalWire.
-func (m *Checkpoint) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.Seq = d.Uint64()
-	m.Digest = d.Bytes32()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p PreparedEntry) MarshalWire(e *wire.Encoder) {
-	e.Uint64(p.Seq)
-	e.Uint64(p.View)
-	e.Bytes32(p.Digest)
-	smr.MarshalOps(e, p.Batch)
-}
-
-// UnmarshalWire decodes a PreparedEntry encoded by MarshalWire.
-func (p *PreparedEntry) UnmarshalWire(d *wire.Decoder) {
-	p.Seq = d.Uint64()
-	p.View = d.Uint64()
-	p.Digest = d.Bytes32()
-	p.Batch = smr.UnmarshalOps(d)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m ViewChange) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.NewView)
-	e.Uint64(m.StableSeq)
-	e.ListLen(len(m.Prepared))
-	for _, p := range m.Prepared {
-		p.MarshalWire(e)
-	}
-	e.Uint64(uint64(m.Node))
-	e.VarBytes(m.Sig)
-}
-
-// UnmarshalWire decodes a ViewChange encoded by MarshalWire.
-func (m *ViewChange) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.NewView = d.Uint64()
-	m.StableSeq = d.Uint64()
-	n := d.ListLen()
-	m.Prepared = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var p PreparedEntry
-		p.UnmarshalWire(d)
-		m.Prepared = append(m.Prepared, p)
-	}
-	m.Node = ids.NodeID(d.Uint64())
-	m.Sig = d.VarBytes()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m NewView) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(m.GroupID))
-	e.Uint64(m.Epoch)
-	e.Uint64(m.View)
-	e.ListLen(len(m.ViewChanges))
-	for _, vc := range m.ViewChanges {
-		vc.MarshalWire(e)
-	}
-	e.ListLen(len(m.PrePrepares))
-	for _, pp := range m.PrePrepares {
-		pp.MarshalWire(e)
-	}
-}
-
-// UnmarshalWire decodes a NewView encoded by MarshalWire.
-func (m *NewView) UnmarshalWire(d *wire.Decoder) {
-	m.GroupID = ids.GroupID(d.Uint64())
-	m.Epoch = d.Uint64()
-	m.View = d.Uint64()
-	n := d.ListLen()
-	m.ViewChanges = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var vc ViewChange
-		vc.UnmarshalWire(d)
-		m.ViewChanges = append(m.ViewChanges, vc)
-	}
-	n = d.ListLen()
-	m.PrePrepares = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var pp PrePrepare
-		pp.UnmarshalWire(d)
-		m.PrePrepares = append(m.PrePrepares, pp)
-	}
+// Wire walks a NewView's fields in wire order.
+func (m *NewView) Wire(c wire.Codec) {
+	wire.U64(c, &m.GroupID)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.View)
+	wire.List(c, &m.ViewChanges, (*ViewChange).Wire)
+	wire.List(c, &m.PrePrepares, (*PrePrepare).Wire)
 }

@@ -28,39 +28,12 @@ type Operation struct {
 	Data     []byte
 }
 
-// MarshalWire implements wire.Marshaler (byte-level transport framing).
-func (op Operation) MarshalWire(e *wire.Encoder) {
-	e.Uint64(uint64(op.Proposer))
-	e.Uint64(op.OpID)
-	e.VarBytes(op.Data)
-}
-
-// UnmarshalWire decodes an Operation encoded by MarshalWire.
-func (op *Operation) UnmarshalWire(d *wire.Decoder) {
-	op.Proposer = ids.NodeID(d.Uint64())
-	op.OpID = d.Uint64()
-	op.Data = d.VarBytes()
-}
-
-// MarshalOps encodes a list of operations (shared by the SMR engines'
-// message codecs).
-func MarshalOps(e *wire.Encoder, ops []Operation) {
-	e.ListLen(len(ops))
-	for _, op := range ops {
-		op.MarshalWire(e)
-	}
-}
-
-// UnmarshalOps decodes a list written by MarshalOps.
-func UnmarshalOps(d *wire.Decoder) []Operation {
-	n := d.ListLen()
-	var ops []Operation
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var op Operation
-		op.UnmarshalWire(d)
-		ops = append(ops, op)
-	}
-	return ops
+// Wire walks an Operation's fields in wire order (byte-level transport
+// framing); a list of them is wire.List(c, &ops, (*Operation).Wire).
+func (op *Operation) Wire(c wire.Codec) {
+	wire.U64(c, &op.Proposer)
+	c.Uint64(&op.OpID)
+	c.VarBytes(&op.Data)
 }
 
 // CommitFn receives operations in the total order decided by the replica

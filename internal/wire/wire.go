@@ -4,9 +4,11 @@
 // certificates, join requests, stream digests) and majority-matches group
 // messages by payload digest. Both require canonical bytes, so the types
 // involved marshal themselves through this codec rather than through
-// reflection-based encoders whose output may vary. Since the wire-codec
-// migration it is also the framing of the engine's payload envelope and the
-// TCP transport (internal/core/wirecodec.go, internal/tcpnet).
+// reflection-based encoders whose output may vary: each states its field
+// order once, as a walk over a Codec (codec.go), and both directions are
+// derived from it. Since the wire-codec migration it is also the framing of
+// the engine's payload envelope and the TCP transport
+// (internal/core/wirecodec.go, internal/tcpnet).
 //
 // The format is: fixed-width big-endian integers, and length-prefixed byte
 // strings (uint32 length). It is intentionally not self-describing; both ends
@@ -37,18 +39,6 @@ const maxLen = 1 << 28 // 256 MiB
 
 // maxListLen bounds list-length prefixes (element counts, not bytes).
 const maxListLen = 1 << 20
-
-// Marshaler is implemented by types that serialize through the wire codec.
-type Marshaler interface {
-	MarshalWire(e *Encoder)
-}
-
-// Encode marshals a value to its canonical bytes.
-func Encode(m Marshaler) []byte {
-	var e Encoder
-	m.MarshalWire(&e)
-	return e.Bytes()
-}
 
 // Encoder accumulates canonical bytes. The zero value is ready to use.
 type Encoder struct {
@@ -181,8 +171,8 @@ func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 func (d *Decoder) Err() error { return d.err }
 
 // Fail latches err as the decoder's error unless an earlier one is already
-// set: an UnmarshalWire that reads well-framed bytes it must still refuse
-// (a nested frame of the wrong type) reports it the way a short read does.
+// set: a walk that reads well-framed bytes it must still refuse (a nested
+// frame of the wrong type) reports it the way a short read does.
 func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err

@@ -143,13 +143,14 @@ type pair struct {
 	B []byte
 }
 
-func (p pair) MarshalWire(e *Encoder) {
-	e.Uint64(p.A)
-	e.VarBytes(p.B)
+func (p *pair) Wire(c Codec) {
+	c.Uint64(&p.A)
+	c.VarBytes(&p.B)
 }
 
 func TestEncodeHelper(t *testing.T) {
-	b := Encode(pair{A: 7, B: []byte{1}})
+	p := pair{A: 7, B: []byte{1}}
+	b := Encode(p.Wire)
 	d := NewDecoder(b)
 	if d.Uint64() != 7 {
 		t.Error("A mismatch")
