@@ -6,6 +6,7 @@ package atum_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -64,6 +65,19 @@ func TestSendErrorsSurfaceAtPublicAPI(t *testing.T) {
 	})
 	if err := free.SendRawWith(1, struct{}{}, atum.SendOpts{}); !errors.Is(err, atum.ErrNotRunning) {
 		t.Fatalf("SendRaw without a runtime returned %v, want ErrNotRunning", err)
+	}
+}
+
+// TestConfigHasNoFaultInjectionField: Config describes a correct node — 18
+// fields, none of them a behaviour. A fault is injected into a running node,
+// through Node.Inner().SetBehavior, and nowhere else.
+func TestConfigHasNoFaultInjectionField(t *testing.T) {
+	typ := reflect.TypeOf(atum.Config{})
+	if _, ok := typ.FieldByName("Behavior"); ok {
+		t.Error("Config.Behavior is back: SetBehavior is the one way to inject a fault")
+	}
+	if typ.NumField() != 18 {
+		t.Errorf("Config has %d fields, want 18: a new option needs two callers that disagree on its value", typ.NumField())
 	}
 }
 

@@ -1,7 +1,7 @@
 package ashare
 
-// AShare's wire formats (docs/WIRE.md). Every SendRaw type — chunk transfer
-// and the ring-index RPCs — is registered with the engine's raw-message
+// AShare's wire formats (docs/WIRE.md). Every SendRaw type — the chunk
+// transfer pair — is registered with the engine's raw-message
 // codec registry under an extension tag (ashare owns 0x90–0x9F), so the
 // egress scheduler coalesces concurrent messages per destination node into
 // batch carriers and TCP transports frame them through the wire codec. The
@@ -16,14 +16,12 @@ import (
 	"atum/internal/wire"
 )
 
-// Extension tag assignments. Append-only; never reorder or reuse.
+// Extension tag assignments. Append-only; never reorder or reuse. Tags
+// 0x92–0x95 are retired (the ring index's RPCs, deleted unused) and stay
+// reserved: the next tag assigned is 0x96.
 const (
 	rawTagChunkRequest  = 0x90
 	rawTagChunkResponse = 0x91
-	rawTagRingStore     = 0x92
-	rawTagRingErase     = 0x93
-	rawTagRingGet       = 0x94
-	rawTagRingFound     = 0x95
 )
 
 // Broadcast record tags: the first byte of every index-update broadcast
@@ -126,38 +124,5 @@ func init() {
 		},
 		func(d *atum.WireDecoder) any {
 			return chunkResponse{Key: unmarshalFileKey(d), Idx: int(d.Int64()), Data: d.VarBytes()}
-		})
-	atum.RegisterRawMessage(rawTagRingStore, ringStore{},
-		func(v any, e *atum.WireEncoder) {
-			marshalFileMeta(e, v.(ringStore).Meta)
-		},
-		func(d *atum.WireDecoder) any {
-			return ringStore{Meta: unmarshalFileMeta(d)}
-		})
-	atum.RegisterRawMessage(rawTagRingErase, ringErase{},
-		func(v any, e *atum.WireEncoder) {
-			marshalFileKey(e, v.(ringErase).Key)
-		},
-		func(d *atum.WireDecoder) any {
-			return ringErase{Key: unmarshalFileKey(d)}
-		})
-	atum.RegisterRawMessage(rawTagRingGet, ringGet{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(ringGet)
-			e.Uint64(m.Seq)
-			marshalFileKey(e, m.Key)
-		},
-		func(d *atum.WireDecoder) any {
-			return ringGet{Seq: d.Uint64(), Key: unmarshalFileKey(d)}
-		})
-	atum.RegisterRawMessage(rawTagRingFound, ringFound{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(ringFound)
-			e.Uint64(m.Seq)
-			e.Bool(m.Has)
-			marshalFileMeta(e, m.Meta)
-		},
-		func(d *atum.WireDecoder) any {
-			return ringFound{Seq: d.Uint64(), Has: d.Bool(), Meta: unmarshalFileMeta(d)}
 		})
 }

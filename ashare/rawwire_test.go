@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"atum"
 	"atum/internal/crypto"
 )
 
@@ -83,6 +84,28 @@ func TestDecodeRecordRejectsHostileInput(t *testing.T) {
 	meta := "01" + goldenKey + "000000000000002a" + "0000000000000010"
 	reject("oversized ListLen", unhex(t, meta+"ffffffff"+goldenDigest))
 	reject("unbacked ListLen", unhex(t, meta+"00100000"+goldenDigest))
+}
+
+// TestRetiredRingTagsRefused: extension tags 0x92–0x95 carried the ring
+// index's RPCs; with the ring index gone no codec answers to them, and a
+// frame bearing one is refused like any unknown tag — while ashare's two
+// live tags still decode.
+func TestRetiredRingTagsRefused(t *testing.T) {
+	codec := atum.WireMessageCodec()
+	live, ok := codec.EncodeMessage(chunkRequest{Key: FileKey{Owner: 9, Name: "x"}, Idx: 3})
+	if !ok || live[1] != rawTagChunkRequest {
+		t.Fatalf("chunkRequest frame = % x, %v", live, ok)
+	}
+	if _, err := codec.DecodeMessage(live); err != nil {
+		t.Fatalf("live tag %#x refused: %v", live[1], err)
+	}
+	for tag := byte(0x92); tag <= 0x95; tag++ {
+		frame := append([]byte(nil), live...)
+		frame[1] = tag
+		if v, err := codec.DecodeMessage(frame); err == nil {
+			t.Errorf("retired tag %#x decoded as %+v", tag, v)
+		}
+	}
 }
 
 func FuzzDecodeRecord(f *testing.F) {

@@ -37,7 +37,7 @@
 // not depend on how sends were coalesced. The flush window is adaptive,
 // derived per destination from the observed arrival rate: zero when idle (a
 // lone broadcast on a quiet system pays no batching latency), widening under
-// bursts up to a cap. Two Config knobs control the scheduler:
+// bursts up to a cap. Two Config knobs shape the batches:
 //
 //   - GossipMaxBatch: items coalesced per destination (default 64; a
 //     carrier is also cut at 256 KiB of pending payload)
@@ -46,15 +46,16 @@
 //
 // # Flow control
 //
-// The send surface is flow-controlled (docs/API.md): SendRaw returns typed
-// errors instead of silently dropping, SendRawWith accepts a priority
-// class, BroadcastWith and SendRawWith a queue-residency TTL,
-// node-addressed egress queues are bounded (Config.EgressQueueLimit) with
-// a paced drain, and applications observe per-destination pressure through
-// Callbacks.OnEgressPressure (Low/High/Critical, with hysteresis) and
-// Node.EgressStats. AStream and AShare pace their floods off these signals
-// instead of flooding blindly; `atum-bench -exp backpressure` measures the
-// effect under a slow consumer.
+// The send surface is flow-controlled (docs/API.md): SendRawWith returns
+// typed errors instead of silently dropping and accepts a priority class,
+// BroadcastWith and SendRawWith a queue-residency TTL, node-addressed
+// egress queues are bounded (Config.EgressQueueLimit, EgressQueueBytes)
+// with a paced drain, and applications observe per-destination pressure
+// through Callbacks.OnEgressPressure (Low/High/Critical, with hysteresis)
+// and Node.EgressStats. AStream and AShare pace their floods off these
+// signals instead of flooding blindly; `atum-bench -exp backpressure`
+// measures the effect under a slow consumer, against a flood that bypasses
+// the API.
 //
 // # Wire codec
 //
@@ -102,7 +103,8 @@ type (
 	Event = core.Event
 	// EventKind enumerates engine metrics events.
 	EventKind = core.EventKind
-	// Behavior selects a node's (possibly Byzantine) behaviour.
+	// Behavior selects a node's (possibly Byzantine) behaviour; inject one
+	// with Node.Inner().SetBehavior.
 	Behavior = core.Behavior
 	// NodeID identifies a node.
 	NodeID = ids.NodeID
@@ -170,7 +172,8 @@ const (
 	ModeAsync = smr.ModeAsync
 	// BehaviorCorrect follows the protocol.
 	BehaviorCorrect = core.BehaviorCorrect
-	// BehaviorSilent joins, then goes completely quiet.
+	// BehaviorSilent joins, then goes completely quiet — heartbeats
+	// included, so its vgroup evicts it after EvictAfter.
 	BehaviorSilent = core.BehaviorSilent
 	// BehaviorHeartbeatOnly heartbeats and proposes spurious evictions.
 	BehaviorHeartbeatOnly = core.BehaviorHeartbeatOnly

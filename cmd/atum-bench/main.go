@@ -111,7 +111,8 @@ func run() int {
 			}
 			fmt.Print(experiment.Fig13(target, rates, *seed))
 		case "backpressure":
-			// The slow-consumer scenario needs enough stable members for 8
+			// Flow-controlled sends against a flood that bypasses the API. The
+			// slow-consumer scenario needs enough stable members for 8
 			// publishers + 8 flooders + the slow node; N stays >= 48 even in
 			// quick mode (the run is seconds either way).
 			size := pick(*n, 48, *quick, 48)

@@ -3,10 +3,11 @@
 // A 20-node synchronous system absorbs a batch of Byzantine nodes running
 // the paper's Sync-experiment behaviour — they heartbeat (so they are not
 // evicted) and repeatedly propose to evict every correct member of their
-// vgroup — plus one silent node. Broadcast latency is measured before and
-// after the faults are injected: because no vgroup accumulates more than f
-// faults, delivery is unaffected (the paper's headline "no performance
-// decay despite 5.8% Byzantine nodes").
+// vgroup — plus one silent node, which sends nothing, heartbeats included, and
+// is evicted for it. Broadcast latency is measured before and after the faults
+// are injected: because no vgroup accumulates more than f faults, delivery is
+// unaffected (the paper's headline "no performance decay despite 5.8%
+// Byzantine nodes").
 //
 //	go run ./examples/byzantine
 package main
@@ -43,7 +44,7 @@ func run() error {
 
 	newNode := func(behavior atum.Behavior) *atum.Node {
 		var n *atum.Node
-		n = cluster.AddNodeWith(atum.Callbacks{
+		n = cluster.AddNode(atum.Callbacks{
 			Deliver: func(d atum.Delivery) {
 				id := n.Identity().ID
 				delivered[id] = append(delivered[id], delivery{at: cluster.Now(), msg: string(d.Data)})
@@ -53,9 +54,8 @@ func run() error {
 					evictions++
 				}
 			},
-		}, func(cfg *atum.Config) {
-			cfg.Behavior = behavior
 		})
+		n.Inner().SetBehavior(behavior)
 		return n
 	}
 
@@ -128,7 +128,8 @@ func run() error {
 
 	// Inject the Byzantine cohort: they join correctly, then misbehave —
 	// heartbeat-only nodes propose to evict every correct peer; the silent
-	// node just disappears without leaving.
+	// node just disappears without leaving, and its vgroup evicts it after
+	// EvictAfter (6 s here) of silence.
 	for i := 0; i < byzNodes; i++ {
 		n := newNode(atum.BehaviorHeartbeatOnly)
 		if err := n.Join(contact); err != nil {
@@ -162,6 +163,7 @@ func run() error {
 		}
 	}
 	fmt.Printf("%d\n", evicted)
+	fmt.Printf("members that evicted the silent node once its heartbeats stopped: %d\n", evictions)
 
 	switch {
 	case evicted > 0:

@@ -224,8 +224,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 			continue
 		}
 		msgID := snapMsgID(old, m.ID)
-		//atumvet:allow egressonly node-addressed snapshot under the pre-bump composition; not carrier-deliverable (wireRows carrierOK) and needed before the epoch advances
-		group.SendToNode(n.sendNow, old, n.cfg.Identity.ID, m.ID, kindSnapshot, msgID, snap)
+		n.sendToNode(old, m.ID, kindSnapshot, msgID, snap)
 	}
 	n.cacheSnapshot(old.Epoch, snap)
 
@@ -238,7 +237,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 		}
 		notified[c.GroupID] = true
 		msgID := nbrUpdateMsgID(st.comp, c.GroupID)
-		n.sendViaEgress(old, c, kindNeighborUpdate, msgID, payload)
+		n.sendGroup(old, c, kindNeighborUpdate, msgID, payload)
 	}
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		notify(st.nbrs.Preds[c])

@@ -132,6 +132,7 @@ type fakeEnv struct {
 	now  time.Duration
 	rng  *rand.Rand
 	sent []fakeSend
+	logs []string
 }
 
 func (e *fakeEnv) Self() ids.NodeID                          { return e.self }
@@ -140,7 +141,7 @@ func (e *fakeEnv) Send(to ids.NodeID, msg actor.Message)     { e.sent = append(e
 func (e *fakeEnv) SetTimer(time.Duration, any) actor.TimerID { return 0 }
 func (e *fakeEnv) CancelTimer(actor.TimerID)                 {}
 func (e *fakeEnv) Rand() *rand.Rand                          { return e.rng }
-func (e *fakeEnv) Logf(string, ...any)                       {}
+func (e *fakeEnv) Logf(f string, args ...any)                { e.logs = append(e.logs, fmt.Sprintf(f, args...)) }
 
 // memberNode builds a node that believes it is a member of comp, with a
 // neighbor vgroup on every cycle, running on a captured environment.

@@ -66,11 +66,11 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Behavior selects the fault behaviour of a node, for experiments (§6.1.3).
+// Behavior selects the fault behaviour of a node, for experiments (§6.1.3):
+// see Node.SetBehavior.
 type Behavior int
 
-// Node behaviours. Enums start at 1 so the zero value (unset) maps to the
-// default correct behaviour via normalization in New.
+// Node behaviours.
 const (
 	// BehaviorCorrect follows the protocol.
 	BehaviorCorrect Behavior = iota + 1
@@ -222,21 +222,16 @@ type Config struct {
 	// trips).
 	EgressMaxFlushWindow time.Duration
 	// EgressQueueLimit bounds each node-addressed egress queue (application
-	// raw traffic) in items, and turns on the scheduler's flow control: the
-	// drain is paced (at most one carrier per adaptive window per
-	// destination), queue depth drives the OnEgressPressure levels, and
-	// overflow drops at the sender (lower-priority victims first; SendRaw
-	// returns ErrEgressOverflow when its own message is the drop).
-	// Group-addressed (protocol) queues are never bounded. 0 selects the
-	// default (1024); negative disables flow control entirely, restoring
-	// the flush-when-full behaviour (the `-exp backpressure` baseline).
+	// raw traffic) in items and scales its flow control: the drain is paced
+	// (at most one carrier per adaptive window per destination), queue depth
+	// drives the OnEgressPressure levels, and overflow drops at the sender
+	// (lower-priority victims first; SendRawWith returns ErrEgressOverflow
+	// when its own message is the drop). Group-addressed (protocol) queues
+	// are never bounded. 0 or less selects the default (1024).
 	EgressQueueLimit int
 	// EgressQueueBytes bounds each node-addressed egress queue in payload
-	// bytes (incl. per-item framing). 0 selects the default (8 MiB);
-	// negative disables the byte bound.
+	// bytes (incl. per-item framing). 0 or less selects the default (8 MiB).
 	EgressQueueBytes int
-	// Behavior injects Byzantine behaviour for experiments.
-	Behavior Behavior
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
 	DisableShuffle bool
 	// OnRawMessage, when set, receives the decoded application raw messages
@@ -267,9 +262,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
 	}
-	if c.Behavior == 0 {
-		c.Behavior = BehaviorCorrect
-	}
 	if c.GossipMaxBatch <= 0 {
 		c.GossipMaxBatch = 64
 	}
@@ -281,10 +273,10 @@ func (c Config) withDefaults() Config {
 	if c.EgressMaxFlushWindow <= 0 {
 		c.EgressMaxFlushWindow = 5 * time.Millisecond
 	}
-	if c.EgressQueueLimit == 0 {
+	if c.EgressQueueLimit <= 0 {
 		c.EgressQueueLimit = 1024
 	}
-	if c.EgressQueueBytes == 0 {
+	if c.EgressQueueBytes <= 0 {
 		c.EgressQueueBytes = 8 << 20
 	}
 	return c

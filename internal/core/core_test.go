@@ -303,7 +303,7 @@ func TestByzantineSilentTolerated(t *testing.T) {
 	nodes := h.bootstrapSystem(smr.ModeAsync, 5, 60*time.Second)
 	h.net.Run(h.net.Now() + time.Second)
 	// Turn node 4 Byzantine-silent in place.
-	nodes[4].cfg.Behavior = BehaviorSilent
+	nodes[4].SetBehavior(BehaviorSilent)
 
 	if err := nodes[1].BroadcastWith([]byte("despite-byz"), BroadcastOpts{}); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,25 @@
 package core
 
-// Engine glue for the unified egress scheduler (internal/egress): every
-// sender in the engine — gossip forwards, walk hops, neighbor/composition
-// updates during churn, shuffle exchange control, and application raw
-// messages — feeds the scheduler's per-destination queues instead of calling
-// group.Send directly. The scheduler hands full batches back through
-// egressFlush, which frames them as ordinary group messages (single item),
-// kindBatch carriers (group destinations), or node-addressed raw carriers.
+// This file is the one place that knows how a message leaves the node.
+// Handlers call one of three helpers and the destination and the wire table
+// decide the rest:
+//
+//   - sendGroup (sendGroupItem for gossip, which builds its own item): a group
+//     message to every member of a vgroup. A kind whose wireRows row says
+//     carrierOK is queued on the egress scheduler (internal/egress), which
+//     hands batches back through egressFlush to be framed as ordinary group
+//     messages (single item) or kindBatch carriers; any other kind (merge
+//     negotiation) is fanned out at once, round-quantized like a flush. The
+//     receiver's handleBatch reads the same column.
+//   - sendToNode: a group message to one node (snapshots, the backward-mode
+//     join redirect), never queued or quantized.
+//   - sendNodeMsg: a classNodeMsg value (join handshake, heartbeat, SMR
+//     envelope), never queued or quantized.
+//
+// Application raw messages (SendRawWith) enter the scheduler's node-addressed
+// queues directly. Below the helpers sit the two bottom SendFns, sendNow and
+// sendGroupQuantized, and the round drain; the egressonly analyzer keeps every
+// other file off them.
 //
 // Correctness needs no cross-member coordination: the receiver votes each
 // inner item into its inbox under the item's own MsgID, so members whose
@@ -19,6 +32,7 @@ package core
 import (
 	"time"
 
+	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/egress"
 	"atum/internal/group"
@@ -36,19 +50,12 @@ const maxCarrierBytes = 256 << 10
 // newEgress builds the node's scheduler. The callbacks close over n: they
 // run inside the node's event loop, after Start has set n.env.
 func (n *Node) newEgress() *egress.Scheduler {
-	limit, limitBytes := n.cfg.EgressQueueLimit, n.cfg.EgressQueueBytes
-	if limit < 0 {
-		limit = 0 // flow control disabled
-	}
-	if limitBytes < 0 {
-		limitBytes = 0
-	}
 	return egress.New(egress.Config{
 		MaxBatch:   n.cfg.GossipMaxBatch,
 		MaxBytes:   maxCarrierBytes,
 		MaxWindow:  n.cfg.EgressMaxFlushWindow,
-		Limit:      limit,
-		LimitBytes: limitBytes,
+		Limit:      n.cfg.EgressQueueLimit,
+		LimitBytes: n.cfg.EgressQueueBytes,
 		Now: func() time.Duration {
 			if n.env == nil {
 				return 0
@@ -65,22 +72,84 @@ func (n *Node) newEgress() *egress.Scheduler {
 	})
 }
 
-// sendViaEgress queues one group-addressed logical message on the egress
-// scheduler. src is the composition the message's MsgID was derived under
-// (usually the current one; the pre-bump composition during reconfiguration
-// notices). In synchronous mode group sends are round-quantized anyway, so
-// batches defer to the round tick's FlushDeferred instead of arming window
-// timers.
-func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	n.sendItemViaEgress(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload}, 0)
+// sendGroup sends one logical group message to every member of dst. src is
+// the composition the message's MsgID was derived under (usually the current
+// one; the pre-bump composition during reconfiguration notices).
+func (n *Node) sendGroup(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
+	n.sendGroupItem(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload}, 0)
 }
 
-// sendItemViaEgress is sendViaEgress for a caller that built the item itself
-// — gossip, which hashes a broadcast's payload once and sets Digest for all
-// its links — with an absolute expiry (0 = never): the origin of a
-// BroadcastWith stamps its first-hop gossip items with the caller's TTL.
-func (n *Node) sendItemViaEgress(src, dst group.Composition, it group.BatchItem, expires time.Duration) {
+// sendGroupItem is sendGroup for a caller that built the item itself —
+// gossip, which hashes a broadcast's payload once and sets Digest for all its
+// links — with an absolute expiry (0 = never): the origin of a BroadcastWith
+// stamps its first-hop gossip items with the caller's TTL. The item's row in
+// the wire table routes it: a carrier-deliverable kind is queued (in
+// synchronous mode group sends are round-quantized anyway, so batches defer to
+// the round tick's FlushDeferred instead of arming window timers); a kind the
+// table keeps off carriers leaves now, with no queue to expire in.
+func (n *Node) sendGroupItem(src, dst group.Composition, it group.BatchItem, expires time.Duration) {
+	if !rowByKind[it.Kind].carrierOK {
+		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, it)
+		return
+	}
 	n.egress.EnqueueGroupWith(src, dst, it, n.cfg.Mode == smr.ModeSync, expires)
+}
+
+// sendToNode sends one logical group message from src to a single node.
+func (n *Node) sendToNode(src group.Composition, to ids.NodeID, kind group.Kind, msgID crypto.Digest, payload []byte) {
+	group.SendToNode(n.sendNow, src, n.cfg.Identity.ID, to, kind, msgID, payload)
+}
+
+// sendNodeMsg sends one node-level message (a classNodeMsg row of the wire
+// table): such traffic is a handshake with a node that shares no vgroup with
+// this one, a failure detector's beacon or consensus itself, and waits for
+// neither a queue nor a round boundary.
+func (n *Node) sendNodeMsg(to ids.NodeID, msg actor.Message) {
+	n.sendNow(to, msg)
+}
+
+// queuedSend is one round-quantized send waiting in outQ for the tick.
+type queuedSend struct {
+	to  ids.NodeID
+	msg actor.Message
+}
+
+// sendGroupQuantized is the SendFn for inter-group traffic: in synchronous
+// mode sends are deferred to the next round boundary (one overlay hop per
+// round, like the paper's round-based Sync implementation).
+func (n *Node) sendGroupQuantized(to ids.NodeID, msg actor.Message) {
+	if n.byzActive() {
+		return
+	}
+	if n.cfg.Mode == smr.ModeSync {
+		n.outQ = append(n.outQ, queuedSend{to: to, msg: msg})
+		return
+	}
+	n.env.Send(to, msg)
+}
+
+// sendNow is the SendFn that bypasses round quantization.
+func (n *Node) sendNow(to ids.NodeID, msg actor.Message) {
+	if n.byzActive() && n.behavior == BehaviorSilent {
+		return
+	}
+	n.env.Send(to, msg)
+}
+
+// flushRound runs at every round tick. The lockstep round is the ModeSync
+// batching window: deferred egress batches are framed first so that they
+// depart with this round's quantized sends. Windowed and paced queues
+// (node-addressed raw traffic) keep their own timers — draining them here
+// would bypass the flow-control pacing.
+func (n *Node) flushRound() {
+	if n.cfg.Mode == smr.ModeSync {
+		n.egress.FlushDeferred()
+	}
+	out := n.outQ
+	n.outQ = nil
+	for _, q := range out {
+		n.env.Send(q.to, q.msg)
+	}
 }
 
 // egressFlush is the scheduler's transmit callback: it frames one

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"atum/internal/actor"
@@ -90,8 +91,8 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 
 	// One gossip payload, one walk hop, one raw message, same destination.
 	gossip := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")})
-	n.sendViaEgress(comp, nbr, kindGossip, crypto.Hash(gossip), gossip)
-	n.sendViaEgress(comp, nbr, kindWalk,
+	n.sendGroup(comp, nbr, kindGossip, crypto.Hash(gossip), gossip)
+	n.sendGroup(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
 		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
 			StepsLeft: 1, Rands: []uint64{1, 2}, Origin: comp.Clone()}))
@@ -162,11 +163,11 @@ func TestEgressFlushesWalkAndChurnKindsBeforeReconfigure(t *testing.T) {
 	nbr := testComp(9, 1, 4, 5, 6)
 	n, _ := memberNode(t, self, comp, nbr)
 
-	n.sendViaEgress(comp, nbr, kindWalk,
+	n.sendGroup(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w2")), 0, nbr.GroupID),
 		encodePayload(walkPayload{WalkID: crypto.Hash([]byte("w2")), Purpose: PurposeJoin,
 			StepsLeft: 2, Rands: []uint64{3, 4}, Origin: comp.Clone()}))
-	n.sendViaEgress(comp, nbr, kindSetNeighbor,
+	n.sendGroup(comp, nbr, kindSetNeighbor,
 		setNbrMsgID(comp, nbr.GroupID, 0, overlay.Pred),
 		encodePayload(setNeighborPayload{Cycle: 0, Dir: overlay.Pred, Comp: comp.Clone()}))
 	if d, i := n.egress.Pending(); d != 1 || i != 2 {
@@ -581,5 +582,62 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 	n.handleRawItem(1, extFrame)
 	if len(got) != 1 {
 		t.Fatal("extension frame did not reach OnRawMessage")
+	}
+}
+
+// TestSendRoutesByWireRow: one column of the wire table decides, on both
+// ends, whether a kind rides a carrier. For every row with a group kind,
+// sendGroup leaves a scheduler entry iff the row says carrierOK and otherwise
+// fans the message out at once; and when all of them travel to a member of the
+// destination vgroup, its handleBatch finds no item the table keeps off
+// carriers. (sendGroup's predecessor queued whatever it was handed: a merge
+// request sent through it was dropped by the receiver as a "sender bug".)
+func TestSendRoutesByWireRow(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	nbr := testComp(9, 1, 4, 5, 6)
+	sender, senderEnv := memberNode(t, 1, comp, nbr)
+	kinds := 0
+	for _, r := range wireRows {
+		if r.kind == 0 {
+			continue
+		}
+		kinds++
+		n, _ := memberNode(t, 1, comp, nbr)
+		payload := encodePayload(r.proto)
+		msgID := crypto.Hash([]byte{byte(r.kind)})
+		n.sendGroup(comp, nbr, r.kind, msgID, payload)
+		_, queued := n.egress.Pending()
+		if r.carrierOK && (queued != 1 || len(n.outQ) != 0) {
+			t.Errorf("kind %d (%T) is carrier-deliverable: %d queued, %d sent at once, want 1 and 0", r.kind, r.proto, queued, len(n.outQ))
+		}
+		if !r.carrierOK && (queued != 0 || len(n.outQ) != nbr.N()) {
+			t.Errorf("kind %d (%T) is kept off carriers: %d queued, %d sent at once, want 0 and one copy per member (%d)",
+				r.kind, r.proto, queued, len(n.outQ), nbr.N())
+		}
+		sender.sendGroup(comp, nbr, r.kind, msgID, payload)
+	}
+	if kinds < 14 {
+		t.Fatalf("only %d rows carry a group kind: the table walk is broken", kinds)
+	}
+
+	sender.flushRound()
+	recv, recvEnv := memberNode(t, 4, nbr, comp)
+	carriers := 0
+	for _, s := range senderEnv.sent {
+		if s.to != 4 {
+			continue
+		}
+		if m := s.msg.(group.GroupMsg); m.Kind == kindBatch {
+			carriers++
+		}
+		recv.Receive(1, s.msg)
+	}
+	if carriers != 1 {
+		t.Fatalf("%d carriers reached the receiver, want the one holding every carrier-deliverable kind", carriers)
+	}
+	for _, line := range recvEnv.logs {
+		if strings.Contains(line, "not batchable") {
+			t.Errorf("receiver refused a carried item: %s", line)
+		}
 	}
 }

@@ -315,6 +315,67 @@ func TestCrashesWithinFaultBoundDoNotStopBroadcast(t *testing.T) {
 	h.checkMembershipConsistent()
 }
 
+// TestSilentMemberSendsNoHeartbeatAndIsEvicted: BehaviorSilent "sends nothing"
+// and that includes heartbeats. The failure detector's beacon used to reach
+// env.Send without passing the bottom send primitive that drops for a silent
+// node, so a silent member kept itself un-evicted forever. With the default
+// EvictAfter the others now vote it out, and broadcasts go on meanwhile.
+func TestSilentMemberSendsNoHeartbeatAndIsEvicted(t *testing.T) {
+	flipped := false
+	var silentID ids.NodeID
+	heartbeats := 0
+	evicted := make(map[ids.NodeID]int) // target → members that applied its eviction
+	h := newHarness(t, smr.ModeSync, 23, func(cfg *Config) {
+		cfg.Callbacks.OnEvent = func(ev Event) {
+			if ev.Kind == EventEviction {
+				evicted[ids.NodeID(ev.Data)]++
+			}
+		}
+	})
+	h.wrapEnv = func(n *Node, env actor.Env) actor.Env {
+		return sendHook{Env: env, hook: func(msg actor.Message) actor.Message {
+			if _, ok := msg.(Heartbeat); ok && flipped && n.cfg.Identity.ID == silentID {
+				heartbeats++
+			}
+			return msg
+		}}
+	}
+	nodes := h.bootstrapSystem(smr.ModeSync, 5, 60*time.Second)
+	h.net.Run(h.net.Now() + time.Second)
+	silent, correct := nodes[4], nodes[:4]
+	silentID = silent.cfg.Identity.ID
+	silent.SetBehavior(BehaviorSilent)
+	flipped = true
+
+	if err := nodes[1].BroadcastWith([]byte("while-silent"), BroadcastOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	gone := func() bool {
+		for _, n := range correct {
+			if n.Comp().Contains(silentID) {
+				return false
+			}
+		}
+		return true
+	}
+	if !h.runUntil(gone, 10*nodes[0].cfg.EvictAfter) {
+		t.Fatalf("the silent member is still in a correct member's composition after ten times EvictAfter (%v)", nodes[0].cfg.EvictAfter)
+	}
+	h.net.Run(h.net.Now() + 2*time.Second)
+	if heartbeats != 0 {
+		t.Errorf("the silent member sent %d heartbeats after it went silent", heartbeats)
+	}
+	if evicted[silentID] == 0 || len(evicted) != 1 {
+		t.Errorf("evictions applied = %v, want only the silent member %v", evicted, silentID)
+	}
+	for _, n := range correct {
+		if !slices.Contains(h.delivered[n.cfg.Identity.ID], "while-silent") {
+			t.Errorf("correct member %v missed the broadcast sent next to a silent member", n.cfg.Identity.ID)
+		}
+	}
+	h.checkMembershipConsistent()
+}
+
 func TestLaggardCatchesUpAfterPartition(t *testing.T) {
 	// A member partitioned across an epoch change misses both the commit
 	// and the one-shot catch-up shares. After healing, its stale-epoch

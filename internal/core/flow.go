@@ -99,18 +99,3 @@ type BroadcastOpts struct {
 // Node accessor it must run in the node's actor context (in simulation,
 // harness code between Run calls is also safe).
 func (n *Node) EgressStats() EgressStats { return n.egress.Snapshot() }
-
-// SetEgressQueueLimit changes the egress flow-control bounds at runtime
-// (items and queued bytes per node-addressed destination; limit <= 0
-// disables flow control). The experiment harness uses it so the paced and
-// unpaced configurations share one identical growth history.
-func (n *Node) SetEgressQueueLimit(limit, limitBytes int) {
-	n.cfg.EgressQueueLimit, n.cfg.EgressQueueBytes = limit, limitBytes
-	if limit < 0 {
-		limit = 0
-	}
-	if limitBytes < 0 {
-		limitBytes = 0
-	}
-	n.egress.SetLimits(limit, limitBytes)
-}

@@ -181,7 +181,7 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 			}
 			sent = append(sent, key)
 			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
-				n.sendItemViaEgress(st.comp, nbr, it, expires)
+				n.sendGroupItem(st.comp, nbr, it, expires)
 			}
 			echo := key
 			if latest, ok := n.latestComp[nbr.GroupID]; ok && latest.Epoch > echo.Epoch {
@@ -226,12 +226,12 @@ func (n *Node) applyCycleAssign(p cycleAssignPayload) {
 	// groups already, or self-looped).
 	if oldPred.GroupID != st.comp.GroupID && oldPred.GroupID != p.Pred.GroupID {
 		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Succ, Comp: oldSucc.Clone()})
-		n.sendViaEgress(st.comp, oldPred, kindSetNeighbor,
+		n.sendGroup(st.comp, oldPred, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldPred.GroupID, p.Cycle, overlay.Succ), pl)
 	}
 	if oldSucc.GroupID != st.comp.GroupID && oldSucc.GroupID != p.Succ.GroupID {
 		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: oldPred.Clone()})
-		n.sendViaEgress(st.comp, oldSucc, kindSetNeighbor,
+		n.sendGroup(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
 	st.nbrs.Preds[p.Cycle] = p.Pred.Clone()
@@ -277,7 +277,7 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 	}
 	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
 	msgID := freshMsgID(st.comp, m.SrcGroup)
-	n.sendViaEgress(oldComp, srcComp, kindNeighborUpdate, msgID, payload)
+	n.sendGroup(oldComp, srcComp, kindNeighborUpdate, msgID, payload)
 }
 
 func freshMsgID(cur group.Composition, to ids.GroupID) crypto.Digest {

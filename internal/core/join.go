@@ -73,8 +73,7 @@ func (n *Node) startJoinAttempt() {
 	j.stage = stageContact
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
 	actor.LearnIdentity(n.env, j.contact)
-	//atumvet:allow egressonly pre-membership handshake: the joiner has no vgroup context for the scheduler to batch under
-	n.sendNow(j.contact.ID, JoinContact{Joiner: n.Identity()})
+	n.sendNodeMsg(j.contact.ID, JoinContact{Joiner: n.Identity()})
 }
 
 // retryJoin fires when a join stage misses its deadline.
@@ -128,8 +127,7 @@ func (n *Node) handleJoinContact(from ids.NodeID, m JoinContact) {
 		return // the contact channel is link-authenticated
 	}
 	actor.LearnIdentity(n.env, m.Joiner)
-	//atumvet:allow egressonly contact-channel handshake reply: node-addressed, pre-membership, latency-critical
-	n.sendNow(from, ContactInfo{Comp: n.st.comp.Clone()})
+	n.sendNodeMsg(from, ContactInfo{Comp: n.st.comp.Clone()})
 }
 
 // --- joiner side ---
@@ -159,8 +157,7 @@ func (n *Node) sendJoinRequest(target group.Composition) {
 		Sig:    n.signer.Sign(joinRequestBytes(n.Identity(), target.GroupID, n.opSeq)),
 	}
 	for _, m := range target.Members {
-		//atumvet:allow egressonly join-request fan-out from a joiner that has no group state yet
-		n.sendNow(m.ID, req)
+		n.sendNodeMsg(m.ID, req)
 	}
 }
 
@@ -445,9 +442,7 @@ func (n *Node) evaluateCatchUp() {
 				if m.ID == n.cfg.Identity.ID {
 					continue
 				}
-				//atumvet:allow egressonly reconfiguration snapshot share: node-addressed under the pre-bump composition (not carrier-deliverable: wireRows carrierOK)
-				group.SendToNode(n.sendNow, oldComp, n.cfg.Identity.ID, m.ID,
-					kindSnapshot, snapMsgID(oldComp, m.ID), payload)
+				n.sendToNode(oldComp, m.ID, kindSnapshot, snapMsgID(oldComp, m.ID), payload)
 			}
 			n.processPendingJoins()
 			advanced = true
@@ -604,8 +599,7 @@ func (n *Node) sendRenounce(target group.Composition) {
 		for _, m := range c.Members {
 			if m.ID != n.cfg.Identity.ID && !sent[m.ID] {
 				sent[m.ID] = true
-				//atumvet:allow egressonly renounce notice during teardown: the egress queues are about to be dropped with the node
-				n.sendNow(m.ID, r)
+				n.sendNodeMsg(m.ID, r)
 			}
 		}
 	}

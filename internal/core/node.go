@@ -67,9 +67,10 @@ const (
 // Node is one Atum protocol node: an actor.Node implementing the full
 // engine. Create with New, hand to a runtime, then call Bootstrap or Join.
 type Node struct {
-	cfg    Config
-	env    actor.Env
-	signer crypto.Signer
+	cfg      Config
+	env      actor.Env
+	signer   crypto.Signer
+	behavior Behavior // SetBehavior; the zero value is correct too
 
 	phase        phase
 	st           *groupState
@@ -89,8 +90,8 @@ type Node struct {
 
 	round uint64
 	outQ  []queuedSend
-	// egress is the unified per-destination outbound scheduler (see
-	// egress.go and internal/egress): every sender in the engine feeds it.
+	// egress is the per-destination outbound scheduler and outQ the round-
+	// quantized send queue below it (see egress.go and internal/egress).
 	egress       *egress.Scheduler
 	egressSeq    uint64 // batch-carrier sequence (batchMsgID uniqueness)
 	lastHB       time.Duration
@@ -134,11 +135,6 @@ type Node struct {
 	pen map[group.Key][]penMsg
 
 	stopped bool
-}
-
-type queuedSend struct {
-	to  ids.NodeID
-	msg actor.Message
 }
 
 type penMsg struct {
@@ -236,7 +232,7 @@ func (n *Node) emit(kind EventKind, data int) {
 // byzActive reports whether Byzantine behaviour is currently in force: the
 // experiment nodes join correctly, then misbehave.
 func (n *Node) byzActive() bool {
-	return n.cfg.Behavior != BehaviorCorrect && n.phase == phaseMember
+	return n.behavior > BehaviorCorrect && n.phase == phaseMember
 }
 
 // --- actor.Node ---
@@ -284,7 +280,7 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 	if n.stopped {
 		return
 	}
-	if n.byzActive() && n.cfg.Behavior == BehaviorSilent {
+	if n.byzActive() && n.behavior == BehaviorSilent {
 		return // fully quiet: ignores everything
 	}
 	switch m := msg.(type) {
@@ -398,9 +394,10 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 		opts.Priority, expires)
 }
 
-// SetBehavior switches the node's behaviour (experiment fault injection;
-// Byzantine behaviours activate once the node is a vgroup member).
-func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
+// SetBehavior switches the node's behaviour: the one way to inject a fault
+// (experiments). Byzantine behaviours activate once the node is a vgroup
+// member, so a node told to misbehave before it joins still joins correctly.
+func (n *Node) SetBehavior(b Behavior) { n.behavior = b }
 
 // Now returns the node's clock (virtual in simulation).
 func (n *Node) Now() time.Duration {
@@ -417,23 +414,7 @@ func (n *Node) handleTick() {
 	n.round = uint64(now / n.cfg.RoundDuration)
 	n.env.SetTimer(n.cfg.RoundDuration, tickTimer{})
 
-	// The lockstep round is the ModeSync batching window: frame pending
-	// deferred egress batches first so they depart with this round's
-	// quantized flush. Windowed and paced queues (node-addressed raw
-	// traffic) keep their own timers — draining them here would bypass the
-	// flow-control pacing.
-	if n.cfg.Mode == smr.ModeSync {
-		n.egress.FlushDeferred()
-	}
-
-	// Flush round-quantized group messages (synchronous mode: one overlay
-	// hop per round, like the paper's round-based Sync implementation).
-	out := n.outQ
-	n.outQ = nil
-	for _, q := range out {
-		//atumvet:allow egressonly round-boundary drain of the quantized send queue: this is the bottom of the deferred-send path
-		n.env.Send(q.to, q.msg)
-	}
+	n.flushRound()
 
 	if n.cfg.Mode == smr.ModeSync && n.replica != nil && !n.byzActive() {
 		n.replica.Tick(n.round)
@@ -445,7 +426,7 @@ func (n *Node) handleTick() {
 			n.walkDeadlineTick(now)
 			n.mergeRetryTick(now)
 			n.shuffleProposeTick(now)
-		} else if n.cfg.Behavior == BehaviorHeartbeatOnly {
+		} else if n.behavior == BehaviorHeartbeatOnly {
 			n.byzEvictTick(now)
 		}
 	}
@@ -495,8 +476,7 @@ func (n *Node) heartbeatTick(now time.Duration) {
 	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
-			//atumvet:allow egressonly failure-detector heartbeat: must not sit in an egress queue behind data traffic
-			n.env.Send(m.ID, hb)
+			n.sendNodeMsg(m.ID, hb)
 		}
 	}
 	if n.byzActive() {
@@ -562,35 +542,7 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !n.reShared.allow(to, n.env.Now()) {
 		return
 	}
-	//atumvet:allow egressonly snapshot re-share: node-addressed under the pre-bump composition (not carrier-deliverable: wireRows carrierOK)
-	group.SendToNode(n.sendNow, oldComp, n.cfg.Identity.ID, to,
-		kindSnapshot, snapMsgID(oldComp, to), payload)
-}
-
-// --- sending ---
-
-// sendGroupQuantized is the SendFn for inter-group traffic: in synchronous
-// mode sends are deferred to the next round boundary.
-func (n *Node) sendGroupQuantized(to ids.NodeID, msg actor.Message) {
-	if n.byzActive() {
-		return
-	}
-	if n.cfg.Mode == smr.ModeSync {
-		n.outQ = append(n.outQ, queuedSend{to: to, msg: msg})
-		return
-	}
-	//atumvet:allow egressonly bottom primitive: the egress scheduler drains into this SendFn
-	n.env.Send(to, msg)
-}
-
-// sendNow bypasses round quantization (SMR-internal traffic and node-level
-// handshakes).
-func (n *Node) sendNow(to ids.NodeID, msg actor.Message) {
-	if n.byzActive() && n.cfg.Behavior == BehaviorSilent {
-		return
-	}
-	//atumvet:allow egressonly bottom primitive: the egress scheduler drains into this SendFn
-	n.env.Send(to, msg)
+	n.sendToNode(oldComp, to, kindSnapshot, snapMsgID(oldComp, to), payload)
 }
 
 // --- composition cache ---
@@ -696,8 +648,7 @@ func (n *Node) makeReplica() {
 		Scheme:  n.cfg.Scheme,
 		Signer:  n.signer,
 		Send: func(to ids.NodeID, msg actor.Message) {
-			//atumvet:allow egressonly SMR-internal traffic is quantization-exempt by design: consensus latency bounds the round
-			n.sendNow(to, SMREnvelope{GroupID: comp.GroupID, Epoch: epoch, Inner: msg})
+			n.sendNodeMsg(to, SMREnvelope{GroupID: comp.GroupID, Epoch: epoch, Inner: msg})
 		},
 		SetTimer: func(d time.Duration, data any) {
 			n.env.SetTimer(d, smrTimer{epoch: epoch, data: data})

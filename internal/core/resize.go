@@ -76,7 +76,7 @@ func (n *Node) applySplit(o splitOp) {
 		} else {
 			eNbrs.Succs[c] = oldSucc.Clone()
 			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: eComp.Clone()})
-			n.sendViaEgress(old, oldSucc, kindSetNeighbor,
+			n.sendGroup(old, oldSucc, kindSetNeighbor,
 				setNbrMsgID(old, oldSucc.GroupID, c, overlay.Pred), pl)
 		}
 	}
@@ -155,7 +155,7 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	// Tell the old successor its new predecessor, and give E its position.
 	if oldSucc.GroupID != st.comp.GroupID {
 		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: e.Clone()})
-		n.sendViaEgress(st.comp, oldSucc, kindSetNeighbor,
+		n.sendGroup(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
 	succForE := oldSucc
@@ -163,7 +163,7 @@ func (n *Node) applySplitInsert(p walkPayload) {
 		succForE = st.comp
 	}
 	assign := encodePayload(cycleAssignPayload{Cycle: p.Cycle, Pred: st.comp.Clone(), Succ: succForE.Clone()})
-	n.sendViaEgress(st.comp, e, kindCycleAssign, cycleAssignMsgID(st.comp, e.GroupID, p.Cycle), assign)
+	n.sendGroup(st.comp, e, kindCycleAssign, cycleAssignMsgID(st.comp, e.GroupID, p.Cycle), assign)
 	if oldSucc.GroupID == st.comp.GroupID {
 		st.nbrs.Preds[p.Cycle] = e.Clone()
 	}
@@ -207,9 +207,7 @@ func (n *Node) applyMergeStart(dig crypto.Digest, o mergeStartOp) {
 	// already-accepted earlier attempt and the requester wedges busy until
 	// the inbox prune — a timing-dependent merge starvation (and, through
 	// the busy flag, a join starvation at this vgroup's contact members).
-	//atumvet:allow egressonly merge negotiation (not carrier-deliverable: wireRows carrierOK): a request queued behind data wedges the busy flag at both vgroups
-	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, targetComp,
-		group.BatchItem{Kind: kindMergeRequest, MsgID: crypto.Hash([]byte("atum-mergereq"), dig[:]), Payload: pl})
+	n.sendGroup(st.comp, targetComp, kindMergeRequest, crypto.Hash([]byte("atum-mergereq"), dig[:]), pl)
 }
 
 // latestNeighborComp returns the newest known composition of a neighbor.
@@ -239,18 +237,14 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	replyID := crypto.Hash([]byte("atum-mergereply"), reqID[:])
 	if st.busy {
 		pl := encodePayload(mergeRejectPayload{Busy: true})
-		//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
-		group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
-			group.BatchItem{Kind: kindMergeReject, MsgID: replyID, Payload: pl})
+		n.sendGroup(st.comp, p.From, kindMergeReject, replyID, pl)
 		return
 	}
 	n.emit(EventMerge, p.From.N())
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
 	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
-	//atumvet:allow egressonly merge reply (not carrier-deliverable: wireRows carrierOK): the requester stays wedged busy until it arrives
-	group.Send(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, p.From,
-		group.BatchItem{Kind: kindMergeAccept, MsgID: replyID, Payload: accept})
+	n.sendGroup(st.comp, p.From, kindMergeAccept, replyID, accept)
 
 	members := ids.CloneIdentities(st.comp.Members)
 	added := make([]addedMember, 0, p.From.N())
@@ -288,12 +282,12 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 		pred, succ := st.nbrs.Preds[c], st.nbrs.Succs[c]
 		if pred.GroupID != st.comp.GroupID {
 			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Succ, Comp: succ.Clone()})
-			n.sendViaEgress(st.comp, pred, kindSetNeighbor,
+			n.sendGroup(st.comp, pred, kindSetNeighbor,
 				setNbrMsgID(st.comp, pred.GroupID, c, overlay.Succ), pl)
 		}
 		if succ.GroupID != st.comp.GroupID {
 			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: pred.Clone()})
-			n.sendViaEgress(st.comp, succ, kindSetNeighbor,
+			n.sendGroup(st.comp, succ, kindSetNeighbor,
 				setNbrMsgID(st.comp, succ.GroupID, c, overlay.Pred), pl)
 		}
 	}

@@ -117,7 +117,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		// here; release the partner's reservation.
 		n.learnComp(res.Target)
 		pl := encodePayload(exchangeCancelPayload{WalkID: wo.WalkID})
-		n.sendViaEgress(st.comp, res.Target, kindExchangeCancel, replyMsgID(wo.WalkID, 7), pl)
+		n.sendGroup(st.comp, res.Target, kindExchangeCancel, replyMsgID(wo.WalkID, 7), pl)
 		st.shuffle.Suppressed++
 		n.emit(EventExchangeSuppressed, 0)
 		n.shuffleNext()
@@ -136,7 +136,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		Member:    outgoing,
 		OriginOld: st.comp.Clone(),
 	})
-	n.sendViaEgress(st.comp, res.Target, kindExchangeConfirm, replyMsgID(wo.WalkID, 8), confirm)
+	n.sendGroup(st.comp, res.Target, kindExchangeConfirm, replyMsgID(wo.WalkID, 8), confirm)
 
 	// If we are the member being exchanged away, trust the partner vgroup
 	// to send our snapshot.

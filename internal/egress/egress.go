@@ -37,8 +37,7 @@
 //
 // # Flow control
 //
-// Node-addressed queues (application raw traffic) are additionally
-// flow-controlled when Config.Limit is set:
+// Node-addressed queues (application raw traffic) are flow-controlled:
 //
 //   - the drain is paced: one carrier of at most MaxBatch items (MaxBytes
 //     bytes) leaves per adaptive window, so a flood cannot dump an unbounded
@@ -56,8 +55,10 @@
 // Group-addressed queues are never bounded or paced: they carry protocol
 // traffic (agreement-backed group messages) whose loss the engine cannot
 // tolerate; only the expiry check applies to them (callers attach expiries
-// to application-chosen broadcasts, not to engine kinds). FlushAll drains
-// everything, bounds and pacing included — correctness before flow control.
+// to application-chosen broadcasts, not to engine kinds). Which of the two a
+// queue is follows from its destination alone — there is no switch. FlushAll
+// drains everything, bounds and pacing included — correctness before flow
+// control.
 //
 // The scheduler is not goroutine-safe: like the rest of the engine it runs
 // inside one actor's event loop.
@@ -65,6 +66,7 @@ package egress
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -165,20 +167,20 @@ var ErrOverflow = errors.New("egress: destination queue full")
 
 // Config wires a Scheduler to its owner.
 type Config struct {
-	// MaxBatch caps the items coalesced per carrier; on unbounded queues the
+	// MaxBatch caps the items coalesced per carrier; on group queues the
 	// cap'th item forces a flush (so a cap of 1 never holds an item).
 	MaxBatch int
 	// MaxBytes caps a carrier's pending bytes, each item charged
 	// len(Payload)+group.BatchWireOverhead: an upper bound of its share of
 	// the frame for every item the engine enqueues, gossip's payload-less
 	// votes included (group.BatchWireOverhead names the one form it does not
-	// bound). Exceeding it forces a flush on unbounded queues.
+	// bound). Exceeding it forces a flush on group queues.
 	MaxBytes int
 	// MaxWindow caps the adaptive flush window.
 	MaxWindow time.Duration
-	// Limit bounds a node-addressed destination's queued items and turns on
-	// the paced drain + pressure machinery. <= 0 disables flow control:
-	// node queues behave exactly like group queues (flush when full).
+	// Limit bounds a node-addressed destination's queued items and scales
+	// its pressure thresholds. An owner that sends to nodes sets it > 0: a
+	// queue bounded at zero admits nothing.
 	Limit int
 	// LimitBytes bounds a node-addressed destination's queued payload bytes
 	// (incl. per-item framing). <= 0: no byte bound.
@@ -201,7 +203,8 @@ type Config struct {
 	// duration of the call — the scheduler recycles the backing array for
 	// the destination's next batch. Implementations that keep items past the
 	// call (tests, recorders) must copy the slice; the item *payloads* are
-	// caller-owned as usual and may be retained freely.
+	// caller-owned as usual and may be retained freely. Like OnPressure, it
+	// must not re-enter the scheduler.
 	Flush func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem)
 }
 
@@ -264,8 +267,8 @@ type arrival struct {
 	seen   bool
 	lastAt time.Duration
 	gap    time.Duration // smoothed inter-arrival gap (fast attack, slow decay)
-	// nextAt is the earliest next paced flush (node destinations under flow
-	// control): a full carrier leaves at most once per adaptive window.
+	// nextAt is the earliest next paced flush (node destinations): a full
+	// carrier leaves at most once per adaptive window.
 	nextAt time.Duration
 	level  Level
 	// per-destination counters surfaced through Snapshot.
@@ -310,28 +313,6 @@ func New(cfg Config) *Scheduler {
 	}
 }
 
-// SetLimits changes the flow-control bounds at runtime (the experiment
-// harness toggles them after cluster growth so the paced and unpaced
-// configurations share one identical growth history). Disabling flow
-// control (limit <= 0) releases every raised pressure level: updatePressure
-// no longer runs for unbounded queues, so without the explicit Low
-// transitions here, applications would keep shedding toward destinations
-// whose High/Critical state can never clear.
-func (s *Scheduler) SetLimits(limit, limitBytes int) {
-	s.cfg.Limit, s.cfg.LimitBytes = limit, limitBytes
-	if limit > 0 {
-		return
-	}
-	for k, a := range s.arr {
-		if k.node != 0 && a.level != LevelLow {
-			a.level = LevelLow
-			if s.cfg.OnPressure != nil {
-				s.cfg.OnPressure(k.node, LevelLow)
-			}
-		}
-	}
-}
-
 // EnqueueGroup queues one logical message for every member of dst.
 // deferred batches wait for the next FlushDeferred/FlushAll instead of an
 // adaptive window (the synchronous engine's round-quantized sends).
@@ -346,40 +327,26 @@ func (s *Scheduler) EnqueueGroupWith(src, dst group.Composition, it group.BatchI
 	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{expires: expires})
 }
 
-// EnqueueNode queues one raw item for a single node with default metadata
-// (ClassControl, no expiry).
-func (s *Scheduler) EnqueueNode(src group.Composition, to ids.NodeID, it group.BatchItem) error {
-	return s.EnqueueNodeWith(src, to, it, ClassControl, 0)
-}
-
-// EnqueueNodeWith queues one raw item for a single node. Under flow control
-// (Config.Limit > 0) it returns ErrOverflow when the destination queue is
-// full and no lower-priority victim could be evicted — the item was not
-// queued.
+// EnqueueNodeWith queues one raw item for a single node. It returns
+// ErrOverflow when the destination queue is full and no lower-priority victim
+// could be evicted — the item was not queued.
 func (s *Scheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error {
 	return s.enqueue(destKey{node: to}, src, group.Composition{}, to, it, false, itemMeta{class: class, expires: expires})
-}
-
-// bounded reports whether k is under flow control.
-func (s *Scheduler) bounded(k destKey) bool {
-	return k.node != 0 && s.cfg.Limit > 0
 }
 
 func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, meta itemMeta) error {
 	s.stats.Enqueued++
 	now := s.now()
-	window := s.observe(k, now)
-	bounded := s.bounded(k)
+	a, window := s.observe(k, now)
 	q := s.pend[k]
 	if q != nil && (q.src.GroupID != src.GroupID || q.src.Epoch != src.Epoch) {
 		// The source composition changed under the open batch (epoch bump,
 		// group move): it must leave stamped with its enqueue-time source.
-		s.flushKey(k)
+		s.drain(k, q, false)
 		q = nil
 	}
 	if q == nil {
-		a := s.arr[k]
-		paceHold := bounded && a != nil && a.nextAt > now
+		paceHold := node != 0 && a.nextAt > now
 		if !deferred && window <= 0 && !paceHold {
 			// The destination is idle: transmit now so low-rate traffic pays
 			// no window latency. The scratch slice is reused per call — Flush
@@ -393,21 +360,21 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 		q = s.newPending(src, dst, node)
 		if !deferred {
 			q.deadline = now + window
-			if paceHold && a.nextAt > q.deadline {
-				q.deadline = a.nextAt
+			if paceHold {
+				q.deadline = max(q.deadline, a.nextAt)
 			}
 			s.arm(q.deadline)
 		}
 		s.pend[k] = q
 		s.order = append(s.order, k)
 	}
-	if bounded {
-		sz := len(it.Payload) + group.BatchWireOverhead
+	sz := len(it.Payload) + group.BatchWireOverhead
+	if node != 0 {
 		// Dead items must not hold slots against live ones: purge expired
 		// entries before deciding to evict or reject (they would be
 		// discarded at the next flush anyway).
 		if s.overLimit(q, sz) {
-			s.dropExpired(k, q, now)
+			s.dropExpired(a, q, now)
 		}
 		// An item that cannot fit even an empty queue is rejected outright —
 		// evicting the whole queue for it would shed admitted traffic for
@@ -417,34 +384,28 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 		// byte bound hold (one victim may free far fewer bytes than the
 		// newcomer needs).
 		for !reject && s.overLimit(q, sz) {
-			if !s.evictFor(k, q, meta.class) {
-				reject = true // no lower-priority victim: the new item is the drop
-			}
+			reject = !s.evictFor(a, q, meta.class) // no lower-priority victim: the new item is the drop
 		}
 		if reject {
 			s.stats.DroppedOverflow++
-			if a := s.arr[k]; a != nil {
-				a.dropOver++
-			}
-			s.updatePressure(k)
+			a.dropOver++
+			s.updatePressure(k, a)
 			return ErrOverflow
 		}
 	}
 	q.items = append(q.items, it)
 	q.meta = append(q.meta, meta)
-	q.bytes += len(it.Payload) + group.BatchWireOverhead
+	q.bytes += sz
 	if len(q.items) >= s.cfg.MaxBatch || q.bytes >= s.cfg.MaxBytes {
-		if bounded {
+		if node == 0 {
+			s.drain(k, q, false)
+		} else if a.nextAt <= now {
 			// Paced drain: a full carrier leaves at most once per window;
 			// excess items wait (bounded by Limit above).
-			if a := s.arr[k]; a == nil || a.nextAt <= now {
-				s.pacedFlush(k, now)
-			}
-		} else {
-			s.flushKey(k)
+			s.drain(k, q, true)
 		}
 	}
-	s.updatePressure(k)
+	s.updatePressure(k, a)
 	return nil
 }
 
@@ -460,7 +421,7 @@ func (s *Scheduler) overLimit(q *pending, extra int) bool {
 // evictFor drops the oldest queued item whose class is strictly lower
 // priority (greater value) than class, making room for a more important
 // item. Returns false when no such victim exists.
-func (s *Scheduler) evictFor(k destKey, q *pending, class Class) bool {
+func (s *Scheduler) evictFor(a *arrival, q *pending, class Class) bool {
 	victim, worst := -1, class
 	for i, m := range q.meta {
 		if m.class > worst {
@@ -471,29 +432,22 @@ func (s *Scheduler) evictFor(k destKey, q *pending, class Class) bool {
 		return false
 	}
 	q.bytes -= len(q.items[victim].Payload) + group.BatchWireOverhead
-	copy(q.items[victim:], q.items[victim+1:])
-	q.items[len(q.items)-1] = group.BatchItem{}
-	q.items = q.items[:len(q.items)-1]
-	copy(q.meta[victim:], q.meta[victim+1:])
-	q.meta = q.meta[:len(q.meta)-1]
+	q.items = slices.Delete(q.items, victim, victim+1)
+	q.meta = slices.Delete(q.meta, victim, victim+1)
 	s.stats.DroppedOverflow++
-	if a := s.arr[k]; a != nil {
-		a.dropOver++
-	}
+	a.dropOver++
 	return true
 }
 
 // dropExpired removes items whose expiry has passed (in place, order
 // preserved).
-func (s *Scheduler) dropExpired(k destKey, q *pending, now time.Duration) {
+func (s *Scheduler) dropExpired(a *arrival, q *pending, now time.Duration) {
 	kept := 0
 	for i := range q.items {
 		if e := q.meta[i].expires; e != 0 && e <= now {
 			q.bytes -= len(q.items[i].Payload) + group.BatchWireOverhead
 			s.stats.DroppedExpired++
-			if a := s.arr[k]; a != nil {
-				a.dropExp++
-			}
+			a.dropExp++
 			continue
 		}
 		if kept != i {
@@ -501,15 +455,12 @@ func (s *Scheduler) dropExpired(k destKey, q *pending, now time.Duration) {
 		}
 		kept++
 	}
-	for i := kept; i < len(q.items); i++ {
-		q.items[i] = group.BatchItem{}
-	}
-	q.items, q.meta = q.items[:kept], q.meta[:kept]
+	q.items, q.meta = slices.Delete(q.items, kept, len(q.items)), q.meta[:kept]
 }
 
-// observe updates the destination's arrival estimate and returns the flush
-// window a batch opened now should use (see the package comment).
-func (s *Scheduler) observe(k destKey, now time.Duration) time.Duration {
+// observe updates the destination's arrival estimate and returns it with the
+// flush window a batch opened now should use (see the package comment).
+func (s *Scheduler) observe(k destKey, now time.Duration) (*arrival, time.Duration) {
 	a := s.arr[k]
 	if a == nil {
 		if len(s.arr) >= maxArrivalEntries {
@@ -526,14 +477,14 @@ func (s *Scheduler) observe(k destKey, now time.Duration) time.Duration {
 	a.seen = true
 	a.lastAt = now
 	if first {
-		return 0 // no rate estimate yet: behave as idle
+		return a, 0 // no rate estimate yet: behave as idle
 	}
 	if gap < a.gap || a.gap == 0 {
 		a.gap = gap // fast attack: react to the first burst arrival
 	} else {
 		a.gap = (3*a.gap + gap) / 4 // slow decay back toward idle
 	}
-	return s.windowFromGap(a.gap)
+	return a, s.windowFromGap(a.gap)
 }
 
 // windowFromGap derives the flush window from a smoothed inter-arrival gap.
@@ -575,7 +526,8 @@ func (s *Scheduler) pruneArrivals(now time.Duration) {
 // every replicated-state replacement and at shutdown.
 func (s *Scheduler) FlushAll() {
 	for len(s.order) > 0 {
-		s.flushKey(s.order[0])
+		k := s.order[0]
+		s.drain(k, s.pend[k], false)
 	}
 }
 
@@ -585,95 +537,73 @@ func (s *Scheduler) FlushAll() {
 func (s *Scheduler) FlushDeferred() {
 	for i := 0; i < len(s.order); {
 		k := s.order[i]
-		if q := s.pend[k]; q != nil && q.deadline == 0 {
-			s.flushKey(k) // removes order[i]; re-examine the same index
+		if q := s.pend[k]; q.deadline == 0 {
+			s.drain(k, q, false) // removes order[i]; re-examine the same index
 			continue
 		}
 		i++
 	}
 }
 
-// OnTimer transmits every batch whose window has expired and re-arms for the
-// next pending deadline. The owner routes its flush-timer callback here.
+// OnTimer transmits every batch whose window has expired — all of a group
+// queue, one carrier of a node queue — and re-arms for the earliest deadline
+// left (deferred batches wait for FlushDeferred/FlushAll). The owner routes
+// its flush-timer callback here.
 func (s *Scheduler) OnTimer() {
 	s.armedAt = 0
 	now := s.now()
-	due := make([]destKey, 0, len(s.order))
-	for _, k := range s.order {
-		if q := s.pend[k]; q != nil && q.deadline > 0 && q.deadline <= now {
-			due = append(due, k)
-		}
-	}
-	for _, k := range due {
-		if s.bounded(k) {
-			s.pacedFlush(k, now)
-		} else {
-			s.flushKey(k)
-		}
-	}
-	// Re-arm for the earliest remaining windowed batch (deferred batches wait
-	// for FlushDeferred/FlushAll).
 	var next time.Duration
-	for _, k := range s.order {
-		if q := s.pend[k]; q != nil && q.deadline > 0 && (next == 0 || q.deadline < next) {
+	for i := 0; i < len(s.order); {
+		k := s.order[i]
+		q := s.pend[k]
+		if q.deadline > 0 && q.deadline <= now && !s.drain(k, q, k.node != 0) {
+			continue // removed order[i]; re-examine the same index
+		}
+		if q.deadline > 0 && (next == 0 || q.deadline < next) {
 			next = q.deadline
 		}
+		i++
 	}
 	if next > 0 {
 		s.arm(next)
 	}
 }
 
-// flushKey fully drains one destination's batch, splitting the backlog into
-// carrier-sized chunks (MaxBatch items / MaxBytes bytes each).
-func (s *Scheduler) flushKey(k destKey) {
-	q, ok := s.pend[k]
-	if !ok {
-		return
-	}
-	s.removeQueue(k)
-	s.dropExpired(k, q, s.now())
+// drain transmits one destination's queue in carrier-sized chunks (MaxBatch
+// items / MaxBytes bytes each) and closes it. A paced drain — a node queue
+// whose window expired or whose carrier filled — stops after one carrier,
+// stamps the destination's next allowed flush one adaptive window ahead and
+// keeps the remainder queued until then; it reports whether the queue is
+// still open.
+func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
+	now, a := s.now(), s.arr[k]
+	s.dropExpired(a, q, now)
 	for len(q.items) > 0 {
 		n := s.carrierPrefix(q)
-		s.emit(k, q, n)
-		s.shift(q, n)
+		s.stats.Flushes++
+		s.stats.Items += uint64(n)
+		a.flushes++
+		s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
+		for _, it := range q.items[:n] {
+			q.bytes -= len(it.Payload) + group.BatchWireOverhead
+		}
+		q.items, q.meta = slices.Delete(q.items, 0, n), slices.Delete(q.meta, 0, n)
+		if paced {
+			a.nextAt = now + s.windowFromGap(a.gap)
+			if len(q.items) > 0 {
+				q.deadline = a.nextAt
+				s.arm(q.deadline)
+				s.updatePressure(k, a)
+				return true
+			}
+		}
 	}
+	delete(s.pend, k)
+	i := slices.Index(s.order, k)
+	s.order = slices.Delete(s.order, i, i+1)
 	s.recycle(q)
-	s.updatePressure(k)
-}
-
-// pacedFlush emits at most one carrier for a flow-controlled node queue and
-// stamps the destination's next allowed flush one adaptive window ahead; the
-// remainder (if any) stays queued with its deadline moved to that stamp.
-func (s *Scheduler) pacedFlush(k destKey, now time.Duration) {
-	q, ok := s.pend[k]
-	if !ok {
-		return
-	}
-	s.dropExpired(k, q, now)
-	a := s.arr[k]
-	if len(q.items) == 0 {
-		s.removeQueue(k)
-		s.recycle(q)
-		s.updatePressure(k)
-		return
-	}
-	n := s.carrierPrefix(q)
-	s.emit(k, q, n)
-	s.shift(q, n)
-	var pace time.Duration
-	if a != nil {
-		pace = s.windowFromGap(a.gap)
-		a.nextAt = now + pace
-	}
-	if len(q.items) == 0 {
-		s.removeQueue(k)
-		s.recycle(q)
-	} else {
-		q.deadline = now + pace
-		s.arm(q.deadline)
-	}
-	s.updatePressure(k)
+	s.updatePressure(k, a)
+	return false
 }
 
 // carrierPrefix returns how many leading items form one carrier under the
@@ -694,62 +624,17 @@ func (s *Scheduler) carrierPrefix(q *pending) int {
 	return n
 }
 
-// emit transmits the first n queued items as one carrier.
-func (s *Scheduler) emit(k destKey, q *pending, n int) {
-	s.stats.Flushes++
-	s.stats.Items += uint64(n)
-	if a := s.arr[k]; a != nil {
-		a.flushes++
-	}
-	s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
-}
-
-// shift drops the first n items from the queue (transmitted), keeping the
-// backing arrays.
-func (s *Scheduler) shift(q *pending, n int) {
-	if n >= len(q.items) {
-		clear(q.items)
-		q.items, q.meta, q.bytes = q.items[:0], q.meta[:0], 0
-		return
-	}
-	for i := 0; i < n; i++ {
-		q.bytes -= len(q.items[i].Payload) + group.BatchWireOverhead
-	}
-	copy(q.items, q.items[n:])
-	copy(q.meta, q.meta[n:])
-	for i := len(q.items) - n; i < len(q.items); i++ {
-		q.items[i] = group.BatchItem{}
-	}
-	q.items, q.meta = q.items[:len(q.items)-n], q.meta[:len(q.meta)-n]
-}
-
-// removeQueue unlinks a destination's queue from the pending set and order.
-func (s *Scheduler) removeQueue(k destKey) {
-	delete(s.pend, k)
-	for i := range s.order {
-		if s.order[i] == k {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// updatePressure recomputes a flow-controlled destination's pressure level
-// and fires OnPressure on transitions.
-func (s *Scheduler) updatePressure(k destKey) {
-	if !s.bounded(k) {
-		return
-	}
-	a := s.arr[k]
-	if a == nil {
+// updatePressure recomputes a node destination's pressure level and fires
+// OnPressure on transitions.
+func (s *Scheduler) updatePressure(k destKey, a *arrival) {
+	if k.node == 0 {
 		return
 	}
 	depth := 0
 	if q := s.pend[k]; q != nil {
 		depth = len(q.items)
 	}
-	lvl := nextLevel(a.level, depth, s.cfg.Limit)
-	if lvl != a.level {
+	if lvl := nextLevel(a.level, depth, s.cfg.Limit); lvl != a.level {
 		a.level = lvl
 		if s.cfg.OnPressure != nil {
 			s.cfg.OnPressure(k.node, lvl)
@@ -770,16 +655,13 @@ func (s *Scheduler) newPending(src, dst group.Composition, node ids.NodeID) *pen
 	return &pending{src: src.Clone(), dst: dst.Clone(), node: node}
 }
 
-// recycle returns a flushed batch to the freelist. Item entries are cleared
-// so the recycled array does not pin payload buffers between batches.
+// recycle returns a drained batch to the freelist. drain left its item array
+// empty and zeroed, so it pins no payload buffers between batches.
 func (s *Scheduler) recycle(q *pending) {
-	if len(s.free) >= maxFreePending {
-		return
+	if len(s.free) < maxFreePending {
+		q.src, q.dst = group.Composition{}, group.Composition{}
+		s.free = append(s.free, q)
 	}
-	clear(q.items)
-	q.items, q.meta, q.bytes = q.items[:0], q.meta[:0], 0
-	q.src, q.dst = group.Composition{}, group.Composition{}
-	s.free = append(s.free, q)
 }
 
 // arm requests a timer for the given deadline unless an earlier one is

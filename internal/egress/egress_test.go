@@ -211,14 +211,15 @@ func TestSrcChangeFlushesOpenBatch(t *testing.T) {
 // queues and flush with the destination node set.
 func TestNodeDestinations(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
+	h.s.cfg.Limit = 64
 	src := comp(1, 1)
-	h.s.EnqueueNode(src, 42, item(1))
+	h.s.EnqueueNodeWith(src, 42, item(1), ClassControl, 0)
 	if len(h.flushes) != 1 || h.flushes[0].node != 42 {
 		t.Fatalf("node enqueue: flushes %v", h.flushes)
 	}
 	// A same-instant burst to one node batches.
 	for k := 0; k < 4; k++ {
-		h.s.EnqueueNode(src, 42, item(byte(10+k)))
+		h.s.EnqueueNodeWith(src, 42, item(byte(10+k)), ClassControl, 0)
 	}
 	h.now += 5 * time.Millisecond
 	h.s.OnTimer()

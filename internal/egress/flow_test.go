@@ -276,32 +276,6 @@ func TestSnapshotReportsDestState(t *testing.T) {
 	}
 }
 
-// TestFlowControlDisabledKeepsLegacyBehavior: Limit <= 0 restores the PR-4
-// node-queue behavior exactly — full batches flush immediately, depth never
-// exceeds one batch, no pressure transitions, no rejections.
-func TestFlowControlDisabledKeepsLegacyBehavior(t *testing.T) {
-	fh := newFlowHarness(8, 0, 5*time.Millisecond)
-	if rej := fh.floodNode(3, 40, ClassBulk); rej != 0 {
-		t.Fatalf("unbounded queue rejected %d items", rej)
-	}
-	if len(fh.levels) != 0 {
-		t.Fatalf("disabled flow control fired pressure transitions: %v", fh.levels)
-	}
-	// 1 immediate + 4 full batches of 8 flushed inline + 7 pending.
-	var full int
-	for _, f := range fh.flushes {
-		if len(f.items) == 8 {
-			full++
-		}
-	}
-	if full != 4 {
-		t.Fatalf("full batches flushed inline = %d, want 4", full)
-	}
-	if _, pending := fh.s.Pending(); pending != 7 {
-		t.Fatalf("pending = %d, want 7", pending)
-	}
-}
-
 // TestOverflowEvictionRespectsByteBudget: admitting a large higher-priority
 // item evicts as many lower-priority victims as the byte bound requires —
 // one tiny victim must not buy an unbounded byte overshoot — and an item
@@ -338,27 +312,6 @@ func TestOverflowEvictionRespectsByteBudget(t *testing.T) {
 	}
 	if got := len(fh.s.pend[destKey{node: dest}].items); got != depthBefore {
 		t.Fatalf("over-budget rejection evicted %d queued items", depthBefore-got)
-	}
-}
-
-// TestSetLimitsDisableReleasesPressure: turning flow control off while a
-// destination is at High/Critical must fire the Low transition — otherwise
-// applications shed toward that peer forever (their pressure maps clear
-// only on Low).
-func TestSetLimitsDisableReleasesPressure(t *testing.T) {
-	fh := newFlowHarness(64, 8, 5*time.Millisecond)
-	fh.floodNode(9, 12, ClassBulk) // drives the dest to Critical
-	if len(fh.levels) == 0 || fh.levels[len(fh.levels)-1] == LevelLow {
-		t.Fatalf("setup: levels %v, want a raised level", fh.levels)
-	}
-	fh.s.SetLimits(-1, -1)
-	if last := fh.levels[len(fh.levels)-1]; last != LevelLow {
-		t.Fatalf("disabling flow control left level %v; Low transition never fired (levels %v)", last, fh.levels)
-	}
-	// And the backlog still drains through FlushAll.
-	fh.s.FlushAll()
-	if _, items := fh.s.Pending(); items != 0 {
-		t.Fatalf("backlog of %d items left after FlushAll", items)
 	}
 }
 

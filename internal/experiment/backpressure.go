@@ -32,17 +32,27 @@ type BackpressureResult struct {
 	EgressDropsExpired  uint64
 	// MaxDepth is the deepest egress queue observed toward the slow
 	// consumer across all flooders and rounds; QueueLimit is the configured
-	// bound (0 when flow control is off).
+	// bound (0 for the blind flood, which never enters an egress queue).
 	MaxDepth   int
 	QueueLimit int
 }
 
+// blindFlooder is load that goes around the API: a process on the network
+// that is no Atum node and hands chunk-sized messages straight to the
+// transport, which is what a sender without flow control amounts to.
+type blindFlooder struct{ env actor.Env }
+
+func (f *blindFlooder) Start(env actor.Env)                { f.env = env }
+func (f *blindFlooder) Receive(atum.NodeID, actor.Message) {}
+func (f *blindFlooder) Timer(actor.TimerID, any)           {}
+func (f *blindFlooder) Stop()                              {}
+
 // Backpressure scenario constants: eight flooders each offer ~3 MB/s of
 // raw chunks (600 × 512 B per 100 ms round, ~24 MB/s aggregate) to one
 // slow consumer whose ingest processes 4 MB/s through a 256 KiB buffer.
-// Unpaced, the flood overloads the buffer and gossip carriers drown with
-// the chunks; paced (bounded egress queues + pressure hook), the senders
-// shed at the source and the protocol traffic fits.
+// Sent around the API, the flood overloads the buffer and gossip carriers
+// drown with the chunks; sent through it (bounded egress queues + pressure
+// hook), the senders shed at the source and the protocol traffic fits.
 const (
 	bpRoundDur    = 100 * time.Millisecond
 	bpChunkBytes  = 512
@@ -64,15 +74,18 @@ const (
 )
 
 // BackpressureRun measures broadcast delivery and drop placement under a
-// slow-consumer raw flood. paced=true runs with flow control on (bounded
-// egress queues; the flooders pace off the pressure hook and tag chunks
-// PriorityBulk with a TTL); paced=false is the blind-flood baseline
-// (unbounded queues, ignore errors). Both configurations share one growth
-// history — the flow-control knobs flip only after the overlay is built.
+// slow-consumer raw flood. paced=true sends the flood through SendRawWith
+// (bounded egress queues; the flooders pace off the pressure hook and tag
+// chunks PriorityBulk with a TTL); paced=false is the blind baseline, a
+// flood that bypasses the API: eight processes that are no Atum nodes push
+// the same chunks at the same rate straight onto the network. Both
+// configurations build the same overlay from the same Config — no raw
+// traffic flows while it grows.
 func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (BackpressureResult, error) {
 	// Split the GroupMsg traffic classes for drop placement: node-addressed
-	// raw carriers (DstGroup 0 — the flood) vs group-addressed protocol
-	// carriers (gossip and churn, whose loss costs broadcast delivery).
+	// raw messages (DstGroup 0 — the flood, either way) vs group-addressed
+	// protocol carriers (gossip and churn, whose loss costs broadcast
+	// delivery).
 	net := &simnet.Config{Seed: seed, Latency: simnet.LANLatency(),
 		TypeLabel: func(msg actor.Message) string {
 			if m, ok := msg.(group.GroupMsg); ok && m.DstGroup == 0 {
@@ -88,23 +101,24 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 		cfg.EvictAfter = 10 * time.Hour
 		cfg.GossipMaxBatch = 16
 		cfg.EgressMaxFlushWindow = bpMaxWindow
+		cfg.EgressQueueLimit = bpQueueLimit
+		cfg.EgressQueueBytes = bpQueueBytes
 	})
 	if err := cl.grow(n, time.Minute); err != nil {
 		return BackpressureResult{}, fmt.Errorf("growth to %d nodes failed: %w", n, err)
 	}
-	cl.c.Run(5 * time.Second) // settle
-	// Identical growth history for both configurations; diverge only now.
 	out := BackpressureResult{}
-	for _, node := range cl.nodes {
-		if paced {
-			node.Inner().SetEgressQueueLimit(bpQueueLimit, bpQueueBytes)
-		} else {
-			node.Inner().SetEgressQueueLimit(-1, -1)
-		}
-	}
+	var blind []*blindFlooder
 	if paced {
 		out.QueueLimit = bpQueueLimit
+	} else {
+		for i := 0; i < bpFlooders; i++ {
+			f := &blindFlooder{}
+			blind = append(blind, f)
+			cl.c.Net.Add(atum.NodeID(1<<40+i), f)
+		}
 	}
+	cl.c.Run(5 * time.Second) // settle
 
 	var stable []*atum.Node
 	for _, node := range cl.nodes {
@@ -134,7 +148,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	// tick-quantized gossip genuinely share the slow consumer's ingest
 	// buffer (a single per-round burst would occupy a disjoint window).
 	floodSlice := func() {
-		for _, f := range flooders {
+		for i, f := range flooders {
 			rate := bpChunksRound / bpSlices
 			if paced {
 				// Application pacing off the pressure hook: quarter rate at
@@ -149,17 +163,16 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 				out.AppSheds += uint64(bpChunksRound/bpSlices - rate)
 			}
 			for c := 0; c < rate; c++ {
+				if !paced {
+					blind[i].env.Send(slowID, group.GroupMsg{Payload: freshChunk()})
+					continue
+				}
 				rawSeq++
-				msg := expChunk{Seq: rawSeq, Data: freshChunk()}
-				if paced {
-					err := f.SendRawWith(slowID, msg, atum.SendOpts{
-						Priority: atum.PriorityBulk, TTL: bpChunkTTL,
-					})
-					if err != nil {
-						out.AppSheds++
-					}
-				} else {
-					_ = f.SendRawWith(slowID, msg, atum.SendOpts{}) // blind flood: ignore the result
+				err := f.SendRawWith(slowID, expChunk{Seq: rawSeq, Data: freshChunk()}, atum.SendOpts{
+					Priority: atum.PriorityBulk, TTL: bpChunkTTL,
+				})
+				if err != nil {
+					out.AppSheds++
 				}
 			}
 		}
@@ -241,7 +254,7 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 	}
 	var blind, paced BackpressureResult
 	for _, p := range []bool{false, true} {
-		name := "blind flood (flow control off)"
+		name := "blind flood (bypasses the API)"
 		if p {
 			name = "paced (pressure hook + bounded queues)"
 		}

@@ -1,20 +1,19 @@
 // Package egressonly machine-checks the single-egress invariant of the
-// engine core: every message the engine emits routes through the egress
-// scheduler (internal/egress, adapted in core's egress.go), which owns
-// batching, round quantization, per-destination queueing, and
-// backpressure. A protocol handler that calls a transport primitive
-// directly — env.Send, the sendNow/sendGroupQuantized bottom SendFns, or
-// the internal/group Send* fan-out helpers — bypasses all of that: its
-// traffic is invisible to flow control and its bytes never batch.
+// engine core: every message the engine emits leaves through core's
+// egress.go, the one file that knows how — sendGroup (queued on the egress
+// scheduler or fanned out at once, as the kind's wire-table row says),
+// sendToNode (a group message to one node) and sendNodeMsg (a node-level
+// message). A protocol handler that calls a transport primitive directly —
+// env.Send, the sendNow/sendGroupQuantized bottom SendFns, or the
+// internal/group Send* fan-out helpers — decides for itself what the table
+// and the scheduler decide for everyone else: batching, round quantization,
+// per-destination queueing, the silent-node drop.
 //
 // The analyzer flags every direct-send call site in atum/internal/core
-// (non-test) outside egress.go, which is the scheduler adapter and hence
-// the one file that legitimately sits below the egress boundary.
-// Deliberate bypasses — the join/walk handshake (pre-membership, so no
-// group context to batch under), SMR-internal traffic (latency-critical,
-// quantization-exempt by design), and the bottom primitives themselves —
-// carry //atumvet:allow egressonly directives stating why, so every hole
-// in the boundary is enumerable with grep.
+// (non-test) outside egress.go. The holes left in the boundary — today the
+// three certificate-mode walk sends, whose per-member attachment no helper
+// has a slot for — carry //atumvet:allow egressonly directives stating why,
+// so every one is enumerable with grep.
 package egressonly
 
 import (
@@ -30,7 +29,7 @@ import (
 // Analyzer is the egressonly pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "egressonly",
-	Doc:       "engine sends route through the egress scheduler: no direct env.Send, sendNow/sendGroupQuantized, or group.Send* calls in internal/core outside egress.go without an allow directive",
+	Doc:       "engine sends leave through egress.go's sendGroup/sendToNode/sendNodeMsg: no direct env.Send, sendNow/sendGroupQuantized, or group.Send* calls in internal/core outside egress.go without an allow directive",
 	SkipTests: true,
 	NeedTypes: true,
 	Run:       run,
@@ -43,7 +42,7 @@ const (
 )
 
 // bottomSendFns are the core.Node methods that hand bytes to the
-// transport with no scheduler in between.
+// transport with no routing decision in between.
 var bottomSendFns = map[string]bool{
 	"sendNow":            true,
 	"sendGroupQuantized": true,
@@ -55,7 +54,7 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, f := range pass.Files {
 		if filepath.Base(f.Name) == "egress.go" {
-			// The scheduler adapter: this file IS the egress path.
+			// This file IS the egress path.
 			continue
 		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -80,17 +79,17 @@ func run(pass *analysis.Pass) error {
 				rpkg, rname := named.Obj().Pkg().Path(), named.Obj().Name()
 				switch {
 				case name == "Send" && rpkg == actorPkg && rname == "Env":
-					pass.Reportf(call.Pos(), "direct env.Send bypasses the egress scheduler: route through sendViaEgress, or justify with //atumvet:allow egressonly <reason>")
+					pass.Reportf(call.Pos(), "direct env.Send bypasses egress.go: route through sendGroup, sendToNode or sendNodeMsg, or justify with //atumvet:allow egressonly <reason>")
 				case bottomSendFns[name] && rpkg == corePkg && rname == "Node":
-					pass.Reportf(call.Pos(), "direct %s call bypasses the egress scheduler: route through sendViaEgress, or justify with //atumvet:allow egressonly <reason>", name)
+					pass.Reportf(call.Pos(), "direct %s call bypasses egress.go: route through sendGroup, sendToNode or sendNodeMsg, or justify with //atumvet:allow egressonly <reason>", name)
 				}
 				return true
 			}
 			// Package-qualified call: group.Send* helpers fan out straight
-			// onto whatever SendFn they are handed — below the scheduler.
+			// onto whatever SendFn they are handed — below the boundary.
 			if fn, ok := pass.TypesInfo.Uses[se.Sel].(*types.Func); ok &&
 				fn.Pkg() != nil && fn.Pkg().Path() == groupPkg && strings.HasPrefix(fn.Name(), "Send") {
-				pass.Reportf(call.Pos(), "direct group.%s call bypasses the egress scheduler: route through sendViaEgress, or justify with //atumvet:allow egressonly <reason>", fn.Name())
+				pass.Reportf(call.Pos(), "direct group.%s call bypasses egress.go: route through sendGroup, sendToNode or sendNodeMsg, or justify with //atumvet:allow egressonly <reason>", fn.Name())
 			}
 			return true
 		})
