@@ -81,6 +81,22 @@ func TestConfigHasNoFaultInjectionField(t *testing.T) {
 	}
 }
 
+// TestCallbacksPushNoNodeState: Callbacks holds the paper's §3.3 hooks, the
+// membership notices and the divergence detector's OnApply — 5 fields. A
+// node's counters and egress pressure are read from it (Stats,
+// EgressPressure), not pushed at the application.
+func TestCallbacksPushNoNodeState(t *testing.T) {
+	typ := reflect.TypeOf(atum.Callbacks{})
+	for _, gone := range []string{"OnEvent", "OnEgressPressure"} {
+		if _, ok := typ.FieldByName(gone); ok {
+			t.Errorf("Callbacks.%s is back: read Node.Stats or Node.EgressPressure instead", gone)
+		}
+	}
+	if typ.NumField() != 5 {
+		t.Errorf("Callbacks has %d fields, want 5", typ.NumField())
+	}
+}
+
 // TestRunUntilCondAlreadyTrue: a satisfied condition returns immediately
 // without advancing virtual time.
 func TestRunUntilCondAlreadyTrue(t *testing.T) {

@@ -98,10 +98,6 @@ type Service struct {
 	gets map[FileKey]*getState
 	rand uint64
 
-	// pressure tracks per-destination egress pressure (OnEgressPressure):
-	// GET fan-out prefers un-pressured replicas and replication volunteering
-	// defers while our own egress is congested. Low entries are removed.
-	pressure map[atum.NodeID]atum.PressureLevel
 	// shedServes counts chunk responses dropped by egress overflow;
 	// deferredReplications counts replication rounds skipped under pressure.
 	shedServes           uint64
@@ -123,11 +119,10 @@ type getState struct {
 // the node's Config, then Bind once the node exists.
 func New(opts Options) *Service {
 	return &Service{
-		opts:     opts.withDefaults(),
-		index:    NewIndex(),
-		chunks:   make(map[FileKey][][]byte),
-		gets:     make(map[FileKey]*getState),
-		pressure: make(map[atum.NodeID]atum.PressureLevel),
+		opts:   opts.withDefaults(),
+		index:  NewIndex(),
+		chunks: make(map[FileKey][][]byte),
+		gets:   make(map[FileKey]*getState),
 	}
 }
 
@@ -137,20 +132,10 @@ func (s *Service) Bind(node *atum.Node) { s.node = node }
 // Index returns the node's metadata index (a complete copy, §4.2).
 func (s *Service) Index() *Index { return s.index }
 
-// Callbacks returns the Atum callbacks AShare needs, including the
-// egress-pressure hook that paces replication and GET fan-out.
+// Callbacks returns the Atum callbacks AShare needs. Replication and GET
+// fan-out pace themselves by reading the node's egress pressure.
 func (s *Service) Callbacks() atum.Callbacks {
-	return atum.Callbacks{Deliver: s.deliver, OnEgressPressure: s.onPressure}
-}
-
-// onPressure records per-destination egress pressure (Low entries are
-// deleted so the map holds only currently pressured peers).
-func (s *Service) onPressure(dest atum.NodeID, level atum.PressureLevel) {
-	if level == atum.PressureLow {
-		delete(s.pressure, dest)
-		return
-	}
-	s.pressure[dest] = level
+	return atum.Callbacks{Deliver: s.deliver}
 }
 
 // FlowStats reports the service's load-shedding counters: chunk responses
@@ -304,9 +289,9 @@ func (s *Service) pump(key FileKey, g *getState) {
 
 // pickReplica spreads chunk requests over replicas, skipping ones that
 // already served us a corrupt copy of this chunk and — while alternatives
-// exist — ones our egress reports as pressured (GET fan-out pacing: spread
-// away from congested links; if every usable replica is pressured, proceed
-// anyway so a GET never stalls on the pressure signal).
+// exist — ones toward which our egress is pressured (GET fan-out pacing:
+// spread away from congested links; if every usable replica is pressured,
+// proceed anyway so a GET never stalls on the pressure signal).
 func (s *Service) pickReplica(g *getState, idx int, replicas []atum.NodeID) (atum.NodeID, bool) {
 	tried := g.tried[idx]
 	var fallback atum.NodeID
@@ -317,7 +302,7 @@ func (s *Service) pickReplica(g *getState, idx int, replicas []atum.NodeID) (atu
 		if tried[cand] {
 			continue
 		}
-		if s.pressure[cand] == atum.PressureLow {
+		if s.node.EgressPressure(cand) == atum.PressureLow {
 			return cand, true
 		}
 		fallback, haveFallback = cand, true
@@ -326,7 +311,7 @@ func (s *Service) pickReplica(g *getState, idx int, replicas []atum.NodeID) (atu
 		if tried[cand] {
 			continue
 		}
-		if s.pressure[cand] == atum.PressureLow {
+		if s.node.EgressPressure(cand) == atum.PressureLow {
 			return cand, true
 		}
 		fallback, haveFallback = cand, true
@@ -453,7 +438,7 @@ func (s *Service) maybeReplicate(key FileKey) {
 	// and re-serving them would add load exactly when the system is shedding
 	// it. The feedback loop re-offers the chance on every later
 	// replicaRecord broadcast, so deferral costs only time.
-	if len(s.pressure) > 0 {
+	if s.egressPressured() {
 		s.deferredReplications++
 		return
 	}
@@ -482,6 +467,17 @@ func (s *Service) maybeReplicate(key FileKey) {
 		s.chunks[key] = parts
 		_ = s.node.BroadcastWith(encodeRecord(replicaRecord{Key: key, Node: self}), atum.BroadcastOpts{})
 	})
+}
+
+// egressPressured reports whether any destination of the node's egress is at
+// High or worse.
+func (s *Service) egressPressured() bool {
+	for _, d := range s.node.Stats().Egress.Dests {
+		if d.Level != atum.PressureLow {
+			return true
+		}
+	}
+	return false
 }
 
 // StoredReplicas returns how many files this node currently replicates.

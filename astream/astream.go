@@ -121,11 +121,7 @@ type Service struct {
 	deliveredAt   map[uint64]time.Duration
 	digestAt      map[uint64]time.Duration
 
-	// pressure tracks per-destination egress pressure (OnEgressPressure);
-	// pushData sheds toward pressured peers instead of flooding blindly.
-	// Only High/Critical destinations are tracked (Low entries are removed).
-	pressure map[atum.NodeID]atum.PressureLevel
-	shed     uint64 // pushes withheld or rejected under pressure
+	shed uint64 // pushes withheld or rejected under pressure
 }
 
 // New creates a stream service.
@@ -140,16 +136,15 @@ func New(opts Options) *Service {
 		delivered:     make(map[uint64]bool),
 		deliveredAt:   make(map[uint64]time.Duration),
 		digestAt:      make(map[uint64]time.Duration),
-		pressure:      make(map[atum.NodeID]atum.PressureLevel),
 	}
 }
 
 // Bind attaches the service to its node.
 func (s *Service) Bind(node *atum.Node) { s.node = node }
 
-// Callbacks returns the Atum callbacks for tier 1, including the Forward
-// restriction implementing Single/Double cycle dissemination and the
-// egress-pressure hook that paces tier-2 pushes.
+// Callbacks returns the Atum callbacks for tier 1: Deliver and the Forward
+// restriction implementing Single/Double cycle dissemination. Tier-2 pushes
+// pace themselves by reading the node's egress pressure.
 func (s *Service) Callbacks() atum.Callbacks {
 	return atum.Callbacks{
 		Deliver: s.deliverDigest,
@@ -161,18 +156,7 @@ func (s *Service) Callbacks() atum.Callbacks {
 				return link.Cycle < 1
 			}
 		},
-		OnEgressPressure: s.onPressure,
 	}
-}
-
-// onPressure records per-destination egress pressure. Low entries are
-// deleted so the map holds only currently pressured peers.
-func (s *Service) onPressure(dest atum.NodeID, level atum.PressureLevel) {
-	if level == atum.PressureLow {
-		delete(s.pressure, dest)
-		return
-	}
-	s.pressure[dest] = level
 }
 
 // Shed reports how many tier-2 pushes were withheld (pressured destination)
@@ -254,7 +238,7 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 		if s.opts.Fanout > 0 && pushed >= s.opts.Fanout {
 			return
 		}
-		if lvl := s.pressure[id]; lvl >= atum.PressureCritical ||
+		if lvl := s.node.EgressPressure(id); lvl >= atum.PressureCritical ||
 			(lvl >= atum.PressureHigh && speculative) {
 			s.shed++
 			return

@@ -10,11 +10,15 @@ import (
 	"atum"
 )
 
-// TestPushDataShedsUnderPressure: a destination at Critical receives no
-// data pushes, a destination at High receives verified but not speculative
-// pushes, and recovery (Low) restores the flood; sheds are counted.
+// TestPushDataShedsUnderPressure: under a real PriorityBulk flood toward one
+// peer (EgressQueueLimit 8: High at depth 4, Critical at 7), a destination at
+// High receives verified but not speculative pushes, one at Critical receives
+// no data pushes, and once the queue drains the flood resumes in full; sheds
+// are counted.
 func TestPushDataShedsUnderPressure(t *testing.T) {
-	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 41})
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 41, Tweak: func(cfg *atum.Config) {
+		cfg.EgressQueueLimit = 8
+	}})
 	var nodes []*atum.Node
 	var svcs []*Service
 	for i := 0; i < 4; i++ {
@@ -25,14 +29,13 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 		nodes = append(nodes, n)
 		svcs = append(svcs, s)
 	}
-	svc := svcs[0]
-	cb := svc.Callbacks()
+	svc, pub := svcs[0], nodes[0]
 	cluster.Run(10 * time.Millisecond)
-	if err := nodes[0].Bootstrap(); err != nil {
+	if err := pub.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range nodes[1:] {
-		if err := n.Join(nodes[0].Identity()); err != nil {
+		if err := n.Join(pub.Identity()); err != nil {
 			t.Fatal(err)
 		}
 		if !cluster.RunUntil(n.IsMember, time.Minute) {
@@ -41,68 +44,70 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 	}
 	peer := nodes[1].Identity().ID
 
-	countSends := func(fn func()) int64 {
-		before := cluster.Net.Stats().SentByType["group.GroupMsg"]
-		beforeRaw := cluster.Net.Stats().Sent
-		fn()
-		cluster.Run(time.Second)
-		_ = beforeRaw
-		return cluster.Net.Stats().SentByType["group.GroupMsg"] - before
-	}
-
-	// Baseline: an un-pressured publish pushes to every peer.
-	base := countSends(func() {
-		if err := svc.Publish(1, []byte("chunk-1")); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if base == 0 {
-		t.Fatal("baseline publish produced no tier-2 sends")
-	}
-
-	// pushData is synchronous, so shed deltas are read immediately around
-	// each call (peers echoing chunks back can add speculative-forward sheds
-	// later, once the cluster runs — that noise must not count here).
-
-	// Drive the pressure hook directly (the engine fires it the same way).
-	cb.OnEgressPressure(peer, atum.PressureCritical)
-	shed0 := svc.Shed()
-	if err := svc.Publish(2, []byte("chunk-2")); err != nil {
+	// Baseline: an un-pressured publish reaches the peer.
+	if err := svc.Publish(1, []byte("chunk-1")); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Shed() != shed0+1 {
-		t.Fatalf("Critical destination: sheds %d -> %d, want one shed (the pressured peer)", shed0, svc.Shed())
-	}
 	cluster.Run(time.Second)
+	if svc.Shed() != 0 || !svcs[1].delivered[1] {
+		t.Fatalf("baseline publish: %d sheds, delivered at the peer %v", svc.Shed(), svcs[1].delivered[1])
+	}
 
+	// Everything below runs at one virtual instant, so the flood stays queued
+	// and pushData's shed deltas are read around each call before any peer
+	// can echo a chunk back. The flood's first item leaves at once (the
+	// destination is idle); each later one queues.
+	flood := func(items int) {
+		t.Helper()
+		for i := 0; i < items; i++ {
+			if err := pub.SendRawWith(peer, dataMsg{Seq: 1000, Data: []byte{byte(i)}},
+				atum.SendOpts{Priority: atum.PriorityBulk}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flood(5) // depth 4
+	if lvl := pub.EgressPressure(peer); lvl != atum.PressureHigh {
+		t.Fatalf("flood to depth 4 of 8: level %v, want high", lvl)
+	}
 	// High: verified (publish) pushes still flow to that peer...
-	cb.OnEgressPressure(peer, atum.PressureHigh)
-	shed1 := svc.Shed()
+	shed := svc.Shed()
 	if err := svc.Publish(3, []byte("chunk-3")); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Shed() != shed1 {
-		t.Fatalf("High destination shed a verified publish (sheds %d -> %d)", shed1, svc.Shed())
+	if svc.Shed() != shed {
+		t.Fatalf("High destination shed a verified publish (sheds %d -> %d)", shed, svc.Shed())
 	}
 	// ...but speculative candidate forwards to it are shed.
-	shed1 = svc.Shed()
 	svc.pushData(dataMsg{Seq: 4, Data: []byte("spec")}, true)
-	if svc.Shed() != shed1+1 {
-		t.Fatalf("High destination did not shed a speculative push (sheds %d -> %d)", shed1, svc.Shed())
+	if svc.Shed() != shed+1 {
+		t.Fatalf("High destination did not shed a speculative push (sheds %d -> %d)", shed, svc.Shed())
 	}
-	cluster.Run(time.Second)
 
-	// Recovery: Low clears the entry and the flood resumes in full.
-	cb.OnEgressPressure(peer, atum.PressureLow)
-	if len(svc.pressure) != 0 {
-		t.Fatalf("Low transition left pressure entries: %v", svc.pressure)
+	flood(2) // depth 5 after the verified push, now 7
+	if lvl := pub.EgressPressure(peer); lvl != atum.PressureCritical {
+		t.Fatalf("flood to depth 7 of 8: level %v, want critical", lvl)
 	}
-	shed2 := svc.Shed()
+	shed = svc.Shed()
+	if err := svc.Publish(2, []byte("chunk-2")); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Shed() != shed+1 {
+		t.Fatalf("Critical destination: sheds %d -> %d, want one shed (the pressured peer)", shed, svc.Shed())
+	}
+
+	// Recovery: the paced drain empties the queue, the level reads Low and the
+	// flood resumes in full.
+	cluster.Run(time.Second)
+	if lvl := pub.EgressPressure(peer); lvl != atum.PressureLow {
+		t.Fatalf("after the drain: level %v, want low", lvl)
+	}
+	shed = svc.Shed()
 	if err := svc.Publish(5, []byte("chunk-5")); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Shed() != shed2 {
-		t.Fatalf("recovered destination still shed (sheds %d -> %d)", shed2, svc.Shed())
+	if svc.Shed() != shed {
+		t.Fatalf("recovered destination still shed (sheds %d -> %d)", shed, svc.Shed())
 	}
 }
 

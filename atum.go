@@ -50,12 +50,12 @@
 // typed errors instead of silently dropping and accepts a priority class,
 // BroadcastWith and SendRawWith a queue-residency TTL, node-addressed
 // egress queues are bounded (Config.EgressQueueLimit, EgressQueueBytes)
-// with a paced drain, and applications observe per-destination pressure
-// through Callbacks.OnEgressPressure (Low/High/Critical, with hysteresis)
-// and Node.EgressStats. AStream and AShare pace their floods off these
-// signals instead of flooding blindly; `atum-bench -exp backpressure`
-// measures the effect under a slow consumer, against a flood that bypasses
-// the API.
+// with a paced drain, and applications read a destination's pressure level
+// (Node.EgressPressure: Low/High/Critical, with hysteresis) before they send,
+// and the queue depths and drop counters in Node.Stats. Nothing is pushed
+// at them. AStream and AShare pace their floods off these reads instead of
+// flooding blindly; `atum-bench -exp backpressure` measures the effect under
+// a slow consumer, against a flood that bypasses the API.
 //
 // # Wire codec
 //
@@ -99,10 +99,6 @@ type (
 	Delivery = core.Delivery
 	// ForwardLink identifies an overlay link offered to the Forward callback.
 	ForwardLink = core.ForwardLink
-	// Event is an engine metrics event.
-	Event = core.Event
-	// EventKind enumerates engine metrics events.
-	EventKind = core.EventKind
 	// Behavior selects a node's (possibly Byzantine) behaviour; inject one
 	// with Node.Inner().SetBehavior.
 	Behavior = core.Behavior
@@ -123,7 +119,9 @@ type (
 	Priority = core.Priority
 	// PressureLevel is a destination's egress pressure level.
 	PressureLevel = core.PressureLevel
-	// EgressStats is a snapshot of a node's egress scheduler.
+	// Stats is a snapshot of a node's counters and egress scheduler.
+	Stats = core.Stats
+	// EgressStats is the egress scheduler's part of Stats.
 	EgressStats = core.EgressStats
 	// EgressDestStats is one destination's entry in EgressStats.
 	EgressDestStats = core.EgressDestStats
@@ -155,7 +153,7 @@ const (
 	PriorityBulk = core.PriorityBulk
 )
 
-// Egress pressure levels (Callbacks.OnEgressPressure). Levels carry
+// Egress pressure levels (Node.EgressPressure). Levels carry
 // hysteresis — distinct enter and exit thresholds — so they signal sustained
 // load changes, not noise (docs/API.md, "Pressure levels").
 const (
@@ -177,22 +175,6 @@ const (
 	BehaviorSilent = core.BehaviorSilent
 	// BehaviorHeartbeatOnly heartbeats and proposes spurious evictions.
 	BehaviorHeartbeatOnly = core.BehaviorHeartbeatOnly
-)
-
-// Re-exported engine event kinds.
-const (
-	// EventExchangeCompleted counts finished shuffle exchanges.
-	EventExchangeCompleted = core.EventExchangeCompleted
-	// EventExchangeSuppressed counts suppressed shuffle exchanges (Fig. 13).
-	EventExchangeSuppressed = core.EventExchangeSuppressed
-	// EventSplit counts vgroup splits.
-	EventSplit = core.EventSplit
-	// EventMerge counts vgroup merges.
-	EventMerge = core.EventMerge
-	// EventEviction counts evictions.
-	EventEviction = core.EventEviction
-	// EventShuffleDone counts completed whole-group shuffles.
-	EventShuffleDone = core.EventShuffleDone
 )
 
 // DefaultParams returns sensible Table 1 parameters for a medium system.
@@ -279,12 +261,18 @@ func (n *Node) SendRawWith(to NodeID, msg any, opts SendOpts) error {
 	return n.inner.SendRawWith(to, msg, opts)
 }
 
-// EgressStats returns a snapshot of the node's egress scheduler: per-
-// destination queue depth, pressure level, smoothed arrival gap, and drop
-// counters. Call from the node's actor context (in simulation, harness code
-// between Run calls is also safe; under RealtimeRuntime use its EgressStats
-// wrapper).
-func (n *Node) EgressStats() EgressStats { return n.inner.EgressStats() }
+// Stats returns a snapshot of the node's counters (splits, merges,
+// evictions, shuffle exchanges and shuffles its vgroup applied) and of its
+// egress scheduler (per-destination queue depth, pressure level and drop
+// counters). Call from the node's actor context: in simulation, harness code
+// between Run calls is also safe; under RealtimeRuntime, read it inside
+// RT.Invoke.
+func (n *Node) Stats() Stats { return n.inner.Stats() }
+
+// EgressPressure returns the pressure level of the node's egress queue toward
+// dest — Low when nothing is queued for it — in O(1). Read it before sending
+// to pace a flood; like Stats, from the node's actor context.
+func (n *Node) EgressPressure(dest NodeID) PressureLevel { return n.inner.EgressPressure(dest) }
 
 // Now returns the node's clock (virtual under simulation).
 func (n *Node) Now() time.Duration { return n.inner.Now() }

@@ -40,7 +40,7 @@ func run() error {
 		msg string
 	}
 	delivered := make(map[atum.NodeID][]delivery)
-	evictions := 0
+	var all []*atum.Node
 
 	newNode := func(behavior atum.Behavior) *atum.Node {
 		var n *atum.Node
@@ -49,13 +49,9 @@ func run() error {
 				id := n.Identity().ID
 				delivered[id] = append(delivered[id], delivery{at: cluster.Now(), msg: string(d.Data)})
 			},
-			OnEvent: func(ev atum.Event) {
-				if ev.Kind == atum.EventEviction {
-					evictions++
-				}
-			},
 		})
 		n.Inner().SetBehavior(behavior)
+		all = append(all, n)
 		return n
 	}
 
@@ -163,6 +159,10 @@ func run() error {
 		}
 	}
 	fmt.Printf("%d\n", evicted)
+	var evictions uint64
+	for _, n := range all {
+		evictions += n.Stats().Evictions
+	}
 	fmt.Printf("members that evicted the silent node once its heartbeats stopped: %d\n", evictions)
 
 	switch {

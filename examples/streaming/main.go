@@ -31,9 +31,8 @@ func run() error {
 			Mode: astream.Double,
 			// Flow control (docs/API.md): tier-2 pushes ride PriorityBulk
 			// with this TTL — a chunk still waiting in a congested egress
-			// queue after 500 ms is stale and shed at the sender; the
-			// pressure hook in svc.Callbacks() stops pushes to overloaded
-			// peers entirely.
+			// queue after 500 ms is stale and shed at the sender; a peer
+			// whose egress pressure reads Critical gets no pushes at all.
 			PushTTL: 500 * time.Millisecond,
 			OnChunk: func(c astream.Chunk) {
 				if idx == n-1 { // log one receiver only

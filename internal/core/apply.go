@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -165,7 +164,7 @@ func (n *Node) applyEvict(o evictVoteOp) {
 		return
 	}
 	n.logf("evicting %v from %v/%d", o.Target, n.st.comp.GroupID, n.st.comp.Epoch)
-	n.emit(EventEviction, int(uint64(o.Target)))
+	n.counts.Evictions++
 	var keep []ids.Identity
 	for _, m := range n.st.comp.Members {
 		if m.ID != o.Target {
@@ -246,14 +245,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 
 	// Votes are per-epoch; heartbeat clocks restart.
 	st.resetVotes()
-	now := n.env.Now()
-	n.hbSeen = make(map[ids.NodeID]time.Duration, len(members))
-	for _, m := range members {
-		if m.ID != n.cfg.Identity.ID {
-			n.hbSeen[m.ID] = now
-		}
-	}
-	n.evProp = make(map[ids.NodeID]uint64)
+	n.resetPeerClocks()
 
 	if ids.FindIdentity(members, n.cfg.Identity.ID) < 0 {
 		n.departed(cause)

@@ -96,7 +96,9 @@ func (b Behavior) String() string {
 	}
 }
 
-// Callbacks connects the engine to the application (§3.3).
+// Callbacks connects the engine to the application (§3.3). Metrics and egress
+// pressure are not pushed through it: the application reads them when it
+// decides, with Node.Stats and Node.EgressPressure.
 type Callbacks struct {
 	// Deliver is invoked exactly once per broadcast message delivered at
 	// this node (required).
@@ -113,22 +115,11 @@ type Callbacks struct {
 	// OnLeft fires when this node stops being a member (left, evicted, or
 	// moved by an exchange — in the exchange case OnJoined fires again).
 	OnLeft func(reason string)
-	// OnEvent, when set, receives engine-internal events for metrics
-	// (exchange completed/suppressed, split, merge, walk done...).
-	OnEvent func(ev Event)
 	// OnApply, when set, observes every state transition the node applies:
 	// (group, epoch, op content digest, op type). Intended for divergence
 	// detectors in tests; all correct members of a vgroup must report the
 	// same sequence per epoch.
 	OnApply func(gid uint64, epoch uint64, digest [32]byte, kind string)
-	// OnEgressPressure, when set, observes pressure-level transitions of
-	// node-addressed egress destinations (bounded queues only — see
-	// Config.EgressQueueLimit). Levels carry hysteresis (distinct enter/exit
-	// thresholds), so the hook fires on genuine load changes, not noise.
-	// It runs inside the node's event loop, possibly from within a SendRaw
-	// call — treat it as a signal (record the level, adjust pacing); do not
-	// block or send from it.
-	OnEgressPressure func(dest ids.NodeID, level PressureLevel)
 }
 
 // Delivery is one delivered broadcast.
@@ -145,32 +136,6 @@ type ForwardLink struct {
 	Succ     bool // true: successor direction, false: predecessor
 	Neighbor ids.GroupID
 }
-
-// Event is an engine-internal event for metrics collection.
-type Event struct {
-	Kind EventKind
-	Data int
-}
-
-// EventKind enumerates engine events.
-type EventKind int
-
-// Engine events.
-const (
-	// EventExchangeCompleted counts a finished shuffle exchange.
-	EventExchangeCompleted EventKind = iota + 1
-	// EventExchangeSuppressed counts an exchange suppressed because the
-	// partner vgroup was busy (Fig. 13).
-	EventExchangeSuppressed
-	// EventSplit counts a vgroup split.
-	EventSplit
-	// EventMerge counts a vgroup merge.
-	EventMerge
-	// EventEviction counts an eviction this node participated in.
-	EventEviction
-	// EventShuffleDone counts a completed whole-group shuffle.
-	EventShuffleDone
-)
 
 // Config configures one Atum node.
 type Config struct {
@@ -224,7 +189,7 @@ type Config struct {
 	// EgressQueueLimit bounds each node-addressed egress queue (application
 	// raw traffic) in items and scales its flow control: the drain is paced
 	// (at most one carrier per adaptive window per destination), queue depth
-	// drives the OnEgressPressure levels, and overflow drops at the sender
+	// drives the Node.EgressPressure levels, and overflow drops at the sender
 	// (lower-priority victims first; SendRawWith returns ErrEgressOverflow
 	// when its own message is the drop). Group-addressed (protocol) queues
 	// are never bounded. 0 or less selects the default (1024).

@@ -125,8 +125,8 @@ func TestSplitKeepsSystemConnected(t *testing.T) {
 		t.Fatalf("expected a split, still %d group(s)", len(groups))
 	}
 	h.checkMembershipConsistent()
-	if h.events[EventSplit] == 0 {
-		t.Error("no split event emitted")
+	if h.sum(func(s Stats) uint64 { return s.Splits }) == 0 {
+		t.Error("no split counted")
 	}
 	// Broadcast must still reach everyone across groups.
 	if err := nodes[0].BroadcastWith([]byte("after-split"), BroadcastOpts{}); err != nil {
@@ -206,8 +206,8 @@ func TestCrashedNodeIsEvicted(t *testing.T) {
 			t.Errorf("node %v still lists the crashed node", n.cfg.Identity.ID)
 		}
 	}
-	if h.events[EventEviction] == 0 {
-		t.Error("no eviction event emitted")
+	if h.sum(func(s Stats) uint64 { return s.Evictions }) == 0 {
+		t.Error("no eviction counted")
 	}
 	h.checkMembershipConsistent()
 }
@@ -219,7 +219,7 @@ func TestShuffleEventsFire(t *testing.T) {
 	})
 	h.bootstrapSystem(smr.ModeSync, 7, 120*time.Second)
 	h.net.Run(h.net.Now() + 60*time.Second)
-	total := h.events[EventExchangeCompleted] + h.events[EventExchangeSuppressed]
+	total := h.sum(func(s Stats) uint64 { return s.ExchangesCompleted + s.ExchangesSuppressed })
 	if total == 0 {
 		t.Error("no exchange activity despite shuffling enabled")
 	}

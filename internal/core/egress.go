@@ -67,8 +67,7 @@ func (n *Node) newEgress() *egress.Scheduler {
 				n.env.SetTimer(d, egressFlushTimer{})
 			}
 		},
-		OnPressure: n.cfg.Callbacks.OnEgressPressure,
-		Flush:      n.egressFlush,
+		Flush: n.egressFlush,
 	})
 }
 

@@ -40,7 +40,6 @@ func newHarnessNet(t *testing.T, netCfg simnet.Config, cfgFn func(cfg *Config)) 
 		nodes:     make(map[ids.NodeID]*Node),
 		delivered: make(map[ids.NodeID][]string),
 		deliverAt: make(map[ids.NodeID]map[string]time.Duration),
-		events:    make(map[EventKind]int),
 		cfgFn:     cfgFn,
 	}
 	return h
@@ -228,8 +227,8 @@ func TestPartitionedMinorityEvictedThenRejoins(t *testing.T) {
 	if !evicted() {
 		t.Fatal("partitioned node was not evicted")
 	}
-	if h.events[EventEviction] == 0 {
-		t.Fatal("no eviction events emitted")
+	if h.sum(func(s Stats) uint64 { return s.Evictions }) == 0 {
+		t.Fatal("no eviction counted")
 	}
 
 	// Heal; the victim rejoins through any connected node.
@@ -319,19 +318,14 @@ func TestCrashesWithinFaultBoundDoNotStopBroadcast(t *testing.T) {
 // and that includes heartbeats. The failure detector's beacon used to reach
 // env.Send without passing the bottom send primitive that drops for a silent
 // node, so a silent member kept itself un-evicted forever. With the default
-// EvictAfter the others now vote it out, and broadcasts go on meanwhile.
+// EvictAfter the others now vote it out — it and only it: every correct member
+// keeps the other three, and the four apply one eviction each — and
+// broadcasts go on meanwhile.
 func TestSilentMemberSendsNoHeartbeatAndIsEvicted(t *testing.T) {
 	flipped := false
 	var silentID ids.NodeID
 	heartbeats := 0
-	evicted := make(map[ids.NodeID]int) // target → members that applied its eviction
-	h := newHarness(t, smr.ModeSync, 23, func(cfg *Config) {
-		cfg.Callbacks.OnEvent = func(ev Event) {
-			if ev.Kind == EventEviction {
-				evicted[ids.NodeID(ev.Data)]++
-			}
-		}
-	})
+	h := newHarness(t, smr.ModeSync, 23, nil)
 	h.wrapEnv = func(n *Node, env actor.Env) actor.Env {
 		return sendHook{Env: env, hook: func(msg actor.Message) actor.Message {
 			if _, ok := msg.(Heartbeat); ok && flipped && n.cfg.Identity.ID == silentID {
@@ -365,8 +359,17 @@ func TestSilentMemberSendsNoHeartbeatAndIsEvicted(t *testing.T) {
 	if heartbeats != 0 {
 		t.Errorf("the silent member sent %d heartbeats after it went silent", heartbeats)
 	}
-	if evicted[silentID] == 0 || len(evicted) != 1 {
-		t.Errorf("evictions applied = %v, want only the silent member %v", evicted, silentID)
+	var evictions uint64
+	for _, n := range correct {
+		evictions += n.Stats().Evictions
+		for _, peer := range correct {
+			if !n.IsMember() || !n.Comp().Contains(peer.cfg.Identity.ID) {
+				t.Errorf("correct member %v lost %v: an eviction hit a correct member", n.cfg.Identity.ID, peer.cfg.Identity.ID)
+			}
+		}
+	}
+	if evictions != 4 {
+		t.Errorf("the correct members applied %d evictions, want 4: the silent member's, once each", evictions)
 	}
 	for _, n := range correct {
 		if !slices.Contains(h.delivered[n.cfg.Identity.ID], "while-silent") {
@@ -374,6 +377,31 @@ func TestSilentMemberSendsNoHeartbeatAndIsEvicted(t *testing.T) {
 		}
 	}
 	h.checkMembershipConsistent()
+}
+
+// TestPenFloodBoundsConfigurations: any link peer can name a configuration in
+// an SMR envelope, and pen buffered each one until that configuration was
+// installed — for a group the node never joins, forever. One peer flooding a
+// fresh node with 30 000 distinct (group, epoch) keys left 30 000 buffers;
+// now the oldest gives way past maxPenKeys, so the newest is still kept.
+func TestPenFloodBoundsConfigurations(t *testing.T) {
+	h := newHarness(t, smr.ModeSync, 29, nil)
+	n := New(h.defaultConfig(1, smr.ModeSync))
+	const keys = 30000
+	for i := 1; i <= keys; i++ {
+		n.Receive(2, SMREnvelope{GroupID: ids.GroupID(i), Epoch: uint64(i), Inner: Heartbeat{}})
+	}
+	if len(n.pen) != maxPenKeys || len(n.penQ) != maxPenKeys {
+		t.Fatalf("%d flooded configurations left %d buffers (%d queued), want the cap %d", keys, len(n.pen), len(n.penQ), maxPenKeys)
+	}
+	for _, k := range n.penQ {
+		if _, ok := n.pen[k]; !ok {
+			t.Fatalf("queued configuration %v has no buffer", k)
+		}
+	}
+	if _, ok := n.pen[group.Key{GroupID: keys, Epoch: keys}]; !ok {
+		t.Fatal("the newest configuration was refused instead of the oldest evicted")
+	}
 }
 
 func TestLaggardCatchesUpAfterPartition(t *testing.T) {

@@ -1,7 +1,8 @@
 package core
 
 // The flow-controlled send surface: typed send errors, per-send options
-// (priority class, queue-residency TTL), and egress pressure introspection.
+// (priority class, queue-residency TTL), and the two reads an application
+// paces itself by — a destination's pressure level and the node's Stats.
 // The egress scheduler (internal/egress) bounds and paces node-addressed
 // queues; this file is the engine-level API over that machinery — see
 // docs/API.md for the application-facing contract.
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"atum/internal/egress"
+	"atum/internal/ids"
 )
 
 // Flow-control errors of the send surface.
@@ -21,8 +23,8 @@ var (
 	ErrNotRunning = errors.New("core: node is not attached to a running runtime")
 	// ErrEgressOverflow is returned when the destination's bounded egress
 	// queue is full and held no lower-priority item to evict: the message
-	// was dropped at the sender. Back off, shed, or retry later — the
-	// OnEgressPressure hook signals when the destination recovers.
+	// was dropped at the sender. Back off, shed, or retry once
+	// Node.EgressPressure reads Low again.
 	ErrEgressOverflow = egress.ErrOverflow
 	// ErrUnregisteredType is returned for SendRaw messages whose type has no
 	// wire extension codec (RegisterRawMessage): the wire codec is the only
@@ -73,7 +75,7 @@ type SendOpts struct {
 	Priority Priority
 	// TTL bounds how long the message may wait in the sender's egress queue:
 	// items older than TTL are dropped at flush time instead of transmitted
-	// (counted as DroppedExpired in EgressStats). 0 = no limit. Only
+	// (counted as DroppedExpired in Stats().Egress). 0 = no limit. Only
 	// meaningful on the batched egress path; direct sends ignore it.
 	TTL time.Duration
 }
@@ -94,8 +96,34 @@ type BroadcastOpts struct {
 	TTL time.Duration
 }
 
-// EgressStats returns a snapshot of the node's egress scheduler: per-
-// destination queue depths, pressure levels, and drop counters. Like every
-// Node accessor it must run in the node's actor context (in simulation,
-// harness code between Run calls is also safe).
-func (n *Node) EgressStats() EgressStats { return n.egress.Snapshot() }
+// Stats is a snapshot of a node's metrics (Node.Stats). The six counters
+// count what this node applied since it was created, as a member of the
+// vgroup that took the step.
+type Stats struct {
+	Splits    uint64 // its vgroup split
+	Merges    uint64 // its vgroup absorbed a shrunken one
+	Evictions uint64 // its vgroup evicted a silent member
+	// ExchangesCompleted and ExchangesSuppressed count its vgroup's shuffle
+	// exchanges by outcome; an exchange is suppressed when the partner was
+	// busy, the walk timed out or a member raced away (Fig. 13).
+	ExchangesCompleted  uint64
+	ExchangesSuppressed uint64
+	ShufflesDone        uint64 // its vgroup finished a whole-group shuffle
+	// Egress is the egress scheduler's snapshot: aggregate counters and one
+	// entry per tracked node-addressed destination.
+	Egress EgressStats
+}
+
+// Stats returns a snapshot of the node's counters and egress scheduler. Like
+// every Node accessor it must run in the node's actor context (in
+// simulation, harness code between Run calls is also safe).
+func (n *Node) Stats() Stats {
+	st := n.counts
+	st.Egress = n.egress.Snapshot()
+	return st
+}
+
+// EgressPressure returns the pressure level of the node-addressed egress
+// queue toward dest (Low when nothing is queued for it), in O(1): read it
+// before a send to pace a flood. Like Stats, it runs in the actor context.
+func (n *Node) EgressPressure(dest ids.NodeID) PressureLevel { return n.egress.Level(dest) }

@@ -2,7 +2,7 @@ package core
 
 // Tests for the flow-controlled send surface: typed send errors, the
 // one-release compatibility wrappers, origin-side broadcast TTLs, egress
-// stats, and the pressure hook plumbing.
+// stats, and the pressure level read from the node.
 
 import (
 	"errors"
@@ -158,44 +158,42 @@ func TestBroadcastTTLShedsOriginShareOnly(t *testing.T) {
 			}
 		}
 	}
-	if got := origin.EgressStats().DroppedExpired; got == 0 {
+	if got := origin.Stats().Egress.DroppedExpired; got == 0 {
 		t.Fatal("origin egress recorded no expired drops; the TTL never applied")
 	}
 }
 
 // TestPressureHookAndEgressStatsFromNode drives the full engine plumbing:
 // a raw flood toward one destination under a small EgressQueueLimit must
-// raise OnEgressPressure through the node's callbacks, surface
-// depth/drops in Node.EgressStats, keep depth bounded — and drain back to
-// Low when the flood stops.
+// raise the level Node.EgressPressure reads, surface depth/drops in
+// Node.Stats, keep depth bounded — and drain back to Low when the flood
+// stops.
 func TestPressureHookAndEgressStatsFromNode(t *testing.T) {
 	registerEgressTestMsg()
 	const limit = 16
-	var transitions []PressureLevel
-	h := newHarness(t, smr.ModeSync, 5, func(cfg *Config) {
-		cfg.EgressQueueLimit = limit
-		cfg.Callbacks.OnEgressPressure = func(_ ids.NodeID, level PressureLevel) {
-			transitions = append(transitions, level)
-		}
-	})
+	h := newHarness(t, smr.ModeSync, 5, func(cfg *Config) { cfg.EgressQueueLimit = limit })
 	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
 	sender, to := nodes[0], nodes[1].cfg.Identity.ID
 
 	overflows := 0
+	levels := []PressureLevel{PressureLow} // every change of the level read after a send
 	for i := 0; i < 3*limit; i++ {
 		err := sender.SendRawWith(to, egressTestMsg{Seq: uint64(i), Body: []byte("x")},
 			SendOpts{Priority: PriorityBulk})
 		if errors.Is(err, ErrEgressOverflow) {
 			overflows++
 		}
+		if lvl := sender.EgressPressure(to); lvl != levels[len(levels)-1] {
+			levels = append(levels, lvl)
+		}
 	}
 	if overflows == 0 {
 		t.Fatal("flood past the queue limit produced no ErrEgressOverflow")
 	}
-	if len(transitions) == 0 || transitions[0] != PressureHigh {
-		t.Fatalf("pressure transitions = %v, want High first", transitions)
+	if len(levels) < 2 || levels[1] != PressureHigh {
+		t.Fatalf("pressure levels read = %v, want High first", levels)
 	}
-	st := sender.EgressStats()
+	st := sender.Stats().Egress
 	var dest *EgressDestStats
 	for i := range st.Dests {
 		if st.Dests[i].Node == to {
@@ -203,7 +201,7 @@ func TestPressureHookAndEgressStatsFromNode(t *testing.T) {
 		}
 	}
 	if dest == nil {
-		t.Fatalf("EgressStats has no entry for %v: %+v", to, st)
+		t.Fatalf("Stats().Egress has no entry for %v: %+v", to, st)
 	}
 	if dest.Depth > limit {
 		t.Fatalf("queue depth %d exceeds EgressQueueLimit %d", dest.Depth, limit)
@@ -211,11 +209,11 @@ func TestPressureHookAndEgressStatsFromNode(t *testing.T) {
 	if dest.DroppedOverflow == 0 || dest.Level == PressureLow {
 		t.Fatalf("dest stats = %+v, want overflow drops and a raised level", dest)
 	}
-	// Stop the flood; the paced drain empties the queue and the hook must
-	// report recovery (hysteresis exit to Low).
+	// Stop the flood; the paced drain empties the queue and the level must
+	// read recovery (hysteresis exit to Low).
 	h.net.Run(h.net.Now() + 2*time.Second)
-	if last := transitions[len(transitions)-1]; last != PressureLow {
-		t.Fatalf("transitions after drain = %v, want trailing Low", transitions)
+	if lvl := sender.EgressPressure(to); lvl != PressureLow {
+		t.Fatalf("level after the drain = %v, want Low", lvl)
 	}
 	if d, _ := sender.egress.Pending(); d != 0 {
 		t.Fatalf("egress still holds %d destination queues after drain", d)

@@ -21,7 +21,6 @@ type harness struct {
 	// delivered[node] = ordered broadcast payloads delivered there
 	delivered map[ids.NodeID][]string
 	deliverAt map[ids.NodeID]map[string]time.Duration
-	events    map[EventKind]int
 	cfgFn     func(cfg *Config)
 	// wrapEnv, when set before a node is added, stands between that node and
 	// the simulator: a tap or a fault on everything the node sends.
@@ -61,7 +60,6 @@ func newHarness(t *testing.T, mode smr.Mode, seed int64, cfgFn func(cfg *Config)
 		nodes:     make(map[ids.NodeID]*Node),
 		delivered: make(map[ids.NodeID][]string),
 		deliverAt: make(map[ids.NodeID]map[string]time.Duration),
-		events:    make(map[EventKind]int),
 		cfgFn:     cfgFn,
 	}
 	_ = mode
@@ -90,7 +88,6 @@ func (h *harness) defaultConfig(id ids.NodeID, mode smr.Mode) Config {
 				}
 				h.deliverAt[id][string(d.Data)] = h.net.Now()
 			},
-			OnEvent: func(ev Event) { h.events[ev.Kind]++ },
 		},
 	}
 	if h.cfgFn != nil {
@@ -144,6 +141,14 @@ func (h *harness) bootstrapSystem(mode smr.Mode, count int, joinWait time.Durati
 		all = append(all, n)
 	}
 	return all
+}
+
+// sum adds up one Node.Stats counter over every node the harness created.
+func (h *harness) sum(counter func(Stats) uint64) (total uint64) {
+	for _, n := range h.nodes {
+		total += counter(n.Stats())
+	}
+	return total
 }
 
 // memberCount returns how many nodes currently report membership.

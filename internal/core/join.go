@@ -4,7 +4,6 @@ import (
 	"errors"
 	"maps"
 	"slices"
-	"time"
 
 	"atum/internal/actor"
 	"atum/internal/crypto"
@@ -312,14 +311,8 @@ func (n *Node) installGroupState(st *groupState) {
 		n.learnComp(st.nbrs.Preds[c])
 		n.learnComp(st.nbrs.Succs[c])
 	}
+	n.resetPeerClocks()
 	now := n.env.Now()
-	n.hbSeen = make(map[ids.NodeID]time.Duration, st.comp.N())
-	for _, m := range st.comp.Members {
-		if m.ID != n.cfg.Identity.ID {
-			n.hbSeen[m.ID] = now
-		}
-	}
-	n.evProp = make(map[ids.NodeID]uint64)
 	// Arm local deadlines for inherited pending work: deadlines are
 	// node-local, and without them a membership that rotated heavily could
 	// end up with fewer than f+1 members able to vote a timeout.

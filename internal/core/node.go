@@ -56,12 +56,15 @@ type smrTimer struct {
 
 // bounds for local memory-control queues.
 const (
-	maxApplied   = 1 << 14
 	maxSeen      = 1 << 13
 	maxComps     = 1 << 12
 	maxPen       = 2048
 	inboxTTL     = 5 * time.Minute
 	maxJoinTries = 8
+	// maxPenKeys bounds the configurations pen buffers for at once: any link
+	// peer can name one, and one a node never installs is never freed. The
+	// contracted workloads peak at 6.
+	maxPenKeys = 64
 )
 
 // Node is one Atum protocol node: an actor.Node implementing the full
@@ -131,9 +134,12 @@ type Node struct {
 	lastPrune     time.Duration
 	freshSent     *rateLimiter[group.Key] // freshness replies per stale sender
 
-	// pen buffers SMR envelopes for configurations not installed yet.
-	pen map[group.Key][]penMsg
+	// pen buffers SMR envelopes for configurations not installed yet; penQ
+	// holds its keys oldest first.
+	pen  map[group.Key][]penMsg
+	penQ []group.Key
 
+	counts  Stats // the counters Stats reports; its Egress stays zero
 	stopped bool
 }
 
@@ -220,12 +226,6 @@ func (n *Node) Neighbors() overlay.Neighbors {
 func (n *Node) logf(format string, args ...any) {
 	if n.env != nil {
 		n.env.Logf(format, args...)
-	}
-}
-
-func (n *Node) emit(kind EventKind, data int) {
-	if n.cfg.Callbacks.OnEvent != nil {
-		n.cfg.Callbacks.OnEvent(Event{Kind: kind, Data: data})
 	}
 }
 
@@ -630,6 +630,13 @@ func (n *Node) handleSMREnvelope(from ids.NodeID, m SMREnvelope) {
 	if n.st != nil && m.GroupID == n.st.comp.GroupID && m.Epoch <= n.replicaEpoch {
 		return // stale epoch
 	}
+	if _, ok := n.pen[k]; !ok {
+		if len(n.penQ) >= maxPenKeys { // the oldest buffer makes room
+			delete(n.pen, n.penQ[0])
+			n.penQ = n.penQ[1:]
+		}
+		n.penQ = append(n.penQ, k)
+	}
 	if len(n.pen[k]) < maxPen {
 		n.pen[k] = append(n.pen[k], penMsg{from: from, msg: m.Inner})
 	}
@@ -669,16 +676,16 @@ func (n *Node) makeReplica() {
 	}
 	n.replica = rep
 
-	// Drop buffers for configurations that can no longer be installed, then
-	// drain buffered traffic for this one.
-	k := group.Key{GroupID: comp.GroupID, Epoch: epoch}
-	buffered := n.pen[k]
-	delete(n.pen, k)
-	for k2 := range n.pen {
-		if k2.GroupID == comp.GroupID && k2.Epoch <= epoch {
-			delete(n.pen, k2)
+	// Drop the buffers of this configuration and of those that can no longer
+	// be installed, then drain buffered traffic for this one.
+	buffered := n.pen[group.Key{GroupID: comp.GroupID, Epoch: epoch}]
+	n.penQ = slices.DeleteFunc(n.penQ, func(k group.Key) bool {
+		if k.GroupID == comp.GroupID && k.Epoch <= epoch {
+			delete(n.pen, k)
+			return true
 		}
-	}
+		return false
+	})
 	// NOTE on reentrancy: catching up on buffered traffic can commit the
 	// epoch's membership-changing op, which reconfigures and installs the
 	// NEXT epoch's replica from inside these calls. Once that happens this

@@ -58,7 +58,7 @@ func (n *Node) applySplit(o splitOp) {
 	dComp := group.Composition{GroupID: old.GroupID, Epoch: old.Epoch + 1, Members: dMembers}
 	n.learnComp(eComp)
 	n.learnComp(dComp)
-	n.emit(EventSplit, eComp.N())
+	n.counts.Splits++
 	n.logf("split %v/%d: D=%d members, E=%v with %d members",
 		old.GroupID, old.Epoch, len(dMembers), newGID, len(eMembers))
 
@@ -240,7 +240,7 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 		n.sendGroup(st.comp, p.From, kindMergeReject, replyID, pl)
 		return
 	}
-	n.emit(EventMerge, p.From.N())
+	n.counts.Merges++
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
 	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})

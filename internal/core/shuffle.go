@@ -61,7 +61,7 @@ func (n *Node) shuffleNext() {
 		sh.Remaining = sh.Remaining[1:]
 	}
 	if len(sh.Remaining) == 0 {
-		n.emit(EventShuffleDone, sh.Completed)
+		n.counts.ShufflesDone++
 		st.shuffle = nil
 		st.busy = false
 		n.checkResize()
@@ -105,8 +105,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 	st.shuffle.ActiveWalk = crypto.Digest{}
 
 	if !res.Accept || res.Target.N() == 0 || res.Partner.ID == 0 {
-		st.shuffle.Suppressed++
-		n.emit(EventExchangeSuppressed, 0)
+		n.counts.ExchangesSuppressed++
 		n.shuffleNext()
 		return
 	}
@@ -118,14 +117,12 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		n.learnComp(res.Target)
 		pl := encodePayload(exchangeCancelPayload{WalkID: wo.WalkID})
 		n.sendGroup(st.comp, res.Target, kindExchangeCancel, replyMsgID(wo.WalkID, 7), pl)
-		st.shuffle.Suppressed++
-		n.emit(EventExchangeSuppressed, 0)
+		n.counts.ExchangesSuppressed++
 		n.shuffleNext()
 		return
 	}
 
-	st.shuffle.Completed++
-	n.emit(EventExchangeCompleted, 0)
+	n.counts.ExchangesCompleted++
 	n.learnComp(res.Target)
 
 	// Tell the partner vgroup to perform its half, stamped with our

@@ -89,8 +89,6 @@ type shuffleState struct {
 	ActiveWalk   crypto.Digest
 	ActiveMember ids.Identity
 	ActiveSeq    int
-	Completed    int
-	Suppressed   int
 }
 
 // groupState is the replicated per-vgroup state: every correct member holds

@@ -469,9 +469,8 @@ func (n *Node) applyWalkTimeout(o walkTimeoutOp) {
 			n.processPendingJoins()
 		case PurposeShuffle:
 			if st.shuffle != nil && st.shuffle.ActiveWalk == o.WalkID {
-				st.shuffle.Suppressed++
 				st.shuffle.ActiveWalk = crypto.Digest{}
-				n.emit(EventExchangeSuppressed, 0)
+				n.counts.ExchangesSuppressed++
 				n.shuffleNext()
 			}
 		case PurposeMerge:

@@ -668,6 +668,4 @@ func (sh *shuffleState) Wire(c wire.Codec) {
 	wire.Bytes32(c, &sh.ActiveWalk)
 	sh.ActiveMember.Wire(c)
 	c.Int(&sh.ActiveSeq)
-	c.Int(&sh.Completed)
-	c.Int(&sh.Suppressed)
 }

@@ -24,21 +24,19 @@ type scheduler interface {
 	FlushDeferred()
 	OnTimer()
 	Pending() (dests, items int)
-	Snapshot() Stats
 }
 
-// diffEvent is one thing a scheduler did to its owner: a Flush, an Arm or an
-// OnPressure call, with the time it happened at. Comparable, so two traces
-// are compared with slices.Equal.
+// diffEvent is one thing a scheduler did to its owner: a Flush or an Arm call,
+// with the time it happened at. Comparable, so two traces are compared with
+// slices.Equal.
 type diffEvent struct {
-	what     string // "flush", "arm" or "pressure"
+	what     string // "flush" or "arm"
 	at       time.Duration
 	src, dst group.Key
 	members  int // src and dst member counts: a flush carries the whole composition
 	node     ids.NodeID
 	items    string // the sequence numbers of the flushed items, in order
 	delay    time.Duration
-	level    Level
 }
 
 // diffSide is one scheduler under test with the trace of what it did.
@@ -59,7 +57,8 @@ type diffWorld struct {
 	got, want diffSide
 	ship      *Scheduler
 	ref       *refScheduler
-	timers    []time.Duration // armed deadlines not yet fired (from the shipped side)
+	timers    []time.Duration      // armed deadlines not yet fired (from the shipped side)
+	levels    map[ids.NodeID]Level // the last transition the reference reported, per node
 
 	src       group.Composition
 	groups    int  // group destinations to draw from
@@ -73,7 +72,7 @@ type diffWorld struct {
 
 func newDiffWorld(t *testing.T, seed int64, dests int) *diffWorld {
 	w := &diffWorld{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), now: time.Second,
-		src: comp(1, 1), groups: dests, nodes: max(dests/4, 3)}
+		src: comp(1, 1), groups: dests, nodes: max(dests/4, 3), levels: map[ids.NodeID]Level{}}
 	pick := func(v ...int) int { return v[w.rng.Intn(len(v))] }
 	w.cfg = Config{
 		MaxBatch:   pick(1, 2, 3, 8, 64),
@@ -93,12 +92,6 @@ func newDiffWorld(t *testing.T, seed int64, dests int) *diffWorld {
 				w.arms++
 			}
 		}
-		c.OnPressure = func(node ids.NodeID, level Level) {
-			side.trace = append(side.trace, diffEvent{what: "pressure", at: w.now, node: node, level: level})
-			if shipped {
-				w.pressure++
-			}
-		}
 		c.Flush = func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
 			var seqs []byte
 			for _, it := range items {
@@ -110,7 +103,10 @@ func newDiffWorld(t *testing.T, seed int64, dests int) *diffWorld {
 		return c
 	}
 	w.ship = New(wire(&w.got, true))
-	w.ref = newRefScheduler(wire(&w.want, false))
+	w.ref = newRefScheduler(refConfig{Config: wire(&w.want, false), OnPressure: func(node ids.NodeID, level Level) {
+		w.levels[node] = level
+		w.pressure++
+	}})
 	w.got.s, w.want.s = w.ship, w.ref
 	return w
 }
@@ -157,8 +153,13 @@ func (w *diffWorld) both(what string, call func(s scheduler) error) {
 	if gd != wd || gi != wi {
 		w.t.Fatalf("seed %d, %s at %v: Pending %d/%d, the reference %d/%d", w.seed, what, w.now, gd, gi, wd, wi)
 	}
-	if g, r := w.got.s.Snapshot(), w.want.s.Snapshot(); !reflect.DeepEqual(g, r) {
+	if g, r := w.ship.Snapshot(), w.ref.Snapshot().shipped(); !reflect.DeepEqual(g, r) {
 		w.t.Fatalf("seed %d, %s at %v: Snapshot\n got  %+v\n want %+v", w.seed, what, w.now, g, r)
+	}
+	for node := ids.NodeID(1000); node < ids.NodeID(1000+w.nodes); node++ {
+		if got, want := w.ship.Level(node), w.levels[node]; got != want {
+			w.t.Fatalf("seed %d, %s at %v: Level(%v) = %v, the reference last reported %v", w.seed, what, w.now, node, got, want)
+		}
 	}
 	if len(w.ship.arr) != len(w.ref.arr) {
 		w.t.Fatalf("seed %d, %s at %v: %d arrival entries, the reference %d", w.seed, what, w.now, len(w.ship.arr), len(w.ref.arr))
@@ -237,13 +238,14 @@ func (w *diffWorld) step() {
 // classes with TTLs and sizes around LimitBytes, source-epoch changes and group
 // moves, clock advances with OnTimer at every armed deadline, spurious OnTimer
 // calls, FlushDeferred and FlushAll — and requires the same Flush calls (source,
-// destination, node, items, time, order), Arm delays, OnPressure transitions,
-// returned errors, Pending and Snapshot after every step. Every two-hundredth
+// destination, node, items, time, order), Arm delays, returned errors, Pending
+// and Snapshot after every step, and Level of every node destination equal to
+// the last transition the reference's OnPressure reported. Every two-hundredth
 // schedule spreads its traffic over more destinations than maxArrivalEntries
 // so that pruneArrivals runs, once with a slow clock (every entry hot: the
 // reset pass) and once with a fast one (the stale pass). Limit > 0 throughout:
-// the reference's "Limit <= 0 turns flow control off" fork is the one thing
-// the shipped scheduler no longer has.
+// the reference's "Limit <= 0 turns flow control off" fork is gone from the
+// shipped scheduler, as are its pressure hook and ArrivalGap (ref_test.go).
 func TestSchedulerMatchesReference(t *testing.T) {
 	schedules := 1200
 	if testing.Short() {

@@ -49,8 +49,8 @@
 //     (DroppedExpired), never transmitted;
 //   - queue depth drives a hysteresis-based pressure level per destination
 //     (Low/High/Critical, distinct enter/exit thresholds so the signal does
-//     not flap); transitions fire Config.OnPressure, and Snapshot exposes
-//     per-destination depth, arrival gap, and drop counters.
+//     not flap); Level reads it in O(1), and Snapshot exposes it with
+//     per-destination depth and drop counters.
 //
 // Group-addressed queues are never bounded or paced: they carry protocol
 // traffic (agreement-backed group messages) whose loss the engine cannot
@@ -191,10 +191,6 @@ type Config struct {
 	// scheduler tracks its earliest pending deadline and re-arms as needed;
 	// spurious OnTimer calls are harmless.
 	Arm func(delay time.Duration)
-	// OnPressure, when set, observes pressure-level transitions of
-	// node-addressed destinations. It runs inside enqueue/flush — it must
-	// not re-enter the scheduler.
-	OnPressure func(node ids.NodeID, level Level)
 	// Flush transmits one destination's batch. node is nonzero for
 	// node-addressed destinations (dst is then the zero Composition); src is
 	// the source composition captured when the batch was opened.
@@ -203,8 +199,8 @@ type Config struct {
 	// duration of the call — the scheduler recycles the backing array for
 	// the destination's next batch. Implementations that keep items past the
 	// call (tests, recorders) must copy the slice; the item *payloads* are
-	// caller-owned as usual and may be retained freely. Like OnPressure, it
-	// must not re-enter the scheduler.
+	// caller-owned as usual and may be retained freely. It must not re-enter
+	// the scheduler.
 	Flush func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem)
 }
 
@@ -224,12 +220,9 @@ type Stats struct {
 
 // DestStats is one node-addressed destination's flow-control snapshot.
 type DestStats struct {
-	Node  ids.NodeID
-	Depth int // items currently queued
-	Bytes int // queued payload bytes (incl. framing)
-	// ArrivalGap is the smoothed inter-arrival gap of sends to this
-	// destination (the adaptive flush window's input).
-	ArrivalGap      time.Duration
+	Node            ids.NodeID
+	Depth           int // items currently queued
+	Bytes           int // queued payload bytes (incl. framing)
 	Level           Level
 	Flushes         uint64
 	DroppedOverflow uint64
@@ -624,8 +617,9 @@ func (s *Scheduler) carrierPrefix(q *pending) int {
 	return n
 }
 
-// updatePressure recomputes a node destination's pressure level and fires
-// OnPressure on transitions.
+// updatePressure recomputes a node destination's pressure level. It is the
+// only writer of a level, and drain ends with it at depth 0, so a destination
+// without an open queue is Low.
 func (s *Scheduler) updatePressure(k destKey, a *arrival) {
 	if k.node == 0 {
 		return
@@ -634,12 +628,16 @@ func (s *Scheduler) updatePressure(k destKey, a *arrival) {
 	if q := s.pend[k]; q != nil {
 		depth = len(q.items)
 	}
-	if lvl := nextLevel(a.level, depth, s.cfg.Limit); lvl != a.level {
-		a.level = lvl
-		if s.cfg.OnPressure != nil {
-			s.cfg.OnPressure(k.node, lvl)
-		}
+	a.level = nextLevel(a.level, depth, s.cfg.Limit)
+}
+
+// Level returns the pressure level of the node-addressed destination node:
+// Low when the scheduler holds nothing for it.
+func (s *Scheduler) Level(node ids.NodeID) Level {
+	if a := s.arr[destKey{node: node}]; a != nil {
+		return a.level
 	}
+	return LevelLow
 }
 
 // newPending opens a destination batch, reusing a recycled struct (and its
@@ -707,7 +705,6 @@ func (s *Scheduler) Snapshot() Stats {
 		}
 		d := DestStats{
 			Node:            k.node,
-			ArrivalGap:      a.gap,
 			Level:           a.level,
 			Flushes:         a.flushes,
 			DroppedOverflow: a.dropOver,

@@ -11,7 +11,7 @@ import (
 )
 
 // flowHarness is the manual-clock harness of egress_test.go plus flow-control
-// configuration and a pressure-transition recorder.
+// configuration and a recorder of pressure-level changes.
 type flowHarness struct {
 	*harness
 	levels []Level
@@ -20,14 +20,24 @@ type flowHarness struct {
 func newFlowHarness(maxBatch, limit int, maxWindow time.Duration) *flowHarness {
 	fh := &flowHarness{harness: newHarness(maxBatch, maxWindow)}
 	fh.s.cfg.Limit = limit
-	fh.s.cfg.OnPressure = func(_ ids.NodeID, level Level) {
-		fh.levels = append(fh.levels, level)
-	}
 	return fh
 }
 
-// floodNode enqueues count back-to-back bulk items for one node, returning
-// how many were rejected with ErrOverflow.
+// record reads dest's level and appends it when it differs from the last one
+// recorded (Low before the first).
+func (fh *flowHarness) record(dest ids.NodeID) {
+	last := LevelLow
+	if n := len(fh.levels); n > 0 {
+		last = fh.levels[n-1]
+	}
+	if lvl := fh.s.Level(dest); lvl != last {
+		fh.levels = append(fh.levels, lvl)
+	}
+}
+
+// floodNode enqueues count back-to-back items of one class for one node,
+// recording its level after each, and returns how many were rejected with
+// ErrOverflow.
 func (fh *flowHarness) floodNode(to ids.NodeID, count int, class Class) int {
 	rejected := 0
 	src := comp(1, 1)
@@ -35,6 +45,7 @@ func (fh *flowHarness) floodNode(to ids.NodeID, count int, class Class) int {
 		if err := fh.s.EnqueueNodeWith(src, to, item(byte(k)), class, 0); err != nil {
 			rejected++
 		}
+		fh.record(to)
 	}
 	return rejected
 }
@@ -81,6 +92,7 @@ func TestPressureHookHysteresis(t *testing.T) {
 	fh.s.cfg.MaxBatch = 9
 	fh.now += 5 * time.Millisecond
 	fh.s.OnTimer() // emits 9, depth 28→19: below exitCrit (20) → High
+	fh.record(dest)
 	if len(fh.levels) != 3 || fh.levels[2] != LevelHigh {
 		t.Fatalf("after paced drain: transitions %v, want [... high]", fh.levels)
 	}
@@ -94,6 +106,7 @@ func TestPressureHookHysteresis(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fh.now += 5 * time.Millisecond
 		fh.s.OnTimer()
+		fh.record(dest)
 	}
 	if d, items := fh.s.Pending(); d != 0 || items != 0 {
 		t.Fatalf("queue not drained: %d/%d", d, items)

@@ -10,12 +10,47 @@ import (
 
 // refScheduler is the Scheduler this package shipped before the off switch
 // went, verbatim apart from the ref prefix on its names: the reference model
-// TestSchedulerMatchesReference drives the shipped Scheduler against. It still
-// reads Config.Limit <= 0 as "flow control off" (node queues then flush when
-// full, like group queues) and still has SetLimits and the EnqueueNode
-// wrapper; the test keeps Limit > 0, which is the one named difference. It
-// shares Config, Stats, Class, Level, nextLevel and ErrOverflow with the
+// TestSchedulerMatchesReference drives the shipped Scheduler against. Two
+// differences are named. It still reads Config.Limit <= 0 as "flow control
+// off" (node queues then flush when full, like group queues) and still has
+// SetLimits and the EnqueueNode wrapper; the test keeps Limit > 0. And it
+// still pushes every pressure transition into OnPressure and reports each
+// destination's ArrivalGap, which the shipped scheduler dropped for the
+// Level read: both live on test-local copies of the shared types, refConfig
+// and refStats. It shares Class, Level, nextLevel and ErrOverflow with the
 // shipped scheduler — the vocabulary both are compared in.
+
+// refConfig is Config with the pressure hook the reference still fires.
+type refConfig struct {
+	Config
+	// OnPressure, when set, observes pressure-level transitions of
+	// node-addressed destinations. It runs inside enqueue/flush — it must
+	// not re-enter the scheduler.
+	OnPressure func(node ids.NodeID, level Level)
+}
+
+// refStats is Stats with the per-destination ArrivalGap the reference still
+// reports.
+type refStats struct {
+	Stats
+	Dests []refDestStats
+}
+
+// refDestStats is DestStats plus ArrivalGap, the smoothed inter-arrival gap of
+// sends to this destination (the adaptive flush window's input).
+type refDestStats struct {
+	DestStats
+	ArrivalGap time.Duration
+}
+
+// shipped is the snapshot less what the shipped scheduler no longer reports.
+func (r refStats) shipped() Stats {
+	out := r.Stats
+	for _, d := range r.Dests {
+		out.Dests = append(out.Dests, d.DestStats)
+	}
+	return out
+}
 
 // refDestKey identifies one destination: a vgroup (composition key) or a node.
 type refDestKey struct {
@@ -65,7 +100,7 @@ const refMaxArrivalEntries = 1024
 
 // refScheduler is the per-destination egress queue set. Create with New.
 type refScheduler struct {
-	cfg     Config
+	cfg     refConfig
 	pend    map[refDestKey]*refPending
 	order   []refDestKey // first-enqueue order
 	arr     map[refDestKey]*refArrival
@@ -86,7 +121,7 @@ type refScheduler struct {
 const refMaxFreePending = 64
 
 // New creates a scheduler.
-func newRefScheduler(cfg Config) *refScheduler {
+func newRefScheduler(cfg refConfig) *refScheduler {
 	return &refScheduler{
 		cfg:  cfg,
 		pend: make(map[refDestKey]*refPending),
@@ -601,20 +636,19 @@ func (s *refScheduler) Pending() (dests, items int) {
 // Snapshot returns the aggregate counters plus the flow-control state of
 // every tracked node-addressed destination. Dests is freshly allocated;
 // callers own it.
-func (s *refScheduler) Snapshot() Stats {
-	out := s.stats
+func (s *refScheduler) Snapshot() refStats {
+	out := refStats{Stats: s.stats}
 	for k, a := range s.arr {
 		if k.node == 0 {
 			continue
 		}
-		d := DestStats{
+		d := refDestStats{DestStats: DestStats{
 			Node:            k.node,
-			ArrivalGap:      a.gap,
 			Level:           a.level,
 			Flushes:         a.flushes,
 			DroppedOverflow: a.dropOver,
 			DroppedExpired:  a.dropExp,
-		}
+		}, ArrivalGap: a.gap}
 		if q := s.pend[k]; q != nil {
 			d.Depth, d.Bytes = len(q.items), q.bytes
 		}

@@ -25,8 +25,8 @@ type BackpressureResult struct {
 	TransportDrops        int64
 	ChunkDropsTransport   int64
 	CarrierDropsTransport int64
-	// Application-chosen shedding at the senders: pushes withheld by the
-	// pressure hook, plus egress-queue drops (overflow + expired TTLs).
+	// Application-chosen shedding at the senders: pushes withheld at a
+	// raised pressure level, plus egress-queue drops (overflow + expired TTLs).
 	AppSheds            uint64
 	EgressDropsOverflow uint64
 	EgressDropsExpired  uint64
@@ -52,7 +52,7 @@ func (f *blindFlooder) Stop()                              {}
 // slow consumer whose ingest processes 4 MB/s through a 256 KiB buffer.
 // Sent around the API, the flood overloads the buffer and gossip carriers
 // drown with the chunks; sent through it (bounded egress queues + pressure
-// hook), the senders shed at the source and the protocol traffic fits.
+// reads), the senders shed at the source and the protocol traffic fits.
 const (
 	bpRoundDur    = 100 * time.Millisecond
 	bpChunkBytes  = 512
@@ -75,7 +75,7 @@ const (
 
 // BackpressureRun measures broadcast delivery and drop placement under a
 // slow-consumer raw flood. paced=true sends the flood through SendRawWith
-// (bounded egress queues; the flooders pace off the pressure hook and tag
+// (bounded egress queues; the flooders pace off their pressure level and tag
 // chunks PriorityBulk with a TTL); paced=false is the blind baseline, a
 // flood that bypasses the API: eight processes that are no Atum nodes push
 // the same chunks at the same rate straight onto the network. Both
@@ -151,10 +151,10 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 		for i, f := range flooders {
 			rate := bpChunksRound / bpSlices
 			if paced {
-				// Application pacing off the pressure hook: quarter rate at
+				// Application pacing off the pressure level: quarter rate at
 				// High, full stop at Critical. The withheld pushes are the
 				// "application-chosen shedding" the experiment measures.
-				switch cl.levelToward(f.Identity().ID, slowID) {
+				switch f.EgressPressure(slowID) {
 				case atum.PressureHigh:
 					rate /= 4
 				case atum.PressureCritical:
@@ -194,7 +194,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 			cl.c.Run(bpRoundDur / bpSlices)
 		}
 		for _, f := range flooders {
-			for _, d := range f.EgressStats().Dests {
+			for _, d := range f.Stats().Egress.Dests {
 				if d.Node == slowID && d.Depth > out.MaxDepth {
 					out.MaxDepth = d.Depth
 				}
@@ -204,7 +204,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	diff := cl.c.Net.Stats().Sub(before)
 
 	for _, f := range flooders {
-		for _, d := range f.EgressStats().Dests {
+		for _, d := range f.Stats().Egress.Dests {
 			if d.Node == slowID {
 				out.EgressDropsOverflow += d.DroppedOverflow
 				out.EgressDropsExpired += d.DroppedExpired
@@ -256,7 +256,7 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 	for _, p := range []bool{false, true} {
 		name := "blind flood (bypasses the API)"
 		if p {
-			name = "paced (pressure hook + bounded queues)"
+			name = "paced (pressure reads + bounded queues)"
 		}
 		r, err := BackpressureRun(n, publishers, rounds, p, seed)
 		if err != nil {

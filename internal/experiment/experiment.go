@@ -107,11 +107,6 @@ type cluster struct {
 	c         *atum.SimCluster
 	nodes     []*atum.Node
 	deliverAt map[atum.NodeID]map[string]time.Duration
-	events    map[atum.EventKind]int
-	// pressure records each node's latest egress pressure level per
-	// destination (OnEgressPressure transitions): pressure[sender][dest].
-	// The backpressure experiment paces its floods off it.
-	pressure map[atum.NodeID]map[atum.NodeID]atum.PressureLevel
 	// rawDelivered counts raw messages handed to any node's OnRawMessage.
 	rawDelivered int
 }
@@ -119,16 +114,9 @@ type cluster struct {
 func newCluster(mode smr.Mode, seed int64, net *simnet.Config, tweak func(*atum.Config)) *cluster {
 	cl := &cluster{
 		deliverAt: make(map[atum.NodeID]map[string]time.Duration),
-		events:    make(map[atum.EventKind]int),
-		pressure:  make(map[atum.NodeID]map[atum.NodeID]atum.PressureLevel),
 	}
 	cl.c = atum.NewSimCluster(atum.SimOptions{Seed: seed, Mode: mode, NetConfig: net, Tweak: tweak})
 	return cl
-}
-
-// levelToward returns the sender's latest pressure level toward dest.
-func (cl *cluster) levelToward(sender, dest atum.NodeID) atum.PressureLevel {
-	return cl.pressure[sender][dest]
 }
 
 func (cl *cluster) addNode() *atum.Node {
@@ -142,15 +130,6 @@ func (cl *cluster) addNode() *atum.Node {
 				cl.deliverAt[id] = m
 			}
 			m[string(d.Data)] = cl.c.Now()
-		},
-		OnEvent: func(ev atum.Event) { cl.events[ev.Kind]++ },
-		OnEgressPressure: func(dest atum.NodeID, level atum.PressureLevel) {
-			m, ok := cl.pressure[id]
-			if !ok {
-				m = make(map[atum.NodeID]atum.PressureLevel)
-				cl.pressure[id] = m
-			}
-			m[dest] = level
 		},
 	}
 	n = cl.c.AddNodeWith(cb, func(cfg *atum.Config) {
@@ -673,7 +652,12 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 		cl.c.Run(time.Minute)
 	}
 	cl.c.Run(time.Minute)
-	return cl.events[atum.EventExchangeCompleted], cl.events[atum.EventExchangeSuppressed]
+	for _, n := range cl.nodes {
+		st := n.Stats()
+		completed += int(st.ExchangesCompleted)
+		suppressed += int(st.ExchangesSuppressed)
+	}
+	return completed, suppressed
 }
 
 // sortInts is a tiny helper for deterministic output.

@@ -138,15 +138,6 @@ func (r *RealtimeRuntime) SendRawWith(n *Node, to NodeID, msg any, opts SendOpts
 	return r.invoke(n, func() error { return n.inner.SendRawWith(to, msg, opts) })
 }
 
-// EgressStats snapshots n's egress scheduler, read inside its loop.
-func (r *RealtimeRuntime) EgressStats(n *Node) EgressStats {
-	var st EgressStats
-	if err := r.RT.Invoke(n.Identity().ID, func() { st = n.inner.EgressStats() }); err != nil {
-		return EgressStats{}
-	}
-	return st
-}
-
 // IsMember reports n's membership, read inside its loop.
 func (r *RealtimeRuntime) IsMember(n *Node) bool {
 	var m bool
