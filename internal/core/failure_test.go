@@ -404,6 +404,74 @@ func TestPenFloodBoundsConfigurations(t *testing.T) {
 	}
 }
 
+// TestNewestIndexBoundedByComps: every composition a node learns names a
+// group, and a per-group copy of the newest one was kept for every group ever
+// named — 10 000 groups left 10 000 clones. The newest epoch is now an index
+// over comps, the maxComps FIFO: it is bounded the same way, and when the FIFO
+// evicts a group's newest epoch it falls back to the newest one left.
+func TestNewestIndexBoundedByComps(t *testing.T) {
+	n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+	// Learned out of order, so the FIFO evicts epoch 2 before epoch 1.
+	n.learnComp(testComp(5, 2, 51, 52, 53))
+	n.learnComp(testComp(5, 1, 51, 52, 54))
+	gid := uint64(100)
+	flood := func() {
+		n.learnComp(testComp(ids.GroupID(gid), 1, gid+1, gid+2, gid+3))
+		gid++
+	}
+	for n.comps[group.Key{GroupID: 5, Epoch: 2}].N() > 0 {
+		flood()
+	}
+	if c, ok := n.newestComp(5); !ok || c.Epoch != 1 {
+		t.Fatalf("with epoch 2 evicted, group 5's newest is %v (%v), want epoch 1", c.Key(), ok)
+	}
+	flood()
+	if _, ok := n.newest[5]; ok {
+		t.Fatal("group 5 is still indexed with none of its compositions left")
+	}
+	for gid < 100+10000 {
+		flood()
+	}
+	if len(n.newest) > maxComps {
+		t.Fatalf("10 000 learned groups left %d index entries, want at most maxComps = %d", len(n.newest), maxComps)
+	}
+	for g, e := range n.newest {
+		if _, ok := n.comps[group.Key{GroupID: g, Epoch: e}]; !ok {
+			t.Fatalf("index names %v epoch %d, which comps does not hold", g, e)
+		}
+	}
+}
+
+// TestReShareAttestsOnlyAnExactEpoch: a member heartbeating at epoch E-1 gets
+// this node's share of the snapshot E-1 attested. Once comps had evicted
+// (gid, E-1), lookupComp's fallback answered with epoch E's members, and the
+// share went out stamped E — filling a catch-up slot on the laggard for an
+// epoch that never attested that snapshot. Now nothing is sent.
+func TestReShareAttestsOnlyAnExactEpoch(t *testing.T) {
+	prev, cur := testComp(7, 3, 1, 2, 3), testComp(7, 4, 1, 2, 3)
+	n, env := memberNode(t, 1, cur, testComp(9, 1, 4, 5, 6))
+	n.learnComp(prev)
+	n.recentSnaps[prev.Epoch] = []byte("snapshot attested by epoch 3")
+	snapshotsTo := func(to ids.NodeID) (epochs []uint64) {
+		for _, s := range env.sent {
+			if m, ok := s.msg.(group.GroupMsg); ok && s.to == to && m.Kind == kindSnapshot {
+				epochs = append(epochs, m.SrcEpoch)
+			}
+		}
+		return epochs
+	}
+
+	n.handleHeartbeat(2, Heartbeat{GroupID: 7, Epoch: prev.Epoch})
+	if got := snapshotsTo(2); !slices.Equal(got, []uint64{prev.Epoch}) {
+		t.Fatalf("with epoch 3 known, re-shares stamped %v, want [3]", got)
+	}
+	delete(n.comps, prev.Key())
+	n.handleHeartbeat(3, Heartbeat{GroupID: 7, Epoch: prev.Epoch})
+	if got := snapshotsTo(3); len(got) != 0 {
+		t.Fatalf("with epoch 3 evicted, re-shares stamped %v, want none", got)
+	}
+}
+
 func TestLaggardCatchesUpAfterPartition(t *testing.T) {
 	// A member partitioned across an epoch change misses both the commit
 	// and the one-shot catch-up shares. After healing, its stale-epoch

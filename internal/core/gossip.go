@@ -184,8 +184,8 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 				n.sendGroupItem(st.comp, nbr, it, expires)
 			}
 			echo := key
-			if latest, ok := n.latestComp[nbr.GroupID]; ok && latest.Epoch > echo.Epoch {
-				echo = latest.Key()
+			if e, ok := n.newest[nbr.GroupID]; ok && e > echo.Epoch {
+				echo.Epoch = e
 			}
 			n.inbox.Settle(now, echo, digest)
 		}

@@ -585,7 +585,7 @@ func (n *Node) sendRenounce(target group.Composition) {
 	// live members propagate it through agreement.
 	sent := make(map[ids.NodeID]bool)
 	targets := []group.Composition{target}
-	if c, ok := n.latestComp[target.GroupID]; ok {
+	if c, ok := n.newestComp(target.GroupID); ok {
 		targets = append(targets, c)
 	}
 	for _, c := range targets {

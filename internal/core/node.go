@@ -83,10 +83,11 @@ type Node struct {
 	inbox *group.Inbox
 	comps map[group.Key]group.Composition
 	compQ []group.Key
-	// latestComp tracks the newest known composition per group, used as an
+	// newest indexes comps: the newest epoch it holds per group, used as an
 	// epoch-tolerant fallback when validating group messages from epochs we
-	// have not learned yet (heavy churn can outrun neighbor updates).
-	latestComp map[ids.GroupID]group.Composition
+	// have not learned yet (heavy churn can outrun neighbor updates). It
+	// loses a group when compQ evicts the group's last composition.
+	newest map[ids.GroupID]uint64
 
 	ownPend map[crypto.Digest]smr.Operation
 	opSeq   uint64
@@ -178,7 +179,7 @@ func New(cfg Config) *Node {
 		hbSeen:         make(map[ids.NodeID]time.Duration),
 		evProp:         make(map[ids.NodeID]uint64),
 		seen:           make(map[crypto.Digest]bool),
-		latestComp:     make(map[ids.GroupID]group.Composition),
+		newest:         make(map[ids.GroupID]uint64),
 		expectSnapshot: make(map[ids.GroupID]bool),
 		pendingSnaps:   make(map[ids.GroupID]group.Accepted),
 		walkDeadlines:  make(map[crypto.Digest]time.Duration),
@@ -442,7 +443,7 @@ func (n *Node) handleTick() {
 		// Ascending GroupID, not map order: the renounce order and the
 		// rejoin contact must be the same on every replay of a seed.
 		for _, gid := range slices.Sorted(maps.Keys(n.expectSnapshot)) {
-			if c, ok := n.latestComp[gid]; ok && c.N() > 0 {
+			if c, ok := n.newestComp(gid); ok && c.N() > 0 {
 				n.sendRenounce(c)
 				if contact.ID == 0 {
 					contact = c.Members[0]
@@ -535,7 +536,8 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !ok {
 		return
 	}
-	oldComp, ok := n.lookupComp(group.Key{GroupID: n.st.comp.GroupID, Epoch: stuckEpoch})
+	// Exact: lookupComp's fallback would attest another epoch's members.
+	oldComp, ok := n.comps[group.Key{GroupID: n.st.comp.GroupID, Epoch: stuckEpoch}]
 	if !ok || !oldComp.Contains(n.cfg.Identity.ID) {
 		return // cannot attest an epoch this node was not part of
 	}
@@ -558,7 +560,7 @@ func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 	// recent composition of the same vgroup still shares a correct majority
 	// with the claimed one. Without this, simultaneous churn on both sides
 	// of a link can kill it permanently (updates chase a moving target).
-	if c, ok := n.latestComp[k.GroupID]; ok {
+	if c, ok := n.newestComp(k.GroupID); ok {
 		diff := int64(k.Epoch) - int64(c.Epoch)
 		if diff < 0 {
 			diff = -diff
@@ -570,6 +572,16 @@ func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 	return group.Composition{}, false
 }
 
+// newestComp returns the newest composition of gid that comps holds.
+func (n *Node) newestComp(gid ids.GroupID) (group.Composition, bool) {
+	e, ok := n.newest[gid]
+	if !ok {
+		return group.Composition{}, false
+	}
+	c, ok := n.comps[group.Key{GroupID: gid, Epoch: e}]
+	return c, ok
+}
+
 // learnComp records a composition for inbox validation and flushes any
 // group messages that were waiting for it.
 func (n *Node) learnComp(c group.Composition) {
@@ -579,19 +591,31 @@ func (n *Node) learnComp(c group.Composition) {
 	for _, m := range c.Members {
 		actor.LearnIdentity(n.env, m)
 	}
-	if cur, ok := n.latestComp[c.GroupID]; !ok || c.Epoch > cur.Epoch {
-		n.latestComp[c.GroupID] = c.Clone()
-	}
 	k := c.Key()
 	if _, ok := n.comps[k]; ok {
 		return
 	}
 	n.comps[k] = c.Clone()
 	n.compQ = append(n.compQ, k)
+	if e, ok := n.newest[k.GroupID]; !ok || k.Epoch > e {
+		n.newest[k.GroupID] = k.Epoch
+	}
 	if len(n.compQ) > maxComps {
 		drop := n.compQ[0]
 		n.compQ = n.compQ[1:]
 		delete(n.comps, drop)
+		if n.newest[drop.GroupID] == drop.Epoch {
+			// Re-derive the group's newest epoch from what comps still holds.
+			delete(n.newest, drop.GroupID)
+			for _, q := range n.compQ {
+				if q.GroupID != drop.GroupID {
+					continue
+				}
+				if e, ok := n.newest[q.GroupID]; !ok || q.Epoch > e {
+					n.newest[q.GroupID] = q.Epoch
+				}
+			}
+		}
 	}
 	for _, acc := range n.inbox.FlushKey(n.env.Now(), k) {
 		n.handleAccepted(acc)

@@ -35,9 +35,7 @@ var rawReg struct {
 // extension tag (RawTagMin..0xFF). prototype fixes the concrete type;
 // marshal writes a value of that type, unmarshal reads one back (returning
 // the decoded value; decode errors latch in the Decoder and are checked by
-// the envelope layer). unmarshal must copy any bytes it keeps — use the
-// Decoder's copying readers (VarBytes, String), not VarBytesView: transports
-// may decode frames out of reusable buffers. Registration is process-wide and append-only:
+// the envelope layer). Registration is process-wide and append-only:
 // re-registering a tag with a different type, or a type under a different
 // tag, panics — tags are a wire-compatibility contract, not a preference.
 // Registering the same (tag, type) pair again is a no-op, so package-level

@@ -268,22 +268,19 @@ func rowOfTag(tag byte) *wireRow {
 }
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// v's type has no row of an accepted class. Frames build in pooled scratch
-// and detach as one exact-size allocation — envelope encoding is the
-// per-payload hot path, and throwaway encoders paid append-growth garbage on
-// every message.
+// v's type has no row of an accepted class. Envelope encoding is the
+// per-payload hot path, so it builds through wire.Frame's pooled scratch.
 func encodeWire(v any, accept wireClass) ([]byte, bool) {
 	r := rowOfValue(v)
 	if r == nil || r.class&accept == 0 {
 		return nil, false
 	}
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(wireEnvMagic)
-	e.Byte(r.tag)
-	e.Byte(wireEnvV1)
-	r.marshal(v, e)
-	return e.Detach(), true
+	return wire.Frame(func(e *wire.Encoder) {
+		e.Byte(wireEnvMagic)
+		e.Byte(r.tag)
+		e.Byte(wireEnvV1)
+		r.marshal(v, e)
+	}), true
 }
 
 // openWire checks a frame's envelope header and returns the row of its tag
@@ -446,10 +443,10 @@ func (p *gossipPayload) Wire(c wire.Codec) {
 
 // decodeGossipView is decodeKind(kindGossip, b) without the copy: Data
 // aliases b. It serves handleGossip, which drops all but the first acceptance
-// of a broadcast after reading BcastID. It is the one reader written apart
-// from its type's walk — a walk fills fields through pointers, where
-// retainview could not see the view — and TestGossipViewMatchesWalk holds it
-// to gossipPayload.Wire.
+// of a broadcast after reading BcastID; the view is safe to keep because
+// nothing reuses b. It is the one reader written apart from its type's walk
+// (the walk's VarBytes copies), and TestGossipViewMatchesWalk holds it to
+// gossipPayload.Wire.
 func decodeGossipView(b []byte) (gossipPayload, error) {
 	_, body, err := openKind(kindGossip, b)
 	if err != nil {

@@ -105,32 +105,31 @@ func (it *BatchItem) form(full bool) byte {
 // without it every item is digest-only, with it every item that has a Payload
 // carries it.
 func encodeBatchFrame(items []BatchItem, full bool) []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(batchFrameVersion)
-	e.ListLen(len(items))
-	for i := 0; i < len(items); {
-		kind, form := items[i].Kind, items[i].form(full)
-		run := 1
-		for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full) == form {
-			run++
-		}
-		e.Byte(byte(kind))
-		e.Byte(form)
-		e.ListLen(run)
-		for _, it := range items[i : i+run] {
-			if form&formDerived == 0 {
-				e.Bytes32(it.MsgID)
+	return wire.Frame(func(e *wire.Encoder) {
+		e.Byte(batchFrameVersion)
+		e.ListLen(len(items))
+		for i := 0; i < len(items); {
+			kind, form := items[i].Kind, items[i].form(full)
+			run := 1
+			for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full) == form {
+				run++
 			}
-			if form&formFull != 0 {
-				e.VarBytes(it.Payload)
-			} else {
-				e.Bytes32(it.payloadDigest())
+			e.Byte(byte(kind))
+			e.Byte(form)
+			e.ListLen(run)
+			for _, it := range items[i : i+run] {
+				if form&formDerived == 0 {
+					e.Bytes32(it.MsgID)
+				}
+				if form&formFull != 0 {
+					e.VarBytes(it.Payload)
+				} else {
+					e.Bytes32(it.payloadDigest())
+				}
 			}
+			i += run
 		}
-		i += run
-	}
-	return e.Detach()
+	})
 }
 
 // decodedBatchItem is one inner item recovered from a batch frame. Payload is

@@ -2,8 +2,8 @@
 // cmd/atumvet. It mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a Pass and reports Diagnostics —
 // but is built on the standard library alone (go/ast, go/parser,
-// go/token, go/types): the repo vendors no third-party modules. Two
-// analyzers (retainview, detclock) are purely syntactic; analyzers that
+// go/token, go/types): the repo vendors no third-party modules. One
+// analyzer (detclock) is purely syntactic; analyzers that
 // set NeedTypes additionally get a go/types
 // view of their unit (Pass.Pkg, Pass.TypesInfo), type-checked with a
 // module-local source importer (types.go) — no go/packages, no
@@ -35,9 +35,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// SkipTests excludes _test.go files from the pass. Contracts about
-	// production memory ownership or determinism do not bind test code
-	// (tests inject seeded rngs and deliberately alias views to pin the
-	// aliasing behaviour itself).
+	// production determinism do not bind test code (tests inject seeded
+	// rngs).
 	SkipTests bool
 	// NeedTypes requests the type-aware view: the pass runs with
 	// Pass.Pkg and Pass.TypesInfo populated from a go/types check of the

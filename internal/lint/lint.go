@@ -1,7 +1,6 @@
 // Package lint assembles the repo's custom analyzers — the atumvet
-// suite. The analyzers encode invariants the type system cannot. Two
-// are syntactic: zero-copy view lifetimes (retainview) and the
-// determinism scope (detclock). Three are
+// suite. The analyzers encode invariants the type system cannot. One
+// is syntactic: the determinism scope (detclock). Three are
 // type-aware, built on the go/types layer in internal/lint/analysis:
 // actor confinement of engine state (actorconfine), the single-egress
 // send boundary (egressonly), and clone-on-return ownership of the API
@@ -16,13 +15,11 @@ import (
 	"atum/internal/lint/analysis"
 	"atum/internal/lint/detclock"
 	"atum/internal/lint/egressonly"
-	"atum/internal/lint/retainview"
 )
 
 // Analyzers returns the full atumvet suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		retainview.Analyzer,
 		detclock.Analyzer,
 		actorconfine.Analyzer,
 		egressonly.Analyzer,

@@ -155,7 +155,7 @@ type Network struct {
 	// eventFree recycles event structs between pops and pushes: every
 	// simulated message costs several scheduler events, and the simulator is
 	// single-threaded, so a plain bounded freelist beats allocating (or
-	// sync.Pool-ing) each one. The closures an event carries still allocate;
+	// pooling) each one. The closures an event carries still allocate;
 	// only the struct itself is reused.
 	eventFree []*event
 

@@ -497,37 +497,15 @@ type frameReader struct {
 	r     io.Reader
 	max   int
 	codec Codec
-	// body is the reusable frame buffer: the decoders copy everything they
-	// keep (the wire codec's field decoders copy VarBytes), so one grow-only
-	// buffer per connection replaces an allocation per frame. maxPooledBody
-	// bounds what one large frame can pin for the connection's lifetime.
-	body []byte
 }
-
-// maxPooledBody caps the frame buffer capacity a reader retains across
-// frames; larger frames fall back to a one-off allocation.
-const maxPooledBody = 1 << 20
 
 func newFrameReader(r io.Reader, max int, codec Codec) *frameReader {
 	return &frameReader{r: r, max: max, codec: codec}
 }
 
-// buffer returns a length-n read buffer, reusing the retained one when it
-// fits.
-func (fr *frameReader) buffer(n int) []byte {
-	if n <= cap(fr.body) {
-		return fr.body[:n]
-	}
-	b := make([]byte, n)
-	if n <= maxPooledBody {
-		fr.body = b
-	}
-	return b
-}
-
 // readFrame reads one frame of at most max bytes carrying the given tag and
-// returns a decoder over the body behind the tag. The body aliases the
-// reusable buffer: it is valid until the next read.
+// returns a decoder over the body behind the tag. Each frame is read into its
+// own buffer, so whatever the decoders keep of it stays valid.
 func (fr *frameReader) readFrame(tag byte, max int) (*wire.Decoder, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
@@ -537,7 +515,7 @@ func (fr *frameReader) readFrame(tag byte, max int) (*wire.Decoder, error) {
 	if n <= 0 || n > max {
 		return nil, fmt.Errorf("frame size %d out of range", n)
 	}
-	body := fr.buffer(n)
+	body := make([]byte, n)
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
@@ -567,8 +545,8 @@ func (fr *frameReader) readEnvelope() (Envelope, error) {
 		return Envelope{}, err
 	}
 	env := Envelope{From: ids.NodeID(d.Uint64()), To: ids.NodeID(d.Uint64())}
-	// A view, not a copy: DecodeMessage's field decoders copy what they
-	// keep, so nothing aliases the reusable body buffer afterwards.
+	// A view, not a copy: the frame's buffer is this message's alone, so
+	// DecodeMessage may keep it.
 	mb := d.VarBytesView()
 	if err := d.Finish(); err != nil {
 		return Envelope{}, fmt.Errorf("decode wire frame: %w", err)

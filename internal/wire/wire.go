@@ -48,39 +48,30 @@ type Encoder struct {
 // Bytes returns the encoded bytes accumulated so far.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Detach returns an exact-size copy of the accumulated bytes. Unlike Bytes,
-// the result does not alias the encoder's buffer, so the encoder can be
-// Reset (or returned to the pool) while the copy lives on. Pooled encode
-// paths use it to pay exactly one right-sized allocation per frame instead
-// of the append-doubling garbage of a throwaway encoder.
-func (e *Encoder) Detach() []byte {
+// Frame runs write on a pooled Encoder and returns an exact-size copy of what
+// it wrote. The hot-path frames (payload envelopes in internal/core, batch
+// frames in internal/group) build here: one right-sized allocation per frame
+// instead of a throwaway encoder's append-doubling garbage. The pooled
+// encoder never leaves this function, so no caller can hold a view of a
+// buffer the pool hands out again; write must not keep e.
+func Frame(write func(e *Encoder)) []byte {
+	e := encoderPool.Get().(*Encoder)
+	defer putEncoder(e)
+	e.Reset()
+	write(e)
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	return out
 }
 
-// encoderPool recycles Encoders (and, more importantly, their grown buffers)
-// across hot-path frame constructions: batch frames in internal/group and
-// payload envelopes in internal/core (incl. the raw extension registry)
-// encode through pooled scratch and Detach the result. The tcpnet frame
-// writer does not use the pool — each connection's writer goroutine already
-// reuses its own long-lived Encoder, which needs no pooling.
+// encoderPool recycles the Encoders behind Frame, and with them their grown
+// buffers.
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
-// GetEncoder returns a reset Encoder from the package pool. Pair with
-// PutEncoder; take the result out through Detach (Bytes aliases the pooled
-// buffer and is invalidated by PutEncoder).
-func GetEncoder() *Encoder {
-	e := encoderPool.Get().(*Encoder)
-	e.Reset()
-	return e
-}
-
-// PutEncoder returns an Encoder to the pool. The caller must not use the
-// encoder — or any slice obtained from its Bytes — afterwards.
-func PutEncoder(e *Encoder) {
+// putEncoder returns e to the pool, dropping a buffer over
+// maxPooledEncoderBytes so one giant snapshot does not stay pinned there.
+func putEncoder(e *Encoder) {
 	if cap(e.buf) > maxPooledEncoderBytes {
-		// Don't let one giant snapshot pin megabytes in the pool forever.
 		e.buf = nil
 	}
 	encoderPool.Put(e)
@@ -257,10 +248,11 @@ func (d *Decoder) VarBytes() []byte {
 }
 
 // VarBytesView reads a length-prefixed byte string WITHOUT copying: the
-// result aliases the decoder's input buffer. Callers own the aliasing
-// hazard — the view is valid exactly as long as the input buffer is, and
-// must be treated as read-only. Zero-allocation decode paths (batch frames,
-// transport framing) use it; everything else should prefer VarBytes.
+// result aliases the decoder's input, must be treated as read-only, and keeps
+// the whole input alive while it is held. Nothing in the module reuses a
+// decode input, so a view is valid for as long as anyone holds it.
+// Zero-allocation decode paths (batch frames, gossip, transport framing) use
+// it.
 func (d *Decoder) VarBytesView() []byte {
 	n := d.Uint32()
 	if d.err != nil {

@@ -300,35 +300,48 @@ func TestVarBytesViewHostileLength(t *testing.T) {
 	}
 }
 
+// TestEncoderPoolDetach: Frame's result is an exact-size copy the caller
+// owns. Frames built after it, through the same pooled encoder, neither see
+// its bytes nor overwrite them.
 func TestEncoderPoolDetach(t *testing.T) {
-	e := GetEncoder()
-	e.String("pooled")
-	if e.Len() == 0 {
-		t.Fatal("pooled encoder did not accumulate")
+	first := Frame(func(e *Encoder) {
+		if e.Len() != 0 {
+			t.Fatal("Frame wrote into a dirty encoder")
+		}
+		e.String("pooled")
+	})
+	if len(first) != cap(first) {
+		t.Errorf("Frame returned len %d cap %d, want an exact-size copy", len(first), cap(first))
 	}
-	out := e.Detach()
-	PutEncoder(e)
-
-	// The detached bytes must survive pool reuse.
-	e2 := GetEncoder()
-	defer PutEncoder(e2)
-	if e2.Len() != 0 {
-		t.Fatal("GetEncoder returned a dirty encoder")
+	for i := 0; i < 8; i++ {
+		Frame(func(e *Encoder) {
+			if e.Len() != 0 {
+				t.Fatal("Frame wrote into a dirty encoder")
+			}
+			e.String("overwrite-the-shared-buffer")
+		})
 	}
-	e2.String("overwrite-the-shared-buffer")
-	d := NewDecoder(out)
-	if got := d.String(); got != "pooled" {
-		t.Errorf("detached bytes = %q, want %q (aliased the pooled buffer?)", got, "pooled")
+	if got := NewDecoder(first).String(); got != "pooled" {
+		t.Errorf("framed bytes = %q, want %q (aliased the pooled buffer?)", got, "pooled")
 	}
 }
 
+// TestPutEncoderDropsOversizedBuffers: a frame over maxPooledEncoderBytes
+// comes out whole, and its buffer does not go back into the pool.
 func TestPutEncoderDropsOversizedBuffers(t *testing.T) {
-	e := GetEncoder()
-	e.VarBytes(make([]byte, maxPooledEncoderBytes+1))
-	PutEncoder(e) // must not panic; drops the giant buffer
-	e2 := GetEncoder()
-	defer PutEncoder(e2)
-	if e2.Len() != 0 {
-		t.Error("encoder from pool not reset")
+	big := make([]byte, maxPooledEncoderBytes+1)
+	out := Frame(func(e *Encoder) { e.VarBytes(big) })
+	if got := NewDecoder(out).VarBytesView(); len(got) != len(big) {
+		t.Fatalf("oversized frame carried %d bytes, want %d", len(got), len(big))
+	}
+	var e Encoder
+	e.VarBytes(big)
+	putEncoder(&e)
+	if e.buf != nil {
+		t.Errorf("putEncoder kept a %d-byte buffer, cap is %d", cap(e.buf), maxPooledEncoderBytes)
+	}
+	small := Frame(func(e *Encoder) { e.Byte(1) })
+	if len(small) != 1 {
+		t.Errorf("frame after an oversized one = %x, want one byte", small)
 	}
 }
