@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"maps"
 	"slices"
@@ -394,7 +395,13 @@ func (n *Node) evaluateCatchUp() {
 		}
 		cur := n.st.comp.Key()
 		advanced := false
-		for key, tally := range n.snapShares {
+		// Ascending digest, not map order: when two successors of this epoch
+		// are both attested, the one installed must be the same on every
+		// replay of a seed.
+		for _, key := range slices.SortedFunc(maps.Keys(n.snapShares), func(a, b snapShareKey) int {
+			return bytes.Compare(a.digest[:], b.digest[:])
+		}) {
+			tally := n.snapShares[key]
 			if key.src != cur || tally.payload == nil {
 				continue
 			}

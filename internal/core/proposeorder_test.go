@@ -3,7 +3,8 @@ package core
 // Proposal order must not depend on Go map iteration: it fixes OpIDs and the
 // order a replica batches operations in, so it reaches the commit order and
 // the transport's send order. The same holds for which parked snapshot a node
-// adopts and for an orphan's renounce order and rejoin contact. Each test runs
+// adopts, which attested successor epoch catch-up installs, and an orphan's
+// renounce order and rejoin contact. Each test runs
 // the site on 20 fresh nodes — 20 independently seeded maps — and accepts one
 // order only. The entries go in descending, so no rotation of the insertion
 // order is the sorted one.
@@ -119,6 +120,35 @@ func TestParkedSnapshotsAdoptedInGroupIDOrder(t *testing.T) {
 		if n.phase != phaseMember || n.st.comp.GroupID != 10 {
 			t.Fatalf("run %d: phase %v in group %v after adopting a parked snapshot, want a member of group 10 (the lowest)",
 				run, n.phase, n.st.comp.GroupID)
+		}
+	}
+}
+
+// TestCatchUpInstallsLowestDigestSuccessor: when several successor states of
+// the current epoch are each attested by f+1 members, epoch catch-up installs
+// the one whose snapshot has the lowest digest.
+func TestCatchUpInstallsLowestDigestSuccessor(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	for run := 0; run < proposeOrderNodes; run++ {
+		n, _ := memberNode(t, 1, comp, testComp(9, 1, 4, 5, 6))
+		var want crypto.Digest
+		var wantJoiner ids.NodeID
+		for j := uint64(proposeOrderEntries); j >= 1; j-- {
+			succ := testComp(7, 4, 1, 2, 3, 10+j)
+			payload := encodePayload(snapshotPayload{State: newGroupState(succ, overlay.NewNeighbors(2, succ)).buildSnapshot()})
+			d := crypto.Hash(payload)
+			n.snapShares[snapShareKey{src: comp.Key(), digest: d}] = &snapTally{
+				senders: map[ids.NodeID]bool{2: true, 3: true}, payload: payload,
+			}
+			if wantJoiner == 0 || bytes.Compare(d[:], want[:]) < 0 {
+				want, wantJoiner = d, ids.NodeID(10+j)
+			}
+		}
+		n.evaluateCatchUp()
+
+		if n.st.comp.Epoch != 4 || !n.st.comp.Contains(wantJoiner) {
+			t.Fatalf("run %d: installed epoch %d with members %v, want epoch 4 with node %v (the lowest digest)",
+				run, n.st.comp.Epoch, ids.IdentityIDs(n.st.comp.Members), wantJoiner)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"atum"
 	"atum/internal/actor"
 	"atum/internal/group"
-	"atum/internal/simnet"
 	"atum/internal/smr"
 )
 
@@ -20,11 +19,9 @@ type BackpressureResult struct {
 	// actually threatens.
 	Delivered     float64
 	SlowDelivered float64
-	// Transport-level loss (the slow consumer's full ingest buffer), by
-	// placement: raw chunks vs gossip carriers.
-	TransportDrops        int64
-	ChunkDropsTransport   int64
-	CarrierDropsTransport int64
+	// TransportDrops is transport-level loss: the slow consumer's full
+	// ingest buffer.
+	TransportDrops int64
 	// Application-chosen shedding at the senders: pushes withheld at a
 	// raised pressure level, plus egress-queue drops (overflow + expired TTLs).
 	AppSheds            uint64
@@ -54,7 +51,6 @@ func (f *blindFlooder) Stop()                              {}
 // drown with the chunks; sent through it (bounded egress queues + pressure
 // reads), the senders shed at the source and the protocol traffic fits.
 const (
-	bpRoundDur    = 100 * time.Millisecond
 	bpChunkBytes  = 512
 	bpChunksRound = 600 // per flooder per round
 	bpFlooders    = 8
@@ -82,29 +78,14 @@ const (
 // configurations build the same overlay from the same Config — no raw
 // traffic flows while it grows.
 func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (BackpressureResult, error) {
-	// Split the GroupMsg traffic classes for drop placement: node-addressed
-	// raw messages (DstGroup 0 — the flood, either way) vs group-addressed
-	// protocol carriers (gossip and churn, whose loss costs broadcast
-	// delivery).
-	net := &simnet.Config{Seed: seed, Latency: simnet.LANLatency(),
-		TypeLabel: func(msg actor.Message) string {
-			if m, ok := msg.(group.GroupMsg); ok && m.DstGroup == 0 {
-				return "group.GroupMsg[raw]"
-			}
-			return ""
-		}}
-	cl := newCluster(smr.ModeSync, seed, net, func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.RoundDuration = bpRoundDur
-		cfg.DisableShuffle = true
-		cfg.HeartbeatEvery = time.Hour // isolate protocol traffic
-		cfg.EvictAfter = 10 * time.Hour
+	cl := newCluster(smr.ModeSync, seed, nil, func(cfg *atum.Config) {
+		quiet(cfg)
 		cfg.GossipMaxBatch = 16
 		cfg.EgressMaxFlushWindow = bpMaxWindow
 		cfg.EgressQueueLimit = bpQueueLimit
 		cfg.EgressQueueBytes = bpQueueBytes
 	})
-	if err := cl.grow(n, time.Minute); err != nil {
+	if err := cl.grow(n, time.Minute, nil); err != nil {
 		return BackpressureResult{}, fmt.Errorf("growth to %d nodes failed: %w", n, err)
 	}
 	out := BackpressureResult{}
@@ -120,12 +101,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	}
 	cl.c.Run(5 * time.Second) // settle
 
-	var stable []*atum.Node
-	for _, node := range cl.nodes {
-		if node.IsMember() {
-			stable = append(stable, node)
-		}
-	}
+	stable := cl.members()
 	if len(stable) < publishers+bpFlooders+1 {
 		return out, fmt.Errorf("only %d stable members", len(stable))
 	}
@@ -134,11 +110,6 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	slow := stable[len(stable)-1]
 	slowID := slow.Identity().ID
 	cl.c.Net.SetIngestCap(slowID, bpIngestRate, bpIngestQueue)
-
-	// Incompressible per-send payloads: repetitive ones would never stress
-	// the slow consumer's byte budget the way media-like data does.
-	fresh := freshBytes(seed)
-	freshChunk := func() []byte { return fresh(bpChunkBytes) }
 
 	before := cl.c.Net.Stats()
 	var payloads []string
@@ -164,11 +135,11 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 			}
 			for c := 0; c < rate; c++ {
 				if !paced {
-					blind[i].env.Send(slowID, group.GroupMsg{Payload: freshChunk()})
+					blind[i].env.Send(slowID, group.GroupMsg{Payload: cl.fresh(bpChunkBytes)})
 					continue
 				}
 				rawSeq++
-				err := f.SendRawWith(slowID, expChunk{Seq: rawSeq, Data: freshChunk()}, atum.SendOpts{
+				err := f.SendRawWith(slowID, expChunk{Seq: rawSeq, Data: cl.fresh(bpChunkBytes)}, atum.SendOpts{
 					Priority: atum.PriorityBulk, TTL: bpChunkTTL,
 				})
 				if err != nil {
@@ -182,16 +153,11 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	// a steady stream — only publishing stops.
 	for r := 0; r < rounds+bpDrainRounds; r++ {
 		if r < rounds {
-			for i, p := range pubs {
-				payload := fmt.Sprintf("bp-%d-%d-%x", r, i, fresh(bpPayloadBytes))
-				if p.BroadcastWith([]byte(payload), atum.BroadcastOpts{}) == nil {
-					payloads = append(payloads, payload)
-				}
-			}
+			payloads = append(payloads, cl.publish(pubs, "bp", r, bpPayloadBytes)...)
 		}
 		for s := 0; s < bpSlices; s++ {
 			floodSlice()
-			cl.c.Run(bpRoundDur / bpSlices)
+			cl.c.Run(quietRound / bpSlices)
 		}
 		for _, f := range flooders {
 			for _, d := range f.Stats().Egress.Dests {
@@ -201,8 +167,6 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 			}
 		}
 	}
-	diff := cl.c.Net.Stats().Sub(before)
-
 	for _, f := range flooders {
 		for _, d := range f.Stats().Egress.Dests {
 			if d.Node == slowID {
@@ -212,31 +176,9 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 		}
 	}
 	out.Broadcasts = len(payloads)
-	out.TransportDrops = diff.DroppedOverload
-	out.ChunkDropsTransport = diff.DroppedByType["group.GroupMsg[raw]"]
-	out.CarrierDropsTransport = diff.DroppedByType["group.GroupMsg"]
-
-	members, deliveredPairs, slowDelivered := 0, 0, 0
-	for _, node := range stable {
-		if !node.IsMember() {
-			continue
-		}
-		members++
-		got := 0
-		for _, p := range payloads {
-			if _, ok := cl.deliverAt[node.Identity().ID][p]; ok {
-				got++
-			}
-		}
-		deliveredPairs += got
-		if node.Identity().ID == slowID {
-			slowDelivered = got
-		}
-	}
-	if len(payloads) > 0 && members > 0 {
-		out.Delivered = float64(deliveredPairs) / float64(len(payloads)*members)
-		out.SlowDelivered = float64(slowDelivered) / float64(len(payloads))
-	}
+	out.TransportDrops = cl.c.Net.Stats().Sub(before).DroppedOverload
+	out.Delivered = cl.delivered(stable, payloads)
+	out.SlowDelivered = cl.delivered([]*atum.Node{slow}, payloads)
 	return out, nil
 }
 
@@ -250,7 +192,7 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 		Title: fmt.Sprintf("Backpressure: N=%d, %d publishers, %d rounds, %d flooders -> 1 slow consumer (%d KB/s)",
 			n, publishers, rounds, bpFlooders, bpIngestRate>>10),
 		Header: []string{"config", "slow_delivered", "delivered", "transport_drops",
-			"chunk/carrier", "app_sheds", "egress_drops", "max_depth"},
+			"app_sheds", "egress_drops", "max_depth"},
 	}
 	var blind, paced BackpressureResult
 	for _, p := range []bool{false, true} {
@@ -273,7 +215,6 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 			fmt.Sprintf("%.2f", r.SlowDelivered),
 			fmt.Sprintf("%.2f", r.Delivered),
 			fmt.Sprintf("%d", r.TransportDrops),
-			fmt.Sprintf("%d/%d", r.ChunkDropsTransport, r.CarrierDropsTransport),
 			fmt.Sprintf("%d", r.AppSheds),
 			fmt.Sprintf("%d+%d", r.EgressDropsOverflow, r.EgressDropsExpired),
 			fmt.Sprintf("%d", r.MaxDepth),

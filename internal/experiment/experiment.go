@@ -2,6 +2,14 @@
 // evaluation (§6) on the discrete-event simulator. Each Fig* function runs
 // one experiment at a configurable scale and returns a printable table;
 // cmd/atum-bench drives them at paper scale, bench_test.go at smoke scale.
+// Two scenarios of the repository's own ride along: the churn storm
+// (StormRun) and the slow-consumer backpressure comparison.
+//
+// Every simulated scenario runs on one harness, cluster (cluster.go): it adds
+// nodes, optionally running an ashare or astream service, grows them into a
+// system one join at a time (grow) or in waves (growInWaves), and records
+// each delivery, raw message and given-up join. Shuffling is off unless a
+// scenario turns it on; only Fig 13, which counts exchanges, does.
 //
 // Absolute numbers differ from the paper's EC2 testbed; the shapes —
 // exponential growth, bounded Sync latency vs low-median Async latency,
@@ -12,7 +20,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -102,118 +109,30 @@ func minUniformRWL(v, hc, walksPerVertex int, rng *rand.Rand) int {
 	return 24
 }
 
-// cluster bundles a SimCluster with delivery tracking.
-type cluster struct {
-	c         *atum.SimCluster
-	nodes     []*atum.Node
-	deliverAt map[atum.NodeID]map[string]time.Duration
-	// rawDelivered counts raw messages handed to any node's OnRawMessage.
-	rawDelivered int
-}
-
-func newCluster(mode smr.Mode, seed int64, net *simnet.Config, tweak func(*atum.Config)) *cluster {
-	cl := &cluster{
-		deliverAt: make(map[atum.NodeID]map[string]time.Duration),
-	}
-	cl.c = atum.NewSimCluster(atum.SimOptions{Seed: seed, Mode: mode, NetConfig: net, Tweak: tweak})
-	return cl
-}
-
-func (cl *cluster) addNode() *atum.Node {
-	var n *atum.Node
-	var id atum.NodeID
-	cb := atum.Callbacks{
-		Deliver: func(d atum.Delivery) {
-			m, ok := cl.deliverAt[id]
-			if !ok {
-				m = make(map[string]time.Duration)
-				cl.deliverAt[id] = m
-			}
-			m[string(d.Data)] = cl.c.Now()
-		},
-	}
-	n = cl.c.AddNodeWith(cb, func(cfg *atum.Config) {
-		cfg.OnRawMessage = func(atum.NodeID, any) { cl.rawDelivered++ }
-	})
-	id = n.Identity().ID
-	cl.nodes = append(cl.nodes, n)
-	return n
-}
-
-// grow bootstraps the first node and joins count-1 more, one at a time.
-func (cl *cluster) grow(count int, perJoin time.Duration) error {
-	first := cl.addNode()
-	cl.c.Run(10 * time.Millisecond)
-	if err := first.Bootstrap(); err != nil {
-		return err
-	}
-	contact := first.Identity()
-	for i := 1; i < count; i++ {
-		n := cl.addNode()
-		cl.c.Run(10 * time.Millisecond)
-		if err := n.Join(contact); err != nil {
-			return err
-		}
-		ok := cl.c.RunUntil(n.IsMember, perJoin)
-		if !ok {
-			// Retry once; growth experiments tolerate stragglers.
-			_ = n.Join(contact)
-			cl.c.RunUntil(n.IsMember, perJoin)
-		}
-	}
-	return nil
-}
-
-func (cl *cluster) members() int {
-	m := 0
-	for _, n := range cl.nodes {
-		if n.IsMember() {
-			m++
-		}
-	}
-	return m
-}
-
 // Fig6 regenerates the growth-speed experiment: nodes join continuously;
 // the table reports system size over virtual time (exponential shape).
 func Fig6(mode smr.Mode, target int, seed int64) Table {
-	cl := newCluster(mode, seed, nil, func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.DisableShuffle = true // growth-rate experiment
-	})
+	cl := newCluster(mode, seed, nil, nil)
 	t := Table{
 		Title:  fmt.Sprintf("Fig 6: growth to %d nodes (%v)", target, mode),
 		Header: []string{"virtual_seconds", "members"},
 	}
-	start := cl.c.Now()
-	first := cl.addNode()
-	cl.c.Run(10 * time.Millisecond)
-	if err := first.Bootstrap(); err != nil {
+	record := func() {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%.0f", cl.c.Now().Seconds()),
+			fmt.Sprintf("%d", len(cl.members())),
+		})
+	}
+	// Arrival rate proportional to current size (paper: the bigger the
+	// system, the faster it absorbs joiners), up to 2*target nodes.
+	err := cl.growInWaves(target, 2*target, 5*time.Second, 30*time.Minute,
+		func(members int) int { return members/4 + 1 }, record)
+	if err != nil {
 		t.Remarks = append(t.Remarks, "bootstrap failed: "+err.Error())
 		return t
 	}
-	contact := first.Identity()
-	next := 1
-	record := func() {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", (cl.c.Now() - start).Seconds()),
-			fmt.Sprintf("%d", cl.members()),
-		})
-	}
-	record()
-	for cl.members() < target && cl.c.Now()-start < 30*time.Minute {
-		// Arrival rate proportional to current size (paper: the bigger the
-		// system, the faster it absorbs joiners).
-		wave := cl.members()/4 + 1
-		for i := 0; i < wave && next < target*2; i++ {
-			n := cl.addNode()
-			next++
-			_ = n.Join(contact)
-		}
-		cl.c.Run(5 * time.Second)
-		record()
-	}
-	t.Remarks = append(t.Remarks, "growth accelerates with system size (exponential shape)")
+	t.Remarks = append(t.Remarks, "growth accelerates with system size (exponential shape)",
+		fmt.Sprintf("%d of %d joiners gave up", cl.gaveUp, len(cl.nodes)-1))
 	return t
 }
 
@@ -253,11 +172,8 @@ func maxChurnRate(mode smr.Mode, n int, seed int64) int {
 
 // churnSustained drives leave+rejoin churn for several virtual minutes.
 func churnSustained(mode smr.Mode, n, perMin int, seed int64) bool {
-	cl := newCluster(mode, seed, nil, func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.DisableShuffle = true
-	})
-	if err := cl.grow(n, time.Minute); err != nil {
+	cl := newCluster(mode, seed, nil, nil)
+	if err := cl.grow(n, time.Minute, nil); err != nil {
 		return false
 	}
 	contact := cl.nodes[0].Identity()
@@ -276,16 +192,15 @@ func churnSustained(mode smr.Mode, n, perMin int, seed int64) bool {
 		cl.c.Run(interval)
 	}
 	cl.c.Run(time.Minute) // settle
-	return cl.members() >= n*8/10
+	return len(cl.members()) >= n*8/10
 }
 
-// Fig8 regenerates group communication latency CDFs for Atum (optionally
-// with Byzantine members), plus the S.Gossip and S.SMR baselines.
+// Fig8 regenerates group communication latency — percentiles of the paper's
+// CDFs — for Atum (optionally with Byzantine members), plus the S.Gossip
+// and S.SMR baselines.
 func Fig8(mode smr.Mode, n, byzantine, broadcasts int, roundDur time.Duration, seed int64) Table {
 	cl := newCluster(mode, seed, nil, func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
 		cfg.RoundDuration = roundDur
-		cfg.DisableShuffle = true
 		cfg.EvictAfter = time.Hour // latency experiment: keep membership fixed
 	})
 	title := fmt.Sprintf("Fig 8: broadcast latency, N=%d (%v)", n, mode)
@@ -293,19 +208,18 @@ func Fig8(mode smr.Mode, n, byzantine, broadcasts int, roundDur time.Duration, s
 		title += fmt.Sprintf(" + %d byzantine", byzantine)
 	}
 	t := Table{Title: title, Header: []string{"metric", "seconds"}}
-	if err := cl.grow(n, time.Minute); err != nil {
+	if err := cl.grow(n, time.Minute, nil); err != nil {
 		t.Remarks = append(t.Remarks, "growth failed: "+err.Error())
 		return t
 	}
 	// Flip the requested number of members to Byzantine behaviour in place.
-	byz := 0
-	for i := len(cl.nodes) - 1; i >= 0 && byz < byzantine; i-- {
-		behavior := atum.BehaviorHeartbeatOnly
-		if mode == smr.ModeAsync {
-			behavior = atum.BehaviorSilent
-		}
-		setBehavior(cl.nodes[i], behavior)
-		byz++
+	behavior := atum.BehaviorHeartbeatOnly
+	if mode == smr.ModeAsync {
+		behavior = atum.BehaviorSilent
+	}
+	byz := min(byzantine, len(cl.nodes))
+	for _, node := range cl.nodes[len(cl.nodes)-byz:] {
+		node.Inner().SetBehavior(behavior)
 	}
 	cl.c.Run(5 * time.Second)
 
@@ -322,11 +236,8 @@ func Fig8(mode smr.Mode, n, byzantine, broadcasts int, roundDur time.Duration, s
 			continue
 		}
 		cl.c.Run(20 * roundDur)
-		for _, node := range cl.nodes {
-			if !node.IsMember() {
-				continue
-			}
-			if at, ok := cl.deliverAt[node.Identity().ID][payload]; ok {
+		for _, node := range cl.members() {
+			if at, ok := cl.deliverAt[delivery{node.Identity().ID, payload}]; ok {
 				lats = append(lats, at-sent)
 			}
 		}
@@ -354,9 +265,6 @@ func Fig8(mode smr.Mode, n, byzantine, broadcasts int, roundDur time.Duration, s
 		"Sync upper-bounded by a few rounds; Byzantine members cause no decay; S.SMR = (f+1)*round")
 	return t
 }
-
-// setBehavior flips a node's behaviour in place (experiment injection).
-func setBehavior(n *atum.Node, b atum.Behavior) { n.Inner().SetBehavior(b) }
 
 func randText(rng *rand.Rand, n int) string {
 	b := make([]byte, n)
@@ -407,9 +315,11 @@ func Fig9(fileSizesMB []int, seed int64) Table {
 		Header: []string{"size_MB", "nfs4_s_per_MB", "ashare_simple", "ashare_parallel"},
 	}
 	for _, mb := range fileSizesMB {
-		nfs := nfsLikeRead(mb, seed)
-		simple := ashareRead(mb, 1, 1, 0, seed)
-		parallel := ashareRead(mb, 10, 2, 0, seed)
+		// The NFS4 baseline: a client reads the whole file from one server
+		// as a single sequential chunked stream over the same network.
+		nfs := readLatency(mb, 1, 1, 0, true, seed)
+		simple := readLatency(mb, 1, 1, 0, false, seed)
+		parallel := readLatency(mb, 10, 2, 0, false, seed)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", mb),
 			fmt.Sprintf("%.3f", nfs.Seconds()/float64(mb)),
@@ -422,7 +332,7 @@ func Fig9(fileSizesMB []int, seed int64) Table {
 	return t
 }
 
-// bandwidthNet returns a simnet config with the Fig 9-11 bandwidth model
+// bandwidthNet returns a simnet config with the Fig 9-12 bandwidth model
 // (~100 MB/s NICs, LAN latency).
 func bandwidthNet(seed int64) *simnet.Config {
 	return &simnet.Config{
@@ -433,54 +343,26 @@ func bandwidthNet(seed int64) *simnet.Config {
 	}
 }
 
-// nfsLikeRead models the NFS4 baseline: a client reads the whole file from
-// one server as a single sequential chunked stream over the same network.
-func nfsLikeRead(sizeMB int, seed int64) time.Duration {
-	return transferExperiment(sizeMB, 1, 1, 0, true, seed)
-}
-
-// ashareRead measures one AShare GET on a small cluster with the bandwidth
-// model. chunks and replicas parameterize the transfer; corrupt counts
-// Byzantine replicas.
-func ashareRead(sizeMB, chunks, replicas, corrupt int, seed int64) time.Duration {
-	return transferExperiment(sizeMB, chunks, replicas, corrupt, false, seed)
-}
-
-func transferExperiment(sizeMB, chunks, replicas, corrupt int, nfs bool, seed int64) time.Duration {
-	nodesNeeded := replicas + 1
+// readLatency measures one AShare GET of a sizeMB file by the first of
+// replicas+1 nodes with the bandwidth model. chunks and replicas
+// parameterize the transfer; corrupt counts Byzantine replicas (none when
+// nfs is set).
+func readLatency(sizeMB, chunks, replicas, corrupt int, nfs bool, seed int64) time.Duration {
+	nodes := replicas + 1
 	cl := newCluster(smr.ModeSync, seed, bandwidthNet(seed), func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 2, RWL: 2, GMax: nodesNeeded + 2, GMin: 1}
-		cfg.DisableShuffle = true
+		cfg.Params = atum.Params{HC: 2, RWL: 2, GMax: nodes + 2, GMin: 1}
 	})
-	mkNode := func(corruptNode bool) (*atum.Node, *ashare.Service) {
-		svc := ashare.New(ashare.Options{
-			Rho: replicas, SystemSize: nodesNeeded, Corrupt: corruptNode,
+	var svcs []*ashare.Service
+	err := cl.grow(nodes, time.Minute, func(i int) app {
+		svcs = append(svcs, ashare.New(ashare.Options{
+			Rho: replicas, SystemSize: nodes, Corrupt: !nfs && corrupt > 0 && i >= nodes-corrupt,
 			ChunkSize:     sizeMB << 20 / max(1, chunks),
 			ParallelPulls: max(1, chunks),
-		})
-		n := cl.c.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = svc.HandleRaw
-		})
-		svc.Bind(n)
-		cl.nodes = append(cl.nodes, n)
-		return n, svc
-	}
-	// Build nodes: reader + replica holders.
-	var svcs []*ashare.Service
-	var nodes []*atum.Node
-	for i := 0; i < nodesNeeded; i++ {
-		n, svc := mkNode(!nfs && corrupt > 0 && i >= nodesNeeded-corrupt)
-		nodes = append(nodes, n)
-		svcs = append(svcs, svc)
-	}
-	cl.c.Run(10 * time.Millisecond)
-	if err := nodes[0].Bootstrap(); err != nil {
+		}))
+		return svcs[i]
+	})
+	if err != nil {
 		return 0
-	}
-	for i := 1; i < len(nodes); i++ {
-		cl.c.Run(10 * time.Millisecond)
-		_ = nodes[i].Join(nodes[0].Identity())
-		cl.c.RunUntil(nodes[i].IsMember, time.Minute)
 	}
 	// Install the file on the replica holders directly (experiment setup).
 	content := make([]byte, sizeMB<<20)
@@ -488,15 +370,12 @@ func transferExperiment(sizeMB, chunks, replicas, corrupt int, nfs bool, seed in
 	if chunkSize == 0 {
 		chunkSize = len(content)
 	}
-	meta := buildMeta(nodes[1].Identity().ID, "file", content, chunkSize)
-	for i := 1; i < len(nodes); i++ {
-		svcs[i].HoldReplica(meta, content)
-	}
+	meta := ashare.BuildMeta(cl.nodes[1].Identity().ID, "file", content, chunkSize)
 	svcs[0].Index().Put(meta)
-	for i := 1; i < len(nodes); i++ {
-		svcs[0].Index().AddReplica(meta.Key, nodes[i].Identity().ID)
+	for i := 1; i < nodes; i++ {
+		svcs[i].HoldReplica(meta, content)
+		svcs[0].Index().AddReplica(meta.Key, cl.nodes[i].Identity().ID)
 	}
-	// Read.
 	start := cl.c.Now()
 	var doneAt time.Duration
 	svcs[0].Get(meta.Key, func(_ []byte, _ int, err error) {
@@ -504,15 +383,10 @@ func transferExperiment(sizeMB, chunks, replicas, corrupt int, nfs bool, seed in
 			doneAt = cl.c.Now()
 		}
 	})
-	cl.c.RunUntil(func() bool { return doneAt > 0 }, 10*time.Minute)
-	if doneAt == 0 {
+	if !cl.c.RunUntil(func() bool { return doneAt > 0 }, 10*time.Minute) {
 		return 0
 	}
 	return doneAt - start
-}
-
-func buildMeta(owner atum.NodeID, name string, content []byte, chunkSize int) ashare.FileMeta {
-	return ashare.BuildMeta(owner, name, content, chunkSize)
 }
 
 // Fig10 regenerates the Byzantine-replica read-latency experiment: latency
@@ -523,8 +397,8 @@ func Fig10(sizeMB int, replicaCounts []int, corrupt int, seed int64) Table {
 		Header: []string{"replicas", "all_correct_s_per_MB", "with_corrupt_s_per_MB"},
 	}
 	for _, r := range replicaCounts {
-		ok := ashareRead(sizeMB, 10, r, 0, seed)
-		bad := ashareRead(sizeMB, 10, r, min(corrupt, r-1), seed)
+		ok := readLatency(sizeMB, 10, r, 0, false, seed)
+		bad := readLatency(sizeMB, 10, r, min(corrupt, r-1), false, seed)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r),
 			fmt.Sprintf("%.3f", ok.Seconds()/float64(sizeMB)),
@@ -558,26 +432,14 @@ func Fig12(n int, chunks int, seed int64) Table {
 func streamRun(n, chunks int, mode astream.CycleMode, seed int64) (tier2 time.Duration, digest time.Duration) {
 	cl := newCluster(smr.ModeSync, seed, bandwidthNet(seed), func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 3, RWL: 3, GMax: 8, GMin: 4}
-		cfg.DisableShuffle = true
 	})
 	var svcs []*astream.Service
-	for i := 0; i < n; i++ {
-		svc := astream.New(astream.Options{Mode: mode})
-		node := cl.c.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = svc.HandleRaw
-		})
-		svc.Bind(node)
-		svcs = append(svcs, svc)
-		cl.nodes = append(cl.nodes, node)
-	}
-	cl.c.Run(10 * time.Millisecond)
-	if err := cl.nodes[0].Bootstrap(); err != nil {
+	err := cl.grow(n, time.Minute, func(i int) app {
+		svcs = append(svcs, astream.New(astream.Options{Mode: mode}))
+		return svcs[i]
+	})
+	if err != nil {
 		return 0, 0
-	}
-	for i := 1; i < n; i++ {
-		cl.c.Run(10 * time.Millisecond)
-		_ = cl.nodes[i].Join(cl.nodes[0].Identity())
-		cl.c.RunUntil(cl.nodes[i].IsMember, time.Minute)
 	}
 	// 1 MB/s stream: one 100 KiB chunk every 100 ms.
 	payload := make([]byte, 100<<10)
@@ -590,11 +452,11 @@ func streamRun(n, chunks int, mode astream.CycleMode, seed int64) (tier2 time.Du
 	cl.c.Run(30 * time.Second)
 	var t2s, digs stats.Durations
 	for seq := uint64(1); seq <= uint64(chunks); seq++ {
-		for i := 1; i < n; i++ {
-			if lat, ok := svcs[i].TierTwoLatency(seq); ok {
+		for _, svc := range svcs[1:] {
+			if lat, ok := svc.TierTwoLatency(seq); ok {
 				t2s = append(t2s, lat)
 			}
-			if at, ok := svcs[i].DigestLatencyOf(seq); ok {
+			if at, ok := svc.DigestLatencyOf(seq); ok {
 				digs = append(digs, at-sentAt[seq])
 			}
 		}
@@ -631,25 +493,13 @@ func Fig13(target int, ratesPctPerMin []int, seed int64) Table {
 func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppressed int) {
 	cl := newCluster(smr.ModeSync, seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 2, RWL: 3, GMax: 6, GMin: 3}
+		cfg.DisableShuffle = false // the exchanges are what this figure counts
 	})
-	first := cl.addNode()
-	cl.c.Run(10 * time.Millisecond)
-	if err := first.Bootstrap(); err != nil {
+	// rate% of current size joins per minute.
+	err := cl.growInWaves(target, 0, time.Minute, 20*time.Minute,
+		func(members int) int { return max(1, members*ratePctPerMin/100) }, nil)
+	if err != nil {
 		return 0, 0
-	}
-	contact := first.Identity()
-	deadline := cl.c.Now() + 20*time.Minute
-	for cl.members() < target && cl.c.Now() < deadline {
-		// rate% of current size joins per minute.
-		wave := cl.members() * ratePctPerMin / 100
-		if wave < 1 {
-			wave = 1
-		}
-		for i := 0; i < wave; i++ {
-			n := cl.addNode()
-			_ = n.Join(contact)
-		}
-		cl.c.Run(time.Minute)
 	}
 	cl.c.Run(time.Minute)
 	for _, n := range cl.nodes {
@@ -659,6 +509,3 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 	}
 	return completed, suppressed
 }
-
-// sortInts is a tiny helper for deterministic output.
-func sortInts(v []int) []int { out := append([]int(nil), v...); sort.Ints(out); return out }

@@ -7,6 +7,7 @@ package experiment
 // stack (engine, overlay, group, SMR, applications) surfaces here.
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,6 +108,18 @@ func TestFig6Smoke(t *testing.T) {
 func TestFig6AsyncSmoke(t *testing.T) {
 	tb := Fig6(smr.ModeAsync, 10, 2)
 	requireTable(t, tb, 1)
+	if n := cell(t, tb, len(tb.Rows)-1, 1); n < 10 {
+		t.Fatalf("growth did not reach target: final row %v", tb.Rows[len(tb.Rows)-1])
+	}
+	gaveUp, joiners := -1, 0
+	for _, r := range tb.Remarks {
+		if strings.HasSuffix(r, " joiners gave up") {
+			fmt.Sscanf(r, "%d of %d", &gaveUp, &joiners)
+		}
+	}
+	if gaveUp != 0 || joiners == 0 {
+		t.Fatalf("want 0 joiners given up, remarks %q", tb.Remarks)
+	}
 }
 
 func TestFig7Smoke(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"atum"
-	"atum/internal/simnet"
 	"atum/internal/smr"
 )
 
@@ -52,12 +51,8 @@ type StormTraffic struct {
 	Broadcasts int
 	// MsgsPerBcast counts every network message, intra-vgroup SMR agreement
 	// included.
-	MsgsPerBcast float64
-	// LinkMsgsPerBcast counts overlay-link traffic only — group messages and
-	// application raw messages, the per-destination sends the egress
-	// scheduler coalesces.
-	LinkMsgsPerBcast float64
-	BytesPerBcast    float64
+	MsgsPerBcast  float64
+	BytesPerBcast float64
 	// Delivered is the fraction of (broadcast, stable member) pairs
 	// delivered. Stable members are members from before the first measured
 	// broadcast until after the drain; churners come and go by design.
@@ -68,7 +63,6 @@ type StormTraffic struct {
 }
 
 const (
-	stormRoundDur       = 100 * time.Millisecond
 	stormChunksPerRound = 8
 	stormChunkBytes     = 256
 	stormFillerBytes    = 20 // hex-printed into every broadcast payload
@@ -78,81 +72,25 @@ const (
 	stormDrainRounds = 60
 )
 
-// linkMsgs counts overlay-link messages in a counter diff: everything except
-// the node-level SMR envelopes, heartbeats, and join/renounce handshakes
-// (intra-vgroup or point-to-point control traffic outside the scheduler's
-// scope).
-func linkMsgs(d simnet.Stats) int64 {
-	var out int64
-	for typ, c := range d.SentByType {
-		switch typ {
-		case "core.SMREnvelope", "core.Heartbeat", "core.JoinContact",
-			"core.ContactInfo", "core.JoinRequest", "core.Renounce":
-		default:
-			out += c
-		}
-	}
-	return out
-}
-
-// freshBytes returns a seeded xorshift64 stream of incompressible filler
-// (media-like data): byte counts then measure the protocol, not how well the
-// test data folds. One seed gives one stream, so payloads match across runs.
-func freshBytes(seed int64) func(size int) []byte {
-	rng := uint64(seed)*0x9e3779b97f4a7c15 + 1
-	return func(size int) []byte {
-		b := make([]byte, size)
-		for i := 0; i < size; i += 8 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			for j := 0; j < 8 && i+j < size; j++ {
-				b[i+j] = byte(rng >> (8 * j))
-			}
-		}
-		return b
-	}
-}
-
-// StormRun measures dissemination cost on an sc.N-node ModeSync system with
-// shuffling, heartbeats and evictions parked: per measured round every
-// publisher broadcasts one payload, and churn and raw floods run as
-// configured.
+// StormRun measures dissemination cost on an sc.N-node quiet ModeSync
+// system: per measured round every publisher broadcasts one payload, and
+// churn and raw floods run as configured.
 func StormRun(sc StormConfig) (StormTraffic, error) {
-	cl := newCluster(smr.ModeSync, sc.Seed, nil, func(cfg *atum.Config) {
-		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.RoundDuration = stormRoundDur
-		cfg.DisableShuffle = true
-		cfg.HeartbeatEvery = time.Hour // isolate protocol traffic
-		cfg.EvictAfter = 10 * time.Hour
-	})
-	if err := cl.grow(sc.N, time.Minute); err != nil {
+	cl := newCluster(smr.ModeSync, sc.Seed, nil, quiet)
+	if err := cl.grow(sc.N, time.Minute, nil); err != nil {
 		return StormTraffic{}, fmt.Errorf("growth to %d nodes failed: %w", sc.N, err)
 	}
 	cl.c.Run(5 * time.Second) // settle
 
-	var pubs, stable []*atum.Node
-	for _, node := range cl.nodes {
-		if !node.IsMember() {
-			continue
-		}
-		if len(pubs) < sc.Publishers {
-			pubs = append(pubs, node)
-		}
-		stable = append(stable, node)
-	}
+	stable := cl.members()
+	pubs := stable[:min(sc.Publishers, len(stable))]
 	// Churners leave from the tail of the stable set (never publishers);
 	// they stop counting as stable.
 	var leavers []*atum.Node
-	if sc.Churn {
-		churners := min(len(stable)/8, sc.Rounds)
-		if len(stable)-churners > sc.Publishers {
-			leavers = stable[len(stable)-churners:]
-			stable = stable[:len(stable)-churners]
-		}
+	if churners := min(len(stable)/8, sc.Rounds); sc.Churn && len(stable)-churners > sc.Publishers {
+		stable, leavers = stable[:len(stable)-churners], stable[len(stable)-churners:]
 	}
 	contact := pubs[0].Identity()
-	fresh := freshBytes(sc.Seed)
 
 	before := cl.c.Net.Stats()
 	var out StormTraffic
@@ -162,14 +100,9 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 			if r < len(leavers) {
 				_ = leavers[r].Leave()
 			}
-			_ = cl.addNode().Join(contact)
+			_ = cl.addNode(nil).Join(contact)
 		}
-		for i, p := range pubs {
-			payload := fmt.Sprintf("storm-%d-%d-%x", r, i, fresh(stormFillerBytes))
-			if p.BroadcastWith([]byte(payload), atum.BroadcastOpts{}) == nil {
-				payloads = append(payloads, payload)
-			}
-		}
+		payloads = append(payloads, cl.publish(pubs, "storm", r, stormFillerBytes)...)
 		if sc.RawFloods {
 			for _, node := range stable {
 				if !node.IsMember() {
@@ -180,40 +113,24 @@ func StormRun(sc StormConfig) (StormTraffic, error) {
 					for _, member := range node.GroupMembers() {
 						if member.ID != self {
 							out.RawSent++
-							_ = node.SendRawWith(member.ID, expChunk{Seq: uint64(out.RawSent), Data: fresh(stormChunkBytes)}, atum.SendOpts{})
+							_ = node.SendRawWith(member.ID, expChunk{Seq: uint64(out.RawSent), Data: cl.fresh(stormChunkBytes)}, atum.SendOpts{})
 						}
 					}
 				}
 			}
 		}
-		cl.c.Run(stormRoundDur)
+		cl.c.Run(quietRound)
 	}
-	cl.c.Run(stormDrainRounds * stormRoundDur)
+	cl.c.Run(stormDrainRounds * quietRound)
 	diff := cl.c.Net.Stats().Sub(before)
 	out.RawDelivered = cl.rawDelivered // nothing sends raw messages before the window
 	out.Broadcasts = len(payloads)
 	if len(payloads) == 0 {
 		return out, nil
 	}
-
-	members, deliveredPairs := 0, 0
-	for _, node := range stable {
-		if !node.IsMember() {
-			continue
-		}
-		members++
-		for _, p := range payloads {
-			if _, ok := cl.deliverAt[node.Identity().ID][p]; ok {
-				deliveredPairs++
-			}
-		}
-	}
 	bcasts := float64(len(payloads))
 	out.MsgsPerBcast = float64(diff.Sent) / bcasts
-	out.LinkMsgsPerBcast = float64(linkMsgs(diff)) / bcasts
 	out.BytesPerBcast = float64(diff.BytesSent) / bcasts
-	if members > 0 {
-		out.Delivered = float64(deliveredPairs) / (bcasts * float64(members))
-	}
+	out.Delivered = cl.delivered(stable, payloads)
 	return out, nil
 }

@@ -14,7 +14,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"time"
 
 	"atum/internal/actor"
@@ -81,12 +80,6 @@ type Config struct {
 	BandwidthUp int64
 	// BandwidthDown is each node's ingress rate in bytes/second (0 = infinite).
 	BandwidthDown int64
-	// TypeLabel, when set, overrides the per-message label used for the
-	// SentByType/DroppedByType maps (default: the %T type name). Return ""
-	// to keep the default. Experiments use it to split one Go type into
-	// traffic classes (e.g. node-addressed raw carriers vs group-addressed
-	// protocol carriers, both group.GroupMsg).
-	TypeLabel func(msg actor.Message) string
 	// Logf, when non-nil, receives debug logs from nodes and the simulator.
 	Logf func(format string, args ...any)
 }
@@ -102,14 +95,6 @@ type Stats struct {
 	// ingest buffer (SetIngestCap) — transport-level loss under overload,
 	// as opposed to probabilistic loss or partitions.
 	DroppedOverload int64
-	// SentByType counts sent messages by concrete Go type name
-	// (fmt.Sprintf("%T")), so experiments can attribute traffic to protocol
-	// layers — e.g. overlay-link traffic (group.GroupMsg, application raw
-	// types) vs intra-vgroup agreement (core.SMREnvelope).
-	SentByType map[string]int64
-	// DroppedByType counts every dropped message by concrete type name:
-	// where in the protocol the transport loss landed (drop placement).
-	DroppedByType map[string]int64
 }
 
 // Sub returns the difference s − before, field by field (counter snapshots
@@ -121,18 +106,6 @@ func (s Stats) Sub(before Stats) Stats {
 	out.Dropped -= before.Dropped
 	out.BytesSent -= before.BytesSent
 	out.DroppedOverload -= before.DroppedOverload
-	out.SentByType = subByType(s.SentByType, before.SentByType)
-	out.DroppedByType = subByType(s.DroppedByType, before.DroppedByType)
-	return out
-}
-
-func subByType(cur, before map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(cur))
-	for k, v := range cur {
-		if d := v - before[k]; d != 0 {
-			out[k] = d
-		}
-	}
 	return out
 }
 
@@ -148,10 +121,6 @@ type Network struct {
 	nodes     map[ids.NodeID]*simNode
 	partition map[ids.NodeID]int // partition index; absent = 0
 	stats     Stats
-	// typeNames caches fmt-style type names per concrete message type:
-	// send runs once per simulated message, and formatting the name each
-	// time would put an allocation on the simulator's hottest path.
-	typeNames map[reflect.Type]string
 	// eventFree recycles event structs between pops and pushes: every
 	// simulated message costs several scheduler events, and the simulator is
 	// single-threaded, so a plain bounded freelist beats allocating (or
@@ -165,17 +134,6 @@ type Network struct {
 // maxEventFree bounds the event freelist (structs, not payloads; 4096 covers
 // any realistic in-flight burst without pinning memory after one).
 const maxEventFree = 4096
-
-// typeName returns the cached %T-style name of msg's concrete type.
-func (n *Network) typeName(msg actor.Message) string {
-	t := reflect.TypeOf(msg)
-	if name, ok := n.typeNames[t]; ok {
-		return name
-	}
-	name := fmt.Sprintf("%T", msg)
-	n.typeNames[t] = name
-	return name
-}
 
 type simNode struct {
 	id      ids.NodeID
@@ -228,16 +186,13 @@ func New(cfg Config) *Network {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		nodes:     make(map[ids.NodeID]*simNode),
 		partition: make(map[ids.NodeID]int),
-		typeNames: make(map[reflect.Type]string),
-		stats: Stats{SentByType: make(map[string]int64),
-			DroppedByType: make(map[string]int64)},
 	}
 }
 
 // SetIngestCap models a slow consumer: node id processes messages at
 // bytesPerSec through a bounded ingest buffer of queueBytes; messages
 // arriving when the buffer is full are dropped (transport-level overload
-// loss, counted in DroppedOverload and DroppedByType). Zero values remove
+// loss, counted in DroppedOverload). Zero values remove
 // the cap. Applies from the next arrival; no-op for unknown nodes.
 func (n *Network) SetIngestCap(id ids.NodeID, bytesPerSec, queueBytes int64) {
 	if sn, ok := n.nodes[id]; ok {
@@ -248,20 +203,8 @@ func (n *Network) SetIngestCap(id ids.NodeID, bytesPerSec, queueBytes int64) {
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// Stats returns a snapshot of the network counters (the per-type map is
-// copied; snapshots stay valid as the simulation advances).
-func (n *Network) Stats() Stats {
-	out := n.stats
-	out.SentByType = make(map[string]int64, len(n.stats.SentByType))
-	for k, v := range n.stats.SentByType {
-		out.SentByType[k] = v
-	}
-	out.DroppedByType = make(map[string]int64, len(n.stats.DroppedByType))
-	for k, v := range n.stats.DroppedByType {
-		out.DroppedByType[k] = v
-	}
-	return out
-}
+// Stats returns a snapshot of the network counters.
+func (n *Network) Stats() Stats { return n.stats }
 
 // Add registers a node and schedules its Start at the current time.
 // Adding an ID that is already live panics: it indicates a harness bug.
@@ -398,22 +341,11 @@ func (n *Network) logf(format string, args ...any) {
 func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
 	n.stats.Sent++
 	size := actor.SizeOf(msg)
-	tn := ""
-	if n.cfg.TypeLabel != nil {
-		tn = n.cfg.TypeLabel(msg)
-	}
-	if tn == "" {
-		tn = n.typeName(msg)
-	}
 	n.stats.BytesSent += int64(size)
-	n.stats.SentByType[tn]++
 
-	if n.partition[from.id] != n.partition[to] {
-		n.drop(tn)
-		return
-	}
-	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
-		n.drop(tn)
+	if n.partition[from.id] != n.partition[to] ||
+		n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
+		n.stats.Dropped++
 		return
 	}
 
@@ -432,7 +364,7 @@ func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
 	n.schedule(arrive-n.now, func() {
 		dst, ok := n.nodes[to]
 		if !ok || !dst.alive {
-			n.drop(tn)
+			n.stats.Dropped++
 			return
 		}
 		deliverAt := n.now
@@ -445,7 +377,7 @@ func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
 			}
 			backlog := int64(dst.ingress-n.now) * dst.inRate / int64(time.Second)
 			if dst.inQueue > 0 && backlog+int64(size) > dst.inQueue {
-				n.drop(tn)
+				n.stats.Dropped++
 				n.stats.DroppedOverload++
 				return
 			}
@@ -461,19 +393,13 @@ func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
 		n.schedule(deliverAt-n.now, func() {
 			dst2, ok := n.nodes[to]
 			if !ok || !dst2.alive {
-				n.drop(tn)
+				n.stats.Dropped++
 				return
 			}
 			n.stats.Delivered++
 			dst2.node.Receive(from.id, msg)
 		})
 	})
-}
-
-// drop counts one dropped message of the given type name.
-func (n *Network) drop(typeName string) {
-	n.stats.Dropped++
-	n.stats.DroppedByType[typeName]++
 }
 
 func byteTime(size int, bytesPerSec int64) time.Duration {

@@ -1,6 +1,6 @@
 // Package stats provides the statistics used by the evaluation harness:
 // Pearson's χ² uniformity test (the Fig. 4 guideline methodology) and
-// latency distribution summaries (CDFs, percentiles).
+// latency distribution summaries (percentiles, mean, max).
 package stats
 
 import (
@@ -143,27 +143,4 @@ func (d Durations) Max() time.Duration {
 		}
 	}
 	return m
-}
-
-// CDF returns (latency, fraction ≤ latency) pairs at the given resolution.
-func (d Durations) CDF(points int) []CDFPoint {
-	s := d.Sorted()
-	if len(s) == 0 || points < 2 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := i*len(s)/points - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{Latency: s[idx], Fraction: float64(i) / float64(points)})
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
 }

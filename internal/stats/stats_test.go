@@ -96,24 +96,4 @@ func TestPercentileEmpty(t *testing.T) {
 	if d.Percentile(50) != 0 || d.Mean() != 0 || d.Max() != 0 {
 		t.Error("empty sample should give zeros")
 	}
-	if d.CDF(10) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestCDFMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var d Durations
-	for i := 0; i < 500; i++ {
-		d = append(d, time.Duration(rng.Intn(1000))*time.Millisecond)
-	}
-	pts := d.CDF(20)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Latency < pts[i-1].Latency || pts[i].Fraction <= pts[i-1].Fraction {
-			t.Fatalf("CDF not monotonic at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if pts[len(pts)-1].Fraction != 1 {
-		t.Error("CDF must end at 1")
-	}
 }
