@@ -1,9 +1,8 @@
 // Command atumvet runs the repo's custom static analyzers: detclock
 // (wall-clock and global-rand bans in the deterministic packages), and
-// the three type-aware passes — actorconfine (engine
-// state confined to the actor loop), egressonly (all core sends route
-// through the egress scheduler), and aliasret (exported API methods
-// clone reference state on the way out). It exits non-zero
+// the two type-aware passes — actorconfine (engine state confined to the
+// actor loop) and aliasret (exported API methods clone reference state on
+// the way out). It exits non-zero
 // when any finding survives the //atumvet:allow directives, printing
 // findings in the familiar file:line:col form — plus GitHub error
 // annotations when running under Actions.

@@ -76,9 +76,10 @@ type AddrBook interface {
 	LearnAddr(id ids.NodeID, addr string)
 }
 
-// LearnIdentity records id.Addr for id.ID if env's runtime keeps an address
-// book; it is a no-op otherwise, and for blank or incomplete identities.
-func LearnIdentity(env Env, id ids.Identity) {
+// LearnIdentity records id.Addr for id.ID if env — an Env, or the part of one
+// a protocol keeps — belongs to a runtime that keeps an address book; it is a
+// no-op otherwise, and for blank or incomplete identities.
+func LearnIdentity(env any, id ids.Identity) {
 	if env == nil || id.ID == 0 || id.Addr == "" {
 		return
 	}

@@ -171,16 +171,10 @@ func (n *Node) applyEvict(o evictVoteOp) {
 			keep = append(keep, m)
 		}
 	}
-	n.reconfigure(keep, causeEvict, nil)
+	n.reconfigure(keep, causeEvict)
 }
 
 // --- the reconfiguration barrier ---
-
-// addedMember is a node admitted by a reconfiguration, to which the old
-// configuration sends a state snapshot.
-type addedMember struct {
-	identity ids.Identity
-}
 
 // reconfigure is the single place vgroup membership changes: it bumps the
 // epoch, notifies neighbors, transfers state to admitted nodes, restarts
@@ -190,7 +184,7 @@ type addedMember struct {
 // It runs during apply at every member of the *old* configuration —
 // including members that depart with this change, whose last duty is to
 // send their share of the notifications and snapshots.
-func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added []addedMember) {
+func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause) {
 	st := n.st
 	// Pending egress batches were enqueued — and their inner MsgIDs derived —
 	// under the closing epoch; send them stamped with it before the bump, or
@@ -223,7 +217,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause, added
 			continue
 		}
 		msgID := snapMsgID(old, m.ID)
-		n.sendToNode(old, m.ID, kindSnapshot, msgID, snap)
+		n.egress.ToNode(old, m.ID, kindSnapshot, msgID, snap)
 	}
 	n.cacheSnapshot(old.Epoch, snap)
 

@@ -144,10 +144,11 @@ func (e *fakeEnv) Rand() *rand.Rand                          { return e.rng }
 func (e *fakeEnv) Logf(f string, args ...any)                { e.logs = append(e.logs, fmt.Sprintf(f, args...)) }
 
 // memberNode builds a node that believes it is a member of comp, with a
-// neighbor vgroup on every cycle, running on a captured environment.
-func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition) (*Node, *fakeEnv) {
+// neighbor vgroup on every cycle, running on a captured environment. It runs
+// ModeSync unless a tweak says otherwise.
+func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition, tweaks ...func(*Config)) (*Node, *fakeEnv) {
 	t.Helper()
-	n := New(Config{
+	cfg := Config{
 		Identity:       ids.Identity{ID: self, Addr: fmt.Sprintf("t:%d", self)},
 		SignerSeed:     []byte(fmt.Sprintf("batch-test-%d", self)),
 		Scheme:         simScheme(),
@@ -155,9 +156,13 @@ func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition) (*No
 		Params:         Params{HC: 2, RWL: 3, GMax: 6, GMin: 3},
 		RoundDuration:  100 * time.Millisecond,
 		DisableShuffle: true,
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	n := New(cfg)
 	env := &fakeEnv{self: self, now: time.Second, rng: rand.New(rand.NewSource(int64(self)))}
-	n.env = env
+	n.Start(env)
 	n.phase = phaseMember
 	nbrs := overlay.NewNeighbors(2, comp)
 	nbrs.Set(overlay.Link{Cycle: 0, Dir: overlay.Succ}, nbr.Clone())
@@ -206,43 +211,55 @@ func TestBatchFlushesBeforeReconfigure(t *testing.T) {
 
 	// Admit a member: reconfigure bumps the epoch to 4.
 	joiner := ids.Identity{ID: 42, Addr: "t:42"}
-	n.reconfigure(append(ids.CloneIdentities(comp.Members), joiner), causeJoin,
-		[]addedMember{{identity: joiner}})
+	n.reconfigure(append(ids.CloneIdentities(comp.Members), joiner), causeJoin)
 
 	if n.st.comp.Epoch != 4 {
 		t.Fatalf("epoch after reconfigure = %d, want 4", n.st.comp.Epoch)
 	}
-	// The batch was round-quantized into outQ; it must carry the old epoch.
-	// (reconfigure itself enqueues fresh neighbor-update notices afterwards,
-	// so pending need not be empty — but no gossip may remain among them.)
-	found := false
-	for _, q := range n.outQ {
-		m, ok := q.msg.(group.GroupMsg)
-		if !ok || m.Kind != kindBatch {
-			continue
-		}
-		found = true
-		if m.SrcGroup != comp.GroupID || m.SrcEpoch != 3 {
-			t.Errorf("batch stamped %v/%d, want %v/3 (the enqueue-time epoch)",
-				m.SrcGroup, m.SrcEpoch, comp.GroupID)
+	// The batch was closed before the bump but belongs to the round: nothing
+	// group-addressed leaves before the tick (the snapshots reconfigure sends
+	// the members are node-addressed).
+	if sent := groupSends(env); len(sent) != 0 {
+		t.Fatalf("%d group messages left before the round tick", len(sent))
+	}
+	// At the tick it leaves first, stamped with the old epoch, ahead of the
+	// neighbor-update notices reconfigure queued after the bump.
+	n.egress.FlushDeferred()
+	sent := groupSends(env)
+	if len(sent) != 2*nbr.N() {
+		t.Fatalf("%d group messages at the tick, want a carrier and a notice per neighbor member (%d)", len(sent), 2*nbr.N())
+	}
+	for _, m := range sent[:nbr.N()] {
+		if m.Kind != kindBatch || m.SrcGroup != comp.GroupID || m.SrcEpoch != 3 {
+			t.Fatalf("kind %d stamped %v/%d left first, want the gossip carrier stamped %v/3 (the enqueue-time epoch)",
+				m.Kind, m.SrcGroup, m.SrcEpoch, comp.GroupID)
 		}
 		inner, err := group.UnpackBatch(m)
 		if err != nil {
 			t.Fatalf("unpack: %v", err)
 		}
-		if len(inner) != 2 {
-			t.Errorf("inner items = %d, want 2", len(inner))
-		}
-		for _, im := range inner {
-			if im.Kind != kindGossip {
-				t.Errorf("inner kind = %d, want kindGossip", im.Kind)
-			}
+		if len(inner) != 2 || inner[0].Kind != kindGossip || inner[1].Kind != kindGossip {
+			t.Errorf("carrier holds %d items, want the 2 gossip items", len(inner))
 		}
 	}
-	if !found {
-		t.Fatal("no gossip batch flushed by reconfigure")
+	for _, m := range sent[nbr.N():] {
+		if m.Kind != kindNeighborUpdate {
+			t.Errorf("kind %d after the carriers, want the neighbor-update notices", m.Kind)
+		}
 	}
-	_ = env
+}
+
+// groupSends returns the group-addressed messages env captured since the last
+// call, in send order.
+func groupSends(env *fakeEnv) []group.GroupMsg {
+	var out []group.GroupMsg
+	for _, s := range env.sent {
+		if m, ok := s.msg.(group.GroupMsg); ok && m.DstGroup != 0 {
+			out = append(out, m)
+		}
+	}
+	env.sent = nil
+	return out
 }
 
 // TestBatchFlushesBeforeSplitInstall covers the other state-replacement
@@ -253,7 +270,7 @@ func TestBatchFlushesBeforeSplitInstall(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
+	n, env := memberNode(t, self, comp, nbr)
 
 	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("pre-split")), Origin: self, Data: []byte("x")})
 	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("pre-split-2")), Origin: self, Data: []byte("y")})
@@ -268,9 +285,10 @@ func TestBatchFlushesBeforeSplitInstall(t *testing.T) {
 	if dests, _ := n.egress.Pending(); dests != 0 {
 		t.Fatal("pending batches survived the split install")
 	}
+	n.egress.FlushDeferred()
 	found := false
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch {
+	for _, m := range groupSends(env) {
+		if m.Kind == kindBatch {
 			found = true
 			if m.SrcGroup != comp.GroupID || m.SrcEpoch != comp.Epoch {
 				t.Errorf("batch stamped %v/%d, want parent %v/%d",
@@ -289,18 +307,16 @@ func TestBatchUnwrapsSinglePayload(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
+	n, env := memberNode(t, self, comp, nbr)
 
 	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("solo")), Origin: self, Data: []byte("x")})
-	n.egress.FlushAll()
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch {
+	n.egress.FlushDeferred()
+	seen := 0
+	for _, m := range groupSends(env) {
+		if m.Kind == kindBatch {
 			t.Fatal("single payload must flush as plain kindGossip, not a batch")
 		}
-	}
-	seen := 0
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindGossip {
+		if m.Kind == kindGossip {
 			seen++
 		}
 	}
@@ -310,23 +326,25 @@ func TestBatchUnwrapsSinglePayload(t *testing.T) {
 }
 
 // TestBatchCapOneNeverBuffers checks GossipMaxBatch=1 is an ordinary cap the
-// first item already fills: sends happen synchronously at forward time, as
-// plain group messages, with nothing left waiting for the round tick.
+// first item already fills: nothing stays queued, and each item leaves at the
+// round tick as a plain group message.
 func TestBatchCapOneNeverBuffers(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
-	n.cfg.GossipMaxBatch = 1
-	n.egress = n.newEgress() // rebuild: the scheduler snapshots config knobs
+	n, env := memberNode(t, self, comp, nbr, func(cfg *Config) { cfg.GossipMaxBatch = 1 })
 
 	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("legacy")), Origin: self, Data: []byte("x")})
 	if dests, _ := n.egress.Pending(); dests != 0 {
 		t.Fatal("GossipMaxBatch=1 must not buffer payloads")
 	}
+	if sent := groupSends(env); len(sent) != 0 {
+		t.Fatalf("%d group messages left before the round tick", len(sent))
+	}
+	n.egress.FlushDeferred()
 	seen := 0
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindGossip {
+	for _, m := range groupSends(env) {
+		if m.Kind == kindGossip {
 			seen++
 			if m.Payload != nil && !bytes.Contains(m.Payload, []byte("x")) {
 				t.Error("payload not carried")
@@ -339,15 +357,13 @@ func TestBatchCapOneNeverBuffers(t *testing.T) {
 }
 
 // TestBatchCountTriggerFlushesEarly checks the byte/count budget: the
-// GossipMaxBatch-th payload flushes the destination without waiting for the
-// round tick.
+// GossipMaxBatch-th payload closes the destination's batch at once, and the
+// closed batch leaves at the round tick as one carrier.
 func TestBatchCountTriggerFlushesEarly(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
-	n.cfg.GossipMaxBatch = 3
-	n.egress = n.newEgress() // rebuild: the scheduler snapshots config knobs
+	n, env := memberNode(t, self, comp, nbr, func(cfg *Config) { cfg.GossipMaxBatch = 3 })
 
 	for i := 0; i < 3; i++ {
 		originGossip(n, Delivery{
@@ -359,9 +375,10 @@ func TestBatchCountTriggerFlushesEarly(t *testing.T) {
 	if dests, _ := n.egress.Pending(); dests != 0 {
 		t.Fatalf("full batch not flushed: %d destinations pending", dests)
 	}
+	n.egress.FlushDeferred()
 	batches := 0
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch {
+	for _, m := range groupSends(env) {
+		if m.Kind == kindBatch {
 			batches++
 		}
 	}

@@ -78,6 +78,52 @@ func TestRawExtensionRoundTrip(t *testing.T) {
 	}
 }
 
+// sendFields returns the fields of struct type typ that can reach a transport:
+// a value with a Send(ids.NodeID, actor.Message) method, or a function of
+// that shape.
+func sendFields(typ reflect.Type) []string {
+	send := reflect.TypeOf(func(ids.NodeID, actor.Message) {})
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type == send {
+			out = append(out, f.Name)
+			continue
+		}
+		for _, t := range []reflect.Type{f.Type, reflect.PointerTo(f.Type)} {
+			m, ok := t.MethodByName("Send")
+			if !ok {
+				continue
+			}
+			in := 1 // a concrete type's method takes its receiver first
+			if t.Kind() == reflect.Interface {
+				in = 0
+			}
+			if m.Type.NumIn() == in+2 && m.Type.In(in) == send.In(0) && m.Type.In(in+1) == send.In(1) {
+				out = append(out, f.Name)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestNodeHoldsNoTransport: the engine hands its actor.Env to the egress port
+// at Start and keeps only the clock, timers, the log and the address book, so
+// every send leaves through the port. No field of Node can reach a transport.
+func TestNodeHoldsNoTransport(t *testing.T) {
+	if got := sendFields(reflect.TypeOf(struct {
+		env  actor.Env
+		hook sendHook
+		fn   func(ids.NodeID, actor.Message)
+	}{})); len(got) != 3 {
+		t.Fatalf("the check finds %v, want env, hook and fn: it would miss a transport", got)
+	}
+	if got := sendFields(reflect.TypeOf(Node{})); len(got) != 0 {
+		t.Fatalf("Node fields %v can send past the egress port", got)
+	}
+}
+
 // TestBatchCarriesThreeKinds pins the acceptance bar for the unified
 // scheduler: gossip, walk, and raw items bound for the same destination
 // leave in ONE batch carrier, and the receiver dispatches each correctly —
@@ -87,7 +133,7 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
+	n, env := memberNode(t, self, comp, nbr)
 
 	// One gossip payload, one walk hop, one raw message, same destination.
 	gossip := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte("g")), Origin: self, Data: []byte("x")})
@@ -106,17 +152,17 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	if d, i := n.egress.Pending(); d != 1 || i != 3 {
 		t.Fatalf("pending = %d/%d, want one destination holding all 3 kinds", d, i)
 	}
-	n.egress.FlushAll()
+	n.egress.FlushDeferred()
 
 	var carrier group.GroupMsg
 	found := false
-	for _, q := range n.outQ {
-		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch && m.Payload != nil {
+	for _, m := range groupSends(env) {
+		if m.Kind == kindBatch && m.Payload != nil {
 			carrier, found = m, true
 		}
 	}
 	if !found {
-		t.Fatal("no full-payload batch carrier in outQ")
+		t.Fatal("no full-payload batch carrier sent at the round tick")
 	}
 	inner, err := group.UnpackBatch(carrier)
 	if err != nil {
@@ -161,7 +207,7 @@ func TestEgressFlushesWalkAndChurnKindsBeforeReconfigure(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
+	n, env := memberNode(t, self, comp, nbr)
 
 	n.sendGroup(comp, nbr, kindWalk,
 		walkMsgID(crypto.Hash([]byte("w2")), 0, nbr.GroupID),
@@ -175,16 +221,18 @@ func TestEgressFlushesWalkAndChurnKindsBeforeReconfigure(t *testing.T) {
 	}
 
 	joiner := ids.Identity{ID: 42, Addr: "t:42"}
-	n.reconfigure(append(ids.CloneIdentities(comp.Members), joiner), causeJoin,
-		[]addedMember{{identity: joiner}})
+	n.reconfigure(append(ids.CloneIdentities(comp.Members), joiner), causeJoin)
 	if n.st.comp.Epoch != 4 {
 		t.Fatalf("epoch = %d, want 4", n.st.comp.Epoch)
 	}
 
+	if sent := groupSends(env); len(sent) != 0 {
+		t.Fatalf("%d group messages left before the round tick", len(sent))
+	}
+	n.egress.FlushDeferred()
 	kinds := map[group.Kind]bool{}
-	for _, q := range n.outQ {
-		m, ok := q.msg.(group.GroupMsg)
-		if !ok || m.Kind != kindBatch {
+	for _, m := range groupSends(env) {
+		if m.Kind != kindBatch {
 			continue
 		}
 		if m.SrcEpoch != 3 {
@@ -211,7 +259,7 @@ func TestEgressFlushesBeforeMergeDissolve(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, _ := memberNode(t, self, comp, nbr)
+	n, env := memberNode(t, self, comp, nbr)
 	absorber := testComp(9, 1, 4, 5, 6)
 
 	// Queue a gossip payload, then dissolve mid-window.
@@ -227,12 +275,9 @@ func TestEgressFlushesBeforeMergeDissolve(t *testing.T) {
 	if d, i := n.egress.Pending(); d != 0 || i != 0 {
 		t.Fatalf("pending after dissolve = %d/%d, want drained", d, i)
 	}
+	n.egress.FlushDeferred()
 	sawGossip, sawSetNbr := false, false
-	for _, q := range n.outQ {
-		m, ok := q.msg.(group.GroupMsg)
-		if !ok {
-			continue
-		}
+	for _, m := range groupSends(env) {
 		if m.SrcGroup != comp.GroupID || m.SrcEpoch != comp.Epoch {
 			t.Errorf("dissolve-time message stamped %v/%d, want %v/%d",
 				m.SrcGroup, m.SrcEpoch, comp.GroupID, comp.Epoch)
@@ -270,9 +315,7 @@ func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
-	n, env := memberNode(t, self, comp, nbr)
-	n.cfg.Mode = smr.ModeAsync
-	n.egress = n.newEgress()
+	n, env := memberNode(t, self, comp, nbr, func(cfg *Config) { cfg.Mode = smr.ModeAsync })
 
 	originGossip(n, Delivery{BcastID: crypto.Hash([]byte("idle-1")), Origin: self, Data: []byte("x")})
 	if d, _ := n.egress.Pending(); d != 0 {
@@ -588,8 +631,9 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 // TestSendRoutesByWireRow: one column of the wire table decides, on both
 // ends, whether a kind rides a carrier. For every row with a group kind,
 // sendGroup leaves a scheduler entry iff the row says carrierOK and otherwise
-// fans the message out at once; and when all of them travel to a member of the
-// destination vgroup, its handleBatch finds no item the table keeps off
+// holds the message alone for the round; either way one plain copy per member
+// leaves at the tick and none before. And when all of them travel to a member
+// of the destination vgroup, its handleBatch finds no item the table keeps off
 // carriers. (sendGroup's predecessor queued whatever it was handed: a merge
 // request sent through it was dropped by the receiver as a "sender bug".)
 func TestSendRoutesByWireRow(t *testing.T) {
@@ -602,17 +646,19 @@ func TestSendRoutesByWireRow(t *testing.T) {
 			continue
 		}
 		kinds++
-		n, _ := memberNode(t, 1, comp, nbr)
+		n, env := memberNode(t, 1, comp, nbr)
 		payload := encodePayload(r.proto)
 		msgID := crypto.Hash([]byte{byte(r.kind)})
 		n.sendGroup(comp, nbr, r.kind, msgID, payload)
 		_, queued := n.egress.Pending()
-		if r.carrierOK && (queued != 1 || len(n.outQ) != 0) {
-			t.Errorf("kind %d (%T) is carrier-deliverable: %d queued, %d sent at once, want 1 and 0", r.kind, r.proto, queued, len(n.outQ))
+		early := len(groupSends(env))
+		if want := map[bool]int{true: 1, false: 0}[r.carrierOK]; queued != want || early != 0 {
+			t.Errorf("kind %d (%T), carrierOK %v: %d queued, %d sent before the tick, want %d and 0",
+				r.kind, r.proto, r.carrierOK, queued, early, want)
 		}
-		if !r.carrierOK && (queued != 0 || len(n.outQ) != nbr.N()) {
-			t.Errorf("kind %d (%T) is kept off carriers: %d queued, %d sent at once, want 0 and one copy per member (%d)",
-				r.kind, r.proto, queued, len(n.outQ), nbr.N())
+		n.egress.FlushDeferred()
+		if sent := groupSends(env); len(sent) != nbr.N() || sent[0].Kind != r.kind {
+			t.Errorf("kind %d (%T): %d messages at the tick, want one plain copy per member (%d)", r.kind, r.proto, len(sent), nbr.N())
 		}
 		sender.sendGroup(comp, nbr, r.kind, msgID, payload)
 	}
@@ -620,7 +666,7 @@ func TestSendRoutesByWireRow(t *testing.T) {
 		t.Fatalf("only %d rows carry a group kind: the table walk is broken", kinds)
 	}
 
-	sender.flushRound()
+	sender.egress.FlushDeferred()
 	recv, recvEnv := memberNode(t, 4, nbr, comp)
 	carriers := 0
 	for _, s := range senderEnv.sent {

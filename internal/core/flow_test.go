@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"atum/internal/actor"
 	"atum/internal/ids"
 	"atum/internal/smr"
 )
@@ -67,8 +68,9 @@ func TestForeignMessageNotDelivered(t *testing.T) {
 	var got []any
 	nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 	to := nodes[1].cfg.Identity.ID
-	nodes[0].env.Send(to, unregisteredRawMsg{X: 7})
-	nodes[0].env.Send(to, egressTestMsg{Seq: 7}) // registered, but not framed
+	peer := nodes[0].env.(actor.Env) // a peer that does not run the engine
+	peer.Send(to, unregisteredRawMsg{X: 7})
+	peer.Send(to, egressTestMsg{Seq: 7}) // registered, but not framed
 	h.net.Run(h.net.Now() + time.Second)
 	if len(got) != 0 {
 		t.Fatalf("undecoded foreign values reached OnRawMessage: %#v", got)

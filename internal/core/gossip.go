@@ -181,7 +181,7 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 			}
 			sent = append(sent, key)
 			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
-				n.sendGroupItem(st.comp, nbr, it, expires)
+				n.egress.Group(st.comp, nbr, it, expires)
 			}
 			echo := key
 			if e, ok := n.newest[nbr.GroupID]; ok && e > echo.Epoch {

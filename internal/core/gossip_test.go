@@ -21,13 +21,15 @@ import (
 	"atum/internal/smr"
 )
 
-// drainGroupSends frames n's pending egress items and takes its
-// round-quantized send queue (memberNode runs ModeSync on a captured
-// environment, so nothing leaves until drained).
-func drainGroupSends(n *Node) []queuedSend {
+// drainGroupSends closes n's open egress batches, runs its round tick and
+// takes everything its captured environment (memberNode) was sent — in
+// ModeSync group messages leave only at the tick.
+func drainGroupSends(n *Node) []fakeSend {
 	n.egress.FlushAll()
-	out := n.outQ
-	n.outQ = nil
+	n.egress.FlushDeferred()
+	env := n.env.(*fakeEnv)
+	out := env.sent
+	env.sent = nil
 	return out
 }
 
@@ -61,19 +63,11 @@ func gossipCopies(t testing.TB, msg actor.Message) []group.GroupMsg {
 // mode) and returns, per destination composition, whether n's gossip copies
 // toward it carried the payload. A member sends every member of one
 // destination the same copy.
-func gossipSentBy(t *testing.T, n *Node, env *fakeEnv) map[group.Key]bool {
+func gossipSentBy(t *testing.T, n *Node) map[group.Key]bool {
 	t.Helper()
-	var msgs []actor.Message
-	for _, q := range drainGroupSends(n) {
-		msgs = append(msgs, q.msg)
-	}
-	for _, s := range env.sent {
-		msgs = append(msgs, s.msg)
-	}
-	env.sent = nil
 	out := map[group.Key]bool{}
-	for _, msg := range msgs {
-		for _, m := range gossipCopies(t, msg) {
+	for _, s := range drainGroupSends(n) {
+		for _, m := range gossipCopies(t, s.msg) {
 			dst, full := group.Key{GroupID: m.DstGroup, Epoch: m.DstEpoch}, m.Payload != nil
 			if was, seen := out[dst]; seen && was != full {
 				t.Fatalf("node %v sent %v copies with and without the payload", n.cfg.Identity.ID, dst)
@@ -99,10 +93,10 @@ func TestGossipPayloadSendersAreTheFirstFPlusOne(t *testing.T) {
 			comp := testComp(1, 1, members...)
 			f := mode.F(g)
 			for idx, m := range comp.Members {
-				n, env := memberNode(t, m.ID, comp, nbr)
+				n, _ := memberNode(t, m.ID, comp, nbr)
 				n.cfg.Mode = mode
 				originGossip(n, Delivery{BcastID: crypto.Hash([]byte("rule-1")), Origin: 1, Data: []byte("bytes")})
-				full, voted := gossipSentBy(t, n, env)[nbr.Key()]
+				full, voted := gossipSentBy(t, n)[nbr.Key()]
 				if !voted {
 					t.Fatalf("%v g=%d: member at index %d did not vote", mode, g, idx)
 				}
@@ -150,13 +144,13 @@ func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
 	X := testComp(2, 2, 11, 12, 13)
 	Y := testComp(5, 1, 21, 22, 23)
 	Z := testComp(6, 4, 31, 32, 33)
-	build := func() (*Node, *fakeEnv) {
-		n, env := memberNode(t, 4, B, X)
+	build := func() *Node {
+		n, _ := memberNode(t, 4, B, X)
 		n.st.nbrs.Set(overlay.Link{Cycle: 0, Dir: overlay.Pred}, Y.Clone())
 		n.st.nbrs.Set(overlay.Link{Cycle: 1, Dir: overlay.Succ}, Z.Clone())
 		n.learnComp(Y)
 		n.learnComp(Z)
-		return n, env
+		return n
 	}
 	accept := func(n *Node, from group.Key, data string) []byte {
 		payload := encodePayload(gossipPayload{BcastID: crypto.Hash([]byte(data)), Origin: 1, Data: []byte(data)})
@@ -164,17 +158,17 @@ func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
 		return payload
 	}
 
-	n, env := build()
+	n := build()
 	accept(n, X.Key(), "from X@2")
-	got := gossipSentBy(t, n, env)
+	got := gossipSentBy(t, n)
 	if want := map[group.Key]bool{Y.Key(): true, Z.Key(): true}; !maps.Equal(got, want) {
 		t.Errorf("accepted from %v: payload attached per destination = %v, want %v and no copy toward %v", X.Key(), got, want, X.Key())
 	}
 
 	for _, epoch := range []uint64{1, 3} {
-		n, env := build()
+		n := build()
 		accept(n, group.Key{GroupID: X.GroupID, Epoch: epoch}, "from X at another epoch")
-		if got := gossipSentBy(t, n, env); !got[X.Key()] || !got[Y.Key()] || !got[Z.Key()] {
+		if got := gossipSentBy(t, n); !got[X.Key()] || !got[Y.Key()] || !got[Z.Key()] {
 			t.Errorf("accepted from X@%d, X known at epoch %d: payload attached = %v, want everywhere", epoch, X.Epoch, got)
 		}
 	}
@@ -183,11 +177,11 @@ func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
 	// the bytes, is turned away without an entry — also when Y has moved to an
 	// epoch this node has heard of but its neighbor table has not caught up
 	// with. Nothing but the settled records is left.
-	n, env = build()
+	n = build()
 	Y2 := testComp(5, 2, 21, 22, 24)
 	n.learnComp(Y2)
 	payload := accept(n, X.Key(), "echoed")
-	gossipSentBy(t, n, env)
+	gossipSentBy(t, n)
 	digest := crypto.Hash(payload)
 	for _, echoer := range []group.Composition{X, Y2, Z} {
 		for _, m := range echoer.Members {
@@ -249,7 +243,7 @@ func TestGossipSkipsLinkOnlyAtFPlusOneVotes(t *testing.T) {
 				{"f votes and one for another digest", append(votes(f, K.Epoch, digest), vote(K.Members[f].ID, K.Epoch, other)), true, f},
 				{"f+1 votes under another epoch of K", votes(f+1, K.Epoch+1, digest), true, 0},
 			} {
-				n, env := memberNode(t, 4, B, X)
+				n, _ := memberNode(t, 4, B, X)
 				n.cfg.Mode = mode
 				n.st.nbrs.Set(overlay.Link{Cycle: 1, Dir: overlay.Pred}, K.Clone())
 				n.learnComp(K)
@@ -265,7 +259,7 @@ func TestGossipSkipsLinkOnlyAtFPlusOneVotes(t *testing.T) {
 					t.Fatalf("%v g=%d, %s: inbox counts %d votes of K, want %d", mode, g, tc.name, got, tc.counts)
 				}
 				n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, Payload: payload, Digest: digest})
-				sent := gossipSentBy(t, n, env)
+				sent := gossipSentBy(t, n)
 				if _, toK := sent[K.Key()]; toK != tc.toK {
 					t.Errorf("%v g=%d f=%d, %s: copy toward K enqueued = %v, want %v", mode, g, f, tc.name, toK, tc.toK)
 				}

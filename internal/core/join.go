@@ -73,7 +73,7 @@ func (n *Node) startJoinAttempt() {
 	j.stage = stageContact
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
 	actor.LearnIdentity(n.env, j.contact)
-	n.sendNodeMsg(j.contact.ID, JoinContact{Joiner: n.Identity()})
+	n.egress.Node(j.contact.ID, JoinContact{Joiner: n.Identity()})
 }
 
 // retryJoin fires when a join stage misses its deadline.
@@ -127,7 +127,7 @@ func (n *Node) handleJoinContact(from ids.NodeID, m JoinContact) {
 		return // the contact channel is link-authenticated
 	}
 	actor.LearnIdentity(n.env, m.Joiner)
-	n.sendNodeMsg(from, ContactInfo{Comp: n.st.comp.Clone()})
+	n.egress.Node(from, ContactInfo{Comp: n.st.comp.Clone()})
 }
 
 // --- joiner side ---
@@ -157,7 +157,7 @@ func (n *Node) sendJoinRequest(target group.Composition) {
 		Sig:    n.signer.Sign(joinRequestBytes(n.Identity(), target.GroupID, n.opSeq)),
 	}
 	for _, m := range target.Members {
-		n.sendNodeMsg(m.ID, req)
+		n.egress.Node(m.ID, req)
 	}
 }
 
@@ -442,7 +442,7 @@ func (n *Node) evaluateCatchUp() {
 				if m.ID == n.cfg.Identity.ID {
 					continue
 				}
-				n.sendToNode(oldComp, m.ID, kindSnapshot, snapMsgID(oldComp, m.ID), payload)
+				n.egress.ToNode(oldComp, m.ID, kindSnapshot, snapMsgID(oldComp, m.ID), payload)
 			}
 			n.processPendingJoins()
 			advanced = true
@@ -524,7 +524,7 @@ func (n *Node) processPendingJoins() {
 			return
 		}
 		members := append(ids.CloneIdentities(st.comp.Members), pj.Joiner)
-		n.reconfigure(members, causeJoin, []addedMember{{identity: pj.Joiner}})
+		n.reconfigure(members, causeJoin)
 		return
 	}
 	// Fresh request: select an accommodating vgroup with a random walk.
@@ -599,7 +599,7 @@ func (n *Node) sendRenounce(target group.Composition) {
 		for _, m := range c.Members {
 			if m.ID != n.cfg.Identity.ID && !sent[m.ID] {
 				sent[m.ID] = true
-				n.sendNodeMsg(m.ID, r)
+				n.egress.Node(m.ID, r)
 			}
 		}
 	}
@@ -642,5 +642,5 @@ func (n *Node) applyRenounce(o renounceOp) {
 			keep = append(keep, m)
 		}
 	}
-	n.reconfigure(keep, causeEvict, nil)
+	n.reconfigure(keep, causeEvict)
 }

@@ -91,6 +91,15 @@ func joinRequestBytes(joiner ids.Identity, target ids.GroupID, nonce uint64) []b
 	return e.Bytes()
 }
 
+// NodeAddressed marks the six node-level message types as egress.NodeMsg:
+// the one kind of message the engine hands its port whole.
+func (SMREnvelope) NodeAddressed() {}
+func (Heartbeat) NodeAddressed()   {}
+func (JoinContact) NodeAddressed() {}
+func (ContactInfo) NodeAddressed() {}
+func (JoinRequest) NodeAddressed() {}
+func (Renounce) NodeAddressed()    {}
+
 // --- group message kinds ---
 
 // Group-message kinds (group.Kind) used by the engine. The payload type each

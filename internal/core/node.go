@@ -67,11 +67,20 @@ const (
 	maxPenKeys = 64
 )
 
+// host is what the engine keeps of its runtime: the clock, timers, the log
+// and (through actor.LearnIdentity) the address book. Start hands the rest of
+// the actor.Env — the transport and the random stream — to the egress port.
+type host interface {
+	Now() time.Duration
+	SetTimer(d time.Duration, data any) actor.TimerID
+	Logf(format string, args ...any)
+}
+
 // Node is one Atum protocol node: an actor.Node implementing the full
 // engine. Create with New, hand to a runtime, then call Bootstrap or Join.
 type Node struct {
 	cfg      Config
-	env      actor.Env
+	env      host
 	signer   crypto.Signer
 	behavior Behavior // SetBehavior; the zero value is correct too
 
@@ -93,11 +102,9 @@ type Node struct {
 	opSeq   uint64
 
 	round uint64
-	outQ  []queuedSend
-	// egress is the per-destination outbound scheduler and outQ the round-
-	// quantized send queue below it (see egress.go and internal/egress).
-	egress       *egress.Scheduler
-	egressSeq    uint64 // batch-carrier sequence (batchMsgID uniqueness)
+	// egress is the node's way out: every send leaves through it (egress.go,
+	// internal/egress).
+	egress       *egress.Port
 	lastHB       time.Duration
 	hbSeen       map[ids.NodeID]time.Duration
 	evProp       map[ids.NodeID]uint64 // eviction proposed for target at epoch
@@ -241,6 +248,7 @@ func (n *Node) byzActive() bool {
 // Start implements actor.Node.
 func (n *Node) Start(env actor.Env) {
 	n.env = env
+	n.egress.Start(env)
 	// Align ticks on global multiples of RoundDuration so vgroup members
 	// share round boundaries (the virtual clock is global; real clocks are
 	// assumed loosely synchronized, as the paper's Sync deployment does).
@@ -415,7 +423,9 @@ func (n *Node) handleTick() {
 	n.round = uint64(now / n.cfg.RoundDuration)
 	n.env.SetTimer(n.cfg.RoundDuration, tickTimer{})
 
-	n.flushRound()
+	// The lockstep round is the ModeSync batching window: the round's group
+	// messages leave now. (The asynchronous engine holds nothing for it.)
+	n.egress.FlushDeferred()
 
 	if n.cfg.Mode == smr.ModeSync && n.replica != nil && !n.byzActive() {
 		n.replica.Tick(n.round)
@@ -477,7 +487,7 @@ func (n *Node) heartbeatTick(now time.Duration) {
 	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
-			n.sendNodeMsg(m.ID, hb)
+			n.egress.Node(m.ID, hb)
 		}
 	}
 	if n.byzActive() {
@@ -544,7 +554,7 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !n.reShared.allow(to, n.env.Now()) {
 		return
 	}
-	n.sendToNode(oldComp, to, kindSnapshot, snapMsgID(oldComp, to), payload)
+	n.egress.ToNode(oldComp, to, kindSnapshot, snapMsgID(oldComp, to), payload)
 }
 
 // --- composition cache ---
@@ -679,7 +689,7 @@ func (n *Node) makeReplica() {
 		Scheme:  n.cfg.Scheme,
 		Signer:  n.signer,
 		Send: func(to ids.NodeID, msg actor.Message) {
-			n.sendNodeMsg(to, SMREnvelope{GroupID: comp.GroupID, Epoch: epoch, Inner: msg})
+			n.egress.Node(to, SMREnvelope{GroupID: comp.GroupID, Epoch: epoch, Inner: msg})
 		},
 		SetTimer: func(d time.Duration, data any) {
 			n.env.SetTimer(d, smrTimer{epoch: epoch, data: data})

@@ -29,7 +29,7 @@ func (n *Node) applyLeave(o leaveOp) {
 			keep = append(keep, m)
 		}
 	}
-	n.reconfigure(keep, causeLeave, nil)
+	n.reconfigure(keep, causeLeave)
 }
 
 // applySplit divides the vgroup (deterministically, from the composition
@@ -95,7 +95,7 @@ func (n *Node) applySplit(o splitOp) {
 		}
 		st.nbrs.Succs[c] = eComp.Clone()
 	}
-	n.reconfigure(dMembers, causeSplit, nil)
+	n.reconfigure(dMembers, causeSplit)
 	if n.st == nil {
 		return
 	}
@@ -247,14 +247,12 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	n.sendGroup(st.comp, p.From, kindMergeAccept, replyID, accept)
 
 	members := ids.CloneIdentities(st.comp.Members)
-	added := make([]addedMember, 0, p.From.N())
 	for _, m := range p.From.Members {
 		if !st.comp.Contains(m.ID) {
 			members = append(members, m)
-			added = append(added, addedMember{identity: m})
 		}
 	}
-	n.reconfigure(members, causeMerge, added)
+	n.reconfigure(members, causeMerge)
 }
 
 // applyMergeAccept dissolves this vgroup: close the cycle gaps, then every

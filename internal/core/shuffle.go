@@ -148,7 +148,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		}
 	}
 	members = append(members, incoming)
-	n.reconfigure(members, causeExchange, []addedMember{{identity: incoming}})
+	n.reconfigure(members, causeExchange)
 	// After reconfigure n.st survives for remaining members; the shuffle
 	// continues in the new epoch.
 	if n.st != nil {
@@ -188,7 +188,7 @@ func (n *Node) applyExchangeConfirm(p exchangeConfirmPayload) {
 		}
 	}
 	members = append(members, incoming)
-	n.reconfigure(members, causeExchange, []addedMember{{identity: incoming}})
+	n.reconfigure(members, causeExchange)
 	if n.st != nil {
 		n.processPendingJoins()
 	}

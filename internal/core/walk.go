@@ -105,15 +105,12 @@ func (n *Node) forwardWalk(p walkPayload, chain []overlay.StepCert) {
 		msgID := walkMsgID(p.WalkID, stepIdx, dst.GroupID)
 		if n.cfg.Mode == smr.ModeAsync {
 			// Certificate-mode hops carry a sender-specific attachment (this
-			// member's chain share), which the batch frame cannot: send
-			// directly.
+			// member's chain share), which the batch frame cannot.
 			attach := encodePayload(walkAttachment{
 				Chain:   chain,
 				StepSig: overlay.SignStep(n.signer, n.cfg.Identity.ID, p.WalkID, len(chain), dst),
 			})
-			//atumvet:allow egressonly certificate-mode walk hop carries this member's chain share as an attachment, which sendGroup has no slot for
-			group.SendAttach(n.sendGroupQuantized, n.env.Rand(), st.comp, n.cfg.Identity.ID, dst,
-				group.BatchItem{Kind: kindWalk, MsgID: msgID, Payload: encodePayload(p)}, attach)
+			n.egress.GroupAttach(st.comp, dst, group.BatchItem{Kind: kindWalk, MsgID: msgID, Payload: encodePayload(p)}, attach)
 			return
 		}
 		n.sendGroup(st.comp, dst, kindWalk, msgID, encodePayload(p))
@@ -281,17 +278,7 @@ func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 	st := n.st
 	payload := encodePayload(joinRedirectPayload{WalkID: walkID, Target: st.comp.Clone()})
 	attach := encodePayload(walkAttachment{Chain: n.lastChains[walkID]})
-	msg := group.GroupMsg{
-		SrcGroup:      st.comp.GroupID,
-		SrcEpoch:      st.comp.Epoch,
-		Kind:          kindJoinRedirect,
-		MsgID:         replyMsgID(walkID, 999),
-		PayloadDigest: crypto.Hash(payload),
-		Payload:       payload,
-		Attach:        attach,
-	}
-	//atumvet:allow egressonly certificate-mode redirect to the joiner carries this member's chain as an attachment, which sendToNode has no slot for
-	n.sendNow(joiner, msg)
+	n.egress.ChainedTo(st.comp, joiner, kindJoinRedirect, replyMsgID(walkID, 999), payload, attach)
 }
 
 // sendWalkReply returns a walk result to the originating vgroup, by direct
@@ -304,21 +291,7 @@ func (n *Node) sendWalkReply(p walkPayload, res walkResult) {
 		if chain, ok := n.lastChains[p.WalkID]; ok {
 			attach = encodePayload(walkAttachment{Chain: chain})
 		}
-		msg := group.GroupMsg{
-			SrcGroup:      st.comp.GroupID,
-			SrcEpoch:      st.comp.Epoch,
-			DstGroup:      p.Origin.GroupID,
-			Kind:          kindWalkResult,
-			MsgID:         replyMsgID(p.WalkID, 0),
-			PayloadDigest: crypto.Hash(payload),
-			Payload:       payload,
-			Attach:        attach,
-		}
-		order := n.env.Rand().Perm(p.Origin.N())
-		for _, i := range order {
-			//atumvet:allow egressonly certificate-mode walk reply carries this member's chain as an attachment, which sendGroup has no slot for
-			n.sendGroupQuantized(p.Origin.Members[i].ID, msg)
-		}
+		n.egress.Chained(st.comp, p.Origin, kindWalkResult, replyMsgID(p.WalkID, 0), payload, attach)
 		return
 	}
 	// Backward phase: relay through the visited vgroups in reverse.
@@ -431,7 +404,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 		if n.cfg.Mode != smr.ModeAsync && res.Target.N() > 0 {
 			// Backward mode: we (the contact vgroup) relay the redirect.
 			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
-			n.sendToNode(st.comp, wo.Joiner.ID, kindJoinRedirect, replyMsgID(res.WalkID, 998), payload)
+			n.egress.ToNode(st.comp, wo.Joiner.ID, kindJoinRedirect, replyMsgID(res.WalkID, 998), payload)
 		}
 		n.checkResize()
 		n.processPendingJoins()

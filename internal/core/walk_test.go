@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/overlay"
+	"atum/internal/smr"
 )
 
 // keyedComp is a composition whose members hold sim-scheme keys, with their
@@ -65,6 +69,63 @@ func TestMergeChainDeterministic(t *testing.T) {
 	for i := 1; i < 50; i++ {
 		if got := encodePayload(walkAttachment{Chain: n.mergeChain(acc, p)}); !bytes.Equal(got, want) {
 			t.Fatalf("call %d merged the same accepted message into a different chain", i)
+		}
+	}
+}
+
+// certFrames encodes what env captured since the last call, in send order,
+// each frame behind its destination, and returns the digest.
+func certFrames(t *testing.T, env *fakeEnv) (string, int) {
+	t.Helper()
+	h := sha256.New()
+	for _, s := range env.sent {
+		b, ok := (MessageCodec{}).EncodeMessage(s.msg)
+		if !ok {
+			t.Fatalf("%T is not wire-codable", s.msg)
+		}
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(s.to)))
+		h.Write(b)
+	}
+	n := len(env.sent)
+	env.sent = nil
+	return hex.EncodeToString(h.Sum(nil)[:16]), n
+}
+
+// TestCertificateModeFramesGolden pins the three certificate-mode sends — the
+// walk hop, the walk reply and the join redirect, each carrying this member's
+// chain as an attachment — to the frames, destinations and order they had
+// when each was built by hand beside the send helpers: the hop carries the
+// payload from a majority member and names the destination epoch, the reply
+// and the redirect carry it from every member and name none.
+func TestCertificateModeFramesGolden(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	nbr := testComp(9, 1, 4, 5, 6)
+	n, env := memberNode(t, 2, comp, nbr, func(cfg *Config) { cfg.Mode = smr.ModeAsync })
+	walkID := crypto.Hash([]byte("golden walk"))
+	chain := []overlay.StepCert{{Next: comp.Clone(), Sigs: []overlay.CertSig{{Node: 1, Sig: []byte("sig")}}}}
+	n.rememberChain(walkID, chain)
+	p := walkPayload{WalkID: walkID, Purpose: PurposeJoin, StepsLeft: 1, Origin: nbr.Clone(), Joiner: ids.Identity{ID: 42, Addr: "t:42"}}
+	for r := uint64(0); len(p.Rands) == 0; r++ { // the step that leads to nbr
+		if n.st.nbrs.At(overlay.LinkIndex(int(r%4), 2)).GroupID == nbr.GroupID {
+			p.Rands = []uint64{r}
+		}
+	}
+	n.forwardWalk(p, chain)
+	hop, hops := certFrames(t, env)
+	n.sendWalkReply(p, walkResult{WalkID: walkID, Purpose: PurposeJoin, Target: comp.Clone(), Accept: true, Member: p.Joiner})
+	reply, replies := certFrames(t, env)
+	n.sendJoinRedirect(p.Joiner.ID, walkID)
+	redirect, redirects := certFrames(t, env)
+	if hops != nbr.N() || replies != nbr.N() || redirects != 1 {
+		t.Fatalf("%d hop, %d reply and %d redirect frames, want %d, %d and 1", hops, replies, redirects, nbr.N(), nbr.N())
+	}
+	for _, c := range []struct{ what, got, want string }{
+		{"walk hop", hop, "51e6b77325da72c452081203dfff58a9"},
+		{"walk reply", reply, "a8c955f282f03cda05b425578105cba1"},
+		{"join redirect", redirect, "e36721f101233834e82684b3dcb143d7"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s frames digest %s, want %s", c.what, c.got, c.want)
 		}
 	}
 }

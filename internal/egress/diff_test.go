@@ -18,6 +18,7 @@ import (
 // common: everything an owner calls.
 type scheduler interface {
 	EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool)
+	EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool)
 	EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration)
 	EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error
 	FlushAll()
@@ -39,6 +40,99 @@ type diffEvent struct {
 	delay    time.Duration
 }
 
+// refRound is the reference as the engine drove it before the Scheduler held
+// the round — the comparison's one named difference. The engine used to frame
+// a deferred batch the reference drained between ticks (a size cap, a source
+// change, FlushAll), and an item a carrier must not deliver, straight into a
+// round queue of its own, which it sent at the tick before the tick's drains.
+// refRound holds those Flush calls and makes them at the next FlushDeferred,
+// in the order they were held, ahead of the reference's own.
+type refRound struct {
+	*refScheduler
+	flush func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem)
+	// open is each open group queue's source and mode when the current call
+	// began; fresh is the mode of a queue the call opens (its deferred).
+	open    map[group.Key]refOpen
+	fresh   bool
+	held    []func()
+	ticking bool
+	holds   int // Flush calls held, over the schedule
+}
+
+type refOpen struct {
+	src      group.Key
+	deferred bool
+}
+
+// begin notes the reference's open group queues before one call.
+func (r *refRound) begin(fresh bool) {
+	clear(r.open)
+	for k, q := range r.pend {
+		if k.node == 0 {
+			r.open[k.grp] = refOpen{src: q.src.Key(), deferred: q.deadline == 0}
+		}
+	}
+	r.fresh = fresh
+}
+
+// refFlush is the reference's Flush. A group flush belongs to the queue that
+// was open under its source, or else to one the call opened.
+func (r *refRound) refFlush(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
+	deferred := false
+	if node == 0 {
+		deferred = r.fresh
+		if o, ok := r.open[dst.Key()]; ok && o.src == src.Key() {
+			deferred = o.deferred
+		}
+	}
+	r.emit(src, dst, node, items, deferred)
+}
+
+// emit makes or holds one Flush call of the reference.
+func (r *refRound) emit(src, dst group.Composition, node ids.NodeID, items []group.BatchItem, deferred bool) {
+	if !deferred || r.ticking {
+		r.flush(src, dst, node, items)
+		return
+	}
+	items = slices.Clone(items) // Flush's items are scratch
+	r.held = append(r.held, func() { r.flush(src, dst, node, items) })
+	r.holds++
+}
+
+func (r *refRound) EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool) {
+	r.emit(src, dst, 0, []group.BatchItem{it}, deferred)
+}
+
+func (r *refRound) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
+	r.begin(deferred)
+	r.refScheduler.EnqueueGroup(src, dst, it, deferred)
+}
+
+func (r *refRound) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration) {
+	r.begin(deferred)
+	r.refScheduler.EnqueueGroupWith(src, dst, it, deferred, expires)
+}
+
+func (r *refRound) FlushAll() {
+	r.begin(false)
+	r.refScheduler.FlushAll()
+}
+
+func (r *refRound) OnTimer() {
+	r.begin(false)
+	r.refScheduler.OnTimer()
+}
+
+func (r *refRound) FlushDeferred() {
+	for _, flush := range r.held {
+		flush()
+	}
+	r.held = nil
+	r.ticking = true
+	r.refScheduler.FlushDeferred()
+	r.ticking = false
+}
+
 // diffSide is one scheduler under test with the trace of what it did.
 type diffSide struct {
 	s     scheduler
@@ -57,6 +151,7 @@ type diffWorld struct {
 	got, want diffSide
 	ship      *Scheduler
 	ref       *refScheduler
+	round     *refRound            // ref as its owner drove it
 	timers    []time.Duration      // armed deadlines not yet fired (from the shipped side)
 	levels    map[ids.NodeID]Level // the last transition the reference reported, per node
 
@@ -103,11 +198,15 @@ func newDiffWorld(t *testing.T, seed int64, dests int) *diffWorld {
 		return c
 	}
 	w.ship = New(wire(&w.got, true))
-	w.ref = newRefScheduler(refConfig{Config: wire(&w.want, false), OnPressure: func(node ids.NodeID, level Level) {
+	refCfg := wire(&w.want, false)
+	w.round = &refRound{flush: refCfg.Flush, open: map[group.Key]refOpen{}}
+	refCfg.Flush = w.round.refFlush
+	w.ref = newRefScheduler(refConfig{Config: refCfg, OnPressure: func(node ids.NodeID, level Level) {
 		w.levels[node] = level
 		w.pressure++
 	}})
-	w.got.s, w.want.s = w.ship, w.ref
+	w.round.refScheduler = w.ref
+	w.got.s, w.want.s = w.ship, w.round
 	return w
 }
 
@@ -188,6 +287,10 @@ func (w *diffWorld) step() {
 	case r < 40:
 		dst := comp(ids.GroupID(10+w.rng.Intn(w.groups)), 1)
 		it, deferred, expires := w.item(w.rng.Intn(120)), w.rng.Intn(100) < w.deferredP, w.expiry()
+		if w.rng.Intn(8) == 0 {
+			w.both("EnqueueAlone", func(s scheduler) error { s.EnqueueAlone(w.src, dst, it, deferred); return nil })
+			return
+		}
 		if expires == 0 && w.rng.Intn(2) == 0 {
 			w.both("EnqueueGroup", func(s scheduler) error { s.EnqueueGroup(w.src, dst, it, deferred); return nil })
 			return
@@ -234,13 +337,16 @@ func (w *diffWorld) step() {
 
 // TestSchedulerMatchesReference drives the shipped Scheduler and the
 // reference model (ref_test.go) through seeded random schedules — deferred and
-// windowed group enqueues with and without expiry, node enqueues of all three
-// classes with TTLs and sizes around LimitBytes, source-epoch changes and group
-// moves, clock advances with OnTimer at every armed deadline, spurious OnTimer
-// calls, FlushDeferred and FlushAll — and requires the same Flush calls (source,
-// destination, node, items, time, order), Arm delays, returned errors, Pending
-// and Snapshot after every step, and Level of every node destination equal to
-// the last transition the reference's OnPressure reported. Every two-hundredth
+// windowed group enqueues with and without expiry, items sent alone, node
+// enqueues of all three classes with TTLs and sizes around LimitBytes,
+// source-epoch changes and group moves, clock advances with OnTimer at every
+// armed deadline, spurious OnTimer calls, FlushDeferred and FlushAll — and
+// requires the same Flush calls (source, destination, node, items, time,
+// order), Arm delays, returned errors, Pending and Snapshot after every step,
+// and Level of every node destination equal to the last transition the
+// reference's OnPressure reported. The reference is driven as refRound: its
+// deferred drains between ticks and its deferred items sent alone wait for
+// FlushDeferred, the one named difference. Every two-hundredth
 // schedule spreads its traffic over more destinations than maxArrivalEntries
 // so that pruneArrivals runs, once with a slow clock (every entry hot: the
 // reset pass) and once with a fast one (the stale pass). Limit > 0 throughout:
@@ -252,7 +358,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		schedules = 200
 	}
 	var total Stats
-	var pressure, arms int
+	var pressure, arms, holds int
 	for seed := 0; seed < schedules; seed++ {
 		dests, steps := 4, 300
 		if seed%200 == 199 {
@@ -264,6 +370,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			w.step()
 		}
 		w.both("final FlushAll", func(s scheduler) error { s.FlushAll(); return nil })
+		w.both("final FlushDeferred", func(s scheduler) error { s.FlushDeferred(); return nil })
 		if dests > maxArrivalEntries && w.peakArr < maxArrivalEntries {
 			t.Fatalf("seed %d: the wide schedule peaked at %d arrival entries: pruneArrivals never ran", seed, w.peakArr)
 		}
@@ -276,10 +383,11 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		total.DroppedExpired += st.DroppedExpired
 		pressure += w.pressure
 		arms += w.arms
+		holds += w.round.holds
 	}
-	t.Logf("%d schedules: %+v, %d pressure transitions, %d timers", schedules, total, pressure, arms)
+	t.Logf("%d schedules: %+v, %d pressure transitions, %d timers, %d held flushes", schedules, total, pressure, arms, holds)
 	if total.Immediate == 0 || total.Flushes == 0 || total.DroppedOverflow == 0 || total.DroppedExpired == 0 ||
-		pressure == 0 || arms == 0 {
+		pressure == 0 || arms == 0 || holds == 0 {
 		t.Error("a branch of the scheduler went unvisited: the comparison above proves less than it says")
 	}
 }

@@ -1,20 +1,20 @@
-// Package egress is the engine's unified outbound scheduler: one
-// per-destination queue that every sender in the engine feeds — gossip
-// payloads, random-walk forwards, neighbor and composition updates during
-// churn, and application raw-message floods. It generalizes the
-// per-destination gossip batching that used to live inside the gossip hot
-// path (internal/core): any logical message bound for a destination within
-// the destination's flush window is coalesced into one batch carrier frame
-// (internal/group batching), cutting per-link message counts and framing
-// bytes by roughly the number of concurrent sends.
+// Package egress is the engine's way out. It owns the node's transport
+// handle: the engine hands its actor.Env to a Port at Start and keeps none,
+// so every message a node sends leaves through this package (port.go). Below
+// the Port sits the Scheduler, one per-destination queue that every sender in
+// the engine feeds — gossip payloads, random-walk forwards, neighbor and
+// composition updates during churn, and application raw-message floods: any
+// logical message bound for a destination within the destination's flush
+// window is coalesced into one batch carrier frame (internal/group batching),
+// cutting per-link message counts and framing bytes by roughly the number of
+// concurrent sends.
 //
-// The scheduler is deliberately transport- and protocol-agnostic: it queues
-// opaque group.BatchItem values per destination and hands full batches back
-// through Config.Flush. How a batch becomes wire messages (plain group
-// message, batch carrier, node-addressed raw carrier) is the caller's
-// business, as is when FlushAll must run (the engine flushes before every
+// The Scheduler itself queues opaque group.BatchItem values per destination
+// and hands batches back through Config.Flush; the Port's Flush frames them
+// (plain group message, batch carrier, node-addressed raw carrier). When
+// FlushAll must run is the engine's business: it flushes before every
 // replicated-state replacement so batches leave stamped with their
-// enqueue-time composition).
+// enqueue-time composition.
 //
 // # Adaptive flush window
 //
@@ -30,10 +30,14 @@
 //   - in between, the window is MaxWindow²/(16·gap): wide enough to collect
 //     a few more arrivals, never wider than the configured cap.
 //
-// Queues opened with deferred=true skip the window machinery entirely and
-// wait for the next FlushDeferred/FlushAll (the synchronous engine's round
-// tick — sends are round-quantized there, so timers would buy nothing); size
-// caps still force early flushes.
+// Queues opened with deferred=true skip the window machinery entirely: they
+// are the synchronous engine's round, and everything in them leaves at the
+// next FlushDeferred (its round tick — one overlay hop per round, so timers
+// would buy nothing). A size cap, a source change or FlushAll still closes
+// such a batch early, stamped with its enqueue-time source and destination,
+// but the closed batch is held and leaves at that FlushDeferred too, ahead of
+// the round's open queues and in the order it was closed. So does a single
+// item that must not ride a carrier (EnqueueAlone with deferred set).
 //
 // # Flow control
 //
@@ -130,35 +134,17 @@ func PressureThresholds(limit int) (enterHigh, exitHigh, enterCrit, exitCrit int
 	return
 }
 
-// nextLevel applies the hysteresis transition function.
+// nextLevel applies the hysteresis transition function: a level is entered
+// at its enter threshold and kept down to its exit threshold.
 func nextLevel(cur Level, depth, limit int) Level {
 	enterHigh, exitHigh, enterCrit, exitCrit := PressureThresholds(limit)
-	switch cur {
-	case LevelCritical:
-		if depth < exitHigh {
-			return LevelLow
-		}
-		if depth < exitCrit {
-			return LevelHigh
-		}
+	switch {
+	case depth >= enterCrit || cur == LevelCritical && depth >= exitCrit:
 		return LevelCritical
-	case LevelHigh:
-		if depth >= enterCrit {
-			return LevelCritical
-		}
-		if depth < exitHigh {
-			return LevelLow
-		}
+	case depth >= enterHigh || cur != LevelLow && depth >= exitHigh:
 		return LevelHigh
-	default:
-		if depth >= enterCrit {
-			return LevelCritical
-		}
-		if depth >= enterHigh {
-			return LevelHigh
-		}
-		return LevelLow
 	}
+	return LevelLow
 }
 
 // ErrOverflow reports that a bounded destination queue was full and held no
@@ -251,7 +237,8 @@ type pending struct {
 	items    []group.BatchItem
 	meta     []itemMeta
 	bytes    int
-	deadline time.Duration // 0: deferred to the next FlushDeferred/FlushAll
+	deadline time.Duration // 0: deferred to the next FlushDeferred
+	seq      uint64        // closed: the number of its first multi-item carrier
 }
 
 // arrival is one destination's rate estimate and flow-control state; it
@@ -290,6 +277,15 @@ type Scheduler struct {
 	// single is the one-element scratch slice the immediate fast path hands
 	// to Flush (the idle case is per-item hot; Flush does not retain items).
 	single [1]group.BatchItem
+	// held lists, in the order they were closed, the batches that wait for
+	// the next FlushDeferred: deferred queues closed between ticks, and
+	// deferred EnqueueAlone items.
+	held []*pending
+	// carriers numbers the multi-item carriers in the order their batches
+	// close, so a held carrier's number does not depend on what else leaves
+	// before the round does; carrier is the number of the one Flush is being
+	// handed. The Port derives carrier IDs from it.
+	carriers, carrier uint64
 }
 
 // maxFreePending bounds the recycled-batch freelist: enough for every
@@ -307,7 +303,7 @@ func New(cfg Config) *Scheduler {
 }
 
 // EnqueueGroup queues one logical message for every member of dst.
-// deferred batches wait for the next FlushDeferred/FlushAll instead of an
+// deferred batches wait for the next FlushDeferred instead of an
 // adaptive window (the synchronous engine's round-quantized sends).
 func (s *Scheduler) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
 	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{})
@@ -327,6 +323,20 @@ func (s *Scheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it gro
 	return s.enqueue(destKey{node: to}, src, group.Composition{}, to, it, false, itemMeta{class: class, expires: expires})
 }
 
+// EnqueueAlone sends one item to every member of dst as a batch of its own: a
+// kind a carrier must not deliver. It is flushed at once, or, deferred, held
+// for the next FlushDeferred in its place among the closed batches. It opens
+// no queue and is not counted in Stats.
+func (s *Scheduler) EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool) {
+	q := s.newPending(src, dst, 0)
+	q.items, q.meta = append(q.items, it), append(q.meta, itemMeta{})
+	if deferred {
+		s.held = append(s.held, q)
+	} else {
+		s.send(q)
+	}
+}
+
 func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, meta itemMeta) error {
 	s.stats.Enqueued++
 	now := s.now()
@@ -335,7 +345,7 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 	if q != nil && (q.src.GroupID != src.GroupID || q.src.Epoch != src.Epoch) {
 		// The source composition changed under the open batch (epoch bump,
 		// group move): it must leave stamped with its enqueue-time source.
-		s.drain(k, q, false)
+		s.close(k, q)
 		q = nil
 	}
 	if q == nil {
@@ -391,7 +401,7 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 	q.bytes += sz
 	if len(q.items) >= s.cfg.MaxBatch || q.bytes >= s.cfg.MaxBytes {
 		if node == 0 {
-			s.drain(k, q, false)
+			s.close(k, q)
 		} else if a.nextAt <= now {
 			// Paced drain: a full carrier leaves at most once per window;
 			// excess items wait (bounded by Limit above).
@@ -514,33 +524,39 @@ func (s *Scheduler) pruneArrivals(now time.Duration) {
 	}
 }
 
-// FlushAll transmits every pending batch, in first-enqueue order, backlogs
-// included — flow-control pacing does not apply. The engine calls it before
-// every replicated-state replacement and at shutdown.
+// FlushAll closes every open batch, in first-enqueue order, backlogs
+// included — flow-control pacing does not apply: deferred batches are held
+// for the next FlushDeferred, the rest transmitted. The engine calls it
+// before every replicated-state replacement.
 func (s *Scheduler) FlushAll() {
 	for len(s.order) > 0 {
 		k := s.order[0]
-		s.drain(k, s.pend[k], false)
+		s.close(k, s.pend[k])
 	}
 }
 
-// FlushDeferred transmits every deferred batch (the ones waiting for the
-// synchronous engine's round tick), leaving windowed and paced queues to
-// their timers. The engine calls it at every round tick.
+// FlushDeferred transmits the round: it closes every open deferred batch,
+// leaving windowed and paced queues to their timers, then sends the held
+// batches in the order they were closed. The engine calls it at every round
+// tick.
 func (s *Scheduler) FlushDeferred() {
 	for i := 0; i < len(s.order); {
-		k := s.order[i]
-		if q := s.pend[k]; q.deadline == 0 {
-			s.drain(k, q, false) // removes order[i]; re-examine the same index
+		if k := s.order[i]; s.pend[k].deadline == 0 {
+			s.close(k, s.pend[k]) // removes order[i]; re-examine the same index
 			continue
 		}
 		i++
 	}
+	for _, q := range s.held {
+		s.send(q)
+	}
+	clear(s.held)
+	s.held = s.held[:0]
 }
 
 // OnTimer transmits every batch whose window has expired — all of a group
 // queue, one carrier of a node queue — and re-arms for the earliest deadline
-// left (deferred batches wait for FlushDeferred/FlushAll). The owner routes
+// left (deferred batches wait for FlushDeferred). The owner routes
 // its flush-timer callback here.
 func (s *Scheduler) OnTimer() {
 	s.armedAt = 0
@@ -562,53 +578,93 @@ func (s *Scheduler) OnTimer() {
 	}
 }
 
-// drain transmits one destination's queue in carrier-sized chunks (MaxBatch
-// items / MaxBytes bytes each) and closes it. A paced drain — a node queue
-// whose window expired or whose carrier filled — stops after one carrier,
-// stamps the destination's next allowed flush one adaptive window ahead and
-// keeps the remainder queued until then; it reports whether the queue is
-// still open.
+// drain transmits one destination's queue. A paced drain — a node queue
+// whose window expired or whose carrier filled — sends one carrier (MaxBatch
+// items / MaxBytes bytes), stamps the destination's next allowed flush one
+// adaptive window ahead and keeps the remainder queued until then; it reports
+// whether the queue is still open. Any other drain closes the queue.
 func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 	now, a := s.now(), s.arr[k]
 	s.dropExpired(a, q, now)
-	for len(q.items) > 0 {
-		n := s.carrierPrefix(q)
-		s.stats.Flushes++
-		s.stats.Items += uint64(n)
-		a.flushes++
+	if paced && len(q.items) > 0 {
+		n := s.carrierPrefix(q.items)
+		s.count(a, n)
+		s.carrier = s.carriers
 		s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
 		for _, it := range q.items[:n] {
 			q.bytes -= len(it.Payload) + group.BatchWireOverhead
 		}
 		q.items, q.meta = slices.Delete(q.items, 0, n), slices.Delete(q.meta, 0, n)
-		if paced {
-			a.nextAt = now + s.windowFromGap(a.gap)
-			if len(q.items) > 0 {
-				q.deadline = a.nextAt
-				s.arm(q.deadline)
-				s.updatePressure(k, a)
-				return true
-			}
+		a.nextAt = now + s.windowFromGap(a.gap)
+		if len(q.items) > 0 {
+			q.deadline = a.nextAt
+			s.arm(q.deadline)
+			s.updatePressure(k, a)
+			return true
 		}
+	}
+	s.close(k, q)
+	return false
+}
+
+// close ends one destination's open batch: it drops the expired items, counts
+// and numbers the carriers the rest make up, and sends them — or, deferred,
+// holds them for the next FlushDeferred.
+func (s *Scheduler) close(k destKey, q *pending) {
+	a := s.arr[k]
+	s.dropExpired(a, q, s.now())
+	q.seq = s.carriers + 1
+	for i := 0; i < len(q.items); {
+		n := s.carrierPrefix(q.items[i:])
+		s.count(a, n)
+		i += n
 	}
 	delete(s.pend, k)
 	i := slices.Index(s.order, k)
 	s.order = slices.Delete(s.order, i, i+1)
-	s.recycle(q)
+	if q.deadline == 0 {
+		s.held = append(s.held, q)
+	} else {
+		s.send(q)
+	}
 	s.updatePressure(k, a)
-	return false
+}
+
+// count counts one carrier of n items as its batch closes. One of more than
+// one item takes the next number; a single item leaves as a plain message.
+func (s *Scheduler) count(a *arrival, n int) {
+	s.stats.Flushes++
+	s.stats.Items += uint64(n)
+	a.flushes++
+	if n > 1 {
+		s.carriers++
+	}
+}
+
+// send transmits a closed batch in carrier-sized chunks, numbered from q.seq,
+// and recycles it.
+func (s *Scheduler) send(q *pending) {
+	for seq := q.seq; len(q.items) > 0; {
+		n := s.carrierPrefix(q.items)
+		if n > 1 {
+			s.carrier, seq = seq, seq+1
+		}
+		s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
+		q.items, q.meta = slices.Delete(q.items, 0, n), slices.Delete(q.meta, 0, n)
+	}
+	s.recycle(q)
 }
 
 // carrierPrefix returns how many leading items form one carrier under the
 // MaxBatch and MaxBytes caps (always at least one; like the enqueue-time
 // trigger, MaxBytes is crossed by the item that exceeds it, not anticipated).
-func (s *Scheduler) carrierPrefix(q *pending) int {
+func (s *Scheduler) carrierPrefix(items []group.BatchItem) int {
 	n, bytes := 0, 0
-	for n < len(q.items) {
+	for n < len(items) {
 		if n > 0 && n >= s.cfg.MaxBatch {
 			break
 		}
-		bytes += len(q.items[n].Payload) + group.BatchWireOverhead
+		bytes += len(items[n].Payload) + group.BatchWireOverhead
 		n++
 		if s.cfg.MaxBytes > 0 && bytes >= s.cfg.MaxBytes {
 			break
@@ -653,7 +709,7 @@ func (s *Scheduler) newPending(src, dst group.Composition, node ids.NodeID) *pen
 	return &pending{src: src.Clone(), dst: dst.Clone(), node: node}
 }
 
-// recycle returns a drained batch to the freelist. drain left its item array
+// recycle returns a sent batch to the freelist. send left its item array
 // empty and zeroed, so it pins no payload buffers between batches.
 func (s *Scheduler) recycle(q *pending) {
 	if len(s.free) < maxFreePending {

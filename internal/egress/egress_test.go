@@ -156,7 +156,8 @@ func TestCountCapForcesFlush(t *testing.T) {
 	}
 }
 
-// TestByteCapForcesFlush: exceeding MaxBytes flushes early.
+// TestByteCapForcesFlush: exceeding MaxBytes closes a batch early; a
+// deferred one then leaves at the round tick.
 func TestByteCapForcesFlush(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
 	h.s.cfg.MaxBytes = 200
@@ -164,13 +165,18 @@ func TestByteCapForcesFlush(t *testing.T) {
 	big := group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("big")), Payload: make([]byte, 120)}
 	h.s.EnqueueGroup(src, dst, big, true)
 	h.s.EnqueueGroup(src, dst, big, true)
-	if len(h.flushes) != 1 {
+	if d, _ := h.s.Pending(); d != 0 || len(h.flushes) != 0 {
+		t.Fatalf("byte cap: %d open batches, %d flushes, want the batch closed and held", d, len(h.flushes))
+	}
+	h.s.FlushDeferred()
+	if len(h.flushes) != 1 || len(h.flushes[0].items) != 2 {
 		t.Fatalf("byte cap did not flush: %d flushes", len(h.flushes))
 	}
 }
 
 // TestDeferredWaitsForFlushAll: deferred batches (the synchronous engine's
-// round-quantized sends) arm no timers and hold until FlushAll.
+// round) arm no timers and wait for the round tick. FlushAll closes them —
+// they keep their source and destination — but the tick sends them.
 func TestDeferredWaitsForFlushAll(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
 	src, dst := comp(1, 1), comp(2, 1)
@@ -182,28 +188,69 @@ func TestDeferredWaitsForFlushAll(t *testing.T) {
 			len(h.flushes), len(h.armed))
 	}
 	h.s.FlushAll()
+	if d, _ := h.s.Pending(); d != 0 || len(h.flushes) != 0 {
+		t.Fatalf("FlushAll: %d open batches, %d flushes, want the batch closed and held", d, len(h.flushes))
+	}
+	h.s.FlushDeferred()
 	if len(h.flushes) != 1 || len(h.flushes[0].items) != 3 {
-		t.Fatal("FlushAll did not drain the deferred batch")
+		t.Fatal("FlushDeferred did not send the closed batch")
 	}
 }
 
 // TestSrcChangeFlushesOpenBatch: a batch must leave stamped with its
-// enqueue-time source composition; an epoch bump flushes it first.
+// enqueue-time source composition; an epoch bump closes it first, and it
+// leaves at the round tick ahead of the batch opened under the new epoch.
 func TestSrcChangeFlushesOpenBatch(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
 	dst := comp(2, 1)
 	h.s.EnqueueGroup(comp(1, 1), dst, item(1), true)
 	h.s.EnqueueGroup(comp(1, 1), dst, item(2), true)
 	h.s.EnqueueGroup(comp(1, 2), dst, item(3), true) // epoch bumped
-	if len(h.flushes) != 1 {
-		t.Fatalf("source change did not flush: %d flushes", len(h.flushes))
+	if d, i := h.s.Pending(); d != 1 || i != 1 || len(h.flushes) != 0 {
+		t.Fatalf("pending after source change = %d/%d with %d flushes, want 1/1 and none before the tick", d, i, len(h.flushes))
 	}
-	if h.flushes[0].src.Epoch != 1 || len(h.flushes[0].items) != 2 {
-		t.Fatalf("flushed batch src epoch %d with %d items, want epoch 1 with 2",
-			h.flushes[0].src.Epoch, len(h.flushes[0].items))
+	h.s.FlushDeferred()
+	if len(h.flushes) != 2 {
+		t.Fatalf("the tick sent %d batches, want 2", len(h.flushes))
 	}
-	if d, i := h.s.Pending(); d != 1 || i != 1 {
-		t.Fatalf("pending after source change = %d/%d, want 1/1", d, i)
+	if h.flushes[0].src.Epoch != 1 || len(h.flushes[0].items) != 2 || h.flushes[1].src.Epoch != 2 {
+		t.Fatalf("first batch src epoch %d with %d items, second epoch %d; want epoch 1 with 2, then epoch 2",
+			h.flushes[0].src.Epoch, len(h.flushes[0].items), h.flushes[1].src.Epoch)
+	}
+}
+
+// TestAloneItemsKeepTheirPlace: an item a carrier must not deliver leaves as
+// a batch of its own — at once, or, deferred, at the round tick in the order
+// it was sent among the batches closed before the tick, ahead of the open
+// ones. It opens no queue and is not counted.
+func TestAloneItemsKeepTheirPlace(t *testing.T) {
+	h := newHarness(2, 5*time.Millisecond)
+	src, a, b := comp(1, 1), comp(2, 1), comp(3, 1)
+	h.s.EnqueueAlone(src, a, item(1), false)
+	if len(h.flushes) != 1 || h.flushes[0].dst.GroupID != 2 {
+		t.Fatalf("an undeferred alone item: %d flushes, want 1 at once", len(h.flushes))
+	}
+	h.flushes = nil
+	h.s.EnqueueGroup(src, b, item(2), true) // stays open
+	h.s.EnqueueGroup(src, a, item(3), true)
+	h.s.EnqueueAlone(src, b, item(4), true)
+	h.s.EnqueueGroup(src, a, item(5), true) // fills the cap: closed after the alone item
+	if d, i := h.s.Pending(); d != 1 || i != 1 || len(h.flushes) != 0 {
+		t.Fatalf("before the tick: %d/%d pending, %d flushes; want b's open batch and nothing sent", d, i, len(h.flushes))
+	}
+	h.s.FlushDeferred()
+	var got []byte
+	for _, f := range h.flushes {
+		for _, it := range f.items {
+			got = append(got, it.Payload[0])
+		}
+		got = append(got, '|')
+	}
+	if string(got) != "\x04|\x03\x05|\x02|" {
+		t.Fatalf("the tick sent %q, want the alone item, a's closed batch, then b's open one", got)
+	}
+	if st := h.s.Snapshot(); st.Enqueued != 3 || st.Items != 3 {
+		t.Fatalf("stats %+v count the alone items", st)
 	}
 }
 
@@ -230,13 +277,15 @@ func TestNodeDestinations(t *testing.T) {
 }
 
 // TestMaxBatchOneNeverQueues: a cap of one is an ordinary cap that the first
-// item fills, so even deferred queues hold nothing back.
+// item fills, so even deferred queues keep nothing open: every item is closed
+// into a batch of its own for the round tick.
 func TestMaxBatchOneNeverQueues(t *testing.T) {
 	h := newHarness(1, 5*time.Millisecond)
 	src, dst := comp(1, 1), comp(2, 1)
 	for k := 0; k < 5; k++ {
 		h.s.EnqueueGroup(src, dst, item(byte(k)), true)
 	}
+	h.s.FlushDeferred()
 	if len(h.flushes) != 5 {
 		t.Fatalf("MaxBatch=1: %d flushes, want 5", len(h.flushes))
 	}
@@ -281,6 +330,7 @@ func TestFlushAllOrder(t *testing.T) {
 		want = append(want, dst.GroupID)
 	}
 	h.s.FlushAll()
+	h.s.FlushDeferred()
 	if len(h.flushes) != len(want) {
 		t.Fatalf("%d flushes, want %d", len(h.flushes), len(want))
 	}
@@ -335,7 +385,7 @@ func ExampleScheduler() {
 		s.EnqueueGroup(group.Composition{GroupID: 1, Epoch: 1}, dst,
 			group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte{byte(i)})}, true)
 	}
-	s.FlushAll()
+	s.FlushDeferred() // the round tick
 	fmt.Println(out[0])
 	// Output: to g7: 3 item(s)
 }

@@ -118,6 +118,20 @@ func TestPressureHookHysteresis(t *testing.T) {
 	_ = k
 }
 
+// TestNextLevelMatchesReference: the hysteresis function agrees with the
+// reference's copy on every level, depth and limit up to 64.
+func TestNextLevelMatchesReference(t *testing.T) {
+	for limit := 0; limit <= 64; limit++ {
+		for depth := 0; depth <= limit+1; depth++ {
+			for _, cur := range []Level{LevelLow, LevelHigh, LevelCritical} {
+				if got, want := nextLevel(cur, depth, limit), refNextLevel(cur, depth, limit); got != want {
+					t.Fatalf("nextLevel(%v, %d, %d) = %v, the reference %v", cur, depth, limit, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPressureThresholdsDegenerateLimits: tiny limits must still yield
 // exitable levels — an empty queue maps to Low from every level, and the
 // Critical pair never undercuts the High pair.
@@ -257,6 +271,7 @@ func TestExpiredItemsDroppedAtFlush(t *testing.T) {
 	fh.s.EnqueueGroupWith(src, dst, item(2), true, 0)
 	fh.now += 2 * time.Millisecond
 	fh.s.FlushAll()
+	fh.s.FlushDeferred()
 	last := fh.flushes[len(fh.flushes)-1]
 	if len(last.items) != 1 || last.items[0].Payload[0] != 2 {
 		t.Fatalf("group expiry: flushed %d items (%v), want only the durable one", len(last.items), last.items)

@@ -17,8 +17,10 @@ import (
 // still pushes every pressure transition into OnPressure and reports each
 // destination's ArrivalGap, which the shipped scheduler dropped for the
 // Level read: both live on test-local copies of the shared types, refConfig
-// and refStats. It shares Class, Level, nextLevel and ErrOverflow with the
-// shipped scheduler — the vocabulary both are compared in.
+// and refStats. It shares Class, Level and ErrOverflow with the shipped
+// scheduler — the vocabulary both are compared in — and keeps its own copy of
+// the hysteresis function, refNextLevel, which the shipped one was rewritten
+// from.
 
 // refConfig is Config with the pressure hook the reference still fires.
 type refConfig struct {
@@ -567,7 +569,7 @@ func (s *refScheduler) updatePressure(k refDestKey) {
 	if q := s.pend[k]; q != nil {
 		depth = len(q.items)
 	}
-	lvl := nextLevel(a.level, depth, s.cfg.Limit)
+	lvl := refNextLevel(a.level, depth, s.cfg.Limit)
 	if lvl != a.level {
 		a.level = lvl
 		if s.cfg.OnPressure != nil {
@@ -656,4 +658,35 @@ func (s *refScheduler) Snapshot() refStats {
 	}
 	sort.Slice(out.Dests, func(i, j int) bool { return out.Dests[i].Node < out.Dests[j].Node })
 	return out
+}
+
+// refNextLevel applies the hysteresis transition function.
+func refNextLevel(cur Level, depth, limit int) Level {
+	enterHigh, exitHigh, enterCrit, exitCrit := PressureThresholds(limit)
+	switch cur {
+	case LevelCritical:
+		if depth < exitHigh {
+			return LevelLow
+		}
+		if depth < exitCrit {
+			return LevelHigh
+		}
+		return LevelCritical
+	case LevelHigh:
+		if depth >= enterCrit {
+			return LevelCritical
+		}
+		if depth < exitHigh {
+			return LevelLow
+		}
+		return LevelHigh
+	default:
+		if depth >= enterCrit {
+			return LevelCritical
+		}
+		if depth >= enterHigh {
+			return LevelHigh
+		}
+		return LevelLow
+	}
 }

@@ -639,7 +639,7 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	for _, it := range items {
 		Send(func(_ ids.NodeID, m actor.Message) {
 			all = append(all, observe(2, m.(GroupMsg))...)
-		}, rng, src, 2, dst, it)
+		}, rng, src, 2, dst, it, nil)
 	}
 
 	if len(all) != len(items) {

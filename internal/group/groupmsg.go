@@ -78,8 +78,8 @@ func optBytes(c wire.Codec, b *[]byte) {
 	}
 }
 
-// SendFn abstracts the node-layer send (the core engine quantizes sends to
-// round boundaries in synchronous mode).
+// SendFn is the node-layer send the fan-out helpers below hand each copy to
+// (internal/egress supplies the node's).
 type SendFn func(to ids.NodeID, msg actor.Message)
 
 // Send transmits one logical group message from self (a member of src) to
@@ -90,13 +90,8 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // copy from every member: the caller has a narrower rule for who sends the
 // bytes and applies it before it gets here (core's gossip). Destination order
 // is randomized to avoid incast bursts (§5.1). The payload is hashed only when
-// it.Digest is not set.
-func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem) {
-	SendAttach(send, rng, src, self, dst, it, nil)
-}
-
-// SendAttach is Send with a sender-specific attachment.
-func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte) {
+// it.Digest is not set. attach is this sender's own attachment (nil: none).
+func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
@@ -114,22 +109,6 @@ func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, d
 	for _, i := range order {
 		send(dst.Members[i].ID, msg)
 	}
-}
-
-// SendToNode transmits one logical group message from self to a single node
-// (used for join redirects and state snapshots).
-func SendToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeID, kind Kind, msgID crypto.Digest, payload []byte) {
-	msg := GroupMsg{
-		SrcGroup:      src.GroupID,
-		SrcEpoch:      src.Epoch,
-		Kind:          kind,
-		MsgID:         msgID,
-		PayloadDigest: crypto.Hash(payload),
-	}
-	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
-		msg.Payload = payload
-	}
-	send(to, msg)
 }
 
 // Accepted is a group message that crossed the majority threshold.

@@ -10,9 +10,9 @@ import (
 	"atum/internal/ids"
 )
 
-// maxEntriesPerKey bounds the number of logical messages remembered per source
-// composition — pending, accepted and settled together — protecting receivers
-// from hostile floods.
+// maxEntriesPerKey bounds, per source composition, the messages still
+// collecting votes — a hostile flood parks no more — and the accepted and
+// settled ones remembered against stragglers, each on its own.
 const maxEntriesPerKey = 1024
 
 // Inbox is the receive side of the group-message primitive. One Inbox per
@@ -32,6 +32,12 @@ const maxEntriesPerKey = 1024
 // message there itself (Settle) when it knows it has no use for it: an echo
 // of a broadcast it has delivered would otherwise collect votes, and — sent
 // payload-less, as core sends an echo — never complete.
+//
+// The two maps are bounded apart. At maxEntriesPerKey pending entries a
+// source's new MsgIDs are refused: flood protection. A done map at the same
+// size forgets its older half by first-copy time, Prune's rule, before it
+// records another: dedup memory never refuses fresh traffic, it only shortens
+// how long a straggler is recognised.
 //
 // Verify on store: a payload is hashed only when it is about to be stored,
 // that is when the entry holds no payload for the digest the copy names. A
@@ -90,9 +96,25 @@ func (ib *Inbox) addSource(src Key) *source {
 	return s
 }
 
-// full reports whether the source is at maxEntriesPerKey: no new MsgID is
-// admitted, by Observe or by Settle.
-func (s *source) full() bool { return len(s.pending)+len(s.done) >= maxEntriesPerKey }
+// remember moves msgID to the done map under the time of its first copy,
+// first forgetting the older half of a done map at maxEntriesPerKey.
+func (s *source) remember(msgID crypto.Digest, firstAt time.Duration) {
+	if len(s.done) >= maxEntriesPerKey {
+		times := slices.Sorted(maps.Values(s.done))
+		s.forget(times[len(times)/2-1] + 1)
+	}
+	delete(s.pending, msgID)
+	s.done[msgID] = firstAt
+}
+
+// forget drops the done records of messages first seen before the deadline.
+func (s *source) forget(before time.Duration) {
+	for msgID, firstAt := range s.done {
+		if firstAt < before {
+			delete(s.done, msgID)
+		}
+	}
+}
 
 // held returns the verified payload the entry holds for a digest, nil when it
 // holds none: a payload that was stored is never nil (Observe).
@@ -147,7 +169,7 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	if e == nil {
 		if s == nil {
 			s = ib.addSource(src)
-		} else if s.full() {
+		} else if len(s.pending) >= maxEntriesPerKey {
 			return Accepted{}, false
 		}
 		// Room for the majority of a typical vgroup without regrowing.
@@ -171,8 +193,7 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 // message of src: whatever copies arrive, it will never be reported accepted.
 // The message is remembered exactly as an accepted one is — a pending entry
 // moves to the done map under the time of its first copy, releasing its votes
-// and held payloads; an unseen MsgID is recorded under now, unless the source
-// is at maxEntriesPerKey, in which case nothing is recorded — so every later
+// and held payloads; an unseen MsgID is recorded under now — so every later
 // copy is Observe's one-probe straggler. src need not be a known composition.
 func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	s := ib.sources[src]
@@ -185,11 +206,8 @@ func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	firstAt := now
 	if e := s.pending[msgID]; e != nil {
 		firstAt = e.firstAt
-		delete(s.pending, msgID)
-	} else if s.full() {
-		return
 	}
-	s.done[msgID] = firstAt
+	s.remember(msgID, firstAt)
 }
 
 // check evaluates the acceptance rule for one pending entry and, when it
@@ -220,8 +238,7 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 		}
 		// Only the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
-		delete(s.pending, msgID)
-		s.done[msgID] = e.firstAt
+		s.remember(msgID, e.firstAt)
 		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -272,11 +289,7 @@ func (ib *Inbox) Prune(before time.Duration) {
 				delete(s.pending, msgID)
 			}
 		}
-		for msgID, firstAt := range s.done {
-			if firstAt < before {
-				delete(s.done, msgID)
-			}
-		}
+		s.forget(before)
 		if len(s.pending)+len(s.done) == 0 {
 			delete(ib.sources, src)
 		}

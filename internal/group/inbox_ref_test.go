@@ -17,14 +17,20 @@ import (
 // second index per logical message. It had no Settle and no Votes; the models
 // of both are the methods at the end of this file.
 //
-// One thing in it is changed, not added: it used to report the kind of
+// Two things in it are changed, not added. It used to report the kind of
 // whichever copy opened the entry and count votes by digest alone, so one
 // member racing a copy under another kind chose the kind a message was
-// accepted under. A vote is now the pair refVote, here as in Inbox.
+// accepted under: a vote is now the pair refVote, here as in Inbox. And its
+// per-source cap counted accepted entries with the rest, so a source that sent
+// maxEntriesPerKey messages within the prune horizon was refused every later
+// one: the cap now counts the entries that are not accepted, and accepting
+// past maxEntriesPerKey accepted entries first forgets the older half of them
+// by first-copy time (remember) — the eviction rule.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
 	byKey   map[Key]map[crypto.Digest]bool // src → msgIDs with live entries
+	evicted int                            // accepted entries the eviction rule forgot
 }
 
 type refEntryKey struct {
@@ -65,7 +71,7 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 	ek := refEntryKey{src: src, msgID: msg.MsgID}
 	e, ok := ib.entries[ek]
 	if !ok {
-		if len(ib.byKey[src]) >= maxEntriesPerKey {
+		if ib.pendingOf(src) >= maxEntriesPerKey {
 			return Accepted{}, false
 		}
 		e = &refEntryState{
@@ -128,10 +134,9 @@ func (ib *refInbox) check(now time.Duration, ek refEntryKey, e *refEntryState) (
 				}
 			}
 		}
-		e.accepted = true
 		// Release memory: the accepted flag alone suppresses stragglers
 		// until the entry is pruned.
-		e.votes, e.payloads, e.attach = nil, nil, nil
+		ib.remember(ek.src, e)
 		return Accepted{Src: ek.src, Kind: v.kind, MsgID: ek.msgID,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -180,17 +185,54 @@ func (ib *refInbox) Prune(before time.Duration) {
 // Len returns the number of live entries (for tests and metrics).
 func (ib *refInbox) Len() int { return len(ib.entries) }
 
+// pendingOf counts src's entries that are not accepted.
+func (ib *refInbox) pendingOf(src Key) int {
+	n := 0
+	for msgID := range ib.byKey[src] {
+		if !ib.entries[refEntryKey{src: src, msgID: msgID}].accepted {
+			n++
+		}
+	}
+	return n
+}
+
+// remember marks e accepted. When src already holds maxEntriesPerKey accepted
+// entries it first forgets the older half of them by first-copy time — those
+// first seen no later than the median — the eviction rule.
+func (ib *refInbox) remember(src Key, e *refEntryState) {
+	var times []time.Duration
+	for msgID := range ib.byKey[src] {
+		if x := ib.entries[refEntryKey{src: src, msgID: msgID}]; x.accepted {
+			times = append(times, x.firstAt)
+		}
+	}
+	if len(times) >= maxEntriesPerKey {
+		slices.Sort(times)
+		cut := times[len(times)/2-1]
+		for msgID := range ib.byKey[src] {
+			ek := refEntryKey{src: src, msgID: msgID}
+			if x := ib.entries[ek]; x.accepted && x.firstAt <= cut {
+				delete(ib.entries, ek)
+				delete(ib.byKey[src], msgID)
+				ib.evicted++
+			}
+		}
+	}
+	e.accepted = true
+	e.votes, e.payloads, e.attach = nil, nil, nil
+}
+
 // Settle is the model of Inbox.Settle, in the old inbox's terms: the entry
 // forgets what it collected and turns later copies away, as an accepted one
-// does. An entry that does not exist yet is created the way Observe creates
-// one — first seen now, refused at the per-source cap.
+// does. An entry that does not exist yet is created first seen now, whatever
+// the source holds.
 func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	ek := refEntryKey{src: src, msgID: msgID}
 	e, ok := ib.entries[ek]
+	if ok && e.accepted {
+		return
+	}
 	if !ok {
-		if len(ib.byKey[src]) >= maxEntriesPerKey {
-			return
-		}
 		e = &refEntryState{firstAt: now}
 		ib.entries[ek] = e
 		if ib.byKey[src] == nil {
@@ -198,8 +240,7 @@ func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 		}
 		ib.byKey[src][msgID] = true
 	}
-	e.accepted = true
-	e.votes, e.payloads, e.attach = nil, nil, nil
+	ib.remember(src, e)
 }
 
 // Votes is the model of Inbox.Votes: the members of src whose vote on a

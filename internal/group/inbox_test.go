@@ -13,13 +13,16 @@ import (
 
 // The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
 // and the shipped layout is checked against it: same schedule in, same
-// acceptances out. The two differ in three named places. A corrupt copy of a
+// acceptances out. The two differ in four named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
 // model, so the comparison also states exactly what that rule means. The model
 // had no Settle and no Votes: refInbox.Settle and refInbox.Votes say what they
-// are in its terms. And the model let the first copy choose the kind a message
-// is accepted under: it was changed to tally the kind with the digest
-// (refVote), which TestInboxFirstCopyCannotChooseKind pins on its own.
+// are in its terms. The model let the first copy choose the kind a message is
+// accepted under: it was changed to tally the kind with the digest (refVote),
+// which TestInboxFirstCopyCannotChooseKind pins on its own. And the model's
+// per-source cap counted accepted messages, which made it a delivery ceiling:
+// it was given the eviction rule (refInbox.remember), which
+// TestInboxDoneCapForgetsOlderHalf pins on its own.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -33,9 +36,12 @@ type diffWorld struct {
 	ref   *refInbox
 	now   time.Duration
 	msgs  int // distinct MsgIDs drawn per source
-	seed  int64
-	steps int // operations applied so far
-	peak  int // largest Len seen
+	// settleTo is the operation draw below which a step settles: a flood
+	// schedule settles often enough to fill a done map and run the eviction.
+	settleTo int
+	seed     int64
+	steps    int // operations applied so far
+	peak     int // largest Len seen
 
 	payloads map[[3]int]diffBytes
 }
@@ -52,7 +58,10 @@ func (w *diffWorld) fatalf(format string, args ...any) {
 }
 
 func newDiffWorld(t *testing.T, seed int64, msgs int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed}
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed, settleTo: 15}
+	if msgs > maxEntriesPerKey {
+		w.settleTo = 70
+	}
 	w.payloads = make(map[[3]int]diffBytes)
 	w.comps = []Composition{comp(1, 1, 1, 2, 3, 4, 5), comp(2, 7, 11, 12, 13, 14), comp(3, 2, 21, 22, 23)}
 	w.known[w.comps[0].Key()] = w.comps[0]
@@ -159,7 +168,7 @@ func (w *diffWorld) step() (corruptLater bool) {
 		}
 		w.ib.Prune(before)
 		w.ref.Prune(before)
-	case op < 15: // the owner is done with one message: unseen, pending or accepted, of any source
+	case op < w.settleTo: // the owner is done with one message: unseen, pending or accepted, of any source
 		si := w.rng.Intn(len(w.comps))
 		msgID := diffMsgID(si, w.rng.Intn(w.msgs))
 		w.ib.Settle(w.now, w.comps[si].Key(), msgID)
@@ -229,17 +238,17 @@ func (w *diffWorld) sameVotes() {
 // other members) mid-run, one never learned, FlushKey, Prune and Settle at
 // random times — and requires identical (Accepted, ok) sequences, Len and
 // Votes throughout. Every two-hundredth
-// schedule draws MsgIDs from a space wider than maxEntriesPerKey to run into
-// the cap.
+// schedule draws MsgIDs from a space wider than maxEntriesPerKey and settles
+// often, to run into the cap on pending messages and into the eviction rule.
 func TestInboxMatchesReference(t *testing.T) {
-	schedules, corruptLater := 1200, 0
+	schedules, corruptLater, evicted := 1200, 0, 0
 	if testing.Short() {
 		schedules = 200
 	}
 	for seed := 0; seed < schedules; seed++ {
 		msgs, steps := 5, 300
 		if seed%200 == 199 {
-			msgs, steps = 3*maxEntriesPerKey, 6*maxEntriesPerKey
+			msgs, steps = 3*maxEntriesPerKey, 10*maxEntriesPerKey
 		}
 		w := newDiffWorld(t, int64(seed), msgs)
 		for i := 0; i < steps; i++ {
@@ -250,9 +259,13 @@ func TestInboxMatchesReference(t *testing.T) {
 		if msgs > maxEntriesPerKey && w.peak < 2*maxEntriesPerKey {
 			t.Fatalf("seed %d: flood schedule peaked at %d entries over 3 sources: the per-source cap was hardly reached", seed, w.peak)
 		}
+		evicted += w.ref.evicted
 	}
 	if corruptLater == 0 {
 		t.Error("no schedule produced a corrupt copy of a held payload: the named difference went untested")
+	}
+	if evicted == 0 {
+		t.Error("no schedule filled a done map: the eviction rule went untested")
 	}
 }
 
@@ -392,13 +405,16 @@ func TestInboxSettle(t *testing.T) {
 			held.MsgID = crypto.HashUint64(crypto.Digest{}, uint64(i))
 			ib.Observe(time.Second, 1, held)
 		}
-		ib.Settle(time.Second, src.Key(), m.MsgID) // unseen: no room
-		if ib.Len() != maxEntriesPerKey {
-			t.Fatalf("Len = %d, want the cap %d: Settle admits no MsgID Observe would refuse", ib.Len(), maxEntriesPerKey)
+		// The cap bounds what collects votes, not what the owner is done with:
+		// an unseen MsgID is recorded even with the pending map full.
+		ib.Settle(time.Second, src.Key(), m.MsgID)
+		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey || len(s.done) != 1 {
+			t.Fatalf("%d pending, %d done, want the full pending map and the settled record", len(s.pending), len(s.done))
 		}
-		ib.Settle(time.Second, src.Key(), held.MsgID) // pending: moves, takes no new room
-		if s := ib.sources[src.Key()]; ib.Len() != maxEntriesPerKey || len(s.done) != 1 {
-			t.Fatalf("Len = %d, %d done, want a pending entry settled in place at the cap", ib.Len(), len(s.done))
+		allVote(ib, time.Second, m)
+		ib.Settle(time.Second, src.Key(), held.MsgID) // pending: moves, and makes room
+		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey-1 || len(s.done) != 2 {
+			t.Fatalf("%d pending, %d done, want a pending entry settled in place", len(s.pending), len(s.done))
 		}
 		allVote(ib, time.Second, held)
 	})
@@ -420,6 +436,39 @@ func TestInboxSettle(t *testing.T) {
 			t.Errorf("Len = %d, want 1", ib.Len())
 		}
 	})
+}
+
+// TestInboxDoneCapForgetsOlderHalf pins the eviction rule: a source that has
+// had maxEntriesPerKey messages accepted or settled within the prune horizon
+// is not refused its next one. Recording it first forgets the older half of
+// the done map by first-copy time; the newer half still turns stragglers away.
+func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3)
+	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
+	id := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
+	for i := 0; i < maxEntriesPerKey; i++ {
+		ib.Settle(time.Duration(i)*time.Millisecond, src.Key(), id(i))
+	}
+	if ib.Len() != maxEntriesPerKey {
+		t.Fatalf("Len = %d, want the %d settled records", ib.Len(), maxEntriesPerKey)
+	}
+	payload := []byte("fresh")
+	fresh := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: id(maxEntriesPerKey), PayloadDigest: crypto.Hash(payload), Payload: payload}
+	ib.Observe(time.Hour, 1, fresh)
+	if _, ok := ib.Observe(time.Hour, 2, fresh); !ok {
+		t.Fatal("a message past a full done map was refused: the cap is a delivery ceiling again")
+	}
+	if s := ib.sources[src.Key()]; len(s.done) != maxEntriesPerKey/2+1 {
+		t.Fatalf("%d done records, want the newer half and the fresh message (%d)", len(s.done), maxEntriesPerKey/2+1)
+	}
+	old, kept := fresh, fresh
+	old.MsgID, kept.MsgID = id(maxEntriesPerKey/2-1), id(maxEntriesPerKey/2)
+	if _, ok := ib.Observe(time.Hour, 1, kept); ok || ib.Votes(src, 0, kept.MsgID, kept.PayloadDigest) != 0 {
+		t.Error("a straggler of the newer half opened an entry")
+	}
+	if ib.Observe(time.Hour, 1, old); ib.Votes(src, 0, old.MsgID, old.PayloadDigest) != 1 {
+		t.Error("a straggler of the forgotten half is not collecting votes anew")
+	}
 }
 
 // TestInboxStragglerCostsOneProbe pins the two hot cases of Observe. A copy of

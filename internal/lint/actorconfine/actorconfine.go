@@ -1,15 +1,17 @@
 // Package actorconfine machine-checks the single-threaded-actor contract
-// of the engine core. internal/core.Node is a deterministic state machine
+// of the engine core. internal/core.Node — with its egress port, which holds
+// the node's transport handle — is a deterministic state machine
 // whose every callback runs inside one serialized actor loop
 // (internal/actor): that is why tier-1 is race-clean without a single
 // lock in the protocol code, and it is the precondition for the virtual-
 // time scaling arc (a node whose state is touched off-loop cannot be
 // replayed). Two rules enforce it:
 //
-//  1. Inside atum/internal/core (non-test), no concurrency machinery at
-//     all: no go statements, no channel operations (send, receive,
-//     select, make(chan)), and no use of the sync/sync-atomic packages.
-//     The engine acts on the world only through actor.Env. The one
+//  1. Inside atum/internal/core and atum/internal/egress (non-test), no
+//     concurrency machinery at all: no go statements, no channel
+//     operations (send, receive, select, make(chan)), and no use of the
+//     sync/sync-atomic packages. The engine acts on the world only
+//     through actor.Env, which only its egress port holds. The one
 //     sanctioned exception — the process-wide raw-codec registry in
 //     rawext.go, which is cross-node by design — carries //atumvet:allow
 //     directives with reasons.
@@ -38,14 +40,14 @@ import (
 // Analyzer is the actorconfine pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "actorconfine",
-	Doc:       "engine state is actor-confined: no concurrency primitives inside internal/core, and no engine-node method calls from goroutine bodies anywhere in the repo",
+	Doc:       "engine state is actor-confined: no concurrency primitives inside internal/core and internal/egress, and no engine-node method calls from goroutine bodies anywhere in the repo",
 	SkipTests: true,
 	NeedTypes: true,
 	Run:       run,
 }
 
-// corePkg is the actor package rule 1 protects.
-const corePkg = "atum/internal/core"
+// actorPkgs are the actor packages rule 1 protects.
+var actorPkgs = map[string]bool{"atum/internal/core": true, "atum/internal/egress": true}
 
 // confinedTypes are the (package path, type name) pairs whose methods
 // must only be called from actor context (rule 2). actor.Node is the
@@ -64,12 +66,12 @@ var bannedImports = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	inCore := pass.PkgPath == corePkg
+	inCore := actorPkgs[pass.PkgPath]
 	for _, f := range pass.Files {
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				if inCore {
-					pass.Reportf(g.Pos(), "go statement in the actor package %s: the engine must act only through actor.Env", corePkg)
+					pass.Reportf(g.Pos(), "go statement in the actor package %s: the engine must act only through actor.Env", pass.PkgPath)
 				}
 				checkGoroutineBody(pass, g)
 				// The body was just checked in goroutine context; generic
@@ -81,17 +83,17 @@ func run(pass *analysis.Pass) error {
 			}
 			switch x := n.(type) {
 			case *ast.SendStmt:
-				pass.Reportf(x.Arrow, "channel send in the actor package %s", corePkg)
+				pass.Reportf(x.Arrow, "channel send in the actor package %s", pass.PkgPath)
 			case *ast.UnaryExpr:
 				if x.Op == token.ARROW {
-					pass.Reportf(x.OpPos, "channel receive in the actor package %s", corePkg)
+					pass.Reportf(x.OpPos, "channel receive in the actor package %s", pass.PkgPath)
 				}
 			case *ast.SelectStmt:
-				pass.Reportf(x.Select, "select statement in the actor package %s", corePkg)
+				pass.Reportf(x.Select, "select statement in the actor package %s", pass.PkgPath)
 			case *ast.CallExpr:
 				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
 					if _, ok := pass.TypesInfo.Types[x.Args[0]].Type.Underlying().(*types.Chan); ok {
-						pass.Reportf(x.Pos(), "make(chan) in the actor package %s", corePkg)
+						pass.Reportf(x.Pos(), "make(chan) in the actor package %s", pass.PkgPath)
 					}
 				}
 			case *ast.Ident:
@@ -99,7 +101,7 @@ func run(pass *analysis.Pass) error {
 				// atomic.AddUint64, ...) resolves the package ident to a
 				// PkgName; one report per reference.
 				if pn, ok := pass.TypesInfo.Uses[x].(*types.PkgName); ok && bannedImports[pn.Imported().Path()] {
-					pass.Reportf(x.Pos(), "use of %s in the actor package %s: protocol state needs no locks inside the actor loop", pn.Imported().Path(), corePkg)
+					pass.Reportf(x.Pos(), "use of %s in the actor package %s: protocol state needs no locks inside the actor loop", pn.Imported().Path(), pass.PkgPath)
 				}
 			}
 			return true

@@ -1,5 +1,5 @@
 // Package detclock machine-checks the determinism contract of the
-// simulation-facing packages: internal/{core,group,overlay,smr} must not
+// simulation-facing packages: internal/{core,egress,group,overlay,smr} must not
 // read the wall clock or the global math/rand stream. The engine is
 // driven by an injected clock and per-node seeded RNGs so that a cluster
 // run is a pure function of its seed; one stray time.Now or rand.Intn
@@ -23,7 +23,7 @@ import (
 // Analyzer is the detclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "detclock",
-	Doc:       "forbid wall-clock time and global math/rand in the deterministic packages (internal/{core,group,overlay,smr}); use the injected clock and seeded RNGs",
+	Doc:       "forbid wall-clock time and global math/rand in the deterministic packages (internal/{core,egress,group,overlay,smr}); use the injected clock and seeded RNGs",
 	SkipTests: true,
 	Run:       run,
 }
@@ -32,6 +32,7 @@ var Analyzer = &analysis.Analyzer{
 // covers.
 var scopedPkgs = []string{
 	"atum/internal/core",
+	"atum/internal/egress",
 	"atum/internal/group",
 	"atum/internal/overlay",
 	"atum/internal/smr",

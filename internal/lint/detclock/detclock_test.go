@@ -9,7 +9,9 @@ import (
 )
 
 func TestClockFixtures(t *testing.T) {
-	linttest.Run(t, detclock.Analyzer, "testdata/clock", "atum/internal/core")
+	for _, pkg := range []string{"atum/internal/core", "atum/internal/egress"} {
+		linttest.Run(t, detclock.Analyzer, "testdata/clock", pkg)
+	}
 }
 
 // TestOutOfScopeExempt runs the same fixture under a transport package
