@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"atum"
+	"atum/astream"
 	"atum/internal/crypto"
+	"atum/internal/rtnet"
+	"atum/internal/tcpnet"
 )
 
 // TestGroupMembersNotAliased: mutating the slice returned by GroupMembers
@@ -70,14 +73,30 @@ func TestSendErrorsSurfaceAtPublicAPI(t *testing.T) {
 
 // TestConfigHasNoFaultInjectionField: Config describes a correct node — 18
 // fields, none of them a behaviour. A fault is injected into a running node,
-// through Node.Inner().SetBehavior, and nowhere else.
+// through Node.Inner().SetBehavior, and nowhere else. Every option struct of
+// the module is held to the same rule, so each keeps the field count pinned
+// below.
 func TestConfigHasNoFaultInjectionField(t *testing.T) {
-	typ := reflect.TypeOf(atum.Config{})
-	if _, ok := typ.FieldByName("Behavior"); ok {
+	if _, ok := reflect.TypeOf(atum.Config{}).FieldByName("Behavior"); ok {
 		t.Error("Config.Behavior is back: SetBehavior is the one way to inject a fault")
 	}
-	if typ.NumField() != 18 {
-		t.Errorf("Config has %d fields, want 18: a new option needs two callers that disagree on its value", typ.NumField())
+	for _, c := range []struct {
+		opts   any
+		fields int
+	}{
+		{atum.Config{}, 18},
+		{atum.BroadcastOpts{}, 0},
+		{atum.SendOpts{}, 2},
+		{atum.SimOptions{}, 3},
+		{atum.RealtimeOptions{}, 4},
+		{tcpnet.Options{}, 4},
+		{rtnet.Options{}, 3},
+		{astream.Options{}, 3},
+	} {
+		if typ := reflect.TypeOf(c.opts); typ.NumField() != c.fields {
+			t.Errorf("%v has %d fields, want %d: a new option needs two callers that disagree on its value",
+				typ, typ.NumField(), c.fields)
+		}
 	}
 }
 

@@ -480,9 +480,6 @@ func (s *Service) egressPressured() bool {
 	return false
 }
 
-// StoredReplicas returns how many files this node currently replicates.
-func (s *Service) StoredReplicas() int { return len(s.chunks) }
-
 // HoldReplica force-installs a local replica (experiment setup helper).
 func (s *Service) HoldReplica(meta FileMeta, content []byte) {
 	var parts [][]byte

@@ -18,14 +18,13 @@ import (
 // phantom inflight request.
 func TestGetFailsFastWhenRequestsShed(t *testing.T) {
 	const limit = 8
-	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 51, Tweak: func(cfg *atum.Config) {
-		cfg.EgressQueueLimit = limit
-	}})
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 51})
 	var svcs []*Service
 	var nodes []*atum.Node
 	for i := 0; i < 2; i++ {
 		s := New(Options{})
 		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
+			cfg.EgressQueueLimit = limit
 			cfg.OnRawMessage = s.HandleRaw
 		})
 		s.Bind(n)

@@ -60,9 +60,6 @@ type Options struct {
 	Mode CycleMode
 	// OnChunk receives verified chunks in arrival order.
 	OnChunk func(Chunk)
-	// Fanout bounds how many peers each node pushes data to (0 = all known
-	// vgroup + neighbor members).
-	Fanout int
 	// PushTTL bounds how long a tier-2 data push may wait in the sender's
 	// egress queue before being dropped as stale (chunk data outlives its
 	// usefulness quickly — a peer that already verified the chunk via
@@ -229,15 +226,11 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 	}
 	self := s.node.Identity().ID
 	sent := map[atum.NodeID]bool{self: true}
-	pushed := 0 // successful pushes only: sheds must not eat Fanout slots
 	send := func(id atum.NodeID) {
 		if sent[id] {
 			return
 		}
 		sent[id] = true
-		if s.opts.Fanout > 0 && pushed >= s.opts.Fanout {
-			return
-		}
 		if lvl := s.node.EgressPressure(id); lvl >= atum.PressureCritical ||
 			(lvl >= atum.PressureHigh && speculative) {
 			s.shed++
@@ -248,9 +241,7 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 		})
 		if err != nil {
 			s.shed++
-			return
 		}
-		pushed++
 	}
 	for _, member := range s.node.GroupMembers() {
 		send(member.ID)

@@ -16,15 +16,15 @@ import (
 // no data pushes, and once the queue drains the flood resumes in full; sheds
 // are counted.
 func TestPushDataShedsUnderPressure(t *testing.T) {
-	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 41, Tweak: func(cfg *atum.Config) {
-		cfg.EgressQueueLimit = 8
-	}})
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 41})
 	var nodes []*atum.Node
 	var svcs []*Service
 	for i := 0; i < 4; i++ {
 		s := New(Options{})
-		n := cluster.AddNodeWith(s.Callbacks(),
-			func(cfg *atum.Config) { cfg.OnRawMessage = s.HandleRaw })
+		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
+			cfg.EgressQueueLimit = 8
+			cfg.OnRawMessage = s.HandleRaw
+		})
 		s.Bind(n)
 		nodes = append(nodes, n)
 		svcs = append(svcs, s)
@@ -116,12 +116,13 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 // — the §4.3 forest's "one correct parent per group". Only the publisher runs
 // a Service, so no receiver re-pushes and every recorded copy is its own.
 func TestPushDataReachesEveryNeighborVgroup(t *testing.T) {
-	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 43, Tweak: func(cfg *atum.Config) {
-		cfg.DisableShuffle = true // freeze membership once grown
+	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 43})
+	freeze := func(cfg *atum.Config) { // freeze membership once grown
+		cfg.DisableShuffle = true
 		cfg.EvictAfter = time.Hour
-	}})
+	}
 	svc := New(Options{})
-	pub := cluster.AddNodeWith(svc.Callbacks(), nil)
+	pub := cluster.AddNodeWith(svc.Callbacks(), freeze)
 	svc.Bind(pub)
 	pubID := pub.Identity().ID
 	reached := make(map[atum.NodeID]bool)
@@ -129,6 +130,7 @@ func TestPushDataReachesEveryNeighborVgroup(t *testing.T) {
 	for i := 1; i < 32; i++ {
 		var self atum.NodeID
 		n := cluster.AddNodeWith(atum.Callbacks{}, func(cfg *atum.Config) {
+			freeze(cfg)
 			self = cfg.Identity.ID
 			cfg.OnRawMessage = func(from atum.NodeID, msg any) {
 				if _, ok := msg.(dataMsg); ok && from == pubID {

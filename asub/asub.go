@@ -80,14 +80,6 @@ func (p *Participant) Publish(data []byte) error {
 	return p.node.BroadcastWith(data, atum.BroadcastOpts{})
 }
 
-// PublishWith is Publish with flow-control options: a priority class and an
-// egress TTL for the publisher's first-hop gossip (atum.BroadcastOpts).
-// Time-critical feeds publish with a TTL so a congested publisher sheds
-// stale events at the source instead of delivering them late everywhere.
-func (p *Participant) PublishWith(data []byte, opts atum.BroadcastOpts) error {
-	return p.node.BroadcastWith(data, opts)
-}
-
 // Subscribed reports whether the participant currently receives events.
 func (p *Participant) Subscribed() bool { return p.node.IsMember() }
 

@@ -1,8 +1,7 @@
 package asub_test
 
 // Publisher-error path tests for the flow-controlled send surface: Publish
-// reports typed errors instead of silently losing events, and PublishWith
-// carries the broadcast flow-control options.
+// reports typed errors instead of silently losing events.
 
 import (
 	"errors"
@@ -36,17 +35,13 @@ func TestPublisherErrorsSurfaced(t *testing.T) {
 	if err := p.Publish(huge); !errors.Is(err, atum.ErrBroadcastTooLarge) {
 		t.Fatalf("oversized Publish returned %v, want ErrBroadcastTooLarge", err)
 	}
-	// A real publish — including one with flow-control options — succeeds
-	// and delivers.
+	// A real publish succeeds and delivers.
 	if err := p.Publish([]byte("plain")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PublishWith([]byte("optioned"), atum.BroadcastOpts{TTL: time.Second}); err != nil {
-		t.Fatal(err)
-	}
 	cluster.Run(10 * time.Second)
-	if len(got) != 2 || string(got[0].Data) != "plain" || string(got[1].Data) != "optioned" {
-		t.Fatalf("delivered events = %v, want [plain optioned]", got)
+	if len(got) != 1 || string(got[0].Data) != "plain" {
+		t.Fatalf("delivered events = %v, want [plain]", got)
 	}
 	// The failed publishes must not have produced events.
 	for _, ev := range got {

@@ -47,10 +47,10 @@
 // # Flow control
 //
 // The send surface is flow-controlled (docs/API.md): SendRawWith returns
-// typed errors instead of silently dropping and accepts a priority class,
-// BroadcastWith and SendRawWith a queue-residency TTL, node-addressed
-// egress queues are bounded (Config.EgressQueueLimit, EgressQueueBytes)
-// with a paced drain, and applications read a destination's pressure level
+// typed errors instead of silently dropping and accepts a priority class and
+// a queue-residency TTL, node-addressed egress queues are bounded
+// (Config.EgressQueueLimit, EgressQueueBytes) with a paced drain, and
+// applications read a destination's pressure level
 // (Node.EgressPressure: Low/High/Critical, with hysteresis) before they send,
 // and the queue depths and drop counters in Node.Stats. Nothing is pushed
 // at them. AStream and AShare pace their floods off these reads instead of
@@ -111,7 +111,7 @@ type (
 	// GroupComposition is a vgroup's membership at one epoch (the value
 	// handed to Callbacks.OnJoined).
 	GroupComposition = group.Composition
-	// BroadcastOpts are BroadcastWith's flow-control options.
+	// BroadcastOpts is BroadcastWith's option set; it has no fields.
 	BroadcastOpts = core.BroadcastOpts
 	// SendOpts are SendRawWith's flow-control options.
 	SendOpts = core.SendOpts
@@ -225,12 +225,10 @@ func (n *Node) Join(contact Identity) error { return n.inner.Join(contact) }
 // Leave requests removal from the system.
 func (n *Node) Leave() error { return n.inner.Leave() }
 
-// BroadcastWith disseminates data to every node in the system, with one
-// flow-control option: an optional TTL bounding how long the origin's
-// first-hop gossip items may wait in its egress queues before being
-// dropped as stale (see docs/API.md; remote forwarders use
-// defaults). BroadcastOpts{} gives the paper's zero-option behaviour; the
-// former Broadcast(data) wrapper was removed in the scheduled API-breaking
+// BroadcastWith disseminates data to every node in the system: the paper's
+// broadcast(m). BroadcastOpts is empty, so every caller passes
+// BroadcastOpts{}; its broadcast TTL is gone (docs/API.md). The former
+// Broadcast(data) wrapper was removed in the scheduled API-breaking
 // release ("Migration from the zero-option signatures" in docs/API.md).
 func (n *Node) BroadcastWith(data []byte, opts BroadcastOpts) error {
 	return n.inner.BroadcastWith(data, opts)
@@ -290,7 +288,6 @@ type SimCluster struct {
 	Net    *simnet.Network
 	nextID uint64
 	mode   smr.Mode
-	tweak  func(*Config)
 }
 
 // SimOptions configures a SimCluster.
@@ -301,8 +298,6 @@ type SimOptions struct {
 	Mode smr.Mode
 	// NetConfig overrides the simulated network configuration.
 	NetConfig *simnet.Config
-	// Tweak, when set, adjusts each node's Config before creation.
-	Tweak func(*Config)
 }
 
 // NewSimCluster creates an empty simulated cluster.
@@ -314,7 +309,7 @@ func NewSimCluster(opts SimOptions) *SimCluster {
 	if opts.NetConfig != nil {
 		nc = *opts.NetConfig
 	}
-	return &SimCluster{Net: simnet.New(nc), mode: opts.Mode, tweak: opts.Tweak}
+	return &SimCluster{Net: simnet.New(nc), mode: opts.Mode}
 }
 
 // AddNode creates a node with test-friendly fast timers, registers it with
@@ -339,9 +334,6 @@ func (c *SimCluster) AddNodeWith(cb Callbacks, mut func(*Config)) *Node {
 		JoinTimeout:    10 * time.Second,
 		RequestTimeout: time.Second,
 		Callbacks:      cb,
-	}
-	if c.tweak != nil {
-		c.tweak(&cfg)
 	}
 	if mut != nil {
 		mut(&cfg)

@@ -57,12 +57,7 @@ func run() error {
 		}
 		return err
 	}
-	// Time-critical events can carry flow-control options: this one is
-	// stale after a second, so a congested publisher sheds its own share
-	// of the first gossip hop rather than delivering it late (delivery is
-	// still guaranteed by the topic vgroup's agreement).
-	if err := participants[1].PublishWith([]byte("tick: prices updated"),
-		atum.BroadcastOpts{TTL: time.Second}); err != nil {
+	if err := participants[1].Publish([]byte("tick: prices updated")); err != nil {
 		return err
 	}
 	cluster.Run(10 * time.Second)

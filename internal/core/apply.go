@@ -165,13 +165,7 @@ func (n *Node) applyEvict(o evictVoteOp) {
 	}
 	n.logf("evicting %v from %v/%d", o.Target, n.st.comp.GroupID, n.st.comp.Epoch)
 	n.counts.Evictions++
-	var keep []ids.Identity
-	for _, m := range n.st.comp.Members {
-		if m.ID != o.Target {
-			keep = append(keep, m)
-		}
-	}
-	n.reconfigure(keep, causeEvict)
+	n.reconfigure(ids.Without(n.st.comp.Members, o.Target), causeEvict)
 }
 
 // --- the reconfiguration barrier ---

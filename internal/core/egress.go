@@ -45,7 +45,7 @@ func (n *Node) newEgress() *egress.Port {
 // the composition the message's MsgID was derived under (usually the current
 // one; the pre-bump composition during reconfiguration notices).
 func (n *Node) sendGroup(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	n.egress.Group(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload}, 0)
+	n.egress.Group(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload})
 }
 
 // handleBatch unpacks a batch carrier and processes every inner item as if

@@ -847,3 +847,41 @@ func TestGossipSurvivesVoteSpoofing(t *testing.T) {
 		})
 	}
 }
+
+// TestCatchUpSurvivesShareFlood: node 99, a member of nothing, sends a member
+// maxSnapShares digest-only snapshot shares of distinct digests stamped with
+// its vgroup and a far-future epoch, then as many stamped with its current
+// epoch. When any share could open a catch-up tally, the flood held the whole
+// table and two valid shares from members 2 and 3 of its three-member vgroup
+// (f+1) no longer installed epoch 4. Now a current-epoch share from a
+// non-member opens nothing and one sender opens at most maxSnapSharesPerSender
+// tallies, so the catch-up goes through.
+func TestCatchUpSurvivesShareFlood(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	succ := testComp(7, 4, 1, 2, 3, 10)
+	payload := encodePayload(snapshotPayload{State: newGroupState(succ, overlay.NewNeighbors(2, succ)).buildSnapshot()})
+	share := group.GroupMsg{SrcGroup: 7, SrcEpoch: 3, Kind: kindSnapshot, MsgID: snapMsgID(comp, 1),
+		PayloadDigest: crypto.Hash(payload), Payload: payload}
+	for _, flood := range []bool{false, true} {
+		n, _ := memberNode(t, 1, comp, testComp(9, 1, 4, 5, 6))
+		if flood {
+			for _, epoch := range []uint64{1 << 40, 3} {
+				for i := 0; i < maxSnapShares; i++ {
+					n.Receive(99, group.GroupMsg{SrcGroup: 7, SrcEpoch: epoch, Kind: kindSnapshot, MsgID: share.MsgID,
+						PayloadDigest: crypto.HashUint64(crypto.Digest{}, uint64(i))})
+				}
+				if epoch == 3 && len(n.snapShares) != maxSnapSharesPerSender {
+					t.Fatalf("the flood holds %d tallies, want the %d future-epoch ones it was charged for",
+						len(n.snapShares), maxSnapSharesPerSender)
+				}
+			}
+		}
+		n.Receive(2, share)
+		digestOnly := share
+		digestOnly.Payload = nil
+		n.Receive(3, digestOnly)
+		if n.st.comp.Epoch != 4 {
+			t.Fatalf("flood %v: still at epoch %d after f+1 members attested epoch 4", flood, n.st.comp.Epoch)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package core
 
-// The flow-controlled send surface: typed send errors, per-send options
+// The flow-controlled send surface: typed send errors, SendRawWith's options
 // (priority class, queue-residency TTL), and the two reads an application
 // paces itself by — a destination's pressure level and the node's Stats.
 // The egress scheduler (internal/egress) bounds and paces node-addressed
@@ -80,21 +80,11 @@ type SendOpts struct {
 	TTL time.Duration
 }
 
-// BroadcastOpts shapes one BroadcastWith call. The options apply to the
-// origin node's own egress enqueues — its share of the first gossip hop,
-// which is where the publisher's flood pressure lives. They cannot cost
-// delivery: by the time the first hop leaves, the broadcast is already
-// committed through the origin vgroup's agreement, and every other member
-// forwards its own share with default options (as do all remote hops).
-// Hop-by-hop propagation of the options would need a gossip payload format
-// change and is deliberately out of scope (ROADMAP).
-type BroadcastOpts struct {
-	// TTL bounds how long the origin's first-hop gossip items may wait in
-	// its egress queues (e.g. behind the synchronous engine's round tick);
-	// stale items are dropped at flush time. 0 = no limit. The local
-	// delivery (the origin vgroup's agreement) is unaffected.
-	TTL time.Duration
-}
+// BroadcastOpts is BroadcastWith's option set, and it is empty: a broadcast
+// is the paper's broadcast(m). The origin-only TTL it held shaped one
+// member's share of the first gossip hop and no caller set it. The type stays
+// so BroadcastWith keeps its signature; every caller passes BroadcastOpts{}.
+type BroadcastOpts struct{}
 
 // Stats is a snapshot of a node's metrics (Node.Stats). The six counters
 // count what this node applied since it was created, as a member of the

@@ -1,8 +1,8 @@
 package core
 
 // Tests for the flow-controlled send surface: typed send errors, the
-// one-release compatibility wrappers, origin-side broadcast TTLs, egress
-// stats, and the pressure level read from the node.
+// one-release compatibility wrappers, egress stats, and the pressure level
+// read from the node.
 
 import (
 	"errors"
@@ -126,42 +126,6 @@ func TestZeroOptSendDefaults(t *testing.T) {
 	}
 	if len(raws) != 2 || raws[0] != 10 || raws[1] != 11 {
 		t.Fatalf("raw sequence = %v, want [10 11]", raws)
-	}
-}
-
-// TestBroadcastTTLShedsOriginShareOnly: a TTL'd broadcast drops the origin
-// node's own (stale) first-hop gossip items at flush time — visible in its
-// egress stats — but cannot cost delivery: the broadcast is already
-// committed to the origin vgroup, whose other members forward their shares
-// with default options.
-func TestBroadcastTTLShedsOriginShareOnly(t *testing.T) {
-	h := newHarness(t, smr.ModeSync, 4, nil)
-	// Enough nodes for at least two vgroups (GMax 6), so first-hop gossip
-	// items actually exist.
-	nodes := h.bootstrapSystem(smr.ModeSync, 10, 30*time.Second)
-	h.net.Run(h.net.Now() + 2*time.Second)
-	groups := h.groupsOf()
-	if len(groups) < 2 {
-		t.Skipf("system did not split (%d group(s)); nothing to forward to", len(groups))
-	}
-	origin := nodes[0]
-	if err := origin.BroadcastWith([]byte("stale-by-ttl"), BroadcastOpts{TTL: time.Nanosecond}); err != nil {
-		t.Fatal(err)
-	}
-	h.net.Run(h.net.Now() + 15*time.Second)
-	for _, n := range nodes {
-		if n.IsMember() {
-			found := false
-			for _, d := range h.delivered[n.cfg.Identity.ID] {
-				found = found || d == "stale-by-ttl"
-			}
-			if !found {
-				t.Fatalf("node %v missed the TTL'd broadcast: origin-side TTL must never cost delivery", n.cfg.Identity.ID)
-			}
-		}
-	}
-	if got := origin.Stats().Egress.DroppedExpired; got == 0 {
-		t.Fatal("origin egress recorded no expired drops; the TTL never applied")
 	}
 }
 

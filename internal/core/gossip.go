@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"slices"
-	"time"
 
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -14,13 +13,9 @@ import (
 // BroadcastWith disseminates a message to every node in the system
 // (§3.3.4). Phase one is Byzantine agreement inside the caller's vgroup
 // (the bcastOp below); phase two is gossip over the H-graph, shaped by the
-// application's Forward callback. opts carries the flow-control options: an
-// optional TTL for the origin's first-hop egress enqueues (remote
-// forwarders use defaults — see BroadcastOpts); the paper's zero-option
-// behaviour is BroadcastOpts{}. Nothing in the wire format changes; the
-// options only shape how the origin's egress scheduler treats this
-// broadcast's gossip items.
-func (n *Node) BroadcastWith(data []byte, opts BroadcastOpts) error {
+// application's Forward callback. BroadcastOpts has no fields: the
+// broadcast is the paper's broadcast(m).
+func (n *Node) BroadcastWith(data []byte, _ BroadcastOpts) error {
 	if n.phase != phaseMember || n.st == nil {
 		return ErrNotMember
 	}
@@ -32,43 +27,8 @@ func (n *Node) BroadcastWith(data []byte, opts BroadcastOpts) error {
 	id = crypto.HashUint64(id, uint64(n.cfg.Identity.ID))
 	id = crypto.HashUint64(id, n.opSeq)
 	id = crypto.Hash(id[:], data)
-	if opts != (BroadcastOpts{}) {
-		n.rememberBcastOpts(id, opts)
-	}
 	n.proposeOp(bcastOp{BcastID: id, Origin: n.cfg.Identity.ID, Data: data})
 	return nil
-}
-
-// maxBcastOpts bounds the pending-options map: entries are consumed when the
-// broadcast's op commits and applies locally; a node whose proposals never
-// commit (departure mid-broadcast) must not leak them.
-const maxBcastOpts = 1024
-
-// rememberBcastOpts stashes the origin-side options until the bcastOp
-// commits (applyBcast consumes them).
-func (n *Node) rememberBcastOpts(id crypto.Digest, opts BroadcastOpts) {
-	if n.bcastOpts == nil {
-		n.bcastOpts = make(map[crypto.Digest]BroadcastOpts)
-	}
-	if _, ok := n.bcastOpts[id]; !ok {
-		n.bcastOptsQ = append(n.bcastOptsQ, id)
-		if len(n.bcastOptsQ) > maxBcastOpts {
-			drop := n.bcastOptsQ[0]
-			n.bcastOptsQ = n.bcastOptsQ[1:]
-			delete(n.bcastOpts, drop)
-		}
-	}
-	n.bcastOpts[id] = opts
-}
-
-// takeBcastOpts consumes the origin-side options for a committed broadcast
-// (zero for remote origins and default-option sends).
-func (n *Node) takeBcastOpts(id crypto.Digest) BroadcastOpts {
-	opts, ok := n.bcastOpts[id]
-	if ok {
-		delete(n.bcastOpts, id)
-	}
-	return opts
 }
 
 // applyBcast delivers a committed broadcast inside the origin vgroup and
@@ -78,14 +38,13 @@ func (n *Node) applyBcast(o bcastOp) {
 	if !n.markSeen(o.BcastID) {
 		return
 	}
-	opts := n.takeBcastOpts(o.BcastID)
 	d := Delivery{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data}
 	// Encoded before Deliver: the application owns d.Data from then on.
 	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, payload, crypto.Hash(payload), group.Key{}, opts)
+	n.forwardGossip(d, payload, crypto.Hash(payload), group.Key{})
 }
 
 // handleGossip processes one gossip hop accepted from a neighboring vgroup.
@@ -112,7 +71,7 @@ func (n *Node) handleGossip(acc group.Accepted) {
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, acc.Payload, acc.Digest, acc.Src, BroadcastOpts{})
+	n.forwardGossip(d, acc.Payload, acc.Digest, acc.Src)
 }
 
 // forwardGossip offers every overlay link to the Forward callback and queues
@@ -122,8 +81,7 @@ func (n *Node) handleGossip(acc group.Accepted) {
 // configuration the paper's ASub experiments use; AStream restricts forwarding
 // to one or two cycles (§6.3). This is the one place gossip is enqueued; the
 // egress scheduler (internal/egress) changes only how the chosen sends are
-// framed, never which sends are chosen. opts carries the origin's
-// flow-control options (zero at remote hops).
+// framed, never which sends are chosen.
 //
 // What a vote says. A gossip message's identity is the digest of its payload:
 // MsgID = Digest, a derived item, so neither a plain copy nor a carrier run
@@ -152,16 +110,12 @@ func (n *Node) handleGossip(acc group.Accepted) {
 // one it stamps its sends with — which releases the votes counted above and
 // turns every later copy away at one map probe instead of collecting votes for
 // a broadcast markSeen would drop.
-func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key, opts BroadcastOpts) {
+func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key) {
 	st := n.st
 	if st == nil {
 		return
 	}
 	now := n.env.Now()
-	var expires time.Duration
-	if opts.TTL > 0 {
-		expires = now + opts.TTL
-	}
 	it := group.BatchItem{Kind: kindGossip, MsgID: digest, Digest: digest, DerivedID: true}
 	if st.comp.Index(n.cfg.Identity.ID) <= n.cfg.Mode.F(st.comp.N()) {
 		it.Payload = payload
@@ -181,7 +135,7 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 			}
 			sent = append(sent, key)
 			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
-				n.egress.Group(st.comp, nbr, it, expires)
+				n.egress.Group(st.comp, nbr, it)
 			}
 			echo := key
 			if e, ok := n.newest[nbr.GroupID]; ok && e > echo.Epoch {

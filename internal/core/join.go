@@ -359,21 +359,33 @@ func (n *Node) observeCatchUpShare(from ids.NodeID, m group.GroupMsg) bool {
 	if from == n.cfg.Identity.ID {
 		return true
 	}
+	// A share of the current epoch comes from a member of its composition. A
+	// future epoch's composition is not installed yet, so its shares are
+	// buffered unchecked and judged at evaluation time; what bounds them is
+	// the charge below.
+	if m.SrcEpoch == n.st.comp.Epoch && !n.st.comp.Contains(from) {
+		return true
+	}
 	if m.Payload != nil && crypto.Hash(m.Payload) != m.PayloadDigest {
 		return true
 	}
 	key := snapShareKey{src: group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}, digest: m.PayloadDigest}
 	tally, ok := n.snapShares[key]
 	if !ok {
-		if len(n.snapShares) >= maxSnapShares {
+		// A tally is charged to the sender that opened it, so one sender
+		// cannot hold the table.
+		opened := 0
+		for _, t := range n.snapShares {
+			if t.opener == from {
+				opened++
+			}
+		}
+		if len(n.snapShares) >= maxSnapShares || opened >= maxSnapSharesPerSender {
 			return true // bounded; heavy pressure falls back to rejoin
 		}
-		tally = &snapTally{senders: make(map[ids.NodeID]bool)}
+		tally = &snapTally{senders: make(map[ids.NodeID]bool), opener: from}
 		n.snapShares[key] = tally
 	}
-	// Sender membership is validated at evaluation time against the epoch
-	// the share attests; buffered future-epoch shares cannot be validated
-	// against a composition this node has not installed yet.
 	tally.senders[from] = true
 	if tally.payload == nil && m.Payload != nil {
 		tally.payload = m.Payload
@@ -636,11 +648,5 @@ func (n *Node) applyRenounce(o renounceOp) {
 		return
 	}
 	n.logf("phantom member %v renounced; removing", o.Node.ID)
-	var keep []ids.Identity
-	for _, m := range st.comp.Members {
-		if m.ID != o.Node.ID {
-			keep = append(keep, m)
-		}
-	}
-	n.reconfigure(keep, causeEvict)
+	n.reconfigure(ids.Without(st.comp.Members, o.Node.ID), causeEvict)
 }

@@ -201,7 +201,8 @@ type walkAttachment struct {
 // path (backward mode, §5.1).
 type backwardPayload struct {
 	WalkID crypto.Digest
-	// HopsLeft indexes into Path: the next hop to visit is Path[HopsLeft-1].
+	// Path holds the hops still to visit, origin first: the next one is its
+	// last element, which each relay pops before sending.
 	Path   []group.Key
 	Result walkResult
 }

@@ -113,11 +113,6 @@ type Node struct {
 	seen  map[crypto.Digest]bool
 	seenQ []crypto.Digest
 
-	// bcastOpts holds BroadcastWith options from proposal until the bcastOp
-	// commits and applies (consumed in applyBcast; bounded FIFO).
-	bcastOpts  map[crypto.Digest]BroadcastOpts
-	bcastOptsQ []crypto.Digest
-
 	join           *joinContext
 	awaitDeadline  time.Duration // phaseAwaitSnapshot orphan recovery
 	expectSnapshot map[ids.GroupID]bool
@@ -166,10 +161,16 @@ type snapShareKey struct {
 type snapTally struct {
 	senders map[ids.NodeID]bool
 	payload []byte
+	opener  ids.NodeID // the sender whose share opened the tally, charged for it
 }
 
-// maxSnapShares bounds the catch-up tally size.
-const maxSnapShares = 64
+// maxSnapShares bounds the catch-up tally size; maxSnapSharesPerSender bounds
+// the tallies one sender's shares may open. The contracted workloads peak at
+// 6 per sender, in async_wan.
+const (
+	maxSnapShares          = 64
+	maxSnapSharesPerSender = maxSnapShares / 4
+)
 
 var _ actor.Node = (*Node)(nil)
 

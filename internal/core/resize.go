@@ -23,13 +23,7 @@ func (n *Node) applyLeave(o leaveOp) {
 	if st.comp.N() == 1 {
 		return // the sole member shuts the instance down locally instead
 	}
-	var keep []ids.Identity
-	for _, m := range st.comp.Members {
-		if m.ID != o.Node {
-			keep = append(keep, m)
-		}
-	}
-	n.reconfigure(keep, causeLeave)
+	n.reconfigure(ids.Without(st.comp.Members, o.Node), causeLeave)
 }
 
 // applySplit divides the vgroup (deterministically, from the composition

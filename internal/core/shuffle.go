@@ -141,14 +141,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		n.expectSnapshotFrom(res.Target)
 	}
 
-	var members []ids.Identity
-	for _, m := range st.comp.Members {
-		if m.ID != outgoing.ID {
-			members = append(members, m)
-		}
-	}
-	members = append(members, incoming)
-	n.reconfigure(members, causeExchange)
+	n.reconfigure(append(ids.Without(st.comp.Members, outgoing.ID), incoming), causeExchange)
 	// After reconfigure n.st survives for remaining members; the shuffle
 	// continues in the new epoch.
 	if n.st != nil {
@@ -181,14 +174,7 @@ func (n *Node) applyExchangeConfirm(p exchangeConfirmPayload) {
 	if outgoing.ID == n.cfg.Identity.ID {
 		n.expectSnapshotFrom(p.OriginOld)
 	}
-	var members []ids.Identity
-	for _, m := range st.comp.Members {
-		if m.ID != outgoing.ID {
-			members = append(members, m)
-		}
-	}
-	members = append(members, incoming)
-	n.reconfigure(members, causeExchange)
+	n.reconfigure(append(ids.Without(st.comp.Members, outgoing.ID), incoming), causeExchange)
 	if n.st != nil {
 		n.processPendingJoins()
 	}

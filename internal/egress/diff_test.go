@@ -19,7 +19,6 @@ import (
 type scheduler interface {
 	EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool)
 	EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool)
-	EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration)
 	EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error
 	FlushAll()
 	FlushDeferred()
@@ -106,11 +105,6 @@ func (r *refRound) EnqueueAlone(src, dst group.Composition, it group.BatchItem, 
 func (r *refRound) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
 	r.begin(deferred)
 	r.refScheduler.EnqueueGroup(src, dst, it, deferred)
-}
-
-func (r *refRound) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration) {
-	r.begin(deferred)
-	r.refScheduler.EnqueueGroupWith(src, dst, it, deferred, expires)
 }
 
 func (r *refRound) FlushAll() {
@@ -286,19 +280,12 @@ func (w *diffWorld) step() {
 	switch r := w.rng.Intn(100); {
 	case r < 40:
 		dst := comp(ids.GroupID(10+w.rng.Intn(w.groups)), 1)
-		it, deferred, expires := w.item(w.rng.Intn(120)), w.rng.Intn(100) < w.deferredP, w.expiry()
+		it, deferred := w.item(w.rng.Intn(120)), w.rng.Intn(100) < w.deferredP
 		if w.rng.Intn(8) == 0 {
 			w.both("EnqueueAlone", func(s scheduler) error { s.EnqueueAlone(w.src, dst, it, deferred); return nil })
 			return
 		}
-		if expires == 0 && w.rng.Intn(2) == 0 {
-			w.both("EnqueueGroup", func(s scheduler) error { s.EnqueueGroup(w.src, dst, it, deferred); return nil })
-			return
-		}
-		w.both("EnqueueGroupWith", func(s scheduler) error {
-			s.EnqueueGroupWith(w.src, dst, it, deferred, expires)
-			return nil
-		})
+		w.both("EnqueueGroup", func(s scheduler) error { s.EnqueueGroup(w.src, dst, it, deferred); return nil })
 	case r < 70:
 		to := ids.NodeID(1000 + w.rng.Intn(w.nodes))
 		sizes := []int{8, 8, 40, 120}
@@ -337,7 +324,7 @@ func (w *diffWorld) step() {
 
 // TestSchedulerMatchesReference drives the shipped Scheduler and the
 // reference model (ref_test.go) through seeded random schedules — deferred and
-// windowed group enqueues with and without expiry, items sent alone, node
+// windowed group enqueues (which never expire), items sent alone, node
 // enqueues of all three classes with TTLs and sizes around LimitBytes,
 // source-epoch changes and group moves, clock advances with OnTimer at every
 // armed deadline, spurious OnTimer calls, FlushDeferred and FlushAll — and

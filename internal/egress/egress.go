@@ -56,13 +56,12 @@
 //     not flap); Level reads it in O(1), and Snapshot exposes it with
 //     per-destination depth and drop counters.
 //
-// Group-addressed queues are never bounded or paced: they carry protocol
-// traffic (agreement-backed group messages) whose loss the engine cannot
-// tolerate; only the expiry check applies to them (callers attach expiries
-// to application-chosen broadcasts, not to engine kinds). Which of the two a
-// queue is follows from its destination alone — there is no switch. FlushAll
-// drains everything, bounds and pacing included — correctness before flow
-// control.
+// Group-addressed queues are not bounded, not paced and never expire: they
+// carry protocol traffic (agreement-backed group messages) whose loss the
+// engine cannot tolerate, so EnqueueGroup takes no class and no expiry. Which
+// of the two a queue is follows from its destination alone — there is no
+// switch. FlushAll drains everything, bounds and pacing included —
+// correctness before flow control.
 //
 // The scheduler is not goroutine-safe: like the rest of the engine it runs
 // inside one actor's event loop.
@@ -307,13 +306,6 @@ func New(cfg Config) *Scheduler {
 // adaptive window (the synchronous engine's round-quantized sends).
 func (s *Scheduler) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
 	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{})
-}
-
-// EnqueueGroupWith is EnqueueGroup with an absolute expiry (0 = never):
-// stale items are dropped at flush time. Group items carry no priority
-// class — class-based eviction runs only on bounded node queues.
-func (s *Scheduler) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration) {
-	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{expires: expires})
 }
 
 // EnqueueNodeWith queues one raw item for a single node. It returns

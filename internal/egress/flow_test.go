@@ -265,20 +265,6 @@ func TestExpiredItemsDroppedAtFlush(t *testing.T) {
 	if st.DroppedExpired != 1 {
 		t.Fatalf("DroppedExpired = %d, want 1", st.DroppedExpired)
 	}
-	// Expiry also applies on group queues (broadcast TTLs).
-	dst := comp(3, 1)
-	fh.s.EnqueueGroupWith(src, dst, item(1), true, fh.now+time.Millisecond)
-	fh.s.EnqueueGroupWith(src, dst, item(2), true, 0)
-	fh.now += 2 * time.Millisecond
-	fh.s.FlushAll()
-	fh.s.FlushDeferred()
-	last := fh.flushes[len(fh.flushes)-1]
-	if len(last.items) != 1 || last.items[0].Payload[0] != 2 {
-		t.Fatalf("group expiry: flushed %d items (%v), want only the durable one", len(last.items), last.items)
-	}
-	if fh.s.Snapshot().DroppedExpired != 2 {
-		t.Fatalf("DroppedExpired = %d, want 2", fh.s.Snapshot().DroppedExpired)
-	}
 }
 
 // TestSnapshotReportsDestState: Snapshot surfaces per-destination depth,

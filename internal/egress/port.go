@@ -31,8 +31,6 @@ package egress
 // (reconfigure, split install, merge dissolve, epoch catch-up).
 
 import (
-	"time"
-
 	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -88,15 +86,13 @@ func NewPort(cfg Config, r Rules) *Port {
 func (p *Port) Start(env actor.Env) { p.env = env }
 
 // Group sends one logical group message to every member of dst. src is the
-// composition the message's MsgID was derived under. expires (0 = never)
-// bounds how long a queued item may wait; a kind kept off carriers waits in
-// no queue and ignores it.
-func (p *Port) Group(src, dst group.Composition, it group.BatchItem, expires time.Duration) {
+// composition the message's MsgID was derived under.
+func (p *Port) Group(src, dst group.Composition, it group.BatchItem) {
 	if !p.rules.CarrierOK(it.Kind) {
 		p.EnqueueAlone(src, dst, it, p.rules.Sync)
 		return
 	}
-	p.EnqueueGroupWith(src, dst, it, p.rules.Sync, expires)
+	p.EnqueueGroup(src, dst, it, p.rules.Sync)
 }
 
 // GroupAttach is Group for a message that carries this member's attachment:

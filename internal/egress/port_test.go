@@ -48,8 +48,8 @@ func TestCarrierNumbersFollowClosingOrder(t *testing.T) {
 	}
 	for round := uint64(0); round < 2; round++ {
 		env.now += time.Second
-		p.Group(src, dst, item(1), 0)
-		p.Group(src, dst, item(2), 0) // fills the cap: closed, held for the tick
+		p.Group(src, dst, item(1))
+		p.Group(src, dst, item(2)) // fills the cap: closed, held for the tick
 		for k := byte(0); k < 3; k++ {
 			p.EnqueueNodeWith(src, 42, item(10+k), ClassData, 0) // the first leaves at once
 		}

@@ -15,6 +15,7 @@ import (
 type cluster struct {
 	c     *atum.SimCluster
 	nodes []*atum.Node
+	tweak func(*atum.Config) // nil: none
 	// deliverAt is the virtual time each node delivered each payload.
 	deliverAt map[delivery]time.Duration
 	// rawDelivered counts raw messages handed to any node's OnRawMessage;
@@ -41,12 +42,8 @@ type app interface {
 // defaults with shuffling off, then tweak (nil: none) adjusts their Config.
 func newCluster(mode smr.Mode, seed int64, net *simnet.Config, tweak func(*atum.Config)) *cluster {
 	return &cluster{
-		c: atum.NewSimCluster(atum.SimOptions{Seed: seed, Mode: mode, NetConfig: net, Tweak: func(cfg *atum.Config) {
-			cfg.DisableShuffle = true
-			if tweak != nil {
-				tweak(cfg)
-			}
-		}}),
+		c:         atum.NewSimCluster(atum.SimOptions{Seed: seed, Mode: mode, NetConfig: net}),
+		tweak:     tweak,
 		deliverAt: make(map[delivery]time.Duration),
 		xs:        uint64(seed)*0x9e3779b97f4a7c15 + 1,
 	}
@@ -73,6 +70,10 @@ func (cl *cluster) addNode(a app) *atum.Node {
 		}
 	}
 	n := cl.c.AddNodeWith(cb, func(cfg *atum.Config) {
+		cfg.DisableShuffle = true
+		if cl.tweak != nil {
+			cl.tweak(cfg)
+		}
 		cfg.OnRawMessage = func(from atum.NodeID, msg any) {
 			cl.rawDelivered++
 			onRaw(from, msg)

@@ -15,6 +15,12 @@ import (
 // settled ones remembered against stragglers, each on its own.
 const maxEntriesPerKey = 1024
 
+// maxOpenPerSender bounds, per source composition, the messages still
+// collecting votes that one sender's copies opened, so that no one sender —
+// a member or not — can fill the source's pending map. The contracted
+// workloads peak at 132.
+const maxOpenPerSender = maxEntriesPerKey / 4
+
 // Inbox is the receive side of the group-message primitive. One Inbox per
 // node accumulates per-sender votes for each logical message and reports
 // acceptance when a majority of the source composition delivered matching
@@ -34,10 +40,12 @@ const maxEntriesPerKey = 1024
 // payload-less, as core sends an echo — never complete.
 //
 // The two maps are bounded apart. At maxEntriesPerKey pending entries a
-// source's new MsgIDs are refused: flood protection. A done map at the same
-// size forgets its older half by first-copy time, Prune's rule, before it
-// records another: dedup memory never refuses fresh traffic, it only shortens
-// how long a straggler is recognised.
+// source's new MsgIDs are refused: flood protection. Each pending entry is
+// charged to the sender whose copy opened it, and a sender holding
+// maxOpenPerSender of a source's entries opens no more of them. A done map at
+// the same size forgets its older half by first-copy time, Prune's rule,
+// before it records another: dedup memory never refuses fresh traffic, it only
+// shortens how long a straggler is recognised.
 //
 // Verify on store: a payload is hashed only when it is about to be stored,
 // that is when the entry holds no payload for the digest the copy names. A
@@ -60,7 +68,7 @@ type source struct {
 // entry is one logical message that has not been accepted yet.
 type entry struct {
 	firstAt  time.Duration
-	votes    []vote       // one per sender, in arrival order
+	votes    []vote       // one per sender, in arrival order: the first is the opener's
 	payloads []heldDigest // verified payloads, one per digest
 	attached []attachment // what the few senders that attach anything attached
 }
@@ -94,6 +102,21 @@ func (ib *Inbox) addSource(src Key) *source {
 	s := &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
 	ib.sources[src] = s
 	return s
+}
+
+// opened counts the pending entries from's copies opened. Below
+// maxOpenPerSender pending entries no sender can hold that many, so the count
+// is only taken at a source that holds them: a hostile one, or a burst.
+func (s *source) opened(from ids.NodeID) int {
+	n := 0
+	if len(s.pending) >= maxOpenPerSender {
+		for _, e := range s.pending {
+			if e.votes[0].from == from {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // remember moves msgID to the done map under the time of its first copy,
@@ -169,7 +192,7 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	if e == nil {
 		if s == nil {
 			s = ib.addSource(src)
-		} else if len(s.pending) >= maxEntriesPerKey {
+		} else if len(s.pending) >= maxEntriesPerKey || s.opened(from) >= maxOpenPerSender {
 			return Accepted{}, false
 		}
 		// Room for the majority of a typical vgroup without regrowing.

@@ -17,7 +17,7 @@ import (
 // second index per logical message. It had no Settle and no Votes; the models
 // of both are the methods at the end of this file.
 //
-// Two things in it are changed, not added. It used to report the kind of
+// Three things in it are changed, not added. It used to report the kind of
 // whichever copy opened the entry and count votes by digest alone, so one
 // member racing a copy under another kind chose the kind a message was
 // accepted under: a vote is now the pair refVote, here as in Inbox. And its
@@ -25,12 +25,15 @@ import (
 // maxEntriesPerKey messages within the prune horizon was refused every later
 // one: the cap now counts the entries that are not accepted, and accepting
 // past maxEntriesPerKey accepted entries first forgets the older half of them
-// by first-copy time (remember) — the eviction rule.
+// by first-copy time (remember) — the eviction rule. And one sender could fill
+// that cap alone: an entry now records the sender whose copy opened it, and a
+// sender with maxOpenPerSender of a source's entries not accepted opens no more.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
 	byKey   map[Key]map[crypto.Digest]bool // src → msgIDs with live entries
 	evicted int                            // accepted entries the eviction rule forgot
+	charged int                            // copies refused because their sender hit maxOpenPerSender
 }
 
 type refEntryKey struct {
@@ -44,6 +47,7 @@ type refEntryState struct {
 	attach   map[ids.NodeID][]byte
 	accepted bool
 	firstAt  time.Duration
+	opener   ids.NodeID
 }
 
 type refVote struct {
@@ -74,11 +78,16 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 		if ib.pendingOf(src) >= maxEntriesPerKey {
 			return Accepted{}, false
 		}
+		if ib.openedBy(src, from) >= maxOpenPerSender {
+			ib.charged++
+			return Accepted{}, false
+		}
 		e = &refEntryState{
 			votes:    make(map[ids.NodeID]refVote),
 			payloads: make(map[crypto.Digest][]byte),
 			attach:   make(map[ids.NodeID][]byte),
 			firstAt:  now,
+			opener:   from,
 		}
 		ib.entries[ek] = e
 		set, ok := ib.byKey[src]
@@ -190,6 +199,17 @@ func (ib *refInbox) pendingOf(src Key) int {
 	n := 0
 	for msgID := range ib.byKey[src] {
 		if !ib.entries[refEntryKey{src: src, msgID: msgID}].accepted {
+			n++
+		}
+	}
+	return n
+}
+
+// openedBy counts src's entries that are not accepted and that from opened.
+func (ib *refInbox) openedBy(src Key, from ids.NodeID) int {
+	n := 0
+	for msgID := range ib.byKey[src] {
+		if e := ib.entries[refEntryKey{src: src, msgID: msgID}]; !e.accepted && e.opener == from {
 			n++
 		}
 	}

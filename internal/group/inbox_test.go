@@ -13,7 +13,7 @@ import (
 
 // The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
 // and the shipped layout is checked against it: same schedule in, same
-// acceptances out. The two differ in four named places. A corrupt copy of a
+// acceptances out. The two differ in five named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
 // model, so the comparison also states exactly what that rule means. The model
 // had no Settle and no Votes: refInbox.Settle and refInbox.Votes say what they
@@ -22,7 +22,9 @@ import (
 // which TestInboxFirstCopyCannotChooseKind pins on its own. And the model's
 // per-source cap counted accepted messages, which made it a delivery ceiling:
 // it was given the eviction rule (refInbox.remember), which
-// TestInboxDoneCapForgetsOlderHalf pins on its own.
+// TestInboxDoneCapForgetsOlderHalf pins on its own. And one sender could fill
+// the model's cap alone: it was given the per-sender charge (refInbox.openedBy),
+// which TestNonMemberCannotFillPendingCap pins on its own.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -36,8 +38,9 @@ type diffWorld struct {
 	ref   *refInbox
 	now   time.Duration
 	msgs  int // distinct MsgIDs drawn per source
-	// settleTo is the operation draw below which a step settles: a flood
-	// schedule settles often enough to fill a done map and run the eviction.
+	// settleTo is the operation draw below which a step settles: every other
+	// flood schedule settles often enough to fill a done map and run the
+	// eviction; the rest fill pending maps and run into the per-sender charge.
 	settleTo int
 	seed     int64
 	steps    int // operations applied so far
@@ -59,7 +62,7 @@ func (w *diffWorld) fatalf(format string, args ...any) {
 
 func newDiffWorld(t *testing.T, seed int64, msgs int) *diffWorld {
 	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed, settleTo: 15}
-	if msgs > maxEntriesPerKey {
+	if msgs > maxEntriesPerKey && seed%400 == 199 {
 		w.settleTo = 70
 	}
 	w.payloads = make(map[[3]int]diffBytes)
@@ -238,10 +241,11 @@ func (w *diffWorld) sameVotes() {
 // other members) mid-run, one never learned, FlushKey, Prune and Settle at
 // random times — and requires identical (Accepted, ok) sequences, Len and
 // Votes throughout. Every two-hundredth
-// schedule draws MsgIDs from a space wider than maxEntriesPerKey and settles
-// often, to run into the cap on pending messages and into the eviction rule.
+// schedule draws MsgIDs from a space wider than maxEntriesPerKey, to run into
+// the cap on pending messages and the per-sender charge or, settling often,
+// into the eviction rule.
 func TestInboxMatchesReference(t *testing.T) {
-	schedules, corruptLater, evicted := 1200, 0, 0
+	schedules, corruptLater, evicted, charged := 1200, 0, 0, 0
 	if testing.Short() {
 		schedules = 200
 	}
@@ -260,12 +264,16 @@ func TestInboxMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: flood schedule peaked at %d entries over 3 sources: the per-source cap was hardly reached", seed, w.peak)
 		}
 		evicted += w.ref.evicted
+		charged += w.ref.charged
 	}
 	if corruptLater == 0 {
 		t.Error("no schedule produced a corrupt copy of a held payload: the named difference went untested")
 	}
 	if evicted == 0 {
 		t.Error("no schedule filled a done map: the eviction rule went untested")
+	}
+	if charged == 0 && !testing.Short() { // the short run has one flood schedule, which settles often
+		t.Error("no sender reached maxOpenPerSender: the per-sender charge went untested")
 	}
 }
 
@@ -403,7 +411,7 @@ func TestInboxSettle(t *testing.T) {
 		held := m
 		for i := 0; i < maxEntriesPerKey; i++ {
 			held.MsgID = crypto.HashUint64(crypto.Digest{}, uint64(i))
-			ib.Observe(time.Second, 1, held)
+			ib.Observe(time.Second, ids.NodeID(1+i/maxOpenPerSender), held) // each sender to its charge
 		}
 		// The cap bounds what collects votes, not what the owner is done with:
 		// an unseen MsgID is recorded even with the pending map full.
@@ -468,6 +476,38 @@ func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
 	}
 	if ib.Observe(time.Hour, 1, old); ib.Votes(src, 0, old.MsgID, old.PayloadDigest) != 1 {
 		t.Error("a straggler of the forgotten half is not collecting votes anew")
+	}
+}
+
+// TestNonMemberCannotFillPendingCap: node 99, a member of nothing, opens
+// pending entries under a known three-member source with maxEntriesPerKey
+// digest-only copies of distinct MsgIDs. It is charged for the ones it opened
+// and refused past maxOpenPerSender, so one message from two of the source's
+// members — a majority — is still accepted. When any sender could fill the
+// source's pending map, the link stayed dead until Prune.
+func TestNonMemberCannotFillPendingCap(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3)
+	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
+	for i := 0; i < maxEntriesPerKey; i++ {
+		junk := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.HashUint64(crypto.Digest{}, uint64(i)),
+			PayloadDigest: crypto.HashUint64(crypto.Digest{1}, uint64(i))}
+		ib.Observe(time.Second, 99, junk)
+	}
+	if s := ib.sources[src.Key()]; len(s.pending) != maxOpenPerSender {
+		t.Fatalf("%d pending, want the flooder's charge, maxOpenPerSender (%d)", len(s.pending), maxOpenPerSender)
+	}
+	payload := []byte("after the flood")
+	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("legit")), PayloadDigest: crypto.Hash(payload), Payload: payload}
+	ib.Observe(2*time.Second, 2, m)
+	if _, ok := ib.Observe(2*time.Second, 3, m); !ok {
+		t.Fatal("a majority of the source's members was refused: one non-member filled the pending map")
+	}
+	// The charge goes with the entries: once Prune drops them, the flooder
+	// opens entries again.
+	ib.Prune(2 * time.Second)
+	junk := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("after prune")), PayloadDigest: crypto.Hash([]byte("x"))}
+	if ib.Observe(3*time.Second, 99, junk); ib.Votes(comp(1, 1, 99), 0, junk.MsgID, junk.PayloadDigest) != 1 {
+		t.Fatal("after Prune the flooder is still charged for the entries it opened")
 	}
 }
 

@@ -25,9 +25,6 @@ type GroupID uint64
 // String implements fmt.Stringer.
 func (g GroupID) String() string { return fmt.Sprintf("g%d", uint64(g)) }
 
-// NilGroup is the zero GroupID, used to mean "no group".
-const NilGroup GroupID = 0
-
 // Identity is the public identity of a node: everything another node needs
 // to contact and authenticate it.
 type Identity struct {
@@ -86,6 +83,18 @@ func FindIdentity(list []Identity, id NodeID) int {
 		}
 	}
 	return -1
+}
+
+// Without returns the identities of list other than id, in order, in a new
+// slice.
+func Without(list []Identity, id NodeID) []Identity {
+	var out []Identity
+	for _, m := range list {
+		if m.ID != id {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // CloneIdentities returns a deep copy of the identity slice. Compositions are

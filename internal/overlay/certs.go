@@ -51,19 +51,6 @@ func (s *StepCert) Wire(c wire.Codec) {
 	wire.List(c, &s.Sigs, (*CertSig).Wire)
 }
 
-// WireSize returns the approximate encoded size of the certificate,
-// accounting for the full composition and the signature set.
-func (s StepCert) WireSize() int {
-	size := 16
-	for _, m := range s.Next.Members {
-		size += 16 + len(m.Addr) + len(m.PubKey)
-	}
-	for _, sig := range s.Sigs {
-		size += 8 + len(sig.Sig)
-	}
-	return size
-}
-
 // CertBytes returns the canonical bytes a forwarding member signs when
 // endorsing a walk step.
 func CertBytes(walkID crypto.Digest, step int, next group.Composition) []byte {
@@ -111,14 +98,4 @@ func VerifyChain(scheme crypto.Scheme, origin group.Composition, walkID crypto.D
 		prev = cert.Next
 	}
 	return prev, nil
-}
-
-// ChainWireSize sums the encoded size of a chain (for bandwidth accounting
-// and for the §5.1 certificate-bulk measurements).
-func ChainWireSize(chain []StepCert) int {
-	size := 0
-	for _, c := range chain {
-		size += c.WireSize()
-	}
-	return size
 }

@@ -248,13 +248,3 @@ func TestCertChainVerify(t *testing.T) {
 		t.Error("empty chain should verify to origin")
 	}
 }
-
-func TestCertChainSizeLinearInLength(t *testing.T) {
-	c := comp(2, 1, 1, 2, 3, 4, 5)
-	cert := StepCert{Next: c, Sigs: []CertSig{{Node: 1, Sig: make([]byte, 32)}}}
-	one := ChainWireSize([]StepCert{cert})
-	ten := ChainWireSize([]StepCert{cert, cert, cert, cert, cert, cert, cert, cert, cert, cert})
-	if ten != 10*one {
-		t.Errorf("chain size should be linear: 1=%d 10=%d", one, ten)
-	}
-}

@@ -8,7 +8,7 @@
 // locks. Two transports are provided:
 //
 //   - the built-in loopback: nodes registered with the same Runtime reach
-//     each other in process, with optional injected latency and loss;
+//     each other in process;
 //   - internal/tcpnet: length-prefixed frames over TCP for nodes spread over
 //     multiple runtimes, processes, or hosts — engine messages and
 //     registered application raw messages in the deterministic wire
@@ -48,12 +48,7 @@ type Options struct {
 	// Transport, when set, receives messages addressed to nodes not
 	// registered locally. When nil such messages are dropped.
 	Transport Transport
-	// Latency, when set, delays each loopback delivery by Latency(rng).
-	// Remote sends are not delayed (the wire provides its own latency).
-	Latency func(rng *rand.Rand) time.Duration
-	// LossProb drops loopback messages with the given probability.
-	LossProb float64
-	// Seed seeds the runtime's and the nodes' random sources.
+	// Seed seeds the nodes' random sources.
 	Seed int64
 	// Logf, when set, receives runtime debug logs.
 	Logf func(format string, args ...any)
@@ -66,7 +61,6 @@ type Runtime struct {
 
 	mu     sync.Mutex
 	nodes  map[ids.NodeID]*rtNode
-	rng    *rand.Rand
 	closed bool
 
 	wg sync.WaitGroup
@@ -81,7 +75,6 @@ func New(opts Options) *Runtime {
 		opts:  opts,
 		start: time.Now(),
 		nodes: make(map[ids.NodeID]*rtNode),
-		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
 }
 
@@ -216,26 +209,13 @@ func (r *Runtime) Close() error {
 }
 
 // route sends a message from a local node: loopback if the destination is
-// local (with optional injected latency/loss), transport otherwise.
+// local, transport otherwise.
 func (r *Runtime) route(from, to ids.NodeID, msg actor.Message) {
 	r.mu.Lock()
 	dst, local := r.nodes[to]
-	var delay time.Duration
-	drop := false
-	if local {
-		if r.opts.LossProb > 0 && r.rng.Float64() < r.opts.LossProb {
-			drop = true
-		}
-		if r.opts.Latency != nil {
-			delay = r.opts.Latency(r.rng)
-		}
-	}
 	r.mu.Unlock()
 
 	switch {
-	case drop:
-	case local && delay > 0:
-		time.AfterFunc(delay, func() { dst.post(rtEvent{kind: evMsg, from: from, msg: msg}) })
 	case local:
 		dst.post(rtEvent{kind: evMsg, from: from, msg: msg})
 	case r.opts.Transport != nil:

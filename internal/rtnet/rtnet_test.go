@@ -1,7 +1,6 @@
 package rtnet
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,50 +269,6 @@ func TestCloseIsIdempotentAndUnblocksInvoke(t *testing.T) {
 	}
 	if err := rt.Invoke(1, func() {}); err != ErrStopped {
 		t.Fatalf("Invoke after Close = %v, want ErrStopped", err)
-	}
-}
-
-func TestLossProbDropsEverything(t *testing.T) {
-	rt := New(Options{LossProb: 1.0})
-	defer rt.Close()
-	a, b := newProbe(), newProbe()
-	if err := rt.Add(2, b); err != nil {
-		t.Fatal(err)
-	}
-	a.startFn = func(env actor.Env) {
-		for i := 0; i < 50; i++ {
-			env.Send(2, i)
-		}
-	}
-	if err := rt.Add(1, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Invoke(1, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if got := b.messageCount(); got != 0 {
-		t.Fatalf("%d messages leaked through LossProb=1", got)
-	}
-}
-
-func TestInjectedLatencyDelaysDelivery(t *testing.T) {
-	const delay = 60 * time.Millisecond
-	rt := New(Options{Latency: func(_ *rand.Rand) time.Duration { return delay }})
-	defer rt.Close()
-
-	a, b := newProbe(), newProbe()
-	if err := rt.Add(2, b); err != nil {
-		t.Fatal(err)
-	}
-	begin := time.Now()
-	a.startFn = func(env actor.Env) { env.Send(2, "slow") }
-	if err := rt.Add(1, a); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "delayed delivery", func() bool { return b.messageCount() == 1 })
-	if elapsed := time.Since(begin); elapsed < delay {
-		t.Fatalf("delivered after %v, want >= %v", elapsed, delay)
 	}
 }
 

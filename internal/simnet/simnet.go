@@ -323,15 +323,6 @@ func (n *Network) Run(until time.Duration) {
 	}
 }
 
-// RunUntilIdle processes events until none remain or virtual time exceeds
-// max, and returns the final virtual time.
-func (n *Network) RunUntilIdle(max time.Duration) time.Duration {
-	for n.queue.Len() > 0 && n.queue.peek().at <= max {
-		n.Step()
-	}
-	return n.now
-}
-
 func (n *Network) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
 		n.cfg.Logf(format, args...)

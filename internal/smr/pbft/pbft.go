@@ -177,9 +177,6 @@ func (r *Replica) F() int { return r.f }
 // View returns the current view (for tests and metrics).
 func (r *Replica) View() uint64 { return r.view }
 
-// LastExecuted returns the highest contiguously executed sequence number.
-func (r *Replica) LastExecuted() uint64 { return r.lastExec }
-
 // StableSeq returns the last stable checkpoint sequence number.
 func (r *Replica) StableSeq() uint64 { return r.stableSeq }
 

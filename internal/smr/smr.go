@@ -139,27 +139,14 @@ func (m Mode) F(g int) int {
 // OpsDigest computes a canonical digest over a batch of operations; SMR
 // engines bind signatures to it.
 func OpsDigest(groupID ids.GroupID, epoch uint64, tag uint64, sender ids.NodeID, ops []Operation) crypto.Digest {
-	h := newBatchEncoder(groupID, epoch, tag, sender, ops)
-	return crypto.Hash(h)
-}
-
-func newBatchEncoder(groupID ids.GroupID, epoch, tag uint64, sender ids.NodeID, ops []Operation) []byte {
-	// Hand-rolled canonical encoding (see internal/wire for the format).
-	buf := make([]byte, 0, 64+len(ops)*32)
-	put64 := func(v uint64) {
-		buf = append(buf, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	put64(uint64(groupID))
-	put64(epoch)
-	put64(tag)
-	put64(uint64(sender))
-	put64(uint64(len(ops)))
-	for _, op := range ops {
-		put64(uint64(op.Proposer))
-		put64(op.OpID)
-		d := crypto.Hash(op.Data)
-		buf = append(buf, d[:]...)
-	}
-	return buf
+	return crypto.Hash(wire.Frame(func(e *wire.Encoder) {
+		for _, v := range [...]uint64{uint64(groupID), epoch, tag, uint64(sender), uint64(len(ops))} {
+			e.Uint64(v)
+		}
+		for _, op := range ops {
+			e.Uint64(uint64(op.Proposer))
+			e.Uint64(op.OpID)
+			e.Bytes32(crypto.Hash(op.Data))
+		}
+	}))
 }

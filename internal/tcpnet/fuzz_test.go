@@ -2,7 +2,7 @@ package tcpnet
 
 // Fuzz coverage for the frame reader: a peer may write arbitrary bytes on
 // the socket; the reader must reject them with an error, never panic, and
-// never allocate unbounded memory (MaxFrame enforces the bound).
+// never allocate unbounded memory (the reader's frame bound enforces it).
 
 import (
 	"bytes"

@@ -59,16 +59,6 @@ type Options struct {
 	// AdvertiseAddr is the address other nodes should dial; defaults to the
 	// listener's actual address (useful with ":0").
 	AdvertiseAddr string
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
-	// MaxFrame bounds the size of an accepted frame (default 64 MiB).
-	MaxFrame int
-	// QueueLen is the per-destination outbound queue length (default 1024);
-	// when a destination's queue is full, messages to it are dropped —
-	// the transport is allowed to be lossy, protocols retry by timeout.
-	QueueLen int
 	// Codec encodes and decodes every transported message — pass
 	// atum.WireMessageCodec(), i.e. core.MessageCodec, which covers engine
 	// messages and registered application raw types. Required: New rejects
@@ -78,21 +68,16 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = 64 << 20
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 1024
-	}
-	return o
-}
+// The transport's limits.
+const (
+	dialTimeout  = 5 * time.Second  // bounds connection establishment
+	writeTimeout = 10 * time.Second // bounds each frame write
+	maxFrame     = 64 << 20         // bounds the size of an accepted frame
+	// queueLen is the per-destination outbound queue length; when a
+	// destination's queue is full, messages to it are dropped — the transport
+	// is allowed to be lossy, protocols retry by timeout.
+	queueLen = 1024
+)
 
 // Deliverer receives inbound messages; *rtnet.Runtime implements it.
 type Deliverer interface {
@@ -140,7 +125,6 @@ func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
 	if opts.Codec == nil {
 		return nil, errors.New("tcpnet: Options.Codec is required (pass atum.WireMessageCodec())")
 	}
-	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", opts.ListenAddr, err)
@@ -294,7 +278,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	r := newFrameReader(conn, t.opts.MaxFrame, t.opts.Codec)
+	r := newFrameReader(conn, maxFrame, t.opts.Codec)
 
 	// Hello first: learn how to dial this peer back.
 	from, addr, err := r.readHello()
@@ -339,7 +323,7 @@ func newPeer(t *Transport, addr string) *peer {
 	p := &peer{
 		t:    t,
 		addr: addr,
-		q:    make(chan Envelope, t.opts.QueueLen),
+		q:    make(chan Envelope, queueLen),
 		done: make(chan struct{}),
 	}
 	t.wg.Add(1)
@@ -397,7 +381,7 @@ func (p *peer) writeLoop() {
 				default:
 				}
 				p.t.bump(func(s *Stats) { s.Dials++ })
-				c, err := net.DialTimeout("tcp", p.addr, p.t.opts.DialTimeout)
+				c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 				if err != nil {
 					p.t.bump(func(s *Stats) { s.DialErrs++ })
 					p.t.logf("tcpnet: dial %s: %v", p.addr, err)
@@ -431,7 +415,7 @@ func (p *peer) writeLoop() {
 }
 
 func (p *peer) write(conn net.Conn, frame []byte) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	_, err := conn.Write(frame)

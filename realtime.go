@@ -2,7 +2,6 @@ package atum
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -26,12 +25,6 @@ type RealtimeOptions struct {
 	// (tcpnet.New provides wire frames over TCP). When nil the runtime is
 	// loopback-only: all nodes must live in this process.
 	Transport rtnet.Transport
-	// Latency injects artificial loopback delay (testing).
-	Latency func(rng *rand.Rand) time.Duration
-	// LossProb injects loopback message loss (testing).
-	LossProb float64
-	// Tweak, when set, adjusts each node's Config before creation.
-	Tweak func(*Config)
 	// Logf, when set, receives runtime debug logs.
 	Logf func(format string, args ...any)
 }
@@ -57,13 +50,7 @@ func NewRealtimeRuntime(opts RealtimeOptions) *RealtimeRuntime {
 	if opts.Mode == 0 {
 		opts.Mode = smr.ModeAsync
 	}
-	rt := rtnet.New(rtnet.Options{
-		Transport: opts.Transport,
-		Latency:   opts.Latency,
-		LossProb:  opts.LossProb,
-		Seed:      opts.Seed,
-		Logf:      opts.Logf,
-	})
+	rt := rtnet.New(rtnet.Options{Transport: opts.Transport, Seed: opts.Seed, Logf: opts.Logf})
 	return &RealtimeRuntime{RT: rt, opts: opts}
 }
 
@@ -96,9 +83,6 @@ func (r *RealtimeRuntime) AddNodeWith(cb Callbacks, mut func(*Config)) (*Node, e
 		RequestTimeout: time.Second,
 		Callbacks:      cb,
 	}
-	if r.opts.Tweak != nil {
-		r.opts.Tweak(&cfg)
-	}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -124,8 +108,8 @@ func (r *RealtimeRuntime) Join(n *Node, contact Identity) error {
 // Leave requests n's removal from the system.
 func (r *RealtimeRuntime) Leave(n *Node) error { return r.invoke(n, n.inner.Leave) }
 
-// BroadcastWith disseminates data from n to every node in the system, with
-// flow-control options (docs/API.md); BroadcastOpts{} means defaults.
+// BroadcastWith disseminates data from n to every node in the system.
+// BroadcastOpts is empty: pass BroadcastOpts{} (docs/API.md).
 func (r *RealtimeRuntime) BroadcastWith(n *Node, data []byte, opts BroadcastOpts) error {
 	return r.invoke(n, func() error { return n.inner.BroadcastWith(data, opts) })
 }

@@ -21,16 +21,17 @@ func TestSoakEveryBroadcastDeliveredOnce(t *testing.T) {
 	for _, rate := range []int{50, 200} {
 		t.Run(fmt.Sprintf("%d per second", rate), func(t *testing.T) {
 			const size, total = 24, 3000
-			c := atum.NewSimCluster(atum.SimOptions{Seed: 1, Tweak: func(cfg *atum.Config) {
-				cfg.DisableShuffle = true // deliveries are not replayed across moves
-				cfg.EvictAfter = time.Hour
-			}})
+			c := atum.NewSimCluster(atum.SimOptions{Seed: 1})
 			counts := make([]map[string]int, size)
 			nodes := make([]*atum.Node, size)
 			for i := range nodes {
 				counts[i] = make(map[string]int)
 				got := counts[i]
-				nodes[i] = c.AddNode(atum.Callbacks{Deliver: func(d atum.Delivery) { got[string(d.Data)]++ }})
+				nodes[i] = c.AddNodeWith(atum.Callbacks{Deliver: func(d atum.Delivery) { got[string(d.Data)]++ }},
+					func(cfg *atum.Config) {
+						cfg.DisableShuffle = true // deliveries are not replayed across moves
+						cfg.EvictAfter = time.Hour
+					})
 				c.Run(10 * time.Millisecond)
 				if i == 0 {
 					if err := nodes[0].Bootstrap(); err != nil {
