@@ -611,35 +611,80 @@ func TestTotalPartitionPreservesSafety(t *testing.T) {
 	}
 }
 
-// gossipWithholder is the fault TestGossipSurvivesPayloadWithholding injects:
-// in every vgroup the f members with the lowest indices — f of the f+1 that
-// forwardGossip has attach the payload, its worst case — send their gossip
-// votes without it, or, silent, send no gossip at all. Everything else they
-// send is untouched, so they stay members. A member's index is taken in the
-// composition its message is stamped with.
+// gossipWithholder is the fault TestGossipSurvivesPayloadWithholding injects,
+// at the worst place for each item of each link: the f members of the sending
+// vgroup that attach its payload toward the most members of the destination
+// send their gossip votes without it, or, silent, send no gossip at all. At the
+// origin hop those are f of the f+1 lowest-index members, who attach it for
+// everyone; on a relayed hop, the f members group.RelaySender names for the
+// most destination members (the lowest index breaking ties). Everything else
+// they send is untouched, so they stay members. Indices are taken in the
+// compositions the message is stamped with.
 type gossipWithholder struct {
 	t        *testing.T
 	mode     smr.Mode
 	silent   bool
-	withheld int // gossip copies stripped or dropped
+	withheld int                          // gossip copies stripped or dropped
+	origins  map[crypto.Digest]ids.NodeID // the origin of every broadcast seen with its payload
+}
+
+// faulty reports whether the member at index idx of src withholds the
+// broadcast of digest d toward dst.
+func (w *gossipWithholder) faulty(n *Node, src, dst group.Composition, idx int, d crypto.Digest) bool {
+	f := w.mode.F(src.N())
+	// A broadcast no one has sent the payload of yet is at its origin hop,
+	// which is the hop of the origin's own vgroup (membership is frozen).
+	if origin, seen := w.origins[d]; !seen || n.st.comp.Contains(origin) {
+		return idx < f
+	}
+	served := make([]int, src.N()) // destination members each member serves
+	for j := range dst.Members {
+		served[group.RelaySender(src, dst, j)]++
+	}
+	order := make([]int, src.N())
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return served[b] - served[a] })
+	return slices.Contains(order[:f], idx)
 }
 
 func (w *gossipWithholder) wrapEnv(n *Node, env actor.Env) actor.Env {
+	if w.origins == nil {
+		w.origins = map[crypto.Digest]ids.NodeID{}
+	}
 	return sendHook{Env: env, hook: func(msg actor.Message) actor.Message {
 		m, ok := msg.(group.GroupMsg)
 		if !ok || m.DstGroup == 0 || (m.Kind != kindGossip && m.Kind != kindBatch) {
 			return msg
 		}
-		src, ok := n.lookupComp(group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch})
-		if idx := src.Index(n.cfg.Identity.ID); !ok || idx < 0 || idx >= w.mode.F(src.N()) {
+		src, okSrc := n.lookupComp(group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch})
+		dst, okDst := n.lookupComp(group.Key{GroupID: m.DstGroup, Epoch: m.DstEpoch})
+		idx := src.Index(n.cfg.Identity.ID)
+		if !okSrc || !okDst || idx < 0 || n.st == nil {
 			return msg
 		}
-		if m.Kind == kindGossip {
+		// withhold strips or drops one gossip item; it reports whether the item
+		// still leaves.
+		withhold := func(it *group.GroupMsg) bool {
+			if it.Payload != nil {
+				if p, err := decodeGossipView(it.Payload); err == nil {
+					if _, seen := w.origins[it.PayloadDigest]; !seen {
+						w.origins[it.PayloadDigest] = p.Origin
+					}
+				}
+			}
+			if !w.faulty(n, src, dst, idx, it.PayloadDigest) {
+				return true
+			}
 			w.withheld++
-			if w.silent {
+			it.Payload = nil
+			return !w.silent
+		}
+		if m.Kind == kindGossip {
+			if !withhold(&m) {
 				return nil
 			}
-			m.Payload = nil
 			return m
 		}
 		// A carrier: the same, item by item, reframed.
@@ -649,15 +694,10 @@ func (w *gossipWithholder) wrapEnv(n *Node, env actor.Env) actor.Env {
 		}
 		var items []group.BatchItem
 		for _, im := range inner {
-			it := group.BatchItem{Kind: im.Kind, MsgID: im.MsgID, Payload: im.Payload, Digest: im.PayloadDigest}
-			if im.Kind == kindGossip {
-				w.withheld++
-				if w.silent {
-					continue
-				}
-				it.Payload = nil
+			if im.Kind == kindGossip && !withhold(&im) {
+				continue
 			}
-			items = append(items, it)
+			items = append(items, group.BatchItem{Kind: im.Kind, MsgID: im.MsgID, Payload: im.Payload, Digest: im.PayloadDigest})
 		}
 		if len(items) == 0 {
 			return nil
@@ -692,20 +732,35 @@ func gossipFaultRig(t *testing.T, mode smr.Mode, fault func(*Node, actor.Env) ac
 	return h, nodes
 }
 
-// TestGossipSurvivesPayloadWithholding: with f+1 payload senders per vgroup
-// and no way to ask for a payload again, delivery rests on the member at index
-// f. In a system of at least four vgroups the f members below it withhold
-// every gossip payload (then: every gossip message), in both fault models, and
-// every node still delivers every broadcast exactly once with the bytes that
-// were sent.
+// TestGossipSurvivesPayloadWithholding: on a relayed hop each member of a
+// vgroup gets a broadcast's payload from one member of its in-neighbour, and
+// at the origin hop from f+1 of them. In a system of at least four vgroups the
+// f members that serve the most members of each link withhold every gossip
+// payload (then: every gossip message), in both fault models, and every node
+// still delivers every broadcast exactly once with the bytes that were sent —
+// through another link's copy, a pull from a voter, or its vgroup's
+// heartbeats. The fault-free run of each mode is the baseline the withholding
+// runs report their p99 delivery latency against.
 func TestGossipSurvivesPayloadWithholding(t *testing.T) {
+	p99 := map[smr.Mode]time.Duration{}
 	for _, tc := range []struct {
-		mode   smr.Mode
-		silent bool
-	}{{smr.ModeAsync, false}, {smr.ModeAsync, true}, {smr.ModeSync, false}, {smr.ModeSync, true}} {
-		t.Run(fmt.Sprintf("%v/silent=%v", tc.mode, tc.silent), func(t *testing.T) {
+		mode          smr.Mode
+		silent, clean bool
+	}{
+		{smr.ModeAsync, false, true}, {smr.ModeAsync, false, false}, {smr.ModeAsync, true, false},
+		{smr.ModeSync, false, true}, {smr.ModeSync, false, false}, {smr.ModeSync, true, false},
+	} {
+		name := fmt.Sprintf("%v/silent=%v", tc.mode, tc.silent)
+		if tc.clean {
+			name = fmt.Sprintf("%v/fault-free", tc.mode)
+		}
+		t.Run(name, func(t *testing.T) {
 			fault := &gossipWithholder{t: t, mode: tc.mode, silent: tc.silent}
-			h, nodes := gossipFaultRig(t, tc.mode, fault.wrapEnv)
+			wrap := fault.wrapEnv
+			if tc.clean {
+				wrap = nil
+			}
+			h, nodes := gossipFaultRig(t, tc.mode, wrap)
 			groups := h.groupsOf()
 			faulty := 0
 			for _, members := range groups {
@@ -716,27 +771,44 @@ func TestGossipSurvivesPayloadWithholding(t *testing.T) {
 			}
 
 			var want []string
+			sentAt := map[string]time.Duration{}
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 10; i++ {
 				data := make([]byte, 600)
 				rng.Read(data)
 				want = append(want, string(data))
+				sentAt[string(data)] = h.net.Now()
 				if err := nodes[(7*i)%len(nodes)].BroadcastWith(data, BroadcastOpts{}); err != nil {
 					t.Fatal(err)
 				}
 				h.net.Run(h.net.Now() + 2*time.Second)
 			}
 			h.net.Run(h.net.Now() + 30*time.Second)
-			if fault.withheld == 0 {
+			if fault.withheld == 0 && !tc.clean {
 				t.Fatal("no gossip copy was withheld: the fault was never exercised")
 			}
 			slices.Sort(want)
+			var lat []time.Duration
 			for _, n := range nodes {
-				got := slices.Sorted(slices.Values(h.delivered[n.cfg.Identity.ID]))
+				id := n.cfg.Identity.ID
+				got := slices.Sorted(slices.Values(h.delivered[id]))
 				if !slices.Equal(got, want) {
-					t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once and intact", n.cfg.Identity.ID, len(got), len(want))
+					t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once and intact", id, len(got), len(want))
+				}
+				for data, at := range h.deliverAt[id] {
+					lat = append(lat, at-sentAt[data])
 				}
 			}
+			slices.Sort(lat)
+			q := lat[len(lat)*99/100]
+			pulls, caught := h.sum(func(s Stats) uint64 { return s.PullsSent }), h.sum(func(s Stats) uint64 { return s.CaughtUp })
+			if tc.clean {
+				p99[tc.mode] = q
+				if pulls+caught != 0 {
+					t.Errorf("%d pulls and %d catch-ups without a fault, want none", pulls, caught)
+				}
+			}
+			t.Logf("p99 delivery %v (fault-free %v), %d payloads pulled, %d broadcasts caught up", q, p99[tc.mode], pulls, caught)
 		})
 	}
 }
@@ -805,8 +877,10 @@ func (s *voteSpoofer) spoof(digest crypto.Digest) {
 // colluding spoofers in every vgroup, in both fault models, every node still
 // delivers every broadcast exactly once. When one more member per vgroup casts
 // the early votes — nothing else about it is faulty — the votes alone reach the
-// threshold and broadcasts are lost, which shows the first run had the rule
-// under attack at its edge.
+// threshold and vgroups are skipped that hold nothing: the repair paths must
+// then run (on this seed sync delivers everywhere through pulls, and async
+// loses broadcasts at some nodes even so), which shows the first run had the
+// rule under attack at its edge.
 func TestGossipSurvivesVoteSpoofing(t *testing.T) {
 	for _, tc := range []struct {
 		mode  smr.Mode
@@ -841,8 +915,10 @@ func TestGossipSurvivesVoteSpoofing(t *testing.T) {
 					}
 				}
 			}
-			if tc.extra > 0 && short == 0 {
-				t.Errorf("every node delivered everything although f+%d members of every vgroup voted early: the rule was not under attack", tc.extra)
+			pulls, caught := h.sum(func(s Stats) uint64 { return s.PullsSent }), h.sum(func(s Stats) uint64 { return s.CaughtUp })
+			t.Logf("%d nodes short, %d payloads pulled, %d broadcasts caught up", short, pulls, caught)
+			if tc.extra > 0 && pulls+caught == 0 {
+				t.Errorf("nothing was pulled although f+%d members of every vgroup voted early: the rule was not under attack", tc.extra)
 			}
 		})
 	}

@@ -86,9 +86,10 @@ type SendOpts struct {
 // so BroadcastWith keeps its signature; every caller passes BroadcastOpts{}.
 type BroadcastOpts struct{}
 
-// Stats is a snapshot of a node's metrics (Node.Stats). The six counters
-// count what this node applied since it was created, as a member of the
-// vgroup that took the step.
+// Stats is a snapshot of a node's metrics (Node.Stats). The first six
+// counters count what this node applied since it was created, as a member of
+// the vgroup that took the step; the three after them count its own repairs of
+// relayed gossip.
 type Stats struct {
 	Splits    uint64 // its vgroup split
 	Merges    uint64 // its vgroup absorbed a shrunken one
@@ -99,6 +100,12 @@ type Stats struct {
 	ExchangesCompleted  uint64
 	ExchangesSuppressed uint64
 	ShufflesDone        uint64 // its vgroup finished a whole-group shuffle
+	// PullsSent counts the gossip payloads it asked a peer for, PullsServed
+	// those it sent a peer that asked, and CaughtUp the broadcasts it
+	// delivered on its own vgroup's word (internal/core/pull.go).
+	PullsSent   uint64
+	PullsServed uint64
+	CaughtUp    uint64
 	// Egress is the egress scheduler's snapshot: aggregate counters and one
 	// entry per tracked node-addressed destination.
 	Egress EgressStats

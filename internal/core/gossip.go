@@ -41,10 +41,12 @@ func (n *Node) applyBcast(o bcastOp) {
 	d := Delivery{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data}
 	// Encoded before Deliver: the application owns d.Data from then on.
 	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
+	digest := crypto.Hash(payload)
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, payload, crypto.Hash(payload), group.Key{})
+	n.forwardGossip(d, payload, digest, group.Key{})
+	n.noteDelivered(digest, payload)
 }
 
 // handleGossip processes one gossip hop accepted from a neighboring vgroup.
@@ -54,24 +56,29 @@ func (n *Node) applyBcast(o bcastOp) {
 // bytes: a member forwards the payload it accepted, verbatim, so the votes of
 // one vgroup's members land on one digest whichever path reached each first.
 //
-// A node accepts the same broadcast once per neighbor link; all but the first
-// acceptance end at markSeen, so the payload is decoded as a view and Data is
-// copied only for the one Deliver — the accepted buffer is shared with the
-// inbox, the forward queue and, on simnet, every other recipient.
-func (n *Node) handleGossip(acc group.Accepted) {
+// A node that delivered a broadcast settles what its inbox still holds of it,
+// from any link, and drops later copies within the cache horizon at one probe
+// (noteDelivered, observeCopy), so an acceptance that races the first ends at
+// markSeen. The payload is decoded as a view and Data is copied only for the
+// one Deliver — the accepted buffer is shared with the inbox, the forward
+// queue, the delivered cache and, on simnet, every other recipient. It reports
+// whether the broadcast was delivered.
+func (n *Node) handleGossip(acc group.Accepted) bool {
 	p, err := decodeGossipView(acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
-		return
+		return false
 	}
 	if !n.markSeen(p.BcastID) {
-		return
+		return false
 	}
 	d := Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: bytes.Clone(p.Data)}
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
 	n.forwardGossip(d, acc.Payload, acc.Digest, acc.Src)
+	n.noteDelivered(acc.Digest, acc.Payload)
+	return true
 }
 
 // forwardGossip offers every overlay link to the Forward callback and queues
@@ -99,26 +106,31 @@ func (n *Node) handleGossip(acc group.Accepted) {
 // case where a majority did. No member decides for another: each consults its
 // own inbox, and a member that has seen fewer votes sends.
 //
-// Who sends the bytes. A nil Payload is a digest-only vote from any member
-// (group.BatchItem). Among the f+1 lowest-index members of this vgroup one is
-// correct and sends the bytes on every link it votes on — the argument §5.1
-// makes for a majority; the rest vote the digest.
+// Who sends the bytes. On a relayed hop each member of K gets them from exactly
+// one member of this vgroup, the one group.RelaySender names for it
+// (BatchItem.Relay), and a digest-only vote from the rest. A member whose one
+// copy does not come has three ways to the bytes (pull.go): another link's
+// copy (the inbox lends it), a voter (pull), and its own vgroup's heartbeats
+// (catch-up). At the origin (from is zero) K hears of the broadcast on this
+// link alone, so no other link can lend: there the f+1 lowest-index members
+// attach the bytes, one of them correct — the argument §5.1 makes for a
+// majority — and the rest vote the digest (a nil Payload, group.BatchItem).
 //
 // A link the broadcast was offered on will echo it: the neighbor floods its own
-// neighbors, this vgroup among them. This node has delivered, so the echo is
-// settled in the inbox — under the neighbor's freshest known composition, the
-// one it stamps its sends with — which releases the votes counted above and
-// turns every later copy away at one map probe instead of collecting votes for
-// a broadcast markSeen would drop.
+// neighbors, this vgroup among them. This node has delivered, so the echo, like
+// every later copy within the cache horizon, is turned away at one map probe
+// before the inbox (observeCopy), and what the inbox held of the broadcast is
+// settled once this forward has counted its votes (noteDelivered).
 func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key) {
 	st := n.st
 	if st == nil {
 		return
 	}
-	now := n.env.Now()
-	it := group.BatchItem{Kind: kindGossip, MsgID: digest, Digest: digest, DerivedID: true}
-	if st.comp.Index(n.cfg.Identity.ID) <= n.cfg.Mode.F(st.comp.N()) {
-		it.Payload = payload
+	it := group.BatchItem{Kind: kindGossip, MsgID: digest, Digest: digest, DerivedID: true, Payload: payload}
+	if from != (group.Key{}) {
+		it.Relay = true
+	} else if st.comp.Index(n.cfg.Identity.ID) > n.cfg.Mode.F(st.comp.N()) {
+		it.Payload = nil
 	}
 	// One send per neighbor composition, however many links lead to it.
 	sent := make([]group.Key, 0, 8)
@@ -137,11 +149,6 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
 				n.egress.Group(st.comp, nbr, it)
 			}
-			echo := key
-			if e, ok := n.newest[nbr.GroupID]; ok && e > echo.Epoch {
-				echo.Epoch = e
-			}
-			n.inbox.Settle(now, echo, digest)
 		}
 	}
 }

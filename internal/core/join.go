@@ -45,6 +45,7 @@ func (n *Node) Bootstrap() error {
 	n.st = newGroupState(comp, overlay.NewNeighbors(n.cfg.Params.HC, comp))
 	n.learnComp(comp)
 	n.phase = phaseMember
+	n.rep.since = n.Now()
 	n.makeReplica()
 	if n.cfg.Callbacks.OnJoined != nil {
 		n.cfg.Callbacks.OnJoined(comp.Clone())
@@ -282,6 +283,7 @@ func (n *Node) adoptSnapshot(acc group.Accepted, p snapshotPayload) {
 	n.join = nil
 	n.awaitDeadline = 0
 	n.phase = phaseMember
+	n.rep.since = n.Now()
 	n.installGroupState(st)
 	n.logf("joined %v/%d members %v", st.comp.GroupID, st.comp.Epoch, ids.IdentityIDs(st.comp.Members))
 	if n.cfg.Callbacks.OnJoined != nil {

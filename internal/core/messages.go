@@ -32,10 +32,14 @@ func (m SMREnvelope) WireSize() int {
 type Heartbeat struct {
 	GroupID ids.GroupID
 	Epoch   uint64
+	// Delivered lists the gossip digests the sender delivered since its
+	// previous heartbeat, at most maxHeartbeatDigests: the vgroup catch-up
+	// (pull.go).
+	Delivered []crypto.Digest
 }
 
 // WireSize implements actor.Sizer.
-func (Heartbeat) WireSize() int { return 24 }
+func (m Heartbeat) WireSize() int { return 24 + crypto.DigestSize*len(m.Delivered) }
 
 // JoinContact is the joiner's first message to its (trusted) contact node.
 type JoinContact struct {
@@ -91,8 +95,9 @@ func joinRequestBytes(joiner ids.Identity, target ids.GroupID, nonce uint64) []b
 	return e.Bytes()
 }
 
-// NodeAddressed marks the six node-level message types as egress.NodeMsg:
-// the one kind of message the engine hands its port whole.
+// NodeAddressed marks the node-level message types as egress.NodeMsg: the one
+// kind of message the engine hands its port whole. PayloadPull and
+// PayloadPush (pull.go) are the other two.
 func (SMREnvelope) NodeAddressed() {}
 func (Heartbeat) NodeAddressed()   {}
 func (JoinContact) NodeAddressed() {}

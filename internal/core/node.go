@@ -142,6 +142,8 @@ type Node struct {
 	pen  map[group.Key][]penMsg
 	penQ []group.Key
 
+	rep repair // the repair paths behind relayed gossip (pull.go)
+
 	counts  Stats // the counters Stats reports; its Egress stays zero
 	stopped bool
 }
@@ -197,6 +199,7 @@ func New(cfg Config) *Node {
 		snapShares:     make(map[snapShareKey]*snapTally),
 		recentSnaps:    make(map[uint64][]byte),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
+		rep:            newRepair(cfg.RoundDuration),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
 	n.egress = n.newEgress()
@@ -306,6 +309,10 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 		n.handleJoinRequest(from, m)
 	case Renounce:
 		n.handleRenounce(from, m)
+	case PayloadPull:
+		n.handlePayloadPull(from, m)
+	case PayloadPush:
+		n.handlePayloadPush(m)
 	case group.GroupMsg:
 		n.maybeRefreshSender(m)
 		n.routeGroupMsg(from, m)
@@ -354,9 +361,10 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 // observeCopy votes one copy of a group message, plain or unpacked from a
 // carrier, into the inbox. A gossip message is identified by its payload digest
 // (forwardGossip): a copy under any other MsgID comes from no correct member
-// and would open an entry no Settle covers, so it is dropped here.
+// and would open an entry no Settle covers, so it is dropped here, and so is a
+// copy of a broadcast this node delivered within the cache horizon.
 func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
-	if m.Kind == kindGossip && m.MsgID != m.PayloadDigest {
+	if m.Kind == kindGossip && (m.MsgID != m.PayloadDigest || n.hasDelivered(m.MsgID)) {
 		return
 	}
 	if acc, ok := n.inbox.Observe(n.env.Now(), from, m); ok {
@@ -438,6 +446,7 @@ func (n *Node) handleTick() {
 			n.walkDeadlineTick(now)
 			n.mergeRetryTick(now)
 			n.shuffleProposeTick(now)
+			n.repairTick(now)
 		} else if n.behavior == BehaviorHeartbeatOnly {
 			n.byzEvictTick(now)
 		}
@@ -485,7 +494,8 @@ func (n *Node) heartbeatTick(now time.Duration) {
 		return
 	}
 	n.lastHB = now
-	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch}
+	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: n.rep.delivered}
+	n.rep.delivered = nil
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
 			n.egress.Node(m.ID, hb)
@@ -535,6 +545,7 @@ func (n *Node) handleHeartbeat(from ids.NodeID, m Heartbeat) {
 		if m.Epoch < n.st.comp.Epoch && !n.byzActive() {
 			n.reShareSnapshot(from, m.Epoch)
 		}
+		n.noteListed(from, m.Delivered)
 	}
 }
 

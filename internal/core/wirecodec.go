@@ -98,6 +98,9 @@ const (
 	_
 	_
 	_
+	// Node-level messages of the gossip repair paths (pull.go).
+	wkPayloadPull
+	wkPayloadPush
 )
 
 // wireClass says where a wire type may appear. Every decode entry point names
@@ -173,8 +176,8 @@ func row[T any, P interface {
 		}}
 }
 
-// wireRows is the engine's wire-type table: one row per type, tags 1–41
-// (42–44 are retired and have no row). Adding a type is one row here, its
+// wireRows is the engine's wire-type table: one row per type, tags 1–41 and
+// 45–46 (42–44 are retired and have no row). Adding a type is one row here, its
 // Wire walk, and one line in docs/WIRE.md's tag table (TestWireDocTagTable
 // compares the two).
 var wireRows = []wireRow{
@@ -222,6 +225,9 @@ var wireRows = []wireRow{
 	row[pbft.Checkpoint](wkPBFTCheckpoint, classSMRMsg, 0, false),
 	row[pbft.ViewChange](wkPBFTViewChange, classSMRMsg, 0, false),
 	row[pbft.NewView](wkPBFTNewView, classSMRMsg, 0, false),
+
+	row[PayloadPull](wkPayloadPull, classNodeMsg, 0, false),
+	row[PayloadPush](wkPayloadPush, classNodeMsg, 0, false),
 }
 
 // The table's indexes, built once: by envelope tag, by group kind, by Go type.
@@ -409,6 +415,8 @@ func (m *SMREnvelope) Wire(c wire.Codec) {
 func (m *Heartbeat) Wire(c wire.Codec) {
 	wire.U64(c, &m.GroupID)
 	c.Uint64(&m.Epoch)
+	wire.List(c, &m.Delivered, digestWire)
+	boundList(c, "heartbeat digests", len(m.Delivered), maxHeartbeatDigests)
 }
 
 // Wire walks a JoinContact in wire order.

@@ -175,7 +175,7 @@ func fullMessageValues() []any {
 	}
 	pp := pbft.PrePrepare{GroupID: 31, Epoch: 2, View: 3, Seq: 7, Digest: wcDigest(12), Batch: []smr.Operation{op(2), op(3)}}
 	return []any{
-		Heartbeat{GroupID: 27, Epoch: 13},
+		Heartbeat{GroupID: 27, Epoch: 13, Delivered: []crypto.Digest{wcDigest(16), wcDigest(17)}},
 		JoinContact{Joiner: wcIdentity(40)},
 		ContactInfo{Comp: wcComp(28, 14, 3)},
 		JoinRequest{Joiner: wcIdentity(41), Target: 29, Nonce: 45, Sig: []byte{7, 7}},
@@ -202,6 +202,8 @@ func fullMessageValues() []any {
 			Ops:  []smr.Operation{op(7)},
 			Sigs: []dolev.SigEntry{{Node: 10, Sig: []byte{3}}},
 		}},
+		PayloadPull{Digests: []crypto.Digest{wcDigest(18), wcDigest(19)}},
+		PayloadPush{Payloads: [][]byte{[]byte("pushed-one"), {}}},
 	}
 }
 
@@ -279,11 +281,14 @@ func TestWireEnvelopeDeterministic(t *testing.T) {
 // goldenFrames holds, for every value of fullPayloadValues ∪
 // fullMessageValues, the frame the switch-based encoder of the last commit
 // that had one produced (as length and SHA-256): the table-driven codec must
-// emit the same bytes for all 41 rows. Row 1 was re-pinned when Hops left the
-// gossipPayload layout; oldGossipFrame below is the frame it replaced. Row 14
-// was re-pinned when the snapshot's shuffle block lost its Completed and
-// Suppressed counters: the 875-byte frame it replaced (sha256 421ff0c3…) is
-// this one with their 16 bytes back at offset 775.
+// emit the same bytes for all 41 rows it had. Row 1 was re-pinned when Hops
+// left the gossipPayload layout; oldGossipFrame below is the frame it
+// replaced. Row 14 was re-pinned when the snapshot's shuffle block lost its
+// Completed and Suppressed counters: the 875-byte frame it replaced (sha256
+// 421ff0c3…) is this one with their 16 bytes back at offset 775. Row 28 was
+// re-pinned when Heartbeat gained its Delivered list: the 19-byte frame it
+// replaced (sha256 43117bec…) is this one's first 19 bytes. Rows 45 and 46
+// were added with the gossip repair paths and are pinned as first encoded.
 var goldenFrames = []struct {
 	tag    byte
 	typ    string
@@ -317,7 +322,7 @@ var goldenFrames = []struct {
 	{25, "core.walkTimeoutOp", 35, "d3a676b1f549c79c7420a84326290ac7aef62b77af6277f8c44b56d65fff006e"},
 	{26, "core.mergeStartOp", 27, "0b9b8a90042bd3ebef4d0e395bea4b48f3c6630b969a18ac1d90e4578320cbda"},
 	{27, "core.SMREnvelope", 102, "38b2f49d19d3aca905265742012c3ba3805be413b7e23b5016208dbd569ced57"},
-	{28, "core.Heartbeat", 19, "43117becb0418f371d3bdb030a0c76f59c30b59507723092602dcb781e7b027b"},
+	{28, "core.Heartbeat", 87, "56e3e85d0cc8fcab2d9c07c3e6c84390419233e568639407c94c9760d38df30a"},
 	{29, "core.JoinContact", 31, "e05b87b5a52bbd49faebc2805cbf3b48a3964507fd55dcc0c5b9072399450d34"},
 	{30, "core.ContactInfo", 111, "71a84564ce6cf531c3d6bef5bc993e1caa78b78eebc15880744a2828fbb33ed4"},
 	{31, "core.JoinRequest", 53, "89b4d7fe8a7b17a7188d37b1364a0d0b733c99aa0372e6e666cb129d0d9b3e2a"},
@@ -331,6 +336,8 @@ var goldenFrames = []struct {
 	{39, "pbft.Checkpoint", 59, "3ed8e37388ffccaefe86ecf1240466cf669e96b0e095ceccd9c673a46bf902b6"},
 	{40, "pbft.ViewChange", 129, "d9047420929720b65386c1d1870ba59e6b4dd1c4f45a09b4f1e62e1fab570669"},
 	{41, "pbft.NewView", 275, "a6f3ff4054f6500c870bb3f78b7e4cff24b6fed221a762fd44146f67de0dd16c"},
+	{45, "core.PayloadPull", 71, "f7c32ed5a7e2c3aa06a85f389c9368b83b45f654cdfcde3c0e4607cfaa176d42"},
+	{46, "core.PayloadPush", 25, "006b2eb414c7f449371fea7d7a8489bb9570eb9a24739f0466b07f4eefb6ea8c"},
 }
 
 // TestWireGoldenFrames is the byte-identity proof for the table-driven codec:
@@ -586,6 +593,51 @@ func TestForgedMemberCountRejected(t *testing.T) {
 	}
 }
 
+// listFrame is a frame of a type whose body ends in one list — Heartbeat's
+// after its group and epoch — of n elements written by elem: hostile frames
+// past the list's bound, which the encoder refuses to write.
+func listFrame(tag byte, n int, elem func(e *wire.Encoder, i int)) []byte {
+	var e wire.Encoder
+	e.Byte(wireEnvMagic)
+	e.Byte(tag)
+	e.Byte(wireEnvV1)
+	if tag == wkHeartbeat {
+		e.Uint64(5)
+		e.Uint64(9)
+	}
+	e.ListLen(n)
+	for i := 0; i < n; i++ {
+		elem(&e, i)
+	}
+	return e.Bytes()
+}
+
+func digestElem(e *wire.Encoder, i int) { e.Bytes32(wcDigest(byte(i))) }
+
+func payloadElem(e *wire.Encoder, i int) { e.VarBytes([]byte{byte(i)}) }
+
+// TestRepairListsBounded: a Heartbeat lists at most maxHeartbeatDigests
+// digests, a PayloadPull at most maxPullDigests, and a PayloadPush as many
+// payloads; one element more is refused whole.
+func TestRepairListsBounded(t *testing.T) {
+	for _, c := range []struct {
+		tag   byte
+		bound int
+		elem  func(*wire.Encoder, int)
+	}{
+		{wkHeartbeat, maxHeartbeatDigests, digestElem},
+		{wkPayloadPull, maxPullDigests, digestElem},
+		{wkPayloadPush, maxPullDigests, payloadElem},
+	} {
+		if _, err := decodeWire(listFrame(c.tag, c.bound, c.elem), classNodeMsg); err != nil {
+			t.Errorf("tag %d: a list at its bound %d: %v", c.tag, c.bound, err)
+		}
+		if v, err := decodeWire(listFrame(c.tag, c.bound+1, c.elem), classNodeMsg); err == nil {
+			t.Errorf("tag %d: a list of %d past its bound decoded to %T", c.tag, c.bound+1, v)
+		}
+	}
+}
+
 // TestGossipViewMatchesWalk holds decodeGossipView, the one reader written
 // apart from its type's walk, to that walk: on well-formed, truncated,
 // extended and foreign frames it fails exactly when decodeKind does and
@@ -676,7 +728,7 @@ func TestWireTableInvariants(t *testing.T) {
 			want = classPayload
 		case r.tag <= wkMergeStartOp:
 			want = classOp
-		case r.tag <= wkGroupMsg:
+		case r.tag <= wkGroupMsg, r.tag >= wkPayloadPull:
 			want = classNodeMsg
 		default:
 			want = classSMRMsg
@@ -696,14 +748,15 @@ func TestWireTableInvariants(t *testing.T) {
 	for tag := 1; tag <= 41; tag++ {
 		want = append(want, tag)
 	}
+	want = append(want, 45, 46)
 	if !slices.Equal(tags, want) {
-		t.Errorf("table tags = %v, want exactly 1..41", tags)
+		t.Errorf("table tags = %v, want exactly 1..41 and 45..46", tags)
 	}
 	if len(types) != len(wireRows) {
 		t.Errorf("%d distinct Go types in %d rows", len(types), len(wireRows))
 	}
 	for tag := 42; tag < int(RawTagMin); tag++ {
-		if rowByTag[tag] != nil {
+		if rowByTag[tag] != nil && !slices.Contains(want, tag) {
 			t.Errorf("tag %d has a row: 42–44 are retired, and a new tag needs this test's list extended", tag)
 		}
 	}
@@ -883,6 +936,8 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{wireEnvMagic, wkGossip, wireEnvV1})
 	f.Add([]byte{wireEnvMagic, wkSnapshot, wireEnvV1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(forgedCountFrame(wkContactInfo))
+	f.Add(listFrame(wkHeartbeat, maxHeartbeatDigests+1, digestElem))
+	f.Add(listFrame(wkPayloadPush, 2, payloadElem))
 	// A GroupMsg envelope whose payload is a batch-carrier frame: the
 	// envelope decoder treats the frame as opaque bytes, but seeding it
 	// steers the fuzzer toward the carrier-in-envelope shape receivers

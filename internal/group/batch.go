@@ -3,6 +3,7 @@ package group
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"atum/internal/crypto"
 	"atum/internal/ids"
@@ -36,6 +37,11 @@ type BatchItem struct {
 	// knows the destination gets the bytes from elsewhere (core's gossip
 	// rules). Send and SendBatch treat it the same way.
 	Payload []byte
+	// Relay replaces the majority rule for this item's payload: each member of
+	// the destination gets it from exactly one member of the source, the one
+	// RelaySender names, and a digest-only vote from every other (core's gossip
+	// on a relayed hop).
+	Relay bool
 	// Digest is the digest of Payload when the builder already has it (the
 	// origin of a broadcast hashes once for all its links; a forwarder takes
 	// it from Accepted). The zero value means "not computed": the send
@@ -75,11 +81,12 @@ const (
 	formDerived = 1 << 1 // MsgIDs omitted: each equals its payload digest
 )
 
-// form returns the form an item takes in a frame of a sender that may
-// (full) or may not attach payloads.
-func (it *BatchItem) form(full bool) byte {
+// form returns the form an item takes in one sender's frame toward one
+// destination member: full says the sender is a majority member, relay that
+// it is that member's RelaySender.
+func (it *BatchItem) form(full, relay bool) byte {
 	var f byte
-	if full && it.Payload != nil {
+	if it.Payload != nil && (it.Relay && relay || !it.Relay && full) {
 		f |= formFull
 	}
 	if it.DerivedID {
@@ -101,17 +108,18 @@ func (it *BatchItem) form(full bool) byte {
 //	            digest-only: Bytes32 payload digest
 //
 // A run is the longest stretch of consecutive items of one kind and one form;
-// item order is kept. full is the sender's share of the digest optimization:
-// without it every item is digest-only, with it every item that has a Payload
-// carries it.
-func encodeBatchFrame(items []BatchItem, full bool) []byte {
+// item order is kept. full and relay are the sender's share of the digest
+// optimization toward the destination member the frame is for (BatchItem.form):
+// an item that has a Payload carries it when its rule names this sender, and
+// is digest-only otherwise.
+func encodeBatchFrame(items []BatchItem, full, relay bool) []byte {
 	return wire.Frame(func(e *wire.Encoder) {
 		e.Byte(batchFrameVersion)
 		e.ListLen(len(items))
 		for i := 0; i < len(items); {
-			kind, form := items[i].Kind, items[i].form(full)
+			kind, form := items[i].Kind, items[i].form(full, relay)
 			run := 1
-			for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full) == form {
+			for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full, relay) == form {
 				run++
 			}
 			e.Byte(byte(kind))
@@ -202,7 +210,10 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // of src) to every member of dst. As in Send, members with the lowest
 // ⌊N/2⌋+1 indices transmit the payloads of the items that have one and the
 // rest transmit digest-only copies; an item built with a nil Payload is
-// digest-only from every member. Destination order is randomized against
+// digest-only from every member, and a Relay item carries its payload only
+// toward the destination members this sender is the RelaySender of: one flush
+// frames at most two variants, with this member's relayed payloads and
+// without them. Destination order is randomized against
 // incast (§5.1). batchID identifies the carrier message only; it takes no part
 // in inbox majority matching — the inner MsgIDs do. For the same reason the
 // carrier's PayloadDigest is sent zero: receivers vote the inner items'
@@ -216,11 +227,10 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 		// fail at the send site, where the bug is.
 		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
 	}
-	full := false
-	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
-		full = true
-	}
-	frame := encodeBatchFrame(items, full)
+	idx := src.Index(self)
+	full := idx >= 0 && idx < src.Majority()
+	relayed := slices.ContainsFunc(items, func(it BatchItem) bool { return it.Relay && it.Payload != nil })
+	var frames [2][]byte // without, with this member's relayed payloads
 	msg := GroupMsg{
 		SrcGroup: src.GroupID,
 		SrcEpoch: src.Epoch,
@@ -228,10 +238,21 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 		DstEpoch: dst.Epoch,
 		Kind:     kind,
 		MsgID:    batchID,
-		Payload:  frame,
 	}
 	order := rng.Perm(len(dst.Members))
+	rot := 0
+	if relayed {
+		rot = relayRotation(src, dst)
+	}
 	for _, i := range order {
+		v := 0
+		if relayed && isRelaySender(idx, rot, src.N(), i) {
+			v = 1
+		}
+		if frames[v] == nil {
+			frames[v] = encodeBatchFrame(items, full, v == 1)
+		}
+		msg.Payload = frames[v]
 		send(dst.Members[i].ID, msg)
 	}
 }
@@ -247,7 +268,7 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	if len(items) > MaxBatchItems {
 		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
 	}
-	frame := encodeBatchFrame(items, true)
+	frame := encodeBatchFrame(items, true, true)
 	send(to, GroupMsg{
 		SrcGroup: src.GroupID,
 		SrcEpoch: src.Epoch,

@@ -127,7 +127,7 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := mustHex(t, tc.want)
-		if got := encodeBatchFrame(tc.items, tc.full); !bytes.Equal(got, want) {
+		if got := encodeBatchFrame(tc.items, tc.full, tc.full); !bytes.Equal(got, want) {
 			t.Errorf("%s: encoded\n %x\nwant\n %x", tc.name, got, want)
 		}
 		got, err := decodeBatchFrame(want)
@@ -164,14 +164,14 @@ func checkDecoded(t *testing.T, name string, got []decodedBatchItem, items []Bat
 func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 	items := mixedFormItems()
 	for _, full := range []bool{true, false} {
-		got, err := decodeBatchFrame(encodeBatchFrame(items, full))
+		got, err := decodeBatchFrame(encodeBatchFrame(items, full, full))
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
 		}
 		checkDecoded(t, fmt.Sprintf("full=%v", full), got, items, full)
 	}
 	// full-0 | digest-1 digest-2 | full-3 | (kind 2) full-4 | digest-5
-	frame := encodeBatchFrame(items, true)
+	frame := encodeBatchFrame(items, true, true)
 	want := 5 + 5*6 + len(items)*crypto.DigestSize + 3*(4+len("full-0")) + 3*crypto.DigestSize
 	if len(frame) != want {
 		t.Errorf("mixed-form frame is %dB, want %dB (five runs)", len(frame), want)
@@ -180,7 +180,7 @@ func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 
 func TestBatchFrameRoundTripFull(t *testing.T) {
 	items := batchItems("alpha", "", "gamma-gamma")
-	frame := encodeBatchFrame(items, true)
+	frame := encodeBatchFrame(items, true, true)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -203,7 +203,7 @@ func TestBatchFrameRoundTripFull(t *testing.T) {
 
 func TestBatchFrameRoundTripDigestOnly(t *testing.T) {
 	items := batchItems("alpha", "beta")
-	frame := encodeBatchFrame(items, false)
+	frame := encodeBatchFrame(items, false, false)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -239,7 +239,7 @@ func mixedKindItems() []BatchItem {
 func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	items := mixedKindItems()
 	for _, full := range []bool{true, false} {
-		frame := encodeBatchFrame(items, full)
+		frame := encodeBatchFrame(items, full, full)
 		got, err := decodeBatchFrame(frame)
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
@@ -259,7 +259,7 @@ func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	// A single-kind frame spends one run header, however many items follow.
 	uniform := batchItems(make([]string, 64)...)
 	want := 5 + 6 + len(uniform)*(crypto.DigestSize+4)
-	if got := len(encodeBatchFrame(uniform, true)); got != want {
+	if got := len(encodeBatchFrame(uniform, true, true)); got != want {
 		t.Errorf("uniform-kind frame is %dB, want %dB (one run header)", got, want)
 	}
 }
@@ -278,8 +278,8 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	for i := range plain {
 		plain[i].DerivedID = false
 	}
-	fp := encodeBatchFrame(plain, true)
-	fd := encodeBatchFrame(derived, true)
+	fp := encodeBatchFrame(plain, true, true)
+	fd := encodeBatchFrame(derived, true, true)
 	if want := len(plain) * crypto.DigestSize; len(fp)-len(fd) != want {
 		t.Errorf("derived frame saves %d bytes, want %d (one MsgID per item)", len(fp)-len(fd), want)
 	}
@@ -299,14 +299,14 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	mixed := derivedItems(payloads...)
 	mixed[3] = BatchItem{Kind: 16, MsgID: crypto.Hash([]byte("agreed-elsewhere")), Payload: []byte("ordinary")}
 	for _, full := range []bool{true, false} {
-		fm := encodeBatchFrame(mixed, full)
+		fm := encodeBatchFrame(mixed, full, full)
 		allPlain := derivedItems(payloads...)
 		allPlain[3] = mixed[3]
 		for i := range allPlain {
 			allPlain[i].DerivedID = false
 		}
 		// Seven MsgIDs saved, two more run headers spent.
-		if saved, want := len(encodeBatchFrame(allPlain, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
+		if saved, want := len(encodeBatchFrame(allPlain, full, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
 			t.Errorf("full=%v: mixed batch saves %d bytes, want %d", full, saved, want)
 		}
 		got, err := decodeBatchFrame(fm)
@@ -327,7 +327,7 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 func TestBatchFrameV2LiteralPayloadsAliasFrame(t *testing.T) {
 	body := string(bytes.Repeat([]byte("stream-data."), 24))
 	items := batchItems("alias-check-payload", "seq=1|"+body, "seq=2|"+body, "seq=2|"+body)
-	frame := encodeBatchFrame(items, true)
+	frame := encodeBatchFrame(items, true, true)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -367,7 +367,7 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 		e.Byte(form)
 		e.ListLen(length)
 	}
-	valid := encodeBatchFrame(batchItems("x"), true)
+	valid := encodeBatchFrame(batchItems("x"), true, true)
 	withForm := func(form byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[6] = form // version, count, kind, then the form
@@ -438,10 +438,10 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 // be an error, never a short item list or a panic.
 func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 	frames := [][]byte{
-		encodeBatchFrame(mixedKindItems(), true),
-		encodeBatchFrame(mixedKindItems(), false),
-		encodeBatchFrame(derivedItems("raw-one", "", "raw-three"), true),
-		encodeBatchFrame(mixedFormItems(), true),
+		encodeBatchFrame(mixedKindItems(), true, true),
+		encodeBatchFrame(mixedKindItems(), false, false),
+		encodeBatchFrame(derivedItems("raw-one", "", "raw-three"), true, true),
+		encodeBatchFrame(mixedFormItems(), true, true),
 	}
 	for fi, frame := range frames {
 		if _, err := decodeBatchFrame(frame); err != nil {
@@ -462,10 +462,10 @@ func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 // single non-derived full item — the worst case — reaches the bound exactly.
 func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 	one := batchItems("lonely")
-	if got := len(encodeBatchFrame(one, true)) - len(one[0].Payload); got != BatchWireOverhead {
+	if got := len(encodeBatchFrame(one, true, true)) - len(one[0].Payload); got != BatchWireOverhead {
 		t.Errorf("single-item frame overhead = %d, want exactly BatchWireOverhead = %d", got, BatchWireOverhead)
 	}
-	if got := len(encodeBatchFrame(one, false)) - crypto.DigestSize; got >= BatchWireOverhead {
+	if got := len(encodeBatchFrame(one, false, false)) - crypto.DigestSize; got >= BatchWireOverhead {
 		t.Errorf("single digest-only item overhead = %d, want below BatchWireOverhead = %d", got, BatchWireOverhead)
 	}
 	if BatchWireOverhead != 47 {
@@ -496,7 +496,7 @@ func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 			}
 			budget += body + BatchWireOverhead
 		}
-		if got := len(encodeBatchFrame(items, full)); got > budget {
+		if got := len(encodeBatchFrame(items, full, full)); got > budget {
 			t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, over the %dB budget", trial, n, full, got, budget)
 		}
 	}
@@ -539,14 +539,14 @@ func TestEgressAccountingBoundsFrames(t *testing.T) {
 			}
 		}
 		for _, full := range []bool{true, false} {
-			if got, budget := len(encodeBatchFrame(items, full)), charge(items); got > budget {
+			if got, budget := len(encodeBatchFrame(items, full, full)), charge(items); got > budget {
 				t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, egress charged %dB", trial, len(items), full, got, budget)
 			}
 		}
 	}
 
 	bare := []BatchItem{{Kind: 4, MsgID: crypto.Hash([]byte("id")), Digest: crypto.Hash([]byte("body"))}}
-	if got, want := len(encodeBatchFrame(bare, true))-charge(bare), 2*crypto.DigestSize+5+6-BatchWireOverhead; got != want || got <= 0 {
+	if got, want := len(encodeBatchFrame(bare, true, true))-charge(bare), 2*crypto.DigestSize+5+6-BatchWireOverhead; got != want || got <= 0 {
 		t.Errorf("a non-derived payload-less item exceeds its charge by %dB, want %dB: the documented exception moved", got, want)
 	}
 }
@@ -595,6 +595,63 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 	items[0].Digest, items[0].Payload = crypto.Hash(items[0].Payload), nil
 	if full, digest := countFull(1); full != 1 || digest != 1 {
 		t.Errorf("low-index member sent %d full and %d digest-only items, want the payload-less item digest-only", full, digest)
+	}
+}
+
+// TestRelayItemsReachEachMemberOnce: a Relay item's payload reaches each
+// destination member from the one source member RelaySender names, through
+// Send and SendBatch alike, and every other sender's copy names its digest.
+// Beside it in a carrier, an ordinary item keeps the majority rule. One
+// sender's flush frames at most two variants, whatever the sizes.
+func TestRelayItemsReachEachMemberOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 8; n++ {
+		for k := 1; k <= 8; k++ {
+			src := comp(1, uint64(n), 1, 2, 3, 4, 5, 6, 7, 8)
+			src.Members = src.Members[:n]
+			dst := comp(2, uint64(k), 11, 12, 13, 14, 15, 16, 17, 18)
+			dst.Members = dst.Members[:k]
+			relayed := batchItems("relayed")[0]
+			relayed.Relay = true
+			items := []BatchItem{relayed, batchItems("ordinary")[0]}
+			carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads via Send, via SendBatch
+			for idx, m := range src.Members {
+				send := func(to ids.NodeID, msg actor.Message) {
+					c := carried[to]
+					if msg.(GroupMsg).Payload != nil {
+						c[0]++
+					}
+					carried[to] = c
+				}
+				Send(send, rng, src, m.ID, dst, relayed, nil)
+				frames := map[string]bool{}
+				sendBatch := func(to ids.NodeID, msg actor.Message) {
+					frames[string(msg.(GroupMsg).Payload)] = true
+					inner, err := UnpackBatch(msg.(GroupMsg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (inner[1].Payload != nil) != (idx < src.Majority()) {
+						t.Errorf("n=%d k=%d: member %d broke the majority rule on the ordinary item", n, k, idx)
+					}
+					c := carried[to]
+					if inner[0].Payload != nil {
+						c[1]++
+					}
+					carried[to] = c
+				}
+				SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items)
+				if len(frames) > 2 {
+					t.Errorf("n=%d k=%d: member %d framed %d variants, want at most 2", n, k, idx, len(frames))
+				}
+			}
+			for j, member := range dst.Members {
+				if c := carried[member.ID]; c != [2]int{1, 1} {
+					t.Errorf("n=%d k=%d: member %d (RelaySender %d) got the relayed payload %v times (Send, SendBatch), want once each",
+						n, k, j, RelaySender(src, dst, j), c)
+				}
+			}
+		}
 	}
 }
 
@@ -677,11 +734,11 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 }
 
 func FuzzDecodeBatchFrame(f *testing.F) {
-	f.Add(encodeBatchFrame(batchItems("a", "bb", "ccc"), true))
-	f.Add(encodeBatchFrame(batchItems("x"), false))
-	f.Add(encodeBatchFrame(mixedKindItems(), true))
-	f.Add(encodeBatchFrame(mixedKindItems(), false))
-	f.Add(encodeBatchFrame(derivedItems("prefix-AAAA-suffix", "", "prefix-CCCC-suffix"), true))
+	f.Add(encodeBatchFrame(batchItems("a", "bb", "ccc"), true, true))
+	f.Add(encodeBatchFrame(batchItems("x"), false, false))
+	f.Add(encodeBatchFrame(mixedKindItems(), true, true))
+	f.Add(encodeBatchFrame(mixedKindItems(), false, false))
+	f.Add(encodeBatchFrame(derivedItems("prefix-AAAA-suffix", "", "prefix-CCCC-suffix"), true, true))
 	f.Add([]byte{})
 	f.Add([]byte{batchFrameVersion, 0x00, 0x00, 0x10, 0x00, 0x01, formFull})
 	// Frames from the deleted writers, and an enveloped payload: the
@@ -690,11 +747,11 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(mustHex(f, goldenV2FrameHex))
 	f.Add([]byte{0x00, 0x01, 0x01})
 	f.Add(mustHex(f, goldenV3FrameHex))
-	f.Add(encodeBatchFrame(mixedFormItems(), true))
-	f.Add(encodeBatchFrame(mixedFormItems(), false))
+	f.Add(encodeBatchFrame(mixedFormItems(), true, true))
+	f.Add(encodeBatchFrame(mixedFormItems(), false, false))
 	mixedDerived := derivedItems("raw-a", "raw-b", "raw-c")
 	mixedDerived[1].Digest, mixedDerived[1].Payload = mixedDerived[1].MsgID, nil
-	f.Add(encodeBatchFrame(mixedDerived, true))
+	f.Add(encodeBatchFrame(mixedDerived, true, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeBatchFrame(data)
 		if err != nil {
@@ -750,12 +807,12 @@ func benchFrameItems() []BatchItem {
 // frame size as a custom metric.
 func BenchmarkBatchEncodeDecode(b *testing.B) {
 	items := benchFrameItems()
-	frame := encodeBatchFrame(items, true)
+	frame := encodeBatchFrame(items, true, true)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(len(frame)), "frame-bytes")
 		for i := 0; i < b.N; i++ {
-			_ = encodeBatchFrame(items, true)
+			_ = encodeBatchFrame(items, true, true)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
@@ -777,8 +834,8 @@ func BenchmarkBatchEncodeDecode(b *testing.B) {
 // frame on average; an allocation per item (64 here) fails either way.
 func TestBatchFrameAllocCeilings(t *testing.T) {
 	items := benchFrameItems()
-	frame := encodeBatchFrame(items, true) // also warms the encoder pool
-	if got := testing.AllocsPerRun(200, func() { _ = encodeBatchFrame(items, true) }); got > 8 {
+	frame := encodeBatchFrame(items, true, true) // also warms the encoder pool
+	if got := testing.AllocsPerRun(200, func() { _ = encodeBatchFrame(items, true, true) }); got > 8 {
 		t.Errorf("encode allocates %.0f objects per frame, want <= 8", got)
 	}
 	got := testing.AllocsPerRun(200, func() {

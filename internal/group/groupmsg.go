@@ -88,9 +88,11 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // source is correct, at least one correct member always sends the full
 // payload). An item built with a nil Payload and its Digest is a digest-only
 // copy from every member: the caller has a narrower rule for who sends the
-// bytes and applies it before it gets here (core's gossip). Destination order
-// is randomized to avoid incast bursts (§5.1). The payload is hashed only when
-// it.Digest is not set. attach is this sender's own attachment (nil: none).
+// bytes and applies it before it gets here (core's gossip). A Relay item's
+// payload goes only to the destination members self is the RelaySender of.
+// Destination order is randomized to avoid incast bursts (§5.1). The payload
+// is hashed only when it.Digest is not set. attach is this sender's own
+// attachment (nil: none).
 func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
@@ -102,13 +104,53 @@ func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Com
 		PayloadDigest: it.payloadDigest(),
 		Attach:        attach,
 	}
-	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
+	idx := src.Index(self)
+	if idx >= 0 && idx < src.Majority() && !it.Relay {
 		msg.Payload = it.Payload
 	}
 	order := rng.Perm(len(dst.Members))
-	for _, i := range order {
-		send(dst.Members[i].ID, msg)
+	rot := 0
+	if it.Relay {
+		rot = relayRotation(src, dst)
 	}
+	for _, i := range order {
+		m := msg
+		if it.Relay && isRelaySender(idx, rot, src.N(), i) {
+			m.Payload = it.Payload
+		}
+		send(dst.Members[i].ID, m)
+	}
+}
+
+// RelaySender returns the index, in src, of the one member whose copy toward
+// the member of dst at index j carries a Relay item's payload: (j + r) mod N,
+// N the size of src and r a rotation drawn from the link — src's GroupID, and
+// dst's GroupID and epoch — so that on every link a different member serves
+// each destination index. Every member of src computes the same answer; src
+// has members.
+func RelaySender(src, dst Composition, j int) int {
+	return (j + relayRotation(src, dst)) % src.N()
+}
+
+// relaySalt opens the hash chain relayRotation draws from.
+var relaySalt = crypto.Hash([]byte("atum-relay"))
+
+// relayRotation is RelaySender's r, in [0, N) (0 for an empty src).
+func relayRotation(src, dst Composition) int {
+	if src.N() == 0 {
+		return 0
+	}
+	d := crypto.HashUint64(relaySalt, uint64(src.GroupID))
+	d = crypto.HashUint64(d, uint64(dst.GroupID))
+	d = crypto.HashUint64(d, dst.Epoch)
+	return int(uint64(d.Seed()) % uint64(src.N()))
+}
+
+// isRelaySender reports whether the member at index idx of a source of n
+// members, on a link of rotation rot, is the RelaySender of destination
+// member j.
+func isRelaySender(idx, rot, n, j int) bool {
+	return idx >= 0 && (j+rot)%n == idx
 }
 
 // Accepted is a group message that crossed the majority threshold.

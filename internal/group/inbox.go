@@ -54,9 +54,27 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // already held counts as a vote for that digest exactly as a digest-only copy
 // does, whatever bytes it carries: a Byzantine sender gains nothing by it that
 // sending digest-only would not already give.
+//
+// Lending. A message whose MsgID is its payload digest (core's gossip) is the
+// same message on every link, so the entries different sources hold for it
+// are indexed together (shared) and bytes move between them. An entry whose
+// majority voted that digest takes the verified payload another source's
+// entry holds for it (borrow); one that finds none is starved, and the next
+// payload stored for that MsgID under any source, or handed in by the owner
+// (Supply), completes it (lend). The bytes are the ones the majority voted
+// for, so lending trusts nothing a copy of the entry's own link would not. The
+// owner asks for the payload of a starved entry elsewhere (Starved), and once
+// it has the message from any link settles every source's entry at once
+// (SettleAll). The index holds pending entries only, so the pending bounds
+// bound it.
 type Inbox struct {
 	lookup  func(Key) (Composition, bool)
 	sources map[Key]*source
+	// shared lists per MsgID, in the order they were opened, the sources
+	// holding a pending entry opened by a copy whose MsgID was its payload
+	// digest.
+	shared  map[crypto.Digest][]Key
+	starved int // pending entries with entry.starved set
 }
 
 // source is what the inbox remembers of one source composition.
@@ -71,6 +89,10 @@ type entry struct {
 	votes    []vote       // one per sender, in arrival order: the first is the opener's
 	payloads []heldDigest // verified payloads, one per digest
 	attached []attachment // what the few senders that attach anything attached
+	shared   bool         // listed in Inbox.shared
+	// starved: a majority voted the payload digest that is this message's
+	// MsgID, and no source's entry holds the bytes.
+	starved bool
 }
 
 // vote is what one sender said of a message: its kind and the digest of its
@@ -95,7 +117,7 @@ type heldDigest struct {
 
 // NewInbox creates an inbox; lookup resolves known compositions.
 func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
-	return &Inbox{lookup: lookup, sources: make(map[Key]*source)}
+	return &Inbox{lookup: lookup, sources: make(map[Key]*source), shared: make(map[crypto.Digest][]Key)}
 }
 
 func (ib *Inbox) addSource(src Key) *source {
@@ -119,15 +141,34 @@ func (s *source) opened(from ids.NodeID) int {
 	return n
 }
 
-// remember moves msgID to the done map under the time of its first copy,
+// retire moves msgID of src to the done map under the time of its first copy,
 // first forgetting the older half of a done map at maxEntriesPerKey.
-func (s *source) remember(msgID crypto.Digest, firstAt time.Duration) {
+func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest, firstAt time.Duration) {
 	if len(s.done) >= maxEntriesPerKey {
 		times := slices.Sorted(maps.Values(s.done))
 		s.forget(times[len(times)/2-1] + 1)
 	}
-	delete(s.pending, msgID)
+	if e := s.pending[msgID]; e != nil {
+		ib.release(src, msgID, e)
+		delete(s.pending, msgID)
+	}
 	s.done[msgID] = firstAt
+}
+
+// release takes a pending entry that is leaving out of the lending index.
+func (ib *Inbox) release(src Key, msgID crypto.Digest, e *entry) {
+	if e.starved {
+		ib.starved--
+	}
+	if !e.shared {
+		return
+	}
+	keys := slices.DeleteFunc(ib.shared[msgID], func(k Key) bool { return k == src })
+	if len(keys) == 0 {
+		delete(ib.shared, msgID)
+	} else {
+		ib.shared[msgID] = keys
+	}
 }
 
 // forget drops the done records of messages first seen before the deadline.
@@ -196,8 +237,11 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 			return Accepted{}, false
 		}
 		// Room for the majority of a typical vgroup without regrowing.
-		e = &entry{firstAt: now, votes: make([]vote, 0, 4)}
+		e = &entry{firstAt: now, votes: make([]vote, 0, 4), shared: msg.MsgID == msg.PayloadDigest}
 		s.pending[msg.MsgID] = e
+		if e.shared {
+			ib.shared[msg.MsgID] = append(ib.shared[msg.MsgID], src)
+		}
 	}
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
 	if e.voteOf(from) == nil {
@@ -209,7 +253,11 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	if store {
 		e.payloads = append(e.payloads, heldDigest{digest: msg.PayloadDigest, payload: msg.Payload})
 	}
-	return ib.check(now, src, msg.MsgID, s, e)
+	acc, ok := ib.check(now, src, msg.MsgID, s, e)
+	if !ok && store && e.shared && msg.PayloadDigest == msg.MsgID {
+		return ib.Supply(now, msg.MsgID, msg.Payload) // lend the new bytes
+	}
+	return acc, ok
 }
 
 // Settle tells the inbox that its owner needs nothing more from one logical
@@ -230,14 +278,90 @@ func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	if e := s.pending[msgID]; e != nil {
 		firstAt = e.firstAt
 	}
-	s.remember(msgID, firstAt)
+	ib.retire(src, s, msgID, firstAt)
+}
+
+// SettleAll settles msgID under every source that holds a pending entry in
+// the lending index for it: the owner has the message from one link and needs
+// it from none.
+func (ib *Inbox) SettleAll(now time.Duration, msgID crypto.Digest) {
+	for _, src := range slices.Clone(ib.shared[msgID]) {
+		ib.Settle(now, src, msgID)
+	}
+}
+
+// Supply hands the inbox the payload of a message whose MsgID is its digest,
+// from outside any link (the owner fetched it, or Observe stored it under
+// another source): the first starved entry, in the order they were opened,
+// that it completes is reported accepted, and no entry keeps the bytes
+// otherwise. payload must hash to digest; the caller computed the one from the
+// other.
+func (ib *Inbox) Supply(now time.Duration, digest crypto.Digest, payload []byte) (Accepted, bool) {
+	for _, src := range ib.shared[digest] {
+		s := ib.sources[src]
+		if e := s.pending[digest]; e.starved {
+			e.payloads = append(e.payloads, heldDigest{digest: digest, payload: payload})
+			if acc, ok := ib.check(now, src, digest, s, e); ok {
+				return acc, true // check changed shared[digest]: stop here
+			}
+			e.payloads = e.payloads[:len(e.payloads)-1]
+		}
+	}
+	return Accepted{}, false
+}
+
+// borrow returns the payload another source's pending entry holds for msgID,
+// which is also its digest, or nil.
+func (ib *Inbox) borrow(src Key, msgID crypto.Digest) []byte {
+	for _, k := range ib.shared[msgID] {
+		if k != src {
+			if p := ib.sources[k].pending[msgID].held(msgID); p != nil {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
+// Starved calls visit once per MsgID that some source's entry is starved of,
+// in ascending MsgID order, with the members that voted its digest on those
+// entries: each holds the payload if it is correct. visit must not call back
+// into the inbox.
+func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
+	if ib.starved == 0 {
+		return
+	}
+	var msgIDs []crypto.Digest
+	for msgID, srcs := range ib.shared {
+		if slices.ContainsFunc(srcs, func(k Key) bool { return ib.sources[k].pending[msgID].starved }) {
+			msgIDs = append(msgIDs, msgID)
+		}
+	}
+	slices.SortFunc(msgIDs, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
+	for _, msgID := range msgIDs {
+		var voters []ids.NodeID
+		for _, k := range ib.shared[msgID] {
+			e := ib.sources[k].pending[msgID]
+			comp, known := ib.lookup(k)
+			if !e.starved || !known {
+				continue
+			}
+			for _, v := range e.votes {
+				if v.digest == msgID && comp.Contains(v.from) && !slices.Contains(voters, v.from) {
+					voters = append(voters, v.from)
+				}
+			}
+		}
+		visit(msgID, voters)
+	}
 }
 
 // check evaluates the acceptance rule for one pending entry and, when it
 // holds, moves the message to the source's done map. At most one (kind,
 // digest) pair can reach a majority (one vote per sender), and one that did is
 // the vote of one of the first len(votes)−majority+1 senders, so those are the
-// candidates; only a digest whose payload is held can be accepted.
+// candidates; only a digest whose payload is held — or, on a shared entry
+// whose MsgID it is, can be borrowed — can be accepted.
 func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
 	comp, known := ib.lookup(src)
 	if !known {
@@ -247,8 +371,17 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 	for i := 0; i+majority <= len(e.votes); i++ {
 		kind, digest := e.votes[i].kind, e.votes[i].digest
 		payload := e.held(digest)
-		if payload == nil || e.tally(comp, kind, digest) < majority {
+		lendable := e.shared && digest == msgID && !e.starved
+		if payload == nil && !lendable || e.tally(comp, kind, digest) < majority {
 			continue // a correct majority sender will still provide its vote
+		}
+		if payload == nil {
+			if payload = ib.borrow(src, msgID); payload == nil {
+				e.starved = true // until a lend; the owner may pull (Starved)
+				ib.starved++
+				continue
+			}
+			e.payloads = append(e.payloads, heldDigest{digest: digest, payload: payload})
 		}
 		var attachments map[ids.NodeID][]byte
 		for _, a := range e.attached {
@@ -261,7 +394,7 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 		}
 		// Only the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
-		s.remember(msgID, e.firstAt)
+		ib.retire(src, s, msgID, e.firstAt)
 		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -309,6 +442,7 @@ func (ib *Inbox) Prune(before time.Duration) {
 	for src, s := range ib.sources {
 		for msgID, e := range s.pending {
 			if e.firstAt < before {
+				ib.release(src, msgID, e)
 				delete(s.pending, msgID)
 			}
 		}

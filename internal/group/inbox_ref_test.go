@@ -28,12 +28,21 @@ import (
 // by first-copy time (remember) — the eviction rule. And one sender could fill
 // that cap alone: an entry now records the sender whose copy opened it, and a
 // sender with maxOpenPerSender of a source's entries not accepted opens no more.
+//
+// One thing is added: the lending rule (lend, borrow and Supply below). An
+// entry opened by a copy whose MsgID is its payload digest is shared: one
+// whose majority voted that digest and that holds no payload for it takes the
+// one another source's shared entry of the same MsgID holds, or else is
+// starved, and a payload stored or supplied later for that MsgID completes the
+// first starved entry, in the order they were opened, that it lets accept.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
 	byKey   map[Key]map[crypto.Digest]bool // src → msgIDs with live entries
 	evicted int                            // accepted entries the eviction rule forgot
 	charged int                            // copies refused because their sender hit maxOpenPerSender
+	opened  int                            // entries ever opened: their order
+	lent    int                            // acceptances on another source's or supplied bytes
 }
 
 type refEntryKey struct {
@@ -48,6 +57,9 @@ type refEntryState struct {
 	accepted bool
 	firstAt  time.Duration
 	opener   ids.NodeID
+	seq      int  // the order it was opened in
+	shared   bool // opened by a copy whose MsgID is its payload digest
+	starved  bool // its last check found its MsgID's digest voted by a majority and no bytes anywhere
 }
 
 type refVote struct {
@@ -82,12 +94,15 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 			ib.charged++
 			return Accepted{}, false
 		}
+		ib.opened++
 		e = &refEntryState{
 			votes:    make(map[ids.NodeID]refVote),
 			payloads: make(map[crypto.Digest][]byte),
 			attach:   make(map[ids.NodeID][]byte),
 			firstAt:  now,
 			opener:   from,
+			seq:      ib.opened,
+			shared:   msg.MsgID == msg.PayloadDigest,
 		}
 		ib.entries[ek] = e
 		set, ok := ib.byKey[src]
@@ -107,12 +122,85 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 			e.attach[from] = msg.Attach
 		}
 	}
+	stored := false
 	if msg.Payload != nil {
 		if _, have := e.payloads[msg.PayloadDigest]; !have {
 			e.payloads[msg.PayloadDigest] = msg.Payload
+			stored = true
 		}
 	}
-	return ib.check(now, ek, e)
+	acc, ok := ib.check(now, ek, e)
+	if !ok && stored && e.shared && msg.PayloadDigest == msg.MsgID {
+		return ib.Supply(now, msg.MsgID, msg.Payload) // lend
+	}
+	return acc, ok
+}
+
+// sharedOf returns the shared entries of msgID not accepted, in the order
+// they were opened.
+func (ib *refInbox) sharedOf(msgID crypto.Digest) []refEntryKey {
+	var out []refEntryKey
+	for ek, e := range ib.entries {
+		if ek.msgID == msgID && e.shared && !e.accepted {
+			out = append(out, ek)
+		}
+	}
+	slices.SortFunc(out, func(a, b refEntryKey) int { return ib.entries[a].seq - ib.entries[b].seq })
+	return out
+}
+
+// borrow returns the payload another source's shared entry of msgID holds for
+// it, or nil.
+func (ib *refInbox) borrow(ek refEntryKey) []byte {
+	for _, other := range ib.sharedOf(ek.msgID) {
+		if p, have := ib.entries[other].payloads[ek.msgID]; have && other != ek {
+			return p
+		}
+	}
+	return nil
+}
+
+// Supply is the model of Inbox.Supply: the payload completes the first
+// starved entry of its digest that it lets accept, and stays in none other.
+func (ib *refInbox) Supply(now time.Duration, digest crypto.Digest, payload []byte) (Accepted, bool) {
+	for _, ek := range ib.sharedOf(digest) {
+		if e := ib.entries[ek]; e.starved {
+			e.payloads[digest] = payload
+			if acc, ok := ib.check(now, ek, e); ok {
+				ib.lent++
+				return acc, true
+			}
+			delete(e.payloads, digest)
+		}
+	}
+	return Accepted{}, false
+}
+
+// SettleAll is the model of Inbox.SettleAll.
+func (ib *refInbox) SettleAll(now time.Duration, msgID crypto.Digest) {
+	for _, ek := range ib.sharedOf(msgID) {
+		ib.Settle(now, ek.src, msgID)
+	}
+}
+
+// Starved is the model of Inbox.Starved, with each voter set sorted.
+func (ib *refInbox) Starved() map[crypto.Digest][]ids.NodeID {
+	out := map[crypto.Digest][]ids.NodeID{}
+	for ek, e := range ib.entries {
+		comp, known := ib.lookup(ek.src)
+		if e.accepted || !e.starved || !known {
+			continue
+		}
+		voters := out[ek.msgID]
+		for voter, v := range e.votes {
+			if v.digest == ek.msgID && comp.Contains(voter) && !slices.Contains(voters, voter) {
+				voters = append(voters, voter)
+			}
+		}
+		slices.Sort(voters)
+		out[ek.msgID] = voters
+	}
+	return out
 }
 
 // check evaluates the acceptance rule for one entry.
@@ -132,6 +220,14 @@ func (ib *refInbox) check(now time.Duration, ek refEntryKey, e *refEntryState) (
 			continue
 		}
 		payload, have := e.payloads[v.digest]
+		if !have && e.shared && v.digest == ek.msgID && !e.starved {
+			if payload = ib.borrow(ek); payload != nil {
+				e.payloads[v.digest], have = payload, true
+				ib.lent++
+			} else {
+				e.starved = true
+			}
+		}
 		if !have {
 			continue // wait for a full copy (a correct majority sender will provide one)
 		}

@@ -3,7 +3,9 @@ package group
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 
 // The inbox's behaviour is written down once, as refInbox (inbox_ref_test.go),
 // and the shipped layout is checked against it: same schedule in, same
-// acceptances out. The two differ in five named places. A corrupt copy of a
+// acceptances out. The two differ in six named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
 // model, so the comparison also states exactly what that rule means. The model
 // had no Settle and no Votes: refInbox.Settle and refInbox.Votes say what they
@@ -24,7 +26,10 @@ import (
 // it was given the eviction rule (refInbox.remember), which
 // TestInboxDoneCapForgetsOlderHalf pins on its own. And one sender could fill
 // the model's cap alone: it was given the per-sender charge (refInbox.openedBy),
-// which TestNonMemberCannotFillPendingCap pins on its own.
+// which TestNonMemberCannotFillPendingCap pins on its own. And the model could
+// not move bytes between sources: it was given the lending rule
+// (refInbox.borrow, refInbox.Supply), which TestInboxLendsAcrossSources pins on
+// its own.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -89,6 +94,24 @@ func (w *diffWorld) diffPayload(src, msg, variant int) ([]byte, crypto.Digest) {
 // diffMsgID is the MsgID of one source's mi-th logical message.
 func diffMsgID(si, mi int) crypto.Digest {
 	return crypto.HashUint64(crypto.Digest{}, uint64(si)<<32|uint64(mi))
+}
+
+// diffShared is the number of shared messages a schedule draws: messages whose
+// MsgID is the digest of their good payload, sent under every source alike,
+// as core's gossip is. sharedSrc stands for them where a source index is asked.
+const (
+	diffShared = 2
+	sharedSrc  = -1
+)
+
+// msgID is the MsgID of one source's mi-th message, or of the mi-th shared
+// message.
+func (w *diffWorld) msgID(si, mi int) crypto.Digest {
+	if si == sharedSrc {
+		_, d := w.diffPayload(sharedSrc, mi, 0)
+		return d
+	}
+	return diffMsgID(si, mi)
 }
 
 // diffKind is the kind the correct senders of the mi-th message use;
@@ -173,13 +196,23 @@ func (w *diffWorld) step() (corruptLater bool) {
 		w.ref.Prune(before)
 	case op < w.settleTo: // the owner is done with one message: unseen, pending or accepted, of any source
 		si := w.rng.Intn(len(w.comps))
-		msgID := diffMsgID(si, w.rng.Intn(w.msgs))
+		msgID := w.msgID(w.pick(si))
 		w.ib.Settle(w.now, w.comps[si].Key(), msgID)
 		w.ref.Settle(w.now, w.comps[si].Key(), msgID)
+	case op < w.settleTo+2: // bytes for a shared message from outside any link: good, rival or for nothing shared
+		mi, variant := w.rng.Intn(diffShared+1), w.rng.Intn(3)/2
+		payload, digest := w.diffPayload(sharedSrc, mi, variant)
+		got, gotOK := w.ib.Supply(w.now, digest, payload)
+		want, wantOK := w.ref.Supply(w.now, digest, payload)
+		w.sameAccepted(fmt.Sprintf("Supply(shared %d, payload %d)", mi, variant), got, want, gotOK, wantOK)
+	case op < w.settleTo+3: // the owner has one shared message from some link
+		msgID := w.msgID(sharedSrc, w.rng.Intn(diffShared))
+		w.ib.SettleAll(w.now, msgID)
+		w.ref.SettleAll(w.now, msgID)
 	default:
 		si := w.rng.Intn(len(w.comps))
 		c := w.comps[si]
-		mi := w.rng.Intn(w.msgs)
+		pi, mi := w.pick(si)
 		from := c.Members[w.rng.Intn(c.N())].ID
 		if w.rng.Intn(10) == 0 {
 			from = ids.NodeID(90 + w.rng.Intn(3)) // not a member of anything
@@ -188,9 +221,9 @@ func (w *diffWorld) step() (corruptLater bool) {
 		if w.rng.Intn(6) == 0 {
 			variant = 1 // a Byzantine re-vote or digest flip: the rival payload
 		}
-		payload, digest := w.diffPayload(si, mi, variant)
+		payload, digest := w.diffPayload(pi, mi, variant)
 		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: diffKind(mi),
-			MsgID: diffMsgID(si, mi), PayloadDigest: digest}
+			MsgID: w.msgID(pi, mi), PayloadDigest: digest}
 		if w.rng.Intn(8) == 0 {
 			m.Kind = diffKind(mi + 1) // the same message, and maybe the same payload, under another kind
 		}
@@ -198,7 +231,7 @@ func (w *diffWorld) step() (corruptLater bool) {
 		case 0, 1, 2, 3:
 			m.Payload = payload
 		case 4:
-			m.Payload, _ = w.diffPayload(si, mi, 2) // corrupt: does not hash to the digest it names
+			m.Payload, _ = w.diffPayload(pi, mi, 2) // corrupt: does not hash to the digest it names
 		}
 		if w.rng.Intn(3) == 0 {
 			m.Attach = []byte(fmt.Sprintf("sig-%v-%d", from, w.rng.Intn(2)))
@@ -210,7 +243,31 @@ func (w *diffWorld) step() (corruptLater bool) {
 	}
 	w.peak = max(w.peak, w.ib.Len())
 	w.sameVotes()
+	if w.msgs <= maxEntriesPerKey || w.steps%64 == 0 { // the model's scan is slow on a flood
+		w.sameStarved()
+	}
 	return corruptLater
+}
+
+// pick draws the message of one operation on source si: one of si's own, or,
+// one time in four, one of the shared messages — returned as (sharedSrc, mi).
+func (w *diffWorld) pick(si int) (int, int) {
+	if w.rng.Intn(4) == 0 {
+		return sharedSrc, w.rng.Intn(diffShared)
+	}
+	return si, w.rng.Intn(w.msgs)
+}
+
+// sameStarved compares what Starved reports with the model's starved entries.
+func (w *diffWorld) sameStarved() {
+	w.t.Helper()
+	got := map[crypto.Digest][]ids.NodeID{}
+	w.ib.Starved(func(msgID crypto.Digest, voters []ids.NodeID) {
+		got[msgID] = slices.Sorted(slices.Values(voters))
+	})
+	if want := w.ref.Starved(); !maps.EqualFunc(got, want, slices.Equal) {
+		w.fatalf("Starved = %v, model %v", got, want)
+	}
 }
 
 // sameVotes compares Votes on one message drawn at random: both payloads under
@@ -218,14 +275,15 @@ func (w *diffWorld) step() (corruptLater bool) {
 // members from its caller — over a composition of the same key with fewer.
 func (w *diffWorld) sameVotes() {
 	w.t.Helper()
-	si, mi := w.rng.Intn(len(w.comps)), w.rng.Intn(w.msgs)
+	si := w.rng.Intn(len(w.comps))
+	pi, mi := w.pick(si)
 	fewer := w.comps[si]
 	fewer.Members = fewer.Members[:2]
 	for _, src := range []Composition{w.comps[si], fewer} {
 		for variant := 0; variant < 2; variant++ {
-			_, digest := w.diffPayload(si, mi, variant)
+			_, digest := w.diffPayload(pi, mi, variant)
 			for _, kind := range []Kind{diffKind(mi), diffKind(mi + 1)} {
-				got, want := w.ib.Votes(src, kind, diffMsgID(si, mi), digest), w.ref.Votes(src, kind, diffMsgID(si, mi), digest)
+				got, want := w.ib.Votes(src, kind, w.msgID(pi, mi), digest), w.ref.Votes(src, kind, w.msgID(pi, mi), digest)
 				if got != want {
 					w.fatalf("Votes(%v, kind %d, msg %d, payload %d) = %d, model %d", src.Key(), kind, mi, variant, got, want)
 				}
@@ -245,7 +303,7 @@ func (w *diffWorld) sameVotes() {
 // the cap on pending messages and the per-sender charge or, settling often,
 // into the eviction rule.
 func TestInboxMatchesReference(t *testing.T) {
-	schedules, corruptLater, evicted, charged := 1200, 0, 0, 0
+	schedules, corruptLater, evicted, charged, lent := 1200, 0, 0, 0, 0
 	if testing.Short() {
 		schedules = 200
 	}
@@ -265,6 +323,10 @@ func TestInboxMatchesReference(t *testing.T) {
 		}
 		evicted += w.ref.evicted
 		charged += w.ref.charged
+		lent += w.ref.lent
+	}
+	if lent == 0 {
+		t.Error("no schedule accepted a message on another source's or supplied bytes: the lending rule went untested")
 	}
 	if corruptLater == 0 {
 		t.Error("no schedule produced a corrupt copy of a held payload: the named difference went untested")
@@ -509,6 +571,140 @@ func TestNonMemberCannotFillPendingCap(t *testing.T) {
 	if ib.Observe(3*time.Second, 99, junk); ib.Votes(comp(1, 1, 99), 0, junk.MsgID, junk.PayloadDigest) != 1 {
 		t.Fatal("after Prune the flooder is still charged for the entries it opened")
 	}
+}
+
+// TestInboxLendsAcrossSources pins the lending rule on one message whose MsgID
+// is its payload digest, sent under two sources A and B — core's gossip on two
+// links. Borrow: B's majority votes it digest-only after A's entry took the
+// bytes, and B's entry takes them. Lend: B's majority votes first, B's entry
+// is starved and Starved names its voters; A's copy with the bytes then
+// completes B's entry. Supply: bytes handed in complete a starved entry, bytes
+// of another digest do not. A message whose MsgID is not its digest neither
+// lends nor borrows. Whatever ends the starving — acceptance, Settle,
+// SettleAll, Prune — frees the lending index.
+func TestInboxLendsAcrossSources(t *testing.T) {
+	A, B := comp(1, 1, 1, 2, 3), comp(2, 1, 4, 5, 6)
+	lookup := func(k Key) (Composition, bool) {
+		for _, c := range []Composition{A, B} {
+			if c.Key() == k {
+				return c, true
+			}
+		}
+		return Composition{}, false
+	}
+	payload := []byte("one broadcast, two links")
+	d := crypto.Hash(payload)
+	copyOf := func(src Composition, full bool) GroupMsg {
+		m := GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, MsgID: d, PayloadDigest: d}
+		if full {
+			m.Payload = payload
+		}
+		return m
+	}
+	starved := func(ib *Inbox) map[crypto.Digest][]ids.NodeID {
+		out := map[crypto.Digest][]ids.NodeID{}
+		ib.Starved(func(msgID crypto.Digest, voters []ids.NodeID) { out[msgID] = voters })
+		return out
+	}
+	idle := func(what string, ib *Inbox) {
+		t.Helper()
+		if len(ib.shared) != 0 || ib.starved != 0 {
+			t.Errorf("%s: lending index holds %d MsgIDs, %d starved entries, want none", what, len(ib.shared), ib.starved)
+		}
+	}
+
+	t.Run("borrow", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		ib.Observe(0, 1, copyOf(A, true))
+		ib.Observe(0, 4, copyOf(B, false))
+		acc, ok := ib.Observe(0, 5, copyOf(B, false))
+		if !ok || acc.Src != B.Key() || !bytes.Equal(acc.Payload, payload) || acc.Digest != d {
+			t.Fatalf("B's majority without bytes: accepted %v %+v, want B's message on A's bytes", ok, acc)
+		}
+		if got := ib.shared[d]; !slices.Equal(got, []Key{A.Key()}) {
+			t.Errorf("lending index lists %v, want A's pending entry alone", got)
+		}
+		ib.SettleAll(0, d)
+		idle("after SettleAll", ib)
+		if _, ok := ib.Observe(0, 2, copyOf(A, true)); ok || ib.Votes(A, 0, d, d) != 0 {
+			t.Error("a copy after SettleAll collects votes")
+		}
+	})
+
+	t.Run("lend", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		ib.Observe(0, 4, copyOf(B, false))
+		if _, ok := ib.Observe(0, 5, copyOf(B, false)); ok {
+			t.Fatal("accepted without any bytes")
+		}
+		if got := starved(ib); len(got) != 1 || !slices.Equal(got[d], []ids.NodeID{4, 5}) {
+			t.Fatalf("Starved = %v, want %x voted by 4 and 5", got, d[:4])
+		}
+		acc, ok := ib.Observe(time.Second, 1, copyOf(A, true))
+		if !ok || acc.Src != B.Key() || !bytes.Equal(acc.Payload, payload) || acc.At != time.Second {
+			t.Fatalf("A's copy with the bytes: accepted %v %+v, want B's starved message", ok, acc)
+		}
+		if len(starved(ib)) != 0 || ib.starved != 0 {
+			t.Errorf("still starved after the lend: %v", starved(ib))
+		}
+		ib.Prune(time.Hour)
+		idle("after Prune", ib)
+	})
+
+	t.Run("Supply", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		for _, from := range []ids.NodeID{4, 5} {
+			ib.Observe(0, from, copyOf(B, false))
+		}
+		other := []byte("other bytes")
+		if _, ok := ib.Supply(0, crypto.Hash(other), other); ok {
+			t.Fatal("bytes of another digest completed the entry")
+		}
+		if _, ok := ib.Supply(0, d, payload); !ok {
+			t.Fatal("the starved entry's own bytes did not complete it")
+		}
+		idle("after acceptance", ib)
+		if _, ok := ib.Supply(0, d, payload); ok {
+			t.Error("a second supply accepted again")
+		}
+	})
+
+	t.Run("starving ends", func(t *testing.T) {
+		for _, end := range []string{"Settle", "SettleAll", "Prune"} {
+			ib := NewInbox(lookup)
+			for _, c := range []Composition{A, B} {
+				for _, m := range c.Members[:2] {
+					ib.Observe(0, m.ID, copyOf(c, false))
+				}
+			}
+			if ib.starved != 2 {
+				t.Fatalf("%d starved entries, want A's and B's", ib.starved)
+			}
+			switch end {
+			case "Settle":
+				ib.Settle(0, A.Key(), d)
+				ib.Settle(0, B.Key(), d)
+			case "SettleAll":
+				ib.SettleAll(0, d)
+			case "Prune":
+				ib.Prune(time.Second)
+			}
+			idle(end, ib)
+		}
+	})
+
+	t.Run("not shared", func(t *testing.T) {
+		ib := NewInbox(lookup)
+		id := crypto.Hash([]byte("a MsgID of its own"))
+		a, b := copyOf(A, true), copyOf(B, false)
+		a.MsgID, b.MsgID = id, id
+		ib.Observe(0, 1, a)
+		ib.Observe(0, 4, b)
+		if _, ok := ib.Observe(0, 5, b); ok {
+			t.Error("a message whose MsgID is not its digest borrowed another source's bytes")
+		}
+		idle("unshared entries", ib)
+	})
 }
 
 // TestInboxStragglerCostsOneProbe pins the two hot cases of Observe. A copy of

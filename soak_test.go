@@ -79,6 +79,12 @@ func TestSoakEveryBroadcastDeliveredOnce(t *testing.T) {
 			if short > 0 {
 				t.Errorf("%d of %d nodes missed broadcasts", short, size)
 			}
+			// No member is faulty: every payload comes over a link.
+			for i, n := range nodes {
+				if st := n.Stats(); st.PullsSent+st.CaughtUp != 0 {
+					t.Errorf("node %d pulled %d payloads and was caught up %d times", i, st.PullsSent, st.CaughtUp)
+				}
+			}
 		})
 	}
 }
