@@ -447,7 +447,8 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 	for _, kind := range stray {
 		items = append(items, item(kind, fmt.Sprintf("carried-%d", kind)))
 	}
-	items = append(items, item(kindGossip, "carried-gossip"))
+	gossip := item(kindGossip, "carried-gossip")
+	items = append(items, gossip)
 	for _, sender := range src.Members {
 		var carrier group.GroupMsg
 		group.SendBatchToNode(func(_ ids.NodeID, m actor.Message) {
@@ -455,8 +456,9 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
 		n.routeGroupMsg(sender.ID, carrier)
 	}
-	if got := n.inbox.Len(); got != before+1 {
-		t.Errorf("carrier left %d inbox entries, want 1 (its gossip item)", got-before)
+	if got := n.inbox.Len(); got != before || !n.delivered.has(gossip.MsgID) {
+		t.Errorf("carrier left %d inbox entries, its gossip item delivered %v: want no entry, the digest in the index",
+			got-before, n.delivered.has(gossip.MsgID))
 	}
 	if len(delivered) != 1 || delivered[0] != "carried-gossip" {
 		t.Errorf("carrier delivered %q, want only its gossip item", delivered)
@@ -465,7 +467,7 @@ func TestUnregisteredKindsNeverReachInbox(t *testing.T) {
 
 // TestGossipCopyUnderAnotherMsgIDDropped: a gossip message is identified by
 // its payload digest, so a copy whose MsgID is anything else comes from no
-// correct member — and no Settle would ever cover the entry it opened. A whole
+// correct member — and no SettleAll would ever cover the entry it opened. A whole
 // source vgroup sends such copies, well-formed otherwise, standalone and inside
 // a carrier next to a proper one: they buy no inbox entry and reach no handler.
 func TestGossipCopyUnderAnotherMsgIDDropped(t *testing.T) {
@@ -506,8 +508,9 @@ func TestGossipCopyUnderAnotherMsgIDDropped(t *testing.T) {
 		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
 		n.routeGroupMsg(sender.ID, carrier)
 	}
-	if got := n.inbox.Len(); got != before+1 {
-		t.Errorf("carrier left %d inbox entries, want 1 (the item identified by its digest)", got-before)
+	if got := n.inbox.Len(); got != before || !n.delivered.has(items[1].MsgID) || len(n.delivered.at) != 1 {
+		t.Errorf("carrier left %d inbox entries, %d digests delivered: want no entry, the item identified by its digest in the index alone",
+			got-before, len(n.delivered.at))
 	}
 	if len(delivered) != 1 || delivered[0] != "carried-proper" {
 		t.Errorf("carrier delivered %q, want only the item identified by its digest", delivered)

@@ -35,49 +35,51 @@ func (n *Node) BroadcastWith(data []byte, _ BroadcastOpts) error {
 // starts the gossip phase. This is the one place a broadcast's gossip payload
 // is encoded and hashed: every later hop forwards these bytes as accepted.
 func (n *Node) applyBcast(o bcastOp) {
-	if !n.markSeen(o.BcastID) {
-		return
-	}
 	d := Delivery{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data}
 	// Encoded before Deliver: the application owns d.Data from then on.
 	payload := encodePayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data})
-	digest := crypto.Hash(payload)
-	if n.cfg.Callbacks.Deliver != nil {
-		n.cfg.Callbacks.Deliver(d)
-	}
-	n.forwardGossip(d, payload, digest, group.Key{})
-	n.noteDelivered(digest, payload)
+	n.deliver(d, payload, crypto.Hash(payload), group.Key{})
 }
 
 // handleGossip processes one gossip hop accepted from a neighboring vgroup.
 // No agreement is needed: members act independently but identically —
-// dedup by broadcast ID, deliver, and forward along links chosen by the
-// (deterministic by default) Forward callback. Identically includes the
+// deliver a payload not delivered yet, and forward it along links chosen by
+// the (deterministic by default) Forward callback. Identically includes the
 // bytes: a member forwards the payload it accepted, verbatim, so the votes of
 // one vgroup's members land on one digest whichever path reached each first.
 //
-// A node that delivered a broadcast settles what its inbox still holds of it,
-// from any link, and drops later copies within the cache horizon at one probe
-// (noteDelivered, observeCopy), so an acceptance that races the first ends at
-// markSeen. The payload is decoded as a view and Data is copied only for the
-// one Deliver — the accepted buffer is shared with the inbox, the forward
-// queue, the delivered cache and, on simnet, every other recipient. It reports
-// whether the broadcast was delivered.
+// The payload is decoded as a view and only Data is copied, for Deliver — the
+// accepted buffer is shared with the inbox, the forward queue, the delivered
+// index and, on simnet, every other recipient. It reports whether the
+// broadcast was delivered.
 func (n *Node) handleGossip(acc group.Accepted) bool {
 	p, err := decodeGossipView(acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
 		return false
 	}
-	if !n.markSeen(p.BcastID) {
+	return n.deliver(Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: bytes.Clone(p.Data)}, acc.Payload, acc.Digest, acc.Src)
+}
+
+// deliver is the one delivery of a broadcast, at the origin vgroup and at
+// every hop: payload is the encoded gossipPayload of d, digest its hash, from
+// the composition it was accepted from (zero at the origin). Exactly-once is
+// per broadcast payload: the delivered index, keyed by the digest, lets each
+// in once. Then d is handed to Deliver and forwarded, and what the node still
+// held for the digest — a catch-up entry, a pull, any link's pending entry —
+// is released, so a copy that races the first ends at one probe of the index
+// (observeCopy). It reports whether d was delivered.
+func (n *Node) deliver(d Delivery, payload []byte, digest crypto.Digest, from group.Key) bool {
+	if !n.delivered.add(digest, payload, n.env.Now()) {
 		return false
 	}
-	d := Delivery{BcastID: p.BcastID, Origin: p.Origin, Data: bytes.Clone(p.Data)}
 	if n.cfg.Callbacks.Deliver != nil {
 		n.cfg.Callbacks.Deliver(d)
 	}
-	n.forwardGossip(d, acc.Payload, acc.Digest, acc.Src)
-	n.noteDelivered(acc.Digest, acc.Payload)
+	n.forwardGossip(d, payload, digest, from)
+	n.rep.unlist(digest)
+	delete(n.rep.pulls, digest)
+	n.inbox.SettleAll(digest)
 	return true
 }
 
@@ -118,9 +120,9 @@ func (n *Node) handleGossip(acc group.Accepted) bool {
 //
 // A link the broadcast was offered on will echo it: the neighbor floods its own
 // neighbors, this vgroup among them. This node has delivered, so the echo, like
-// every later copy within the cache horizon, is turned away at one map probe
-// before the inbox (observeCopy), and what the inbox held of the broadcast is
-// settled once this forward has counted its votes (noteDelivered).
+// every later copy, is turned away at one probe of the delivered index before
+// the inbox (observeCopy), and what the inbox held of the broadcast is released
+// once this forward has counted its votes (deliver).
 func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, from group.Key) {
 	st := n.st
 	if st == nil {

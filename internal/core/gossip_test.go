@@ -250,7 +250,7 @@ func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
 	// voting and sending the bytes — also from an epoch of Y this node has heard
 	// of but its neighbor table has not caught up with, or one it never heard
 	// of. And what the inbox held before the delivery, Z's early votes, is
-	// settled with it. Nothing is left.
+	// released with it. Nothing is left but the digest in the delivered index.
 	n := build(4)
 	Y2, Y3 := testComp(5, 2, 21, 22, 24), testComp(5, 3, 21, 24, 25)
 	n.learnComp(Y2)
@@ -267,12 +267,41 @@ func TestGossipPayloadStaysOffTheLinkItCameFrom(t *testing.T) {
 			vote(m.ID, echoer, payload)
 		}
 	}
-	if got := n.inbox.Len(); got != 1 {
-		t.Errorf("inbox remembers %d messages, want Z's settled one alone", got)
+	if got := n.inbox.Len(); got != 0 || !n.delivered.has(digest) {
+		t.Errorf("inbox remembers %d messages, digest delivered %v: want no entry, the digest in the index", got, n.delivered.has(digest))
 	}
 	n.inbox.Pending(func(src group.Key, _ group.Kind, votes int) {
 		t.Errorf("the echo from %v is collecting votes (%d)", src, votes)
 	})
+}
+
+// TestReusedBcastIDDeliveredAlike: exactly-once is per broadcast payload. An
+// origin that reuses one BcastID for two Data makes two payloads and two
+// digests. Two correct nodes fed them in opposite orders, each twice, deliver
+// the same: both, once each — not whichever reached each node first.
+func TestReusedBcastIDDeliveredAlike(t *testing.T) {
+	B, X := testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13)
+	id := crypto.Hash([]byte("one BcastID"))
+	first := encodePayload(gossipPayload{BcastID: id, Origin: 11, Data: []byte("first")})
+	second := encodePayload(gossipPayload{BcastID: id, Origin: 11, Data: []byte("second")})
+	got := map[ids.NodeID][]string{}
+	for _, node := range []struct {
+		self  ids.NodeID
+		order [][]byte
+	}{{4, [][]byte{first, second}}, {5, [][]byte{second, first}}} {
+		self, order := node.self, node.order
+		n, _ := memberNode(t, self, B, X)
+		n.cfg.Callbacks.Deliver = func(d Delivery) { got[self] = append(got[self], string(d.Data)) }
+		for range 2 {
+			for _, p := range order {
+				n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: crypto.Hash(p), Digest: crypto.Hash(p), Payload: p})
+			}
+		}
+		slices.Sort(got[self])
+	}
+	if want := []string{"first", "second"}; !slices.Equal(got[4], want) || !slices.Equal(got[5], want) {
+		t.Errorf("node 4 delivered %q, node 5 %q: want %q at both", got[4], got[5], want)
+	}
 }
 
 // TestGossipSkipsLinkOnlyAtFPlusOneVotes pins the link rule at its edge, for

@@ -110,9 +110,6 @@ type Node struct {
 	evProp       map[ids.NodeID]uint64 // eviction proposed for target at epoch
 	byzEvictLast time.Duration
 
-	seen  map[crypto.Digest]bool
-	seenQ []crypto.Digest
-
 	join           *joinContext
 	awaitDeadline  time.Duration // phaseAwaitSnapshot orphan recovery
 	expectSnapshot map[ids.GroupID]bool
@@ -142,7 +139,8 @@ type Node struct {
 	pen  map[group.Key][]penMsg
 	penQ []group.Key
 
-	rep repair // the repair paths behind relayed gossip (pull.go)
+	delivered deliveredIndex // the broadcasts this node delivered, by gossip digest (pull.go)
+	rep       repair         // the repair paths behind relayed gossip (pull.go)
 
 	counts  Stats // the counters Stats reports; its Egress stays zero
 	stopped bool
@@ -188,7 +186,6 @@ func New(cfg Config) *Node {
 		ownPend:        make(map[crypto.Digest]smr.Operation),
 		hbSeen:         make(map[ids.NodeID]time.Duration),
 		evProp:         make(map[ids.NodeID]uint64),
-		seen:           make(map[crypto.Digest]bool),
 		newest:         make(map[ids.GroupID]uint64),
 		expectSnapshot: make(map[ids.GroupID]bool),
 		pendingSnaps:   make(map[ids.GroupID]group.Accepted),
@@ -199,6 +196,7 @@ func New(cfg Config) *Node {
 		snapShares:     make(map[snapShareKey]*snapTally),
 		recentSnaps:    make(map[uint64][]byte),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
+		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
 		rep:            newRepair(cfg.RoundDuration),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
@@ -361,10 +359,11 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 // observeCopy votes one copy of a group message, plain or unpacked from a
 // carrier, into the inbox. A gossip message is identified by its payload digest
 // (forwardGossip): a copy under any other MsgID comes from no correct member
-// and would open an entry no Settle covers, so it is dropped here, and so is a
-// copy of a broadcast this node delivered within the cache horizon.
+// and would open an entry no SettleAll covers, so it is dropped here, and so is
+// a copy of a broadcast the delivered index holds — the inbox keeps no record
+// of a delivered gossip message, so this probe is the one turn-away.
 func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
-	if m.Kind == kindGossip && (m.MsgID != m.PayloadDigest || n.hasDelivered(m.MsgID)) {
+	if m.Kind == kindGossip && (m.MsgID != m.PayloadDigest || n.delivered.has(m.MsgID)) {
 		return
 	}
 	if acc, ok := n.inbox.Observe(n.env.Now(), from, m); ok {
@@ -440,6 +439,7 @@ func (n *Node) handleTick() {
 		n.replica.Tick(n.round)
 	}
 
+	n.delivered.trim(now - n.cacheHorizon())
 	if n.phase == phaseMember && n.st != nil {
 		n.heartbeatTick(now)
 		if !n.byzActive() {
@@ -494,8 +494,7 @@ func (n *Node) heartbeatTick(now time.Duration) {
 		return
 	}
 	n.lastHB = now
-	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: n.rep.delivered}
-	n.rep.delivered = nil
+	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: n.delivered.sinceBeat()}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
 			n.egress.Node(m.ID, hb)
@@ -642,20 +641,6 @@ func (n *Node) learnComp(c group.Composition) {
 	for _, acc := range n.inbox.FlushKey(n.env.Now(), k) {
 		n.handleAccepted(acc)
 	}
-}
-
-func (n *Node) markSeen(d crypto.Digest) bool {
-	if n.seen[d] {
-		return false
-	}
-	n.seen[d] = true
-	n.seenQ = append(n.seenQ, d)
-	if len(n.seenQ) > maxSeen {
-		drop := n.seenQ[0]
-		n.seenQ = n.seenQ[1:]
-		delete(n.seen, drop)
-	}
-	return true
 }
 
 // --- SMR plumbing ---

@@ -10,19 +10,24 @@ package core
 //   - pull: an entry still starved of its bytes one round later asks one of
 //     the members that voted it, one at a time, rotating (PayloadPull and
 //     PayloadPush). A correct voter has delivered the broadcast and serves it
-//     from its cache of delivered payloads;
+//     from its delivered index;
 //   - vgroup catch-up: heartbeats list the gossip digests their sender
 //     delivered since its previous one. A member that has not delivered a
 //     digest catchUpWait after f+1 members of its composition listed it —
 //     one of them correct — pulls the bytes from one of them and accepts
 //     them on that word: the "late member" no live link reaches.
 //
+// What the node delivered is one structure, the delivered index below, which
+// the gossip hop and every repair path read.
+//
 // Every fetched payload is hashed against the digest it must have before
 // anything uses it, and a push for a digest the node is not missing stores
-// nothing. Every horizon derives from RoundDuration or HeartbeatEvery.
+// nothing. Every horizon but the delivered index's maxSeen derives from
+// RoundDuration or HeartbeatEvery.
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -72,37 +77,120 @@ const (
 	// most maxListedPerMember of its entries.
 	maxListed          = 1024
 	maxListedPerMember = maxListed / 8
-	// maxCacheBytes bounds the payloads the delivered cache holds; the newest
+	// maxCacheBytes bounds the payloads the delivered index holds; the newest
 	// one is kept even when it alone is larger.
 	maxCacheBytes = 16 << 20
 )
 
-// cacheHorizon is how long a delivered payload stays servable and a later
-// copy of it is dropped at one probe: long enough for a heartbeat to list it
-// and a peer to wait catchUpWait and ask two or three listers in turn.
+// cacheHorizon is how long a delivered payload stays servable: long enough for
+// a heartbeat to list it and a peer to wait catchUpWait and ask two or three
+// listers in turn.
 func (n *Node) cacheHorizon() time.Duration { return 4 * n.cfg.HeartbeatEvery }
 
 // catchUpWait is how long after f+1 peers listed a digest a member waits
 // for live gossip before it pulls, and then between pulls.
 func (n *Node) catchUpWait() time.Duration { return n.cfg.HeartbeatEvery / 2 }
 
-// repair is a node's state for the repair paths.
-type repair struct {
-	cache      map[crypto.Digest]cachedPayload // delivered gossip payloads by digest
-	cacheQ     []crypto.Digest                 // cache keys, oldest first
-	cacheBytes int
-	delivered  []crypto.Digest // delivered since the last heartbeat, for the next one
-	listed     map[crypto.Digest]*listing
-	opened     map[ids.NodeID]int // listings each member's heartbeats opened
-	pulls      map[crypto.Digest]*pulling
-	ticks      uint64 // repairTick calls, to age out pulls
-	served     *rateLimiter[ids.NodeID]
-	since      time.Duration // when this node last became a member of a vgroup
+// deliveredIndex is the node's one record of the broadcasts it delivered, by
+// gossip digest: a gossip MsgID is its payload digest (forwardGossip), so one
+// digest names one broadcast payload on every link. Its readers:
+//
+//   - exactly-once: deliver (applyBcast, handleGossip) delivers only what add
+//     lets in;
+//   - observeCopy drops a copy of a delivered broadcast at one probe, before
+//     the inbox;
+//   - noteListed opens no catch-up entry for a delivered digest;
+//   - handlePayloadPull serves the payloads it still holds;
+//   - heartbeatTick lists the digests delivered since the previous heartbeat.
+//
+// A digest stays for the last maxSeen deliveries, its payload for
+// cacheHorizon and within maxCacheBytes of payloads (trim).
+type deliveredIndex struct {
+	at       map[crypto.Digest]time.Duration // delivery time by digest
+	order    []crypto.Digest                 // the keys of at, oldest first
+	unlisted int                             // deliveries since the previous heartbeat
+	payloads []deliveredPayload              // oldest first
+	bytes    int                             // the payloads' total length
 }
 
-type cachedPayload struct {
+type deliveredPayload struct {
+	digest  crypto.Digest
 	at      time.Duration
 	payload []byte
+}
+
+// has reports whether the gossip digest d is delivered.
+func (x *deliveredIndex) has(d crypto.Digest) bool {
+	_, ok := x.at[d]
+	return ok
+}
+
+// add records the delivery of payload, whose digest is d, at now. It records
+// nothing and reports false when d is delivered already: the exactly-once check.
+func (x *deliveredIndex) add(d crypto.Digest, payload []byte, now time.Duration) bool {
+	if x.has(d) {
+		return false
+	}
+	x.at[d] = now
+	x.order = append(x.order, d)
+	if len(x.order) > maxSeen {
+		delete(x.at, x.order[0])
+		x.order = x.order[1:]
+	}
+	x.unlisted++
+	x.payloads = append(x.payloads, deliveredPayload{digest: d, at: now, payload: payload})
+	x.bytes += len(payload)
+	x.trim(0) // the byte bound alone: nothing was delivered before time zero
+	return true
+}
+
+// payload returns the payload of the delivered digest d, nil once it is gone.
+// The payloads are in delivery order, so d's is found from its delivery time.
+func (x *deliveredIndex) payload(d crypto.Digest) []byte {
+	at := x.at[d]
+	i, _ := slices.BinarySearchFunc(x.payloads, at, func(p deliveredPayload, at time.Duration) int {
+		return cmp.Compare(p.at, at)
+	})
+	for ; i < len(x.payloads) && x.payloads[i].at == at; i++ {
+		if x.payloads[i].digest == d {
+			return x.payloads[i].payload
+		}
+	}
+	return nil
+}
+
+// trim drops the oldest payloads, their digests staying, while they are
+// delivered before the deadline or over maxCacheBytes — the newest stays even
+// alone over it. A quiet node frees their slice.
+func (x *deliveredIndex) trim(before time.Duration) {
+	for len(x.payloads) > 0 && (x.payloads[0].at < before || x.bytes > maxCacheBytes && len(x.payloads) > 1) {
+		x.bytes -= len(x.payloads[0].payload)
+		x.payloads[0].payload = nil // the slice's array outlives the slot
+		x.payloads = x.payloads[1:]
+	}
+	if len(x.payloads) == 0 {
+		x.payloads = nil
+	}
+}
+
+// sinceBeat returns the first maxHeartbeatDigests of the digests delivered
+// since the previous call, nil for none.
+func (x *deliveredIndex) sinceBeat() []crypto.Digest {
+	fresh := x.order[len(x.order)-min(x.unlisted, len(x.order)):]
+	x.unlisted = 0
+	return append([]crypto.Digest(nil), fresh[:min(len(fresh), maxHeartbeatDigests)]...)
+}
+
+// repair is a node's state for the repair paths: what it is missing and
+// whom it asks. What it delivered is the delivered index's, which outlives a
+// change of vgroup; the repair state does not (departed).
+type repair struct {
+	listed map[crypto.Digest]*listing
+	opened map[ids.NodeID]int // listings each member's heartbeats opened
+	pulls  map[crypto.Digest]*pulling
+	ticks  uint64 // repairTick calls, to age out pulls
+	served *rateLimiter[ids.NodeID]
+	since  time.Duration // when this node last became a member of a vgroup
 }
 
 // listing is one catch-up table entry: the members of this node's
@@ -123,7 +211,6 @@ type pulling struct {
 
 func newRepair(round time.Duration) repair {
 	return repair{
-		cache:  make(map[crypto.Digest]cachedPayload),
 		listed: make(map[crypto.Digest]*listing),
 		opened: make(map[ids.NodeID]int),
 		pulls:  make(map[crypto.Digest]*pulling),
@@ -143,44 +230,6 @@ func (r *repair) unlist(d crypto.Digest) {
 	}
 }
 
-// dropOldest evicts the oldest cached payload.
-func (r *repair) dropOldest() {
-	d := r.cacheQ[0]
-	r.cacheQ = r.cacheQ[1:]
-	r.cacheBytes -= len(r.cache[d].payload)
-	delete(r.cache, d)
-}
-
-// hasDelivered reports whether the gossip digest d was delivered here within
-// the cache horizon.
-func (n *Node) hasDelivered(d crypto.Digest) bool {
-	_, ok := n.rep.cache[d]
-	return ok
-}
-
-// noteDelivered is the bookkeeping of one delivered broadcast, after its
-// forward: it caches the payload for pulls, lists the digest for the next
-// heartbeat, and settles what the node still held for it from any link or
-// peer.
-func (n *Node) noteDelivered(digest crypto.Digest, payload []byte) {
-	r := &n.rep
-	now := n.env.Now()
-	if _, ok := r.cache[digest]; !ok {
-		r.cache[digest] = cachedPayload{at: now, payload: payload}
-		r.cacheQ = append(r.cacheQ, digest)
-		r.cacheBytes += len(payload)
-		for r.cacheBytes > maxCacheBytes && len(r.cacheQ) > 1 {
-			r.dropOldest()
-		}
-	}
-	if len(r.delivered) < maxHeartbeatDigests {
-		r.delivered = append(r.delivered, digest)
-	}
-	r.unlist(digest)
-	delete(r.pulls, digest)
-	n.inbox.SettleAll(now, digest)
-}
-
 // noteListed records the digests a member's heartbeat lists as delivered.
 // Only members of the current composition reach here (handleHeartbeat). A
 // list that may predate this node's membership opens nothing.
@@ -191,7 +240,7 @@ func (n *Node) noteListed(from ids.NodeID, digests []crypto.Digest) {
 		return
 	}
 	for _, d := range digests {
-		if n.hasDelivered(d) {
+		if n.delivered.has(d) {
 			continue
 		}
 		l := r.listed[d]
@@ -212,20 +261,12 @@ func (n *Node) noteListed(from ids.NodeID, digests []crypto.Digest) {
 	}
 }
 
-// repairTick runs the repair paths once per round: it expires the cache and
-// the catch-up table, and asks for the payloads that are due — starved inbox
+// repairTick runs the repair paths once per round: it expires the catch-up
+// table, and asks for the payloads that are due — starved inbox
 // entries from their voters, listed digests from their listers — in one
 // PayloadPull per peer.
 func (n *Node) repairTick(now time.Duration) {
 	r := &n.rep
-	horizon := n.cacheHorizon()
-	for len(r.cacheQ) > 0 && now-r.cache[r.cacheQ[0]].at > horizon {
-		r.dropOldest()
-	}
-	if len(r.cacheQ) == 0 && r.cacheQ != nil {
-		// A map keeps its buckets when emptied: a quiet node frees them.
-		r.cache, r.cacheQ = make(map[crypto.Digest]cachedPayload), nil
-	}
 	self := uint64(n.cfg.Identity.ID)
 	var want map[ids.NodeID][]crypto.Digest // most ticks ask for nothing
 	// ask queues d for the turn-th of from, counted from an offset of this
@@ -261,7 +302,7 @@ func (n *Node) repairTick(now time.Duration) {
 	var due []crypto.Digest
 	for d, l := range r.listed {
 		switch {
-		case now-l.first > horizon:
+		case now-l.first > n.cacheHorizon():
 			r.unlist(d)
 		case l.at > 0 && now-l.at >= n.catchUpWait():
 			due = append(due, d)
@@ -286,7 +327,7 @@ func (n *Node) repairTick(now time.Duration) {
 	}
 }
 
-// handlePayloadPull serves a pull from the delivered cache, at most once per
+// handlePayloadPull serves a pull from the delivered index, at most once per
 // requester per half round.
 func (n *Node) handlePayloadPull(from ids.NodeID, m PayloadPull) {
 	if n.byzActive() || !n.rep.served.allow(from, n.env.Now()) {
@@ -294,8 +335,8 @@ func (n *Node) handlePayloadPull(from ids.NodeID, m PayloadPull) {
 	}
 	var push PayloadPush
 	for i, d := range m.Digests {
-		if c, ok := n.rep.cache[d]; ok && !slices.Contains(m.Digests[:i], d) {
-			push.Payloads = append(push.Payloads, c.payload)
+		if p := n.delivered.payload(d); p != nil && !slices.Contains(m.Digests[:i], d) {
+			push.Payloads = append(push.Payloads, p)
 		}
 	}
 	if len(push.Payloads) > 0 {

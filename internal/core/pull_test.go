@@ -163,8 +163,9 @@ func TestStarvedEntryPullsFromItsVoters(t *testing.T) {
 	if delivered != 1 || n.Stats().PullsSent != 2 {
 		t.Fatalf("delivered %d times after %d pulls, want once after 2", delivered, n.Stats().PullsSent)
 	}
-	if n.inbox.Len() == 0 || len(n.rep.pulls) != 0 {
-		t.Errorf("inbox remembers %d messages, %d pulls open: want the settled entry, and no pull", n.inbox.Len(), len(n.rep.pulls))
+	if n.inbox.Len() != 0 || !n.delivered.has(digest) || len(n.rep.pulls) != 0 {
+		t.Errorf("inbox remembers %d messages, digest delivered %v, %d pulls open: want no entry, the digest in the index, and no pull",
+			n.inbox.Len(), n.delivered.has(digest), len(n.rep.pulls))
 	}
 	n.repairTick(n.Now())
 	if len(env.sent) != 0 {
@@ -176,7 +177,7 @@ func TestStarvedEntryPullsFromItsVoters(t *testing.T) {
 // missing — a starved entry's, or one f+1 members of its composition listed —
 // and only once it hashes to it. A push of bytes nobody starves for, of forged
 // bytes for a starved digest, or of a digest only f members listed, delivers,
-// stores and caches nothing.
+// stores and indexes nothing.
 func TestUnwantedPushStoresNothing(t *testing.T) {
 	B := testComp(3, 1, 4, 5, 6)
 	X := testComp(2, 1, 11, 12, 13)
@@ -197,8 +198,9 @@ func TestUnwantedPushStoresNothing(t *testing.T) {
 	forged := append([]byte(nil), starved...)
 	forged[len(forged)-1] ^= 1
 	n.Receive(99, PayloadPush{Payloads: [][]byte{stray, forged, listed}})
-	if delivered != 0 || len(n.rep.cache) != 0 || n.inbox.Len() != before {
-		t.Fatalf("unwanted push: %d deliveries, %d cached, inbox %d → %d; want nothing", delivered, len(n.rep.cache), before, n.inbox.Len())
+	if delivered != 0 || len(n.delivered.at) != 0 || n.delivered.payloads != nil || n.inbox.Len() != before {
+		t.Fatalf("unwanted push: %d deliveries, %d digests and %d payloads indexed, inbox %d → %d; want nothing",
+			delivered, len(n.delivered.at), len(n.delivered.payloads), before, n.inbox.Len())
 	}
 	var still []crypto.Digest
 	n.inbox.Starved(func(d crypto.Digest, _ []ids.NodeID) { still = append(still, d) })
@@ -208,6 +210,72 @@ func TestUnwantedPushStoresNothing(t *testing.T) {
 	n.Receive(99, PayloadPush{Payloads: [][]byte{starved}})
 	if delivered != 1 {
 		t.Fatalf("the starved entry's own bytes delivered %d times, want once", delivered)
+	}
+}
+
+// pastCacheHorizon delivers a broadcast at n from X and moves n past its
+// payload's cache horizon, ticking once. It returns the payload and digest.
+func pastCacheHorizon(t *testing.T, n *Node, X group.Composition, data string) ([]byte, crypto.Digest) {
+	t.Helper()
+	payload, digest := gossipOf(data)
+	start := 3 * n.cfg.HeartbeatEvery
+	at(start, n)
+	if !n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Digest: digest, Payload: payload}) {
+		t.Fatal("the broadcast was not delivered")
+	}
+	at(start+n.cacheHorizon()+time.Millisecond, n)
+	n.handleTick()
+	if n.delivered.payload(digest) != nil || !n.delivered.has(digest) {
+		t.Fatal("past the cache horizon the index should hold the digest and not the payload")
+	}
+	return payload, digest
+}
+
+// TestListedAfterCacheHorizonPullsNothing: a broadcast stays delivered for as
+// long as the delivered index holds its digest, not only while it holds the
+// payload. Past the cache horizon members 5 and 6 — f+1 of B — list the digest:
+// the node opens no catch-up entry and, catchUpWait later, pulls nothing.
+func TestListedAfterCacheHorizonPullsNothing(t *testing.T) {
+	B, X := testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13)
+	n, env := memberNode(t, 4, B, X)
+	_, digest := pastCacheHorizon(t, n, X, "delivered a while ago")
+	for _, from := range []ids.NodeID{5, 6} {
+		n.Receive(from, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Delivered: []crypto.Digest{digest}})
+	}
+	at(n.Now()+n.catchUpWait(), n)
+	env.sent = nil
+	n.repairTick(n.Now())
+	for _, s := range env.sent {
+		if pull, ok := s.msg.(PayloadPull); ok {
+			t.Errorf("pulled %x from %v: bytes this node delivered", pull.Digests, s.to)
+		}
+	}
+	if len(n.rep.listed) != 0 || n.Stats().PullsSent != 0 {
+		t.Errorf("%d catch-up entries, %d pulls sent: want none", len(n.rep.listed), n.Stats().PullsSent)
+	}
+}
+
+// TestLateCopyAfterCacheHorizonCostsOneProbe: copies of a delivered broadcast
+// that arrive past the cache horizon — every member of the neighbor Y, each
+// with the bytes — die at one probe of the delivered index: no inbox entry is
+// opened, so nothing is hashed or accepted, and the broadcast stays delivered
+// once.
+func TestLateCopyAfterCacheHorizonCostsOneProbe(t *testing.T) {
+	B, X, Y := testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13), testComp(5, 1, 21, 22, 23)
+	n, _ := memberNode(t, 4, B, Y)
+	n.learnComp(X)
+	delivered := 0
+	n.cfg.Callbacks.Deliver = func(Delivery) { delivered++ }
+	payload, digest := pastCacheHorizon(t, n, X, "late copies")
+	for _, m := range Y.Members {
+		n.Receive(m.ID, group.GroupMsg{SrcGroup: Y.GroupID, SrcEpoch: Y.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+			Kind: kindGossip, MsgID: digest, PayloadDigest: digest, Payload: payload})
+		if got := n.inbox.Len(); got != 0 {
+			t.Fatalf("the copy of %v left %d inbox entries, want none", m.ID, got)
+		}
+	}
+	if delivered != 1 {
+		t.Errorf("delivered %d times, want once", delivered)
 	}
 }
 
@@ -276,7 +344,7 @@ func TestCatchUpTableBounded(t *testing.T) {
 }
 
 // TestPullFloodGetsBoundedAnswers: node 99 sends a member a hundred pulls of
-// the same round, each naming every cached digest and one twice. It gets one
+// the same round, each naming every delivered digest and one twice. It gets one
 // answer per round, of distinct payloads — at most maxPullDigests, the most a
 // pull can name (TestRepairListsBounded).
 func TestPullFloodGetsBoundedAnswers(t *testing.T) {
@@ -285,7 +353,7 @@ func TestPullFloodGetsBoundedAnswers(t *testing.T) {
 	var ds []crypto.Digest
 	for i := 0; i < maxPullDigests-1; i++ {
 		p, d := gossipOf(fmt.Sprint("cached-", i))
-		n.noteDelivered(d, p)
+		n.delivered.add(d, p, n.Now())
 		ds = append(ds, d)
 	}
 	ds = append(ds, ds[0])
@@ -312,26 +380,54 @@ func TestPullFloodGetsBoundedAnswers(t *testing.T) {
 	}
 }
 
-// TestDeliveredCacheBounded: the delivered cache holds a payload for the
-// cache horizon and at most maxCacheBytes of them, oldest out first — the
-// newest stays even alone over the bound — and a quiet node frees its map.
-func TestDeliveredCacheBounded(t *testing.T) {
+// TestDeliveredIndexBounded: the delivered index holds the last maxSeen
+// digests, oldest out first; their payloads for the cache horizon and within
+// maxCacheBytes, oldest out first — the newest stays even alone over the bound —
+// and a quiet node frees its payload slice. A heartbeat lists the digests
+// delivered since the previous one, the first maxHeartbeatDigests of them.
+func TestDeliveredIndexBounded(t *testing.T) {
 	n, _ := memberNode(t, 4, testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13))
+	x := &n.delivered
+	digest := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
+	for i := 0; i < maxSeen+2; i++ {
+		if !x.add(digest(i), []byte{1}, n.Now()) {
+			t.Fatalf("digest %d refused", i)
+		}
+	}
+	if x.add(digest(maxSeen+1), []byte{1}, n.Now()) {
+		t.Fatal("a delivered digest was let in twice")
+	}
+	if len(x.at) != maxSeen || len(x.order) != maxSeen || x.has(digest(1)) || !x.has(digest(2)) {
+		t.Fatalf("index holds %d digests (%d in order), the second oldest %v: want the last %d",
+			len(x.at), len(x.order), x.has(digest(1)), maxSeen)
+	}
+	if hb := x.sinceBeat(); len(hb) != maxHeartbeatDigests || hb[0] != digest(2) {
+		t.Fatalf("heartbeat lists %d digests, want the first %d the index holds", len(hb), maxHeartbeatDigests)
+	}
+	if hb := x.sinceBeat(); hb != nil {
+		t.Fatalf("a second heartbeat lists %d digests, want none", len(hb))
+	}
+
+	*x = deliveredIndex{at: map[crypto.Digest]time.Duration{}}
 	big := make([]byte, maxCacheBytes/2)
 	for i := 0; i < 3; i++ {
-		n.noteDelivered(crypto.HashUint64(crypto.Digest{}, uint64(i)), big)
+		x.add(digest(i), big, n.Now())
 	}
-	if len(n.rep.cache) != 2 || n.rep.cacheBytes != maxCacheBytes || n.hasDelivered(crypto.HashUint64(crypto.Digest{}, 0)) {
-		t.Fatalf("cache holds %d payloads, %d bytes: want the two newest, at the bound", len(n.rep.cache), n.rep.cacheBytes)
+	if len(x.payloads) != 2 || x.bytes != maxCacheBytes || x.payload(digest(0)) != nil || x.payload(digest(2)) == nil || !x.has(digest(0)) {
+		t.Fatalf("index holds %d payloads, %d bytes: want the two newest, at the bound, and every digest", len(x.payloads), x.bytes)
 	}
+	at(n.Now()+time.Second, n)
 	huge := make([]byte, 2*maxCacheBytes)
-	n.noteDelivered(crypto.HashUint64(crypto.Digest{}, 9), huge)
-	if len(n.rep.cache) != 1 || n.rep.cacheBytes != len(huge) {
-		t.Fatalf("cache holds %d payloads, %d bytes: want the one over the bound alone", len(n.rep.cache), n.rep.cacheBytes)
+	x.add(digest(9), huge, n.Now())
+	if len(x.payloads) != 1 || x.bytes != len(huge) || x.payload(digest(9)) == nil {
+		t.Fatalf("index holds %d payloads, %d bytes: want the one over the bound alone", len(x.payloads), x.bytes)
+	}
+	if hb := x.sinceBeat(); !slices.Equal(hb, []crypto.Digest{digest(0), digest(1), digest(2), digest(9)}) {
+		t.Fatalf("heartbeat lists %d digests, want the four delivered since the previous one", len(hb))
 	}
 	at(n.Now()+n.cacheHorizon()+time.Millisecond, n)
-	n.repairTick(n.Now())
-	if len(n.rep.cache) != 0 || n.rep.cacheBytes != 0 || n.rep.cacheQ != nil {
-		t.Errorf("after the horizon: %d payloads, %d bytes, queue %v", len(n.rep.cache), n.rep.cacheBytes, n.rep.cacheQ)
+	n.handleTick()
+	if x.payloads != nil || x.bytes != 0 || x.payload(digest(9)) != nil || len(x.at) != 4 {
+		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, len(x.at))
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // maxEntriesPerKey bounds, per source composition, the messages still
 // collecting votes — a hostile flood parks no more — and the accepted and
-// settled ones remembered against stragglers, each on its own.
+// settled ones remembered against stragglers (done records), each on its own.
 const maxEntriesPerKey = 1024
 
 // maxOpenPerSender bounds, per source composition, the messages still
@@ -35,9 +35,10 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // accepted it is a value in the done map — the time of its first copy, all
 // Prune needs — so the long tail of a message's life (stragglers are turned
 // away until inboxTTL) costs one map slot and no pointer. The owner can put a
-// message there itself (Settle) when it knows it has no use for it: an echo
-// of a broadcast it has delivered would otherwise collect votes, and — sent
-// payload-less, as core sends an echo — never complete.
+// message there itself (Settle) when it knows it has no use for it. A message
+// of the lending index (below) is the exception: accepted or settled, it
+// leaves no done record, because its owner remembers what it received by the
+// MsgID every link shares and turns later copies away itself.
 //
 // The two maps are bounded apart. At maxEntriesPerKey pending entries a
 // source's new MsgIDs are refused: flood protection. Each pending entry is
@@ -45,7 +46,8 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // maxOpenPerSender of a source's entries opens no more of them. A done map at
 // the same size forgets its older half by first-copy time, Prune's rule,
 // before it records another: dedup memory never refuses fresh traffic, it only
-// shortens how long a straggler is recognised.
+// shortens how long a straggler of a message outside the lending index is
+// recognised.
 //
 // Verify on store: a payload is hashed only when it is about to be stored,
 // that is when the entry holds no payload for the digest the copy names. A
@@ -64,7 +66,7 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // (Supply), completes it (lend). The bytes are the ones the majority voted
 // for, so lending trusts nothing a copy of the entry's own link would not. The
 // owner asks for the payload of a starved entry elsewhere (Starved), and once
-// it has the message from any link settles every source's entry at once
+// it has the message from any link releases every source's entry at once
 // (SettleAll). The index holds pending entries only, so the pending bounds
 // bound it.
 type Inbox struct {
@@ -141,16 +143,23 @@ func (s *source) opened(from ids.NodeID) int {
 	return n
 }
 
-// retire moves msgID of src to the done map under the time of its first copy,
-// first forgetting the older half of a done map at maxEntriesPerKey.
-func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest, firstAt time.Duration) {
-	if len(s.done) >= maxEntriesPerKey {
-		times := slices.Sorted(maps.Values(s.done))
-		s.forget(times[len(times)/2-1] + 1)
-	}
+// retire ends msgID of src: its pending entry, if any, is released, and unless
+// that entry was in the lending index the message moves to the done map under
+// the time of its first copy — now if it has none — first forgetting the older
+// half of a done map at maxEntriesPerKey.
+func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest, now time.Duration) {
+	firstAt := now
 	if e := s.pending[msgID]; e != nil {
 		ib.release(src, msgID, e)
 		delete(s.pending, msgID)
+		if e.shared {
+			return
+		}
+		firstAt = e.firstAt
+	}
+	if len(s.done) >= maxEntriesPerKey {
+		times := slices.Sorted(maps.Values(s.done))
+		s.forget(times[len(times)/2-1] + 1)
 	}
 	s.done[msgID] = firstAt
 }
@@ -214,8 +223,8 @@ func (e *entry) voteOf(from ids.NodeID) *vote {
 
 // Observe records the arrival of one GroupMsg copy from a link-authenticated
 // sender. It returns the accepted logical message the first time the
-// acceptance threshold is crossed. A copy of a message accepted or settled
-// earlier costs one map probe: no hash, no allocation.
+// acceptance threshold is crossed. A copy of a message with a done record
+// costs one map probe: no hash, no allocation.
 func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Accepted, bool) {
 	src := Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}
 	s := ib.sources[src]
@@ -261,32 +270,29 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 }
 
 // Settle tells the inbox that its owner needs nothing more from one logical
-// message of src: whatever copies arrive, it will never be reported accepted.
-// The message is remembered exactly as an accepted one is — a pending entry
-// moves to the done map under the time of its first copy, releasing its votes
-// and held payloads; an unseen MsgID is recorded under now — so every later
-// copy is Observe's one-probe straggler. src need not be a known composition.
+// message of src. The message ends exactly as an accepted one does — a pending
+// entry is released with its votes and held payloads and, outside the lending
+// index, moves to the done map under the time of its first copy; an unseen
+// MsgID is recorded under now — so every later copy of a message with a done
+// record is Observe's one-probe straggler. src need not be a known
+// composition.
 func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 	s := ib.sources[src]
 	if s == nil {
 		s = ib.addSource(src)
 	}
-	if _, done := s.done[msgID]; done {
-		return
+	if _, done := s.done[msgID]; !done {
+		ib.retire(src, s, msgID, now)
 	}
-	firstAt := now
-	if e := s.pending[msgID]; e != nil {
-		firstAt = e.firstAt
-	}
-	ib.retire(src, s, msgID, firstAt)
 }
 
-// SettleAll settles msgID under every source that holds a pending entry in
-// the lending index for it: the owner has the message from one link and needs
-// it from none.
-func (ib *Inbox) SettleAll(now time.Duration, msgID crypto.Digest) {
+// SettleAll releases the pending entry of msgID under every source that holds
+// one in the lending index: the owner has the message from one link and needs
+// it from none. It frees memory and leaves no record; the owner turns later
+// copies away.
+func (ib *Inbox) SettleAll(msgID crypto.Digest) {
 	for _, src := range slices.Clone(ib.shared[msgID]) {
-		ib.Settle(now, src, msgID)
+		ib.retire(src, ib.sources[src], msgID, 0) // shared: no record, no time
 	}
 }
 
@@ -357,11 +363,11 @@ func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
 }
 
 // check evaluates the acceptance rule for one pending entry and, when it
-// holds, moves the message to the source's done map. At most one (kind,
-// digest) pair can reach a majority (one vote per sender), and one that did is
-// the vote of one of the first len(votes)−majority+1 senders, so those are the
-// candidates; only a digest whose payload is held — or, on a shared entry
-// whose MsgID it is, can be borrowed — can be accepted.
+// holds, retires the message. At most one (kind, digest) pair can reach a
+// majority (one vote per sender), and one that did is the vote of one of the
+// first len(votes)−majority+1 senders, so those are the candidates; only a
+// digest whose payload is held — or, on a shared entry whose MsgID it is, can
+// be borrowed — can be accepted.
 func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
 	comp, known := ib.lookup(src)
 	if !known {
@@ -392,9 +398,9 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 				attachments[a.from] = a.data
 			}
 		}
-		// Only the time of the first copy outlives acceptance: it alone
+		// At most the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
-		ib.retire(src, s, msgID, e.firstAt)
+		ib.retire(src, s, msgID, now)
 		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -436,8 +442,8 @@ func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
 }
 
 // Prune forgets messages first observed before the deadline. Accepted
-// messages are remembered until pruned, which suppresses duplicate deliveries
-// from stragglers in the meantime.
+// messages with a done record are remembered until pruned, which suppresses
+// duplicate deliveries from stragglers in the meantime.
 func (ib *Inbox) Prune(before time.Duration) {
 	for src, s := range ib.sources {
 		for msgID, e := range s.pending {
@@ -464,8 +470,8 @@ func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
 	}
 }
 
-// Len returns the number of messages remembered — pending, accepted and
-// settled (for tests and metrics).
+// Len returns the number of messages remembered — pending, and accepted or
+// settled with a done record (for tests and metrics).
 func (ib *Inbox) Len() int {
 	n := 0
 	for _, s := range ib.sources {

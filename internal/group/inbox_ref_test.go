@@ -34,7 +34,9 @@ import (
 // whose majority voted that digest and that holds no payload for it takes the
 // one another source's shared entry of the same MsgID holds, or else is
 // starved, and a payload stored or supplied later for that MsgID completes the
-// first starved entry, in the order they were opened, that it lets accept.
+// first starved entry, in the order they were opened, that it lets accept. A
+// shared entry, accepted or settled, leaves no done record: it is deleted, and
+// the owner turns later copies away.
 type refInbox struct {
 	lookup  func(Key) (Composition, bool)
 	entries map[refEntryKey]*refEntryState
@@ -177,9 +179,9 @@ func (ib *refInbox) Supply(now time.Duration, digest crypto.Digest, payload []by
 }
 
 // SettleAll is the model of Inbox.SettleAll.
-func (ib *refInbox) SettleAll(now time.Duration, msgID crypto.Digest) {
+func (ib *refInbox) SettleAll(msgID crypto.Digest) {
 	for _, ek := range ib.sharedOf(msgID) {
-		ib.Settle(now, ek.src, msgID)
+		ib.remember(ek, ib.entries[ek])
 	}
 }
 
@@ -241,7 +243,7 @@ func (ib *refInbox) check(now time.Duration, ek refEntryKey, e *refEntryState) (
 		}
 		// Release memory: the accepted flag alone suppresses stragglers
 		// until the entry is pruned.
-		ib.remember(ek.src, e)
+		ib.remember(ek, e)
 		return Accepted{Src: ek.src, Kind: v.kind, MsgID: ek.msgID,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -312,10 +314,17 @@ func (ib *refInbox) openedBy(src Key, from ids.NodeID) int {
 	return n
 }
 
-// remember marks e accepted. When src already holds maxEntriesPerKey accepted
-// entries it first forgets the older half of them by first-copy time — those
-// first seen no later than the median — the eviction rule.
-func (ib *refInbox) remember(src Key, e *refEntryState) {
+// remember marks e, the entry of ek, accepted. When its source already holds
+// maxEntriesPerKey accepted entries it first forgets the older half of them by
+// first-copy time — those first seen no later than the median — the eviction
+// rule. A shared entry is deleted instead: the lending rule keeps no record.
+func (ib *refInbox) remember(ek refEntryKey, e *refEntryState) {
+	src := ek.src
+	if e.shared {
+		delete(ib.entries, ek)
+		delete(ib.byKey[src], ek.msgID)
+		return
+	}
 	var times []time.Duration
 	for msgID := range ib.byKey[src] {
 		if x := ib.entries[refEntryKey{src: src, msgID: msgID}]; x.accepted {
@@ -326,9 +335,9 @@ func (ib *refInbox) remember(src Key, e *refEntryState) {
 		slices.Sort(times)
 		cut := times[len(times)/2-1]
 		for msgID := range ib.byKey[src] {
-			ek := refEntryKey{src: src, msgID: msgID}
-			if x := ib.entries[ek]; x.accepted && x.firstAt <= cut {
-				delete(ib.entries, ek)
+			old := refEntryKey{src: src, msgID: msgID}
+			if x := ib.entries[old]; x.accepted && x.firstAt <= cut {
+				delete(ib.entries, old)
 				delete(ib.byKey[src], msgID)
 				ib.evicted++
 			}
@@ -356,7 +365,7 @@ func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
 		}
 		ib.byKey[src][msgID] = true
 	}
-	ib.remember(src, e)
+	ib.remember(ek, e)
 }
 
 // Votes is the model of Inbox.Votes: the members of src whose vote on a

@@ -28,8 +28,9 @@ import (
 // the model's cap alone: it was given the per-sender charge (refInbox.openedBy),
 // which TestNonMemberCannotFillPendingCap pins on its own. And the model could
 // not move bytes between sources: it was given the lending rule
-// (refInbox.borrow, refInbox.Supply), which TestInboxLendsAcrossSources pins on
-// its own.
+// (refInbox.borrow, refInbox.Supply), under which a shared message, accepted
+// or settled, leaves no done record (refInbox.remember), and which
+// TestInboxLendsAcrossSources pins on its own.
 
 // diffWorld is one seeded schedule's universe: a few source compositions
 // (known, learned later, never learned), a few logical messages per source,
@@ -207,8 +208,8 @@ func (w *diffWorld) step() (corruptLater bool) {
 		w.sameAccepted(fmt.Sprintf("Supply(shared %d, payload %d)", mi, variant), got, want, gotOK, wantOK)
 	case op < w.settleTo+3: // the owner has one shared message from some link
 		msgID := w.msgID(sharedSrc, w.rng.Intn(diffShared))
-		w.ib.SettleAll(w.now, msgID)
-		w.ref.SettleAll(w.now, msgID)
+		w.ib.SettleAll(msgID)
+		w.ref.SettleAll(msgID)
 	default:
 		si := w.rng.Intn(len(w.comps))
 		c := w.comps[si]
@@ -581,7 +582,8 @@ func TestNonMemberCannotFillPendingCap(t *testing.T) {
 // completes B's entry. Supply: bytes handed in complete a starved entry, bytes
 // of another digest do not. A message whose MsgID is not its digest neither
 // lends nor borrows. Whatever ends the starving — acceptance, Settle,
-// SettleAll, Prune — frees the lending index.
+// SettleAll, Prune — frees the lending index, and a message of the index
+// leaves no done record.
 func TestInboxLendsAcrossSources(t *testing.T) {
 	A, B := comp(1, 1, 1, 2, 3), comp(2, 1, 4, 5, 6)
 	lookup := func(k Key) (Composition, bool) {
@@ -624,10 +626,13 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 		if got := ib.shared[d]; !slices.Equal(got, []Key{A.Key()}) {
 			t.Errorf("lending index lists %v, want A's pending entry alone", got)
 		}
-		ib.SettleAll(0, d)
+		ib.SettleAll(d)
 		idle("after SettleAll", ib)
-		if _, ok := ib.Observe(0, 2, copyOf(A, true)); ok || ib.Votes(A, 0, d, d) != 0 {
-			t.Error("a copy after SettleAll collects votes")
+		// Neither source keeps a record: B's accepted entry and A's settled one
+		// are gone, and turning a later copy away is the owner's (core's
+		// delivered index).
+		if ib.Len() != 0 {
+			t.Errorf("after SettleAll the inbox remembers %d messages, want none", ib.Len())
 		}
 	})
 
@@ -685,7 +690,7 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 				ib.Settle(0, A.Key(), d)
 				ib.Settle(0, B.Key(), d)
 			case "SettleAll":
-				ib.SettleAll(0, d)
+				ib.SettleAll(d)
 			case "Prune":
 				ib.Prune(time.Second)
 			}
