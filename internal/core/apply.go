@@ -177,15 +177,16 @@ func (n *Node) applyEvict(o evictVoteOp) {
 //
 // It runs during apply at every member of the *old* configuration —
 // including members that depart with this change, whose last duty is to
-// send their share of the notifications and snapshots.
-func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause) {
+// send their share of the notifications and snapshots. members is a slice
+// the caller built for it: it is sorted in place and becomes the new
+// composition's Members.
+func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 	st := n.st
 	// Pending egress batches were enqueued — and their inner MsgIDs derived —
 	// under the closing epoch; send them stamped with it before the bump, or
 	// receivers would tally our votes under a composition we never used.
 	n.egress.FlushAll()
-	old := st.comp.Clone()
-	members := ids.CloneIdentities(newMembers)
+	old := st.comp
 	ids.SortIdentities(members)
 	st.comp = group.Composition{GroupID: old.GroupID, Epoch: old.Epoch + 1, Members: members}
 	n.learnComp(old)
@@ -216,7 +217,7 @@ func (n *Node) reconfigure(newMembers []ids.Identity, cause reconfigCause) {
 	n.cacheSnapshot(old.Epoch, snap)
 
 	// Tell every distinct neighbor vgroup about the new composition.
-	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
+	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp})
 	notified := make(map[ids.GroupID]bool)
 	notify := func(c group.Composition) {
 		if c.GroupID == 0 || c.GroupID == old.GroupID || notified[c.GroupID] {
@@ -319,30 +320,17 @@ func (n *Node) isAlone() bool {
 // --- deterministic message IDs ---
 
 func snapMsgID(old group.Composition, to ids.NodeID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-snap"))
-	d = crypto.HashUint64(d, uint64(old.GroupID))
-	d = crypto.HashUint64(d, old.Epoch)
-	d = crypto.HashUint64(d, uint64(to))
-	return d
+	return crypto.Derive("atum-snap", nil, uint64(old.GroupID), old.Epoch, uint64(to))
 }
 
 func nbrUpdateMsgID(newComp group.Composition, to ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-nbru"))
-	d = crypto.HashUint64(d, uint64(newComp.GroupID))
-	d = crypto.HashUint64(d, newComp.Epoch)
-	d = crypto.HashUint64(d, uint64(to))
-	return d
+	return crypto.Derive("atum-nbru", nil, uint64(newComp.GroupID), newComp.Epoch, uint64(to))
 }
 
 func walkMsgID(walkID crypto.Digest, step int, dst ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-walk"), walkID[:])
-	d = crypto.HashUint64(d, uint64(step))
-	d = crypto.HashUint64(d, uint64(dst))
-	return d
+	return crypto.Derive("atum-walk", walkID[:], uint64(step), uint64(dst))
 }
 
 func replyMsgID(walkID crypto.Digest, hop int) crypto.Digest {
-	d := crypto.Hash([]byte("atum-wreply"), walkID[:])
-	d = crypto.HashUint64(d, uint64(hop))
-	return d
+	return crypto.Derive("atum-wreply", walkID[:], uint64(hop))
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"atum/internal/crypto"
+	"atum/internal/group"
 	"atum/internal/ids"
+	"atum/internal/overlay"
 	"atum/internal/smr"
 )
 
@@ -377,4 +382,49 @@ func testIdentities(n int) []ids.Identity {
 		out = append(out, ids.Identity{ID: ids.NodeID(i)})
 	}
 	return out
+}
+
+// TestDerivedDigestsGolden pins every identifier derived through
+// crypto.Derive to the bytes the hand-rolled hash chains it replaced produced:
+// members running either derive the same MsgIDs, GroupIDs and relay rotations.
+func TestDerivedDigestsGolden(t *testing.T) {
+	src := testComp(7, 3, 1, 2, 3)
+	walk := crypto.Hash([]byte("a walk"))
+	for _, g := range []struct {
+		name string
+		got  crypto.Digest
+		want string
+	}{
+		{"snapMsgID", snapMsgID(src, 4), "d85e0ea0176f07afdefd3bb922dff42a217e0b412bbf381982a1cb2320d136e5"},
+		{"nbrUpdateMsgID", nbrUpdateMsgID(src, 9), "ffbabb1ed302a2761ced082d886c4599dc7d7656de95583a82984d37bf17bab5"},
+		{"walkMsgID", walkMsgID(walk, 2, 9), "15ab12e1540938e498981d577e45dbad655357fb3d8c2b70efc81378fef67cc1"},
+		{"replyMsgID", replyMsgID(walk, 999), "f743bb9d4b1063d717e40624b181889d3f5f58f8dcc1c6ec8f78ea8639382f15"},
+		{"setNbrMsgID", setNbrMsgID(src, 9, 1, overlay.Succ), "7529a812fe5d66a86ca7af4978a6a79d25740721a608dd7fcc696e2f7b84eb68"},
+		{"freshMsgID", freshMsgID(src, 9), "7628c41425c41e0323cc30d08c1ee3ef26b8101c84b5031cfd16780866464975"},
+		{"cycleAssignMsgID", cycleAssignMsgID(src, 9, 1), "0bd31ca6ff87a885d64b04057135c1232adf081a3276c1923034f58033335c4a"},
+		{"bcastID", bcastID(5, 9, []byte("data")), "e4cc265034660f4e038431fa896e5bd57c69a1d112940b51d23a4c3b88b0da35"},
+	} {
+		if got := fmt.Sprintf("%x", g.got); got != g.want {
+			t.Errorf("%s = %s, want %s", g.name, got, g.want)
+		}
+	}
+	if got := deriveGroupID(7, 3); got != 17753047487205206062 {
+		t.Errorf("deriveGroupID(7, 3) = %d, want 17753047487205206062", uint64(got))
+	}
+	// The relay rotation shows through RelaySender modulo the source's size;
+	// sizes 2 to 9 against three destinations pin it.
+	var rot []int
+	for size := 2; size <= 9; size++ {
+		members := make([]uint64, size)
+		for i := range members {
+			members[i] = uint64(i + 1)
+		}
+		s := testComp(7, 3, members...)
+		for _, dst := range []group.Composition{testComp(9, 1, 20), testComp(9, 2, 20), testComp(11, 5, 20)} {
+			rot = append(rot, group.RelaySender(s, dst, 0))
+		}
+	}
+	if want := []int{0, 0, 1, 1, 1, 2, 0, 0, 3, 4, 0, 1, 4, 4, 5, 0, 2, 5, 4, 4, 7, 1, 7, 8}; !slices.Equal(rot, want) {
+		t.Errorf("relay rotations %v, want %v", rot, want)
+	}
 }

@@ -6,6 +6,7 @@ package core
 // per epoch) through an OnApply detector.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -406,9 +407,10 @@ func TestPenFloodBoundsConfigurations(t *testing.T) {
 
 // TestNewestIndexBoundedByComps: every composition a node learns names a
 // group, and a per-group copy of the newest one was kept for every group ever
-// named — 10 000 groups left 10 000 clones. The newest epoch is now an index
-// over comps, the maxComps FIFO: it is bounded the same way, and when the FIFO
-// evicts a group's newest epoch it falls back to the newest one left.
+// named — 10 000 groups left 10 000 clones. The newest composition is now the
+// last of its group's list in the one store, which the maxComps FIFO bounds:
+// when the FIFO evicts a group's newest epoch the newest one left takes its
+// place, and a group with none left is gone from the store.
 func TestNewestIndexBoundedByComps(t *testing.T) {
 	n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
 	// Learned out of order, so the FIFO evicts epoch 2 before epoch 1.
@@ -419,26 +421,29 @@ func TestNewestIndexBoundedByComps(t *testing.T) {
 		n.learnComp(testComp(ids.GroupID(gid), 1, gid+1, gid+2, gid+3))
 		gid++
 	}
-	for n.comps[group.Key{GroupID: 5, Epoch: 2}].N() > 0 {
+	held := func(k group.Key) bool { _, ok := n.comps.exact(k); return ok }
+	for held(group.Key{GroupID: 5, Epoch: 2}) {
 		flood()
 	}
-	if c, ok := n.newestComp(5); !ok || c.Epoch != 1 {
+	if c, ok := n.comps.newest(5); !ok || c.Epoch != 1 {
 		t.Fatalf("with epoch 2 evicted, group 5's newest is %v (%v), want epoch 1", c.Key(), ok)
 	}
 	flood()
-	if _, ok := n.newest[5]; ok {
-		t.Fatal("group 5 is still indexed with none of its compositions left")
+	if _, ok := n.comps.byGroup[5]; ok {
+		t.Fatal("group 5 is still in the store with none of its compositions left")
 	}
 	for gid < 100+10000 {
 		flood()
 	}
-	if len(n.newest) > maxComps {
-		t.Fatalf("10 000 learned groups left %d index entries, want at most maxComps = %d", len(n.newest), maxComps)
-	}
-	for g, e := range n.newest {
-		if _, ok := n.comps[group.Key{GroupID: g, Epoch: e}]; !ok {
-			t.Fatalf("index names %v epoch %d, which comps does not hold", g, e)
+	total := 0
+	for g, list := range n.comps.byGroup {
+		total += len(list)
+		if !slices.IsSortedFunc(list, func(a, b group.Composition) int { return cmp.Compare(a.Epoch, b.Epoch) }) {
+			t.Fatalf("group %v's compositions are not in ascending epoch order", g)
 		}
+	}
+	if total > maxComps || len(n.comps.q) > maxComps {
+		t.Fatalf("10 000 learned groups left %d compositions and %d queued keys, want at most maxComps = %d", total, len(n.comps.q), maxComps)
 	}
 }
 
@@ -465,7 +470,7 @@ func TestReShareAttestsOnlyAnExactEpoch(t *testing.T) {
 	if got := snapshotsTo(2); !slices.Equal(got, []uint64{prev.Epoch}) {
 		t.Fatalf("with epoch 3 known, re-shares stamped %v, want [3]", got)
 	}
-	delete(n.comps, prev.Key())
+	n.comps.drop(prev.Key())
 	n.handleHeartbeat(3, Heartbeat{GroupID: 7, Epoch: prev.Epoch})
 	if got := snapshotsTo(3); len(got) != 0 {
 		t.Fatalf("with epoch 3 evicted, re-shares stamped %v, want none", got)

@@ -23,12 +23,14 @@ func (n *Node) BroadcastWith(data []byte, _ BroadcastOpts) error {
 		return ErrBroadcastTooLarge
 	}
 	n.opSeq++
-	id := crypto.Hash([]byte("atum-bcast"))
-	id = crypto.HashUint64(id, uint64(n.cfg.Identity.ID))
-	id = crypto.HashUint64(id, n.opSeq)
-	id = crypto.Hash(id[:], data)
-	n.proposeOp(bcastOp{BcastID: id, Origin: n.cfg.Identity.ID, Data: data})
+	n.proposeOp(bcastOp{BcastID: bcastID(n.cfg.Identity.ID, n.opSeq, data), Origin: n.cfg.Identity.ID, Data: data})
 	return nil
+}
+
+// bcastID names the origin's seq-th operation, a broadcast of data.
+func bcastID(origin ids.NodeID, seq uint64, data []byte) crypto.Digest {
+	prefix := crypto.Derive("atum-bcast", nil, uint64(origin), seq)
+	return crypto.Hash(prefix[:], data)
 }
 
 // applyBcast delivers a committed broadcast inside the origin vgroup and
@@ -171,7 +173,7 @@ func (n *Node) applySetNeighbor(p setNeighborPayload) {
 		return
 	}
 	n.learnComp(p.Comp)
-	n.st.nbrs.Set(overlay.Link{Cycle: p.Cycle, Dir: p.Dir}, p.Comp.Clone())
+	n.st.nbrs.Set(overlay.Link{Cycle: p.Cycle, Dir: p.Dir}, p.Comp)
 }
 
 // applyCycleAssign gives this (freshly split) vgroup its position on one
@@ -188,26 +190,21 @@ func (n *Node) applyCycleAssign(p cycleAssignPayload) {
 	// Close the gap we leave behind (unless we were between the same
 	// groups already, or self-looped).
 	if oldPred.GroupID != st.comp.GroupID && oldPred.GroupID != p.Pred.GroupID {
-		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Succ, Comp: oldSucc.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Succ, Comp: oldSucc})
 		n.sendGroup(st.comp, oldPred, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldPred.GroupID, p.Cycle, overlay.Succ), pl)
 	}
 	if oldSucc.GroupID != st.comp.GroupID && oldSucc.GroupID != p.Succ.GroupID {
-		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: oldPred.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: oldPred})
 		n.sendGroup(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
-	st.nbrs.Preds[p.Cycle] = p.Pred.Clone()
-	st.nbrs.Succs[p.Cycle] = p.Succ.Clone()
+	st.nbrs.Preds[p.Cycle] = p.Pred
+	st.nbrs.Succs[p.Cycle] = p.Succ
 }
 
 func setNbrMsgID(src group.Composition, dst ids.GroupID, cycle int, dir overlay.Direction) crypto.Digest {
-	d := crypto.Hash([]byte("atum-setnbr"))
-	d = crypto.HashUint64(d, uint64(src.GroupID))
-	d = crypto.HashUint64(d, src.Epoch)
-	d = crypto.HashUint64(d, uint64(dst))
-	d = crypto.HashUint64(d, uint64(cycle)<<8|uint64(dir))
-	return d
+	return crypto.Derive("atum-setnbr", nil, uint64(src.GroupID), src.Epoch, uint64(dst), uint64(cycle)<<8|uint64(dir))
 }
 
 // maybeRefreshSender heals stale neighbor views: when another vgroup
@@ -226,7 +223,7 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 		return
 	}
 	oldKey := group.Key{GroupID: st.comp.GroupID, Epoch: m.DstEpoch}
-	oldComp, ok := n.comps[oldKey]
+	oldComp, ok := n.comps.exact(oldKey)
 	if !ok || !oldComp.Contains(n.cfg.Identity.ID) {
 		return // we cannot attest that epoch
 	}
@@ -238,15 +235,11 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 	if !ok || srcComp.N() == 0 {
 		return
 	}
-	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp.Clone()})
+	payload := encodePayload(neighborUpdatePayload{NewComp: st.comp})
 	msgID := freshMsgID(st.comp, m.SrcGroup)
 	n.sendGroup(oldComp, srcComp, kindNeighborUpdate, msgID, payload)
 }
 
 func freshMsgID(cur group.Composition, to ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-fresh"))
-	d = crypto.HashUint64(d, uint64(cur.GroupID))
-	d = crypto.HashUint64(d, cur.Epoch)
-	d = crypto.HashUint64(d, uint64(to))
-	return d
+	return crypto.Derive("atum-fresh", nil, uint64(cur.GroupID), cur.Epoch, uint64(to))
 }

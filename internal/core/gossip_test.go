@@ -579,7 +579,7 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 			}
 			// Known exactly: lookupComp's nearby-epoch fallback answers with
 			// another epoch's members, whose majority these votes need not be.
-			if comp, ok := n.comps[src]; ok && votes >= comp.Majority() {
+			if comp, ok := n.comps.exact(src); ok && votes >= comp.Majority() {
 				t.Errorf("node %v holds a gossip message from %v with %d votes (majority %d) that was never accepted",
 					id, src, votes, comp.Majority())
 			}

@@ -128,7 +128,7 @@ func (n *Node) handleJoinContact(from ids.NodeID, m JoinContact) {
 		return // the contact channel is link-authenticated
 	}
 	actor.LearnIdentity(n.env, m.Joiner)
-	n.egress.Node(from, ContactInfo{Comp: n.st.comp.Clone()})
+	n.egress.Node(from, ContactInfo{Comp: n.st.comp})
 }
 
 // --- joiner side ---
@@ -142,7 +142,7 @@ func (n *Node) handleContactInfo(from ids.NodeID, m ContactInfo) {
 		return
 	}
 	// This is the single step where the joiner trusts the contact (§3.3.2).
-	j.contactComp = m.Comp.Clone()
+	j.contactComp = m.Comp
 	n.learnComp(m.Comp)
 	j.stage = stageRequestedC
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
@@ -178,8 +178,10 @@ func (n *Node) handleJoinRedirect(acc group.Accepted, p joinRedirectPayload) {
 
 // handleDirectRedirect processes a certificate-mode redirect sent straight
 // from the selected vgroup; the chain, rooted at the contact vgroup the
-// joiner trusts, proves the sender's identity.
-func (n *Node) handleDirectRedirect(m group.GroupMsg) {
+// joiner trusts, proves the sender's identity. An empty chain attests only
+// that root: the redirect must name the contact vgroup as the joiner trusts
+// it, unless the contact itself sends it (§3.3.2) — anyone can send a copy.
+func (n *Node) handleDirectRedirect(from ids.NodeID, m group.GroupMsg) {
 	j := n.join
 	if j == nil || j.stage != stageRequestedC || m.Payload == nil {
 		return
@@ -205,8 +207,11 @@ func (n *Node) handleDirectRedirect(m group.GroupMsg) {
 	if len(chain) > 0 && final.Digest() != p.Target.Digest() {
 		return
 	}
-	if len(chain) == 0 && p.Target.GroupID != j.contactComp.GroupID {
-		return // an empty chain only attests the contact vgroup itself
+	if len(chain) == 0 {
+		fromContact := from == j.contact.ID && p.Target.GroupID == j.contactComp.GroupID
+		if !fromContact && !p.Target.Equal(j.contactComp) {
+			return
+		}
 	}
 	n.acceptRedirect(p.Target)
 }
@@ -442,7 +447,7 @@ func (n *Node) evaluateCatchUp() {
 			}
 			n.logf("epoch catch-up %v: %d -> %d (attested by %d members)",
 				st.comp.GroupID, n.st.comp.Epoch, st.comp.Epoch, endorsers)
-			oldComp := n.st.comp.Clone()
+			oldComp := n.st.comp
 			payload := tally.payload
 			delete(n.snapShares, key)
 			n.installGroupState(st)
@@ -537,8 +542,7 @@ func (n *Node) processPendingJoins() {
 			n.processPendingJoins()
 			return
 		}
-		members := append(ids.CloneIdentities(st.comp.Members), pj.Joiner)
-		n.reconfigure(members, causeJoin)
+		n.reconfigure(append(slices.Clone(st.comp.Members), pj.Joiner), causeJoin)
 		return
 	}
 	// Fresh request: select an accommodating vgroup with a random walk.
@@ -606,7 +610,7 @@ func (n *Node) sendRenounce(target group.Composition) {
 	// live members propagate it through agreement.
 	sent := make(map[ids.NodeID]bool)
 	targets := []group.Composition{target}
-	if c, ok := n.newestComp(target.GroupID); ok {
+	if c, ok := n.comps.newest(target.GroupID); ok {
 		targets = append(targets, c)
 	}
 	for _, c := range targets {

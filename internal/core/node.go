@@ -90,13 +90,7 @@ type Node struct {
 	replicaEpoch uint64
 
 	inbox *group.Inbox
-	comps map[group.Key]group.Composition
-	compQ []group.Key
-	// newest indexes comps: the newest epoch it holds per group, used as an
-	// epoch-tolerant fallback when validating group messages from epochs we
-	// have not learned yet (heavy churn can outrun neighbor updates). It
-	// loses a group when compQ evicts the group's last composition.
-	newest map[ids.GroupID]uint64
+	comps compStore // every composition this node knows, per vgroup
 
 	ownPend map[crypto.Digest]smr.Operation
 	opSeq   uint64
@@ -182,11 +176,10 @@ func New(cfg Config) *Node {
 		cfg:            cfg,
 		signer:         cfg.Scheme.NewSigner(cfg.SignerSeed),
 		phase:          phaseIdle,
-		comps:          make(map[group.Key]group.Composition),
+		comps:          compStore{byGroup: make(map[ids.GroupID][]group.Composition)},
 		ownPend:        make(map[crypto.Digest]smr.Operation),
 		hbSeen:         make(map[ids.NodeID]time.Duration),
 		evProp:         make(map[ids.NodeID]uint64),
-		newest:         make(map[ids.GroupID]uint64),
 		expectSnapshot: make(map[ids.GroupID]bool),
 		pendingSnaps:   make(map[ids.GroupID]group.Accepted),
 		walkDeadlines:  make(map[crypto.Digest]time.Duration),
@@ -346,10 +339,10 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 		// chain itself authenticates them.
 		switch m.Kind {
 		case kindWalkResult:
-			n.handleDirectWalkReply(m)
+			n.handleDirectWalkReply(from, m)
 			return
 		case kindJoinRedirect:
-			n.handleDirectRedirect(m)
+			n.handleDirectRedirect(from, m)
 			return
 		}
 	}
@@ -463,7 +456,7 @@ func (n *Node) handleTick() {
 		// Ascending GroupID, not map order: the renounce order and the
 		// rejoin contact must be the same on every replay of a seed.
 		for _, gid := range slices.Sorted(maps.Keys(n.expectSnapshot)) {
-			if c, ok := n.newestComp(gid); ok && c.N() > 0 {
+			if c, ok := n.comps.newest(gid); ok && c.N() > 0 {
 				n.sendRenounce(c)
 				if contact.ID == 0 {
 					contact = c.Members[0]
@@ -558,7 +551,7 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 		return
 	}
 	// Exact: lookupComp's fallback would attest another epoch's members.
-	oldComp, ok := n.comps[group.Key{GroupID: n.st.comp.GroupID, Epoch: stuckEpoch}]
+	oldComp, ok := n.comps.exact(group.Key{GroupID: n.st.comp.GroupID, Epoch: stuckEpoch})
 	if !ok || !oldComp.Contains(n.cfg.Identity.ID) {
 		return // cannot attest an epoch this node was not part of
 	}
@@ -568,20 +561,82 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	n.egress.ToNode(oldComp, to, kindSnapshot, snapMsgID(oldComp, to), payload)
 }
 
-// --- composition cache ---
+// --- composition store ---
+
+// compStore is the one store of the compositions a node knows: per vgroup, the
+// known compositions in ascending epoch order, so the newest is the last. They
+// are shared by reference — a composition is never written once it exists
+// (group.Composition). q lists the keys in the order they were learned; past
+// maxComps the oldest is dropped.
+type compStore struct {
+	byGroup map[ids.GroupID][]group.Composition
+	q       []group.Key
+}
+
+// findEpoch returns where epoch is, or belongs, in a vgroup's list.
+func findEpoch(list []group.Composition, epoch uint64) (int, bool) {
+	return slices.BinarySearchFunc(list, epoch, func(c group.Composition, e uint64) int { return cmp.Compare(c.Epoch, e) })
+}
+
+// exact returns the composition of k.
+func (s *compStore) exact(k group.Key) (group.Composition, bool) {
+	list := s.byGroup[k.GroupID]
+	if i, ok := findEpoch(list, k.Epoch); ok {
+		return list[i], true
+	}
+	return group.Composition{}, false
+}
+
+// newest returns the newest composition of gid.
+func (s *compStore) newest(gid ids.GroupID) (group.Composition, bool) {
+	list := s.byGroup[gid]
+	if len(list) == 0 {
+		return group.Composition{}, false
+	}
+	return list[len(list)-1], true
+}
+
+// add stores c unless its key is known, and reports whether it was new.
+func (s *compStore) add(c group.Composition) bool {
+	list := s.byGroup[c.GroupID]
+	i, known := findEpoch(list, c.Epoch)
+	if known {
+		return false
+	}
+	s.byGroup[c.GroupID] = slices.Insert(list, i, c)
+	s.q = append(s.q, c.Key())
+	if len(s.q) > maxComps {
+		s.drop(s.q[0])
+		s.q = s.q[1:]
+	}
+	return true
+}
+
+// drop forgets the composition of k.
+func (s *compStore) drop(k group.Key) {
+	list := s.byGroup[k.GroupID]
+	if i, ok := findEpoch(list, k.Epoch); ok {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(s.byGroup, k.GroupID)
+	} else {
+		s.byGroup[k.GroupID] = list
+	}
+}
 
 func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 	if n.st != nil && n.st.comp.Key() == k {
 		return n.st.comp, true
 	}
-	if c, ok := n.comps[k]; ok {
+	if c, ok := n.comps.exact(k); ok {
 		return c, ok
 	}
 	// Epoch-tolerant fallback: exchanges change one member per epoch, so a
 	// recent composition of the same vgroup still shares a correct majority
 	// with the claimed one. Without this, simultaneous churn on both sides
 	// of a link can kill it permanently (updates chase a moving target).
-	if c, ok := n.newestComp(k.GroupID); ok {
+	if c, ok := n.comps.newest(k.GroupID); ok {
 		diff := int64(k.Epoch) - int64(c.Epoch)
 		if diff < 0 {
 			diff = -diff
@@ -593,16 +648,6 @@ func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 	return group.Composition{}, false
 }
 
-// newestComp returns the newest composition of gid that comps holds.
-func (n *Node) newestComp(gid ids.GroupID) (group.Composition, bool) {
-	e, ok := n.newest[gid]
-	if !ok {
-		return group.Composition{}, false
-	}
-	c, ok := n.comps[group.Key{GroupID: gid, Epoch: e}]
-	return c, ok
-}
-
 // learnComp records a composition for inbox validation and flushes any
 // group messages that were waiting for it.
 func (n *Node) learnComp(c group.Composition) {
@@ -612,33 +657,10 @@ func (n *Node) learnComp(c group.Composition) {
 	for _, m := range c.Members {
 		actor.LearnIdentity(n.env, m)
 	}
-	k := c.Key()
-	if _, ok := n.comps[k]; ok {
+	if !n.comps.add(c) {
 		return
 	}
-	n.comps[k] = c.Clone()
-	n.compQ = append(n.compQ, k)
-	if e, ok := n.newest[k.GroupID]; !ok || k.Epoch > e {
-		n.newest[k.GroupID] = k.Epoch
-	}
-	if len(n.compQ) > maxComps {
-		drop := n.compQ[0]
-		n.compQ = n.compQ[1:]
-		delete(n.comps, drop)
-		if n.newest[drop.GroupID] == drop.Epoch {
-			// Re-derive the group's newest epoch from what comps still holds.
-			delete(n.newest, drop.GroupID)
-			for _, q := range n.compQ {
-				if q.GroupID != drop.GroupID {
-					continue
-				}
-				if e, ok := n.newest[q.GroupID]; !ok || q.Epoch > e {
-					n.newest[q.GroupID] = q.Epoch
-				}
-			}
-		}
-	}
-	for _, acc := range n.inbox.FlushKey(n.env.Now(), k) {
+	for _, acc := range n.inbox.FlushKey(n.env.Now(), c.Key()) {
 		n.handleAccepted(acc)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
@@ -37,13 +39,12 @@ func (n *Node) applySplit(o splitOp) {
 	if st.comp.N() <= n.cfg.Params.GMax || st.busy {
 		return // stale or deferred; checkResize re-proposes when unblocked
 	}
-	old := st.comp.Clone()
+	old := st.comp
 	oldDigest := old.Digest()
 	seed := crypto.Hash([]byte("atum-split"), oldDigest[:])
 	shuffled := prfShuffleIdentities(seed, old.Members)
 	half := (len(shuffled) + 1) / 2
-	dMembers := ids.CloneIdentities(shuffled[:half])
-	eMembers := ids.CloneIdentities(shuffled[half:])
+	dMembers, eMembers := shuffled[:half:half], shuffled[half:]
 	ids.SortIdentities(dMembers)
 	ids.SortIdentities(eMembers)
 
@@ -63,13 +64,13 @@ func (n *Node) applySplit(o splitOp) {
 	eNbrs := overlay.NewNeighbors(hc, eComp)
 	for c := 0; c < hc; c++ {
 		oldSucc := st.nbrs.Succs[c]
-		eNbrs.Preds[c] = dComp.Clone()
+		eNbrs.Preds[c] = dComp
 		if oldSucc.GroupID == old.GroupID {
 			// Self-loop cycle: it becomes D -> E -> D.
-			eNbrs.Succs[c] = dComp.Clone()
+			eNbrs.Succs[c] = dComp
 		} else {
-			eNbrs.Succs[c] = oldSucc.Clone()
-			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: eComp.Clone()})
+			eNbrs.Succs[c] = oldSucc
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: eComp})
 			n.sendGroup(old, oldSucc, kindSetNeighbor,
 				setNbrMsgID(old, oldSucc.GroupID, c, overlay.Pred), pl)
 		}
@@ -85,9 +86,9 @@ func (n *Node) applySplit(o splitOp) {
 	// We stay in D: re-point successors at E, then reconfigure.
 	for c := 0; c < hc; c++ {
 		if st.nbrs.Succs[c].GroupID == old.GroupID {
-			st.nbrs.Preds[c] = eComp.Clone()
+			st.nbrs.Preds[c] = eComp
 		}
-		st.nbrs.Succs[c] = eComp.Clone()
+		st.nbrs.Succs[c] = eComp
 	}
 	n.reconfigure(dMembers, causeSplit)
 	if n.st == nil {
@@ -100,7 +101,7 @@ func (n *Node) applySplit(o splitOp) {
 			GroupID:  n.st.comp.GroupID,
 			Purpose:  PurposeSplitInsert,
 			Cycle:    c,
-			NewGroup: eComp.Clone(),
+			NewGroup: eComp,
 			Nonce:    n.st.walkSeq,
 		})
 	}
@@ -117,7 +118,7 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 		n.replica = nil
 	}
 	oldApplied := n.st.appliedQ
-	n.st = newGroupState(eComp.Clone(), eNbrs)
+	n.st = newGroupState(eComp, eNbrs)
 	// Inherit the parent's dedup window: both halves share the pre-split
 	// history, so both must skip the same duplicates.
 	for _, d := range oldApplied {
@@ -145,10 +146,10 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	if oldSucc.GroupID == e.GroupID {
 		return // already our successor here
 	}
-	st.nbrs.Succs[p.Cycle] = e.Clone()
+	st.nbrs.Succs[p.Cycle] = e
 	// Tell the old successor its new predecessor, and give E its position.
 	if oldSucc.GroupID != st.comp.GroupID {
-		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: e.Clone()})
+		pl := encodePayload(setNeighborPayload{Cycle: p.Cycle, Dir: overlay.Pred, Comp: e})
 		n.sendGroup(st.comp, oldSucc, kindSetNeighbor,
 			setNbrMsgID(st.comp, oldSucc.GroupID, p.Cycle, overlay.Pred), pl)
 	}
@@ -156,10 +157,10 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	if oldSucc.GroupID == st.comp.GroupID {
 		succForE = st.comp
 	}
-	assign := encodePayload(cycleAssignPayload{Cycle: p.Cycle, Pred: st.comp.Clone(), Succ: succForE.Clone()})
+	assign := encodePayload(cycleAssignPayload{Cycle: p.Cycle, Pred: st.comp, Succ: succForE})
 	n.sendGroup(st.comp, e, kindCycleAssign, cycleAssignMsgID(st.comp, e.GroupID, p.Cycle), assign)
 	if oldSucc.GroupID == st.comp.GroupID {
-		st.nbrs.Preds[p.Cycle] = e.Clone()
+		st.nbrs.Preds[p.Cycle] = e
 	}
 }
 
@@ -190,11 +191,11 @@ func (n *Node) applyMergeStart(dig crypto.Digest, o mergeStartOp) {
 	st.mergeAttempt = o.Attempt + 1
 	mergeID := crypto.Hash([]byte("atum-merge"), dig[:])
 	st.walkOrigins = append(st.walkOrigins, walkOrigin{
-		WalkID: mergeID, Purpose: PurposeMerge, OriginComp: st.comp.Clone(),
+		WalkID: mergeID, Purpose: PurposeMerge, OriginComp: st.comp,
 	})
 	n.walkDeadlines[mergeID] = n.env.Now() + n.cfg.WalkTimeout
 	n.logf("merge attempt %d: %v -> %v", st.mergeAttempt, st.comp.GroupID, target)
-	pl := encodePayload(mergeRequestPayload{From: st.comp.Clone()})
+	pl := encodePayload(mergeRequestPayload{From: st.comp})
 	// The request MsgID derives from the committed op digest, which includes
 	// the attempt counter: a retry to a previously tried target must be a
 	// NEW logical message, or the target's inbox dedups it against the
@@ -237,10 +238,10 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	n.counts.Merges++
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
-	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp.Clone()})
+	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp})
 	n.sendGroup(st.comp, p.From, kindMergeAccept, replyID, accept)
 
-	members := ids.CloneIdentities(st.comp.Members)
+	members := slices.Clone(st.comp.Members)
 	for _, m := range p.From.Members {
 		if !st.comp.Contains(m.ID) {
 			members = append(members, m)
@@ -273,12 +274,12 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		pred, succ := st.nbrs.Preds[c], st.nbrs.Succs[c]
 		if pred.GroupID != st.comp.GroupID {
-			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Succ, Comp: succ.Clone()})
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Succ, Comp: succ})
 			n.sendGroup(st.comp, pred, kindSetNeighbor,
 				setNbrMsgID(st.comp, pred.GroupID, c, overlay.Succ), pl)
 		}
 		if succ.GroupID != st.comp.GroupID {
-			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: pred.Clone()})
+			pl := encodePayload(setNeighborPayload{Cycle: c, Dir: overlay.Pred, Comp: pred})
 			n.sendGroup(st.comp, succ, kindSetNeighbor,
 				setNbrMsgID(st.comp, succ.GroupID, c, overlay.Pred), pl)
 		}
@@ -322,10 +323,7 @@ func (n *Node) applyMergeReject() {
 // deriveGroupID mints a fresh GroupID for a split. IDs are digests of the
 // parent lineage, so clashes are negligible.
 func deriveGroupID(parent ids.GroupID, epoch uint64) ids.GroupID {
-	d := crypto.Hash([]byte("atum-gid"))
-	d = crypto.HashUint64(d, uint64(parent))
-	d = crypto.HashUint64(d, epoch)
-	g := ids.GroupID(uint64(d.Seed()))
+	g := ids.GroupID(uint64(crypto.Derive("atum-gid", nil, uint64(parent), epoch).Seed()))
 	if g == 0 {
 		g = 1 << 60
 	}
@@ -333,10 +331,5 @@ func deriveGroupID(parent ids.GroupID, epoch uint64) ids.GroupID {
 }
 
 func cycleAssignMsgID(src group.Composition, dst ids.GroupID, cycle int) crypto.Digest {
-	d := crypto.Hash([]byte("atum-cassign"))
-	d = crypto.HashUint64(d, uint64(src.GroupID))
-	d = crypto.HashUint64(d, src.Epoch)
-	d = crypto.HashUint64(d, uint64(dst))
-	d = crypto.HashUint64(d, uint64(cycle))
-	return d
+	return crypto.Derive("atum-cassign", nil, uint64(src.GroupID), src.Epoch, uint64(dst), uint64(cycle))
 }

@@ -131,7 +131,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		WalkID:    wo.WalkID,
 		Partner:   incoming,
 		Member:    outgoing,
-		OriginOld: st.comp.Clone(),
+		OriginOld: st.comp,
 	})
 	n.sendGroup(st.comp, res.Target, kindExchangeConfirm, replyMsgID(wo.WalkID, 8), confirm)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -220,7 +221,7 @@ type stateSnapshot struct {
 // buildSnapshot captures the current replicated state.
 func (st *groupState) buildSnapshot() stateSnapshot {
 	snap := stateSnapshot{
-		Comp:            st.comp.Clone(),
+		Comp:            st.comp,
 		NbrsBytes:       wire.Encode(st.nbrs.Wire),
 		Busy:            st.busy,
 		PendingJoins:    append([]pendingJoin(nil), st.pendingJoins...),
@@ -291,7 +292,7 @@ func prfPick(seed crypto.Digest, salt uint64, n int) int {
 
 // prfShuffleIdentities deterministically permutes identities from a seed.
 func prfShuffleIdentities(seed crypto.Digest, list []ids.Identity) []ids.Identity {
-	out := ids.CloneIdentities(list)
+	out := slices.Clone(list)
 	for i := len(out) - 1; i > 0; i-- {
 		j := prfPick(seed, uint64(i)*2654435761, i+1)
 		out[i], out[j] = out[j], out[i]

@@ -47,7 +47,7 @@ func (n *Node) applyWalkStart(dig crypto.Digest, o walkStartOp) {
 		st.walkOrigins = append(st.walkOrigins, walkOrigin{
 			WalkID:     dig,
 			Purpose:    o.Purpose,
-			OriginComp: st.comp.Clone(),
+			OriginComp: st.comp,
 			Joiner:     o.Joiner,
 			JoinerSig:  o.JoinerSig,
 			Member:     o.Member,
@@ -61,7 +61,7 @@ func (n *Node) applyWalkStart(dig crypto.Digest, o walkStartOp) {
 		Purpose:    o.Purpose,
 		StepsLeft:  n.cfg.Params.RWL,
 		Rands:      prfRands(dig, n.cfg.Params.RWL),
-		Origin:     st.comp.Clone(),
+		Origin:     st.comp,
 		Joiner:     o.Joiner,
 		JoinerSig:  o.JoinerSig,
 		Member:     o.Member,
@@ -201,22 +201,24 @@ func (n *Node) mergeChain(acc group.Accepted, p walkPayload) []overlay.StepCert 
 			}
 		}
 		if len(candSigs) >= srcComp.Majority() && prefixOK {
-			cert := overlay.StepCert{Next: cand.Clone(), Sigs: candSigs}
+			cert := overlay.StepCert{Next: cand, Sigs: candSigs}
 			return append(append([]overlay.StepCert(nil), prefix...), cert)
 		}
 	}
 	return nil
 }
 
-// ownComps returns candidate own compositions, newest first.
+// ownComps returns candidate own compositions, newest first: the current one
+// and the three newest older epochs the store holds.
 func (n *Node) ownComps() []group.Composition {
 	if n.st == nil {
 		return nil
 	}
 	out := []group.Composition{n.st.comp}
-	for e := n.st.comp.Epoch; e > 1 && len(out) < 4; e-- {
-		if c, ok := n.comps[group.Key{GroupID: n.st.comp.GroupID, Epoch: e - 1}]; ok {
-			out = append(out, c)
+	held := n.comps.byGroup[n.st.comp.GroupID]
+	for i := len(held) - 1; i >= 0 && len(out) < 4; i-- {
+		if held[i].Epoch < n.st.comp.Epoch {
+			out = append(out, held[i])
 		}
 	}
 	return out
@@ -239,7 +241,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 		}
 		n.sendWalkReply(p, walkResult{
 			WalkID: p.WalkID, Purpose: PurposeJoin,
-			Target: st.comp.Clone(), Accept: true, Member: p.Joiner,
+			Target: st.comp, Accept: true, Member: p.Joiner,
 		})
 		if n.cfg.Mode == smr.ModeAsync {
 			// Tell the joiner directly; the chain proves who we are.
@@ -249,7 +251,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 		accept := !st.busy && p.Origin.GroupID != st.comp.GroupID && st.comp.N() > 0
 		res := walkResult{
 			WalkID: p.WalkID, Purpose: PurposeShuffle,
-			Target: st.comp.Clone(), Accept: accept,
+			Target: st.comp, Accept: accept,
 			Member: p.Member, ShuffleSeq: p.ShuffleSeq,
 		}
 		if accept {
@@ -258,7 +260,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 			st.busy = true
 			st.pendingExch = append(st.pendingExch, pendingExchange{
 				WalkID:     p.WalkID,
-				OriginComp: p.Origin.Clone(),
+				OriginComp: p.Origin,
 				Partner:    partner,
 				Member:     p.Member,
 			})
@@ -276,7 +278,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 // to the joiner (certificate mode), with its chain attached.
 func (n *Node) sendJoinRedirect(joiner ids.NodeID, walkID crypto.Digest) {
 	st := n.st
-	payload := encodePayload(joinRedirectPayload{WalkID: walkID, Target: st.comp.Clone()})
+	payload := encodePayload(joinRedirectPayload{WalkID: walkID, Target: st.comp})
 	attach := encodePayload(walkAttachment{Chain: n.lastChains[walkID]})
 	n.egress.ChainedTo(st.comp, joiner, kindJoinRedirect, replyMsgID(walkID, 999), payload, attach)
 }
@@ -337,8 +339,12 @@ func (n *Node) handleBackward(acc group.Accepted, bp backwardPayload) {
 }
 
 // handleDirectWalkReply verifies a certificate-mode direct reply and, if the
-// chain checks out, proposes the result for agreement.
-func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
+// chain checks out, proposes the result for agreement. Anyone can send a
+// copy, and an empty chain attests only the origin: such a copy counts when a
+// member of the origin composition sends it, naming the origin's GroupID, and
+// it never accepts an exchange — a walk that ends where it started does not
+// (applyWalkArrival), so only a forger's would.
+func (n *Node) handleDirectWalkReply(from ids.NodeID, m group.GroupMsg) {
 	st := n.st
 	if st == nil || m.Payload == nil {
 		return
@@ -354,7 +360,8 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	if idx < 0 {
 		return
 	}
-	origin := st.walkOrigins[idx].OriginComp
+	wo := st.walkOrigins[idx]
+	origin := wo.OriginComp
 	if origin.N() == 0 {
 		origin = st.comp
 	}
@@ -371,22 +378,29 @@ func (n *Node) handleDirectWalkReply(m group.GroupMsg) {
 	if len(chain) > 0 && final.Digest() != res.Target.Digest() {
 		return
 	}
+	if len(chain) == 0 && (!origin.Contains(from) || res.Target.GroupID != origin.GroupID ||
+		wo.Purpose == PurposeShuffle && res.Accept) {
+		return
+	}
 	n.proposeOp(inputVoteOp{Kind: kindWalkResult, MsgID: m.MsgID,
 		Src: res.Target.Key(), Payload: m.Payload})
 }
 
-// applyWalkResult is the agreed handling of a walk reply at its origin.
+// applyWalkResult is the agreed handling of a walk reply at its origin. A
+// reply teaches the vgroup no composition of its own: those come from its own
+// agreement, and a reply's Target may be a forger's.
 func (n *Node) applyWalkResult(res walkResult) {
 	st := n.st
 	if st == nil {
 		return
 	}
 	n.logf("walk RESULT %x accept=%v", res.WalkID[:4], res.Accept)
+	own := res.Target.GroupID == st.comp.GroupID
 	idx := st.findWalk(res.WalkID)
 	if idx < 0 {
 		// Late reply for an abandoned walk: release the partner if it
 		// reserved itself for us.
-		if res.Purpose == PurposeShuffle && res.Accept && res.Target.N() > 0 {
+		if res.Purpose == PurposeShuffle && res.Accept && res.Target.N() > 0 && !own {
 			n.learnComp(res.Target)
 			pl := encodePayload(exchangeCancelPayload{WalkID: res.WalkID})
 			n.sendGroup(st.comp, res.Target, kindExchangeCancel, replyMsgID(res.WalkID, 7), pl)
@@ -396,14 +410,16 @@ func (n *Node) applyWalkResult(res walkResult) {
 	wo := st.walkOrigins[idx]
 	st.removeWalk(res.WalkID)
 	delete(n.walkDeadlines, res.WalkID)
-	n.learnComp(res.Target)
+	if !own {
+		n.learnComp(res.Target)
+	}
 
 	switch wo.Purpose {
 	case PurposeJoin:
 		st.busy = false
 		if n.cfg.Mode != smr.ModeAsync && res.Target.N() > 0 {
 			// Backward mode: we (the contact vgroup) relay the redirect.
-			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target.Clone()})
+			payload := encodePayload(joinRedirectPayload{WalkID: res.WalkID, Target: res.Target})
 			n.egress.ToNode(st.comp, wo.Joiner.ID, kindJoinRedirect, replyMsgID(res.WalkID, 998), payload)
 		}
 		n.checkResize()

@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -127,5 +130,138 @@ func TestCertificateModeFramesGolden(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s frames digest %s, want %s", c.what, c.got, c.want)
 		}
+	}
+}
+
+// directCopy is one certificate-mode copy with an empty chain: what anyone
+// can send.
+func directCopy(kind group.Kind, src group.Composition, msgID crypto.Digest, v any) group.GroupMsg {
+	payload := encodePayload(v)
+	return group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, Kind: kind, MsgID: msgID,
+		PayloadDigest: crypto.Hash(payload), Payload: payload, Attach: encodePayload(walkAttachment{})}
+}
+
+// TestDirectRedirectFromStrangerIgnored: a joiner waiting for its redirect
+// trusts its contact vgroup alone (§3.3.2). Node 99, a member of nothing,
+// sends it an empty-chain redirect that names the contact's GroupID with
+// members 97–99. The joiner used to take it: it sent its JoinRequests to
+// 97–99 and stored the forged composition, so three such nodes could make it
+// adopt their snapshot. An empty-chain redirect now counts only when it names
+// the composition the joiner trusts, or comes from the contact itself.
+func TestDirectRedirectFromStrangerIgnored(t *testing.T) {
+	contact := testComp(7, 3, 1, 2, 3)
+	walkID := crypto.Hash([]byte("join walk"))
+	joiner := func() (*Node, *fakeEnv) {
+		n := New(Config{Identity: ids.Identity{ID: 50, Addr: "t:50"}, SignerSeed: []byte("joiner-50"),
+			Scheme: simScheme(), Mode: smr.ModeAsync, Params: Params{HC: 2, RWL: 3, GMax: 6, GMin: 3}})
+		env := &fakeEnv{self: 50, now: time.Second, rng: rand.New(rand.NewSource(50))}
+		n.Start(env)
+		if err := n.Join(contact.Members[0]); err != nil {
+			t.Fatal(err)
+		}
+		n.Receive(1, ContactInfo{Comp: contact})
+		if n.join.stage != stageRequestedC {
+			t.Fatalf("joiner at stage %d after the contact's answer, want %d", n.join.stage, stageRequestedC)
+		}
+		env.sent = nil
+		return n, env
+	}
+	requested := func(env *fakeEnv) (to []ids.NodeID) {
+		for _, s := range env.sent {
+			if _, ok := s.msg.(JoinRequest); ok {
+				to = append(to, s.to)
+			}
+		}
+		return to
+	}
+	redirect := func(target group.Composition) group.GroupMsg {
+		return directCopy(kindJoinRedirect, target, replyMsgID(walkID, 999), joinRedirectPayload{WalkID: walkID, Target: target})
+	}
+
+	forged := testComp(7, 4, 97, 98, 99)
+	n, env := joiner()
+	n.Receive(99, redirect(forged))
+	if n.join.stage != stageRequestedC || len(requested(env)) != 0 {
+		t.Fatalf("a stranger's redirect moved the joiner to stage %d, JoinRequests to %v", n.join.stage, requested(env))
+	}
+	if _, ok := n.comps.exact(forged.Key()); ok {
+		t.Fatal("the joiner stored the forged composition")
+	}
+
+	// The contact may name its vgroup's newer composition; anyone may name the
+	// one the joiner trusts.
+	newer := testComp(7, 4, 1, 2, 3, 4)
+	for _, c := range []struct {
+		from   ids.NodeID
+		target group.Composition
+	}{{1, newer}, {99, contact}} {
+		n, env := joiner()
+		n.Receive(c.from, redirect(c.target))
+		if n.join.stage != stageRequestedD || !slices.Equal(requested(env), ids.IdentityIDs(c.target.Members)) {
+			t.Errorf("redirect to %v from %v: stage %d, JoinRequests to %v, want its members", c.target.Key(), c.from, n.join.stage, requested(env))
+		}
+	}
+}
+
+// pendingWalk makes n, a certificate-mode member of origin, the origin of one
+// pending walk, with a replica that records what n proposes.
+func pendingWalk(t *testing.T, n *Node, purpose WalkPurpose, walkID crypto.Digest) *recordingReplica {
+	t.Helper()
+	n.st.walkOrigins = append(n.st.walkOrigins, walkOrigin{WalkID: walkID, Purpose: purpose, OriginComp: n.st.comp, Member: n.st.comp.Members[0]})
+	rec := &recordingReplica{}
+	n.replica = rec
+	return rec
+}
+
+// TestDirectWalkReplyFromStrangerIgnored: node 99 sends a vgroup with a
+// pending shuffle walk an empty-chain result that accepts the exchange with
+// itself as the partner. Every correct member used to propose it, and at f+1
+// proposals the vgroup swapped a member for node 99. An empty chain now counts
+// only from a member of the walk's origin composition.
+func TestDirectWalkReplyFromStrangerIgnored(t *testing.T) {
+	origin := testComp(7, 3, 1, 2, 3)
+	walkID := crypto.Hash([]byte("shuffle walk"))
+	n, _ := memberNode(t, 1, origin, testComp(9, 1, 4, 5, 6), func(cfg *Config) { cfg.Mode = smr.ModeAsync })
+	rec := pendingWalk(t, n, PurposeShuffle, walkID)
+	partner := testComp(12, 1, 97, 98, 99)
+	res := walkResult{WalkID: walkID, Purpose: PurposeShuffle, Target: partner, Accept: true, Partner: partner.Members[2], Member: origin.Members[0]}
+	n.Receive(99, directCopy(kindWalkResult, partner, replyMsgID(walkID, 0), res))
+	if len(rec.proposed) != 0 {
+		t.Fatalf("a stranger's empty-chain reply was proposed %d times", len(rec.proposed))
+	}
+	// A walk that ended where it started: an origin member's refusal counts.
+	back := walkResult{WalkID: walkID, Purpose: PurposeShuffle, Target: origin, Member: origin.Members[0]}
+	n.Receive(2, directCopy(kindWalkResult, origin, replyMsgID(walkID, 0), back))
+	if len(rec.proposed) != 1 {
+		t.Fatalf("an origin member's empty-chain refusal was proposed %d times, want once", len(rec.proposed))
+	}
+}
+
+// TestEmptyChainNeverAcceptsAnExchange: an empty chain attests nothing beyond
+// the origin, and a walk that ends where it started refuses its exchange
+// (applyWalkArrival). So when one origin member forges an empty-chain Accept —
+// under the shuffle's purpose or another — no correct member proposes it. And
+// a result an origin member can still send, ending a join walk, teaches the
+// vgroup no composition of its own.
+func TestEmptyChainNeverAcceptsAnExchange(t *testing.T) {
+	origin := testComp(7, 3, 1, 2, 3)
+	walkID := crypto.Hash([]byte("shuffle walk"))
+	n, _ := memberNode(t, 1, origin, testComp(9, 1, 4, 5, 6), func(cfg *Config) { cfg.Mode = smr.ModeAsync })
+	rec := pendingWalk(t, n, PurposeShuffle, walkID)
+	stranger := ids.Identity{ID: 99, Addr: "t:99"}
+	for _, purpose := range []WalkPurpose{PurposeShuffle, PurposeJoin} {
+		res := walkResult{WalkID: walkID, Purpose: purpose, Target: origin, Accept: true, Partner: stranger, Member: origin.Members[0]}
+		n.Receive(2, directCopy(kindWalkResult, origin, replyMsgID(walkID, 0), res))
+	}
+	if len(rec.proposed) != 0 {
+		t.Fatalf("an origin member's empty-chain Accept was proposed %d times", len(rec.proposed))
+	}
+
+	joinWalk := crypto.Hash([]byte("join walk"))
+	pendingWalk(t, n, PurposeJoin, joinWalk)
+	planted := testComp(7, 4, 2, 97, 98)
+	n.applyWalkResult(walkResult{WalkID: joinWalk, Purpose: PurposeJoin, Target: planted, Accept: true})
+	if _, ok := n.comps.exact(planted.Key()); ok {
+		t.Fatal("a walk result planted a composition of the vgroup's own")
 	}
 }

@@ -48,6 +48,17 @@ func HashUint64(d Digest, v uint64) Digest {
 	return Hash(d[:], b[:])
 }
 
+// Derive is the one derivation of a deterministic identifier: the digest of
+// tag and seed, with each part folded in after it by HashUint64. Every member
+// that derives from the same inputs gets the same digest.
+func Derive(tag string, seed []byte, parts ...uint64) Digest {
+	d := Hash([]byte(tag), seed)
+	for _, p := range parts {
+		d = HashUint64(d, p)
+	}
+	return d
+}
+
 // Seed derives a deterministic int64 PRNG seed from a digest.
 func (d Digest) Seed() int64 {
 	return int64(binary.BigEndian.Uint64(d[:8]))

@@ -237,7 +237,6 @@ type pending struct {
 	meta     []itemMeta
 	bytes    int
 	deadline time.Duration // 0: deferred to the next FlushDeferred
-	seq      uint64        // closed: the number of its first multi-item carrier
 }
 
 // arrival is one destination's rate estimate and flow-control state; it
@@ -280,11 +279,6 @@ type Scheduler struct {
 	// the next FlushDeferred: deferred queues closed between ticks, and
 	// deferred EnqueueAlone items.
 	held []*pending
-	// carriers numbers the multi-item carriers in the order their batches
-	// close, so a held carrier's number does not depend on what else leaves
-	// before the round does; carrier is the number of the one Flush is being
-	// handed. The Port derives carrier IDs from it.
-	carriers, carrier uint64
 }
 
 // maxFreePending bounds the recycled-batch freelist: enough for every
@@ -581,7 +575,6 @@ func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 	if paced && len(q.items) > 0 {
 		n := s.carrierPrefix(q.items)
 		s.count(a, n)
-		s.carrier = s.carriers
 		s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
 		for _, it := range q.items[:n] {
 			q.bytes -= len(it.Payload) + group.BatchWireOverhead
@@ -600,12 +593,11 @@ func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 }
 
 // close ends one destination's open batch: it drops the expired items, counts
-// and numbers the carriers the rest make up, and sends them — or, deferred,
-// holds them for the next FlushDeferred.
+// the carriers the rest make up, and sends them — or, deferred, holds them for
+// the next FlushDeferred.
 func (s *Scheduler) close(k destKey, q *pending) {
 	a := s.arr[k]
 	s.dropExpired(a, q, s.now())
-	q.seq = s.carriers + 1
 	for i := 0; i < len(q.items); {
 		n := s.carrierPrefix(q.items[i:])
 		s.count(a, n)
@@ -622,25 +614,17 @@ func (s *Scheduler) close(k destKey, q *pending) {
 	s.updatePressure(k, a)
 }
 
-// count counts one carrier of n items as its batch closes. One of more than
-// one item takes the next number; a single item leaves as a plain message.
+// count counts one carrier of n items as its batch closes.
 func (s *Scheduler) count(a *arrival, n int) {
 	s.stats.Flushes++
 	s.stats.Items += uint64(n)
 	a.flushes++
-	if n > 1 {
-		s.carriers++
-	}
 }
 
-// send transmits a closed batch in carrier-sized chunks, numbered from q.seq,
-// and recycles it.
+// send transmits a closed batch in carrier-sized chunks and recycles it.
 func (s *Scheduler) send(q *pending) {
-	for seq := q.seq; len(q.items) > 0; {
+	for len(q.items) > 0 {
 		n := s.carrierPrefix(q.items)
-		if n > 1 {
-			s.carrier, seq = seq, seq+1
-		}
 		s.cfg.Flush(q.src, q.dst, q.node, q.items[:n])
 		q.items, q.meta = slices.Delete(q.items, 0, n), slices.Delete(q.meta, 0, n)
 	}
@@ -695,10 +679,10 @@ func (s *Scheduler) newPending(src, dst group.Composition, node ids.NodeID) *pen
 		q := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		q.src, q.dst, q.node, q.bytes, q.deadline = src.Clone(), dst.Clone(), node, 0, 0
+		q.src, q.dst, q.node, q.bytes, q.deadline = src, dst, node, 0, 0
 		return q
 	}
-	return &pending{src: src.Clone(), dst: dst.Clone(), node: node}
+	return &pending{src: src, dst: dst, node: node}
 }
 
 // recycle returns a sent batch to the freelist. send left its item array

@@ -160,7 +160,8 @@ func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
 // A node-addressed batch (raw traffic) is link-authenticated and carries full
 // payloads, and is never held for a round: tier-2 data must not wait for
 // round boundaries. A single item leaves as a plain message — a carrier frame
-// would only add overhead.
+// would only add overhead. A carrier's MsgID is zero, like its PayloadDigest:
+// the receiver votes the inner items under their own MsgIDs and reads neither.
 func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
 	switch it := items[0]; {
 	case node != 0 && len(items) == 1:
@@ -169,21 +170,10 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 		p.sendDirect(node, group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
 			Kind: it.Kind, MsgID: it.MsgID, PayloadDigest: it.MsgID, Payload: it.Payload})
 	case node != 0:
-		group.SendBatchToNode(p.sendDirect, src, p.rules.Self, node, p.rules.Carrier, p.carrierID(src, 0), items)
+		group.SendBatchToNode(p.sendDirect, src, p.rules.Self, node, p.rules.Carrier, crypto.Digest{}, items)
 	case len(items) == 1:
 		group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, nil)
 	default:
-		group.SendBatch(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, p.rules.Carrier, p.carrierID(src, dst.GroupID), items)
+		group.SendBatch(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, p.rules.Carrier, crypto.Digest{}, items)
 	}
-}
-
-// carrierID identifies the carrier being flushed by its number
-// (Scheduler.carrier). It is unique per sender, not matched across members:
-// inner MsgIDs carry the logical identities.
-func (p *Port) carrierID(src group.Composition, dst ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-gbatch"))
-	for _, v := range [...]uint64{uint64(src.GroupID), src.Epoch, uint64(dst), uint64(p.rules.Self), p.carrier} {
-		d = crypto.HashUint64(d, v)
-	}
-	return d
 }

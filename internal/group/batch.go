@@ -214,10 +214,10 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // toward the destination members this sender is the RelaySender of: one flush
 // frames at most two variants, with this member's relayed payloads and
 // without them. Destination order is randomized against
-// incast (§5.1). batchID identifies the carrier message only; it takes no part
-// in inbox majority matching — the inner MsgIDs do. For the same reason the
-// carrier's PayloadDigest is sent zero: receivers vote the inner items'
-// digests and never compare the frame's.
+// incast (§5.1). batchID becomes the carrier's MsgID, which no receiver reads:
+// the inner MsgIDs take part in inbox majority matching, and the engine sends
+// zero. For the same reason the carrier's PayloadDigest is sent zero:
+// receivers vote the inner items' digests and never compare the frame's.
 func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem) {
 	if len(items) == 0 {
 		return

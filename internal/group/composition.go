@@ -18,6 +18,15 @@ import (
 
 // Composition is the identity of one vgroup at one point in its life:
 // its ID, its reconfiguration epoch, and its (canonically sorted) members.
+//
+// A composition is a value that every holder shares: once it exists, nothing
+// writes into Members, appends to it, sorts it or copies into it, and nothing
+// writes a member's PubKey. A constructor — a reconfiguration, a split or
+// merge, the decoder — builds a fresh Members slice (a shallow copy where it
+// needs a private array), and a copy of a composition is a copy of the
+// reference. Only a composition handed to the application leaves as a deep
+// copy (Clone). TestCompositionsAreNeverWritten checks the rule over the
+// engine and the API packages.
 type Composition struct {
 	GroupID ids.GroupID
 	Epoch   uint64
@@ -41,7 +50,8 @@ func (c Composition) IsZero() bool {
 	return c.GroupID == 0 && c.Epoch == 0 && len(c.Members) == 0
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, for a composition that leaves for the
+// application.
 func (c Composition) Clone() Composition {
 	return Composition{GroupID: c.GroupID, Epoch: c.Epoch, Members: ids.CloneIdentities(c.Members)}
 }

@@ -132,17 +132,12 @@ func RelaySender(src, dst Composition, j int) int {
 	return (j + relayRotation(src, dst)) % src.N()
 }
 
-// relaySalt opens the hash chain relayRotation draws from.
-var relaySalt = crypto.Hash([]byte("atum-relay"))
-
 // relayRotation is RelaySender's r, in [0, N) (0 for an empty src).
 func relayRotation(src, dst Composition) int {
 	if src.N() == 0 {
 		return 0
 	}
-	d := crypto.HashUint64(relaySalt, uint64(src.GroupID))
-	d = crypto.HashUint64(d, uint64(dst.GroupID))
-	d = crypto.HashUint64(d, dst.Epoch)
+	d := crypto.Derive("atum-relay", nil, uint64(src.GroupID), uint64(dst.GroupID), dst.Epoch)
 	return int(uint64(d.Seed()) % uint64(src.N()))
 }
 

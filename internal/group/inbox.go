@@ -11,8 +11,8 @@ import (
 )
 
 // maxEntriesPerKey bounds, per source composition, the messages still
-// collecting votes — a hostile flood parks no more — and the accepted and
-// settled ones remembered against stragglers (done records), each on its own.
+// collecting votes — a hostile flood parks no more — and the accepted ones
+// remembered against stragglers (done records), each on its own.
 const maxEntriesPerKey = 1024
 
 // maxOpenPerSender bounds, per source composition, the messages still
@@ -34,11 +34,10 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // votes is a pending entry holding those votes and the payloads seen. Once
 // accepted it is a value in the done map — the time of its first copy, all
 // Prune needs — so the long tail of a message's life (stragglers are turned
-// away until inboxTTL) costs one map slot and no pointer. The owner can put a
-// message there itself (Settle) when it knows it has no use for it. A message
-// of the lending index (below) is the exception: accepted or settled, it
-// leaves no done record, because its owner remembers what it received by the
-// MsgID every link shares and turns later copies away itself.
+// away until inboxTTL) costs one map slot and no pointer. A message of the
+// lending index (below) is the exception: accepted or settled, it leaves no
+// done record, because its owner remembers what it received by the MsgID every
+// link shares and turns later copies away itself.
 //
 // The two maps are bounded apart. At maxEntriesPerKey pending entries a
 // source's new MsgIDs are refused: flood protection. Each pending entry is
@@ -82,7 +81,7 @@ type Inbox struct {
 // source is what the inbox remembers of one source composition.
 type source struct {
 	pending map[crypto.Digest]*entry        // MsgID → votes being collected
-	done    map[crypto.Digest]time.Duration // accepted or settled MsgID → time of its first copy
+	done    map[crypto.Digest]time.Duration // accepted MsgID → time of its first copy
 }
 
 // entry is one logical message that has not been accepted yet.
@@ -122,12 +121,6 @@ func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
 	return &Inbox{lookup: lookup, sources: make(map[Key]*source), shared: make(map[crypto.Digest][]Key)}
 }
 
-func (ib *Inbox) addSource(src Key) *source {
-	s := &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
-	ib.sources[src] = s
-	return s
-}
-
 // opened counts the pending entries from's copies opened. Below
 // maxOpenPerSender pending entries no sender can hold that many, so the count
 // is only taken at a source that holds them: a hostile one, or a burst.
@@ -143,25 +136,22 @@ func (s *source) opened(from ids.NodeID) int {
 	return n
 }
 
-// retire ends msgID of src: its pending entry, if any, is released, and unless
-// that entry was in the lending index the message moves to the done map under
-// the time of its first copy — now if it has none — first forgetting the older
-// half of a done map at maxEntriesPerKey.
-func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest, now time.Duration) {
-	firstAt := now
-	if e := s.pending[msgID]; e != nil {
-		ib.release(src, msgID, e)
-		delete(s.pending, msgID)
-		if e.shared {
-			return
-		}
-		firstAt = e.firstAt
+// retire ends msgID of src: its pending entry is released, and unless that
+// entry was in the lending index the message moves to the done map under the
+// time of its first copy, first forgetting the older half of a done map at
+// maxEntriesPerKey.
+func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest) {
+	e := s.pending[msgID]
+	ib.release(src, msgID, e)
+	delete(s.pending, msgID)
+	if e.shared {
+		return
 	}
 	if len(s.done) >= maxEntriesPerKey {
 		times := slices.Sorted(maps.Values(s.done))
 		s.forget(times[len(times)/2-1] + 1)
 	}
-	s.done[msgID] = firstAt
+	s.done[msgID] = e.firstAt
 }
 
 // release takes a pending entry that is leaving out of the lending index.
@@ -241,7 +231,8 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	}
 	if e == nil {
 		if s == nil {
-			s = ib.addSource(src)
+			s = &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
+			ib.sources[src] = s
 		} else if len(s.pending) >= maxEntriesPerKey || s.opened(from) >= maxOpenPerSender {
 			return Accepted{}, false
 		}
@@ -269,30 +260,13 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	return acc, ok
 }
 
-// Settle tells the inbox that its owner needs nothing more from one logical
-// message of src. The message ends exactly as an accepted one does — a pending
-// entry is released with its votes and held payloads and, outside the lending
-// index, moves to the done map under the time of its first copy; an unseen
-// MsgID is recorded under now — so every later copy of a message with a done
-// record is Observe's one-probe straggler. src need not be a known
-// composition.
-func (ib *Inbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
-	s := ib.sources[src]
-	if s == nil {
-		s = ib.addSource(src)
-	}
-	if _, done := s.done[msgID]; !done {
-		ib.retire(src, s, msgID, now)
-	}
-}
-
 // SettleAll releases the pending entry of msgID under every source that holds
 // one in the lending index: the owner has the message from one link and needs
 // it from none. It frees memory and leaves no record; the owner turns later
 // copies away.
 func (ib *Inbox) SettleAll(msgID crypto.Digest) {
 	for _, src := range slices.Clone(ib.shared[msgID]) {
-		ib.retire(src, ib.sources[src], msgID, 0) // shared: no record, no time
+		ib.retire(src, ib.sources[src], msgID) // shared: no record
 	}
 }
 
@@ -400,7 +374,7 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 		}
 		// At most the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
-		ib.retire(src, s, msgID, now)
+		ib.retire(src, s, msgID)
 		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
@@ -409,8 +383,8 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 
 // Votes returns how many members of src have voted (kind, digest) on a
 // message of src that is still collecting votes; zero once it is accepted or
-// settled. src is taken as given, not looked up: the caller asks about the
-// members it knows.
+// settled (SettleAll). src is taken as given, not looked up: the caller asks
+// about the members it knows.
 func (ib *Inbox) Votes(src Composition, kind Kind, msgID, digest crypto.Digest) int {
 	if s := ib.sources[src.Key()]; s != nil {
 		if e := s.pending[msgID]; e != nil {
@@ -470,8 +444,8 @@ func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
 	}
 }
 
-// Len returns the number of messages remembered — pending, and accepted or
-// settled with a done record (for tests and metrics).
+// Len returns the number of messages remembered — pending, and accepted with
+// a done record (for tests and metrics).
 func (ib *Inbox) Len() int {
 	n := 0
 	for _, s := range ib.sources {

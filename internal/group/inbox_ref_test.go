@@ -14,8 +14,8 @@ import (
 // verbatim apart from the ref prefix on its names: the reference model
 // TestInboxMatchesReference drives the shipped Inbox against. It hashes every
 // full copy before anything else and keeps one heap entry, three maps and a
-// second index per logical message. It had no Settle and no Votes; the models
-// of both are the methods at the end of this file.
+// second index per logical message. It had no Votes; the model of it is the
+// method at the end of this file.
 //
 // Three things in it are changed, not added. It used to report the kind of
 // whichever copy opened the entry and count votes by digest alone, so one
@@ -345,27 +345,6 @@ func (ib *refInbox) remember(ek refEntryKey, e *refEntryState) {
 	}
 	e.accepted = true
 	e.votes, e.payloads, e.attach = nil, nil, nil
-}
-
-// Settle is the model of Inbox.Settle, in the old inbox's terms: the entry
-// forgets what it collected and turns later copies away, as an accepted one
-// does. An entry that does not exist yet is created first seen now, whatever
-// the source holds.
-func (ib *refInbox) Settle(now time.Duration, src Key, msgID crypto.Digest) {
-	ek := refEntryKey{src: src, msgID: msgID}
-	e, ok := ib.entries[ek]
-	if ok && e.accepted {
-		return
-	}
-	if !ok {
-		e = &refEntryState{firstAt: now}
-		ib.entries[ek] = e
-		if ib.byKey[src] == nil {
-			ib.byKey[src] = make(map[crypto.Digest]bool)
-		}
-		ib.byKey[src][msgID] = true
-	}
-	ib.remember(ek, e)
 }
 
 // Votes is the model of Inbox.Votes: the members of src whose vote on a

@@ -18,10 +18,10 @@ import (
 // acceptances out. The two differ in six named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
 // model, so the comparison also states exactly what that rule means. The model
-// had no Settle and no Votes: refInbox.Settle and refInbox.Votes say what they
-// are in its terms. The model let the first copy choose the kind a message is
-// accepted under: it was changed to tally the kind with the digest (refVote),
-// which TestInboxFirstCopyCannotChooseKind pins on its own. And the model's
+// had no Votes: refInbox.Votes says what it is in its terms. The model let the
+// first copy choose the kind a message is accepted under: it was changed to
+// tally the kind with the digest (refVote), which
+// TestInboxFirstCopyCannotChooseKind pins on its own. And the model's
 // per-source cap counted accepted messages, which made it a delivery ceiling:
 // it was given the eviction rule (refInbox.remember), which
 // TestInboxDoneCapForgetsOlderHalf pins on its own. And one sender could fill
@@ -44,13 +44,14 @@ type diffWorld struct {
 	ref   *refInbox
 	now   time.Duration
 	msgs  int // distinct MsgIDs drawn per source
-	// settleTo is the operation draw below which a step settles: every other
-	// flood schedule settles often enough to fill a done map and run the
-	// eviction; the rest fill pending maps and run into the per-sender charge.
-	settleTo int
-	seed     int64
-	steps    int // operations applied so far
-	peak     int // largest Len seen
+	// burstTo is the operation draw below which a step is one source's
+	// majority sending one of its own messages: every other flood schedule has
+	// messages accepted often enough to fill a done map and run the eviction;
+	// the rest fill pending maps and run into the per-sender charge.
+	burstTo int
+	seed    int64
+	steps   int // operations applied so far
+	peak    int // largest Len seen
 
 	payloads map[[3]int]diffBytes
 }
@@ -67,9 +68,9 @@ func (w *diffWorld) fatalf(format string, args ...any) {
 }
 
 func newDiffWorld(t *testing.T, seed int64, msgs int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed, settleTo: 15}
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), known: map[Key]Composition{}, msgs: msgs, seed: seed, burstTo: 15}
 	if msgs > maxEntriesPerKey && seed%400 == 199 {
-		w.settleTo = 70
+		w.burstTo = 70
 	}
 	w.payloads = make(map[[3]int]diffBytes)
 	w.comps = []Composition{comp(1, 1, 1, 2, 3, 4, 5), comp(2, 7, 11, 12, 13, 14), comp(3, 2, 21, 22, 23)}
@@ -195,18 +196,22 @@ func (w *diffWorld) step() (corruptLater bool) {
 		}
 		w.ib.Prune(before)
 		w.ref.Prune(before)
-	case op < w.settleTo: // the owner is done with one message: unseen, pending or accepted, of any source
+	case op < w.burstTo: // every member of one source sends one of its own messages, in full
 		si := w.rng.Intn(len(w.comps))
-		msgID := w.msgID(w.pick(si))
-		w.ib.Settle(w.now, w.comps[si].Key(), msgID)
-		w.ref.Settle(w.now, w.comps[si].Key(), msgID)
-	case op < w.settleTo+2: // bytes for a shared message from outside any link: good, rival or for nothing shared
+		c, mi := w.comps[si], w.rng.Intn(w.msgs)
+		payload, digest := w.diffPayload(si, mi, 0)
+		m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, Kind: diffKind(mi),
+			MsgID: w.msgID(si, mi), PayloadDigest: digest, Payload: payload}
+		for _, member := range c.Members {
+			w.observe(member.ID, m)
+		}
+	case op < w.burstTo+2: // bytes for a shared message from outside any link: good, rival or for nothing shared
 		mi, variant := w.rng.Intn(diffShared+1), w.rng.Intn(3)/2
 		payload, digest := w.diffPayload(sharedSrc, mi, variant)
 		got, gotOK := w.ib.Supply(w.now, digest, payload)
 		want, wantOK := w.ref.Supply(w.now, digest, payload)
 		w.sameAccepted(fmt.Sprintf("Supply(shared %d, payload %d)", mi, variant), got, want, gotOK, wantOK)
-	case op < w.settleTo+3: // the owner has one shared message from some link
+	case op < w.burstTo+3: // the owner has one shared message from some link
 		msgID := w.msgID(sharedSrc, w.rng.Intn(diffShared))
 		w.ib.SettleAll(msgID)
 		w.ref.SettleAll(msgID)
@@ -297,11 +302,11 @@ func (w *diffWorld) sameVotes() {
 // with seeded random schedules — full, digest-only and attachment-bearing
 // votes, outsiders, Byzantine re-votes, digest flips and copies under another
 // kind, corrupt copies first and later, a source learned (and re-learned with
-// other members) mid-run, one never learned, FlushKey, Prune and Settle at
-// random times — and requires identical (Accepted, ok) sequences, Len and
-// Votes throughout. Every two-hundredth
-// schedule draws MsgIDs from a space wider than maxEntriesPerKey, to run into
-// the cap on pending messages and the per-sender charge or, settling often,
+// other members) mid-run, one never learned, FlushKey, Prune and a whole
+// source's majority at random times — and requires identical (Accepted, ok)
+// sequences, Len and Votes throughout. Every two-hundredth schedule draws
+// MsgIDs from a space wider than maxEntriesPerKey, to run into the cap on
+// pending messages and the per-sender charge or, with messages accepted often,
 // into the eviction rule.
 func TestInboxMatchesReference(t *testing.T) {
 	schedules, corruptLater, evicted, charged, lent := 1200, 0, 0, 0, 0
@@ -335,7 +340,7 @@ func TestInboxMatchesReference(t *testing.T) {
 	if evicted == 0 {
 		t.Error("no schedule filled a done map: the eviction rule went untested")
 	}
-	if charged == 0 && !testing.Short() { // the short run has one flood schedule, which settles often
+	if charged == 0 && !testing.Short() { // the short run has one flood schedule, which accepts often
 		t.Error("no sender reached maxOpenPerSender: the per-sender charge went untested")
 	}
 }
@@ -410,8 +415,10 @@ func TestInboxFirstCopyCannotChooseKind(t *testing.T) {
 	}
 }
 
-// TestInboxSettle walks Settle through the four places a message can be when
-// its owner is done with it. Whatever arrives afterwards, nothing is accepted.
+// TestInboxSettle walks a control-kind message — its MsgID is not its
+// payload digest — through the places it can be when the inbox is done with
+// it: accepted, its pending entry released, a done record left under the time
+// of its first copy. Whatever arrives afterwards, nothing is accepted again.
 func TestInboxSettle(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3)
 	known := map[Key]Composition{src.Key(): src}
@@ -419,7 +426,15 @@ func TestInboxSettle(t *testing.T) {
 	payload := []byte("bytes")
 	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("m")),
 		PayloadDigest: crypto.Hash(payload), Payload: payload}
-	allVote := func(ib *Inbox, now time.Duration, m GroupMsg) {
+	accept := func(t *testing.T, ib *Inbox, now time.Duration, m GroupMsg, voters ...ids.NodeID) {
+		t.Helper()
+		for i, from := range voters {
+			if _, ok := ib.Observe(now, from, m); ok != (i == len(voters)-1) {
+				t.Fatalf("copy %d of %d from %v: accepted = %v", i+1, len(voters), from, ok)
+			}
+		}
+	}
+	allVote := func(t *testing.T, ib *Inbox, now time.Duration, m GroupMsg) {
 		t.Helper()
 		for _, member := range src.Members {
 			if _, ok := ib.Observe(now, member.ID, m); ok {
@@ -430,42 +445,38 @@ func TestInboxSettle(t *testing.T) {
 
 	t.Run("settle then copies", func(t *testing.T) {
 		ib := NewInbox(lookup)
-		ib.Settle(time.Second, src.Key(), m.MsgID)
-		allVote(ib, 2*time.Second, m)
+		accept(t, ib, time.Second, m, 1, 2)
+		allVote(t, ib, 2*time.Second, m)
 		if s := ib.sources[src.Key()]; ib.Len() != 1 || len(s.pending) != 0 {
-			t.Fatalf("Len = %d with %d pending, want the one settled record", ib.Len(), len(s.pending))
+			t.Fatalf("Len = %d with %d pending, want the one done record", ib.Len(), len(s.pending))
 		}
-		ib.Settle(3*time.Second, src.Key(), m.MsgID) // again: still first seen at 1 s
 		ib.Prune(time.Second + 1)
 		if ib.Len() != 0 {
-			t.Error("a settled record must be pruned by the time it was settled at")
+			t.Error("a done record must be pruned by the time of its first copy")
 		}
 	})
 
 	t.Run("copies then settle", func(t *testing.T) {
 		ib := NewInbox(lookup)
 		ib.Observe(time.Second, 1, m) // one vote and the payload: pending
-		ib.Settle(5*time.Second, src.Key(), m.MsgID)
+		accept(t, ib, 5*time.Second, m, 2)
 		if s := ib.sources[src.Key()]; len(s.pending) != 0 || len(s.done) != 1 {
 			t.Fatalf("%d pending, %d done: the pending entry, its votes and its payload must be released", len(s.pending), len(s.done))
 		}
-		allVote(ib, 6*time.Second, m)
-		ib.Prune(2 * time.Second) // first copy at 1 s, settled at 5 s
+		allVote(t, ib, 6*time.Second, m)
+		ib.Prune(2 * time.Second) // first copy at 1 s, accepted at 5 s
 		if ib.Len() != 0 {
-			t.Error("a settled message is remembered from its first copy, not from when it was settled")
+			t.Error("an accepted message is remembered from its first copy, not from when it was accepted")
 		}
 	})
 
 	t.Run("after acceptance", func(t *testing.T) {
 		ib := NewInbox(lookup)
-		ib.Observe(time.Second, 1, m)
-		if _, ok := ib.Observe(time.Second, 2, m); !ok {
-			t.Fatal("members 1 and 2 are a majority")
-		}
-		ib.Settle(5*time.Second, src.Key(), m.MsgID)
+		accept(t, ib, time.Second, m, 1, 2)
+		allVote(t, ib, 5*time.Second, m)
 		ib.Prune(2 * time.Second)
 		if ib.Len() != 0 {
-			t.Error("settling an accepted message must not renew it")
+			t.Error("a straggler of an accepted message must not renew it")
 		}
 	})
 
@@ -474,20 +485,25 @@ func TestInboxSettle(t *testing.T) {
 		held := m
 		for i := 0; i < maxEntriesPerKey; i++ {
 			held.MsgID = crypto.HashUint64(crypto.Digest{}, uint64(i))
-			ib.Observe(time.Second, ids.NodeID(1+i/maxOpenPerSender), held) // each sender to its charge
+			ib.Observe(time.Second, ids.NodeID(10+i/maxOpenPerSender), held) // non-members, each to its charge
 		}
-		// The cap bounds what collects votes, not what the owner is done with:
-		// an unseen MsgID is recorded even with the pending map full.
-		ib.Settle(time.Second, src.Key(), m.MsgID)
-		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey || len(s.done) != 1 {
-			t.Fatalf("%d pending, %d done, want the full pending map and the settled record", len(s.pending), len(s.done))
+		// The cap bounds what collects votes: a fresh MsgID is refused until an
+		// acceptance makes room.
+		for _, from := range []ids.NodeID{1, 2} {
+			if _, ok := ib.Observe(time.Second, from, m); ok {
+				t.Fatal("a message past a full pending map was accepted")
+			}
 		}
-		allVote(ib, time.Second, m)
-		ib.Settle(time.Second, src.Key(), held.MsgID) // pending: moves, and makes room
-		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey-1 || len(s.done) != 2 {
-			t.Fatalf("%d pending, %d done, want a pending entry settled in place", len(s.pending), len(s.done))
+		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey || len(s.done) != 0 {
+			t.Fatalf("%d pending, %d done, want the full pending map alone", len(s.pending), len(s.done))
 		}
-		allVote(ib, time.Second, held)
+		accept(t, ib, time.Second, held, 1, 2) // pending: moves, and makes room
+		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey-1 || len(s.done) != 1 {
+			t.Fatalf("%d pending, %d done, want a pending entry accepted in place", len(s.pending), len(s.done))
+		}
+		allVote(t, ib, time.Second, held)
+		accept(t, ib, time.Second, m, 1, 2)
+		allVote(t, ib, time.Second, m)
 	})
 
 	t.Run("unknown source", func(t *testing.T) {
@@ -497,12 +513,14 @@ func TestInboxSettle(t *testing.T) {
 		lm.SrcGroup, lm.SrcEpoch = late.GroupID, late.Epoch
 		ib.Observe(time.Second, 1, lm)
 		ib.Observe(time.Second, 2, lm) // a buffered majority, source not known yet
-		ib.Settle(time.Second, late.Key(), lm.MsgID)
 		known[late.Key()] = late
-		if acc := ib.FlushKey(2*time.Second, late.Key()); len(acc) != 0 {
-			t.Fatalf("FlushKey accepted %d settled messages", len(acc))
+		if acc := ib.FlushKey(2*time.Second, late.Key()); len(acc) != 1 {
+			t.Fatalf("FlushKey accepted %d messages, want the buffered one", len(acc))
 		}
-		allVote(ib, 2*time.Second, lm)
+		if acc := ib.FlushKey(2*time.Second, late.Key()); len(acc) != 0 {
+			t.Fatalf("a second FlushKey accepted %d settled messages", len(acc))
+		}
+		allVote(t, ib, 2*time.Second, lm)
 		if ib.Len() != 1 {
 			t.Errorf("Len = %d, want 1", ib.Len())
 		}
@@ -510,21 +528,28 @@ func TestInboxSettle(t *testing.T) {
 }
 
 // TestInboxDoneCapForgetsOlderHalf pins the eviction rule: a source that has
-// had maxEntriesPerKey messages accepted or settled within the prune horizon
-// is not refused its next one. Recording it first forgets the older half of
-// the done map by first-copy time; the newer half still turns stragglers away.
+// had maxEntriesPerKey messages accepted within the prune horizon is not
+// refused its next one. Recording it first forgets the older half of the done
+// map by first-copy time; the newer half still turns stragglers away.
 func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3)
 	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
 	id := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
+	payload := []byte("fresh")
+	msg := func(i int) GroupMsg {
+		return GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: id(i), PayloadDigest: crypto.Hash(payload), Payload: payload}
+	}
 	for i := 0; i < maxEntriesPerKey; i++ {
-		ib.Settle(time.Duration(i)*time.Millisecond, src.Key(), id(i))
+		at := time.Duration(i) * time.Millisecond
+		ib.Observe(at, 1, msg(i))
+		if _, ok := ib.Observe(at, 2, msg(i)); !ok {
+			t.Fatalf("message %d: members 1 and 2 are a majority", i)
+		}
 	}
 	if ib.Len() != maxEntriesPerKey {
-		t.Fatalf("Len = %d, want the %d settled records", ib.Len(), maxEntriesPerKey)
+		t.Fatalf("Len = %d, want the %d done records", ib.Len(), maxEntriesPerKey)
 	}
-	payload := []byte("fresh")
-	fresh := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: id(maxEntriesPerKey), PayloadDigest: crypto.Hash(payload), Payload: payload}
+	fresh := msg(maxEntriesPerKey)
 	ib.Observe(time.Hour, 1, fresh)
 	if _, ok := ib.Observe(time.Hour, 2, fresh); !ok {
 		t.Fatal("a message past a full done map was refused: the cap is a delivery ceiling again")
@@ -532,8 +557,7 @@ func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
 	if s := ib.sources[src.Key()]; len(s.done) != maxEntriesPerKey/2+1 {
 		t.Fatalf("%d done records, want the newer half and the fresh message (%d)", len(s.done), maxEntriesPerKey/2+1)
 	}
-	old, kept := fresh, fresh
-	old.MsgID, kept.MsgID = id(maxEntriesPerKey/2-1), id(maxEntriesPerKey/2)
+	old, kept := msg(maxEntriesPerKey/2-1), msg(maxEntriesPerKey/2)
 	if _, ok := ib.Observe(time.Hour, 1, kept); ok || ib.Votes(src, 0, kept.MsgID, kept.PayloadDigest) != 0 {
 		t.Error("a straggler of the newer half opened an entry")
 	}
@@ -581,9 +605,9 @@ func TestNonMemberCannotFillPendingCap(t *testing.T) {
 // is starved and Starved names its voters; A's copy with the bytes then
 // completes B's entry. Supply: bytes handed in complete a starved entry, bytes
 // of another digest do not. A message whose MsgID is not its digest neither
-// lends nor borrows. Whatever ends the starving — acceptance, Settle,
-// SettleAll, Prune — frees the lending index, and a message of the index
-// leaves no done record.
+// lends nor borrows. Whatever ends the starving — acceptance, SettleAll,
+// Prune — frees the lending index, and a message of the index leaves no done
+// record.
 func TestInboxLendsAcrossSources(t *testing.T) {
 	A, B := comp(1, 1, 1, 2, 3), comp(2, 1, 4, 5, 6)
 	lookup := func(k Key) (Composition, bool) {
@@ -675,7 +699,7 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 	})
 
 	t.Run("starving ends", func(t *testing.T) {
-		for _, end := range []string{"Settle", "SettleAll", "Prune"} {
+		for _, end := range []string{"SettleAll", "Prune"} {
 			ib := NewInbox(lookup)
 			for _, c := range []Composition{A, B} {
 				for _, m := range c.Members[:2] {
@@ -686,9 +710,6 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 				t.Fatalf("%d starved entries, want A's and B's", ib.starved)
 			}
 			switch end {
-			case "Settle":
-				ib.Settle(0, A.Key(), d)
-				ib.Settle(0, B.Key(), d)
 			case "SettleAll":
 				ib.SettleAll(d)
 			case "Prune":
@@ -713,8 +734,8 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 }
 
 // TestInboxStragglerCostsOneProbe pins the two hot cases of Observe. A copy of
-// an accepted or settled message allocates nothing and hashes nothing — its
-// payload does not match its digest here, and nothing notices. A further digest-only vote
+// an accepted message allocates nothing and hashes nothing — its payload does
+// not match its digest here, and nothing notices. A further digest-only vote
 // on a pending entry costs at most the vote slice's growth.
 func TestInboxStragglerCostsOneProbe(t *testing.T) {
 	members := make([]uint64, 40)
@@ -755,20 +776,6 @@ func TestInboxStragglerCostsOneProbe(t *testing.T) {
 	}
 	if ib.Len() != 1 {
 		t.Errorf("Len = %d, want 1", ib.Len())
-	}
-
-	// A copy of a settled message is the same straggler.
-	straggler.MsgID = crypto.Hash([]byte("settled"))
-	ib.Settle(0, src.Key(), straggler.MsgID)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := ib.Observe(time.Second, 40, straggler); ok {
-			t.Fatal("accepted a settled message")
-		}
-	}); allocs != 0 {
-		t.Errorf("a copy of a settled message allocates %.1f times, want 0", allocs)
-	}
-	if ib.Len() != 2 {
-		t.Errorf("Len = %d, want 2", ib.Len())
 	}
 }
 

@@ -82,8 +82,8 @@ func NewNeighbors(hc int, self group.Composition) Neighbors {
 		Succs: make([]group.Composition, hc),
 	}
 	for c := 0; c < hc; c++ {
-		n.Preds[c] = self.Clone()
-		n.Succs[c] = self.Clone()
+		n.Preds[c] = self
+		n.Succs[c] = self
 	}
 	return n
 }
@@ -121,11 +121,11 @@ func (n *Neighbors) UpdateGroup(c group.Composition) int {
 	changed := 0
 	for i := range n.Preds {
 		if n.Preds[i].GroupID == c.GroupID && n.Preds[i].Epoch < c.Epoch {
-			n.Preds[i] = c.Clone()
+			n.Preds[i] = c
 			changed++
 		}
 		if n.Succs[i].GroupID == c.GroupID && n.Succs[i].Epoch < c.Epoch {
-			n.Succs[i] = c.Clone()
+			n.Succs[i] = c
 			changed++
 		}
 	}
@@ -149,7 +149,8 @@ func (n Neighbors) Distinct(self ids.GroupID) []ids.GroupID {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, for a view that leaves for the application. The
+// view itself holds its compositions by reference: they are never written.
 func (n Neighbors) Clone() Neighbors {
 	out := Neighbors{
 		Preds: make([]group.Composition, len(n.Preds)),

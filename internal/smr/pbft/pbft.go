@@ -511,11 +511,7 @@ func (r *Replica) maybeArmTimer() {
 func (r *Replica) stateDigest(seq uint64) crypto.Digest {
 	// The engine layers deterministic state on top of the op sequence, so a
 	// digest over (group, epoch, seq) identifies the executed prefix.
-	d := crypto.Hash([]byte("pbft-ckpt"))
-	d = crypto.HashUint64(d, uint64(r.cfg.GroupID))
-	d = crypto.HashUint64(d, r.cfg.Epoch)
-	d = crypto.HashUint64(d, seq)
-	return d
+	return crypto.Derive("pbft-ckpt", nil, uint64(r.cfg.GroupID), r.cfg.Epoch, seq)
 }
 
 func (r *Replica) sendCheckpoint() {
