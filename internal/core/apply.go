@@ -191,6 +191,7 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 	st.comp = group.Composition{GroupID: old.GroupID, Epoch: old.Epoch + 1, Members: members}
 	n.learnComp(old)
 	n.learnComp(st.comp)
+	n.forgetSnapshots(st.comp, false)
 	n.logf("reconfigure %v: epoch %d -> %d (%s), members %v",
 		old.GroupID, old.Epoch, st.comp.Epoch, cause, ids.IdentityIDs(members))
 
@@ -254,9 +255,9 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 		n.checkResize()
 		n.processPendingJoins()
 	}
-	// Catch-up shares for the epoch just entered may already be buffered
+	// Catch-up shares for the epoch just entered may already be tallied
 	// (they are sent once, possibly before this member crossed the barrier).
-	n.evaluateCatchUp()
+	n.adoptSnapshots()
 }
 
 // cacheSnapshot keeps recent outgoing snapshot payloads for heartbeat-
@@ -288,7 +289,7 @@ func (n *Node) departed(cause reconfigCause) {
 		// expected source was registered before reconfigure.
 		n.phase = phaseAwaitSnapshot
 		n.awaitDeadline = n.env.Now() + 2*n.cfg.JoinTimeout
-		n.tryParkedSnapshots()
+		n.adoptSnapshots()
 	default:
 		n.phase = phaseLeft
 		if n.cfg.Callbacks.OnLeft != nil {

@@ -397,10 +397,9 @@ func TestRawNeverEntersInbox(t *testing.T) {
 	for _, sender := range src.Members {
 		n.handleBatch(sender.ID, carrier)
 	}
-	// The snapshot share must not have been observed: no tally entries, no
-	// phase change, nothing accepted (Observe would need a majority anyway,
-	// but the allowlist stops it at the door).
-	if len(n.snapShares) != 0 || n.phase != phaseMember {
+	// The snapshot share must not have been observed: no tally, no phase
+	// change, nothing accepted (the allowlist stops it at the door).
+	if len(n.snaps) != 0 || n.inbox.Len() != 0 || n.phase != phaseMember {
 		t.Fatal("non-allowlisted kind leaked through a batch carrier")
 	}
 }
@@ -522,7 +521,7 @@ func TestGossipCopyUnderAnotherMsgIDDropped(t *testing.T) {
 // must not reach the handler of the type it really holds. A source-vgroup
 // majority sends kindGossip items that carry a merge request (whose handler
 // proposes an input vote) and a snapshot (whose handler parks it), standalone
-// and inside a carrier: nothing is proposed, parked or delivered, and the
+// and inside a carrier: nothing is proposed, tallied or delivered, and the
 // well-formed gossip item sharing the carrier still is.
 func TestKindTagMismatchDropped(t *testing.T) {
 	self := ids.NodeID(4)
@@ -549,8 +548,8 @@ func TestKindTagMismatchDropped(t *testing.T) {
 		if len(rec.proposed) != 0 {
 			t.Errorf("%s: %d operations proposed, want none (a merge request under kindGossip reached voteInput)", when, len(rec.proposed))
 		}
-		if len(n.pendingSnaps) != 0 {
-			t.Errorf("%s: %d snapshots parked, want none (a snapshot under kindGossip reached adoptSnapshot)", when, len(n.pendingSnaps))
+		if len(n.snaps) != 0 {
+			t.Errorf("%s: %d snapshots tallied, want none (a snapshot under kindGossip reached the snapshot table)", when, len(n.snaps))
 		}
 		if !slices.Equal(delivered, wantDelivered) {
 			t.Errorf("%s: delivered %q, want %q", when, delivered, wantDelivered)

@@ -951,9 +951,9 @@ func TestCatchUpSurvivesShareFlood(t *testing.T) {
 					n.Receive(99, group.GroupMsg{SrcGroup: 7, SrcEpoch: epoch, Kind: kindSnapshot, MsgID: share.MsgID,
 						PayloadDigest: crypto.HashUint64(crypto.Digest{}, uint64(i))})
 				}
-				if epoch == 3 && len(n.snapShares) != maxSnapSharesPerSender {
+				if epoch == 3 && len(n.snaps) != maxSnapSharesPerSender {
 					t.Fatalf("the flood holds %d tallies, want the %d future-epoch ones it was charged for",
-						len(n.snapShares), maxSnapSharesPerSender)
+						len(n.snaps), maxSnapSharesPerSender)
 				}
 			}
 		}
@@ -965,4 +965,99 @@ func TestCatchUpSurvivesShareFlood(t *testing.T) {
 			t.Fatalf("flood %v: still at epoch %d after f+1 members attested epoch 4", flood, n.st.comp.Epoch)
 		}
 	}
+}
+
+// TestCatchUpAfterManyOwnCommits: a member's tallies for epochs it then
+// applied itself were freed only at its next install. A seven-member async
+// node that kept up through maxSnapShares reconfigurations, each after one
+// peer's share of the epoch it was closing (four peers taking turns), held a
+// full table of stale tallies, and the successor state f+1 peers then attested
+// opened no tally: the node stayed an epoch behind. Its own reconfiguration
+// now frees them.
+func TestCatchUpAfterManyOwnCommits(t *testing.T) {
+	n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3, 4, 5, 6, 7), testComp(9, 1, 11, 12, 13), func(cfg *Config) {
+		cfg.Mode = smr.ModeAsync
+		cfg.Params.GMax = 12
+	})
+	share := func(cur group.Composition, payload []byte, digest crypto.Digest) group.GroupMsg {
+		return group.GroupMsg{SrcGroup: cur.GroupID, SrcEpoch: cur.Epoch, Kind: kindSnapshot, MsgID: snapMsgID(cur, 1),
+			PayloadDigest: digest, Payload: payload}
+	}
+	for i := 0; i < maxSnapShares; i++ {
+		cur := n.st.comp
+		n.Receive(ids.NodeID(2+i%4), share(cur, nil, crypto.HashUint64(crypto.Digest{}, uint64(i))))
+		n.reconfigure(slices.Clone(cur.Members), causeExchange)
+	}
+	cur := n.st.comp
+	succ := group.Composition{GroupID: cur.GroupID, Epoch: cur.Epoch + 1, Members: cur.Members}
+	payload := encodePayload(snapshotPayload{State: newGroupState(succ, overlay.NewNeighbors(2, succ)).buildSnapshot()})
+	for _, from := range []ids.NodeID{6, 7, 2} {
+		n.Receive(from, share(cur, payload, crypto.Hash(payload)))
+	}
+	if n.st.comp.Epoch != succ.Epoch {
+		t.Fatalf("after %d own reconfigurations, still at epoch %d with %d tallies held, want epoch %d attested by f+1 peers",
+			maxSnapShares, n.st.comp.Epoch, len(n.snaps), succ.Epoch)
+	}
+}
+
+// TestSnapshotSurvivesForeignShareFlood: shares a non-member floods under a
+// composition the node knows open no tally, and one sender's floods under
+// unknown ones are charged to it. A joiner expecting vgroup 20 is flooded by
+// four non-members under 20's known epoch and by one under a far-future epoch;
+// a member is flooded under its neighbour vgroup's known epoch and under a
+// vgroup it does not expect. Each still adopts its real snapshot, and the
+// joiner's adoption leaves nothing in the inbox.
+func TestSnapshotSurvivesForeignShareFlood(t *testing.T) {
+	flood := func(n *Node, from ids.NodeID, gid ids.GroupID, epoch uint64) {
+		for i := 0; i < maxSnapShares; i++ {
+			n.Receive(from, group.GroupMsg{SrcGroup: gid, SrcEpoch: epoch, Kind: kindSnapshot,
+				PayloadDigest: crypto.HashUint64(crypto.Digest{}, uint64(i))})
+		}
+	}
+	snapshot := func(c group.Composition) []byte {
+		return encodePayload(snapshotPayload{State: newGroupState(c, overlay.NewNeighbors(2, c)).buildSnapshot()})
+	}
+	share := func(attest group.Composition, payload []byte) group.GroupMsg {
+		return group.GroupMsg{SrcGroup: attest.GroupID, SrcEpoch: attest.Epoch, Kind: kindSnapshot,
+			MsgID: snapMsgID(attest, 1), PayloadDigest: crypto.Hash(payload), Payload: payload}
+	}
+
+	t.Run("joiner", func(t *testing.T) {
+		n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+		n.st, n.phase = nil, phaseJoining
+		target := testComp(20, 5, 21, 22, 23)
+		n.expectSnapshotFrom(target)
+		for from := ids.NodeID(96); from <= 99; from++ {
+			flood(n, from, target.GroupID, target.Epoch)
+		}
+		flood(n, 99, target.GroupID, 1<<40)
+		if len(n.snaps) != maxSnapSharesPerSender {
+			t.Fatalf("the floods hold %d tallies, want the %d far-future ones node 99 was charged for", len(n.snaps), maxSnapSharesPerSender)
+		}
+		payload := snapshot(testComp(20, 6, 1, 21, 22, 23))
+		n.Receive(21, share(target, payload))
+		n.Receive(22, share(target, payload))
+		if !n.IsMember() || n.st.comp.Key() != (group.Key{GroupID: 20, Epoch: 6}) {
+			t.Fatalf("phase %v after a majority of 20/5 attested 20/6, want a member of 20/6", n.phase)
+		}
+		if n.inbox.Len() != 0 {
+			t.Fatalf("adoption left %d inbox entries, want none: a snapshot never enters the inbox", n.inbox.Len())
+		}
+	})
+
+	t.Run("member", func(t *testing.T) {
+		comp := testComp(7, 3, 1, 2, 3)
+		n, _ := memberNode(t, 1, comp, testComp(9, 1, 4, 5, 6))
+		flood(n, 99, 9, 1)
+		flood(n, 99, 50, 1)
+		if len(n.snaps) != maxSnapSharesPerSender {
+			t.Fatalf("the floods hold %d tallies, want the %d for vgroup 50 node 99 was charged for", len(n.snaps), maxSnapSharesPerSender)
+		}
+		payload := snapshot(testComp(7, 4, 1, 2, 3, 10))
+		n.Receive(2, share(comp, payload))
+		n.Receive(3, share(comp, payload))
+		if n.st.comp.Epoch != 4 || len(n.snaps) != 0 {
+			t.Fatalf("at epoch %d with %d tallies after f+1 members attested epoch 4, want epoch 4 and none", n.st.comp.Epoch, len(n.snaps))
+		}
+	})
 }

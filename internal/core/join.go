@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"maps"
 	"slices"
@@ -232,74 +233,208 @@ func (n *Node) acceptRedirect(target group.Composition) {
 	n.sendJoinRequest(target)
 }
 
-// expectSnapshotFrom registers a trusted snapshot source and replays a
-// parked snapshot if one already arrived and the node is ready for it.
+// expectSnapshotFrom registers a trusted snapshot source and adopts from the
+// snapshot table if that vgroup's snapshot is already attested there.
 // Expectations are per-group, not per-epoch: the admitting vgroup may
 // reconfigure again (evictions) before our snapshot is cut.
 func (n *Node) expectSnapshotFrom(src group.Composition) {
 	n.learnComp(src)
 	n.expectSnapshot[src.GroupID] = true
-	n.tryParkedSnapshots()
+	n.adoptSnapshots()
 }
 
-// tryParkedSnapshots re-offers parked snapshots; adoptSnapshot re-parks the
-// ones the node is still not ready for.
-func (n *Node) tryParkedSnapshots() {
-	if n.phase != phaseJoining && n.phase != phaseAwaitSnapshot {
+// --- the snapshot table ---
+//
+// A node enters a vgroup's state in one way: it installs the state that a
+// configuration of that vgroup attests — the snapshot every member of the old
+// configuration sends every member of the new one at the epoch barrier
+// (reconfigure). Every share of one lands in one table, n.snaps, keyed by the
+// attesting composition and the payload digest, and a tally is installed when
+// the node is ready for it in one of two roles:
+//
+//   - a joiner or mover (phaseJoining, phaseAwaitSnapshot) expecting a
+//     snapshot from that vgroup is in no configuration of it, so it takes a
+//     majority of the attesting composition (attestSnapshots);
+//   - a laggard — a member that missed its epoch's closing commit and cannot
+//     finish the old SMR instance once its peers retired it — takes f+1 other
+//     members of its own current composition, at least one of them correct:
+//     its own share is the one missing.
+//
+// Shares for epochs the node has not reached are kept, so installs chain
+// across epochs; a share for an epoch of its own vgroup it has passed is
+// stale, and the tallies its own composition supersedes are freed whenever
+// that composition changes (forgetSnapshots).
+
+// observeShare tallies one snapshot share addressed to this node and adopts
+// whatever the table then attests. A share whose attesting composition the
+// node knows counts only from a member of it, so a non-member opens nothing
+// there; a tally is charged to the sender that opened it, so one sender
+// cannot hold the table.
+func (n *Node) observeShare(from ids.NodeID, m group.GroupMsg) {
+	src := group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}
+	// A share for an epoch of the node's own vgroup that it passed is stale.
+	if n.byzActive() || from == n.cfg.Identity.ID ||
+		n.st != nil && src.GroupID == n.st.comp.GroupID && src.Epoch < n.st.comp.Epoch {
 		return
 	}
-	// Ascending GroupID, not map order: which parked snapshot is adopted must
-	// be the same on every replay of a seed.
-	for _, gid := range slices.Sorted(maps.Keys(n.pendingSnaps)) {
-		if !n.expectSnapshot[gid] {
-			continue
+	if c, known := n.exactComp(src); known && !c.Contains(from) {
+		return
+	}
+	if m.Payload != nil && crypto.Hash(m.Payload) != m.PayloadDigest {
+		return
+	}
+	key := snapKey{src: src, digest: m.PayloadDigest}
+	tally, ok := n.snaps[key]
+	if !ok {
+		opened := 0
+		for _, t := range n.snaps {
+			if t.opener == from {
+				opened++
+			}
 		}
-		acc := n.pendingSnaps[gid]
-		delete(n.pendingSnaps, gid)
-		if p, err := decodeAs[snapshotPayload](acc.Payload); err == nil {
-			n.adoptSnapshot(acc, p)
+		if len(n.snaps) >= maxSnapShares || opened >= maxSnapSharesPerSender {
+			return // bounded; heavy pressure falls back to rejoin
 		}
-		return // adoption mutates state; one at a time
+		tally = &snapTally{senders: make(map[ids.NodeID]bool), opener: from}
+		n.snaps[key] = tally
+	}
+	tally.senders[from] = true
+	if tally.payload == nil && m.Payload != nil {
+		tally.payload = m.Payload
+	}
+	n.attestSnapshots(src)
+	n.adoptSnapshots()
+}
+
+// attestSnapshots judges the tallies src attests for a joiner or mover, and
+// reports whether one became attested: a majority of src, resolved by
+// lookupComp, endorses a payload the tally holds. The judgement is made when
+// a share of src arrives or src becomes known (learnComp) — when the inbox
+// judges a group message — and it stands. A member's own vgroup's tallies are
+// a laggard's and are judged by adoptSnapshots alone.
+func (n *Node) attestSnapshots(src group.Key) (attested bool) {
+	c, ok := n.lookupComp(src)
+	if !ok || n.phase == phaseMember && n.st != nil && src.GroupID == n.st.comp.GroupID {
+		return false
+	}
+	for k, t := range n.snaps {
+		if k.src == src && !t.attested && t.payload != nil && n.endorsers(t, c) >= c.Majority() {
+			t.attested, attested = true, true
+		}
+	}
+	return attested
+}
+
+// endorsers counts the members of c, other than this node, that endorse t.
+func (n *Node) endorsers(t *snapTally, c group.Composition) int {
+	count := 0
+	for id := range t.senders {
+		if id != n.cfg.Identity.ID && c.Contains(id) {
+			count++
+		}
+	}
+	return count
+}
+
+// adoptSnapshots installs attested states while a tally is ready, one at a
+// time, in ascending GroupID, then descending epoch — a mover that several
+// states of its destination are attested to takes the newest — then ascending
+// digest; not in map order: the state installed must be the same on every
+// replay of a seed.
+func (n *Node) adoptSnapshots() {
+	for {
+		var key snapKey
+		var st *groupState
+		for _, k := range slices.SortedFunc(maps.Keys(n.snaps), func(a, b snapKey) int {
+			return cmp.Or(cmp.Compare(a.src.GroupID, b.src.GroupID), cmp.Compare(b.src.Epoch, a.src.Epoch),
+				bytes.Compare(a.digest[:], b.digest[:]))
+		}) {
+			if st = n.readySnapshot(k); st != nil {
+				key = k
+				break
+			}
+		}
+		if st == nil {
+			return
+		}
+		n.installSnapshot(key, st)
 	}
 }
 
-// adoptSnapshot installs the replicated state a vgroup sent us and makes
-// this node a member.
-func (n *Node) adoptSnapshot(acc group.Accepted, p snapshotPayload) {
-	ready := (n.phase == phaseJoining || n.phase == phaseAwaitSnapshot) && n.expectSnapshot[acc.Src.GroupID]
-	if !ready {
-		// The snapshot can outrun the op that registers the expectation
-		// (merges, exchanges); park it until then.
-		if len(n.pendingSnaps) < 64 {
-			n.pendingSnaps[acc.Src.GroupID] = acc
-		}
-		return
+// readySnapshot returns the state the tally of k attests if this node may
+// install it now in its role, and nil otherwise. A tally that is ready but
+// attests no state the node may install is dropped.
+func (n *Node) readySnapshot(k snapKey) *groupState {
+	tally := n.snaps[k]
+	laggard := n.phase == phaseMember && n.st != nil && k.src == n.st.comp.Key()
+	joiner := (n.phase == phaseJoining || n.phase == phaseAwaitSnapshot) && tally.attested && n.expectSnapshot[k.src.GroupID]
+	if !joiner && !(laggard && tally.payload != nil && n.endorsers(tally, n.st.comp) > n.f()) {
+		return nil
 	}
-	st, err := restoreSnapshot(p.State)
+	p, err := decodeAs[snapshotPayload](tally.payload)
+	var st *groupState
+	if err == nil {
+		st, err = restoreSnapshot(p.State)
+	}
+	if err == nil && (!st.comp.Contains(n.cfg.Identity.ID) ||
+		laggard && (st.comp.GroupID != k.src.GroupID || st.comp.Epoch <= k.src.Epoch)) {
+		err = errors.New("not a state this node may install")
+	}
 	if err != nil {
-		n.logf("snapshot: %v", err)
-		return
+		n.logf("snapshot %v/%d: %v", k.src.GroupID, k.src.Epoch, err)
+		delete(n.snaps, k)
+		return nil
 	}
-	if !st.comp.Contains(n.cfg.Identity.ID) {
-		return // not actually a member of the attested configuration
-	}
-	n.pendingSnaps = make(map[ids.GroupID]group.Accepted)
-	n.expectSnapshot = make(map[ids.GroupID]bool)
-	n.join = nil
-	n.awaitDeadline = 0
-	n.phase = phaseMember
-	n.rep.since = n.Now()
-	n.installGroupState(st)
-	n.logf("joined %v/%d members %v", st.comp.GroupID, st.comp.Epoch, ids.IdentityIDs(st.comp.Members))
-	if n.cfg.Callbacks.OnJoined != nil {
-		n.cfg.Callbacks.OnJoined(st.comp.Clone())
+	return st
+}
+
+// installSnapshot installs st, the state the ready tally of k attests. A joiner
+// or mover becomes a member. A laggard also performs the outbound duty of
+// the transition it skipped: it sends its own share of the snapshot to the
+// new composition. Without it, every member that catches up (rather than
+// applies) leaves later receivers one share short of their threshold, and
+// the shortfall cascades across epochs.
+func (n *Node) installSnapshot(k snapKey, st *groupState) {
+	payload := n.snaps[k].payload
+	delete(n.snaps, k)
+	if n.phase == phaseMember {
+		old := n.st.comp
+		n.logf("epoch catch-up %v: %d -> %d", st.comp.GroupID, old.Epoch, st.comp.Epoch)
+		n.installGroupState(st)
+		n.cacheSnapshot(old.Epoch, payload)
+		for _, m := range st.comp.Members {
+			if m.ID != n.cfg.Identity.ID {
+				n.egress.ToNode(old, m.ID, kindSnapshot, snapMsgID(old, m.ID), payload)
+			}
+		}
+	} else {
+		n.expectSnapshot = make(map[ids.GroupID]bool)
+		n.join = nil
+		n.awaitDeadline = 0
+		n.phase = phaseMember
+		n.rep.since = n.Now()
+		n.installGroupState(st)
+		n.logf("joined %v/%d members %v", st.comp.GroupID, st.comp.Epoch, ids.IdentityIDs(st.comp.Members))
+		if n.cfg.Callbacks.OnJoined != nil {
+			n.cfg.Callbacks.OnJoined(st.comp.Clone())
+		}
 	}
 	// Replay any admission drain the in-time members performed right after
 	// this barrier; without it this member lags one epoch behind and its
 	// share of the next epoch's snapshots and notifications never goes out.
 	n.processPendingJoins()
-	// Buffered catch-up shares may already attest an even newer epoch.
-	n.evaluateCatchUp()
+}
+
+// forgetSnapshots drops the tallies that comp, this node's composition now,
+// supersedes: its vgroup's behind its epoch and, on an install, every other
+// vgroup's.
+func (n *Node) forgetSnapshots(comp group.Composition, install bool) {
+	maps.DeleteFunc(n.snaps, func(k snapKey, _ *snapTally) bool {
+		if k.src.GroupID != comp.GroupID {
+			return install
+		}
+		return k.src.Epoch < comp.Epoch
+	})
 }
 
 // installGroupState replaces the node's replicated state with an attested
@@ -333,144 +468,8 @@ func (n *Node) installGroupState(st *groupState) {
 	for _, ej := range st.expectedJoiners {
 		n.walkDeadlines[ej.WalkID] = now + n.cfg.WalkTimeout
 	}
-	// Drop catch-up tallies this state supersedes (including tallies for
-	// vgroups this node no longer belongs to).
-	for k := range n.snapShares {
-		if k.src.GroupID != st.comp.GroupID || k.src.Epoch < st.comp.Epoch {
-			delete(n.snapShares, k)
-		}
-	}
+	n.forgetSnapshots(st.comp, true)
 	n.makeReplica()
-}
-
-// observeCatchUpShare processes a snapshot share addressed to this node as a
-// current member: the epoch catch-up path. It reports whether the message
-// was consumed. A member that missed its epoch's closing commit cannot
-// finish the old SMR instance once its peers retired it; f+1 matching shares
-// from members of its own composition — at least one correct — attest the
-// successor state, which the laggard installs directly. Shares for epochs
-// this node has not reached yet are buffered (there is no retransmission:
-// a share that arrives while the laggard is still installing an earlier
-// epoch must not be wasted) and re-evaluated after every install, which
-// chains multi-epoch catch-up.
-func (n *Node) observeCatchUpShare(from ids.NodeID, m group.GroupMsg) bool {
-	if n.phase != phaseMember || n.st == nil || n.byzActive() {
-		return false
-	}
-	if m.SrcGroup != n.st.comp.GroupID {
-		return false
-	}
-	if m.SrcEpoch < n.st.comp.Epoch {
-		return true // stale share for an epoch already installed: swallow
-	}
-	if from == n.cfg.Identity.ID {
-		return true
-	}
-	// A share of the current epoch comes from a member of its composition. A
-	// future epoch's composition is not installed yet, so its shares are
-	// buffered unchecked and judged at evaluation time; what bounds them is
-	// the charge below.
-	if m.SrcEpoch == n.st.comp.Epoch && !n.st.comp.Contains(from) {
-		return true
-	}
-	if m.Payload != nil && crypto.Hash(m.Payload) != m.PayloadDigest {
-		return true
-	}
-	key := snapShareKey{src: group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}, digest: m.PayloadDigest}
-	tally, ok := n.snapShares[key]
-	if !ok {
-		// A tally is charged to the sender that opened it, so one sender
-		// cannot hold the table.
-		opened := 0
-		for _, t := range n.snapShares {
-			if t.opener == from {
-				opened++
-			}
-		}
-		if len(n.snapShares) >= maxSnapShares || opened >= maxSnapSharesPerSender {
-			return true // bounded; heavy pressure falls back to rejoin
-		}
-		tally = &snapTally{senders: make(map[ids.NodeID]bool), opener: from}
-		n.snapShares[key] = tally
-	}
-	tally.senders[from] = true
-	if tally.payload == nil && m.Payload != nil {
-		tally.payload = m.Payload
-	}
-	if key.src.Epoch == n.st.comp.Epoch {
-		n.evaluateCatchUp()
-	}
-	return true
-}
-
-// evaluateCatchUp adopts attested successor states while the tally allows:
-// for the node's current (group, epoch), a snapshot endorsed by f+1 distinct
-// members of the current composition — at least one correct — is installed,
-// and the scan repeats for the next epoch.
-func (n *Node) evaluateCatchUp() {
-	for steps := 0; steps < maxSnapShares; steps++ {
-		if n.st == nil || n.phase != phaseMember {
-			return
-		}
-		cur := n.st.comp.Key()
-		advanced := false
-		// Ascending digest, not map order: when two successors of this epoch
-		// are both attested, the one installed must be the same on every
-		// replay of a seed.
-		for _, key := range slices.SortedFunc(maps.Keys(n.snapShares), func(a, b snapShareKey) int {
-			return bytes.Compare(a.digest[:], b.digest[:])
-		}) {
-			tally := n.snapShares[key]
-			if key.src != cur || tally.payload == nil {
-				continue
-			}
-			endorsers := 0
-			for id := range tally.senders {
-				if id != n.cfg.Identity.ID && n.st.comp.Contains(id) {
-					endorsers++
-				}
-			}
-			if endorsers < n.f()+1 {
-				continue
-			}
-			p, err := decodeAs[snapshotPayload](tally.payload)
-			if err != nil {
-				continue
-			}
-			st, err := restoreSnapshot(p.State)
-			if err != nil {
-				continue
-			}
-			if st.comp.GroupID != n.st.comp.GroupID || st.comp.Epoch <= n.st.comp.Epoch ||
-				!st.comp.Contains(n.cfg.Identity.ID) {
-				continue
-			}
-			n.logf("epoch catch-up %v: %d -> %d (attested by %d members)",
-				st.comp.GroupID, n.st.comp.Epoch, st.comp.Epoch, endorsers)
-			oldComp := n.st.comp
-			payload := tally.payload
-			delete(n.snapShares, key)
-			n.installGroupState(st)
-			n.cacheSnapshot(oldComp.Epoch, payload)
-			// Perform the outbound duty of the skipped transition: send this
-			// member's share of the epoch snapshot to the new composition.
-			// Without it, every member that catches up (rather than applies)
-			// leaves later receivers one share short of their threshold, and
-			// the shortfall cascades across epochs.
-			for _, m := range st.comp.Members {
-				if m.ID == n.cfg.Identity.ID {
-					continue
-				}
-				n.egress.ToNode(oldComp, m.ID, kindSnapshot, snapMsgID(oldComp, m.ID), payload)
-			}
-			n.processPendingJoins()
-			advanced = true
-			break // rescan against the new epoch
-		}
-		if !advanced {
-			return
-		}
-	}
 }
 
 // --- member side: admitting joiners ---
@@ -563,13 +562,9 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 	if n.byzActive() {
 		return
 	}
-	switch acc.Kind {
-	case kindSnapshot, kindJoinRedirect:
-		// Node-addressed kinds are handled outside vgroup membership.
-	default:
-		if n.phase != phaseMember || n.st == nil {
-			return
-		}
+	// A join redirect is node-addressed: it is handled outside membership.
+	if acc.Kind != kindJoinRedirect && (n.phase != phaseMember || n.st == nil) {
+		return
 	}
 	if acc.Kind == kindGossip {
 		n.handleGossip(acc) // the hot kind: deduplicated before anything is copied
@@ -585,8 +580,6 @@ func (n *Node) handleAccepted(acc group.Accepted) {
 		n.handleWalkHop(acc, p)
 	case backwardPayload:
 		n.handleBackward(acc, p)
-	case snapshotPayload:
-		n.adoptSnapshot(acc, p)
 	case joinRedirectPayload:
 		n.handleJoinRedirect(acc, p)
 	default:

@@ -107,12 +107,9 @@ type Node struct {
 	join           *joinContext
 	awaitDeadline  time.Duration // phaseAwaitSnapshot orphan recovery
 	expectSnapshot map[ids.GroupID]bool
-	pendingSnaps   map[ids.GroupID]group.Accepted
-	// snapShares tallies per-sender snapshot shares addressed to this node
-	// as a *member* — the epoch catch-up path. Keyed by the attesting
-	// (group, epoch) and payload digest; adoption fires at f+1 matching
-	// shares with at least one full payload.
-	snapShares map[snapShareKey]*snapTally
+	// snaps is the one table of the snapshot shares addressed to this node,
+	// whatever it adopts them as: joiner, mover or laggard (join.go).
+	snaps map[snapKey]*snapTally
 	// recentSnaps caches this node's recent outgoing snapshot payloads by
 	// the epoch that attests them, for heartbeat-triggered re-shares:
 	// catch-up shares are sent once, and a laggard partitioned at exactly
@@ -122,7 +119,8 @@ type Node struct {
 	// reShared rate-limits catch-up re-shares per laggard.
 	reShared      *rateLimiter[ids.NodeID]
 	walkDeadlines map[crypto.Digest]time.Duration
-	lastChains    map[crypto.Digest][]overlay.StepCert // member-local cert chains
+	lastChains    map[crypto.Digest][]overlay.StepCert // member-local cert chains, until the walk's arrival
+	chainQ        []crypto.Digest                      // lastChains' keys, oldest first
 	mergeRetryAt  time.Duration
 	shuffleNextAt time.Duration // local pacing of shuffle exchanges
 	lastPrune     time.Duration
@@ -145,25 +143,31 @@ type penMsg struct {
 	msg  any
 }
 
-// snapShareKey identifies one attested snapshot in the catch-up tally.
-type snapShareKey struct {
+// snapKey identifies one attested snapshot: the composition that attests it
+// and the digest of its payload.
+type snapKey struct {
 	src    group.Key
 	digest crypto.Digest
 }
 
-// snapTally accumulates snapshot shares for the epoch catch-up path.
+// snapTally accumulates the shares of one attested snapshot.
 type snapTally struct {
 	senders map[ids.NodeID]bool
 	payload []byte
 	opener  ids.NodeID // the sender whose share opened the tally, charged for it
+	// attested: a majority of the attesting composition endorsed the payload,
+	// as a joiner or mover judges it (attestSnapshots).
+	attested bool
 }
 
-// maxSnapShares bounds the catch-up tally size; maxSnapSharesPerSender bounds
-// the tallies one sender's shares may open. The contracted workloads peak at
-// 6 per sender, in async_wan.
+// maxSnapShares bounds the snapshot table; maxSnapSharesPerSender bounds the
+// tallies one sender's shares may open. The contracted workloads peak at 2
+// tallies at one node, in async_wan. maxChains bounds the walk chains a member
+// keeps for arrivals it has not applied.
 const (
 	maxSnapShares          = 64
 	maxSnapSharesPerSender = maxSnapShares / 4
+	maxChains              = 512
 )
 
 var _ actor.Node = (*Node)(nil)
@@ -181,12 +185,11 @@ func New(cfg Config) *Node {
 		hbSeen:         make(map[ids.NodeID]time.Duration),
 		evProp:         make(map[ids.NodeID]uint64),
 		expectSnapshot: make(map[ids.GroupID]bool),
-		pendingSnaps:   make(map[ids.GroupID]group.Accepted),
 		walkDeadlines:  make(map[crypto.Digest]time.Duration),
 		lastChains:     make(map[crypto.Digest][]overlay.StepCert),
 		freshSent:      newRateLimiter[group.Key](replyWindow, 256, 1024),
 		pen:            make(map[group.Key][]penMsg),
-		snapShares:     make(map[snapShareKey]*snapTally),
+		snaps:          make(map[snapKey]*snapTally),
 		recentSnaps:    make(map[uint64][]byte),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
 		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
@@ -314,7 +317,8 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 }
 
 func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
-	if m.Kind == kindSnapshot && n.observeCatchUpShare(from, m) {
+	if m.Kind == kindSnapshot {
+		n.observeShare(from, m) // node-addressed: the snapshot table, not the inbox
 		return
 	}
 	if m.Kind == kindBatch {
@@ -625,11 +629,16 @@ func (s *compStore) drop(k group.Key) {
 	}
 }
 
-func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
+// exactComp returns the composition of k if this node knows it.
+func (n *Node) exactComp(k group.Key) (group.Composition, bool) {
 	if n.st != nil && n.st.comp.Key() == k {
 		return n.st.comp, true
 	}
-	if c, ok := n.comps.exact(k); ok {
+	return n.comps.exact(k)
+}
+
+func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
+	if c, ok := n.exactComp(k); ok {
 		return c, ok
 	}
 	// Epoch-tolerant fallback: exchanges change one member per epoch, so a
@@ -649,7 +658,7 @@ func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 }
 
 // learnComp records a composition for inbox validation and flushes any
-// group messages that were waiting for it.
+// group messages and snapshot shares that were waiting for it.
 func (n *Node) learnComp(c group.Composition) {
 	if c.IsZero() || c.GroupID == 0 {
 		return
@@ -662,6 +671,9 @@ func (n *Node) learnComp(c group.Composition) {
 	}
 	for _, acc := range n.inbox.FlushKey(n.env.Now(), c.Key()) {
 		n.handleAccepted(acc)
+	}
+	if n.attestSnapshots(c.Key()) && n.phase != phaseMember {
+		n.adoptSnapshots()
 	}
 }
 

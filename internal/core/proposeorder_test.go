@@ -2,9 +2,8 @@ package core
 
 // Proposal order must not depend on Go map iteration: it fixes OpIDs and the
 // order a replica batches operations in, so it reaches the commit order and
-// the transport's send order. The same holds for which parked snapshot a node
-// adopts, which attested successor epoch catch-up installs, and an orphan's
-// renounce order and rejoin contact. Each test runs
+// the transport's send order. The same holds for which attested state the
+// snapshot table installs, and an orphan's renounce order and rejoin contact. Each test runs
 // the site on 20 fresh nodes — 20 independently seeded maps — and accepts one
 // order only. The entries go in descending, so no rotation of the insertion
 // order is the sorted one.
@@ -17,7 +16,6 @@ import (
 
 	"atum/internal/actor"
 	"atum/internal/crypto"
-	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/overlay"
 	"atum/internal/smr"
@@ -100,33 +98,45 @@ func TestWalkTimeoutsProposedInWalkIDOrder(t *testing.T) {
 	}
 }
 
-// TestParkedSnapshotsAdoptedInGroupIDOrder: with several expected snapshots
-// parked, the one from the lowest GroupID is adopted.
+// snapTallyOf is a snapshot-table entry for payload attested by senders.
+func snapTallyOf(payload []byte, senders ...ids.NodeID) *snapTally {
+	st := &snapTally{senders: map[ids.NodeID]bool{}, payload: payload}
+	for _, id := range senders {
+		st.senders[id] = true
+	}
+	return st
+}
+
+// TestParkedSnapshotsAdoptedInGroupIDOrder: the snapshot table installs in
+// ascending (GroupID, epoch, digest) order. A mover expecting snapshots from
+// several vgroups, each attested by a majority, becomes a member of the
+// lowest GroupID.
 func TestParkedSnapshotsAdoptedInGroupIDOrder(t *testing.T) {
 	for run := 0; run < proposeOrderNodes; run++ {
 		n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
-		n.phase = phaseAwaitSnapshot
+		n.st, n.phase = nil, phaseAwaitSnapshot
 		for gid := ids.GroupID(10 * proposeOrderEntries); gid >= 10; gid -= 10 {
-			comp := testComp(gid, 2, 1, 2, 3)
-			snap := newGroupState(comp, overlay.NewNeighbors(2, comp)).buildSnapshot()
+			g := uint64(gid)
+			attest := testComp(gid, 1, g+1, g+2, g+3)
+			succ := testComp(gid, 2, 1, g+1, g+2, g+3)
+			payload := encodePayload(snapshotPayload{State: newGroupState(succ, overlay.NewNeighbors(2, succ)).buildSnapshot()})
+			n.learnComp(attest)
 			n.expectSnapshot[gid] = true
-			n.pendingSnaps[gid] = group.Accepted{
-				Src: group.Key{GroupID: gid, Epoch: 1}, Kind: kindSnapshot,
-				Payload: encodePayload(snapshotPayload{State: snap}),
-			}
+			n.snaps[snapKey{src: attest.Key(), digest: crypto.Hash(payload)}] = snapTallyOf(payload, ids.NodeID(g+1), ids.NodeID(g+2))
+			n.attestSnapshots(attest.Key())
 		}
-		n.tryParkedSnapshots()
+		n.adoptSnapshots()
 
 		if n.phase != phaseMember || n.st.comp.GroupID != 10 {
-			t.Fatalf("run %d: phase %v in group %v after adopting a parked snapshot, want a member of group 10 (the lowest)",
+			t.Fatalf("run %d: phase %v in group %v after adopting from the table, want a member of group 10 (the lowest)",
 				run, n.phase, n.st.comp.GroupID)
 		}
 	}
 }
 
-// TestCatchUpInstallsLowestDigestSuccessor: when several successor states of
-// the current epoch are each attested by f+1 members, epoch catch-up installs
-// the one whose snapshot has the lowest digest.
+// TestCatchUpInstallsLowestDigestSuccessor: a laggard with several successor
+// states of its current epoch in the snapshot table, each attested by f+1
+// members, installs the one whose snapshot has the lowest digest.
 func TestCatchUpInstallsLowestDigestSuccessor(t *testing.T) {
 	comp := testComp(7, 3, 1, 2, 3)
 	for run := 0; run < proposeOrderNodes; run++ {
@@ -137,14 +147,12 @@ func TestCatchUpInstallsLowestDigestSuccessor(t *testing.T) {
 			succ := testComp(7, 4, 1, 2, 3, 10+j)
 			payload := encodePayload(snapshotPayload{State: newGroupState(succ, overlay.NewNeighbors(2, succ)).buildSnapshot()})
 			d := crypto.Hash(payload)
-			n.snapShares[snapShareKey{src: comp.Key(), digest: d}] = &snapTally{
-				senders: map[ids.NodeID]bool{2: true, 3: true}, payload: payload,
-			}
+			n.snaps[snapKey{src: comp.Key(), digest: d}] = snapTallyOf(payload, 2, 3)
 			if wantJoiner == 0 || bytes.Compare(d[:], want[:]) < 0 {
 				want, wantJoiner = d, ids.NodeID(10+j)
 			}
 		}
-		n.evaluateCatchUp()
+		n.adoptSnapshots()
 
 		if n.st.comp.Epoch != 4 || !n.st.comp.Contains(wantJoiner) {
 			t.Fatalf("run %d: installed epoch %d with members %v, want epoch 4 with node %v (the lowest digest)",

@@ -126,6 +126,7 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 	}
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	n.learnComp(dComp)
+	n.forgetSnapshots(dComp, false) // the parent vgroup's, behind the epoch this member left it at
 	n.makeReplica()
 	n.resetPeerClocks()
 }
@@ -296,7 +297,7 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	n.st = nil
 	n.phase = phaseAwaitSnapshot
 	n.awaitDeadline = n.env.Now() + 2*n.cfg.JoinTimeout
-	n.tryParkedSnapshots()
+	n.adoptSnapshots()
 }
 
 // applyMergeReject backs off and retries with another neighbor.

@@ -153,10 +153,15 @@ func (n *Node) handleWalkHop(acc group.Accepted, p walkPayload) {
 	n.forwardWalk(p, chain)
 }
 
-// rememberChain stores a member-local certificate chain, bounded.
+// rememberChain stores a member-local certificate chain until the walk's
+// arrival is applied (applyWalkArrival); past maxChains the oldest gives way.
 func (n *Node) rememberChain(id crypto.Digest, chain []overlay.StepCert) {
-	if len(n.lastChains) > 512 {
-		n.lastChains = make(map[crypto.Digest][]overlay.StepCert)
+	if _, ok := n.lastChains[id]; !ok {
+		n.chainQ = append(n.chainQ, id)
+		if len(n.chainQ) > maxChains {
+			delete(n.lastChains, n.chainQ[0])
+			n.chainQ = n.chainQ[1:]
+		}
 	}
 	n.lastChains[id] = chain
 }
@@ -272,6 +277,9 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 	case PurposeSplitInsert:
 		n.applySplitInsert(p)
 	}
+	// The replies above were the chain's only readers.
+	delete(n.lastChains, p.WalkID)
+	n.chainQ = slices.DeleteFunc(n.chainQ, func(id crypto.Digest) bool { return id == p.WalkID })
 }
 
 // sendJoinRedirect sends this member's copy of the join redirect straight

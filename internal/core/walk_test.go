@@ -265,3 +265,34 @@ func TestEmptyChainNeverAcceptsAnExchange(t *testing.T) {
 		t.Fatal("a walk result planted a composition of the vgroup's own")
 	}
 }
+
+// TestWalkChainFreedAtArrival: a member keeps a walk's certificate chain for
+// the replies its agreed arrival sends, the chain's only readers. Nothing freed
+// it, and the map was wiped whole past 512 walks. Now the applied arrival frees
+// it, and past maxChains chains the oldest gives way first.
+func TestWalkChainFreedAtArrival(t *testing.T) {
+	comp, origin := testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6)
+	n, env := memberNode(t, 1, comp, origin, func(cfg *Config) { cfg.Mode = smr.ModeAsync })
+	walk := walkPayload{WalkID: wcDigest(1), Purpose: PurposeJoin, Origin: origin, Joiner: ids.Identity{ID: 20, Addr: "t:20"}}
+	n.rememberChain(walk.WalkID, []overlay.StepCert{{Next: comp}})
+	n.applyWalkArrival(walk.WalkID, origin.Key(), walk)
+	n.egress.FlushAll()
+	if len(env.sent) == 0 {
+		t.Fatal("the arrival sent no reply")
+	}
+	if _, ok := n.lastChains[walk.WalkID]; ok {
+		t.Fatal("the chain outlived the arrival that was its only reader")
+	}
+
+	id := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
+	const walks = maxChains + 100
+	for i := 0; i < walks; i++ {
+		n.rememberChain(id(i), nil)
+	}
+	_, oldest := n.lastChains[id(walks-maxChains-1)]
+	_, kept := n.lastChains[id(walks-maxChains)]
+	if len(n.lastChains) != maxChains || oldest || !kept {
+		t.Fatalf("%d unapplied walks left %d chains (walk %d kept %v, walk %d kept %v), want the newest %d",
+			walks, len(n.lastChains), walks-maxChains-1, oldest, walks-maxChains, kept, maxChains)
+	}
+}
