@@ -38,6 +38,8 @@ func (n *Node) newEgress() *egress.Port {
 		CarrierOK:  func(k group.Kind) bool { return rowByKind[k] != nil && rowByKind[k].carrierOK },
 		MuteGroup:  n.byzActive,
 		MuteDirect: func() bool { return n.byzActive() && n.behavior == BehaviorSilent },
+		Withdraw:   n.withdrawGossip,
+		Holds:      n.holdsGossip,
 	})
 }
 

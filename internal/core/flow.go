@@ -89,7 +89,7 @@ type BroadcastOpts struct{}
 // Stats is a snapshot of a node's metrics (Node.Stats). The first six
 // counters count what this node applied since it was created, as a member of
 // the vgroup that took the step; the three after them count its own repairs of
-// relayed gossip.
+// relayed gossip, and the next three what its gossip and heartbeats left out.
 type Stats struct {
 	Splits    uint64 // its vgroup split
 	Merges    uint64 // its vgroup absorbed a shrunken one
@@ -106,6 +106,17 @@ type Stats struct {
 	PullsSent   uint64
 	PullsServed uint64
 	CaughtUp    uint64
+	// GossipWithdrawn counts the gossip votes toward a neighbour vgroup it
+	// dropped as their batch left, because f+1 members of that vgroup had
+	// voted the broadcast since the vote was queued; PayloadsWithheld the
+	// relayed payloads it sent a destination member as the digest alone,
+	// because that member had voted the broadcast (internal/core/gossip.go,
+	// the holders record).
+	GossipWithdrawn  uint64
+	PayloadsWithheld uint64
+	// HeartbeatTruncated counts the delivered digests its heartbeats did not
+	// list: a heartbeat lists at most 256 (maxHeartbeatDigests).
+	HeartbeatTruncated uint64
 	// Egress is the egress scheduler's snapshot: aggregate counters and one
 	// entry per tracked node-addressed destination.
 	Egress EgressStats
@@ -116,6 +127,7 @@ type Stats struct {
 // simulation, harness code between Run calls is also safe).
 func (n *Node) Stats() Stats {
 	st := n.counts
+	st.PayloadsWithheld = n.egress.Withheld()
 	st.Egress = n.egress.Snapshot()
 	return st
 }

@@ -102,17 +102,20 @@ func (n *Node) deliver(d Delivery, payload []byte, digest crypto.Digest, from gr
 //
 // Whom a vote is sent to. All a copy toward neighbor composition K can
 // establish is that one correct member of K holds the broadcast — K's members
-// then deliver and forward by themselves. So this member sends K nothing when
-// that is already known: when at least f+1 members of K — GroupID and Epoch; a
-// neighbor known at another epoch may have other members — have voted this
-// digest in this node's own inbox, at most f of them faulty. from, the
-// composition the broadcast was accepted from (zero at the origin), is the
-// case where a majority did. No member decides for another: each consults its
-// own inbox, and a member that has seen fewer votes sends.
+// then deliver and forward by themselves. So this member sends K nothing once
+// that is known: once at least f+1 members of K — GroupID and Epoch; a
+// neighbor known at another epoch may have other members — are in its holders
+// record for the digest (below), at most f of them faulty. It asks when it
+// queues the vote and again when the vote's batch leaves (withdrawGossip), so
+// the votes K casts meanwhile count too. from, the composition the broadcast
+// was accepted from (zero at the origin), is the case where a majority did. No
+// member decides for another: each consults its own record, and a member that
+// has heard fewer votes sends.
 //
 // Who sends the bytes. On a relayed hop each member of K gets them from exactly
 // one member of this vgroup, the one group.RelaySender names for it
-// (BatchItem.Relay), and a digest-only vote from the rest. A member whose one
+// (BatchItem.Relay), and a digest-only vote from the rest — from that one too
+// when the member's own vote is in the record (holdsGossip). A member whose one
 // copy does not come has three ways to the bytes (pull.go): another link's
 // copy (the inbox lends it), a voter (pull), and its own vgroup's heartbeats
 // (catch-up). At the origin (from is zero) K hears of the broadcast on this
@@ -136,6 +139,13 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 	} else if st.comp.Index(n.cfg.Identity.ID) > n.cfg.Mode.F(st.comp.N()) {
 		it.Payload = nil
 	}
+	// The record is read again as the votes leave, a send at once included, so
+	// it is stored before the first one is queued.
+	holders := n.seedHolders(digest)
+	if len(n.holders) < maxHeldDigests {
+		n.holders[digest] = holders
+	}
+	queued := false
 	// One send per neighbor composition, however many links lead to it.
 	sent := make([]group.Key, 0, 8)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
@@ -150,11 +160,108 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 				continue
 			}
 			sent = append(sent, key)
-			if key != from && n.inbox.Votes(nbr, kindGossip, digest, digest) <= n.cfg.Mode.F(nbr.N()) {
+			if key != from && !linkHeld(holders, nbr, n.cfg.Mode.F(nbr.N())) {
 				n.egress.Group(st.comp, nbr, it)
+				queued = true
 			}
 		}
 	}
+	if !queued {
+		delete(n.holders, digest)
+	}
+}
+
+// The holders record: who is known to hold a broadcast this node delivered and
+// is forwarding, by gossip digest. A correct member votes a broadcast only once
+// it delivered it, so every vote heard names a holder; links are authenticated,
+// so a faulty sender can lie about itself and no one else. forwardGossip seeds
+// the record from the votes the inbox holds when the broadcast is delivered,
+// before deliver settles them; observeCopy adds every copy it turns away while
+// the forwards wait; the round tick clears it after FlushDeferred. Two rules
+// read it, and they only withhold sends — it never decides a delivery:
+//
+//   - the link rule (linkHeld): K is sent no vote once f+1 members of K voted
+//     the digest under K's exact key, one of them correct. forwardGossip asks
+//     when it queues the vote, the egress scheduler again as the vote's batch
+//     closes (withdrawGossip);
+//   - the member rule (holdsGossip): on a relayed hop, the RelaySender of a
+//     member j of K sends j the digest alone when j voted it. A faulty j that
+//     voted without holding starves only itself.
+//
+// A vote is kept only from a member of the composition it names, as this node
+// knows it exactly. The record holds at most maxHeldDigests digests — those
+// with forwards queued in one round — and maxHeldVotes votes for each; a vote
+// past either is not kept, which can only cost a send.
+type holder struct {
+	from ids.NodeID
+	src  group.Key
+}
+
+// Bounds of the holders record. The contracted workloads queue forwards for a
+// few dozen digests per round, each voted by at most the members of 2·HC
+// neighbors.
+const (
+	maxHeldDigests = 256
+	maxHeldVotes   = 128
+)
+
+// seedHolders returns the votes for digest the inbox's lending index holds.
+func (n *Node) seedHolders(digest crypto.Digest) []holder {
+	var held []holder
+	n.inbox.Voters(digest, func(src group.Key, from ids.NodeID, kind group.Kind) {
+		if kind == kindGossip && len(held) < maxHeldVotes && n.memberOf(src, from) {
+			held = append(held, holder{from: from, src: src})
+		}
+	})
+	return held
+}
+
+// noteHolder records from's vote under src for a delivered digest whose
+// forwards have not left yet.
+func (n *Node) noteHolder(digest crypto.Digest, from ids.NodeID, src group.Key) {
+	held, open := n.holders[digest]
+	h := holder{from: from, src: src}
+	if open && len(held) < maxHeldVotes && !slices.Contains(held, h) && n.memberOf(src, from) {
+		n.holders[digest] = append(held, h)
+	}
+}
+
+// memberOf reports whether id is a member of the composition of k, known
+// exactly.
+func (n *Node) memberOf(k group.Key, id ids.NodeID) bool {
+	c, ok := n.exactComp(k)
+	return ok && c.Contains(id)
+}
+
+// linkHeld is the link rule: more than f members of k voted under k's key.
+func linkHeld(held []holder, k group.Composition, f int) bool {
+	votes := 0
+	for _, h := range held {
+		if h.src == k.Key() && k.Contains(h.from) {
+			votes++
+		}
+	}
+	return votes > f
+}
+
+// withdrawGossip is the link rule asked again as a batch toward dst closes
+// (egress.Rules.Withdraw).
+func (n *Node) withdrawGossip(dst group.Composition, it group.BatchItem) bool {
+	if it.Kind != kindGossip || !linkHeld(n.holders[it.Digest], dst, n.cfg.Mode.F(dst.N())) {
+		return false
+	}
+	n.counts.GossipWithdrawn++
+	return true
+}
+
+// holdsGossip is the member rule (egress.Rules.Holds): member voted digest.
+func (n *Node) holdsGossip(member ids.NodeID, digest crypto.Digest) bool {
+	for _, h := range n.holders[digest] {
+		if h.from == member {
+			return true
+		}
+	}
+	return false
 }
 
 // applyNeighborUpdate installs a neighbor's reconfigured composition.

@@ -310,7 +310,10 @@ func TestReusedBcastIDDeliveredAlike(t *testing.T) {
 // with f of K's members heard, one correct member of K is not yet known to
 // hold it and K gets this member's copy; with f+1 it gets none. A vote counts
 // only if it is for this digest, from a member of K, under the epoch of K this
-// node would address. Forward is asked about the link either way.
+// node would address. It counts whether it was heard before the delivery, and
+// the copy is never queued, or after it and before the round's flush, and the
+// queued copy is withdrawn as its batch leaves (Stats.GossipWithdrawn). Forward
+// is asked about the link either way.
 func TestGossipSkipsLinkOnlyAtFPlusOneVotes(t *testing.T) {
 	B := testComp(3, 1, 4, 5, 6, 7)
 	X := testComp(2, 2, 11, 12, 13)
@@ -350,37 +353,170 @@ func TestGossipSkipsLinkOnlyAtFPlusOneVotes(t *testing.T) {
 				{"f votes and one for another digest", append(votes(f, K.Epoch, digest), vote(K.Members[f].ID, K.Epoch, other)), true, f},
 				{"f+1 votes under another epoch of K", votes(f+1, K.Epoch+1, digest), true, 0},
 			} {
-				n, _ := memberNode(t, 4, B, X)
-				n.cfg.Mode = mode
-				n.st.nbrs.Set(overlay.Link{Cycle: 1, Dir: overlay.Pred}, K.Clone())
-				n.learnComp(K)
-				var asked []ids.GroupID
-				n.cfg.Callbacks.Forward = func(_ Delivery, l ForwardLink) bool {
-					asked = append(asked, l.Neighbor)
-					return true
-				}
-				for _, hear := range tc.heard {
-					hear(n)
-				}
-				if got := n.inbox.Votes(K, kindGossip, digest, digest); got != tc.counts {
-					t.Fatalf("%v g=%d, %s: inbox counts %d votes of K, want %d", mode, g, tc.name, got, tc.counts)
-				}
-				n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, Payload: payload, Digest: digest})
-				sent := gossipSentBy(t, n)
-				if _, toK := sent[K.Key()]; toK != tc.toK {
-					t.Errorf("%v g=%d f=%d, %s: copy toward K enqueued = %v, want %v", mode, g, f, tc.name, toK, tc.toK)
-				}
-				if len(sent) > 1 || (len(sent) == 1 && !tc.toK) {
-					t.Errorf("%v g=%d, %s: copies toward %v, want none but K's", mode, g, tc.name, sent)
-				}
-				if !slices.Contains(asked, K.GroupID) || !slices.Contains(asked, X.GroupID) {
-					t.Errorf("%v g=%d, %s: Forward was asked about %v, want every link, skipped or not", mode, g, tc.name, asked)
-				}
-				if got := n.inbox.Votes(K, kindGossip, digest, digest); got != 0 {
-					t.Errorf("%v g=%d, %s: %d votes of K still held after the link was settled", mode, g, tc.name, got)
+				for _, late := range []bool{false, true} {
+					when := "heard before delivery"
+					if late {
+						when = "heard before the flush"
+					}
+					n, _ := memberNode(t, 4, B, X)
+					n.cfg.Mode = mode
+					n.st.nbrs.Set(overlay.Link{Cycle: 1, Dir: overlay.Pred}, K.Clone())
+					n.learnComp(K)
+					var asked []ids.GroupID
+					n.cfg.Callbacks.Forward = func(_ Delivery, l ForwardLink) bool {
+						asked = append(asked, l.Neighbor)
+						return true
+					}
+					if !late {
+						for _, hear := range tc.heard {
+							hear(n)
+						}
+						if got := n.inbox.Votes(K, kindGossip, digest, digest); got != tc.counts {
+							t.Fatalf("%v g=%d, %s: inbox counts %d votes of K, want %d", mode, g, tc.name, got, tc.counts)
+						}
+					}
+					n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, Payload: payload, Digest: digest})
+					if late {
+						for _, hear := range tc.heard {
+							hear(n)
+						}
+					}
+					sent := gossipSentBy(t, n)
+					if _, toK := sent[K.Key()]; toK != tc.toK {
+						t.Errorf("%v g=%d f=%d, %s %s: copy toward K sent = %v, want %v", mode, g, f, tc.name, when, toK, tc.toK)
+					}
+					if len(sent) > 1 || (len(sent) == 1 && !tc.toK) {
+						t.Errorf("%v g=%d, %s %s: copies toward %v, want none but K's", mode, g, tc.name, when, sent)
+					}
+					withdrawn := uint64(0)
+					if late && !tc.toK {
+						withdrawn = 1
+					}
+					if got := n.Stats().GossipWithdrawn; got != withdrawn {
+						t.Errorf("%v g=%d, %s %s: %d item-links withdrawn as their batch left, want %d", mode, g, tc.name, when, got, withdrawn)
+					}
+					if !slices.Contains(asked, K.GroupID) || !slices.Contains(asked, X.GroupID) {
+						t.Errorf("%v g=%d, %s %s: Forward was asked about %v, want every link, skipped or not", mode, g, tc.name, when, asked)
+					}
+					if got := n.inbox.Votes(K, kindGossip, digest, digest); got != 0 {
+						t.Errorf("%v g=%d, %s %s: %d votes of K still held after the link was settled", mode, g, tc.name, when, got)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestRelayPayloadWithheldFromHolder pins the member rule on a relayed hop.
+// Every member of B accepts a broadcast from X and forwards it to K. Member j
+// of K has voted it, so j delivered it, and the member of B that RelaySender
+// names for j sends j the digest alone — whether j's vote reached it before
+// its own delivery (the inbox seeds the holders record) or after it and
+// before the round's flush (the record takes the copy observeCopy turns away).
+// Every other member of K still gets the bytes once, every member of K a vote
+// from every member of B, and only j's RelaySender counts a payload withheld.
+func TestRelayPayloadWithheldFromHolder(t *testing.T) {
+	B := testComp(3, 1, 4, 5, 6, 7)
+	X := testComp(2, 2, 11, 12, 13)
+	K := testComp(5, 3, 21, 22, 23, 24, 25)
+	payload, digest := gossipOf("held by one member of K")
+	const j = 1
+	holder, relay := K.Members[j].ID, B.Members[group.RelaySender(B, K, j)].ID
+	for _, late := range []bool{false, true} {
+		full, votes := map[ids.NodeID]int{}, map[ids.NodeID]int{}
+		for _, m := range B.Members {
+			n, _ := memberNode(t, m.ID, B, K)
+			n.learnComp(X)
+			vote := func() {
+				n.Receive(holder, group.GroupMsg{SrcGroup: K.GroupID, SrcEpoch: K.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+					Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+			}
+			if !late {
+				vote()
+			}
+			n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
+			if late {
+				vote()
+			}
+			for to, carried := range gossipSentBy(t, n)[K.Key()] {
+				votes[to]++
+				if carried {
+					full[to]++
+				}
+			}
+			want := uint64(0)
+			if m.ID == relay {
+				want = 1
+			}
+			if got := n.Stats().PayloadsWithheld; got != want {
+				t.Errorf("late=%v: member %v of B counts %d payloads withheld, want %d", late, m.ID, got, want)
+			}
+		}
+		for _, member := range K.Members {
+			want := 1
+			if member.ID == holder {
+				want = 0
+			}
+			if votes[member.ID] != B.N() || full[member.ID] != want {
+				t.Errorf("late=%v: member %v of K got %d payloads in %d votes, want %d in %d", late, member.ID, full[member.ID], votes[member.ID], want, B.N())
+			}
+		}
+	}
+}
+
+// TestHoldersRecordBounded: the holders record keeps a vote only from a member
+// of the composition it names, at most maxHeldVotes of them for a digest, and at
+// most maxHeldDigests digests — those with forwards queued since the round
+// tick, which empties it. A flood of turned-away copies from non-member IDs
+// under K's key records nothing and withdraws nothing: K still gets this
+// member's copy.
+func TestHoldersRecordBounded(t *testing.T) {
+	B := testComp(3, 1, 4, 5, 6, 7)
+	X := testComp(2, 2, 11, 12, 13)
+	K := testComp(5, 3, 21, 22, 23)
+	n, _ := memberNode(t, 4, B, K)
+	n.learnComp(X)
+	accept := func(data string) crypto.Digest {
+		payload, digest := gossipOf(data)
+		n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
+		return digest
+	}
+	digest := accept("flooded")
+	copyFrom := func(from ids.NodeID, src group.Key) {
+		n.Receive(from, group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+			Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+	}
+	for id := ids.NodeID(1000); id < 1000+4*maxHeldVotes; id++ {
+		copyFrom(id, K.Key())
+	}
+	if got := len(n.holders[digest]); got != 0 {
+		t.Errorf("non-members' copies left %d votes in the record, want none", got)
+	}
+	if _, toK := gossipSentBy(t, n)[K.Key()]; !toK || n.Stats().GossipWithdrawn != 0 {
+		t.Errorf("after the flood: copy toward K sent %v, %d withdrawn; want sent, none withdrawn", toK, n.Stats().GossipWithdrawn)
+	}
+
+	members := []uint64{200, 201, 202, 203, 204, 205, 206, 207}
+	for g := 0; g < 2*maxHeldVotes/len(members); g++ {
+		c := testComp(ids.GroupID(100+g), 1, members...)
+		n.learnComp(c)
+		for _, m := range c.Members {
+			copyFrom(m.ID, c.Key())
+		}
+	}
+	if got := len(n.holders[digest]); got != maxHeldVotes {
+		t.Errorf("members of many vgroups left %d votes in the record, want its cap %d", got, maxHeldVotes)
+	}
+
+	for i := 0; i < maxHeldDigests+8; i++ {
+		accept(fmt.Sprintf("round-%d", i))
+	}
+	if got := len(n.holders); got != maxHeldDigests {
+		t.Errorf("a round of deliveries left %d digests in the record, want its cap %d", got, maxHeldDigests)
+	}
+	n.handleTick()
+	if got := len(n.holders); got != 0 {
+		t.Errorf("the round tick left %d digests in the record, want none", got)
 	}
 }
 
@@ -550,12 +686,15 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 	}
 	h.net.Run(h.net.Now() + 30*time.Second)
 	// Payload multiplicity, so that losing the payload rules fails here and not
-	// only in the benchmark: 2.97 copies of the payload cross the wire per
-	// delivery on this seed (4.41 with f+1 payload senders on every hop, 4.97
-	// while a vgroup heard voting still got the copy, 7.46 without the f+1
-	// payload senders).
-	if perDelivery := float64(fullCopies) / float64(bcasts*len(nodes)); perDelivery > 3.1 {
-		t.Errorf("%.2f full-payload gossip copies per delivery, want at most 3.1", perDelivery)
+	// only in the benchmark: 2.66 copies of the payload cross the wire per
+	// delivery on this seed (2.97 while a member whose vote was heard still got
+	// the bytes, 4.41 with f+1 payload senders on every hop, 4.97 while a
+	// vgroup heard voting still got the copy, 7.46 without the f+1 payload
+	// senders).
+	perDelivery := float64(fullCopies) / float64(bcasts*len(nodes))
+	t.Logf("%.2f full-payload gossip copies per delivery, %.2f copies", perDelivery, float64(copies)/float64(bcasts*len(nodes)))
+	if perDelivery > 2.8 {
+		t.Errorf("%.2f full-payload gossip copies per delivery, want at most 2.8", perDelivery)
 	}
 	// Vote multiplicity, the same way for the link rule: 10.98 gossip copies,
 	// with or without the payload, per delivery on this seed (12.07 when only

@@ -133,6 +133,9 @@ type Node struct {
 
 	delivered deliveredIndex // the broadcasts this node delivered, by gossip digest (pull.go)
 	rep       repair         // the repair paths behind relayed gossip (pull.go)
+	// holders is who is known to hold the broadcasts this node delivered and
+	// is forwarding this round (gossip.go, the holders record).
+	holders map[crypto.Digest][]holder
 
 	counts  Stats // the counters Stats reports; its Egress stays zero
 	stopped bool
@@ -194,6 +197,7 @@ func New(cfg Config) *Node {
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
 		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
 		rep:            newRepair(cfg.RoundDuration),
+		holders:        make(map[crypto.Digest][]holder),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
 	n.egress = n.newEgress()
@@ -358,10 +362,18 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 // (forwardGossip): a copy under any other MsgID comes from no correct member
 // and would open an entry no SettleAll covers, so it is dropped here, and so is
 // a copy of a broadcast the delivered index holds — the inbox keeps no record
-// of a delivered gossip message, so this probe is the one turn-away.
+// of a delivered gossip message, so this probe is the one turn-away. What such
+// a copy says, that its sender holds the broadcast, goes to the holders record
+// while this node's forwards of it wait (gossip.go).
 func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
-	if m.Kind == kindGossip && (m.MsgID != m.PayloadDigest || n.delivered.has(m.MsgID)) {
-		return
+	if m.Kind == kindGossip {
+		if m.MsgID != m.PayloadDigest {
+			return
+		}
+		if n.delivered.has(m.MsgID) {
+			n.noteHolder(m.MsgID, from, group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch})
+			return
+		}
 	}
 	if acc, ok := n.inbox.Observe(n.env.Now(), from, m); ok {
 		n.handleAccepted(acc)
@@ -431,6 +443,9 @@ func (n *Node) handleTick() {
 	// The lockstep round is the ModeSync batching window: the round's group
 	// messages leave now. (The asynchronous engine holds nothing for it.)
 	n.egress.FlushDeferred()
+	// The round's votes have left; one still in a ModeAsync window leaves
+	// without the record.
+	clear(n.holders)
 
 	if n.cfg.Mode == smr.ModeSync && n.replica != nil && !n.byzActive() {
 		n.replica.Tick(n.round)
@@ -491,7 +506,9 @@ func (n *Node) heartbeatTick(now time.Duration) {
 		return
 	}
 	n.lastHB = now
-	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: n.delivered.sinceBeat()}
+	listed, left := n.delivered.sinceBeat()
+	n.counts.HeartbeatTruncated += uint64(left)
+	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: listed}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
 			n.egress.Node(m.ID, hb)

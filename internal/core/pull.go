@@ -174,11 +174,13 @@ func (x *deliveredIndex) trim(before time.Duration) {
 }
 
 // sinceBeat returns the first maxHeartbeatDigests of the digests delivered
-// since the previous call, nil for none.
-func (x *deliveredIndex) sinceBeat() []crypto.Digest {
+// since the previous call, nil for none, and how many of them it leaves out.
+func (x *deliveredIndex) sinceBeat() (listed []crypto.Digest, left int) {
 	fresh := x.order[len(x.order)-min(x.unlisted, len(x.order)):]
+	listed = append([]crypto.Digest(nil), fresh[:min(len(fresh), maxHeartbeatDigests)]...)
+	left = x.unlisted - len(listed)
 	x.unlisted = 0
-	return append([]crypto.Digest(nil), fresh[:min(len(fresh), maxHeartbeatDigests)]...)
+	return listed, left
 }
 
 // repair is a node's state for the repair paths: what it is missing and

@@ -401,10 +401,10 @@ func TestDeliveredIndexBounded(t *testing.T) {
 		t.Fatalf("index holds %d digests (%d in order), the second oldest %v: want the last %d",
 			len(x.at), len(x.order), x.has(digest(1)), maxSeen)
 	}
-	if hb := x.sinceBeat(); len(hb) != maxHeartbeatDigests || hb[0] != digest(2) {
+	if hb, _ := x.sinceBeat(); len(hb) != maxHeartbeatDigests || hb[0] != digest(2) {
 		t.Fatalf("heartbeat lists %d digests, want the first %d the index holds", len(hb), maxHeartbeatDigests)
 	}
-	if hb := x.sinceBeat(); hb != nil {
+	if hb, _ := x.sinceBeat(); hb != nil {
 		t.Fatalf("a second heartbeat lists %d digests, want none", len(hb))
 	}
 
@@ -422,12 +422,37 @@ func TestDeliveredIndexBounded(t *testing.T) {
 	if len(x.payloads) != 1 || x.bytes != len(huge) || x.payload(digest(9)) == nil {
 		t.Fatalf("index holds %d payloads, %d bytes: want the one over the bound alone", len(x.payloads), x.bytes)
 	}
-	if hb := x.sinceBeat(); !slices.Equal(hb, []crypto.Digest{digest(0), digest(1), digest(2), digest(9)}) {
+	if hb, _ := x.sinceBeat(); !slices.Equal(hb, []crypto.Digest{digest(0), digest(1), digest(2), digest(9)}) {
 		t.Fatalf("heartbeat lists %d digests, want the four delivered since the previous one", len(hb))
 	}
 	at(n.Now()+n.cacheHorizon()+time.Millisecond, n)
 	n.handleTick()
 	if x.payloads != nil || x.bytes != 0 || x.payload(digest(9)) != nil || len(x.at) != 4 {
 		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, len(x.at))
+	}
+}
+
+// TestHeartbeatTruncationCounted: a heartbeat lists the first
+// maxHeartbeatDigests of the digests delivered since the previous one, and the
+// node counts the ones it left out: 300 deliveries in one heartbeat period
+// leave 44 out, and the next heartbeat leaves none.
+func TestHeartbeatTruncationCounted(t *testing.T) {
+	n, env := memberNode(t, 4, testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13))
+	for i := 0; i < 300; i++ {
+		n.delivered.add(crypto.HashUint64(crypto.Digest{}, uint64(i)), []byte{1}, n.Now())
+	}
+	for beat, want := range []int{maxHeartbeatDigests, 0} {
+		at(time.Second+time.Duration(beat+1)*n.cfg.HeartbeatEvery, n)
+		env.sent = nil
+		n.heartbeatTick(n.Now())
+		listed := -1
+		for _, s := range env.sent {
+			if hb, ok := s.msg.(Heartbeat); ok {
+				listed = len(hb.Delivered)
+			}
+		}
+		if got := n.Stats().HeartbeatTruncated; listed != want || got != 44 {
+			t.Errorf("heartbeat %d lists %d digests and the node counts %d left out, want %d and 44", beat+1, listed, got, want)
+		}
 	}
 }

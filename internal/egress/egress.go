@@ -187,6 +187,12 @@ type Config struct {
 	// caller-owned as usual and may be retained freely. It must not re-enter
 	// the scheduler.
 	Flush func(src, dst group.Composition, node ids.NodeID, items []group.BatchItem)
+	// Withdraw, when set, is asked about each item of a group batch as the
+	// batch closes, before its carriers are counted: an item it reports is
+	// dropped, and a batch left empty sends nothing (the engine's gossip link
+	// rule, read again as the batch leaves). It must not re-enter the
+	// scheduler.
+	Withdraw func(dst group.Composition, it group.BatchItem) bool
 }
 
 // Stats is a snapshot of the scheduler (Snapshot).
@@ -431,12 +437,23 @@ func (s *Scheduler) evictFor(a *arrival, q *pending, class Class) bool {
 // dropExpired removes items whose expiry has passed (in place, order
 // preserved).
 func (s *Scheduler) dropExpired(a *arrival, q *pending, now time.Duration) {
+	q.removeIf(func(i int) bool {
+		if e := q.meta[i].expires; e == 0 || e > now {
+			return false
+		}
+		s.stats.DroppedExpired++
+		a.dropExp++
+		return true
+	})
+}
+
+// removeIf deletes the items drop reports, in place and in order, and takes
+// their charge off the batch's bytes.
+func (q *pending) removeIf(drop func(i int) bool) {
 	kept := 0
 	for i := range q.items {
-		if e := q.meta[i].expires; e != 0 && e <= now {
+		if drop(i) {
 			q.bytes -= len(q.items[i].Payload) + group.BatchWireOverhead
-			s.stats.DroppedExpired++
-			a.dropExp++
 			continue
 		}
 		if kept != i {
@@ -592,12 +609,16 @@ func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 	return false
 }
 
-// close ends one destination's open batch: it drops the expired items, counts
-// the carriers the rest make up, and sends them — or, deferred, holds them for
-// the next FlushDeferred.
+// close ends one destination's open batch: it drops the expired items and, on
+// a group batch, those the owner withdraws (Config.Withdraw), counts the
+// carriers the rest make up, and sends them — or, deferred, holds them for the
+// next FlushDeferred. A batch left empty sends nothing.
 func (s *Scheduler) close(k destKey, q *pending) {
 	a := s.arr[k]
 	s.dropExpired(a, q, s.now())
+	if withdraw := s.cfg.Withdraw; withdraw != nil && q.node == 0 {
+		q.removeIf(func(i int) bool { return withdraw(q.dst, q.items[i]) })
+	}
 	for i := 0; i < len(q.items); {
 		n := s.carrierPrefix(q.items[i:])
 		s.count(a, n)

@@ -356,6 +356,26 @@ func TestArrivalStatePruned(t *testing.T) {
 	}
 }
 
+// TestWithdrawnItemsLeaveNoCarrier: as a group batch closes, the scheduler
+// asks Config.Withdraw about each of its items. What it withdraws is neither
+// framed nor counted, and a batch it empties sends nothing.
+func TestWithdrawnItemsLeaveNoCarrier(t *testing.T) {
+	h := newHarness(64, 5*time.Millisecond)
+	withdrawn := map[crypto.Digest]bool{item(2).MsgID: true, item(3).MsgID: true}
+	h.s.cfg.Withdraw = func(_ group.Composition, it group.BatchItem) bool { return withdrawn[it.MsgID] }
+	src, a, b := comp(1, 1), comp(2, 1), comp(3, 1)
+	h.s.EnqueueGroup(src, a, item(1), true)
+	h.s.EnqueueGroup(src, a, item(2), true)
+	h.s.EnqueueGroup(src, b, item(3), true)
+	h.s.FlushDeferred()
+	if len(h.flushes) != 1 || h.flushes[0].dst.GroupID != a.GroupID || len(h.flushes[0].items) != 1 || h.flushes[0].items[0].MsgID != item(1).MsgID {
+		t.Fatalf("the tick sent %d batches, want a's with item 1 alone", len(h.flushes))
+	}
+	if st := h.s.Snapshot(); st.Flushes != 1 || st.Items != 1 {
+		t.Errorf("stats count %d carriers of %d items, want 1 of 1", st.Flushes, st.Items)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
 	src, dst := comp(1, 1), comp(2, 1)

@@ -55,6 +55,12 @@ type Rules struct {
 	// paths — toward a vgroup's members, and to a single node — and drop it
 	// when they report true: the engine's Byzantine behaviours.
 	MuteGroup, MuteDirect func() bool
+	// Withdraw and Holds are the engine's withholding rules, read as a batch
+	// leaves: Withdraw drops an item of a group batch before the scheduler
+	// counts its carriers (Config.Withdraw), and Holds names the destination
+	// members that need no relayed payload (group.Holds). Either may be nil.
+	Withdraw func(dst group.Composition, it group.BatchItem) bool
+	Holds    group.Holds
 }
 
 // NodeMsg is a node-level message: a handshake with a node that shares no
@@ -68,18 +74,23 @@ type NodeMsg interface{ NodeAddressed() }
 // onto. Create with NewPort; Start attaches the runtime.
 type Port struct {
 	*Scheduler
-	env   actor.Env
-	rules Rules
+	env      actor.Env
+	rules    Rules
+	withheld uint64 // relayed payloads frame withheld from a holder
 }
 
 // NewPort builds a node's port over a Scheduler configured by cfg; its Flush
-// is the port's own framing.
+// is the port's own framing, its Withdraw the engine's (Rules.Withdraw).
 func NewPort(cfg Config, r Rules) *Port {
 	p := &Port{rules: r}
-	cfg.Flush = p.frame
+	cfg.Flush, cfg.Withdraw = p.frame, r.Withdraw
 	p.Scheduler = New(cfg)
 	return p
 }
+
+// Withheld returns how many relayed payloads the port sent as a digest alone
+// because Rules.Holds named their destination member a holder.
+func (p *Port) Withheld() uint64 { return p.withheld }
 
 // Start hands the port the node's runtime: from then on the port alone sends,
 // and alone draws from the node's random stream (destination orders).
@@ -99,7 +110,7 @@ func (p *Port) Group(src, dst group.Composition, it group.BatchItem) {
 // the receiver votes it like any group message, so only the majority members
 // send the payload, but it leaves at once.
 func (p *Port) GroupAttach(src, dst group.Composition, it group.BatchItem, attach []byte) {
-	group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, attach)
+	group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, attach, nil)
 }
 
 // ToNode sends one logical group message from src to a single node. As
@@ -153,9 +164,10 @@ func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
 }
 
 // frame is the Scheduler's Flush: it frames one destination's batch onto the
-// wire. It reads nothing of the engine's state — the captured src/dst keep a
-// flush correct even when it runs after the group state it was enqueued under
-// is gone (merge dissolve, departure).
+// wire. Of the engine's state it asks one thing, the withholding rule
+// Rules.Holds, and reads nothing else — the captured src/dst keep a flush
+// correct even when it runs after the group state it was enqueued under is
+// gone (merge dissolve, departure).
 //
 // A node-addressed batch (raw traffic) is link-authenticated and carries full
 // payloads, and is never held for a round: tier-2 data must not wait for
@@ -172,8 +184,8 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 	case node != 0:
 		group.SendBatchToNode(p.sendDirect, src, p.rules.Self, node, p.rules.Carrier, crypto.Digest{}, items)
 	case len(items) == 1:
-		group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, nil)
+		p.withheld += uint64(group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, nil, p.rules.Holds))
 	default:
-		group.SendBatch(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, p.rules.Carrier, crypto.Digest{}, items)
+		p.withheld += uint64(group.SendBatch(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, p.rules.Carrier, crypto.Digest{}, items, p.rules.Holds))
 	}
 }

@@ -3,7 +3,6 @@ package group
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"atum/internal/crypto"
 	"atum/internal/ids"
@@ -211,16 +210,18 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // ⌊N/2⌋+1 indices transmit the payloads of the items that have one and the
 // rest transmit digest-only copies; an item built with a nil Payload is
 // digest-only from every member, and a Relay item carries its payload only
-// toward the destination members this sender is the RelaySender of: one flush
+// toward the destination members this sender is the RelaySender of, and none
+// toward one that holds names a holder of every relayed payload: one flush
 // frames at most two variants, with this member's relayed payloads and
 // without them. Destination order is randomized against
 // incast (§5.1). batchID becomes the carrier's MsgID, which no receiver reads:
 // the inner MsgIDs take part in inbox majority matching, and the engine sends
 // zero. For the same reason the carrier's PayloadDigest is sent zero:
 // receivers vote the inner items' digests and never compare the frame's.
-func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem) {
+// SendBatch returns how many relayed payloads it withheld from a holder.
+func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem, holds Holds) (withheld int) {
 	if len(items) == 0 {
-		return
+		return 0
 	}
 	if len(items) > MaxBatchItems {
 		// Receivers reject larger frames outright; as with the wire encoder,
@@ -229,7 +230,12 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 	}
 	idx := src.Index(self)
 	full := idx >= 0 && idx < src.Majority()
-	relayed := slices.ContainsFunc(items, func(it BatchItem) bool { return it.Relay && it.Payload != nil })
+	relays := 0 // items whose payload goes to the members RelaySender names
+	for i := range items {
+		if items[i].Relay && items[i].Payload != nil {
+			relays++
+		}
+	}
 	var frames [2][]byte // without, with this member's relayed payloads
 	msg := GroupMsg{
 		SrcGroup: src.GroupID,
@@ -241,13 +247,17 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 	}
 	order := rng.Perm(len(dst.Members))
 	rot := 0
-	if relayed {
+	if relays > 0 {
 		rot = relayRotation(src, dst)
 	}
 	for _, i := range order {
 		v := 0
-		if relayed && isRelaySender(idx, rot, src.N(), i) {
-			v = 1
+		if relays > 0 && isRelaySender(idx, rot, src.N(), i) {
+			if holds.all(dst.Members[i].ID, items) {
+				withheld += relays
+			} else {
+				v = 1
+			}
 		}
 		if frames[v] == nil {
 			frames[v] = encodeBatchFrame(items, full, v == 1)
@@ -255,6 +265,21 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 		msg.Payload = frames[v]
 		send(dst.Members[i].ID, msg)
 	}
+	return withheld
+}
+
+// all reports whether h names member a holder of the payload of every Relay
+// item that has one.
+func (h Holds) all(member ids.NodeID, items []BatchItem) bool {
+	if h == nil {
+		return false
+	}
+	for i := range items {
+		if it := &items[i]; it.Relay && it.Payload != nil && !h(member, it.payloadDigest()) {
+			return false
+		}
+	}
+	return true
 }
 
 // SendBatchToNode transmits one batch of logical messages from self to a

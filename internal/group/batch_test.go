@@ -564,7 +564,7 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 	countFull := func(self ids.NodeID) (full, digest int) {
 		var sent []GroupMsg
 		send := func(_ ids.NodeID, msg actor.Message) { sent = append(sent, msg.(GroupMsg)) }
-		SendBatch(send, rng, src, self, dst, Kind(99), batchID, items)
+		SendBatch(send, rng, src, self, dst, Kind(99), batchID, items, nil)
 		if len(sent) != dst.N() {
 			t.Fatalf("sent %d copies, want %d", len(sent), dst.N())
 		}
@@ -600,9 +600,11 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 
 // TestRelayItemsReachEachMemberOnce: a Relay item's payload reaches each
 // destination member from the one source member RelaySender names, through
-// Send and SendBatch alike, and every other sender's copy names its digest.
-// Beside it in a carrier, an ordinary item keeps the majority rule. One
-// sender's flush frames at most two variants, whatever the sizes.
+// Send and SendBatch alike, and every other sender's copy names its digest. A
+// member holds names a holder gets the digest from its RelaySender too, which
+// counts the payload withheld. Beside it in a carrier, an ordinary item keeps
+// the majority rule. One sender's flush frames at most two variants, whatever
+// the sizes.
 func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 1; n <= 8; n++ {
@@ -614,41 +616,55 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 			relayed := batchItems("relayed")[0]
 			relayed.Relay = true
 			items := []BatchItem{relayed, batchItems("ordinary")[0]}
-			carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads via Send, via SendBatch
-			for idx, m := range src.Members {
-				send := func(to ids.NodeID, msg actor.Message) {
-					c := carried[to]
-					if msg.(GroupMsg).Payload != nil {
-						c[0]++
+			holder := dst.Members[k-1].ID
+			for _, holds := range []Holds{nil, func(j ids.NodeID, d crypto.Digest) bool {
+				return j == holder && d == crypto.Hash(relayed.Payload)
+			}} {
+				carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads via Send, via SendBatch
+				withheld := 0
+				for idx, m := range src.Members {
+					send := func(to ids.NodeID, msg actor.Message) {
+						c := carried[to]
+						if msg.(GroupMsg).Payload != nil {
+							c[0]++
+						}
+						carried[to] = c
 					}
-					carried[to] = c
+					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds)
+					frames := map[string]bool{}
+					sendBatch := func(to ids.NodeID, msg actor.Message) {
+						frames[string(msg.(GroupMsg).Payload)] = true
+						inner, err := UnpackBatch(msg.(GroupMsg))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (inner[1].Payload != nil) != (idx < src.Majority()) {
+							t.Errorf("n=%d k=%d: member %d broke the majority rule on the ordinary item", n, k, idx)
+						}
+						c := carried[to]
+						if inner[0].Payload != nil {
+							c[1]++
+						}
+						carried[to] = c
+					}
+					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds)
+					if len(frames) > 2 {
+						t.Errorf("n=%d k=%d: member %d framed %d variants, want at most 2", n, k, idx, len(frames))
+					}
 				}
-				Send(send, rng, src, m.ID, dst, relayed, nil)
-				frames := map[string]bool{}
-				sendBatch := func(to ids.NodeID, msg actor.Message) {
-					frames[string(msg.(GroupMsg).Payload)] = true
-					inner, err := UnpackBatch(msg.(GroupMsg))
-					if err != nil {
-						t.Fatal(err)
+				wantWithheld := 0
+				for j, member := range dst.Members {
+					want := [2]int{1, 1}
+					if holds != nil && member.ID == holder {
+						want, wantWithheld = [2]int{}, 2
 					}
-					if (inner[1].Payload != nil) != (idx < src.Majority()) {
-						t.Errorf("n=%d k=%d: member %d broke the majority rule on the ordinary item", n, k, idx)
+					if c := carried[member.ID]; c != want {
+						t.Errorf("n=%d k=%d, holder known %v: member %d (RelaySender %d) got the relayed payload %v times (Send, SendBatch), want %v",
+							n, k, holds != nil, j, RelaySender(src, dst, j), c, want)
 					}
-					c := carried[to]
-					if inner[0].Payload != nil {
-						c[1]++
-					}
-					carried[to] = c
 				}
-				SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items)
-				if len(frames) > 2 {
-					t.Errorf("n=%d k=%d: member %d framed %d variants, want at most 2", n, k, idx, len(frames))
-				}
-			}
-			for j, member := range dst.Members {
-				if c := carried[member.ID]; c != [2]int{1, 1} {
-					t.Errorf("n=%d k=%d: member %d (RelaySender %d) got the relayed payload %v times (Send, SendBatch), want once each",
-						n, k, j, RelaySender(src, dst, j), c)
+				if withheld != wantWithheld {
+					t.Errorf("n=%d k=%d, holder known %v: %d payloads withheld, want %d", n, k, holds != nil, withheld, wantWithheld)
 				}
 			}
 		}
@@ -691,12 +707,12 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	// Member 1 batches both messages together.
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all = append(all, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b1")), items)
+	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b1")), items, nil)
 	// Member 2 sends them unbatched (as if its flush window cut between them).
 	for _, it := range items {
 		Send(func(_ ids.NodeID, m actor.Message) {
 			all = append(all, observe(2, m.(GroupMsg))...)
-		}, rng, src, 2, dst, it, nil)
+		}, rng, src, 2, dst, it, nil, nil)
 	}
 
 	if len(all) != len(items) {
@@ -724,10 +740,10 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	var all2 []Accepted
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all2 = append(all2, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b2-member1")), items2)
+	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b2-member1")), items2, nil)
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all2 = append(all2, observe(2, m.(GroupMsg))...)
-	}, rng, src, 2, dst, Kind(99), crypto.Hash([]byte("b2-member2")), items2)
+	}, rng, src, 2, dst, Kind(99), crypto.Hash([]byte("b2-member2")), items2, nil)
 	if len(all2) != len(items2) {
 		t.Fatalf("mixed-carrier batching accepted %d logical messages, want %d", len(all2), len(items2))
 	}

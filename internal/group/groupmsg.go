@@ -89,11 +89,12 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // payload). An item built with a nil Payload and its Digest is a digest-only
 // copy from every member: the caller has a narrower rule for who sends the
 // bytes and applies it before it gets here (core's gossip). A Relay item's
-// payload goes only to the destination members self is the RelaySender of.
-// Destination order is randomized to avoid incast bursts (§5.1). The payload
-// is hashed only when it.Digest is not set. attach is this sender's own
-// attachment (nil: none).
-func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte) {
+// payload goes only to the destination members self is the RelaySender of,
+// and not to one of them holds names a holder. Destination order is randomized
+// to avoid incast bursts (§5.1). The payload is hashed only when it.Digest is
+// not set. attach is this sender's own attachment (nil: none). Send returns
+// how many payloads it withheld from a holder.
+func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte, holds Holds) (withheld int) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
@@ -115,11 +116,26 @@ func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Com
 	}
 	for _, i := range order {
 		m := msg
-		if it.Relay && isRelaySender(idx, rot, src.N(), i) {
-			m.Payload = it.Payload
+		if it.Relay && it.Payload != nil && isRelaySender(idx, rot, src.N(), i) {
+			if holds.has(dst.Members[i].ID, msg.PayloadDigest) {
+				withheld++
+			} else {
+				m.Payload = it.Payload
+			}
 		}
 		send(dst.Members[i].ID, m)
 	}
+	return withheld
+}
+
+// Holds reports whether a destination member is known to hold the payload of
+// the given digest: the member's RelaySender then sends it the digest alone
+// (core's member rule). A nil Holds knows of no holder.
+type Holds func(member ids.NodeID, digest crypto.Digest) bool
+
+// has calls h; a nil h knows of no holder.
+func (h Holds) has(member ids.NodeID, digest crypto.Digest) bool {
+	return h != nil && h(member, digest)
 }
 
 // RelaySender returns the index, in src, of the one member whose copy toward

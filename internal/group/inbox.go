@@ -394,6 +394,20 @@ func (ib *Inbox) Votes(src Composition, kind Kind, msgID, digest crypto.Digest) 
 	return 0
 }
 
+// Voters calls visit once per vote that names msgID as its digest, on every
+// pending entry of the lending index that holds msgID, with the entry's source
+// and the vote's sender and kind: the senders that say they hold the message.
+// visit must not call back into the inbox.
+func (ib *Inbox) Voters(msgID crypto.Digest, visit func(src Key, from ids.NodeID, kind Kind)) {
+	for _, k := range ib.shared[msgID] {
+		for _, v := range ib.sources[k].pending[msgID].votes {
+			if v.digest == msgID {
+				visit(k, v.from, v.kind)
+			}
+		}
+	}
+}
+
 // FlushKey re-evaluates buffered entries for a source composition that just
 // became known, returning all newly accepted messages.
 func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
