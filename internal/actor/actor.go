@@ -88,9 +88,12 @@ func LearnIdentity(env any, id ids.Identity) {
 	}
 }
 
-// Sizer is implemented by messages that know their approximate wire size.
-// The simulator's bandwidth model consults it; messages that do not
-// implement it are assumed to be DefaultMessageSize bytes.
+// Sizer is implemented by messages that know their wire size. The
+// simulator's bandwidth model consults it; messages that do not implement it
+// (the engine's join messages) are assumed to be DefaultMessageSize bytes.
+// Group messages, heartbeats and the payload pulls and pushes report the
+// exact length of their wire frame; the SMR envelope and the SMR messages
+// inside it report estimates.
 type Sizer interface {
 	WireSize() int
 }

@@ -38,8 +38,9 @@ type Heartbeat struct {
 	Delivered []crypto.Digest
 }
 
-// WireSize implements actor.Sizer.
-func (m Heartbeat) WireSize() int { return 24 + crypto.DigestSize*len(m.Delivered) }
+// WireSize implements actor.Sizer: the length of m's envelope frame (3
+// header bytes, GroupID, Epoch and the list count before the digests).
+func (m Heartbeat) WireSize() int { return 23 + crypto.DigestSize*len(m.Delivered) }
 
 // JoinContact is the joiner's first message to its (trusted) contact node.
 type JoinContact struct {

@@ -50,12 +50,13 @@ type PayloadPush struct {
 	Payloads [][]byte
 }
 
-// WireSize implements actor.Sizer.
-func (m PayloadPull) WireSize() int { return 8 + 4 + crypto.DigestSize*len(m.Digests) }
+// WireSize implements actor.Sizer: the length of m's envelope frame (3
+// header bytes and the list count before the digests).
+func (m PayloadPull) WireSize() int { return 7 + crypto.DigestSize*len(m.Digests) }
 
-// WireSize implements actor.Sizer.
+// WireSize implements actor.Sizer: the length of m's envelope frame.
 func (m PayloadPush) WireSize() int {
-	n := 8 + 4
+	n := 7
 	for _, p := range m.Payloads {
 		n += 4 + len(p)
 	}

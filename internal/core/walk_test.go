@@ -99,7 +99,8 @@ func certFrames(t *testing.T, env *fakeEnv) (string, int) {
 // chain as an attachment — to the frames, destinations and order they had
 // when each was built by hand beside the send helpers: the hop carries the
 // payload from a majority member and names the destination epoch, the reply
-// and the redirect carry it from every member and name none.
+// and the redirect carry it from every member and name none. The digests were
+// re-pinned when the GroupMsg header became compact; the sends are unchanged.
 func TestCertificateModeFramesGolden(t *testing.T) {
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
@@ -123,9 +124,9 @@ func TestCertificateModeFramesGolden(t *testing.T) {
 		t.Fatalf("%d hop, %d reply and %d redirect frames, want %d, %d and 1", hops, replies, redirects, nbr.N(), nbr.N())
 	}
 	for _, c := range []struct{ what, got, want string }{
-		{"walk hop", hop, "51e6b77325da72c452081203dfff58a9"},
-		{"walk reply", reply, "a8c955f282f03cda05b425578105cba1"},
-		{"join redirect", redirect, "e36721f101233834e82684b3dcb143d7"},
+		{"walk hop", hop, "0fafad789997ecc9b8564ea15514cbc9"},
+		{"walk reply", reply, "85faf88a9dc28fe4868397d004e8baf6"},
+		{"join redirect", redirect, "13b3474a893ccda3e01e669d3e4ab875"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s frames digest %s, want %s", c.what, c.got, c.want)

@@ -327,7 +327,7 @@ var goldenFrames = []struct {
 	{30, "core.ContactInfo", 111, "71a84564ce6cf531c3d6bef5bc993e1caa78b78eebc15880744a2828fbb33ed4"},
 	{31, "core.JoinRequest", 53, "89b4d7fe8a7b17a7188d37b1364a0d0b733c99aa0372e6e666cb129d0d9b3e2a"},
 	{32, "core.Renounce", 53, "f4ef681747923ea509b0188730e3fdb9d8af7292db63f932306c0f212e5eea4f"},
-	{33, "group.GroupMsg", 114, "950a217e2c8d5e99a88d2d0bc569afab1caf15a098789089cbb13918d188c0de"},
+	{33, "group.GroupMsg", 99, "4b762a923451a6bbdde2b7d8223618db51b92588679adad6c00f55150ad01a56"}, // re-pinned for the compact header: 114 bytes before (TestOldLayoutGroupMsgFrameRejected)
 	{34, "dolev.SlotMsg", 115, "74bcf036144d8687daa9b599cad49559d130043075da70c5f3e6b2647ef94db1"},
 	{35, "pbft.Request", 42, "fa66a0032b9ee10865c4d044b27e6623013c842a993400a898acb2b3e59b0227"},
 	{36, "pbft.PrePrepare", 117, "12dd0653c18a19fdc8092c5d620a7fe0dea32d244f33b9e6b0abed759d5eb85d"},
@@ -378,7 +378,9 @@ func TestWireGoldenFrames(t *testing.T) {
 // pinned (length and SHA-256) to what the MarshalWire half of the last commit
 // that had one produced for in, and want is what its UnmarshalWire half read
 // back: an empty list as nil (snapshot digests and DeepEqual depend on it), an
-// empty byte string and a zero-member composition as empty, never nil.
+// empty byte string and a zero-member composition as empty, never nil. The
+// "GroupMsg form" rows pin one frame of each header form, with epochs of 1,
+// 2, 3 and 10 varint bytes.
 type edgeFrame struct {
 	name     string
 	in, want any
@@ -392,6 +394,13 @@ var edgeFrames = func() []edgeFrame {
 	gm := func(payload, attach []byte) group.GroupMsg {
 		return group.GroupMsg{SrcGroup: 1, Kind: kindGossip, Payload: payload, Attach: attach}
 	}
+	gossip := encodePayload(gossipPayload{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload")})
+	derived := func(srcEpoch, dstEpoch uint64, payload []byte) group.GroupMsg {
+		return group.GroupMsg{SrcGroup: 7, SrcEpoch: srcEpoch, DstGroup: 9, DstEpoch: dstEpoch, Kind: kindGossip,
+			MsgID: crypto.Hash(gossip), PayloadDigest: crypto.Hash(gossip), Payload: payload}
+	}
+	walkHop := group.GroupMsg{SrcGroup: 7, SrcEpoch: ^uint64(0), DstGroup: 9, DstEpoch: 9, Kind: kindWalk,
+		MsgID: wcDigest(6), PayloadDigest: crypto.Hash([]byte("walk")), Payload: []byte("walk"), Attach: []byte("chain")}
 	return []edgeFrame{
 		{"walkPayload, empty lists",
 			walkPayload{WalkID: wcDigest(1), Rands: []uint64{}, Path: []group.Key{}},
@@ -414,13 +423,21 @@ var edgeFrames = func() []edgeFrame {
 			snapshotPayload{State: stateSnapshot{Comp: wcComp(7, 3, 2), NbrsBytes: []byte{}, HasShuffle: true, Shuffle: shuffleState{Epoch: 2, ActiveMember: noKey}}},
 			193, "fc2fa0b6f19fb804b8e7b55b4394344d750edac65f921afe86d7fad0266b87b6"}, // re-pinned like golden row 14: 209 bytes before
 		{"GroupMsg, nil Payload and Attach", gm(nil, nil), gm(nil, nil),
-			102, "2ad26634a89b48dca4d59cc9bc2ec8fda38ab93e30f8f284f3e2a7b6cb030611"},
+			23, "573fa5017a500ae8e94db077de578a00f0b0b2b3496b0b25a82ddb7f5b2bd6a8"}, // re-pinned like golden row 33: 102 bytes before
 		{"GroupMsg, empty Payload and Attach", gm([]byte{}, []byte{}), gm([]byte{}, []byte{}),
-			110, "7ffeaf25c11dedd1605c9f037599e054285fe9e87348b3824e804baff1a2d52f"},
+			31, "6860fb139b2d76c93fba90519541dcd52baccfed1e68956c96f65ad22918c859"}, // 110 before
 		{"GroupMsg, Payload only", gm([]byte{1}, nil), gm([]byte{1}, nil),
-			107, "c037fb017935323330eeaa7d33fc12f31673863766964e10a623d83088ff089a"},
+			28, "611876ee11cecfc7489c5c8cf5320a8924b29b2ae624c80ca7ba07f4640eddaf"}, // 107 before
 		{"GroupMsg, Attach only", gm(nil, []byte{2}), gm(nil, []byte{2}),
-			107, "1c9b8482ea0808c9e093493d755b6e2e19a5cf4ae71b3ff000e4d272958296e0"},
+			28, "0cdb15775017b3ec7a85c12c10ab15b05becd8a05565f1d859d69bcfe676d8ff"}, // 107 before
+		{"GroupMsg form: a bare carrier", carrierMsg(), carrierMsg(),
+			45, "64f0007dfb41f60746f912f3940f6695df6aa2bab9ce3a3dc23c7e532562a474"},
+		{"GroupMsg form: a derived digest-only copy", derived(127, 128, nil), derived(127, 128, nil),
+			56, "64d3afd1deefb99e875eb96166ea94c16c678798c36d9d9a5efb71a4bdbe32c5"},
+		{"GroupMsg form: a derived full copy", derived(1<<20, 0, gossip), derived(1<<20, 0, gossip),
+			115, "a10974670b142312f80050779251cd8cc09247afc4e05dc14451a3eab25b15a3"},
+		{"GroupMsg form: full IDs with an attachment", walkHop, walkHop,
+			113, "92802df29438864acd2608453fb69b8cdc9bf7f1a619657766998c8bbf49f26a"},
 		{"ContactInfo, zero-member composition",
 			ContactInfo{Comp: group.Composition{GroupID: 5, Epoch: 9}},
 			ContactInfo{Comp: group.Composition{GroupID: 5, Epoch: 9, Members: []ids.Identity{}}},
@@ -953,6 +970,9 @@ func FuzzDecodePayload(f *testing.F) {
 			{Kind: kindRaw, MsgID: crypto.Hash([]byte("seed-raw")), Payload: []byte("seed-raw"), DerivedID: true},
 		})
 	f.Add(encodePayload(carrier))
+	for _, m := range groupMsgEdgeValues() {
+		f.Add(encodePayload(m))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodeWire(data, classAny)
 		if err != nil {

@@ -1,6 +1,8 @@
 package group
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -33,7 +35,9 @@ type GroupMsg struct {
 	// deterministically from the SMR operation that caused the send, so
 	// all members of the source group produce the same MsgID.
 	MsgID crypto.Digest
-	// PayloadDigest is the digest of Payload; always present.
+	// PayloadDigest is the digest of Payload. A carrier leaves it and MsgID
+	// zero, and a message whose MsgID is its payload digest (a gossip copy)
+	// sets both; the wire header then sends neither, or one (see Wire).
 	PayloadDigest crypto.Digest
 	// Payload is nil on digest-only copies.
 	Payload []byte
@@ -49,32 +53,96 @@ type GroupMsg struct {
 	hashed bool
 }
 
-// WireSize implements actor.Sizer.
-func (m GroupMsg) WireSize() int { return 96 + len(m.Payload) + len(m.Attach) }
+// The bits of a GroupMsg's form byte, which says what the wire header spells
+// out. The encoding is canonical: the encoder sets hdrDerived exactly when
+// MsgID equals a nonzero PayloadDigest and hdrBare exactly when both are zero,
+// and the decoder refuses any other form of the same IDs.
+const (
+	hdrPayload = 1 << iota // Payload is present (nil is a digest-only copy)
+	hdrAttach              // Attach is present
+	hdrDerived             // MsgID is PayloadDigest: only the digest is sent
+	hdrBare                // MsgID and PayloadDigest are zero: neither is sent
+)
 
-// Wire walks a GroupMsg's fields in wire order (byte-level transport framing).
-// Payload and Attach nil-ness is preserved: a nil payload marks a digest-only
-// copy and a nil attach marks "no attachment" — both are semantically
-// distinct from empty (see Inbox.Observe).
-func (m *GroupMsg) Wire(c wire.Codec) {
-	wire.U64(c, &m.SrcGroup)
-	c.Uint64(&m.SrcEpoch)
-	wire.U64(c, &m.DstGroup)
-	c.Uint64(&m.DstEpoch)
-	wire.B8(c, &m.Kind)
-	wire.Bytes32(c, &m.MsgID)
-	wire.Bytes32(c, &m.PayloadDigest)
-	optBytes(c, &m.Payload)
-	optBytes(c, &m.Attach)
+// form returns m's form byte.
+func (m *GroupMsg) form() byte {
+	var f byte
+	if m.Payload != nil {
+		f |= hdrPayload
+	}
+	if m.Attach != nil {
+		f |= hdrAttach
+	}
+	switch {
+	case m.MsgID == m.PayloadDigest && m.MsgID == (crypto.Digest{}):
+		f |= hdrBare
+	case m.MsgID == m.PayloadDigest:
+		f |= hdrDerived
+	}
+	return f
 }
 
-// optBytes walks a presence flag and, when it is set, the byte string: nil
-// stays nil and empty stays empty.
-func optBytes(c wire.Codec, b *[]byte) {
-	present := *b != nil
-	c.Bool(&present)
-	if present {
-		c.VarBytes(b)
+// envelopeBytes is the header core's wire envelope puts before a GroupMsg's
+// body: magic, tag and version.
+const envelopeBytes = 3
+
+// WireSize implements actor.Sizer: the length of the envelope frame the codec
+// writes for m.
+func (m GroupMsg) WireSize() int {
+	// The groups, the epochs, the kind and the form byte.
+	n := envelopeBytes + 8 + wire.UvarintLen(m.SrcEpoch) + 8 + wire.UvarintLen(m.DstEpoch) + 2
+	switch f := m.form(); {
+	case f&hdrBare != 0:
+	case f&hdrDerived != 0:
+		n += crypto.DigestSize
+	default:
+		n += 2 * crypto.DigestSize
+	}
+	if m.Payload != nil {
+		n += 4 + len(m.Payload)
+	}
+	if m.Attach != nil {
+		n += 4 + len(m.Attach)
+	}
+	return n
+}
+
+// Wire walks a GroupMsg's fields in wire order (byte-level transport framing):
+// the epochs are varints, and a form byte says which of the IDs, the payload
+// and the attachment follow. Payload and Attach nil-ness is preserved: a nil
+// payload marks a digest-only copy and a nil attach marks "no attachment" —
+// both are semantically distinct from empty (see Inbox.Observe).
+func (m *GroupMsg) Wire(c wire.Codec) {
+	wire.U64(c, &m.SrcGroup)
+	c.Uvarint(&m.SrcEpoch)
+	wire.U64(c, &m.DstGroup)
+	c.Uvarint(&m.DstEpoch)
+	wire.B8(c, &m.Kind)
+	f := m.form()
+	c.Byte(&f)
+	if c.Decoding() && (f&^(hdrPayload|hdrAttach|hdrDerived|hdrBare) != 0 || f&hdrDerived != 0 && f&hdrBare != 0) {
+		c.Fail(fmt.Errorf("group: GroupMsg form %#x", f))
+	}
+	switch {
+	case f&hdrBare != 0:
+	case f&hdrDerived != 0:
+		wire.Bytes32(c, &m.PayloadDigest)
+		m.MsgID = m.PayloadDigest
+		if c.Decoding() && m.PayloadDigest == (crypto.Digest{}) {
+			c.Fail(errors.New("group: GroupMsg derives its MsgID from a zero digest"))
+		}
+	default:
+		wire.Bytes32(c, &m.MsgID)
+		wire.Bytes32(c, &m.PayloadDigest)
+		if c.Decoding() && m.MsgID == m.PayloadDigest {
+			c.Fail(errors.New("group: GroupMsg spells out two equal IDs"))
+		}
+	}
+	if f&hdrPayload != 0 {
+		c.VarBytes(&m.Payload)
+	}
+	if f&hdrAttach != 0 {
+		c.VarBytes(&m.Attach)
 	}
 }
 

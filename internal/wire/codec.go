@@ -57,6 +57,15 @@ func (c Codec) Uint64(v *uint64) {
 	}
 }
 
+// Uvarint walks a uint64 as a minimal varint (Encoder.Uvarint).
+func (c Codec) Uvarint(v *uint64) {
+	if c.d != nil {
+		*v = c.d.Uvarint()
+	} else {
+		c.e.Uvarint(*v)
+	}
+}
+
 // Int walks an int as a big-endian two's-complement int64.
 func (c Codec) Int(v *int) {
 	if c.d != nil {

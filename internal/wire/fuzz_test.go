@@ -21,6 +21,8 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
+	f.Add([]byte{0x80, 0x00})
+	f.Add(append(bytes.Repeat([]byte{0xff}, 10), 0x01))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
@@ -34,8 +36,19 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 		_ = d.String()
 		_ = d.ListLen()
 		_ = d.Int64()
+		_ = d.Uvarint()
 		_ = d.Err()
 		_ = d.Finish()
+
+		// A varint the decoder takes re-encodes to exactly the bytes it took.
+		v := NewDecoder(data)
+		if u := v.Uvarint(); v.Err() == nil {
+			var e Encoder
+			e.Uvarint(u)
+			if !bytes.Equal(e.Bytes(), data[:v.off]) {
+				t.Fatalf("varint %x decodes to %d, which encodes as %x", data[:v.off], u, e.Bytes())
+			}
+		}
 	})
 }
 
@@ -47,6 +60,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u uint64, s string, b []byte, flag bool) {
 		var e Encoder
 		e.Uint64(u)
+		e.Uvarint(u)
 		e.String(s)
 		e.VarBytes(b)
 		e.Bool(flag)
@@ -59,6 +73,9 @@ func FuzzRoundTrip(f *testing.F) {
 		d := NewDecoder(e.Bytes())
 		if got := d.Uint64(); got != u {
 			t.Fatalf("uint64 %d != %d", got, u)
+		}
+		if got := d.Uvarint(); got != u {
+			t.Fatalf("uvarint %d != %d", got, u)
 		}
 		if got := d.String(); got != s {
 			t.Fatalf("string %q != %q", got, s)

@@ -10,9 +10,10 @@
 // the engine's payload envelope and the TCP transport
 // (internal/core/wirecodec.go, internal/tcpnet).
 //
-// The format is: fixed-width big-endian integers, and length-prefixed byte
-// strings (uint32 length). It is intentionally not self-describing; both ends
-// know the schema. The full byte-level specification of every frame Atum
+// The format is: fixed-width big-endian integers, length-prefixed byte
+// strings (uint32 length), and one varint, minimal only, used for the
+// GroupMsg epochs. It is intentionally not self-describing; both ends know
+// the schema. The full byte-level specification of every frame Atum
 // puts on a wire — these primitives, the tagged payload envelope, the batch
 // frame, and the TCP framing — lives in docs/WIRE.md.
 package wire
@@ -21,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -135,6 +137,14 @@ func (e *Encoder) String(v string) {
 	e.buf = append(e.buf, v...)
 }
 
+// Uvarint appends v as an unsigned LEB128 varint (encoding/binary's): seven
+// bits a byte, low group first, the high bit set on every byte but the last.
+// The encoding is minimal, so each value has one; it is 1 to 10 bytes long.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// UvarintLen returns the number of bytes Uvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // ListLen appends a list element count. Counts above maxListLen panic.
 func (e *Encoder) ListLen(n int) {
 	if n < 0 || n > maxListLen {
@@ -222,6 +232,29 @@ func (d *Decoder) Byte() byte {
 		return 0
 	}
 	return b[0]
+}
+
+// Uvarint reads a varint written by Encoder.Uvarint. It refuses a truncated
+// one, one longer than 10 bytes or over 64 bits, and a non-minimal one (a
+// final 0x00 byte after the first): a value has exactly one encoding.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.err = ErrShortBuffer
+		return 0
+	case n < 0:
+		d.err = errors.New("wire: varint overflows 64 bits")
+		return 0
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.err = errors.New("wire: non-minimal varint")
+		return 0
+	}
+	d.off += n
+	return v
 }
 
 // Bool reads one byte as a boolean.

@@ -67,6 +67,48 @@ func TestRoundTripBytes(t *testing.T) {
 	}
 }
 
+// TestUvarint: values at the byte-length boundaries round trip in the
+// length UvarintLen names, and the decoder refuses a non-minimal encoding, one
+// longer than 10 bytes, one over 64 bits and a truncated one.
+func TestUvarint(t *testing.T) {
+	for _, c := range []struct {
+		v uint64
+		n int
+	}{{0, 1}, {127, 1}, {128, 2}, {1 << 63, 10}, {^uint64(0), 10}} {
+		var e Encoder
+		e.Uvarint(c.v)
+		if len(e.Bytes()) != c.n || UvarintLen(c.v) != c.n {
+			t.Errorf("Uvarint(%d) is %d bytes, UvarintLen says %d; want %d", c.v, len(e.Bytes()), UvarintLen(c.v), c.n)
+		}
+		d := NewDecoder(e.Bytes())
+		if got := d.Uvarint(); got != c.v || d.Finish() != nil {
+			t.Errorf("Uvarint(%d) decodes to %d (%v)", c.v, got, d.Finish())
+		}
+	}
+	tenContinued := bytes.Repeat([]byte{0xff}, 10)
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"non-minimal", []byte{0x80, 0x00}},
+		{"non-minimal, longer", []byte{0xff, 0x80, 0x00}},
+		{"11 bytes", append(tenContinued, 0x01)},
+		{"over 64 bits", append(bytes.Repeat([]byte{0xff}, 9), 0x02)},
+		{"truncated", []byte{0x80}},
+		{"empty", nil},
+	} {
+		d := NewDecoder(c.b)
+		if got := d.Uvarint(); got != 0 || d.Err() == nil {
+			t.Errorf("%s: %x decodes to %d, err %v; want a refusal", c.name, c.b, got, d.Err())
+		}
+	}
+	d := NewDecoder([]byte{0x80})
+	d.Uvarint()
+	if !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Errorf("truncated varint: %v, want ErrShortBuffer", d.Err())
+	}
+}
+
 func TestShortBuffer(t *testing.T) {
 	d := NewDecoder([]byte{1, 2, 3})
 	_ = d.Uint64()
