@@ -278,11 +278,10 @@ func (n *Node) departed(cause reconfigCause) {
 	n.replicaEpoch = 0
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	// Cached snapshots attest the group just left; they must not be
-	// re-shared under a future group's epochs. The repair state is the old
-	// vgroup's too, and so is the heartbeat list not sent yet.
+	// re-shared under a future group's epochs. The repair state, the
+	// catch-up check's record of each peer with it, is the old vgroup's too.
 	n.recentSnaps = make(map[uint64][]byte)
 	n.rep = newRepair(n.cfg.RoundDuration)
-	n.delivered.unlisted = 0
 	switch cause {
 	case causeExchange, causeMerge:
 		// A snapshot from the destination vgroup is on its way; the

@@ -89,7 +89,7 @@ type BroadcastOpts struct{}
 // Stats is a snapshot of a node's metrics (Node.Stats). The first six
 // counters count what this node applied since it was created, as a member of
 // the vgroup that took the step; the three after them count its own repairs of
-// relayed gossip, and the next three what its gossip and heartbeats left out.
+// relayed gossip, and the next two what its gossip left out.
 type Stats struct {
 	Splits    uint64 // its vgroup split
 	Merges    uint64 // its vgroup absorbed a shrunken one
@@ -114,9 +114,6 @@ type Stats struct {
 	// the holders record).
 	GossipWithdrawn  uint64
 	PayloadsWithheld uint64
-	// HeartbeatTruncated counts the delivered digests its heartbeats did not
-	// list: a heartbeat lists at most 256 (maxHeartbeatDigests).
-	HeartbeatTruncated uint64
 	// Egress is the egress scheduler's snapshot: aggregate counters and one
 	// entry per tracked node-addressed destination.
 	Egress EgressStats

@@ -136,9 +136,10 @@ func TestGroupMsgNonCanonicalRefused(t *testing.T) {
 // TestWireSizeIsEncodedLength: the node-level messages whose sizes are exact
 // report the length of the frame the codec writes — a GroupMsg in every form,
 // at epochs of each varint length, with and without payload and attachment;
-// heartbeats of 0, 1 and 256 digests; pulls and pushes. SMREnvelope (with the
-// SMR messages inside it) and the join messages keep estimates; every other
-// node-level row must be in the first list.
+// heartbeats of 0, 1 and maxHaveTags tags by 0, 1 and maxListed lacks at the
+// same epochs; pulls and pushes. SMREnvelope (with the SMR messages inside it)
+// and the join messages keep estimates; every other node-level row must be in
+// the first list.
 func TestWireSizeIsEncodedLength(t *testing.T) {
 	var msgs []actor.Message
 	epochs := []uint64{0, 127, 128, ^uint64(0)}
@@ -154,8 +155,12 @@ func TestWireSizeIsEncodedLength(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range []int{0, 1, maxHeartbeatDigests} {
-		msgs = append(msgs, Heartbeat{GroupID: 1, Epoch: 2, Delivered: make([]crypto.Digest, n)})
+	for _, tags := range []int{0, 1, maxHaveTags} {
+		for _, lacks := range []int{0, 1, maxListed} {
+			for _, epoch := range epochs {
+				msgs = append(msgs, Heartbeat{GroupID: 1, Epoch: epoch, Salt: 3, Have: make([]uint32, tags), Lacks: make([]crypto.Digest, lacks)})
+			}
+		}
 	}
 	for _, n := range []int{0, 1, maxPullDigests} {
 		msgs = append(msgs, PayloadPull{Digests: make([]crypto.Digest, n)})

@@ -28,19 +28,30 @@ func (m SMREnvelope) WireSize() int {
 	return 24 + 256
 }
 
-// Heartbeat is the periodic liveness beacon between vgroup peers (§5.1).
+// Heartbeat is the periodic liveness beacon between vgroup peers (§5.1). It
+// also carries the vgroup catch-up exchange (pull.go): tags of what its sender
+// delivered recently, and the digests its sender delivered that the
+// recipient's tags lacked.
 type Heartbeat struct {
 	GroupID ids.GroupID
 	Epoch   uint64
-	// Delivered lists the gossip digests the sender delivered since its
-	// previous heartbeat, at most maxHeartbeatDigests: the vgroup catch-up
-	// (pull.go).
-	Delivered []crypto.Digest
+	// Salt keys the tags of Have (haveTag); each heartbeat draws its own.
+	Salt uint64
+	// Have holds the tags of the gossip digests the sender delivered since
+	// two skew margins before its previous heartbeat and still holds the
+	// payloads of: strictly ascending, at most maxHaveTags.
+	Have []uint32
+	// Lacks lists gossip digests the sender delivered and the recipient's
+	// tags lacked, at most maxListed.
+	Lacks []crypto.Digest
 }
 
 // WireSize implements actor.Sizer: the length of m's envelope frame (3
-// header bytes, GroupID, Epoch and the list count before the digests).
-func (m Heartbeat) WireSize() int { return 23 + crypto.DigestSize*len(m.Delivered) }
+// header bytes, GroupID, Epoch, Salt, the tags' byte length before the tags
+// and the list count before the digests).
+func (m Heartbeat) WireSize() int {
+	return 27 + wire.UvarintLen(m.Epoch) + 4*len(m.Have) + crypto.DigestSize*len(m.Lacks)
+}
 
 // JoinContact is the joiner's first message to its (trusted) contact node.
 type JoinContact struct {

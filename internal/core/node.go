@@ -505,12 +505,19 @@ func (n *Node) heartbeatTick(now time.Duration) {
 	if now-n.lastHB < n.cfg.HeartbeatEvery {
 		return
 	}
+	// The tags cover what a peer checks them against (checkLacks): its
+	// deliveries since one skew margin before it got the previous heartbeat,
+	// give or take one margin of delivery skew.
+	from := max(n.lastHB-2*n.skewMargin(), now-n.cacheHorizon())
 	n.lastHB = now
-	listed, left := n.delivered.sinceBeat()
-	n.counts.HeartbeatTruncated += uint64(left)
-	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch, Delivered: listed}
+	hb := Heartbeat{GroupID: n.st.comp.GroupID, Epoch: n.st.comp.Epoch}
+	if ds := n.delivered.window(from, now); len(ds) > 0 { // an empty set needs no salt
+		hb.Salt = uint64(crypto.Derive("atum-have", n.cfg.SignerSeed, uint64(now)).Seed())
+		hb.Have = haveTags(hb.Salt, ds)
+	}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
+			hb.Lacks = n.rep.lacksFor(m.ID)
 			n.egress.Node(m.ID, hb)
 		}
 	}
@@ -558,7 +565,8 @@ func (n *Node) handleHeartbeat(from ids.NodeID, m Heartbeat) {
 		if m.Epoch < n.st.comp.Epoch && !n.byzActive() {
 			n.reShareSnapshot(from, m.Epoch)
 		}
-		n.noteListed(from, m.Delivered)
+		n.noteListed(from, m.Lacks)
+		n.checkLacks(from, m)
 	}
 }
 
@@ -842,9 +850,12 @@ func (n *Node) f() int {
 	return n.cfg.Mode.F(n.st.comp.N())
 }
 
-// resetPeerClocks restarts heartbeat accounting for the current members.
+// resetPeerClocks restarts heartbeat accounting for the current members. The
+// catch-up check keeps its record of the members who stay, and starts one
+// heartbeat period from now for each member new to this node (pull.go).
 func (n *Node) resetPeerClocks() {
 	now := n.env.Now()
+	n.rep.keepPeers(n.st.comp, n.cfg.Identity.ID, now+n.cfg.HeartbeatEvery)
 	n.hbSeen = make(map[ids.NodeID]time.Duration, n.st.comp.N())
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {

@@ -11,11 +11,14 @@ package core
 //     the members that voted it, one at a time, rotating (PayloadPull and
 //     PayloadPush). A correct voter has delivered the broadcast and serves it
 //     from its delivered index;
-//   - vgroup catch-up: heartbeats list the gossip digests their sender
-//     delivered since its previous one. A member that has not delivered a
-//     digest catchUpWait after f+1 members of its composition listed it —
-//     one of them correct — pulls the bytes from one of them and accepts
-//     them on that word: the "late member" no live link reaches.
+//   - vgroup catch-up: each heartbeat carries keyed 4-byte tags of the gossip
+//     digests its sender delivered recently (Have). A peer checks its own
+//     deliveries against them (checkLacks) and lists those the tags lack, in
+//     full, in its next heartbeat to that member (Lacks), until the member's
+//     tags show them. A member that has not delivered a digest catchUpWait
+//     after f+1 members of its composition listed it — one of them correct —
+//     pulls the bytes from one of them and accepts them on that word: the
+//     "late member" no live link reaches, or one a partition cut off.
 //
 // What the node delivered is one structure, the delivered index below, which
 // the gossip hop and every repair path read.
@@ -28,9 +31,12 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
+	"sort"
 	"time"
 
 	"atum/internal/crypto"
@@ -71,11 +77,12 @@ const (
 	// maxPullDigests bounds the digests of one PayloadPull, and so the
 	// payloads of one PayloadPush.
 	maxPullDigests = 16
-	// maxHeartbeatDigests bounds the digests one Heartbeat lists; a node that
-	// delivered more since its previous heartbeat lists the first ones.
-	maxHeartbeatDigests = 256
-	// maxListed bounds the catch-up table; one member's heartbeats open at
-	// most maxListedPerMember of its entries.
+	// maxHaveTags bounds the tags of one Heartbeat; a node that delivered
+	// more in the window its tags cover sends the newest ones.
+	maxHaveTags = 4096
+	// maxListed bounds the catch-up table, the digests one Heartbeat lists
+	// as lacked and those queued for one member; one member's heartbeats
+	// open at most maxListedPerMember of the table's entries.
 	maxListed          = 1024
 	maxListedPerMember = maxListed / 8
 	// maxCacheBytes bounds the payloads the delivered index holds; the newest
@@ -92,6 +99,12 @@ func (n *Node) cacheHorizon() time.Duration { return 4 * n.cfg.HeartbeatEvery }
 // for live gossip before it pulls, and then between pulls.
 func (n *Node) catchUpWait() time.Duration { return n.cfg.HeartbeatEvery / 2 }
 
+// skewMargin is how far apart two members of a vgroup may deliver one
+// broadcast for the catch-up check to take it as delivered at both: a node
+// checks its deliveries up to one margin ago (checkLacks), and its tags cover
+// two margins before its previous heartbeat (heartbeatTick).
+func (n *Node) skewMargin() time.Duration { return n.cfg.HeartbeatEvery / 4 }
+
 // deliveredIndex is the node's one record of the broadcasts it delivered, by
 // gossip digest: a gossip MsgID is its payload digest (forwardGossip), so one
 // digest names one broadcast payload on every link. Its readers:
@@ -102,14 +115,14 @@ func (n *Node) catchUpWait() time.Duration { return n.cfg.HeartbeatEvery / 2 }
 //     the inbox;
 //   - noteListed opens no catch-up entry for a delivered digest;
 //   - handlePayloadPull serves the payloads it still holds;
-//   - heartbeatTick lists the digests delivered since the previous heartbeat.
+//   - heartbeatTick tags the digests delivered recently, and checkLacks
+//     checks them against a peer's tags.
 //
 // A digest stays for the last maxSeen deliveries, its payload for
 // cacheHorizon and within maxCacheBytes of payloads (trim).
 type deliveredIndex struct {
 	at       map[crypto.Digest]time.Duration // delivery time by digest
 	order    []crypto.Digest                 // the keys of at, oldest first
-	unlisted int                             // deliveries since the previous heartbeat
 	payloads []deliveredPayload              // oldest first
 	bytes    int                             // the payloads' total length
 }
@@ -138,7 +151,6 @@ func (x *deliveredIndex) add(d crypto.Digest, payload []byte, now time.Duration)
 		delete(x.at, x.order[0])
 		x.order = x.order[1:]
 	}
-	x.unlisted++
 	x.payloads = append(x.payloads, deliveredPayload{digest: d, at: now, payload: payload})
 	x.bytes += len(payload)
 	x.trim(0) // the byte bound alone: nothing was delivered before time zero
@@ -174,14 +186,58 @@ func (x *deliveredIndex) trim(before time.Duration) {
 	}
 }
 
-// sinceBeat returns the first maxHeartbeatDigests of the digests delivered
-// since the previous call, nil for none, and how many of them it leaves out.
-func (x *deliveredIndex) sinceBeat() (listed []crypto.Digest, left int) {
-	fresh := x.order[len(x.order)-min(x.unlisted, len(x.order)):]
-	listed = append([]crypto.Digest(nil), fresh[:min(len(fresh), maxHeartbeatDigests)]...)
-	left = x.unlisted - len(listed)
-	x.unlisted = 0
-	return listed, left
+// window returns the deliveries after from and up to to whose payloads the
+// index still holds, oldest first: what this node can serve, and so what the
+// catch-up exchange tags and lists. It is a view of the index, valid until
+// the next add or trim.
+func (x *deliveredIndex) window(from, to time.Duration) []deliveredPayload {
+	after := func(t time.Duration) int {
+		return sort.Search(len(x.payloads), func(i int) bool { return x.payloads[i].at > t })
+	}
+	i, j := after(from), after(to)
+	return x.payloads[i:max(i, j)]
+}
+
+// haveTags returns the tags under salt of the newest maxHaveTags of ds:
+// sorted, each once.
+func haveTags(salt uint64, ds []deliveredPayload) []uint32 {
+	ds = ds[max(0, len(ds)-maxHaveTags):]
+	tags := make([]uint32, len(ds))
+	for i, p := range ds {
+		tags[i] = haveTag(salt, p.digest)
+	}
+	slices.Sort(tags)
+	return slices.Compact(tags)
+}
+
+// mersenne61 is the prime 2^61−1 haveTag computes modulo.
+const mersenne61 = 1<<61 - 1
+
+// haveTag is the tag of the gossip digest d under salt: a Carter–Wegman
+// polynomial hash of d's eight 32-bit words at the point salt, modulo
+// 2^61−1, truncated to 32 bits. For two digests fixed before the salt is
+// drawn, the difference of their hashes is a nonzero polynomial of degree 8 in
+// the point: it takes each of the about 2^30 values whose truncation is zero
+// at no more than 8 points, so the two share a tag with probability at most
+// about 8·2^30/2^61 = 2^-28.
+func haveTag(salt uint64, d crypto.Digest) uint32 {
+	k := salt % mersenne61
+	var h uint64
+	for i := 0; i < crypto.DigestSize; i += 4 {
+		h = mulMod61(h+uint64(binary.BigEndian.Uint32(d[i:])), k)
+	}
+	return uint32(h)
+}
+
+// mulMod61 returns a·b mod 2^61−1, for a < 2^62 and b < 2^61.
+func mulMod61(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	r := (hi<<3 | lo>>61) + lo&mersenne61 // 2^61 ≡ 1
+	r = r&mersenne61 + r>>61
+	if r >= mersenne61 {
+		r -= mersenne61
+	}
+	return r
 }
 
 // repair is a node's state for the repair paths: what it is missing and
@@ -194,6 +250,19 @@ type repair struct {
 	ticks  uint64 // repairTick calls, to age out pulls
 	served *rateLimiter[ids.NodeID]
 	since  time.Duration // when this node last became a member of a vgroup
+	// peers is the catch-up check's record of each member of this node's
+	// composition that it knows. Members who stay keep theirs across
+	// reconfigurations; it is dropped when they leave (resetPeerClocks).
+	peers map[ids.NodeID]*peerCheck
+}
+
+// peerCheck is what checkLacks keeps of one member: up to when this node's
+// deliveries were checked against its tags, and the digests its tags lacked,
+// oldest first, at most maxListed, each sent in this node's heartbeats to it
+// until its tags show it or cacheHorizon has passed since its delivery.
+type peerCheck struct {
+	upTo  time.Duration
+	lacks []crypto.Digest
 }
 
 // listing is one catch-up table entry: the members of this node's
@@ -217,6 +286,7 @@ func newRepair(round time.Duration) repair {
 		listed: make(map[crypto.Digest]*listing),
 		opened: make(map[ids.NodeID]int),
 		pulls:  make(map[crypto.Digest]*pulling),
+		peers:  make(map[ids.NodeID]*peerCheck),
 		// One pull per requester per round: a correct node sends each peer at
 		// most one PayloadPull per tick.
 		served: newRateLimiter[ids.NodeID](round/2, 256, 1024),
@@ -233,9 +303,66 @@ func (r *repair) unlist(d crypto.Digest) {
 	}
 }
 
-// noteListed records the digests a member's heartbeat lists as delivered.
-// Only members of the current composition reach here (handleHeartbeat). A
-// list that may predate this node's membership opens nothing.
+// keepPeers drops the check records of the nodes that are not members of
+// comp, and starts one for each member that has none — one admitted by the
+// change — whose check starts at from: deliveries up to then are not listed to
+// it, since they may predate its membership.
+func (r *repair) keepPeers(comp group.Composition, self ids.NodeID, from time.Duration) {
+	maps.DeleteFunc(r.peers, func(id ids.NodeID, _ *peerCheck) bool { return !comp.Contains(id) })
+	for _, m := range comp.Members {
+		if m.ID != self && r.peers[m.ID] == nil {
+			r.peers[m.ID] = &peerCheck{upTo: from}
+		}
+	}
+}
+
+// lacksFor returns a copy of the digests queued for member to, nil for none.
+func (r *repair) lacksFor(to ids.NodeID) []crypto.Digest {
+	if p := r.peers[to]; p != nil && len(p.lacks) > 0 {
+		return slices.Clone(p.lacks)
+	}
+	return nil
+}
+
+// checkLacks checks this node's deliveries against the tags of a member's
+// heartbeat. The queued digests the tags show, or delivered more than
+// cacheHorizon ago, leave the member's queue. The deliveries after the
+// previous check, no older than cacheHorizon and up to one skew margin ago,
+// whose tags are missing join it. Only members of the current composition
+// reach here (handleHeartbeat).
+func (n *Node) checkLacks(from ids.NodeID, m Heartbeat) {
+	if n.byzActive() {
+		return
+	}
+	r := &n.rep
+	p := r.peers[from]
+	if p == nil {
+		p = &peerCheck{}
+		r.peers[from] = p
+	}
+	shown := func(d crypto.Digest) bool {
+		_, ok := slices.BinarySearch(m.Have, haveTag(m.Salt, d))
+		return ok
+	}
+	now := n.env.Now()
+	horizon := now - n.cacheHorizon()
+	p.lacks = slices.DeleteFunc(p.lacks, func(d crypto.Digest) bool {
+		at, ok := n.delivered.at[d]
+		return !ok || at <= horizon || shown(d)
+	})
+	upTo := now - n.skewMargin()
+	for _, d := range n.delivered.window(max(p.upTo, horizon), upTo) {
+		if len(p.lacks) < maxListed && !shown(d.digest) {
+			p.lacks = append(p.lacks, d.digest)
+		}
+	}
+	p.upTo = max(p.upTo, upTo)
+}
+
+// noteListed records the digests a member's heartbeat lists as lacked here:
+// digests that member delivered. Only members of the current composition
+// reach here (handleHeartbeat). A list that may predate this node's
+// membership opens nothing.
 func (n *Node) noteListed(from ids.NodeID, digests []crypto.Digest) {
 	r := &n.rep
 	now := n.env.Now()
@@ -274,13 +401,20 @@ func (n *Node) repairTick(now time.Duration) {
 	var want map[ids.NodeID][]crypto.Digest // most ticks ask for nothing
 	// ask queues d for the turn-th of from, counted from an offset of this
 	// node's own, so that the members missing one payload ask different peers.
-	ask := func(from []ids.NodeID, turn int, d crypto.Digest) {
-		if to := from[(self+uint64(turn))%uint64(len(from))]; to != n.cfg.Identity.ID {
+	// It queues nothing and reports false when that peer's pull is full: the
+	// turn is not taken, and d is asked at the next tick.
+	ask := func(from []ids.NodeID, turn int, d crypto.Digest) bool {
+		switch to := from[(self+uint64(turn))%uint64(len(from))]; {
+		case to == n.cfg.Identity.ID:
+		case len(want[to]) >= maxPullDigests:
+			return false
+		default:
 			if want == nil {
 				want = map[ids.NodeID][]crypto.Digest{}
 			}
 			want[to] = append(want[to], d)
 		}
+		return true
 	}
 
 	round := n.cfg.RoundDuration
@@ -292,8 +426,7 @@ func (n *Node) repairTick(now time.Duration) {
 			r.pulls[d] = p
 		}
 		p.tick = r.ticks
-		if len(voters) > 0 && now >= p.next {
-			ask(voters, p.asked, d)
+		if len(voters) > 0 && now >= p.next && ask(voters, p.asked, d) {
 			p.asked++
 			p.next = now + 2*round
 		}
@@ -313,10 +446,10 @@ func (n *Node) repairTick(now time.Duration) {
 	}
 	slices.SortFunc(due, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
 	for _, d := range due {
-		l := r.listed[d]
-		ask(l.by, l.asked, d)
-		l.asked++
-		l.at = now
+		if l := r.listed[d]; ask(l.by, l.asked, d) {
+			l.asked++
+			l.at = now
+		}
 	}
 
 	if want == nil {
@@ -324,7 +457,6 @@ func (n *Node) repairTick(now time.Duration) {
 	}
 	for _, to := range slices.Sorted(maps.Keys(want)) {
 		ds := want[to]
-		ds = ds[:min(len(ds), maxPullDigests)] // the rest are asked again later
 		n.counts.PullsSent += uint64(len(ds))
 		n.egress.Node(to, PayloadPull{Digests: ds})
 	}
@@ -388,6 +520,41 @@ func digestWire(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) }
 func boundList(c wire.Codec, what string, n, max int) {
 	if n > max {
 		c.Fail(fmt.Errorf("%s of %d exceeds limit %d", what, n, max))
+	}
+}
+
+// haveWire walks a tag set as one byte string of 4-byte big-endian tags. The
+// decoder refuses a length that is not a multiple of 4, more than maxHaveTags
+// tags, and tags that are not strictly ascending; an empty set decodes nil.
+func haveWire(c wire.Codec, tags *[]uint32) {
+	var b []byte
+	if !c.Decoding() {
+		b = make([]byte, 0, 4*len(*tags))
+		for _, t := range *tags {
+			b = binary.BigEndian.AppendUint32(b, t)
+		}
+		c.VarBytes(&b)
+		return
+	}
+	c.VarBytes(&b)
+	if c.Failed() || len(b) == 0 {
+		return
+	}
+	if len(b)%4 != 0 {
+		c.Fail(fmt.Errorf("heartbeat tags of %d bytes, not a multiple of 4", len(b)))
+		return
+	}
+	if boundList(c, "heartbeat tags", len(b)/4, maxHaveTags); c.Failed() {
+		return
+	}
+	*tags = make([]uint32, len(b)/4)
+	for i := range *tags {
+		t := binary.BigEndian.Uint32(b[4*i:])
+		if i > 0 && t <= (*tags)[i-1] {
+			c.Fail(fmt.Errorf("heartbeat tag %d is not above the one before it", i))
+			return
+		}
+		(*tags)[i] = t
 	}
 }
 

@@ -49,9 +49,10 @@ func gossipOf(data string) ([]byte, crypto.Digest) {
 // which 3 was not: 1 and 2 accept the broadcast from W′ alone. They forward it
 // to W, whose members accept it from K — a majority of K, the payload from 1
 // or 2 or, where 3 was to send it, pulled from them — and so send K nothing.
-// No link reaches 3. Its peers list the digest in their heartbeats;
-// catchUpWait after the f+1-th of them did, 3 pulls the payload from one of
-// them and delivers it on their word, exactly once.
+// No link reaches 3. Its heartbeat's tags lack the digest, so its peers list
+// the digest in their heartbeats to it; catchUpWait after the f+1-th of them
+// did, 3 pulls the payload from one of them and delivers it on their word,
+// exactly once.
 func TestLateMemberCaughtUpByVgroup(t *testing.T) {
 	K := testComp(5, 2, 1, 2, 3)
 	Wp := testComp(7, 1, 21, 22, 23)
@@ -96,10 +97,13 @@ func TestLateMemberCaughtUpByVgroup(t *testing.T) {
 		t.Fatalf("W handed the late member %d messages and it delivered %d times: the corner is not set up", handed, delivered[3])
 	}
 
-	// The heartbeats of 1 and 2 list the digest; 3 waits, then pulls.
+	// 3's heartbeat lacks the digest; those of 1 and 2 list it; 3 waits,
+	// then pulls.
 	servedBefore := k[0].Stats().PullsServed + k[1].Stats().PullsServed
 	now := 3 * k[2].cfg.HeartbeatEvery
 	at(now, k...)
+	k[2].heartbeatTick(now)
+	relay(k[2:], nodes)
 	for _, n := range k[:2] {
 		n.heartbeatTick(now)
 	}
@@ -192,7 +196,7 @@ func TestUnwantedPushStoresNothing(t *testing.T) {
 			Kind: kindGossip, MsgID: starvedDigest, PayloadDigest: starvedDigest})
 	}
 	at(3*n.cfg.HeartbeatEvery, n)
-	n.Receive(5, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Delivered: []crypto.Digest{listedDigest}}) // f = 1 listing
+	n.Receive(5, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Lacks: []crypto.Digest{listedDigest}}) // f = 1 listing
 	before := n.inbox.Len()
 
 	forged := append([]byte(nil), starved...)
@@ -240,7 +244,7 @@ func TestListedAfterCacheHorizonPullsNothing(t *testing.T) {
 	n, env := memberNode(t, 4, B, X)
 	_, digest := pastCacheHorizon(t, n, X, "delivered a while ago")
 	for _, from := range []ids.NodeID{5, 6} {
-		n.Receive(from, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Delivered: []crypto.Digest{digest}})
+		n.Receive(from, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Lacks: []crypto.Digest{digest}})
 	}
 	at(n.Now()+n.catchUpWait(), n)
 	env.sent = nil
@@ -288,7 +292,7 @@ func TestNonMemberHeartbeatListsNothing(t *testing.T) {
 	B := testComp(3, 2, 4, 5, 6)
 	n, _ := memberNode(t, 4, B, testComp(2, 1, 11, 12, 13))
 	_, d := gossipOf("listed")
-	hb := Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Delivered: []crypto.Digest{d}}
+	hb := Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Lacks: []crypto.Digest{d}}
 	n.rep.since = 10 * time.Second
 	at(n.rep.since+n.cfg.HeartbeatEvery/2, n)
 	n.Receive(5, hb)
@@ -298,7 +302,7 @@ func TestNonMemberHeartbeatListsNothing(t *testing.T) {
 	at(n.rep.since+n.cfg.HeartbeatEvery, n)
 	for _, from := range []ids.NodeID{99, 11} {
 		n.Receive(from, hb)
-		n.Receive(from, Heartbeat{GroupID: 2, Epoch: 1, Delivered: hb.Delivered})
+		n.Receive(from, Heartbeat{GroupID: 2, Epoch: 1, Lacks: hb.Lacks})
 	}
 	if len(n.rep.listed) != 0 {
 		t.Fatalf("non-members opened %d catch-up entries", len(n.rep.listed))
@@ -309,8 +313,8 @@ func TestNonMemberHeartbeatListsNothing(t *testing.T) {
 	}
 }
 
-// TestCatchUpTableBounded: nine members each list maxHeartbeatDigests digests
-// the node has not delivered, twice over. A member's lists open at most
+// TestCatchUpTableBounded: nine members each list 2 × maxListedPerMember
+// digests the node has not delivered, twice over. A member's lists open at most
 // maxListedPerMember entries and the table holds at most maxListed, so the
 // eight that fit are no one member's; entries expire with the cache horizon.
 func TestCatchUpTableBounded(t *testing.T) {
@@ -319,13 +323,14 @@ func TestCatchUpTableBounded(t *testing.T) {
 	n, _ := memberNode(t, 1, B, testComp(2, 1, 11, 12, 13))
 	start := 3 * n.cfg.HeartbeatEvery
 	at(start, n)
+	const perBeat = 2 * maxListedPerMember
 	for round := 0; round < 2; round++ {
 		for _, m := range members[1:] {
 			var ds []crypto.Digest
-			for i := 0; i < maxHeartbeatDigests; i++ {
-				ds = append(ds, crypto.HashUint64(crypto.Hash([]byte(fmt.Sprint(m))), uint64(round*maxHeartbeatDigests+i)))
+			for i := 0; i < perBeat; i++ {
+				ds = append(ds, crypto.HashUint64(crypto.Hash([]byte(fmt.Sprint(m))), uint64(round*perBeat+i)))
 			}
-			n.Receive(ids.NodeID(m), Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Delivered: ds})
+			n.Receive(ids.NodeID(m), Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Lacks: ds})
 		}
 	}
 	if len(n.rep.listed) != maxListed {
@@ -383,8 +388,8 @@ func TestPullFloodGetsBoundedAnswers(t *testing.T) {
 // TestDeliveredIndexBounded: the delivered index holds the last maxSeen
 // digests, oldest out first; their payloads for the cache horizon and within
 // maxCacheBytes, oldest out first — the newest stays even alone over the bound —
-// and a quiet node frees its payload slice. A heartbeat lists the digests
-// delivered since the previous one, the first maxHeartbeatDigests of them.
+// and a quiet node frees its payload slice. A heartbeat tags the digests
+// delivered in its window, the newest maxHaveTags of them.
 func TestDeliveredIndexBounded(t *testing.T) {
 	n, _ := memberNode(t, 4, testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13))
 	x := &n.delivered
@@ -401,11 +406,12 @@ func TestDeliveredIndexBounded(t *testing.T) {
 		t.Fatalf("index holds %d digests (%d in order), the second oldest %v: want the last %d",
 			len(x.at), len(x.order), x.has(digest(1)), maxSeen)
 	}
-	if hb, _ := x.sinceBeat(); len(hb) != maxHeartbeatDigests || hb[0] != digest(2) {
-		t.Fatalf("heartbeat lists %d digests, want the first %d the index holds", len(hb), maxHeartbeatDigests)
+	tags := haveTags(7, x.window(0, n.Now()))
+	if len(tags) != maxHaveTags || !slices.Contains(tags, haveTag(7, digest(maxSeen+1))) || slices.Contains(tags, haveTag(7, digest(2))) {
+		t.Fatalf("heartbeat tags %d digests, want the newest %d the index holds", len(tags), maxHaveTags)
 	}
-	if hb, _ := x.sinceBeat(); hb != nil {
-		t.Fatalf("a second heartbeat lists %d digests, want none", len(hb))
+	if ds := x.window(n.Now(), n.Now()); len(ds) != 0 {
+		t.Fatalf("a window with nothing delivered in it holds %d deliveries, want none", len(ds))
 	}
 
 	*x = deliveredIndex{at: map[crypto.Digest]time.Duration{}}
@@ -422,37 +428,12 @@ func TestDeliveredIndexBounded(t *testing.T) {
 	if len(x.payloads) != 1 || x.bytes != len(huge) || x.payload(digest(9)) == nil {
 		t.Fatalf("index holds %d payloads, %d bytes: want the one over the bound alone", len(x.payloads), x.bytes)
 	}
-	if hb, _ := x.sinceBeat(); !slices.Equal(hb, []crypto.Digest{digest(0), digest(1), digest(2), digest(9)}) {
-		t.Fatalf("heartbeat lists %d digests, want the four delivered since the previous one", len(hb))
+	if got := x.window(n.Now()-time.Second, n.Now()); len(got) != 1 || got[0].digest != digest(9) {
+		t.Fatalf("the window of the last second holds %d deliveries, want the one delivered in it", len(got))
 	}
 	at(n.Now()+n.cacheHorizon()+time.Millisecond, n)
 	n.handleTick()
 	if x.payloads != nil || x.bytes != 0 || x.payload(digest(9)) != nil || len(x.at) != 4 {
 		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, len(x.at))
-	}
-}
-
-// TestHeartbeatTruncationCounted: a heartbeat lists the first
-// maxHeartbeatDigests of the digests delivered since the previous one, and the
-// node counts the ones it left out: 300 deliveries in one heartbeat period
-// leave 44 out, and the next heartbeat leaves none.
-func TestHeartbeatTruncationCounted(t *testing.T) {
-	n, env := memberNode(t, 4, testComp(3, 1, 4, 5, 6), testComp(2, 1, 11, 12, 13))
-	for i := 0; i < 300; i++ {
-		n.delivered.add(crypto.HashUint64(crypto.Digest{}, uint64(i)), []byte{1}, n.Now())
-	}
-	for beat, want := range []int{maxHeartbeatDigests, 0} {
-		at(time.Second+time.Duration(beat+1)*n.cfg.HeartbeatEvery, n)
-		env.sent = nil
-		n.heartbeatTick(n.Now())
-		listed := -1
-		for _, s := range env.sent {
-			if hb, ok := s.msg.(Heartbeat); ok {
-				listed = len(hb.Delivered)
-			}
-		}
-		if got := n.Stats().HeartbeatTruncated; listed != want || got != 44 {
-			t.Errorf("heartbeat %d lists %d digests and the node counts %d left out, want %d and 44", beat+1, listed, got, want)
-		}
 	}
 }

@@ -414,9 +414,11 @@ func (m *SMREnvelope) Wire(c wire.Codec) {
 // Wire walks a Heartbeat in wire order.
 func (m *Heartbeat) Wire(c wire.Codec) {
 	wire.U64(c, &m.GroupID)
-	c.Uint64(&m.Epoch)
-	wire.List(c, &m.Delivered, digestWire)
-	boundList(c, "heartbeat digests", len(m.Delivered), maxHeartbeatDigests)
+	c.Uvarint(&m.Epoch)
+	c.Uint64(&m.Salt)
+	haveWire(c, &m.Have)
+	wire.List(c, &m.Lacks, digestWire)
+	boundList(c, "heartbeat lacks", len(m.Lacks), maxListed)
 }
 
 // Wire walks a JoinContact in wire order.

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -175,7 +176,8 @@ func fullMessageValues() []any {
 	}
 	pp := pbft.PrePrepare{GroupID: 31, Epoch: 2, View: 3, Seq: 7, Digest: wcDigest(12), Batch: []smr.Operation{op(2), op(3)}}
 	return []any{
-		Heartbeat{GroupID: 27, Epoch: 13, Delivered: []crypto.Digest{wcDigest(16), wcDigest(17)}},
+		Heartbeat{GroupID: 27, Epoch: 13, Salt: 0x0123456789abcdef, Have: []uint32{3, 1 << 20, 0xfffffffe},
+			Lacks: []crypto.Digest{wcDigest(16), wcDigest(17)}},
 		JoinContact{Joiner: wcIdentity(40)},
 		ContactInfo{Comp: wcComp(28, 14, 3)},
 		JoinRequest{Joiner: wcIdentity(41), Target: 29, Nonce: 45, Sig: []byte{7, 7}},
@@ -287,8 +289,10 @@ func TestWireEnvelopeDeterministic(t *testing.T) {
 // Completed and Suppressed counters: the 875-byte frame it replaced (sha256
 // 421ff0c3…) is this one with their 16 bytes back at offset 775. Row 28 was
 // re-pinned when Heartbeat gained its Delivered list: the 19-byte frame it
-// replaced (sha256 43117bec…) is this one's first 19 bytes. Rows 45 and 46
-// were added with the gossip repair paths and are pinned as first encoded.
+// replaced (sha256 43117bec…) was that frame's first 19 bytes; it was re-pinned
+// again when the list gave way to tags and lacks (TestOldLayoutHeartbeatFrameRejected
+// rebuilds the 87-byte frame it replaced). Rows 45 and 46 were added with the
+// gossip repair paths and are pinned as first encoded.
 var goldenFrames = []struct {
 	tag    byte
 	typ    string
@@ -322,7 +326,7 @@ var goldenFrames = []struct {
 	{25, "core.walkTimeoutOp", 35, "d3a676b1f549c79c7420a84326290ac7aef62b77af6277f8c44b56d65fff006e"},
 	{26, "core.mergeStartOp", 27, "0b9b8a90042bd3ebef4d0e395bea4b48f3c6630b969a18ac1d90e4578320cbda"},
 	{27, "core.SMREnvelope", 102, "38b2f49d19d3aca905265742012c3ba3805be413b7e23b5016208dbd569ced57"},
-	{28, "core.Heartbeat", 87, "56e3e85d0cc8fcab2d9c07c3e6c84390419233e568639407c94c9760d38df30a"},
+	{28, "core.Heartbeat", 104, "8df19c70b26ca7171834065fc0aa76d8a4f1a2201349d9a3411b8dad7eaa6148"},
 	{29, "core.JoinContact", 31, "e05b87b5a52bbd49faebc2805cbf3b48a3964507fd55dcc0c5b9072399450d34"},
 	{30, "core.ContactInfo", 111, "71a84564ce6cf531c3d6bef5bc993e1caa78b78eebc15880744a2828fbb33ed4"},
 	{31, "core.JoinRequest", 53, "89b4d7fe8a7b17a7188d37b1364a0d0b733c99aa0372e6e666cb129d0d9b3e2a"},
@@ -484,7 +488,7 @@ func populate(v reflect.Value, rng *rand.Rand) {
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(rng.Intn(2) == 1)
-	case reflect.Uint8, reflect.Uint64:
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
 		v.SetUint(rng.Uint64() >> (64 - v.Type().Bits()))
 	case reflect.Int:
 		v.SetInt(rng.Int63() - 1<<62)
@@ -522,6 +526,9 @@ func populate(v reflect.Value, rng *rand.Rand) {
 			if !p.HasShuffle {
 				p.Shuffle = shuffleState{}
 			}
+		case *Heartbeat:
+			slices.Sort(p.Have) // a tag set is strictly ascending
+			p.Have = slices.Compact(p.Have)
 		}
 	case reflect.Interface:
 		var smrRows []*wireRow
@@ -611,8 +618,9 @@ func TestForgedMemberCountRejected(t *testing.T) {
 }
 
 // listFrame is a frame of a type whose body ends in one list — Heartbeat's
-// after its group and epoch — of n elements written by elem: hostile frames
-// past the list's bound, which the encoder refuses to write.
+// after its group, epoch, salt and an empty tag set — of n elements written by
+// elem: hostile frames past the list's bound, which the encoder refuses to
+// write.
 func listFrame(tag byte, n int, elem func(e *wire.Encoder, i int)) []byte {
 	var e wire.Encoder
 	e.Byte(wireEnvMagic)
@@ -620,7 +628,9 @@ func listFrame(tag byte, n int, elem func(e *wire.Encoder, i int)) []byte {
 	e.Byte(wireEnvV1)
 	if tag == wkHeartbeat {
 		e.Uint64(5)
-		e.Uint64(9)
+		e.Uvarint(9)
+		e.Uint64(7)
+		e.VarBytes(nil)
 	}
 	e.ListLen(n)
 	for i := 0; i < n; i++ {
@@ -633,16 +643,66 @@ func digestElem(e *wire.Encoder, i int) { e.Bytes32(wcDigest(byte(i))) }
 
 func payloadElem(e *wire.Encoder, i int) { e.VarBytes([]byte{byte(i)}) }
 
-// TestRepairListsBounded: a Heartbeat lists at most maxHeartbeatDigests
-// digests, a PayloadPull at most maxPullDigests, and a PayloadPush as many
-// payloads; one element more is refused whole.
+// haveFrame is a Heartbeat frame whose tag set is the byte string tags,
+// with no lacks.
+func haveFrame(tags []byte) []byte {
+	var e wire.Encoder
+	e.Byte(wireEnvMagic)
+	e.Byte(wkHeartbeat)
+	e.Byte(wireEnvV1)
+	e.Uint64(5)
+	e.Uvarint(9)
+	e.Uint64(7)
+	e.VarBytes(tags)
+	e.ListLen(0)
+	return e.Bytes()
+}
+
+// tagBytes writes tags as the wire does: 4 bytes each, big-endian.
+func tagBytes(tags ...uint32) []byte {
+	var b []byte
+	for _, t := range tags {
+		b = binary.BigEndian.AppendUint32(b, t)
+	}
+	return b
+}
+
+// TestRepairListsBounded: a Heartbeat lists at most maxListed lacked digests,
+// a PayloadPull at most maxPullDigests, and a PayloadPush as many payloads;
+// one element more is refused whole. A Heartbeat's tag set is refused whole
+// when its length is not a multiple of 4, its tags are not strictly
+// ascending, or it holds more than maxHaveTags.
 func TestRepairListsBounded(t *testing.T) {
+	ascending := func(n int) []uint32 {
+		tags := make([]uint32, n)
+		for i := range tags {
+			tags[i] = uint32(3 * i)
+		}
+		return tags
+	}
+	if v, err := decodeWire(haveFrame(tagBytes(ascending(maxHaveTags)...)), classNodeMsg); err != nil || len(v.(Heartbeat).Have) != maxHaveTags {
+		t.Errorf("a tag set at its bound %d: %v", maxHaveTags, err)
+	}
+	for _, c := range []struct {
+		name string
+		tags []byte
+	}{
+		{"of 5 bytes", []byte{0, 0, 0, 1, 2}},
+		{"of 3 bytes", []byte{0, 0, 1}},
+		{"unsorted", tagBytes(1, 5, 4)},
+		{"with a duplicate", tagBytes(1, 4, 4, 9)},
+		{"past its bound", tagBytes(ascending(maxHaveTags + 1)...)},
+	} {
+		if v, err := decodeWire(haveFrame(c.tags), classNodeMsg); err == nil {
+			t.Errorf("a tag set %s decoded to %+v", c.name, v)
+		}
+	}
 	for _, c := range []struct {
 		tag   byte
 		bound int
 		elem  func(*wire.Encoder, int)
 	}{
-		{wkHeartbeat, maxHeartbeatDigests, digestElem},
+		{wkHeartbeat, maxListed, digestElem},
 		{wkPayloadPull, maxPullDigests, digestElem},
 		{wkPayloadPush, maxPullDigests, payloadElem},
 	} {
@@ -953,7 +1013,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{wireEnvMagic, wkGossip, wireEnvV1})
 	f.Add([]byte{wireEnvMagic, wkSnapshot, wireEnvV1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(forgedCountFrame(wkContactInfo))
-	f.Add(listFrame(wkHeartbeat, maxHeartbeatDigests+1, digestElem))
+	f.Add(listFrame(wkHeartbeat, maxListed+1, digestElem))
+	f.Add(haveFrame(tagBytes(1, 5, 4)))
+	f.Add(oldLayoutHeartbeatFrame())
 	f.Add(listFrame(wkPayloadPush, 2, payloadElem))
 	// A GroupMsg envelope whose payload is a batch-carrier frame: the
 	// envelope decoder treats the frame as opaque bytes, but seeding it
