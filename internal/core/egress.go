@@ -40,8 +40,17 @@ func (n *Node) newEgress() *egress.Port {
 		MuteDirect: func() bool { return n.byzActive() && n.behavior == BehaviorSilent },
 		Withdraw:   n.withdrawGossip,
 		Holds:      n.holdsGossip,
+		RelayLag:   n.cfg.RoundDuration / relayLagPerRound,
+		Left:       n.gossipLeft,
 	})
 }
+
+// relayLagPerRound is how many relay lags make a round: a relayed copy toward
+// a member this member is the RelaySender of waits RoundDuration/32 for a vote
+// from the member's vgroup (egress.Rules.RelayLag, holdsGossip). At a 100 ms
+// round that is 3.1 ms, longer than a LAN link's delay, so a vote the member's
+// vgroup sent at the same tick — a crossing — arrives first.
+const relayLagPerRound = 32
 
 // sendGroup sends one logical group message to every member of dst. src is
 // the composition the message's MsgID was derived under (usually the current

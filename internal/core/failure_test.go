@@ -878,50 +878,80 @@ func (s *voteSpoofer) spoof(digest crypto.Digest) {
 }
 
 // TestGossipSurvivesVoteSpoofing: a vgroup is skipped on f+1 of its members'
-// votes because one of any f+1 is correct and holds the broadcast. With f
-// colluding spoofers in every vgroup, in both fault models, every node still
-// delivers every broadcast exactly once. When one more member per vgroup casts
-// the early votes — nothing else about it is faulty — the votes alone reach the
+// votes because one of any f+1 is correct and holds the broadcast, and a
+// member's relayed payload on one vote from its vgroup. With f colluding
+// spoofers in every vgroup, in both fault models, every node still delivers
+// every broadcast exactly once. When one more member per vgroup casts the
+// early votes — nothing else about it is faulty — the votes alone reach the
 // threshold and vgroups are skipped that hold nothing: the repair paths must
 // then run (on this seed sync delivers everywhere through pulls, and async
 // loses broadcasts at some nodes even so), which shows the first run had the
-// rule under attack at its edge.
+// rule under attack at its edge. The fault-free run of each mode is the
+// baseline the spoofed runs report their p99 delivery latency against.
 func TestGossipSurvivesVoteSpoofing(t *testing.T) {
+	p99 := map[smr.Mode]time.Duration{}
 	for _, tc := range []struct {
 		mode  smr.Mode
 		extra int
-	}{{smr.ModeAsync, 0}, {smr.ModeAsync, 1}, {smr.ModeSync, 0}, {smr.ModeSync, 1}} {
-		t.Run(fmt.Sprintf("%v/f+%d", tc.mode, tc.extra), func(t *testing.T) {
+		clean bool
+	}{
+		{smr.ModeAsync, 0, true}, {smr.ModeAsync, 0, false}, {smr.ModeAsync, 1, false},
+		{smr.ModeSync, 0, true}, {smr.ModeSync, 0, false}, {smr.ModeSync, 1, false},
+	} {
+		name := fmt.Sprintf("%v/f+%d", tc.mode, tc.extra)
+		if tc.clean {
+			name = fmt.Sprintf("%v/fault-free", tc.mode)
+		}
+		t.Run(name, func(t *testing.T) {
 			const bcasts = 10
 			fault := &voteSpoofer{
 				gossipWithholder: gossipWithholder{t: t, mode: tc.mode, silent: true},
 				extra:            tc.extra, nodes: map[ids.NodeID]spoofNode{}, known: map[crypto.Digest]bool{},
 			}
-			h, nodes := gossipFaultRig(t, tc.mode, fault.wrapEnv)
+			wrap := fault.wrapEnv
+			if tc.clean {
+				wrap = nil
+			}
+			h, nodes := gossipFaultRig(t, tc.mode, wrap)
 			var want []string
+			sentAt := map[string]time.Duration{}
 			for i := 0; i < bcasts; i++ {
 				want = append(want, fmt.Sprintf("spoofed-%d", i))
+				sentAt[want[i]] = h.net.Now()
 				if err := nodes[(7*i)%len(nodes)].BroadcastWith([]byte(want[i]), BroadcastOpts{}); err != nil {
 					t.Fatal(err)
 				}
 				h.net.Run(h.net.Now() + 2*time.Second)
 			}
 			h.net.Run(h.net.Now() + 30*time.Second)
-			if fault.spoofed == 0 || fault.withheld == 0 {
+			if !tc.clean && (fault.spoofed == 0 || fault.withheld == 0) {
 				t.Fatalf("%d votes spoofed, %d copies withheld: the fault was never exercised", fault.spoofed, fault.withheld)
 			}
 			slices.Sort(want)
 			short := 0
+			var lat []time.Duration
 			for _, n := range nodes {
-				if got := slices.Sorted(slices.Values(h.delivered[n.cfg.Identity.ID])); !slices.Equal(got, want) {
+				id := n.cfg.Identity.ID
+				if got := slices.Sorted(slices.Values(h.delivered[id])); !slices.Equal(got, want) {
 					short++
 					if tc.extra == 0 {
-						t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once", n.cfg.Identity.ID, len(got), bcasts)
+						t.Errorf("node %v delivered %d broadcasts, want each of the %d exactly once", id, len(got), bcasts)
 					}
 				}
+				for data, at := range h.deliverAt[id] {
+					lat = append(lat, at-sentAt[data])
+				}
 			}
+			slices.Sort(lat)
+			q := lat[len(lat)*99/100]
 			pulls, caught := h.sum(func(s Stats) uint64 { return s.PullsSent }), h.sum(func(s Stats) uint64 { return s.CaughtUp })
-			t.Logf("%d nodes short, %d payloads pulled, %d broadcasts caught up", short, pulls, caught)
+			if tc.clean {
+				p99[tc.mode] = q
+				if pulls+caught != 0 {
+					t.Errorf("%d pulls and %d catch-ups without a fault, want none", pulls, caught)
+				}
+			}
+			t.Logf("p99 delivery %v (fault-free %v), %d nodes short, %d payloads pulled, %d broadcasts caught up", q, p99[tc.mode], short, pulls, caught)
 			if tc.extra > 0 && pulls+caught == 0 {
 				t.Errorf("nothing was pulled although f+%d members of every vgroup voted early: the rule was not under attack", tc.extra)
 			}

@@ -110,8 +110,9 @@ type Stats struct {
 	// dropped as their batch left, because f+1 members of that vgroup had
 	// voted the broadcast since the vote was queued; PayloadsWithheld the
 	// relayed payloads it sent a destination member as the digest alone,
-	// because that member had voted the broadcast (internal/core/gossip.go,
-	// the holders record).
+	// because that member, or any member of its vgroup under the composition
+	// the copy was addressed to, had voted the broadcast by the time the copy
+	// left (internal/core/gossip.go, the holders record).
 	GossipWithdrawn  uint64
 	PayloadsWithheld uint64
 	// Egress is the egress scheduler's snapshot: aggregate counters and one

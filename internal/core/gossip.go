@@ -115,13 +115,15 @@ func (n *Node) deliver(d Delivery, payload []byte, digest crypto.Digest, from gr
 // Who sends the bytes. On a relayed hop each member of K gets them from exactly
 // one member of this vgroup, the one group.RelaySender names for it
 // (BatchItem.Relay), and a digest-only vote from the rest — from that one too
-// when the member's own vote is in the record (holdsGossip). A member whose one
-// copy does not come has three ways to the bytes (pull.go): another link's
-// copy (the inbox lends it), a voter (pull), and its own vgroup's heartbeats
-// (catch-up). At the origin (from is zero) K hears of the broadcast on this
-// link alone, so no other link can lend: there the f+1 lowest-index members
-// attach the bytes, one of them correct — the argument §5.1 makes for a
-// majority — and the rest vote the digest (a nil Payload, group.BatchItem).
+// when the record holds the member's own vote or any vote from K
+// (holdsGossip). That copy waits one relay lag (relayLagPerRound) for such a
+// vote before it leaves. A member whose one copy does not come has three ways
+// to the bytes (pull.go): another link's copy (the inbox lends it), a voter
+// (pull), and its own vgroup's heartbeats (catch-up). At the origin (from is
+// zero) K hears of the broadcast on this link alone, so no other link can
+// lend: there the f+1 lowest-index members attach the bytes, one of them
+// correct — the argument §5.1 makes for a majority — and the rest vote the
+// digest (a nil Payload, group.BatchItem).
 //
 // A link the broadcast was offered on will echo it: the neighbor floods its own
 // neighbors, this vgroup among them. This node has delivered, so the echo, like
@@ -140,12 +142,12 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 		it.Payload = nil
 	}
 	// The record is read again as the votes leave, a send at once included, so
-	// it is stored before the first one is queued.
-	holders := n.seedHolders(digest)
+	// it is stored before the first one is queued, and this forward holds a
+	// reference to it until the last one is.
+	rec := n.seedHolders(digest)
 	if len(n.holders) < maxHeldDigests {
-		n.holders[digest] = holders
+		n.holders[digest] = rec
 	}
-	queued := false
 	// One send per neighbor composition, however many links lead to it.
 	sent := make([]group.Key, 0, 8)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
@@ -160,15 +162,13 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 				continue
 			}
 			sent = append(sent, key)
-			if key != from && !linkHeld(holders, nbr, n.cfg.Mode.F(nbr.N())) {
+			if key != from && !linkHeld(rec.votes, nbr, n.cfg.Mode.F(nbr.N())) {
+				rec.refs++
 				n.egress.Group(st.comp, nbr, it)
-				queued = true
 			}
 		}
 	}
-	if !queued {
-		delete(n.holders, digest)
-	}
+	n.refHolders(digest, -1)
 }
 
 // The holders record: who is known to hold a broadcast this node delivered and
@@ -177,52 +177,112 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 // so a faulty sender can lie about itself and no one else. forwardGossip seeds
 // the record from the votes the inbox holds when the broadcast is delivered,
 // before deliver settles them; observeCopy adds every copy it turns away while
-// the forwards wait; the round tick clears it after FlushDeferred. Two rules
-// read it, and they only withhold sends — it never decides a delivery:
+// the forwards wait. A digest's record lives until the last of its queued or
+// parked copies has left the egress port (refHolders, gossipLeft), however many
+// round ticks that spans. Two rules read it, and they only withhold sends — it
+// never decides a delivery:
 //
 //   - the link rule (linkHeld): K is sent no vote once f+1 members of K voted
 //     the digest under K's exact key, one of them correct. forwardGossip asks
 //     when it queues the vote, the egress scheduler again as the vote's batch
 //     closes (withdrawGossip);
-//   - the member rule (holdsGossip): on a relayed hop, the RelaySender of a
-//     member j of K sends j the digest alone when j voted it. A faulty j that
-//     voted without holding starves only itself.
+//   - the member and vgroup rules (holdsGossip): on a relayed hop, the
+//     RelaySender of a member j of K sends j the digest alone when j voted it,
+//     or when any member of K voted it under K's exact key. A correct voter k
+//     accepted the broadcast from some neighbor, whose correct members address
+//     all of K at once, so j hears of it on that link too; a j left short
+//     borrows, pulls or is caught up (pull.go). A faulty k that votes without
+//     holding strips this link's bytes from every member of K, which costs
+//     them time, not delivery.
 //
 // A vote is kept only from a member of the composition it names, as this node
 // knows it exactly. The record holds at most maxHeldDigests digests — those
-// with forwards queued in one round — and maxHeldVotes votes for each; a vote
-// past either is not kept, which can only cost a send.
+// with copies queued or parked — and maxHeldVotes votes for each; a vote past
+// either is not kept, which can only cost a send.
 type holder struct {
 	from ids.NodeID
 	src  group.Key
 }
 
-// Bounds of the holders record. The contracted workloads queue forwards for a
-// few dozen digests per round, each voted by at most the members of 2·HC
-// neighbors.
+// heldRecord is one digest's entry in the holders record: the votes heard, and
+// how many of the digest's copies are queued or parked (plus one while
+// forwardGossip queues them). seen has bit voterBit(from) set for every vote
+// kept, so that most new votes skip the duplicate scan.
+type heldRecord struct {
+	votes []holder
+	refs  int
+	seen  [2]uint64
+}
+
+// voterBit is from's bit in heldRecord.seen: the top 7 bits of a
+// multiplicative hash.
+func voterBit(from ids.NodeID) uint64 { return uint64(from) * 0x9e3779b97f4a7c15 >> 57 }
+
+// keep adds h to r's votes unless it is there.
+func (r *heldRecord) keep(h holder) {
+	b := voterBit(h.from)
+	if r.seen[b/64]&(1<<(b%64)) != 0 && slices.Contains(r.votes, h) {
+		return
+	}
+	r.seen[b/64] |= 1 << (b % 64)
+	r.votes = append(r.votes, h)
+}
+
+// held returns the votes of r, none when r is nil (no record).
+func (r *heldRecord) held() []holder {
+	if r == nil {
+		return nil
+	}
+	return r.votes
+}
+
+// Bounds of the holders record. The contracted workloads have copies queued or
+// parked for a few dozen digests at once, each voted by at most the members of
+// 2·HC neighbors.
 const (
 	maxHeldDigests = 256
 	maxHeldVotes   = 128
+	heldVotesRoom  = 16
 )
 
-// seedHolders returns the votes for digest the inbox's lending index holds.
-func (n *Node) seedHolders(digest crypto.Digest) []holder {
-	var held []holder
+// seedHolders returns a record of digest holding the votes for it the inbox's
+// lending index holds, and forwardGossip's reference. Its votes start with room
+// for heldVotesRoom: a ModeSync record hears a vote from about every member of
+// its neighbours before its copies leave, and a slice grown from none by
+// append reallocates five times on the way to 16.
+func (n *Node) seedHolders(digest crypto.Digest) *heldRecord {
+	r := &heldRecord{votes: make([]holder, 0, heldVotesRoom), refs: 1}
 	n.inbox.Voters(digest, func(src group.Key, from ids.NodeID, kind group.Kind) {
-		if kind == kindGossip && len(held) < maxHeldVotes && n.memberOf(src, from) {
-			held = append(held, holder{from: from, src: src})
+		if kind == kindGossip && len(r.votes) < maxHeldVotes && n.memberOf(src, from) {
+			r.keep(holder{from: from, src: src})
 		}
 	})
-	return held
+	return r
 }
 
 // noteHolder records from's vote under src for a delivered digest whose
-// forwards have not left yet.
+// copies have not all left yet.
 func (n *Node) noteHolder(digest crypto.Digest, from ids.NodeID, src group.Key) {
-	held, open := n.holders[digest]
-	h := holder{from: from, src: src}
-	if open && len(held) < maxHeldVotes && !slices.Contains(held, h) && n.memberOf(src, from) {
-		n.holders[digest] = append(held, h)
+	if r := n.holders[digest]; r != nil && len(r.votes) < maxHeldVotes && n.memberOf(src, from) {
+		r.keep(holder{from: from, src: src})
+	}
+}
+
+// refHolders adds delta to the references to digest's record, and drops the
+// record when none is left.
+func (n *Node) refHolders(digest crypto.Digest, delta int) {
+	if r := n.holders[digest]; r != nil {
+		if r.refs += delta; r.refs <= 0 {
+			delete(n.holders, digest)
+		}
+	}
+}
+
+// gossipLeft is told of every item that left the egress port
+// (egress.Rules.Left): a gossip copy's record loses a reference.
+func (n *Node) gossipLeft(it group.BatchItem) {
+	if it.Kind == kindGossip {
+		n.refHolders(it.Digest, -1)
 	}
 }
 
@@ -247,17 +307,18 @@ func linkHeld(held []holder, k group.Composition, f int) bool {
 // withdrawGossip is the link rule asked again as a batch toward dst closes
 // (egress.Rules.Withdraw).
 func (n *Node) withdrawGossip(dst group.Composition, it group.BatchItem) bool {
-	if it.Kind != kindGossip || !linkHeld(n.holders[it.Digest], dst, n.cfg.Mode.F(dst.N())) {
+	if it.Kind != kindGossip || !linkHeld(n.holders[it.Digest].held(), dst, n.cfg.Mode.F(dst.N())) {
 		return false
 	}
 	n.counts.GossipWithdrawn++
 	return true
 }
 
-// holdsGossip is the member rule (egress.Rules.Holds): member voted digest.
-func (n *Node) holdsGossip(member ids.NodeID, digest crypto.Digest) bool {
-	for _, h := range n.holders[digest] {
-		if h.from == member {
+// holdsGossip is the member and vgroup rules (egress.Rules.Holds): member, of
+// dst, voted digest, or some member of dst did under dst's key.
+func (n *Node) holdsGossip(dst group.Key, member ids.NodeID, digest crypto.Digest) bool {
+	for _, h := range n.holders[digest].held() {
+		if h.from == member || h.src == dst {
 			return true
 		}
 	}

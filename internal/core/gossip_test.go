@@ -21,13 +21,18 @@ import (
 	"atum/internal/smr"
 )
 
-// drainGroupSends closes n's open egress batches, runs its round tick and
-// takes everything its captured environment (memberNode) was sent — in
-// ModeSync group messages leave only at the tick.
+// drainGroupSends closes n's open egress batches, runs its round tick, moves
+// its clock one relay lag on if that parked a relayed copy, so that the copy
+// leaves, and takes everything its captured environment (memberNode) was sent
+// — in ModeSync group messages leave only at the tick.
 func drainGroupSends(n *Node) []fakeSend {
 	n.egress.FlushAll()
 	n.egress.FlushDeferred()
 	env := n.env.(*fakeEnv)
+	if n.egress.Parked() > 0 {
+		env.now += n.cfg.RoundDuration / relayLagPerRound
+		n.Timer(0, egressFlushTimer{})
+	}
 	out := env.sent
 	env.sent = nil
 	return out
@@ -407,58 +412,69 @@ func TestGossipSkipsLinkOnlyAtFPlusOneVotes(t *testing.T) {
 	}
 }
 
-// TestRelayPayloadWithheldFromHolder pins the member rule on a relayed hop.
-// Every member of B accepts a broadcast from X and forwards it to K. Member j
-// of K has voted it, so j delivered it, and the member of B that RelaySender
-// names for j sends j the digest alone — whether j's vote reached it before
-// its own delivery (the inbox seeds the holders record) or after it and
-// before the round's flush (the record takes the copy observeCopy turns away).
-// Every other member of K still gets the bytes once, every member of K a vote
-// from every member of B, and only j's RelaySender counts a payload withheld.
+// TestRelayPayloadWithheldFromHolder pins the member and vgroup rules on a
+// relayed hop. Every member of B accepts a broadcast from X and forwards it to
+// K. Member j of K has voted it, so j delivered it — whether j's vote reached
+// B's member before its own delivery (the inbox seeds the holders record) or
+// after it and before the relayed copy left (the record takes the copy
+// observeCopy turns away). Voted under K's key, the vote is the vgroup rule's:
+// some correct member of K holds the broadcast, so every member of K gets
+// the digest alone from its RelaySender. Voted under another composition j is
+// a member of (K's previous epoch), it is the member rule's alone: j's
+// RelaySender sends j the digest, and every other member of K still gets the
+// bytes once. Every member of K gets a vote from every member of B, and each
+// RelaySender counts the payloads it withheld.
 func TestRelayPayloadWithheldFromHolder(t *testing.T) {
 	B := testComp(3, 1, 4, 5, 6, 7)
 	X := testComp(2, 2, 11, 12, 13)
 	K := testComp(5, 3, 21, 22, 23, 24, 25)
+	Kold := testComp(5, 2, 21, 22, 23, 24)
 	payload, digest := gossipOf("held by one member of K")
 	const j = 1
-	holder, relay := K.Members[j].ID, B.Members[group.RelaySender(B, K, j)].ID
-	for _, late := range []bool{false, true} {
-		full, votes := map[ids.NodeID]int{}, map[ids.NodeID]int{}
-		for _, m := range B.Members {
-			n, _ := memberNode(t, m.ID, B, K)
-			n.learnComp(X)
-			vote := func() {
-				n.Receive(holder, group.GroupMsg{SrcGroup: K.GroupID, SrcEpoch: K.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
-					Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
-			}
-			if !late {
-				vote()
-			}
-			n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
-			if late {
-				vote()
-			}
-			for to, carried := range gossipSentBy(t, n)[K.Key()] {
-				votes[to]++
-				if carried {
-					full[to]++
+	holder := K.Members[j].ID
+	for _, under := range []group.Composition{K, Kold} {
+		for _, late := range []bool{false, true} {
+			full, votes := map[ids.NodeID]int{}, map[ids.NodeID]int{}
+			for _, m := range B.Members {
+				n, _ := memberNode(t, m.ID, B, K)
+				n.learnComp(X)
+				n.learnComp(Kold)
+				vote := func() {
+					n.Receive(holder, group.GroupMsg{SrcGroup: under.GroupID, SrcEpoch: under.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+						Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+				}
+				if !late {
+					vote()
+				}
+				n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
+				if late {
+					vote()
+				}
+				for to, carried := range gossipSentBy(t, n)[K.Key()] {
+					votes[to]++
+					if carried {
+						full[to]++
+					}
+				}
+				want := uint64(0)
+				for i, member := range K.Members {
+					if B.Members[group.RelaySender(B, K, i)].ID == m.ID && (under.Key() == K.Key() || member.ID == holder) {
+						want++
+					}
+				}
+				if got := n.Stats().PayloadsWithheld; got != want {
+					t.Errorf("vote under %v, late=%v: member %v of B counts %d payloads withheld, want %d", under.Key(), late, m.ID, got, want)
 				}
 			}
-			want := uint64(0)
-			if m.ID == relay {
-				want = 1
-			}
-			if got := n.Stats().PayloadsWithheld; got != want {
-				t.Errorf("late=%v: member %v of B counts %d payloads withheld, want %d", late, m.ID, got, want)
-			}
-		}
-		for _, member := range K.Members {
-			want := 1
-			if member.ID == holder {
-				want = 0
-			}
-			if votes[member.ID] != B.N() || full[member.ID] != want {
-				t.Errorf("late=%v: member %v of K got %d payloads in %d votes, want %d in %d", late, member.ID, full[member.ID], votes[member.ID], want, B.N())
+			for _, member := range K.Members {
+				want := 1
+				if under.Key() == K.Key() || member.ID == holder {
+					want = 0
+				}
+				if votes[member.ID] != B.N() || full[member.ID] != want {
+					t.Errorf("vote under %v, late=%v: member %v of K got %d payloads in %d votes, want %d in %d",
+						under.Key(), late, member.ID, full[member.ID], votes[member.ID], want, B.N())
+				}
 			}
 		}
 	}
@@ -466,15 +482,17 @@ func TestRelayPayloadWithheldFromHolder(t *testing.T) {
 
 // TestHoldersRecordBounded: the holders record keeps a vote only from a member
 // of the composition it names, at most maxHeldVotes of them for a digest, and at
-// most maxHeldDigests digests — those with forwards queued since the round
-// tick, which empties it. A flood of turned-away copies from non-member IDs
+// most maxHeldDigests digests — those with copies queued or parked. A digest's
+// record outlives the round tick while its relayed copy is parked, and goes
+// when the copy leaves. A flood of turned-away copies from non-member IDs
 // under K's key records nothing and withdraws nothing: K still gets this
 // member's copy.
 func TestHoldersRecordBounded(t *testing.T) {
 	B := testComp(3, 1, 4, 5, 6, 7)
 	X := testComp(2, 2, 11, 12, 13)
 	K := testComp(5, 3, 21, 22, 23)
-	n, _ := memberNode(t, 4, B, K)
+	// The member of B that relays to K's first member parks a copy per digest.
+	n, _ := memberNode(t, B.Members[group.RelaySender(B, K, 0)].ID, B, K)
 	n.learnComp(X)
 	accept := func(data string) crypto.Digest {
 		payload, digest := gossipOf(data)
@@ -489,11 +507,8 @@ func TestHoldersRecordBounded(t *testing.T) {
 	for id := ids.NodeID(1000); id < 1000+4*maxHeldVotes; id++ {
 		copyFrom(id, K.Key())
 	}
-	if got := len(n.holders[digest]); got != 0 {
+	if got := len(n.holders[digest].held()); got != 0 {
 		t.Errorf("non-members' copies left %d votes in the record, want none", got)
-	}
-	if _, toK := gossipSentBy(t, n)[K.Key()]; !toK || n.Stats().GossipWithdrawn != 0 {
-		t.Errorf("after the flood: copy toward K sent %v, %d withdrawn; want sent, none withdrawn", toK, n.Stats().GossipWithdrawn)
 	}
 
 	members := []uint64{200, 201, 202, 203, 204, 205, 206, 207}
@@ -504,8 +519,12 @@ func TestHoldersRecordBounded(t *testing.T) {
 			copyFrom(m.ID, c.Key())
 		}
 	}
-	if got := len(n.holders[digest]); got != maxHeldVotes {
+	if got := len(n.holders[digest].held()); got != maxHeldVotes {
 		t.Errorf("members of many vgroups left %d votes in the record, want its cap %d", got, maxHeldVotes)
+	}
+	if sent := gossipSentBy(t, n)[K.Key()]; len(sent) != K.N() || !sent[K.Members[0].ID] || n.Stats().GossipWithdrawn != 0 {
+		t.Errorf("after the floods: copies toward K %v, %d withdrawn; want one to every member, the bytes to %v, none withdrawn",
+			sent, n.Stats().GossipWithdrawn, K.Members[0].ID)
 	}
 
 	for i := 0; i < maxHeldDigests+8; i++ {
@@ -515,8 +534,125 @@ func TestHoldersRecordBounded(t *testing.T) {
 		t.Errorf("a round of deliveries left %d digests in the record, want its cap %d", got, maxHeldDigests)
 	}
 	n.handleTick()
+	if got, parked := len(n.holders), n.egress.Parked(); got != maxHeldDigests || parked == 0 {
+		t.Errorf("the round tick left %d digests in the record and %d copies parked, want %d and some", got, parked, maxHeldDigests)
+	}
+	drainGroupSends(n)
 	if got := len(n.holders); got != 0 {
-		t.Errorf("the round tick left %d digests in the record, want none", got)
+		t.Errorf("the parked copy's leaving left %d digests in the record, want none", got)
+	}
+}
+
+// TestHoldersRecordOutlivesTheTick is the ModeAsync side of the record's
+// lifetime. This member's vote toward K waits in an open adaptive window when
+// the round tick comes; f+1 members of K vote the broadcast after the tick and
+// before the window closes. The record lives until the vote leaves, so the
+// vote is withdrawn as its batch closes instead of leaving after all.
+func TestHoldersRecordOutlivesTheTick(t *testing.T) {
+	B := testComp(3, 1, 1, 2, 3, 4)
+	K := testComp(5, 1, 21, 22, 23, 24)
+	n, env := memberNode(t, 1, B, K, func(c *Config) { c.Mode = smr.ModeAsync })
+	bcast := func(data string) crypto.Digest {
+		o := bcastOp{BcastID: crypto.Hash([]byte(data)), Origin: 1, Data: []byte(data)}
+		n.applyBcast(o)
+		return crypto.Hash(encodePayload(gossipPayload{BcastID: o.BcastID, Origin: o.Origin, Data: o.Data}))
+	}
+	// Two broadcasts at one instant: the first leaves at once, the second
+	// opens a window toward K, which the third joins.
+	bcast("leaves at once")
+	bcast("opens the window")
+	digest := bcast("waits in the window")
+	if dests, items := n.egress.Pending(); dests != 1 || items != 2 {
+		t.Fatalf("pending = %d dests / %d items, want 1/2", dests, items)
+	}
+	n.handleTick()
+	for _, m := range K.Members[:smr.ModeAsync.F(K.N())+1] {
+		n.Receive(m.ID, group.GroupMsg{SrcGroup: K.GroupID, SrcEpoch: K.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+			Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+	}
+	env.sent = nil
+	env.now += n.cfg.EgressMaxFlushWindow
+	n.Timer(0, egressFlushTimer{})
+	if dests, items := n.egress.Pending(); dests != 0 || items != 0 {
+		t.Fatalf("the window left %d dests / %d items pending, want none", dests, items)
+	}
+	for _, s := range env.sent {
+		for _, m := range gossipCopies(t, s.msg) {
+			if m.MsgID == digest {
+				t.Errorf("the vote toward K left to %v after f+1 of K voted, want it withdrawn", s.to)
+			}
+		}
+	}
+	if got := n.Stats().GossipWithdrawn; got != 1 {
+		t.Errorf("%d item-links withdrawn, want 1", got)
+	}
+	if got := len(n.holders); got != 0 {
+		t.Errorf("%d digests left in the record once every copy left, want none", got)
+	}
+}
+
+// TestCrossingCopyGoesDigestOnly: two ModeSync neighbors B and K both accept a
+// broadcast from X in one round, so at the tick each member of either sends
+// the other vgroup its vote — and, toward the members it is the RelaySender
+// of, the bytes, which that vgroup already holds. The relayed copies wait one
+// relay lag; the crossing votes arrive within it, and the copies leave
+// digest-only (the vgroup rule). Every member still gets a vote from every
+// member of the other vgroup, and each relayed payload counts as withheld.
+func TestCrossingCopyGoesDigestOnly(t *testing.T) {
+	X := testComp(2, 1, 11, 12, 13)
+	B := testComp(3, 1, 1, 2, 3, 4)
+	K := testComp(5, 1, 21, 22, 23)
+	payload, digest := gossipOf("crossing")
+	nodes := map[ids.NodeID]*Node{}
+	for _, side := range [][2]group.Composition{{B, K}, {K, B}} {
+		for _, m := range side[0].Members {
+			n, _ := memberNode(t, m.ID, side[0], side[1])
+			n.learnComp(X)
+			n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
+			nodes[m.ID] = n
+		}
+	}
+	votes, full := map[ids.NodeID]int{}, 0
+	hand := func(from *Node, sent []fakeSend) {
+		for _, s := range sent {
+			for _, m := range gossipCopies(t, s.msg) {
+				votes[s.to]++
+				if m.Payload != nil {
+					full++
+				}
+			}
+			if to := nodes[s.to]; to != nil {
+				to.Receive(from.cfg.Identity.ID, s.msg)
+			}
+		}
+	}
+	// The tick, at every member at once: the votes cross, and every relayed
+	// copy is parked.
+	ticked := map[*Node][]fakeSend{}
+	for _, n := range nodes {
+		n.egress.FlushDeferred()
+		env := n.env.(*fakeEnv)
+		ticked[n], env.sent = env.sent, nil
+	}
+	for n, sent := range ticked {
+		hand(n, sent)
+	}
+	// One relay lag later the parked copies leave.
+	for _, n := range nodes {
+		hand(n, drainGroupSends(n))
+	}
+	if full != 0 {
+		t.Errorf("%d gossip copies between B and K carried the payload, want none: both held it", full)
+	}
+	withheld := uint64(0)
+	for id, n := range nodes {
+		if want := map[bool]int{true: K.N(), false: B.N()}[B.Contains(id)]; votes[id] != want {
+			t.Errorf("member %v got %d votes, want one from each of the %d members of the other vgroup", id, votes[id], want)
+		}
+		withheld += n.Stats().PayloadsWithheld
+	}
+	if want := uint64(B.N() + K.N()); withheld != want {
+		t.Errorf("%d relayed payloads withheld, want one per member of either vgroup, %d", withheld, want)
 	}
 }
 
@@ -686,20 +822,23 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 	}
 	h.net.Run(h.net.Now() + 30*time.Second)
 	// Payload multiplicity, so that losing the payload rules fails here and not
-	// only in the benchmark: 2.66 copies of the payload cross the wire per
-	// delivery on this seed (2.97 while a member whose vote was heard still got
-	// the bytes, 4.41 with f+1 payload senders on every hop, 4.97 while a
-	// vgroup heard voting still got the copy, 7.46 without the f+1 payload
-	// senders).
+	// only in the benchmark: 2.16 copies of the payload cross the wire per
+	// delivery on this seed (2.66 while only a member's own vote withheld its
+	// bytes and nothing waited for a vote, 2.97 while a member whose vote was
+	// heard still got the bytes, 4.41 with f+1 payload senders on every hop,
+	// 4.97 while a vgroup heard voting still got the copy, 7.46 without the
+	// f+1 payload senders).
 	perDelivery := float64(fullCopies) / float64(bcasts*len(nodes))
 	t.Logf("%.2f full-payload gossip copies per delivery, %.2f copies", perDelivery, float64(copies)/float64(bcasts*len(nodes)))
 	if perDelivery > 2.8 {
 		t.Errorf("%.2f full-payload gossip copies per delivery, want at most 2.8", perDelivery)
 	}
-	// Vote multiplicity, the same way for the link rule: 10.98 gossip copies,
-	// with or without the payload, per delivery on this seed (12.07 when only
-	// the accepted-from composition is skipped, 14.50 when only the f+1 count
-	// is consulted, 15.69 when every link gets a vote, as before the rule).
+	// Vote multiplicity, the same way for the link rule: 9.49 gossip copies,
+	// with or without the payload, per delivery on this seed (10.98 while the
+	// round tick cleared the holders record under votes still queued, 12.07
+	// when only the accepted-from composition is skipped, 14.50 when only the
+	// f+1 count is consulted, 15.69 when every link gets a vote, as before the
+	// rule).
 	if perDelivery := float64(copies) / float64(bcasts*len(nodes)); perDelivery > 11.5 {
 		t.Errorf("%.2f gossip copies per delivery, want at most 11.5", perDelivery)
 	}
@@ -711,6 +850,10 @@ func TestAsyncWANNoSplitGossipEntries(t *testing.T) {
 		id := n.cfg.Identity.ID
 		if len(h.delivered[id]) != bcasts {
 			t.Errorf("node %v delivered %d of %d broadcasts", id, len(h.delivered[id]), bcasts)
+		}
+		// Every copy has left, so no holders record is left either.
+		if held, parked := len(n.holders), n.egress.Parked(); held+parked != 0 {
+			t.Errorf("node %v keeps %d holders records and %d parked copies once every copy left, want none", id, held, parked)
 		}
 		n.inbox.Pending(func(src group.Key, kind group.Kind, votes int) {
 			if kind != kindGossip {

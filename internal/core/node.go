@@ -134,8 +134,8 @@ type Node struct {
 	delivered deliveredIndex // the broadcasts this node delivered, by gossip digest (pull.go)
 	rep       repair         // the repair paths behind relayed gossip (pull.go)
 	// holders is who is known to hold the broadcasts this node delivered and
-	// is forwarding this round (gossip.go, the holders record).
-	holders map[crypto.Digest][]holder
+	// whose forwards have not all left (gossip.go, the holders record).
+	holders map[crypto.Digest]*heldRecord
 
 	counts  Stats // the counters Stats reports; its Egress stays zero
 	stopped bool
@@ -197,7 +197,7 @@ func New(cfg Config) *Node {
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
 		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
 		rep:            newRepair(cfg.RoundDuration),
-		holders:        make(map[crypto.Digest][]holder),
+		holders:        make(map[crypto.Digest]*heldRecord),
 	}
 	n.inbox = group.NewInbox(n.lookupComp)
 	n.egress = n.newEgress()
@@ -443,9 +443,6 @@ func (n *Node) handleTick() {
 	// The lockstep round is the ModeSync batching window: the round's group
 	// messages leave now. (The asynchronous engine holds nothing for it.)
 	n.egress.FlushDeferred()
-	// The round's votes have left; one still in a ModeAsync window leaves
-	// without the record.
-	clear(n.holders)
 
 	if n.cfg.Mode == smr.ModeSync && n.replica != nil && !n.byzActive() {
 		n.replica.Tick(n.round)
@@ -600,6 +597,10 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 type compStore struct {
 	byGroup map[ids.GroupID][]group.Composition
 	q       []group.Key
+	// last is the composition exact found last, zero when none or dropped:
+	// the items of one carrier, and the votes of one link, name one key in a
+	// row. A key's composition never changes, so last only goes stale by drop.
+	last group.Composition
 }
 
 // findEpoch returns where epoch is, or belongs, in a vgroup's list.
@@ -609,9 +610,13 @@ func findEpoch(list []group.Composition, epoch uint64) (int, bool) {
 
 // exact returns the composition of k.
 func (s *compStore) exact(k group.Key) (group.Composition, bool) {
+	if s.last.GroupID != 0 && s.last.Key() == k {
+		return s.last, true
+	}
 	list := s.byGroup[k.GroupID]
 	if i, ok := findEpoch(list, k.Epoch); ok {
-		return list[i], true
+		s.last = list[i]
+		return s.last, true
 	}
 	return group.Composition{}, false
 }
@@ -643,6 +648,9 @@ func (s *compStore) add(c group.Composition) bool {
 
 // drop forgets the composition of k.
 func (s *compStore) drop(k group.Key) {
+	if s.last.Key() == k {
+		s.last = group.Composition{}
+	}
 	list := s.byGroup[k.GroupID]
 	if i, ok := findEpoch(list, k.Epoch); ok {
 		list = slices.Delete(list, i, i+1)

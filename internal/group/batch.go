@@ -80,12 +80,10 @@ const (
 	formDerived = 1 << 1 // MsgIDs omitted: each equals its payload digest
 )
 
-// form returns the form an item takes in one sender's frame toward one
-// destination member: full says the sender is a majority member, relay that
-// it is that member's RelaySender.
-func (it *BatchItem) form(full, relay bool) byte {
+// form returns the form an item takes in the copy r says the payloads of.
+func (it *BatchItem) form(r *copyRule) byte {
 	var f byte
-	if it.Payload != nil && (it.Relay && relay || !it.Relay && full) {
+	if r.carries(it) {
 		f |= formFull
 	}
 	if it.DerivedID {
@@ -107,19 +105,25 @@ func (it *BatchItem) form(full, relay bool) byte {
 //	            digest-only: Bytes32 payload digest
 //
 // A run is the longest stretch of consecutive items of one kind and one form;
-// item order is kept. full and relay are the sender's share of the digest
-// optimization toward the destination member the frame is for (BatchItem.form):
-// an item that has a Payload carries it when its rule names this sender, and
-// is digest-only otherwise.
-func encodeBatchFrame(items []BatchItem, full, relay bool) []byte {
-	return wire.Frame(func(e *wire.Encoder) {
+// item order is kept. r is the sender's share of the digest optimization toward
+// the destination member the frame is for: an item that has a Payload carries
+// it when r says so (copyRule.carries, asked once per item), and is digest-only
+// otherwise. It also returns how many relayed payloads r withheld from a
+// holder.
+func encodeBatchFrame(items []BatchItem, r *copyRule) (frame []byte, withheld int) {
+	frame = wire.Frame(func(e *wire.Encoder) {
 		e.Byte(batchFrameVersion)
 		e.ListLen(len(items))
+		var form byte
+		if len(items) > 0 {
+			form = items[0].form(r)
+		}
 		for i := 0; i < len(items); {
-			kind, form := items[i].Kind, items[i].form(full, relay)
-			run := 1
-			for i+run < len(items) && items[i+run].Kind == kind && items[i+run].form(full, relay) == form {
-				run++
+			kind, run, next := items[i].Kind, 1, byte(0)
+			for ; i+run < len(items); run++ {
+				if next = items[i+run].form(r); items[i+run].Kind != kind || next != form {
+					break
+				}
 			}
 			e.Byte(byte(kind))
 			e.Byte(form)
@@ -131,12 +135,16 @@ func encodeBatchFrame(items []BatchItem, full, relay bool) []byte {
 				if form&formFull != 0 {
 					e.VarBytes(it.Payload)
 				} else {
+					if r.withholds(&it) {
+						withheld++
+					}
 					e.Bytes32(it.payloadDigest())
 				}
 			}
-			i += run
+			i, form = i+run, next
 		}
 	})
+	return frame, withheld
 }
 
 // decodedBatchItem is one inner item recovered from a batch frame. Payload is
@@ -210,16 +218,19 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // ⌊N/2⌋+1 indices transmit the payloads of the items that have one and the
 // rest transmit digest-only copies; an item built with a nil Payload is
 // digest-only from every member, and a Relay item carries its payload only
-// toward the destination members this sender is the RelaySender of, and none
-// toward one that holds names a holder of every relayed payload: one flush
-// frames at most two variants, with this member's relayed payloads and
-// without them. Destination order is randomized against
-// incast (§5.1). batchID becomes the carrier's MsgID, which no receiver reads:
-// the inner MsgIDs take part in inbox majority matching, and the engine sends
-// zero. For the same reason the carrier's PayloadDigest is sent zero:
-// receivers vote the inner items' digests and never compare the frame's.
-// SendBatch returns how many relayed payloads it withheld from a holder.
-func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem, holds Holds) (withheld int) {
+// toward the destination members this sender is the RelaySender of, and not
+// toward one holds names a holder of it. Every copy but those carries the same
+// lean frame, without relayed payloads, and so does the copy toward a member
+// holds names a holder of every relayed payload. The copy toward any other
+// member self relays to is handed to park when park is set (see Park), and
+// otherwise framed for that member alone, item by item. Destination order is
+// randomized against incast (§5.1). batchID becomes the carrier's MsgID, which
+// no receiver reads: the inner MsgIDs take part in inbox majority matching,
+// and the engine sends zero. For the same reason the carrier's PayloadDigest
+// is sent zero: receivers vote the inner items' digests and never compare the
+// frame's. SendBatch returns how many relayed payloads it withheld from a
+// holder.
+func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem, holds Holds, park Park) (withheld int) {
 	if len(items) == 0 {
 		return 0
 	}
@@ -236,7 +247,7 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 			relays++
 		}
 	}
-	var frames [2][]byte // without, with this member's relayed payloads
+	var lean []byte
 	msg := GroupMsg{
 		SrcGroup: src.GroupID,
 		SrcEpoch: src.Epoch,
@@ -251,31 +262,39 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 		rot = relayRotation(src, dst)
 	}
 	for _, i := range order {
-		v := 0
-		if relays > 0 && isRelaySender(idx, rot, src.N(), i) {
-			if holds.all(dst.Members[i].ID, items) {
-				withheld += relays
-			} else {
-				v = 1
-			}
+		to := dst.Members[i].ID
+		switch {
+		case relays == 0 || !isRelaySender(idx, rot, src.N(), i):
+		case holds.all(dst.Key(), to, items):
+			withheld += relays
+		case park != nil:
+			park(to)
+			continue
+		default:
+			r := copyRule{full: full, relay: true, holds: holds, dst: dst.Key(), to: to}
+			var w int
+			msg.Payload, w = encodeBatchFrame(items, &r)
+			withheld += w
+			send(to, msg)
+			continue
 		}
-		if frames[v] == nil {
-			frames[v] = encodeBatchFrame(items, full, v == 1)
+		if lean == nil {
+			lean, _ = encodeBatchFrame(items, &copyRule{full: full})
 		}
-		msg.Payload = frames[v]
-		send(dst.Members[i].ID, msg)
+		msg.Payload = lean
+		send(to, msg)
 	}
 	return withheld
 }
 
-// all reports whether h names member a holder of the payload of every Relay
-// item that has one.
-func (h Holds) all(member ids.NodeID, items []BatchItem) bool {
+// all reports whether h names member of dst a holder of the payload of every
+// Relay item that has one.
+func (h Holds) all(dst Key, member ids.NodeID, items []BatchItem) bool {
 	if h == nil {
 		return false
 	}
 	for i := range items {
-		if it := &items[i]; it.Relay && it.Payload != nil && !h(member, it.payloadDigest()) {
+		if it := &items[i]; it.Relay && it.Payload != nil && !h(dst, member, it.payloadDigest()) {
 			return false
 		}
 	}
@@ -293,7 +312,7 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	if len(items) > MaxBatchItems {
 		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
 	}
-	frame := encodeBatchFrame(items, true, true)
+	frame, _ := encodeBatchFrame(items, &copyRule{full: true})
 	send(to, GroupMsg{
 		SrcGroup: src.GroupID,
 		SrcEpoch: src.Epoch,

@@ -15,6 +15,14 @@ import (
 	"atum/internal/wire"
 )
 
+// encodeFrame is one frame of items from a sender that carries every payload
+// its rules give it (full: a majority member that relays to the member the
+// frame is for) or none of them.
+func encodeFrame(items []BatchItem, full bool) []byte {
+	frame, _ := encodeBatchFrame(items, &copyRule{full: full, relay: full})
+	return frame
+}
+
 func batchItems(payloads ...string) []BatchItem {
 	items := make([]BatchItem, 0, len(payloads))
 	for i, p := range payloads {
@@ -127,7 +135,7 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := mustHex(t, tc.want)
-		if got := encodeBatchFrame(tc.items, tc.full, tc.full); !bytes.Equal(got, want) {
+		if got := encodeFrame(tc.items, tc.full); !bytes.Equal(got, want) {
 			t.Errorf("%s: encoded\n %x\nwant\n %x", tc.name, got, want)
 		}
 		got, err := decodeBatchFrame(want)
@@ -164,14 +172,14 @@ func checkDecoded(t *testing.T, name string, got []decodedBatchItem, items []Bat
 func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 	items := mixedFormItems()
 	for _, full := range []bool{true, false} {
-		got, err := decodeBatchFrame(encodeBatchFrame(items, full, full))
+		got, err := decodeBatchFrame(encodeFrame(items, full))
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
 		}
 		checkDecoded(t, fmt.Sprintf("full=%v", full), got, items, full)
 	}
 	// full-0 | digest-1 digest-2 | full-3 | (kind 2) full-4 | digest-5
-	frame := encodeBatchFrame(items, true, true)
+	frame := encodeFrame(items, true)
 	want := 5 + 5*6 + len(items)*crypto.DigestSize + 3*(4+len("full-0")) + 3*crypto.DigestSize
 	if len(frame) != want {
 		t.Errorf("mixed-form frame is %dB, want %dB (five runs)", len(frame), want)
@@ -180,7 +188,7 @@ func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 
 func TestBatchFrameRoundTripFull(t *testing.T) {
 	items := batchItems("alpha", "", "gamma-gamma")
-	frame := encodeBatchFrame(items, true, true)
+	frame := encodeFrame(items, true)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -203,7 +211,7 @@ func TestBatchFrameRoundTripFull(t *testing.T) {
 
 func TestBatchFrameRoundTripDigestOnly(t *testing.T) {
 	items := batchItems("alpha", "beta")
-	frame := encodeBatchFrame(items, false, false)
+	frame := encodeFrame(items, false)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -239,7 +247,7 @@ func mixedKindItems() []BatchItem {
 func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	items := mixedKindItems()
 	for _, full := range []bool{true, false} {
-		frame := encodeBatchFrame(items, full, full)
+		frame := encodeFrame(items, full)
 		got, err := decodeBatchFrame(frame)
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
@@ -259,7 +267,7 @@ func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	// A single-kind frame spends one run header, however many items follow.
 	uniform := batchItems(make([]string, 64)...)
 	want := 5 + 6 + len(uniform)*(crypto.DigestSize+4)
-	if got := len(encodeBatchFrame(uniform, true, true)); got != want {
+	if got := len(encodeFrame(uniform, true)); got != want {
 		t.Errorf("uniform-kind frame is %dB, want %dB (one run header)", got, want)
 	}
 }
@@ -278,8 +286,8 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	for i := range plain {
 		plain[i].DerivedID = false
 	}
-	fp := encodeBatchFrame(plain, true, true)
-	fd := encodeBatchFrame(derived, true, true)
+	fp := encodeFrame(plain, true)
+	fd := encodeFrame(derived, true)
 	if want := len(plain) * crypto.DigestSize; len(fp)-len(fd) != want {
 		t.Errorf("derived frame saves %d bytes, want %d (one MsgID per item)", len(fp)-len(fd), want)
 	}
@@ -299,14 +307,14 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	mixed := derivedItems(payloads...)
 	mixed[3] = BatchItem{Kind: 16, MsgID: crypto.Hash([]byte("agreed-elsewhere")), Payload: []byte("ordinary")}
 	for _, full := range []bool{true, false} {
-		fm := encodeBatchFrame(mixed, full, full)
+		fm := encodeFrame(mixed, full)
 		allPlain := derivedItems(payloads...)
 		allPlain[3] = mixed[3]
 		for i := range allPlain {
 			allPlain[i].DerivedID = false
 		}
 		// Seven MsgIDs saved, two more run headers spent.
-		if saved, want := len(encodeBatchFrame(allPlain, full, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
+		if saved, want := len(encodeFrame(allPlain, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
 			t.Errorf("full=%v: mixed batch saves %d bytes, want %d", full, saved, want)
 		}
 		got, err := decodeBatchFrame(fm)
@@ -327,7 +335,7 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 func TestBatchFrameV2LiteralPayloadsAliasFrame(t *testing.T) {
 	body := string(bytes.Repeat([]byte("stream-data."), 24))
 	items := batchItems("alias-check-payload", "seq=1|"+body, "seq=2|"+body, "seq=2|"+body)
-	frame := encodeBatchFrame(items, true, true)
+	frame := encodeFrame(items, true)
 	got, err := decodeBatchFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -367,7 +375,7 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 		e.Byte(form)
 		e.ListLen(length)
 	}
-	valid := encodeBatchFrame(batchItems("x"), true, true)
+	valid := encodeFrame(batchItems("x"), true)
 	withForm := func(form byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[6] = form // version, count, kind, then the form
@@ -438,10 +446,10 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 // be an error, never a short item list or a panic.
 func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 	frames := [][]byte{
-		encodeBatchFrame(mixedKindItems(), true, true),
-		encodeBatchFrame(mixedKindItems(), false, false),
-		encodeBatchFrame(derivedItems("raw-one", "", "raw-three"), true, true),
-		encodeBatchFrame(mixedFormItems(), true, true),
+		encodeFrame(mixedKindItems(), true),
+		encodeFrame(mixedKindItems(), false),
+		encodeFrame(derivedItems("raw-one", "", "raw-three"), true),
+		encodeFrame(mixedFormItems(), true),
 	}
 	for fi, frame := range frames {
 		if _, err := decodeBatchFrame(frame); err != nil {
@@ -462,10 +470,10 @@ func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 // single non-derived full item — the worst case — reaches the bound exactly.
 func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 	one := batchItems("lonely")
-	if got := len(encodeBatchFrame(one, true, true)) - len(one[0].Payload); got != BatchWireOverhead {
+	if got := len(encodeFrame(one, true)) - len(one[0].Payload); got != BatchWireOverhead {
 		t.Errorf("single-item frame overhead = %d, want exactly BatchWireOverhead = %d", got, BatchWireOverhead)
 	}
-	if got := len(encodeBatchFrame(one, false, false)) - crypto.DigestSize; got >= BatchWireOverhead {
+	if got := len(encodeFrame(one, false)) - crypto.DigestSize; got >= BatchWireOverhead {
 		t.Errorf("single digest-only item overhead = %d, want below BatchWireOverhead = %d", got, BatchWireOverhead)
 	}
 	if BatchWireOverhead != 47 {
@@ -496,7 +504,7 @@ func TestBatchWireOverheadIsUpperBound(t *testing.T) {
 			}
 			budget += body + BatchWireOverhead
 		}
-		if got := len(encodeBatchFrame(items, full, full)); got > budget {
+		if got := len(encodeFrame(items, full)); got > budget {
 			t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, over the %dB budget", trial, n, full, got, budget)
 		}
 	}
@@ -539,14 +547,14 @@ func TestEgressAccountingBoundsFrames(t *testing.T) {
 			}
 		}
 		for _, full := range []bool{true, false} {
-			if got, budget := len(encodeBatchFrame(items, full, full)), charge(items); got > budget {
+			if got, budget := len(encodeFrame(items, full)), charge(items); got > budget {
 				t.Fatalf("trial %d: %d-item frame (full=%v) is %dB, egress charged %dB", trial, len(items), full, got, budget)
 			}
 		}
 	}
 
 	bare := []BatchItem{{Kind: 4, MsgID: crypto.Hash([]byte("id")), Digest: crypto.Hash([]byte("body"))}}
-	if got, want := len(encodeBatchFrame(bare, true, true))-charge(bare), 2*crypto.DigestSize+5+6-BatchWireOverhead; got != want || got <= 0 {
+	if got, want := len(encodeFrame(bare, true))-charge(bare), 2*crypto.DigestSize+5+6-BatchWireOverhead; got != want || got <= 0 {
 		t.Errorf("a non-derived payload-less item exceeds its charge by %dB, want %dB: the documented exception moved", got, want)
 	}
 }
@@ -564,7 +572,7 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 	countFull := func(self ids.NodeID) (full, digest int) {
 		var sent []GroupMsg
 		send := func(_ ids.NodeID, msg actor.Message) { sent = append(sent, msg.(GroupMsg)) }
-		SendBatch(send, rng, src, self, dst, Kind(99), batchID, items, nil)
+		SendBatch(send, rng, src, self, dst, Kind(99), batchID, items, nil, nil)
 		if len(sent) != dst.N() {
 			t.Fatalf("sent %d copies, want %d", len(sent), dst.N())
 		}
@@ -603,8 +611,7 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 // Send and SendBatch alike, and every other sender's copy names its digest. A
 // member holds names a holder gets the digest from its RelaySender too, which
 // counts the payload withheld. Beside it in a carrier, an ordinary item keeps
-// the majority rule. One sender's flush frames at most two variants, whatever
-// the sizes.
+// the majority rule.
 func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 1; n <= 8; n++ {
@@ -617,8 +624,8 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 			relayed.Relay = true
 			items := []BatchItem{relayed, batchItems("ordinary")[0]}
 			holder := dst.Members[k-1].ID
-			for _, holds := range []Holds{nil, func(j ids.NodeID, d crypto.Digest) bool {
-				return j == holder && d == crypto.Hash(relayed.Payload)
+			for _, holds := range []Holds{nil, func(d Key, j ids.NodeID, digest crypto.Digest) bool {
+				return d == dst.Key() && j == holder && digest == crypto.Hash(relayed.Payload)
 			}} {
 				carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads via Send, via SendBatch
 				withheld := 0
@@ -630,10 +637,8 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 						}
 						carried[to] = c
 					}
-					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds)
-					frames := map[string]bool{}
+					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds, nil)
 					sendBatch := func(to ids.NodeID, msg actor.Message) {
-						frames[string(msg.(GroupMsg).Payload)] = true
 						inner, err := UnpackBatch(msg.(GroupMsg))
 						if err != nil {
 							t.Fatal(err)
@@ -647,10 +652,7 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 						}
 						carried[to] = c
 					}
-					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds)
-					if len(frames) > 2 {
-						t.Errorf("n=%d k=%d: member %d framed %d variants, want at most 2", n, k, idx, len(frames))
-					}
+					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds, nil)
 				}
 				wantWithheld := 0
 				for j, member := range dst.Members {
@@ -669,6 +671,107 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParkedCopyFramedItemByItem: with a Park set, Send and SendBatch hand
+// back the copy toward each member self relays to, unless holds names the
+// member a holder of every relayed payload, and send every other copy at once.
+// SendRelayed then frames the parked copy item by item, asking holds again:
+// each relayed payload the member has come to hold since goes as its digest,
+// each other one in full, and the ordinary item keeps the majority rule.
+func TestParkedCopyFramedItemByItem(t *testing.T) {
+	src := comp(1, 1, 1, 2, 3, 4)
+	dst := comp(2, 1, 11, 12, 13, 14, 15, 16, 17, 18)
+	items := batchItems("first", "second", "ordinary")
+	for i := range items[:2] {
+		items[i].Relay = true
+		items[i].Digest = crypto.Hash(items[i].Payload)
+	}
+	self := src.Members[0].ID
+	var mine []ids.NodeID // the members self relays to
+	for j, m := range dst.Members {
+		if RelaySender(src, dst, j) == 0 {
+			mine = append(mine, m.ID)
+		}
+	}
+	if len(mine) != 2 {
+		t.Fatalf("self relays to %d members of dst, the test wants 2", len(mine))
+	}
+	// mine[0] holds both relayed payloads from the start; mine[1] comes to
+	// hold the second while its copy is parked.
+	held := map[ids.NodeID]map[crypto.Digest]bool{mine[0]: {items[0].Digest: true, items[1].Digest: true}}
+	holds := func(d Key, j ids.NodeID, digest crypto.Digest) bool { return d == dst.Key() && held[j][digest] }
+	rng := rand.New(rand.NewSource(5))
+	for _, batch := range []bool{false, true} {
+		sent := map[ids.NodeID]GroupMsg{}
+		send := func(to ids.NodeID, msg actor.Message) { sent[to] = msg.(GroupMsg) }
+		var parked []ids.NodeID
+		park := func(to ids.NodeID) { parked = append(parked, to) }
+		var withheld int
+		if batch {
+			withheld = SendBatch(send, rng, src, self, dst, Kind(99), crypto.Digest{}, items, holds, park)
+		} else {
+			withheld = Send(send, rng, src, self, dst, items[0], nil, holds, park)
+		}
+		if len(parked) != 1 || parked[0] != mine[1] || len(sent) != dst.N()-1 || withheld != 1+b2i(batch) {
+			t.Fatalf("batch=%v: parked %v, sent %d copies, withheld %d; want %v parked, %d sent, %d withheld",
+				batch, parked, len(sent), withheld, mine[1:], dst.N()-1, 1+b2i(batch))
+		}
+		for to, m := range sent {
+			if full := fullItems(t, m); full != b2i(batch) {
+				t.Errorf("batch=%v: the copy sent at once toward %v carries %d payloads, want %d (the ordinary one)", batch, to, full, b2i(batch))
+			}
+		}
+		held[mine[1]] = map[crypto.Digest]bool{items[1].Digest: true}
+		n := len(items)
+		if !batch {
+			n = 1
+		}
+		if w := SendRelayed(send, src, self, dst, mine[1], Kind(99), items[:n], holds); w != b2i(batch) {
+			t.Errorf("batch=%v: the parked copy withheld %d payloads, want %d", batch, w, b2i(batch))
+		}
+		m := sent[mine[1]]
+		if !batch {
+			if m.Kind != items[0].Kind || m.MsgID != items[0].MsgID || m.Payload == nil {
+				t.Errorf("a lone parked item left as kind %d under %x with payload %v, want itself in full", m.Kind, m.MsgID[:4], m.Payload != nil)
+			}
+			continue
+		}
+		inner, err := UnpackBatch(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inner[0].Payload == nil || inner[1].Payload != nil || inner[2].Payload == nil {
+			t.Errorf("the parked carrier carries payloads %v %v %v, want the first and the ordinary one",
+				inner[0].Payload != nil, inner[1].Payload != nil, inner[2].Payload != nil)
+		}
+		delete(held, mine[1])
+	}
+}
+
+// b2i is 1 for true.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fullItems counts the payloads a copy carries: its own, or its carrier's.
+func fullItems(t *testing.T, m GroupMsg) int {
+	t.Helper()
+	if m.Kind != Kind(99) {
+		return b2i(m.Payload != nil)
+	}
+	inner, err := UnpackBatch(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for _, im := range inner {
+		full += b2i(im.Payload != nil)
+	}
+	return full
 }
 
 // TestBatchVotesConvergeAcrossDifferentGroupings is the core safety property
@@ -707,12 +810,12 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	// Member 1 batches both messages together.
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all = append(all, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b1")), items, nil)
+	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b1")), items, nil, nil)
 	// Member 2 sends them unbatched (as if its flush window cut between them).
 	for _, it := range items {
 		Send(func(_ ids.NodeID, m actor.Message) {
 			all = append(all, observe(2, m.(GroupMsg))...)
-		}, rng, src, 2, dst, it, nil, nil)
+		}, rng, src, 2, dst, it, nil, nil, nil)
 	}
 
 	if len(all) != len(items) {
@@ -740,21 +843,21 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	var all2 []Accepted
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all2 = append(all2, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b2-member1")), items2, nil)
+	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b2-member1")), items2, nil, nil)
 	SendBatch(func(_ ids.NodeID, m actor.Message) {
 		all2 = append(all2, observe(2, m.(GroupMsg))...)
-	}, rng, src, 2, dst, Kind(99), crypto.Hash([]byte("b2-member2")), items2, nil)
+	}, rng, src, 2, dst, Kind(99), crypto.Hash([]byte("b2-member2")), items2, nil, nil)
 	if len(all2) != len(items2) {
 		t.Fatalf("mixed-carrier batching accepted %d logical messages, want %d", len(all2), len(items2))
 	}
 }
 
 func FuzzDecodeBatchFrame(f *testing.F) {
-	f.Add(encodeBatchFrame(batchItems("a", "bb", "ccc"), true, true))
-	f.Add(encodeBatchFrame(batchItems("x"), false, false))
-	f.Add(encodeBatchFrame(mixedKindItems(), true, true))
-	f.Add(encodeBatchFrame(mixedKindItems(), false, false))
-	f.Add(encodeBatchFrame(derivedItems("prefix-AAAA-suffix", "", "prefix-CCCC-suffix"), true, true))
+	f.Add(encodeFrame(batchItems("a", "bb", "ccc"), true))
+	f.Add(encodeFrame(batchItems("x"), false))
+	f.Add(encodeFrame(mixedKindItems(), true))
+	f.Add(encodeFrame(mixedKindItems(), false))
+	f.Add(encodeFrame(derivedItems("prefix-AAAA-suffix", "", "prefix-CCCC-suffix"), true))
 	f.Add([]byte{})
 	f.Add([]byte{batchFrameVersion, 0x00, 0x00, 0x10, 0x00, 0x01, formFull})
 	// Frames from the deleted writers, and an enveloped payload: the
@@ -763,11 +866,11 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(mustHex(f, goldenV2FrameHex))
 	f.Add([]byte{0x00, 0x01, 0x01})
 	f.Add(mustHex(f, goldenV3FrameHex))
-	f.Add(encodeBatchFrame(mixedFormItems(), true, true))
-	f.Add(encodeBatchFrame(mixedFormItems(), false, false))
+	f.Add(encodeFrame(mixedFormItems(), true))
+	f.Add(encodeFrame(mixedFormItems(), false))
 	mixedDerived := derivedItems("raw-a", "raw-b", "raw-c")
 	mixedDerived[1].Digest, mixedDerived[1].Payload = mixedDerived[1].MsgID, nil
-	f.Add(encodeBatchFrame(mixedDerived, true, true))
+	f.Add(encodeFrame(mixedDerived, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeBatchFrame(data)
 		if err != nil {
@@ -823,12 +926,12 @@ func benchFrameItems() []BatchItem {
 // frame size as a custom metric.
 func BenchmarkBatchEncodeDecode(b *testing.B) {
 	items := benchFrameItems()
-	frame := encodeBatchFrame(items, true, true)
+	frame := encodeFrame(items, true)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(len(frame)), "frame-bytes")
 		for i := 0; i < b.N; i++ {
-			_ = encodeBatchFrame(items, true, true)
+			_ = encodeFrame(items, true)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
@@ -850,8 +953,8 @@ func BenchmarkBatchEncodeDecode(b *testing.B) {
 // frame on average; an allocation per item (64 here) fails either way.
 func TestBatchFrameAllocCeilings(t *testing.T) {
 	items := benchFrameItems()
-	frame := encodeBatchFrame(items, true, true) // also warms the encoder pool
-	if got := testing.AllocsPerRun(200, func() { _ = encodeBatchFrame(items, true, true) }); got > 8 {
+	frame := encodeFrame(items, true) // also warms the encoder pool
+	if got := testing.AllocsPerRun(200, func() { _ = encodeFrame(items, true) }); got > 8 {
 		t.Errorf("encode allocates %.0f objects per frame, want <= 8", got)
 	}
 	got := testing.AllocsPerRun(200, func() {

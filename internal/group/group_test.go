@@ -132,7 +132,7 @@ func TestSendDigestOptimization(t *testing.T) {
 	fullSenders := 0
 	for _, m := range src.Members {
 		recs, send := collectSends()
-		Send(send, rng, src, m.ID, dst, BatchItem{Kind: 1, MsgID: msgID, Payload: payload}, nil, nil)
+		Send(send, rng, src, m.ID, dst, BatchItem{Kind: 1, MsgID: msgID, Payload: payload}, nil, nil, nil)
 		if len(*recs) != dst.N() {
 			t.Fatalf("sent %d copies, want %d", len(*recs), dst.N())
 		}
@@ -152,7 +152,7 @@ func TestSendDigestOptimization(t *testing.T) {
 	// An item built without its payload is a digest-only vote for its Digest,
 	// from the lowest-index member too.
 	recs, send := collectSends()
-	Send(send, rng, src, src.Members[0].ID, dst, BatchItem{Kind: 1, MsgID: msgID, Digest: crypto.Hash(payload)}, nil, nil)
+	Send(send, rng, src, src.Members[0].ID, dst, BatchItem{Kind: 1, MsgID: msgID, Digest: crypto.Hash(payload)}, nil, nil, nil)
 	for _, r := range *recs {
 		if r.msg.Payload != nil || r.msg.PayloadDigest != crypto.Hash(payload) {
 			t.Errorf("payload-less item sent as payload %q, digest %x", r.msg.Payload, r.msg.PayloadDigest[:4])

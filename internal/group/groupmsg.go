@@ -158,11 +158,13 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // copy from every member: the caller has a narrower rule for who sends the
 // bytes and applies it before it gets here (core's gossip). A Relay item's
 // payload goes only to the destination members self is the RelaySender of,
-// and not to one of them holds names a holder. Destination order is randomized
-// to avoid incast bursts (§5.1). The payload is hashed only when it.Digest is
-// not set. attach is this sender's own attachment (nil: none). Send returns
-// how many payloads it withheld from a holder.
-func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte, holds Holds) (withheld int) {
+// and not to one holds names a holder; the copy toward any other of them is
+// handed to park instead of sent, when park is set (see Park), and sent with
+// the payload otherwise. Destination order is randomized to avoid incast
+// bursts (§5.1). The payload is hashed only when it.Digest is not set. attach
+// is this sender's own attachment (nil: none). Send returns how many payloads
+// it withheld from a holder.
+func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte, holds Holds, park Park) (withheld int) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
 		SrcEpoch:      src.Epoch,
@@ -183,27 +185,91 @@ func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Com
 		rot = relayRotation(src, dst)
 	}
 	for _, i := range order {
-		m := msg
+		to, m := dst.Members[i].ID, msg
 		if it.Relay && it.Payload != nil && isRelaySender(idx, rot, src.N(), i) {
-			if holds.has(dst.Members[i].ID, msg.PayloadDigest) {
+			switch {
+			case holds.has(dst.Key(), to, msg.PayloadDigest):
 				withheld++
-			} else {
+			case park != nil:
+				park(to)
+				continue
+			default:
 				m.Payload = it.Payload
 			}
 		}
-		send(dst.Members[i].ID, m)
+		send(to, m)
 	}
 	return withheld
 }
 
-// Holds reports whether a destination member is known to hold the payload of
-// the given digest: the member's RelaySender then sends it the digest alone
-// (core's member rule). A nil Holds knows of no holder.
-type Holds func(member ids.NodeID, digest crypto.Digest) bool
+// SendRelayed sends self's copy of one flush toward the single member to of
+// dst whose RelaySender self is — the copy Send or SendBatch handed to park:
+// one item as a plain message, more as a carrier of kind (as SendBatch frames
+// them). Each Relay item carries its payload unless holds, asked now, names to
+// a holder of it; every other item follows the majority rule. It returns how
+// many relayed payloads it withheld.
+func SendRelayed(send SendFn, src Composition, self ids.NodeID, dst Composition, to ids.NodeID, kind Kind, items []BatchItem, holds Holds) (withheld int) {
+	idx := src.Index(self)
+	r := copyRule{full: idx >= 0 && idx < src.Majority(), relay: true, holds: holds, dst: dst.Key(), to: to}
+	msg := GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, Kind: kind}
+	if len(items) == 1 {
+		it := &items[0]
+		msg.Kind, msg.MsgID, msg.PayloadDigest = it.Kind, it.MsgID, it.payloadDigest()
+		if r.carries(it) {
+			msg.Payload = it.Payload
+		} else if r.withholds(it) {
+			withheld = 1
+		}
+	} else {
+		msg.Payload, withheld = encodeBatchFrame(items, &r)
+	}
+	send(to, msg)
+	return withheld
+}
+
+// Holds reports whether a member of the destination composition dst is known
+// to hold the payload of the given digest: the member's RelaySender then sends
+// it the digest alone (core's member and vgroup rules). A nil Holds knows of
+// no holder.
+type Holds func(dst Key, member ids.NodeID, digest crypto.Digest) bool
 
 // has calls h; a nil h knows of no holder.
-func (h Holds) has(member ids.NodeID, digest crypto.Digest) bool {
-	return h != nil && h(member, digest)
+func (h Holds) has(dst Key, member ids.NodeID, digest crypto.Digest) bool {
+	return h != nil && h(dst, member, digest)
+}
+
+// Park takes back from Send and SendBatch a copy toward a destination member
+// whose RelaySender self is and whose relayed payloads holds does not all name
+// it a holder of: the caller sends it later with SendRelayed, when a vote
+// heard meanwhile may have made the bytes redundant.
+type Park func(to ids.NodeID)
+
+// copyRule says which payloads one sender's copy toward one destination
+// member carries.
+type copyRule struct {
+	full  bool  // self is a majority member: ordinary items' payloads
+	relay bool  // self is the member's RelaySender: Relay items' payloads,
+	holds Holds // except those holds names the member a holder of
+	dst   Key
+	to    ids.NodeID
+}
+
+// carries reports whether it's payload rides the copy.
+func (r *copyRule) carries(it *BatchItem) bool {
+	switch {
+	case it.Payload == nil:
+		return false
+	case !it.Relay:
+		return r.full
+	}
+	return r.relay && !r.holds.has(r.dst, r.to, it.payloadDigest())
+}
+
+// withholds reports whether the copy would carry it's payload but for a
+// holder: a Relay item the copy does not carry although self relays to the
+// member.
+func (r *copyRule) withholds(it *BatchItem) bool {
+	return r.relay && it.Relay && it.Payload != nil
 }
 
 // RelaySender returns the index, in src, of the one member whose copy toward
