@@ -47,9 +47,25 @@ func (n *Node) newEgress() *egress.Port {
 
 // relayLagPerRound is how many relay lags make a round: a relayed copy toward
 // a member this member is the RelaySender of waits RoundDuration/32 for a vote
-// from the member's vgroup (egress.Rules.RelayLag, holdsGossip). At a 100 ms
-// round that is 3.1 ms, longer than a LAN link's delay, so a vote the member's
-// vgroup sent at the same tick — a crossing — arrives first.
+// from the member's vgroup (egress.Rules.RelayLag, holdsGossip). What the lag
+// has to exceed is one link delay, so that a vote the member's vgroup sent at
+// the same tick — a crossing — arrives first. No node measures its link
+// delays, so the divisor is tuned for the simulator's 100 ms round over
+// simnet.LANLatency (0.5–2 ms), where the lag is 3.1 ms. A sweep of the
+// divisor, atumbench seed 1, wire bytes per broadcast and deliver_p50_ms
+// against no lag:
+//
+//	divisor (lag)      128 (0.8 ms)  64 (1.6 ms)  32 (3.1 ms)  16 (6.3 ms)  8 (12.5 ms)
+//	sync_steady bytes  −6.7 %        −10.5 %      −10.6 %      −10.6 %      −10.6 %
+//	sync_churn bytes   −10.5 %       −17.2 %      −17.2 %      −17.2 %      −17.2 %
+//	async_wan bytes    −2.1 %        −4.1 %       −6.8 %       −9.2 %       −12.2 %
+//	sync_steady p50    +0.1 %        +0.2 %       +0.5 %       +0.9 %       +1.8 %
+//	async_wan p50      +0.3 %        +0.4 %       +0.3 %       +1.2 %       +2.9 %
+//
+// 32 is the shortest lag that keeps all of the ModeSync saving (64 gives up
+// 0.06 points of it); a longer one only catches more WAN votes that are not
+// crossings, at a latency cost. At the Config default round of 1 s the lag is
+// 31 ms, ten times what a LAN crossing needs; no workload measures that case.
 const relayLagPerRound = 32
 
 // sendGroup sends one logical group message to every member of dst. src is

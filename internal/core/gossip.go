@@ -188,12 +188,15 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 //     closes (withdrawGossip);
 //   - the member and vgroup rules (holdsGossip): on a relayed hop, the
 //     RelaySender of a member j of K sends j the digest alone when j voted it,
-//     or when any member of K voted it under K's exact key. A correct voter k
-//     accepted the broadcast from some neighbor, whose correct members address
-//     all of K at once, so j hears of it on that link too; a j left short
-//     borrows, pulls or is caught up (pull.go). A faulty k that votes without
-//     holding strips this link's bytes from every member of K, which costs
-//     them time, not delivery.
+//     or when any member of K voted it under K's exact key. A vote from k says
+//     only that k holds the broadcast, not that j will: on each link toward K
+//     j's bytes come from one member, its RelaySender there, which may be
+//     faulty or may itself withhold them under the vgroup rule after another
+//     member of K voted toward its vgroup. So j can be left with the bytes
+//     from no link, and its delivery then rests on lending, a pull or its
+//     vgroup's catch-up (pull.go). A faulty k that votes without holding
+//     strips this link's bytes from every member of K: that costs them time,
+//     not delivery.
 //
 // A vote is kept only from a member of the composition it names, as this node
 // knows it exactly. The record holds at most maxHeldDigests digests — those
@@ -206,26 +209,17 @@ type holder struct {
 
 // heldRecord is one digest's entry in the holders record: the votes heard, and
 // how many of the digest's copies are queued or parked (plus one while
-// forwardGossip queues them). seen has bit voterBit(from) set for every vote
-// kept, so that most new votes skip the duplicate scan.
+// forwardGossip queues them).
 type heldRecord struct {
 	votes []holder
 	refs  int
-	seen  [2]uint64
 }
-
-// voterBit is from's bit in heldRecord.seen: the top 7 bits of a
-// multiplicative hash.
-func voterBit(from ids.NodeID) uint64 { return uint64(from) * 0x9e3779b97f4a7c15 >> 57 }
 
 // keep adds h to r's votes unless it is there.
 func (r *heldRecord) keep(h holder) {
-	b := voterBit(h.from)
-	if r.seen[b/64]&(1<<(b%64)) != 0 && slices.Contains(r.votes, h) {
-		return
+	if !slices.Contains(r.votes, h) {
+		r.votes = append(r.votes, h)
 	}
-	r.seen[b/64] |= 1 << (b % 64)
-	r.votes = append(r.votes, h)
 }
 
 // held returns the votes of r, none when r is nil (no record).
@@ -242,16 +236,12 @@ func (r *heldRecord) held() []holder {
 const (
 	maxHeldDigests = 256
 	maxHeldVotes   = 128
-	heldVotesRoom  = 16
 )
 
 // seedHolders returns a record of digest holding the votes for it the inbox's
-// lending index holds, and forwardGossip's reference. Its votes start with room
-// for heldVotesRoom: a ModeSync record hears a vote from about every member of
-// its neighbours before its copies leave, and a slice grown from none by
-// append reallocates five times on the way to 16.
+// lending index holds, and forwardGossip's reference.
 func (n *Node) seedHolders(digest crypto.Digest) *heldRecord {
-	r := &heldRecord{votes: make([]holder, 0, heldVotesRoom), refs: 1}
+	r := &heldRecord{refs: 1}
 	n.inbox.Voters(digest, func(src group.Key, from ids.NodeID, kind group.Kind) {
 		if kind == kindGossip && len(r.votes) < maxHeldVotes && n.memberOf(src, from) {
 			r.keep(holder{from: from, src: src})

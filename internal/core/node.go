@@ -597,10 +597,6 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 type compStore struct {
 	byGroup map[ids.GroupID][]group.Composition
 	q       []group.Key
-	// last is the composition exact found last, zero when none or dropped:
-	// the items of one carrier, and the votes of one link, name one key in a
-	// row. A key's composition never changes, so last only goes stale by drop.
-	last group.Composition
 }
 
 // findEpoch returns where epoch is, or belongs, in a vgroup's list.
@@ -610,13 +606,9 @@ func findEpoch(list []group.Composition, epoch uint64) (int, bool) {
 
 // exact returns the composition of k.
 func (s *compStore) exact(k group.Key) (group.Composition, bool) {
-	if s.last.GroupID != 0 && s.last.Key() == k {
-		return s.last, true
-	}
 	list := s.byGroup[k.GroupID]
 	if i, ok := findEpoch(list, k.Epoch); ok {
-		s.last = list[i]
-		return s.last, true
+		return list[i], true
 	}
 	return group.Composition{}, false
 }
@@ -648,9 +640,6 @@ func (s *compStore) add(c group.Composition) bool {
 
 // drop forgets the composition of k.
 func (s *compStore) drop(k group.Key) {
-	if s.last.Key() == k {
-		s.last = group.Composition{}
-	}
 	list := s.byGroup[k.GroupID]
 	if i, ok := findEpoch(list, k.Epoch); ok {
 		list = slices.Delete(list, i, i+1)

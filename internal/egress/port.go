@@ -76,7 +76,7 @@ type Rules struct {
 	Holds    group.Holds
 	// RelayLag is how long a relayed copy toward a member this member is the
 	// RelaySender of waits for the vote that makes its payloads redundant;
-	// zero sends it as the batch is framed.
+	// with zero it leaves as soon as its batch is framed.
 	RelayLag time.Duration
 	// Left, when set, is told of each item of a group batch once it has left
 	// the port: when it is withdrawn, when its batch is framed, or, if the
@@ -103,7 +103,7 @@ type Port struct {
 	// and parkedTo the members they parked, in the same order.
 	parked   []parkedFlush
 	parkedTo []ids.NodeID
-	// park, made once, appends to parkedTo (nil without a RelayLag).
+	// park, made once, appends to parkedTo.
 	park group.Park
 }
 
@@ -125,9 +125,7 @@ func NewPort(cfg Config, r Rules) *Port {
 	if r.Withdraw != nil {
 		cfg.Withdraw = p.withdraw
 	}
-	if r.RelayLag > 0 {
-		p.park = func(to ids.NodeID) { p.parkedTo = append(p.parkedTo, to) }
-	}
+	p.park = func(to ids.NodeID) { p.parkedTo = append(p.parkedTo, to) }
 	p.Scheduler = New(cfg)
 	return p
 }
@@ -245,6 +243,10 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 	}
 	due := p.now() + p.rules.RelayLag
 	p.parked = append(p.parked, parkedFlush{due: due, src: src, dst: dst, items: slices.Clone(items), members: members})
+	if p.rules.RelayLag == 0 {
+		p.release(false)
+		return
+	}
 	p.arm(due)
 }
 

@@ -195,6 +195,23 @@ func TestParkedCopyLeavesAfterLag(t *testing.T) {
 	}
 }
 
+// TestZeroLagSendsRelayedCopyAtOnce: with no RelayLag the copy toward each
+// member this member relays to takes the same path — framed item by item — but
+// leaves with its batch, and nothing stays parked.
+func TestZeroLagSendsRelayedCopyAtOnce(t *testing.T) {
+	r := newRelayRig(t, 0)
+	r.hold(r.mine[0], 1)
+	r.round()
+	sent := r.payloads(t)
+	if len(sent) != r.dst.N() || sent[r.mine[0]] != 2 || sent[r.mine[1]] != 3 || r.p.Parked() != 0 {
+		t.Fatalf("relayed payloads sent %v, %d parked; want a copy to all %d, 2 to %v, 3 to %v, none parked",
+			sent, r.p.Parked(), r.dst.N(), r.mine[0], r.mine[1])
+	}
+	if r.left != len(r.items) || r.p.Withheld() != 1 {
+		t.Errorf("Left heard of %d items and %d payloads were withheld, want %d and 1", r.left, r.p.Withheld(), len(r.items))
+	}
+}
+
 // TestRelayedBatchAllocs pins what a relayed batch whose copy parks and leaves
 // costs the port beyond a plain batch, so that framing a parked copy per member
 // cannot creep: once the rig is warm, a round — three items queued, the tick,

@@ -222,8 +222,8 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 // toward one holds names a holder of it. Every copy but those carries the same
 // lean frame, without relayed payloads, and so does the copy toward a member
 // holds names a holder of every relayed payload. The copy toward any other
-// member self relays to is handed to park when park is set (see Park), and
-// otherwise framed for that member alone, item by item. Destination order is
+// member self relays to is handed to park (see Park), which must be set when
+// an item is Relay; SendRelayed frames it item by item. Destination order is
 // randomized against incast (§5.1). batchID becomes the carrier's MsgID, which
 // no receiver reads: the inner MsgIDs take part in inbox majority matching,
 // and the engine sends zero. For the same reason the carrier's PayloadDigest
@@ -267,15 +267,8 @@ func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, ds
 		case relays == 0 || !isRelaySender(idx, rot, src.N(), i):
 		case holds.all(dst.Key(), to, items):
 			withheld += relays
-		case park != nil:
-			park(to)
-			continue
 		default:
-			r := copyRule{full: full, relay: true, holds: holds, dst: dst.Key(), to: to}
-			var w int
-			msg.Payload, w = encodeBatchFrame(items, &r)
-			withheld += w
-			send(to, msg)
+			park(to)
 			continue
 		}
 		if lean == nil {

@@ -608,10 +608,10 @@ func TestSendBatchDigestOptimization(t *testing.T) {
 
 // TestRelayItemsReachEachMemberOnce: a Relay item's payload reaches each
 // destination member from the one source member RelaySender names, through
-// Send and SendBatch alike, and every other sender's copy names its digest. A
-// member holds names a holder gets the digest from its RelaySender too, which
-// counts the payload withheld. Beside it in a carrier, an ordinary item keeps
-// the majority rule.
+// Send and SendBatch alike — handed to park and sent by SendRelayed — and
+// every other sender's copy names its digest. A member holds names a holder
+// gets the digest from its RelaySender too, which counts the payload withheld.
+// Beside it in a carrier, an ordinary item keeps the majority rule.
 func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 1; n <= 8; n++ {
@@ -637,7 +637,12 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 						}
 						carried[to] = c
 					}
-					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds, nil)
+					var parked []ids.NodeID
+					park := func(to ids.NodeID) { parked = append(parked, to) }
+					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds, park)
+					for _, to := range parked {
+						withheld += SendRelayed(send, src, m.ID, dst, to, Kind(99), []BatchItem{relayed}, holds)
+					}
 					sendBatch := func(to ids.NodeID, msg actor.Message) {
 						inner, err := UnpackBatch(msg.(GroupMsg))
 						if err != nil {
@@ -652,7 +657,11 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 						}
 						carried[to] = c
 					}
-					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds, nil)
+					parked = parked[:0]
+					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds, park)
+					for _, to := range parked {
+						withheld += SendRelayed(sendBatch, src, m.ID, dst, to, Kind(99), items, holds)
+					}
 				}
 				wantWithheld := 0
 				for j, member := range dst.Members {
@@ -673,9 +682,9 @@ func TestRelayItemsReachEachMemberOnce(t *testing.T) {
 	}
 }
 
-// TestParkedCopyFramedItemByItem: with a Park set, Send and SendBatch hand
-// back the copy toward each member self relays to, unless holds names the
-// member a holder of every relayed payload, and send every other copy at once.
+// TestParkedCopyFramedItemByItem: Send and SendBatch hand back the copy toward
+// each member self relays to, unless holds names the member a holder of every
+// relayed payload, and send every other copy at once.
 // SendRelayed then frames the parked copy item by item, asking holds again:
 // each relayed payload the member has come to hold since goes as its digest,
 // each other one in full, and the ordinary item keeps the majority rule.

@@ -159,11 +159,11 @@ type SendFn func(to ids.NodeID, msg actor.Message)
 // bytes and applies it before it gets here (core's gossip). A Relay item's
 // payload goes only to the destination members self is the RelaySender of,
 // and not to one holds names a holder; the copy toward any other of them is
-// handed to park instead of sent, when park is set (see Park), and sent with
-// the payload otherwise. Destination order is randomized to avoid incast
-// bursts (§5.1). The payload is hashed only when it.Digest is not set. attach
-// is this sender's own attachment (nil: none). Send returns how many payloads
-// it withheld from a holder.
+// handed to park instead of sent (see Park), which must be set for a Relay
+// item. Destination order is randomized to avoid incast bursts (§5.1). The
+// payload is hashed only when it.Digest is not set. attach is this sender's
+// own attachment (nil: none). Send returns how many payloads it withheld from
+// a holder.
 func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem, attach []byte, holds Holds, park Park) (withheld int) {
 	msg := GroupMsg{
 		SrcGroup:      src.GroupID,
@@ -185,19 +185,15 @@ func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Com
 		rot = relayRotation(src, dst)
 	}
 	for _, i := range order {
-		to, m := dst.Members[i].ID, msg
+		to := dst.Members[i].ID
 		if it.Relay && it.Payload != nil && isRelaySender(idx, rot, src.N(), i) {
-			switch {
-			case holds.has(dst.Key(), to, msg.PayloadDigest):
-				withheld++
-			case park != nil:
+			if !holds.has(dst.Key(), to, msg.PayloadDigest) {
 				park(to)
 				continue
-			default:
-				m.Payload = it.Payload
 			}
+			withheld++
 		}
-		send(to, m)
+		send(to, msg)
 	}
 	return withheld
 }
@@ -240,8 +236,8 @@ func (h Holds) has(dst Key, member ids.NodeID, digest crypto.Digest) bool {
 
 // Park takes back from Send and SendBatch a copy toward a destination member
 // whose RelaySender self is and whose relayed payloads holds does not all name
-// it a holder of: the caller sends it later with SendRelayed, when a vote
-// heard meanwhile may have made the bytes redundant.
+// it a holder of: the caller sends it with SendRelayed — later, when a vote
+// heard meanwhile may have made the bytes redundant, or at once.
 type Park func(to ids.NodeID)
 
 // copyRule says which payloads one sender's copy toward one destination

@@ -94,11 +94,6 @@ type entry struct {
 	// starved: a majority voted the payload digest that is this message's
 	// MsgID, and no source's entry holds the bytes.
 	starved bool
-	// firstVotes and firstPayload back votes and payloads until they outgrow
-	// them: the majority of a typical vgroup, and the one payload most
-	// entries hold, cost no allocation of their own.
-	firstVotes   [4]vote
-	firstPayload [1]heldDigest
 }
 
 // vote is what one sender said of a message: its kind and the digest of its
@@ -225,13 +220,10 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	s := ib.sources[src]
 	var e *entry
 	if s != nil {
-		// A MsgID is pending or done, never both: a vote for a message still
-		// collecting needs no probe of the done map.
-		if e = s.pending[msg.MsgID]; e == nil {
-			if _, accepted := s.done[msg.MsgID]; accepted {
-				return Accepted{}, false
-			}
+		if _, accepted := s.done[msg.MsgID]; accepted {
+			return Accepted{}, false
 		}
+		e = s.pending[msg.MsgID]
 	}
 	store := msg.Payload != nil && (e == nil || e.held(msg.PayloadDigest) == nil)
 	if store && !msg.hashed && crypto.Hash(msg.Payload) != msg.PayloadDigest {
@@ -244,8 +236,8 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 		} else if len(s.pending) >= maxEntriesPerKey || s.opened(from) >= maxOpenPerSender {
 			return Accepted{}, false
 		}
-		e = &entry{firstAt: now, shared: msg.MsgID == msg.PayloadDigest}
-		e.votes, e.payloads = e.firstVotes[:0], e.firstPayload[:0]
+		// Room for the majority of a typical vgroup without regrowing.
+		e = &entry{firstAt: now, votes: make([]vote, 0, 4), shared: msg.MsgID == msg.PayloadDigest}
 		s.pending[msg.MsgID] = e
 		if e.shared {
 			ib.shared[msg.MsgID] = append(ib.shared[msg.MsgID], src)
@@ -351,9 +343,6 @@ func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
 // digest whose payload is held — or, on a shared entry whose MsgID it is, can
 // be borrowed — can be accepted.
 func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
-	if e.starved && len(e.payloads) == 0 {
-		return Accepted{}, false // no digest has a payload, none can borrow one
-	}
 	comp, known := ib.lookup(src)
 	if !known {
 		return Accepted{}, false
