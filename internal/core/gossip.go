@@ -178,8 +178,8 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 // the record from the votes the inbox holds when the broadcast is delivered,
 // before deliver settles them; observeCopy adds every copy it turns away while
 // the forwards wait. A digest's record lives until the last of its queued or
-// parked copies has left the egress port (refHolders, gossipLeft), however many
-// round ticks that spans. Two rules read it, and they only withhold sends — it
+// parked copies has left the egress port or been withdrawn (refHolders,
+// gossipLeft, withdrawGossip), however many round ticks that spans. Two rules read it, and they only withhold sends — it
 // never decides a delivery:
 //
 //   - the link rule (linkHeld): K is sent no vote once f+1 members of K voted
@@ -268,7 +268,7 @@ func (n *Node) refHolders(digest crypto.Digest, delta int) {
 	}
 }
 
-// gossipLeft is told of every item that left the egress port
+// gossipLeft is told of every item whose copies left the egress port
 // (egress.Rules.Left): a gossip copy's record loses a reference.
 func (n *Node) gossipLeft(it group.BatchItem) {
 	if it.Kind == kindGossip {
@@ -295,12 +295,14 @@ func linkHeld(held []holder, k group.Composition, f int) bool {
 }
 
 // withdrawGossip is the link rule asked again as a batch toward dst closes
-// (egress.Rules.Withdraw).
+// (egress.Rules.Withdraw). A copy it withdraws never leaves, so it drops the
+// copy's reference to the record itself.
 func (n *Node) withdrawGossip(dst group.Composition, it group.BatchItem) bool {
 	if it.Kind != kindGossip || !linkHeld(n.holders[it.Digest].held(), dst, n.cfg.Mode.F(dst.N())) {
 		return false
 	}
 	n.counts.GossipWithdrawn++
+	n.refHolders(it.Digest, -1)
 	return true
 }
 

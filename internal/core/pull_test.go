@@ -437,3 +437,58 @@ func TestDeliveredIndexBounded(t *testing.T) {
 		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, len(x.at))
 	}
 }
+
+// TestPullsFollowStarved: three sources flood member 4 of B with majority
+// votes for broadcasts it has no bytes of, a few more each round, some voted by
+// two sources at once. After every repairTick the node has exactly one pull
+// open per digest the inbox reports starved at that tick; once SettleAll has
+// released the entries, the next tick leaves none.
+func TestPullsFollowStarved(t *testing.T) {
+	B := testComp(3, 1, 4, 5, 6)
+	sources := []group.Composition{testComp(2, 1, 11, 12, 13), testComp(7, 1, 21, 22, 23), testComp(8, 2, 31, 32, 33)}
+	n, _ := memberNode(t, 4, B, sources[0])
+	for _, s := range sources[1:] {
+		n.learnComp(s)
+	}
+	vote := func(src group.Composition, digest crypto.Digest) {
+		for _, m := range src.Members[:src.Majority()] {
+			n.Receive(m.ID, group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: B.GroupID, DstEpoch: B.Epoch,
+				Kind: kindGossip, MsgID: digest, PayloadDigest: digest})
+		}
+	}
+	starved := func() []crypto.Digest {
+		var ds []crypto.Digest
+		n.inbox.Starved(func(d crypto.Digest, _ []ids.NodeID) { ds = append(ds, d) })
+		return ds
+	}
+	var all []crypto.Digest
+	round := n.cfg.RoundDuration
+	for tick := 1; tick <= 6; tick++ {
+		for i, src := range sources {
+			for k := 0; k < 4; k++ {
+				_, d := gossipOf(fmt.Sprintf("flood-%d-%d-%d", tick, i, k))
+				vote(src, d)
+				if k == 0 { // the next source votes it too: one entry per source, one digest
+					vote(sources[(i+1)%len(sources)], d)
+				}
+				all = append(all, d)
+			}
+		}
+		at(time.Second+time.Duration(tick)*round, n)
+		n.repairTick(n.Now())
+		if got, want := len(n.rep.pulls), len(starved()); got != want || want != len(all) {
+			t.Fatalf("tick %d: %d pulls open, the inbox starved of %d digests, %d voted; want all three equal", tick, got, want, len(all))
+		}
+	}
+	for _, d := range all {
+		n.inbox.SettleAll(d)
+	}
+	if ds := starved(); len(ds) != 0 {
+		t.Fatalf("%d digests still starved after SettleAll", len(ds))
+	}
+	at(n.Now()+round, n)
+	n.repairTick(n.Now())
+	if len(n.rep.pulls) != 0 {
+		t.Errorf("%d pulls open after every starved entry was released, want none", len(n.rep.pulls))
+	}
+}

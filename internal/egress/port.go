@@ -7,9 +7,9 @@ package egress
 //
 //   - Group: a group message to every member of a vgroup. A kind a carrier may
 //     deliver is queued on the Scheduler, whose batches come back through frame
-//     as ordinary group messages (one item) or carriers; any other kind (merge
-//     negotiation) leaves alone. In the synchronous engine both wait for the
-//     round tick: FlushDeferred frames the round.
+//     to the fan-out; any other kind (merge negotiation) leaves alone. In the
+//     synchronous engine both wait for the round tick: FlushDeferred frames the
+//     round.
 //   - ToNode: a group message to one node (snapshots, the backward-mode join
 //     redirect), never queued or held.
 //   - Node: a node-level message (NodeMsg), never queued or held.
@@ -22,14 +22,20 @@ package egress
 // node-addressed queues directly. Below all of it sit the two bottom paths:
 // sendGroup, toward a vgroup's members, and sendDirect, to a single node.
 //
-// On a relayed hop the copy toward each destination member this member is
-// the RelaySender of (group.RelaySender) is parked for Rules.RelayLag and
-// framed item by item when it leaves: every relayed payload the destination
-// member is by then known to hold (Rules.Holds) goes as its digest alone. A
-// crossing — two neighbors that deliver at once and send each other the bytes
-// — costs one lag instead of a payload. Every other copy leaves as the batch
-// is framed. The parked copies keep their captured src/dst and leave at the
-// Scheduler's timer (Config.Arm, OnTimer) or at FlushAll, whichever is first.
+// What a copy carries is group's one rule (group.CopyRule), and every copy is
+// built by group.Copy: one item is a plain message, several a carrier. Who
+// gets which copy is decided here, in one loop, fanOut, which a group batch
+// and GroupAttach both take: in a random order against incast (§5.1), every
+// destination member gets the lean copy — ordinary payloads from a majority
+// member, no relayed payload — except, on a relayed hop, the members this
+// member is the RelaySender of (group.RelaySender). Of those, one that
+// Rules.Holds already names a holder of every relayed payload gets the lean
+// copy too; the copy toward any other parks for Rules.RelayLag and is built
+// when it leaves, each relayed payload the member is by then known to hold
+// going as its digest alone. A crossing — two neighbors that deliver at once
+// and send each other the bytes — costs one lag instead of a payload. The
+// parked copies keep their captured src/dst and leave at the Scheduler's timer
+// (Config.Arm, OnTimer) or at FlushAll, whichever is first.
 //
 // Correctness needs no cross-member coordination: the receiver votes each
 // inner item into its inbox under the item's own MsgID, so members whose
@@ -69,19 +75,20 @@ type Rules struct {
 	MuteGroup, MuteDirect func() bool
 	// Withdraw and Holds are the engine's withholding rules, read as a batch
 	// leaves: Withdraw drops an item of a group batch before the scheduler
-	// counts its carriers (Config.Withdraw), and Holds names the destination
-	// members that need no relayed payload (group.Holds), asked again as each
-	// parked copy leaves. Either may be nil.
+	// counts its carriers (Config.Withdraw) — what it drops never left, so Left
+	// is not told of it — and Holds names the destination members that need no
+	// relayed payload (group.Holds), asked again as each parked copy leaves.
+	// Either may be nil.
 	Withdraw func(dst group.Composition, it group.BatchItem) bool
 	Holds    group.Holds
 	// RelayLag is how long a relayed copy toward a member this member is the
 	// RelaySender of waits for the vote that makes its payloads redundant;
 	// with zero it leaves as soon as its batch is framed.
 	RelayLag time.Duration
-	// Left, when set, is told of each item of a group batch once it has left
-	// the port: when it is withdrawn, when its batch is framed, or, if the
-	// batch parked a copy, when the last parked copy leaves — so the engine
-	// knows until when Withdraw and Holds are read for it.
+	// Left, when set, is told of each item of a group batch once its copies
+	// have left the port: when its batch is framed, or, if the batch parked a
+	// copy, when the last parked copy leaves — so the engine knows until when
+	// Holds is read for it.
 	Left func(it group.BatchItem)
 }
 
@@ -103,8 +110,6 @@ type Port struct {
 	// and parkedTo the members they parked, in the same order.
 	parked   []parkedFlush
 	parkedTo []ids.NodeID
-	// park, made once, appends to parkedTo.
-	park group.Park
 }
 
 // parkedFlush is one framed batch whose copies toward members leave later:
@@ -121,11 +126,7 @@ type parkedFlush struct {
 // is the port's own framing, its Withdraw the engine's (Rules.Withdraw).
 func NewPort(cfg Config, r Rules) *Port {
 	p := &Port{rules: r}
-	cfg.Flush = p.frame
-	if r.Withdraw != nil {
-		cfg.Withdraw = p.withdraw
-	}
-	p.park = func(to ids.NodeID) { p.parkedTo = append(p.parkedTo, to) }
+	cfg.Flush, cfg.Withdraw = p.frame, r.Withdraw
 	p.Scheduler = New(cfg)
 	return p
 }
@@ -151,19 +152,15 @@ func (p *Port) Group(src, dst group.Composition, it group.BatchItem) {
 
 // GroupAttach is Group for a message that carries this member's attachment:
 // the receiver votes it like any group message, so only the majority members
-// send the payload, but it leaves at once.
+// send the payload, but it leaves at once. The item is never Relay.
 func (p *Port) GroupAttach(src, dst group.Composition, it group.BatchItem, attach []byte) {
-	group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, it, attach, nil, nil)
+	p.fanOut(src, dst, []group.BatchItem{it}, attach)
 }
 
 // ToNode sends one logical group message from src to a single node. As
 // toward a vgroup, only a majority member of src sends the payload.
 func (p *Port) ToNode(src group.Composition, to ids.NodeID, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	msg := message(src, 0, kind, msgID, payload, nil)
-	if idx := src.Index(p.rules.Self); idx < 0 || idx >= src.Majority() {
-		msg.Payload = nil
-	}
-	p.sendDirect(to, msg)
+	p.sendDirect(to, p.single(src, 0, kind, msgID, payload, nil, p.full(src)))
 }
 
 // Chained sends this member's copy of a certificate-mode message, with its
@@ -171,7 +168,7 @@ func (p *Port) ToNode(src group.Composition, to ids.NodeID, kind group.Kind, msg
 // by its chain, and votes nothing: every member sends the payload, and the
 // copy names no destination epoch.
 func (p *Port) Chained(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload, attach []byte) {
-	msg := message(src, dst.GroupID, kind, msgID, payload, attach)
+	msg := p.single(src, dst.GroupID, kind, msgID, payload, attach, true)
 	for _, i := range p.env.Rand().Perm(dst.N()) {
 		p.sendGroup(dst.Members[i].ID, msg)
 	}
@@ -179,14 +176,23 @@ func (p *Port) Chained(src, dst group.Composition, kind group.Kind, msgID crypto
 
 // ChainedTo is Chained to a single node.
 func (p *Port) ChainedTo(src group.Composition, to ids.NodeID, kind group.Kind, msgID crypto.Digest, payload, attach []byte) {
-	p.sendDirect(to, message(src, 0, kind, msgID, payload, attach))
+	p.sendDirect(to, p.single(src, 0, kind, msgID, payload, attach, true))
 }
 
-// message is this member's copy of one logical group message, payload and
-// attachment included; the destination epoch is left out.
-func message(src group.Composition, dst ids.GroupID, kind group.Kind, msgID crypto.Digest, payload, attach []byte) group.GroupMsg {
-	return group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst, Kind: kind, MsgID: msgID,
-		PayloadDigest: crypto.Hash(payload), Payload: payload, Attach: attach}
+// single is this member's copy of one logical group message toward dst (0: a
+// single node), its payload carried when full; the destination epoch is left
+// out.
+func (p *Port) single(src group.Composition, dst ids.GroupID, kind group.Kind, msgID crypto.Digest, payload, attach []byte, full bool) group.GroupMsg {
+	hdr := group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst, Attach: attach}
+	msg, _ := group.Copy(hdr, p.rules.Carrier, []group.BatchItem{{Kind: kind, MsgID: msgID, Payload: payload}}, group.CopyRule{Full: full})
+	return msg
+}
+
+// full reports whether this member is a majority member of src: its copies
+// carry ordinary payloads (§5.1).
+func (p *Port) full(src group.Composition) bool {
+	idx := src.Index(p.rules.Self)
+	return idx >= 0 && idx < src.Majority()
 }
 
 // Node sends one node-level message.
@@ -214,28 +220,15 @@ func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
 //
 // A node-addressed batch (raw traffic) is link-authenticated and carries full
 // payloads, and is never held for a round: tier-2 data must not wait for
-// round boundaries. A single item leaves as a plain message — a carrier frame
-// would only add overhead. A carrier's MsgID is zero, like its PayloadDigest:
-// the receiver votes the inner items under their own MsgIDs and reads neither.
+// round boundaries. A group batch goes to the fan-out.
 func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
-	switch it := items[0]; {
-	case node != 0 && len(items) == 1:
-		// The engine sets a raw item's MsgID to its payload hash, so the
-		// digest is already computed (the idle fast path is per-chunk hot).
-		p.sendDirect(node, group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch,
-			Kind: it.Kind, MsgID: it.MsgID, PayloadDigest: it.MsgID, Payload: it.Payload})
-		return
-	case node != 0:
-		group.SendBatchToNode(p.sendDirect, src, p.rules.Self, node, p.rules.Carrier, crypto.Digest{}, items)
+	if node != 0 {
+		msg, _ := group.Copy(group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch}, p.rules.Carrier, items, group.CopyRule{Full: true})
+		p.sendDirect(node, msg)
 		return
 	}
-	// A group batch: the copies this member relays to may park.
 	before := len(p.parkedTo)
-	if len(items) == 1 {
-		p.withheld += uint64(group.Send(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, items[0], nil, p.rules.Holds, p.park))
-	} else {
-		p.withheld += uint64(group.SendBatch(p.sendGroup, p.env.Rand(), src, p.rules.Self, dst, p.rules.Carrier, crypto.Digest{}, items, p.rules.Holds, p.park))
-	}
+	p.fanOut(src, dst, items, nil)
 	members := len(p.parkedTo) - before
 	if members == 0 {
 		p.left(items)
@@ -250,16 +243,60 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 	p.arm(due)
 }
 
-// withdraw is the Scheduler's Withdraw: the engine's rule, and Left for what
-// it drops.
-func (p *Port) withdraw(dst group.Composition, it group.BatchItem) bool {
-	if !p.rules.Withdraw(dst, it) {
-		return false
+// fanOut sends this member's copy of items to every member of dst, in a random
+// order against incast (§5.1). Every member gets the lean copy — the majority
+// rule's, with no relayed payload — but the members this member is the
+// RelaySender of whose copy would carry one: those it appends to parkedTo, for
+// the caller to park. A served member that Rules.Holds names a holder of every
+// relayed payload gets the lean copy, and the payloads count as withheld.
+func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attach []byte) {
+	idx := src.Index(p.rules.Self)
+	rule := group.CopyRule{Full: idx >= 0 && idx < src.Majority()}
+	// relays counts the relayed payloads this member may serve; the member
+	// at index j of dst is served by the one at (j+rot) mod N.
+	relays, rot := 0, 0
+	for i := range items {
+		if items[i].Relay && items[i].Payload != nil && idx >= 0 {
+			relays++
+		}
 	}
-	if p.rules.Left != nil {
-		p.rules.Left(it)
+	if relays > 0 {
+		rot = group.RelaySender(src, dst, 0)
 	}
-	return true
+	hdr := group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, Attach: attach}
+	var lean group.GroupMsg
+	built := false
+	for _, j := range p.env.Rand().Perm(dst.N()) {
+		to := dst.Members[j].ID
+		if relays > 0 && (j+rot)%src.N() == idx {
+			if served := p.served(src, dst, to); carriesRelayed(&served, items) {
+				p.parkedTo = append(p.parkedTo, to)
+				continue
+			}
+			p.withheld += uint64(relays)
+		}
+		if !built {
+			lean, _ = group.Copy(hdr, p.rules.Carrier, items, rule)
+			built = true
+		}
+		p.sendGroup(to, lean)
+	}
+}
+
+// served is the rule of this member's copy toward member to of dst, whose
+// RelaySender it is, as Rules.Holds says when it is asked.
+func (p *Port) served(src, dst group.Composition, to ids.NodeID) group.CopyRule {
+	return group.CopyRule{Full: p.full(src), Relay: true, Holds: p.rules.Holds, Dst: dst.Key(), To: to}
+}
+
+// carriesRelayed reports whether the copy r rules carries a relayed payload.
+func carriesRelayed(r *group.CopyRule, items []group.BatchItem) bool {
+	for i := range items {
+		if items[i].Relay && r.Carries(&items[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 // left tells the engine the items have left (Rules.Left).
@@ -286,15 +323,17 @@ func (p *Port) FlushAll() {
 }
 
 // release sends the parked copies that are due — all of them when all is set
-// — each framed item by item as Rules.Holds says now, and arms the timer for
-// the next one.
+// — each built as Rules.Holds says now, and arms the timer for the next one.
 func (p *Port) release(all bool) {
 	now := p.now()
 	n, to := 0, 0
 	for ; n < len(p.parked) && (all || p.parked[n].due <= now); n++ {
 		f := &p.parked[n]
+		hdr := group.GroupMsg{SrcGroup: f.src.GroupID, SrcEpoch: f.src.Epoch, DstGroup: f.dst.GroupID, DstEpoch: f.dst.Epoch}
 		for _, member := range p.parkedTo[to : to+f.members] {
-			p.withheld += uint64(group.SendRelayed(p.sendGroup, f.src, p.rules.Self, f.dst, member, p.rules.Carrier, f.items, p.rules.Holds))
+			msg, withheld := group.Copy(hdr, p.rules.Carrier, f.items, p.served(f.src, f.dst, member))
+			p.withheld += uint64(withheld)
+			p.sendGroup(member, msg)
 		}
 		to += f.members
 		p.left(f.items)

@@ -237,3 +237,283 @@ func TestRelayedBatchAllocs(t *testing.T) {
 		t.Fatalf("a relayed round with a parked copy allocates %.1f objects, want <= 13", avg)
 	}
 }
+
+// newFanPort is a port for member self whose group batches wait for the tick
+// (FlushDeferred) and whose carriers are of kind 99; holds is its Rules.Holds.
+func newFanPort(self ids.NodeID, seed int64, holds group.Holds) (*Port, *portEnv) {
+	env := &portEnv{now: time.Second, rng: rand.New(rand.NewSource(seed))}
+	never := func() bool { return false }
+	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
+		Now: env.Now, Arm: func(time.Duration) {}},
+		Rules{Self: self, Sync: true, Carrier: 99, CarrierOK: func(group.Kind) bool { return true },
+			MuteGroup: never, MuteDirect: never, Holds: holds, RelayLag: 3 * time.Millisecond})
+	p.Start(env)
+	return p, env
+}
+
+// tick sends items from src to dst through p as one batch, at the round tick.
+func tick(p *Port, src, dst group.Composition, items ...group.BatchItem) {
+	for _, it := range items {
+		p.Group(src, dst, it)
+	}
+	p.FlushDeferred()
+}
+
+// compOf is a composition of the members named.
+func compOf(gid ids.GroupID, epoch uint64, members ...ids.NodeID) group.Composition {
+	c := group.Composition{GroupID: gid, Epoch: epoch}
+	for _, m := range members {
+		c.Members = append(c.Members, ids.Identity{ID: m})
+	}
+	return c
+}
+
+// batchItems are ordinary items of kind 1 carrying the payloads given.
+func batchItems(payloads ...string) []group.BatchItem {
+	var items []group.BatchItem
+	for i, p := range payloads {
+		items = append(items, group.BatchItem{Kind: 1, MsgID: crypto.HashUint64(crypto.Hash([]byte("item")), uint64(i)), Payload: []byte(p)})
+	}
+	return items
+}
+
+// inner unpacks a carrier (kind 99), or returns a plain message as itself.
+func inner(t *testing.T, m group.GroupMsg) []group.GroupMsg {
+	t.Helper()
+	if m.Kind != 99 {
+		return []group.GroupMsg{m}
+	}
+	items, err := group.UnpackBatch(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return items
+}
+
+// fullItems counts the payloads a copy carries: its own, or its carrier's.
+func fullItems(t *testing.T, m group.GroupMsg) int {
+	t.Helper()
+	full := 0
+	for _, im := range inner(t, m) {
+		if im.Payload != nil {
+			full++
+		}
+	}
+	return full
+}
+
+// TestSendDigestOptimization: of the members of the source, the ⌊N/2⌋+1 with
+// the lowest indices send a lone item's payload and the rest its digest, to
+// every member of the destination (§5.1). An item built without its payload is
+// a digest-only vote from the lowest-index member too.
+func TestSendDigestOptimization(t *testing.T) {
+	src := compOf(1, 1, 1, 2, 3, 4, 5) // majority = 3
+	dst := compOf(2, 1, 10, 11, 12)
+	payload := []byte("data")
+	it := group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("m1")), Payload: payload}
+
+	fullSenders := 0
+	for _, m := range src.Members {
+		p, env := newFanPort(m.ID, 1, nil)
+		tick(p, src, dst, it)
+		if len(env.sent) != dst.N() {
+			t.Fatalf("sent %d copies, want %d", len(env.sent), dst.N())
+		}
+		if env.sent[0].Payload != nil {
+			fullSenders++
+		}
+		for _, c := range env.sent {
+			if c.PayloadDigest != crypto.Hash(payload) {
+				t.Error("wrong payload digest")
+			}
+		}
+	}
+	if fullSenders != src.Majority() {
+		t.Errorf("%d members sent full payloads, want exactly majority %d", fullSenders, src.Majority())
+	}
+
+	p, env := newFanPort(src.Members[0].ID, 1, nil)
+	tick(p, src, dst, group.BatchItem{Kind: 1, MsgID: it.MsgID, Digest: crypto.Hash(payload)})
+	for _, c := range env.sent {
+		if c.Payload != nil || c.PayloadDigest != crypto.Hash(payload) {
+			t.Errorf("payload-less item sent as payload %q, digest %x", c.Payload, c.PayloadDigest[:4])
+		}
+	}
+}
+
+// TestSendBatchDigestOptimization mirrors TestSendDigestOptimization for a
+// carrier: members with the lowest ⌊N/2⌋+1 indices send full payloads, the
+// rest digest-only copies.
+func TestSendBatchDigestOptimization(t *testing.T) {
+	src := compOf(1, 1, 1, 2, 3, 4, 5)
+	dst := compOf(2, 1, 10, 11, 12)
+	items := batchItems("payload-a", "payload-b")
+
+	countFull := func(self ids.NodeID) (full, digest int) {
+		p, env := newFanPort(self, 1, nil)
+		tick(p, src, dst, items...)
+		if len(env.sent) != dst.N() {
+			t.Fatalf("sent %d copies, want %d", len(env.sent), dst.N())
+		}
+		for _, im := range inner(t, env.sent[0]) {
+			if im.Payload != nil {
+				full++
+			} else {
+				digest++
+			}
+			if im.SrcGroup != src.GroupID || im.DstGroup != dst.GroupID {
+				t.Error("inner item did not inherit carrier headers")
+			}
+		}
+		return full, digest
+	}
+
+	if full, _ := countFull(1); full != len(items) {
+		t.Errorf("low-index member sent %d full payloads, want %d", full, len(items))
+	}
+	if _, digest := countFull(5); digest != len(items) {
+		t.Errorf("high-index member must send digest-only items, got %d", digest)
+	}
+	// An item built without its payload is a digest-only vote from any member.
+	items[0].Digest, items[0].Payload = crypto.Hash(items[0].Payload), nil
+	if full, digest := countFull(1); full != 1 || digest != 1 {
+		t.Errorf("low-index member sent %d full and %d digest-only items, want the payload-less item digest-only", full, digest)
+	}
+}
+
+// TestRelayItemsReachEachMemberOnce: a Relay item's payload reaches each
+// destination member from the one source member RelaySender names, alone and
+// in a carrier alike — parked, and sent when the port flushes — and every
+// other sender's copy names its digest. A member Rules.Holds names a holder
+// gets the digest from its RelaySender too, which counts the payload withheld.
+// Beside it in a carrier, an ordinary item keeps the majority rule. No flush
+// sends more than two different copies: the lean one and the served one.
+func TestRelayItemsReachEachMemberOnce(t *testing.T) {
+	all := []ids.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
+	for n := 1; n <= 8; n++ {
+		for k := 1; k <= 8; k++ {
+			src := compOf(1, uint64(n), all[:n]...)
+			dst := compOf(2, uint64(k), 11, 12, 13, 14, 15, 16, 17, 18)
+			dst.Members = dst.Members[:k]
+			relayed := batchItems("relayed")[0]
+			relayed.Relay = true
+			ordinary := batchItems("ordinary")[0]
+			holder := dst.Members[k-1].ID
+			for _, holds := range []group.Holds{nil, func(d group.Key, j ids.NodeID, digest crypto.Digest) bool {
+				return d == dst.Key() && j == holder && digest == crypto.Hash(relayed.Payload)
+			}} {
+				carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads alone, in a carrier
+				withheld := uint64(0)
+				for idx, m := range src.Members {
+					p, env := newFanPort(m.ID, 3, holds)
+					for path, items := range [][]group.BatchItem{{relayed}, {relayed, ordinary}} {
+						env.sent, env.to = nil, nil
+						tick(p, src, dst, items...)
+						p.FlushAll()
+						variants := map[string]bool{}
+						for i, c := range env.sent {
+							variants[string(c.Payload)] = true
+							got := inner(t, c)
+							if path == 1 && (got[1].Payload != nil) != (idx < src.Majority()) {
+								t.Errorf("n=%d k=%d: member %d broke the majority rule on the ordinary item", n, k, idx)
+							}
+							cnt := carried[env.to[i]]
+							if got[0].Payload != nil {
+								cnt[path]++
+							}
+							carried[env.to[i]] = cnt
+						}
+						if len(variants) > 2 {
+							t.Errorf("n=%d k=%d: member %d sent %d different copies in one flush, want at most 2", n, k, idx, len(variants))
+						}
+					}
+					withheld += p.Withheld()
+				}
+				wantWithheld := uint64(0)
+				for j, member := range dst.Members {
+					want := [2]int{1, 1}
+					if holds != nil && member.ID == holder {
+						want, wantWithheld = [2]int{}, 2
+					}
+					if c := carried[member.ID]; c != want {
+						t.Errorf("n=%d k=%d, holder known %v: member %d (RelaySender %d) got the relayed payload %v times (alone, in a carrier), want %v",
+							n, k, holds != nil, j, group.RelaySender(src, dst, j), c, want)
+					}
+				}
+				if withheld != wantWithheld {
+					t.Errorf("n=%d k=%d, holder known %v: %d payloads withheld, want %d", n, k, holds != nil, withheld, wantWithheld)
+				}
+			}
+		}
+	}
+}
+
+// TestParkedCopyFramedItemByItem: at the tick the port parks the copy toward
+// each member it relays to, unless Rules.Holds names the member a holder of
+// every relayed payload, and sends every other copy. The parked copy is built
+// item by item when it leaves, asking Holds again: each relayed payload the
+// member has come to hold since goes as its digest, each other one in full,
+// and the ordinary item keeps the majority rule.
+func TestParkedCopyFramedItemByItem(t *testing.T) {
+	src := compOf(1, 1, 1, 2, 3, 4)
+	dst := compOf(2, 1, 11, 12, 13, 14, 15, 16, 17, 18)
+	items := batchItems("first", "second", "ordinary")
+	for i := range items[:2] {
+		items[i].Relay = true
+		items[i].Digest = crypto.Hash(items[i].Payload)
+	}
+	var mine []ids.NodeID // the members member 1 relays to
+	for j, m := range dst.Members {
+		if group.RelaySender(src, dst, j) == 0 {
+			mine = append(mine, m.ID)
+		}
+	}
+	if len(mine) != 2 {
+		t.Fatalf("member 1 relays to %d members of dst, the test wants 2", len(mine))
+	}
+	// mine[0] holds both relayed payloads from the start; mine[1] comes to
+	// hold the second while its copy is parked.
+	var held map[ids.NodeID]map[crypto.Digest]bool
+	holds := func(d group.Key, j ids.NodeID, digest crypto.Digest) bool { return d == dst.Key() && held[j][digest] }
+	for _, batch := range []bool{false, true} {
+		held = map[ids.NodeID]map[crypto.Digest]bool{mine[0]: {items[0].Digest: true, items[1].Digest: true}}
+		p, env := newFanPort(src.Members[0].ID, 5, holds)
+		n, ordinary := 1, 0 // the items sent, and the ordinary payloads among them
+		if batch {
+			n, ordinary = len(items), 1
+		}
+		tick(p, src, dst, items[:n]...)
+		if p.Parked() != 1 || len(env.sent) != dst.N()-1 || p.Withheld() != uint64(n-ordinary) {
+			t.Fatalf("batch=%v: %d parked, sent %d copies, withheld %d; want 1 parked, %d sent, %d withheld",
+				batch, p.Parked(), len(env.sent), p.Withheld(), dst.N()-1, n-ordinary)
+		}
+		for i, m := range env.sent {
+			if env.to[i] == mine[1] {
+				t.Fatalf("batch=%v: the copy toward %v left at the tick", batch, mine[1])
+			}
+			if full := fullItems(t, m); full != ordinary {
+				t.Errorf("batch=%v: the copy sent at the tick toward %v carries %d payloads, want %d (the ordinary one)", batch, env.to[i], full, ordinary)
+			}
+		}
+		held[mine[1]] = map[crypto.Digest]bool{items[1].Digest: true}
+		env.sent, env.to = nil, nil
+		before := p.Withheld()
+		p.FlushAll()
+		if len(env.sent) != 1 || env.to[0] != mine[1] || p.Withheld()-before != uint64(ordinary) {
+			t.Fatalf("batch=%v: the release sent %d copies (to %v), withheld %d; want one to %v, %d withheld",
+				batch, len(env.sent), env.to, p.Withheld()-before, mine[1], ordinary)
+		}
+		m := env.sent[0]
+		if !batch {
+			if m.Kind != items[0].Kind || m.MsgID != items[0].MsgID || m.Payload == nil {
+				t.Errorf("a lone parked item left as kind %d under %x with payload %v, want itself in full", m.Kind, m.MsgID[:4], m.Payload != nil)
+			}
+			continue
+		}
+		in := inner(t, m)
+		if in[0].Payload == nil || in[1].Payload != nil || in[2].Payload == nil {
+			t.Errorf("the parked carrier carries payloads %v %v %v, want the first and the ordinary one",
+				in[0].Payload != nil, in[1].Payload != nil, in[2].Payload != nil)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package group
 
 import (
 	"fmt"
-	"math/rand"
 
 	"atum/internal/crypto"
 	"atum/internal/ids"
@@ -26,6 +25,12 @@ import (
 // Nothing in a frame expands on decode — every full payload is a sub-slice
 // of the frame — so the item-count limit and the wire decoder's length
 // checks are the only bounds a receiver needs.
+//
+// What a sender's copy toward one destination member carries is one rule,
+// CopyRule, and one builder, Copy: one item leaves as a plain message, several
+// as a carrier. Who gets which copy, and when, is the egress port's fan-out
+// (internal/egress); this package draws no destination order and sends
+// nothing but SendBatchToNode's carrier.
 
 // BatchItem is one logical group message folded into a batch.
 type BatchItem struct {
@@ -34,7 +39,7 @@ type BatchItem struct {
 	// Payload is the message body. A nil Payload makes this sender's copy a
 	// digest-only vote for Digest whatever the sender's index: the builder
 	// knows the destination gets the bytes from elsewhere (core's gossip
-	// rules). Send and SendBatch treat it the same way.
+	// rules).
 	Payload []byte
 	// Relay replaces the majority rule for this item's payload: each member of
 	// the destination gets it from exactly one member of the source, the one
@@ -43,8 +48,8 @@ type BatchItem struct {
 	Relay bool
 	// Digest is the digest of Payload when the builder already has it (the
 	// origin of a broadcast hashes once for all its links; a forwarder takes
-	// it from Accepted). The zero value means "not computed": the send
-	// helpers then hash the payload themselves.
+	// it from Accepted). The zero value means "not computed": Copy then takes
+	// the MsgID of a DerivedID item, and hashes the payload of any other.
 	Digest crypto.Digest
 	// DerivedID marks an item whose MsgID is, by construction, the payload
 	// digest (core's node-addressed raw items and its gossip votes). A run of
@@ -55,13 +60,82 @@ type BatchItem struct {
 	DerivedID bool
 }
 
-// payloadDigest returns the item's payload digest, hashing only when the
-// builder left Digest unset.
+// payloadDigest returns the item's payload digest: Digest when the builder set
+// it, the MsgID of a DerivedID item, and otherwise the payload's hash.
 func (it BatchItem) payloadDigest() crypto.Digest {
-	if it.Digest != (crypto.Digest{}) {
+	switch {
+	case it.Digest != (crypto.Digest{}):
 		return it.Digest
+	case it.DerivedID:
+		return it.MsgID
 	}
 	return crypto.Hash(it.Payload)
+}
+
+// CopyRule says which payloads one sender's copy toward one destination member
+// carries. An item built without a payload carries none; of the others:
+//
+//	item      Full  Relay  Holds names the member  payload (-: either)
+//	ordinary  no    -      -                       digest only
+//	ordinary  yes   -      -                       rides
+//	Relay     -     no     -                       digest only
+//	Relay     -     yes    no                      rides
+//	Relay     -     yes    yes                     digest only, withheld
+//
+// Full is the §5.1 digest rule: the sender is one of the ⌊N/2⌋+1 lowest-index
+// members of the source, so at least one correct member sends the bytes — or
+// the copy is link-authenticated and judged alone (node-addressed traffic,
+// certificate-mode sends), so every sender does. Relay is the relay rule: the
+// sender is the member's RelaySender on this link (core's gossip on a relayed
+// hop), which sends a Relay item's bytes unless Holds names the member To, of
+// the composition Dst, a holder of them; a nil Holds knows of no holder.
+type CopyRule struct {
+	Full  bool
+	Relay bool
+	Holds Holds
+	Dst   Key
+	To    ids.NodeID
+}
+
+// Carries reports whether it's payload rides the copy r rules.
+func (r *CopyRule) Carries(it *BatchItem) bool {
+	switch {
+	case it.Payload == nil:
+		return false
+	case !it.Relay:
+		return r.Full
+	}
+	return r.Relay && (r.Holds == nil || !r.Holds(r.Dst, r.To, it.payloadDigest()))
+}
+
+// withholds reports whether the copy would carry it's payload but for a
+// holder: a Relay item the copy does not carry although its sender relays to
+// the member.
+func (r *CopyRule) withholds(it *BatchItem) bool {
+	return r.Relay && it.Relay && it.Payload != nil
+}
+
+// Copy builds one sender's copy of items under rule, over hdr's source,
+// destination and attachment. One item becomes a plain message under its own
+// kind, MsgID and payload digest. Several become a carrier of kind carrier
+// whose MsgID and PayloadDigest are hdr's — the engine leaves both zero, as
+// receivers vote the inner items under their own and read neither. It also
+// returns how many relayed payloads rule withheld from a holder.
+func Copy(hdr GroupMsg, carrier Kind, items []BatchItem, rule CopyRule) (msg GroupMsg, withheld int) {
+	if len(items) == 1 {
+		it := &items[0]
+		hdr.Kind, hdr.MsgID, hdr.PayloadDigest = it.Kind, it.MsgID, it.payloadDigest()
+		switch {
+		case rule.Carries(it):
+			hdr.Payload = it.Payload
+		case rule.withholds(it):
+			withheld = 1
+		}
+		return hdr, withheld
+	}
+	hdr.Kind = carrier
+	hdr.Payload, withheld = encodeBatchFrame(items, &rule)
+	return hdr, withheld
 }
 
 // MaxBatchItems bounds how many inner items one batch frame may carry,
@@ -81,9 +155,9 @@ const (
 )
 
 // form returns the form an item takes in the copy r says the payloads of.
-func (it *BatchItem) form(r *copyRule) byte {
+func (it *BatchItem) form(r *CopyRule) byte {
 	var f byte
-	if r.carries(it) {
+	if r.Carries(it) {
 		f |= formFull
 	}
 	if it.DerivedID {
@@ -105,12 +179,16 @@ func (it *BatchItem) form(r *copyRule) byte {
 //	            digest-only: Bytes32 payload digest
 //
 // A run is the longest stretch of consecutive items of one kind and one form;
-// item order is kept. r is the sender's share of the digest optimization toward
-// the destination member the frame is for: an item that has a Payload carries
-// it when r says so (copyRule.carries, asked once per item), and is digest-only
-// otherwise. It also returns how many relayed payloads r withheld from a
-// holder.
-func encodeBatchFrame(items []BatchItem, r *copyRule) (frame []byte, withheld int) {
+// item order is kept. r is the sender's copy rule toward the destination
+// member the frame is for: an item that has a Payload carries it when r says so
+// (CopyRule.Carries, asked once per item), and is digest-only otherwise. It
+// also returns how many relayed payloads r withheld from a holder. More than
+// MaxBatchItems items panic: receivers reject larger frames outright, so, as
+// with the wire encoder, it fails at the send site, where the bug is.
+func encodeBatchFrame(items []BatchItem, r *CopyRule) (frame []byte, withheld int) {
+	if len(items) > MaxBatchItems {
+		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
+	}
 	frame = wire.Frame(func(e *wire.Encoder) {
 		e.Byte(batchFrameVersion)
 		e.ListLen(len(items))
@@ -213,99 +291,16 @@ func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
 	return items, nil
 }
 
-// SendBatch transmits one batch of logical group messages from self (a member
-// of src) to every member of dst. As in Send, members with the lowest
-// ⌊N/2⌋+1 indices transmit the payloads of the items that have one and the
-// rest transmit digest-only copies; an item built with a nil Payload is
-// digest-only from every member, and a Relay item carries its payload only
-// toward the destination members this sender is the RelaySender of, and not
-// toward one holds names a holder of it. Every copy but those carries the same
-// lean frame, without relayed payloads, and so does the copy toward a member
-// holds names a holder of every relayed payload. The copy toward any other
-// member self relays to is handed to park (see Park), which must be set when
-// an item is Relay; SendRelayed frames it item by item. Destination order is
-// randomized against incast (§5.1). batchID becomes the carrier's MsgID, which
-// no receiver reads: the inner MsgIDs take part in inbox majority matching,
-// and the engine sends zero. For the same reason the carrier's PayloadDigest
-// is sent zero: receivers vote the inner items' digests and never compare the
-// frame's. SendBatch returns how many relayed payloads it withheld from a
-// holder.
-func SendBatch(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, batchID crypto.Digest, items []BatchItem, holds Holds, park Park) (withheld int) {
-	if len(items) == 0 {
-		return 0
-	}
-	if len(items) > MaxBatchItems {
-		// Receivers reject larger frames outright; as with the wire encoder,
-		// fail at the send site, where the bug is.
-		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
-	}
-	idx := src.Index(self)
-	full := idx >= 0 && idx < src.Majority()
-	relays := 0 // items whose payload goes to the members RelaySender names
-	for i := range items {
-		if items[i].Relay && items[i].Payload != nil {
-			relays++
-		}
-	}
-	var lean []byte
-	msg := GroupMsg{
-		SrcGroup: src.GroupID,
-		SrcEpoch: src.Epoch,
-		DstGroup: dst.GroupID,
-		DstEpoch: dst.Epoch,
-		Kind:     kind,
-		MsgID:    batchID,
-	}
-	order := rng.Perm(len(dst.Members))
-	rot := 0
-	if relays > 0 {
-		rot = relayRotation(src, dst)
-	}
-	for _, i := range order {
-		to := dst.Members[i].ID
-		switch {
-		case relays == 0 || !isRelaySender(idx, rot, src.N(), i):
-		case holds.all(dst.Key(), to, items):
-			withheld += relays
-		default:
-			park(to)
-			continue
-		}
-		if lean == nil {
-			lean, _ = encodeBatchFrame(items, &copyRule{full: full})
-		}
-		msg.Payload = lean
-		send(to, msg)
-	}
-	return withheld
-}
-
-// all reports whether h names member of dst a holder of the payload of every
-// Relay item that has one.
-func (h Holds) all(dst Key, member ids.NodeID, items []BatchItem) bool {
-	if h == nil {
-		return false
-	}
-	for i := range items {
-		if it := &items[i]; it.Relay && it.Payload != nil && !h(dst, member, it.payloadDigest()) {
-			return false
-		}
-	}
-	return true
-}
-
 // SendBatchToNode transmits one batch of logical messages from self to a
-// single node, with every payload carried in full — node-addressed batches
-// (application raw-message floods) are link-authenticated, not majority-
-// matched, so there is no digest optimization to apply.
+// single node as one carrier of kind, with every payload carried in full —
+// node-addressed batches (application raw-message floods) are
+// link-authenticated, not majority-matched, so there is no digest optimization
+// to apply.
 func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeID, kind Kind, batchID crypto.Digest, items []BatchItem) {
 	if len(items) == 0 {
 		return
 	}
-	if len(items) > MaxBatchItems {
-		panic(fmt.Sprintf("group: batch of %d items exceeds limit %d", len(items), MaxBatchItems))
-	}
-	frame, _ := encodeBatchFrame(items, &copyRule{full: true})
+	frame, _ := encodeBatchFrame(items, &CopyRule{Full: true})
 	send(to, GroupMsg{
 		SrcGroup: src.GroupID,
 		SrcEpoch: src.Epoch,

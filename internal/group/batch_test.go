@@ -5,11 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/ids"
 	"atum/internal/wire"
@@ -19,7 +19,7 @@ import (
 // its rules give it (full: a majority member that relays to the member the
 // frame is for) or none of them.
 func encodeFrame(items []BatchItem, full bool) []byte {
-	frame, _ := encodeBatchFrame(items, &copyRule{full: full, relay: full})
+	frame, _ := encodeBatchFrame(items, &CopyRule{Full: full, Relay: full})
 	return frame
 }
 
@@ -144,6 +144,117 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 		}
 		checkDecoded(t, tc.name, got, tc.items, tc.full)
 	}
+}
+
+// TestCopyRuleTable is CopyRule's table, row by row: for each sender rule —
+// Full, Relay, and whether Holds names the member a holder — and each sort of
+// item, whether the payload rides and whether it counts as withheld. Each row
+// is checked on a copy of one item (a plain message) and of two (a carrier),
+// down to the frame's bytes.
+func TestCopyRuleTable(t *testing.T) {
+	rows := []struct {
+		full, relay, held bool
+		item              string // "ordinary", "relay" or "nil" (built without its payload)
+		rides, withheld   bool
+	}{
+		{false, false, false, "ordinary", false, false},
+		{false, false, true, "ordinary", false, false},
+		{false, true, false, "ordinary", false, false},
+		{false, true, true, "ordinary", false, false},
+		{true, false, false, "ordinary", true, false},
+		{true, false, true, "ordinary", true, false},
+		{true, true, false, "ordinary", true, false},
+		{true, true, true, "ordinary", true, false},
+		{false, false, false, "relay", false, false},
+		{false, false, true, "relay", false, false},
+		{false, true, false, "relay", true, false},
+		{false, true, true, "relay", false, true},
+		{true, false, false, "relay", false, false},
+		{true, false, true, "relay", false, false},
+		{true, true, false, "relay", true, false},
+		{true, true, true, "relay", false, true},
+		{false, false, false, "nil", false, false},
+		{false, false, true, "nil", false, false},
+		{false, true, false, "nil", false, false},
+		{false, true, true, "nil", false, false},
+		{true, false, false, "nil", false, false},
+		{true, false, true, "nil", false, false},
+		{true, true, false, "nil", false, false},
+		{true, true, true, "nil", false, false},
+	}
+	dst := Key{GroupID: 2, Epoch: 7}
+	const to = ids.NodeID(21)
+	// build returns an item of the sort named, and its payload's digest. A
+	// relayed item is derived and leaves Digest unset: its MsgID is the digest.
+	build := func(sort, tag string) (BatchItem, crypto.Digest) {
+		body := []byte(sort + "-body-" + tag)
+		d := crypto.Hash(body)
+		switch sort {
+		case "relay":
+			return BatchItem{Kind: 2, MsgID: d, Payload: body, Relay: true, DerivedID: true}, d
+		case "nil":
+			return BatchItem{Kind: 3, MsgID: crypto.Hash([]byte("id-" + tag)), Digest: d}, d
+		}
+		return BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("id-" + tag)), Payload: body}, d
+	}
+	hdr := GroupMsg{SrcGroup: 1, SrcEpoch: 3, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, Attach: []byte("share")}
+	for _, row := range rows {
+		name := fmt.Sprintf("full=%v relay=%v held=%v %s", row.full, row.relay, row.held, row.item)
+		a, da := build(row.item, "a")
+		b, db := build(row.item, "b")
+		rule := CopyRule{Full: row.full, Relay: row.relay, Dst: dst, To: to,
+			Holds: func(k Key, m ids.NodeID, d crypto.Digest) bool {
+				return row.held && k == dst && m == to && (d == da || d == db)
+			}}
+		if got := rule.Carries(&a); got != row.rides {
+			t.Errorf("%s: Carries = %v, want %v", name, got, row.rides)
+		}
+
+		msg, withheld := Copy(hdr, 99, []BatchItem{a}, rule)
+		want := hdr
+		want.Kind, want.MsgID, want.PayloadDigest = a.Kind, a.MsgID, da
+		if row.rides {
+			want.Payload = a.Payload
+		}
+		if !reflect.DeepEqual(msg, want) || withheld != b2i(row.withheld) {
+			t.Errorf("%s, one item: copy %+v withheld %d, want %+v withheld %d", name, msg, withheld, want, b2i(row.withheld))
+		}
+
+		msg, withheld = Copy(hdr, 99, []BatchItem{a, b}, rule)
+		form, frame := byte(0), ""
+		if row.rides {
+			form |= formFull
+		}
+		if a.DerivedID {
+			form |= formDerived
+		}
+		for _, it := range []struct {
+			item   BatchItem
+			digest crypto.Digest
+		}{{a, da}, {b, db}} {
+			if !it.item.DerivedID {
+				frame += hex.EncodeToString(it.item.MsgID[:])
+			}
+			if row.rides {
+				frame += fmt.Sprintf("%08x", len(it.item.Payload)) + hex.EncodeToString(it.item.Payload)
+			} else {
+				frame += hex.EncodeToString(it.digest[:])
+			}
+		}
+		want = hdr
+		want.Kind, want.Payload = 99, mustHex(t, fmt.Sprintf("04"+"00000002"+"%02x"+"%02x"+"00000002", a.Kind, form)+frame)
+		if !reflect.DeepEqual(msg, want) || withheld != 2*b2i(row.withheld) {
+			t.Errorf("%s, two items: carrier\n %x withheld %d, want\n %x withheld %d", name, msg.Payload, withheld, want.Payload, 2*b2i(row.withheld))
+		}
+	}
+}
+
+// b2i is 1 for true.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // checkDecoded compares a decoded frame with the items it was encoded from by
@@ -559,230 +670,6 @@ func TestEgressAccountingBoundsFrames(t *testing.T) {
 	}
 }
 
-// TestSendBatchDigestOptimization mirrors TestSendDigestOptimization for the
-// batch path: members with the lowest ⌊N/2⌋+1 indices send full payloads,
-// the rest digest-only copies.
-func TestSendBatchDigestOptimization(t *testing.T) {
-	src := comp(1, 1, 1, 2, 3, 4, 5)
-	dst := comp(2, 1, 10, 11, 12)
-	items := batchItems("payload-a", "payload-b")
-	rng := rand.New(rand.NewSource(1))
-	batchID := crypto.Hash([]byte("batch"))
-
-	countFull := func(self ids.NodeID) (full, digest int) {
-		var sent []GroupMsg
-		send := func(_ ids.NodeID, msg actor.Message) { sent = append(sent, msg.(GroupMsg)) }
-		SendBatch(send, rng, src, self, dst, Kind(99), batchID, items, nil, nil)
-		if len(sent) != dst.N() {
-			t.Fatalf("sent %d copies, want %d", len(sent), dst.N())
-		}
-		inner, err := UnpackBatch(sent[0])
-		if err != nil {
-			t.Fatalf("unpack: %v", err)
-		}
-		for _, im := range inner {
-			if im.Payload != nil {
-				full++
-			} else {
-				digest++
-			}
-			if im.SrcGroup != src.GroupID || im.DstGroup != dst.GroupID {
-				t.Error("inner item did not inherit carrier headers")
-			}
-		}
-		return full, digest
-	}
-
-	if full, _ := countFull(1); full != len(items) {
-		t.Errorf("low-index member sent %d full payloads, want %d", full, len(items))
-	}
-	if _, digest := countFull(5); digest != len(items) {
-		t.Errorf("high-index member must send digest-only items, got %d", digest)
-	}
-	// An item built without its payload is a digest-only vote from any member.
-	items[0].Digest, items[0].Payload = crypto.Hash(items[0].Payload), nil
-	if full, digest := countFull(1); full != 1 || digest != 1 {
-		t.Errorf("low-index member sent %d full and %d digest-only items, want the payload-less item digest-only", full, digest)
-	}
-}
-
-// TestRelayItemsReachEachMemberOnce: a Relay item's payload reaches each
-// destination member from the one source member RelaySender names, through
-// Send and SendBatch alike — handed to park and sent by SendRelayed — and
-// every other sender's copy names its digest. A member holds names a holder
-// gets the digest from its RelaySender too, which counts the payload withheld.
-// Beside it in a carrier, an ordinary item keeps the majority rule.
-func TestRelayItemsReachEachMemberOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for n := 1; n <= 8; n++ {
-		for k := 1; k <= 8; k++ {
-			src := comp(1, uint64(n), 1, 2, 3, 4, 5, 6, 7, 8)
-			src.Members = src.Members[:n]
-			dst := comp(2, uint64(k), 11, 12, 13, 14, 15, 16, 17, 18)
-			dst.Members = dst.Members[:k]
-			relayed := batchItems("relayed")[0]
-			relayed.Relay = true
-			items := []BatchItem{relayed, batchItems("ordinary")[0]}
-			holder := dst.Members[k-1].ID
-			for _, holds := range []Holds{nil, func(d Key, j ids.NodeID, digest crypto.Digest) bool {
-				return d == dst.Key() && j == holder && digest == crypto.Hash(relayed.Payload)
-			}} {
-				carried := map[ids.NodeID][2]int{} // per destination member: relayed payloads via Send, via SendBatch
-				withheld := 0
-				for idx, m := range src.Members {
-					send := func(to ids.NodeID, msg actor.Message) {
-						c := carried[to]
-						if msg.(GroupMsg).Payload != nil {
-							c[0]++
-						}
-						carried[to] = c
-					}
-					var parked []ids.NodeID
-					park := func(to ids.NodeID) { parked = append(parked, to) }
-					withheld += Send(send, rng, src, m.ID, dst, relayed, nil, holds, park)
-					for _, to := range parked {
-						withheld += SendRelayed(send, src, m.ID, dst, to, Kind(99), []BatchItem{relayed}, holds)
-					}
-					sendBatch := func(to ids.NodeID, msg actor.Message) {
-						inner, err := UnpackBatch(msg.(GroupMsg))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if (inner[1].Payload != nil) != (idx < src.Majority()) {
-							t.Errorf("n=%d k=%d: member %d broke the majority rule on the ordinary item", n, k, idx)
-						}
-						c := carried[to]
-						if inner[0].Payload != nil {
-							c[1]++
-						}
-						carried[to] = c
-					}
-					parked = parked[:0]
-					withheld += SendBatch(sendBatch, rng, src, m.ID, dst, Kind(99), crypto.Hash([]byte("carrier")), items, holds, park)
-					for _, to := range parked {
-						withheld += SendRelayed(sendBatch, src, m.ID, dst, to, Kind(99), items, holds)
-					}
-				}
-				wantWithheld := 0
-				for j, member := range dst.Members {
-					want := [2]int{1, 1}
-					if holds != nil && member.ID == holder {
-						want, wantWithheld = [2]int{}, 2
-					}
-					if c := carried[member.ID]; c != want {
-						t.Errorf("n=%d k=%d, holder known %v: member %d (RelaySender %d) got the relayed payload %v times (Send, SendBatch), want %v",
-							n, k, holds != nil, j, RelaySender(src, dst, j), c, want)
-					}
-				}
-				if withheld != wantWithheld {
-					t.Errorf("n=%d k=%d, holder known %v: %d payloads withheld, want %d", n, k, holds != nil, withheld, wantWithheld)
-				}
-			}
-		}
-	}
-}
-
-// TestParkedCopyFramedItemByItem: Send and SendBatch hand back the copy toward
-// each member self relays to, unless holds names the member a holder of every
-// relayed payload, and send every other copy at once.
-// SendRelayed then frames the parked copy item by item, asking holds again:
-// each relayed payload the member has come to hold since goes as its digest,
-// each other one in full, and the ordinary item keeps the majority rule.
-func TestParkedCopyFramedItemByItem(t *testing.T) {
-	src := comp(1, 1, 1, 2, 3, 4)
-	dst := comp(2, 1, 11, 12, 13, 14, 15, 16, 17, 18)
-	items := batchItems("first", "second", "ordinary")
-	for i := range items[:2] {
-		items[i].Relay = true
-		items[i].Digest = crypto.Hash(items[i].Payload)
-	}
-	self := src.Members[0].ID
-	var mine []ids.NodeID // the members self relays to
-	for j, m := range dst.Members {
-		if RelaySender(src, dst, j) == 0 {
-			mine = append(mine, m.ID)
-		}
-	}
-	if len(mine) != 2 {
-		t.Fatalf("self relays to %d members of dst, the test wants 2", len(mine))
-	}
-	// mine[0] holds both relayed payloads from the start; mine[1] comes to
-	// hold the second while its copy is parked.
-	held := map[ids.NodeID]map[crypto.Digest]bool{mine[0]: {items[0].Digest: true, items[1].Digest: true}}
-	holds := func(d Key, j ids.NodeID, digest crypto.Digest) bool { return d == dst.Key() && held[j][digest] }
-	rng := rand.New(rand.NewSource(5))
-	for _, batch := range []bool{false, true} {
-		sent := map[ids.NodeID]GroupMsg{}
-		send := func(to ids.NodeID, msg actor.Message) { sent[to] = msg.(GroupMsg) }
-		var parked []ids.NodeID
-		park := func(to ids.NodeID) { parked = append(parked, to) }
-		var withheld int
-		if batch {
-			withheld = SendBatch(send, rng, src, self, dst, Kind(99), crypto.Digest{}, items, holds, park)
-		} else {
-			withheld = Send(send, rng, src, self, dst, items[0], nil, holds, park)
-		}
-		if len(parked) != 1 || parked[0] != mine[1] || len(sent) != dst.N()-1 || withheld != 1+b2i(batch) {
-			t.Fatalf("batch=%v: parked %v, sent %d copies, withheld %d; want %v parked, %d sent, %d withheld",
-				batch, parked, len(sent), withheld, mine[1:], dst.N()-1, 1+b2i(batch))
-		}
-		for to, m := range sent {
-			if full := fullItems(t, m); full != b2i(batch) {
-				t.Errorf("batch=%v: the copy sent at once toward %v carries %d payloads, want %d (the ordinary one)", batch, to, full, b2i(batch))
-			}
-		}
-		held[mine[1]] = map[crypto.Digest]bool{items[1].Digest: true}
-		n := len(items)
-		if !batch {
-			n = 1
-		}
-		if w := SendRelayed(send, src, self, dst, mine[1], Kind(99), items[:n], holds); w != b2i(batch) {
-			t.Errorf("batch=%v: the parked copy withheld %d payloads, want %d", batch, w, b2i(batch))
-		}
-		m := sent[mine[1]]
-		if !batch {
-			if m.Kind != items[0].Kind || m.MsgID != items[0].MsgID || m.Payload == nil {
-				t.Errorf("a lone parked item left as kind %d under %x with payload %v, want itself in full", m.Kind, m.MsgID[:4], m.Payload != nil)
-			}
-			continue
-		}
-		inner, err := UnpackBatch(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inner[0].Payload == nil || inner[1].Payload != nil || inner[2].Payload == nil {
-			t.Errorf("the parked carrier carries payloads %v %v %v, want the first and the ordinary one",
-				inner[0].Payload != nil, inner[1].Payload != nil, inner[2].Payload != nil)
-		}
-		delete(held, mine[1])
-	}
-}
-
-// b2i is 1 for true.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// fullItems counts the payloads a copy carries: its own, or its carrier's.
-func fullItems(t *testing.T, m GroupMsg) int {
-	t.Helper()
-	if m.Kind != Kind(99) {
-		return b2i(m.Payload != nil)
-	}
-	inner, err := UnpackBatch(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := 0
-	for _, im := range inner {
-		full += b2i(im.Payload != nil)
-	}
-	return full
-}
-
 // TestBatchVotesConvergeAcrossDifferentGroupings is the core safety property
 // of send-side batching: members that grouped the same logical messages
 // differently — or did not batch at all — still drive the receiver's inbox
@@ -791,7 +678,6 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3)
 	dst := comp(2, 1, 10)
 	items := batchItems("msg-one", "msg-two")
-	rng := rand.New(rand.NewSource(2))
 	known := map[Key]Composition{src.Key(): src}
 	ib := NewInbox(func(k Key) (Composition, bool) { c, ok := known[k]; return c, ok })
 
@@ -815,16 +701,19 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 		return accepted
 	}
 
+	// vote observes member from's copy of items, under carrier MsgID id.
+	vote := func(from ids.NodeID, id crypto.Digest, items ...BatchItem) []Accepted {
+		msg, _ := Copy(GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, MsgID: id},
+			Kind(99), items, CopyRule{Full: src.Index(from) < src.Majority()})
+		return observe(from, msg)
+	}
+
 	var all []Accepted
 	// Member 1 batches both messages together.
-	SendBatch(func(_ ids.NodeID, m actor.Message) {
-		all = append(all, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b1")), items, nil, nil)
+	all = append(all, vote(1, crypto.Digest{}, items...)...)
 	// Member 2 sends them unbatched (as if its flush window cut between them).
 	for _, it := range items {
-		Send(func(_ ids.NodeID, m actor.Message) {
-			all = append(all, observe(2, m.(GroupMsg))...)
-		}, rng, src, 2, dst, it, nil, nil, nil)
+		all = append(all, vote(2, crypto.Digest{}, it)...)
 	}
 
 	if len(all) != len(items) {
@@ -850,12 +739,8 @@ func TestBatchVotesConvergeAcrossDifferentGroupings(t *testing.T) {
 		items2[i].MsgID = crypto.Hash(items2[i].Payload)
 	}
 	var all2 []Accepted
-	SendBatch(func(_ ids.NodeID, m actor.Message) {
-		all2 = append(all2, observe(1, m.(GroupMsg))...)
-	}, rng, src, 1, dst, Kind(99), crypto.Hash([]byte("b2-member1")), items2, nil, nil)
-	SendBatch(func(_ ids.NodeID, m actor.Message) {
-		all2 = append(all2, observe(2, m.(GroupMsg))...)
-	}, rng, src, 2, dst, Kind(99), crypto.Hash([]byte("b2-member2")), items2, nil, nil)
+	all2 = append(all2, vote(1, crypto.Hash([]byte("b2-member1")), items2...)...)
+	all2 = append(all2, vote(2, crypto.Hash([]byte("b2-member2")), items2...)...)
 	if len(all2) != len(items2) {
 		t.Fatalf("mixed-carrier batching accepted %d logical messages, want %d", len(all2), len(items2))
 	}

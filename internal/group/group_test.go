@@ -3,13 +3,11 @@ package group
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
-	"atum/internal/actor"
 	"atum/internal/crypto"
 	"atum/internal/ids"
 	"atum/internal/wire"
@@ -104,59 +102,6 @@ func TestCompositionCloneIsDeep(t *testing.T) {
 	b.Members[0].PubKey[0] = 99
 	if a.Members[0].PubKey[0] == 99 {
 		t.Error("Clone did not deep-copy")
-	}
-}
-
-// --- group message send/receive ---
-
-type sentRec struct {
-	to  ids.NodeID
-	msg GroupMsg
-}
-
-func collectSends() (*[]sentRec, SendFn) {
-	var recs []sentRec
-	p := &recs
-	return p, func(to ids.NodeID, msg actor.Message) {
-		*p = append(*p, sentRec{to: to, msg: msg.(GroupMsg)})
-	}
-}
-
-func TestSendDigestOptimization(t *testing.T) {
-	src := comp(1, 1, 1, 2, 3, 4, 5) // majority = 3
-	dst := comp(2, 1, 10, 11, 12)
-	payload := []byte("data")
-	msgID := crypto.Hash([]byte("m1"))
-	rng := rand.New(rand.NewSource(1))
-
-	fullSenders := 0
-	for _, m := range src.Members {
-		recs, send := collectSends()
-		Send(send, rng, src, m.ID, dst, BatchItem{Kind: 1, MsgID: msgID, Payload: payload}, nil, nil, nil)
-		if len(*recs) != dst.N() {
-			t.Fatalf("sent %d copies, want %d", len(*recs), dst.N())
-		}
-		if (*recs)[0].msg.Payload != nil {
-			fullSenders++
-		}
-		for _, r := range *recs {
-			if r.msg.PayloadDigest != crypto.Hash(payload) {
-				t.Error("wrong payload digest")
-			}
-		}
-	}
-	if fullSenders != src.Majority() {
-		t.Errorf("%d members sent full payloads, want exactly majority %d", fullSenders, src.Majority())
-	}
-
-	// An item built without its payload is a digest-only vote for its Digest,
-	// from the lowest-index member too.
-	recs, send := collectSends()
-	Send(send, rng, src, src.Members[0].ID, dst, BatchItem{Kind: 1, MsgID: msgID, Digest: crypto.Hash(payload)}, nil, nil, nil)
-	for _, r := range *recs {
-		if r.msg.Payload != nil || r.msg.PayloadDigest != crypto.Hash(payload) {
-			t.Errorf("payload-less item sent as payload %q, digest %x", r.msg.Payload, r.msg.PayloadDigest[:4])
-		}
 	}
 }
 
