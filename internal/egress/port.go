@@ -227,9 +227,7 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 		p.sendDirect(node, msg)
 		return
 	}
-	before := len(p.parkedTo)
-	p.fanOut(src, dst, items, nil)
-	members := len(p.parkedTo) - before
+	members := p.fanOut(src, dst, items, nil)
 	if members == 0 {
 		p.left(items)
 		return
@@ -247,9 +245,10 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 // order against incast (§5.1). Every member gets the lean copy — the majority
 // rule's, with no relayed payload — but the members this member is the
 // RelaySender of whose copy would carry one: those it appends to parkedTo, for
-// the caller to park. A served member that Rules.Holds names a holder of every
-// relayed payload gets the lean copy, and the payloads count as withheld.
-func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attach []byte) {
+// the caller to park, and it returns how many. A served member that Rules.Holds
+// names a holder of every relayed payload gets the lean copy, and the payloads
+// count as withheld.
+func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attach []byte) (parked int) {
 	idx := src.Index(p.rules.Self)
 	rule := group.CopyRule{Full: idx >= 0 && idx < src.Majority()}
 	// relays counts the relayed payloads this member may serve; the member
@@ -271,6 +270,7 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 		if relays > 0 && (j+rot)%src.N() == idx {
 			if served := p.served(src, dst, to); carriesRelayed(&served, items) {
 				p.parkedTo = append(p.parkedTo, to)
+				parked++
 				continue
 			}
 			p.withheld += uint64(relays)
@@ -281,6 +281,7 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 		}
 		p.sendGroup(to, lean)
 	}
+	return parked
 }
 
 // served is the rule of this member's copy toward member to of dst, whose
