@@ -45,15 +45,27 @@ func (n *Node) newEgress() *egress.Port {
 	})
 }
 
-// relayLagPerRound is how many relay lags make a round: a relayed copy toward
-// a member this member is the RelaySender of waits RoundDuration/32 for a vote
-// from the member's vgroup (egress.Rules.RelayLag, holdsGossip). What the lag
-// has to exceed is one link delay, so that a vote the member's vgroup sent at
-// the same tick — a crossing — arrives first. No node measures its link
-// delays, so the divisor is tuned for the simulator's 100 ms round over
-// simnet.LANLatency (0.5–2 ms), where the lag is 3.1 ms. A sweep of the
-// divisor, atumbench seed 1, wire bytes per broadcast and deliver_p50_ms
-// against no lag:
+// relayLagPerRound is how many relay lags make a round (egress.Rules.RelayLag):
+// a relayed copy toward a member this member is the RelaySender of waits for a
+// vote from the member's vgroup (holdsGossip). Outside a synchronous round it
+// parks for one lag, which must exceed one link delay, so that a vote the
+// member's vgroup sent at the same moment — a crossing — arrives first. In a
+// synchronous round the two ends of a relayed link take turns by GroupID
+// (internal/egress, the package comment), and each lag has its own job:
+//
+//   - one lag covers one link delay: the second speaker's batch waits one
+//     lag, so the first speaker's votes, sent at the tick, reach it before it
+//     leaves, and the link rule (withdrawGossip) withdraws what they made
+//     redundant;
+//   - two lags cover one lag plus one link delay: the first speaker's served
+//     copies park for two, so the digest-only vote the second speaker sends
+//     each of its members one lag after the tick reaches them first, and the
+//     vgroup rule strips their bytes.
+//
+// No node measures its link delays, so the divisor is tuned for the
+// simulator's 100 ms round over simnet.LANLatency (0.5–2 ms), where the lag is
+// 3.1 ms. A sweep of the divisor with one lag and no turns, atumbench seed 1,
+// wire bytes per broadcast and deliver_p50_ms against no lag:
 //
 //	divisor (lag)      128 (0.8 ms)  64 (1.6 ms)  32 (3.1 ms)  16 (6.3 ms)  8 (12.5 ms)
 //	sync_steady bytes  −6.7 %        −10.5 %      −10.6 %      −10.6 %      −10.6 %
@@ -64,8 +76,10 @@ func (n *Node) newEgress() *egress.Port {
 //
 // 32 is the shortest lag that keeps all of the ModeSync saving (64 gives up
 // 0.06 points of it); a longer one only catches more WAN votes that are not
-// crossings, at a latency cost. At the Config default round of 1 s the lag is
-// 31 ms, ten times what a LAN crossing needs; no workload measures that case.
+// crossings, at a latency cost. The turns take a further 12.2 % of
+// sync_steady's bytes at 32 (6.6 % of sync_churn's) for +0.2 to +0.3 % p50. At
+// the Config default round of 1 s the lag is 31 ms, ten times what a LAN
+// crossing needs; no workload measures that case.
 const relayLagPerRound = 32
 
 // sendGroup sends one logical group message to every member of dst. src is

@@ -116,10 +116,13 @@ func (n *Node) deliver(d Delivery, payload []byte, digest crypto.Digest, from gr
 // one member of this vgroup, the one group.RelaySender names for it
 // (BatchItem.Relay), and a digest-only vote from the rest — from that one too
 // when the record holds the member's own vote or any vote from K
-// (holdsGossip). That copy waits one relay lag (relayLagPerRound) for such a
-// vote before it leaves. A member whose one copy does not come has three ways
-// to the bytes (pull.go): another link's copy (the inbox lends it), a voter
-// (pull), and its own vgroup's heartbeats (catch-up). At the origin (from is
+// (holdsGossip). That copy waits a relay lag for such a vote before it leaves.
+// In a synchronous round the two ends of the link take turns
+// (relayLagPerRound): the lower vgroup's served copies wait two lags, and the
+// higher vgroup's whole batch waits one, so that the link rule hears the lower
+// one's votes. A member whose one copy does not come has three ways to the
+// bytes (pull.go): another link's copy (the inbox lends it), a voter (pull),
+// and its own vgroup's heartbeats (catch-up). At the origin (from is
 // zero) K hears of the broadcast on this link alone, so no other link can
 // lend: there the f+1 lowest-index members attach the bytes, one of them
 // correct — the argument §5.1 makes for a majority — and the rest vote the
@@ -185,7 +188,8 @@ func (n *Node) forwardGossip(d Delivery, payload []byte, digest crypto.Digest, f
 //   - the link rule (linkHeld): K is sent no vote once f+1 members of K voted
 //     the digest under K's exact key, one of them correct. forwardGossip asks
 //     when it queues the vote, the egress scheduler again as the vote's batch
-//     closes (withdrawGossip);
+//     closes, and the port once more as a second speaker's batch leaves
+//     (withdrawGossip);
 //   - the member and vgroup rules (holdsGossip): on a relayed hop, the
 //     RelaySender of a member j of K sends j the digest alone when j voted it,
 //     or when any member of K voted it under K's exact key. A vote from k says
@@ -294,7 +298,8 @@ func linkHeld(held []holder, k group.Composition, f int) bool {
 	return votes > f
 }
 
-// withdrawGossip is the link rule asked again as a batch toward dst closes
+// withdrawGossip is the link rule asked again as a batch toward dst closes,
+// and once more as it leaves when this vgroup speaks second on the link
 // (egress.Rules.Withdraw). A copy it withdraws never leaves, so it drops the
 // copy's reference to the record itself.
 func (n *Node) withdrawGossip(dst group.Composition, it group.BatchItem) bool {

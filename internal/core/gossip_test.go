@@ -22,14 +22,15 @@ import (
 )
 
 // drainGroupSends closes n's open egress batches, runs its round tick, moves
-// its clock one relay lag on if that parked a relayed copy, so that the copy
-// leaves, and takes everything its captured environment (memberNode) was sent
-// — in ModeSync group messages leave only at the tick.
+// its clock on one relay lag at a time while that left a batch parked — a
+// relayed copy, or a second speaker's turn — so that all of it leaves, and
+// takes everything its captured environment (memberNode) was sent — in
+// ModeSync group messages leave only at the tick.
 func drainGroupSends(n *Node) []fakeSend {
 	n.egress.FlushAll()
 	n.egress.FlushDeferred()
 	env := n.env.(*fakeEnv)
-	if n.egress.Parked() > 0 {
+	for n.egress.Parked() > 0 {
 		env.now += n.cfg.RoundDuration / relayLagPerRound
 		n.Timer(0, egressFlushTimer{})
 	}
@@ -591,68 +592,170 @@ func TestHoldersRecordOutlivesTheTick(t *testing.T) {
 	}
 }
 
+// turnRig is a set of ModeSync members on captured environments that share
+// one clock: the tick, then the relay lags, with every copy handed at once to
+// the member of the rig it was sent to.
+type turnRig struct {
+	t     *testing.T
+	nodes map[ids.NodeID]*Node
+	now   time.Duration // the rig's clock, the tick's time until step runs
+	lag   time.Duration // one relay lag
+}
+
+// join builds the members of comp, with nbr as their neighbor and X known,
+// and, if accept is set, has each accept digest from X.
+func (r *turnRig) join(comp, nbr, X group.Composition, payload []byte, digest crypto.Digest, accept bool) {
+	for _, m := range comp.Members {
+		n, env := memberNode(r.t, m.ID, comp, nbr)
+		n.learnComp(X)
+		r.now, r.lag = env.now, n.cfg.RoundDuration/relayLagPerRound
+		if accept {
+			n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
+		}
+		r.nodes[m.ID] = n
+	}
+}
+
+// step runs the tick at every member (lags == 0) or moves the clock lags
+// relay lags on and fires every egress timer, then hands what left to its
+// recipients and returns it by sender.
+func (r *turnRig) step(lags int) map[ids.NodeID][]fakeSend {
+	r.now += time.Duration(lags) * r.lag
+	out := map[ids.NodeID][]fakeSend{}
+	for id, n := range r.nodes {
+		env := n.env.(*fakeEnv)
+		env.now = r.now
+		if lags == 0 {
+			n.egress.FlushDeferred()
+		} else {
+			n.Timer(0, egressFlushTimer{})
+		}
+		out[id], env.sent = env.sent, nil
+	}
+	for from, sent := range out {
+		for _, s := range sent {
+			if to := r.nodes[s.to]; to != nil {
+				to.env.(*fakeEnv).now = r.now
+				to.Receive(from, s.msg)
+			}
+		}
+	}
+	return out
+}
+
 // TestCrossingCopyGoesDigestOnly: two ModeSync neighbors B and K both accept a
-// broadcast from X in one round, so at the tick each member of either sends
-// the other vgroup its vote — and, toward the members it is the RelaySender
-// of, the bytes, which that vgroup already holds. The relayed copies wait one
-// relay lag; the crossing votes arrive within it, and the copies leave
-// digest-only (the vgroup rule). Every member still gets a vote from every
-// member of the other vgroup, and each relayed payload counts as withheld.
+// broadcast from X in one round, so at the tick each would send the other
+// vgroup a vote from every member — and, toward the members it is the
+// RelaySender of, the bytes, which that vgroup already holds. They take turns
+// by GroupID. B, the lower, speaks first: at the tick every member of K gets
+// B's vote from all but its RelaySender in B, whose copy parks for two lags.
+// K speaks second: its batch waits one lag, by when B's votes make it
+// redundant under the link rule, so it is withdrawn from the lean copies, and
+// each member of B gets exactly one vote from K, from its RelaySender there,
+// digest-only. That vote makes B's parked copies go digest-only too (the
+// vgroup rule). No full copy crosses, every member of K still gets a vote from
+// every member of B, and each relayed payload counts as withheld.
 func TestCrossingCopyGoesDigestOnly(t *testing.T) {
 	X := testComp(2, 1, 11, 12, 13)
 	B := testComp(3, 1, 1, 2, 3, 4)
 	K := testComp(5, 1, 21, 22, 23)
 	payload, digest := gossipOf("crossing")
-	nodes := map[ids.NodeID]*Node{}
-	for _, side := range [][2]group.Composition{{B, K}, {K, B}} {
-		for _, m := range side[0].Members {
-			n, _ := memberNode(t, m.ID, side[0], side[1])
-			n.learnComp(X)
-			n.handleGossip(group.Accepted{Src: X.Key(), Kind: kindGossip, MsgID: digest, Payload: payload, Digest: digest})
-			nodes[m.ID] = n
+	r := &turnRig{t: t, nodes: map[ids.NodeID]*Node{}}
+	r.join(B, K, X, payload, digest, true)
+	r.join(K, B, X, payload, digest, true)
+
+	votes, full := map[[2]ids.NodeID]int{}, 0 // per (sender, recipient)
+	count := func(when string, sends map[ids.NodeID][]fakeSend, wantFrom group.Composition) {
+		for from, sent := range sends {
+			for _, s := range sent {
+				for _, m := range gossipCopies(t, s.msg) {
+					if !wantFrom.Contains(from) {
+						t.Errorf("%s: %v sent a vote to %v, want votes from %v alone", when, from, s.to, wantFrom.Key())
+					}
+					votes[[2]ids.NodeID{from, s.to}]++
+					if m.Payload != nil {
+						full++
+					}
+				}
+			}
 		}
 	}
-	votes, full := map[ids.NodeID]int{}, 0
-	hand := func(from *Node, sent []fakeSend) {
+	count("the tick", r.step(0), B)
+	count("one lag on", r.step(1), K)
+	count("two lags on", r.step(1), B)
+	if full != 0 {
+		t.Errorf("%d gossip copies between B and K carried the payload, want none: both held it", full)
+	}
+	for i, b := range B.Members {
+		server := K.Members[group.RelaySender(K, B, i)].ID
+		for _, k := range K.Members {
+			if got := votes[[2]ids.NodeID{b.ID, k.ID}]; got != 1 {
+				t.Errorf("member %v of K got %d votes from %v of B, want 1", k.ID, got, b.ID)
+			}
+			if got, want := votes[[2]ids.NodeID{k.ID, b.ID}], map[bool]int{true: 1}[k.ID == server]; got != want {
+				t.Errorf("member %v of B got %d votes from %v of K, want %d: one from its RelaySender %v alone", b.ID, got, k.ID, want, server)
+			}
+		}
+	}
+	withheld, withdrawn := uint64(0), uint64(0)
+	for _, n := range r.nodes {
+		withheld += n.Stats().PayloadsWithheld
+		withdrawn += n.Stats().GossipWithdrawn
+		if got := n.egress.Parked(); got != 0 {
+			t.Errorf("%v still has %d batches parked two lags after the tick", n.cfg.Identity.ID, got)
+		}
+	}
+	if want := uint64(B.N() + K.N()); withheld != want {
+		t.Errorf("%d relayed payloads withheld, want one per member of either vgroup, %d", withheld, want)
+	}
+	if want := uint64(K.N()); withdrawn != want {
+		t.Errorf("%d item-links withdrawn, want one at each member of K, %d", withdrawn, want)
+	}
+}
+
+// TestSecondSpeakerServesAVgroupThatWaits: K accepts a broadcast from X in a
+// round in which its lower neighbor B has not delivered it. K speaks second,
+// so nothing leaves toward B at the tick; one lag on, with no vote from B to
+// withdraw it, K's batch leaves whole — every member of B gets a vote from
+// every member of K and the bytes from its RelaySender there — and every
+// member of B delivers the broadcast exactly once, one lag after the tick.
+func TestSecondSpeakerServesAVgroupThatWaits(t *testing.T) {
+	X := testComp(2, 1, 11, 12, 13)
+	B := testComp(3, 1, 1, 2, 3, 4)
+	K := testComp(5, 1, 21, 22, 23)
+	payload, digest := gossipOf("B waits")
+	r := &turnRig{t: t, nodes: map[ids.NodeID]*Node{}}
+	r.join(B, K, X, payload, digest, false)
+	r.join(K, B, X, payload, digest, true)
+	delivered := map[ids.NodeID][]time.Duration{}
+	for _, m := range B.Members {
+		id, env := m.ID, r.nodes[m.ID].env.(*fakeEnv)
+		r.nodes[id].cfg.Callbacks.Deliver = func(Delivery) { delivered[id] = append(delivered[id], env.now) }
+	}
+	tick := r.now
+	for from, sent := range r.step(0) {
+		if len(sent) != 0 {
+			t.Errorf("at the tick %v sent %d messages, want none: K's batch waits its turn", from, len(sent))
+		}
+	}
+	votes, full := map[ids.NodeID]int{}, map[ids.NodeID]int{}
+	for _, sent := range r.step(1) {
 		for _, s := range sent {
 			for _, m := range gossipCopies(t, s.msg) {
 				votes[s.to]++
 				if m.Payload != nil {
-					full++
+					full[s.to]++
 				}
 			}
-			if to := nodes[s.to]; to != nil {
-				to.Receive(from.cfg.Identity.ID, s.msg)
-			}
 		}
 	}
-	// The tick, at every member at once: the votes cross, and every relayed
-	// copy is parked.
-	ticked := map[*Node][]fakeSend{}
-	for _, n := range nodes {
-		n.egress.FlushDeferred()
-		env := n.env.(*fakeEnv)
-		ticked[n], env.sent = env.sent, nil
-	}
-	for n, sent := range ticked {
-		hand(n, sent)
-	}
-	// One relay lag later the parked copies leave.
-	for _, n := range nodes {
-		hand(n, drainGroupSends(n))
-	}
-	if full != 0 {
-		t.Errorf("%d gossip copies between B and K carried the payload, want none: both held it", full)
-	}
-	withheld := uint64(0)
-	for id, n := range nodes {
-		if want := map[bool]int{true: K.N(), false: B.N()}[B.Contains(id)]; votes[id] != want {
-			t.Errorf("member %v got %d votes, want one from each of the %d members of the other vgroup", id, votes[id], want)
+	for _, m := range B.Members {
+		if votes[m.ID] != K.N() || full[m.ID] != 1 {
+			t.Errorf("member %v of B got %d payloads in %d votes, want 1 in %d", m.ID, full[m.ID], votes[m.ID], K.N())
 		}
-		withheld += n.Stats().PayloadsWithheld
-	}
-	if want := uint64(B.N() + K.N()); withheld != want {
-		t.Errorf("%d relayed payloads withheld, want one per member of either vgroup, %d", withheld, want)
+		if got := delivered[m.ID]; len(got) != 1 || got[0] != tick+r.lag {
+			t.Errorf("member %v of B delivered at %v, want once, at the tick %v plus one lag", m.ID, got, tick)
+		}
 	}
 }
 

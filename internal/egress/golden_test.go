@@ -16,7 +16,7 @@ import (
 
 // goldenStreamSHA256 is the digest of every (recipient, copy) the script in
 // TestPortOutputGolden makes one port send, in send order.
-const goldenStreamSHA256 = "11c7b324e01a673be0e2ada3df8fe4519e129a3ea4100ac195a9145580afdeb7"
+const goldenStreamSHA256 = "6bf74ae02daf0d715598dbcdc758e20a41021db544d7bd0dbac46a1accb530f8"
 
 // TestPortOutputGolden drives one port — member 101 of a four-member vgroup,
 // and the last of another — through a script that takes every path a copy
@@ -27,11 +27,15 @@ const goldenStreamSHA256 = "11c7b324e01a673be0e2ada3df8fe4519e129a3ea4100ac195a9
 //     member and from a minority one, with a payload-less item among them;
 //   - an origin-hop gossip item, with its bytes and without, alone and in a
 //     carrier;
-//   - relayed hops: a carrier whose copy toward one served member is lean at
-//     the tick (that member already holds every relayed payload) and toward
-//     the other parks and leaves after the lag holding one of them; a lone
-//     relayed item whose two parked copies leave, one toward a holder and
-//     one not; and a parked copy that FlushAll sends;
+//   - relayed hops where 101 speaks first (its source's GroupID is below the
+//     destination's): a carrier whose copy toward one served member is lean
+//     at the tick (that member already holds every relayed payload) and
+//     toward the other parks and leaves after two lags holding one of them; a
+//     lone relayed item whose two parked copies leave, one toward a holder
+//     and one not; and a parked copy that FlushAll sends;
+//   - a relayed carrier where 101 speaks second: it waits one lag whole, then
+//     its served copies leave with every item, built under Holds, and the
+//     rest get the lean copy of what the link rule (Withdraw) leaves;
 //   - ToNode from a majority member and from a minority one;
 //   - Chained, ChainedTo and GroupAttach;
 //   - a one-item and a many-item raw node flush.
@@ -42,12 +46,14 @@ func TestPortOutputGolden(t *testing.T) {
 	const lag = 3 * time.Millisecond
 	env := &portEnv{now: time.Second, rng: rand.New(rand.NewSource(7))}
 	held := map[ids.NodeID]map[crypto.Digest]bool{}
+	withdrawn := map[crypto.Digest]bool{}
 	never := func() bool { return false }
 	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
 		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(k group.Kind) bool { return k != 9 },
 			MuteGroup: never, MuteDirect: never,
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return held[m][d] },
+			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return withdrawn[it.Digest] },
 			RelayLag: lag})
 	p.Start(env)
 
@@ -60,15 +66,21 @@ func TestPortOutputGolden(t *testing.T) {
 	}
 	major := group.Composition{GroupID: 1, Epoch: 3, Members: members(101, 4)} // 101 is index 0
 	minor := group.Composition{GroupID: 4, Epoch: 1, Members: members(98, 4)}  // 101 is index 3
+	upper := group.Composition{GroupID: 5, Epoch: 2, Members: members(101, 4)} // 101 is index 0
 	dst := group.Composition{GroupID: 2, Epoch: 300, Members: members(201, 8)}
-	var mine []ids.NodeID // the members of dst 101 is the RelaySender of, from major
-	for j, m := range dst.Members {
-		if group.RelaySender(major, dst, j) == 0 {
-			mine = append(mine, m.ID)
+	// served lists the members of dst 101 is the RelaySender of, from src.
+	served := func(src group.Composition) []ids.NodeID {
+		var out []ids.NodeID
+		for j, m := range dst.Members {
+			if group.RelaySender(src, dst, j) == 0 {
+				out = append(out, m.ID)
+			}
 		}
+		return out
 	}
-	if len(mine) != 2 {
-		t.Fatalf("member 101 relays to %d members of dst, the script wants 2", len(mine))
+	mine, mineUp := served(major), served(upper)
+	if len(mine) != 2 || len(mineUp) == 0 {
+		t.Fatalf("member 101 relays to %d members of dst from major and %d from upper, the script wants 2 and some", len(mine), len(mineUp))
 	}
 
 	ordinary := func(tag string) group.BatchItem {
@@ -123,7 +135,7 @@ func TestPortOutputGolden(t *testing.T) {
 	hold(mine[0], r1, r2, r3)
 	round(major, r1, ordinary("beside"), r2, r3)
 	hold(mine[1], r2)
-	env.now += lag - 1
+	env.now += 2*lag - 1
 	p.OnTimer() // not yet due
 	env.now++
 	p.OnTimer()
@@ -133,15 +145,29 @@ func TestPortOutputGolden(t *testing.T) {
 	hold(mine[1])
 	round(major, r4)
 	hold(mine[0], r4)
-	env.now += lag
+	env.now += 2 * lag
 	p.OnTimer()
 	// A relayed carrier and a relayed vote without bytes, sent by FlushAll
 	// before the lag is up.
 	round(major, gossip("relay-5", true, true), gossip("relay-6", true, false))
 	p.FlushAll()
 	if p.Parked() != 0 {
-		t.Fatalf("%d copies still parked after FlushAll", p.Parked())
+		t.Fatalf("%d batches still parked after FlushAll", p.Parked())
 	}
+	// A relayed carrier toward the lower GroupID: it waits one lag whole.
+	// Meanwhile dst's votes make relay-7 redundant on the link, every member
+	// comes to hold it, and one served member relay-8 too.
+	r7, r8 := gossip("relay-7", true, true), gossip("relay-8", true, true)
+	round(upper, r7, ordinary("turn"), r8)
+	withdrawn[r7.Digest] = true
+	for _, m := range dst.Members {
+		hold(m.ID, r7)
+	}
+	hold(mineUp[0], r7, r8)
+	env.now += lag - 1
+	p.OnTimer() // not yet due
+	env.now++
+	p.OnTimer()
 
 	// Node-addressed group messages and the certificate-mode sends.
 	p.ToNode(major, 42, 5, crypto.Hash([]byte("snap-1")), []byte("snapshot-1"))
@@ -167,10 +193,10 @@ func TestPortOutputGolden(t *testing.T) {
 		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(b))))
 		h.Write(b)
 	}
-	if got, want := len(env.sent), 117; got != want {
+	if got, want := len(env.sent), 125; got != want {
 		t.Errorf("the script sent %d copies, want %d", got, want)
 	}
-	if got, want := p.Withheld(), uint64(5); got != want {
+	if got, want := p.Withheld(), uint64(8); got != want {
 		t.Errorf("the script withheld %d relayed payloads, want %d", got, want)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenStreamSHA256 {

@@ -25,17 +25,39 @@ package egress
 // What a copy carries is group's one rule (group.CopyRule), and every copy is
 // built by group.Copy: one item is a plain message, several a carrier. Who
 // gets which copy is decided here, in one loop, fanOut, which a group batch
-// and GroupAttach both take: in a random order against incast (§5.1), every
-// destination member gets the lean copy — ordinary payloads from a majority
-// member, no relayed payload — except, on a relayed hop, the members this
-// member is the RelaySender of (group.RelaySender). Of those, one that
-// Rules.Holds already names a holder of every relayed payload gets the lean
-// copy too; the copy toward any other parks for Rules.RelayLag and is built
-// when it leaves, each relayed payload the member is by then known to hold
-// going as its digest alone. A crossing — two neighbors that deliver at once
-// and send each other the bytes — costs one lag instead of a payload. The
-// parked copies keep their captured src/dst and leave at the Scheduler's timer
-// (Config.Arm, OnTimer) or at FlushAll, whichever is first.
+// and GroupAttach both take (a second speaker's turn, below, is speak's): in
+// a random order against incast (§5.1), every destination member gets the
+// lean copy — ordinary payloads from a majority member, no relayed payload —
+// except, on a relayed hop, the members this member is the RelaySender of
+// (group.RelaySender). Of those, one that Rules.Holds already names a holder
+// of every relayed payload gets the lean copy too; the copy toward any other
+// parks and is built when it leaves, each relayed payload the member is by
+// then known to hold going as its digest alone. A crossing — two neighbors
+// that deliver at once and send each other the bytes — costs a lag instead of
+// a payload. The parked copies keep their captured src/dst and leave at the
+// Scheduler's timer (Config.Arm, OnTimer) or at FlushAll, whichever is first.
+//
+// How long a copy parks depends on the round. Outside a synchronous round a
+// served copy parks for one Rules.RelayLag, which must exceed one link delay
+// so that a vote the member's vgroup sent at the same moment arrives first.
+// In a synchronous round (Rules.Sync) the two ends of a relayed link take
+// turns, ordered by GroupID, so that one end's votes stop the other's too:
+//
+//   - the lower vgroup speaks first: its lean copies leave at the tick, and
+//     its served copies park for two lags;
+//   - the higher vgroup speaks second: its whole batch toward the lower one
+//     waits one lag (turn). As it leaves, the link rule (Rules.Withdraw) is
+//     asked again, and what the first speaker's votes made redundant is
+//     dropped from the lean copies. The served copies leave all the same,
+//     built under Rules.Holds, so they go digest-only: one vote for each
+//     member of the first speaker, which lets its parked copies withhold
+//     their bytes under the vgroup rule.
+//
+// One lag must exceed one link delay, so that the first speaker's votes reach
+// the second before its batch leaves; two lags must exceed one lag plus one
+// link delay, so that the second speaker's served votes reach the first
+// speaker's parked copies. A batch with no relayed payload (the origin hop)
+// takes no turn and leaves at the tick.
 //
 // Correctness needs no cross-member coordination: the receiver votes each
 // inner item into its inbox under the item's own MsgID, so members whose
@@ -75,15 +97,21 @@ type Rules struct {
 	MuteGroup, MuteDirect func() bool
 	// Withdraw and Holds are the engine's withholding rules, read as a batch
 	// leaves: Withdraw drops an item of a group batch before the scheduler
-	// counts its carriers (Config.Withdraw) — what it drops never left, so Left
-	// is not told of it — and Holds names the destination members that need no
-	// relayed payload (group.Holds), asked again as each parked copy leaves.
-	// Either may be nil.
+	// counts its carriers (Config.Withdraw), and once more from a second
+	// speaker's lean copies as its turn comes — what it drops from those never
+	// left them, so Left is not told of it — and Holds names the destination
+	// members that need no relayed payload (group.Holds), asked again as each
+	// parked copy leaves. Either may be nil.
 	Withdraw func(dst group.Composition, it group.BatchItem) bool
 	Holds    group.Holds
 	// RelayLag is how long a relayed copy toward a member this member is the
-	// RelaySender of waits for the vote that makes its payloads redundant;
-	// with zero it leaves as soon as its batch is framed.
+	// RelaySender of waits for the vote that makes its payloads redundant. It
+	// must exceed one link delay. A served copy parks for one lag, but in a
+	// synchronous round's turns (see the package comment) the second
+	// speaker's whole batch waits one lag and the first speaker's served
+	// copies park for two: one lag plus one link delay, for the second
+	// speaker's served votes to arrive. With zero nothing waits and no turns
+	// are taken.
 	RelayLag time.Duration
 	// Left, when set, is told of each item of a group batch once its copies
 	// have left the port: when its batch is framed, or, if the batch parked a
@@ -106,20 +134,29 @@ type Port struct {
 	env      actor.Env
 	rules    Rules
 	withheld uint64 // relayed payloads withheld from a holder
-	// parked holds the framed batches that parked copies, first due first,
-	// and parkedTo the members they parked, in the same order.
-	parked   []parkedFlush
-	parkedTo []ids.NodeID
+	// parked holds the batches that wait, one queue per lag: [0] one lag,
+	// [1] two (a first speaker's served copies). Every batch in a queue
+	// waited the same lag, so appending keeps each first due first.
+	parked [2]parkQueue
 }
 
-// parkedFlush is one framed batch whose copies toward members leave later:
-// when, its captured src/dst, a copy of its items — garbage once the copies
-// left, so an idle port keeps none — and how many of parkedTo are its.
+// parkQueue is one lag's waiting batches, first due first, and the members
+// their parked copies go to, in the same order.
+type parkQueue struct {
+	flushes []parkedFlush
+	to      []ids.NodeID
+}
+
+// parkedFlush is one framed batch whose copies leave later: when, its
+// captured src/dst, a copy of its items — garbage once the copies left, so an
+// idle port keeps none — and how many of its queue's members are its. A
+// second speaker's batch (turn) has none: all of its copies wait.
 type parkedFlush struct {
 	due      time.Duration
 	src, dst group.Composition
 	items    []group.BatchItem
 	members  int
+	turn     bool
 }
 
 // NewPort builds a node's port over a Scheduler configured by cfg; its Flush
@@ -154,7 +191,7 @@ func (p *Port) Group(src, dst group.Composition, it group.BatchItem) {
 // the receiver votes it like any group message, so only the majority members
 // send the payload, but it leaves at once. The item is never Relay.
 func (p *Port) GroupAttach(src, dst group.Composition, it group.BatchItem, attach []byte) {
-	p.fanOut(src, dst, []group.BatchItem{it}, attach)
+	p.fanOut(src, dst, []group.BatchItem{it}, attach, &p.parked[0])
 }
 
 // ToNode sends one logical group message from src to a single node. As
@@ -221,41 +258,63 @@ func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
 // A node-addressed batch (raw traffic) is link-authenticated and carries full
 // payloads, and is never held for a round: tier-2 data must not wait for
 // round boundaries. A group batch goes to the fan-out.
+//
+// In a synchronous round a relayed batch takes its turn (see the package
+// comment): a second speaker's waits whole for one lag, a first speaker's
+// served copies park for two.
 func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
 	if node != 0 {
 		msg, _ := group.Copy(group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch}, p.rules.Carrier, items, group.CopyRule{Full: true})
 		p.sendDirect(node, msg)
 		return
 	}
-	members := p.fanOut(src, dst, items, nil)
+	lags := 1
+	if p.rules.Sync && p.rules.RelayLag > 0 && slices.ContainsFunc(items, relayed) {
+		if src.GroupID > dst.GroupID {
+			p.park(1, parkedFlush{src: src, dst: dst, items: slices.Clone(items), turn: true})
+			return
+		}
+		lags = 2
+	}
+	members := p.fanOut(src, dst, items, nil, &p.parked[lags-1])
 	if members == 0 {
 		p.left(items)
 		return
 	}
-	due := p.now() + p.rules.RelayLag
-	p.parked = append(p.parked, parkedFlush{due: due, src: src, dst: dst, items: slices.Clone(items), members: members})
+	p.park(lags, parkedFlush{src: src, dst: dst, items: slices.Clone(items), members: members})
+}
+
+// park queues f for lags relay lags (1 or 2) and arms the timer for it — or,
+// with no lag, sends it at once.
+func (p *Port) park(lags int, f parkedFlush) {
+	f.due = p.now() + time.Duration(lags)*p.rules.RelayLag
+	q := &p.parked[lags-1]
+	q.flushes = append(q.flushes, f)
 	if p.rules.RelayLag == 0 {
 		p.release(false)
 		return
 	}
-	p.arm(due)
+	p.arm(f.due)
 }
+
+// relayed reports whether it is a relayed payload.
+func relayed(it group.BatchItem) bool { return it.Relay && it.Payload != nil }
 
 // fanOut sends this member's copy of items to every member of dst, in a random
 // order against incast (§5.1). Every member gets the lean copy — the majority
 // rule's, with no relayed payload — but the members this member is the
-// RelaySender of whose copy would carry one: those it appends to parkedTo, for
-// the caller to park, and it returns how many. A served member that Rules.Holds
-// names a holder of every relayed payload gets the lean copy, and the payloads
-// count as withheld.
-func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attach []byte) (parked int) {
+// RelaySender of whose copy would carry one: those it appends to q's members,
+// for the caller to park, and it returns how many. A served member that
+// Rules.Holds names a holder of every relayed payload gets the lean copy, and
+// the payloads count as withheld.
+func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attach []byte, q *parkQueue) (parked int) {
 	idx := src.Index(p.rules.Self)
 	rule := group.CopyRule{Full: idx >= 0 && idx < src.Majority()}
 	// relays counts the relayed payloads this member may serve; the member
 	// at index j of dst is served by the one at (j+rot) mod N.
 	relays, rot := 0, 0
 	for i := range items {
-		if items[i].Relay && items[i].Payload != nil && idx >= 0 {
+		if relayed(items[i]) && idx >= 0 {
 			relays++
 		}
 	}
@@ -269,7 +328,7 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 		to := dst.Members[j].ID
 		if relays > 0 && (j+rot)%src.N() == idx {
 			if served := p.served(src, dst, to); carriesRelayed(&served, items) {
-				p.parkedTo = append(p.parkedTo, to)
+				q.to = append(q.to, to)
 				parked++
 				continue
 			}
@@ -325,26 +384,79 @@ func (p *Port) FlushAll() {
 
 // release sends the parked copies that are due — all of them when all is set
 // — each built as Rules.Holds says now, and arms the timer for the next one.
+// The queues are drained together, first due first.
 func (p *Port) release(all bool) {
 	now := p.now()
-	n, to := 0, 0
-	for ; n < len(p.parked) && (all || p.parked[n].due <= now); n++ {
-		f := &p.parked[n]
-		hdr := group.GroupMsg{SrcGroup: f.src.GroupID, SrcEpoch: f.src.Epoch, DstGroup: f.dst.GroupID, DstEpoch: f.dst.Epoch}
-		for _, member := range p.parkedTo[to : to+f.members] {
-			msg, withheld := group.Copy(hdr, p.rules.Carrier, f.items, p.served(f.src, f.dst, member))
-			p.withheld += uint64(withheld)
-			p.sendGroup(member, msg)
+	for q := p.next(); q != nil && (all || q.flushes[0].due <= now); q = p.next() {
+		f := q.flushes[0]
+		q.flushes = slices.Delete(q.flushes, 0, 1)
+		if f.turn {
+			p.speak(&f)
+			continue
 		}
-		to += f.members
+		for _, member := range q.to[:f.members] {
+			p.serve(&f, member)
+		}
+		q.to = slices.Delete(q.to, 0, f.members)
 		p.left(f.items)
 	}
-	p.parked = slices.Delete(p.parked, 0, n)
-	p.parkedTo = slices.Delete(p.parkedTo, 0, to)
-	if len(p.parked) > 0 {
-		p.arm(p.parked[0].due)
+	if q := p.next(); q != nil {
+		p.arm(q.flushes[0].due)
 	}
 }
 
-// Parked reports how many copies wait for their lag.
-func (p *Port) Parked() int { return len(p.parkedTo) }
+// next returns the queue whose first batch is due first, nil when nothing is
+// parked.
+func (p *Port) next() *parkQueue {
+	var next *parkQueue
+	for i := range p.parked {
+		if q := &p.parked[i]; len(q.flushes) > 0 && (next == nil || q.flushes[0].due < next.flushes[0].due) {
+			next = q
+		}
+	}
+	return next
+}
+
+// speak sends a second speaker's batch (parkedFlush.turn), in a random order
+// against incast. The members this member is the RelaySender of get their
+// copy first, built under Rules.Holds while every item's record stands. Then
+// the link rule (Rules.Withdraw) is asked again: the rest of dst get the lean
+// copy of the items it leaves, and Left hears of those.
+func (p *Port) speak(f *parkedFlush) {
+	idx, rot := f.src.Index(p.rules.Self), group.RelaySender(f.src, f.dst, 0)
+	order := p.env.Rand().Perm(f.dst.N())
+	for _, j := range order {
+		if (j+rot)%f.src.N() == idx {
+			p.serve(f, f.dst.Members[j].ID)
+		}
+	}
+	items := f.items
+	if withdraw := p.rules.Withdraw; withdraw != nil {
+		items = slices.DeleteFunc(items, func(it group.BatchItem) bool { return withdraw(f.dst, it) })
+	}
+	if len(items) > 0 {
+		lean, _ := group.Copy(f.header(), p.rules.Carrier, items, group.CopyRule{Full: p.full(f.src)})
+		for _, j := range order {
+			if (j+rot)%f.src.N() != idx {
+				p.sendGroup(f.dst.Members[j].ID, lean)
+			}
+		}
+	}
+	p.left(items)
+}
+
+// serve sends member to, whose RelaySender this member is, its copy of f's
+// items, built as Rules.Holds says now.
+func (p *Port) serve(f *parkedFlush, to ids.NodeID) {
+	msg, withheld := group.Copy(f.header(), p.rules.Carrier, f.items, p.served(f.src, f.dst, to))
+	p.withheld += uint64(withheld)
+	p.sendGroup(to, msg)
+}
+
+// header is the group-message header of f's copies.
+func (f *parkedFlush) header() group.GroupMsg {
+	return group.GroupMsg{SrcGroup: f.src.GroupID, SrcEpoch: f.src.Epoch, DstGroup: f.dst.GroupID, DstEpoch: f.dst.Epoch}
+}
+
+// Parked reports how many batches wait for their lag.
+func (p *Port) Parked() int { return len(p.parked[0].flushes) + len(p.parked[1].flushes) }

@@ -1,7 +1,9 @@
 package egress
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,18 +149,20 @@ func (r *relayRig) payloads(t *testing.T) map[ids.NodeID]int {
 // TestParkedCopyLeavesAfterLag: at the tick the port sends the lean frame, no
 // relayed payload, to every destination member but those it relays to, and
 // to one of those the holders rule already names a holder of every relayed
-// item; it parks the rest. One lag later each parked copy leaves framed item
-// by item: a payload its member has come to hold meanwhile goes as its digest.
-// Left hears of each item once its last copy has left, and FlushAll sends what
-// is parked without waiting for the lag.
+// item; it parks the rest, as one batch. The rig's source has the lower
+// GroupID, so in its synchronous round it speaks first and the batch waits two
+// lags. Then each parked copy leaves framed item by item: a payload its member
+// has come to hold meanwhile goes as its digest. Left hears of each item once
+// its last copy has left, and FlushAll sends what is parked without waiting
+// for the lags.
 func TestParkedCopyLeavesAfterLag(t *testing.T) {
 	const lag = 3 * time.Millisecond
 	r := newRelayRig(t, lag)
 	r.hold(r.mine[0], 1) // a holder of one item: parked all the same
 	r.round()
 	sent := r.payloads(t)
-	if len(sent) != r.dst.N()-2 || r.p.Parked() != 2 || r.left != 0 {
-		t.Fatalf("at the tick: %d copies sent, %d parked, %d items left; want %d, 2, 0", len(sent), r.p.Parked(), r.left, r.dst.N()-2)
+	if len(sent) != r.dst.N()-2 || r.p.Parked() != 1 || r.left != 0 {
+		t.Fatalf("at the tick: %d copies sent, %d batches parked, %d items left; want %d, 1, 0", len(sent), r.p.Parked(), r.left, r.dst.N()-2)
 	}
 	for to, n := range sent {
 		if n != 0 {
@@ -166,16 +170,16 @@ func TestParkedCopyLeavesAfterLag(t *testing.T) {
 		}
 	}
 	r.hold(r.mine[1], 2) // voted meanwhile
-	r.env.now += lag - 1
+	r.env.now += 2*lag - 1
 	r.p.OnTimer()
 	if sent := r.payloads(t); len(sent) != 0 {
-		t.Fatalf("before the lag was up the port sent %v", sent)
+		t.Fatalf("before two lags were up the port sent %v", sent)
 	}
 	r.env.now++
 	r.p.OnTimer()
 	sent = r.payloads(t)
 	if len(sent) != 2 || sent[r.mine[0]] != 2 || sent[r.mine[1]] != 2 || r.p.Parked() != 0 {
-		t.Fatalf("one lag on: relayed payloads sent %v, %d parked; want 2 to each of %v, none parked", sent, r.p.Parked(), r.mine)
+		t.Fatalf("two lags on: relayed payloads sent %v, %d parked; want 2 to each of %v, none parked", sent, r.p.Parked(), r.mine)
 	}
 	if r.left != len(r.items) || r.p.Withheld() != 2 {
 		t.Errorf("Left heard of %d items and %d payloads were withheld, want %d and 2", r.left, r.p.Withheld(), len(r.items))
@@ -185,13 +189,214 @@ func TestParkedCopyLeavesAfterLag(t *testing.T) {
 	r.hold(r.mine[1])
 	r.round()
 	if got := r.p.Parked(); got != 1 {
-		t.Fatalf("the second tick parked %d copies, want 1", got)
+		t.Fatalf("the second tick parked %d batches, want 1", got)
 	}
 	r.p.FlushAll()
 	sent = r.payloads(t)
 	if len(sent) != r.dst.N() || sent[r.mine[0]] != 0 || sent[r.mine[1]] != len(r.items) || r.p.Parked() != 0 {
 		t.Errorf("FlushAll: relayed payloads sent %v, %d parked; want a copy to all %d, none to %v, %d to %v, none parked",
 			sent, r.p.Parked(), r.dst.N(), r.mine[0], len(r.items), r.mine[1])
+	}
+}
+
+// turnRig is a port for member 101, index 0 of vgroup 5, in a synchronous
+// round whose neighbors are vgroup 3 (lower: 101 speaks second toward it) and
+// vgroup 7 (higher: 101 speaks first), with rules the test sets: holders per
+// member, digests withdrawn, and what Left and Arm heard.
+type turnRig struct {
+	env       *portEnv
+	p         *Port
+	src       group.Composition
+	low, high group.Composition
+	held      map[ids.NodeID]map[crypto.Digest]bool
+	withdrawn map[crypto.Digest]bool
+	left      []crypto.Digest
+	armed     []time.Duration // the deadlines the port asked its timer for
+}
+
+func newTurnRig(lag time.Duration) *turnRig {
+	r := &turnRig{env: &portEnv{now: time.Second, rng: rand.New(rand.NewSource(2))},
+		held: map[ids.NodeID]map[crypto.Digest]bool{}, withdrawn: map[crypto.Digest]bool{}}
+	never := func() bool { return false }
+	r.p = NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
+		Now: r.env.Now, Arm: func(d time.Duration) { r.armed = append(r.armed, r.env.now+d) }},
+		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }, MuteGroup: never, MuteDirect: never,
+			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return r.held[m][d] },
+			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return r.withdrawn[it.Digest] },
+			RelayLag: lag,
+			Left:     func(it group.BatchItem) { r.left = append(r.left, it.Digest) }})
+	r.p.Start(r.env)
+	r.src = compOf(5, 1, 101, 102, 103, 104)
+	r.low = compOf(3, 1, 201, 202, 203, 204, 205, 206, 207, 208)
+	r.high = compOf(7, 1, 301, 302, 303, 304, 305, 306, 307, 308)
+	return r
+}
+
+// relayedItems are ordinary items of kind 1 named by their digests, the first
+// n of them relayed payloads.
+func relayedItems(n int, payloads ...string) []group.BatchItem {
+	items := batchItems(payloads...)
+	for i := range items {
+		items[i].Digest = crypto.Hash(items[i].Payload)
+		items[i].Relay = i < n
+	}
+	return items
+}
+
+// tick queues items toward dst and runs the round tick.
+func (r *turnRig) tick(dst group.Composition, items ...group.BatchItem) {
+	for _, it := range items {
+		r.p.Group(r.src, dst, it)
+	}
+	r.p.FlushDeferred()
+}
+
+// sent takes what the port sent since the last call: per recipient, per item
+// digest, whether the item carried its payload.
+func (r *turnRig) sent(t *testing.T) map[ids.NodeID]map[crypto.Digest]bool {
+	t.Helper()
+	out := map[ids.NodeID]map[crypto.Digest]bool{}
+	for i, m := range r.env.sent {
+		got := []group.GroupMsg{m}
+		if m.Kind == 15 {
+			var err error
+			if got, err = group.UnpackBatch(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out[r.env.to[i]] != nil {
+			t.Fatalf("%v got two copies", r.env.to[i])
+		}
+		out[r.env.to[i]] = map[crypto.Digest]bool{}
+		for _, im := range got {
+			out[r.env.to[i]][im.PayloadDigest] = im.Payload != nil
+		}
+	}
+	r.env.sent, r.env.to = nil, nil
+	return out
+}
+
+// served returns the members of dst that 101 is the RelaySender of.
+func (r *turnRig) served(dst group.Composition) []ids.NodeID {
+	var out []ids.NodeID
+	for j, m := range dst.Members {
+		if group.RelaySender(r.src, dst, j) == 0 {
+			out = append(out, m.ID)
+		}
+	}
+	return out
+}
+
+// TestSecondSpeakerTakesItsTurn: toward its lower neighbor, a member speaks
+// second. A batch with no relayed payload (the origin hop) leaves at the tick
+// all the same; a relayed one waits whole for one lag. Then the members it
+// serves get their copy first, every item in it, built under Holds: a payload
+// the member holds goes as its digest, one it does not in full. The link rule
+// is asked again, and the rest of the vgroup gets the lean copy of the items it
+// leaves. Left hears of those, not of the item withdrawn.
+func TestSecondSpeakerTakesItsTurn(t *testing.T) {
+	const lag = 3 * time.Millisecond
+	r := newTurnRig(lag)
+	origin := batchItems("origin-vote", "origin-ordinary")
+	origin[0].Digest, origin[0].Payload = crypto.Hash(origin[0].Payload), nil
+	r.tick(r.low, origin...)
+	if got := r.sent(t); len(got) != r.low.N() || r.p.Parked() != 0 {
+		t.Fatalf("a batch with no relayed payload: %d copies at the tick, %d batches parked; want %d, none", len(got), r.p.Parked(), r.low.N())
+	}
+	r.left = nil
+
+	items := relayedItems(2, "redundant", "relayed", "ordinary")
+	redundant, relayed, ordinary := items[0].Digest, items[1].Digest, items[2].Digest
+	r.tick(r.low, items...)
+	if got := r.sent(t); len(got) != 0 || r.p.Parked() != 1 {
+		t.Fatalf("a relayed batch at the tick: %d copies sent, %d batches parked; want none sent, 1 parked", len(got), r.p.Parked())
+	}
+	// Meanwhile the first speaker's votes arrive: f+1 of them make the first
+	// item redundant on the link, and every member holds it.
+	mine := r.served(r.low)
+	if len(mine) != 2 {
+		t.Fatalf("101 relays to %d members of the lower neighbor, the test wants 2", len(mine))
+	}
+	r.withdrawn[redundant] = true
+	for _, m := range r.low.Members {
+		r.held[m.ID] = map[crypto.Digest]bool{redundant: true}
+	}
+	r.held[mine[0]][relayed] = true
+	r.env.now += lag - 1
+	r.p.OnTimer()
+	if got := r.sent(t); len(got) != 0 {
+		t.Fatalf("before the lag was up the port sent %d copies", len(got))
+	}
+	r.env.now++
+	r.p.OnTimer()
+	got := r.sent(t)
+	if len(got) != r.low.N() || r.p.Parked() != 0 {
+		t.Fatalf("one lag on: %d copies sent, %d batches parked; want %d, none", len(got), r.p.Parked(), r.low.N())
+	}
+	want := map[crypto.Digest]bool{relayed: false, ordinary: true}
+	for _, m := range r.low.Members {
+		w := want
+		switch m.ID {
+		case mine[0]:
+			w = map[crypto.Digest]bool{redundant: false, relayed: false, ordinary: true}
+		case mine[1]:
+			w = map[crypto.Digest]bool{redundant: false, relayed: true, ordinary: true}
+		}
+		if !maps.Equal(got[m.ID], w) {
+			t.Errorf("member %v got items (digest: payload) %v, want %v", m.ID, got[m.ID], w)
+		}
+	}
+	if !slices.Equal(r.left, []crypto.Digest{relayed, ordinary}) || r.p.Withheld() != 3 {
+		t.Errorf("Left heard of %d items, %d payloads withheld; want the two left in the lean copy, 3", len(r.left), r.p.Withheld())
+	}
+}
+
+// TestParkedCopiesLeaveInDueOrder: a first speaker's served copies park for
+// two lags, a second speaker's batch for one. A one-lag batch queued after a
+// two-lag one that falls due first leaves first: at its own due time, for
+// which the port arms its timer, while the other waits out its two lags.
+// Parked counts the waiting batches.
+func TestParkedCopiesLeaveInDueOrder(t *testing.T) {
+	const lag = 3 * time.Millisecond
+	r := newTurnRig(lag)
+	t0 := r.env.now
+	r.tick(r.high, relayedItems(1, "toward the higher")...)
+	if got := r.sent(t); len(got) != r.high.N()-len(r.served(r.high)) || r.p.Parked() != 1 {
+		t.Fatalf("first speaker at the tick: %d copies sent, %d batches parked; want all but the served, 1", len(got), r.p.Parked())
+	}
+	r.env.now = t0 + time.Millisecond
+	r.tick(r.low, relayedItems(1, "toward the lower")...)
+	if got := r.sent(t); len(got) != 0 || r.p.Parked() != 2 {
+		t.Fatalf("second speaker at its tick: %d copies sent, %d batches parked; want none, 2", len(got), r.p.Parked())
+	}
+	if !slices.Contains(r.armed, t0+time.Millisecond+lag) {
+		t.Errorf("the port armed its timer for %v, want the one-lag batch's due time %v among them", r.armed, t0+time.Millisecond+lag)
+	}
+	r.env.now = t0 + time.Millisecond + lag
+	r.p.OnTimer()
+	got := r.sent(t)
+	if len(got) != r.low.N() || r.p.Parked() != 1 {
+		t.Fatalf("at the one-lag batch's due time: %d copies sent, %d batches parked; want the %d of the lower neighbor, 1", len(got), r.p.Parked(), r.low.N())
+	}
+	for to := range got {
+		if !r.low.Contains(to) {
+			t.Errorf("the first speaker's parked copy to %v left before its two lags", to)
+		}
+	}
+	r.env.now = t0 + 2*lag - 1
+	r.p.OnTimer()
+	if got := r.sent(t); len(got) != 0 {
+		t.Fatalf("before two lags were up the port sent %d copies", len(got))
+	}
+	r.env.now++
+	r.p.OnTimer()
+	if got = r.sent(t); len(got) != len(r.served(r.high)) || r.p.Parked() != 0 {
+		t.Fatalf("two lags on: %d copies sent, %d batches parked; want the %d served, none", len(got), r.p.Parked(), len(r.served(r.high)))
+	}
+	for to := range got {
+		if !slices.Contains(r.served(r.high), to) {
+			t.Errorf("the first speaker's parked copy went to %v, which it does not serve", to)
+		}
 	}
 }
 
