@@ -12,6 +12,12 @@
 // if any correct member accepts a value by relative round f, every correct
 // member accepts it by round f+1.
 //
+// A member verifies each value's chain once, when it first accepts it. A copy
+// of a value the slot already holds is dropped by content (same ops) before
+// it is hashed or verified, and a slot holds at most two values: any further
+// value is dropped the same way, since two already prove the sender
+// equivocated and this member has relayed both.
+//
 // A slot finalizes f+1 rounds after it started, where f = ⌊(g−1)/2⌋. If
 // exactly one value was accepted, its batch commits; if the sender
 // equivocated (≥2 values) or no value arrived, the slot commits nothing.
@@ -25,6 +31,7 @@
 package dolev
 
 import (
+	"bytes"
 	"sort"
 
 	"atum/internal/actor"
@@ -228,7 +235,10 @@ func (r *Replica) Tick(round uint64) {
 	}
 }
 
-// Receive implements smr.Replica.
+// Receive implements smr.Replica. A value's chain is verified once, when the
+// value is first accepted: a copy of a value the slot already holds, and any
+// value beyond the two that prove an equivocation, is dropped before it is
+// hashed or verified.
 func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 	if r.stopped {
 		return
@@ -257,33 +267,50 @@ func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 		// the in-time members).
 		elapsed = 0
 	}
-	if !r.verifyChain(msg, elapsed) {
-		r.cfg.Logln("dolev %v/%d: REJECT chain slot(%d,%v) sigs=%d elapsed=%d prebirth=%v", r.cfg.GroupID, r.cfg.Epoch, msg.StartRound, msg.Sender, len(msg.Sigs), elapsed, preBirth)
+	if st, ok := r.slots[slotKey{startRound: msg.StartRound, sender: msg.Sender}]; ok && !st.admits(msg.Ops) {
 		return
 	}
 	digest := smr.OpsDigest(msg.GroupID, msg.Epoch, msg.StartRound, msg.Sender, msg.Ops)
-	if !r.knownValue(msg, digest) {
-		r.accept(msg, digest)
-		if !preBirth {
-			r.relay(msg, digest)
-		}
+	if !r.verifyChain(msg, digest, elapsed) {
+		r.cfg.Logln("dolev %v/%d: REJECT chain slot(%d,%v) sigs=%d elapsed=%d prebirth=%v", r.cfg.GroupID, r.cfg.Epoch, msg.StartRound, msg.Sender, len(msg.Sigs), elapsed, preBirth)
+		return
+	}
+	r.accept(msg, digest)
+	if !preBirth {
+		r.relay(msg, digest)
 	}
 }
 
-func (r *Replica) knownValue(msg SlotMsg, digest crypto.Digest) bool {
-	key := slotKey{startRound: msg.StartRound, sender: msg.Sender}
-	st, ok := r.slots[key]
-	if !ok {
+// admits reports whether a value with these ops may still change the slot:
+// it is not one the slot holds, and the slot holds fewer than two values (two
+// already make it commit nothing, and this member has relayed both). The ops
+// are compared by content, which is exact: the slot key, group and epoch fix
+// the rest of the digest.
+func (st *slotState) admits(ops []smr.Operation) bool {
+	for _, v := range st.accepted {
+		if sameOps(v.ops, ops) {
+			return false
+		}
+	}
+	return len(st.accepted) < 2
+}
+
+func sameOps(a, b []smr.Operation) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	_, seen := st.accepted[digest]
-	return seen
+	for i := range a {
+		if a[i].Proposer != b[i].Proposer || a[i].OpID != b[i].OpID || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
 }
 
 // verifyChain checks the Dolev-Strong acceptance rule: at relative round k,
 // a message needs ≥ k+1 valid signatures from distinct members over the
 // batch digest, the first from the slot's sender.
-func (r *Replica) verifyChain(msg SlotMsg, elapsed uint64) bool {
+func (r *Replica) verifyChain(msg SlotMsg, digest crypto.Digest, elapsed uint64) bool {
 	if len(msg.Sigs) == 0 || msg.Sigs[0].Node != msg.Sender {
 		return false
 	}
@@ -293,13 +320,10 @@ func (r *Replica) verifyChain(msg SlotMsg, elapsed uint64) bool {
 	if ids.FindIdentity(r.cfg.Members, msg.Sender) < 0 {
 		return false
 	}
-	digest := smr.OpsDigest(msg.GroupID, msg.Epoch, msg.StartRound, msg.Sender, msg.Ops)
-	seen := make(map[ids.NodeID]bool, len(msg.Sigs))
-	for _, entry := range msg.Sigs {
-		if seen[entry.Node] {
+	for i, entry := range msg.Sigs {
+		if inChain(msg.Sigs[:i], entry.Node) {
 			return false
 		}
-		seen[entry.Node] = true
 		idx := ids.FindIdentity(r.cfg.Members, entry.Node)
 		if idx < 0 {
 			return false
@@ -309,6 +333,15 @@ func (r *Replica) verifyChain(msg SlotMsg, elapsed uint64) bool {
 		}
 	}
 	return true
+}
+
+func inChain(sigs []SigEntry, id ids.NodeID) bool {
+	for _, e := range sigs {
+		if e.Node == id {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *Replica) accept(msg SlotMsg, digest crypto.Digest) {
@@ -326,11 +359,7 @@ func (r *Replica) accept(msg SlotMsg, digest crypto.Digest) {
 
 // relay appends our signature and forwards to members not yet in the chain.
 func (r *Replica) relay(msg SlotMsg, digest crypto.Digest) {
-	inChain := make(map[ids.NodeID]bool, len(msg.Sigs)+1)
-	for _, e := range msg.Sigs {
-		inChain[e.Node] = true
-	}
-	if inChain[r.cfg.Self] {
+	if inChain(msg.Sigs, r.cfg.Self) {
 		return // we already signed this value; everyone will get it
 	}
 	sig := r.cfg.Signer.Sign(digest[:])
@@ -339,7 +368,7 @@ func (r *Replica) relay(msg SlotMsg, digest crypto.Digest) {
 	out.Sigs = append(out.Sigs, msg.Sigs...)
 	out.Sigs = append(out.Sigs, SigEntry{Node: r.cfg.Self, Sig: sig})
 	for _, m := range r.cfg.Members {
-		if m.ID == r.cfg.Self || inChain[m.ID] {
+		if m.ID == r.cfg.Self || inChain(msg.Sigs, m.ID) {
 			continue
 		}
 		r.cfg.Send(m.ID, out)

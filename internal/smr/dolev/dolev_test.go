@@ -134,21 +134,23 @@ func (c *cluster) runRounds(from, to uint64) {
 }
 
 // checkAgreement verifies all correct replicas committed identical sequences
-// and returns that sequence.
+// and returns that sequence. A replica that committed nothing counts as an
+// empty sequence, so one replica committing alone is a divergence.
 func (c *cluster) checkAgreement() []smr.Operation {
 	c.t.Helper()
 	var ref []smr.Operation
 	var refID ids.NodeID
+	first := true
 	for _, m := range c.members {
-		seq, ok := c.committed[m.ID]
 		if _, isReplica := c.replicas[m.ID]; !isReplica {
 			continue
 		}
-		if ref == nil && ok {
-			ref, refID = seq, m.ID
+		seq := c.committed[m.ID]
+		if first {
+			ref, refID, first = seq, m.ID, false
 			continue
 		}
-		if !reflect.DeepEqual(ref, seq) {
+		if len(ref) != len(seq) || (len(seq) > 0 && !reflect.DeepEqual(ref, seq)) {
 			c.t.Fatalf("commit sequences diverge: %v=%v vs %v=%v", refID, ref, m.ID, seq)
 		}
 	}
@@ -365,5 +367,173 @@ func TestWireSizeGrowsWithChain(t *testing.T) {
 	withSigs.Sigs = []SigEntry{{Node: 1, Sig: make([]byte, 32)}, {Node: 2, Sig: make([]byte, 32)}}
 	if withSigs.WireSize() <= base.WireSize() {
 		t.Error("WireSize must account for the signature chain")
+	}
+}
+
+// countingScheme counts the signature checks a replica makes.
+type countingScheme struct {
+	crypto.Scheme
+	verifies *int
+}
+
+func (s countingScheme) Verify(pub, msg, sig []byte) bool {
+	*s.verifies++
+	return s.Scheme.Verify(pub, msg, sig)
+}
+
+// countVerifies makes every replica of c count its signature checks into one
+// counter and returns it.
+func (c *cluster) countVerifies() *int {
+	n := new(int)
+	for _, r := range c.replicas {
+		r.cfg.Scheme = countingScheme{Scheme: c.scheme, verifies: n}
+	}
+	return n
+}
+
+// slotSnapshot copies what a replica holds for its open slots.
+func slotSnapshot(r *Replica) map[slotKey]map[crypto.Digest]slotValue {
+	out := make(map[slotKey]map[crypto.Digest]slotValue, len(r.slots))
+	for k, st := range r.slots {
+		vals := make(map[crypto.Digest]slotValue, len(st.accepted))
+		for d, v := range st.accepted {
+			vals[d] = *v
+		}
+		out[k] = vals
+	}
+	return out
+}
+
+func TestAcceptedValueVerifiedOnce(t *testing.T) {
+	for _, g := range []int{4, 7, 8} {
+		t.Run(fmt.Sprintf("g=%d", g), func(t *testing.T) {
+			c := newCluster(t, g)
+			verifies := c.countVerifies()
+			c.replicas[1].Propose(op(1, 1, "x"))
+			c.runRounds(1, uint64(smr.SyncF(g))+2)
+			// The sender verifies nothing and every other member verifies the
+			// chain of the first copy it gets, the sender's own (one
+			// signature); every relayed copy after it is dropped unverified.
+			if *verifies != g-1 {
+				t.Errorf("%d verifies for one slot, want g-1 = %d", *verifies, g-1)
+			}
+			if got := c.checkAgreement(); len(got) != 1 {
+				t.Fatalf("committed %v, want one op", got)
+			}
+		})
+	}
+	t.Run("garbage chain", func(t *testing.T) {
+		c := newCluster(t, 5)
+		verifies := c.countVerifies()
+		c.replicas[1].Propose(op(1, 1, "x"))
+		c.tick(1)
+		sent := 0
+		c.drop = func(from, _ ids.NodeID, _ actor.Message) bool {
+			if from == 2 {
+				sent++
+			}
+			return false
+		}
+		// A copy of the value member 2 accepted, its chain replaced.
+		before, checks := slotSnapshot(c.replicas[2]), *verifies
+		c.replicas[2].Receive(3, SlotMsg{
+			GroupID: 1, Epoch: 1, StartRound: 1, Sender: 1,
+			Ops:  []smr.Operation{op(1, 1, "x")},
+			Sigs: []SigEntry{{Node: 1, Sig: []byte("garbage")}, {Node: 3, Sig: nil}, {Node: 3, Sig: []byte{1}}},
+		})
+		if *verifies != checks {
+			t.Errorf("the copy cost %d verifies, want 0", *verifies-checks)
+		}
+		if sent != 0 {
+			t.Errorf("the copy made member 2 send %d messages", sent)
+		}
+		if after := slotSnapshot(c.replicas[2]); !reflect.DeepEqual(before, after) {
+			t.Errorf("slot state changed:\n before %v\n after  %v", before, after)
+		}
+		c.drop = nil
+		c.runRounds(2, 4)
+		if got := c.checkAgreement(); len(got) != 1 || string(got[0].Data) != "x" {
+			t.Fatalf("committed %v, want [x]", got)
+		}
+	})
+}
+
+func TestEquivocatorCannotFloodSlot(t *testing.T) {
+	// Byzantine node 5 signs ten distinct values for slot (1, 5) and sends
+	// every one of them to every member.
+	c := newCluster(t, 5, 5)
+	signer := c.signers[5]
+	relayed := make(map[ids.NodeID]map[string]bool)
+	c.drop = func(from, _ ids.NodeID, msg actor.Message) bool {
+		if m, ok := msg.(SlotMsg); ok && from != 5 && m.Sender == 5 {
+			if relayed[from] == nil {
+				relayed[from] = make(map[string]bool)
+			}
+			relayed[from][string(m.Ops[0].Data)] = true
+		}
+		return false
+	}
+	c.tick(1)
+	for i := 0; i < 10; i++ {
+		ops := []smr.Operation{op(5, 1, fmt.Sprintf("v%d", i))}
+		d := smr.OpsDigest(1, 1, 1, 5, ops)
+		msg := SlotMsg{
+			GroupID: 1, Epoch: 1, StartRound: 1, Sender: 5,
+			Ops:  ops,
+			Sigs: []SigEntry{{Node: 5, Sig: signer.Sign(d[:])}},
+		}
+		for to := ids.NodeID(1); to <= 4; to++ {
+			c.send(5, to, msg)
+		}
+	}
+	c.deliverAll()
+	key := slotKey{startRound: 1, sender: 5}
+	for id, r := range c.replicas {
+		if held := len(r.slots[key].accepted); held != 2 {
+			t.Errorf("member %v holds %d values for the slot, want 2", id, held)
+		}
+		if n := len(relayed[id]); n > 2 {
+			t.Errorf("member %v relayed %d values, want at most 2", id, n)
+		}
+	}
+	c.runRounds(2, 5)
+	if got := c.checkAgreement(); len(got) != 0 {
+		t.Fatalf("equivocated slot committed %v, want nothing", got)
+	}
+}
+
+// TestPreBirthCatchUpTrustsLoneSender pins a known limit (docs/ARCHITECTURE.md
+// "Known limits", ROADMAP item 13): a replica born after a slot started
+// accepts that slot on a chain holding only the sender's signature, so a
+// faulty sender can make a late member alone commit a value. The fix needs
+// f+1 members to vouch for such a value; when it lands, this test must be
+// inverted to checkAgreement.
+func TestPreBirthCatchUpTrustsLoneSender(t *testing.T) {
+	c := newCluster(t, 5, 5) // f = 2; 5 is faulty
+	ops := []smr.Operation{op(5, 1, "lone")}
+	d := smr.OpsDigest(1, 1, 3, 5, ops)
+	lone := SlotMsg{
+		GroupID: 1, Epoch: 1, StartRound: 3, Sender: 5,
+		Ops:  ops,
+		Sigs: []SigEntry{{Node: 5, Sig: c.signers[5].Sign(d[:])}},
+	}
+	for round := uint64(1); round <= 7; round++ {
+		for id := ids.NodeID(1); id <= 4; id++ {
+			if id < 4 || round >= 5 { // member 4's replica is born at round 5
+				c.replicas[id].Tick(round)
+			}
+		}
+		if round == 5 {
+			c.send(5, 4, lone)
+		}
+		c.deliverAll()
+	}
+	for id := ids.NodeID(1); id <= 3; id++ {
+		if len(c.committed[id]) != 0 {
+			t.Fatalf("member %v committed %v, want nothing", id, c.committed[id])
+		}
+	}
+	if len(c.committed[4]) != 1 {
+		t.Fatalf("late member 4 committed %v; the known limit no longer reproduces", c.committed[4])
 	}
 }
