@@ -25,7 +25,10 @@ type harness struct {
 	// wrapEnv, when set before a node is added, stands between that node and
 	// the simulator: a tap or a fault on everything the node sends.
 	wrapEnv func(n *Node, env actor.Env) actor.Env
-	nextID  uint64
+	// wrapNode, when set before a node is added, is what the simulator runs
+	// in the node's place: a tap on everything the node receives.
+	wrapNode func(n *Node) actor.Node
+	nextID   uint64
 }
 
 // wrappedNode starts its node on the environment the harness's wrapEnv made.
@@ -101,9 +104,12 @@ func (h *harness) addNode(mode smr.Mode) *Node {
 	id := ids.NodeID(h.nextID)
 	n := New(h.defaultConfig(id, mode))
 	h.nodes[id] = n
-	if h.wrapEnv != nil {
+	switch {
+	case h.wrapNode != nil:
+		h.net.Add(id, h.wrapNode(n))
+	case h.wrapEnv != nil:
 		h.net.Add(id, wrappedNode{Node: n, wrap: h.wrapEnv})
-	} else {
+	default:
 		h.net.Add(id, n)
 	}
 	return n
