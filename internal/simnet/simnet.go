@@ -7,11 +7,21 @@
 // 5500-virtual-second experiment (paper Fig. 6) executes in seconds.
 //
 // The simulator is single-threaded: events are processed strictly in
-// (time, insertion) order, so runs are reproducible from the seed.
+// (time, insertion) order, so runs are reproducible from the seed. That
+// (at, seq) order is the replay contract: a run replays event for event, and
+// internal/core's TestSimTraceGolden pins a digest of one.
+//
+// The event loop: an event scheduled with zero delay is due now, after every
+// event already pending, so it goes to the back of a due-now FIFO instead of
+// being sifted through the heap; the next event is whichever of the FIFO's
+// head and the heap's top comes first in (at, seq). The heap is a min-heap of
+// small (at, seq, slot) keys over a slab of event bodies whose slots are
+// reused, and a body is typed (run a function, a message arriving, a message
+// delivered, a timer firing) and carries its fields instead of capturing them
+// in a closure, so scheduling, sending and firing an event allocate nothing.
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -112,28 +122,27 @@ func (s Stats) Sub(before Stats) Stats {
 // Network is a discrete-event simulated network. Not safe for concurrent
 // use; drive it from one goroutine.
 type Network struct {
-	cfg   Config
-	now   time.Duration
-	seq   uint64
-	queue eventQueue
-	rng   *rand.Rand
+	cfg Config
+	now time.Duration
+	seq uint64
+	rng *rand.Rand
+
+	// The event queue: keys of pending events with a delay, a min-heap in
+	// (at, seq) order; keys of zero-delay events in arrival order from
+	// due[dueHead]; and the bodies both point at, by slot, with the slots
+	// free for reuse listed in free.
+	heap    []key
+	due     []key
+	dueHead int
+	bodies  []body
+	free    []int32
 
 	nodes     map[ids.NodeID]*simNode
 	partition map[ids.NodeID]int // partition index; absent = 0
 	stats     Stats
-	// eventFree recycles event structs between pops and pushes: every
-	// simulated message costs several scheduler events, and the simulator is
-	// single-threaded, so a plain bounded freelist beats allocating (or
-	// pooling) each one. The closures an event carries still allocate;
-	// only the struct itself is reused.
-	eventFree []*event
 
 	timerSeq uint64
 }
-
-// maxEventFree bounds the event freelist (structs, not payloads; 4096 covers
-// any realistic in-flight burst without pinning memory after one).
-const maxEventFree = 4096
 
 type simNode struct {
 	id      ids.NodeID
@@ -149,32 +158,38 @@ type simNode struct {
 	inQueue int64
 }
 
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+// key orders one pending event: by time, then by scheduling order.
+type key struct {
+	at   time.Duration
+	seq  uint64
+	slot int32 // index of the event's body in Network.bodies
 }
 
-type eventQueue []*event
+func (k key) before(o key) bool {
+	return k.at < o.at || k.at == o.at && k.seq < o.seq
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+type eventKind uint8
+
+const (
+	evFunc    eventKind = iota // call fn
+	evArrive                   // msg reaches to's NIC: ingress serialization
+	evDeliver                  // msg is handed to to
+	evTimer                    // env's timer id fires with data
+)
+
+// body is what an event does when it fires. A message event carries its
+// sender's env, receiver, message and wire size; a timer event its owner's
+// env, timer ID and data (in msg).
+type body struct {
+	fn   func()
+	env  *nodeEnv
+	msg  any
+	to   ids.NodeID
+	id   actor.TimerID
+	size int32
+	kind eventKind
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-func (q eventQueue) peek() *event { return q[0] }
 
 // New creates a simulated network.
 func New(cfg Config) *Network {
@@ -216,11 +231,11 @@ func (n *Network) Add(id ids.NodeID, node actor.Node) {
 	mix := uint64(n.cfg.Seed) ^ uint64(id)*0x9e3779b97f4a7c15
 	sn.env = &nodeEnv{net: n, self: sn, rng: rand.New(rand.NewSource(int64(mix)))}
 	n.nodes[id] = sn
-	n.schedule(0, func() {
+	n.schedule(0, body{kind: evFunc, fn: func() {
 		if sn.alive {
 			node.Start(sn.env)
 		}
-	})
+	}})
 }
 
 // Remove gracefully stops a node: Stop is invoked and future deliveries to
@@ -275,51 +290,135 @@ func (n *Network) Schedule(at time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.schedule(d, fn)
+	n.schedule(d, body{kind: evFunc, fn: fn})
 }
 
-func (n *Network) schedule(after time.Duration, fn func()) {
+// schedule queues b to fire after the given delay (not negative): in a free
+// slot of the slab, keyed on the FIFO if it is due now, else on the heap.
+func (n *Network) schedule(after time.Duration, b body) {
 	n.seq++
-	var ev *event
-	if k := len(n.eventFree); k > 0 {
-		ev = n.eventFree[k-1]
-		n.eventFree[k-1] = nil
-		n.eventFree = n.eventFree[:k-1]
+	var slot int32
+	if k := len(n.free); k > 0 {
+		slot = n.free[k-1]
+		n.free = n.free[:k-1]
+		n.bodies[slot] = b
 	} else {
-		ev = new(event)
+		slot = int32(len(n.bodies))
+		n.bodies = append(n.bodies, b)
 	}
-	ev.at, ev.seq, ev.fn = n.now+after, n.seq, fn
-	heap.Push(&n.queue, ev)
+	k := key{at: n.now + after, seq: n.seq, slot: slot}
+	if after == 0 {
+		n.due = append(n.due, k)
+		return
+	}
+	// Sift up from the new leaf.
+	h := append(n.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	n.heap = h
+}
+
+// next returns the key of the event due first, and whether it heads the
+// due-now FIFO rather than the heap.
+func (n *Network) next() (k key, fromDue, ok bool) {
+	if n.dueHead < len(n.due) {
+		k = n.due[n.dueHead]
+		if len(n.heap) == 0 || k.before(n.heap[0]) {
+			return k, true, true
+		}
+	}
+	if len(n.heap) == 0 {
+		return key{}, false, false
+	}
+	return n.heap[0], false, true
+}
+
+// pop removes the event next returned.
+func (n *Network) pop(fromDue bool) {
+	if fromDue {
+		n.dueHead++
+		if n.dueHead == len(n.due) {
+			n.due, n.dueHead = n.due[:0], 0
+		}
+		return
+	}
+	// Sift the last leaf down from the root.
+	h := n.heap
+	last := len(h) - 1
+	k := h[last]
+	h = h[:last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(k) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if last > 0 {
+		h[i] = k
+	}
+	n.heap = h
 }
 
 // Step processes the next event, returning false when the queue is empty.
 func (n *Network) Step() bool {
-	if n.queue.Len() == 0 {
-		return false
+	k, fromDue, ok := n.next()
+	if ok {
+		n.process(k, fromDue)
 	}
-	ev := heap.Pop(&n.queue).(*event)
-	if ev.at > n.now {
-		n.now = ev.at
-	}
-	fn := ev.fn
-	// Recycle before running fn: the callback may schedule (and thus reuse)
-	// freely, the popped event is already off the heap.
-	ev.fn = nil
-	if len(n.eventFree) < maxEventFree {
-		n.eventFree = append(n.eventFree, ev)
-	}
-	fn()
-	return true
+	return ok
 }
 
 // Run processes events until virtual time passes until. Events scheduled at
 // exactly until are processed. Afterwards Now() == until.
 func (n *Network) Run(until time.Duration) {
-	for n.queue.Len() > 0 && n.queue.peek().at <= until {
-		n.Step()
+	for {
+		k, fromDue, ok := n.next()
+		if !ok || k.at > until {
+			break
+		}
+		n.process(k, fromDue)
 	}
 	if n.now < until {
 		n.now = until
+	}
+}
+
+// process pops the event next returned and runs it.
+func (n *Network) process(k key, fromDue bool) {
+	n.pop(fromDue)
+	if k.at > n.now {
+		n.now = k.at
+	}
+	// Free the slot before running the body: what it schedules may reuse it.
+	b := n.bodies[k.slot]
+	n.bodies[k.slot] = body{}
+	n.free = append(n.free, k.slot)
+	switch b.kind {
+	case evFunc:
+		b.fn()
+	case evArrive:
+		n.arrive(b)
+	case evDeliver:
+		n.deliver(b)
+	case evTimer:
+		b.env.fire(b.id, b.msg)
 	}
 }
 
@@ -329,12 +428,13 @@ func (n *Network) logf(format string, args ...any) {
 	}
 }
 
-func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
+func (n *Network) send(from *nodeEnv, to ids.NodeID, msg actor.Message) {
 	n.stats.Sent++
 	size := actor.SizeOf(msg)
 	n.stats.BytesSent += int64(size)
 
-	if n.partition[from.id] != n.partition[to] ||
+	src := from.self
+	if n.partition[src.id] != n.partition[to] ||
 		n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
 		n.stats.Dropped++
 		return
@@ -343,54 +443,64 @@ func (n *Network) send(from *simNode, to ids.NodeID, msg actor.Message) {
 	// Egress serialization: the sender's NIC transmits messages back to back.
 	depart := n.now
 	if n.cfg.BandwidthUp > 0 {
-		if from.egress < n.now {
-			from.egress = n.now
+		if src.egress < n.now {
+			src.egress = n.now
 		}
-		from.egress += byteTime(size, n.cfg.BandwidthUp)
-		depart = from.egress
+		src.egress += byteTime(size, n.cfg.BandwidthUp)
+		depart = src.egress
 	}
-	arrive := depart + n.cfg.Latency(from.id, to, n.rng)
+	at := depart + n.cfg.Latency(src.id, to, n.rng)
 
-	// Stage 1: arrival at the receiver NIC; stage 2: ingress serialization.
-	n.schedule(arrive-n.now, func() {
-		dst, ok := n.nodes[to]
-		if !ok || !dst.alive {
+	// Stage 1 (arrive): arrival at the receiver NIC; stage 2 (deliver):
+	// after ingress serialization.
+	n.schedule(at-n.now, body{kind: evArrive, env: from, to: to, msg: msg, size: int32(size)})
+}
+
+// arrive is a message's first stage: it reaches the receiver's NIC and
+// queues for ingress serialization.
+func (n *Network) arrive(b body) {
+	dst, ok := n.nodes[b.to]
+	if !ok || !dst.alive {
+		n.stats.Dropped++
+		return
+	}
+	size := int(b.size)
+	deliverAt := n.now
+	switch {
+	case dst.inRate > 0:
+		// Slow consumer (SetIngestCap): bounded ingest buffer draining
+		// at inRate; overflow is transport-level overload loss.
+		if dst.ingress < n.now {
+			dst.ingress = n.now
+		}
+		backlog := int64(dst.ingress-n.now) * dst.inRate / int64(time.Second)
+		if dst.inQueue > 0 && backlog+int64(size) > dst.inQueue {
 			n.stats.Dropped++
+			n.stats.DroppedOverload++
 			return
 		}
-		deliverAt := n.now
-		switch {
-		case dst.inRate > 0:
-			// Slow consumer (SetIngestCap): bounded ingest buffer draining
-			// at inRate; overflow is transport-level overload loss.
-			if dst.ingress < n.now {
-				dst.ingress = n.now
-			}
-			backlog := int64(dst.ingress-n.now) * dst.inRate / int64(time.Second)
-			if dst.inQueue > 0 && backlog+int64(size) > dst.inQueue {
-				n.stats.Dropped++
-				n.stats.DroppedOverload++
-				return
-			}
-			dst.ingress += byteTime(size, dst.inRate)
-			deliverAt = dst.ingress
-		case n.cfg.BandwidthDown > 0:
-			if dst.ingress < n.now {
-				dst.ingress = n.now
-			}
-			dst.ingress += byteTime(size, n.cfg.BandwidthDown)
-			deliverAt = dst.ingress
+		dst.ingress += byteTime(size, dst.inRate)
+		deliverAt = dst.ingress
+	case n.cfg.BandwidthDown > 0:
+		if dst.ingress < n.now {
+			dst.ingress = n.now
 		}
-		n.schedule(deliverAt-n.now, func() {
-			dst2, ok := n.nodes[to]
-			if !ok || !dst2.alive {
-				n.stats.Dropped++
-				return
-			}
-			n.stats.Delivered++
-			dst2.node.Receive(from.id, msg)
-		})
-	})
+		dst.ingress += byteTime(size, n.cfg.BandwidthDown)
+		deliverAt = dst.ingress
+	}
+	b.kind = evDeliver
+	n.schedule(deliverAt-n.now, b)
+}
+
+// deliver is a message's second stage: the receiver, if still live, gets it.
+func (n *Network) deliver(b body) {
+	dst, ok := n.nodes[b.to]
+	if !ok || !dst.alive {
+		n.stats.Dropped++
+		return
+	}
+	n.stats.Delivered++
+	dst.node.Receive(b.env.self.id, b.msg)
 }
 
 func byteTime(size int, bytesPerSec int64) time.Duration {
@@ -415,7 +525,7 @@ func (e *nodeEnv) Send(to ids.NodeID, msg actor.Message) {
 	if !e.self.alive {
 		return
 	}
-	e.net.send(e.self, to, msg)
+	e.net.send(e, to, msg)
 }
 
 func (e *nodeEnv) SetTimer(d time.Duration, data any) actor.TimerID {
@@ -428,20 +538,23 @@ func (e *nodeEnv) SetTimer(d time.Duration, data any) actor.TimerID {
 		e.pending = make(map[actor.TimerID]bool)
 	}
 	e.pending[id] = true
-	e.net.schedule(d, func() {
-		if !e.pending[id] {
-			return // cancelled
-		}
-		delete(e.pending, id)
-		if e.self.alive {
-			e.self.node.Timer(id, data)
-		}
-	})
+	e.net.schedule(d, body{kind: evTimer, env: e, id: id, msg: data})
 	return id
 }
 
 func (e *nodeEnv) CancelTimer(id actor.TimerID) {
 	delete(e.pending, id)
+}
+
+// fire runs timer id unless it was cancelled or its node is gone.
+func (e *nodeEnv) fire(id actor.TimerID, data any) {
+	if !e.pending[id] {
+		return // cancelled
+	}
+	delete(e.pending, id)
+	if e.self.alive {
+		e.self.node.Timer(id, data)
+	}
 }
 
 func (e *nodeEnv) Logf(format string, args ...any) {
