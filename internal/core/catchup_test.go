@@ -123,7 +123,7 @@ func TestLateMemberCaughtUpOnEveryDelivery(t *testing.T) {
 	step := func(now time.Duration) {
 		at(now, k...)
 		for _, n := range k {
-			n.heartbeatTick(now)
+			n.heartbeatTick(now, false)
 		}
 		late.repairTick(now)
 		for relay(k, nodes) > 0 {
@@ -213,7 +213,7 @@ func TestAdmittedMemberListedNothingInItsFirstPeriod(t *testing.T) {
 	at(admitted+hb/2, n)
 	n.Receive(5, empty(2))
 	n.Receive(7, empty(2))
-	n.heartbeatTick(n.Now())
+	n.heartbeatTick(n.Now(), false)
 	sends := drainGroupSends(n)
 	for _, c := range []struct {
 		to   ids.NodeID
@@ -233,7 +233,7 @@ func TestAdmittedMemberListedNothingInItsFirstPeriod(t *testing.T) {
 	later := deliverAt(t, n, admitted+hb+time.Second, "after the first period")
 	at(admitted+3*hb/2, n)
 	n.Receive(7, empty(2))
-	n.heartbeatTick(n.Now())
+	n.heartbeatTick(n.Now(), false)
 	if got := lacksTo(t, n, 7); !slices.Equal(got, []crypto.Digest{later}) {
 		t.Errorf("after its first period member 7 is listed %x, want %x", got, later)
 	}
@@ -258,7 +258,7 @@ func TestLacksQueueBounded(t *testing.T) {
 	if q == nil || !slices.Equal(q.lacks, ds[:maxListed]) {
 		t.Fatalf("the queue for 5 holds %d digests, want the first %d", len(q.lacks), maxListed)
 	}
-	n.heartbeatTick(now)
+	n.heartbeatTick(now, false)
 	if got := lacksTo(t, n, 5); len(got) != maxListed {
 		t.Fatalf("a heartbeat lists %d lacks, want the bound %d", len(got), maxListed)
 	}

@@ -4,7 +4,7 @@ package core
 // egress.Port (internal/egress), which holds the node's transport handle:
 // the engine keeps no actor.Env, so it cannot send any other way. This file
 // tells the port the engine's rules — which kinds ride carriers, the carrier
-// kind, the round, the Byzantine drop rules — and reads carriers on the way in.
+// kind, the round, the withholding rules — and reads carriers on the way in.
 
 import (
 	"time"
@@ -24,9 +24,7 @@ type egressFlushTimer struct{}
 const maxCarrierBytes = 256 << 10
 
 // newEgress builds the node's port. The callbacks close over n: they run
-// inside the node's event loop. A group message is muted on its way out for
-// any active Byzantine behaviour; a node-addressed one only when the node is
-// silent.
+// inside the node's event loop.
 func (n *Node) newEgress() *egress.Port {
 	return egress.NewPort(egress.Config{
 		MaxBatch: n.cfg.GossipMaxBatch, MaxBytes: maxCarrierBytes, MaxWindow: n.cfg.EgressMaxFlushWindow,
@@ -35,13 +33,11 @@ func (n *Node) newEgress() *egress.Port {
 		Arm: func(d time.Duration) { n.env.SetTimer(d, egressFlushTimer{}) }, // nothing is sent before Start
 	}, egress.Rules{
 		Self: n.cfg.Identity.ID, Sync: n.cfg.Mode == smr.ModeSync, Carrier: kindBatch,
-		CarrierOK:  func(k group.Kind) bool { return rowByKind[k] != nil && rowByKind[k].carrierOK },
-		MuteGroup:  n.byzActive,
-		MuteDirect: func() bool { return n.byzActive() && n.behavior == BehaviorSilent },
-		Withdraw:   n.withdrawGossip,
-		Holds:      n.holdsGossip,
-		RelayLag:   n.cfg.RoundDuration / relayLagPerRound,
-		Left:       n.gossipLeft,
+		CarrierOK: func(k group.Kind) bool { return rowByKind[k] != nil && rowByKind[k].carrierOK },
+		Withdraw:  n.withdrawGossip,
+		Holds:     n.holdsGossip,
+		RelayLag:  n.cfg.RoundDuration / relayLagPerRound,
+		Left:      n.gossipLeft,
 	})
 }
 

@@ -381,7 +381,7 @@ func setNbrMsgID(src group.Composition, dst ids.GroupID, cycle int, dir overlay.
 // starve it permanently (§7's "complications" in practice).
 func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 	st := n.st
-	if st == nil || n.phase != phaseMember || n.byzActive() {
+	if st == nil || n.phase != phaseMember {
 		return
 	}
 	if m.DstGroup != st.comp.GroupID || m.DstEpoch == 0 || m.DstEpoch >= st.comp.Epoch {

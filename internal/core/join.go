@@ -122,7 +122,7 @@ func (n *Node) Leave() error {
 // --- contact-node side ---
 
 func (n *Node) handleJoinContact(from ids.NodeID, m JoinContact) {
-	if n.phase != phaseMember || n.st == nil || n.byzActive() {
+	if n.phase != phaseMember || n.st == nil {
 		return
 	}
 	if m.Joiner.ID != from {
@@ -273,7 +273,7 @@ func (n *Node) expectSnapshotFrom(src group.Composition) {
 func (n *Node) observeShare(from ids.NodeID, m group.GroupMsg) {
 	src := group.Key{GroupID: m.SrcGroup, Epoch: m.SrcEpoch}
 	// A share for an epoch of the node's own vgroup that it passed is stale.
-	if n.byzActive() || from == n.cfg.Identity.ID ||
+	if from == n.cfg.Identity.ID ||
 		n.st != nil && src.GroupID == n.st.comp.GroupID && src.Epoch < n.st.comp.Epoch {
 		return
 	}
@@ -475,7 +475,7 @@ func (n *Node) installGroupState(st *groupState) {
 // --- member side: admitting joiners ---
 
 func (n *Node) handleJoinRequest(from ids.NodeID, m JoinRequest) {
-	if n.phase != phaseMember || n.st == nil || n.byzActive() {
+	if n.phase != phaseMember || n.st == nil {
 		return
 	}
 	if m.Target != n.st.comp.GroupID || m.Joiner.ID != from {
@@ -559,9 +559,6 @@ func (n *Node) processPendingJoins() {
 // --- accepted group message dispatch ---
 
 func (n *Node) handleAccepted(acc group.Accepted) {
-	if n.byzActive() {
-		return
-	}
 	// A join redirect is node-addressed: it is handled outside membership.
 	if acc.Kind != kindJoinRedirect && (n.phase != phaseMember || n.st == nil) {
 		return
@@ -619,7 +616,7 @@ func (n *Node) sendRenounce(target group.Composition) {
 
 // handleRenounce verifies and proposes a renounce received from an orphan.
 func (n *Node) handleRenounce(from ids.NodeID, m Renounce) {
-	if n.phase != phaseMember || n.st == nil || n.byzActive() {
+	if n.phase != phaseMember || n.st == nil {
 		return
 	}
 	if m.Target != n.st.comp.GroupID || m.Node.ID != from {

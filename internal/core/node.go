@@ -98,11 +98,10 @@ type Node struct {
 	round uint64
 	// egress is the node's way out: every send leaves through it (egress.go,
 	// internal/egress).
-	egress       *egress.Port
-	lastHB       time.Duration
-	hbSeen       map[ids.NodeID]time.Duration
-	evProp       map[ids.NodeID]uint64 // eviction proposed for target at epoch
-	byzEvictLast time.Duration
+	egress *egress.Port
+	lastHB time.Duration
+	hbSeen map[ids.NodeID]time.Duration
+	evProp map[ids.NodeID]uint64 // eviction proposed for target at epoch
 
 	join           *joinContext
 	awaitDeadline  time.Duration // phaseAwaitSnapshot orphan recovery
@@ -239,10 +238,35 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// byzActive reports whether Byzantine behaviour is currently in force: the
-// experiment nodes join correctly, then misbehave.
+// byzActive reports whether a fault behaviour is in force: a faulty node joins
+// correctly, then misbehaves. What it then does is decided at the node's edge
+// alone: Receive takes nothing in, the tick does its one job (faultyTick), and
+// faultFilter passes only what that job sends.
 func (n *Node) byzActive() bool {
 	return n.behavior > BehaviorCorrect && n.phase == phaseMember
+}
+
+// faultFilter is the node's transport as its egress port sees it: the one
+// filter on a faulty member's sends. A silent member sends nothing; a
+// heartbeat-only member sends its heartbeats and its own agreement messages.
+type faultFilter struct {
+	actor.Env
+	n *Node
+}
+
+// Send passes msg on unless a faulty member does not send it.
+func (e faultFilter) Send(to ids.NodeID, msg actor.Message) {
+	if e.n.byzActive() {
+		switch msg.(type) {
+		case Heartbeat, SMREnvelope:
+			if e.n.behavior != BehaviorHeartbeatOnly {
+				return
+			}
+		default:
+			return
+		}
+	}
+	e.Env.Send(to, msg)
 }
 
 // --- actor.Node ---
@@ -250,7 +274,7 @@ func (n *Node) byzActive() bool {
 // Start implements actor.Node.
 func (n *Node) Start(env actor.Env) {
 	n.env = env
-	n.egress.Start(env)
+	n.egress.Start(faultFilter{Env: env, n: n})
 	// Align ticks on global multiples of RoundDuration so vgroup members
 	// share round boundaries (the virtual clock is global; real clocks are
 	// assumed loosely synchronized, as the paper's Sync deployment does).
@@ -274,13 +298,19 @@ func (n *Node) Timer(_ actor.TimerID, data any) {
 	if n.stopped {
 		return
 	}
+	if n.byzActive() {
+		if _, ok := data.(tickTimer); ok {
+			n.faultyTick()
+		}
+		return
+	}
 	switch t := data.(type) {
 	case tickTimer:
 		n.handleTick()
 	case egressFlushTimer:
 		n.egress.OnTimer()
 	case smrTimer:
-		if n.replica != nil && t.epoch == n.replicaEpoch && !n.byzActive() {
+		if n.replica != nil && t.epoch == n.replicaEpoch {
 			n.replica.HandleTimer(t.data)
 		}
 	}
@@ -291,8 +321,8 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 	if n.stopped {
 		return
 	}
-	if n.byzActive() && n.behavior == BehaviorSilent {
-		return // fully quiet: ignores everything
+	if n.byzActive() {
+		return // a faulty member takes nothing in
 	}
 	switch m := msg.(type) {
 	case Heartbeat:
@@ -444,21 +474,17 @@ func (n *Node) handleTick() {
 	// messages leave now. (The asynchronous engine holds nothing for it.)
 	n.egress.FlushDeferred()
 
-	if n.cfg.Mode == smr.ModeSync && n.replica != nil && !n.byzActive() {
+	if n.cfg.Mode == smr.ModeSync && n.replica != nil {
 		n.replica.Tick(n.round)
 	}
 
 	n.delivered.trim(now - n.cacheHorizon())
 	if n.phase == phaseMember && n.st != nil {
-		n.heartbeatTick(now)
-		if !n.byzActive() {
-			n.walkDeadlineTick(now)
-			n.mergeRetryTick(now)
-			n.shuffleProposeTick(now)
-			n.repairTick(now)
-		} else if n.behavior == BehaviorHeartbeatOnly {
-			n.byzEvictTick(now)
-		}
+		n.heartbeatTick(now, false)
+		n.walkDeadlineTick(now)
+		n.mergeRetryTick(now)
+		n.shuffleProposeTick(now)
+		n.repairTick(now)
 	}
 	if n.join != nil && now > n.join.deadline {
 		n.retryJoin()
@@ -498,7 +524,21 @@ func (n *Node) handleTick() {
 	}
 }
 
-func (n *Node) heartbeatTick(now time.Duration) {
+// faultyTick is the tick of a member whose fault behaviour is in force: its
+// one job (§6.1.3). A silent member does nothing. A heartbeat-only member
+// heartbeats, so it is not evicted, and lies that every peer is silent, so it
+// proposes to evict each one through the one eviction path.
+func (n *Node) faultyTick() {
+	n.env.SetTimer(n.cfg.RoundDuration, tickTimer{})
+	if n.behavior == BehaviorHeartbeatOnly {
+		n.heartbeatTick(n.env.Now(), true)
+	}
+}
+
+// heartbeatTick sends this member's heartbeats and, once per heartbeat
+// period, votes to evict the peers silent for EvictAfter (§5.1) — every
+// peer, when allSilent says so.
+func (n *Node) heartbeatTick(now time.Duration, allSilent bool) {
 	if now-n.lastHB < n.cfg.HeartbeatEvery {
 		return
 	}
@@ -518,36 +558,18 @@ func (n *Node) heartbeatTick(now time.Duration) {
 			n.egress.Node(m.ID, hb)
 		}
 	}
-	if n.byzActive() {
-		return // Byzantine nodes do not evict-vote through this path
-	}
-	// Evict silent peers (§5.1): one vote per (target, epoch); eviction
-	// fires at f+1 votes.
+	// One vote per (target, epoch); eviction fires at f+1 votes.
 	for _, m := range n.st.comp.Members {
 		if m.ID == n.cfg.Identity.ID {
 			continue
 		}
 		last, ok := n.hbSeen[m.ID]
-		if !ok {
+		if !ok && !allSilent {
 			n.hbSeen[m.ID] = now
 			continue
 		}
-		if now-last > n.cfg.EvictAfter && n.evProp[m.ID] != n.st.comp.Epoch {
+		if (allSilent || now-last > n.cfg.EvictAfter) && n.evProp[m.ID] != n.st.comp.Epoch {
 			n.evProp[m.ID] = n.st.comp.Epoch
-			n.proposeOp(evictVoteOp{GroupID: n.st.comp.GroupID, Target: m.ID, Epoch: n.st.comp.Epoch})
-		}
-	}
-}
-
-// byzEvictTick implements the Sync-experiment Byzantine behaviour: pretend
-// correct members are silent and propose to evict them all.
-func (n *Node) byzEvictTick(now time.Duration) {
-	if now-n.byzEvictLast < n.cfg.EvictAfter {
-		return
-	}
-	n.byzEvictLast = now
-	for _, m := range n.st.comp.Members {
-		if m.ID != n.cfg.Identity.ID {
 			n.proposeOp(evictVoteOp{GroupID: n.st.comp.GroupID, Target: m.ID, Epoch: n.st.comp.Epoch})
 		}
 	}
@@ -559,7 +581,7 @@ func (n *Node) handleHeartbeat(from ids.NodeID, m Heartbeat) {
 	}
 	if n.st.comp.Contains(from) {
 		n.hbSeen[from] = n.env.Now()
-		if m.Epoch < n.st.comp.Epoch && !n.byzActive() {
+		if m.Epoch < n.st.comp.Epoch {
 			n.reShareSnapshot(from, m.Epoch)
 		}
 		n.noteListed(from, m.Lacks)
@@ -702,9 +724,6 @@ func (n *Node) learnComp(c group.Composition) {
 // --- SMR plumbing ---
 
 func (n *Node) handleSMREnvelope(from ids.NodeID, m SMREnvelope) {
-	if n.byzActive() {
-		return // Byzantine nodes do not participate in agreement
-	}
 	if n.st != nil && n.replica != nil &&
 		m.GroupID == n.st.comp.GroupID && m.Epoch == n.replicaEpoch {
 		n.replica.Receive(from, m.Inner)

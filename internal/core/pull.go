@@ -331,9 +331,6 @@ func (r *repair) lacksFor(to ids.NodeID) []crypto.Digest {
 // whose tags are missing join it. Only members of the current composition
 // reach here (handleHeartbeat).
 func (n *Node) checkLacks(from ids.NodeID, m Heartbeat) {
-	if n.byzActive() {
-		return
-	}
 	r := &n.rep
 	p := r.peers[from]
 	if p == nil {
@@ -366,7 +363,7 @@ func (n *Node) checkLacks(from ids.NodeID, m Heartbeat) {
 func (n *Node) noteListed(from ids.NodeID, digests []crypto.Digest) {
 	r := &n.rep
 	now := n.env.Now()
-	if n.byzActive() || now-r.since < n.cfg.HeartbeatEvery {
+	if now-r.since < n.cfg.HeartbeatEvery {
 		return
 	}
 	for _, d := range digests {
@@ -465,7 +462,7 @@ func (n *Node) repairTick(now time.Duration) {
 // handlePayloadPull serves a pull from the delivered index, at most once per
 // requester per half round.
 func (n *Node) handlePayloadPull(from ids.NodeID, m PayloadPull) {
-	if n.byzActive() || !n.rep.served.allow(from, n.env.Now()) {
+	if !n.rep.served.allow(from, n.env.Now()) {
 		return
 	}
 	var push PayloadPush
@@ -500,7 +497,7 @@ func (n *Node) handlePayloadPush(m PayloadPush) {
 // listed the gossip digest d as delivered.
 func (n *Node) attested(d crypto.Digest) bool {
 	l := n.rep.listed[d]
-	if l == nil || n.phase != phaseMember || n.st == nil || n.byzActive() {
+	if l == nil || n.phase != phaseMember || n.st == nil {
 		return false
 	}
 	members := 0

@@ -102,10 +102,10 @@ func TestLateMemberCaughtUpByVgroup(t *testing.T) {
 	servedBefore := k[0].Stats().PullsServed + k[1].Stats().PullsServed
 	now := 3 * k[2].cfg.HeartbeatEvery
 	at(now, k...)
-	k[2].heartbeatTick(now)
+	k[2].heartbeatTick(now, false)
 	relay(k[2:], nodes)
 	for _, n := range k[:2] {
-		n.heartbeatTick(now)
+		n.heartbeatTick(now, false)
 	}
 	relay(k[:2], map[ids.NodeID]*Node{3: k[2]})
 	at(now+k[2].catchUpWait()-time.Millisecond, k[2])

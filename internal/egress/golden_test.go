@@ -47,11 +47,9 @@ func TestPortOutputGolden(t *testing.T) {
 	env := &portEnv{now: time.Second, rng: rand.New(rand.NewSource(7))}
 	held := map[ids.NodeID]map[crypto.Digest]bool{}
 	withdrawn := map[crypto.Digest]bool{}
-	never := func() bool { return false }
 	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
 		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(k group.Kind) bool { return k != 9 },
-			MuteGroup: never, MuteDirect: never,
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return held[m][d] },
 			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return withdrawn[it.Digest] },
 			RelayLag: lag})

@@ -19,8 +19,8 @@ package egress
 //     Certificate mode is asynchronous, so they leave at once.
 //
 // Application raw messages (Scheduler.EnqueueNodeWith) enter the Scheduler's
-// node-addressed queues directly. Below all of it sit the two bottom paths:
-// sendGroup, toward a vgroup's members, and sendDirect, to a single node.
+// node-addressed queues directly. Every copy leaves through the runtime's
+// Send on the env Start attached.
 //
 // What a copy carries is group's one rule (group.CopyRule), and every copy is
 // built by group.Copy: one item is a plain message, several a carrier. Who
@@ -91,10 +91,6 @@ type Rules struct {
 	// one may deliver (the receiver reads the same column).
 	Carrier   group.Kind
 	CarrierOK func(group.Kind) bool
-	// MuteGroup and MuteDirect are read at every send on the two bottom
-	// paths — toward a vgroup's members, and to a single node — and drop it
-	// when they report true: the engine's Byzantine behaviours.
-	MuteGroup, MuteDirect func() bool
 	// Withdraw and Holds are the engine's withholding rules, read as a batch
 	// leaves: Withdraw drops an item of a group batch before the scheduler
 	// counts its carriers (Config.Withdraw), and once more from a second
@@ -197,7 +193,7 @@ func (p *Port) GroupAttach(src, dst group.Composition, it group.BatchItem, attac
 // ToNode sends one logical group message from src to a single node. As
 // toward a vgroup, only a majority member of src sends the payload.
 func (p *Port) ToNode(src group.Composition, to ids.NodeID, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	p.sendDirect(to, p.single(src, 0, kind, msgID, payload, nil, p.full(src)))
+	p.env.Send(to, p.single(src, 0, kind, msgID, payload, nil, p.full(src)))
 }
 
 // Chained sends this member's copy of a certificate-mode message, with its
@@ -207,13 +203,13 @@ func (p *Port) ToNode(src group.Composition, to ids.NodeID, kind group.Kind, msg
 func (p *Port) Chained(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload, attach []byte) {
 	msg := p.single(src, dst.GroupID, kind, msgID, payload, attach, true)
 	for _, i := range p.env.Rand().Perm(dst.N()) {
-		p.sendGroup(dst.Members[i].ID, msg)
+		p.env.Send(dst.Members[i].ID, msg)
 	}
 }
 
 // ChainedTo is Chained to a single node.
 func (p *Port) ChainedTo(src group.Composition, to ids.NodeID, kind group.Kind, msgID crypto.Digest, payload, attach []byte) {
-	p.sendDirect(to, p.single(src, 0, kind, msgID, payload, attach, true))
+	p.env.Send(to, p.single(src, 0, kind, msgID, payload, attach, true))
 }
 
 // single is this member's copy of one logical group message toward dst (0: a
@@ -233,21 +229,7 @@ func (p *Port) full(src group.Composition) bool {
 }
 
 // Node sends one node-level message.
-func (p *Port) Node(to ids.NodeID, msg NodeMsg) { p.sendDirect(to, msg) }
-
-// sendGroup is the bottom path toward a vgroup's members.
-func (p *Port) sendGroup(to ids.NodeID, msg actor.Message) {
-	if !p.rules.MuteGroup() {
-		p.env.Send(to, msg)
-	}
-}
-
-// sendDirect is the bottom path to a single node.
-func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
-	if !p.rules.MuteDirect() {
-		p.env.Send(to, msg)
-	}
-}
+func (p *Port) Node(to ids.NodeID, msg NodeMsg) { p.env.Send(to, msg) }
 
 // frame is the Scheduler's Flush: it frames one destination's batch onto the
 // wire. Of the engine's state it asks one thing, the withholding rule
@@ -265,7 +247,7 @@ func (p *Port) sendDirect(to ids.NodeID, msg actor.Message) {
 func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.BatchItem) {
 	if node != 0 {
 		msg, _ := group.Copy(group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch}, p.rules.Carrier, items, group.CopyRule{Full: true})
-		p.sendDirect(node, msg)
+		p.env.Send(node, msg)
 		return
 	}
 	lags := 1
@@ -338,7 +320,7 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 			lean, _ = group.Copy(hdr, p.rules.Carrier, items, rule)
 			built = true
 		}
-		p.sendGroup(to, lean)
+		p.env.Send(to, lean)
 	}
 	return parked
 }
@@ -438,7 +420,7 @@ func (p *Port) speak(f *parkedFlush) {
 		lean, _ := group.Copy(f.header(), p.rules.Carrier, items, group.CopyRule{Full: p.full(f.src)})
 		for _, j := range order {
 			if (j+rot)%f.src.N() != idx {
-				p.sendGroup(f.dst.Members[j].ID, lean)
+				p.env.Send(f.dst.Members[j].ID, lean)
 			}
 		}
 	}
@@ -450,7 +432,7 @@ func (p *Port) speak(f *parkedFlush) {
 func (p *Port) serve(f *parkedFlush, to ids.NodeID) {
 	msg, withheld := group.Copy(f.header(), p.rules.Carrier, f.items, p.served(f.src, f.dst, to))
 	p.withheld += uint64(withheld)
-	p.sendGroup(to, msg)
+	p.env.Send(to, msg)
 }
 
 // header is the group-message header of f's copies.

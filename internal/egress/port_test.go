@@ -36,10 +36,9 @@ func (e *portEnv) Logf(string, ...any)                       {}
 // own — while a single item leaves as a plain message under its own MsgID.
 func TestCarrierMsgIDIsZero(t *testing.T) {
 	env := &portEnv{rng: rand.New(rand.NewSource(1))}
-	never := func() bool { return false }
 	p := NewPort(Config{MaxBatch: 2, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }, MuteGroup: never, MuteDirect: never})
+		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }})
 	p.Start(env)
 	src, dst := comp(1, 1), comp(2, 1)
 	env.now += time.Second
@@ -80,10 +79,9 @@ type relayRig struct {
 
 func newRelayRig(t testing.TB, lag time.Duration) *relayRig {
 	r := &relayRig{env: &portEnv{now: time.Second, rng: rand.New(rand.NewSource(1))}, held: map[ids.NodeID]map[crypto.Digest]bool{}}
-	never := func() bool { return false }
 	r.p = NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: r.env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }, MuteGroup: never, MuteDirect: never,
+		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true },
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return r.held[m][d] },
 			RelayLag: lag,
 			Left:     func(group.BatchItem) { r.left++ }})
@@ -217,10 +215,9 @@ type turnRig struct {
 func newTurnRig(lag time.Duration) *turnRig {
 	r := &turnRig{env: &portEnv{now: time.Second, rng: rand.New(rand.NewSource(2))},
 		held: map[ids.NodeID]map[crypto.Digest]bool{}, withdrawn: map[crypto.Digest]bool{}}
-	never := func() bool { return false }
 	r.p = NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: r.env.Now, Arm: func(d time.Duration) { r.armed = append(r.armed, r.env.now+d) }},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }, MuteGroup: never, MuteDirect: never,
+		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true },
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return r.held[m][d] },
 			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return r.withdrawn[it.Digest] },
 			RelayLag: lag,
@@ -447,11 +444,10 @@ func TestRelayedBatchAllocs(t *testing.T) {
 // (FlushDeferred) and whose carriers are of kind 99; holds is its Rules.Holds.
 func newFanPort(self ids.NodeID, seed int64, holds group.Holds) (*Port, *portEnv) {
 	env := &portEnv{now: time.Second, rng: rand.New(rand.NewSource(seed))}
-	never := func() bool { return false }
 	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
 		Rules{Self: self, Sync: true, Carrier: 99, CarrierOK: func(group.Kind) bool { return true },
-			MuteGroup: never, MuteDirect: never, Holds: holds, RelayLag: 3 * time.Millisecond})
+			Holds: holds, RelayLag: 3 * time.Millisecond})
 	p.Start(env)
 	return p, env
 }
