@@ -2,9 +2,9 @@
 //
 // A 20-node synchronous system absorbs a batch of Byzantine nodes running
 // the paper's Sync-experiment behaviour — they heartbeat (so they are not
-// evicted) and repeatedly propose to evict every correct member of their
-// vgroup — plus one silent node, which sends nothing, heartbeats included, and
-// is evicted for it. Broadcast latency is measured before and after the faults
+// evicted) and propose to evict every other member of their vgroup, votes
+// their vgroup commits and that, short of f+1, evict nobody — plus one silent
+// node, which sends nothing, heartbeats included, and is evicted for it. Broadcast latency is measured before and after the faults
 // are injected: because no vgroup accumulates more than f faults, delivery is
 // unaffected (the paper's headline "no performance decay despite 5.8%
 // Byzantine nodes").

@@ -79,8 +79,8 @@ const (
 	BehaviorSilent
 	// BehaviorHeartbeatOnly is the Sync-experiment Byzantine node: it
 	// participates in no protocol except (1) sending heartbeats to avoid
-	// eviction and (2) periodically proposing to evict correct members of
-	// its vgroup.
+	// eviction and (2) proposing to evict every other member of its vgroup,
+	// votes that reach agreement and, from at most f members, evict nobody.
 	BehaviorHeartbeatOnly
 )
 

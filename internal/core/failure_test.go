@@ -380,6 +380,60 @@ func TestSilentMemberSendsNoHeartbeatAndIsEvicted(t *testing.T) {
 	h.checkMembershipConsistent()
 }
 
+// TestHeartbeatOnlyEvictionsReachTheVgroup: a heartbeat-only member (the
+// paper's Sync-experiment adversary, §6.1.3) proposes to evict every correct
+// peer, and its proposals must reach agreement — in ModeSync a proposal leaves
+// only at its replica's round tick, which a faulty member once skipped, so its
+// evictions stayed queued. With f such members in a vgroup of six, every
+// correct member commits each one's eviction votes, and f votes evict nobody.
+func TestHeartbeatOnlyEvictionsReachTheVgroup(t *testing.T) {
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			// committed[at][proposer] counts the eviction votes node at applied.
+			committed := map[ids.NodeID]map[ids.NodeID]int{}
+			h := newHarness(t, mode, 3, func(cfg *Config) {
+				self := cfg.Identity.ID
+				cfg.Callbacks.OnApply = func(_, _ uint64, _ [32]byte, kind string) {
+					var proposer ids.NodeID
+					if _, err := fmt.Sscanf(kind, "core.evictVoteOp:n%d", &proposer); err == nil {
+						if committed[self] == nil {
+							committed[self] = map[ids.NodeID]int{}
+						}
+						committed[self][proposer]++
+					}
+				}
+			})
+			nodes := h.bootstrapSystem(mode, 6, 60*time.Second)
+			h.net.Run(h.net.Now() + time.Second)
+			comp := nodes[0].Comp()
+			if comp.N() != 6 {
+				t.Fatalf("the six nodes formed a vgroup of %d", comp.N())
+			}
+			f := mode.F(comp.N())
+			faulty, correct := nodes[len(nodes)-f:], nodes[:len(nodes)-f]
+			for _, n := range faulty {
+				n.SetBehavior(BehaviorHeartbeatOnly)
+			}
+			h.net.Run(h.net.Now() + 10*nodes[0].cfg.EvictAfter)
+
+			for _, n := range correct {
+				for _, b := range faulty {
+					if got := committed[n.cfg.Identity.ID][b.cfg.Identity.ID]; got != comp.N()-1 {
+						t.Errorf("correct member %v committed %d eviction votes of heartbeat-only member %v, want one per peer (%d)",
+							n.cfg.Identity.ID, got, b.cfg.Identity.ID, comp.N()-1)
+					}
+				}
+				if !n.Comp().Equal(comp) {
+					t.Errorf("correct member %v ends in %v, want the vgroup unchanged: f eviction votes evict nobody", n.cfg.Identity.ID, ids.IdentityIDs(n.Comp().Members))
+				}
+			}
+			if ev := h.sum(func(s Stats) uint64 { return s.Evictions }); ev != 0 {
+				t.Errorf("%d evictions applied, want 0", ev)
+			}
+		})
+	}
+}
+
 // TestPenFloodBoundsConfigurations: any link peer can name a configuration in
 // an SMR envelope, and pen buffered each one until that configuration was
 // installed — for a group the node never joins, forever. One peer flooding a

@@ -527,11 +527,17 @@ func (n *Node) handleTick() {
 // faultyTick is the tick of a member whose fault behaviour is in force: its
 // one job (§6.1.3). A silent member does nothing. A heartbeat-only member
 // heartbeats, so it is not evicted, and lies that every peer is silent, so it
-// proposes to evict each one through the one eviction path.
+// proposes to evict each one through the one eviction path. Its replica ticks,
+// so that in ModeSync those proposals leave at the round; it hears no
+// agreement traffic (Receive) and no replica timer.
 func (n *Node) faultyTick() {
+	now := n.env.Now()
 	n.env.SetTimer(n.cfg.RoundDuration, tickTimer{})
 	if n.behavior == BehaviorHeartbeatOnly {
-		n.heartbeatTick(n.env.Now(), true)
+		n.heartbeatTick(now, true)
+		if n.cfg.Mode == smr.ModeSync && n.replica != nil {
+			n.replica.Tick(uint64(now / n.cfg.RoundDuration))
+		}
 	}
 }
 
