@@ -71,7 +71,7 @@ func TestSendErrorsSurfaceAtPublicAPI(t *testing.T) {
 	}
 }
 
-// TestConfigHasNoFaultInjectionField: Config describes a correct node — 18
+// TestConfigHasNoFaultInjectionField: Config describes a correct node — 16
 // fields, none of them a behaviour. A fault is injected into a running node,
 // through Node.Inner().SetBehavior, and nowhere else. Every option struct of
 // the module is held to the same rule, so each keeps the field count pinned
@@ -84,7 +84,7 @@ func TestConfigHasNoFaultInjectionField(t *testing.T) {
 		opts   any
 		fields int
 	}{
-		{atum.Config{}, 18},
+		{atum.Config{}, 16},
 		{atum.BroadcastOpts{}, 0},
 		{atum.SendOpts{}, 2},
 		{atum.SimOptions{}, 3},

@@ -17,14 +17,12 @@ import (
 // and complete the GET with an explicit error instead of hanging on a
 // phantom inflight request.
 func TestGetFailsFastWhenRequestsShed(t *testing.T) {
-	const limit = 8
 	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 51})
 	var svcs []*Service
 	var nodes []*atum.Node
 	for i := 0; i < 2; i++ {
 		s := New(Options{})
 		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
-			cfg.EgressQueueLimit = limit
 			cfg.OnRawMessage = s.HandleRaw
 		})
 		s.Bind(n)
@@ -52,10 +50,24 @@ func TestGetFailsFastWhenRequestsShed(t *testing.T) {
 
 	// Fill the getter's egress queue toward the replica with equal-priority
 	// (Control) traffic so the GET's own request overflows. Bogus requests
-	// for an unknown file are simply ignored at the replica.
+	// for an unknown file are simply ignored at the replica. The first item
+	// and the first full carrier leave at once, so the flood runs to a depth
+	// read from Stats, not to a count.
 	bogus := FileKey{Owner: 99, Name: "nope"}
-	for i := 0; i < 4*limit; i++ {
-		_ = nodes[1].SendRawWith(nodes[0].Identity().ID, chunkRequest{Key: bogus, Idx: i}, atum.SendOpts{})
+	replica := nodes[0].Identity().ID
+	depth := func() int {
+		for _, d := range nodes[1].Stats().Egress.Dests {
+			if d.Node == replica {
+				return d.Depth
+			}
+		}
+		return 0
+	}
+	for i := 0; depth() < atum.NodeQueueLimit; i++ {
+		if i == 2*atum.NodeQueueLimit {
+			t.Fatalf("%d sends left the queue at depth %d, short of its limit %d", i, depth(), atum.NodeQueueLimit)
+		}
+		_ = nodes[1].SendRawWith(replica, chunkRequest{Key: bogus, Idx: i}, atum.SendOpts{})
 	}
 
 	done := make(chan error, 1)

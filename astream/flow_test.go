@@ -11,10 +11,10 @@ import (
 )
 
 // TestPushDataShedsUnderPressure: under a real PriorityBulk flood toward one
-// peer (EgressQueueLimit 8: High at depth 4, Critical at 7), a destination at
-// High receives verified but not speculative pushes, one at Critical receives
-// no data pushes, and once the queue drains the flood resumes in full; sheds
-// are counted.
+// peer (NodeQueueLimit 1024: High at depth 512, Critical at 896), a
+// destination at High receives verified but not speculative pushes, one at
+// Critical receives no data pushes, and once the queue drains the flood
+// resumes in full; sheds are counted.
 func TestPushDataShedsUnderPressure(t *testing.T) {
 	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 41})
 	var nodes []*atum.Node
@@ -22,7 +22,6 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s := New(Options{})
 		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
-			cfg.EgressQueueLimit = 8
 			cfg.OnRawMessage = s.HandleRaw
 		})
 		s.Bind(n)
@@ -56,19 +55,32 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 	// Everything below runs at one virtual instant, so the flood stays queued
 	// and pushData's shed deltas are read around each call before any peer
 	// can echo a chunk back. The flood's first item leaves at once (the
-	// destination is idle); each later one queues.
-	flood := func(items int) {
+	// destination is idle) and so does its first full carrier; the rest
+	// queue, so the flood runs to a depth read from Stats, not to a count.
+	depth := func() int {
+		for _, d := range pub.Stats().Egress.Dests {
+			if d.Node == peer {
+				return d.Depth
+			}
+		}
+		return 0
+	}
+	floodTo := func(target int) {
 		t.Helper()
-		for i := 0; i < items; i++ {
+		for i := 0; depth() < target; i++ {
+			if i == 2*atum.NodeQueueLimit {
+				t.Fatalf("%d sends left the queue at depth %d, short of %d", i, depth(), target)
+			}
 			if err := pub.SendRawWith(peer, dataMsg{Seq: 1000, Data: []byte{byte(i)}},
 				atum.SendOpts{Priority: atum.PriorityBulk}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	flood(5) // depth 4
+	high, critical := atum.NodeQueueLimit/2, atum.NodeQueueLimit-atum.NodeQueueLimit/8
+	floodTo(high)
 	if lvl := pub.EgressPressure(peer); lvl != atum.PressureHigh {
-		t.Fatalf("flood to depth 4 of 8: level %v, want high", lvl)
+		t.Fatalf("flood to depth %d of %d: level %v, want high", depth(), atum.NodeQueueLimit, lvl)
 	}
 	// High: verified (publish) pushes still flow to that peer...
 	shed := svc.Shed()
@@ -84,9 +96,9 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 		t.Fatalf("High destination did not shed a speculative push (sheds %d -> %d)", shed, svc.Shed())
 	}
 
-	flood(2) // depth 5 after the verified push, now 7
+	floodTo(critical)
 	if lvl := pub.EgressPressure(peer); lvl != atum.PressureCritical {
-		t.Fatalf("flood to depth 7 of 8: level %v, want critical", lvl)
+		t.Fatalf("flood to depth %d of %d: level %v, want critical", depth(), atum.NodeQueueLimit, lvl)
 	}
 	shed = svc.Shed()
 	if err := svc.Publish(2, []byte("chunk-2")); err != nil {

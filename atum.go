@@ -49,7 +49,7 @@
 // The send surface is flow-controlled (docs/API.md): SendRawWith returns
 // typed errors instead of silently dropping and accepts a priority class and
 // a queue-residency TTL, node-addressed egress queues are bounded
-// (Config.EgressQueueLimit, EgressQueueBytes) with a paced drain, and
+// (NodeQueueLimit items, 8 MiB) with a paced drain, and
 // applications read a destination's pressure level
 // (Node.EgressPressure: Low/High/Critical, with hysteresis) before they send,
 // and the queue depths and drop counters in Node.Stats. Nothing is pushed
@@ -175,6 +175,9 @@ const (
 	BehaviorSilent = core.BehaviorSilent
 	// BehaviorHeartbeatOnly heartbeats and proposes spurious evictions.
 	BehaviorHeartbeatOnly = core.BehaviorHeartbeatOnly
+	// NodeQueueLimit bounds each node-addressed egress queue in items; the
+	// pressure levels are fractions of it (docs/API.md).
+	NodeQueueLimit = core.NodeQueueLimit
 )
 
 // DefaultParams returns sensible Table 1 parameters for a medium system.

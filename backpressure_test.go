@@ -57,6 +57,6 @@ func TestBackpressureMovesDropsToApplication(t *testing.T) {
 		t.Fatal("paced run reported no queue limit")
 	}
 	if paced.MaxDepth > paced.QueueLimit {
-		t.Fatalf("paced egress depth %d exceeded EgressQueueLimit %d", paced.MaxDepth, paced.QueueLimit)
+		t.Fatalf("paced egress depth %d exceeded NodeQueueLimit %d", paced.MaxDepth, paced.QueueLimit)
 	}
 }

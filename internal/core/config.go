@@ -186,17 +186,6 @@ type Config struct {
 	// (node-addressed) traffic. 0 selects the default (5 ms, a few LAN round
 	// trips).
 	EgressMaxFlushWindow time.Duration
-	// EgressQueueLimit bounds each node-addressed egress queue (application
-	// raw traffic) in items and scales its flow control: the drain is paced
-	// (at most one carrier per adaptive window per destination), queue depth
-	// drives the Node.EgressPressure levels, and overflow drops at the sender
-	// (lower-priority victims first; SendRawWith returns ErrEgressOverflow
-	// when its own message is the drop). Group-addressed (protocol) queues
-	// are never bounded. 0 or less selects the default (1024).
-	EgressQueueLimit int
-	// EgressQueueBytes bounds each node-addressed egress queue in payload
-	// bytes (incl. per-item framing). 0 or less selects the default (8 MiB).
-	EgressQueueBytes int
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
 	DisableShuffle bool
 	// OnRawMessage, when set, receives the decoded application raw messages
@@ -237,12 +226,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EgressMaxFlushWindow <= 0 {
 		c.EgressMaxFlushWindow = 5 * time.Millisecond
-	}
-	if c.EgressQueueLimit <= 0 {
-		c.EgressQueueLimit = 1024
-	}
-	if c.EgressQueueBytes <= 0 {
-		c.EgressQueueBytes = 8 << 20
 	}
 	return c
 }

@@ -23,12 +23,25 @@ type egressFlushTimer struct{}
 // destination that reaches it is flushed without waiting for its window.
 const maxCarrierBytes = 256 << 10
 
+// NodeQueueLimit bounds each node-addressed egress queue (application raw
+// traffic) in items, and nodeQueueBytes in payload bytes, per-item framing
+// included. The limit scales the queue's flow control: the drain is paced (at
+// most one carrier per adaptive window per destination), queue depth drives
+// the Node.EgressPressure levels, and overflow drops at the sender
+// (lower-priority victims first; SendRawWith returns ErrEgressOverflow when
+// its own message is the drop). Group-addressed (protocol) queues are never
+// bounded.
+const (
+	NodeQueueLimit = 1024
+	nodeQueueBytes = 8 << 20
+)
+
 // newEgress builds the node's port. The callbacks close over n: they run
 // inside the node's event loop.
 func (n *Node) newEgress() *egress.Port {
 	return egress.NewPort(egress.Config{
 		MaxBatch: n.cfg.GossipMaxBatch, MaxBytes: maxCarrierBytes, MaxWindow: n.cfg.EgressMaxFlushWindow,
-		Limit: n.cfg.EgressQueueLimit, LimitBytes: n.cfg.EgressQueueBytes,
+		Limit: NodeQueueLimit, LimitBytes: nodeQueueBytes,
 		Now: n.Now,
 		Arm: func(d time.Duration) { n.env.SetTimer(d, egressFlushTimer{}) }, // nothing is sent before Start
 	}, egress.Rules{

@@ -130,14 +130,13 @@ func TestZeroOptSendDefaults(t *testing.T) {
 }
 
 // TestPressureHookAndEgressStatsFromNode drives the full engine plumbing:
-// a raw flood toward one destination under a small EgressQueueLimit must
-// raise the level Node.EgressPressure reads, surface depth/drops in
-// Node.Stats, keep depth bounded — and drain back to Low when the flood
-// stops.
+// a raw flood toward one destination past NodeQueueLimit must raise the level
+// Node.EgressPressure reads, surface depth/drops in Node.Stats, keep depth
+// bounded — and drain back to Low when the flood stops.
 func TestPressureHookAndEgressStatsFromNode(t *testing.T) {
 	registerEgressTestMsg()
-	const limit = 16
-	h := newHarness(t, smr.ModeSync, 5, func(cfg *Config) { cfg.EgressQueueLimit = limit })
+	const limit = NodeQueueLimit
+	h := newHarness(t, smr.ModeSync, 5, nil)
 	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
 	sender, to := nodes[0], nodes[1].cfg.Identity.ID
 
@@ -170,7 +169,7 @@ func TestPressureHookAndEgressStatsFromNode(t *testing.T) {
 		t.Fatalf("Stats().Egress has no entry for %v: %+v", to, st)
 	}
 	if dest.Depth > limit {
-		t.Fatalf("queue depth %d exceeds EgressQueueLimit %d", dest.Depth, limit)
+		t.Fatalf("queue depth %d exceeds NodeQueueLimit %d", dest.Depth, limit)
 	}
 	if dest.DroppedOverflow == 0 || dest.Level == PressureLow {
 		t.Fatalf("dest stats = %+v, want overflow drops and a raised level", dest)

@@ -421,7 +421,7 @@ func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
 // when the node is not attached to a running runtime, ErrUnregisteredType
 // when the type has no wire codec, and ErrEgressOverflow when the
 // destination's bounded egress queue rejected the message (flow control —
-// see Config.EgressQueueLimit).
+// see NodeQueueLimit).
 //
 // opts carries the flow-control options: a priority class (overflow on the
 // destination's bounded queue sheds lower-priority items first) and an

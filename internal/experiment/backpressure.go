@@ -28,7 +28,7 @@ type BackpressureResult struct {
 	EgressDropsOverflow uint64
 	EgressDropsExpired  uint64
 	// MaxDepth is the deepest egress queue observed toward the slow
-	// consumer across all flooders and rounds; QueueLimit is the configured
+	// consumer across all flooders and rounds; QueueLimit is the engine's
 	// bound (0 for the blind flood, which never enters an egress queue).
 	MaxDepth   int
 	QueueLimit int
@@ -54,8 +54,6 @@ const (
 	bpChunkBytes  = 512
 	bpChunksRound = 600 // per flooder per round
 	bpFlooders    = 8
-	bpQueueLimit  = 256
-	bpQueueBytes  = 1 << 20
 	bpChunkTTL    = 200 * time.Millisecond
 	bpIngestRate  = int64(4 << 20) // slow consumer: 4 MB/s
 	bpIngestQueue = int64(256 << 10)
@@ -82,8 +80,6 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 		quiet(cfg)
 		cfg.GossipMaxBatch = 16
 		cfg.EgressMaxFlushWindow = bpMaxWindow
-		cfg.EgressQueueLimit = bpQueueLimit
-		cfg.EgressQueueBytes = bpQueueBytes
 	})
 	if err := cl.grow(n, time.Minute, nil); err != nil {
 		return BackpressureResult{}, fmt.Errorf("growth to %d nodes failed: %w", n, err)
@@ -91,7 +87,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 	out := BackpressureResult{}
 	var blind []*blindFlooder
 	if paced {
-		out.QueueLimit = bpQueueLimit
+		out.QueueLimit = atum.NodeQueueLimit
 	} else {
 		for i := 0; i < bpFlooders; i++ {
 			f := &blindFlooder{}
