@@ -1,6 +1,7 @@
 package egress
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -393,6 +394,77 @@ func TestParkedCopiesLeaveInDueOrder(t *testing.T) {
 	for to := range got {
 		if !slices.Contains(r.served(r.high), to) {
 			t.Errorf("the first speaker's parked copy went to %v, which it does not serve", to)
+		}
+	}
+}
+
+// TestParkedBoundedByTwoLags states the bound on the port's parked queues:
+// every parked batch leaves within two relay lags of being framed — one for a
+// second speaker's turn, two for a first speaker's served copies — or at
+// FlushAll. So Parked never exceeds the batches framed in the last two lags,
+// and reads zero after FlushAll or after two quiet lags. Seeded schedules of
+// round ticks toward both neighbors, relayed or not, at random gaps, with the
+// port's timer fired at every deadline it armed, check it after every event.
+func TestParkedBoundedByTwoLags(t *testing.T) {
+	const lag = 3 * time.Millisecond
+	for seed := int64(1); seed <= 50; seed++ {
+		r := newTurnRig(lag)
+		rng := rand.New(rand.NewSource(seed))
+		var framed []time.Duration // when each batch was framed
+		peak := 0
+		check := func(event string) {
+			t.Helper()
+			recent := 0
+			for _, at := range framed {
+				if r.env.now-at < 2*lag {
+					recent++
+				}
+			}
+			got := r.p.Parked()
+			if got > recent {
+				t.Fatalf("seed %d, %s at %v: %d batches parked, %d framed in the last two lags", seed, event, r.env.now, got, recent)
+			}
+			peak = max(peak, got)
+		}
+		// runTo fires the port's timer at each deadline it armed up to at, in
+		// order, as the engine's timers would, and moves the clock to at.
+		fired := 0
+		runTo := func(at time.Duration) {
+			for {
+				slices.Sort(r.armed[fired:])
+				if fired == len(r.armed) || r.armed[fired] > at {
+					break
+				}
+				r.env.now = max(r.env.now, r.armed[fired])
+				fired++
+				r.p.OnTimer()
+				check("a timer")
+			}
+			r.env.now = at
+		}
+		for step := 0; step < 300; step++ {
+			runTo(r.env.now + time.Duration(rng.Int63n(int64(2*lag))))
+			dst := r.low
+			if rng.Intn(2) == 0 {
+				dst = r.high
+			}
+			r.tick(dst, relayedItems(rng.Intn(4), fmt.Sprint(step, "a"), fmt.Sprint(step, "b"), fmt.Sprint(step, "c"))...)
+			framed = append(framed, r.env.now)
+			check("a tick")
+			if rng.Intn(50) == 0 {
+				r.p.FlushAll()
+				if got := r.p.Parked(); got != 0 {
+					t.Fatalf("seed %d: %d batches parked after FlushAll", seed, got)
+				}
+			}
+			r.env.sent, r.env.to = r.env.sent[:0], r.env.to[:0]
+		}
+		runTo(r.env.now + 2*lag)
+		if got := r.p.Parked(); got != 0 {
+			t.Fatalf("seed %d: %d batches parked after two quiet lags", seed, got)
+		}
+		if peak < 2 {
+			t.Fatalf("seed %d: at most %d batches parked at once; the schedule does not load the queues", seed, peak)
 		}
 	}
 }
