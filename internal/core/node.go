@@ -299,6 +299,8 @@ func (n *Node) Timer(_ actor.TimerID, data any) {
 		return
 	}
 	if n.byzActive() {
+		// A faulty member's one job runs on its tick; its egress and replica
+		// timers fire into nothing.
 		if _, ok := data.(tickTimer); ok {
 			n.faultyTick()
 		}
