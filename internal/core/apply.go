@@ -97,7 +97,7 @@ func (n *Node) tallyVote(dig crypto.Digest, proposer ids.NodeID, fire func()) {
 		// re-vote in the next epoch.
 		delete(n.ownPend, dig)
 	}
-	if n.st == nil || n.st.fired[dig] || n.st.appliedOps[dig] {
+	if n.st == nil || n.st.fired[dig] || n.st.applied.has(dig) {
 		return
 	}
 	if !n.st.comp.Contains(proposer) {
@@ -261,14 +261,30 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 }
 
 // cacheSnapshot keeps recent outgoing snapshot payloads for heartbeat-
-// triggered re-shares, bounded to the last few epochs.
+// triggered re-shares, bounded to the last few epochs, until every other
+// member of the current composition heartbeats at its epoch (snapsOwed).
 func (n *Node) cacheSnapshot(attestEpoch uint64, payload []byte) {
+	if n.recentSnaps == nil {
+		n.recentSnaps = make(map[uint64][]byte)
+	}
 	n.recentSnaps[attestEpoch] = payload
 	for e := range n.recentSnaps {
 		if e+4 <= attestEpoch {
 			delete(n.recentSnaps, e)
 		}
 	}
+	n.snapsOwed = make(map[ids.NodeID]bool, n.st.comp.N())
+	for _, m := range n.st.comp.Members {
+		if m.ID != n.cfg.Identity.ID {
+			n.snapsOwed[m.ID] = true
+		}
+	}
+}
+
+// dropSnapshots frees the snapshot cache.
+func (n *Node) dropSnapshots() {
+	n.recentSnaps = nil
+	n.snapsOwed = nil
 }
 
 // departed handles this node's own removal from the vgroup.
@@ -280,7 +296,7 @@ func (n *Node) departed(cause reconfigCause) {
 	// Cached snapshots attest the group just left; they must not be
 	// re-shared under a future group's epochs. The repair state, the
 	// catch-up check's record of each peer with it, is the old vgroup's too.
-	n.recentSnaps = make(map[uint64][]byte)
+	n.dropSnapshots()
 	n.rep = newRepair(n.cfg.RoundDuration)
 	switch cause {
 	case causeExchange, causeMerge:

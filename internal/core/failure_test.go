@@ -510,7 +510,7 @@ func TestReShareAttestsOnlyAnExactEpoch(t *testing.T) {
 	prev, cur := testComp(7, 3, 1, 2, 3), testComp(7, 4, 1, 2, 3)
 	n, env := memberNode(t, 1, cur, testComp(9, 1, 4, 5, 6))
 	n.learnComp(prev)
-	n.recentSnaps[prev.Epoch] = []byte("snapshot attested by epoch 3")
+	n.cacheSnapshot(prev.Epoch, []byte("snapshot attested by epoch 3"))
 	snapshotsTo := func(to ids.NodeID) (epochs []uint64) {
 		for _, s := range env.sent {
 			if m, ok := s.msg.(group.GroupMsg); ok && s.to == to && m.Kind == kindSnapshot {
@@ -528,6 +528,83 @@ func TestReShareAttestsOnlyAnExactEpoch(t *testing.T) {
 	n.handleHeartbeat(3, Heartbeat{GroupID: 7, Epoch: prev.Epoch})
 	if got := snapshotsTo(3); len(got) != 0 {
 		t.Fatalf("with epoch 3 evicted, re-shares stamped %v, want none", got)
+	}
+}
+
+// TestSnapshotCacheFreedOnceMembersCurrent: a node's outgoing snapshots are
+// cached only for re-shares, which answer a heartbeat below the current epoch.
+// They used to stay for four epochs; now the cache is freed once every other
+// member has heartbeated at the current epoch or later, and each reconfigure
+// fills it again.
+func TestSnapshotCacheFreedOnceMembersCurrent(t *testing.T) {
+	n, env := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+	mark := 0
+	reShares := func(to ids.NodeID) (epochs []uint64) {
+		for _, s := range env.sent[mark:] {
+			if m, ok := s.msg.(group.GroupMsg); ok && s.to == to && m.Kind == kindSnapshot {
+				epochs = append(epochs, m.SrcEpoch)
+			}
+		}
+		return epochs
+	}
+	heartbeat := func(from ids.NodeID, epoch uint64) {
+		mark = len(env.sent)
+		n.handleHeartbeat(from, Heartbeat{GroupID: 7, Epoch: epoch})
+	}
+
+	n.reconfigure([]ids.Identity{n.cfg.Identity, testComp(7, 0, 2).Members[0], testComp(7, 0, 3).Members[0], testComp(7, 0, 4).Members[0]}, causeJoin)
+	if n.st.comp.Epoch != 4 || n.recentSnaps[3] == nil {
+		t.Fatalf("after the reconfigure to epoch %d, cached epochs %v, want [3]", n.st.comp.Epoch, slices.Sorted(maps.Keys(n.recentSnaps)))
+	}
+	heartbeat(2, 3)
+	if got := reShares(2); !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("a heartbeat at epoch 3 got re-shares stamped %v, want [3]", got)
+	}
+	heartbeat(2, 4)
+	heartbeat(3, 5) // a later epoch counts as current
+	if len(n.recentSnaps) == 0 {
+		t.Fatal("cache freed while member 4 has not heartbeated at epoch 4")
+	}
+	heartbeat(4, 4)
+	if len(n.recentSnaps) != 0 {
+		t.Fatalf("every member heartbeated at epoch 4, yet epochs %v are still cached", slices.Sorted(maps.Keys(n.recentSnaps)))
+	}
+	heartbeat(3, 3)
+	if got := reShares(3); len(got) != 0 {
+		t.Fatalf("with the cache freed, a stale heartbeat got re-shares stamped %v", got)
+	}
+
+	n.reconfigure([]ids.Identity{n.cfg.Identity, testComp(7, 0, 2).Members[0], testComp(7, 0, 3).Members[0]}, causeEvict)
+	if n.recentSnaps[4] == nil {
+		t.Fatalf("after the reconfigure to epoch %d, cached epochs %v, want [4]", n.st.comp.Epoch, slices.Sorted(maps.Keys(n.recentSnaps)))
+	}
+	heartbeat(3, 4)
+	if got := reShares(3); !slices.Equal(got, []uint64{4}) {
+		t.Fatalf("a heartbeat at epoch 4 got re-shares stamped %v, want [4]", got)
+	}
+}
+
+// TestNoCachedSnapshotsOnceSettled: once a grown system is quiet, every
+// member has heard every other at its current epoch, so no member holds a
+// cached outgoing snapshot. Shuffling is off, as in the benchmark: with it on,
+// this seed leaves compositions that list a member gone elsewhere, and a
+// member stuck an epoch behind, whose snapshots stay cached for it.
+func TestNoCachedSnapshotsOnceSettled(t *testing.T) {
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			h := newHarness(t, mode, 5, func(cfg *Config) { cfg.DisableShuffle = true })
+			h.bootstrapSystem(mode, 24, 240*time.Second)
+			h.net.Run(h.net.Now() + 10*time.Second)
+			if len(h.groupsOf()) < 2 {
+				t.Fatalf("24 nodes settled in %d vgroup(s), want several", len(h.groupsOf()))
+			}
+			for id, n := range h.nodes {
+				if len(n.recentSnaps) != 0 || n.snapsOwed != nil {
+					t.Errorf("node %v still caches snapshots of epochs %v, owed to %v",
+						id, slices.Sorted(maps.Keys(n.recentSnaps)), slices.Sorted(maps.Keys(n.snapsOwed)))
+				}
+			}
+		})
 	}
 }
 

@@ -114,7 +114,12 @@ type Node struct {
 	// catch-up shares are sent once, and a laggard partitioned at exactly
 	// the wrong moment would otherwise miss them forever (its heartbeats
 	// keep it un-evicted, but it cannot participate — a permanent zombie).
+	// Only a heartbeat below the current epoch asks for a re-share, so the
+	// cache is freed once every member in snapsOwed, the other members of
+	// the composition it was filled under, has heartbeated at the current
+	// epoch or later. Both are nil when nothing is cached.
 	recentSnaps map[uint64][]byte
+	snapsOwed   map[ids.NodeID]bool
 	// reShared rate-limits catch-up re-shares per laggard.
 	reShared      *rateLimiter[ids.NodeID]
 	walkDeadlines map[crypto.Digest]time.Duration
@@ -192,7 +197,6 @@ func New(cfg Config) *Node {
 		freshSent:      newRateLimiter[group.Key](replyWindow, 256, 1024),
 		pen:            make(map[group.Key][]penMsg),
 		snaps:          make(map[snapKey]*snapTally),
-		recentSnaps:    make(map[uint64][]byte),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
 		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
 		rep:            newRepair(cfg.RoundDuration),
@@ -591,6 +595,11 @@ func (n *Node) handleHeartbeat(from ids.NodeID, m Heartbeat) {
 		n.hbSeen[from] = n.env.Now()
 		if m.Epoch < n.st.comp.Epoch {
 			n.reShareSnapshot(from, m.Epoch)
+		} else if n.snapsOwed[from] {
+			delete(n.snapsOwed, from)
+			if len(n.snapsOwed) == 0 {
+				n.dropSnapshots()
+			}
 		}
 		n.noteListed(from, m.Lacks)
 		n.checkLacks(from, m)
@@ -850,7 +859,7 @@ func (n *Node) proposeOp(v any) {
 	}
 	data := encodePayload(v)
 	dig := opDigest(data)
-	if n.st.appliedOps[dig] {
+	if n.st.applied.has(dig) {
 		return
 	}
 	if _, ok := n.ownPend[dig]; ok {

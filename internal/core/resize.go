@@ -117,13 +117,14 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 		n.replica.Stop()
 		n.replica = nil
 	}
-	oldApplied := n.st.appliedQ
+	applied := n.st.applied
 	n.st = newGroupState(eComp, eNbrs)
 	// Inherit the parent's dedup window: both halves share the pre-split
 	// history, so both must skip the same duplicates.
-	for _, d := range oldApplied {
-		n.st.markAppliedOp(d)
-	}
+	n.st.applied = applied
+	// The cached snapshots attest the parent vgroup. A re-share answers a
+	// heartbeat under this vgroup's GroupID, so none of them can be asked for.
+	n.dropSnapshots()
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	n.learnComp(dComp)
 	n.forgetSnapshots(dComp, false) // the parent vgroup's, behind the epoch this member left it at
