@@ -507,9 +507,9 @@ func TestGossipCopyUnderAnotherMsgIDDropped(t *testing.T) {
 		}, src, sender.ID, self, kindBatch, crypto.Hash([]byte("carrier")), items)
 		n.routeGroupMsg(sender.ID, carrier)
 	}
-	if got := n.inbox.Len(); got != before || !n.delivered.has(items[1].MsgID) || len(n.delivered.at) != 1 {
+	if got := n.inbox.Len(); got != before || !n.delivered.has(items[1].MsgID) || n.delivered.digests.len() != 1 {
 		t.Errorf("carrier left %d inbox entries, %d digests delivered: want no entry, the item identified by its digest in the index alone",
-			got-before, len(n.delivered.at))
+			got-before, n.delivered.digests.len())
 	}
 	if len(delivered) != 1 || delivered[0] != "carried-proper" {
 		t.Errorf("carrier delivered %q, want only the item identified by its digest", delivered)

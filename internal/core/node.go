@@ -198,7 +198,6 @@ func New(cfg Config) *Node {
 		pen:            make(map[group.Key][]penMsg),
 		snaps:          make(map[snapKey]*snapTally),
 		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
-		delivered:      deliveredIndex{at: make(map[crypto.Digest]time.Duration)},
 		rep:            newRepair(cfg.RoundDuration),
 		holders:        make(map[crypto.Digest]*heldRecord),
 	}

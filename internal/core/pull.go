@@ -121,10 +121,9 @@ func (n *Node) skewMargin() time.Duration { return n.cfg.HeartbeatEvery / 4 }
 // A digest stays for the last maxSeen deliveries, its payload for
 // cacheHorizon and within maxCacheBytes of payloads (trim).
 type deliveredIndex struct {
-	at       map[crypto.Digest]time.Duration // delivery time by digest
-	order    []crypto.Digest                 // the keys of at, oldest first
-	payloads []deliveredPayload              // oldest first
-	bytes    int                             // the payloads' total length
+	digests  digestWindow[time.Duration] // delivery time by digest, oldest first
+	payloads []deliveredPayload          // oldest first
+	bytes    int                         // the payloads' total length
 }
 
 type deliveredPayload struct {
@@ -134,22 +133,17 @@ type deliveredPayload struct {
 }
 
 // has reports whether the gossip digest d is delivered.
-func (x *deliveredIndex) has(d crypto.Digest) bool {
-	_, ok := x.at[d]
-	return ok
-}
+func (x *deliveredIndex) has(d crypto.Digest) bool { return x.digests.has(d) }
+
+// when returns the delivery time of the gossip digest d, false when d is not
+// delivered.
+func (x *deliveredIndex) when(d crypto.Digest) (time.Duration, bool) { return x.digests.get(d) }
 
 // add records the delivery of payload, whose digest is d, at now. It records
 // nothing and reports false when d is delivered already: the exactly-once check.
 func (x *deliveredIndex) add(d crypto.Digest, payload []byte, now time.Duration) bool {
-	if x.has(d) {
+	if !x.digests.add(d, now, maxSeen) {
 		return false
-	}
-	x.at[d] = now
-	x.order = append(x.order, d)
-	if len(x.order) > maxSeen {
-		delete(x.at, x.order[0])
-		x.order = x.order[1:]
 	}
 	x.payloads = append(x.payloads, deliveredPayload{digest: d, at: now, payload: payload})
 	x.bytes += len(payload)
@@ -160,7 +154,10 @@ func (x *deliveredIndex) add(d crypto.Digest, payload []byte, now time.Duration)
 // payload returns the payload of the delivered digest d, nil once it is gone.
 // The payloads are in delivery order, so d's is found from its delivery time.
 func (x *deliveredIndex) payload(d crypto.Digest) []byte {
-	at := x.at[d]
+	at, ok := x.when(d)
+	if !ok {
+		return nil
+	}
 	i, _ := slices.BinarySearchFunc(x.payloads, at, func(p deliveredPayload, at time.Duration) int {
 		return cmp.Compare(p.at, at)
 	})
@@ -344,7 +341,7 @@ func (n *Node) checkLacks(from ids.NodeID, m Heartbeat) {
 	now := n.env.Now()
 	horizon := now - n.cacheHorizon()
 	p.lacks = slices.DeleteFunc(p.lacks, func(d crypto.Digest) bool {
-		at, ok := n.delivered.at[d]
+		at, ok := n.delivered.when(d)
 		return !ok || at <= horizon || shown(d)
 	})
 	upTo := now - n.skewMargin()

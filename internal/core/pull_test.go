@@ -202,9 +202,9 @@ func TestUnwantedPushStoresNothing(t *testing.T) {
 	forged := append([]byte(nil), starved...)
 	forged[len(forged)-1] ^= 1
 	n.Receive(99, PayloadPush{Payloads: [][]byte{stray, forged, listed}})
-	if delivered != 0 || len(n.delivered.at) != 0 || n.delivered.payloads != nil || n.inbox.Len() != before {
+	if delivered != 0 || n.delivered.digests.len() != 0 || n.delivered.payloads != nil || n.inbox.Len() != before {
 		t.Fatalf("unwanted push: %d deliveries, %d digests and %d payloads indexed, inbox %d → %d; want nothing",
-			delivered, len(n.delivered.at), len(n.delivered.payloads), before, n.inbox.Len())
+			delivered, n.delivered.digests.len(), len(n.delivered.payloads), before, n.inbox.Len())
 	}
 	var still []crypto.Digest
 	n.inbox.Starved(func(d crypto.Digest, _ []ids.NodeID) { still = append(still, d) })
@@ -402,9 +402,14 @@ func TestDeliveredIndexBounded(t *testing.T) {
 	if x.add(digest(maxSeen+1), []byte{1}, n.Now()) {
 		t.Fatal("a delivered digest was let in twice")
 	}
-	if len(x.at) != maxSeen || len(x.order) != maxSeen || x.has(digest(1)) || !x.has(digest(2)) {
+	var order []crypto.Digest
+	for d := range x.digests.all() {
+		order = append(order, d)
+	}
+	if x.digests.len() != maxSeen || len(order) != maxSeen || order[0] != digest(2) || order[maxSeen-1] != digest(maxSeen+1) ||
+		x.has(digest(1)) || !x.has(digest(2)) {
 		t.Fatalf("index holds %d digests (%d in order), the second oldest %v: want the last %d",
-			len(x.at), len(x.order), x.has(digest(1)), maxSeen)
+			x.digests.len(), len(order), x.has(digest(1)), maxSeen)
 	}
 	tags := haveTags(7, x.window(0, n.Now()))
 	if len(tags) != maxHaveTags || !slices.Contains(tags, haveTag(7, digest(maxSeen+1))) || slices.Contains(tags, haveTag(7, digest(2))) {
@@ -414,7 +419,7 @@ func TestDeliveredIndexBounded(t *testing.T) {
 		t.Fatalf("a window with nothing delivered in it holds %d deliveries, want none", len(ds))
 	}
 
-	*x = deliveredIndex{at: map[crypto.Digest]time.Duration{}}
+	*x = deliveredIndex{}
 	big := make([]byte, maxCacheBytes/2)
 	for i := 0; i < 3; i++ {
 		x.add(digest(i), big, n.Now())
@@ -433,8 +438,8 @@ func TestDeliveredIndexBounded(t *testing.T) {
 	}
 	at(n.Now()+n.cacheHorizon()+time.Millisecond, n)
 	n.handleTick()
-	if x.payloads != nil || x.bytes != 0 || x.payload(digest(9)) != nil || len(x.at) != 4 {
-		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, len(x.at))
+	if x.payloads != nil || x.bytes != 0 || x.payload(digest(9)) != nil || x.digests.len() != 4 {
+		t.Errorf("after the horizon: %d payloads, %d bytes, %d digests; want no payload slice and every digest", len(x.payloads), x.bytes, x.digests.len())
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -126,7 +125,7 @@ type groupState struct {
 	// state (snapshot-included): members that joined the vgroup at
 	// different times must still skip exactly the same duplicates, or the
 	// epoch barrier forks. It keeps the last maxAppliedOps digests.
-	applied digestWindow
+	applied digestWindow[struct{}]
 }
 
 // maxAppliedOps bounds the replicated dedup window.
@@ -143,67 +142,7 @@ func newGroupState(comp group.Composition, nbrs overlay.Neighbors) *groupState {
 
 // markAppliedOp records an op content digest; false means duplicate.
 func (st *groupState) markAppliedOp(d crypto.Digest) bool {
-	return st.applied.add(d, maxAppliedOps)
-}
-
-// digestWindow is a FIFO-bounded set of digests that remembers their order.
-// A membership test reads idx, keyed by a digest's first 8 bytes, and compares
-// the digest stored at that position exactly. A digest whose prefix another
-// one in the window already owns goes to over. Nothing in it iterates a map,
-// so every replica answers and orders identically.
-type digestWindow struct {
-	q    []crypto.Digest     // oldest first
-	base uint64              // position of q[0]: digests added and evicted before it
-	idx  map[uint64]uint64   // prefix → position of its oldest digest
-	over map[uint64][]uint64 // prefix → positions of the younger ones, oldest first
-}
-
-func digestPrefix(d crypto.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8]) }
-
-// at returns the digest at position pos.
-func (w *digestWindow) at(pos uint64) crypto.Digest { return w.q[pos-w.base] }
-
-// has reports whether d is in the window.
-func (w *digestWindow) has(d crypto.Digest) bool {
-	p := digestPrefix(d)
-	if pos, ok := w.idx[p]; !ok || w.at(pos) == d {
-		return ok
-	}
-	return slices.ContainsFunc(w.over[p], func(pos uint64) bool { return w.at(pos) == d })
-}
-
-// add appends d unless it is already in the window, and reports whether it
-// did. Past limit digests, the oldest leaves.
-func (w *digestWindow) add(d crypto.Digest, limit int) bool {
-	if w.has(d) {
-		return false
-	}
-	if w.idx == nil {
-		w.idx, w.over = make(map[uint64]uint64), make(map[uint64][]uint64)
-	}
-	p, pos := digestPrefix(d), w.base+uint64(len(w.q))
-	if _, taken := w.idx[p]; taken {
-		w.over[p] = append(w.over[p], pos)
-	} else {
-		w.idx[p] = pos
-	}
-	w.q = append(w.q, d)
-	if len(w.q) > limit {
-		// The oldest digest owns its prefix's index entry, since an owner is
-		// always the oldest of its prefix; the oldest twin takes it over.
-		old := digestPrefix(w.q[0])
-		switch twins := w.over[old]; len(twins) {
-		case 0:
-			delete(w.idx, old)
-		case 1:
-			w.idx[old] = twins[0]
-			delete(w.over, old)
-		default:
-			w.idx[old], w.over[old] = twins[0], twins[1:]
-		}
-		w.q, w.base = w.q[1:], w.base+1
-	}
-	return true
+	return st.applied.add(d, struct{}{}, maxAppliedOps)
 }
 
 func (st *groupState) resetVotes() {
@@ -285,7 +224,12 @@ func (st *groupState) buildSnapshot() stateSnapshot {
 		snap.Shuffle.Remaining = append([]ids.Identity(nil), st.shuffle.Remaining...)
 		snap.HasShuffle = true
 	}
-	snap.AppliedOps = slices.Clone(st.applied.q)
+	if n := st.applied.len(); n > 0 {
+		snap.AppliedOps = make([]crypto.Digest, 0, n)
+	}
+	for d := range st.applied.all() {
+		snap.AppliedOps = append(snap.AppliedOps, d)
+	}
 	return snap
 }
 

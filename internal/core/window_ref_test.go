@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"atum/internal/crypto"
 )
@@ -34,73 +37,154 @@ func (r *refWindow) add(d crypto.Digest, limit int) bool {
 	return true
 }
 
+func (r *refWindow) get(d crypto.Digest) (struct{}, bool) { return struct{}{}, r.set[d] }
+
+// refDelivered is the digest record deliveredIndex kept before digestWindow:
+// delivery times in a map keyed by the full digest, and the map's keys in a
+// FIFO slice. It is the reference model TestDeliveredIndexMatchesReference
+// and FuzzDeliveredIndex drive the delivered index against.
+type refDelivered struct {
+	at    map[crypto.Digest]time.Duration
+	order []crypto.Digest
+}
+
+func (r *refDelivered) add(d crypto.Digest, now time.Duration, limit int) bool {
+	if _, ok := r.at[d]; ok {
+		return false
+	}
+	if r.at == nil {
+		r.at = make(map[crypto.Digest]time.Duration)
+	}
+	r.at[d] = now
+	r.order = append(r.order, d)
+	if len(r.order) > limit {
+		delete(r.at, r.order[0])
+		r.order = r.order[1:]
+	}
+	return true
+}
+
+func (r *refDelivered) get(d crypto.Digest) (time.Duration, bool) {
+	at, ok := r.at[d]
+	return at, ok
+}
+
 // windowDigest crafts a digest from a prefix class and a suffix: digests of
-// one class share their first 8 bytes, so they contend for one index entry.
+// one class share their first 4 bytes, so they contend for one index entry.
 func windowDigest(class, suffix byte) crypto.Digest {
 	var d crypto.Digest
-	binary.LittleEndian.PutUint64(d[:8], 0x5eed_0000_0000_0000|uint64(class))
-	d[8], d[31] = suffix, suffix^class
+	binary.LittleEndian.PutUint32(d[:4], 0x5eed_0000|uint32(class))
+	d[4], d[31] = suffix, suffix^class
 	return d
 }
 
-// checkWindow compares w with the reference after a step: the same digests in
-// the same order, the same answer for every digest of the pool, and an index
-// that places each digest of the window exactly once.
-func checkWindow(t *testing.T, step int, w *digestWindow, ref *refWindow, pool []crypto.Digest) {
-	t.Helper()
-	if !slices.Equal(w.q, ref.q) {
-		t.Fatalf("step %d: window order %x, reference %x", step, w.q, ref.q)
-	}
-	for _, d := range pool {
-		if w.has(d) != ref.set[d] {
-			t.Fatalf("step %d: has(%x) = %v, reference %v", step, d[:9], w.has(d), ref.set[d])
-		}
-	}
-	placed := make(map[uint64]bool)
-	for p, pos := range w.idx {
-		placed[pos] = true
-		if digestPrefix(w.at(pos)) != p {
-			t.Fatalf("step %d: index entry %x points at a digest of another prefix", step, p)
-		}
-		for _, twin := range w.over[p] {
-			if twin <= pos || placed[twin] || digestPrefix(w.at(twin)) != p {
-				t.Fatalf("step %d: overflow position %d for prefix %x is misplaced", step, twin, p)
-			}
-			placed[twin] = true
-		}
-	}
-	if len(placed) != len(w.q) {
-		t.Fatalf("step %d: the index places %d positions, the window holds %d", step, len(placed), len(w.q))
-	}
-	for p := range w.over {
-		if _, ok := w.idx[p]; !ok || len(w.over[p]) == 0 {
-			t.Fatalf("step %d: overflow entry %x without an index owner", step, p)
-		}
-	}
-}
-
-// runWindow drives a window and the reference with one op sequence. Each op
-// byte adds (high bit clear) or tests a digest of the pool.
-func runWindow(t *testing.T, limit int, ops []byte) {
-	t.Helper()
+// windowPool is the digests the reference tests draw from: three prefix
+// classes of six digests each.
+func windowPool() []crypto.Digest {
 	var pool []crypto.Digest
 	for class := byte(0); class < 3; class++ {
 		for suffix := byte(0); suffix < 6; suffix++ {
 			pool = append(pool, windowDigest(class, suffix))
 		}
 	}
-	var w digestWindow
+	return pool
+}
+
+// checkWindow compares w with a reference after a step: the same digests and
+// values in the same order, the same answer for every digest of the pool, an
+// index that places each digest of the window exactly once, and no chunk the
+// window's positions do not span.
+func checkWindow[V comparable](t *testing.T, step int, w *digestWindow[V], order []crypto.Digest, want func(crypto.Digest) (V, bool), pool []crypto.Digest) {
+	t.Helper()
+	var got []crypto.Digest
+	for d, v := range w.all() {
+		if wv, _ := want(d); v != wv {
+			t.Fatalf("step %d: %x holds %v, reference %v", step, d[:5], v, wv)
+		}
+		got = append(got, d)
+	}
+	if !slices.Equal(got, order) || w.len() != len(order) {
+		t.Fatalf("step %d: window order %x (len %d), reference %x", step, got, w.len(), order)
+	}
+	for _, d := range pool {
+		v, ok := w.get(d)
+		if wv, wok := want(d); ok != wok || v != wv || w.has(d) != wok {
+			t.Fatalf("step %d: get(%x) = %v, %v, reference %v, %v", step, d[:5], v, ok, wv, wok)
+		}
+	}
+	placed := make(map[uint32]bool)
+	for p, pos := range w.idx {
+		placed[pos] = true
+		if pos-w.base >= uint32(w.n) || digestPrefix(w.at(pos)) != p {
+			t.Fatalf("step %d: index entry %x points at position %d, outside the window or at another prefix", step, p, pos)
+		}
+		for _, twin := range w.over[p] {
+			if twin-w.base <= pos-w.base || twin-w.base >= uint32(w.n) || placed[twin] || digestPrefix(w.at(twin)) != p {
+				t.Fatalf("step %d: overflow position %d for prefix %x is misplaced", step, twin, p)
+			}
+			placed[twin] = true
+		}
+	}
+	if len(placed) != len(order) {
+		t.Fatalf("step %d: the index places %d positions, the window holds %d", step, len(placed), len(order))
+	}
+	for p := range w.over {
+		if _, ok := w.idx[p]; !ok || len(w.over[p]) == 0 {
+			t.Fatalf("step %d: overflow entry %x without an index owner", step, p)
+		}
+	}
+	span := 0
+	if w.n > 0 {
+		span = (int(w.base%windowChunkSlots)+w.n-1)/windowChunkSlots + 1
+	}
+	if len(w.chunks) != span {
+		t.Fatalf("step %d: %d chunks for %d digests from slot %d, want %d", step, len(w.chunks), w.n, w.base%windowChunkSlots, span)
+	}
+}
+
+// runWindow drives a dedup window that starts at position base and the
+// reference with one op sequence. Each op byte adds (high bit clear) or tests
+// a digest of the pool.
+func runWindow(t *testing.T, base uint32, limit int, ops []byte) {
+	t.Helper()
+	pool := windowPool()
+	w := digestWindow[struct{}]{base: base}
 	var ref refWindow
 	for i, op := range ops {
 		d := pool[int(op&0x7f)%len(pool)]
 		if op&0x80 == 0 {
-			if got, want := w.add(d, limit), ref.add(d, limit); got != want {
-				t.Fatalf("step %d: add(%x) = %v, reference %v", i, d[:9], got, want)
+			if got, want := w.add(d, struct{}{}, limit), ref.add(d, limit); got != want {
+				t.Fatalf("step %d: add(%x) = %v, reference %v", i, d[:5], got, want)
 			}
 		} else if w.has(d) != ref.set[d] {
-			t.Fatalf("step %d: has(%x) = %v, reference %v", i, d[:9], w.has(d), ref.set[d])
+			t.Fatalf("step %d: has(%x) = %v, reference %v", i, d[:5], w.has(d), ref.set[d])
 		}
-		checkWindow(t, i, &w, &ref, pool)
+		checkWindow(t, i, &w, ref.q, ref.get, pool)
+	}
+}
+
+// runDelivered drives a delivered index whose window starts at position base
+// and the reference with one op sequence, delivering each digest at its step.
+// Each op byte delivers (high bit clear) or looks up a digest of the pool.
+func runDelivered(t *testing.T, base uint32, limit int, ops []byte) {
+	t.Helper()
+	pool := windowPool()
+	var x deliveredIndex
+	x.digests.base = base
+	var ref refDelivered
+	for i, op := range ops {
+		d, now := pool[int(op&0x7f)%len(pool)], time.Duration(i)*time.Millisecond
+		if op&0x80 == 0 {
+			if got, want := x.digests.add(d, now, limit), ref.add(d, now, limit); got != want {
+				t.Fatalf("step %d: add(%x) = %v, reference %v", i, d[:5], got, want)
+			}
+		} else {
+			at, ok := x.when(d)
+			if wat, wok := ref.get(d); ok != wok || at != wat || x.has(d) != wok {
+				t.Fatalf("step %d: when(%x) = %v, %v, reference %v, %v", i, d[:5], at, ok, wat, wok)
+			}
+		}
+		checkWindow(t, i, &x.digests, ref.order, ref.get, pool)
 	}
 }
 
@@ -113,8 +197,31 @@ func TestDigestWindowMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		ops := make([]byte, 300)
 		rng.Read(ops)
-		runWindow(t, 1+trial%8, ops)
+		runWindow(t, 0, 1+trial%8, ops)
 	}
+}
+
+// TestDeliveredIndexMatchesReference: over random deliveries and lookups on
+// digests that share prefixes, at limits 1 to 8, the delivered index answers
+// has and when, and walks its digests, exactly as the map and order slice it
+// replaced. One case starts the window's positions just below 2³², so they
+// wrap while it runs.
+func TestDeliveredIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		ops := make([]byte, 300)
+		rng.Read(ops)
+		runDelivered(t, 0, 1+trial%8, ops)
+	}
+	t.Run("positions wrap", func(t *testing.T) {
+		ops := make([]byte, 600)
+		rng.Read(ops)
+		for i := range ops[:200] {
+			ops[i] &^= 0x80 // adds first, so positions pass 2³² early
+		}
+		runDelivered(t, math.MaxUint32-70, 8, ops)
+		runWindow(t, math.MaxUint32-70, 8, ops)
+	})
 }
 
 // TestDigestWindowEvictsOwnerBeforeTwin: when the digest that owns a prefix's
@@ -122,27 +229,82 @@ func TestDigestWindowMatchesReference(t *testing.T) {
 // and is still found; the evicted owner is not.
 func TestDigestWindowEvictsOwnerBeforeTwin(t *testing.T) {
 	owner, twin, other := windowDigest(1, 1), windowDigest(1, 2), windowDigest(2, 1)
-	var w digestWindow
+	var w digestWindow[struct{}]
 	for _, d := range []crypto.Digest{owner, twin, other} {
-		if !w.add(d, 3) {
-			t.Fatalf("add(%x) refused a new digest", d[:9])
+		if !w.add(d, struct{}{}, 3) {
+			t.Fatalf("add(%x) refused a new digest", d[:5])
 		}
 	}
 	if len(w.over[digestPrefix(twin)]) != 1 {
 		t.Fatalf("the twin is not in the overflow map: %v", w.over)
 	}
-	if w.add(twin, 3) {
+	if w.add(twin, struct{}{}, 3) {
 		t.Fatal("a digest in the overflow map was added twice")
 	}
-	w.add(windowDigest(3, 1), 3) // evicts the owner
+	w.add(windowDigest(3, 1), struct{}{}, 3) // evicts the owner
 	if w.has(owner) || !w.has(twin) {
 		t.Fatalf("after the owner's eviction: has(owner) = %v, has(twin) = %v", w.has(owner), w.has(twin))
 	}
 	if len(w.over) != 0 || w.at(w.idx[digestPrefix(twin)]) != twin {
 		t.Fatalf("the twin did not take the owner's index entry: idx %v, over %v", w.idx, w.over)
 	}
-	if !slices.Equal(w.q, []crypto.Digest{twin, other, windowDigest(3, 1)}) {
-		t.Fatalf("window order after the eviction: %x", w.q)
+	var got []crypto.Digest
+	for d := range w.all() {
+		got = append(got, d)
+	}
+	if !slices.Equal(got, []crypto.Digest{twin, other, windowDigest(3, 1)}) {
+		t.Fatalf("window order after the eviction: %x", got)
+	}
+}
+
+// TestDigestWindowBytesPerDigest: filled to their bound, the dedup window
+// holds at most 52 B of heap per digest and the delivered index, its payloads
+// gone, at most 64 B: 32 B of digest, 8 B of delivery time, and about 18 B of
+// index, since at 8 192 entries the index map has just split into 16 tables
+// of 1 024 slots. A map keyed by the full digest plus a FIFO slice held
+// 68 B and 128 B.
+func TestDigestWindowBytesPerDigest(t *testing.T) {
+	digest := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
+	// The least of three fills: goroutines other tests left running allocate
+	// too, and only ever add to a fill's count. Two collections before each
+	// fill empty the sync.Pool victim caches, which would otherwise be freed
+	// during it.
+	perDigest := func(fill func() any) float64 {
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			kept := fill()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(kept)
+			least = min(least, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/8192)
+		}
+		return least
+	}
+	applied := perDigest(func() any {
+		st := &groupState{}
+		for i := range maxAppliedOps {
+			st.markAppliedOp(digest(i))
+		}
+		return st
+	})
+	delivered := perDigest(func() any {
+		x := &deliveredIndex{}
+		for i := range maxSeen {
+			x.add(digest(i), nil, time.Duration(i))
+		}
+		x.trim(maxSeen)
+		return x
+	})
+	t.Logf("dedup window %.1f B per digest, delivered index %.1f B per digest", applied, delivered)
+	if applied > 52 {
+		t.Errorf("the dedup window holds %.1f B per digest at its bound, want at most 52", applied)
+	}
+	if delivered > 64 {
+		t.Errorf("the delivered index holds %.1f B per digest at its bound, want at most 64", delivered)
 	}
 }
 
@@ -157,6 +319,26 @@ func FuzzDigestWindow(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		runWindow(t, 1+int(data[0]%8), data[1:])
+		runWindow(t, 0, 1+int(data[0]%8), data[1:])
+	})
+}
+
+// FuzzDeliveredIndex: the first byte picks the limit, the second where the
+// window's positions start, a few steps below 2³² when its high bit is set;
+// every other byte is one delivery or lookup on the crafted pool. The index
+// must match the reference after every step.
+func FuzzDeliveredIndex(f *testing.F) {
+	f.Add([]byte{3, 0, 6, 7, 12, 0x86, 13, 14, 0x87, 6})
+	f.Add([]byte{1, 0x83, 0, 6, 0, 6, 12, 0x80, 0x86})
+	f.Add([]byte{8, 0x85, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 0x80, 0x91})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		var base uint32
+		if data[1]&0x80 != 0 {
+			base = math.MaxUint32 - uint32(data[1]&0x7f)
+		}
+		runDelivered(t, base, 1+int(data[0]%8), data[2:])
 	})
 }
