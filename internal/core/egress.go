@@ -98,19 +98,15 @@ func (n *Node) sendGroup(src, dst group.Composition, kind group.Kind, msgID cryp
 	n.egress.Group(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload})
 }
 
-// handleBatch unpacks a batch carrier and processes every inner item as if
-// it had arrived as a separate message from the same link-authenticated
-// sender. Votable kinds go through the inbox — dedup, delivery, and
-// re-forwarding then follow the ordinary per-message path, so Forward-
-// callback and agreement semantics hold per inner item, not per batch. Raw
-// items go straight to the application hook, exactly like a direct SendRaw.
+// handleBatch visits the items of a batch carrier in place and processes each
+// as if it had arrived as a separate message from the same link-authenticated
+// sender; a frame the walk refuses is dropped whole, no item processed.
+// Votable kinds go through the inbox — dedup, delivery, and re-forwarding then
+// follow the ordinary per-message path, so Forward-callback and agreement
+// semantics hold per inner item, not per batch. Raw items go straight to the
+// application hook, exactly like a direct SendRaw.
 func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
-	inner, err := group.UnpackBatch(m)
-	if err != nil {
-		n.logf("egress batch from %v: %v", from, err)
-		return
-	}
-	for _, im := range inner {
+	err := group.EachInBatch(m, func(im group.GroupMsg) {
 		r := rowByKind[im.Kind]
 		switch {
 		case im.Kind == kindRaw:
@@ -128,6 +124,9 @@ func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
 		default:
 			n.observeCopy(from, im)
 		}
+	})
+	if err != nil {
+		n.logf("egress batch from %v: %v", from, err)
 	}
 }
 

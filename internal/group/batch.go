@@ -225,70 +225,73 @@ func encodeBatchFrame(items []BatchItem, r *CopyRule) (frame []byte, withheld in
 	return frame, withheld
 }
 
-// decodedBatchItem is one inner item recovered from a batch frame. Payload is
-// nil on digest-only copies and aliases the frame buffer otherwise.
-type decodedBatchItem struct {
-	kind    Kind
-	msgID   crypto.Digest
-	digest  crypto.Digest
-	payload []byte
-}
-
-// decodeBatchFrame reverses encodeBatchFrame. Hostile frames (another
-// version byte, unknown form bits, oversized item counts, empty or
-// overflowing runs, truncation, trailing bytes) return an error.
-func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
-	d := wire.NewDecoder(b)
+// walkBatchFrame reads the batch frame m carries, the one decoder of
+// encodeBatchFrame's layout. With a nil visit it only checks the frame — every
+// header, run, length and trailing byte — and returns its item count, storing
+// and hashing nothing. With a visit it also hashes each full item and hands
+// visit the inner message, headed with m's source and destination. Only a
+// frame that a nil-visit walk accepted is walked with a visit, so a frame is
+// handed on whole or not at all. Hostile frames (another version byte, unknown form bits,
+// oversized item counts, empty or overflowing runs, truncation, trailing
+// bytes) return an error.
+func walkBatchFrame(m GroupMsg, visit func(GroupMsg)) (int, error) {
+	var d wire.Decoder
+	d.Reset(m.Payload)
 	if version := d.Byte(); d.Err() == nil && version != batchFrameVersion {
-		return nil, fmt.Errorf("group: unsupported batch frame version %#x", version)
+		return 0, fmt.Errorf("group: unsupported batch frame version %#x", version)
 	}
 	n := d.ListLen()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, d.Err()
 	}
 	if n > MaxBatchItems {
-		return nil, fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
+		return 0, fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
 	}
 
-	items := make([]decodedBatchItem, 0, n)
-	for len(items) < n {
-		kind := Kind(d.Byte())
+	im := GroupMsg{SrcGroup: m.SrcGroup, SrcEpoch: m.SrcEpoch, DstGroup: m.DstGroup, DstEpoch: m.DstEpoch}
+	for seen := 0; seen < n; {
+		im.Kind = Kind(d.Byte())
 		form := d.Byte()
 		run := d.ListLen()
 		if d.Err() != nil {
-			return nil, d.Err()
+			return 0, d.Err()
 		}
 		if form&^(formFull|formDerived) != 0 {
-			return nil, fmt.Errorf("group: unknown batch run form %#x", form)
+			return 0, fmt.Errorf("group: unknown batch run form %#x", form)
 		}
-		if run <= 0 || len(items)+run > n {
-			return nil, fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
+		if run <= 0 || seen+run > n {
+			return 0, fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
 		}
 		full, derived := form&formFull != 0, form&formDerived != 0
-		for r := 0; r < run; r++ {
-			it := decodedBatchItem{kind: kind}
+		im.Payload, im.hashed = nil, full
+		for end := seen + run; seen < end; seen++ {
 			if !derived {
-				it.msgID = d.Bytes32()
+				im.MsgID = d.Bytes32()
 			}
 			if full {
-				it.payload = d.VarBytesView() // non-nil on success, even when empty
-				it.digest = crypto.Hash(it.payload)
+				im.Payload = d.VarBytesView() // non-nil on success, even when empty
 			} else {
-				it.digest = d.Bytes32()
-			}
-			if derived {
-				it.msgID = it.digest
+				im.PayloadDigest = d.Bytes32()
 			}
 			if d.Err() != nil {
-				return nil, d.Err()
+				return 0, d.Err()
 			}
-			items = append(items, it)
+			if visit == nil {
+				continue
+			}
+			if full {
+				im.PayloadDigest = crypto.Hash(im.Payload)
+			}
+			if derived {
+				im.MsgID = im.PayloadDigest
+			}
+			visit(im)
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return items, nil
+	return n, nil
 }
 
 // SendBatchToNode transmits one batch of logical messages from self to a
@@ -310,33 +313,34 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	})
 }
 
-// UnpackBatch recovers the inner logical messages of a batch carrier. Each
-// returned GroupMsg inherits the carrier's source and destination headers and
+// EachInBatch hands visit the inner logical messages of a batch carrier, in
+// frame order. Each inherits the carrier's source and destination headers and
 // is ready for Inbox.Observe under the same link-authenticated sender. A full
-// item's PayloadDigest is the hash the decoder computed (the frame carries
-// none for it), which the inbox takes as verified.
-// Payloads may alias m.Payload (the zero-copy decode path): treat them as
-// read-only, and note that retaining one retains the whole frame.
+// item's PayloadDigest is the hash the walk computed (the frame carries none
+// for it), which the inbox takes as verified. The whole frame is checked
+// before the first item is hashed or visited: a refused frame returns its
+// error having visited none. Payloads alias m.Payload (the zero-copy decode
+// path): treat them as read-only, and note that retaining one retains the
+// whole frame. The walk itself allocates nothing.
+func EachInBatch(m GroupMsg, visit func(GroupMsg)) error {
+	if _, err := walkBatchFrame(m, nil); err != nil {
+		return err
+	}
+	_, err := walkBatchFrame(m, visit)
+	return err
+}
+
+// UnpackBatch collects EachInBatch's items into one slice, for callers that
+// want them all at once (tests, measurement tools); the engine visits them in
+// place.
 func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
-	items, err := decodeBatchFrame(m.Payload)
+	n, err := walkBatchFrame(m, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]GroupMsg, 0, len(items))
-	for _, it := range items {
-		out = append(out, GroupMsg{
-			SrcGroup:      m.SrcGroup,
-			SrcEpoch:      m.SrcEpoch,
-			DstGroup:      m.DstGroup,
-			DstEpoch:      m.DstEpoch,
-			Kind:          it.kind,
-			MsgID:         it.msgID,
-			PayloadDigest: it.digest,
-			Payload:       it.payload,
-			hashed:        it.payload != nil,
-		})
-	}
-	return out, nil
+	out := make([]GroupMsg, 0, n)
+	_, err = walkBatchFrame(m, func(im GroupMsg) { out = append(out, im) })
+	return out, err
 }
 
 // BatchWireOverhead is the worst-case framing cost one item adds to a batch

@@ -23,6 +23,17 @@ func encodeFrame(items []BatchItem, full bool) []byte {
 	return frame
 }
 
+// decodeFrame is UnpackBatch over a bare frame: the items a walk of it visits,
+// collected.
+func decodeFrame(frame []byte) ([]GroupMsg, error) { return UnpackBatch(GroupMsg{Payload: frame}) }
+
+// visitFrame is EachInBatch over a bare frame: the items it visits, in order,
+// and its error.
+func visitFrame(frame []byte) (visited []GroupMsg, err error) {
+	err = EachInBatch(GroupMsg{Payload: frame}, func(im GroupMsg) { visited = append(visited, im) })
+	return visited, err
+}
+
 func batchItems(payloads ...string) []BatchItem {
 	items := make([]BatchItem, 0, len(payloads))
 	for i, p := range payloads {
@@ -138,7 +149,7 @@ func TestBatchFrameGoldenBytes(t *testing.T) {
 		if got := encodeFrame(tc.items, tc.full); !bytes.Equal(got, want) {
 			t.Errorf("%s: encoded\n %x\nwant\n %x", tc.name, got, want)
 		}
-		got, err := decodeBatchFrame(want)
+		got, err := decodeFrame(want)
 		if err != nil {
 			t.Fatalf("%s: decode golden: %v", tc.name, err)
 		}
@@ -260,19 +271,19 @@ func b2i(b bool) int {
 // checkDecoded compares a decoded frame with the items it was encoded from by
 // a sender that may (full) or may not attach payloads: same items in order,
 // and a payload exactly where the sender attaches and the item has one.
-func checkDecoded(t *testing.T, name string, got []decodedBatchItem, items []BatchItem, full bool) {
+func checkDecoded(t *testing.T, name string, got []GroupMsg, items []BatchItem, full bool) {
 	t.Helper()
 	if len(got) != len(items) {
 		t.Fatalf("%s: decoded %d items, want %d", name, len(got), len(items))
 	}
 	for i, it := range got {
 		src := items[i]
-		if it.kind != src.Kind || it.msgID != src.MsgID || it.digest != src.payloadDigest() {
+		if it.Kind != src.Kind || it.MsgID != src.MsgID || it.PayloadDigest != src.payloadDigest() {
 			t.Errorf("%s: item %d header mismatch", name, i)
 		}
 		want := full && src.Payload != nil
-		if want != (it.payload != nil) || (want && !bytes.Equal(it.payload, src.Payload)) {
-			t.Errorf("%s: item %d payload = %q, built with %q", name, i, it.payload, src.Payload)
+		if want != (it.Payload != nil) || (want && !bytes.Equal(it.Payload, src.Payload)) {
+			t.Errorf("%s: item %d payload = %q, built with %q", name, i, it.Payload, src.Payload)
 		}
 	}
 }
@@ -283,7 +294,7 @@ func checkDecoded(t *testing.T, name string, got []decodedBatchItem, items []Bat
 func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 	items := mixedFormItems()
 	for _, full := range []bool{true, false} {
-		got, err := decodeBatchFrame(encodeFrame(items, full))
+		got, err := decodeFrame(encodeFrame(items, full))
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
 		}
@@ -300,7 +311,7 @@ func TestBatchFrameMixedFormsRoundTrip(t *testing.T) {
 func TestBatchFrameRoundTripFull(t *testing.T) {
 	items := batchItems("alpha", "", "gamma-gamma")
 	frame := encodeFrame(items, true)
-	got, err := decodeBatchFrame(frame)
+	got, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -308,13 +319,13 @@ func TestBatchFrameRoundTripFull(t *testing.T) {
 		t.Fatalf("items = %d, want %d", len(got), len(items))
 	}
 	for i, it := range got {
-		if it.kind != items[i].Kind || it.msgID != items[i].MsgID {
+		if it.Kind != items[i].Kind || it.MsgID != items[i].MsgID {
 			t.Errorf("item %d header mismatch", i)
 		}
-		if it.payload == nil || !bytes.Equal(it.payload, items[i].Payload) {
-			t.Errorf("item %d payload = %q, want %q", i, it.payload, items[i].Payload)
+		if it.Payload == nil || !bytes.Equal(it.Payload, items[i].Payload) {
+			t.Errorf("item %d payload = %q, want %q", i, it.Payload, items[i].Payload)
 		}
-		if it.digest != crypto.Hash(items[i].Payload) {
+		if it.PayloadDigest != crypto.Hash(items[i].Payload) {
 			t.Errorf("item %d digest not derived from payload", i)
 		}
 	}
@@ -323,18 +334,18 @@ func TestBatchFrameRoundTripFull(t *testing.T) {
 func TestBatchFrameRoundTripDigestOnly(t *testing.T) {
 	items := batchItems("alpha", "beta")
 	frame := encodeFrame(items, false)
-	got, err := decodeBatchFrame(frame)
+	got, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i, it := range got {
-		if it.payload != nil {
+		if it.Payload != nil {
 			t.Errorf("digest-only item %d carries a payload", i)
 		}
-		if it.digest != crypto.Hash(items[i].Payload) {
+		if it.PayloadDigest != crypto.Hash(items[i].Payload) {
 			t.Errorf("item %d digest mismatch", i)
 		}
-		if it.msgID != items[i].MsgID {
+		if it.MsgID != items[i].MsgID {
 			t.Errorf("item %d MsgID mismatch", i)
 		}
 	}
@@ -359,7 +370,7 @@ func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 	items := mixedKindItems()
 	for _, full := range []bool{true, false} {
 		frame := encodeFrame(items, full)
-		got, err := decodeBatchFrame(frame)
+		got, err := decodeFrame(frame)
 		if err != nil {
 			t.Fatalf("full=%v decode: %v", full, err)
 		}
@@ -367,10 +378,10 @@ func TestBatchFrameV2MixedKindsRoundTrip(t *testing.T) {
 			t.Fatalf("full=%v decoded %d items, want %d", full, len(got), len(items))
 		}
 		for i, it := range got {
-			if it.kind != items[i].Kind {
-				t.Errorf("full=%v item %d kind = %d, want %d", full, i, it.kind, items[i].Kind)
+			if it.Kind != items[i].Kind {
+				t.Errorf("full=%v item %d kind = %d, want %d", full, i, it.Kind, items[i].Kind)
 			}
-			if it.msgID != items[i].MsgID {
+			if it.MsgID != items[i].MsgID {
 				t.Errorf("full=%v item %d MsgID mismatch", full, i)
 			}
 		}
@@ -402,15 +413,15 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 	if want := len(plain) * crypto.DigestSize; len(fp)-len(fd) != want {
 		t.Errorf("derived frame saves %d bytes, want %d (one MsgID per item)", len(fp)-len(fd), want)
 	}
-	got, err := decodeBatchFrame(fd)
+	got, err := decodeFrame(fd)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i, it := range got {
-		if it.msgID != derived[i].MsgID {
-			t.Errorf("item %d derived MsgID = %x, want %x", i, it.msgID[:4], derived[i].MsgID[:4])
+		if it.MsgID != derived[i].MsgID {
+			t.Errorf("item %d derived MsgID = %x, want %x", i, it.MsgID[:4], derived[i].MsgID[:4])
 		}
-		if !bytes.Equal(it.payload, derived[i].Payload) {
+		if !bytes.Equal(it.Payload, derived[i].Payload) {
 			t.Errorf("item %d payload mismatch", i)
 		}
 	}
@@ -428,13 +439,13 @@ func TestBatchFrameV2DerivedIDDropsMsgID(t *testing.T) {
 		if saved, want := len(encodeFrame(allPlain, full))-len(fm), 7*crypto.DigestSize-2*6; saved != want {
 			t.Errorf("full=%v: mixed batch saves %d bytes, want %d", full, saved, want)
 		}
-		got, err := decodeBatchFrame(fm)
+		got, err := decodeFrame(fm)
 		if err != nil {
 			t.Fatalf("full=%v decode mixed: %v", full, err)
 		}
 		for i, it := range got {
-			if it.msgID != mixed[i].MsgID {
-				t.Errorf("full=%v mixed item %d MsgID = %x, want %x", full, i, it.msgID[:4], mixed[i].MsgID[:4])
+			if it.MsgID != mixed[i].MsgID {
+				t.Errorf("full=%v mixed item %d MsgID = %x, want %x", full, i, it.MsgID[:4], mixed[i].MsgID[:4])
 			}
 		}
 	}
@@ -447,7 +458,7 @@ func TestBatchFrameV2LiteralPayloadsAliasFrame(t *testing.T) {
 	body := string(bytes.Repeat([]byte("stream-data."), 24))
 	items := batchItems("alias-check-payload", "seq=1|"+body, "seq=2|"+body, "seq=2|"+body)
 	frame := encodeFrame(items, true)
-	got, err := decodeBatchFrame(frame)
+	got, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -460,7 +471,7 @@ func TestBatchFrameV2LiteralPayloadsAliasFrame(t *testing.T) {
 		for j := range want {
 			want[j] ^= 0xFF
 		}
-		if !bytes.Equal(it.payload, want) {
+		if !bytes.Equal(it.Payload, want) {
 			t.Errorf("item %d payload does not alias the frame", i)
 		}
 	}
@@ -538,10 +549,13 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 		{"trailing run after the count is met", append(append([]byte(nil), valid...), valid[5:]...)},
 	}
 	for _, tc := range hostile {
-		_, err := decodeBatchFrame(tc.b)
+		visited, err := visitFrame(tc.b)
 		if err == nil {
 			t.Errorf("%s: decode(%x) accepted a hostile frame", tc.name, tc.b)
 			continue
+		}
+		if len(visited) != 0 {
+			t.Errorf("%s: a refused frame visited %d items, want none", tc.name, len(visited))
 		}
 		// Every first byte but the current version is the same diagnosis,
 		// however short the frame: atumbench tells carriers from 0x00-led
@@ -553,8 +567,9 @@ func TestBatchFrameRejectsGarbage(t *testing.T) {
 }
 
 // TestBatchFrameRejectsEveryTruncation cuts valid frames — full, digest-only,
-// derived and mixed forms, several runs — after every byte: each field's truncation must
-// be an error, never a short item list or a panic.
+// derived and mixed forms, several runs — after every byte: each field's
+// truncation must be an error that visited no item, never a short item list or
+// a panic.
 func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 	frames := [][]byte{
 		encodeFrame(mixedKindItems(), true),
@@ -563,12 +578,16 @@ func TestBatchFrameRejectsEveryTruncation(t *testing.T) {
 		encodeFrame(mixedFormItems(), true),
 	}
 	for fi, frame := range frames {
-		if _, err := decodeBatchFrame(frame); err != nil {
+		if _, err := decodeFrame(frame); err != nil {
 			t.Fatalf("frame %d: intact frame rejected: %v", fi, err)
 		}
 		for cut := 0; cut < len(frame); cut++ {
-			if _, err := decodeBatchFrame(frame[:cut]); err == nil {
+			visited, err := visitFrame(frame[:cut])
+			if err == nil {
 				t.Errorf("frame %d truncated to %d of %d bytes was accepted", fi, cut, len(frame))
+			}
+			if len(visited) != 0 {
+				t.Errorf("frame %d truncated to %d of %d bytes visited %d items, want none", fi, cut, len(frame), len(visited))
 			}
 		}
 	}
@@ -766,9 +785,25 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	mixedDerived[1].Digest, mixedDerived[1].Payload = mixedDerived[1].MsgID, nil
 	f.Add(encodeFrame(mixedDerived, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := decodeBatchFrame(data)
+		items, err := decodeFrame(data)
+		visited, verr := visitFrame(data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("UnpackBatch error %v, EachInBatch error %v", err, verr)
+		}
 		if err != nil {
+			if len(visited) != 0 {
+				t.Fatalf("a refused frame visited %d items", len(visited))
+			}
 			return
+		}
+		// The collector and the visitor are one walk: the same items, in order.
+		if len(visited) != len(items) {
+			t.Fatalf("visited %d items, UnpackBatch collected %d", len(visited), len(items))
+		}
+		for i := range items {
+			if !reflect.DeepEqual(visited[i], items[i]) {
+				t.Fatalf("item %d: visited %+v, collected %+v", i, visited[i], items[i])
+			}
 		}
 		if data[0] != batchFrameVersion {
 			t.Fatalf("decoded a frame of version %#x", data[0])
@@ -782,10 +817,13 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		// is checkable).
 		total := 0
 		for _, it := range items {
-			if it.payload != nil && crypto.Hash(it.payload) != it.digest {
+			if it.Payload != nil && crypto.Hash(it.Payload) != it.PayloadDigest {
 				t.Fatal("full item digest not derived from payload")
 			}
-			total += len(it.payload)
+			if it.hashed != (it.Payload != nil) {
+				t.Fatalf("item hashed=%v with payload %v", it.hashed, it.Payload != nil)
+			}
+			total += len(it.Payload)
 		}
 		if total > len(data) {
 			t.Fatalf("decoded %d payload bytes from a %d-byte frame", total, len(data))
@@ -817,7 +855,9 @@ func benchFrameItems() []BatchItem {
 
 // BenchmarkBatchEncodeDecode measures the frame codec on a 64-item
 // mixed-kind batch: allocs/op and bytes/op per direction, plus the encoded
-// frame size as a custom metric.
+// frame size as a custom metric. decode is the walk the engine makes of a
+// carrier (EachInBatch); refused is the same frame with one trailing byte,
+// which the walk refuses before it hashes any item.
 func BenchmarkBatchEncodeDecode(b *testing.B) {
 	items := benchFrameItems()
 	frame := encodeFrame(items, true)
@@ -831,32 +871,21 @@ func BenchmarkBatchEncodeDecode(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(len(frame)), "frame-bytes")
+		carrier := GroupMsg{Payload: frame}
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeBatchFrame(frame); err != nil {
+			if err := EachInBatch(carrier, func(GroupMsg) {}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// TestBatchFrameAllocCeilings bounds what BenchmarkBatchEncodeDecode
-// measures: a frame costs its exact-size output buffer to encode and its
-// item slice to decode, however many items it holds (1 and 1 measured). The
-// encode ceiling leaves room for the pooled scratch encoder being dropped and
-// regrown — the race detector makes sync.Pool do that at random, about 5 per
-// frame on average; an allocation per item (64 here) fails either way.
-func TestBatchFrameAllocCeilings(t *testing.T) {
-	items := benchFrameItems()
-	frame := encodeFrame(items, true) // also warms the encoder pool
-	if got := testing.AllocsPerRun(200, func() { _ = encodeFrame(items, true) }); got > 8 {
-		t.Errorf("encode allocates %.0f objects per frame, want <= 8", got)
-	}
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := decodeBatchFrame(frame); err != nil {
-			t.Fatal(err)
+	b.Run("refused", func(b *testing.B) {
+		b.ReportAllocs()
+		carrier := GroupMsg{Payload: append(append([]byte(nil), frame...), 0xAA)}
+		b.ReportMetric(float64(len(carrier.Payload)), "frame-bytes")
+		for i := 0; i < b.N; i++ {
+			if err := EachInBatch(carrier, func(GroupMsg) {}); err == nil {
+				b.Fatal("a frame with a trailing byte was accepted")
+			}
 		}
 	})
-	if got > 1 {
-		t.Errorf("decode allocates %.0f objects per frame, want <= 1", got)
-	}
 }

@@ -45,10 +45,10 @@ type GroupMsg struct {
 	// The inbox hands the attachments of the accepting majority to the
 	// caller.
 	Attach []byte
-	// hashed marks an item UnpackBatch recovered from a full carrier frame:
-	// PayloadDigest was computed from Payload by the decoder, not claimed by
-	// the sender, so the inbox need not hash the payload again. It never
-	// crosses a transport.
+	// hashed marks an item the batch-frame walk (EachInBatch, UnpackBatch)
+	// recovered from a full run of a carrier frame: PayloadDigest was computed
+	// from Payload by the walk, not claimed by the sender, so the inbox need
+	// not hash the payload again. It never crosses a transport.
 	hashed bool
 }
 
