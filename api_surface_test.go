@@ -71,8 +71,9 @@ func TestSendErrorsSurfaceAtPublicAPI(t *testing.T) {
 	}
 }
 
-// TestConfigHasNoFaultInjectionField: Config describes a correct node — 16
-// fields, none of them a behaviour. A fault is injected into a running node,
+// TestConfigHasNoFaultInjectionField: Config describes a correct node — 15
+// fields, none of them a behaviour, and no application hook: the raw-message
+// hook is Callbacks.OnRawMessage. A fault is injected into a running node,
 // through Node.Inner().SetBehavior, and nowhere else. Every option struct of
 // the module is held to the same rule, so each keeps the field count pinned
 // below.
@@ -84,14 +85,14 @@ func TestConfigHasNoFaultInjectionField(t *testing.T) {
 		opts   any
 		fields int
 	}{
-		{atum.Config{}, 16},
+		{atum.Config{}, 15},
 		{atum.BroadcastOpts{}, 0},
 		{atum.SendOpts{}, 2},
 		{atum.SimOptions{}, 3},
 		{atum.RealtimeOptions{}, 4},
 		{tcpnet.Options{}, 4},
 		{rtnet.Options{}, 3},
-		{astream.Options{}, 3},
+		{astream.Options{}, 2},
 	} {
 		if typ := reflect.TypeOf(c.opts); typ.NumField() != c.fields {
 			t.Errorf("%v has %d fields, want %d: a new option needs two callers that disagree on its value",
@@ -101,9 +102,9 @@ func TestConfigHasNoFaultInjectionField(t *testing.T) {
 }
 
 // TestCallbacksPushNoNodeState: Callbacks holds the paper's §3.3 hooks, the
-// membership notices and the divergence detector's OnApply — 5 fields. A
-// node's counters and egress pressure are read from it (Stats,
-// EgressPressure), not pushed at the application.
+// membership notices, the divergence detector's OnApply and the raw-message
+// hook OnRawMessage — 6 fields. A node's counters and egress pressure are
+// read from it (Stats, EgressPressure), not pushed at the application.
 func TestCallbacksPushNoNodeState(t *testing.T) {
 	typ := reflect.TypeOf(atum.Callbacks{})
 	for _, gone := range []string{"OnEvent", "OnEgressPressure"} {
@@ -111,8 +112,8 @@ func TestCallbacksPushNoNodeState(t *testing.T) {
 			t.Errorf("Callbacks.%s is back: read Node.Stats or Node.EgressPressure instead", gone)
 		}
 	}
-	if typ.NumField() != 5 {
-		t.Errorf("Callbacks has %d fields, want 5", typ.NumField())
+	if typ.NumField() != 6 {
+		t.Errorf("Callbacks has %d fields, want 6", typ.NumField())
 	}
 }
 

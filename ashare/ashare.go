@@ -115,8 +115,8 @@ type getState struct {
 	retries   int
 }
 
-// New creates the service; call Callbacks and RawHandler to wire it into
-// the node's Config, then Bind once the node exists.
+// New creates the service; pass its Callbacks to the node, then Bind once
+// the node exists.
 func New(opts Options) *Service {
 	return &Service{
 		opts:   opts.withDefaults(),
@@ -132,10 +132,11 @@ func (s *Service) Bind(node *atum.Node) { s.node = node }
 // Index returns the node's metadata index (a complete copy, §4.2).
 func (s *Service) Index() *Index { return s.index }
 
-// Callbacks returns the Atum callbacks AShare needs. Replication and GET
-// fan-out pace themselves by reading the node's egress pressure.
+// Callbacks returns the Atum callbacks AShare needs: Deliver for the
+// metadata broadcasts and OnRawMessage for chunk transfer. Replication and
+// GET fan-out pace themselves by reading the node's egress pressure.
 func (s *Service) Callbacks() atum.Callbacks {
-	return atum.Callbacks{Deliver: s.deliver}
+	return atum.Callbacks{Deliver: s.deliver, OnRawMessage: s.handleRaw}
 }
 
 // FlowStats reports the service's load-shedding counters: chunk responses
@@ -319,8 +320,8 @@ func (s *Service) pickReplica(g *getState, idx int, replicas []atum.NodeID) (atu
 	return fallback, haveFallback
 }
 
-// HandleRaw is the node's OnRawMessage hook.
-func (s *Service) HandleRaw(from atum.NodeID, msg any) {
+// handleRaw is the node's OnRawMessage hook.
+func (s *Service) handleRaw(from atum.NodeID, msg any) {
 	switch m := msg.(type) {
 	case chunkRequest:
 		parts, ok := s.chunks[m.Key]

@@ -22,9 +22,7 @@ func TestGetFailsFastWhenRequestsShed(t *testing.T) {
 	var nodes []*atum.Node
 	for i := 0; i < 2; i++ {
 		s := New(Options{})
-		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = s.HandleRaw
-		})
+		n := cluster.AddNode(s.Callbacks())
 		s.Bind(n)
 		svcs = append(svcs, s)
 		nodes = append(nodes, n)

@@ -60,11 +60,6 @@ type Options struct {
 	Mode CycleMode
 	// OnChunk receives verified chunks in arrival order.
 	OnChunk func(Chunk)
-	// PushTTL bounds how long a tier-2 data push may wait in the sender's
-	// egress queue before being dropped as stale (chunk data outlives its
-	// usefulness quickly — a peer that already verified the chunk via
-	// another parent no longer wants our copy). 0 = no limit.
-	PushTTL time.Duration
 }
 
 // digestMsg is the tier-1 payload.
@@ -139,12 +134,14 @@ func New(opts Options) *Service {
 // Bind attaches the service to its node.
 func (s *Service) Bind(node *atum.Node) { s.node = node }
 
-// Callbacks returns the Atum callbacks for tier 1: Deliver and the Forward
-// restriction implementing Single/Double cycle dissemination. Tier-2 pushes
-// pace themselves by reading the node's egress pressure.
+// Callbacks returns the Atum callbacks: for tier 1, Deliver and the Forward
+// restriction implementing Single/Double cycle dissemination; for tier 2,
+// the OnRawMessage hook that receives data pushes. Tier-2 pushes pace
+// themselves by reading the node's egress pressure.
 func (s *Service) Callbacks() atum.Callbacks {
 	return atum.Callbacks{
-		Deliver: s.deliverDigest,
+		Deliver:      s.deliverDigest,
+		OnRawMessage: s.handleRaw,
 		Forward: func(_ atum.Delivery, link atum.ForwardLink) bool {
 			switch s.opts.Mode {
 			case Double:
@@ -172,8 +169,8 @@ func (s *Service) Publish(seq uint64, data []byte) error {
 	return nil
 }
 
-// HandleRaw is the node's OnRawMessage hook (tier-2 data).
-func (s *Service) HandleRaw(_ atum.NodeID, msg any) {
+// handleRaw is the node's OnRawMessage hook (tier-2 data).
+func (s *Service) handleRaw(_ atum.NodeID, msg any) {
 	m, ok := msg.(dataMsg)
 	if !ok {
 		return
@@ -236,10 +233,7 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 			s.shed++
 			return
 		}
-		err := s.node.SendRawWith(id, m, atum.SendOpts{
-			Priority: atum.PriorityBulk, TTL: s.opts.PushTTL,
-		})
-		if err != nil {
+		if err := s.node.SendRawWith(id, m, atum.SendOpts{Priority: atum.PriorityBulk}); err != nil {
 			s.shed++
 		}
 	}

@@ -16,9 +16,7 @@ func buildStream(t *testing.T, n int, mode astream.CycleMode) (*atum.SimCluster,
 	var nodes []*atum.Node
 	for i := 0; i < n; i++ {
 		svc := astream.New(astream.Options{Mode: mode})
-		node := cluster.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = svc.HandleRaw
-		})
+		node := cluster.AddNode(svc.Callbacks())
 		svc.Bind(node)
 		services = append(services, svc)
 		nodes = append(nodes, node)

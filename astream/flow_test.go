@@ -21,9 +21,7 @@ func TestPushDataShedsUnderPressure(t *testing.T) {
 	var svcs []*Service
 	for i := 0; i < 4; i++ {
 		s := New(Options{})
-		n := cluster.AddNodeWith(s.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = s.HandleRaw
-		})
+		n := cluster.AddNode(s.Callbacks())
 		s.Bind(n)
 		nodes = append(nodes, n)
 		svcs = append(svcs, s)
@@ -141,15 +139,12 @@ func TestPushDataReachesEveryNeighborVgroup(t *testing.T) {
 	nodes := []*atum.Node{pub}
 	for i := 1; i < 32; i++ {
 		var self atum.NodeID
-		n := cluster.AddNodeWith(atum.Callbacks{}, func(cfg *atum.Config) {
-			freeze(cfg)
-			self = cfg.Identity.ID
-			cfg.OnRawMessage = func(from atum.NodeID, msg any) {
-				if _, ok := msg.(dataMsg); ok && from == pubID {
-					reached[self] = true
-				}
+		n := cluster.AddNodeWith(atum.Callbacks{OnRawMessage: func(from atum.NodeID, msg any) {
+			if _, ok := msg.(dataMsg); ok && from == pubID {
+				reached[self] = true
 			}
-		})
+		}}, freeze)
+		self = n.Identity().ID
 		nodes = append(nodes, n)
 	}
 	cluster.Run(10 * time.Millisecond)

@@ -18,9 +18,7 @@ func soloService(t *testing.T) (*atum.SimCluster, *Service) {
 	t.Helper()
 	cluster := atum.NewSimCluster(atum.SimOptions{Seed: 3})
 	svc := New(Options{Mode: Single})
-	node := cluster.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-		cfg.OnRawMessage = svc.HandleRaw
-	})
+	node := cluster.AddNode(svc.Callbacks())
 	svc.Bind(node)
 	cluster.Run(10 * time.Millisecond)
 	if err := node.Bootstrap(); err != nil {
@@ -39,9 +37,9 @@ func TestCorruptCopyThenDigestThenCorrect(t *testing.T) {
 	_, svc := soloService(t)
 	good := []byte("the real chunk")
 
-	svc.HandleRaw(2, dataMsg{Seq: 5, Data: []byte("forged!")})
+	svc.handleRaw(2, dataMsg{Seq: 5, Data: []byte("forged!")})
 	svc.deliverDigest(digestDelivery(5, good))
-	svc.HandleRaw(3, dataMsg{Seq: 5, Data: good})
+	svc.handleRaw(3, dataMsg{Seq: 5, Data: good})
 
 	if !svc.Delivered(5) {
 		t.Fatal("correct copy after digest not delivered")
@@ -55,8 +53,8 @@ func TestCorruptCopyShadowingCorrectCopy(t *testing.T) {
 	_, svc := soloService(t)
 	good := []byte("the real chunk")
 
-	svc.HandleRaw(2, dataMsg{Seq: 6, Data: []byte("forged!")})
-	svc.HandleRaw(3, dataMsg{Seq: 6, Data: good})
+	svc.handleRaw(2, dataMsg{Seq: 6, Data: []byte("forged!")})
+	svc.handleRaw(3, dataMsg{Seq: 6, Data: good})
 	svc.deliverDigest(digestDelivery(6, good))
 
 	if !svc.Delivered(6) {
@@ -72,13 +70,13 @@ func TestManyForgedCopiesBounded(t *testing.T) {
 	good := []byte("the real chunk")
 
 	for i := 0; i < 100; i++ {
-		svc.HandleRaw(2, dataMsg{Seq: 7, Data: []byte{byte(i), byte(i >> 8), 0xBA, 0xD0}})
+		svc.handleRaw(2, dataMsg{Seq: 7, Data: []byte{byte(i), byte(i >> 8), 0xBA, 0xD0}})
 	}
 	if got := len(svc.pendingData[7]); got > maxCandidates {
 		t.Fatalf("stored %d candidate copies, bound is %d", got, maxCandidates)
 	}
 	svc.deliverDigest(digestDelivery(7, good))
-	svc.HandleRaw(3, dataMsg{Seq: 7, Data: good})
+	svc.handleRaw(3, dataMsg{Seq: 7, Data: good})
 	if !svc.Delivered(7) {
 		t.Fatal("correct copy not delivered after forged flood")
 	}
@@ -91,11 +89,11 @@ func TestDigestFirstVerifiedForwardOnly(t *testing.T) {
 	good := []byte("the real chunk")
 
 	svc.deliverDigest(digestDelivery(8, good))
-	svc.HandleRaw(2, dataMsg{Seq: 8, Data: []byte("forged!")})
+	svc.handleRaw(2, dataMsg{Seq: 8, Data: []byte("forged!")})
 	if len(svc.pendingData[8]) != 0 {
 		t.Fatal("corrupted copy stored despite known digest")
 	}
-	svc.HandleRaw(3, dataMsg{Seq: 8, Data: good})
+	svc.handleRaw(3, dataMsg{Seq: 8, Data: good})
 	if !svc.Delivered(8) {
 		t.Fatal("verified chunk not delivered")
 	}

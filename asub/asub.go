@@ -30,25 +30,18 @@ type Options struct {
 	OnEvent func(Event)
 }
 
-// New wraps an Atum configuration for the given topic and returns the node
-// callbacks plus the participant handle. The caller supplies the Atum node
-// (so the application controls the runtime); wire it like:
+// Wire returns the Atum callbacks that hand the topic's events to
+// opts.OnEvent, and a constructor that binds the participant once the node
+// exists. The caller creates the node, so the application controls the
+// runtime:
 //
-//	var p *asub.Participant
-//	cfg.Callbacks = asub.Wire(topic, opts, &p̂...)
-type wiring struct {
-	opts  Options
-	topic string
-}
-
-// Wire returns Atum callbacks that deliver ASub events, and a constructor
-// that binds the participant once the node exists.
+//	cb, bind := asub.Wire(topic, opts)
+//	p := bind(cluster.AddNode(cb))
 func Wire(topic string, opts Options) (atum.Callbacks, func(*atum.Node) *Participant) {
-	w := &wiring{opts: opts, topic: topic}
 	cb := atum.Callbacks{
 		Deliver: func(d atum.Delivery) {
-			if w.opts.OnEvent != nil {
-				w.opts.OnEvent(Event{Topic: topic, Publisher: d.Origin, Data: d.Data})
+			if opts.OnEvent != nil {
+				opts.OnEvent(Event{Topic: topic, Publisher: d.Origin, Data: d.Data})
 			}
 		},
 	}

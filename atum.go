@@ -19,10 +19,12 @@
 //		atum.BroadcastOpts{})            // disseminate to every node
 //	node.Leave()                         // leave the system
 //
-// Applications receive messages through Callbacks.Deliver and shape the
-// gossip phase through Callbacks.Forward. Three applications built on this
-// API ship with the repository: asub (publish/subscribe), ashare (file
-// sharing), and astream (data streaming).
+// Applications receive messages through Callbacks.Deliver, shape the gossip
+// phase through Callbacks.Forward, and receive node-addressed raw messages
+// through Callbacks.OnRawMessage: a service plugs into a node by its
+// Callbacks alone. Three applications built on this API ship with the
+// repository: asub (publish/subscribe), ashare (file sharing), and astream
+// (data streaming).
 //
 // # Egress scheduling
 //
@@ -252,7 +254,7 @@ func (n *Node) GroupSize() int { return n.inner.Comp().N() }
 func (n *Node) GroupMembers() []Identity { return n.inner.Comp().Members }
 
 // SendRawWith sends an application-level message to another node
-// (delivered to its Config.OnRawMessage hook), with flow-control options
+// (delivered to its Callbacks.OnRawMessage hook), with flow-control options
 // (priority class, egress queue-residency TTL); SendOpts{} means defaults.
 // It reports failures instead of silently dropping — ErrNotRunning,
 // ErrEgressOverflow, ErrUnregisteredType (see docs/API.md). The former
@@ -319,8 +321,9 @@ func NewSimCluster(opts SimOptions) *SimCluster {
 // the simulated network, and returns it.
 func (c *SimCluster) AddNode(cb Callbacks) *Node { return c.AddNodeWith(cb, nil) }
 
-// AddNodeWith is AddNode with a per-node config mutation (applications use
-// it to install their OnRawMessage hook).
+// AddNodeWith is AddNode with a per-node config mutation, for a Config field
+// the defaults do not suit (the experiment harness turns shuffling off with
+// it). Applications need no mutation: their hooks are all in Callbacks.
 func (c *SimCluster) AddNodeWith(cb Callbacks, mut func(*Config)) *Node {
 	c.nextID++
 	id := ids.NodeID(c.nextID)

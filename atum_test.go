@@ -108,7 +108,7 @@ func TestAShareEndToEnd(t *testing.T) {
 	var services []*ashare.Service
 	cluster, _ := buildCluster(t, 3, 4, net, func(i int, c *atum.SimCluster) *atum.Node {
 		svc := ashare.New(ashare.Options{Rho: 3, SystemSize: 4, ChunkSize: 128 << 10, Corrupt: i == 3})
-		n := c.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) { cfg.OnRawMessage = svc.HandleRaw })
+		n := c.AddNode(svc.Callbacks())
 		svc.Bind(n)
 		services = append(services, svc)
 		return n
@@ -151,7 +151,7 @@ func TestAStreamVerifiedDelivery(t *testing.T) {
 	var services []*astream.Service
 	cluster, _ := buildCluster(t, 4, 5, nil, func(i int, c *atum.SimCluster) *atum.Node {
 		svc := astream.New(astream.Options{Mode: astream.Double})
-		n := c.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) { cfg.OnRawMessage = svc.HandleRaw })
+		n := c.AddNode(svc.Callbacks())
 		svc.Bind(n)
 		services = append(services, svc)
 		return n

@@ -37,9 +37,7 @@ func run() error {
 	for i := 0; i < n; i++ {
 		corrupt := i == n-1 // the last node serves corrupted chunks
 		svc := ashare.New(ashare.Options{Rho: 3, SystemSize: n, ChunkSize: 256 << 10, Corrupt: corrupt})
-		node := cluster.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = svc.HandleRaw
-		})
+		node := cluster.AddNode(svc.Callbacks())
 		svc.Bind(node)
 		nodes = append(nodes, node)
 		services = append(services, svc)

@@ -27,22 +27,17 @@ func run() error {
 	var services []*astream.Service
 	for i := 0; i < n; i++ {
 		idx := i
+		// Flow control (docs/API.md): tier-2 pushes ride PriorityBulk, and a
+		// peer whose egress pressure reads Critical gets no pushes at all.
 		svc := astream.New(astream.Options{
 			Mode: astream.Double,
-			// Flow control (docs/API.md): tier-2 pushes ride PriorityBulk
-			// with this TTL — a chunk still waiting in a congested egress
-			// queue after 500 ms is stale and shed at the sender; a peer
-			// whose egress pressure reads Critical gets no pushes at all.
-			PushTTL: 500 * time.Millisecond,
 			OnChunk: func(c astream.Chunk) {
 				if idx == n-1 { // log one receiver only
 					fmt.Printf("receiver %d verified chunk %d (%d bytes)\n", idx+1, c.Seq, len(c.Data))
 				}
 			},
 		})
-		node := cluster.AddNodeWith(svc.Callbacks(), func(cfg *atum.Config) {
-			cfg.OnRawMessage = svc.HandleRaw
-		})
+		node := cluster.AddNode(svc.Callbacks())
 		svc.Bind(node)
 		nodes = append(nodes, node)
 		services = append(services, svc)

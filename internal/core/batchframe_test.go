@@ -91,7 +91,7 @@ func TestStaleVersionBatchCarrierIgnored(t *testing.T) {
 	n, _ := memberNode(t, self, comp, src)
 	registerEgressTestMsg()
 	var got []any
-	n.cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
+	n.cfg.Callbacks.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 
 	extFrame, ok := encodeWire(egressTestMsg{Seq: 1, Body: []byte("chunk")}, classExt)
 	if !ok {

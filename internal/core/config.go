@@ -120,6 +120,10 @@ type Callbacks struct {
 	// detectors in tests; all correct members of a vgroup must report the
 	// same sequence per epoch.
 	OnApply func(gid uint64, epoch uint64, digest [32]byte, kind string)
+	// OnRawMessage, when set, receives the decoded application raw messages
+	// peers sent with SendRawWith — the extension point applications (AShare
+	// chunk transfer, AStream tier-2 multicast) build their own protocols on.
+	OnRawMessage func(from ids.NodeID, msg any)
 }
 
 // Delivery is one delivered broadcast.
@@ -188,10 +192,6 @@ type Config struct {
 	EgressMaxFlushWindow time.Duration
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
 	DisableShuffle bool
-	// OnRawMessage, when set, receives the decoded application raw messages
-	// peers sent with SendRawWith — the extension point applications (AShare
-	// chunk transfer, AStream tier-2 multicast) build their own protocols on.
-	OnRawMessage func(from ids.NodeID, msg any)
 	// Callbacks connect the application.
 	Callbacks Callbacks
 }

@@ -136,7 +136,7 @@ func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
 // payload types (snapshots, nested SMR envelopes) into an application
 // hook — or buy decode work on them — through the raw path.
 func (n *Node) handleRawItem(from ids.NodeID, payload []byte) {
-	if n.cfg.OnRawMessage == nil {
+	if n.cfg.Callbacks.OnRawMessage == nil {
 		return
 	}
 	v, err := decodeWire(payload, classExt)
@@ -144,5 +144,5 @@ func (n *Node) handleRawItem(from ids.NodeID, payload []byte) {
 		n.logf("raw item from %v: %v", from, err)
 		return
 	}
-	n.cfg.OnRawMessage(from, v)
+	n.cfg.Callbacks.OnRawMessage(from, v)
 }

@@ -181,7 +181,7 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	// kinds enter the inbox (observable: a majority of senders accepts them).
 	var gotRaw []any
 	recv, _ := memberNode(t, 4, nbr, comp)
-	recv.cfg.OnRawMessage = func(_ ids.NodeID, msg any) { gotRaw = append(gotRaw, msg) }
+	recv.cfg.Callbacks.OnRawMessage = func(_ ids.NodeID, msg any) { gotRaw = append(gotRaw, msg) }
 	delivered := 0
 	recv.cfg.Callbacks.Deliver = func(Delivery) { delivered++ }
 	for _, sender := range comp.Members {
@@ -612,7 +612,7 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 	src := testComp(7, 3, 1, 2, 3)
 	n, _ := memberNode(t, self, comp, src)
 	var got []any
-	n.cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
+	n.cfg.Callbacks.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 
 	engineFrame := encodePayload(snapshotPayload{})
 	n.handleRawItem(1, engineFrame)

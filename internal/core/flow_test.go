@@ -66,7 +66,7 @@ func TestForeignMessageNotDelivered(t *testing.T) {
 	h := newHarness(t, smr.ModeSync, 2, nil)
 	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
 	var got []any
-	nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
+	nodes[1].cfg.Callbacks.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 	to := nodes[1].cfg.Identity.ID
 	peer := nodes[0].env.(actor.Env) // a peer that does not run the engine
 	peer.Send(to, unregisteredRawMsg{X: 7})
@@ -94,7 +94,7 @@ func TestZeroOptSendDefaults(t *testing.T) {
 	h := newHarness(t, smr.ModeSync, 3, nil)
 	nodes := h.bootstrapSystem(smr.ModeSync, 3, 20*time.Second)
 	var raws []uint64
-	nodes[2].cfg.OnRawMessage = func(_ ids.NodeID, msg any) {
+	nodes[2].cfg.Callbacks.OnRawMessage = func(_ ids.NodeID, msg any) {
 		raws = append(raws, msg.(egressTestMsg).Seq)
 	}
 

@@ -34,7 +34,6 @@ type delivery struct {
 // astream.Service both fit.
 type app interface {
 	Callbacks() atum.Callbacks
-	HandleRaw(from atum.NodeID, msg any)
 	Bind(node *atum.Node)
 }
 
@@ -52,16 +51,21 @@ func newCluster(mode smr.Mode, seed int64, net *simnet.Config, tweak func(*atum.
 // addNode adds a node running a (nil: no application).
 func (cl *cluster) addNode(a app) *atum.Node {
 	var cb atum.Callbacks
-	onRaw := func(atum.NodeID, any) {}
 	if a != nil {
-		cb, onRaw = a.Callbacks(), a.HandleRaw
+		cb = a.Callbacks()
 	}
 	var id atum.NodeID
-	deliver := cb.Deliver
+	deliver, onRaw := cb.Deliver, cb.OnRawMessage
 	cb.Deliver = func(d atum.Delivery) {
 		cl.deliverAt[delivery{id, string(d.Data)}] = cl.c.Now()
 		if deliver != nil {
 			deliver(d)
+		}
+	}
+	cb.OnRawMessage = func(from atum.NodeID, msg any) {
+		cl.rawDelivered++
+		if onRaw != nil {
+			onRaw(from, msg)
 		}
 	}
 	cb.OnLeft = func(reason string) {
@@ -73,10 +77,6 @@ func (cl *cluster) addNode(a app) *atum.Node {
 		cfg.DisableShuffle = true
 		if cl.tweak != nil {
 			cl.tweak(cfg)
-		}
-		cfg.OnRawMessage = func(from atum.NodeID, msg any) {
-			cl.rawDelivered++
-			onRaw(from, msg)
 		}
 	})
 	if a != nil {
