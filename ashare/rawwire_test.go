@@ -63,6 +63,32 @@ func TestRecordGoldenBytes(t *testing.T) {
 	}
 }
 
+// goldenRawFrames holds one wire-envelope frame per registered raw-message
+// type (docs/WIRE.md, "The application extension-tag range").
+var goldenRawFrames = []struct {
+	msg any
+	hex string
+}{
+	{chunkRequest{Key: FileKey{Owner: 9, Name: "x"}, Idx: 3},
+		"009001" + goldenKey + "0000000000000003"},
+	{chunkResponse{Key: FileKey{Owner: 9, Name: "x"}, Idx: 3, Data: []byte("ab")},
+		"009101" + goldenKey + "0000000000000003" + "00000002" + "6162"},
+}
+
+func TestRawFrameGoldenBytes(t *testing.T) {
+	codec := atum.WireMessageCodec()
+	for _, g := range goldenRawFrames {
+		want := unhex(t, g.hex)
+		if got, ok := codec.EncodeMessage(g.msg); !ok || !bytes.Equal(got, want) {
+			t.Errorf("%T encodes to %x, %v; want %x", g.msg, got, ok, want)
+		}
+		got, err := codec.DecodeMessage(want)
+		if err != nil || !reflect.DeepEqual(got, g.msg) {
+			t.Errorf("%T decodes to %+v, %v", g.msg, got, err)
+		}
+	}
+}
+
 func TestDecodeRecordRejectsHostileInput(t *testing.T) {
 	reject := func(name string, in []byte) {
 		t.Helper()

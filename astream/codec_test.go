@@ -7,8 +7,10 @@ package astream
 import (
 	"bytes"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
+	"atum"
 	"atum/internal/crypto"
 )
 
@@ -36,6 +38,20 @@ func TestStreamGoldenBytes(t *testing.T) {
 		t.Errorf("digestMsg encodes to %x, want %x", got, frame)
 	}
 	if got, err := decodeStream(frame); err != nil || got != m {
+		t.Errorf("golden frame decodes to %+v, %v", got, err)
+	}
+}
+
+// TestDataMsgGoldenBytes pins the tier-2 push frame, dataMsg{Seq: 7, Data:
+// "ab"} under extension tag 0x80 (docs/WIRE.md).
+func TestDataMsgGoldenBytes(t *testing.T) {
+	msg := dataMsg{Seq: 7, Data: []byte("ab")}
+	want, _ := hex.DecodeString("008001" + "0000000000000007" + "00000002" + "6162")
+	codec := atum.WireMessageCodec()
+	if got, ok := codec.EncodeMessage(msg); !ok || !bytes.Equal(got, want) {
+		t.Errorf("dataMsg encodes to %x, %v; want %x", got, ok, want)
+	}
+	if got, err := codec.DecodeMessage(want); err != nil || !reflect.DeepEqual(got, msg) {
 		t.Errorf("golden frame decodes to %+v, %v", got, err)
 	}
 }

@@ -1,6 +1,27 @@
 package experiment
 
-import "testing"
+import (
+	"bytes"
+	"encoding/hex"
+	"reflect"
+	"testing"
+
+	"atum"
+)
+
+// TestExpChunkGoldenBytes pins the harness's raw frame, expChunk{Seq: 7,
+// Data: "ab"} under extension tag 0xA0 (docs/WIRE.md).
+func TestExpChunkGoldenBytes(t *testing.T) {
+	msg := expChunk{Seq: 7, Data: []byte("ab")}
+	want, _ := hex.DecodeString("00a001" + "0000000000000007" + "00000002" + "6162")
+	codec := atum.WireMessageCodec()
+	if got, ok := codec.EncodeMessage(msg); !ok || !bytes.Equal(got, want) {
+		t.Errorf("expChunk encodes to %x, %v; want %x", got, ok, want)
+	}
+	if got, err := codec.DecodeMessage(want); err != nil || !reflect.DeepEqual(got, msg) {
+		t.Errorf("golden frame decodes to %+v, %v", got, err)
+	}
+}
 
 // TestStormTrafficCeilings pins the one send path in absolute terms: full
 // delivery, every raw chunk through, and per-broadcast traffic under
