@@ -178,28 +178,13 @@ func (s *Service) Put(name string, content []byte) (FileMeta, error) {
 	if s.node == nil || !s.node.IsMember() {
 		return FileMeta{}, errors.New("ashare: node is not a member")
 	}
-	key := FileKey{Owner: s.node.Identity().ID, Name: name}
-	meta := FileMeta{Key: key, Size: len(content), ChunkSize: s.opts.ChunkSize}
-	var parts [][]byte
-	for off := 0; off < len(content); off += s.opts.ChunkSize {
-		end := off + s.opts.ChunkSize
-		if end > len(content) {
-			end = len(content)
-		}
-		chunk := bytes.Clone(content[off:end])
-		parts = append(parts, chunk)
-		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(chunk))
-	}
-	if len(parts) == 0 {
-		parts = [][]byte{nil}
-		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(nil))
-	}
-	s.chunks[key] = parts
+	meta := BuildMeta(s.node.Identity().ID, name, content, s.opts.ChunkSize)
+	s.chunks[meta.Key] = split(bytes.Clone(content), s.opts.ChunkSize)
 	if err := s.node.BroadcastWith(encodeRecord(putRecord{Meta: meta}), atum.BroadcastOpts{}); err != nil {
 		return FileMeta{}, err
 	}
 	// Announce ourselves as the first replica.
-	if err := s.node.BroadcastWith(encodeRecord(replicaRecord{Key: key, Node: key.Owner}), atum.BroadcastOpts{}); err != nil {
+	if err := s.node.BroadcastWith(encodeRecord(replicaRecord{Key: meta.Key, Node: meta.Key.Owner}), atum.BroadcastOpts{}); err != nil {
 		return FileMeta{}, err
 	}
 	return meta, nil
@@ -453,19 +438,11 @@ func (s *Service) maybeReplicate(key FileKey) {
 		if err != nil {
 			return
 		}
-		parts, meta := [][]byte{}, FileMeta{}
 		meta, ok := s.index.Lookup(key)
 		if !ok {
 			return
 		}
-		for off := 0; off < len(content); off += meta.ChunkSize {
-			end := off + meta.ChunkSize
-			if end > len(content) {
-				end = len(content)
-			}
-			parts = append(parts, content[off:end])
-		}
-		s.chunks[key] = parts
+		s.chunks[key] = split(content, meta.ChunkSize)
 		_ = s.node.BroadcastWith(encodeRecord(replicaRecord{Key: key, Node: self}), atum.BroadcastOpts{})
 	})
 }
@@ -483,15 +460,7 @@ func (s *Service) egressPressured() bool {
 
 // HoldReplica force-installs a local replica (experiment setup helper).
 func (s *Service) HoldReplica(meta FileMeta, content []byte) {
-	var parts [][]byte
-	for off := 0; off < len(content); off += meta.ChunkSize {
-		end := off + meta.ChunkSize
-		if end > len(content) {
-			end = len(content)
-		}
-		parts = append(parts, bytes.Clone(content[off:end]))
-	}
-	s.chunks[meta.Key] = parts
+	s.chunks[meta.Key] = split(bytes.Clone(content), meta.ChunkSize)
 	s.index.Put(meta)
 	s.index.AddReplica(meta.Key, s.node.Identity().ID)
 }
@@ -500,15 +469,23 @@ func (s *Service) HoldReplica(meta FileMeta, content []byte) {
 // (experiment setup helper).
 func BuildMeta(owner atum.NodeID, name string, content []byte, chunkSize int) FileMeta {
 	meta := FileMeta{Key: FileKey{Owner: owner, Name: name}, Size: len(content), ChunkSize: chunkSize}
-	for off := 0; off < len(content); off += chunkSize {
-		end := off + chunkSize
-		if end > len(content) {
-			end = len(content)
-		}
-		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(content[off:end]))
-	}
-	if len(meta.ChunkDigests) == 0 {
-		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(nil))
+	for _, part := range split(content, chunkSize) {
+		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(part))
 	}
 	return meta
+}
+
+// split cuts content into chunks of chunkSize bytes, the last one shorter.
+// The chunks are views into content. An empty file is one empty chunk, so
+// it has a digest to check and a chunk 0 to serve.
+func split(content []byte, chunkSize int) [][]byte {
+	if len(content) == 0 {
+		return [][]byte{nil}
+	}
+	var parts [][]byte
+	for off := 0; off < len(content); off += chunkSize {
+		end := min(off+chunkSize, len(content))
+		parts = append(parts, content[off:end:end])
+	}
+	return parts
 }

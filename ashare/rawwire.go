@@ -33,38 +33,45 @@ const (
 )
 
 // encodeRecord serializes one index-update broadcast (putRecord,
-// replicaRecord or deleteRecord).
+// replicaRecord or deleteRecord): its tag byte, then its walk.
 func encodeRecord(v any) []byte {
-	var e wire.Encoder
-	switch r := v.(type) {
+	var tag byte
+	var r interface{ Wire(wire.Codec) }
+	switch v := v.(type) {
 	case putRecord:
-		e.Byte(recTagPut)
-		marshalFileMeta(&e, r.Meta)
+		tag, r = recTagPut, &v
 	case replicaRecord:
-		e.Byte(recTagReplica)
-		marshalFileKey(&e, r.Key)
-		e.Uint64(uint64(r.Node))
+		tag, r = recTagReplica, &v
 	case deleteRecord:
-		e.Byte(recTagDelete)
-		marshalFileKey(&e, r.Key)
+		tag, r = recTagDelete, &v
 	default:
 		panic(fmt.Sprintf("ashare: encode: %T is not a broadcast record", v))
 	}
-	return e.Bytes()
+	return wire.Encode(func(c wire.Codec) {
+		c.Byte(&tag)
+		r.Wire(c)
+	})
 }
 
 // decodeRecord reverses encodeRecord. Any member may broadcast, so the input
 // is untrusted: unknown tags, truncated and trailing bytes are errors.
 func decodeRecord(b []byte) (any, error) {
 	d := wire.NewDecoder(b)
+	c := d.Codec()
 	var v any
 	switch tag := d.Byte(); tag {
 	case recTagPut:
-		v = putRecord{Meta: unmarshalFileMeta(d)}
+		var r putRecord
+		r.Wire(c)
+		v = r
 	case recTagReplica:
-		v = replicaRecord{Key: unmarshalFileKey(d), Node: atum.NodeID(d.Uint64())}
+		var r replicaRecord
+		r.Wire(c)
+		v = r
 	case recTagDelete:
-		v = deleteRecord{Key: unmarshalFileKey(d)}
+		var r deleteRecord
+		r.Wire(c)
+		v = r
 	default: // incl. empty input, which reads as tag 0
 		return nil, fmt.Errorf("ashare: unknown broadcast record tag %#x", tag)
 	}
@@ -74,55 +81,47 @@ func decodeRecord(b []byte) (any, error) {
 	return v, nil
 }
 
-func marshalFileKey(e *atum.WireEncoder, k FileKey) {
-	e.Uint64(uint64(k.Owner))
-	e.String(k.Name)
+func (r *putRecord) Wire(c wire.Codec) { fileMetaWire(&r.Meta, c) }
+
+func (r *replicaRecord) Wire(c wire.Codec) {
+	fileKeyWire(&r.Key, c)
+	wire.U64(c, &r.Node)
 }
 
-func unmarshalFileKey(d *atum.WireDecoder) FileKey {
-	return FileKey{Owner: atum.NodeID(d.Uint64()), Name: d.String()}
+func (r *deleteRecord) Wire(c wire.Codec) { fileKeyWire(&r.Key, c) }
+
+func (m *chunkRequest) Wire(c wire.Codec) {
+	fileKeyWire(&m.Key, c)
+	c.Int(&m.Idx)
 }
 
-func marshalFileMeta(e *atum.WireEncoder, m FileMeta) {
-	marshalFileKey(e, m.Key)
-	e.Int64(int64(m.Size))
-	e.Int64(int64(m.ChunkSize))
-	e.ListLen(len(m.ChunkDigests))
-	for _, dg := range m.ChunkDigests {
-		e.Bytes32(dg)
-	}
-}
-
-func unmarshalFileMeta(d *atum.WireDecoder) FileMeta {
-	var m FileMeta
-	m.Key = unmarshalFileKey(d)
-	m.Size = int(d.Int64())
-	m.ChunkSize = int(d.Int64())
-	n := d.ListLen()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.ChunkDigests = append(m.ChunkDigests, crypto.Digest(d.Bytes32()))
-	}
-	return m
+func (m *chunkResponse) Wire(c wire.Codec) {
+	fileKeyWire(&m.Key, c)
+	c.Int(&m.Idx)
+	c.VarBytes(&m.Data)
 }
 
 func init() {
-	atum.RegisterRawMessage(rawTagChunkRequest, chunkRequest{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(chunkRequest)
-			marshalFileKey(e, m.Key)
-			e.Int64(int64(m.Idx))
-		},
-		func(d *atum.WireDecoder) any {
-			return chunkRequest{Key: unmarshalFileKey(d), Idx: int(d.Int64())}
-		})
-	atum.RegisterRawMessage(rawTagChunkResponse, chunkResponse{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(chunkResponse)
-			marshalFileKey(e, m.Key)
-			e.Int64(int64(m.Idx))
-			e.VarBytes(m.Data)
-		},
-		func(d *atum.WireDecoder) any {
-			return chunkResponse{Key: unmarshalFileKey(d), Idx: int(d.Int64()), Data: d.VarBytes()}
-		})
+	atum.RegisterRawMessage[chunkRequest](rawTagChunkRequest)
+	atum.RegisterRawMessage[chunkResponse](rawTagChunkResponse)
+}
+
+// fileKeyWire and fileMetaWire are walks, not methods, so that the exported
+// FileKey and FileMeta gain no method.
+func fileKeyWire(k *FileKey, c wire.Codec) {
+	wire.U64(c, &k.Owner)
+	c.String(&k.Name)
+}
+
+// fileMetaWire refuses a record no file has: a chunk size below 1, on which
+// replication would loop forever or slice out of range, or no chunk digest,
+// which leaves a GET nothing to fetch and so never completes.
+func fileMetaWire(m *FileMeta, c wire.Codec) {
+	fileKeyWire(&m.Key, c)
+	c.Int(&m.Size)
+	c.Int(&m.ChunkSize)
+	wire.List(c, &m.ChunkDigests, func(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) })
+	if !c.Failed() && (m.ChunkSize <= 0 || len(m.ChunkDigests) == 0) {
+		c.Fail(fmt.Errorf("file meta with chunk size %d and %d chunk digests", m.ChunkSize, len(m.ChunkDigests)))
+	}
 }

@@ -110,6 +110,12 @@ func TestDecodeRecordRejectsHostileInput(t *testing.T) {
 	meta := "01" + goldenKey + "000000000000002a" + "0000000000000010"
 	reject("oversized ListLen", unhex(t, meta+"ffffffff"+goldenDigest))
 	reject("unbacked ListLen", unhex(t, meta+"00100000"+goldenDigest))
+	// A put no file has: on a chunk size below 1, replication would loop
+	// forever or slice out of range, and with no digest a GET never ends.
+	size := "01" + goldenKey + "000000000000002a"
+	reject("zero ChunkSize", unhex(t, size+"0000000000000000"+"00000001"+goldenDigest))
+	reject("negative ChunkSize", unhex(t, size+"ffffffffffffffff"+"00000001"+goldenDigest))
+	reject("no chunk digests", unhex(t, meta+"00000000"))
 }
 
 // TestRetiredRingTagsRefused: extension tags 0x92–0x95 carried the ring
@@ -148,6 +154,28 @@ func FuzzDecodeRecord(f *testing.F) {
 		// the same bytes.
 		if got := encodeRecord(v); !bytes.Equal(got, data) {
 			t.Fatalf("%+v re-encodes to %x, decoded from %x", v, got, data)
+		}
+	})
+}
+
+// FuzzDecodeRawMessage feeds ashare's raw-message decoders through the
+// transport codec: a frame bearing an extension tag either fails or
+// re-encodes to the same bytes.
+func FuzzDecodeRawMessage(f *testing.F) {
+	for _, g := range goldenRawFrames {
+		f.Add(unhex(f, g.hex))
+	}
+	codec := atum.WireMessageCodec()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || data[1] < atum.RawMessageTagMin {
+			return // engine frames have their own fuzz targets
+		}
+		v, err := codec.DecodeMessage(data)
+		if err != nil {
+			return
+		}
+		if got, ok := codec.EncodeMessage(v); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("%+v re-encodes to %x, %v; decoded from %x", v, got, ok, data)
 		}
 	})
 }

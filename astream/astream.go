@@ -74,6 +74,11 @@ type dataMsg struct {
 	Data []byte
 }
 
+func (m *dataMsg) Wire(c wire.Codec) {
+	c.Uint64(&m.Seq)
+	c.VarBytes(&m.Data)
+}
+
 // rawTagData is AStream's wire extension tag for dataMsg (docs/WIRE.md:
 // astream owns 0x80–0x8F). Registration makes tier-2 pushes wire-codable:
 // the engine's egress scheduler coalesces concurrent chunks per destination
@@ -81,17 +86,7 @@ type dataMsg struct {
 // codec.
 const rawTagData = 0x80
 
-func init() {
-	atum.RegisterRawMessage(rawTagData, dataMsg{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(dataMsg)
-			e.Uint64(m.Seq)
-			e.VarBytes(m.Data)
-		},
-		func(d *atum.WireDecoder) any {
-			return dataMsg{Seq: d.Uint64(), Data: d.VarBytes()}
-		})
-}
+func init() { atum.RegisterRawMessage[dataMsg](rawTagData) }
 
 // Service is one node's stream participation.
 // maxCandidates bounds how many distinct unverified copies of one chunk a
@@ -335,22 +330,25 @@ func (s *Service) DigestLatencyOf(seq uint64) (time.Duration, bool) {
 // digestMsg fields follow. Append-only, like every wire tag.
 const streamTagDigest = 0x01
 
-func encodeStream(m digestMsg) []byte {
-	var e wire.Encoder
-	e.Byte(streamTagDigest)
-	e.Uint64(m.Seq)
-	e.Bytes32(m.Digest)
-	return e.Bytes()
+// Wire walks a tier-1 payload: the tag byte, then the fields. Any member
+// may broadcast, so decoding is of untrusted input: an unknown tag (empty
+// input reads as tag 0), truncated and trailing bytes are errors.
+func (m *digestMsg) Wire(c wire.Codec) {
+	tag := byte(streamTagDigest)
+	c.Byte(&tag)
+	if tag != streamTagDigest {
+		c.Fail(fmt.Errorf("unknown broadcast payload tag %#x", tag))
+	}
+	c.Uint64(&m.Seq)
+	wire.Bytes32(c, &m.Digest)
 }
 
-// decodeStream parses a tier-1 payload. Any member may broadcast, so the
-// input is untrusted: unknown tags, truncated and trailing bytes are errors.
+func encodeStream(m digestMsg) []byte { return wire.Encode(m.Wire) }
+
 func decodeStream(b []byte) (digestMsg, error) {
+	var m digestMsg
 	d := wire.NewDecoder(b)
-	if tag := d.Byte(); tag != streamTagDigest { // incl. empty input, which reads as tag 0
-		return digestMsg{}, fmt.Errorf("astream: unknown broadcast payload tag %#x", tag)
-	}
-	m := digestMsg{Seq: d.Uint64(), Digest: d.Bytes32()}
+	m.Wire(d.Codec())
 	if err := d.Finish(); err != nil {
 		return digestMsg{}, fmt.Errorf("astream: decode digest: %w", err)
 	}

@@ -65,9 +65,10 @@
 // versioned wire codec (docs/WIRE.md): canonical bytes for signatures and
 // cross-member digest matching, no per-message type dictionary. It is the
 // module's only serializer. Applications register their SendRaw message
-// types in the codec's extension-tag range (RegisterRawMessage), which
-// makes them wire-codable and batchable; a type without a registered codec
-// cannot be sent (ErrUnregisteredType).
+// types in the codec's extension-tag range (RegisterRawMessage), each with
+// its field walk, a Wire(WireCodec) method; that makes them wire-codable and
+// batchable. A type without a registered codec cannot be sent
+// (ErrUnregisteredType).
 //
 // Nodes are actors: they run on a runtime that delivers messages and timers.
 // Two runtimes are provided — the deterministic discrete-event simulator
@@ -88,8 +89,8 @@ import (
 	"atum/internal/wire"
 )
 
-// Re-exported configuration and callback types (stable public aliases of
-// the engine's types).
+// Re-exported types: stable public aliases of the engine's configuration,
+// callback, identity, option and statistics types.
 type (
 	// Config configures one Atum node; see the field docs in internal/core.
 	Config = core.Config
@@ -185,31 +186,31 @@ const (
 // DefaultParams returns sensible Table 1 parameters for a medium system.
 func DefaultParams() Params { return core.DefaultParams() }
 
-// Wire codec primitives, re-exported for application raw-message codecs
-// (RegisterRawMessage marshal/unmarshal callbacks).
-type (
-	// WireEncoder writes the engine's primitive wire encodings.
-	WireEncoder = wire.Encoder
-	// WireDecoder reads them back (error-latching; the envelope layer
-	// checks the final state).
-	WireDecoder = wire.Decoder
-)
+// WireCodec is one direction of a field walk, re-exported for application
+// raw-message types: a type's Wire(WireCodec) method visits its fields in
+// wire order, and the one method both encodes and decodes it
+// (RegisterRawMessage).
+type WireCodec = wire.Codec
 
 // RawMessageTagMin is the first wire-envelope kind tag of the application
 // extension range (docs/WIRE.md): tags RawMessageTagMin..0xFF identify
 // application raw-message types registered with RegisterRawMessage.
 const RawMessageTagMin = core.RawTagMin
 
-// RegisterRawMessage registers an application raw-message type under a wire
-// extension tag. Registered types become wire-codable: SendRaw coalesces
-// them per destination on the egress scheduler (batch carriers instead of
-// one message per send), and byte-level transports frame them through the
-// deterministic wire codec. Unregistered types cannot be sent. Tags are
+// RegisterRawMessage registers application raw-message type T under a wire
+// extension tag: RegisterRawMessage[T](tag), where *T has a Wire(WireCodec)
+// method that walks T's fields in wire order. Registered types become
+// wire-codable: SendRaw coalesces them per destination on the egress
+// scheduler (batch carriers instead of one message per send), and byte-level
+// transports frame them through the deterministic wire codec. Unregistered types cannot be sent. Tags are
 // process-wide, append-only wire contracts — see docs/WIRE.md for the
 // assignments in use. Registration panics on tag or type conflicts;
 // re-registering the same pair is a no-op.
-func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *WireEncoder), unmarshal func(d *WireDecoder) any) {
-	core.RegisterRawMessage(tag, prototype, marshal, unmarshal)
+func RegisterRawMessage[T any, P interface {
+	*T
+	Wire(WireCodec)
+}](tag byte) {
+	core.RegisterRawMessage[T, P](tag)
 }
 
 // Node is one Atum participant.

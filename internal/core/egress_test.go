@@ -29,18 +29,13 @@ type egressTestMsg struct {
 	Body []byte
 }
 
-func registerEgressTestMsg() {
-	// RegisterRawMessage is idempotent for the same (tag, type) pair.
-	RegisterRawMessage(0xF0, egressTestMsg{},
-		func(v any, e *wire.Encoder) {
-			m := v.(egressTestMsg)
-			e.Uint64(m.Seq)
-			e.VarBytes(m.Body)
-		},
-		func(d *wire.Decoder) any {
-			return egressTestMsg{Seq: d.Uint64(), Body: d.VarBytes()}
-		})
+func (m *egressTestMsg) Wire(c wire.Codec) {
+	c.Uint64(&m.Seq)
+	c.VarBytes(&m.Body)
 }
+
+// RegisterRawMessage is idempotent for the same (tag, type) pair.
+func registerEgressTestMsg() { RegisterRawMessage[egressTestMsg](0xF0) }
 
 // TestRawExtensionRoundTrip pins the extension-tag frame format: registered
 // types round-trip through the envelope codec, unregistered tags fail.

@@ -19,9 +19,9 @@ package core
 //
 // Kind tags are append-only: never reorder or reuse them. A format change to
 // any type's body bumps the version byte. Tags 0x80–0xFF are the application
-// extension range: per-type codecs registered through RegisterRawMessage
-// (rawext.go), so app raw messages are wire-codable without the engine
-// knowing their schemas.
+// extension range: per-type field walks registered through
+// RegisterRawMessage (rawext.go), so app raw messages are wire-codable
+// without the engine knowing their schemas.
 
 import (
 	"fmt"
@@ -145,8 +145,9 @@ type wireRow struct {
 	decode    func(body []byte) (any, error)
 }
 
-// row builds the table row of engine type T from its field walk: both
-// directions are that one method, run over an encoder or a decoder.
+// row builds the table row of wire type T, engine or application
+// (rawext.go), from its field walk: both directions are that one method, run
+// over an encoder or a decoder.
 func row[T any, P interface {
 	*T
 	Wire(wire.Codec)

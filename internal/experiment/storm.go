@@ -18,17 +18,12 @@ type expChunk struct {
 
 const rawTagExpChunk = 0xA0
 
-func init() {
-	atum.RegisterRawMessage(rawTagExpChunk, expChunk{},
-		func(v any, e *atum.WireEncoder) {
-			m := v.(expChunk)
-			e.Uint64(m.Seq)
-			e.VarBytes(m.Data)
-		},
-		func(d *atum.WireDecoder) any {
-			return expChunk{Seq: d.Uint64(), Data: d.VarBytes()}
-		})
+func (m *expChunk) Wire(c atum.WireCodec) {
+	c.Uint64(&m.Seq)
+	c.VarBytes(&m.Data)
 }
+
+func init() { atum.RegisterRawMessage[expChunk](rawTagExpChunk) }
 
 // StormConfig parameterises the one dissemination scenario of this package:
 // grow → settle → publish → drain → count.

@@ -34,9 +34,9 @@ type RealtimeOptions struct {
 // one it is an in-process real-time cluster.
 //
 // All Atum API calls on nodes hosted here must go through the runtime's
-// wrappers (Bootstrap, Join, Leave, Broadcast): they inject the call into
-// the node's serialized event loop, which is what makes the engine safe
-// without locks.
+// wrappers (Bootstrap, Join, Leave, BroadcastWith, SendRawWith): they inject
+// the call into the node's serialized event loop, which is what makes the
+// engine safe without locks.
 type RealtimeRuntime struct {
 	RT *rtnet.Runtime
 
