@@ -89,17 +89,18 @@ func LearnIdentity(env any, id ids.Identity) {
 }
 
 // Sizer is implemented by messages that know their wire size. The
-// simulator's bandwidth model consults it; messages that do not implement it
-// (the engine's join messages) are assumed to be DefaultMessageSize bytes.
-// Group messages, heartbeats and the payload pulls and pushes report the
-// exact length of their wire frame; the SMR envelope and the SMR messages
-// inside it report estimates.
+// simulator's bandwidth model and byte counters consult it. Every node-level
+// message of the engine implements it with the exact length of its wire
+// frame, measured by the frame's field walk; an SMR message travels, and is
+// sized, inside its envelope.
 type Sizer interface {
 	WireSize() int
 }
 
 // DefaultMessageSize is the assumed wire size of messages that do not
-// implement Sizer: a small protocol message with headers and a few fields.
+// implement Sizer. No message the engine sends falls back on it: it serves
+// the message types of tests that drive a simulator directly, the SMR
+// protocols' own tests among them, which send their messages bare.
 const DefaultMessageSize = 256
 
 // SizeOf returns the wire size used for bandwidth accounting.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"atum/internal/actor"
 	"atum/internal/group"
 )
 
@@ -48,5 +49,24 @@ func TestHandleBatchOfDeliveredGossipAllocatesNothing(t *testing.T) {
 	}
 	if delivered != 0 {
 		t.Errorf("%d broadcasts delivered again", delivered)
+	}
+}
+
+// TestGroupMsgSizeAndGossipDecodeAllocateNothing: a GroupMsg's size is its
+// walk run over a counter, and the gossip decode handleGossip uses walks the
+// frame in place with Data a view of it; neither allocates.
+func TestGroupMsgSizeAndGossipDecodeAllocateNothing(t *testing.T) {
+	payload, digest := gossipOf("sized")
+	var msg actor.Message = group.GroupMsg{SrcGroup: 1, SrcEpoch: 300, DstGroup: 2, DstEpoch: 4, Kind: kindGossip,
+		MsgID: digest, PayloadDigest: digest, Payload: payload, Attach: []byte("att")}
+	if got := testing.AllocsPerRun(200, func() { actor.SizeOf(msg) }); got != 0 {
+		t.Errorf("sizing a GroupMsg allocates %.0f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := decodeGossip(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("decodeGossip allocates %.0f objects, want 0", got)
 	}
 }

@@ -804,7 +804,7 @@ func (w *gossipWithholder) wrapEnv(n *Node, env actor.Env) actor.Env {
 		// still leaves.
 		withhold := func(it *group.GroupMsg) bool {
 			if it.Payload != nil {
-				if p, err := decodeGossipView(it.Payload); err == nil {
+				if p, err := decodeGossip(it.Payload); err == nil {
 					if _, seen := w.origins[it.PayloadDigest]; !seen {
 						w.origins[it.PayloadDigest] = p.Origin
 					}

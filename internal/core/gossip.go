@@ -55,7 +55,7 @@ func (n *Node) applyBcast(o bcastOp) {
 // index and, on simnet, every other recipient. It reports whether the
 // broadcast was delivered.
 func (n *Node) handleGossip(acc group.Accepted) bool {
-	p, err := decodeGossipView(acc.Payload)
+	p, err := decodeGossip(acc.Payload)
 	if err != nil {
 		n.logf("accepted %d: bad payload: %v", acc.Kind, err)
 		return false
@@ -236,16 +236,18 @@ func (r *heldRecord) held() []holder {
 
 // Bounds of the holders record. The contracted workloads have copies queued or
 // parked for a few dozen digests at once, each voted by at most the members of
-// 2·HC neighbors.
+// 2·HC neighbors. A record opens with room for heldVotesCap votes: the median
+// a record ends with on sync_steady, where they range from 0 to 31.
 const (
 	maxHeldDigests = 256
 	maxHeldVotes   = 128
+	heldVotesCap   = 8
 )
 
 // seedHolders returns a record of digest holding the votes for it the inbox's
 // lending index holds, and forwardGossip's reference.
 func (n *Node) seedHolders(digest crypto.Digest) *heldRecord {
-	r := &heldRecord{refs: 1}
+	r := &heldRecord{votes: make([]holder, 0, heldVotesCap), refs: 1}
 	n.inbox.Voters(digest, func(src group.Key, from ids.NodeID, kind group.Kind) {
 		if kind == kindGossip && len(r.votes) < maxHeldVotes && n.memberOf(src, from) {
 			r.keep(holder{from: from, src: src})

@@ -15,6 +15,8 @@ import (
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
+	"atum/internal/smr"
+	"atum/internal/smr/dolev"
 	"atum/internal/wire"
 )
 
@@ -133,13 +135,13 @@ func TestGroupMsgNonCanonicalRefused(t *testing.T) {
 	}
 }
 
-// TestWireSizeIsEncodedLength: the node-level messages whose sizes are exact
-// report the length of the frame the codec writes — a GroupMsg in every form,
-// at epochs of each varint length, with and without payload and attachment;
-// heartbeats of 0, 1 and maxHaveTags tags by 0, 1 and maxListed lacks at the
-// same epochs; pulls and pushes. SMREnvelope (with the SMR messages inside it)
-// and the join messages keep estimates; every other node-level row must be in
-// the first list.
+// TestWireSizeIsEncodedLength: every node-level message reports the length of
+// the frame the codec writes — a GroupMsg in every form, at epochs of each
+// varint length, with and without payload and attachment; heartbeats of 0, 1
+// and maxHaveTags tags by 0, 1 and maxListed lacks at the same epochs; pulls
+// and pushes; the join messages; and an SMREnvelope around each SMR engine
+// message, a Dolev-Strong slot with no signature and with a chain of two among
+// them. Every node-level row and every SMR row must have a case.
 func TestWireSizeIsEncodedLength(t *testing.T) {
 	var msgs []actor.Message
 	epochs := []uint64{0, 127, 128, ^uint64(0)}
@@ -166,6 +168,17 @@ func TestWireSizeIsEncodedLength(t *testing.T) {
 		msgs = append(msgs, PayloadPull{Digests: make([]crypto.Digest, n)})
 	}
 	msgs = append(msgs, PayloadPush{}, PayloadPush{Payloads: [][]byte{{}}}, PayloadPush{Payloads: [][]byte{[]byte("a"), []byte("bcd")}})
+	msgs = append(msgs, JoinContact{}, JoinRequest{}, Renounce{Sig: []byte{}}, ContactInfo{})
+	nested := map[reflect.Type]bool{}
+	for _, v := range append(fullMessageValues(), dolev.SlotMsg{Ops: []smr.Operation{{Data: []byte("x")}}}) {
+		switch rowOfValue(v).class {
+		case classNodeMsg:
+			msgs = append(msgs, v)
+		case classSMRMsg:
+			msgs = append(msgs, SMREnvelope{GroupID: 5, Epoch: 200, Inner: v})
+			nested[reflect.TypeOf(v)] = true
+		}
+	}
 	exact := map[reflect.Type]bool{}
 	for _, m := range msgs {
 		b, ok := (MessageCodec{}).EncodeMessage(m)
@@ -177,15 +190,37 @@ func TestWireSizeIsEncodedLength(t *testing.T) {
 		}
 		exact[reflect.TypeOf(m)] = true
 	}
-	estimated := map[reflect.Type]bool{}
-	for _, v := range []any{SMREnvelope{}, JoinContact{}, ContactInfo{}, JoinRequest{}, Renounce{}} {
-		estimated[reflect.TypeOf(v)] = true
-	}
 	for _, r := range wireRows {
-		if typ := reflect.TypeOf(r.proto); r.class == classNodeMsg && !exact[typ] && !estimated[typ] {
-			t.Errorf("node-level message %v is in neither list", typ)
+		typ := reflect.TypeOf(r.proto)
+		if r.class == classNodeMsg && !exact[typ] || r.class == classSMRMsg && !nested[typ] {
+			t.Errorf("%v has no size case", typ)
 		}
 	}
+}
+
+// FuzzNodeMessageSize: any node-level frame the codec accepts re-encodes, and
+// the decoded message's size is the length of its re-encoding.
+func FuzzNodeMessageSize(f *testing.F) {
+	for _, v := range fullMessageValues() {
+		if rowOfValue(v).class == classSMRMsg {
+			v = SMREnvelope{GroupID: 5, Epoch: 200, Inner: v}
+		}
+		b, _ := (MessageCodec{}).EncodeMessage(v)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := (MessageCodec{}).DecodeMessage(frame)
+		if err != nil || rowOfValue(m).class != classNodeMsg {
+			return
+		}
+		again, ok := (MessageCodec{}).EncodeMessage(m)
+		if !ok {
+			t.Fatalf("accepted %T does not re-encode", m)
+		}
+		if n := actor.SizeOf(m); n != len(again) {
+			t.Fatalf("%T re-encodes to %d bytes, has size %d", m, len(again), n)
+		}
+	})
 }
 
 // FuzzGroupMsgCanonical: any GroupMsg frame the decoder accepts re-encodes to

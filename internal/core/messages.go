@@ -20,14 +20,6 @@ type SMREnvelope struct {
 	Inner   any
 }
 
-// WireSize implements actor.Sizer by delegating to the inner message.
-func (m SMREnvelope) WireSize() int {
-	if s, ok := m.Inner.(interface{ WireSize() int }); ok {
-		return 24 + s.WireSize()
-	}
-	return 24 + 256
-}
-
 // Heartbeat is the periodic liveness beacon between vgroup peers (§5.1). It
 // also carries the vgroup catch-up exchange (pull.go): tags of what its sender
 // delivered recently, and the digests its sender delivered that the
@@ -44,13 +36,6 @@ type Heartbeat struct {
 	// Lacks lists gossip digests the sender delivered and the recipient's
 	// tags lacked, at most maxListed.
 	Lacks []crypto.Digest
-}
-
-// WireSize implements actor.Sizer: the length of m's envelope frame (3
-// header bytes, GroupID, Epoch, Salt, the tags' byte length before the tags
-// and the list count before the digests).
-func (m Heartbeat) WireSize() int {
-	return 27 + wire.UvarintLen(m.Epoch) + 4*len(m.Have) + crypto.DigestSize*len(m.Lacks)
 }
 
 // JoinContact is the joiner's first message to its (trusted) contact node.
@@ -116,6 +101,26 @@ func (JoinContact) NodeAddressed() {}
 func (ContactInfo) NodeAddressed() {}
 func (JoinRequest) NodeAddressed() {}
 func (Renounce) NodeAddressed()    {}
+
+// WireSize implements actor.Sizer for each node-level message type: the
+// length of its envelope frame. An SMR engine message is sized as the frame
+// nested in its SMREnvelope.
+func (m SMREnvelope) WireSize() int { return frameSize(&m) }
+func (m Heartbeat) WireSize() int   { return frameSize(&m) }
+func (m JoinContact) WireSize() int { return frameSize(&m) }
+func (m ContactInfo) WireSize() int { return frameSize(&m) }
+func (m JoinRequest) WireSize() int { return frameSize(&m) }
+func (m Renounce) WireSize() int    { return frameSize(&m) }
+func (m PayloadPull) WireSize() int { return frameSize(&m) }
+func (m PayloadPush) WireSize() int { return frameSize(&m) }
+
+// frameSize returns the length of m's envelope frame: the header and what its
+// walk measures.
+func frameSize(m interface{ Wire(wire.Codec) }) int {
+	n := wireEnvHeader
+	m.Wire(wire.Measure(&n))
+	return n
+}
 
 // --- group message kinds ---
 

@@ -56,19 +56,6 @@ type PayloadPush struct {
 	Payloads [][]byte
 }
 
-// WireSize implements actor.Sizer: the length of m's envelope frame (3
-// header bytes and the list count before the digests).
-func (m PayloadPull) WireSize() int { return 7 + crypto.DigestSize*len(m.Digests) }
-
-// WireSize implements actor.Sizer: the length of m's envelope frame.
-func (m PayloadPush) WireSize() int {
-	n := 7
-	for _, p := range m.Payloads {
-		n += 4 + len(p)
-	}
-	return n
-}
-
 func (PayloadPull) NodeAddressed() {}
 func (PayloadPush) NodeAddressed() {}
 
@@ -517,38 +504,26 @@ func boundList(c wire.Codec, what string, n, max int) {
 	}
 }
 
-// haveWire walks a tag set as one byte string of 4-byte big-endian tags. The
-// decoder refuses a length that is not a multiple of 4, more than maxHaveTags
-// tags, and tags that are not strictly ascending; an empty set decodes nil.
+// haveWire walks a tag set as its byte length, a uint32, and the 4-byte
+// big-endian tags. The decoder refuses a length that is not a multiple of 4,
+// more than maxHaveTags tags, and tags that are not strictly ascending; an
+// empty set decodes nil.
 func haveWire(c wire.Codec, tags *[]uint32) {
-	var b []byte
-	if !c.Decoding() {
-		b = make([]byte, 0, 4*len(*tags))
-		for _, t := range *tags {
-			b = binary.BigEndian.AppendUint32(b, t)
+	size := uint32(4 * len(*tags))
+	c.Uint32(&size)
+	if c.Decoding() {
+		if size%4 != 0 {
+			c.Fail(fmt.Errorf("heartbeat tags of %d bytes, not a multiple of 4", size))
+		} else if boundList(c, "heartbeat tags", int(size/4), maxHaveTags); !c.Failed() && size > 0 {
+			*tags = make([]uint32, size/4)
 		}
-		c.VarBytes(&b)
-		return
 	}
-	c.VarBytes(&b)
-	if c.Failed() || len(b) == 0 {
-		return
-	}
-	if len(b)%4 != 0 {
-		c.Fail(fmt.Errorf("heartbeat tags of %d bytes, not a multiple of 4", len(b)))
-		return
-	}
-	if boundList(c, "heartbeat tags", len(b)/4, maxHaveTags); c.Failed() {
-		return
-	}
-	*tags = make([]uint32, len(b)/4)
 	for i := range *tags {
-		t := binary.BigEndian.Uint32(b[4*i:])
-		if i > 0 && t <= (*tags)[i-1] {
+		c.Uint32(&(*tags)[i])
+		if c.Decoding() && i > 0 && (*tags)[i] <= (*tags)[i-1] {
 			c.Fail(fmt.Errorf("heartbeat tag %d is not above the one before it", i))
 			return
 		}
-		(*tags)[i] = t
 	}
 }
 

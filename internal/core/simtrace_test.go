@@ -62,8 +62,8 @@ func (n traceNode) Timer(id actor.TimerID, data any) {
 // what the protocol sends, which must then update the digest on purpose.
 func TestSimTraceGolden(t *testing.T) {
 	want := map[smr.Mode]string{
-		smr.ModeSync:  "51ab2f36ca90efb46aeb82b60624117ae0e97a61e8cc63b48443ed6d43ea9f2d",
-		smr.ModeAsync: "4956608ed8aa5930cf670f6b4685eb20623e2afb83f87dd3989e74b9c44fe845",
+		smr.ModeSync:  "a6fc7251749352106a416bfa451ec1191b5e1be5b20d3b5080447d38b878848c",
+		smr.ModeAsync: "43e03cacb71ab853d72105e8a2ee59694f8dd5af19010e014e061bcb6a97b24a",
 	}
 	for _, mode := range modes() {
 		t.Run(mode.String(), func(t *testing.T) {

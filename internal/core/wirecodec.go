@@ -44,6 +44,9 @@ const wireEnvMagic = 0x00
 // wireEnvV1 is the current envelope format version.
 const wireEnvV1 = 1
 
+// wireEnvHeader is the length of a frame's header: magic, tag and version.
+const wireEnvHeader = 3
+
 // Wire envelope kind tags. Append-only; never reorder or reuse.
 const (
 	// Group-message payloads.
@@ -141,24 +144,26 @@ type wireRow struct {
 	// traffic, whose handlers assume a standalone, directly-addressed group
 	// message (snapshots, certificate-mode replies, merge negotiation).
 	carrierOK bool
-	marshal   func(v any, e *wire.Encoder)
-	decode    func(body []byte) (any, error)
+	// walk runs the type's field walk over v, a value of the type, writing
+	// (encodeWire) or measuring (SMREnvelope.Wire) it.
+	walk   func(v any, c wire.Codec)
+	decode func(body []byte) (any, error)
 }
 
 // row builds the table row of wire type T, engine or application
-// (rawext.go), from its field walk: both directions are that one method, run
-// over an encoder or a decoder.
+// (rawext.go), from its field walk: every direction is that one method, run
+// over an encoder, a decoder or a counter.
 func row[T any, P interface {
 	*T
 	Wire(wire.Codec)
 }](tag byte, class wireClass, kind group.Kind, carrierOK bool) wireRow {
 	var zero T
 	return wireRow{tag: tag, proto: zero, class: class, kind: kind, carrierOK: carrierOK,
-		marshal: func(v any, e *wire.Encoder) {
+		walk: func(v any, c wire.Codec) {
 			// A walk takes its fields' addresses and a boxed value has none:
 			// the copy is the one allocation encoding pays for sharing the walk.
 			t := v.(T)
-			P(&t).Wire(e.Codec())
+			P(&t).Wire(c)
 		},
 		decode: func(body []byte) (any, error) {
 			// The call through P is indirect, so its arguments escape: keeping
@@ -275,19 +280,24 @@ func rowOfTag(tag byte) *wireRow {
 }
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// v's type has no row of an accepted class. Envelope encoding is the
-// per-payload hot path, so it builds through wire.Frame's pooled scratch.
+// v's type has no row of an accepted class.
 func encodeWire(v any, accept wireClass) ([]byte, bool) {
 	r := rowOfValue(v)
 	if r == nil || r.class&accept == 0 {
 		return nil, false
 	}
+	return r.frame(v), true
+}
+
+// frame returns the wire frame of v, a value of r's type. Envelope encoding is
+// the per-payload hot path, so it builds through wire.Frame's pooled scratch.
+func (r *wireRow) frame(v any) []byte {
 	return wire.Frame(func(e *wire.Encoder) {
 		e.Byte(wireEnvMagic)
 		e.Byte(r.tag)
 		e.Byte(wireEnvV1)
-		r.marshal(v, e)
-	}), true
+		r.walk(v, e.Codec())
+	})
 }
 
 // openWire checks a frame's envelope header and returns the row of its tag
@@ -296,7 +306,7 @@ func encodeWire(v any, accept wireClass) ([]byte, bool) {
 // magic) return an error, never panic; so do truncation and trailing bytes
 // once the row's decoder runs.
 func openWire(b []byte) (*wireRow, []byte, error) {
-	if len(b) < 3 {
+	if len(b) < wireEnvHeader {
 		return nil, nil, fmt.Errorf("core: wire envelope too short (%d bytes)", len(b))
 	}
 	if b[0] != wireEnvMagic {
@@ -313,7 +323,7 @@ func openWire(b []byte) (*wireRow, []byte, error) {
 	if r == nil {
 		return nil, nil, fmt.Errorf("core: unknown wire envelope kind %d", tag)
 	}
-	return r, b[3:], nil
+	return r, b[wireEnvHeader:], nil
 }
 
 // decodeWire decodes a frame whose type is of an accepted class.
@@ -389,19 +399,26 @@ func (MessageCodec) DecodeMessage(b []byte) (actor.Message, error) {
 
 // Wire walks an SMREnvelope in wire order. Inner is framed as a nested wire
 // envelope, the one field with a representation per direction: the frame is
-// built before the VarBytes primitive and opened after it. Only SMR engine
-// messages may nest, so an envelope cannot hold an envelope (or a snapshot, or
-// an op) — on the way out that is an engine bug, the replica being Inner's
-// only producer.
+// built before the VarBytes primitive and opened after it, and a measuring
+// walk counts the length prefix and the frame's header and then measures the
+// inner walk in place, building nothing. Only SMR engine messages may nest, so
+// an envelope cannot hold an envelope (or a snapshot, or an op) — on the way
+// out that is an engine bug, the replica being Inner's only producer.
 func (m *SMREnvelope) Wire(c wire.Codec) {
 	wire.U64(c, &m.GroupID)
 	c.Uint64(&m.Epoch)
 	var inner []byte
 	if !c.Decoding() {
-		var ok bool
-		if inner, ok = encodeWire(m.Inner, classSMRMsg); !ok {
+		r := rowOfValue(m.Inner)
+		if r == nil || r.class&classSMRMsg == 0 {
 			panic(fmt.Sprintf("core: SMREnvelope.Inner %T is not an SMR engine message", m.Inner))
 		}
+		if c.Measuring() {
+			c.Add(4 + wireEnvHeader) // the length prefix and the nested frame's header
+			r.walk(m.Inner, c)
+			return
+		}
+		inner = r.frame(m.Inner)
 	}
 	c.VarBytes(&inner)
 	if c.Decoding() && !c.Failed() {
@@ -446,29 +463,26 @@ func (m *Renounce) Wire(c wire.Codec) {
 
 // --- group-message payloads ---
 
+// Wire walks a gossipPayload in wire order. Data is a View: a decoded
+// payload aliases its frame, which nothing reuses, and handleGossip copies
+// Data only for the one acceptance of a broadcast it delivers.
 func (p *gossipPayload) Wire(c wire.Codec) {
 	wire.Bytes32(c, &p.BcastID)
 	wire.U64(c, &p.Origin)
-	c.VarBytes(&p.Data)
+	c.View(&p.Data)
 }
 
-// decodeGossipView is decodeKind(kindGossip, b) without the copy: Data
-// aliases b. It serves handleGossip, which drops all but the first acceptance
-// of a broadcast after reading BcastID; the view is safe to keep because
-// nothing reuses b. It is the one reader written apart from its type's walk
-// (the walk's VarBytes copies), and TestGossipViewMatchesWalk holds it to
-// gossipPayload.Wire.
-func decodeGossipView(b []byte) (gossipPayload, error) {
+// decodeGossip decodes the payload of a gossip group message through its walk
+// in place, without the boxed value decodeKind returns: the receive path's
+// decode allocates nothing.
+func decodeGossip(b []byte) (p gossipPayload, err error) {
 	_, body, err := openKind(kindGossip, b)
 	if err != nil {
-		return gossipPayload{}, err
+		return p, err
 	}
 	var d wire.Decoder
 	d.Reset(body)
-	var p gossipPayload
-	p.BcastID = d.Bytes32()
-	p.Origin = ids.NodeID(d.Uint64())
-	p.Data = d.VarBytesView()
+	p.Wire(d.Codec())
 	if err := d.Finish(); err != nil {
 		return gossipPayload{}, fmt.Errorf("core: decode wire envelope kind %d: %w", wkGossip, err)
 	}

@@ -715,10 +715,10 @@ func TestRepairListsBounded(t *testing.T) {
 	}
 }
 
-// TestGossipViewMatchesWalk holds decodeGossipView, the one reader written
-// apart from its type's walk, to that walk: on well-formed, truncated,
-// extended and foreign frames it fails exactly when decodeKind does and
-// otherwise returns an equal payload.
+// TestGossipViewMatchesWalk holds decodeGossip, the receive path's in-place
+// decode whose Data aliases the frame, to the table's decode of the same walk:
+// on well-formed, truncated, extended and foreign frames it fails exactly when
+// decodeKind does and otherwise returns an equal payload.
 func TestGossipViewMatchesWalk(t *testing.T) {
 	var frames [][]byte
 	for _, p := range []gossipPayload{
@@ -735,7 +735,7 @@ func TestGossipViewMatchesWalk(t *testing.T) {
 	frames = append(frames, encodePayload(bcastOp{BcastID: wcDigest(3), Data: []byte("x")}), encodePayload(walkPayload{}))
 	for _, b := range frames {
 		want, wantErr := decodeKind(kindGossip, b)
-		got, err := decodeGossipView(b)
+		got, err := decodeGossip(b)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("frame %x…(%d bytes): view err %v, walk err %v", b[:min(len(b), 8)], len(b), err, wantErr)
 		}
@@ -767,8 +767,8 @@ func TestOldLayoutGossipFrameRejected(t *testing.T) {
 	if v, err := decodeKind(kindGossip, oldGossipFrame); !errors.Is(err, wire.ErrTrailingBytes) {
 		t.Errorf("decodeKind took an old-layout frame: %+v, err %v", v, err)
 	}
-	if v, err := decodeGossipView(oldGossipFrame); !errors.Is(err, wire.ErrTrailingBytes) {
-		t.Errorf("decodeGossipView took an old-layout frame: %+v, err %v", v, err)
+	if v, err := decodeGossip(oldGossipFrame); !errors.Is(err, wire.ErrTrailingBytes) {
+		t.Errorf("decodeGossip took an old-layout frame: %+v, err %v", v, err)
 	}
 	// The current layout of the same broadcast passes both, with equal fields.
 	want := gossipPayload{BcastID: wcDigest(1), Origin: 4, Data: []byte("payload")}
@@ -776,15 +776,15 @@ func TestOldLayoutGossipFrameRejected(t *testing.T) {
 	if v, err := decodeKind(kindGossip, cur); err != nil || !reflect.DeepEqual(v, want) {
 		t.Errorf("decodeKind(current) = %+v, %v", v, err)
 	}
-	view, err := decodeGossipView(cur)
+	view, err := decodeGossip(cur)
 	if err != nil || !reflect.DeepEqual(view, want) {
-		t.Fatalf("decodeGossipView(current) = %+v, %v", view, err)
+		t.Fatalf("decodeGossip(current) = %+v, %v", view, err)
 	}
 	if &view.Data[0] != &cur[len(cur)-len(view.Data)] {
-		t.Error("decodeGossipView copied Data")
+		t.Error("decodeGossip copied Data")
 	}
-	if _, err := decodeGossipView(encodePayload(walkPayload{})); err == nil {
-		t.Error("decodeGossipView took another kind's frame")
+	if _, err := decodeGossip(encodePayload(walkPayload{})); err == nil {
+		t.Error("decodeGossip took another kind's frame")
 	}
 }
 

@@ -86,23 +86,10 @@ func (m *GroupMsg) form() byte {
 const envelopeBytes = 3
 
 // WireSize implements actor.Sizer: the length of the envelope frame the codec
-// writes for m.
+// writes for m, the header and what its walk measures.
 func (m GroupMsg) WireSize() int {
-	// The groups, the epochs, the kind and the form byte.
-	n := envelopeBytes + 8 + wire.UvarintLen(m.SrcEpoch) + 8 + wire.UvarintLen(m.DstEpoch) + 2
-	switch f := m.form(); {
-	case f&hdrBare != 0:
-	case f&hdrDerived != 0:
-		n += crypto.DigestSize
-	default:
-		n += 2 * crypto.DigestSize
-	}
-	if m.Payload != nil {
-		n += 4 + len(m.Payload)
-	}
-	if m.Attach != nil {
-		n += 4 + len(m.Attach)
-	}
+	n := envelopeBytes
+	m.Wire(wire.Measure(&n))
 	return n
 }
 

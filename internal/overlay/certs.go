@@ -18,7 +18,8 @@ import (
 // starting from its own composition, without a backward phase and without
 // per-walk state at intermediate vgroups. The trade-off the paper calls out
 // is chain size: linear in rwl, with full compositions and one signature set
-// per hop — measurable through WireSize.
+// per hop — measurable as the size of the group message that carries the
+// chain, whose walk covers it.
 
 // ErrBadCertChain is returned when a certificate chain fails verification.
 var ErrBadCertChain = errors.New("overlay: invalid walk certificate chain")

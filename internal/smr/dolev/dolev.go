@@ -74,18 +74,6 @@ func (s *SigEntry) Wire(c wire.Codec) {
 	c.VarBytes(&s.Sig)
 }
 
-// WireSize implements actor.Sizer for the bandwidth model.
-func (m SlotMsg) WireSize() int {
-	size := 8 * 5
-	for _, op := range m.Ops {
-		size += 16 + len(op.Data)
-	}
-	for _, s := range m.Sigs {
-		size += 8 + len(s.Sig)
-	}
-	return size
-}
-
 type slotKey struct {
 	startRound uint64
 	sender     ids.NodeID

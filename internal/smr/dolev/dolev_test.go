@@ -361,15 +361,6 @@ func TestManyProposersProperty(t *testing.T) {
 	}
 }
 
-func TestWireSizeGrowsWithChain(t *testing.T) {
-	base := SlotMsg{Ops: []smr.Operation{op(1, 1, "x")}}
-	withSigs := base
-	withSigs.Sigs = []SigEntry{{Node: 1, Sig: make([]byte, 32)}, {Node: 2, Sig: make([]byte, 32)}}
-	if withSigs.WireSize() <= base.WireSize() {
-		t.Error("WireSize must account for the signature chain")
-	}
-}
-
 // countingScheme counts the signature checks a replica makes.
 type countingScheme struct {
 	crypto.Scheme

@@ -17,9 +17,6 @@ type Request struct {
 	Op      smr.Operation
 }
 
-// WireSize implements actor.Sizer.
-func (m Request) WireSize() int { return 40 + len(m.Op.Data) }
-
 // PrePrepare is the primary's ordering proposal for one batch.
 type PrePrepare struct {
 	GroupID ids.GroupID
@@ -28,15 +25,6 @@ type PrePrepare struct {
 	Seq     uint64
 	Digest  crypto.Digest
 	Batch   []smr.Operation
-}
-
-// WireSize implements actor.Sizer.
-func (m PrePrepare) WireSize() int {
-	size := 72
-	for _, op := range m.Batch {
-		size += 16 + len(op.Data)
-	}
-	return size
 }
 
 // Prepare is a backup's agreement to the primary's proposal.
@@ -48,9 +36,6 @@ type Prepare struct {
 	Digest  crypto.Digest
 }
 
-// WireSize implements actor.Sizer.
-func (m Prepare) WireSize() int { return 72 }
-
 // Commit finalizes a prepared proposal.
 type Commit struct {
 	GroupID ids.GroupID
@@ -59,9 +44,6 @@ type Commit struct {
 	Seq     uint64
 	Digest  crypto.Digest
 }
-
-// WireSize implements actor.Sizer.
-func (m Commit) WireSize() int { return 72 }
 
 // Checkpoint advertises a replica's executed-state digest at a sequence
 // number; 2f+1 matching checkpoints make it stable and garbage-collect the
@@ -72,9 +54,6 @@ type Checkpoint struct {
 	Seq     uint64
 	Digest  crypto.Digest
 }
-
-// WireSize implements actor.Sizer.
-func (m Checkpoint) WireSize() int { return 64 }
 
 // PreparedEntry proves that a batch prepared at (View, Seq) in a prior view.
 // The batch payload rides along so the new primary can re-propose it.
@@ -96,18 +75,6 @@ type ViewChange struct {
 	Prepared  []PreparedEntry
 	Node      ids.NodeID
 	Sig       []byte
-}
-
-// WireSize implements actor.Sizer.
-func (m ViewChange) WireSize() int {
-	size := 96 + len(m.Sig)
-	for _, p := range m.Prepared {
-		size += 48
-		for _, op := range p.Batch {
-			size += 16 + len(op.Data)
-		}
-	}
-	return size
 }
 
 // signedBytes returns the canonical bytes covered by the view-change
@@ -144,18 +111,6 @@ type NewView struct {
 	View        uint64
 	ViewChanges []ViewChange
 	PrePrepares []PrePrepare
-}
-
-// WireSize implements actor.Sizer.
-func (m NewView) WireSize() int {
-	size := 32
-	for _, vc := range m.ViewChanges {
-		size += vc.WireSize()
-	}
-	for _, pp := range m.PrePrepares {
-		size += pp.WireSize()
-	}
-	return size
 }
 
 // --- wire codec (byte-level transport framing) ---

@@ -4,17 +4,21 @@ import "fmt"
 
 // Codec is one direction of a field walk. A wire type states its layout once,
 // as a method that visits its fields in wire order and hands a pointer to each
-// to a Codec primitive; the Codec writes the field when it holds an Encoder
-// and fills it when it holds a Decoder. Both directions are that one sequence
-// of calls, so a field cannot be read in another order, width or position
-// than it was written.
+// to a Codec primitive; the Codec writes the field when it holds an Encoder,
+// fills it when it holds a Decoder, and adds the bytes writing it would take
+// when it holds a counter (Measure). All three directions are that one
+// sequence of calls, so a field cannot be read in another order, width or
+// position than it was written, and no size is stated apart from its layout.
 //
-// A walk may branch on Decoding only to allocate, to bound a count or to Fail;
-// it must not make the primitive sequence depend on the direction. Decoding
-// walks fill a zero value. A Codec is two pointers and is passed by value.
+// A walk may branch on Decoding only to allocate, to bound a count or to Fail,
+// and on Measuring only to measure a nested frame in place instead of building
+// it; it must not otherwise make the primitive sequence depend on the
+// direction. Decoding walks fill a zero value. A Codec is three pointers, one
+// of them set, and is passed by value.
 type Codec struct {
 	e *Encoder
 	d *Decoder
+	n *int
 }
 
 // Codec returns the writing direction of a walk, appending to e.
@@ -23,6 +27,11 @@ func (e *Encoder) Codec() Codec { return Codec{e: e} }
 // Codec returns the reading direction of a walk, consuming d. Errors latch in
 // d: check d.Finish (or d.Err) once after the walk.
 func (d *Decoder) Codec() Codec { return Codec{d: d} }
+
+// Measure returns the measuring direction of a walk: it writes nothing and
+// adds to *n the number of bytes the writing walk appends. Fail panics on it,
+// as on a writing walk.
+func Measure(n *int) Codec { return Codec{n: n} }
 
 // Encode returns the bytes one walk writes: Encode(v.Wire).
 func Encode(walk func(Codec)) []byte {
@@ -34,13 +43,17 @@ func Encode(walk func(Codec)) []byte {
 // Decoding reports whether the walk is filling fields from input.
 func (c Codec) Decoding() bool { return c.d != nil }
 
+// Measuring reports whether the walk is counting bytes (Measure).
+func (c Codec) Measuring() bool { return c.n != nil }
+
 // Failed reports whether a decoding walk has already latched an error: loops
 // over a count taken from the input stop on it.
 func (c Codec) Failed() bool { return c.d != nil && c.d.err != nil }
 
 // Fail latches err on a decoding walk (well-framed bytes the type must still
 // refuse: a count over its bound, a nested frame of the wrong class). On an
-// encoding walk the same condition is an engine bug, and panics where it is.
+// encoding or measuring walk the same condition is an engine bug, and panics
+// where it is.
 func (c Codec) Fail(err error) {
 	if c.d == nil {
 		panic(err)
@@ -48,12 +61,39 @@ func (c Codec) Fail(err error) {
 	c.d.Fail(err)
 }
 
+// count adds k bytes to a measuring walk's total and reports whether the walk
+// is measuring; the primitives write only when it is not.
+func (c Codec) count(k int) bool {
+	if c.n != nil {
+		*c.n += k
+	}
+	return c.n != nil
+}
+
+// Add counts k bytes on a measuring walk: the fixed part of a nested frame
+// (its length prefix and header) whose body the walk then measures in place.
+// It has no bytes to write or read, so in the other directions it panics.
+func (c Codec) Add(k int) {
+	if !c.count(k) {
+		panic("wire: Add on a walk that is not measuring")
+	}
+}
+
 // Uint64 walks a big-endian uint64.
 func (c Codec) Uint64(v *uint64) {
 	if c.d != nil {
 		*v = c.d.Uint64()
-	} else {
+	} else if !c.count(8) {
 		c.e.Uint64(*v)
+	}
+}
+
+// Uint32 walks a big-endian uint32.
+func (c Codec) Uint32(v *uint32) {
+	if c.d != nil {
+		*v = c.d.Uint32()
+	} else if !c.count(4) {
+		c.e.Uint32(*v)
 	}
 }
 
@@ -61,7 +101,7 @@ func (c Codec) Uint64(v *uint64) {
 func (c Codec) Uvarint(v *uint64) {
 	if c.d != nil {
 		*v = c.d.Uvarint()
-	} else {
+	} else if !c.count(UvarintLen(*v)) {
 		c.e.Uvarint(*v)
 	}
 }
@@ -70,7 +110,7 @@ func (c Codec) Uvarint(v *uint64) {
 func (c Codec) Int(v *int) {
 	if c.d != nil {
 		*v = int(c.d.Int64())
-	} else {
+	} else if !c.count(8) {
 		c.e.Int64(int64(*v))
 	}
 }
@@ -79,7 +119,7 @@ func (c Codec) Int(v *int) {
 func (c Codec) Byte(v *byte) {
 	if c.d != nil {
 		*v = c.d.Byte()
-	} else {
+	} else if !c.count(1) {
 		c.e.Byte(*v)
 	}
 }
@@ -88,7 +128,7 @@ func (c Codec) Byte(v *byte) {
 func (c Codec) Bool(v *bool) {
 	if c.d != nil {
 		*v = c.d.Bool()
-	} else {
+	} else if !c.count(1) {
 		c.e.Bool(*v)
 	}
 }
@@ -98,7 +138,19 @@ func (c Codec) Bool(v *bool) {
 func (c Codec) VarBytes(v *[]byte) {
 	if c.d != nil {
 		*v = c.d.VarBytes()
-	} else {
+	} else if !c.count(4 + len(*v)) {
+		c.e.VarBytes(*v)
+	}
+}
+
+// View walks a length-prefixed byte string as VarBytes does, but a decoded
+// value aliases the input (Decoder.VarBytesView): read-only, and holding the
+// whole input alive. It serves the hot-path readers that copy only what they
+// keep.
+func (c Codec) View(v *[]byte) {
+	if c.d != nil {
+		*v = c.d.VarBytesView()
+	} else if !c.count(4 + len(*v)) {
 		c.e.VarBytes(*v)
 	}
 }
@@ -107,7 +159,7 @@ func (c Codec) VarBytes(v *[]byte) {
 func (c Codec) String(v *string) {
 	if c.d != nil {
 		*v = c.d.String()
-	} else {
+	} else if !c.count(4 + len(*v)) {
 		c.e.String(*v)
 	}
 }
@@ -116,7 +168,7 @@ func (c Codec) String(v *string) {
 func U64[T ~uint64](c Codec, v *T) {
 	if c.d != nil {
 		*v = T(c.d.Uint64())
-	} else {
+	} else if !c.count(8) {
 		c.e.Uint64(uint64(*v))
 	}
 }
@@ -125,7 +177,7 @@ func U64[T ~uint64](c Codec, v *T) {
 func B8[T ~uint8](c Codec, v *T) {
 	if c.d != nil {
 		*v = T(c.d.Byte())
-	} else {
+	} else if !c.count(1) {
 		c.e.Byte(byte(*v))
 	}
 }
@@ -134,7 +186,7 @@ func B8[T ~uint8](c Codec, v *T) {
 func Bytes32[T ~[32]byte](c Codec, v *T) {
 	if c.d != nil {
 		*v = T(c.d.Bytes32())
-	} else {
+	} else if !c.count(32) {
 		c.e.Bytes32([32]byte(*v))
 	}
 }
@@ -147,7 +199,9 @@ func Bytes32[T ~[32]byte](c Codec, v *T) {
 // the frame does not pay for, and leaves an empty list nil.
 func List[T any](c Codec, s *[]T, each func(*T, Codec)) {
 	if c.d == nil {
-		c.e.ListLen(len(*s))
+		if !c.count(4) {
+			c.e.ListLen(len(*s))
+		}
 		for i := range *s {
 			each(&(*s)[i], c)
 		}

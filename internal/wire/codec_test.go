@@ -20,10 +20,13 @@ type record struct {
 	Kind  testKind
 	Hash  testHash
 	N     uint64
+	W     uint32
+	V     uint64
 	I     int
 	B     byte
 	Flag  bool
 	Raw   []byte
+	Alias []byte
 	Name  string
 	Pairs []pair
 	Nums  []uint64
@@ -34,29 +37,36 @@ func (r *record) Wire(c Codec) {
 	B8(c, &r.Kind)
 	Bytes32(c, &r.Hash)
 	c.Uint64(&r.N)
+	c.Uint32(&r.W)
+	c.Uvarint(&r.V)
 	c.Int(&r.I)
 	c.Byte(&r.B)
 	c.Bool(&r.Flag)
 	c.VarBytes(&r.Raw)
+	c.View(&r.Alias)
 	c.String(&r.Name)
 	List(c, &r.Pairs, (*pair).Wire)
 	List(c, &r.Nums, func(v *uint64, c Codec) { c.Uint64(v) })
 }
 
 // TestCodecMatchesEncoderAndDecoder: a walk writes exactly what the Encoder
-// calls it stands for write, and reads back the value it was given.
+// calls it stands for write, reads back the value it was given (a View
+// aliasing its input), and measures the length it writes.
 func TestCodecMatchesEncoderAndDecoder(t *testing.T) {
-	r := record{ID: 7, Kind: 3, Hash: testHash{1, 2, 3}, N: 1 << 40, I: -5, B: 9, Flag: true,
-		Raw: []byte{4, 5}, Name: "walk", Pairs: []pair{{A: 1, B: []byte{6}}, {A: 2, B: []byte{}}}, Nums: []uint64{8, 9}}
+	r := record{ID: 7, Kind: 3, Hash: testHash{1, 2, 3}, N: 1 << 40, W: 1 << 30, V: 300, I: -5, B: 9, Flag: true,
+		Raw: []byte{4, 5}, Alias: []byte{11, 12, 13}, Name: "walk", Pairs: []pair{{A: 1, B: []byte{6}}, {A: 2, B: []byte{}}}, Nums: []uint64{8, 9}}
 	var e Encoder
 	e.Uint64(7)
 	e.Byte(3)
 	e.Bytes32(r.Hash)
 	e.Uint64(1 << 40)
+	e.Uint32(1 << 30)
+	e.Uvarint(300)
 	e.Int64(-5)
 	e.Byte(9)
 	e.Bool(true)
 	e.VarBytes([]byte{4, 5})
+	e.VarBytes([]byte{11, 12, 13})
 	e.String("walk")
 	e.ListLen(2)
 	e.Uint64(1)
@@ -75,6 +85,14 @@ func TestCodecMatchesEncoderAndDecoder(t *testing.T) {
 	back.Wire(d.Codec())
 	if err := d.Finish(); err != nil || !reflect.DeepEqual(back, r) {
 		t.Fatalf("walk read %+v (err %v), want %+v", back, err, r)
+	}
+	if i := bytes.Index(got, r.Alias); &back.Alias[0] != &got[i] {
+		t.Error("View copied its input")
+	}
+	n := 5
+	r.Wire(Measure(&n))
+	if n != 5+len(got) {
+		t.Errorf("walk measured %d bytes, wrote %d", n-5, len(got))
 	}
 }
 
@@ -133,13 +151,29 @@ func TestCodecCountAndFail(t *testing.T) {
 		t.Errorf("Count over no input = %d", n)
 	}
 
-	if e.Codec().Failed() || e.Codec().Decoding() {
-		t.Error("an encoding walk reports Failed or Decoding")
+	if e.Codec().Failed() || e.Codec().Decoding() || e.Codec().Measuring() {
+		t.Error("an encoding walk reports Failed, Decoding or Measuring")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Fail on an encoding walk did not panic")
-		}
-	}()
-	e.Codec().Fail(errors.New("engine bug"))
+	var n int
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Fail on an encoding walk", func() { e.Codec().Fail(errors.New("engine bug")) }},
+		{"Fail on a measuring walk", func() { Measure(&n).Fail(errors.New("engine bug")) }},
+		{"Add on an encoding walk", func() { e.Codec().Add(1) }},
+		{"Add on a decoding walk", func() { d.Codec().Add(1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
+	if Measure(&n).Add(7); n != 7 {
+		t.Errorf("Add(7) on a measuring walk counted %d", n)
+	}
 }
