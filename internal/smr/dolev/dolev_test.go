@@ -10,6 +10,7 @@ import (
 	"atum/internal/crypto"
 	"atum/internal/ids"
 	"atum/internal/smr"
+	"atum/internal/wire"
 )
 
 // cluster is a lockstep test harness: messages sent during a round are
@@ -358,6 +359,25 @@ func TestManyProposersProperty(t *testing.T) {
 				seen[key] = true
 			}
 		})
+	}
+}
+
+// TestWireSizeGrowsWithChain: the measured walk of a slot counts its signature
+// chain, byte for byte as the encoding walk writes it.
+func TestWireSizeGrowsWithChain(t *testing.T) {
+	base := SlotMsg{Ops: []smr.Operation{op(1, 1, "x")}}
+	withSigs := base
+	withSigs.Sigs = []SigEntry{{Node: 1, Sig: make([]byte, 32)}, {Node: 2, Sig: make([]byte, 32)}}
+	measure := func(m SlotMsg) int {
+		n := 0
+		m.Wire(wire.Measure(&n))
+		if enc := len(wire.Encode(m.Wire)); n != enc {
+			t.Errorf("%d sigs: measured %d bytes, encoded %d", len(m.Sigs), n, enc)
+		}
+		return n
+	}
+	if measure(withSigs) <= measure(base) {
+		t.Error("the measured size must account for the signature chain")
 	}
 }
 
