@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"atum"
-	"atum/internal/crypto"
 	"atum/internal/wire"
 )
 
@@ -120,7 +119,7 @@ func fileMetaWire(m *FileMeta, c wire.Codec) {
 	fileKeyWire(&m.Key, c)
 	c.Int(&m.Size)
 	c.Int(&m.ChunkSize)
-	wire.List(c, &m.ChunkDigests, func(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) })
+	wire.Digests(c, &m.ChunkDigests)
 	if !c.Failed() && (m.ChunkSize <= 0 || len(m.ChunkDigests) == 0) {
 		c.Fail(fmt.Errorf("file meta with chunk size %d and %d chunk digests", m.ChunkSize, len(m.ChunkDigests)))
 	}

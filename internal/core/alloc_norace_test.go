@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"atum/internal/actor"
+	"atum/internal/crypto"
 	"atum/internal/group"
+	"atum/internal/smr/dolev"
+	"atum/internal/smr/pbft"
 )
 
 // TestHandleBatchOfDeliveredGossipAllocatesNothing: a carrier of gossip copies
@@ -68,5 +71,39 @@ func TestGroupMsgSizeAndGossipDecodeAllocateNothing(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("decodeGossip allocates %.0f objects, want 0", got)
+	}
+}
+
+// TestNodeMessageSizeAllocations: a node-level message's size is its walk run
+// over a counter that lives with the value it measures, so sizing a
+// heartbeat, a pull or a push allocates nothing, and an SMREnvelope at most
+// the one box that holds its inner message's copy and counter together.
+func TestNodeMessageSizeAllocations(t *testing.T) {
+	d := crypto.Hash([]byte("lacked"))
+	for _, c := range []struct {
+		msg  actor.Message
+		want float64
+	}{
+		{Heartbeat{GroupID: 3, Epoch: 9, Salt: 7, Have: []uint32{1, 5, 9}, Lacks: []crypto.Digest{d}}, 0},
+		{PayloadPull{Digests: []crypto.Digest{d, d}}, 0},
+		{PayloadPush{Payloads: [][]byte{[]byte("pushed"), {}}}, 0},
+		{SMREnvelope{GroupID: 3, Epoch: 9, Inner: pbft.Prepare{GroupID: 3, Epoch: 9, View: 1, Seq: 4, Digest: d}}, 1},
+		{SMREnvelope{GroupID: 3, Epoch: 9, Inner: dolev.SlotMsg{GroupID: 3, Epoch: 9, StartRound: 2, Sender: 10,
+			Sigs: []dolev.SigEntry{{Node: 10, Sig: []byte{3}}}}}, 1},
+	} {
+		if got := testing.AllocsPerRun(200, func() { actor.SizeOf(c.msg) }); got > c.want {
+			t.Errorf("sizing a %T allocates %.0f objects, want <= %.0f", c.msg, got, c.want)
+		}
+	}
+}
+
+// TestHolderRecordIsOneAllocation: a holders record starts its votes in its
+// own array, so seeding one for a delivered digest allocates the record alone.
+func TestHolderRecordIsOneAllocation(t *testing.T) {
+	comp, src := testComp(9, 1, 4, 5, 6), testComp(7, 3, 1, 2, 3)
+	n, _ := memberNode(t, 4, comp, src)
+	_, d := gossipOf("held")
+	if got := testing.AllocsPerRun(200, func() { n.seedHolders(d) }); got != 1 {
+		t.Errorf("seeding a holders record allocates %.0f objects, want 1", got)
 	}
 }

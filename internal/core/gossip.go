@@ -213,10 +213,12 @@ type holder struct {
 
 // heldRecord is one digest's entry in the holders record: the votes heard, and
 // how many of the digest's copies are queued or parked (plus one while
-// forwardGossip queues them).
+// forwardGossip queues them). votes starts in the record's own array, so a
+// record is one allocation; it is only ever held by pointer.
 type heldRecord struct {
-	votes []holder
-	refs  int
+	votes  []holder
+	refs   int
+	inline [heldVotesCap]holder
 }
 
 // keep adds h to r's votes unless it is there.
@@ -247,7 +249,8 @@ const (
 // seedHolders returns a record of digest holding the votes for it the inbox's
 // lending index holds, and forwardGossip's reference.
 func (n *Node) seedHolders(digest crypto.Digest) *heldRecord {
-	r := &heldRecord{votes: make([]holder, 0, heldVotesCap), refs: 1}
+	r := &heldRecord{refs: 1}
+	r.votes = r.inline[:0]
 	n.inbox.Voters(digest, func(src group.Key, from ids.NodeID, kind group.Kind) {
 		if kind == kindGossip && len(r.votes) < maxHeldVotes && n.memberOf(src, from) {
 			r.keep(holder{from: from, src: src})

@@ -495,8 +495,6 @@ func (n *Node) attested(d crypto.Digest) bool {
 
 // --- wire ---
 
-func digestWire(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) }
-
 // boundList fails a walk whose list is longer than max.
 func boundList(c wire.Codec, what string, n, max int) {
 	if n > max {
@@ -529,12 +527,12 @@ func haveWire(c wire.Codec, tags *[]uint32) {
 
 // Wire walks a PayloadPull in wire order.
 func (m *PayloadPull) Wire(c wire.Codec) {
-	wire.List(c, &m.Digests, digestWire)
+	wire.Digests(c, &m.Digests)
 	boundList(c, "payload pull digests", len(m.Digests), maxPullDigests)
 }
 
 // Wire walks a PayloadPush in wire order.
 func (m *PayloadPush) Wire(c wire.Codec) {
-	wire.List(c, &m.Payloads, func(p *[]byte, c wire.Codec) { c.VarBytes(p) })
+	c.BytesList(&m.Payloads)
 	boundList(c, "payload push payloads", len(m.Payloads), maxPullDigests)
 }

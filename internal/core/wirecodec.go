@@ -28,7 +28,6 @@ import (
 	"reflect"
 
 	"atum/internal/actor"
-	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/overlay"
@@ -144,9 +143,11 @@ type wireRow struct {
 	// traffic, whose handlers assume a standalone, directly-addressed group
 	// message (snapshots, certificate-mode replies, merge negotiation).
 	carrierOK bool
-	// walk runs the type's field walk over v, a value of the type, writing
-	// (encodeWire) or measuring (SMREnvelope.Wire) it.
+	// walk runs the type's field walk over v, a value of the type, writing it
+	// (frame); size runs it over a counter and returns the bytes of v's body
+	// (SMREnvelope.Wire measures a nested frame with it).
 	walk   func(v any, c wire.Codec)
+	size   func(v any) int
 	decode func(body []byte) (any, error)
 }
 
@@ -164,6 +165,16 @@ func row[T any, P interface {
 			// the copy is the one allocation encoding pays for sharing the walk.
 			t := v.(T)
 			P(&t).Wire(c)
+		},
+		size: func(v any) int {
+			// As in decode: the counter and the copy share one allocation.
+			var s struct {
+				n int
+				v T
+			}
+			s.v = v.(T)
+			P(&s.v).Wire(wire.Measure(&s.n))
+			return s.n
 		},
 		decode: func(body []byte) (any, error) {
 			// The call through P is indirect, so its arguments escape: keeping
@@ -400,8 +411,10 @@ func (MessageCodec) DecodeMessage(b []byte) (actor.Message, error) {
 // Wire walks an SMREnvelope in wire order. Inner is framed as a nested wire
 // envelope, the one field with a representation per direction: the frame is
 // built before the VarBytes primitive and opened after it, and a measuring
-// walk counts the length prefix and the frame's header and then measures the
-// inner walk in place, building nothing. Only SMR engine messages may nest, so
+// walk counts the length prefix, the frame's header and the inner walk's size
+// (wireRow.size), building nothing. The inner walk runs over a counter of its
+// own, so no indirect call takes this walk's Codec and a caller's counter
+// stays on its stack. Only SMR engine messages may nest, so
 // an envelope cannot hold an envelope (or a snapshot, or an op) — on the way
 // out that is an engine bug, the replica being Inner's only producer.
 func (m *SMREnvelope) Wire(c wire.Codec) {
@@ -414,8 +427,7 @@ func (m *SMREnvelope) Wire(c wire.Codec) {
 			panic(fmt.Sprintf("core: SMREnvelope.Inner %T is not an SMR engine message", m.Inner))
 		}
 		if c.Measuring() {
-			c.Add(4 + wireEnvHeader) // the length prefix and the nested frame's header
-			r.walk(m.Inner, c)
+			c.Add(4 + wireEnvHeader + r.size(m.Inner)) // the length prefix and the nested frame
 			return
 		}
 		inner = r.frame(m.Inner)
@@ -435,7 +447,7 @@ func (m *Heartbeat) Wire(c wire.Codec) {
 	c.Uvarint(&m.Epoch)
 	c.Uint64(&m.Salt)
 	haveWire(c, &m.Have)
-	wire.List(c, &m.Lacks, digestWire)
+	wire.Digests(c, &m.Lacks)
 	boundList(c, "heartbeat lacks", len(m.Lacks), maxListed)
 }
 
@@ -653,7 +665,7 @@ func (s *stateSnapshot) Wire(c wire.Codec) {
 	}
 	c.Int(&s.MergeAttempt)
 	c.Uint64(&s.WalkSeq)
-	wire.List(c, &s.AppliedOps, func(d *crypto.Digest, c wire.Codec) { wire.Bytes32(c, d) })
+	wire.Digests(c, &s.AppliedOps)
 }
 
 func (pj *pendingJoin) Wire(c wire.Codec) {

@@ -11,7 +11,10 @@
 //
 // The Scheduler itself queues opaque group.BatchItem values per destination
 // and hands batches back through Config.Flush; the Port's Flush frames them
-// (plain group message, batch carrier, node-addressed raw carrier). When
+// (plain group message, batch carrier, node-addressed raw carrier) and fans
+// each copy out to the destination's members. The fan-out allocates per
+// logical copy, not per member: one boxed message for every member that gets
+// it, and the send order drawn into a buffer the Port keeps (port.go). When
 // FlushAll must run is the engine's business: it flushes before every
 // replicated-state replacement so batches leave stamped with their
 // enqueue-time composition.

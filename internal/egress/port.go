@@ -37,6 +37,14 @@ package egress
 // a payload. The parked copies keep their captured src/dst and leave at the
 // Scheduler's timer (Config.Arm, OnTimer) or at FlushAll, whichever is first.
 //
+// The fan-out pays per logical copy, not per destination member: a copy is
+// boxed as an actor.Message once and that one value goes to every member it
+// is for (a boxed value cannot be changed, and each receiver copies it out).
+// The random order is drawn into a buffer the port keeps, with exactly the
+// draws rand.Perm makes, so the node's random stream and every event order
+// are as rand.Perm would leave them. The rotation that says which member
+// serves which (group.RelaySender) is a hash, remembered per link.
+//
 // How long a copy parks depends on the round. Outside a synchronous round a
 // served copy parks for one Rules.RelayLag, which must exceed one link delay
 // so that a vote the member's vgroup sent at the same moment arrives first.
@@ -134,6 +142,18 @@ type Port struct {
 	// [1] two (a first speaker's served copies). Every batch in a queue
 	// waited the same lag, so appending keeps each first due first.
 	parked [2]parkQueue
+	// order is the buffer destination orders are drawn into (perm).
+	order []int
+	// rots remembers the last rotation worked out per link slot (rotation).
+	rots [8]relayRot
+}
+
+// relayRot is group.RelaySender(src, dst, 0) for one link, with every input
+// it reads.
+type relayRot struct {
+	src, dst ids.GroupID
+	epoch    uint64
+	n, rot   int
 }
 
 // parkQueue is one lag's waiting batches, first due first, and the members
@@ -201,10 +221,12 @@ func (p *Port) ToNode(src group.Composition, to ids.NodeID, kind group.Kind, msg
 // by its chain, and votes nothing: every member sends the payload, and the
 // copy names no destination epoch.
 func (p *Port) Chained(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload, attach []byte) {
-	msg := p.single(src, dst.GroupID, kind, msgID, payload, attach, true)
-	for _, i := range p.env.Rand().Perm(dst.N()) {
+	var msg actor.Message = p.single(src, dst.GroupID, kind, msgID, payload, attach, true)
+	order := p.perm(dst.N())
+	for _, i := range order {
 		p.env.Send(dst.Members[i].ID, msg)
 	}
+	p.order = order
 }
 
 // ChainedTo is Chained to a single node.
@@ -266,6 +288,23 @@ func (p *Port) frame(src, dst group.Composition, node ids.NodeID, items []group.
 	p.park(lags, parkedFlush{src: src, dst: dst, items: slices.Clone(items), members: members})
 }
 
+// perm draws a random order of n destination members into the port's
+// buffer. It makes rand.Perm's draws, in the same way, so the node's random
+// stream moves exactly as rand.Perm would move it. The buffer is the caller's
+// until it hands it back (p.order = order): a callback that sends while the
+// caller walks the order draws into a buffer of its own.
+func (p *Port) perm(n int) []int {
+	order := slices.Grow(p.order[:0], n)[:n]
+	p.order = nil
+	r := p.env.Rand()
+	for i := range order {
+		j := r.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
+	return order
+}
+
 // park queues f for lags relay lags (1 or 2) and arms the timer for it — or,
 // with no lag, sends it at once.
 func (p *Port) park(lags int, f parkedFlush) {
@@ -301,12 +340,12 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 		}
 	}
 	if relays > 0 {
-		rot = group.RelaySender(src, dst, 0)
+		rot = p.rotation(src, dst)
 	}
 	hdr := group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, Attach: attach}
-	var lean group.GroupMsg
-	built := false
-	for _, j := range p.env.Rand().Perm(dst.N()) {
+	var lean actor.Message // built for the first member that gets it
+	order := p.perm(dst.N())
+	for _, j := range order {
 		to := dst.Members[j].ID
 		if relays > 0 && (j+rot)%src.N() == idx {
 			if served := p.served(src, dst, to); carriesRelayed(&served, items) {
@@ -316,13 +355,25 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 			}
 			p.withheld += uint64(relays)
 		}
-		if !built {
+		if lean == nil {
 			lean, _ = group.Copy(hdr, p.rules.Carrier, items, rule)
-			built = true
 		}
 		p.env.Send(to, lean)
 	}
+	p.order = order
 	return parked
+}
+
+// rotation returns group.RelaySender(src, dst, 0), the member of src that
+// serves dst's first member. Working it out hashes four times, and a node
+// fans out on the same few links again and again, so the port keeps the last
+// one per slot, by destination.
+func (p *Port) rotation(src, dst group.Composition) int {
+	r := &p.rots[uint64(dst.GroupID)%uint64(len(p.rots))]
+	if r.n != src.N() || r.src != src.GroupID || r.dst != dst.GroupID || r.epoch != dst.Epoch {
+		*r = relayRot{src: src.GroupID, dst: dst.GroupID, epoch: dst.Epoch, n: src.N(), rot: group.RelaySender(src, dst, 0)}
+	}
+	return r.rot
 }
 
 // served is the rule of this member's copy toward member to of dst, whose
@@ -405,8 +456,8 @@ func (p *Port) next() *parkQueue {
 // the link rule (Rules.Withdraw) is asked again: the rest of dst get the lean
 // copy of the items it leaves, and Left hears of those.
 func (p *Port) speak(f *parkedFlush) {
-	idx, rot := f.src.Index(p.rules.Self), group.RelaySender(f.src, f.dst, 0)
-	order := p.env.Rand().Perm(f.dst.N())
+	idx, rot := f.src.Index(p.rules.Self), p.rotation(f.src, f.dst)
+	order := p.perm(f.dst.N())
 	for _, j := range order {
 		if (j+rot)%f.src.N() == idx {
 			p.serve(f, f.dst.Members[j].ID)
@@ -417,13 +468,15 @@ func (p *Port) speak(f *parkedFlush) {
 		items = slices.DeleteFunc(items, func(it group.BatchItem) bool { return withdraw(f.dst, it) })
 	}
 	if len(items) > 0 {
-		lean, _ := group.Copy(f.header(), p.rules.Carrier, items, group.CopyRule{Full: p.full(f.src)})
+		msg, _ := group.Copy(f.header(), p.rules.Carrier, items, group.CopyRule{Full: p.full(f.src)})
+		var lean actor.Message = msg
 		for _, j := range order {
 			if (j+rot)%f.src.N() != idx {
 				p.env.Send(f.dst.Members[j].ID, lean)
 			}
 		}
 	}
+	p.order = order
 	p.left(items)
 }
 

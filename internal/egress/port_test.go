@@ -402,7 +402,8 @@ func TestParkedCopiesLeaveInDueOrder(t *testing.T) {
 // every parked batch leaves within two relay lags of being framed — one for a
 // second speaker's turn, two for a first speaker's served copies — or at
 // FlushAll. So Parked never exceeds the batches framed in the last two lags,
-// and reads zero after FlushAll or after two quiet lags. Seeded schedules of
+// and reads zero after FlushAll or after two quiet lags; and whenever it reads
+// zero the port holds no batch's item array, so an idle port pins no payload. Seeded schedules of
 // round ticks toward both neighbors, relayed or not, at random gaps, with the
 // port's timer fired at every deadline it armed, check it after every event.
 func TestParkedBoundedByTwoLags(t *testing.T) {
@@ -423,6 +424,9 @@ func TestParkedBoundedByTwoLags(t *testing.T) {
 			got := r.p.Parked()
 			if got > recent {
 				t.Fatalf("seed %d, %s at %v: %d batches parked, %d framed in the last two lags", seed, event, r.env.now, got, recent)
+			}
+			if kept := heldArrays(r.p); got == 0 && kept != 0 {
+				t.Fatalf("seed %d, %s at %v: nothing parked, %d item arrays held", seed, event, r.env.now, kept)
 			}
 			peak = max(peak, got)
 		}
@@ -453,18 +457,74 @@ func TestParkedBoundedByTwoLags(t *testing.T) {
 			check("a tick")
 			if rng.Intn(50) == 0 {
 				r.p.FlushAll()
-				if got := r.p.Parked(); got != 0 {
-					t.Fatalf("seed %d: %d batches parked after FlushAll", seed, got)
+				if got, kept := r.p.Parked(), heldArrays(r.p); got != 0 || kept != 0 {
+					t.Fatalf("seed %d: %d batches parked and %d item arrays held after FlushAll", seed, got, kept)
 				}
 			}
 			r.env.sent, r.env.to = r.env.sent[:0], r.env.to[:0]
 		}
 		runTo(r.env.now + 2*lag)
-		if got := r.p.Parked(); got != 0 {
-			t.Fatalf("seed %d: %d batches parked after two quiet lags", seed, got)
+		if got, kept := r.p.Parked(), heldArrays(r.p); got != 0 || kept != 0 {
+			t.Fatalf("seed %d: %d batches parked and %d item arrays held after two quiet lags", seed, got, kept)
 		}
 		if peak < 2 {
 			t.Fatalf("seed %d: at most %d batches parked at once; the schedule does not load the queues", seed, peak)
+		}
+	}
+}
+
+// heldArrays counts the item arrays p's parked queues still reference, in
+// their length or beyond it.
+func heldArrays(p *Port) int {
+	n := 0
+	for _, q := range p.parked {
+		for _, f := range q.flushes[:cap(q.flushes)] {
+			if cap(f.items) > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestPermDrawsAsRandPerm: the port draws a destination order into its
+// buffer with exactly rand.Perm's draws — the same order, and the source left
+// in the same state — whatever the buffer held before.
+func TestPermDrawsAsRandPerm(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		env := &portEnv{rng: rand.New(rand.NewSource(seed))}
+		p := NewPort(Config{MaxBatch: 1, MaxBytes: 1 << 20, Limit: 8, Now: env.Now, Arm: func(time.Duration) {}}, Rules{})
+		p.Start(env)
+		ref := rand.New(rand.NewSource(seed))
+		for _, n := range append(rand.New(rand.NewSource(seed)).Perm(71), 70, 0, 70) {
+			got := p.perm(n)
+			want := ref.Perm(n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, n %d: drew %v, rand.Perm draws %v", seed, n, got, want)
+			}
+			p.order = got
+			if a, b := env.rng.Int63(), ref.Int63(); a != b {
+				t.Fatalf("seed %d, n %d: the next Int63 is %d, after rand.Perm %d", seed, n, a, b)
+			}
+		}
+	}
+}
+
+// TestRotationIsRelaySender: the port's remembered rotation of a link is
+// group.RelaySender's, through slot collisions and changes of any input.
+func TestRotationIsRelaySender(t *testing.T) {
+	env := &portEnv{rng: rand.New(rand.NewSource(1))}
+	p := NewPort(Config{MaxBatch: 1, MaxBytes: 1 << 20, Limit: 8, Now: env.Now, Arm: func(time.Duration) {}}, Rules{})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		members := make([]ids.NodeID, 1+rng.Intn(9))
+		for j := range members {
+			members[j] = ids.NodeID(j + 1)
+		}
+		src := compOf(ids.GroupID(1+rng.Intn(3)), 1, members...)
+		dst := compOf(ids.GroupID(1+rng.Intn(20)), uint64(1+rng.Intn(3)), 50)
+		if got, want := p.rotation(src, dst), group.RelaySender(src, dst, 0); got != want {
+			t.Fatalf("step %d: rotation %d, RelaySender %d (src %v of %d, dst %v epoch %d)", i, got, want, src.GroupID, src.N(), dst.GroupID, dst.Epoch)
 		}
 	}
 }

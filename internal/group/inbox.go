@@ -84,7 +84,10 @@ type source struct {
 	done    map[crypto.Digest]time.Duration // accepted MsgID → time of its first copy
 }
 
-// entry is one logical message that has not been accepted yet.
+// entry is one logical message that has not been accepted yet. Its first
+// votes and its first payload live in the entry itself, so opening one is one
+// allocation. votes and payloads point into the entry: an entry is only ever
+// held by pointer, never copied by value.
 type entry struct {
 	firstAt  time.Duration
 	votes    []vote       // one per sender, in arrival order: the first is the opener's
@@ -94,6 +97,11 @@ type entry struct {
 	// starved: a majority voted the payload digest that is this message's
 	// MsgID, and no source's entry holds the bytes.
 	starved bool
+	// inlineVotes is votes' array until a fifth sender votes, room for the
+	// majority of a typical vgroup; inlinePayload is payloads' until a second
+	// digest's payload is stored.
+	inlineVotes   [4]vote
+	inlinePayload [1]heldDigest
 }
 
 // vote is what one sender said of a message: its kind and the digest of its
@@ -236,8 +244,8 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 		} else if len(s.pending) >= maxEntriesPerKey || s.opened(from) >= maxOpenPerSender {
 			return Accepted{}, false
 		}
-		// Room for the majority of a typical vgroup without regrowing.
-		e = &entry{firstAt: now, votes: make([]vote, 0, 4), shared: msg.MsgID == msg.PayloadDigest}
+		e = &entry{firstAt: now, shared: msg.MsgID == msg.PayloadDigest}
+		e.votes, e.payloads = e.inlineVotes[:0], e.inlinePayload[:0]
 		s.pending[msg.MsgID] = e
 		if e.shared {
 			ib.shared[msg.MsgID] = append(ib.shared[msg.MsgID], src)
@@ -265,8 +273,8 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 // it from none. It frees memory and leaves no record; the owner turns later
 // copies away.
 func (ib *Inbox) SettleAll(msgID crypto.Digest) {
-	for _, src := range slices.Clone(ib.shared[msgID]) {
-		ib.retire(src, ib.sources[src], msgID) // shared: no record
+	for srcs := ib.shared[msgID]; len(srcs) > 0; srcs = ib.shared[msgID] {
+		ib.retire(srcs[0], ib.sources[srcs[0]], msgID) // shared: no record; drops srcs[0]
 	}
 }
 

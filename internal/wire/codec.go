@@ -216,6 +216,46 @@ func List[T any](c Codec, s *[]T, each func(*T, Codec)) {
 	}
 }
 
+// Digests walks a list of 32-byte arrays as List(c, s, each) does with each
+// walking Bytes32, in the same bytes, but calls no walker: a walk made of
+// primitives alone keeps a measuring counter (Measure) on its caller's stack,
+// where an indirect call would move it to the heap.
+func Digests[T ~[32]byte](c Codec, s *[]T) {
+	if c.d == nil {
+		if !c.count(4 + 32*len(*s)) {
+			c.e.ListLen(len(*s))
+			for _, v := range *s {
+				c.e.Bytes32([32]byte(v))
+			}
+		}
+		return
+	}
+	n := c.d.ListLen()
+	*s = nil
+	for i := 0; i < n && c.d.err == nil; i++ {
+		*s = append(*s, T(c.d.Bytes32()))
+	}
+}
+
+// BytesList walks a list of byte strings as List(c, s, each) does with each
+// walking VarBytes, in the same bytes, and like Digests calls no walker.
+func (c Codec) BytesList(s *[][]byte) {
+	if c.d == nil {
+		if !c.count(4) {
+			c.e.ListLen(len(*s))
+		}
+		for i := range *s {
+			c.VarBytes(&(*s)[i])
+		}
+		return
+	}
+	n := c.d.ListLen()
+	*s = nil
+	for i := 0; i < n && c.d.err == nil; i++ {
+		*s = append(*s, c.d.VarBytes())
+	}
+}
+
 // Count walks a collection's element count as a Uint64 for the layouts that
 // predate ListLen, and returns it. A decoded count above max fails the walk
 // and returns 0; the caller allocates and walks the elements.

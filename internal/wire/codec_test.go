@@ -16,20 +16,22 @@ type (
 // record exercises every Codec primitive once, in an order in which a swapped
 // or skipped field changes the bytes.
 type record struct {
-	ID    testID
-	Kind  testKind
-	Hash  testHash
-	N     uint64
-	W     uint32
-	V     uint64
-	I     int
-	B     byte
-	Flag  bool
-	Raw   []byte
-	Alias []byte
-	Name  string
-	Pairs []pair
-	Nums  []uint64
+	ID     testID
+	Kind   testKind
+	Hash   testHash
+	N      uint64
+	W      uint32
+	V      uint64
+	I      int
+	B      byte
+	Flag   bool
+	Raw    []byte
+	Alias  []byte
+	Name   string
+	Pairs  []pair
+	Nums   []uint64
+	Hashes []testHash
+	Blobs  [][]byte
 }
 
 func (r *record) Wire(c Codec) {
@@ -47,6 +49,8 @@ func (r *record) Wire(c Codec) {
 	c.String(&r.Name)
 	List(c, &r.Pairs, (*pair).Wire)
 	List(c, &r.Nums, func(v *uint64, c Codec) { c.Uint64(v) })
+	Digests(c, &r.Hashes)
+	c.BytesList(&r.Blobs)
 }
 
 // TestCodecMatchesEncoderAndDecoder: a walk writes exactly what the Encoder
@@ -54,7 +58,8 @@ func (r *record) Wire(c Codec) {
 // aliasing its input), and measures the length it writes.
 func TestCodecMatchesEncoderAndDecoder(t *testing.T) {
 	r := record{ID: 7, Kind: 3, Hash: testHash{1, 2, 3}, N: 1 << 40, W: 1 << 30, V: 300, I: -5, B: 9, Flag: true,
-		Raw: []byte{4, 5}, Alias: []byte{11, 12, 13}, Name: "walk", Pairs: []pair{{A: 1, B: []byte{6}}, {A: 2, B: []byte{}}}, Nums: []uint64{8, 9}}
+		Raw: []byte{4, 5}, Alias: []byte{11, 12, 13}, Name: "walk", Pairs: []pair{{A: 1, B: []byte{6}}, {A: 2, B: []byte{}}}, Nums: []uint64{8, 9},
+		Hashes: []testHash{{7}, {8, 9}}, Blobs: [][]byte{{10}, {}}}
 	var e Encoder
 	e.Uint64(7)
 	e.Byte(3)
@@ -76,6 +81,12 @@ func TestCodecMatchesEncoderAndDecoder(t *testing.T) {
 	e.ListLen(2)
 	e.Uint64(8)
 	e.Uint64(9)
+	e.ListLen(2)
+	e.Bytes32(testHash{7})
+	e.Bytes32(testHash{8, 9})
+	e.ListLen(2)
+	e.VarBytes([]byte{10})
+	e.VarBytes(nil)
 	got := Encode(r.Wire)
 	if !bytes.Equal(got, e.Bytes()) {
 		t.Fatalf("walk wrote\n %x, the encoder calls\n %x", got, e.Bytes())
@@ -124,6 +135,39 @@ func TestCodecListDecode(t *testing.T) {
 	List(d.Codec(), &pairs, (*pair).Wire)
 	if d.Err() == nil || pairs != nil {
 		t.Errorf("a count over the list bound: %d elements, err %v", len(pairs), d.Err())
+	}
+}
+
+// TestDigestsAndBytesListDecode: the walker-free lists decode as List does:
+// an empty list to nil, and a count the input does not back to no more
+// elements than the input holds.
+func TestDigestsAndBytesListDecode(t *testing.T) {
+	var e Encoder
+	e.ListLen(0)
+	e.ListLen(0)
+	hashes, blobs := []testHash{{1}}, [][]byte{{1}}
+	d := NewDecoder(e.Bytes())
+	Digests(d.Codec(), &hashes)
+	d.Codec().BytesList(&blobs)
+	if err := d.Finish(); err != nil || hashes != nil || blobs != nil {
+		t.Errorf("empty lists decoded to %#v and %#v, err %v; want nil", hashes, blobs, err)
+	}
+
+	e.Reset()
+	e.ListLen(maxListLen)
+	e.Bytes32(testHash{1})
+	d = NewDecoder(e.Bytes())
+	Digests(d.Codec(), &hashes)
+	if !errors.Is(d.Err(), ErrShortBuffer) || len(hashes) > 2 {
+		t.Errorf("a count of %d over one digest: %d elements, err %v", maxListLen, len(hashes), d.Err())
+	}
+	e.Reset()
+	e.ListLen(maxListLen)
+	e.VarBytes([]byte{1})
+	d = NewDecoder(e.Bytes())
+	d.Codec().BytesList(&blobs)
+	if !errors.Is(d.Err(), ErrShortBuffer) || len(blobs) > 2 {
+		t.Errorf("a count of %d over one byte string: %d elements, err %v", maxListLen, len(blobs), d.Err())
 	}
 }
 
