@@ -42,8 +42,7 @@ package egress
 // is for (a boxed value cannot be changed, and each receiver copies it out).
 // The random order is drawn into a buffer the port keeps, with exactly the
 // draws rand.Perm makes, so the node's random stream and every event order
-// are as rand.Perm would leave them. The rotation that says which member
-// serves which (group.RelaySender) is a hash, remembered per link.
+// are as rand.Perm would leave them.
 //
 // How long a copy parks depends on the round. Outside a synchronous round a
 // served copy parks for one Rules.RelayLag, which must exceed one link delay
@@ -144,16 +143,6 @@ type Port struct {
 	parked [2]parkQueue
 	// order is the buffer destination orders are drawn into (perm).
 	order []int
-	// rots remembers the last rotation worked out per link slot (rotation).
-	rots [8]relayRot
-}
-
-// relayRot is group.RelaySender(src, dst, 0) for one link, with every input
-// it reads.
-type relayRot struct {
-	src, dst ids.GroupID
-	epoch    uint64
-	n, rot   int
 }
 
 // parkQueue is one lag's waiting batches, first due first, and the members
@@ -340,7 +329,7 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 		}
 	}
 	if relays > 0 {
-		rot = p.rotation(src, dst)
+		rot = group.RelaySender(src, dst, 0)
 	}
 	hdr := group.GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, DstGroup: dst.GroupID, DstEpoch: dst.Epoch, Attach: attach}
 	var lean actor.Message // built for the first member that gets it
@@ -362,18 +351,6 @@ func (p *Port) fanOut(src, dst group.Composition, items []group.BatchItem, attac
 	}
 	p.order = order
 	return parked
-}
-
-// rotation returns group.RelaySender(src, dst, 0), the member of src that
-// serves dst's first member. Working it out hashes four times, and a node
-// fans out on the same few links again and again, so the port keeps the last
-// one per slot, by destination.
-func (p *Port) rotation(src, dst group.Composition) int {
-	r := &p.rots[uint64(dst.GroupID)%uint64(len(p.rots))]
-	if r.n != src.N() || r.src != src.GroupID || r.dst != dst.GroupID || r.epoch != dst.Epoch {
-		*r = relayRot{src: src.GroupID, dst: dst.GroupID, epoch: dst.Epoch, n: src.N(), rot: group.RelaySender(src, dst, 0)}
-	}
-	return r.rot
 }
 
 // served is the rule of this member's copy toward member to of dst, whose
@@ -456,7 +433,7 @@ func (p *Port) next() *parkQueue {
 // the link rule (Rules.Withdraw) is asked again: the rest of dst get the lean
 // copy of the items it leaves, and Left hears of those.
 func (p *Port) speak(f *parkedFlush) {
-	idx, rot := f.src.Index(p.rules.Self), p.rotation(f.src, f.dst)
+	idx, rot := f.src.Index(p.rules.Self), group.RelaySender(f.src, f.dst, 0)
 	order := p.perm(f.dst.N())
 	for _, j := range order {
 		if (j+rot)%f.src.N() == idx {

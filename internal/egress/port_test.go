@@ -510,25 +510,6 @@ func TestPermDrawsAsRandPerm(t *testing.T) {
 	}
 }
 
-// TestRotationIsRelaySender: the port's remembered rotation of a link is
-// group.RelaySender's, through slot collisions and changes of any input.
-func TestRotationIsRelaySender(t *testing.T) {
-	env := &portEnv{rng: rand.New(rand.NewSource(1))}
-	p := NewPort(Config{MaxBatch: 1, MaxBytes: 1 << 20, Limit: 8, Now: env.Now, Arm: func(time.Duration) {}}, Rules{})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		members := make([]ids.NodeID, 1+rng.Intn(9))
-		for j := range members {
-			members[j] = ids.NodeID(j + 1)
-		}
-		src := compOf(ids.GroupID(1+rng.Intn(3)), 1, members...)
-		dst := compOf(ids.GroupID(1+rng.Intn(20)), uint64(1+rng.Intn(3)), 50)
-		if got, want := p.rotation(src, dst), group.RelaySender(src, dst, 0); got != want {
-			t.Fatalf("step %d: rotation %d, RelaySender %d (src %v of %d, dst %v epoch %d)", i, got, want, src.GroupID, src.N(), dst.GroupID, dst.Epoch)
-		}
-	}
-}
-
 // TestZeroLagSendsRelayedCopyAtOnce: with no RelayLag the copy toward each
 // member this member relays to takes the same path — framed item by item — but
 // leaves with its batch, and nothing stays parked.

@@ -193,10 +193,7 @@ func Bytes32[T ~[32]byte](c Codec, v *T) {
 
 // List walks a ListLen count followed by the elements, each walked by each —
 // for a wire type, its method expression: List(c, &p.Chain, (*StepCert).Wire).
-// Decoding fills every element in place in the slice (a temporary would
-// escape through the indirect call and cost an allocation per element), grows
-// the slice only as input is consumed, so a hostile count allocates nothing
-// the frame does not pay for, and leaves an empty list nil.
+// It decodes through decodeList.
 func List[T any](c Codec, s *[]T, each func(*T, Codec)) {
 	if c.d == nil {
 		if !c.count(4) {
@@ -207,13 +204,7 @@ func List[T any](c Codec, s *[]T, each func(*T, Codec)) {
 		}
 		return
 	}
-	n := c.d.ListLen()
-	*s = nil
-	for i := 0; i < n && c.d.err == nil; i++ {
-		var zero T
-		*s = append(*s, zero)
-		each(&(*s)[i], c)
-	}
+	decodeList(c.d, s, func(v *T) { each(v, c) })
 }
 
 // Digests walks a list of 32-byte arrays as List(c, s, each) does with each
@@ -230,11 +221,7 @@ func Digests[T ~[32]byte](c Codec, s *[]T) {
 		}
 		return
 	}
-	n := c.d.ListLen()
-	*s = nil
-	for i := 0; i < n && c.d.err == nil; i++ {
-		*s = append(*s, T(c.d.Bytes32()))
-	}
+	decodeList(c.d, s, func(v *T) { *v = T(c.d.Bytes32()) })
 }
 
 // BytesList walks a list of byte strings as List(c, s, each) does with each
@@ -249,10 +236,21 @@ func (c Codec) BytesList(s *[][]byte) {
 		}
 		return
 	}
-	n := c.d.ListLen()
+	decodeList(c.d, s, func(v *[]byte) { *v = c.d.VarBytes() })
+}
+
+// decodeList is the decoding half of every list walk: it reads the ListLen
+// count and fills each element in place in the slice with fill (a temporary
+// would escape through the indirect call and cost an allocation per element).
+// It grows the slice only as input is consumed, so a hostile count allocates
+// nothing the frame does not pay for, and leaves an empty list nil.
+func decodeList[T any](d *Decoder, s *[]T, fill func(*T)) {
+	n := d.ListLen()
 	*s = nil
-	for i := 0; i < n && c.d.err == nil; i++ {
-		*s = append(*s, c.d.VarBytes())
+	for i := 0; i < n && d.err == nil; i++ {
+		var zero T
+		*s = append(*s, zero)
+		fill(&(*s)[i])
 	}
 }
 
