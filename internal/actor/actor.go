@@ -25,7 +25,8 @@ import (
 // may spell it "any" in their method signatures.
 type Message = any
 
-// TimerID identifies a pending timer for cancellation.
+// TimerID identifies one timer: the ID SetTimer returned, handed back to
+// Node.Timer when it fires.
 type TimerID uint64
 
 // Env is the interface through which a node acts on the world.
@@ -40,11 +41,9 @@ type Env interface {
 	// with network delay. Sends to unknown or crashed nodes are dropped.
 	Send(to ids.NodeID, msg Message)
 	// SetTimer schedules a Timer callback after d with the given payload
-	// and returns an ID usable with CancelTimer.
+	// and returns the ID the callback is handed. A timer cannot be
+	// cancelled: a node retires a stale one by its payload when it fires.
 	SetTimer(d time.Duration, data any) TimerID
-	// CancelTimer cancels a pending timer. Cancelling an already-fired or
-	// unknown timer is a no-op.
-	CancelTimer(id TimerID)
 	// Rand returns this node's deterministic random source.
 	Rand() *rand.Rand
 	// Logf emits a debug log line attributed to this node.

@@ -39,52 +39,37 @@ func (n *Node) applyCommitted(op smr.Operation) {
 		if op.Proposer != o.Origin {
 			return
 		}
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyBcast(o)
-		}
+		n.applyOnce(dig, func() { n.applyBcast(o) })
 	case joinOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyJoin(o)
-		}
+		n.applyOnce(dig, func() { n.applyJoin(o) })
 	case leaveOp:
 		if op.Proposer != o.Node {
 			return // only the leaver itself may request a leave
 		}
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyLeave(o)
-		}
+		n.applyOnce(dig, func() { n.applyLeave(o) })
 	case renounceOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyRenounce(o)
-		}
+		n.applyOnce(dig, func() { n.applyRenounce(o) })
 	case splitOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applySplit(o)
-		}
+		n.applyOnce(dig, func() { n.applySplit(o) })
 	case walkStartOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyWalkStart(dig, o)
-		}
+		n.applyOnce(dig, func() { n.applyWalkStart(dig, o) })
 	case shuffleStartOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyShuffleStart(dig, o)
-		}
+		n.applyOnce(dig, func() { n.applyShuffleStart(dig, o) })
 	case walkTimeoutOp:
 		n.tallyVote(dig, op.Proposer, func() { n.applyWalkTimeout(o) })
 	case mergeStartOp:
-		if n.st.markAppliedOp(dig) {
-			delete(n.ownPend, dig)
-			n.applyMergeStart(dig, o)
-		}
+		n.applyOnce(dig, func() { n.applyMergeStart(dig, o) })
 	default:
 		n.logf("apply: unknown op type %T", v)
+	}
+}
+
+// applyOnce applies a deduplicated op: the first commit of its digest marks
+// it applied, clears it from ownPend and runs apply; a later one does nothing.
+func (n *Node) applyOnce(dig crypto.Digest, apply func()) {
+	if n.st.markAppliedOp(dig) {
+		delete(n.ownPend, dig)
+		apply()
 	}
 }
 
@@ -195,10 +180,7 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 	n.logf("reconfigure %v: epoch %d -> %d (%s), members %v",
 		old.GroupID, old.Epoch, st.comp.Epoch, cause, ids.IdentityIDs(members))
 
-	if n.replica != nil {
-		n.replica.Stop()
-		n.replica = nil
-	}
+	n.stopReplica()
 
 	// Snapshots stamped with the old epoch: the configuration that admitted
 	// the change attests the new one. Freshly admitted nodes need them to
@@ -235,7 +217,7 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 
 	// Votes are per-epoch; heartbeat clocks restart.
 	st.resetVotes()
-	n.resetPeerClocks()
+	n.rebuildPeers()
 
 	if ids.FindIdentity(members, n.cfg.Identity.ID) < 0 {
 		n.departed(cause)
@@ -261,8 +243,9 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 }
 
 // cacheSnapshot keeps recent outgoing snapshot payloads for heartbeat-
-// triggered re-shares, bounded to the last few epochs, until every other
-// member of the current composition heartbeats at its epoch (snapsOwed).
+// triggered re-shares, bounded to the last few epochs. A heartbeat frees the
+// cache once no other member of the current composition owes a heartbeat at
+// its epoch (handleHeartbeat, peerBehind).
 func (n *Node) cacheSnapshot(attestEpoch uint64, payload []byte) {
 	if n.recentSnaps == nil {
 		n.recentSnaps = make(map[uint64][]byte)
@@ -273,18 +256,14 @@ func (n *Node) cacheSnapshot(attestEpoch uint64, payload []byte) {
 			delete(n.recentSnaps, e)
 		}
 	}
-	n.snapsOwed = make(map[ids.NodeID]bool, n.st.comp.N())
-	for _, m := range n.st.comp.Members {
-		if m.ID != n.cfg.Identity.ID {
-			n.snapsOwed[m.ID] = true
-		}
-	}
 }
 
-// dropSnapshots frees the snapshot cache.
-func (n *Node) dropSnapshots() {
-	n.recentSnaps = nil
-	n.snapsOwed = nil
+// stopReplica stops and drops the SMR replica, if there is one.
+func (n *Node) stopReplica() {
+	if n.replica != nil {
+		n.replica.Stop()
+		n.replica = nil
+	}
 }
 
 // departed handles this node's own removal from the vgroup.
@@ -294,9 +273,10 @@ func (n *Node) departed(cause reconfigCause) {
 	n.replicaEpoch = 0
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	// Cached snapshots attest the group just left; they must not be
-	// re-shared under a future group's epochs. The repair state, the
-	// catch-up check's record of each peer with it, is the old vgroup's too.
-	n.dropSnapshots()
+	// re-shared under a future group's epochs. The member table and the
+	// repair state are the old vgroup's too.
+	n.recentSnaps = nil
+	n.peers = nil
 	n.rep = newRepair(n.cfg.RoundDuration)
 	switch cause {
 	case causeExchange, causeMerge:

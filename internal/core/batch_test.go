@@ -139,7 +139,6 @@ func (e *fakeEnv) Self() ids.NodeID                          { return e.self }
 func (e *fakeEnv) Now() time.Duration                        { return e.now }
 func (e *fakeEnv) Send(to ids.NodeID, msg actor.Message)     { e.sent = append(e.sent, fakeSend{to, msg}) }
 func (e *fakeEnv) SetTimer(time.Duration, any) actor.TimerID { return 0 }
-func (e *fakeEnv) CancelTimer(actor.TimerID)                 {}
 func (e *fakeEnv) Rand() *rand.Rand                          { return e.rng }
 func (e *fakeEnv) Logf(f string, args ...any)                { e.logs = append(e.logs, fmt.Sprintf(f, args...)) }
 
@@ -169,6 +168,12 @@ func memberNode(t *testing.T, self ids.NodeID, comp, nbr group.Composition, twea
 	n.st = newGroupState(comp.Clone(), nbrs)
 	n.learnComp(comp)
 	n.learnComp(nbr)
+	// The other members of comp were members from the start: the catch-up
+	// check covers every delivery of theirs.
+	n.rebuildPeers()
+	for _, p := range n.peers {
+		p.upTo = 0
+	}
 	return n, env
 }
 

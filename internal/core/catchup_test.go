@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"atum/internal/crypto"
+	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/smr"
 )
@@ -254,7 +255,7 @@ func TestLacksQueueBounded(t *testing.T) {
 	now := start + n.cfg.HeartbeatEvery
 	at(now, n)
 	n.Receive(5, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Salt: 1})
-	q := n.rep.peers[5]
+	q := n.peers[5]
 	if q == nil || !slices.Equal(q.lacks, ds[:maxListed]) {
 		t.Fatalf("the queue for 5 holds %d digests, want the first %d", len(q.lacks), maxListed)
 	}
@@ -287,28 +288,57 @@ func TestLacksQueueBounded(t *testing.T) {
 	}
 }
 
-// TestPeerChecksFreedWithMembership: the check keeps one record per member of
-// the node's composition that heartbeats reached it from. A non-member's
-// heartbeat opens none; a member who stays keeps its record across a
-// reconfiguration, one who leaves loses it, and the node's own departure
-// frees them all.
+// TestPeerChecksFreedWithMembership is the member table's lifecycle: one
+// record per other member of the node's composition. A non-member's heartbeat
+// opens none. Across a reconfiguration a member who stays keeps its record —
+// its catch-up check, its re-share pacing and the epoch it last heartbeated —
+// while its heartbeat clock restarts and its eviction vote is cleared; a
+// member who leaves loses its record; a new member's check starts one
+// heartbeat period ahead. The node's own departure drops the table.
 func TestPeerChecksFreedWithMembership(t *testing.T) {
-	B := testComp(3, 1, 4, 5, 6)
+	prev, B := testComp(3, 1, 4, 5, 6), testComp(3, 2, 4, 5, 6)
 	n, _ := memberNode(t, 4, B, testComp(2, 1, 11, 12, 13))
-	at(3*n.cfg.HeartbeatEvery, n)
+	hb := n.cfg.HeartbeatEvery
+	if got := slices.Sorted(maps.Keys(n.peers)); !slices.Equal(got, []ids.NodeID{5, 6}) {
+		t.Fatalf("a new member's table holds %v, want the other members 5 and 6", got)
+	}
+	n.learnComp(prev)
+	n.cacheSnapshot(prev.Epoch, []byte("snapshot attested by epoch 1"))
+	deliverAt(t, n, 2*hb, "delivered")
+	at(3*hb, n)
+	n.Receive(5, Heartbeat{GroupID: B.GroupID, Epoch: prev.Epoch}) // a re-share
 	for _, from := range []ids.NodeID{5, 6, 11, 99} {
 		n.Receive(from, Heartbeat{GroupID: B.GroupID, Epoch: B.Epoch, Salt: 1})
 	}
-	if got := slices.Sorted(maps.Keys(n.rep.peers)); !slices.Equal(got, []ids.NodeID{5, 6}) {
-		t.Fatalf("records for %v, want for the members 5 and 6", got)
+	if got := slices.Sorted(maps.Keys(n.peers)); !slices.Equal(got, []ids.NodeID{5, 6}) {
+		t.Fatalf("after heartbeats of members and non-members: records for %v, want for 5 and 6", got)
 	}
-	kept := n.rep.peers[5]
-	n.reconfigure(ids.Without(B.Members, 6), causeLeave)
-	if got := slices.Sorted(maps.Keys(n.rep.peers)); !slices.Equal(got, []ids.NodeID{5}) || n.rep.peers[5] != kept {
-		t.Fatalf("after 6 left: records for %v (5's kept: %v)", got, n.rep.peers[5] == kept)
+	n.heartbeatTick(3*hb, true) // an eviction vote for each
+	kept := n.peers[5]
+	before := *kept
+	if len(before.lacks) != 1 || before.reShareAt <= 3*hb || before.evictEpoch != B.Epoch {
+		t.Fatalf("5's record %+v: want one lack, a re-share pacing and an eviction vote", before)
 	}
+
+	now := 3*hb + time.Second
+	at(now, n)
+	seven := testComp(3, 0, 7).Members[0]
+	n.reconfigure(append(ids.Without(B.Members, 6), seven), causeLeave)
+	if got := slices.Sorted(maps.Keys(n.peers)); !slices.Equal(got, []ids.NodeID{5, 7}) || n.peers[5] != kept {
+		t.Fatalf("after 6 left and 7 came: records for %v (5's kept: %v)", got, n.peers[5] == kept)
+	}
+	if kept.upTo != before.upTo || !slices.Equal(kept.lacks, before.lacks) || kept.reShareAt != before.reShareAt || kept.heard != before.heard {
+		t.Errorf("5 stayed, yet its record went from %+v to %+v", before, *kept)
+	}
+	if kept.heardAt != now || kept.evictEpoch != 0 {
+		t.Errorf("5's heartbeat clock %v and eviction epoch %d, want %v and none", kept.heardAt, kept.evictEpoch, now)
+	}
+	if p := n.peers[7]; p.upTo != now+hb || p.heardAt != now || p.heard != (group.Key{}) || p.reShareAt != 0 || len(p.lacks) != 0 {
+		t.Errorf("7's new record %+v, want its check to start at %v", *p, now+hb)
+	}
+
 	n.reconfigure(ids.Without(n.st.comp.Members, 4), causeLeave)
-	if n.IsMember() || len(n.rep.peers) != 0 {
-		t.Errorf("after leaving, member %v keeps %d records", n.IsMember(), len(n.rep.peers))
+	if n.IsMember() || n.peers != nil {
+		t.Errorf("after leaving, member %v keeps %d records", n.IsMember(), len(n.peers))
 	}
 }

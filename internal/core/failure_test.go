@@ -533,9 +533,12 @@ func TestReShareAttestsOnlyAnExactEpoch(t *testing.T) {
 
 // TestSnapshotCacheFreedOnceMembersCurrent: a node's outgoing snapshots are
 // cached only for re-shares, which answer a heartbeat below the current epoch.
-// They used to stay for four epochs; now the cache is freed once every other
-// member has heartbeated at the current epoch or later, and each reconfigure
-// fills it again.
+// They used to stay for four epochs; now the cache is freed once the last
+// heartbeat of every other member names the current epoch or a later one, and
+// each reconfigure fills it again. A member whose heartbeat named the new
+// epoch before this node crossed the barrier is current already; one whose
+// last heartbeat named the parent vgroup of a split is not, whatever its
+// epoch.
 func TestSnapshotCacheFreedOnceMembersCurrent(t *testing.T) {
 	n, env := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
 	mark := 0
@@ -561,6 +564,10 @@ func TestSnapshotCacheFreedOnceMembersCurrent(t *testing.T) {
 		t.Fatalf("a heartbeat at epoch 3 got re-shares stamped %v, want [3]", got)
 	}
 	heartbeat(2, 4)
+	heartbeat(4, 3)
+	if got := reShares(4); !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("a heartbeat at epoch 3 got re-shares stamped %v, want [3]", got)
+	}
 	heartbeat(3, 5) // a later epoch counts as current
 	if len(n.recentSnaps) == 0 {
 		t.Fatal("cache freed while member 4 has not heartbeated at epoch 4")
@@ -574,6 +581,7 @@ func TestSnapshotCacheFreedOnceMembersCurrent(t *testing.T) {
 		t.Fatalf("with the cache freed, a stale heartbeat got re-shares stamped %v", got)
 	}
 
+	heartbeat(2, 5) // 2 crosses the next barrier first
 	n.reconfigure([]ids.Identity{n.cfg.Identity, testComp(7, 0, 2).Members[0], testComp(7, 0, 3).Members[0]}, causeEvict)
 	if n.recentSnaps[4] == nil {
 		t.Fatalf("after the reconfigure to epoch %d, cached epochs %v, want [4]", n.st.comp.Epoch, slices.Sorted(maps.Keys(n.recentSnaps)))
@@ -581,6 +589,26 @@ func TestSnapshotCacheFreedOnceMembersCurrent(t *testing.T) {
 	heartbeat(3, 4)
 	if got := reShares(3); !slices.Equal(got, []uint64{4}) {
 		t.Fatalf("a heartbeat at epoch 4 got re-shares stamped %v, want [4]", got)
+	}
+	heartbeat(3, 5)
+	if len(n.recentSnaps) != 0 {
+		t.Fatalf("2 heartbeated at epoch 5 before the reconfigure and 3 after it, yet epochs %v are still cached", slices.Sorted(maps.Keys(n.recentSnaps)))
+	}
+
+	// 1 and 2 split off from vgroup 7 at epoch 5 into vgroup 8 at epoch 1,
+	// which then admits 10.
+	n, _ = memberNode(t, 1, testComp(7, 5, 1, 2, 3, 4), testComp(9, 1, 5, 6, 7))
+	n.handleHeartbeat(2, Heartbeat{GroupID: 7, Epoch: 5})
+	E := testComp(8, 1, 1, 2)
+	n.installSplitHalf(E, overlay.NewNeighbors(2, E), testComp(7, 6, 3, 4))
+	n.reconfigure(testComp(8, 0, 1, 2, 10).Members, causeJoin)
+	n.handleHeartbeat(10, Heartbeat{GroupID: 8, Epoch: 2})
+	if n.recentSnaps[1] == nil {
+		t.Fatal("cache freed while 2's last heartbeat named vgroup 7, not 8")
+	}
+	n.handleHeartbeat(2, Heartbeat{GroupID: 8, Epoch: 2})
+	if len(n.recentSnaps) != 0 {
+		t.Fatalf("2 and 10 heartbeated at vgroup 8's epoch 2, yet epochs %v are still cached", slices.Sorted(maps.Keys(n.recentSnaps)))
 	}
 }
 
@@ -599,9 +627,16 @@ func TestNoCachedSnapshotsOnceSettled(t *testing.T) {
 				t.Fatalf("24 nodes settled in %d vgroup(s), want several", len(h.groupsOf()))
 			}
 			for id, n := range h.nodes {
-				if len(n.recentSnaps) != 0 || n.snapsOwed != nil {
-					t.Errorf("node %v still caches snapshots of epochs %v, owed to %v",
-						id, slices.Sorted(maps.Keys(n.recentSnaps)), slices.Sorted(maps.Keys(n.snapsOwed)))
+				if len(n.recentSnaps) != 0 {
+					t.Errorf("node %v still caches snapshots of epochs %v", id, slices.Sorted(maps.Keys(n.recentSnaps)))
+				}
+				if n.st == nil {
+					continue
+				}
+				others := ids.IdentityIDs(ids.Without(n.st.comp.Members, id))
+				if got := slices.Sorted(maps.Keys(n.peers)); !slices.Equal(got, others) || n.peerBehind() {
+					t.Errorf("node %v's table holds %v for the other members %v (one behind epoch %d: %v)",
+						id, got, others, n.st.comp.Epoch, n.peerBehind())
 				}
 			}
 		})

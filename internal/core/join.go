@@ -105,10 +105,7 @@ func (n *Node) Leave() error {
 	if n.st.comp.N() == 1 {
 		// Sole member of the sole vgroup: the instance dies with it.
 		n.st = nil
-		if n.replica != nil {
-			n.replica.Stop()
-			n.replica = nil
-		}
+		n.stopReplica()
 		n.phase = phaseLeft
 		if n.cfg.Callbacks.OnLeft != nil {
 			n.cfg.Callbacks.OnLeft("leave")
@@ -444,17 +441,14 @@ func (n *Node) installGroupState(st *groupState) {
 	// Epoch catch-up can replace the state of a member with egress batches
 	// still pending under the old epoch; send them stamped with it first.
 	n.egress.FlushAll()
-	if n.replica != nil {
-		n.replica.Stop()
-		n.replica = nil
-	}
+	n.stopReplica()
 	n.st = st
 	n.learnComp(st.comp)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		n.learnComp(st.nbrs.Preds[c])
 		n.learnComp(st.nbrs.Succs[c])
 	}
-	n.resetPeerClocks()
+	n.rebuildPeers()
 	now := n.env.Now()
 	// Arm local deadlines for inherited pending work: deadlines are
 	// node-local, and without them a membership that rotated heavily could

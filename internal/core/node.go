@@ -100,8 +100,10 @@ type Node struct {
 	// internal/egress).
 	egress *egress.Port
 	lastHB time.Duration
-	hbSeen map[ids.NodeID]time.Duration
-	evProp map[ids.NodeID]uint64 // eviction proposed for target at epoch
+	// peers is the member table: one record per other member of the current
+	// composition, rebuilt at every change of it and dropped on departure
+	// (rebuildPeers).
+	peers map[ids.NodeID]*peer
 
 	join           *joinContext
 	awaitDeadline  time.Duration // phaseAwaitSnapshot orphan recovery
@@ -115,13 +117,10 @@ type Node struct {
 	// the wrong moment would otherwise miss them forever (its heartbeats
 	// keep it un-evicted, but it cannot participate — a permanent zombie).
 	// Only a heartbeat below the current epoch asks for a re-share, so the
-	// cache is freed once every member in snapsOwed, the other members of
-	// the composition it was filled under, has heartbeated at the current
-	// epoch or later. Both are nil when nothing is cached.
-	recentSnaps map[uint64][]byte
-	snapsOwed   map[ids.NodeID]bool
-	// reShared rate-limits catch-up re-shares per laggard.
-	reShared      *rateLimiter[ids.NodeID]
+	// cache is freed once the last heartbeat of every other member names the
+	// current epoch or a later one (peerBehind). It is nil when nothing is
+	// cached.
+	recentSnaps   map[uint64][]byte
 	walkDeadlines map[crypto.Digest]time.Duration
 	lastChains    map[crypto.Digest][]overlay.StepCert // member-local cert chains, until the walk's arrival
 	chainQ        []crypto.Digest                      // lastChains' keys, oldest first
@@ -182,22 +181,18 @@ var _ actor.Node = (*Node)(nil)
 // New creates a node from its configuration.
 func New(cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	replyWindow := 4 * cfg.RoundDuration
 	n := &Node{
 		cfg:            cfg,
 		signer:         cfg.Scheme.NewSigner(cfg.SignerSeed),
 		phase:          phaseIdle,
 		comps:          compStore{byGroup: make(map[ids.GroupID][]group.Composition)},
 		ownPend:        make(map[crypto.Digest]smr.Operation),
-		hbSeen:         make(map[ids.NodeID]time.Duration),
-		evProp:         make(map[ids.NodeID]uint64),
 		expectSnapshot: make(map[ids.GroupID]bool),
 		walkDeadlines:  make(map[crypto.Digest]time.Duration),
 		lastChains:     make(map[crypto.Digest][]overlay.StepCert),
-		freshSent:      newRateLimiter[group.Key](replyWindow, 256, 1024),
+		freshSent:      newRateLimiter[group.Key](replyWindow(cfg), 256, 1024),
 		pen:            make(map[group.Key][]penMsg),
 		snaps:          make(map[snapKey]*snapTally),
-		reShared:       newRateLimiter[ids.NodeID](replyWindow, 256, 1024),
 		rep:            newRepair(cfg.RoundDuration),
 		holders:        make(map[crypto.Digest]*heldRecord),
 	}
@@ -565,22 +560,18 @@ func (n *Node) heartbeatTick(now time.Duration, allSilent bool) {
 	}
 	for _, m := range n.st.comp.Members {
 		if m.ID != n.cfg.Identity.ID {
-			hb.Lacks = n.rep.lacksFor(m.ID)
+			hb.Lacks = n.lacksFor(m.ID)
 			n.egress.Node(m.ID, hb)
 		}
 	}
 	// One vote per (target, epoch); eviction fires at f+1 votes.
 	for _, m := range n.st.comp.Members {
-		if m.ID == n.cfg.Identity.ID {
-			continue
+		p := n.peers[m.ID]
+		if p == nil {
+			continue // this node
 		}
-		last, ok := n.hbSeen[m.ID]
-		if !ok && !allSilent {
-			n.hbSeen[m.ID] = now
-			continue
-		}
-		if (allSilent || now-last > n.cfg.EvictAfter) && n.evProp[m.ID] != n.st.comp.Epoch {
-			n.evProp[m.ID] = n.st.comp.Epoch
+		if (allSilent || now-p.heardAt > n.cfg.EvictAfter) && p.evictEpoch != n.st.comp.Epoch {
+			p.evictEpoch = n.st.comp.Epoch
 			n.proposeOp(evictVoteOp{GroupID: n.st.comp.GroupID, Target: m.ID, Epoch: n.st.comp.Epoch})
 		}
 	}
@@ -590,26 +581,26 @@ func (n *Node) handleHeartbeat(from ids.NodeID, m Heartbeat) {
 	if n.st == nil || m.GroupID != n.st.comp.GroupID {
 		return
 	}
-	if n.st.comp.Contains(from) {
-		n.hbSeen[from] = n.env.Now()
-		if m.Epoch < n.st.comp.Epoch {
-			n.reShareSnapshot(from, m.Epoch)
-		} else if n.snapsOwed[from] {
-			delete(n.snapsOwed, from)
-			if len(n.snapsOwed) == 0 {
-				n.dropSnapshots()
-			}
-		}
-		n.noteListed(from, m.Lacks)
-		n.checkLacks(from, m)
+	p := n.peers[from]
+	if p == nil {
+		return // not another member of this node's composition
 	}
+	p.heardAt, p.heard = n.env.Now(), group.Key{GroupID: m.GroupID, Epoch: m.Epoch}
+	if m.Epoch < n.st.comp.Epoch {
+		n.reShareSnapshot(from, p, m.Epoch)
+	} else if n.recentSnaps != nil && !n.peerBehind() {
+		n.recentSnaps = nil
+	}
+	n.noteListed(from, m.Lacks)
+	n.checkLacks(p, m)
 }
 
 // reShareSnapshot re-sends this node's share of an epoch snapshot to a
 // member whose heartbeat shows it stuck at an older epoch — anti-entropy
 // for the one-shot catch-up shares, which a partition can swallow entirely.
-// Rate-limited per laggard; only epochs still cached are re-shared.
-func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
+// At most one goes to a laggard per reply window; only epochs still cached
+// are re-shared.
+func (n *Node) reShareSnapshot(to ids.NodeID, p *peer, stuckEpoch uint64) {
 	payload, ok := n.recentSnaps[stuckEpoch]
 	if !ok {
 		return
@@ -619,9 +610,11 @@ func (n *Node) reShareSnapshot(to ids.NodeID, stuckEpoch uint64) {
 	if !ok || !oldComp.Contains(n.cfg.Identity.ID) {
 		return // cannot attest an epoch this node was not part of
 	}
-	if !n.reShared.allow(to, n.env.Now()) {
+	now := n.env.Now()
+	if now < p.reShareAt {
 		return
 	}
+	p.reShareAt = now + replyWindow(n.cfg)
 	n.egress.ToNode(oldComp, to, kindSnapshot, snapMsgID(oldComp, to), payload)
 }
 
@@ -882,17 +875,59 @@ func (n *Node) f() int {
 	return n.cfg.Mode.F(n.st.comp.N())
 }
 
-// resetPeerClocks restarts heartbeat accounting for the current members. The
-// catch-up check keeps its record of the members who stay, and starts one
-// heartbeat period from now for each member new to this node (pull.go).
-func (n *Node) resetPeerClocks() {
+// replyWindow is how often one reply of a kind may go to one node: a
+// freshness reply to a stale sender, a snapshot re-share to a laggard.
+func replyWindow(cfg Config) time.Duration { return 4 * cfg.RoundDuration }
+
+// peer is the member table's record of one other member of this node's
+// composition: what the failure detector, the snapshot cache, the re-share
+// pacing and the catch-up check (pull.go) keep of it.
+type peer struct {
+	heardAt    time.Duration // its last heartbeat, or the last change of composition since
+	heard      group.Key     // the vgroup and epoch its last heartbeat named
+	evictEpoch uint64        // the epoch at which this node proposed to evict it; 0 for none
+	reShareAt  time.Duration // no snapshot re-share goes to it before then
+
+	// The catch-up check: up to when this node's deliveries were checked
+	// against the member's tags, and the digests its tags lacked, oldest
+	// first, at most maxListed, each sent in this node's heartbeats to it
+	// until its tags show it or cacheHorizon has passed since its delivery.
+	upTo  time.Duration
+	lacks []crypto.Digest
+}
+
+// rebuildPeers remakes the member table for the current composition, at
+// every change of it. A member who stays keeps its record: its catch-up
+// check, its re-share pacing and the epoch its last heartbeat named; its
+// heartbeat clock restarts now and its eviction vote is cleared, votes being
+// per epoch. A member new to this node gets a fresh record whose check starts
+// one heartbeat period from now: deliveries up to then are not listed to it,
+// since they may predate its membership. A member who left loses its record.
+func (n *Node) rebuildPeers() {
 	now := n.env.Now()
-	n.rep.keepPeers(n.st.comp, n.cfg.Identity.ID, now+n.cfg.HeartbeatEvery)
-	n.hbSeen = make(map[ids.NodeID]time.Duration, n.st.comp.N())
+	old := n.peers
+	n.peers = make(map[ids.NodeID]*peer, n.st.comp.N())
 	for _, m := range n.st.comp.Members {
-		if m.ID != n.cfg.Identity.ID {
-			n.hbSeen[m.ID] = now
+		if m.ID == n.cfg.Identity.ID {
+			continue
+		}
+		p := old[m.ID]
+		if p == nil {
+			p = &peer{upTo: now + n.cfg.HeartbeatEvery}
+		}
+		p.heardAt, p.evictEpoch = now, 0
+		n.peers[m.ID] = p
+	}
+}
+
+// peerBehind reports whether some other member's last heartbeat named an
+// epoch before the current one, or none of this vgroup: that member may yet
+// ask for a cached snapshot.
+func (n *Node) peerBehind() bool {
+	for _, m := range n.st.comp.Members {
+		if p := n.peers[m.ID]; p != nil && (p.heard.GroupID != n.st.comp.GroupID || p.heard.Epoch < n.st.comp.Epoch) {
+			return true
 		}
 	}
-	n.evProp = make(map[ids.NodeID]uint64)
+	return false
 }

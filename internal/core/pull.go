@@ -234,19 +234,6 @@ type repair struct {
 	ticks  uint64 // repairTick calls, to age out pulls
 	served *rateLimiter[ids.NodeID]
 	since  time.Duration // when this node last became a member of a vgroup
-	// peers is the catch-up check's record of each member of this node's
-	// composition that it knows. Members who stay keep theirs across
-	// reconfigurations; it is dropped when they leave (resetPeerClocks).
-	peers map[ids.NodeID]*peerCheck
-}
-
-// peerCheck is what checkLacks keeps of one member: up to when this node's
-// deliveries were checked against its tags, and the digests its tags lacked,
-// oldest first, at most maxListed, each sent in this node's heartbeats to it
-// until its tags show it or cacheHorizon has passed since its delivery.
-type peerCheck struct {
-	upTo  time.Duration
-	lacks []crypto.Digest
 }
 
 // listing is one catch-up table entry: the members of this node's
@@ -270,7 +257,6 @@ func newRepair(round time.Duration) repair {
 		listed: make(map[crypto.Digest]*listing),
 		opened: make(map[ids.NodeID]int),
 		pulls:  make(map[crypto.Digest]*pulling),
-		peers:  make(map[ids.NodeID]*peerCheck),
 		// One pull per requester per round: a correct node sends each peer at
 		// most one PayloadPull per tick.
 		served: newRateLimiter[ids.NodeID](round/2, 256, 1024),
@@ -287,40 +273,20 @@ func (r *repair) unlist(d crypto.Digest) {
 	}
 }
 
-// keepPeers drops the check records of the nodes that are not members of
-// comp, and starts one for each member that has none — one admitted by the
-// change — whose check starts at from: deliveries up to then are not listed to
-// it, since they may predate its membership.
-func (r *repair) keepPeers(comp group.Composition, self ids.NodeID, from time.Duration) {
-	maps.DeleteFunc(r.peers, func(id ids.NodeID, _ *peerCheck) bool { return !comp.Contains(id) })
-	for _, m := range comp.Members {
-		if m.ID != self && r.peers[m.ID] == nil {
-			r.peers[m.ID] = &peerCheck{upTo: from}
-		}
-	}
-}
-
 // lacksFor returns a copy of the digests queued for member to, nil for none.
-func (r *repair) lacksFor(to ids.NodeID) []crypto.Digest {
-	if p := r.peers[to]; p != nil && len(p.lacks) > 0 {
+func (n *Node) lacksFor(to ids.NodeID) []crypto.Digest {
+	if p := n.peers[to]; p != nil && len(p.lacks) > 0 {
 		return slices.Clone(p.lacks)
 	}
 	return nil
 }
 
-// checkLacks checks this node's deliveries against the tags of a member's
-// heartbeat. The queued digests the tags show, or delivered more than
-// cacheHorizon ago, leave the member's queue. The deliveries after the
-// previous check, no older than cacheHorizon and up to one skew margin ago,
-// whose tags are missing join it. Only members of the current composition
-// reach here (handleHeartbeat).
-func (n *Node) checkLacks(from ids.NodeID, m Heartbeat) {
-	r := &n.rep
-	p := r.peers[from]
-	if p == nil {
-		p = &peerCheck{}
-		r.peers[from] = p
-	}
+// checkLacks checks this node's deliveries against the tags of a heartbeat
+// from the member whose record p is (handleHeartbeat). The queued digests the
+// tags show, or delivered more than cacheHorizon ago, leave the member's
+// queue. The deliveries after the previous check, no older than cacheHorizon
+// and up to one skew margin ago, whose tags are missing join it.
+func (n *Node) checkLacks(p *peer, m Heartbeat) {
 	shown := func(d crypto.Digest) bool {
 		_, ok := slices.BinarySearch(m.Have, haveTag(m.Salt, d))
 		return ok

@@ -3,9 +3,11 @@ package core
 import "time"
 
 // rateLimiter admits at most one event per key per window. The engine keeps
-// one instance per reply it rate-limits (freshness replies, catch-up
-// re-shares): the instances share logic, never state — a reply suppressed
-// as "already shared" by one must not silence the other.
+// one instance per reply it rate-limits (freshness replies, served pulls):
+// the instances share logic, never state — a reply suppressed as "already
+// shared" by one must not silence the other. Both are keyed by nodes that
+// need not be members; what is paced per member lives in the member table
+// (peer.reShareAt).
 //
 // Memory is bounded in two steps. Past soft entries, entries older than the
 // window are evicted; they would be admitted anyway, so eviction never

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestRateLimiter pins the one limiter behind freshness replies and catch-up
-// re-shares: one event per key per window, overflow evicts only entries that
+// TestRateLimiter pins the one limiter behind freshness replies and served
+// pulls: one event per key per window, overflow evicts only entries that
 // would be admitted anyway, and a table full of live entries is forgotten
 // wholesale at the hard cap.
 func TestRateLimiter(t *testing.T) {

@@ -113,10 +113,7 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 	// Pending egress batches were enqueued under the parent composition;
 	// they must leave stamped with it, not with the split-off group's.
 	n.egress.FlushAll()
-	if n.replica != nil {
-		n.replica.Stop()
-		n.replica = nil
-	}
+	n.stopReplica()
 	applied := n.st.applied
 	n.st = newGroupState(eComp, eNbrs)
 	// Inherit the parent's dedup window: both halves share the pre-split
@@ -124,12 +121,12 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 	n.st.applied = applied
 	// The cached snapshots attest the parent vgroup. A re-share answers a
 	// heartbeat under this vgroup's GroupID, so none of them can be asked for.
-	n.dropSnapshots()
+	n.recentSnaps = nil
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	n.learnComp(dComp)
 	n.forgetSnapshots(dComp, false) // the parent vgroup's, behind the epoch this member left it at
 	n.makeReplica()
-	n.resetPeerClocks()
+	n.rebuildPeers()
 }
 
 // applySplitInsert relocates a split-off vgroup: insert it between us and
@@ -291,10 +288,10 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	// torn down below; it would otherwise be silently delayed past the move.
 	n.egress.FlushAll()
 	n.expectSnapshotFrom(p.Absorber)
-	if n.replica != nil {
-		n.replica.Stop()
-		n.replica = nil
-	}
+	n.stopReplica()
+	// As on a split: the cached snapshots attest this vgroup, and a re-share
+	// answers a heartbeat under the absorber's GroupID.
+	n.recentSnaps = nil
 	n.st = nil
 	n.phase = phaseAwaitSnapshot
 	n.awaitDeadline = n.env.Now() + 2*n.cfg.JoinTimeout

@@ -28,7 +28,6 @@ func (e *portEnv) Send(to ids.NodeID, msg actor.Message) {
 	e.sent, e.to = append(e.sent, msg.(group.GroupMsg)), append(e.to, to)
 }
 func (e *portEnv) SetTimer(time.Duration, any) actor.TimerID { return 0 }
-func (e *portEnv) CancelTimer(actor.TimerID)                 {}
 func (e *portEnv) Rand() *rand.Rand                          { return e.rng }
 func (e *portEnv) Logf(string, ...any)                       {}
 

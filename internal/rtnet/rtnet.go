@@ -267,7 +267,7 @@ type rtNode struct {
 
 	timerMu  sync.Mutex
 	timerSeq uint64
-	pending  map[actor.TimerID]*time.Timer
+	pending  map[actor.TimerID]*time.Timer // not fired yet: stopped at shutdown
 }
 
 // post enqueues an event; reports false if the node no longer accepts events.
@@ -312,12 +312,9 @@ func (n *rtNode) loop(wg *sync.WaitGroup) {
 			n.node.Receive(ev.from, ev.msg)
 		case evTimer:
 			n.timerMu.Lock()
-			_, live := n.pending[ev.tid]
 			delete(n.pending, ev.tid)
 			n.timerMu.Unlock()
-			if live {
-				n.node.Timer(ev.tid, ev.data)
-			}
+			n.node.Timer(ev.tid, ev.data)
 		case evInvoke:
 			ev.fn()
 			close(ev.done)
@@ -386,16 +383,6 @@ func (e *rtEnv) SetTimer(d time.Duration, data any) actor.TimerID {
 	})
 	n.timerMu.Unlock()
 	return id
-}
-
-func (e *rtEnv) CancelTimer(id actor.TimerID) {
-	n := e.n
-	n.timerMu.Lock()
-	if t, ok := n.pending[id]; ok {
-		t.Stop()
-		delete(n.pending, id)
-	}
-	n.timerMu.Unlock()
 }
 
 func (e *rtEnv) Logf(format string, args ...any) {

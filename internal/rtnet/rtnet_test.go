@@ -2,7 +2,6 @@ package rtnet
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,32 +173,6 @@ func TestTimerFiresOnce(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := p.timerCount(); got != 1 {
 		t.Fatalf("timer fired %d times", got)
-	}
-}
-
-func TestCancelTimer(t *testing.T) {
-	rt := New(Options{})
-	defer rt.Close()
-	p := newProbe()
-	var cancelled atomic.Bool
-	p.startFn = func(env actor.Env) {
-		id := env.SetTimer(30*time.Millisecond, "dead")
-		env.CancelTimer(id)
-		cancelled.Store(true)
-		env.SetTimer(5*time.Millisecond, "live")
-	}
-	if err := rt.Add(1, p); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "live timer", func() bool { return p.timerCount() >= 1 })
-	time.Sleep(50 * time.Millisecond)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !cancelled.Load() {
-		t.Fatal("start did not run")
-	}
-	if len(p.timers) != 1 || p.timers[0] != "live" {
-		t.Fatalf("timers = %v, want [live]", p.timers)
 	}
 }
 

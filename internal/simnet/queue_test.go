@@ -32,7 +32,7 @@ type refEvent struct {
 	seq    uint64
 	id     int
 	timer  actor.TimerID // nonzero for a timer
-	silent bool          // a cancelled timer: it pops, but nothing fires
+	silent bool          // a gone node's timer or a Start: it pops, but fires nothing here
 }
 
 // model runs a Network and a reference queue through one schedule: the
@@ -50,7 +50,7 @@ type model struct {
 	nextID  int
 	budget  int  // events left to schedule, so that every run ends
 	fired   bool // an event fired during the current Step
-	inRun   bool // inside Run: cancelled timers pop unseen
+	inRun   bool // inside Run: silent events pop unseen
 }
 
 // modelNode hands its timer fires to the model.
@@ -65,8 +65,8 @@ func (n *modelNode) Receive(ids.NodeID, actor.Message) {}
 func (n *modelNode) Timer(_ actor.TimerID, data any)   { n.fire(data.(int)) }
 
 // checkEventOrder drives ops random operations (schedule, set a timer,
-// cancel one, Step, Run) against a Network and the reference, then drains
-// both, failing t at the first difference.
+// crash or remove the timers' node, Step, Run) against a Network and the
+// reference, then drains both, failing t at the first difference.
 func checkEventOrder(t testing.TB, c chooser, ops int) {
 	net := New(Config{Seed: 1})
 	node := &modelNode{}
@@ -79,7 +79,7 @@ func checkEventOrder(t testing.TB, c chooser, ops int) {
 		case 0, 1:
 			m.add(c.Intn(2) == 0)
 		case 2:
-			m.cancel()
+			m.crash()
 		case 3, 4:
 			m.step()
 		case 5:
@@ -122,6 +122,11 @@ func (m *model) add(timer bool) {
 	} else {
 		m.net.Schedule(m.net.Now()+d, func() { m.fire(id) })
 	}
+	m.enqueue(e, d)
+}
+
+// enqueue adds e to the reference, due d from now.
+func (m *model) enqueue(e refEvent, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -134,21 +139,23 @@ func (m *model) add(timer bool) {
 	m.pending[i] = e
 }
 
-// cancel cancels a pending timer, or now and then an ID that names none.
-func (m *model) cancel() {
-	var live []int
-	for i, e := range m.pending {
-		if e.timer != 0 && !e.silent {
-			live = append(live, i)
+// crash crashes or removes the node the timers are set on, so that its
+// pending timers pop without firing, and adds a new incarnation under the
+// same ID, whose timers fire and whose Start is one more silent event.
+func (m *model) crash() {
+	if m.c.Intn(2) == 0 {
+		m.net.Crash(1)
+	} else {
+		m.net.Remove(1)
+	}
+	for i := range m.pending {
+		if m.pending[i].timer != 0 {
+			m.pending[i].silent = true
 		}
 	}
-	if len(live) == 0 || m.c.Intn(4) == 0 {
-		m.env.CancelTimer(1 << 40)
-		return
-	}
-	i := live[m.c.Intn(len(live))]
-	m.env.CancelTimer(m.pending[i].timer)
-	m.pending[i].silent = true
+	m.net.Add(1, &modelNode{fire: m.fire})
+	m.env = m.net.nodes[1].env
+	m.enqueue(refEvent{silent: true}, 0)
 }
 
 func (m *model) pop() (refEvent, bool) {
@@ -188,7 +195,7 @@ func (m *model) step() bool {
 	m.fired = false
 	ok := m.net.Step()
 	if !m.fired {
-		// Nothing fired: the queue was empty or a cancelled timer popped.
+		// Nothing fired: the queue was empty or a silent event popped.
 		e, rok := m.pop()
 		if rok != ok || rok && !e.silent {
 			m.t.Fatalf("Step()=%v fired nothing; the reference's next is %+v (ok=%v)", ok, e, rok)
@@ -232,8 +239,8 @@ func (m *model) check(op string) {
 
 // TestQueueMatchesReference runs seeded random schedules (zero and equal
 // delays, events scheduled from inside callbacks, Schedule in the past,
-// cancelled timers, Run(until) with events at exactly until) against the
-// reference model.
+// timers of a crashed or removed node and of its new incarnation, Run(until)
+// with events at exactly until) against the reference model.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		checkEventOrder(t, rand.New(rand.NewSource(seed)), 300)
@@ -249,76 +256,6 @@ func FuzzEventOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEventOrder(t, &byteChooser{b: data}, min(len(data), 400))
 	})
-}
-
-// timerNode records the data of every timer that fires.
-type timerNode struct {
-	env   actor.Env
-	fired []any
-}
-
-func (n *timerNode) Start(env actor.Env)               { n.env = env }
-func (n *timerNode) Stop()                             {}
-func (n *timerNode) Receive(ids.NodeID, actor.Message) {}
-func (n *timerNode) Timer(_ actor.TimerID, data any)   { n.fired = append(n.fired, data) }
-
-func TestCancelTimerSemantics(t *testing.T) {
-	net := New(Config{Seed: 1})
-	a := &timerNode{}
-	net.Add(1, a)
-	net.Run(0)
-	env := a.env.(*nodeEnv)
-
-	// A cancel before the timer fires suppresses it.
-	id := a.env.SetTimer(10*time.Millisecond, "cancelled")
-	a.env.CancelTimer(id)
-	net.Run(net.Now() + time.Second)
-	if len(a.fired) != 0 {
-		t.Fatalf("cancelled timer fired: %v", a.fired)
-	}
-
-	// A cancel after the timer fired, or for an ID never issued, is a no-op
-	// and leaves nothing behind.
-	id = a.env.SetTimer(10*time.Millisecond, "fires")
-	net.Run(net.Now() + time.Second)
-	a.env.CancelTimer(id)
-	a.env.CancelTimer(id + 1000)
-	if len(a.fired) != 1 || a.fired[0] != "fires" {
-		t.Fatalf("fired %v, want [fires]", a.fired)
-	}
-	if len(env.pending) != 0 {
-		t.Fatalf("%d timers recorded as pending after every one fired or was cancelled", len(env.pending))
-	}
-
-	// A removed or a crashed node's pending timers never fire.
-	b, c := &timerNode{}, &timerNode{}
-	net.Add(2, b)
-	net.Add(3, c)
-	net.Run(net.Now())
-	b.env.SetTimer(10*time.Millisecond, "removed")
-	c.env.SetTimer(10*time.Millisecond, "crashed")
-	net.Remove(2)
-	net.Crash(3)
-	net.Run(net.Now() + time.Second)
-	if len(b.fired)+len(c.fired) != 0 {
-		t.Fatalf("timers of a removed and a crashed node fired: %v, %v", b.fired, c.fired)
-	}
-
-	// A node re-added under the same ID gets only its own timers, never the
-	// old incarnation's.
-	old := &timerNode{}
-	net.Add(4, old)
-	net.Run(net.Now())
-	old.env.SetTimer(50*time.Millisecond, "old")
-	net.Crash(4)
-	fresh := &timerNode{}
-	net.Add(4, fresh)
-	net.Run(net.Now())
-	fresh.env.SetTimer(100*time.Millisecond, "fresh")
-	net.Run(net.Now() + time.Second)
-	if len(old.fired) != 0 || len(fresh.fired) != 1 || fresh.fired[0] != "fresh" {
-		t.Fatalf("old incarnation fired %v, new one %v; want [] and [fresh]", old.fired, fresh.fired)
-	}
 }
 
 // countNode counts what it receives and keeps nothing.

@@ -509,10 +509,9 @@ func byteTime(size int, bytesPerSec int64) time.Duration {
 
 // nodeEnv implements actor.Env for one simulated node.
 type nodeEnv struct {
-	net     *Network
-	self    *simNode
-	rng     *rand.Rand
-	pending map[actor.TimerID]bool
+	net  *Network
+	self *simNode
+	rng  *rand.Rand
 }
 
 var _ actor.Env = (*nodeEnv)(nil)
@@ -534,24 +533,13 @@ func (e *nodeEnv) SetTimer(d time.Duration, data any) actor.TimerID {
 	if d < 0 {
 		d = 0
 	}
-	if e.pending == nil {
-		e.pending = make(map[actor.TimerID]bool)
-	}
-	e.pending[id] = true
 	e.net.schedule(d, body{kind: evTimer, env: e, id: id, msg: data})
 	return id
 }
 
-func (e *nodeEnv) CancelTimer(id actor.TimerID) {
-	delete(e.pending, id)
-}
-
-// fire runs timer id unless it was cancelled or its node is gone.
+// fire runs timer id if and only if its node is alive: a removed or crashed
+// node's timers, and an earlier incarnation's under a re-added ID, pop unseen.
 func (e *nodeEnv) fire(id actor.TimerID, data any) {
-	if !e.pending[id] {
-		return // cancelled
-	}
-	delete(e.pending, id)
 	if e.self.alive {
 		e.self.node.Timer(id, data)
 	}
