@@ -247,7 +247,7 @@ const (
 )
 
 // seedHolders returns a record of digest holding the votes for it the inbox's
-// lending index holds, and forwardGossip's reference.
+// shared entries of it hold, and forwardGossip's reference.
 func (n *Node) seedHolders(digest crypto.Digest) *heldRecord {
 	r := &heldRecord{refs: 1}
 	r.votes = r.inline[:0]

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
+	"hash/maphash"
 	"iter"
-	"slices"
 
 	"atum/internal/crypto"
 )
@@ -28,27 +27,27 @@ type windowChunk[V any] struct {
 // whole once its last slot has left, so the slack is under two chunks at
 // any fill.
 //
-// Index. idx maps a digest's first 4 bytes to the position of the oldest
-// digest of that prefix in the window. Positions are uint32 and wrap: each
-// is read as its offset from base, the position of the oldest digest. A
-// digest whose prefix another one in the window already owns goes to over,
-// and at the owner's eviction the oldest twin takes its index entry. Every
-// hit compares the full 32-byte digest, and nothing in the window iterates a
-// map, so every replica answers and orders identically.
+// Index. table is an open-addressed hash table of positions: a power of two
+// of uint32 slots, at most half of them used, probed linearly from the slot
+// the digest's hash picks. A used slot holds its digest's position as the
+// offset from origin plus one, so zero marks a free slot; origin moves to
+// base whenever the table is rebuilt and before an offset would wrap. Every
+// hit compares the full 32-byte digest, and an eviction shifts the digests
+// that probed past its slot back (backward-shift deletion), so no tombstones
+// pile up. Nothing in the window iterates the table in an order it reports,
+// so every replica answers and orders identically.
 //
-// The 4-byte prefix. Go seeds every map's hash per map, so no sender can aim
-// digests at one bucket of idx. A shared prefix costs one more exact compare
-// per lookup of that prefix. Making k digests share one prefix takes about
-// k·2³² hashes, and slows only the lookups of that prefix.
+// The hash is keyed by a seed from hash/maphash drawn per window, not by the
+// simulation's RNG: no sender can aim digests at one run of slots, and a
+// seeded run replays whatever the seeds.
 type digestWindow[V any] struct {
-	chunks []*windowChunk[V]   // oldest first; chunks[0] holds position base
-	base   uint32              // position of the oldest digest
-	n      int                 // digests held
-	idx    map[uint32]uint32   // prefix → position of its oldest digest
-	over   map[uint32][]uint32 // prefix → positions of the younger ones, oldest first
+	chunks []*windowChunk[V] // oldest first; chunks[0] holds position base
+	base   uint32            // position of the oldest digest
+	n      int               // digests held
+	table  []uint32          // position − origin + 1 of each digest held; 0: free
+	origin uint32
+	seed   maphash.Seed
 }
-
-func digestPrefix(d crypto.Digest) uint32 { return binary.LittleEndian.Uint32(d[:4]) }
 
 // slot returns the chunk and slot of position pos, which the window holds.
 func (w *digestWindow[V]) slot(pos uint32) (*windowChunk[V], int) {
@@ -62,17 +61,23 @@ func (w *digestWindow[V]) at(pos uint32) crypto.Digest {
 	return c.digests[i]
 }
 
+// home returns the table slot d's probe starts at.
+func (w *digestWindow[V]) home(d crypto.Digest) int {
+	return int(maphash.Bytes(w.seed, d[:]) & uint64(len(w.table)-1))
+}
+
 // find returns the position of d, false when d is not in the window.
 func (w *digestWindow[V]) find(d crypto.Digest) (uint32, bool) {
-	p := digestPrefix(d)
-	if pos, ok := w.idx[p]; !ok || w.at(pos) == d {
-		return pos, ok
-	}
-	i := slices.IndexFunc(w.over[p], func(pos uint32) bool { return w.at(pos) == d })
-	if i < 0 {
+	if w.n == 0 {
 		return 0, false
 	}
-	return w.over[p][i], true
+	mask := len(w.table) - 1
+	for i := w.home(d); w.table[i] != 0; i = (i + 1) & mask {
+		if pos := w.origin + w.table[i] - 1; w.at(pos) == d {
+			return pos, true
+		}
+	}
+	return 0, false
 }
 
 // has reports whether d is in the window.
@@ -96,22 +101,21 @@ func (w *digestWindow[V]) get(d crypto.Digest) (V, bool) {
 func (w *digestWindow[V]) len() int { return w.n }
 
 // add appends d with v unless d is already in the window, and reports
-// whether it did. Past limit digests, the oldest leaves.
+// whether it did. At limit digests, limit at least 1, the oldest leaves
+// first.
 func (w *digestWindow[V]) add(d crypto.Digest, v V, limit int) bool {
 	if w.has(d) {
 		return false
 	}
-	if w.idx == nil {
-		w.idx = make(map[uint32]uint32)
+	if w.n >= limit {
+		w.evict()
 	}
-	p, pos := digestPrefix(d), w.base+uint32(w.n)
-	if _, taken := w.idx[p]; taken {
-		if w.over == nil {
-			w.over = make(map[uint32][]uint32)
-		}
-		w.over[p] = append(w.over[p], pos)
-	} else {
-		w.idx[p] = pos
+	if 2*(w.n+1) > len(w.table) {
+		w.rebuild(max(8, 2*len(w.table)))
+	}
+	pos := w.base + uint32(w.n)
+	if pos-w.origin+1 == 0 {
+		w.rebuild(len(w.table)) // the offset would wrap: rebase it
 	}
 	if k := w.n + int(w.base%windowChunkSlots); k/windowChunkSlots == len(w.chunks) {
 		w.chunks = append(w.chunks, new(windowChunk[V]))
@@ -119,26 +123,53 @@ func (w *digestWindow[V]) add(d crypto.Digest, v V, limit int) bool {
 	c, i := w.slot(pos)
 	c.digests[i], c.values[i] = d, v
 	w.n++
-	if w.n > limit {
-		w.evict()
-	}
+	w.index(d, pos)
 	return true
 }
 
-// evict drops the oldest digest. It owns its prefix's index entry, since an
-// owner is always the oldest of its prefix; the oldest twin takes it over.
+// index enters position pos, where d sits, in the table's first free slot
+// from d's home.
+func (w *digestWindow[V]) index(d crypto.Digest, pos uint32) {
+	mask := len(w.table) - 1
+	i := w.home(d)
+	for w.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	w.table[i] = pos - w.origin + 1
+}
+
+// rebuild makes a table of size slots, rebased at base, and indexes the
+// window's digests in it.
+func (w *digestWindow[V]) rebuild(size int) {
+	if w.table == nil {
+		w.seed = maphash.MakeSeed()
+	}
+	w.table, w.origin = make([]uint32, size), w.base
+	for k := range w.n {
+		pos := w.base + uint32(k)
+		w.index(w.at(pos), pos)
+	}
+}
+
+// evict drops the oldest digest. Its table slot is freed by shifting back
+// each digest of the probe run after it that may sit there, so every digest
+// stays reachable from its home without passing a free slot.
 func (w *digestWindow[V]) evict() {
 	c, i := w.slot(w.base)
-	old := digestPrefix(c.digests[i])
-	switch twins := w.over[old]; len(twins) {
-	case 0:
-		delete(w.idx, old)
-	case 1:
-		w.idx[old] = twins[0]
-		delete(w.over, old)
-	default:
-		w.idx[old], w.over[old] = twins[0], twins[1:]
+	mask := len(w.table) - 1
+	free := w.home(c.digests[i])
+	for w.table[free] != w.base-w.origin+1 {
+		free = (free + 1) & mask
 	}
+	for j := (free + 1) & mask; w.table[j] != 0; j = (j + 1) & mask {
+		// The digest at j may move to free unless its home lies after free,
+		// up to j, along the run.
+		if home := w.home(w.at(w.origin + w.table[j] - 1)); (j-home)&mask >= (j-free)&mask {
+			w.table[free] = w.table[j]
+			free = j
+		}
+	}
+	w.table[free] = 0
 	var zero V
 	c.digests[i], c.values[i] = crypto.Digest{}, zero
 	w.base++

@@ -91,9 +91,10 @@ func windowPool() []crypto.Digest {
 }
 
 // checkWindow compares w with a reference after a step: the same digests and
-// values in the same order, the same answer for every digest of the pool, an
-// index that places each digest of the window exactly once, and no chunk the
-// window's positions do not span.
+// values in the same order, the same answer for every digest of the pool, a
+// table at most half used that places each digest of the window exactly once,
+// where a probe from its home reaches it, and no chunk the window's positions
+// do not span.
 func checkWindow[V comparable](t *testing.T, step int, w *digestWindow[V], order []crypto.Digest, want func(crypto.Digest) (V, bool), pool []crypto.Digest) {
 	t.Helper()
 	var got []crypto.Digest
@@ -112,26 +113,28 @@ func checkWindow[V comparable](t *testing.T, step int, w *digestWindow[V], order
 			t.Fatalf("step %d: get(%x) = %v, %v, reference %v, %v", step, d[:5], v, ok, wv, wok)
 		}
 	}
+	size := len(w.table)
+	if w.n > 0 && (size&(size-1) != 0 || 2*w.n > size) {
+		t.Fatalf("step %d: %d digests in a table of %d slots, want a power of two at most half used", step, w.n, size)
+	}
 	placed := make(map[uint32]bool)
-	for p, pos := range w.idx {
-		placed[pos] = true
-		if pos-w.base >= uint32(w.n) || digestPrefix(w.at(pos)) != p {
-			t.Fatalf("step %d: index entry %x points at position %d, outside the window or at another prefix", step, p, pos)
+	for i, v := range w.table {
+		if v == 0 {
+			continue
 		}
-		for _, twin := range w.over[p] {
-			if twin-w.base <= pos-w.base || twin-w.base >= uint32(w.n) || placed[twin] || digestPrefix(w.at(twin)) != p {
-				t.Fatalf("step %d: overflow position %d for prefix %x is misplaced", step, twin, p)
+		pos := w.origin + v - 1
+		if pos-w.base >= uint32(w.n) || placed[pos] {
+			t.Fatalf("step %d: table slot %d holds position %d, outside the window or placed twice", step, i, pos)
+		}
+		placed[pos] = true
+		for j := w.home(w.at(pos)); j != i; j = (j + 1) & (size - 1) {
+			if w.table[j] == 0 {
+				t.Fatalf("step %d: position %d in slot %d lies past free slot %d of its probe", step, pos, i, j)
 			}
-			placed[twin] = true
 		}
 	}
 	if len(placed) != len(order) {
 		t.Fatalf("step %d: the index places %d positions, the window holds %d", step, len(placed), len(order))
-	}
-	for p := range w.over {
-		if _, ok := w.idx[p]; !ok || len(w.over[p]) == 0 {
-			t.Fatalf("step %d: overflow entry %x without an index owner", step, p)
-		}
 	}
 	span := 0
 	if w.n > 0 {
@@ -224,29 +227,42 @@ func TestDeliveredIndexMatchesReference(t *testing.T) {
 	})
 }
 
-// TestDigestWindowEvictsOwnerBeforeTwin: when the digest that owns a prefix's
-// index entry leaves, its younger twin in the overflow map takes the entry
-// and is still found; the evicted owner is not.
+// TestDigestWindowEvictsOwnerBeforeTwin: when the digest whose table slot
+// starts a probe run leaves, its younger twin — a digest of the same home
+// slot, one slot further on — shifts back into that slot and is still found;
+// the evicted owner is not.
 func TestDigestWindowEvictsOwnerBeforeTwin(t *testing.T) {
-	owner, twin, other := windowDigest(1, 1), windowDigest(1, 2), windowDigest(2, 1)
+	owner, other := windowDigest(1, 1), windowDigest(2, 1)
 	var w digestWindow[struct{}]
-	for _, d := range []crypto.Digest{owner, twin, other} {
+	if !w.add(owner, struct{}{}, 3) {
+		t.Fatal("add refused the first digest")
+	}
+	home := w.home(owner)
+	twin := owner
+	for suffix := 2; twin == owner || w.home(twin) != home; suffix++ {
+		if suffix > 255 {
+			t.Fatal("no digest of the pool shares the owner's home slot")
+		}
+		twin = windowDigest(1, byte(suffix))
+	}
+	for _, d := range []crypto.Digest{twin, other} {
 		if !w.add(d, struct{}{}, 3) {
 			t.Fatalf("add(%x) refused a new digest", d[:5])
 		}
 	}
-	if len(w.over[digestPrefix(twin)]) != 1 {
-		t.Fatalf("the twin is not in the overflow map: %v", w.over)
+	next := (home + 1) & (len(w.table) - 1)
+	if w.at(w.origin+w.table[next]-1) != twin {
+		t.Fatalf("the twin is not in the slot after its home: table %v", w.table)
 	}
 	if w.add(twin, struct{}{}, 3) {
-		t.Fatal("a digest in the overflow map was added twice")
+		t.Fatal("a digest past its home slot was added twice")
 	}
 	w.add(windowDigest(3, 1), struct{}{}, 3) // evicts the owner
 	if w.has(owner) || !w.has(twin) {
 		t.Fatalf("after the owner's eviction: has(owner) = %v, has(twin) = %v", w.has(owner), w.has(twin))
 	}
-	if len(w.over) != 0 || w.at(w.idx[digestPrefix(twin)]) != twin {
-		t.Fatalf("the twin did not take the owner's index entry: idx %v, over %v", w.idx, w.over)
+	if w.table[home] == 0 || w.at(w.origin+w.table[home]-1) != twin {
+		t.Fatalf("the twin did not take the owner's slot: table %v", w.table)
 	}
 	var got []crypto.Digest
 	for d := range w.all() {
@@ -257,12 +273,47 @@ func TestDigestWindowEvictsOwnerBeforeTwin(t *testing.T) {
 	}
 }
 
+// TestDigestWindowRebasesBeforeOffsetWraps: a table slot holds a position's
+// offset from the table's origin plus one, and zero marks a free slot, so an
+// offset of 2³²−1 cannot be stored. Without a rebuild the origin stays put
+// while the window moves on; here it is moved back until the next digest's
+// offset is 2³²−1, and adding that digest must rebase the table first.
+func TestDigestWindowRebasesBeforeOffsetWraps(t *testing.T) {
+	pool := windowPool()
+	var w digestWindow[struct{}]
+	var ref refWindow
+	for _, d := range pool[:3] {
+		w.add(d, struct{}{}, 8)
+		ref.add(d, 8)
+	}
+	newOrigin := w.base + uint32(w.n) + 1 // the next position's offset is then 2³²−1
+	for i, v := range w.table {
+		if v != 0 {
+			w.table[i] = w.origin + v - 1 - newOrigin + 1
+		}
+	}
+	w.origin = newOrigin
+	checkWindow(t, 0, &w, ref.q, ref.get, pool)
+	for i, d := range pool[3:6] {
+		if !w.add(d, struct{}{}, 8) {
+			t.Fatalf("add(%x) refused a new digest", d[:5])
+		}
+		ref.add(d, 8)
+		checkWindow(t, i+1, &w, ref.q, ref.get, pool)
+	}
+	if w.origin != w.base {
+		t.Errorf("origin %d, want the table rebased at base %d", w.origin, w.base)
+	}
+}
+
 // TestDigestWindowBytesPerDigest: filled to their bound, the dedup window
-// holds at most 52 B of heap per digest and the delivered index, its payloads
-// gone, at most 64 B: 32 B of digest, 8 B of delivery time, and about 18 B of
-// index, since at 8 192 entries the index map has just split into 16 tables
-// of 1 024 slots. A map keyed by the full digest plus a FIFO slice held
-// 68 B and 128 B.
+// holds at most 42 B of heap per digest and the delivered index, its payloads
+// gone, at most 52 B: 32 B of digest, 8 B of delivery time (its chunk fills a
+// 2 688 B size class, 2 B more per digest), and 8 B of index, since 8 192
+// digests fill half of a table of 16 384 four-byte slots. A map keyed by the
+// full digest plus a FIFO slice held 68 B and 128 B; a map keyed by the
+// digest's 4-byte prefix, with an overflow map for the prefixes shared, held
+// 50.8 B and 60.7 B.
 func TestDigestWindowBytesPerDigest(t *testing.T) {
 	digest := func(i int) crypto.Digest { return crypto.HashUint64(crypto.Digest{}, uint64(i)) }
 	// The least of three fills: goroutines other tests left running allocate
@@ -300,11 +351,11 @@ func TestDigestWindowBytesPerDigest(t *testing.T) {
 		return x
 	})
 	t.Logf("dedup window %.1f B per digest, delivered index %.1f B per digest", applied, delivered)
-	if applied > 52 {
-		t.Errorf("the dedup window holds %.1f B per digest at its bound, want at most 52", applied)
+	if applied > 42 {
+		t.Errorf("the dedup window holds %.1f B per digest at its bound, want at most 42", applied)
 	}
-	if delivered > 64 {
-		t.Errorf("the delivered index holds %.1f B per digest at its bound, want at most 64", delivered)
+	if delivered > 52 {
+		t.Errorf("the delivered index holds %.1f B per digest at its bound, want at most 52", delivered)
 	}
 }
 

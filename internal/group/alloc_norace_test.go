@@ -49,7 +49,8 @@ func TestBatchFrameAllocCeilings(t *testing.T) {
 
 // TestObserveOpensEntryInOneAllocation: an entry holds its first four votes
 // and its first payload in itself, so opening a message that is not in the
-// lending index and collecting up to four votes for it costs the entry alone.
+// lending rule (not shared) and collecting up to four votes for it costs the
+// entry alone.
 // Each run opens a fresh MsgID with a full copy and three digest-only votes of
 // a nine-member source, short of its majority of five: the entry stays
 // pending.
@@ -79,5 +80,42 @@ func TestObserveOpensEntryInOneAllocation(t *testing.T) {
 	}
 	if n := ib.Len(); n != 1+len(msgIDs) {
 		t.Errorf("%d messages remembered, want %d", n, 1+len(msgIDs))
+	}
+}
+
+// TestObserveChainsSharedEntryInOneAllocation: a gossip message — its MsgID
+// is its payload digest — that one source's entry holds already costs a
+// second source's entry the entry alone. The entries of one MsgID are chained
+// through themselves, so no per-MsgID list of sources grows with them; such a
+// list cost each second source's entry one allocation more.
+func TestObserveChainsSharedEntryInOneAllocation(t *testing.T) {
+	A, B := comp(1, 1, 1, 2, 3), comp(2, 1, 4, 5, 6)
+	ib := NewInbox(func(k Key) (Composition, bool) {
+		if k == B.Key() {
+			return B, true
+		}
+		return A, k == A.Key()
+	})
+	copyOf := func(src Composition, d crypto.Digest) GroupMsg {
+		return GroupMsg{SrcGroup: src.GroupID, SrcEpoch: src.Epoch, MsgID: d, PayloadDigest: d}
+	}
+	ib.Observe(0, 4, copyOf(B, crypto.Hash([]byte("warm")))) // B's counts
+	digests := make([]crypto.Digest, 201)
+	for i := range digests {
+		digests[i] = crypto.HashUint64(crypto.Hash([]byte("gossip")), uint64(i))
+		ib.Observe(0, 1, copyOf(A, digests[i]))
+	}
+	run := 0
+	got := testing.AllocsPerRun(200, func() {
+		if _, ok := ib.Observe(0, 4, copyOf(B, digests[run])); ok {
+			t.Fatal("accepted on one vote of three members")
+		}
+		run++
+	})
+	if got != 1 {
+		t.Errorf("a second source's entry of a shared MsgID allocates %.0f objects, want 1", got)
+	}
+	if n := ib.Len(); n != 1+2*len(digests) {
+		t.Errorf("%d messages remembered, want %d", n, 1+2*len(digests))
 	}
 }

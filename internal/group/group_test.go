@@ -264,8 +264,8 @@ func TestInboxFlushKeyOrderIsSorted(t *testing.T) {
 }
 
 // TestInboxAcceptedEntryHoldsNoMaps pins what the inbox keeps of a message
-// between acceptance and pruning — the time of its first copy in the source's
-// done map, no pending entry, no pointer-bearing state — and that this alone
+// between acceptance and pruning — the time of its first copy in the done
+// map, no pending entry, no pointer-bearing state — and that this alone
 // turns stragglers away, whatever digest they vote.
 func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3, 4, 5)
@@ -282,22 +282,21 @@ func TestInboxAcceptedEntryHoldsNoMaps(t *testing.T) {
 	if accepted != 1 {
 		t.Fatalf("accepted %d times at majority, want 1", accepted)
 	}
-	s := ib.sources[src.Key()]
-	if s == nil {
+	if pending, done := sourceHolds(t, ib, src.Key()); pending+done == 0 {
 		t.Fatal("source of an accepted message forgotten")
 	}
 	checkRecord := func(when string) {
 		t.Helper()
-		if firstAt, ok := s.done[m.MsgID]; !ok || firstAt != time.Millisecond {
+		if firstAt, ok := ib.done[doneKey{src: src.Key(), msgID: m.MsgID}]; !ok || firstAt != time.Millisecond {
 			t.Fatalf("%s: done record = %v, %v; want the first copy's time", when, firstAt, ok)
 		}
-		if len(s.pending) != 0 {
+		if pending, _ := sourceHolds(t, ib, src.Key()); pending != 0 {
 			t.Errorf("%s: an accepted message still holds a pending entry", when)
 		}
 	}
 	checkRecord("after acceptance")
 	// The record is a value: nothing in it for the collector to trace.
-	if k := reflect.TypeOf(s.done).Elem().Kind(); k != reflect.Int64 {
+	if k := reflect.TypeOf(ib.done).Elem().Kind(); k != reflect.Int64 {
 		t.Errorf("done record kind = %v, want a plain integer", k)
 	}
 

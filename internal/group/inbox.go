@@ -2,7 +2,6 @@ package group
 
 import (
 	"bytes"
-	"maps"
 	"slices"
 	"time"
 
@@ -17,7 +16,7 @@ const maxEntriesPerKey = 1024
 
 // maxOpenPerSender bounds, per source composition, the messages still
 // collecting votes that one sender's copies opened, so that no one sender —
-// a member or not — can fill the source's pending map. The contracted
+// a member or not — can fill the source's pending count. The contracted
 // workloads peak at 132.
 const maxOpenPerSender = maxEntriesPerKey / 4
 
@@ -30,23 +29,27 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 // neighbor reconfigured and its update is still in flight); such votes are
 // buffered and re-evaluated via FlushKey once the composition is learned.
 //
-// Per source composition the inbox keeps two maps. A message still collecting
-// votes is a pending entry holding those votes and the payloads seen. Once
-// accepted it is a value in the done map — the time of its first copy, all
-// Prune needs — so the long tail of a message's life (stragglers are turned
-// away until inboxTTL) costs one map slot and no pointer. A message of the
-// lending index (below) is the exception: accepted or settled, it leaves no
-// done record, because its owner remembers what it received by the MsgID every
-// link shares and turns later copies away itself.
+// The inbox keeps three tables, none of them per source. A message still
+// collecting votes is a pending entry holding those votes and the payloads
+// seen. The entries of one MsgID, one per source composition that sent it,
+// form a chain in the order they were opened, and entries maps the MsgID to
+// the first. Once accepted, a message is a value in done, keyed by its source
+// and MsgID — the time of its first copy, all Prune needs — so the long tail
+// of a message's life (stragglers are turned away until inboxTTL) costs one
+// map slot and no pointer. A shared message (below) is the exception:
+// accepted or settled, it leaves no done record, because its owner remembers
+// what it received by the MsgID every link shares and turns later copies away
+// itself. counts holds, per source with anything in the other two, how many
+// pending entries and done records it has.
 //
-// The two maps are bounded apart. At maxEntriesPerKey pending entries a
+// The two counts are bounded apart. At maxEntriesPerKey pending entries a
 // source's new MsgIDs are refused: flood protection. Each pending entry is
 // charged to the sender whose copy opened it, and a sender holding
-// maxOpenPerSender of a source's entries opens no more of them. A done map at
-// the same size forgets its older half by first-copy time, Prune's rule,
-// before it records another: dedup memory never refuses fresh traffic, it only
-// shortens how long a straggler of a message outside the lending index is
-// recognised.
+// maxOpenPerSender of a source's entries opens no more of them. A source at
+// maxEntriesPerKey done records forgets its older half by first-copy time,
+// Prune's rule, before it records another: dedup memory never refuses fresh
+// traffic, it only shortens how long a straggler of a message that is not
+// shared is recognised.
 //
 // Verify on store: a payload is hashed only when it is about to be stored,
 // that is when the entry holds no payload for the digest the copy names. A
@@ -58,30 +61,34 @@ const maxOpenPerSender = maxEntriesPerKey / 4
 //
 // Lending. A message whose MsgID is its payload digest (core's gossip) is the
 // same message on every link, so the entries different sources hold for it
-// are indexed together (shared) and bytes move between them. An entry whose
-// majority voted that digest takes the verified payload another source's
-// entry holds for it (borrow); one that finds none is starved, and the next
-// payload stored for that MsgID under any source, or handed in by the owner
-// (Supply), completes it (lend). The bytes are the ones the majority voted
-// for, so lending trusts nothing a copy of the entry's own link would not. The
-// owner asks for the payload of a starved entry elsewhere (Starved), and once
-// it has the message from any link releases every source's entry at once
-// (SettleAll). The index holds pending entries only, so the pending bounds
-// bound it.
+// are shared and bytes move between them along the MsgID's chain; an entry
+// opened by a copy whose MsgID is not its digest takes no part. A shared
+// entry whose majority voted that digest takes the verified payload another
+// shared entry of its chain holds (borrow); one that finds none is starved,
+// and the next payload stored for that MsgID under any source, or handed in
+// by the owner (Supply), completes it (lend). The bytes are the ones the
+// majority voted for, so lending trusts nothing a copy of the entry's own link
+// would not. The owner asks for the payload of a starved entry elsewhere
+// (Starved), and once it has the message from any link releases every
+// source's shared entry at once (SettleAll). Only pending entries lend, so the
+// pending bounds bound what lending holds.
 type Inbox struct {
 	lookup  func(Key) (Composition, bool)
-	sources map[Key]*source
-	// shared lists per MsgID, in the order they were opened, the sources
-	// holding a pending entry opened by a copy whose MsgID was its payload
-	// digest.
-	shared  map[crypto.Digest][]Key
+	entries map[crypto.Digest]*entry // MsgID → the first of its pending entries
+	done    map[doneKey]time.Duration
+	counts  map[Key]sourceCount
 	starved int // pending entries with entry.starved set
 }
 
-// source is what the inbox remembers of one source composition.
-type source struct {
-	pending map[crypto.Digest]*entry        // MsgID → votes being collected
-	done    map[crypto.Digest]time.Duration // accepted MsgID → time of its first copy
+// doneKey names one accepted message: its source composition and MsgID.
+type doneKey struct {
+	src   Key
+	msgID crypto.Digest
+}
+
+// sourceCount is how much one source composition holds in the inbox.
+type sourceCount struct {
+	pending, done int32
 }
 
 // entry is one logical message that has not been accepted yet. Its first
@@ -89,13 +96,16 @@ type source struct {
 // allocation. votes and payloads point into the entry: an entry is only ever
 // held by pointer, never copied by value.
 type entry struct {
+	src      Key
+	next     *entry // the next source's entry of the same MsgID, opened later
 	firstAt  time.Duration
 	votes    []vote       // one per sender, in arrival order: the first is the opener's
 	payloads []heldDigest // verified payloads, one per digest
 	attached []attachment // what the few senders that attach anything attached
-	shared   bool         // listed in Inbox.shared
-	// starved: a majority voted the payload digest that is this message's
-	// MsgID, and no source's entry holds the bytes.
+	shared   bool         // opened by a copy whose MsgID was its payload digest
+	// starved: the entry is shared, a majority voted the payload digest that
+	// is this message's MsgID, and no shared entry of its chain holds the
+	// bytes.
 	starved bool
 	// inlineVotes is votes' array until a fifth sender votes, room for the
 	// majority of a typical vgroup; inlinePayload is payloads' until a second
@@ -126,65 +136,100 @@ type heldDigest struct {
 
 // NewInbox creates an inbox; lookup resolves known compositions.
 func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
-	return &Inbox{lookup: lookup, sources: make(map[Key]*source), shared: make(map[crypto.Digest][]Key)}
+	return &Inbox{lookup: lookup, entries: make(map[crypto.Digest]*entry),
+		done: make(map[doneKey]time.Duration), counts: make(map[Key]sourceCount)}
 }
 
-// opened counts the pending entries from's copies opened. Below
+// find returns src's pending entry of msgID, nil when it has none.
+func (ib *Inbox) find(src Key, msgID crypto.Digest) *entry {
+	e := ib.entries[msgID]
+	for e != nil && e.src != src {
+		e = e.next
+	}
+	return e
+}
+
+// count moves src's counts by the deltas, and forgets src once both are zero.
+func (ib *Inbox) count(src Key, pending, done int32) {
+	c := ib.counts[src]
+	c.pending += pending
+	c.done += done
+	if c == (sourceCount{}) {
+		delete(ib.counts, src)
+	} else {
+		ib.counts[src] = c
+	}
+}
+
+// opened counts the pending entries of src that from's copies opened. Below
 // maxOpenPerSender pending entries no sender can hold that many, so the count
-// is only taken at a source that holds them: a hostile one, or a burst.
-func (s *source) opened(from ids.NodeID) int {
+// is only taken for a source that holds them: a hostile one, or a burst.
+func (ib *Inbox) opened(src Key, pending int32, from ids.NodeID) int {
 	n := 0
-	if len(s.pending) >= maxOpenPerSender {
-		for _, e := range s.pending {
-			if e.votes[0].from == from {
-				n++
+	if pending >= maxOpenPerSender {
+		for _, e := range ib.entries {
+			for ; e != nil; e = e.next {
+				if e.src == src && e.votes[0].from == from {
+					n++
+				}
 			}
 		}
 	}
 	return n
 }
 
-// retire ends msgID of src: its pending entry is released, and unless that
-// entry was in the lending index the message moves to the done map under the
-// time of its first copy, first forgetting the older half of a done map at
-// maxEntriesPerKey.
-func (ib *Inbox) retire(src Key, s *source, msgID crypto.Digest) {
-	e := s.pending[msgID]
-	ib.release(src, msgID, e)
-	delete(s.pending, msgID)
+// retire ends e, the pending entry of msgID: it leaves its chain, and unless
+// it is shared the message is recorded done under the time of its first copy,
+// after a source at maxEntriesPerKey done records forgot its older half.
+func (ib *Inbox) retire(msgID crypto.Digest, e *entry) {
+	ib.unlink(msgID, e)
 	if e.shared {
 		return
 	}
-	if len(s.done) >= maxEntriesPerKey {
-		times := slices.Sorted(maps.Values(s.done))
-		s.forget(times[len(times)/2-1] + 1)
+	if ib.counts[e.src].done >= maxEntriesPerKey {
+		var times []time.Duration
+		for k, firstAt := range ib.done {
+			if k.src == e.src {
+				times = append(times, firstAt)
+			}
+		}
+		slices.Sort(times)
+		cut := times[len(times)/2-1] + 1
+		for k, firstAt := range ib.done {
+			if k.src == e.src && firstAt < cut {
+				ib.forgetDone(k)
+			}
+		}
 	}
-	s.done[msgID] = e.firstAt
+	ib.done[doneKey{src: e.src, msgID: msgID}] = e.firstAt
+	ib.count(e.src, 0, 1)
 }
 
-// release takes a pending entry that is leaving out of the lending index.
-func (ib *Inbox) release(src Key, msgID crypto.Digest, e *entry) {
+// unlink takes e, a pending entry of msgID, out of its chain. e.next is left
+// as it was, so a walk of the chain can go on past an entry it retired.
+func (ib *Inbox) unlink(msgID crypto.Digest, e *entry) {
+	if head := ib.entries[msgID]; head == e {
+		if e.next == nil {
+			delete(ib.entries, msgID)
+		} else {
+			ib.entries[msgID] = e.next
+		}
+	} else {
+		for head.next != e {
+			head = head.next
+		}
+		head.next = e.next
+	}
 	if e.starved {
 		ib.starved--
 	}
-	if !e.shared {
-		return
-	}
-	keys := slices.DeleteFunc(ib.shared[msgID], func(k Key) bool { return k == src })
-	if len(keys) == 0 {
-		delete(ib.shared, msgID)
-	} else {
-		ib.shared[msgID] = keys
-	}
+	ib.count(e.src, -1, 0)
 }
 
-// forget drops the done records of messages first seen before the deadline.
-func (s *source) forget(before time.Duration) {
-	for msgID, firstAt := range s.done {
-		if firstAt < before {
-			delete(s.done, msgID)
-		}
-	}
+// forgetDone drops the done record of k.
+func (ib *Inbox) forgetDone(k doneKey) {
+	delete(ib.done, k)
+	ib.count(k.src, 0, -1)
 }
 
 // held returns the verified payload the entry holds for a digest, nil when it
@@ -221,35 +266,28 @@ func (e *entry) voteOf(from ids.NodeID) *vote {
 
 // Observe records the arrival of one GroupMsg copy from a link-authenticated
 // sender. It returns the accepted logical message the first time the
-// acceptance threshold is crossed. A copy of a message with a done record
-// costs one map probe: no hash, no allocation.
+// acceptance threshold is crossed. A copy of a pending message costs one map
+// probe and a walk of its MsgID's chain; a copy of a message with a done
+// record one more probe: no hash, no allocation.
 func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Accepted, bool) {
 	src := Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}
-	s := ib.sources[src]
-	var e *entry
-	if s != nil {
-		if _, accepted := s.done[msg.MsgID]; accepted {
+	e := ib.find(src, msg.MsgID)
+	if e == nil {
+		if _, accepted := ib.done[doneKey{src: src, msgID: msg.MsgID}]; accepted {
 			return Accepted{}, false
 		}
-		e = s.pending[msg.MsgID]
 	}
 	store := msg.Payload != nil && (e == nil || e.held(msg.PayloadDigest) == nil)
 	if store && !msg.hashed && crypto.Hash(msg.Payload) != msg.PayloadDigest {
 		return Accepted{}, false // inconsistent copy; drop the vote entirely
 	}
 	if e == nil {
-		if s == nil {
-			s = &source{pending: make(map[crypto.Digest]*entry), done: make(map[crypto.Digest]time.Duration)}
-			ib.sources[src] = s
-		} else if len(s.pending) >= maxEntriesPerKey || s.opened(from) >= maxOpenPerSender {
+		if pending := ib.counts[src].pending; pending >= maxEntriesPerKey || ib.opened(src, pending, from) >= maxOpenPerSender {
 			return Accepted{}, false
 		}
-		e = &entry{firstAt: now, shared: msg.MsgID == msg.PayloadDigest}
+		e = &entry{src: src, firstAt: now, shared: msg.MsgID == msg.PayloadDigest}
 		e.votes, e.payloads = e.inlineVotes[:0], e.inlinePayload[:0]
-		s.pending[msg.MsgID] = e
-		if e.shared {
-			ib.shared[msg.MsgID] = append(ib.shared[msg.MsgID], src)
-		}
+		ib.link(msg.MsgID, e)
 	}
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
 	if e.voteOf(from) == nil {
@@ -261,20 +299,34 @@ func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Acce
 	if store {
 		e.payloads = append(e.payloads, heldDigest{digest: msg.PayloadDigest, payload: msg.Payload})
 	}
-	acc, ok := ib.check(now, src, msg.MsgID, s, e)
+	acc, ok := ib.check(now, msg.MsgID, e)
 	if !ok && store && e.shared && msg.PayloadDigest == msg.MsgID {
 		return ib.Supply(now, msg.MsgID, msg.Payload) // lend the new bytes
 	}
 	return acc, ok
 }
 
-// SettleAll releases the pending entry of msgID under every source that holds
-// one in the lending index: the owner has the message from one link and needs
-// it from none. It frees memory and leaves no record; the owner turns later
-// copies away.
+// link appends e, a new pending entry of msgID, to the MsgID's chain.
+func (ib *Inbox) link(msgID crypto.Digest, e *entry) {
+	if last := ib.entries[msgID]; last == nil {
+		ib.entries[msgID] = e
+	} else {
+		for last.next != nil {
+			last = last.next
+		}
+		last.next = e
+	}
+	ib.count(e.src, 1, 0)
+}
+
+// SettleAll releases every shared pending entry of msgID: the owner has the
+// message from one link and needs it from none. It frees memory and leaves no
+// record; the owner turns later copies away.
 func (ib *Inbox) SettleAll(msgID crypto.Digest) {
-	for srcs := ib.shared[msgID]; len(srcs) > 0; srcs = ib.shared[msgID] {
-		ib.retire(srcs[0], ib.sources[srcs[0]], msgID) // shared: no record; drops srcs[0]
+	for e := ib.entries[msgID]; e != nil; e = e.next {
+		if e.shared {
+			ib.retire(msgID, e) // shared: no record
+		}
 	}
 }
 
@@ -285,12 +337,11 @@ func (ib *Inbox) SettleAll(msgID crypto.Digest) {
 // otherwise. payload must hash to digest; the caller computed the one from the
 // other.
 func (ib *Inbox) Supply(now time.Duration, digest crypto.Digest, payload []byte) (Accepted, bool) {
-	for _, src := range ib.shared[digest] {
-		s := ib.sources[src]
-		if e := s.pending[digest]; e.starved {
+	for e := ib.entries[digest]; e != nil; e = e.next {
+		if e.starved {
 			e.payloads = append(e.payloads, heldDigest{digest: digest, payload: payload})
-			if acc, ok := ib.check(now, src, digest, s, e); ok {
-				return acc, true // check changed shared[digest]: stop here
+			if acc, ok := ib.check(now, digest, e); ok {
+				return acc, true
 			}
 			e.payloads = e.payloads[:len(e.payloads)-1]
 		}
@@ -298,12 +349,12 @@ func (ib *Inbox) Supply(now time.Duration, digest crypto.Digest, payload []byte)
 	return Accepted{}, false
 }
 
-// borrow returns the payload another source's pending entry holds for msgID,
-// which is also its digest, or nil.
-func (ib *Inbox) borrow(src Key, msgID crypto.Digest) []byte {
-	for _, k := range ib.shared[msgID] {
-		if k != src {
-			if p := ib.sources[k].pending[msgID].held(msgID); p != nil {
+// borrow returns the payload another shared entry of e's chain holds for
+// msgID, which is also its digest, or nil.
+func (ib *Inbox) borrow(msgID crypto.Digest, e *entry) []byte {
+	for k := ib.entries[msgID]; k != nil; k = k.next {
+		if k != e && k.shared {
+			if p := k.held(msgID); p != nil {
 				return p
 			}
 		}
@@ -311,8 +362,8 @@ func (ib *Inbox) borrow(src Key, msgID crypto.Digest) []byte {
 	return nil
 }
 
-// Starved calls visit once per MsgID that some source's entry is starved of,
-// in ascending MsgID order, with the members that voted its digest on those
+// Starved calls visit once per MsgID that some shared entry is starved of, in
+// ascending MsgID order, with the members that voted its digest on those
 // entries: each holds the payload if it is correct. visit must not call back
 // into the inbox.
 func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
@@ -320,17 +371,19 @@ func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
 		return
 	}
 	var msgIDs []crypto.Digest
-	for msgID, srcs := range ib.shared {
-		if slices.ContainsFunc(srcs, func(k Key) bool { return ib.sources[k].pending[msgID].starved }) {
-			msgIDs = append(msgIDs, msgID)
+	for msgID, e := range ib.entries {
+		for ; e != nil; e = e.next {
+			if e.starved {
+				msgIDs = append(msgIDs, msgID)
+				break
+			}
 		}
 	}
 	slices.SortFunc(msgIDs, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
 	for _, msgID := range msgIDs {
 		var voters []ids.NodeID
-		for _, k := range ib.shared[msgID] {
-			e := ib.sources[k].pending[msgID]
-			comp, known := ib.lookup(k)
+		for e := ib.entries[msgID]; e != nil; e = e.next {
+			comp, known := ib.lookup(e.src)
 			if !e.starved || !known {
 				continue
 			}
@@ -344,14 +397,14 @@ func (ib *Inbox) Starved(visit func(msgID crypto.Digest, voters []ids.NodeID)) {
 	}
 }
 
-// check evaluates the acceptance rule for one pending entry and, when it
-// holds, retires the message. At most one (kind, digest) pair can reach a
-// majority (one vote per sender), and one that did is the vote of one of the
-// first len(votes)−majority+1 senders, so those are the candidates; only a
-// digest whose payload is held — or, on a shared entry whose MsgID it is, can
-// be borrowed — can be accepted.
-func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *source, e *entry) (Accepted, bool) {
-	comp, known := ib.lookup(src)
+// check evaluates the acceptance rule for e, a pending entry of msgID, and,
+// when it holds, retires the message. At most one (kind, digest) pair can
+// reach a majority (one vote per sender), and one that did is the vote of one
+// of the first len(votes)−majority+1 senders, so those are the candidates;
+// only a digest whose payload is held — or, on a shared entry whose MsgID it
+// is, can be borrowed — can be accepted.
+func (ib *Inbox) check(now time.Duration, msgID crypto.Digest, e *entry) (Accepted, bool) {
+	comp, known := ib.lookup(e.src)
 	if !known {
 		return Accepted{}, false
 	}
@@ -364,7 +417,7 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 			continue // a correct majority sender will still provide its vote
 		}
 		if payload == nil {
-			if payload = ib.borrow(src, msgID); payload == nil {
+			if payload = ib.borrow(msgID, e); payload == nil {
 				e.starved = true // until a lend; the owner may pull (Starved)
 				ib.starved++
 				continue
@@ -382,8 +435,8 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 		}
 		// At most the time of the first copy outlives acceptance: it alone
 		// suppresses stragglers until the message is pruned.
-		ib.retire(src, s, msgID)
-		return Accepted{Src: src, Kind: kind, MsgID: msgID, Digest: digest,
+		ib.retire(msgID, e)
+		return Accepted{Src: e.src, Kind: kind, MsgID: msgID, Digest: digest,
 			Payload: payload, Attachments: attachments, At: now}, true
 	}
 	return Accepted{}, false
@@ -394,23 +447,25 @@ func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, s *sourc
 // settled (SettleAll). src is taken as given, not looked up: the caller asks
 // about the members it knows.
 func (ib *Inbox) Votes(src Composition, kind Kind, msgID, digest crypto.Digest) int {
-	if s := ib.sources[src.Key()]; s != nil {
-		if e := s.pending[msgID]; e != nil {
-			return e.tally(src, kind, digest)
-		}
+	if e := ib.find(src.Key(), msgID); e != nil {
+		return e.tally(src, kind, digest)
 	}
 	return 0
 }
 
 // Voters calls visit once per vote that names msgID as its digest, on every
-// pending entry of the lending index that holds msgID, with the entry's source
-// and the vote's sender and kind: the senders that say they hold the message.
-// visit must not call back into the inbox.
+// shared pending entry of msgID, with the entry's source and the vote's sender
+// and kind: the senders that say they hold the message. Entries come in the
+// order they were opened, votes in the order they arrived. visit must not call
+// back into the inbox.
 func (ib *Inbox) Voters(msgID crypto.Digest, visit func(src Key, from ids.NodeID, kind Kind)) {
-	for _, k := range ib.shared[msgID] {
-		for _, v := range ib.sources[k].pending[msgID].votes {
+	for e := ib.entries[msgID]; e != nil; e = e.next {
+		if !e.shared {
+			continue
+		}
+		for _, v := range e.votes {
 			if v.digest == msgID {
-				visit(k, v.from, v.kind)
+				visit(e.src, v.from, v.kind)
 			}
 		}
 	}
@@ -419,18 +474,21 @@ func (ib *Inbox) Voters(msgID crypto.Digest, visit func(src Key, from ids.NodeID
 // FlushKey re-evaluates buffered entries for a source composition that just
 // became known, returning all newly accepted messages.
 func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
-	s := ib.sources[src]
-	if s == nil {
+	if ib.counts[src].pending == 0 {
 		return nil
+	}
+	var msgIDs []crypto.Digest
+	for msgID := range ib.entries {
+		if ib.find(src, msgID) != nil {
+			msgIDs = append(msgIDs, msgID)
+		}
 	}
 	// Sorted, not map order: callers act on the result in sequence
 	// (proposals, forwards, RNG draws), and runs of one seed must replay.
-	msgIDs := slices.SortedFunc(maps.Keys(s.pending), func(a, b crypto.Digest) int {
-		return bytes.Compare(a[:], b[:])
-	})
+	slices.SortFunc(msgIDs, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
 	var out []Accepted
 	for _, msgID := range msgIDs {
-		if acc, ok := ib.check(now, src, msgID, s, s.pending[msgID]); ok {
+		if acc, ok := ib.check(now, msgID, ib.find(src, msgID)); ok {
 			out = append(out, acc)
 		}
 	}
@@ -441,16 +499,16 @@ func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
 // messages with a done record are remembered until pruned, which suppresses
 // duplicate deliveries from stragglers in the meantime.
 func (ib *Inbox) Prune(before time.Duration) {
-	for src, s := range ib.sources {
-		for msgID, e := range s.pending {
+	for msgID, e := range ib.entries {
+		for ; e != nil; e = e.next {
 			if e.firstAt < before {
-				ib.release(src, msgID, e)
-				delete(s.pending, msgID)
+				ib.unlink(msgID, e)
 			}
 		}
-		s.forget(before)
-		if len(s.pending)+len(s.done) == 0 {
-			delete(ib.sources, src)
+	}
+	for k, firstAt := range ib.done {
+		if firstAt < before {
+			ib.forgetDone(k)
 		}
 	}
 }
@@ -459,9 +517,9 @@ func (ib *Inbox) Prune(before time.Duration) {
 // particular order, with the kind its first copy named and the number of
 // senders that voted (for tests and metrics).
 func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
-	for src, s := range ib.sources {
-		for _, e := range s.pending {
-			visit(src, e.votes[0].kind, len(e.votes))
+	for _, e := range ib.entries {
+		for ; e != nil; e = e.next {
+			visit(e.src, e.votes[0].kind, len(e.votes))
 		}
 	}
 }
@@ -470,8 +528,8 @@ func (ib *Inbox) Pending(visit func(src Key, kind Kind, votes int)) {
 // a done record (for tests and metrics).
 func (ib *Inbox) Len() int {
 	n := 0
-	for _, s := range ib.sources {
-		n += len(s.pending) + len(s.done)
+	for _, c := range ib.counts {
+		n += int(c.pending + c.done)
 	}
 	return n
 }

@@ -14,8 +14,9 @@ import (
 // verbatim apart from the ref prefix on its names: the reference model
 // TestInboxMatchesReference drives the shipped Inbox against. It hashes every
 // full copy before anything else and keeps one heap entry, three maps and a
-// second index per logical message. It had no Votes; the model of it is the
-// method at the end of this file.
+// second index per logical message. It had no Votes and no Voters; the models
+// of them are the methods at the end of this file, and for Voters each entry
+// also lists its voters in the order they voted.
 //
 // Three things in it are changed, not added. It used to report the kind of
 // whichever copy opened the entry and count votes by digest alone, so one
@@ -54,6 +55,7 @@ type refEntryKey struct {
 
 type refEntryState struct {
 	votes    map[ids.NodeID]refVote
+	voters   []ids.NodeID // the keys of votes in the order they were cast
 	payloads map[crypto.Digest][]byte
 	attach   map[ids.NodeID][]byte
 	accepted bool
@@ -120,6 +122,7 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 	// First vote per sender wins: a Byzantine sender cannot flip its vote.
 	if _, voted := e.votes[from]; !voted {
 		e.votes[from] = refVote{kind: msg.Kind, digest: msg.PayloadDigest}
+		e.voters = append(e.voters, from)
 		if msg.Attach != nil {
 			e.attach[from] = msg.Attach
 		}
@@ -142,8 +145,8 @@ func (ib *refInbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (A
 // they were opened.
 func (ib *refInbox) sharedOf(msgID crypto.Digest) []refEntryKey {
 	var out []refEntryKey
-	for ek, e := range ib.entries {
-		if ek.msgID == msgID && e.shared && !e.accepted {
+	for src, msgIDs := range ib.byKey {
+		if ek := (refEntryKey{src: src, msgID: msgID}); msgIDs[msgID] && ib.entries[ek].shared && !ib.entries[ek].accepted {
 			out = append(out, ek)
 		}
 	}
@@ -344,7 +347,7 @@ func (ib *refInbox) remember(ek refEntryKey, e *refEntryState) {
 		}
 	}
 	e.accepted = true
-	e.votes, e.payloads, e.attach = nil, nil, nil
+	e.votes, e.voters, e.payloads, e.attach = nil, nil, nil, nil
 }
 
 // Votes is the model of Inbox.Votes: the members of src whose vote on a
@@ -361,4 +364,18 @@ func (ib *refInbox) Votes(src Composition, kind Kind, msgID, digest crypto.Diges
 		}
 	}
 	return count
+}
+
+// Voters is the model of Inbox.Voters: the votes naming msgID as their digest
+// on its shared entries not accepted or settled, entries in the order they
+// were opened and votes in the order they were cast.
+func (ib *refInbox) Voters(msgID crypto.Digest, visit func(src Key, from ids.NodeID, kind Kind)) {
+	for _, ek := range ib.sharedOf(msgID) {
+		e := ib.entries[ek]
+		for _, voter := range e.voters {
+			if v := e.votes[voter]; v.digest == msgID {
+				visit(ek.src, voter, v.kind)
+			}
+		}
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -18,7 +20,8 @@ import (
 // acceptances out. The two differ in six named places. A corrupt copy of a
 // payload already held counts as a vote: such a copy is translated for the
 // model, so the comparison also states exactly what that rule means. The model
-// had no Votes: refInbox.Votes says what it is in its terms. The model let the
+// had no Votes and no Voters: refInbox.Votes and refInbox.Voters say what
+// they are in its terms. The model let the
 // first copy choose the kind a message is accepted under: it was changed to
 // tally the kind with the digest (refVote), which
 // TestInboxFirstCopyCannotChooseKind pins on its own. And the model's
@@ -46,8 +49,9 @@ type diffWorld struct {
 	msgs  int // distinct MsgIDs drawn per source
 	// burstTo is the operation draw below which a step is one source's
 	// majority sending one of its own messages: every other flood schedule has
-	// messages accepted often enough to fill a done map and run the eviction;
-	// the rest fill pending maps and run into the per-sender charge.
+	// messages accepted often enough to fill a source's done records and run
+	// the eviction; the rest fill pending entries and run into the per-sender
+	// charge.
 	burstTo int
 	seed    int64
 	steps   int // operations applied so far
@@ -249,8 +253,10 @@ func (w *diffWorld) step() (corruptLater bool) {
 	}
 	w.peak = max(w.peak, w.ib.Len())
 	w.sameVotes()
+	w.sameVoters()
 	if w.msgs <= maxEntriesPerKey || w.steps%64 == 0 { // the model's scan is slow on a flood
 		w.sameStarved()
+		w.sameCounts()
 	}
 	return corruptLater
 }
@@ -276,6 +282,39 @@ func (w *diffWorld) sameStarved() {
 	}
 }
 
+// voterVisit is one call Voters makes.
+type voterVisit struct {
+	src  Key
+	from ids.NodeID
+	kind Kind
+}
+
+// sameVoters compares, for every shared message, the calls Voters makes, in
+// order: core seeds a message's holders records in that order.
+func (w *diffWorld) sameVoters() {
+	w.t.Helper()
+	for mi := 0; mi < diffShared; mi++ {
+		var got, want []voterVisit
+		msgID := w.msgID(sharedSrc, mi)
+		w.ib.Voters(msgID, func(src Key, from ids.NodeID, kind Kind) { got = append(got, voterVisit{src, from, kind}) })
+		w.ref.Voters(msgID, func(src Key, from ids.NodeID, kind Kind) { want = append(want, voterVisit{src, from, kind}) })
+		if !slices.Equal(got, want) {
+			w.fatalf("Voters(shared %d) = %v, model %v", mi, got, want)
+		}
+	}
+}
+
+// sameCounts compares each source's pending entries with the model's, and
+// checks that the inbox's per-source counts agree with its tables.
+func (w *diffWorld) sameCounts() {
+	w.t.Helper()
+	for _, c := range w.comps {
+		if pending, _ := sourceHolds(w.t, w.ib, c.Key()); pending != w.ref.pendingOf(c.Key()) {
+			w.fatalf("source %v holds %d pending entries, model %d", c.Key(), pending, w.ref.pendingOf(c.Key()))
+		}
+	}
+}
+
 // sameVotes compares Votes on one message drawn at random: both payloads under
 // both kinds, counted over the source as scheduled and — Votes takes the
 // members from its caller — over a composition of the same key with fewer.
@@ -298,16 +337,52 @@ func (w *diffWorld) sameVotes() {
 	}
 }
 
+// sourceHolds counts src's pending entries, walking every MsgID's chain, and
+// its done records, and fails t unless the inbox's counts for src say the
+// same — and hold no key for a source that holds nothing.
+func sourceHolds(t testing.TB, ib *Inbox, src Key) (pending, done int) {
+	t.Helper()
+	for _, e := range ib.entries {
+		for ; e != nil; e = e.next {
+			if e.src == src {
+				pending++
+			}
+		}
+	}
+	for k := range ib.done {
+		if k.src == src {
+			done++
+		}
+	}
+	c, ok := ib.counts[src]
+	if int(c.pending) != pending || int(c.done) != done || ok != (pending+done > 0) {
+		t.Fatalf("source %v holds %d pending entries and %d done records, its counts say %+v (kept: %v)", src, pending, done, c, ok)
+	}
+	return pending, done
+}
+
+// sharedSources returns the sources of msgID's shared pending entries, in the
+// order they were opened: the sources lending moves msgID's bytes between.
+func sharedSources(ib *Inbox, msgID crypto.Digest) []Key {
+	var srcs []Key
+	for e := ib.entries[msgID]; e != nil; e = e.next {
+		if e.shared {
+			srcs = append(srcs, e.src)
+		}
+	}
+	return srcs
+}
+
 // TestInboxMatchesReference drives the shipped Inbox and the reference model
 // with seeded random schedules — full, digest-only and attachment-bearing
 // votes, outsiders, Byzantine re-votes, digest flips and copies under another
 // kind, corrupt copies first and later, a source learned (and re-learned with
 // other members) mid-run, one never learned, FlushKey, Prune and a whole
 // source's majority at random times — and requires identical (Accepted, ok)
-// sequences, Len and Votes throughout. Every two-hundredth schedule draws
-// MsgIDs from a space wider than maxEntriesPerKey, to run into the cap on
-// pending messages and the per-sender charge or, with messages accepted often,
-// into the eviction rule.
+// sequences, Len, Votes, Voters and Starved throughout. Every two-hundredth
+// schedule draws MsgIDs from a space wider than maxEntriesPerKey, to run into
+// the cap on pending messages and the per-sender charge or, with messages
+// accepted often, into the eviction rule.
 func TestInboxMatchesReference(t *testing.T) {
 	schedules, corruptLater, evicted, charged, lent := 1200, 0, 0, 0, 0
 	if testing.Short() {
@@ -338,11 +413,28 @@ func TestInboxMatchesReference(t *testing.T) {
 		t.Error("no schedule produced a corrupt copy of a held payload: the named difference went untested")
 	}
 	if evicted == 0 {
-		t.Error("no schedule filled a done map: the eviction rule went untested")
+		t.Error("no schedule filled a source's done records: the eviction rule went untested")
 	}
 	if charged == 0 && !testing.Short() { // the short run has one flood schedule, which accepts often
 		t.Error("no sender reached maxOpenPerSender: the per-sender charge went untested")
 	}
+}
+
+// FuzzInboxMatchesReference drives the shipped Inbox and the reference model
+// with the schedule a seed draws, as TestInboxMatchesReference does, and
+// requires the same results throughout. The input picks the seed, the number
+// of MsgIDs per source — past maxEntriesPerKey, a flood schedule — and the
+// number of steps, capped so one input runs in milliseconds.
+func FuzzInboxMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(5), uint16(300))
+	f.Add(int64(7), uint16(2), uint16(600))
+	f.Add(int64(199), uint16(3*maxEntriesPerKey), uint16(600))
+	f.Fuzz(func(t *testing.T, seed int64, msgs, steps uint16) {
+		w := newDiffWorld(t, seed, 1+int(msgs)%(4*maxEntriesPerKey))
+		for range min(int(steps), 600) {
+			w.step()
+		}
+	})
 }
 
 // TestInboxCorruptLaterCopyCountsAsVote is the one place the shipped Inbox
@@ -447,8 +539,8 @@ func TestInboxSettle(t *testing.T) {
 		ib := NewInbox(lookup)
 		accept(t, ib, time.Second, m, 1, 2)
 		allVote(t, ib, 2*time.Second, m)
-		if s := ib.sources[src.Key()]; ib.Len() != 1 || len(s.pending) != 0 {
-			t.Fatalf("Len = %d with %d pending, want the one done record", ib.Len(), len(s.pending))
+		if pending, _ := sourceHolds(t, ib, src.Key()); ib.Len() != 1 || pending != 0 {
+			t.Fatalf("Len = %d with %d pending, want the one done record", ib.Len(), pending)
 		}
 		ib.Prune(time.Second + 1)
 		if ib.Len() != 0 {
@@ -460,8 +552,8 @@ func TestInboxSettle(t *testing.T) {
 		ib := NewInbox(lookup)
 		ib.Observe(time.Second, 1, m) // one vote and the payload: pending
 		accept(t, ib, 5*time.Second, m, 2)
-		if s := ib.sources[src.Key()]; len(s.pending) != 0 || len(s.done) != 1 {
-			t.Fatalf("%d pending, %d done: the pending entry, its votes and its payload must be released", len(s.pending), len(s.done))
+		if pending, done := sourceHolds(t, ib, src.Key()); pending != 0 || done != 1 {
+			t.Fatalf("%d pending, %d done: the pending entry, its votes and its payload must be released", pending, done)
 		}
 		allVote(t, ib, 6*time.Second, m)
 		ib.Prune(2 * time.Second) // first copy at 1 s, accepted at 5 s
@@ -491,15 +583,15 @@ func TestInboxSettle(t *testing.T) {
 		// acceptance makes room.
 		for _, from := range []ids.NodeID{1, 2} {
 			if _, ok := ib.Observe(time.Second, from, m); ok {
-				t.Fatal("a message past a full pending map was accepted")
+				t.Fatal("a message past a source's full pending count was accepted")
 			}
 		}
-		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey || len(s.done) != 0 {
-			t.Fatalf("%d pending, %d done, want the full pending map alone", len(s.pending), len(s.done))
+		if pending, done := sourceHolds(t, ib, src.Key()); pending != maxEntriesPerKey || done != 0 {
+			t.Fatalf("%d pending, %d done, want the source's full pending count alone", pending, done)
 		}
 		accept(t, ib, time.Second, held, 1, 2) // pending: moves, and makes room
-		if s := ib.sources[src.Key()]; len(s.pending) != maxEntriesPerKey-1 || len(s.done) != 1 {
-			t.Fatalf("%d pending, %d done, want a pending entry accepted in place", len(s.pending), len(s.done))
+		if pending, done := sourceHolds(t, ib, src.Key()); pending != maxEntriesPerKey-1 || done != 1 {
+			t.Fatalf("%d pending, %d done, want a pending entry accepted in place", pending, done)
 		}
 		allVote(t, ib, time.Second, held)
 		accept(t, ib, time.Second, m, 1, 2)
@@ -552,10 +644,10 @@ func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
 	fresh := msg(maxEntriesPerKey)
 	ib.Observe(time.Hour, 1, fresh)
 	if _, ok := ib.Observe(time.Hour, 2, fresh); !ok {
-		t.Fatal("a message past a full done map was refused: the cap is a delivery ceiling again")
+		t.Fatal("a message past a source's full done records was refused: the cap is a delivery ceiling again")
 	}
-	if s := ib.sources[src.Key()]; len(s.done) != maxEntriesPerKey/2+1 {
-		t.Fatalf("%d done records, want the newer half and the fresh message (%d)", len(s.done), maxEntriesPerKey/2+1)
+	if _, done := sourceHolds(t, ib, src.Key()); done != maxEntriesPerKey/2+1 {
+		t.Fatalf("%d done records, want the newer half and the fresh message (%d)", done, maxEntriesPerKey/2+1)
 	}
 	old, kept := msg(maxEntriesPerKey/2-1), msg(maxEntriesPerKey/2)
 	if _, ok := ib.Observe(time.Hour, 1, kept); ok || ib.Votes(src, 0, kept.MsgID, kept.PayloadDigest) != 0 {
@@ -571,7 +663,7 @@ func TestInboxDoneCapForgetsOlderHalf(t *testing.T) {
 // digest-only copies of distinct MsgIDs. It is charged for the ones it opened
 // and refused past maxOpenPerSender, so one message from two of the source's
 // members — a majority — is still accepted. When any sender could fill the
-// source's pending map, the link stayed dead until Prune.
+// source's pending count, the link stayed dead until Prune.
 func TestNonMemberCannotFillPendingCap(t *testing.T) {
 	src := comp(1, 1, 1, 2, 3)
 	ib := NewInbox(func(k Key) (Composition, bool) { return src, k == src.Key() })
@@ -580,14 +672,14 @@ func TestNonMemberCannotFillPendingCap(t *testing.T) {
 			PayloadDigest: crypto.HashUint64(crypto.Digest{1}, uint64(i))}
 		ib.Observe(time.Second, 99, junk)
 	}
-	if s := ib.sources[src.Key()]; len(s.pending) != maxOpenPerSender {
-		t.Fatalf("%d pending, want the flooder's charge, maxOpenPerSender (%d)", len(s.pending), maxOpenPerSender)
+	if pending, _ := sourceHolds(t, ib, src.Key()); pending != maxOpenPerSender {
+		t.Fatalf("%d pending, want the flooder's charge, maxOpenPerSender (%d)", pending, maxOpenPerSender)
 	}
 	payload := []byte("after the flood")
 	m := GroupMsg{SrcGroup: 1, SrcEpoch: 1, MsgID: crypto.Hash([]byte("legit")), PayloadDigest: crypto.Hash(payload), Payload: payload}
 	ib.Observe(2*time.Second, 2, m)
 	if _, ok := ib.Observe(2*time.Second, 3, m); !ok {
-		t.Fatal("a majority of the source's members was refused: one non-member filled the pending map")
+		t.Fatal("a majority of the source's members was refused: one non-member filled the pending count")
 	}
 	// The charge goes with the entries: once Prune drops them, the flooder
 	// opens entries again.
@@ -606,8 +698,8 @@ func TestNonMemberCannotFillPendingCap(t *testing.T) {
 // completes B's entry. Supply: bytes handed in complete a starved entry, bytes
 // of another digest do not. A message whose MsgID is not its digest neither
 // lends nor borrows. Whatever ends the starving — acceptance, SettleAll,
-// Prune — frees the lending index, and a message of the index leaves no done
-// record.
+// Prune — frees the MsgID's shared entries, and a shared message leaves no
+// done record.
 func TestInboxLendsAcrossSources(t *testing.T) {
 	A, B := comp(1, 1, 1, 2, 3), comp(2, 1, 4, 5, 6)
 	lookup := func(k Key) (Composition, bool) {
@@ -634,8 +726,14 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 	}
 	idle := func(what string, ib *Inbox) {
 		t.Helper()
-		if len(ib.shared) != 0 || ib.starved != 0 {
-			t.Errorf("%s: lending index holds %d MsgIDs, %d starved entries, want none", what, len(ib.shared), ib.starved)
+		lending := 0
+		for msgID := range ib.entries {
+			if len(sharedSources(ib, msgID)) > 0 {
+				lending++
+			}
+		}
+		if lending != 0 || ib.starved != 0 {
+			t.Errorf("%s: shared entries of %d MsgIDs, %d starved entries, want none", what, lending, ib.starved)
 		}
 	}
 
@@ -647,8 +745,8 @@ func TestInboxLendsAcrossSources(t *testing.T) {
 		if !ok || acc.Src != B.Key() || !bytes.Equal(acc.Payload, payload) || acc.Digest != d {
 			t.Fatalf("B's majority without bytes: accepted %v %+v, want B's message on A's bytes", ok, acc)
 		}
-		if got := ib.shared[d]; !slices.Equal(got, []Key{A.Key()}) {
-			t.Errorf("lending index lists %v, want A's pending entry alone", got)
+		if got := sharedSources(ib, d); !slices.Equal(got, []Key{A.Key()}) {
+			t.Errorf("the MsgID's shared entries are %v's, want A's pending entry alone", got)
 		}
 		ib.SettleAll(d)
 		idle("after SettleAll", ib)
@@ -779,6 +877,72 @@ func TestInboxStragglerCostsOneProbe(t *testing.T) {
 	}
 }
 
+// TestInboxBytesPerSource weighs what the inbox keeps of a source composition
+// once its traffic has settled. Each of 32 sources has had one gossip message
+// — its MsgID is its payload digest — opened and settled, then zero or two
+// messages of its own accepted. The gossip message leaves nothing but the
+// tables' slack, each accepted message one done record. With a pair of maps
+// per source the inbox held 556 B and 908 B per source.
+func TestInboxBytesPerSource(t *testing.T) {
+	const sources = 32
+	comps := make([]Composition, sources)
+	for i := range comps {
+		comps[i] = comp(ids.GroupID(i+1), 1, 1, 2, 3)
+	}
+	lookup := func(k Key) (Composition, bool) {
+		if i := int(k.GroupID) - 1; i >= 0 && i < sources && k == comps[i].Key() {
+			return comps[i], true
+		}
+		return Composition{}, false
+	}
+	fill := func(records int) *Inbox {
+		ib := NewInbox(lookup)
+		for i, c := range comps {
+			payload := []byte(fmt.Sprintf("gossip %d", i))
+			d := crypto.Hash(payload)
+			ib.Observe(0, 1, GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, MsgID: d, PayloadDigest: d, Payload: payload})
+			ib.SettleAll(d)
+			for r := range records {
+				own := []byte(fmt.Sprintf("message %d of %d", r, i))
+				m := GroupMsg{SrcGroup: c.GroupID, SrcEpoch: c.Epoch, MsgID: crypto.HashUint64(crypto.Hash(own), 1),
+					PayloadDigest: crypto.Hash(own), Payload: own}
+				ib.Observe(0, 1, m)
+				if _, ok := ib.Observe(0, 2, m); !ok {
+					t.Fatalf("source %d, message %d: members 1 and 2 are a majority", i, r)
+				}
+			}
+		}
+		if ib.Len() != sources*records {
+			t.Fatalf("Len = %d, want %d done records", ib.Len(), sources*records)
+		}
+		return ib
+	}
+	// The least of three fills, each after two collections, as
+	// TestDigestWindowBytesPerDigest weighs the digest window.
+	perSource := func(records int) float64 {
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			ib := fill(records)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(ib)
+			least = min(least, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/sources)
+		}
+		return least
+	}
+	for _, c := range []struct{ records, bound int }{{0, 64}, {2, 400}} {
+		got := perSource(c.records)
+		t.Logf("%d done records per source: %.0f B per source", c.records, got)
+		if got > float64(c.bound) {
+			t.Errorf("with %d done records per source the inbox holds %.0f B per source, want at most %d", c.records, got, c.bound)
+		}
+	}
+}
+
 // BenchmarkInboxObserve4KiB times one full copy of a message that already has
 // a copy in the inbox — pending (payload held, one more vote) and accepted
 // (straggler) — at two payload sizes. Neither case reads the payload, so the
@@ -803,7 +967,7 @@ func BenchmarkInboxObserve4KiB(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("accepted/%dB", size), func(b *testing.B) {
 			ib := NewInbox(lookup)
-			for from := ids.NodeID(1); ib.Len() == 0 || len(ib.sources[src.Key()].done) == 0; from++ {
+			for from := ids.NodeID(1); ib.Len() == 0 || len(ib.done) == 0; from++ {
 				ib.Observe(0, from, m)
 			}
 			for b.Loop() {
