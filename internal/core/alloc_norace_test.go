@@ -55,6 +55,21 @@ func TestHandleBatchOfDeliveredGossipAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLearnCompOfStoredCompositionAllocatesNothing: learning a composition the
+// node already stores — a neighbour's update, a walk's origin, a reply's
+// target, each decoded again — returns the stored one and allocates nothing.
+func TestLearnCompOfStoredCompositionAllocatesNothing(t *testing.T) {
+	n, _ := memberNode(t, 1, testComp(7, 3, 1, 2, 3), testComp(9, 1, 4, 5, 6))
+	stored := n.learnComp(decoded(t, addressedComp(9, 2, 4, 5, 6, 7)))
+	again := decoded(t, addressedComp(9, 2, 4, 5, 6, 7))
+	if got := testing.AllocsPerRun(200, func() { n.learnComp(again) }); got != 0 {
+		t.Errorf("learnComp of a stored composition allocates %.0f objects, want 0", got)
+	}
+	if c := n.learnComp(again); &c.Members[0] != &stored.Members[0] {
+		t.Error("learnComp of a stored composition did not return the stored one")
+	}
+}
+
 // TestGroupMsgSizeAndGossipDecodeAllocateNothing: a GroupMsg's size is its
 // walk run over a counter, and the gossip decode handleGossip uses walks the
 // frame in place with Data a view of it; neither allocates.

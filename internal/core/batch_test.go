@@ -184,7 +184,7 @@ func originGossip(n *Node, d Delivery) {
 }
 
 func testComp(gid ids.GroupID, epoch uint64, members ...uint64) group.Composition {
-	c := group.Composition{GroupID: gid, Epoch: epoch}
+	c := group.Composition{GroupID: gid, Epoch: epoch, Members: make([]ids.Identity, 0, len(members))}
 	for _, m := range members {
 		c.Members = append(c.Members, ids.Identity{ID: ids.NodeID(m), Addr: fmt.Sprintf("t:%d", m)})
 	}

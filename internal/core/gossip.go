@@ -332,8 +332,7 @@ func (n *Node) applyNeighborUpdate(p neighborUpdatePayload) {
 	if n.st == nil || p.NewComp.N() == 0 {
 		return
 	}
-	n.learnComp(p.NewComp)
-	n.st.nbrs.UpdateGroup(p.NewComp)
+	n.st.nbrs.UpdateGroup(n.learnComp(p.NewComp))
 }
 
 // applySetNeighbor re-points one overlay link (merge gap closing and split
@@ -342,8 +341,7 @@ func (n *Node) applySetNeighbor(p setNeighborPayload) {
 	if n.st == nil || p.Comp.N() == 0 {
 		return
 	}
-	n.learnComp(p.Comp)
-	n.st.nbrs.Set(overlay.Link{Cycle: p.Cycle, Dir: p.Dir}, p.Comp)
+	n.st.nbrs.Set(overlay.Link{Cycle: p.Cycle, Dir: p.Dir}, n.learnComp(p.Comp))
 }
 
 // applyCycleAssign gives this (freshly split) vgroup its position on one
@@ -353,8 +351,8 @@ func (n *Node) applyCycleAssign(p cycleAssignPayload) {
 	if st == nil || p.Cycle < 0 || p.Cycle >= st.nbrs.NumCycles() {
 		return
 	}
-	n.learnComp(p.Pred)
-	n.learnComp(p.Succ)
+	p.Pred = n.learnComp(p.Pred)
+	p.Succ = n.learnComp(p.Succ)
 	oldPred := st.nbrs.Preds[p.Cycle]
 	oldSucc := st.nbrs.Succs[p.Cycle]
 	// Close the gap we leave behind (unless we were between the same

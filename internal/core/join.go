@@ -140,11 +140,10 @@ func (n *Node) handleContactInfo(from ids.NodeID, m ContactInfo) {
 		return
 	}
 	// This is the single step where the joiner trusts the contact (§3.3.2).
-	j.contactComp = m.Comp
-	n.learnComp(m.Comp)
+	j.contactComp = n.learnComp(m.Comp)
 	j.stage = stageRequestedC
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
-	n.sendJoinRequest(m.Comp)
+	n.sendJoinRequest(j.contactComp)
 }
 
 func (n *Node) sendJoinRequest(target group.Composition) {
@@ -220,7 +219,7 @@ func (n *Node) acceptRedirect(target group.Composition) {
 	if target.N() == 0 {
 		return
 	}
-	n.learnComp(target)
+	target = n.learnComp(target)
 	j.target = target
 	j.stage = stageRequestedD
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
@@ -443,10 +442,10 @@ func (n *Node) installGroupState(st *groupState) {
 	n.egress.FlushAll()
 	n.stopReplica()
 	n.st = st
-	n.learnComp(st.comp)
+	st.comp = n.learnComp(st.comp)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
-		n.learnComp(st.nbrs.Preds[c])
-		n.learnComp(st.nbrs.Succs[c])
+		st.nbrs.Preds[c] = n.learnComp(st.nbrs.Preds[c])
+		st.nbrs.Succs[c] = n.learnComp(st.nbrs.Succs[c])
 	}
 	n.rebuildPeers()
 	now := n.env.Now()
@@ -535,7 +534,7 @@ func (n *Node) processPendingJoins() {
 			n.processPendingJoins()
 			return
 		}
-		n.reconfigure(append(slices.Clone(st.comp.Members), pj.Joiner), causeJoin)
+		n.reconfigure(ids.Without(st.comp.Members, pj.Joiner.ID, pj.Joiner), causeJoin)
 		return
 	}
 	// Fresh request: select an accommodating vgroup with a random walk.

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"time"
+	"unsafe"
 
 	"atum/internal/actor"
 	"atum/internal/crypto"
@@ -710,24 +711,92 @@ func (n *Node) lookupComp(k group.Key) (group.Composition, bool) {
 	return group.Composition{}, false
 }
 
-// learnComp records a composition for inbox validation and flushes any
-// group messages and snapshot shares that were waiting for it.
-func (n *Node) learnComp(c group.Composition) {
+// learnComp is the node's one constructor of the compositions it keeps: it
+// records c for inbox validation, flushes any group messages and snapshot
+// shares that were waiting for it, and returns the composition the caller
+// keeps in c's place. That is the stored composition of c's key if it is
+// Equal to c; otherwise c with every member that an Equal identity of a known
+// composition matches taken from there (shareMembers), so the compositions a
+// node holds share each member's address and key bytes instead of each
+// holding a decoded copy.
+func (n *Node) learnComp(c group.Composition) group.Composition {
 	if c.IsZero() || c.GroupID == 0 {
-		return
+		return c
 	}
 	for _, m := range c.Members {
 		actor.LearnIdentity(n.env, m)
 	}
-	if !n.comps.add(c) {
-		return
+	if s, ok := n.comps.exact(c.Key()); ok {
+		if s.Equal(c) {
+			return s
+		}
+		return n.shareMembers(c) // another composition under a known key is not stored
 	}
+	c = n.shareMembers(c)
+	n.comps.add(c)
 	for _, acc := range n.inbox.FlushKey(n.env.Now(), c.Key()) {
 		n.handleAccepted(acc)
 	}
 	if n.attestSnapshots(c.Key()) && n.phase != phaseMember {
 		n.adoptSnapshots()
 	}
+	return c
+}
+
+// shareDepth is how many of a vgroup's newest stored compositions
+// shareMembers searches: one epoch changes one member, so the newest few hold
+// nearly every member a new composition of that vgroup names.
+const shareDepth = 4
+
+// shareMembers returns c with each member that an Equal identity (the same
+// NodeID, address and key bytes) of the node's own composition or of the
+// shareDepth newest stored compositions of c's vgroup matches replaced by
+// that identity. A member matched only under another key or address keeps its
+// own, so a re-keyed identity never reaches a stored composition. The result
+// holds c's own list when every member already shares its bytes, and a fresh
+// one of exactly its length otherwise: c's list is never written.
+func (n *Node) shareMembers(c group.Composition) group.Composition {
+	var out []ids.Identity
+	for i, m := range c.Members {
+		s, ok := n.knownIdentity(c.GroupID, m)
+		if !ok || sameBytes(s, m) {
+			continue
+		}
+		if out == nil {
+			out = make([]ids.Identity, len(c.Members))
+			copy(out, c.Members)
+		}
+		out[i] = s
+	}
+	if out == nil {
+		return c
+	}
+	return group.Composition{GroupID: c.GroupID, Epoch: c.Epoch, Members: out}
+}
+
+// knownIdentity returns the identity Equal to m in the node's own composition
+// or in the shareDepth newest stored compositions of vgroup gid.
+func (n *Node) knownIdentity(gid ids.GroupID, m ids.Identity) (ids.Identity, bool) {
+	if n.st != nil {
+		if i := n.st.comp.Index(m.ID); i >= 0 && n.st.comp.Members[i].Equal(m) {
+			return n.st.comp.Members[i], true
+		}
+	}
+	list := n.comps.byGroup[gid]
+	for j := len(list) - 1; j >= max(0, len(list)-shareDepth); j-- {
+		if i := list[j].Index(m.ID); i >= 0 && list[j].Members[i].Equal(m) {
+			return list[j].Members[i], true
+		}
+	}
+	return ids.Identity{}, false
+}
+
+// sameBytes reports whether a and b hold their address and key in the same
+// memory: a composition the node built from identities it holds already —
+// a reconfiguration's, a split's — keeps its own list.
+func sameBytes(a, b ids.Identity) bool {
+	return unsafe.StringData(a.Addr) == unsafe.StringData(b.Addr) &&
+		unsafe.SliceData(a.PubKey) == unsafe.SliceData(b.PubKey)
 }
 
 // --- SMR plumbing ---

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"atum/internal/crypto"
 	"atum/internal/group"
 	"atum/internal/ids"
@@ -140,7 +138,7 @@ func (n *Node) applySplitInsert(p walkPayload) {
 	if e.N() == 0 || e.GroupID == st.comp.GroupID {
 		return // cannot insert a vgroup after itself; keep its bridge spot
 	}
-	n.learnComp(e)
+	e = n.learnComp(e)
 	oldSucc := st.nbrs.Succs[p.Cycle]
 	if oldSucc.GroupID == e.GroupID {
 		return // already our successor here
@@ -227,21 +225,28 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 	if st == nil || p.From.N() == 0 || p.From.GroupID == st.comp.GroupID {
 		return
 	}
-	n.learnComp(p.From)
+	from := n.learnComp(p.From)
 	replyID := crypto.Hash([]byte("atum-mergereply"), reqID[:])
 	if st.busy {
 		pl := encodePayload(mergeRejectPayload{Busy: true})
-		n.sendGroup(st.comp, p.From, kindMergeReject, replyID, pl)
+		n.sendGroup(st.comp, from, kindMergeReject, replyID, pl)
 		return
 	}
 	n.counts.Merges++
 	// Accept: absorb every member; the accept tells the dissolving vgroup
 	// (and its members) that our old composition attests their snapshots.
 	accept := encodePayload(mergeAcceptPayload{Absorber: st.comp})
-	n.sendGroup(st.comp, p.From, kindMergeAccept, replyID, accept)
+	n.sendGroup(st.comp, from, kindMergeAccept, replyID, accept)
 
-	members := slices.Clone(st.comp.Members)
-	for _, m := range p.From.Members {
+	absorbed := 0
+	for _, m := range from.Members {
+		if !st.comp.Contains(m.ID) {
+			absorbed++
+		}
+	}
+	members := make([]ids.Identity, 0, st.comp.N()+absorbed)
+	members = append(members, st.comp.Members...)
+	for _, m := range from.Members {
 		if !st.comp.Contains(m.ID) {
 			members = append(members, m)
 		}

@@ -141,7 +141,7 @@ func (n *Node) finishExchange(wo walkOrigin, res walkResult) {
 		n.expectSnapshotFrom(res.Target)
 	}
 
-	n.reconfigure(append(ids.Without(st.comp.Members, outgoing.ID), incoming), causeExchange)
+	n.reconfigure(ids.Without(st.comp.Members, outgoing.ID, incoming), causeExchange)
 	// After reconfigure n.st survives for remaining members; the shuffle
 	// continues in the new epoch.
 	if n.st != nil {
@@ -174,7 +174,7 @@ func (n *Node) applyExchangeConfirm(p exchangeConfirmPayload) {
 	if outgoing.ID == n.cfg.Identity.ID {
 		n.expectSnapshotFrom(p.OriginOld)
 	}
-	n.reconfigure(append(ids.Without(st.comp.Members, outgoing.ID), incoming), causeExchange)
+	n.reconfigure(ids.Without(st.comp.Members, outgoing.ID, incoming), causeExchange)
 	if n.st != nil {
 		n.processPendingJoins()
 	}

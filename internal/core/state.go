@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"atum/internal/crypto"
 	"atum/internal/group"
@@ -285,7 +284,8 @@ func prfPick(seed crypto.Digest, salt uint64, n int) int {
 
 // prfShuffleIdentities deterministically permutes identities from a seed.
 func prfShuffleIdentities(seed crypto.Digest, list []ids.Identity) []ids.Identity {
-	out := slices.Clone(list)
+	out := make([]ids.Identity, len(list))
+	copy(out, list)
 	for i := len(out) - 1; i > 0; i-- {
 		j := prfPick(seed, uint64(i)*2654435761, i+1)
 		out[i], out[j] = out[j], out[i]

@@ -237,7 +237,7 @@ func (n *Node) applyWalkArrival(dig crypto.Digest, src group.Key, p walkPayload)
 		return
 	}
 	n.logf("walk ARRIVAL %x purpose=%d", p.WalkID[:4], p.Purpose)
-	n.learnComp(p.Origin)
+	p.Origin = n.learnComp(p.Origin)
 	switch p.Purpose {
 	case PurposeJoin:
 		if st.findExpected(p.Joiner.ID) < 0 && !st.comp.Contains(p.Joiner.ID) {
@@ -419,7 +419,7 @@ func (n *Node) applyWalkResult(res walkResult) {
 	st.removeWalk(res.WalkID)
 	delete(n.walkDeadlines, res.WalkID)
 	if !own {
-		n.learnComp(res.Target)
+		res.Target = n.learnComp(res.Target)
 	}
 
 	switch wo.Purpose {

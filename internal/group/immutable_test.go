@@ -47,9 +47,11 @@ var identityPointerMethods = map[string]bool{"Wire": true}
 // into a Members slice once a composition exists — no assignment, copy or
 // clear into it, no append to it, no sort or other in-place rewrite of it and
 // no pointer-method call on one of its elements (Composition.Wire's decode,
-// which builds Members, aside). And the engine keeps no copies: core, egress
-// and overlay call .Clone() only where a composition leaves for the
-// application.
+// which builds Members, aside). Nothing writes into a member's public key
+// either — no index assignment, copy or clear into a PubKey, no append to one
+// and no in-place rewrite of one — for the compositions a node holds share
+// each key's bytes. And the engine keeps no copies: core, egress and overlay
+// call .Clone() only where a composition leaves for the application.
 func TestCompositionsAreNeverWritten(t *testing.T) {
 	for _, pkg := range compositionHolders {
 		files, err := filepath.Glob(filepath.Join(pkg.dir, "*.go"))
@@ -77,7 +79,7 @@ func TestCompositionsAreNeverWritten(t *testing.T) {
 					continue // its decode builds Members
 				}
 				for _, v := range compositionWrites(fd.Body) {
-					t.Errorf("%s: %s in %s writes into a composition's Members", fset.Position(v.Pos()), v.what, name)
+					t.Errorf("%s: %s in %s writes into %s", fset.Position(v.Pos()), v.what, name, v.into)
 				}
 				if pkg.noClones && !handOffs[name] {
 					for _, c := range engineClones(fd.Body) {
@@ -107,6 +109,25 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
+// inPubKey reports whether e is a PubKey selector, or a slice of one; with
+// indexed, whether e indexes into one.
+func inPubKey(e ast.Expr, indexed bool) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "PubKey" && !indexed
+		case *ast.IndexExpr:
+			e, indexed = x.X, false
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
+}
+
 // inMembers reports whether e is a Members selector or reaches into one
 // through indexing, slicing or field selection.
 func inMembers(e ast.Expr) bool {
@@ -133,35 +154,54 @@ func inMembers(e ast.Expr) bool {
 
 type violation struct {
 	ast.Node
-	what string
+	what, into string
 }
 
-// compositionWrites returns the writes into a Members slice in body.
+const (
+	intoMembers = "a composition's Members"
+	intoPubKey  = "a member's PubKey"
+)
+
+// compositionWrites returns the writes into a Members slice or a PubKey in
+// body.
 func compositionWrites(body *ast.BlockStmt) []violation {
 	var out []violation
+	written := func(e ast.Expr, indexed bool) string {
+		switch {
+		case inMembers(e):
+			return intoMembers
+		case inPubKey(e, indexed):
+			return intoPubKey
+		}
+		return ""
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
-				if inMembers(lhs) {
-					out = append(out, violation{s, "an assignment"})
+				if into := written(lhs, true); into != "" {
+					out = append(out, violation{s, "an assignment", into})
 				}
 			}
 		case *ast.IncDecStmt:
-			if inMembers(s.X) {
-				out = append(out, violation{s, "an increment"})
+			if into := written(s.X, true); into != "" {
+				out = append(out, violation{s, "an increment", into})
 			}
 		case *ast.CallExpr:
 			if sel, ok := s.Fun.(*ast.SelectorExpr); ok {
 				if identityPointerMethods[sel.Sel.Name] && inMembers(sel.X) {
-					out = append(out, violation{s, "a pointer-method call"})
+					out = append(out, violation{s, "a pointer-method call", intoMembers})
 				}
-				if pkg, ok := sel.X.(*ast.Ident); ok && len(s.Args) > 0 && sliceWriters[pkg.Name+"."+sel.Sel.Name] && inMembers(s.Args[0]) {
-					out = append(out, violation{s, pkg.Name + "." + sel.Sel.Name})
+				if pkg, ok := sel.X.(*ast.Ident); ok && len(s.Args) > 0 && sliceWriters[pkg.Name+"."+sel.Sel.Name] {
+					if into := written(s.Args[0], false); into != "" {
+						out = append(out, violation{s, pkg.Name + "." + sel.Sel.Name, into})
+					}
 				}
 			}
-			if fn, ok := s.Fun.(*ast.Ident); ok && len(s.Args) > 0 && (fn.Name == "copy" || fn.Name == "clear" || fn.Name == "append") && inMembers(s.Args[0]) {
-				out = append(out, violation{s, fn.Name})
+			if fn, ok := s.Fun.(*ast.Ident); ok && len(s.Args) > 0 && (fn.Name == "copy" || fn.Name == "clear" || fn.Name == "append") {
+				if into := written(s.Args[0], false); into != "" {
+					out = append(out, violation{s, fn.Name, into})
+				}
 			}
 		}
 		return true

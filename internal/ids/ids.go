@@ -85,16 +85,22 @@ func FindIdentity(list []Identity, id NodeID) int {
 	return -1
 }
 
-// Without returns the identities of list other than id, in order, in a new
-// slice.
-func Without(list []Identity, id NodeID) []Identity {
-	var out []Identity
+// Without returns the identities of list other than id, in order, followed
+// by add, in a new slice of exactly that length.
+func Without(list []Identity, id NodeID, add ...Identity) []Identity {
+	n := len(add)
+	for _, m := range list {
+		if m.ID != id {
+			n++
+		}
+	}
+	out := make([]Identity, 0, n)
 	for _, m := range list {
 		if m.ID != id {
 			out = append(out, m)
 		}
 	}
-	return out
+	return append(out, add...)
 }
 
 // CloneIdentities returns a deep copy of the identity slice. Compositions are
