@@ -87,7 +87,7 @@ func TestConfigHasNoFaultInjectionField(t *testing.T) {
 	}{
 		{atum.Config{}, 15},
 		{atum.BroadcastOpts{}, 0},
-		{atum.SendOpts{}, 2},
+		{atum.SendOpts{}, 1},
 		{atum.SimOptions{}, 3},
 		{atum.RealtimeOptions{}, 4},
 		{tcpnet.Options{}, 4},

@@ -49,9 +49,9 @@
 // # Flow control
 //
 // The send surface is flow-controlled (docs/API.md): SendRawWith returns
-// typed errors instead of silently dropping and accepts a priority class and
-// a queue-residency TTL, node-addressed egress queues are bounded
-// (NodeQueueLimit items, 8 MiB) with a paced drain, and
+// typed errors instead of silently dropping and accepts a priority class,
+// node-addressed egress queues are bounded (NodeQueueLimit items, 8 MiB),
+// shed by priority alone and drained at a paced rate, and
 // applications read a destination's pressure level
 // (Node.EgressPressure: Low/High/Critical, with hysteresis) before they send,
 // and the queue depths and drop counters in Node.Stats. Nothing is pushed
@@ -116,7 +116,7 @@ type (
 	GroupComposition = group.Composition
 	// BroadcastOpts is BroadcastWith's option set; it has no fields.
 	BroadcastOpts = core.BroadcastOpts
-	// SendOpts are SendRawWith's flow-control options.
+	// SendOpts is SendRawWith's option set: the priority class.
 	SendOpts = core.SendOpts
 	// Priority is a send's egress priority class (lower = more important).
 	Priority = core.Priority
@@ -255,8 +255,8 @@ func (n *Node) GroupSize() int { return n.inner.Comp().N() }
 func (n *Node) GroupMembers() []Identity { return n.inner.Comp().Members }
 
 // SendRawWith sends an application-level message to another node
-// (delivered to its Callbacks.OnRawMessage hook), with flow-control options
-// (priority class, egress queue-residency TTL); SendOpts{} means defaults.
+// (delivered to its Callbacks.OnRawMessage hook), with its flow-control
+// option, a priority class; SendOpts{} means the default class.
 // It reports failures instead of silently dropping — ErrNotRunning,
 // ErrEgressOverflow, ErrUnregisteredType (see docs/API.md). The former
 // SendRaw(to, msg) wrapper was removed in the scheduled API-breaking

@@ -47,7 +47,7 @@ func TestBackpressureMovesDropsToApplication(t *testing.T) {
 		t.Fatalf("paced transport drops %d not an order of magnitude under blind's %d",
 			paced.TransportDrops, blind.TransportDrops)
 	}
-	shed := paced.AppSheds + paced.EgressDropsOverflow + paced.EgressDropsExpired
+	shed := paced.AppSheds + paced.EgressDropsOverflow
 	if shed == 0 {
 		t.Fatal("paced run shed nothing at the application; the pressure signal never engaged")
 	}

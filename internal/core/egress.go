@@ -3,8 +3,9 @@ package core
 // The engine's side of the way out. Every send goes through the node's
 // egress.Port (internal/egress), which holds the node's transport handle:
 // the engine keeps no actor.Env, so it cannot send any other way. This file
-// tells the port the engine's rules — which kinds ride carriers, the carrier
-// kind, the round, the withholding rules — and reads carriers on the way in.
+// tells the port the engine's rules — the carrier kind, the round, the
+// withholding rules — and reads carriers on the way in, where the wire table
+// says which kinds a carrier may deliver.
 
 import (
 	"time"
@@ -46,11 +47,10 @@ func (n *Node) newEgress() *egress.Port {
 		Arm: func(d time.Duration) { n.env.SetTimer(d, egressFlushTimer{}) }, // nothing is sent before Start
 	}, egress.Rules{
 		Self: n.cfg.Identity.ID, Sync: n.cfg.Mode == smr.ModeSync, Carrier: kindBatch,
-		CarrierOK: func(k group.Kind) bool { return rowByKind[k] != nil && rowByKind[k].carrierOK },
-		Withdraw:  n.withdrawGossip,
-		Holds:     n.holdsGossip,
-		RelayLag:  n.cfg.RoundDuration / relayLagPerRound,
-		Left:      n.gossipLeft,
+		Withdraw: n.withdrawGossip,
+		Holds:    n.holdsGossip,
+		RelayLag: n.cfg.RoundDuration / relayLagPerRound,
+		Left:     n.gossipLeft,
 	})
 }
 

@@ -8,6 +8,11 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -625,62 +630,114 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 	}
 }
 
-// TestSendRoutesByWireRow: one column of the wire table decides, on both
-// ends, whether a kind rides a carrier. For every row with a group kind,
-// sendGroup leaves a scheduler entry iff the row says carrierOK and otherwise
-// holds the message alone for the round; either way one plain copy per member
-// leaves at the tick and none before. And when all of them travel to a member
-// of the destination vgroup, its handleBatch finds no item the table keeps off
-// carriers. (sendGroup's predecessor queued whatever it was handed: a merge
-// request sent through it was dropped by the receiver as a "sender bug".)
+// TestSendRoutesByWireRow: every group kind leaves a vgroup by one way, the
+// group queue, and the wire table's carrierOK column is the receiver's
+// allowlist. Three checks:
+//   - every kind a sendGroup call site of this package passes, and gossip,
+//     which forwardGossip hands Port.Group itself, has a row a carrier may
+//     deliver (the call sites are read from the source);
+//   - sent to one neighbour in one round, all of those kinds arrive in one
+//     carrier, and the receiver's handleBatch refuses none of them;
+//   - the receiver refuses each node-addressed kind (walk result, snapshot,
+//     join redirect) inside a carrier: those leave through ToNode, Chained and
+//     ChainedTo, never through sendGroup, and their handlers assume a
+//     standalone copy.
 func TestSendRoutesByWireRow(t *testing.T) {
+	carried := map[string]group.Kind{"kindGossip": kindGossip, "kindWalk": kindWalk,
+		"kindWalkBackward": kindWalkBackward, "kindNeighborUpdate": kindNeighborUpdate,
+		"kindSetNeighbor": kindSetNeighbor, "kindCycleAssign": kindCycleAssign,
+		"kindExchangeConfirm": kindExchangeConfirm, "kindExchangeCancel": kindExchangeCancel,
+		"kindMergeRequest": kindMergeRequest, "kindMergeAccept": kindMergeAccept, "kindMergeReject": kindMergeReject}
+	nodeAddressed := []group.Kind{kindWalkResult, kindSnapshot, kindJoinRedirect}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(x ast.Node) bool {
+			call, _ := x.(*ast.CallExpr)
+			if call == nil {
+				return true
+			}
+			if sel, _ := call.Fun.(*ast.SelectorExpr); sel == nil || sel.Sel.Name != "sendGroup" {
+				return true
+			}
+			sites++
+			kind, _ := call.Args[2].(*ast.Ident)
+			if kind == nil || carried[kind.Name] == 0 {
+				t.Errorf("%s: sendGroup passes %s, not a kind of this test's carried list", name, types.ExprString(call.Args[2]))
+			}
+			return true
+		})
+	}
+	if sites < 10 {
+		t.Fatalf("found %d sendGroup call sites: the source scan is broken", sites)
+	}
+	for name, kind := range carried {
+		if r := rowByKind[kind]; r == nil || !r.carrierOK {
+			t.Errorf("%s: a vgroup sends it, and its row does not let a carrier deliver it", name)
+		}
+	}
+
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
 	sender, senderEnv := memberNode(t, 1, comp, nbr)
-	kinds := 0
-	for _, r := range wireRows {
-		if r.kind == 0 {
-			continue
-		}
-		kinds++
-		n, env := memberNode(t, 1, comp, nbr)
-		payload := encodePayload(r.proto)
-		msgID := crypto.Hash([]byte{byte(r.kind)})
-		n.sendGroup(comp, nbr, r.kind, msgID, payload)
-		_, queued := n.egress.Pending()
-		early := len(groupSends(env))
-		if want := map[bool]int{true: 1, false: 0}[r.carrierOK]; queued != want || early != 0 {
-			t.Errorf("kind %d (%T), carrierOK %v: %d queued, %d sent before the tick, want %d and 0",
-				r.kind, r.proto, r.carrierOK, queued, early, want)
-		}
-		n.egress.FlushDeferred()
-		if sent := groupSends(env); len(sent) != nbr.N() || sent[0].Kind != r.kind {
-			t.Errorf("kind %d (%T): %d messages at the tick, want one plain copy per member (%d)", r.kind, r.proto, len(sent), nbr.N())
-		}
-		sender.sendGroup(comp, nbr, r.kind, msgID, payload)
+	for _, kind := range carried {
+		r := rowByKind[kind]
+		sender.sendGroup(comp, nbr, kind, crypto.Hash([]byte{byte(kind)}), encodePayload(r.proto))
 	}
-	if kinds < 14 {
-		t.Fatalf("only %d rows carry a group kind: the table walk is broken", kinds)
+	if early := len(groupSends(senderEnv)); early != 0 {
+		t.Fatalf("%d copies left before the tick", early)
 	}
-
 	sender.egress.FlushDeferred()
 	recv, recvEnv := memberNode(t, 4, nbr, comp)
-	carriers := 0
+	var carriers []group.GroupMsg
 	for _, s := range senderEnv.sent {
 		if s.to != 4 {
 			continue
 		}
-		if m := s.msg.(group.GroupMsg); m.Kind == kindBatch {
-			carriers++
+		m := s.msg.(group.GroupMsg)
+		if m.Kind == kindBatch {
+			carriers = append(carriers, m)
 		}
-		recv.Receive(1, s.msg)
+		recv.Receive(1, m)
 	}
-	if carriers != 1 {
-		t.Fatalf("%d carriers reached the receiver, want the one holding every carrier-deliverable kind", carriers)
+	if len(carriers) != 1 {
+		t.Fatalf("%d carriers reached the receiver, want one holding every kind", len(carriers))
+	}
+	var kinds []group.Kind
+	group.EachInBatch(carriers[0], func(im group.GroupMsg) { kinds = append(kinds, im.Kind) })
+	if len(kinds) != len(carried) {
+		t.Errorf("the carrier holds kinds %v, want all %d", kinds, len(carried))
 	}
 	for _, line := range recvEnv.logs {
 		if strings.Contains(line, "not batchable") {
 			t.Errorf("receiver refused a carried item: %s", line)
+		}
+	}
+
+	var items []group.BatchItem
+	for _, kind := range nodeAddressed {
+		items = append(items, group.BatchItem{Kind: kind, MsgID: crypto.Hash([]byte{byte(kind)}),
+			Payload: encodePayload(rowByKind[kind].proto)})
+	}
+	hdr := group.GroupMsg{SrcGroup: comp.GroupID, SrcEpoch: comp.Epoch, DstGroup: nbr.GroupID, DstEpoch: nbr.Epoch}
+	smuggled, _ := group.Copy(hdr, kindBatch, items, group.CopyRule{Full: true})
+	recvEnv.logs = nil
+	recv.Receive(1, smuggled)
+	for _, kind := range nodeAddressed {
+		want := fmt.Sprintf("kind %d is not batchable", kind)
+		if !slices.ContainsFunc(recvEnv.logs, func(l string) bool { return strings.Contains(l, want) }) {
+			t.Errorf("kind %d inside a carrier was not refused; logs %q", kind, recvEnv.logs)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package core
 
-// The flow-controlled send surface: typed send errors, SendRawWith's options
-// (priority class, queue-residency TTL), and the two reads an application
-// paces itself by — a destination's pressure level and the node's Stats.
+// The flow-controlled send surface: typed send errors, SendRawWith's option
+// (a priority class), and the two reads an application paces itself by — a
+// destination's pressure level and the node's Stats.
 // The egress scheduler (internal/egress) bounds and paces node-addressed
 // queues; this file is the engine-level API over that machinery — see
 // docs/API.md for the application-facing contract.
 
 import (
 	"errors"
-	"time"
 
 	"atum/internal/egress"
 	"atum/internal/ids"
@@ -73,11 +72,6 @@ const (
 type SendOpts struct {
 	// Priority is the egress priority class (default PriorityControl).
 	Priority Priority
-	// TTL bounds how long the message may wait in the sender's egress queue:
-	// items older than TTL are dropped at flush time instead of transmitted
-	// (counted as DroppedExpired in Stats().Egress). 0 = no limit. Only
-	// meaningful on the batched egress path; direct sends ignore it.
-	TTL time.Duration
 }
 
 // BroadcastOpts is BroadcastWith's option set, and it is empty: a broadcast

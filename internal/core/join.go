@@ -183,28 +183,16 @@ func (n *Node) handleDirectRedirect(from ids.NodeID, m group.GroupMsg) {
 	if j == nil || j.stage != stageRequestedC || m.Payload == nil {
 		return
 	}
-	if crypto.Hash(m.Payload) != m.PayloadDigest {
-		return
-	}
 	p, err := decodeAs[joinRedirectPayload](m.Payload)
 	if err != nil {
 		return
 	}
-	var chain []overlay.StepCert
-	if m.Attach != nil {
-		if att, err := decodeAs[walkAttachment](m.Attach); err == nil {
-			chain = att.Chain
-		}
-	}
-	final, err := overlay.VerifyChain(n.cfg.Scheme, j.contactComp, p.WalkID, chain)
+	chained, err := n.verifyDirect(m, j.contactComp, p.WalkID, p.Target)
 	if err != nil {
-		n.logf("join redirect: bad chain: %v", err)
+		n.logf("join redirect: %v", err)
 		return
 	}
-	if len(chain) > 0 && final.Digest() != p.Target.Digest() {
-		return
-	}
-	if len(chain) == 0 {
+	if !chained {
 		fromContact := from == j.contact.ID && p.Target.GroupID == j.contactComp.GroupID
 		if !fromContact && !p.Target.Equal(j.contactComp) {
 			return

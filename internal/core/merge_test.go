@@ -4,27 +4,61 @@ import (
 	"testing"
 	"time"
 
+	"atum/internal/actor"
+	"atum/internal/ids"
 	"atum/internal/smr"
 )
 
+// nowHook is an actor.Env that runs a test's function before each Now.
+type nowHook struct {
+	actor.Env
+	hook func()
+}
+
+func (e nowHook) Now() time.Duration {
+	e.hook()
+	return e.Env.Now()
+}
+
 // TestMergeOnShrink drives a two-vgroup system below GMin by leaving nodes
 // and verifies the survivors converge to one consistent vgroup (merge) with
-// broadcasts still flowing.
+// broadcasts still flowing. A dissolving member departs its vgroup like any
+// member that moves: from the moment it awaits the absorber's snapshot (the
+// first clock read after it enters phaseAwaitSnapshot, where departed arms
+// the orphan deadline) it holds no operation of the dissolved vgroup to
+// re-propose at a later barrier and no member table. Shuffling is off, so a
+// dissolve is the only way into that phase.
 func TestMergeOnShrink(t *testing.T) {
 	h := newHarness(t, smr.ModeSync, 13, func(cfg *Config) {
 		cfg.Params = Params{HC: 2, RWL: 2, GMax: 4, GMin: 3}
 		cfg.DisableShuffle = true
 	})
-	nodes := h.bootstrapSystem(smr.ModeSync, 6, 120*time.Second) // splits into 2 groups of 3
+	dissolved := map[ids.NodeID]bool{}
+	h.wrapEnv = func(n *Node, env actor.Env) actor.Env {
+		return nowHook{Env: env, hook: func() {
+			id := n.cfg.Identity.ID
+			if n.phase != phaseAwaitSnapshot || dissolved[id] {
+				return
+			}
+			dissolved[id] = true
+			if len(n.ownPend) != 0 || n.peers != nil {
+				t.Errorf("%v awaits the absorber's snapshot holding %d pending ops and a member table (%v)",
+					id, len(n.ownPend), n.peers != nil)
+			}
+		}}
+	}
+	nodes := h.bootstrapSystem(smr.ModeSync, 6, 120*time.Second) // splits into two groups
 	h.net.Run(h.net.Now() + 10*time.Second)
 	if len(h.groupsOf()) < 2 {
 		t.Skip("no split occurred at this seed; merge path exercised elsewhere")
 	}
-	// Leave two members of one group: it shrinks below GMin and must merge.
+	// Leave two members of one group that keeps a member: it shrinks below
+	// GMin and must merge. (The split need not halve the system evenly, and
+	// a group left empty has nothing to merge.)
 	groups := h.groupsOf()
 	var leavers []*Node
 	for _, members := range groups {
-		if len(members) >= 2 {
+		if len(members) > 2 {
 			for _, id := range members[:2] {
 				leavers = append(leavers, h.nodes[id])
 			}
@@ -43,6 +77,9 @@ func TestMergeOnShrink(t *testing.T) {
 	members := h.memberCount()
 	if members < 4 {
 		t.Fatalf("members = %d, want >= 4 after two leaves", members)
+	}
+	if len(dissolved) == 0 {
+		t.Fatal("no member awaited a snapshot: the shrunken vgroup never dissolved")
 	}
 	// Broadcast still reaches every survivor.
 	var origin *Node

@@ -424,10 +424,9 @@ func (n *Node) observeCopy(from ids.NodeID, m group.GroupMsg) {
 // destination's bounded egress queue rejected the message (flow control —
 // see NodeQueueLimit).
 //
-// opts carries the flow-control options: a priority class (overflow on the
-// destination's bounded queue sheds lower-priority items first) and an
-// optional TTL bounding how long the message may wait in the sender's
-// egress queue before it is dropped as stale; SendOpts{} means defaults.
+// opts carries the flow-control option, a priority class: overflow on the
+// destination's bounded queue sheds lower-priority items first, and nothing
+// else sheds a queued message. SendOpts{} means the default, PriorityControl.
 func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if n.env == nil || n.stopped {
 		return ErrNotRunning
@@ -440,15 +439,11 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if n.st != nil {
 		src = n.st.comp
 	}
-	var expires time.Duration
-	if opts.TTL > 0 {
-		expires = n.env.Now() + opts.TTL
-	}
 	// MsgID is the payload digest by construction, so a carrier of raw items
 	// omits it (DerivedID) and the receiver re-derives it.
 	return n.egress.EnqueueNodeWith(src, to,
 		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
-		opts.Priority, expires)
+		opts.Priority)
 }
 
 // SetBehavior switches the node's behaviour: the one way to inject a fault

@@ -255,7 +255,8 @@ func (n *Node) applyMergeRequest(src group.Key, reqID crypto.Digest, p mergeRequ
 }
 
 // applyMergeAccept dissolves this vgroup: close the cycle gaps, then every
-// member adopts the absorber's snapshot.
+// member departs it like any member that moves (departed) and adopts the
+// absorber's snapshot.
 func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	st := n.st
 	if st == nil || p.Absorber.N() == 0 {
@@ -294,13 +295,7 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	n.egress.FlushAll()
 	n.expectSnapshotFrom(p.Absorber)
 	n.stopReplica()
-	// As on a split: the cached snapshots attest this vgroup, and a re-share
-	// answers a heartbeat under the absorber's GroupID.
-	n.recentSnaps = nil
-	n.st = nil
-	n.phase = phaseAwaitSnapshot
-	n.awaitDeadline = n.env.Now() + 2*n.cfg.JoinTimeout
-	n.adoptSnapshots()
+	n.departed(causeMerge)
 }
 
 // applyMergeReject backs off and retries with another neighbor.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"time"
@@ -357,9 +359,6 @@ func (n *Node) handleDirectWalkReply(from ids.NodeID, m group.GroupMsg) {
 	if st == nil || m.Payload == nil {
 		return
 	}
-	if crypto.Hash(m.Payload) != m.PayloadDigest {
-		return
-	}
 	res, err := decodeAs[walkResult](m.Payload)
 	if err != nil {
 		return
@@ -373,25 +372,38 @@ func (n *Node) handleDirectWalkReply(from ids.NodeID, m group.GroupMsg) {
 	if origin.N() == 0 {
 		origin = st.comp
 	}
+	chained, err := n.verifyDirect(m, origin, res.WalkID, res.Target)
+	if err != nil || !chained && (!origin.Contains(from) || res.Target.GroupID != origin.GroupID ||
+		wo.Purpose == PurposeShuffle && res.Accept) {
+		return
+	}
+	n.proposeOp(inputVoteOp{Kind: kindWalkResult, MsgID: m.MsgID,
+		Src: res.Target.Key(), Payload: m.Payload})
+}
+
+// verifyDirect checks a certificate-mode direct copy m whose payload names
+// walkID and target: the payload against its digest, then the chain the copy
+// attaches, which must run from root over walkID and end at target. It
+// reports whether the copy carries a chain: an empty one attests root alone,
+// and each caller has its own rule for that case.
+func (n *Node) verifyDirect(m group.GroupMsg, root group.Composition, walkID crypto.Digest, target group.Composition) (chained bool, err error) {
+	if crypto.Hash(m.Payload) != m.PayloadDigest {
+		return false, errors.New("payload does not match its digest")
+	}
 	var chain []overlay.StepCert
 	if m.Attach != nil {
 		if att, err := decodeAs[walkAttachment](m.Attach); err == nil {
 			chain = att.Chain
 		}
 	}
-	final, err := overlay.VerifyChain(n.cfg.Scheme, origin, res.WalkID, chain)
+	final, err := overlay.VerifyChain(n.cfg.Scheme, root, walkID, chain)
 	if err != nil {
-		return
+		return false, fmt.Errorf("bad chain: %w", err)
 	}
-	if len(chain) > 0 && final.Digest() != res.Target.Digest() {
-		return
+	if len(chain) > 0 && final.Digest() != target.Digest() {
+		return false, errors.New("chain ends at another composition")
 	}
-	if len(chain) == 0 && (!origin.Contains(from) || res.Target.GroupID != origin.GroupID ||
-		wo.Purpose == PurposeShuffle && res.Accept) {
-		return
-	}
-	n.proposeOp(inputVoteOp{Kind: kindWalkResult, MsgID: m.MsgID,
-		Src: res.Target.Key(), Payload: m.Payload})
+	return len(chain) > 0, nil
 }
 
 // applyWalkResult is the agreed handling of a walk reply at its origin. A

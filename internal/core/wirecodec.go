@@ -138,10 +138,11 @@ type wireRow struct {
 	// messages and walkAttachment. kindBatch and kindRaw have no row: their
 	// payloads are a group-layer batch frame and an extension frame.
 	kind group.Kind
-	// carrierOK says a kindBatch carrier may deliver the kind. It is false for
-	// node-addressed handshake replies and special-cased reconfiguration
-	// traffic, whose handlers assume a standalone, directly-addressed group
-	// message (snapshots, certificate-mode replies, merge negotiation).
+	// carrierOK says a kindBatch carrier may deliver the kind: the receiver's
+	// allowlist (handleBatch). It is true for every kind sendGroup sends and
+	// false for the node-addressed ones — snapshots, walk results and join
+	// redirects — which leave through the port's ToNode, Chained and ChainedTo
+	// and whose handlers assume a standalone, directly-addressed message.
 	carrierOK bool
 	// walk runs the type's field walk over v, a value of the type, writing it
 	// (frame); size runs it over a counter and returns the bytes of v's body
@@ -208,9 +209,9 @@ var wireRows = []wireRow{
 	row[cycleAssignPayload](wkCycleAssign, classPayload, kindCycleAssign, true),
 	row[exchangeConfirmPayload](wkExchangeConfirm, classPayload, kindExchangeConfirm, true),
 	row[exchangeCancelPayload](wkExchangeCancel, classPayload, kindExchangeCancel, true),
-	row[mergeRequestPayload](wkMergeRequest, classPayload, kindMergeRequest, false),
-	row[mergeAcceptPayload](wkMergeAccept, classPayload, kindMergeAccept, false),
-	row[mergeRejectPayload](wkMergeReject, classPayload, kindMergeReject, false),
+	row[mergeRequestPayload](wkMergeRequest, classPayload, kindMergeRequest, true),
+	row[mergeAcceptPayload](wkMergeAccept, classPayload, kindMergeAccept, true),
+	row[mergeRejectPayload](wkMergeReject, classPayload, kindMergeReject, true),
 	row[snapshotPayload](wkSnapshot, classPayload, kindSnapshot, false),
 	row[joinRedirectPayload](wkJoinRedirect, classPayload, kindJoinRedirect, false),
 

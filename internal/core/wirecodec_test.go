@@ -839,9 +839,9 @@ func TestWireTableInvariants(t *testing.T) {
 	}
 
 	carrierOK := []group.Kind{kindGossip, kindWalk, kindWalkBackward, kindNeighborUpdate,
-		kindSetNeighbor, kindCycleAssign, kindExchangeConfirm, kindExchangeCancel}
-	standaloneOnly := []group.Kind{kindWalkResult, kindMergeRequest, kindMergeAccept,
-		kindMergeReject, kindSnapshot, kindJoinRedirect}
+		kindSetNeighbor, kindCycleAssign, kindExchangeConfirm, kindExchangeCancel,
+		kindMergeRequest, kindMergeAccept, kindMergeReject}
+	standaloneOnly := []group.Kind{kindWalkResult, kindSnapshot, kindJoinRedirect}
 	for k := 0; k < len(rowByKind); k++ {
 		kind := group.Kind(k)
 		rows := 0

@@ -18,8 +18,7 @@ import (
 // common: everything an owner calls.
 type scheduler interface {
 	EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool)
-	EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool)
-	EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error
+	EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class) error
 	FlushAll()
 	FlushDeferred()
 	OnTimer()
@@ -42,8 +41,8 @@ type diffEvent struct {
 // refRound is the reference as the engine drove it before the Scheduler held
 // the round — the comparison's one named difference. The engine used to frame
 // a deferred batch the reference drained between ticks (a size cap, a source
-// change, FlushAll), and an item a carrier must not deliver, straight into a
-// round queue of its own, which it sent at the tick before the tick's drains.
+// change, FlushAll) straight into a round queue of its own, which it sent at
+// the tick before the tick's drains.
 // refRound holds those Flush calls and makes them at the next FlushDeferred,
 // in the order they were held, ahead of the reference's own.
 type refRound struct {
@@ -96,10 +95,6 @@ func (r *refRound) emit(src, dst group.Composition, node ids.NodeID, items []gro
 	items = slices.Clone(items) // Flush's items are scratch
 	r.held = append(r.held, func() { r.flush(src, dst, node, items) })
 	r.holds++
-}
-
-func (r *refRound) EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool) {
-	r.emit(src, dst, 0, []group.BatchItem{it}, deferred)
 }
 
 func (r *refRound) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
@@ -213,18 +208,6 @@ func (w *diffWorld) item(size int) group.BatchItem {
 	return group.BatchItem{Kind: 1, MsgID: crypto.HashUint64(crypto.Digest{}, w.seq), Payload: payload}
 }
 
-// expiry draws an absolute expiry: none, already past at the next flush, or far off.
-func (w *diffWorld) expiry() time.Duration {
-	switch w.rng.Intn(4) {
-	case 0:
-		return w.now + time.Duration(w.rng.Intn(4000))*time.Microsecond
-	case 1:
-		return w.now + time.Hour
-	default:
-		return 0
-	}
-}
-
 // both runs one call on both schedulers and compares everything observable.
 func (w *diffWorld) both(what string, call func(s scheduler) error) {
 	w.t.Helper()
@@ -281,10 +264,6 @@ func (w *diffWorld) step() {
 	case r < 40:
 		dst := comp(ids.GroupID(10+w.rng.Intn(w.groups)), 1)
 		it, deferred := w.item(w.rng.Intn(120)), w.rng.Intn(100) < w.deferredP
-		if w.rng.Intn(8) == 0 {
-			w.both("EnqueueAlone", func(s scheduler) error { s.EnqueueAlone(w.src, dst, it, deferred); return nil })
-			return
-		}
 		w.both("EnqueueGroup", func(s scheduler) error { s.EnqueueGroup(w.src, dst, it, deferred); return nil })
 	case r < 70:
 		to := ids.NodeID(1000 + w.rng.Intn(w.nodes))
@@ -296,8 +275,8 @@ func (w *diffWorld) step() {
 			sizes = append(sizes, fit-1, fit, fit+1, fit/2, fit/3)
 		}
 		it := w.item(sizes[w.rng.Intn(len(sizes))])
-		class, expires := Class(w.rng.Intn(3)), w.expiry()
-		w.both("EnqueueNodeWith", func(s scheduler) error { return s.EnqueueNodeWith(w.src, to, it, class, expires) })
+		class := Class(w.rng.Intn(3))
+		w.both("EnqueueNodeWith", func(s scheduler) error { return s.EnqueueNodeWith(w.src, to, it, class) })
 	case r < 75:
 		// The source composition changes under open batches: an epoch bump, or
 		// (rarely) a move to another vgroup.
@@ -324,16 +303,16 @@ func (w *diffWorld) step() {
 
 // TestSchedulerMatchesReference drives the shipped Scheduler and the
 // reference model (ref_test.go) through seeded random schedules — deferred and
-// windowed group enqueues (which never expire), items sent alone, node
-// enqueues of all three classes with TTLs and sizes around LimitBytes,
+// windowed group enqueues, node enqueues of all three classes with sizes
+// around LimitBytes,
 // source-epoch changes and group moves, clock advances with OnTimer at every
 // armed deadline, spurious OnTimer calls, FlushDeferred and FlushAll — and
 // requires the same Flush calls (source, destination, node, items, time,
 // order), Arm delays, returned errors, Pending and Snapshot after every step,
 // and Level of every node destination equal to the last transition the
 // reference's OnPressure reported. The reference is driven as refRound: its
-// deferred drains between ticks and its deferred items sent alone wait for
-// FlushDeferred, the one named difference. Every two-hundredth
+// deferred drains between ticks wait for FlushDeferred, the one named
+// difference. Every two-hundredth
 // schedule spreads its traffic over more destinations than maxArrivalEntries
 // so that pruneArrivals runs, once with a slow clock (every entry hot: the
 // reset pass) and once with a fast one (the stale pass). Limit > 0 throughout:
@@ -367,13 +346,12 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		total.Flushes += st.Flushes
 		total.Items += st.Items
 		total.DroppedOverflow += st.DroppedOverflow
-		total.DroppedExpired += st.DroppedExpired
 		pressure += w.pressure
 		arms += w.arms
 		holds += w.round.holds
 	}
 	t.Logf("%d schedules: %+v, %d pressure transitions, %d timers, %d held flushes", schedules, total, pressure, arms, holds)
-	if total.Immediate == 0 || total.Flushes == 0 || total.DroppedOverflow == 0 || total.DroppedExpired == 0 ||
+	if total.Immediate == 0 || total.Flushes == 0 || total.DroppedOverflow == 0 ||
 		pressure == 0 || arms == 0 || holds == 0 {
 		t.Error("a branch of the scheduler went unvisited: the comparison above proves less than it says")
 	}

@@ -39,8 +39,7 @@
 // would buy nothing). A size cap, a source change or FlushAll still closes
 // such a batch early, stamped with its enqueue-time source and destination,
 // but the closed batch is held and leaves at that FlushDeferred too, ahead of
-// the round's open queues and in the order it was closed. So does a single
-// item that must not ride a carrier (EnqueueAlone with deferred set).
+// the round's open queues and in the order it was closed.
 //
 // # Flow control
 //
@@ -51,20 +50,18 @@
 //     burst onto the transport — excess items wait in the queue;
 //   - the queue is bounded (Limit items, LimitBytes payload bytes): overflow
 //     evicts the oldest queued item of a strictly lower-priority Class, or,
-//     when no such victim exists, rejects the new item with ErrOverflow;
-//   - items carry an optional expiry: stale items are dropped at flush time
-//     (DroppedExpired), never transmitted;
+//     when no such victim exists, rejects the new item with ErrOverflow —
+//     an item is shed by its priority alone, never by its age;
 //   - queue depth drives a hysteresis-based pressure level per destination
 //     (Low/High/Critical, distinct enter/exit thresholds so the signal does
 //     not flap); Level reads it in O(1), and Snapshot exposes it with
 //     per-destination depth and drop counters.
 //
-// Group-addressed queues are not bounded, not paced and never expire: they
-// carry protocol traffic (agreement-backed group messages) whose loss the
-// engine cannot tolerate, so EnqueueGroup takes no class and no expiry. Which
-// of the two a queue is follows from its destination alone — there is no
-// switch. FlushAll drains everything, bounds and pacing included —
-// correctness before flow control.
+// Group-addressed queues are not bounded and not paced: they carry protocol
+// traffic (agreement-backed group messages) whose loss the engine cannot
+// tolerate, so EnqueueGroup takes no class. Which of the two a queue is
+// follows from its destination alone — there is no switch. FlushAll drains
+// everything, bounds and pacing included — correctness before flow control.
 //
 // The scheduler is not goroutine-safe: like the rest of the engine it runs
 // inside one actor's event loop.
@@ -209,7 +206,6 @@ type Stats struct {
 	Flushes         uint64 // queued batches transmitted
 	Items           uint64 // items transmitted through queued batches
 	DroppedOverflow uint64 // items dropped because a bounded queue was full
-	DroppedExpired  uint64 // items dropped at flush because their expiry passed
 }
 
 // DestStats is one node-addressed destination's flow-control snapshot.
@@ -220,7 +216,6 @@ type DestStats struct {
 	Level           Level
 	Flushes         uint64
 	DroppedOverflow uint64
-	DroppedExpired  uint64
 }
 
 // destKey identifies one destination: a vgroup (composition key) or a node.
@@ -229,21 +224,13 @@ type destKey struct {
 	node ids.NodeID
 }
 
-// itemMeta is the flow-control metadata of one queued item (parallel to
-// pending.items; kept out of group.BatchItem so classes and expiries never
-// leak into wire frames).
-type itemMeta struct {
-	class   Class
-	expires time.Duration // 0: never
-}
-
 // pending is one destination's open batch.
 type pending struct {
 	src      group.Composition
 	dst      group.Composition
 	node     ids.NodeID
 	items    []group.BatchItem
-	meta     []itemMeta
+	meta     []Class // each item's class, kept out of group.BatchItem so it never reaches a wire frame
 	bytes    int
 	deadline time.Duration // 0: deferred to the next FlushDeferred
 }
@@ -261,7 +248,6 @@ type arrival struct {
 	// per-destination counters surfaced through Snapshot.
 	flushes  uint64
 	dropOver uint64
-	dropExp  uint64
 }
 
 // maxArrivalEntries bounds the rate-estimate map; overflow evicts stale
@@ -285,8 +271,7 @@ type Scheduler struct {
 	// to Flush (the idle case is per-item hot; Flush does not retain items).
 	single [1]group.BatchItem
 	// held lists, in the order they were closed, the batches that wait for
-	// the next FlushDeferred: deferred queues closed between ticks, and
-	// deferred EnqueueAlone items.
+	// the next FlushDeferred: deferred queues closed between ticks.
 	held []*pending
 }
 
@@ -308,31 +293,17 @@ func New(cfg Config) *Scheduler {
 // deferred batches wait for the next FlushDeferred instead of an
 // adaptive window (the synchronous engine's round-quantized sends).
 func (s *Scheduler) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
-	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, itemMeta{})
+	s.enqueue(destKey{grp: dst.Key()}, src, dst, 0, it, deferred, ClassControl)
 }
 
-// EnqueueNodeWith queues one raw item for a single node. It returns
-// ErrOverflow when the destination queue is full and no lower-priority victim
-// could be evicted — the item was not queued.
-func (s *Scheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error {
-	return s.enqueue(destKey{node: to}, src, group.Composition{}, to, it, false, itemMeta{class: class, expires: expires})
+// EnqueueNodeWith queues one raw item of the given class for a single node.
+// It returns ErrOverflow when the destination queue is full and no
+// lower-priority victim could be evicted — the item was not queued.
+func (s *Scheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class) error {
+	return s.enqueue(destKey{node: to}, src, group.Composition{}, to, it, false, class)
 }
 
-// EnqueueAlone sends one item to every member of dst as a batch of its own: a
-// kind a carrier must not deliver. It is flushed at once, or, deferred, held
-// for the next FlushDeferred in its place among the closed batches. It opens
-// no queue and is not counted in Stats.
-func (s *Scheduler) EnqueueAlone(src, dst group.Composition, it group.BatchItem, deferred bool) {
-	q := s.newPending(src, dst, 0)
-	q.items, q.meta = append(q.items, it), append(q.meta, itemMeta{})
-	if deferred {
-		s.held = append(s.held, q)
-	} else {
-		s.send(q)
-	}
-}
-
-func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, meta itemMeta) error {
+func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, class Class) error {
 	s.stats.Enqueued++
 	now := s.now()
 	a, window := s.observe(k, now)
@@ -368,12 +339,6 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 	}
 	sz := len(it.Payload) + group.BatchWireOverhead
 	if node != 0 {
-		// Dead items must not hold slots against live ones: purge expired
-		// entries before deciding to evict or reject (they would be
-		// discarded at the next flush anyway).
-		if s.overLimit(q, sz) {
-			s.dropExpired(a, q, now)
-		}
 		// An item that cannot fit even an empty queue is rejected outright —
 		// evicting the whole queue for it would shed admitted traffic for
 		// nothing.
@@ -382,7 +347,7 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 		// byte bound hold (one victim may free far fewer bytes than the
 		// newcomer needs).
 		for !reject && s.overLimit(q, sz) {
-			reject = !s.evictFor(a, q, meta.class) // no lower-priority victim: the new item is the drop
+			reject = !s.evictFor(a, q, class) // no lower-priority victim: the new item is the drop
 		}
 		if reject {
 			s.stats.DroppedOverflow++
@@ -392,7 +357,7 @@ func (s *Scheduler) enqueue(k destKey, src, dst group.Composition, node ids.Node
 		}
 	}
 	q.items = append(q.items, it)
-	q.meta = append(q.meta, meta)
+	q.meta = append(q.meta, class)
 	q.bytes += sz
 	if len(q.items) >= s.cfg.MaxBatch || q.bytes >= s.cfg.MaxBytes {
 		if node == 0 {
@@ -421,9 +386,9 @@ func (s *Scheduler) overLimit(q *pending, extra int) bool {
 // item. Returns false when no such victim exists.
 func (s *Scheduler) evictFor(a *arrival, q *pending, class Class) bool {
 	victim, worst := -1, class
-	for i, m := range q.meta {
-		if m.class > worst {
-			victim, worst = i, m.class
+	for i, c := range q.meta {
+		if c > worst {
+			victim, worst = i, c
 		}
 	}
 	if victim < 0 {
@@ -435,36 +400,6 @@ func (s *Scheduler) evictFor(a *arrival, q *pending, class Class) bool {
 	s.stats.DroppedOverflow++
 	a.dropOver++
 	return true
-}
-
-// dropExpired removes items whose expiry has passed (in place, order
-// preserved).
-func (s *Scheduler) dropExpired(a *arrival, q *pending, now time.Duration) {
-	q.removeIf(func(i int) bool {
-		if e := q.meta[i].expires; e == 0 || e > now {
-			return false
-		}
-		s.stats.DroppedExpired++
-		a.dropExp++
-		return true
-	})
-}
-
-// removeIf deletes the items drop reports, in place and in order, and takes
-// their charge off the batch's bytes.
-func (q *pending) removeIf(drop func(i int) bool) {
-	kept := 0
-	for i := range q.items {
-		if drop(i) {
-			q.bytes -= len(q.items[i].Payload) + group.BatchWireOverhead
-			continue
-		}
-		if kept != i {
-			q.items[kept], q.meta[kept] = q.items[i], q.meta[i]
-		}
-		kept++
-	}
-	q.items, q.meta = slices.Delete(q.items, kept, len(q.items)), q.meta[:kept]
 }
 
 // observe updates the destination's arrival estimate and returns it with the
@@ -591,7 +526,6 @@ func (s *Scheduler) OnTimer() {
 // whether the queue is still open. Any other drain closes the queue.
 func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 	now, a := s.now(), s.arr[k]
-	s.dropExpired(a, q, now)
 	if paced && len(q.items) > 0 {
 		n := s.carrierPrefix(q.items)
 		s.count(a, n)
@@ -612,15 +546,23 @@ func (s *Scheduler) drain(k destKey, q *pending, paced bool) bool {
 	return false
 }
 
-// close ends one destination's open batch: it drops the expired items and, on
-// a group batch, those the owner withdraws (Config.Withdraw), counts the
-// carriers the rest make up, and sends them — or, deferred, holds them for the
-// next FlushDeferred. A batch left empty sends nothing.
+// close ends one destination's open batch: on a group batch it drops the
+// items the owner withdraws (Config.Withdraw), counts the carriers the rest
+// make up, and sends them — or, deferred, holds them for the next
+// FlushDeferred. A batch left empty sends nothing.
 func (s *Scheduler) close(k destKey, q *pending) {
 	a := s.arr[k]
-	s.dropExpired(a, q, s.now())
 	if withdraw := s.cfg.Withdraw; withdraw != nil && q.node == 0 {
-		q.removeIf(func(i int) bool { return withdraw(q.dst, q.items[i]) })
+		kept := 0
+		for i, it := range q.items {
+			if withdraw(q.dst, it) {
+				q.bytes -= len(it.Payload) + group.BatchWireOverhead
+				continue
+			}
+			q.items[kept], q.meta[kept] = it, q.meta[i]
+			kept++
+		}
+		q.items, q.meta = slices.Delete(q.items, kept, len(q.items)), q.meta[:kept]
 	}
 	for i := 0; i < len(q.items); {
 		n := s.carrierPrefix(q.items[i:])
@@ -764,7 +706,6 @@ func (s *Scheduler) Snapshot() Stats {
 			Level:           a.level,
 			Flushes:         a.flushes,
 			DroppedOverflow: a.dropOver,
-			DroppedExpired:  a.dropExp,
 		}
 		if q := s.pend[k]; q != nil {
 			d.Depth, d.Bytes = len(q.items), q.bytes

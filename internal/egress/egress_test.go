@@ -219,54 +219,19 @@ func TestSrcChangeFlushesOpenBatch(t *testing.T) {
 	}
 }
 
-// TestAloneItemsKeepTheirPlace: an item a carrier must not deliver leaves as
-// a batch of its own — at once, or, deferred, at the round tick in the order
-// it was sent among the batches closed before the tick, ahead of the open
-// ones. It opens no queue and is not counted.
-func TestAloneItemsKeepTheirPlace(t *testing.T) {
-	h := newHarness(2, 5*time.Millisecond)
-	src, a, b := comp(1, 1), comp(2, 1), comp(3, 1)
-	h.s.EnqueueAlone(src, a, item(1), false)
-	if len(h.flushes) != 1 || h.flushes[0].dst.GroupID != 2 {
-		t.Fatalf("an undeferred alone item: %d flushes, want 1 at once", len(h.flushes))
-	}
-	h.flushes = nil
-	h.s.EnqueueGroup(src, b, item(2), true) // stays open
-	h.s.EnqueueGroup(src, a, item(3), true)
-	h.s.EnqueueAlone(src, b, item(4), true)
-	h.s.EnqueueGroup(src, a, item(5), true) // fills the cap: closed after the alone item
-	if d, i := h.s.Pending(); d != 1 || i != 1 || len(h.flushes) != 0 {
-		t.Fatalf("before the tick: %d/%d pending, %d flushes; want b's open batch and nothing sent", d, i, len(h.flushes))
-	}
-	h.s.FlushDeferred()
-	var got []byte
-	for _, f := range h.flushes {
-		for _, it := range f.items {
-			got = append(got, it.Payload[0])
-		}
-		got = append(got, '|')
-	}
-	if string(got) != "\x04|\x03\x05|\x02|" {
-		t.Fatalf("the tick sent %q, want the alone item, a's closed batch, then b's open one", got)
-	}
-	if st := h.s.Snapshot(); st.Enqueued != 3 || st.Items != 3 {
-		t.Fatalf("stats %+v count the alone items", st)
-	}
-}
-
 // TestNodeDestinations: node-addressed queues are independent of group
 // queues and flush with the destination node set.
 func TestNodeDestinations(t *testing.T) {
 	h := newHarness(64, 5*time.Millisecond)
 	h.s.cfg.Limit = 64
 	src := comp(1, 1)
-	h.s.EnqueueNodeWith(src, 42, item(1), ClassControl, 0)
+	h.s.EnqueueNodeWith(src, 42, item(1), ClassControl)
 	if len(h.flushes) != 1 || h.flushes[0].node != 42 {
 		t.Fatalf("node enqueue: flushes %v", h.flushes)
 	}
 	// A same-instant burst to one node batches.
 	for k := 0; k < 4; k++ {
-		h.s.EnqueueNodeWith(src, 42, item(byte(10+k)), ClassControl, 0)
+		h.s.EnqueueNodeWith(src, 42, item(byte(10+k)), ClassControl)
 	}
 	h.now += 5 * time.Millisecond
 	h.s.OnTimer()

@@ -42,7 +42,7 @@ func (fh *flowHarness) floodNode(to ids.NodeID, count int, class Class) int {
 	rejected := 0
 	src := comp(1, 1)
 	for k := 0; k < count; k++ {
-		if err := fh.s.EnqueueNodeWith(src, to, item(byte(k)), class, 0); err != nil {
+		if err := fh.s.EnqueueNodeWith(src, to, item(byte(k)), class); err != nil {
 			rejected++
 		}
 		fh.record(to)
@@ -205,11 +205,11 @@ func TestOverflowEvictsLowerClassFirst(t *testing.T) {
 		t.Fatalf("fill rejected %d items", rej)
 	}
 	// Equal priority: rejected.
-	if err := fh.s.EnqueueNodeWith(src, dest, item(0xAA), ClassBulk, 0); !errors.Is(err, ErrOverflow) {
+	if err := fh.s.EnqueueNodeWith(src, dest, item(0xAA), ClassBulk); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("equal-priority overflow returned %v, want ErrOverflow", err)
 	}
 	// Higher priority (Data < Bulk): evicts a bulk item and is admitted.
-	if err := fh.s.EnqueueNodeWith(src, dest, item(0xBB), ClassData, 0); err != nil {
+	if err := fh.s.EnqueueNodeWith(src, dest, item(0xBB), ClassData); err != nil {
 		t.Fatalf("higher-priority item rejected: %v", err)
 	}
 	st := fh.s.Snapshot()
@@ -217,7 +217,7 @@ func TestOverflowEvictsLowerClassFirst(t *testing.T) {
 		t.Fatalf("DroppedOverflow = %d, want 2", st.DroppedOverflow)
 	}
 	// Control outranks Data too.
-	if err := fh.s.EnqueueNodeWith(src, dest, item(0xCC), ClassControl, 0); err != nil {
+	if err := fh.s.EnqueueNodeWith(src, dest, item(0xCC), ClassControl); err != nil {
 		t.Fatalf("control item rejected: %v", err)
 	}
 	fh.s.FlushAll()
@@ -239,31 +239,6 @@ func TestOverflowEvictsLowerClassFirst(t *testing.T) {
 	}
 	if !gotData || !gotCtl {
 		t.Fatalf("admitted items missing from flushes (data=%v control=%v)", gotData, gotCtl)
-	}
-}
-
-// TestExpiredItemsDroppedAtFlush: an item whose expiry passes while queued is
-// dropped at flush time, counted, and never transmitted.
-func TestExpiredItemsDroppedAtFlush(t *testing.T) {
-	fh := newFlowHarness(64, 64, 5*time.Millisecond)
-	const dest = ids.NodeID(5)
-	src := comp(1, 1)
-	fh.floodNode(dest, 2, ClassBulk) // warm: 1 immediate + 1 queued
-	// A short-lived item and a durable one.
-	fh.s.EnqueueNodeWith(src, dest, group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("stale")), Payload: []byte("stale")}, ClassBulk, fh.now+time.Millisecond)
-	fh.s.EnqueueNodeWith(src, dest, group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("fresh")), Payload: []byte("fresh")}, ClassBulk, fh.now+time.Hour)
-	fh.now += 5 * time.Millisecond
-	fh.s.OnTimer()
-	for _, f := range fh.flushes {
-		for _, it := range f.items {
-			if string(it.Payload) == "stale" {
-				t.Fatal("expired item was transmitted")
-			}
-		}
-	}
-	st := fh.s.Snapshot()
-	if st.DroppedExpired != 1 {
-		t.Fatalf("DroppedExpired = %d, want 1", st.DroppedExpired)
 	}
 }
 
@@ -305,13 +280,13 @@ func TestOverflowEvictionRespectsByteBudget(t *testing.T) {
 		return group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte{tag}), Payload: make([]byte, 8)}
 	}
 	for k := 0; k < 30; k++ {
-		if err := fh.s.EnqueueNodeWith(src, dest, small(byte(k)), ClassBulk, 0); err != nil {
+		if err := fh.s.EnqueueNodeWith(src, dest, small(byte(k)), ClassBulk); err != nil {
 			t.Fatalf("fill rejected item %d: %v", k, err)
 		}
 	}
 	// A 1 KiB data item needs many 8-byte victims evicted to fit.
 	big := group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("big")), Payload: make([]byte, 1024)}
-	if err := fh.s.EnqueueNodeWith(src, dest, big, ClassData, 0); err != nil {
+	if err := fh.s.EnqueueNodeWith(src, dest, big, ClassData); err != nil {
 		t.Fatalf("big data item rejected: %v", err)
 	}
 	if q := fh.s.pend[destKey{node: dest}]; q == nil || q.bytes > fh.s.cfg.LimitBytes {
@@ -321,7 +296,7 @@ func TestOverflowEvictionRespectsByteBudget(t *testing.T) {
 	// queue untouched.
 	depthBefore := len(fh.s.pend[destKey{node: dest}].items)
 	huge := group.BatchItem{Kind: 1, MsgID: crypto.Hash([]byte("huge")), Payload: make([]byte, 4096)}
-	if err := fh.s.EnqueueNodeWith(src, dest, huge, ClassControl, 0); !errors.Is(err, ErrOverflow) {
+	if err := fh.s.EnqueueNodeWith(src, dest, huge, ClassControl); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("over-budget item returned %v, want ErrOverflow", err)
 	}
 	if got := len(fh.s.pend[destKey{node: dest}].items); got != depthBefore {

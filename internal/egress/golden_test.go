@@ -49,7 +49,7 @@ func TestPortOutputGolden(t *testing.T) {
 	withdrawn := map[crypto.Digest]bool{}
 	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(k group.Kind) bool { return k != 9 },
+		Rules{Self: 101, Sync: true, Carrier: 15,
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return held[m][d] },
 			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return withdrawn[it.Digest] },
 			RelayLag: lag})
@@ -110,17 +110,17 @@ func TestPortOutputGolden(t *testing.T) {
 		}
 	}
 
-	// Plain and carrier flushes from a majority and a minority member; kind 9
-	// is kept off carriers and leaves alone.
+	// Plain and carrier flushes from a majority and a minority member; a
+	// round's one item leaves as a plain message, whatever its kind.
 	nilPayload := ordinary("digest-only")
 	nilPayload.Digest, nilPayload.Payload = crypto.Hash(nilPayload.Payload), nil
 	round(major, ordinary("a"))
 	round(minor, ordinary("b"))
 	round(major, ordinary("c"), nilPayload, ordinary("d"))
 	round(minor, ordinary("e"), ordinary("f"))
-	alone := ordinary("alone")
-	alone.Kind = 9
-	round(major, alone)
+	lone := ordinary("alone")
+	lone.Kind = 9
+	round(major, lone)
 	// The origin hop: a gossip vote with the bytes and one without, alone and
 	// together.
 	round(major, gossip("origin-1", false, true))
@@ -178,7 +178,7 @@ func TestPortOutputGolden(t *testing.T) {
 	// Raw traffic: the first item leaves alone at once, the rest as a carrier.
 	env.now += time.Second
 	for _, tag := range []string{"x", "y", "z"} {
-		if err := p.EnqueueNodeWith(major, 44, raw(tag), ClassData, 0); err != nil {
+		if err := p.EnqueueNodeWith(major, 44, raw(tag), ClassData); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func TestFanOutAllocatesPerCopy(t *testing.T) {
 		env := &countEnv{portEnv: portEnv{now: time.Second, rng: rand.New(rand.NewSource(1))}}
 		p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 			Now: env.Now, Arm: func(time.Duration) {}},
-			Rules{Self: self, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true },
+			Rules{Self: self, Sync: true, Carrier: 15,
 				Holds: func(group.Key, ids.NodeID, crypto.Digest) bool { return false }, RelayLag: lag})
 		p.Start(env)
 		round := func() {

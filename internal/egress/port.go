@@ -5,11 +5,10 @@ package egress
 // else can reach the transport. Handlers call one of its methods and the
 // destination and the engine's Rules decide the rest:
 //
-//   - Group: a group message to every member of a vgroup. A kind a carrier may
-//     deliver is queued on the Scheduler, whose batches come back through frame
-//     to the fan-out; any other kind (merge negotiation) leaves alone. In the
-//     synchronous engine both wait for the round tick: FlushDeferred frames the
-//     round.
+//   - Group: a group message to every member of a vgroup, of any kind. It is
+//     queued on the Scheduler, whose batches come back through frame to the
+//     fan-out. In the synchronous engine it waits for the round tick:
+//     FlushDeferred frames the round.
 //   - ToNode: a group message to one node (snapshots, the backward-mode join
 //     redirect), never queued or held.
 //   - Node: a node-level message (NodeMsg), never queued or held.
@@ -94,10 +93,8 @@ type Rules struct {
 	// synchronous engine moves one overlay hop per round, like the paper's
 	// round-based Sync implementation.
 	Sync bool
-	// Carrier is the group kind of a batch carrier; CarrierOK says which kinds
-	// one may deliver (the receiver reads the same column).
-	Carrier   group.Kind
-	CarrierOK func(group.Kind) bool
+	// Carrier is the group kind of a batch carrier.
+	Carrier group.Kind
 	// Withdraw and Holds are the engine's withholding rules, read as a batch
 	// leaves: Withdraw drops an item of a group batch before the scheduler
 	// counts its carriers (Config.Withdraw), and once more from a second
@@ -185,10 +182,6 @@ func (p *Port) Start(env actor.Env) { p.env = env }
 // Group sends one logical group message to every member of dst. src is the
 // composition the message's MsgID was derived under.
 func (p *Port) Group(src, dst group.Composition, it group.BatchItem) {
-	if !p.rules.CarrierOK(it.Kind) {
-		p.EnqueueAlone(src, dst, it, p.rules.Sync)
-		return
-	}
 	p.EnqueueGroup(src, dst, it, p.rules.Sync)
 }
 

@@ -38,14 +38,14 @@ func TestCarrierMsgIDIsZero(t *testing.T) {
 	env := &portEnv{rng: rand.New(rand.NewSource(1))}
 	p := NewPort(Config{MaxBatch: 2, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true }})
+		Rules{Self: 101, Sync: true, Carrier: 15})
 	p.Start(env)
 	src, dst := comp(1, 1), comp(2, 1)
 	env.now += time.Second
 	p.Group(src, dst, item(1))
 	p.Group(src, dst, item(2)) // fills the cap: closed, held for the tick
 	for k := byte(0); k < 3; k++ {
-		p.EnqueueNodeWith(src, 42, item(10+k), ClassData, 0) // the first leaves at once
+		p.EnqueueNodeWith(src, 42, item(10+k), ClassData) // the first leaves at once
 	}
 	p.FlushAll() // the node carrier leaves now
 	p.FlushDeferred()
@@ -81,7 +81,7 @@ func newRelayRig(t testing.TB, lag time.Duration) *relayRig {
 	r := &relayRig{env: &portEnv{now: time.Second, rng: rand.New(rand.NewSource(1))}, held: map[ids.NodeID]map[crypto.Digest]bool{}}
 	r.p = NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: r.env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true },
+		Rules{Self: 101, Sync: true, Carrier: 15,
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return r.held[m][d] },
 			RelayLag: lag,
 			Left:     func(group.BatchItem) { r.left++ }})
@@ -217,7 +217,7 @@ func newTurnRig(lag time.Duration) *turnRig {
 		held: map[ids.NodeID]map[crypto.Digest]bool{}, withdrawn: map[crypto.Digest]bool{}}
 	r.p = NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: r.env.Now, Arm: func(d time.Duration) { r.armed = append(r.armed, r.env.now+d) }},
-		Rules{Self: 101, Sync: true, Carrier: 15, CarrierOK: func(group.Kind) bool { return true },
+		Rules{Self: 101, Sync: true, Carrier: 15,
 			Holds:    func(_ group.Key, m ids.NodeID, d crypto.Digest) bool { return r.held[m][d] },
 			Withdraw: func(_ group.Composition, it group.BatchItem) bool { return r.withdrawn[it.Digest] },
 			RelayLag: lag,
@@ -558,7 +558,7 @@ func newFanPort(self ids.NodeID, seed int64, holds group.Holds) (*Port, *portEnv
 	env := &portEnv{now: time.Second, rng: rand.New(rand.NewSource(seed))}
 	p := NewPort(Config{MaxBatch: 64, MaxBytes: 1 << 20, MaxWindow: 5 * time.Millisecond, Limit: 8,
 		Now: env.Now, Arm: func(time.Duration) {}},
-		Rules{Self: self, Sync: true, Carrier: 99, CarrierOK: func(group.Kind) bool { return true },
+		Rules{Self: self, Sync: true, Carrier: 99,
 			Holds: holds, RelayLag: 3 * time.Millisecond})
 	p.Start(env)
 	return p, env

@@ -9,18 +9,19 @@ import (
 )
 
 // refScheduler is the Scheduler this package shipped before the off switch
-// went, verbatim apart from the ref prefix on its names: the reference model
-// TestSchedulerMatchesReference drives the shipped Scheduler against. Two
-// differences are named. It still reads Config.Limit <= 0 as "flow control
-// off" (node queues then flush when full, like group queues) and still has
-// SetLimits and the EnqueueNode wrapper; the test keeps Limit > 0. And it
-// still pushes every pressure transition into OnPressure and reports each
-// destination's ArrivalGap, which the shipped scheduler dropped for the
-// Level read: both live on test-local copies of the shared types, refConfig
-// and refStats. It shares Class, Level and ErrOverflow with the shipped
-// scheduler — the vocabulary both are compared in — and keeps its own copy of
-// the hysteresis function, refNextLevel, which the shipped one was rewritten
-// from.
+// went, verbatim apart from the ref prefix on its names and the behaviours
+// both have dropped since: an item's expiry, and the EnqueueGroupWith,
+// SetLimits and EnqueueNode entry points nothing called. It is the reference
+// model TestSchedulerMatchesReference drives the shipped Scheduler against.
+// Two differences are named. It still reads Config.Limit <= 0 as "flow
+// control off" (node queues then flush when full, like group queues); the
+// test keeps Limit > 0. And it still pushes every pressure transition into
+// OnPressure and reports each destination's ArrivalGap, which the shipped
+// scheduler dropped for the Level read: both live on test-local copies of the
+// shared types, refConfig and refStats. It shares Class, Level and
+// ErrOverflow with the shipped scheduler — the vocabulary both are compared
+// in — and keeps its own copy of the hysteresis function, refNextLevel, which
+// the shipped one was rewritten from.
 
 // refConfig is Config with the pressure hook the reference still fires.
 type refConfig struct {
@@ -60,21 +61,13 @@ type refDestKey struct {
 	node ids.NodeID
 }
 
-// refItemMeta is the flow-control metadata of one queued item (parallel to
-// refPending.items; kept out of group.BatchItem so classes and expiries never
-// leak into wire frames).
-type refItemMeta struct {
-	class   Class
-	expires time.Duration // 0: never
-}
-
 // refPending is one destination's open batch.
 type refPending struct {
 	src      group.Composition
 	dst      group.Composition
 	node     ids.NodeID
 	items    []group.BatchItem
-	meta     []refItemMeta
+	meta     []Class // parallel to items; kept out of group.BatchItem so classes never leak into wire frames
 	bytes    int
 	deadline time.Duration // 0: deferred to the next FlushDeferred/FlushAll
 }
@@ -92,7 +85,6 @@ type refArrival struct {
 	// per-destination counters surfaced through Snapshot.
 	flushes  uint64
 	dropOver uint64
-	dropExp  uint64
 }
 
 // refMaxArrivalEntries bounds the rate-estimate map; overflow evicts stale
@@ -131,54 +123,19 @@ func newRefScheduler(cfg refConfig) *refScheduler {
 	}
 }
 
-// SetLimits changes the flow-control bounds at runtime (the experiment
-// harness toggles them after cluster growth so the paced and unpaced
-// configurations share one identical growth history). Disabling flow
-// control (limit <= 0) releases every raised pressure level: updatePressure
-// no longer runs for unbounded queues, so without the explicit Low
-// transitions here, applications would keep shedding toward destinations
-// whose High/Critical state can never clear.
-func (s *refScheduler) SetLimits(limit, limitBytes int) {
-	s.cfg.Limit, s.cfg.LimitBytes = limit, limitBytes
-	if limit > 0 {
-		return
-	}
-	for k, a := range s.arr {
-		if k.node != 0 && a.level != LevelLow {
-			a.level = LevelLow
-			if s.cfg.OnPressure != nil {
-				s.cfg.OnPressure(k.node, LevelLow)
-			}
-		}
-	}
-}
-
 // EnqueueGroup queues one logical message for every member of dst.
 // deferred batches wait for the next FlushDeferred/FlushAll instead of an
 // adaptive window (the synchronous engine's round-quantized sends).
 func (s *refScheduler) EnqueueGroup(src, dst group.Composition, it group.BatchItem, deferred bool) {
-	s.enqueue(refDestKey{grp: dst.Key()}, src, dst, 0, it, deferred, refItemMeta{})
-}
-
-// EnqueueGroupWith is EnqueueGroup with an absolute expiry (0 = never):
-// stale items are dropped at flush time. Group items carry no priority
-// class — class-based eviction runs only on bounded node queues.
-func (s *refScheduler) EnqueueGroupWith(src, dst group.Composition, it group.BatchItem, deferred bool, expires time.Duration) {
-	s.enqueue(refDestKey{grp: dst.Key()}, src, dst, 0, it, deferred, refItemMeta{expires: expires})
-}
-
-// EnqueueNode queues one raw item for a single node with default metadata
-// (ClassControl, no expiry).
-func (s *refScheduler) EnqueueNode(src group.Composition, to ids.NodeID, it group.BatchItem) error {
-	return s.EnqueueNodeWith(src, to, it, ClassControl, 0)
+	s.enqueue(refDestKey{grp: dst.Key()}, src, dst, 0, it, deferred, ClassControl)
 }
 
 // EnqueueNodeWith queues one raw item for a single node. Under flow control
 // (Config.Limit > 0) it returns ErrOverflow when the destination queue is
 // full and no lower-priority victim could be evicted — the item was not
 // queued.
-func (s *refScheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class, expires time.Duration) error {
-	return s.enqueue(refDestKey{node: to}, src, group.Composition{}, to, it, false, refItemMeta{class: class, expires: expires})
+func (s *refScheduler) EnqueueNodeWith(src group.Composition, to ids.NodeID, it group.BatchItem, class Class) error {
+	return s.enqueue(refDestKey{node: to}, src, group.Composition{}, to, it, false, class)
 }
 
 // bounded reports whether k is under flow control.
@@ -186,7 +143,7 @@ func (s *refScheduler) bounded(k refDestKey) bool {
 	return k.node != 0 && s.cfg.Limit > 0
 }
 
-func (s *refScheduler) enqueue(k refDestKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, meta refItemMeta) error {
+func (s *refScheduler) enqueue(k refDestKey, src, dst group.Composition, node ids.NodeID, it group.BatchItem, deferred bool, class Class) error {
 	s.stats.Enqueued++
 	now := s.now()
 	window := s.observe(k, now)
@@ -224,12 +181,6 @@ func (s *refScheduler) enqueue(k refDestKey, src, dst group.Composition, node id
 	}
 	if bounded {
 		sz := len(it.Payload) + group.BatchWireOverhead
-		// Dead items must not hold slots against live ones: purge expired
-		// entries before deciding to evict or reject (they would be
-		// discarded at the next flush anyway).
-		if s.overLimit(q, sz) {
-			s.dropExpired(k, q, now)
-		}
 		// An item that cannot fit even an empty queue is rejected outright —
 		// evicting the whole queue for it would shed admitted traffic for
 		// nothing.
@@ -238,7 +189,7 @@ func (s *refScheduler) enqueue(k refDestKey, src, dst group.Composition, node id
 		// byte bound hold (one victim may free far fewer bytes than the
 		// newcomer needs).
 		for !reject && s.overLimit(q, sz) {
-			if !s.evictFor(k, q, meta.class) {
+			if !s.evictFor(k, q, class) {
 				reject = true // no lower-priority victim: the new item is the drop
 			}
 		}
@@ -252,7 +203,7 @@ func (s *refScheduler) enqueue(k refDestKey, src, dst group.Composition, node id
 		}
 	}
 	q.items = append(q.items, it)
-	q.meta = append(q.meta, meta)
+	q.meta = append(q.meta, class)
 	q.bytes += len(it.Payload) + group.BatchWireOverhead
 	if len(q.items) >= s.cfg.MaxBatch || q.bytes >= s.cfg.MaxBytes {
 		if bounded {
@@ -283,9 +234,9 @@ func (s *refScheduler) overLimit(q *refPending, extra int) bool {
 // item. Returns false when no such victim exists.
 func (s *refScheduler) evictFor(k refDestKey, q *refPending, class Class) bool {
 	victim, worst := -1, class
-	for i, m := range q.meta {
-		if m.class > worst {
-			victim, worst = i, m.class
+	for i, c := range q.meta {
+		if c > worst {
+			victim, worst = i, c
 		}
 	}
 	if victim < 0 {
@@ -302,30 +253,6 @@ func (s *refScheduler) evictFor(k refDestKey, q *refPending, class Class) bool {
 		a.dropOver++
 	}
 	return true
-}
-
-// dropExpired removes items whose expiry has passed (in place, order
-// preserved).
-func (s *refScheduler) dropExpired(k refDestKey, q *refPending, now time.Duration) {
-	kept := 0
-	for i := range q.items {
-		if e := q.meta[i].expires; e != 0 && e <= now {
-			q.bytes -= len(q.items[i].Payload) + group.BatchWireOverhead
-			s.stats.DroppedExpired++
-			if a := s.arr[k]; a != nil {
-				a.dropExp++
-			}
-			continue
-		}
-		if kept != i {
-			q.items[kept], q.meta[kept] = q.items[i], q.meta[i]
-		}
-		kept++
-	}
-	for i := kept; i < len(q.items); i++ {
-		q.items[i] = group.BatchItem{}
-	}
-	q.items, q.meta = q.items[:kept], q.meta[:kept]
 }
 
 // observe updates the destination's arrival estimate and returns the flush
@@ -453,7 +380,6 @@ func (s *refScheduler) flushKey(k refDestKey) {
 		return
 	}
 	s.removeQueue(k)
-	s.dropExpired(k, q, s.now())
 	for len(q.items) > 0 {
 		n := s.carrierPrefix(q)
 		s.emit(k, q, n)
@@ -471,7 +397,6 @@ func (s *refScheduler) pacedFlush(k refDestKey, now time.Duration) {
 	if !ok {
 		return
 	}
-	s.dropExpired(k, q, now)
 	a := s.arr[k]
 	if len(q.items) == 0 {
 		s.removeQueue(k)
@@ -649,7 +574,6 @@ func (s *refScheduler) Snapshot() refStats {
 			Level:           a.level,
 			Flushes:         a.flushes,
 			DroppedOverflow: a.dropOver,
-			DroppedExpired:  a.dropExp,
 		}, ArrivalGap: a.gap}
 		if q := s.pend[k]; q != nil {
 			d.Depth, d.Bytes = len(q.items), q.bytes

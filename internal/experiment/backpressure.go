@@ -23,10 +23,9 @@ type BackpressureResult struct {
 	// ingest buffer.
 	TransportDrops int64
 	// Application-chosen shedding at the senders: pushes withheld at a
-	// raised pressure level, plus egress-queue drops (overflow + expired TTLs).
+	// raised pressure level, plus egress-queue overflow drops.
 	AppSheds            uint64
 	EgressDropsOverflow uint64
-	EgressDropsExpired  uint64
 	// MaxDepth is the deepest egress queue observed toward the slow
 	// consumer across all flooders and rounds; QueueLimit is the engine's
 	// bound (0 for the blind flood, which never enters an egress queue).
@@ -54,7 +53,6 @@ const (
 	bpChunkBytes  = 512
 	bpChunksRound = 600 // per flooder per round
 	bpFlooders    = 8
-	bpChunkTTL    = 200 * time.Millisecond
 	bpIngestRate  = int64(4 << 20) // slow consumer: 4 MB/s
 	bpIngestQueue = int64(256 << 10)
 	bpMaxWindow   = 40 * time.Millisecond // paced drain: 16 items / 40 ms per dest
@@ -70,7 +68,7 @@ const (
 // BackpressureRun measures broadcast delivery and drop placement under a
 // slow-consumer raw flood. paced=true sends the flood through SendRawWith
 // (bounded egress queues; the flooders pace off their pressure level and tag
-// chunks PriorityBulk with a TTL); paced=false is the blind baseline, a
+// chunks PriorityBulk); paced=false is the blind baseline, a
 // flood that bypasses the API: eight processes that are no Atum nodes push
 // the same chunks at the same rate straight onto the network. Both
 // configurations build the same overlay from the same Config — no raw
@@ -135,9 +133,7 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 					continue
 				}
 				rawSeq++
-				err := f.SendRawWith(slowID, expChunk{Seq: rawSeq, Data: cl.fresh(bpChunkBytes)}, atum.SendOpts{
-					Priority: atum.PriorityBulk, TTL: bpChunkTTL,
-				})
+				err := f.SendRawWith(slowID, expChunk{Seq: rawSeq, Data: cl.fresh(bpChunkBytes)}, atum.SendOpts{Priority: atum.PriorityBulk})
 				if err != nil {
 					out.AppSheds++
 				}
@@ -167,7 +163,6 @@ func BackpressureRun(n, publishers, rounds int, paced bool, seed int64) (Backpre
 		for _, d := range f.Stats().Egress.Dests {
 			if d.Node == slowID {
 				out.EgressDropsOverflow += d.DroppedOverflow
-				out.EgressDropsExpired += d.DroppedExpired
 			}
 		}
 	}
@@ -212,7 +207,7 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 			fmt.Sprintf("%.2f", r.Delivered),
 			fmt.Sprintf("%d", r.TransportDrops),
 			fmt.Sprintf("%d", r.AppSheds),
-			fmt.Sprintf("%d+%d", r.EgressDropsOverflow, r.EgressDropsExpired),
+			fmt.Sprintf("%d", r.EgressDropsOverflow),
 			fmt.Sprintf("%d", r.MaxDepth),
 		})
 	}
@@ -221,8 +216,8 @@ func Backpressure(n, publishers, rounds int, seed int64) Table {
 			"slow-consumer delivery %.2f -> %.2f; transport overload drops %d -> %d, application shedding %d -> %d",
 			blind.SlowDelivered, paced.SlowDelivered,
 			blind.TransportDrops, paced.TransportDrops,
-			blind.AppSheds+blind.EgressDropsOverflow+blind.EgressDropsExpired,
-			paced.AppSheds+paced.EgressDropsOverflow+paced.EgressDropsExpired))
+			blind.AppSheds+blind.EgressDropsOverflow,
+			paced.AppSheds+paced.EgressDropsOverflow))
 		t.Remarks = append(t.Remarks, fmt.Sprintf(
 			"paced egress depth toward the slow consumer stayed at %d <= limit %d",
 			paced.MaxDepth, paced.QueueLimit))

@@ -115,7 +115,7 @@ func (r *RealtimeRuntime) BroadcastWith(n *Node, data []byte, opts BroadcastOpts
 }
 
 // SendRawWith sends an application raw message from n, inside its event
-// loop, with flow-control options (SendOpts{} means defaults), and returns
+// loop, with its priority class (SendOpts{} means the default), and returns
 // the typed send result (ErrNotRunning, ErrEgressOverflow,
 // ErrUnregisteredType).
 func (r *RealtimeRuntime) SendRawWith(n *Node, to NodeID, msg any, opts SendOpts) error {
