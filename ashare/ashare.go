@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"atum"
 	"atum/internal/crypto"
@@ -110,7 +109,6 @@ type getState struct {
 	remaining int
 	inflight  map[int]atum.NodeID
 	tried     map[int]map[atum.NodeID]bool
-	start     time.Duration
 	done      func(content []byte, corruptRetries int, err error)
 	retries   int
 }
@@ -224,7 +222,6 @@ func (s *Service) Get(key FileKey, done func(content []byte, corruptRetries int,
 		remaining: meta.NumChunks(),
 		inflight:  make(map[int]atum.NodeID),
 		tried:     make(map[int]map[atum.NodeID]bool),
-		start:     s.node.Now(),
 		done:      done,
 	}
 	s.gets[key] = g

@@ -34,8 +34,9 @@ func (n *Node) applyCommitted(op smr.Operation) {
 	case inputVoteOp:
 		n.tallyVote(dig, op.Proposer, func() { n.applyInput(dig, o) })
 	case bcastOp:
-		// Only the true origin may broadcast under its name: the SMR layer
-		// authenticated op.Proposer.
+		// Only the true origin may broadcast under its name. The engines
+		// hold op.Proposer to the member that sent the op, except for ops a
+		// faulty PBFT primary orders (smr.Operation).
 		if op.Proposer != o.Origin {
 			return
 		}

@@ -434,6 +434,76 @@ func TestHeartbeatOnlyEvictionsReachTheVgroup(t *testing.T) {
 	}
 }
 
+// forgeEvictionVotes runs a six-member vgroup with eviction by silence out of
+// reach, and has the member at index faulty of the composition hand its own
+// replica f+1 eviction votes for a correct member, each under the name of
+// another member. It returns the target and the correct members.
+func forgeEvictionVotes(t *testing.T, mode smr.Mode, faulty int) (ids.NodeID, []*Node) {
+	t.Helper()
+	h := newHarness(t, mode, 3, func(cfg *Config) { cfg.EvictAfter = time.Hour })
+	nodes := h.bootstrapSystem(mode, 6, 60*time.Second)
+	h.net.Run(h.net.Now() + time.Second)
+	comp := nodes[0].Comp()
+	if comp.N() != 6 {
+		t.Fatalf("the six nodes formed a vgroup of %d", comp.N())
+	}
+	forger := h.nodes[comp.Members[faulty].ID]
+	target := comp.Members[(faulty+1)%comp.N()].ID
+	vote := encodePayload(evictVoteOp{GroupID: comp.GroupID, Target: target, Epoch: comp.Epoch})
+	names := 0
+	for _, m := range comp.Members {
+		if m.ID == forger.cfg.Identity.ID || m.ID == target || names == mode.F(comp.N())+1 {
+			continue
+		}
+		names++
+		forger.replica.Propose(smr.Operation{Proposer: m.ID, OpID: 1 << 40, Data: vote})
+	}
+	h.net.Run(h.net.Now() + 5*time.Second)
+	var correct []*Node
+	for _, n := range nodes {
+		if n != forger {
+			correct = append(correct, n)
+		}
+	}
+	return target, correct
+}
+
+// TestForgedEvictionVotesEvictNobody: a faulty member puts f+1 eviction votes
+// for a correct member under other members' names into its replica. An op
+// commits only under the name of the member that sent it, so the votes count
+// for nothing and nobody is evicted. The faulty member is the vgroup's
+// highest NodeID, so in ModeAsync it is a backup, not the view-0 primary.
+func TestForgedEvictionVotesEvictNobody(t *testing.T) {
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			target, correct := forgeEvictionVotes(t, mode, 5)
+			for _, n := range correct {
+				if ev := n.Stats().Evictions; ev != 0 {
+					t.Errorf("correct member %v applied %d evictions, want 0", n.cfg.Identity.ID, ev)
+				}
+				if !n.IsMember() || !n.Comp().Contains(target) {
+					t.Errorf("correct member %v evicted %v on forged votes", n.cfg.Identity.ID, target)
+				}
+			}
+		})
+	}
+}
+
+// TestFaultyPrimaryForgesEvictionVotes pins a known limit (docs/ARCHITECTURE.md
+// "Known limits", ROADMAP item 13): PBFT backups check a PrePrepare's batch
+// against its digest only, so a faulty view-0 primary (the vgroup's lowest
+// NodeID) still commits ops under other members' names, and its f+1 forged
+// eviction votes evict a correct member. When backups check proposers, this
+// test must be inverted to expect no eviction.
+func TestFaultyPrimaryForgesEvictionVotes(t *testing.T) {
+	target, correct := forgeEvictionVotes(t, smr.ModeAsync, 0)
+	for _, n := range correct {
+		if n.IsMember() && n.Comp().Contains(target) {
+			t.Fatalf("correct member %v still holds %v; the known limit no longer reproduces", n.cfg.Identity.ID, target)
+		}
+	}
+}
+
 // TestPenFloodBoundsConfigurations: any link peer can name a configuration in
 // an SMR envelope, and pen buffered each one until that configuration was
 // installed — for a group the node never joins, forever. One peer flooding a

@@ -208,7 +208,6 @@ func (n *Node) acceptRedirect(target group.Composition) {
 		return
 	}
 	target = n.learnComp(target)
-	j.target = target
 	j.stage = stageRequestedD
 	j.deadline = n.env.Now() + n.cfg.JoinTimeout
 	// The admitting configuration will attest the next epoch; accept its

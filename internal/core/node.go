@@ -42,7 +42,6 @@ type joinContext struct {
 	contact     ids.Identity
 	stage       joinStage
 	contactComp group.Composition
-	target      group.Composition
 	deadline    time.Duration
 	attempts    int
 }

@@ -258,12 +258,11 @@ type rtNode struct {
 	node actor.Node
 	rng  *rand.Rand
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []rtEvent
-	dead   bool // no further events accepted
-	crash  bool // poisoned: skip Stop
-	closed bool // loop exited
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []rtEvent
+	dead  bool // no further events accepted
+	crash bool // poisoned: skip Stop
 
 	timerMu  sync.Mutex
 	timerSeq uint64
@@ -324,9 +323,6 @@ func (n *rtNode) loop(wg *sync.WaitGroup) {
 			}
 			n.stopTimers()
 			n.drainInvokes()
-			n.mu.Lock()
-			n.closed = true
-			n.mu.Unlock()
 			return
 		}
 	}

@@ -12,11 +12,16 @@
 // if any correct member accepts a value by relative round f, every correct
 // member accepts it by round f+1.
 //
-// A member verifies each value's chain once, when it first accepts it. A copy
-// of a value the slot already holds is dropped by content (same ops) before
-// it is hashed or verified, and a slot holds at most two values: any further
-// value is dropped the same way, since two already prove the sender
-// equivocated and this member has relayed both.
+// A slot carries only its sender's ops: a value whose ops name any other
+// proposer is dropped before it is hashed or verified, so the sender's
+// signature vouches for every op's smr.Operation.Proposer.
+//
+// A member verifies each value's chain once, when it first accepts it, and
+// keeps no chain afterwards: a slot is the list of at most two accepted op
+// batches. A copy of a batch the slot already holds is dropped by content
+// before it is hashed or verified, and so is any batch beyond the second,
+// since two already prove the sender equivocated and this member has relayed
+// both.
 //
 // A slot finalizes f+1 rounds after it started, where f = ⌊(g−1)/2⌋. If
 // exactly one value was accepted, its batch commits; if the sender
@@ -79,23 +84,10 @@ type slotKey struct {
 	sender     ids.NodeID
 }
 
-type slotValue struct {
-	digest crypto.Digest
-	ops    []smr.Operation
-	sigs   []SigEntry // chain as first accepted, before appending our own
-}
-
-type slotState struct {
-	// accepted values keyed by batch digest; more than one means the
-	// sender equivocated and the slot will commit nothing.
-	accepted map[crypto.Digest]*slotValue
-}
-
 // Replica is a Dolev-Strong SMR member. It implements smr.Replica.
 type Replica struct {
 	cfg     smr.Config
 	f       int
-	selfIdx int
 	round   uint64
 	started bool
 	stopped bool
@@ -107,8 +99,9 @@ type Replica struct {
 	birthRound uint64
 
 	pendingOps []smr.Operation
-	nextSlot   map[slotKey]bool // slots we already broadcast (self)
-	slots      map[slotKey]*slotState
+	// slots holds the op batches each open slot accepted, at most two; more
+	// than one means the sender equivocated and the slot commits nothing.
+	slots map[slotKey][][]smr.Operation
 }
 
 var _ smr.Replica = (*Replica)(nil)
@@ -116,16 +109,11 @@ var _ smr.Replica = (*Replica)(nil)
 // New creates a replica for one epoch configuration.
 func New(cfg smr.Config) *Replica {
 	return &Replica{
-		cfg:      cfg,
-		f:        smr.SyncF(cfg.N()),
-		selfIdx:  cfg.SelfIndex(),
-		nextSlot: make(map[slotKey]bool),
-		slots:    make(map[slotKey]*slotState),
+		cfg:   cfg,
+		f:     smr.SyncF(cfg.N()),
+		slots: make(map[slotKey][][]smr.Operation),
 	}
 }
-
-// F returns the number of faults this replica's configuration tolerates.
-func (r *Replica) F() int { return r.f }
 
 func (r *Replica) memberIndex(id ids.NodeID) int {
 	return ids.FindIdentity(r.cfg.Members, id)
@@ -180,14 +168,12 @@ func (r *Replica) Tick(round uint64) {
 			return r.memberIndex(keys[i].sender) < r.memberIndex(keys[j].sender)
 		})
 		for _, key := range keys {
-			st := r.slots[key]
-			if len(st.accepted) == 1 {
-				for _, v := range st.accepted {
-					for _, op := range v.ops {
-						r.cfg.Commit(op)
-					}
+			batches := r.slots[key]
+			if len(batches) == 1 {
+				for _, op := range batches[0] {
+					r.cfg.Commit(op)
 				}
-			} else if len(st.accepted) > 1 {
+			} else if len(batches) > 1 {
 				r.cfg.Logln("dolev %v/%d: sender %v equivocated in slot %d",
 					r.cfg.GroupID, r.cfg.Epoch, key.sender, key.startRound)
 			}
@@ -215,7 +201,7 @@ func (r *Replica) Tick(round uint64) {
 		Sigs:       []SigEntry{{Node: r.cfg.Self, Sig: sig}},
 	}
 	// Accept our own value locally, then send to all peers.
-	r.accept(msg, digest)
+	r.accept(msg)
 	for _, m := range r.cfg.Members {
 		if m.ID != r.cfg.Self {
 			r.cfg.Send(m.ID, msg)
@@ -224,9 +210,10 @@ func (r *Replica) Tick(round uint64) {
 }
 
 // Receive implements smr.Replica. A value's chain is verified once, when the
-// value is first accepted: a copy of a value the slot already holds, and any
-// value beyond the two that prove an equivocation, is dropped before it is
-// hashed or verified.
+// value is first accepted: a value with an op that names a proposer other
+// than the slot's sender, a copy of a batch the slot already holds, and any
+// batch beyond the two that prove an equivocation, are dropped before they
+// are hashed or verified.
 func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 	if r.stopped {
 		return
@@ -255,7 +242,12 @@ func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 		// the in-time members).
 		elapsed = 0
 	}
-	if st, ok := r.slots[slotKey{startRound: msg.StartRound, sender: msg.Sender}]; ok && !st.admits(msg.Ops) {
+	for _, op := range msg.Ops {
+		if op.Proposer != msg.Sender {
+			return // a member signs slots for its own ops only
+		}
+	}
+	if !admits(r.slots[slotKey{startRound: msg.StartRound, sender: msg.Sender}], msg.Ops) {
 		return
 	}
 	digest := smr.OpsDigest(msg.GroupID, msg.Epoch, msg.StartRound, msg.Sender, msg.Ops)
@@ -263,24 +255,24 @@ func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 		r.cfg.Logln("dolev %v/%d: REJECT chain slot(%d,%v) sigs=%d elapsed=%d prebirth=%v", r.cfg.GroupID, r.cfg.Epoch, msg.StartRound, msg.Sender, len(msg.Sigs), elapsed, preBirth)
 		return
 	}
-	r.accept(msg, digest)
+	r.accept(msg)
 	if !preBirth {
 		r.relay(msg, digest)
 	}
 }
 
-// admits reports whether a value with these ops may still change the slot:
-// it is not one the slot holds, and the slot holds fewer than two values (two
-// already make it commit nothing, and this member has relayed both). The ops
-// are compared by content, which is exact: the slot key, group and epoch fix
-// the rest of the digest.
-func (st *slotState) admits(ops []smr.Operation) bool {
-	for _, v := range st.accepted {
-		if sameOps(v.ops, ops) {
+// admits reports whether a batch may still change a slot holding batches: it
+// is not one the slot holds, and the slot holds fewer than two (two already
+// make it commit nothing, and this member has relayed both). The ops are
+// compared by content, which is exact: the slot key, group and epoch fix the
+// rest of the digest.
+func admits(batches [][]smr.Operation, ops []smr.Operation) bool {
+	for _, b := range batches {
+		if sameOps(b, ops) {
 			return false
 		}
 	}
-	return len(st.accepted) < 2
+	return len(batches) < 2
 }
 
 func sameOps(a, b []smr.Operation) bool {
@@ -332,17 +324,10 @@ func inChain(sigs []SigEntry, id ids.NodeID) bool {
 	return false
 }
 
-func (r *Replica) accept(msg SlotMsg, digest crypto.Digest) {
+// accept adds a batch that admits let through to its slot.
+func (r *Replica) accept(msg SlotMsg) {
 	key := slotKey{startRound: msg.StartRound, sender: msg.Sender}
-	st, ok := r.slots[key]
-	if !ok {
-		st = &slotState{accepted: make(map[crypto.Digest]*slotValue)}
-		r.slots[key] = st
-	}
-	if _, seen := st.accepted[digest]; seen {
-		return
-	}
-	st.accepted[digest] = &slotValue{digest: digest, ops: msg.Ops, sigs: msg.Sigs}
+	r.slots[key] = append(r.slots[key], msg.Ops)
 }
 
 // relay appends our signature and forwards to members not yet in the chain.

@@ -403,14 +403,10 @@ func (c *cluster) countVerifies() *int {
 }
 
 // slotSnapshot copies what a replica holds for its open slots.
-func slotSnapshot(r *Replica) map[slotKey]map[crypto.Digest]slotValue {
-	out := make(map[slotKey]map[crypto.Digest]slotValue, len(r.slots))
-	for k, st := range r.slots {
-		vals := make(map[crypto.Digest]slotValue, len(st.accepted))
-		for d, v := range st.accepted {
-			vals[d] = *v
-		}
-		out[k] = vals
+func slotSnapshot(r *Replica) map[slotKey][][]smr.Operation {
+	out := make(map[slotKey][][]smr.Operation, len(r.slots))
+	for k, batches := range r.slots {
+		out[k] = append([][]smr.Operation(nil), batches...)
 	}
 	return out
 }
@@ -500,7 +496,7 @@ func TestEquivocatorCannotFloodSlot(t *testing.T) {
 	c.deliverAll()
 	key := slotKey{startRound: 1, sender: 5}
 	for id, r := range c.replicas {
-		if held := len(r.slots[key].accepted); held != 2 {
+		if held := len(r.slots[key]); held != 2 {
 			t.Errorf("member %v holds %d values for the slot, want 2", id, held)
 		}
 		if n := len(relayed[id]); n > 2 {
@@ -546,5 +542,28 @@ func TestPreBirthCatchUpTrustsLoneSender(t *testing.T) {
 	}
 	if len(c.committed[4]) != 1 {
 		t.Fatalf("late member 4 committed %v; the known limit no longer reproduces", c.committed[4])
+	}
+}
+
+// TestSlotCarriesOnlyItsSendersOps: faulty member 5 signs a slot whose ops
+// name members 1 and 3 as their proposers. The sender's signature vouches for
+// its own ops only, so no member commits them.
+func TestSlotCarriesOnlyItsSendersOps(t *testing.T) {
+	c := newCluster(t, 5, 5)
+	ops := []smr.Operation{op(1, 9, "in 1's name"), op(3, 9, "in 3's name")}
+	d := smr.OpsDigest(1, 1, 1, 5, ops)
+	msg := SlotMsg{
+		GroupID: 1, Epoch: 1, StartRound: 1, Sender: 5,
+		Ops:  ops,
+		Sigs: []SigEntry{{Node: 5, Sig: c.signers[5].Sign(d[:])}},
+	}
+	c.tick(1)
+	for to := ids.NodeID(1); to <= 4; to++ {
+		c.send(5, to, msg)
+	}
+	c.deliverAll()
+	c.runRounds(2, 5)
+	if got := c.checkAgreement(); len(got) != 0 {
+		t.Fatalf("committed %v, want nothing: the slot's ops name members other than its sender", got)
 	}
 }

@@ -68,8 +68,12 @@ type entry struct {
 	prePrepared bool
 	prepares    map[voteKey]map[ids.NodeID]bool
 	commits     map[voteKey]map[ids.NodeID]bool
-	sentCommit  map[voteKey]bool
-	executed    bool
+	// commitFor is the key this replica sent its Commit for, zero before it
+	// sends one; no pre-prepared key is zero, since view 0's digests are
+	// checked against their batches. An entry's view only rises, so only its
+	// current key is ever asked about.
+	commitFor voteKey
+	executed  bool
 }
 
 func (e *entry) key() voteKey { return voteKey{view: e.view, digest: e.digest} }
@@ -109,7 +113,6 @@ type Replica struct {
 	// ≥ f+1 members — at least one correct — restoring PBFT's safety
 	// argument for every group size.
 	quorum  int
-	selfIdx int
 	stopped bool
 
 	view         uint64
@@ -120,12 +123,14 @@ type Replica struct {
 	nextSeq  uint64 // primary: next sequence number to assign (last assigned)
 	lastExec uint64
 
-	stableSeq    uint64
-	stableDigest crypto.Digest
-	checkpoints  map[uint64]map[ids.NodeID]crypto.Digest
+	stableSeq   uint64
+	checkpoints map[uint64]map[ids.NodeID]crypto.Digest
 
-	pending  map[reqKey]smr.Operation // not yet executed requests we know of
-	own      map[reqKey]smr.Operation // our own proposals (re-sent on view change)
+	// pending holds the requests we know of that have not executed; those
+	// naming this replica are its own proposals (Receive drops a Request
+	// whose op names a member other than its sender), re-sent on view
+	// change.
+	pending  map[reqKey]smr.Operation
 	executed map[reqKey]bool
 	assigned map[reqKey]bool // primary only: assigned a seq in the current view
 
@@ -157,11 +162,9 @@ func New(cfg smr.Config, opts Options) *Replica {
 		f:           smr.AsyncF(cfg.N()),
 		n:           cfg.N(),
 		quorum:      (cfg.N() + smr.AsyncF(cfg.N()) + 2) / 2, // ⌈(n+f+1)/2⌉
-		selfIdx:     cfg.SelfIndex(),
 		entries:     make(map[uint64]*entry),
 		checkpoints: make(map[uint64]map[ids.NodeID]crypto.Digest),
 		pending:     make(map[reqKey]smr.Operation),
-		own:         make(map[reqKey]smr.Operation),
 		executed:    make(map[reqKey]bool),
 		assigned:    make(map[reqKey]bool),
 		viewChanges: make(map[uint64]map[ids.NodeID]ViewChange),
@@ -170,18 +173,6 @@ func New(cfg smr.Config, opts Options) *Replica {
 		futurePP:    make(map[uint64][]PrePrepare),
 	}
 }
-
-// F returns the number of faults this replica's configuration tolerates.
-func (r *Replica) F() int { return r.f }
-
-// View returns the current view (for tests and metrics).
-func (r *Replica) View() uint64 { return r.view }
-
-// StableSeq returns the last stable checkpoint sequence number.
-func (r *Replica) StableSeq() uint64 { return r.stableSeq }
-
-// LogSize returns the number of live log entries (for GC tests/metrics).
-func (r *Replica) LogSize() int { return len(r.entries) }
 
 // Stop implements smr.Replica.
 func (r *Replica) Stop() { r.stopped = true }
@@ -212,7 +203,6 @@ func (r *Replica) Propose(op smr.Operation) {
 	if r.executed[key] {
 		return
 	}
-	r.own[key] = op
 	req := Request{GroupID: r.cfg.GroupID, Epoch: r.cfg.Epoch, Op: op}
 	r.broadcast(req)
 	r.handleRequest(req)
@@ -228,7 +218,8 @@ func (r *Replica) Receive(from ids.NodeID, raw actor.Message) {
 	}
 	switch msg := raw.(type) {
 	case Request:
-		if msg.GroupID == r.cfg.GroupID && msg.Epoch == r.cfg.Epoch {
+		// A member requests its own ops only.
+		if msg.GroupID == r.cfg.GroupID && msg.Epoch == r.cfg.Epoch && msg.Op.Proposer == from {
 			r.handleRequest(msg)
 		}
 	case PrePrepare:
@@ -368,9 +359,8 @@ func (r *Replica) getEntry(seq uint64) *entry {
 	e, ok := r.entries[seq]
 	if !ok {
 		e = &entry{seq: seq,
-			prepares:   make(map[voteKey]map[ids.NodeID]bool),
-			commits:    make(map[voteKey]map[ids.NodeID]bool),
-			sentCommit: make(map[voteKey]bool),
+			prepares: make(map[voteKey]map[ids.NodeID]bool),
+			commits:  make(map[voteKey]map[ids.NodeID]bool),
 		}
 		r.entries[seq] = e
 	}
@@ -428,10 +418,10 @@ func (r *Replica) checkPrepared(e *entry) {
 		return
 	}
 	k := e.key()
-	if e.sentCommit[k] || len(e.prepares[k]) < r.quorum {
+	if e.commitFor == k || len(e.prepares[k]) < r.quorum {
 		return
 	}
-	e.sentCommit[k] = true
+	e.commitFor = k
 	cm := Commit{GroupID: r.cfg.GroupID, Epoch: r.cfg.Epoch,
 		View: e.view, Seq: e.seq, Digest: e.digest}
 	r.broadcast(cm)
@@ -478,7 +468,6 @@ func (r *Replica) tryExecute() {
 			}
 			r.executed[key] = true
 			delete(r.pending, key)
-			delete(r.own, key)
 			r.cfg.Commit(op)
 		}
 		// Progress resets the view-change clock.
@@ -538,13 +527,12 @@ func (r *Replica) handleCheckpoint(from ids.NodeID, msg Checkpoint) {
 		}
 	}
 	if matching >= r.quorum && msg.Seq <= r.lastExec {
-		r.stabilize(msg.Seq, msg.Digest)
+		r.stabilize(msg.Seq)
 	}
 }
 
-func (r *Replica) stabilize(seq uint64, digest crypto.Digest) {
+func (r *Replica) stabilize(seq uint64) {
 	r.stableSeq = seq
-	r.stableDigest = digest
 	for s := range r.entries {
 		if s <= seq {
 			delete(r.entries, s)

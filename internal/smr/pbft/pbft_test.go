@@ -108,7 +108,7 @@ func TestNormalCaseCommit(t *testing.T) {
 	if len(got) != 1 || string(got[0].Data) != "hello" {
 		t.Fatalf("committed = %v, want [hello]", got)
 	}
-	if v := f.nodes[1].rep.View(); v != 0 {
+	if v := f.nodes[1].rep.view; v != 0 {
 		t.Errorf("view = %d, want 0 (no view change in failure-free run)", v)
 	}
 }
@@ -162,7 +162,7 @@ func TestPrimaryCrashTriggersViewChange(t *testing.T) {
 	if len(got) != 1 || string(got[0].Data) != "survive" {
 		t.Fatalf("committed = %v, want [survive]", got)
 	}
-	if v := f.nodes[2].rep.View(); v == 0 {
+	if v := f.nodes[2].rep.view; v == 0 {
 		t.Error("view change did not happen")
 	}
 }
@@ -178,7 +178,7 @@ func TestSuccessivePrimaryCrashes(t *testing.T) {
 	if len(got) != 1 || string(got[0].Data) != "deep" {
 		t.Fatalf("committed = %v, want [deep]", got)
 	}
-	if v := f.nodes[5].rep.View(); v < 2 {
+	if v := f.nodes[5].rep.view; v < 2 {
 		t.Errorf("view = %d, want >= 2 after two primary crashes", v)
 	}
 }
@@ -209,11 +209,11 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 		t.Fatalf("committed %d, want %d", len(got), 3*checkpointInterval)
 	}
 	rep := f.nodes[2].rep
-	if rep.StableSeq() == 0 {
+	if rep.stableSeq == 0 {
 		t.Error("no stable checkpoint was formed")
 	}
-	if rep.LogSize() > 2*checkpointInterval {
-		t.Errorf("log not garbage-collected: %d entries", rep.LogSize())
+	if len(rep.entries) > 2*checkpointInterval {
+		t.Errorf("log not garbage-collected: %d entries", len(rep.entries))
 	}
 }
 
@@ -315,7 +315,7 @@ func TestEquivocatingPrimarySafety(t *testing.T) {
 	if !found {
 		t.Fatal("op never committed despite correct quorum")
 	}
-	if v := nodes[2].rep.View(); v == 0 {
+	if v := nodes[2].rep.view; v == 0 {
 		t.Error("expected a view change away from the equivocating primary")
 	}
 }
@@ -353,6 +353,21 @@ func TestHighestViewWinsInNewView(t *testing.T) {
 	}
 	if string(pps[0].Batch[0].Data) != "B" {
 		t.Error("the higher-view prepared batch must win")
+	}
+}
+
+// TestRequestCarriesOnlyItsSendersOp: replica 2 proposes ops that name
+// replicas 1 and 3 as their proposers next to one of its own. A member
+// requests its own ops only, so only replica 2's own op commits, everywhere.
+func TestRequestCarriesOnlyItsSendersOp(t *testing.T) {
+	f := newFixture(t, 4, time.Second)
+	f.nodes[2].rep.Propose(op(1, 9, "in 1's name"))
+	f.nodes[2].rep.Propose(op(2, 1, "own"))
+	f.nodes[2].rep.Propose(op(3, 9, "in 3's name"))
+	f.net.Run(2 * time.Second)
+	got := f.checkAgreement(t, nil)
+	if len(got) != 1 || got[0].Proposer != 2 || string(got[0].Data) != "own" {
+		t.Fatalf("committed %v, want only replica 2's own op", got)
 	}
 }
 

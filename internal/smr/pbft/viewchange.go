@@ -130,10 +130,10 @@ func (r *Replica) maybeMakeNewView(v uint64) {
 // highest prepared entry, the prepared batch with the highest view wins;
 // gaps become null (empty-batch) proposals.
 func computeNewViewPrePrepares(group ids.GroupID, epoch, view uint64, vcs []ViewChange) []PrePrepare {
-	var minStable, maxSeq uint64
+	var stable, maxSeq uint64
 	for _, vc := range vcs {
-		if vc.StableSeq > minStable {
-			minStable = vc.StableSeq
+		if vc.StableSeq > stable {
+			stable = vc.StableSeq
 		}
 		for _, p := range vc.Prepared {
 			if p.Seq > maxSeq {
@@ -150,7 +150,7 @@ func computeNewViewPrePrepares(group ids.GroupID, epoch, view uint64, vcs []View
 		}
 	}
 	var pps []PrePrepare
-	for seq := minStable + 1; seq <= maxSeq; seq++ {
+	for seq := stable + 1; seq <= maxSeq; seq++ {
 		if p, ok := best[seq]; ok {
 			pps = append(pps, PrePrepare{GroupID: group, Epoch: epoch,
 				View: view, Seq: seq, Digest: p.Digest, Batch: p.Batch})
@@ -249,9 +249,9 @@ func (r *Replica) installNewView(nv NewView) {
 	}
 	// Re-issue our own not-yet-executed proposals so a new primary that
 	// never saw them learns them.
-	ownOps := make([]smr.Operation, 0, len(r.own))
-	for key, op := range r.own {
-		if !r.executed[key] {
+	var ownOps []smr.Operation
+	for key, op := range r.pending {
+		if key.proposer == r.cfg.Self {
 			ownOps = append(ownOps, op)
 		}
 	}

@@ -20,8 +20,15 @@ import (
 )
 
 // Operation is a unit of agreement: an opaque payload attributed to the
-// member that proposed it. (Proposer, OpID) identifies the operation for
+// member named Proposer. (Proposer, OpID) identifies the operation for
 // deduplication across epoch restarts and re-proposals.
+//
+// The engines check Proposer only as far as their messages carry a sender:
+// Dolev-Strong commits a slot's ops only when each names the slot's signing
+// sender, and PBFT drops a Request whose op names a member other than the
+// one it came from. A PBFT primary orders batches that backups check against
+// their digest only, so a faulty primary can still commit an op under any
+// member's name.
 type Operation struct {
 	Proposer ids.NodeID
 	OpID     uint64
@@ -83,9 +90,6 @@ type Config struct {
 	// Logf, when non-nil, receives debug logs.
 	Logf func(format string, args ...any)
 }
-
-// SelfIndex returns the index of Self in Members, or -1.
-func (c *Config) SelfIndex() int { return ids.FindIdentity(c.Members, c.Self) }
 
 // N returns the group size.
 func (c *Config) N() int { return len(c.Members) }
