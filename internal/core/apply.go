@@ -216,15 +216,14 @@ func (n *Node) reconfigure(members []ids.Identity, cause reconfigCause) {
 		notify(st.nbrs.Succs[c])
 	}
 
-	// Votes are per-epoch; heartbeat clocks restart.
+	// Votes are per-epoch; heartbeat clocks restart as the epoch is entered.
 	st.resetVotes()
-	n.rebuildPeers()
 
 	if ids.FindIdentity(members, n.cfg.Identity.ID) < 0 {
 		n.departed(cause)
 		return
 	}
-	n.makeReplica()
+	n.enterEpoch()
 
 	switch cause {
 	case causeJoin, causeLeave, causeEvict, causeMerge:
@@ -267,10 +266,14 @@ func (n *Node) stopReplica() {
 	}
 }
 
-// departed handles this node's own removal from the vgroup.
+// departed is this node's one way out of its vgroup, whatever the route: a
+// committed change that leaves it out, the merge dissolve, or the sole
+// member's leave. It stops the replica and drops everything kept for the
+// vgroup: the state, the pending ops, the member table, the cached snapshots
+// and the repair state.
 func (n *Node) departed(cause reconfigCause) {
+	n.stopReplica()
 	n.st = nil
-	n.replica = nil
 	n.replicaEpoch = 0
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
 	// Cached snapshots attest the group just left; they must not be

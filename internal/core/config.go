@@ -110,10 +110,18 @@ type Callbacks struct {
 	// then sent because the neighbor is known to hold the broadcast
 	// (forwardGossip).
 	Forward func(d Delivery, link ForwardLink) bool
-	// OnJoined fires when this node becomes a member of a vgroup.
+	// OnJoined fires when this node becomes a member of a vgroup: at
+	// Bootstrap, when a join completes, and when a move by an exchange or a
+	// merge completes at the destination vgroup's snapshot. A split moves
+	// half the members into a new vgroup without firing it.
 	OnJoined func(comp group.Composition)
-	// OnLeft fires when this node stops being a member (left, evicted, or
-	// moved by an exchange — in the exchange case OnJoined fires again).
+	// OnLeft fires when this node stops being a member, or gives up
+	// becoming one, with no vgroup to go to. The reason is "leave",
+	// "evict", "join-failed" (Join ran out of attempts) or "orphaned" (a
+	// move whose destination's snapshot never came, with no vgroup known to
+	// rejoin through). A move by an exchange or a merge does not fire it:
+	// the node waits for the destination's snapshot, and OnJoined fires
+	// again when it is installed.
 	OnLeft func(reason string)
 	// OnApply, when set, observes every state transition the node applies:
 	// (group, epoch, op content digest, op type). Intended for divergence

@@ -189,6 +189,48 @@ func TestLeaveShrinksGroup(t *testing.T) {
 	h.checkMembershipConsistent()
 }
 
+// TestSoleLeaverDropsPendingOps: the sole member of an instance that leaves
+// while its broadcast is still pending drops the op with the instance. When
+// it then joins another instance, that instance must not deliver the
+// broadcast: the op belongs to the instance that ended.
+func TestSoleLeaverDropsPendingOps(t *testing.T) {
+	h := newHarness(t, smr.ModeSync, 1, nil)
+	a, b := h.addNode(smr.ModeSync), h.addNode(smr.ModeSync)
+	h.net.Run(10 * time.Millisecond)
+	if err := a.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.BroadcastWith([]byte("stale"), BroadcastOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.ownPend) != 0 {
+		t.Errorf("after leaving as the sole member, %d ops are still pending", len(a.ownPend))
+	}
+	if err := a.Join(b.Identity()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := h.net.Now() + 60*time.Second
+	for !a.IsMember() && h.net.Now() < deadline {
+		h.net.Run(h.net.Now() + 50*time.Millisecond)
+	}
+	if !a.IsMember() {
+		t.Fatal("the leaver failed to join the other instance")
+	}
+	h.net.Run(h.net.Now() + 5*time.Second)
+	for _, n := range []*Node{a, b} {
+		if slices.Contains(h.delivered[n.cfg.Identity.ID], "stale") {
+			t.Errorf("node %v delivered a broadcast of the instance its publisher left", n.cfg.Identity.ID)
+		}
+	}
+	h.checkMembershipConsistent()
+}
+
 func TestCrashedNodeIsEvicted(t *testing.T) {
 	h := newHarness(t, smr.ModeSync, 7, func(cfg *Config) {
 		cfg.DisableShuffle = true

@@ -182,18 +182,44 @@ func (h *harness) groupsOf() map[ids.GroupID][]ids.NodeID {
 }
 
 // checkMembershipConsistent verifies that all members of each vgroup agree
-// on its composition (same epoch ⇒ same member set), and that every node's
-// self-reported group contains it.
+// on its composition (same epoch ⇒ same member set), that every node's
+// self-reported group contains it, and that every node holds what its route
+// into or out of an epoch left it (docs/ARCHITECTURE.md, "Entering and
+// leaving an epoch"): a member a replica at its composition's epoch, one
+// member record per other member and no buffered SMR traffic of its vgroup
+// at or below its epoch; a non-member no replica, no member table and no
+// pending op.
 func (h *harness) checkMembershipConsistent() {
 	h.t.Helper()
 	byGroup := make(map[ids.GroupID]map[uint64]group.Composition)
 	for id, n := range h.nodes {
 		if !n.IsMember() {
+			if n.replica != nil || n.peers != nil || len(n.ownPend) != 0 {
+				h.t.Errorf("non-member %v holds a replica (%v), a member table (%v) or %d pending ops",
+					id, n.replica != nil, n.peers != nil, len(n.ownPend))
+			}
 			continue
 		}
 		comp := n.Comp()
 		if !comp.Contains(id) {
 			h.t.Errorf("node %v reports group %v that does not contain it", id, comp.GroupID)
+		}
+		if n.replica == nil || n.replicaEpoch != comp.Epoch {
+			h.t.Errorf("member %v of %v/%d has a replica at epoch %d (built: %v)",
+				id, comp.GroupID, comp.Epoch, n.replicaEpoch, n.replica != nil)
+		}
+		if len(n.peers) != comp.N()-1 {
+			h.t.Errorf("member %v has %d member records for %d other members", id, len(n.peers), comp.N()-1)
+		}
+		for _, m := range comp.Members {
+			if m.ID != id && n.peers[m.ID] == nil {
+				h.t.Errorf("member %v has no record of member %v", id, m.ID)
+			}
+		}
+		for k := range n.pen {
+			if k.GroupID == comp.GroupID && k.Epoch <= comp.Epoch {
+				h.t.Errorf("member %v of %v/%d buffers SMR traffic of epoch %d", id, comp.GroupID, comp.Epoch, k.Epoch)
+			}
 		}
 		eps, ok := byGroup[comp.GroupID]
 		if !ok {

@@ -47,7 +47,7 @@ func (n *Node) Bootstrap() error {
 	n.learnComp(comp)
 	n.phase = phaseMember
 	n.rep.since = n.Now()
-	n.makeReplica()
+	n.enterEpoch()
 	if n.cfg.Callbacks.OnJoined != nil {
 		n.cfg.Callbacks.OnJoined(comp.Clone())
 	}
@@ -104,12 +104,7 @@ func (n *Node) Leave() error {
 	}
 	if n.st.comp.N() == 1 {
 		// Sole member of the sole vgroup: the instance dies with it.
-		n.st = nil
-		n.stopReplica()
-		n.phase = phaseLeft
-		if n.cfg.Callbacks.OnLeft != nil {
-			n.cfg.Callbacks.OnLeft("leave")
-		}
+		n.departed(causeLeave)
 		return nil
 	}
 	n.proposeOp(leaveOp{GroupID: n.st.comp.GroupID, Node: n.cfg.Identity.ID})
@@ -371,19 +366,54 @@ func (n *Node) readySnapshot(k snapKey) *groupState {
 	return st
 }
 
-// installSnapshot installs st, the state the ready tally of k attests. A joiner
-// or mover becomes a member. A laggard also performs the outbound duty of
-// the transition it skipped: it sends its own share of the snapshot to the
-// new composition. Without it, every member that catches up (rather than
+// installSnapshot installs st, the state the ready tally of k attests, as
+// this node's replicated state and enters its epoch. A joiner or mover
+// becomes a member. A laggard also performs the outbound duty of the
+// transition it skipped: it sends its own share of the snapshot to the new
+// composition. Without it, every member that catches up (rather than
 // applies) leaves later receivers one share short of their threshold, and
 // the shortfall cascades across epochs.
 func (n *Node) installSnapshot(k snapKey, st *groupState) {
 	payload := n.snaps[k].payload
 	delete(n.snaps, k)
-	if n.phase == phaseMember {
-		old := n.st.comp
+	laggard := n.phase == phaseMember
+	var old group.Composition
+	if laggard {
+		old = n.st.comp
 		n.logf("epoch catch-up %v: %d -> %d", st.comp.GroupID, old.Epoch, st.comp.Epoch)
-		n.installGroupState(st)
+	} else {
+		n.expectSnapshot = make(map[ids.GroupID]bool)
+		n.join = nil
+		n.awaitDeadline = 0
+		n.phase = phaseMember
+		n.rep.since = n.Now()
+	}
+	// A laggard can hold egress batches still pending under its old epoch;
+	// send them stamped with it first.
+	n.egress.FlushAll()
+	n.stopReplica()
+	n.st = st
+	st.comp = n.learnComp(st.comp)
+	for c := 0; c < st.nbrs.NumCycles(); c++ {
+		st.nbrs.Preds[c] = n.learnComp(st.nbrs.Preds[c])
+		st.nbrs.Succs[c] = n.learnComp(st.nbrs.Succs[c])
+	}
+	now := n.env.Now()
+	// Arm local deadlines for inherited pending work: deadlines are
+	// node-local, and without them a membership that rotated heavily could
+	// end up with fewer than f+1 members able to vote a timeout.
+	for _, wo := range st.walkOrigins {
+		n.walkDeadlines[wo.WalkID] = now + n.cfg.WalkTimeout
+	}
+	for _, pe := range st.pendingExch {
+		n.walkDeadlines[pe.WalkID] = now + 4*n.cfg.WalkTimeout
+	}
+	for _, ej := range st.expectedJoiners {
+		n.walkDeadlines[ej.WalkID] = now + n.cfg.WalkTimeout
+	}
+	n.forgetSnapshots(st.comp, true)
+	n.enterEpoch()
+	if laggard {
 		n.cacheSnapshot(old.Epoch, payload)
 		for _, m := range st.comp.Members {
 			if m.ID != n.cfg.Identity.ID {
@@ -391,12 +421,6 @@ func (n *Node) installSnapshot(k snapKey, st *groupState) {
 			}
 		}
 	} else {
-		n.expectSnapshot = make(map[ids.GroupID]bool)
-		n.join = nil
-		n.awaitDeadline = 0
-		n.phase = phaseMember
-		n.rep.since = n.Now()
-		n.installGroupState(st)
 		n.logf("joined %v/%d members %v", st.comp.GroupID, st.comp.Epoch, ids.IdentityIDs(st.comp.Members))
 		if n.cfg.Callbacks.OnJoined != nil {
 			n.cfg.Callbacks.OnJoined(st.comp.Clone())
@@ -418,38 +442,6 @@ func (n *Node) forgetSnapshots(comp group.Composition, install bool) {
 		}
 		return k.src.Epoch < comp.Epoch
 	})
-}
-
-// installGroupState replaces the node's replicated state with an attested
-// snapshot and restarts SMR on it. Shared by snapshot adoption (joins,
-// exchanges, merges) and epoch catch-up.
-func (n *Node) installGroupState(st *groupState) {
-	// Epoch catch-up can replace the state of a member with egress batches
-	// still pending under the old epoch; send them stamped with it first.
-	n.egress.FlushAll()
-	n.stopReplica()
-	n.st = st
-	st.comp = n.learnComp(st.comp)
-	for c := 0; c < st.nbrs.NumCycles(); c++ {
-		st.nbrs.Preds[c] = n.learnComp(st.nbrs.Preds[c])
-		st.nbrs.Succs[c] = n.learnComp(st.nbrs.Succs[c])
-	}
-	n.rebuildPeers()
-	now := n.env.Now()
-	// Arm local deadlines for inherited pending work: deadlines are
-	// node-local, and without them a membership that rotated heavily could
-	// end up with fewer than f+1 members able to vote a timeout.
-	for _, wo := range st.walkOrigins {
-		n.walkDeadlines[wo.WalkID] = now + n.cfg.WalkTimeout
-	}
-	for _, pe := range st.pendingExch {
-		n.walkDeadlines[pe.WalkID] = now + 4*n.cfg.WalkTimeout
-	}
-	for _, ej := range st.expectedJoiners {
-		n.walkDeadlines[ej.WalkID] = now + n.cfg.WalkTimeout
-	}
-	n.forgetSnapshots(st.comp, true)
-	n.makeReplica()
 }
 
 // --- member side: admitting joiners ---

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"atum/internal/actor"
+	"atum/internal/group"
 	"atum/internal/ids"
 	"atum/internal/smr"
 )
@@ -29,11 +30,18 @@ func (e nowHook) Now() time.Duration {
 // re-propose at a later barrier and no member table. Shuffling is off, so a
 // dissolve is the only way into that phase.
 func TestMergeOnShrink(t *testing.T) {
+	// A dissolving member moves: it gets no OnLeft and one more OnJoined, at
+	// the absorber's snapshot.
+	joined, left := map[ids.NodeID]int{}, map[ids.NodeID]int{}
 	h := newHarness(t, smr.ModeSync, 13, func(cfg *Config) {
 		cfg.Params = Params{HC: 2, RWL: 2, GMax: 4, GMin: 3}
 		cfg.DisableShuffle = true
+		id := cfg.Identity.ID
+		cfg.Callbacks.OnJoined = func(group.Composition) { joined[id]++ }
+		cfg.Callbacks.OnLeft = func(string) { left[id]++ }
 	})
 	dissolved := map[ids.NodeID]bool{}
+	joinedAt, leftAt := map[ids.NodeID]int{}, map[ids.NodeID]int{}
 	h.wrapEnv = func(n *Node, env actor.Env) actor.Env {
 		return nowHook{Env: env, hook: func() {
 			id := n.cfg.Identity.ID
@@ -41,6 +49,7 @@ func TestMergeOnShrink(t *testing.T) {
 				return
 			}
 			dissolved[id] = true
+			joinedAt[id], leftAt[id] = joined[id], left[id]
 			if len(n.ownPend) != 0 || n.peers != nil {
 				t.Errorf("%v awaits the absorber's snapshot holding %d pending ops and a member table (%v)",
 					id, len(n.ownPend), n.peers != nil)
@@ -80,6 +89,11 @@ func TestMergeOnShrink(t *testing.T) {
 	}
 	if len(dissolved) == 0 {
 		t.Fatal("no member awaited a snapshot: the shrunken vgroup never dissolved")
+	}
+	for id := range dissolved {
+		if j, l := joined[id]-joinedAt[id], left[id]-leftAt[id]; j != 1 || l != 0 {
+			t.Errorf("dissolving member %v got %d OnJoined and %d OnLeft since it dissolved, want 1 and 0", id, j, l)
+		}
 	}
 	// Broadcast still reaches every survivor.
 	var origin *Node

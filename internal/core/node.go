@@ -102,7 +102,7 @@ type Node struct {
 	lastHB time.Duration
 	// peers is the member table: one record per other member of the current
 	// composition, rebuilt at every change of it and dropped on departure
-	// (rebuildPeers).
+	// (rebuildPeers, from enterEpoch).
 	peers map[ids.NodeID]*peer
 
 	join           *joinContext
@@ -820,8 +820,14 @@ func (n *Node) handleSMREnvelope(from ids.NodeID, m SMREnvelope) {
 	}
 }
 
-// makeReplica builds the SMR replica for the current composition.
-func (n *Node) makeReplica() {
+// enterEpoch is this node's one way into the epoch of its current
+// composition, whatever the route (docs/ARCHITECTURE.md, "Entering and
+// leaving an epoch"): it remakes the member table, builds the SMR replica,
+// drains what pen buffered for the epoch and re-proposes ownPend. A route
+// that replaces a composition flushes the egress and stops the old replica
+// before it calls enterEpoch.
+func (n *Node) enterEpoch() {
+	n.rebuildPeers()
 	comp := n.st.comp
 	epoch := comp.Epoch
 	n.replicaEpoch = epoch
@@ -869,7 +875,7 @@ func (n *Node) makeReplica() {
 	// NEXT epoch's replica from inside these calls. Once that happens this
 	// frame must not touch n.replica again.
 	stale := func() bool { return n.replica != rep || n.replicaEpoch != epoch }
-	n.logf("makeReplica %v/%d: draining %d buffered msgs", comp.GroupID, epoch, len(buffered))
+	n.logf("enterEpoch %v/%d: draining %d buffered msgs", comp.GroupID, epoch, len(buffered))
 	for _, pm := range buffered {
 		if stale() {
 			return

@@ -33,10 +33,10 @@ func (*recordingReplica) HandleTimer(any)                   {}
 func (*recordingReplica) Tick(uint64)                       {}
 func (*recordingReplica) Stop()                             {}
 
-// TestMakeReplicaReproposesInOpIDOrder: a fresh epoch's replica gets this
+// TestEnterEpochReproposesInOpIDOrder: a fresh epoch's replica gets this
 // node's unapplied operations back in the order they were first proposed.
 // The recorder is the real replica's first slot batch, read off the wire.
-func TestMakeReplicaReproposesInOpIDOrder(t *testing.T) {
+func TestEnterEpochReproposesInOpIDOrder(t *testing.T) {
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)
 	for run := 0; run < proposeOrderNodes; run++ {
@@ -45,7 +45,7 @@ func TestMakeReplicaReproposesInOpIDOrder(t *testing.T) {
 			data := encodePayload(walkTimeoutOp{WalkID: wcDigest(byte(id))})
 			n.ownPend[opDigest(data)] = smr.Operation{Proposer: 1, OpID: id, Data: data}
 		}
-		n.makeReplica()
+		n.enterEpoch()
 		n.replica.Tick(uint64(env.now/n.cfg.RoundDuration) + 1)
 
 		var batch []smr.Operation

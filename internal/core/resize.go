@@ -121,10 +121,8 @@ func (n *Node) installSplitHalf(eComp group.Composition, eNbrs overlay.Neighbors
 	// heartbeat under this vgroup's GroupID, so none of them can be asked for.
 	n.recentSnaps = nil
 	n.ownPend = make(map[crypto.Digest]smr.Operation)
-	n.learnComp(dComp)
 	n.forgetSnapshots(dComp, false) // the parent vgroup's, behind the epoch this member left it at
-	n.makeReplica()
-	n.rebuildPeers()
+	n.enterEpoch()
 }
 
 // applySplitInsert relocates a split-off vgroup: insert it between us and
@@ -294,7 +292,6 @@ func (n *Node) applyMergeAccept(p mergeAcceptPayload) {
 	// torn down below; it would otherwise be silently delayed past the move.
 	n.egress.FlushAll()
 	n.expectSnapshotFrom(p.Absorber)
-	n.stopReplica()
 	n.departed(causeMerge)
 }
 
